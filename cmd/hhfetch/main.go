@@ -123,15 +123,9 @@ func run() error {
 	fmt.Printf("blocks: %d total, %d compressed; host decompress wall %.3f ms\n",
 		stats.BlocksTotal, stats.BlocksCompressed, stats.DecompressWall.Seconds()*1000)
 
-	s := float64(stats.RawBytes) / 1e6
-	sc := float64(stats.WireBytes) / 1e6
-	plain := model.DownloadEnergy(s)
-	// The same rule the client charges its trace span with: Eq. 3 when
-	// compressed blocks crossed the wire, Eq. 1 otherwise.
-	this := plain
-	if stats.BlocksCompressed > 0 {
-		this = model.InterleavedEnergy(s, sc)
-	}
+	plain := model.DownloadEnergy(float64(stats.RawBytes) / 1e6)
+	// The charge the client's trace span carries for this transfer.
+	this := model.TransferBreakdown(stats.RawBytes, stats.WireBytes, stats.BlocksCompressed).Total()
 	fmt.Printf("iPAQ energy estimate at %.1f Mb/s: plain %.4f J, this transfer %.4f J (%.1f%% saving)\n",
 		*rateMbps, plain, this, (1-this/plain)*100)
 
@@ -151,14 +145,8 @@ func run() error {
 
 func modelForRate(mbps float64) (repro.EnergyModel, error) {
 	switch mbps {
-	case 11, 5.5, 1:
-		// Only 11 and 2 Mb/s were measured by the paper; intermediate
-		// rates use the 11 Mb/s power structure with scaled timing, which
-		// the model captures via the rate config used in simulation. For
-		// the quick estimate here, 11 Mb/s parameters apply.
-		return repro.Params11Mbps(), nil
-	case 2:
-		return repro.Params2Mbps(), nil
+	case 11, 5.5, 2, 1:
+		return repro.ParamsForMbps(mbps), nil
 	default:
 		return repro.EnergyModel{}, fmt.Errorf("unsupported rate %.1f", mbps)
 	}

@@ -53,10 +53,7 @@ func run() error {
 				return fmt.Errorf("%s/%v: %w", name, mode, err)
 			}
 			_ = content // verified inside Fetch via CRC
-			e := model.InterleavedEnergy(float64(stats.RawBytes)/1e6, float64(stats.WireBytes)/1e6)
-			if mode == repro.ProxyRaw {
-				e = model.DownloadEnergy(float64(stats.RawBytes) / 1e6)
-			}
+			e := model.TransferBreakdown(stats.RawBytes, stats.WireBytes, stats.BlocksCompressed).Total()
 			fmt.Printf("%-14v %10d %10d %8.2f %6d/%-3d %10.4f\n",
 				mode, stats.RawBytes, stats.WireBytes, stats.Factor,
 				stats.BlocksCompressed, stats.BlocksTotal, e)

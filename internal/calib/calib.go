@@ -35,9 +35,9 @@ func RefParams(device string) (energy.Params, bool) {
 	case export.DeviceIPAQ11, "":
 		// Events with no device tag calibrate against the paper's primary
 		// configuration, matching the client's EnergyParams default.
-		return energy.Params11Mbps(), true
+		return energy.ParamsForMbps(11), true
 	case export.DeviceIPAQ2:
-		return energy.Params2Mbps(), true
+		return energy.ParamsForMbps(2), true
 	default:
 		return energy.Params{}, false
 	}

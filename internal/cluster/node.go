@@ -10,7 +10,6 @@ import (
 	"repro/internal/obs/export"
 	"repro/internal/proxy"
 	"repro/internal/selective"
-	"repro/internal/sim"
 )
 
 // Config wires one proxy server into a cluster.
@@ -37,7 +36,7 @@ type Config struct {
 	// peer-fetch hook on it; the caller keeps ownership and lifecycle.
 	Server *proxy.Server
 	// Clock supplies deadlines for peer I/O; nil selects the host clock.
-	Clock sim.WallClock
+	Clock proxy.WallClock
 	// Timeout bounds one peer exchange end to end. 0 selects 30s.
 	Timeout time.Duration
 	// Events, when set, receives one wide event per peer fetch this node
@@ -85,7 +84,7 @@ func NewNode(cfg Config) (*Node, error) {
 		return nil, fmt.Errorf("cluster: self %q not in membership %v", cfg.Self, cfg.Nodes)
 	}
 	if cfg.Clock == nil {
-		cfg.Clock = sim.SystemClock{}
+		cfg.Clock = proxy.SystemClock{}
 	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 30 * time.Second
@@ -213,13 +212,13 @@ func (n *Node) fetchFrom(owner string, key proxy.ArtifactKey) ([]selective.Block
 	default:
 		return nil, 0, fmt.Errorf("%w: fetch status %#x", ErrPeerProtocol, status)
 	}
-	blocks, err := readPeerBlocks(conn)
+	blocks, err := readArtifact(conn)
 	if err != nil {
 		return nil, 0, err
 	}
-	wire := int64(5 + peerBlockHdrLen) // status + end frame
+	wire := int64(5 + proxy.BlockHeaderLen) // status + end frame
 	for _, b := range blocks {
-		wire += int64(peerBlockHdrLen + len(b.Payload))
+		wire += int64(proxy.BlockHeaderLen + len(b.Payload))
 	}
 	return blocks, wire, nil
 }
@@ -284,7 +283,7 @@ func (n *Node) handle(conn net.Conn) {
 	case peerOpFetch:
 		n.handleFetch(conn, req.Key)
 	case peerOpPut:
-		blocks, err := readPeerBlocks(conn)
+		blocks, err := readArtifact(conn)
 		if err != nil {
 			return
 		}
@@ -309,7 +308,7 @@ func (n *Node) handleFetch(conn net.Conn, key proxy.ArtifactKey) {
 	if n.ring.Owner(ks) != n.cfg.Self {
 		if blocks, ok := n.cfg.Server.CachedArtifact(key); ok {
 			if writePeerStatus(conn, peerStatusOK) == nil {
-				_ = writePeerBlocks(conn, blocks)
+				_ = writeArtifact(conn, blocks)
 			}
 			return
 		}
@@ -330,7 +329,7 @@ func (n *Node) handleFetch(conn net.Conn, key proxy.ArtifactKey) {
 		return
 	}
 	if writePeerStatus(conn, peerStatusOK) == nil {
-		_ = writePeerBlocks(conn, blocks)
+		_ = writeArtifact(conn, blocks)
 	}
 	n.maybeReplicate(ks, key, blocks)
 }
@@ -362,7 +361,7 @@ func (n *Node) maybeReplicate(ks string, key proxy.ArtifactKey, blocks []selecti
 			if err := writePeerRequest(conn, peerRequest{Op: peerOpPut, Key: key}); err != nil {
 				return
 			}
-			if err := writePeerBlocks(conn, blocks); err != nil {
+			if err := writeArtifact(conn, blocks); err != nil {
 				return
 			}
 			_, _ = readPeerStatus(conn)

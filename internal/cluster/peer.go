@@ -12,9 +12,10 @@ import (
 	"repro/internal/selective"
 )
 
-// PXY-P is the inter-proxy peer protocol, framed like PXY3: a CRC on the
-// request frame, a CRC on the response status, and a per-block payload
-// CRC, with every wire-derived length bounded before allocation.
+// PXY-P is the inter-proxy peer protocol: a CRC on the request frame, a
+// CRC on the response status, and artifacts carried as PXY3's own block
+// frames (proxy.WriteBlock / ReadBlock — per-block payload CRC, every
+// wire-derived length bounded before allocation).
 //
 //	request:  "PXYP" | op u8 | keyLen-prefixed fields | crc32(after magic)
 //	          key = nameLen u16 | name | gen u64 | scheme u8 | fpLen u16 | fp
@@ -41,14 +42,9 @@ const (
 
 	maxPeerName   = 4096
 	maxPeerFP     = 256
-	maxPeerBlock  = 1 << 21
 	maxPeerBlocks = 4096
 
-	peerReqFixedLen   = 4 + 1
-	peerBlockHdrLen   = 1 + 4 + 4 + 4
-	peerBlockFlagRaw  = 0x00
-	peerBlockFlagComp = 0x01
-	peerBlockFlagEnd  = 0xFF
+	peerReqFixedLen = 4 + 1
 )
 
 // ErrPeerProtocol is returned for malformed PXY-P frames.
@@ -148,78 +144,42 @@ func readPeerStatus(r io.Reader) (byte, error) {
 	return buf[0], nil
 }
 
-// writePeerBlocks frames an artifact's block stream, terminated by an end
-// frame carrying the block count.
-func writePeerBlocks(w io.Writer, blocks []selective.Block) error {
-	var hdr [peerBlockHdrLen]byte
+// writeArtifact streams an artifact as PXY3 block frames, terminated by an
+// end frame whose trailer carries the block count.
+func writeArtifact(w io.Writer, blocks []selective.Block) error {
 	for _, b := range blocks {
-		hdr[0] = peerBlockFlagRaw
-		if b.Compressed {
-			hdr[0] = peerBlockFlagComp
-		}
-		binary.BigEndian.PutUint32(hdr[1:5], uint32(b.RawLen))
-		binary.BigEndian.PutUint32(hdr[5:9], uint32(len(b.Payload)))
-		binary.BigEndian.PutUint32(hdr[9:13], checksum.CRC32(b.Payload))
-		if _, err := w.Write(hdr[:]); err != nil {
+		if err := proxy.WriteBlock(w, b); err != nil {
 			return err
 		}
-		if len(b.Payload) > 0 {
-			if _, err := w.Write(b.Payload); err != nil {
-				return err
-			}
-		}
 	}
-	hdr[0] = peerBlockFlagEnd
-	binary.BigEndian.PutUint32(hdr[1:5], uint32(len(blocks)))
-	binary.BigEndian.PutUint32(hdr[5:9], 0)
-	binary.BigEndian.PutUint32(hdr[9:13], checksum.CRC32(hdr[:9]))
-	_, err := w.Write(hdr[:])
-	return err
+	return proxy.WriteEnd(w, uint32(len(blocks)))
 }
 
-// readPeerBlocks decodes a block stream, bounding every length before
-// allocation and verifying every payload CRC and the trailing count.
-func readPeerBlocks(r io.Reader) ([]selective.Block, error) {
+// readArtifact decodes a block stream and verifies the trailing count (the
+// frame codec bounds every length and verifies every CRC). An artifact
+// outlives the exchange — cache admission, replication — so each payload
+// is copied out of the codec's pooled read buffer into an exact-size slice
+// the cache's byte accounting can trust.
+func readArtifact(r io.Reader) ([]selective.Block, error) {
 	var blocks []selective.Block
-	var hdr [peerBlockHdrLen]byte
 	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return nil, fmt.Errorf("%w: truncated block: %v", ErrPeerProtocol, err)
+		b, count, ok, err := proxy.ReadBlock(r)
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrPeerProtocol, err)
 		}
-		if hdr[0] == peerBlockFlagEnd {
-			if checksum.CRC32(hdr[:9]) != binary.BigEndian.Uint32(hdr[9:13]) {
-				return nil, fmt.Errorf("%w: end frame CRC mismatch", ErrPeerProtocol)
-			}
-			if n := binary.BigEndian.Uint32(hdr[1:5]); int(n) != len(blocks) {
-				return nil, fmt.Errorf("%w: stream claims %d blocks, carried %d", ErrPeerProtocol, n, len(blocks))
+		if !ok {
+			if int(count) != len(blocks) {
+				return nil, fmt.Errorf("%w: stream claims %d blocks, carried %d", ErrPeerProtocol, count, len(blocks))
 			}
 			return blocks, nil
 		}
-		if hdr[0] != peerBlockFlagRaw && hdr[0] != peerBlockFlagComp {
-			return nil, fmt.Errorf("%w: block flag %#x", ErrPeerProtocol, hdr[0])
-		}
+		pooled := b.Payload
 		if len(blocks) >= maxPeerBlocks {
+			codec.PutBuf(pooled)
 			return nil, fmt.Errorf("%w: more than %d blocks", ErrPeerProtocol, maxPeerBlocks)
 		}
-		rawLen := binary.BigEndian.Uint32(hdr[1:5])
-		payLen := binary.BigEndian.Uint32(hdr[5:9])
-		if err := selective.CheckWireLens(rawLen, payLen, maxPeerBlock, maxPeerBlock); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrPeerProtocol, err)
-		}
-		if hdr[0] == peerBlockFlagRaw && payLen != rawLen {
-			return nil, fmt.Errorf("%w: raw block claims %d raw bytes but carries %d", ErrPeerProtocol, rawLen, payLen)
-		}
-		payload := make([]byte, payLen)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return nil, fmt.Errorf("%w: truncated payload: %v", ErrPeerProtocol, err)
-		}
-		if checksum.CRC32(payload) != binary.BigEndian.Uint32(hdr[9:13]) {
-			return nil, fmt.Errorf("%w: block payload CRC mismatch", ErrPeerProtocol)
-		}
-		blocks = append(blocks, selective.Block{
-			Compressed: hdr[0] == peerBlockFlagComp,
-			RawLen:     int(rawLen),
-			Payload:    payload,
-		})
+		b.Payload = append([]byte(nil), pooled...)
+		codec.PutBuf(pooled)
+		blocks = append(blocks, b)
 	}
 }

@@ -14,6 +14,27 @@ func closeTo(a, b, tol float64) bool {
 	return math.Abs(a-b) <= tol*math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
 }
 
+// The anchor table is derived from wlan.Rates() and the two energy
+// parameter sets; it must come out as the four measured operating points
+// the decider has always interpolated between (cached artifacts and
+// PXY-P keys embed decisions made from them).
+func TestLinkAnchorsAreTheMeasuredPoints(t *testing.T) {
+	want := [][5]float64{ // rate MB/s, idle fraction, m, pi, pd
+		{0.10, 0.87, 2.556, 2.15, 3.10},
+		{0.18, 0.815, 2.556, 2.15, 3.10},
+		{0.40, 0.55, 2.486, 1.55, 2.85},
+		{0.60, 0.40, 2.486, 1.55, 2.85},
+	}
+	if len(linkAnchors) != len(want) {
+		t.Fatalf("%d anchors, want %d", len(linkAnchors), len(want))
+	}
+	for i, a := range linkAnchors {
+		if got := [5]float64{a.RateMBps, a.IdleFrac, a.M, a.Pi, a.Pd}; got != want[i] {
+			t.Errorf("anchor %d = %v, want %v", i, got, want[i])
+		}
+	}
+}
+
 // At the 11 Mb/s anchor with the static Table 1 base, adaptation must be
 // the identity: the dynamic decider with no live signal is exactly the
 // paper's model.

@@ -9,62 +9,59 @@ import (
 	"os"
 
 	"repro/internal/calib"
+	"repro/internal/device"
 	"repro/internal/energy"
 	"repro/internal/wlan"
 )
 
-// linkAnchor pins the rate-dependent coefficients at one of the measured
-// 802.11b operating points (internal/wlan's Table-1-derived rate set).
-// Between anchors the decider interpolates linearly; beyond them it
-// clamps — extrapolating idle fractions past the measured range would
-// leave the model's validity envelope.
-type linkAnchor struct {
-	rateMBps float64 // effective application-layer rate
-	idleFrac float64 // fraction of download time the radio idles
-	m        float64 // receive-copy energy, J/MB
-	pi       float64 // idle power, W
-	pd       float64 // busy (decompress) power, W
+// linkAnchors pins the rate-dependent coefficients (rate, idle fraction,
+// m, pi, pd) at the 802.11b operating points, ordered by rate: 1, 2, 5.5,
+// 11 Mb/s nominal. Each is an energy parameter set placed at a row of
+// wlan's rate table: Section 4.2's 2 Mb/s set where the radio stays in
+// receive through the CPU-idle gaps (1 and 2 Mb/s), Table 1's 11 Mb/s set
+// where it idles between bursts (5.5 and 11 Mb/s). Between anchors the
+// decider interpolates linearly; beyond them it clamps — extrapolating
+// past the measured range would leave the model's validity envelope.
+var linkAnchors = buildLinkAnchors()
+
+func buildLinkAnchors() []energy.Params {
+	rates := wlan.Rates() // fastest first
+	anchors := make([]energy.Params, len(rates))
+	for i, r := range rates {
+		p := energy.Params11Mbps()
+		if r.GapRadio == device.RadioRecv {
+			p = energy.Params2Mbps()
+		}
+		p.RateMBps, p.IdleFrac = r.EffectiveMBps, r.IdleFrac
+		anchors[len(rates)-1-i] = p
+	}
+	return anchors
 }
 
-// linkAnchors is ordered by rate: 1, 2, 5.5, 11 Mb/s nominal. The 1 and
-// 2 Mb/s points share the paper's Section 4.2 coefficient set (the radio
-// receives into deeper buffers and idles hotter); 5.5 and 11 Mb/s share
-// the Table 1 set.
-var linkAnchors = []linkAnchor{
-	{rateMBps: 0.10, idleFrac: 0.87, m: 2.556, pi: 2.15, pd: 3.10},
-	{rateMBps: 0.18, idleFrac: 0.815, m: 2.556, pi: 2.15, pd: 3.10},
-	{rateMBps: 0.40, idleFrac: 0.55, m: 2.486, pi: 1.55, pd: 2.85},
-	{rateMBps: 0.60, idleFrac: 0.40, m: 2.486, pi: 1.55, pd: 2.85},
-}
-
-// lerpAnchor interpolates the anchor table at rate, clamping outside the
-// measured range.
-func lerpAnchor(rate float64) linkAnchor {
-	if rate <= linkAnchors[0].rateMBps {
-		a := linkAnchors[0]
-		a.rateMBps = rate
-		return a
-	}
-	last := linkAnchors[len(linkAnchors)-1]
-	if rate >= last.rateMBps {
-		last.rateMBps = rate
-		return last
-	}
-	for i := 1; i < len(linkAnchors); i++ {
-		lo, hi := linkAnchors[i-1], linkAnchors[i]
-		if rate > hi.rateMBps {
-			continue
-		}
-		t := (rate - lo.rateMBps) / (hi.rateMBps - lo.rateMBps)
-		return linkAnchor{
-			rateMBps: rate,
-			idleFrac: lo.idleFrac + t*(hi.idleFrac-lo.idleFrac),
-			m:        lo.m + t*(hi.m-lo.m),
-			pi:       lo.pi + t*(hi.pi-lo.pi),
-			pd:       lo.pd + t*(hi.pd-lo.pd),
+// lerpAnchor interpolates the anchor table's rate-dependent coefficients
+// at rate, clamping outside the measured range; the other fields of the
+// result are an anchor's and carry no meaning.
+func lerpAnchor(rate float64) energy.Params {
+	a := linkAnchors[len(linkAnchors)-1]
+	switch {
+	case rate <= linkAnchors[0].RateMBps:
+		a = linkAnchors[0]
+	case rate < a.RateMBps:
+		for i := 1; i < len(linkAnchors); i++ {
+			lo, hi := linkAnchors[i-1], linkAnchors[i]
+			if rate > hi.RateMBps {
+				continue
+			}
+			t := (rate - lo.RateMBps) / (hi.RateMBps - lo.RateMBps)
+			a.IdleFrac = lo.IdleFrac + t*(hi.IdleFrac-lo.IdleFrac)
+			a.M = lo.M + t*(hi.M-lo.M)
+			a.Pi = lo.Pi + t*(hi.Pi-lo.Pi)
+			a.Pd = lo.Pd + t*(hi.Pd-lo.Pd)
+			break
 		}
 	}
-	return last
+	a.RateMBps = rate
+	return a
 }
 
 // ParamsForLink adapts base to a live link state. The rate-dependent
@@ -87,13 +84,7 @@ func ParamsForLink(base energy.Params, rateMBps float64, powerSave bool) energy.
 	if rate <= 0 || math.IsNaN(rate) || math.IsInf(rate, 0) {
 		rate = base.RateMBps
 	}
-	if rate <= 0 || math.IsNaN(rate) || math.IsInf(rate, 0) {
-		rate = energy.Params11Mbps().RateMBps
-	}
-	// Clamp to a physically meaningful band: 10 kB/s (far below 1 Mb/s
-	// nominal) up to 125 MB/s (gigabit); the model's closed forms stay
-	// finite and monotone inside it.
-	rate = math.Min(math.Max(rate, 0.01), 125)
+	rate = clampRate(rate)
 	if powerSave {
 		rate *= 1 - wlan.PowerSavePenalty
 	}
@@ -101,18 +92,18 @@ func ParamsForLink(base energy.Params, rateMBps float64, powerSave bool) energy.
 	a := lerpAnchor(rate)
 	p := base
 	p.RateMBps = rate
-	p.IdleFrac = a.idleFrac
+	p.IdleFrac = a.IdleFrac
 
 	// Carry a calibrated m across rates proportionally to the anchor
 	// curve; a base already at an anchor value passes through unchanged.
 	baseAnchor := lerpAnchor(clampRate(base.RateMBps))
-	if baseAnchor.m > 0 && base.M > 0 {
-		p.M = a.m * (base.M / baseAnchor.m)
+	if baseAnchor.M > 0 && base.M > 0 {
+		p.M = a.M * (base.M / baseAnchor.M)
 	} else {
-		p.M = a.m
+		p.M = a.M
 	}
-	p.Pi = a.pi
-	p.Pd = a.pd
+	p.Pi = a.Pi
+	p.Pd = a.Pd
 	if powerSave {
 		// Idle gaps are spent dozing at the sleep current.
 		if base.PiSleep > 0 {
@@ -122,9 +113,13 @@ func ParamsForLink(base energy.Params, rateMBps float64, powerSave bool) energy.
 	return p
 }
 
+// clampRate reads an unusable rate as the 11 Mb/s operating point's and
+// clamps to a physically meaningful band: 10 kB/s (far below 1 Mb/s
+// nominal) up to 125 MB/s (gigabit); the model's closed forms stay finite
+// and monotone inside it.
 func clampRate(r float64) float64 {
 	if r <= 0 || math.IsNaN(r) || math.IsInf(r, 0) {
-		return energy.Params11Mbps().RateMBps
+		r = energy.Params11Mbps().RateMBps
 	}
 	return math.Min(math.Max(r, 0.01), 125)
 }

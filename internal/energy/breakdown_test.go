@@ -64,3 +64,35 @@ func TestBreakdownDegenerate(t *testing.T) {
 		}
 	}
 }
+
+// TestTransferBreakdownRule: the charge rule is Eq. 3 exactly when
+// compressed blocks crossed the wire and Eq. 1 otherwise — bit for bit
+// the two closed forms, keyed on the block count and nothing else (a
+// selective fetch whose blocks all went raw is a plain download even
+// though its wire bytes exceed its raw bytes by the framing).
+func TestTransferBreakdownRule(t *testing.T) {
+	for _, p := range []Params{Params11Mbps(), Params2Mbps()} {
+		const raw, wire = 300_000, 120_000
+		if got, want := p.TransferBreakdown(raw, wire, 3), p.InterleavedBreakdown(0.3, 0.12); got != want {
+			t.Errorf("compressed transfer = %+v, want Eq. 3 %+v", got, want)
+		}
+		if got, want := p.TransferBreakdown(raw, raw+39, 0), p.DownloadBreakdown(0.3); got != want {
+			t.Errorf("all-raw transfer = %+v, want Eq. 1 %+v", got, want)
+		}
+	}
+	if got := Params11Mbps().TransferBreakdown(0, 22, 0); got != (Breakdown{}) {
+		t.Errorf("empty transfer = %+v, want zero", got)
+	}
+}
+
+// TestParamsForMbps: only nominal 2 Mb/s selects the Section 4.2 set.
+func TestParamsForMbps(t *testing.T) {
+	if ParamsForMbps(2) != Params2Mbps() {
+		t.Error("2 Mb/s must select Params2Mbps")
+	}
+	for _, mbps := range []float64{11, 5.5, 1} {
+		if ParamsForMbps(mbps) != Params11Mbps() {
+			t.Errorf("%g Mb/s must select Params11Mbps", mbps)
+		}
+	}
+}

@@ -91,6 +91,16 @@ func Params2Mbps() Params {
 	return p
 }
 
+// ParamsForMbps is the one nominal-rate lookup: the parameter set a
+// nominal 802.11b bit rate is modeled with. The paper measured only 11
+// and 2 Mb/s; every other rate takes the 11 Mb/s power structure.
+func ParamsForMbps(nominalMbps float64) Params {
+	if nominalMbps == 2 {
+		return Params2Mbps()
+	}
+	return Params11Mbps()
+}
+
 // DownloadTime returns the wall time in seconds to download s MB.
 func (p Params) DownloadTime(s float64) float64 {
 	if s <= 0 {
@@ -206,6 +216,19 @@ func (p Params) DownloadBreakdown(s float64) Breakdown {
 		return Breakdown{}
 	}
 	return Breakdown{RadioJ: p.M*s + p.Cs, IdleJ: p.IdleTime(s) * p.Pi}
+}
+
+// TransferBreakdown charges one finished transfer from its byte counts —
+// the one rule every consumer (client spans and events, the soak harness,
+// hhfetch, the examples) applies: Eq. 3 when compressed blocks crossed the
+// wire, Eq. 1 otherwise. A selective fetch whose blocks all went raw is
+// an uncompressed download, whatever mode was requested.
+func (p Params) TransferBreakdown(rawBytes, wireBytes, blocksCompressed int) Breakdown {
+	s := float64(rawBytes) / 1e6
+	if blocksCompressed > 0 {
+		return p.InterleavedBreakdown(s, float64(wireBytes)/1e6)
+	}
+	return p.DownloadBreakdown(s)
 }
 
 // InterleavedTime returns the wall time of an interleaved compressed

@@ -58,15 +58,8 @@ func (c Config) corpus() (large, small []workload.FileSpec) {
 // modelFor returns the analytic energy model for a scheme at a rate,
 // substituting the scheme's decompression cost coefficients.
 func modelFor(scheme codec.Scheme, rate wlan.RateConfig) energy.Params {
-	var p energy.Params
-	switch rate.NominalMbps {
-	case 2:
-		p = energy.Params2Mbps()
-	default:
-		p = energy.Params11Mbps()
-	}
 	cost := device.DecompressCost(scheme)
-	return p.WithDecompressCost(cost.PerOutMB, cost.PerInMB, cost.PerStream)
+	return energy.ParamsForMbps(rate.NominalMbps).WithDecompressCost(cost.PerOutMB, cost.PerInMB, cost.PerStream)
 }
 
 // runSpec executes one pipeline experiment.

@@ -2,18 +2,13 @@ package harness
 
 import (
 	"fmt"
-	"hash/crc32"
-	"math/rand"
 	"net"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/obs"
 	"repro/internal/proxy"
-	"repro/internal/proxy/faultconn"
 	"repro/internal/simnet"
 )
 
@@ -24,41 +19,28 @@ import (
 // freezing the clock under it.
 const flightPollInterval = 250 * time.Microsecond
 
-// nodeName is node ordinal k's ring ID; nodeAddr / peerAddr are its
-// client-facing and PXY-P simnet listener names.
-func nodeName(k int) string     { return fmt.Sprintf("n%d", k) }
+// nodeAddr / peerAddr are the simnet listener names of server k's client
+// side and of ring member id's PXY-P side.
 func nodeAddr(k int) string     { return fmt.Sprintf("proxy%d", k) }
 func peerAddr(id string) string { return "peer:" + id }
 
-// runCluster executes a Nodes>0 scenario: N proxy servers behind one
-// virtual network, each with a shared transmit line at the client link
-// rate (a node's NIC serializes its responses, so aggregate serve
-// throughput honestly scales with node count), joined into a
-// consistent-hash ring by internal/cluster. Clients pin to node
-// (client mod Nodes) with exactly the same per-client seed derivations as
-// the single-server path; the churn actor registers through a node so
-// generation bumps exercise the ring-wide invalidation broadcast.
-func runCluster(s Scenario) (*Report, error) {
-	goroutinesBefore := runtime.NumGoroutine()
-
-	corpus := buildCorpus(s)
-	clock := simnet.NewClock()
-	nw := simnet.NewNetwork(clock, s.Link)
-	if len(s.Schedule) > 0 {
-		if err := nw.SetSchedule(s.Schedule); err != nil {
-			return nil, err
-		}
-	}
-
+// startServers builds and starts a run's servers, server k listening at
+// nodeAddr(k): a single proxy, or — when Scenario.Nodes > 0 — that many
+// proxies joined into a consistent-hash ring by internal/cluster, each
+// behind a shared transmit line at the client link rate (a node's NIC
+// serializes its responses, so aggregate serve throughput honestly scales
+// with node count). The single-server shape gets no transmit line and no
+// FlightWait poll, so its virtual timeline is the pre-cluster testbed's.
+// compLog is the ring-wide compression ledger the per-key oracle reads
+// once every server is closed: (key → nodes that compressed it).
+func startServers(s Scenario, clock *simnet.Clock, nw *simnet.Network, corpus []corpusFile) (
+	servers []*proxy.Server, nodes []*cluster.Node, compLog map[string][]string, err error) {
+	var compMu sync.Mutex
+	compLog = make(map[string][]string)
 	ids := make([]string, s.Nodes)
 	for k := range ids {
-		ids[k] = nodeName(k)
+		ids[k] = fmt.Sprintf("n%d", k)
 	}
-	// compLog is the cluster-wide compression ledger the per-key oracle
-	// reads: every compression on any node records (key, node).
-	var compMu sync.Mutex
-	compLog := make(map[string][]string)
-
 	peerLink := s.PeerLink
 	// One fixed seed for every peer dial: DialLink seeds each endpoint's
 	// jitter rng from the link seed alone, so every peer connection
@@ -68,17 +50,18 @@ func runCluster(s Scenario) (*Report, error) {
 		return nw.DialLink(peerAddr(peer), peerLink)
 	}
 
-	servers := make([]*proxy.Server, s.Nodes)
-	nodes := make([]*cluster.Node, s.Nodes)
-	for k := 0; k < s.Nodes; k++ {
-		id := ids[k]
-		srv := proxy.NewServerWith(nil, proxy.Config{
+	for k := 0; k < max(s.Nodes, 1); k++ {
+		cfg := proxy.Config{
 			Clock: clock,
-			// Each node gets its own decider instance so per-node metric
+			// Each server gets its own decider instance so per-node metric
 			// registries never share counters.
-			Decider:  buildDecider(s),
+			Decider: buildDecider(s),
+			// Never shed: ConnsTotal == Σ attempts must hold exactly, and a
+			// busy-shed path would couple one client's timeline to another's.
 			MaxConns: s.Clients + 2,
-			FlightWait: func(done <-chan struct{}) {
+		}
+		if s.Nodes > 0 {
+			cfg.FlightWait = func(done <-chan struct{}) {
 				for {
 					select {
 					case <-done:
@@ -87,162 +70,53 @@ func runCluster(s Scenario) (*Report, error) {
 					}
 					clock.Sleep(flightPollInterval)
 				}
-			},
-		})
+			}
+		}
+		srv := proxy.NewServerWith(nil, cfg)
 		for _, f := range corpus {
 			srv.Register(f.name, f.content)
 		}
-		n, err := cluster.NewNode(cluster.Config{
-			Self:     id,
-			Nodes:    ids,
-			Replicas: s.Replicas,
-			HotK:     s.HotK,
-			Dial:     dial,
-			Server:   srv,
-			Clock:    clock,
-			Timeout:  s.Timeout,
-			OnCompress: func(key proxy.ArtifactKey) {
-				compMu.Lock()
-				compLog[cluster.KeyString(key)] = append(compLog[cluster.KeyString(key)], id)
-				compMu.Unlock()
-			},
-		})
-		if err != nil {
-			return nil, err
-		}
-		pln, err := nw.Listen(peerAddr(id))
-		if err != nil {
-			return nil, err
-		}
-		n.Serve(pln)
-
 		ln, err := nw.Listen(nodeAddr(k))
 		if err != nil {
-			return nil, err
+			return nil, nil, nil, err
 		}
-		// The node's transmitter: all of this node's responses share one
-		// line at the client link rate, so a single node cannot serve N
-		// clients at N times its radio's capacity.
-		if err := nw.SetLine(nodeAddr(k), s.Link); err != nil {
-			return nil, err
+		if s.Nodes > 0 {
+			id := ids[k]
+			n, err := cluster.NewNode(cluster.Config{
+				Self:     id,
+				Nodes:    ids,
+				Replicas: s.Replicas,
+				HotK:     s.HotK,
+				Dial:     dial,
+				Server:   srv,
+				Clock:    clock,
+				Timeout:  s.Timeout,
+				OnCompress: func(key proxy.ArtifactKey) {
+					compMu.Lock()
+					compLog[cluster.KeyString(key)] = append(compLog[cluster.KeyString(key)], id)
+					compMu.Unlock()
+				},
+			})
+			if err != nil {
+				return nil, nil, nil, err
+			}
+			pln, err := nw.Listen(peerAddr(id))
+			if err != nil {
+				return nil, nil, nil, err
+			}
+			n.Serve(pln)
+			nodes = append(nodes, n)
+			// The node's transmitter: all of this node's responses share one
+			// line at the client link rate, so a single node cannot serve N
+			// clients at N times its radio's capacity.
+			if err := nw.SetLine(nodeAddr(k), s.Link); err != nil {
+				return nil, nil, nil, err
+			}
 		}
 		srv.Serve(ln)
-		servers[k], nodes[k] = srv, n
+		servers = append(servers, srv)
 	}
-
-	records := make([][]FetchRecord, s.Clients)
-	tracers := make([]*obs.Tracer, s.Clients)
-	done := make(chan int, s.Clients+1)
-	running := 0
-
-	for i := 0; i < s.Clients; i++ {
-		i := i
-		tracer := obs.NewTracer(s.FetchesPerClient + 1)
-		tracers[i] = tracer
-		records[i] = make([]FetchRecord, 0, s.FetchesPerClient)
-		running++
-		clock.Go(func() {
-			defer func() { done <- i }()
-			// Seed derivations are identical to the single-server path, so
-			// a cluster run and a 1-node run of the same seed draw the same
-			// schedules, fault plans and jitter streams per client.
-			sched := rand.New(rand.NewSource(mix(s.Seed, int64(1000+i))))
-			plan := faultconn.Plan{
-				Seed:         mix(s.Seed, int64(3000+i)),
-				FragmentProb: s.FaultRate,
-				ResetProb:    s.FaultRate,
-				TruncateProb: s.FaultRate,
-				BitFlipProb:  s.FaultRate,
-			}
-			addr := nodeAddr(i % s.Nodes)
-			var dials int64
-			cli := proxy.NewClient(addr)
-			cli.Clock = clock
-			cli.Timeout = s.Timeout
-			cli.MaxRetries = s.MaxRetries
-			cli.RetryBaseDelay = 10 * time.Millisecond
-			cli.RetryMaxDelay = 200 * time.Millisecond
-			cli.Rand = rand.New(rand.NewSource(mix(s.Seed, int64(2000+i))))
-			cli.Tracer = tracer
-			cli.DeadlineClass = s.DeadlineClass
-			cli.EnergyBudgetJ = s.BudgetJ
-			cli.Dial = func() (net.Conn, error) {
-				dials++
-				link := s.Link
-				link.Seed = mix(s.Seed, int64(i)*1_000_000+dials)
-				conn, err := nw.DialLink(addr, link)
-				if err != nil {
-					return nil, err
-				}
-				return plan.Wrap(conn, dials), nil
-			}
-
-			clock.Sleep(time.Duration(i) * time.Millisecond)
-			for j := 0; j < s.FetchesPerClient; j++ {
-				f := corpus[sched.Intn(len(corpus))]
-				scheme := schemes[sched.Intn(len(schemes))]
-				mode := modes[sched.Intn(len(modes))]
-				fetchStart := clock.Elapsed()
-				got, stats, err := cli.Fetch(f.name, scheme, mode)
-				rec := FetchRecord{Client: i, Index: j, Name: f.name,
-					Scheme: scheme, Mode: mode, Err: errClass(err), Stats: stats,
-					Virtual: clock.Elapsed() - fetchStart, VStart: fetchStart}
-				if err == nil {
-					rec.Raw = len(got)
-					rec.CRC = crc32.ChecksumIEEE(got)
-				}
-				records[i] = append(records[i], rec)
-				clock.Sleep(time.Duration(sched.Intn(20)) * time.Millisecond)
-			}
-		})
-	}
-
-	if s.Churn > 0 {
-		running++
-		clock.Go(func() {
-			defer func() { done <- -1 }()
-			rng := rand.New(rand.NewSource(mix(s.Seed, 4000)))
-			for k := 0; k < s.Churn; k++ {
-				clock.Sleep(time.Duration(20+rng.Intn(20)) * time.Millisecond)
-				f := corpus[rng.Intn(len(corpus))]
-				// Register through a node, not a server: the bump must
-				// broadcast ring-wide invalidations, the thing churn is
-				// here to stress.
-				nodes[rng.Intn(len(nodes))].Register(f.name, f.content)
-			}
-		})
-	}
-
-	for running > 0 {
-		<-done
-		running--
-	}
-	elapsed := clock.Elapsed()
-	// Nodes first (their peer handlers use the servers), then the servers.
-	for _, n := range nodes {
-		if err := n.Close(); err != nil {
-			return nil, err
-		}
-	}
-	for _, srv := range servers {
-		if err := srv.Close(); err != nil {
-			return nil, err
-		}
-	}
-
-	r := &Report{Scenario: s, Elapsed: elapsed}
-	for _, srv := range servers {
-		st := srv.Stats()
-		r.PerNode = append(r.PerNode, st)
-		r.Stats = sumStats(r.Stats, st)
-	}
-	for i := 0; i < s.Clients; i++ {
-		r.Records = append(r.Records, records[i]...)
-		r.Spans = append(r.Spans, tracers[i].Snapshot())
-	}
-	r.runOracles(corpus, goroutinesBefore)
-	r.checkClusterCompressions(compLog)
-	return r, nil
+	return servers, nodes, compLog, nil
 }
 
 // checkClusterCompressions is the tentpole oracle: cluster-wide, an

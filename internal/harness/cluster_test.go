@@ -4,6 +4,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/codec"
+	"repro/internal/proxy"
 )
 
 // clusterShape is the scaling experiment's fixed workload: fault-free and
@@ -76,6 +79,51 @@ func TestClusterThroughputScales(t *testing.T) {
 	}
 	t.Logf("throughput: 1 node %.0f B/s, 3 nodes %.0f B/s (%.2fx); compressions %d vs %d; peer fetches %d",
 		tput1, tput3, tput3/tput1, c1, c3, three.Stats.PeerFetches)
+}
+
+// TestSchedulesIdenticalAcrossNodeCounts: client i's schedule derives from
+// (seed, i) alone, never from the testbed's shape — so the single-server
+// run, a 1-node ring and a 3-node ring of one seed must fetch the same
+// files with the same scheme and mode in the same order, and (fault-free,
+// churn-free) deliver the same bytes.
+func TestSchedulesIdenticalAcrossNodeCounts(t *testing.T) {
+	type fetchKey struct {
+		Client, Index int
+		Name          string
+		Scheme        codec.Scheme
+		Mode          proxy.Mode
+		Raw           int
+		CRC           uint32
+	}
+	var want []fetchKey
+	for _, nodes := range []int{0, 1, 3} {
+		r, err := Run(Scenario{Seed: 51, Clients: 5, FetchesPerClient: 8, Nodes: nodes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range r.Violations {
+			t.Errorf("nodes=%d: oracle violation: %s", nodes, v)
+		}
+		got := make([]fetchKey, len(r.Records))
+		for i, rec := range r.Records {
+			if rec.Err != "" {
+				t.Fatalf("nodes=%d: c%02d f%03d %s failed: %s", nodes, rec.Client, rec.Index, rec.Name, rec.Err)
+			}
+			got[i] = fetchKey{rec.Client, rec.Index, rec.Name, rec.Scheme, rec.Mode, rec.Raw, rec.CRC}
+		}
+		if want == nil {
+			want = got
+			continue
+		}
+		if len(got) != len(want) {
+			t.Fatalf("nodes=%d: %d records, single-server run had %d", nodes, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("nodes=%d: record %d = %+v, single-server run had %+v", nodes, i, got[i], want[i])
+			}
+		}
+	}
 }
 
 // TestClusterDeterministicTrace: a cluster run replays byte-identically

@@ -15,7 +15,7 @@ import (
 // event-determinism gate diffs and what the calibrator consumes.
 //
 // Per-class joules are recomputed from each record's byte counts with
-// the same Eq. 1 / Eq. 3 rule the client charges spans with: exact
+// the charge rule the client charges spans with (TransferBreakdown): exact
 // model arithmetic rather than re-summed span floats, so the stream
 // never wobbles by a ULP across runs. Phase timelines (dial, header,
 // recv, backoff, resume — the virtual-time phases) come from the
@@ -52,14 +52,7 @@ func (r *Report) Events() []export.Event {
 		if rec.Err != "" {
 			e.Outcome = rec.Err
 		} else {
-			s := float64(rec.Raw) / 1e6
-			sc := float64(rec.Stats.WireBytes) / 1e6
-			var bd energy.Breakdown
-			if rec.Stats.BlocksCompressed > 0 {
-				bd = p.InterleavedBreakdown(s, sc)
-			} else {
-				bd = p.DownloadBreakdown(s)
-			}
+			bd := p.TransferBreakdown(rec.Raw, rec.Stats.WireBytes, rec.Stats.BlocksCompressed)
 			e.RadioJ, e.CPUJ, e.IdleJ = bd.RadioJ, bd.CPUJ, bd.IdleJ
 		}
 		evs = append(evs, e)

@@ -26,6 +26,7 @@ import (
 	"net"
 	"runtime"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/codec"
@@ -349,12 +350,6 @@ func (r *Report) Trace() string {
 	return b.String()
 }
 
-// errClass folds an error into a stable trace token — the same
-// vocabulary the wide-event stream uses.
-func errClass(err error) string {
-	return proxy.ErrorClass(err)
-}
-
 // mix spreads (seed, salt) into an independent rng seed (SplitMix64-ish),
 // so nearby salts give uncorrelated streams.
 func mix(seed, salt int64) int64 {
@@ -385,11 +380,13 @@ func buildDecider(s Scenario) selective.Decider {
 // Run executes the scenario and checks every oracle. The returned error
 // covers harness plumbing failures only; oracle violations land in
 // Report.Violations so a caller can print them alongside the trace.
+//
+// Every shape shares this one loop: startServers stands up one server or
+// Scenario.Nodes ring members, then the same clients, churn actor and
+// report assembly run against them. Client i's schedule, fault plan and
+// jitter seeds derive from (seed, i) alone, whatever the server count.
 func Run(s Scenario) (*Report, error) {
 	s = s.withDefaults()
-	if s.Nodes > 0 {
-		return runCluster(s)
-	}
 	goroutinesBefore := runtime.NumGoroutine()
 
 	corpus := buildCorpus(s)
@@ -400,35 +397,30 @@ func Run(s Scenario) (*Report, error) {
 			return nil, err
 		}
 	}
-	ln, err := nw.Listen("proxy")
+	servers, nodes, compLog, err := startServers(s, clock, nw, corpus)
 	if err != nil {
 		return nil, err
 	}
-	srv := proxy.NewServerWith(nil, proxy.Config{
-		Clock:   clock,
-		Decider: buildDecider(s),
-		// Never shed: ConnsTotal == Σ attempts must hold exactly, and a
-		// busy-shed path would couple one client's timeline to another's.
-		MaxConns: s.Clients + 2,
-	})
-	for _, f := range corpus {
-		srv.Register(f.name, f.content)
-	}
-	srv.Serve(ln)
 
+	addrs := make([]string, len(servers)) // clients pin to server (client mod servers)
+	for k := range addrs {
+		addrs[k] = nodeAddr(k)
+	}
 	records := make([][]FetchRecord, s.Clients)
 	tracers := make([]*obs.Tracer, s.Clients)
-	done := make(chan int, s.Clients+1)
-	running := 0
+	var running sync.WaitGroup
+	// Hold the clock until every actor is on its ledger: a client the host
+	// schedules early must not spend virtual time before its siblings exist.
+	launched := make(chan struct{})
+	clock.Go(func() { <-launched })
 
 	for i := 0; i < s.Clients; i++ {
 		i := i
-		tracer := obs.NewTracer(s.FetchesPerClient + 1)
-		tracers[i] = tracer
+		tracers[i] = obs.NewTracer(s.FetchesPerClient + 1)
 		records[i] = make([]FetchRecord, 0, s.FetchesPerClient)
-		running++
+		running.Add(1)
 		clock.Go(func() {
-			defer func() { done <- i }()
+			defer running.Done()
 			sched := rand.New(rand.NewSource(mix(s.Seed, int64(1000+i))))
 			plan := faultconn.Plan{
 				Seed:         mix(s.Seed, int64(3000+i)),
@@ -437,15 +429,16 @@ func Run(s Scenario) (*Report, error) {
 				TruncateProb: s.FaultRate,
 				BitFlipProb:  s.FaultRate,
 			}
+			addr := addrs[i%len(addrs)]
 			var dials int64
-			cli := proxy.NewClient("proxy")
+			cli := proxy.NewClient(addr)
 			cli.Clock = clock
 			cli.Timeout = s.Timeout
 			cli.MaxRetries = s.MaxRetries
 			cli.RetryBaseDelay = 10 * time.Millisecond
 			cli.RetryMaxDelay = 200 * time.Millisecond
 			cli.Rand = rand.New(rand.NewSource(mix(s.Seed, int64(2000+i))))
-			cli.Tracer = tracer
+			cli.Tracer = tracers[i]
 			cli.DeadlineClass = s.DeadlineClass
 			cli.EnergyBudgetJ = s.BudgetJ
 			// Each dial gets its own jitter seed (via DialLink) and its own
@@ -457,7 +450,7 @@ func Run(s Scenario) (*Report, error) {
 				dials++
 				link := s.Link
 				link.Seed = mix(s.Seed, int64(i)*1_000_000+dials)
-				conn, err := nw.DialLink("proxy", link)
+				conn, err := nw.DialLink(addr, link)
 				if err != nil {
 					return nil, err
 				}
@@ -473,7 +466,7 @@ func Run(s Scenario) (*Report, error) {
 				fetchStart := clock.Elapsed()
 				got, stats, err := cli.Fetch(f.name, scheme, mode)
 				rec := FetchRecord{Client: i, Index: j, Name: f.name,
-					Scheme: scheme, Mode: mode, Err: errClass(err), Stats: stats,
+					Scheme: scheme, Mode: mode, Err: proxy.ErrorClass(err), Stats: stats,
 					Virtual: clock.Elapsed() - fetchStart, VStart: fetchStart}
 				if err == nil {
 					rec.Raw = len(got)
@@ -486,35 +479,58 @@ func Run(s Scenario) (*Report, error) {
 	}
 
 	if s.Churn > 0 {
-		running++
+		running.Add(1)
 		clock.Go(func() {
-			defer func() { done <- -1 }()
+			defer running.Done()
 			rng := rand.New(rand.NewSource(mix(s.Seed, 4000)))
 			for k := 0; k < s.Churn; k++ {
 				clock.Sleep(time.Duration(20+rng.Intn(20)) * time.Millisecond)
 				f := corpus[rng.Intn(len(corpus))]
 				// Same bytes, new generation: drops cached artifacts so the
 				// dataplane re-compresses, without perturbing any payload
-				// oracle or resume offset.
-				srv.Register(f.name, f.content)
+				// oracle or resume offset. On a ring the bump goes through a
+				// node: it must broadcast ring-wide invalidations.
+				if len(nodes) > 0 {
+					nodes[rng.Intn(len(nodes))].Register(f.name, f.content)
+				} else {
+					servers[0].Register(f.name, f.content)
+				}
 			}
 		})
 	}
 
-	for running > 0 {
-		<-done
-		running--
-	}
+	close(launched)
+	running.Wait()
 	elapsed := clock.Elapsed()
-	if err := srv.Close(); err != nil {
-		return nil, err
+	// Nodes first (their peer handlers use the servers), then the servers.
+	for _, n := range nodes {
+		if err := n.Close(); err != nil {
+			return nil, err
+		}
+	}
+	for _, srv := range servers {
+		if err := srv.Close(); err != nil {
+			return nil, err
+		}
 	}
 
-	r := &Report{Scenario: s, Stats: srv.Stats(), Elapsed: elapsed}
+	r := &Report{Scenario: s, Elapsed: elapsed}
+	if s.Nodes == 0 {
+		r.Stats = servers[0].Stats()
+	} else {
+		for _, srv := range servers {
+			st := srv.Stats()
+			r.PerNode = append(r.PerNode, st)
+			r.Stats = sumStats(r.Stats, st)
+		}
+	}
 	for i := 0; i < s.Clients; i++ {
 		r.Records = append(r.Records, records[i]...)
 		r.Spans = append(r.Spans, tracers[i].Snapshot())
 	}
 	r.runOracles(corpus, goroutinesBefore)
+	if s.Nodes > 0 {
+		r.checkClusterCompressions(compLog)
+	}
 	return r, nil
 }

@@ -78,14 +78,7 @@ func (r *Report) checkEnergyConservation() {
 				}
 				continue
 			}
-			s := float64(rec.Stats.RawBytes) / 1e6
-			sc := float64(rec.Stats.WireBytes) / 1e6
-			var bd energy.Breakdown
-			if rec.Stats.BlocksCompressed > 0 {
-				bd = p.InterleavedBreakdown(s, sc)
-			} else {
-				bd = p.DownloadBreakdown(s)
-			}
+			bd := p.TransferBreakdown(rec.Stats.RawBytes, rec.Stats.WireBytes, rec.Stats.BlocksCompressed)
 			got := sd.TotalJoules()
 			if !closeRel(got, bd.Total()) {
 				r.violate("energy: c%02d f%03d %s: span %.12f J, model %.12f J",

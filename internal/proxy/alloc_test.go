@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/codec"
+	"repro/internal/selective"
 )
 
 // TestReadBlockPooledAllocs: once the pool is warm, reading a verified
@@ -21,29 +22,29 @@ import (
 func TestReadBlockPooledAllocs(t *testing.T) {
 	payload := bytes.Repeat([]byte{0xA5}, 128*1024)
 	var frame bytes.Buffer
-	if err := writeBlock(&frame, wireBlock{Flag: blockFlagRaw, RawLen: uint32(len(payload)), Payload: payload}); err != nil {
+	if err := WriteBlock(&frame, selective.Block{RawLen: len(payload), Payload: payload}); err != nil {
 		t.Fatal(err)
 	}
 	wire := frame.Bytes()
 
 	// Warm the pool's size class.
 	r := bytes.NewReader(wire)
-	b, _, ok, err := readBlock(r)
+	b, _, ok, err := ReadBlock(r)
 	if err != nil || !ok {
-		t.Fatalf("warmup readBlock: ok=%v err=%v", ok, err)
+		t.Fatalf("warmup ReadBlock: ok=%v err=%v", ok, err)
 	}
 	codec.PutBuf(b.Payload)
 
 	allocs := testing.AllocsPerRun(200, func() {
 		r.Reset(wire)
-		b, _, ok, err := readBlock(r)
+		b, _, ok, err := ReadBlock(r)
 		if err != nil || !ok {
-			t.Fatalf("readBlock: ok=%v err=%v", ok, err)
+			t.Fatalf("ReadBlock: ok=%v err=%v", ok, err)
 		}
 		codec.PutBuf(b.Payload)
 	})
 	if allocs > 2 {
-		t.Errorf("readBlock allocates %.1f objects per block, want <= 2 (payload not pooled?)", allocs)
+		t.Errorf("ReadBlock allocates %.1f objects per block, want <= 2 (payload not pooled?)", allocs)
 	}
 }
 

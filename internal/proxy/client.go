@@ -16,7 +16,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/export"
 	"repro/internal/selective"
-	"repro/internal/sim"
 )
 
 // Client defaults.
@@ -105,7 +104,7 @@ type Client struct {
 	// clock. The deterministic testbed (internal/simnet) injects its
 	// virtual clock here, so a retrying fetch's backoff advances
 	// simulated time instead of stalling the test for real seconds.
-	Clock sim.WallClock
+	Clock WallClock
 	// Dial, when set, replaces TCP dialing entirely (DialTimeout is then
 	// unused; Timeout still applies as a connection deadline). The
 	// testbed injects a virtual-network dialer — optionally wrapped in a
@@ -122,11 +121,11 @@ type Client struct {
 }
 
 // clock resolves the configured or default time source.
-func (c *Client) clock() sim.WallClock {
+func (c *Client) clock() WallClock {
 	if c.Clock != nil {
 		return c.Clock
 	}
-	return sim.SystemClock{}
+	return SystemClock{}
 }
 
 // randInt63n draws from the injected source, or the global one.
@@ -310,16 +309,19 @@ type FetchStats struct {
 // to MaxRetries times.
 func (c *Client) List() ([]string, error) {
 	var names []string
-	err := c.withRetries(func() error {
-		var err error
+	err := c.withRetries(func() (err error) {
 		names, err = c.listOnce()
 		return err
-	})
+	}, nil)
 	return names, err
 }
 
-// withRetries runs op, sleeping and re-running on transient failures.
-func (c *Client) withRetries(op func() error) error {
+// withRetries is the one retry loop: it runs op, classifies each failure
+// as transient or permanent (counting both), and sleeps an exponential
+// backoff before re-running a transient one, up to MaxRetries re-runs.
+// onBackoff, when non-nil, is told the error being retried and the sleep
+// actually taken.
+func (c *Client) withRetries(op func() error, onBackoff func(err error, start time.Time, slept time.Duration)) error {
 	cm := c.metrics()
 	for attempt := 0; ; attempt++ {
 		err := op()
@@ -338,7 +340,11 @@ func (c *Client) withRetries(op func() error) error {
 		clk := c.clock()
 		start := clk.Now()
 		clk.Sleep(c.backoffDelay(attempt))
-		cm.backoffSeconds.Observe(clk.Now().Sub(start).Seconds())
+		slept := clk.Now().Sub(start)
+		cm.backoffSeconds.Observe(slept.Seconds())
+		if onBackoff != nil {
+			onBackoff(err, start, slept)
+		}
 	}
 }
 
@@ -416,8 +422,6 @@ type decoded struct {
 // trustworthy).
 func (c *Client) Fetch(name string, scheme codec.Scheme, mode Mode) ([]byte, FetchStats, error) {
 	var stats FetchStats
-	var verified []byte
-	cm := c.metrics()
 	// The request ID is minted once per Fetch and shared by every retry
 	// attempt, so the server's logs and /tracez spans correlate all the
 	// connections one logical fetch opened.
@@ -429,75 +433,45 @@ func (c *Client) Fetch(name string, scheme codec.Scheme, mode Mode) ([]byte, Fet
 	span.SetAttr("mode", mode.String())
 	log := c.logger().With("req_id", obs.ReqID(reqID), "name", name)
 	vStart := c.clock().Now()
-	for attempt := 0; ; attempt++ {
+	var out []byte
+	err := c.withRetries(func() (err error) {
 		stats.Attempts++
-		out, reset, err := c.fetchOnce(name, scheme, mode, reqID, verified, &stats, span)
-		if err == nil {
-			stats.RawBytes = len(out)
-			stats.Factor = codec.Factor(stats.RawBytes, stats.WireBytes)
-			cm.attempts.Observe(float64(stats.Attempts))
-			c.chargeSpan(span, stats)
-			span.Finish()
-			c.emitFetchEvent(reqID, name, scheme, mode, span, stats, c.clock().Now().Sub(vStart), nil)
-			return out, stats, nil
-		}
-		transient := isTransient(err)
-		if transient {
-			cm.errorsTransient.Add(1)
-		} else {
-			cm.errorsPermanent.Add(1)
-		}
-		if reset {
-			// Content-level CRC failure with frame-verified blocks: the
-			// file changed between attempts. The resume prefix is useless.
-			verified = nil
-		} else {
-			verified = out
-		}
-		if attempt >= c.MaxRetries || !transient {
-			cm.attempts.Observe(float64(stats.Attempts))
-			span.Fail(err)
-			span.Finish()
-			c.emitFetchEvent(reqID, name, scheme, mode, span, stats, c.clock().Now().Sub(vStart), err)
-			log.Warn("fetch failed", "attempts", stats.Attempts, "err", err)
-			return nil, stats, err
-		}
+		// Whatever this attempt verified is the next one's resume prefix.
+		out, err = c.fetchOnce(name, scheme, mode, reqID, out, &stats, span)
+		return err
+	}, func(err error, start time.Time, slept time.Duration) {
 		log.Debug("retrying after transient failure", "attempt", stats.Attempts, "err", err)
-		clk := c.clock()
-		bstart := clk.Now()
-		clk.Sleep(c.backoffDelay(attempt))
-		slept := clk.Now().Sub(bstart)
 		stats.BackoffSlept += slept
-		cm.backoffSeconds.Observe(slept.Seconds())
-		span.PhaseDetail("backoff", "", fmt.Sprintf("after attempt %d", stats.Attempts), bstart, slept, 0)
+		span.PhaseDetail("backoff", "", fmt.Sprintf("after attempt %d", stats.Attempts), start, slept, 0)
+	})
+	c.metrics().attempts.Observe(float64(stats.Attempts))
+	var bd energy.Breakdown
+	if err != nil {
+		out = nil
+		span.Fail(err)
+		log.Warn("fetch failed", "attempts", stats.Attempts, "err", err)
+	} else {
+		stats.RawBytes = len(out)
+		stats.Factor = codec.Factor(stats.RawBytes, stats.WireBytes)
+		p := energy.Params11Mbps()
+		if c.EnergyParams != nil {
+			p = *c.EnergyParams
+		}
+		bd = p.TransferBreakdown(stats.RawBytes, stats.WireBytes, stats.BlocksCompressed)
+		chargeSpan(span, bd)
 	}
+	span.Finish()
+	c.emitFetchEvent(reqID, name, scheme, mode, span, stats, c.clock().Now().Sub(vStart), bd, err)
+	return out, stats, err
 }
 
-// chargeSpan attributes the finished transfer's modeled energy to the
-// span's phases: Eq. 3's interleaved model when compressed blocks crossed
-// the wire, Eq. 1's plain download otherwise (the same rule hhfetch's
-// energy report applies). Radio joules spread over the dial/header/recv
-// phases byte-weighted, CPU joules over decompress/verify
-// duration-weighted, and the idle residual lands in one accounting entry,
-// so the span's TotalJoules equals the model's whole-transfer answer
-// exactly (see energy.Breakdown).
-func (c *Client) chargeSpan(span *obs.Span, stats FetchStats) {
-	if span == nil {
-		return
-	}
-	p := c.EnergyParams
-	if p == nil {
-		def := energy.Params11Mbps()
-		p = &def
-	}
-	s := float64(stats.RawBytes) / 1e6
-	sc := float64(stats.WireBytes) / 1e6
-	var bd energy.Breakdown
-	if stats.BlocksCompressed > 0 {
-		bd = p.InterleavedBreakdown(s, sc)
-	} else {
-		bd = p.DownloadBreakdown(s)
-	}
+// chargeSpan attributes the finished transfer's modeled energy (the
+// energy.Params.TransferBreakdown charge) to the span's phases. Radio
+// joules spread over the dial/header/recv phases byte-weighted, CPU joules
+// over decompress/verify duration-weighted, and the idle residual lands in
+// one accounting entry, so the span's TotalJoules equals the model's
+// whole-transfer answer exactly (see energy.Breakdown).
+func chargeSpan(span *obs.Span, bd energy.Breakdown) {
 	span.DistributeJoules(obs.ClassRadio, bd.RadioJ)
 	span.DistributeJoules(obs.ClassCPU, bd.CPUJ)
 	span.AccountPhase("idle", obs.ClassIdle, bd.IdleJ)
@@ -506,11 +480,11 @@ func (c *Client) chargeSpan(span *obs.Span, stats FetchStats) {
 // emitFetchEvent publishes one wide event for a finished fetch (either
 // outcome) to the configured sink. The nil-sink guard comes first so the
 // default path costs one branch and zero allocations; everything the
-// event needs is only materialised past it. Joules are recomputed from
-// the byte counts with the same Eq. 1 / Eq. 3 rule chargeSpan applies,
-// so the event's per-class totals equal the model's answer exactly even
-// when no tracer (and thus no charged span) is configured.
-func (c *Client) emitFetchEvent(reqID uint64, name string, scheme codec.Scheme, mode Mode, span *obs.Span, stats FetchStats, dur time.Duration, err error) {
+// event needs is only materialised past it. bd is the same breakdown
+// chargeSpan was handed (zero on failure), so the event's per-class totals
+// equal the model's answer exactly even when no tracer (and thus no
+// charged span) is configured.
+func (c *Client) emitFetchEvent(reqID uint64, name string, scheme codec.Scheme, mode Mode, span *obs.Span, stats FetchStats, dur time.Duration, bd energy.Breakdown, err error) {
 	if c.Events == nil {
 		return
 	}
@@ -532,24 +506,12 @@ func (c *Client) emitFetchEvent(reqID uint64, name string, scheme codec.Scheme, 
 		ResumedBytes:     int64(stats.ResumedBytes),
 		DurNS:            dur.Nanoseconds(),
 		Phases:           export.FoldPhases(span.Data().Phases),
+		RadioJ:           bd.RadioJ,
+		CPUJ:             bd.CPUJ,
+		IdleJ:            bd.IdleJ,
 	}
 	if err != nil {
 		e.Outcome = ErrorClass(err)
-	} else {
-		p := c.EnergyParams
-		if p == nil {
-			def := energy.Params11Mbps()
-			p = &def
-		}
-		s := float64(stats.RawBytes) / 1e6
-		sc := float64(stats.WireBytes) / 1e6
-		var bd energy.Breakdown
-		if stats.BlocksCompressed > 0 {
-			bd = p.InterleavedBreakdown(s, sc)
-		} else {
-			bd = p.DownloadBreakdown(s)
-		}
-		e.RadioJ, e.CPUJ, e.IdleJ = bd.RadioJ, bd.CPUJ, bd.IdleJ
 	}
 	c.Events.Record(e)
 }
@@ -557,10 +519,11 @@ func (c *Client) emitFetchEvent(reqID uint64, name string, scheme codec.Scheme, 
 // fetchOnce runs a single connection's worth of a fetch. verified is the
 // raw prefix already CRC-verified by earlier attempts; the returned slice
 // extends (a server-granted prefix of) it with this attempt's verified
-// blocks. reset reports that the caller must discard the resume state.
+// blocks — or is nil when a content-level CRC failure means the resume
+// state must be discarded.
 // Phases this attempt goes through are recorded on span (nil-safe), tagged
 // with the attempt number so a multi-attempt trace reads as a timeline.
-func (c *Client) fetchOnce(name string, scheme codec.Scheme, mode Mode, reqID uint64, verified []byte, stats *FetchStats, span *obs.Span) (out []byte, reset bool, err error) {
+func (c *Client) fetchOnce(name string, scheme codec.Scheme, mode Mode, reqID uint64, verified []byte, stats *FetchStats, span *obs.Span) (out []byte, err error) {
 	attemptDetail := fmt.Sprintf("attempt %d", stats.Attempts)
 	out = verified
 	// Radio-facing phases (dial, header, recv) are stamped from the
@@ -572,7 +535,7 @@ func (c *Client) fetchOnce(name string, scheme codec.Scheme, mode Mode, reqID ui
 	conn, err := c.dial()
 	span.PhaseDetail("dial", obs.ClassRadio, attemptDetail, dialStart, clk.Now().Sub(dialStart), 0)
 	if err != nil {
-		return out, false, err
+		return out, err
 	}
 	defer conn.Close()
 
@@ -584,37 +547,37 @@ func (c *Client) fetchOnce(name string, scheme codec.Scheme, mode Mode, reqID ui
 		req.BudgetMJ = budgetMilliJoules(c.EnergyBudgetJ)
 	}
 	if err := writeRequest(conn, req); err != nil {
-		return out, false, err
+		return out, err
 	}
 	br := getConnReader(conn)
 	defer putConnReader(br)
 	hdr, err := readGetHeader(br)
 	if err != nil {
-		return out, false, err
+		return out, err
 	}
 	// Frame bytes are accounted where they are actually read: an attempt
 	// that died at dial or mid-header contributes nothing, so WireBytes
 	// stays honest across retries.
-	stats.WireBytes += getHeaderLen
-	span.PhaseDetail("header", obs.ClassRadio, attemptDetail, hdrStart, clk.Now().Sub(hdrStart), getHeaderLen)
+	stats.WireBytes += GetHeaderLen
+	span.PhaseDetail("header", obs.ClassRadio, attemptDetail, hdrStart, clk.Now().Sub(hdrStart), GetHeaderLen)
 	// The header survived its CRC, so its status and fields are the
 	// server's honest answer: size/scheme violations are permanent, not
 	// link damage.
 	switch hdr.Status {
 	case statusOK:
 	case statusNotFound:
-		return out, false, permanent(fmt.Errorf("%w: %q", ErrNotFound, name))
+		return out, permanent(fmt.Errorf("%w: %q", ErrNotFound, name))
 	case statusBusy:
-		return out, false, ErrBusy
+		return out, ErrBusy
 	default:
-		return out, false, permanent(fmt.Errorf("%w: status %d", ErrProtocol, hdr.Status))
+		return out, permanent(fmt.Errorf("%w: status %d", ErrProtocol, hdr.Status))
 	}
 	maxFetch := c.maxFetch()
 	if hdr.RawSize > uint64(maxFetch) || !selective.FitsInt(hdr.RawSize) {
-		return out, false, permanent(fmt.Errorf("%w: claimed size %d exceeds fetch limit %d", ErrProtocol, hdr.RawSize, maxFetch))
+		return out, permanent(fmt.Errorf("%w: claimed size %d exceeds fetch limit %d", ErrProtocol, hdr.RawSize, maxFetch))
 	}
 	if hdr.Offset > uint64(len(verified)) {
-		return out, false, permanent(fmt.Errorf("%w: granted offset %d beyond requested %d", ErrProtocol, hdr.Offset, len(verified)))
+		return out, permanent(fmt.Errorf("%w: granted offset %d beyond requested %d", ErrProtocol, hdr.Offset, len(verified)))
 	}
 	// The server may grant less than requested (block alignment, or zero
 	// after a re-registration); trim the resume prefix to what it granted.
@@ -627,7 +590,7 @@ func (c *Client) fetchOnce(name string, scheme codec.Scheme, mode Mode, reqID ui
 
 	dec, err := codec.New(hdr.Scheme, 0)
 	if err != nil {
-		return out, false, permanent(fmt.Errorf("%w: %v", ErrProtocol, err))
+		return out, permanent(fmt.Errorf("%w: %v", ErrProtocol, err))
 	}
 
 	// Clamp the up-front allocation: trust the claimed size only up to
@@ -643,12 +606,12 @@ func (c *Client) fetchOnce(name string, scheme codec.Scheme, mode Mode, reqID ui
 	// while block i+1 is being received.
 	//
 	// Buffer ownership: block payloads come from the codec buffer pool
-	// (readBlock draws them); the decompressor recycles a compressed
+	// (ReadBlock draws them); the decompressor recycles a compressed
 	// payload as soon as it is decoded, and its output rides a pooled
 	// scratch buffer that drainOne recycles after appending — so a
 	// steady-state fetch uses O(1) pooled buffers regardless of block
 	// count. A raw payload passes through to drainOne unchanged.
-	blocksCh := make(chan wireBlock, 1)
+	blocksCh := make(chan selective.Block, 1)
 	resultCh := make(chan decoded, 1)
 	done := make(chan struct{})
 	var decompWall time.Duration
@@ -659,10 +622,10 @@ func (c *Client) fetchOnce(name string, scheme codec.Scheme, mode Mode, reqID ui
 		for b := range blocksCh {
 			start := time.Now()
 			var d decoded
-			if b.Flag == blockFlagCompressed {
-				raw, err := codec.DecompressInto(dec, codec.GetBuf(int(b.RawLen)), b.Payload, int(b.RawLen))
+			if b.Compressed {
+				raw, err := codec.DecompressInto(dec, codec.GetBuf(b.RawLen), b.Payload, b.RawLen)
 				codec.PutBuf(b.Payload)
-				if err == nil && len(raw) != int(b.RawLen) {
+				if err == nil && len(raw) != b.RawLen {
 					err = fmt.Errorf("%w: block raw length %d, header %d", ErrProtocol, len(raw), b.RawLen)
 				}
 				if err != nil {
@@ -697,7 +660,7 @@ func (c *Client) fetchOnce(name string, scheme codec.Scheme, mode Mode, reqID ui
 		}
 		out = append(out, d.data...)
 		codec.PutBuf(d.data)
-		// readBlock guarantees a raw block's payload matches its RawLen and
+		// ReadBlock guarantees a raw block's payload matches its RawLen and
 		// the decompressor checks the same for compressed blocks, so the
 		// rawPromised budget already bounds this; re-check here so the
 		// memory guarantee does not depend on code in another file.
@@ -709,15 +672,15 @@ func (c *Client) fetchOnce(name string, scheme codec.Scheme, mode Mode, reqID ui
 
 recvLoop:
 	for {
-		b, crc, ok, err := readBlock(br)
+		b, crc, ok, err := ReadBlock(br)
 		if err != nil {
 			recvErr = err
 			break
 		}
 		if !ok {
 			wantCRC = crc
-			stats.WireBytes += blockHeaderLen // end frame
-			recvBytes += blockHeaderLen
+			stats.WireBytes += BlockHeaderLen // end frame
+			recvBytes += BlockHeaderLen
 			break recvLoop
 		}
 		rawPromised += uint64(b.RawLen)
@@ -727,9 +690,9 @@ recvLoop:
 			break
 		}
 		stats.BlocksTotal++
-		stats.WireBytes += blockHeaderLen + len(b.Payload)
-		recvBytes += blockHeaderLen + len(b.Payload)
-		if b.Flag == blockFlagCompressed {
+		stats.WireBytes += BlockHeaderLen + len(b.Payload)
+		recvBytes += BlockHeaderLen + len(b.Payload)
+		if b.Compressed {
 			stats.BlocksCompressed++
 		}
 		// Keep at most one result outstanding so memory stays bounded.
@@ -766,10 +729,10 @@ recvLoop:
 	}
 
 	if recvErr != nil {
-		return out, false, recvErr
+		return out, recvErr
 	}
 	if uint64(len(out)) != hdr.RawSize {
-		return out, false, fmt.Errorf("%w: got %d bytes, header says %d", ErrProtocol, len(out), hdr.RawSize)
+		return out, fmt.Errorf("%w: got %d bytes, header says %d", ErrProtocol, len(out), hdr.RawSize)
 	}
 	verifyStart := time.Now()
 	contentCRC := crcOf(out)
@@ -779,7 +742,7 @@ recvLoop:
 		// Every block passed its frame CRC, so a whole-content mismatch
 		// means the pieces come from different file generations: poison
 		// the resume state before retrying.
-		return nil, true, fmt.Errorf("%w: content CRC mismatch", ErrProtocol)
+		return nil, fmt.Errorf("%w: content CRC mismatch", ErrProtocol)
 	}
-	return out, false, nil
+	return out, nil
 }

@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"strconv"
 	"testing"
+
+	"repro/internal/selective"
 )
 
 // TestRegenFuzzCorpus rewrites the checked-in fuzz seeds in the current
@@ -42,14 +44,19 @@ func TestRegenFuzzCorpus(t *testing.T) {
 	write("FuzzReadRequest", "seed-bad-crc", append(get.Bytes()[:get.Len()-1], get.Bytes()[get.Len()-1]^0xFF))
 
 	var raw, end bytes.Buffer
-	if err := writeBlock(&raw, wireBlock{Flag: blockFlagRaw, RawLen: 4, Payload: []byte("data")}); err != nil {
+	if err := WriteBlock(&raw, selective.Block{RawLen: 4, Payload: []byte("data")}); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeEnd(&end, 0x12345678); err != nil {
+	if err := WriteEnd(&end, 0x12345678); err != nil {
 		t.Fatal(err)
 	}
 	write("FuzzReadBlockFrame", "seed-raw-block", raw.Bytes())
 	write("FuzzReadBlockFrame", "seed-end-frame", end.Bytes())
+	var peerEnd bytes.Buffer
+	if err := WriteEnd(&peerEnd, 2); err != nil {
+		t.Fatal(err)
+	}
+	write("FuzzReadBlockFrame", "seed-peer-count-end-frame", peerEnd.Bytes())
 	write("FuzzReadBlockFrame", "seed-oversized-payload",
 		[]byte("\x01\x00\x00\x00\x08\x7f\xff\xff\xff\x00\x00\x00\x00"))
 	write("FuzzReadBlockFrame", "seed-bad-payload-crc",

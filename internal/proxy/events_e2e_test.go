@@ -47,6 +47,9 @@ func TestEventExportEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The serve span finishes after the client has its last byte; wait for
+	// it so the two serve events land in request order.
+	waitFor(t, func() bool { return len(srvSink.Recent()) == 1 })
 	if _, _, err := cli.Fetch("absent", codec.Gzip, ModeRaw); err == nil {
 		t.Fatal("fetch of absent file succeeded")
 	}
@@ -126,6 +129,21 @@ func waitFor(t *testing.T, cond func() bool) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
+}
+
+// waitServed blocks until the server has retired n connections. A
+// handler's teardown (active gauge, then latency sample) trails the
+// client's final byte, so counters read right after a fetch returns may
+// still show the last connection in flight.
+func waitServed(t *testing.T, srv *Server, n int64) {
+	t.Helper()
+	waitFor(t, func() bool {
+		var served int64
+		for _, b := range srv.Stats().Latency {
+			served += b.Count
+		}
+		return served == n
+	})
 }
 
 func mustGetJSON(t *testing.T, url string, v any) {

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/proxy/faultconn"
+	"repro/internal/selective"
 	"repro/internal/simnet"
 	"repro/internal/workload"
 )
@@ -134,7 +135,7 @@ func TestFetchResumesAfterTruncation(t *testing.T) {
 	var conns atomic.Int64
 	// Cut the first connection mid-way through the second block's payload;
 	// later connections are untouched.
-	cut := getHeaderLen + blockHeaderLen + 128_000 + blockHeaderLen + 1_000
+	cut := GetHeaderLen + BlockHeaderLen + 128_000 + BlockHeaderLen + 1_000
 	srv := NewServerWith(nil, Config{
 		WrapConn: func(conn net.Conn) net.Conn {
 			if conns.Add(1) == 1 {
@@ -167,7 +168,7 @@ func TestFetchResumesAfterTruncation(t *testing.T) {
 	// Attempt 1 received the header and one full block (block 2's frame
 	// died mid-payload, so it does not count); attempt 2 received a header,
 	// the three remaining blocks, and the end frame. Nothing else.
-	if want := 2*getHeaderLen + 5*blockHeaderLen + len(content); stats.WireBytes != want {
+	if want := 2*GetHeaderLen + 5*BlockHeaderLen + len(content); stats.WireBytes != want {
 		t.Errorf("WireBytes = %d, want %d (only frames actually received)", stats.WireBytes, want)
 	}
 }
@@ -195,12 +196,12 @@ func TestEndFrameCorruptionPreservesResume(t *testing.T) {
 			if end > len(content) {
 				end = len(content)
 			}
-			if err := writeBlock(conn, wireBlock{Flag: blockFlagRaw, RawLen: uint32(end - i), Payload: content[i:end]}); err != nil {
+			if err := WriteBlock(conn, selective.Block{RawLen: end - i, Payload: content[i:end]}); err != nil {
 				return
 			}
 		}
 		var endFrame bytes.Buffer
-		_ = writeEnd(&endFrame, crcOf(content))
+		_ = WriteEnd(&endFrame, crcOf(content))
 		frame := endFrame.Bytes()
 		if first {
 			frame[2] ^= 0x40 // flip one bit inside the content-CRC field

@@ -3,6 +3,8 @@ package proxy
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/selective"
 )
 
 // FuzzReadRequest throws arbitrary bytes at the PXY3 request parser:
@@ -63,12 +65,17 @@ func FuzzReadBlockFrame(f *testing.F) {
 	// Raw block, compressed block, end frame, built by the writers so the
 	// payload CRCs are valid.
 	var raw, comp, end bytes.Buffer
-	_ = writeBlock(&raw, wireBlock{Flag: blockFlagRaw, RawLen: 5, Payload: []byte("hello")})
-	_ = writeBlock(&comp, wireBlock{Flag: blockFlagCompressed, RawLen: 256, Payload: []byte("zzzz")})
-	_ = writeEnd(&end, 0xDEADBEEF)
+	_ = WriteBlock(&raw, selective.Block{RawLen: 5, Payload: []byte("hello")})
+	_ = WriteBlock(&comp, selective.Block{Compressed: true, RawLen: 256, Payload: []byte("zzzz")})
+	_ = WriteEnd(&end, 0xDEADBEEF)
 	f.Add(raw.Bytes())
 	f.Add(comp.Bytes())
 	f.Add(end.Bytes())
+	// A PXY-P artifact stream (internal/cluster shares this codec): the end
+	// frame's trailer is a block count there, not a content CRC.
+	var peerEnd bytes.Buffer
+	_ = WriteEnd(&peerEnd, 2)
+	f.Add(peerEnd.Bytes())
 	// Oversized payload length, oversized raw length, bad flag, corrupted
 	// payload (CRC mismatch), truncated header and payload.
 	f.Add([]byte("\x01\x00\x00\x00\x00\xff\xff\xff\xff\x00\x00\x00\x00"))
@@ -79,17 +86,17 @@ func FuzzReadBlockFrame(f *testing.F) {
 	f.Add(raw.Bytes()[:raw.Len()-2])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		b, crc, ok, err := readBlock(bytes.NewReader(data))
+		b, crc, ok, err := ReadBlock(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
 		if !ok {
 			// End frame: re-encode and confirm the CRC survives.
 			var buf bytes.Buffer
-			if err := writeEnd(&buf, crc); err != nil {
+			if err := WriteEnd(&buf, crc); err != nil {
 				t.Fatal(err)
 			}
-			_, crc2, ok2, err := readBlock(&buf)
+			_, crc2, ok2, err := ReadBlock(&buf)
 			if err != nil || ok2 || crc2 != crc {
 				t.Fatalf("end frame round trip: crc %d->%d ok=%v err=%v", crc, crc2, ok2, err)
 			}
@@ -99,14 +106,14 @@ func FuzzReadBlockFrame(f *testing.F) {
 			t.Fatalf("accepted payload of %d bytes, cap is %d", len(b.Payload), maxBlockWire)
 		}
 		var buf bytes.Buffer
-		if err := writeBlock(&buf, b); err != nil {
+		if err := WriteBlock(&buf, b); err != nil {
 			t.Fatal(err)
 		}
-		back, _, ok2, err := readBlock(&buf)
+		back, _, ok2, err := ReadBlock(&buf)
 		if err != nil || !ok2 {
 			t.Fatalf("re-decode of accepted block failed: ok=%v err=%v", ok2, err)
 		}
-		if back.Flag != b.Flag || back.RawLen != b.RawLen || !bytes.Equal(back.Payload, b.Payload) {
+		if back.Compressed != b.Compressed || back.RawLen != b.RawLen || !bytes.Equal(back.Payload, b.Payload) {
 			t.Fatal("round trip changed block")
 		}
 	})

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/codec"
+	"repro/internal/selective"
 )
 
 // maliciousServer runs handler on every accepted connection; handler plays
@@ -113,7 +114,7 @@ func TestMaliciousLyingBlockRawLen(t *testing.T) {
 			return
 		}
 		_ = writeGetHeader(conn, getHeader{Status: statusOK, RawSize: 1 << 20, Scheme: codec.Gzip})
-		_ = writeBlock(conn, wireBlock{Flag: blockFlagCompressed, RawLen: 0xFFFF0000, Payload: payload})
+		_ = WriteBlock(conn, selective.Block{Compressed: true, RawLen: 0xFFFF0000, Payload: payload})
 	})
 	err, allocated := fetchAllocDelta(t, hardenedClient(addr))
 	if !errors.Is(err, ErrProtocol) {
@@ -134,7 +135,7 @@ func TestMaliciousOverpromisedBlocks(t *testing.T) {
 		_ = writeGetHeader(conn, getHeader{Status: statusOK, RawSize: 1000, Scheme: codec.Gzip})
 		chunk := make([]byte, 900)
 		for i := 0; i < 4; i++ {
-			if err := writeBlock(conn, wireBlock{Flag: blockFlagRaw, RawLen: 900, Payload: chunk}); err != nil {
+			if err := WriteBlock(conn, selective.Block{RawLen: 900, Payload: chunk}); err != nil {
 				return
 			}
 		}
@@ -158,7 +159,7 @@ func TestMaliciousRawBlockLenMismatch(t *testing.T) {
 		_ = writeGetHeader(conn, getHeader{Status: statusOK, RawSize: 1 << 20, Scheme: codec.Gzip})
 		// Each frame claims zero raw bytes but carries ~2 MiB.
 		for i := 0; i < 64; i++ {
-			if err := writeBlock(conn, wireBlock{Flag: blockFlagRaw, RawLen: 0, Payload: big}); err != nil {
+			if err := WriteBlock(conn, selective.Block{RawLen: 0, Payload: big}); err != nil {
 				return
 			}
 		}
@@ -181,7 +182,7 @@ func TestMaliciousGarbageBlockCRC(t *testing.T) {
 			return
 		}
 		_ = writeGetHeader(conn, getHeader{Status: statusOK, RawSize: uint64(len(payload)), Scheme: codec.Gzip})
-		var hdr [blockHeaderLen]byte
+		var hdr [BlockHeaderLen]byte
 		hdr[0] = blockFlagRaw
 		binary.BigEndian.PutUint32(hdr[1:5], uint32(len(payload)))
 		binary.BigEndian.PutUint32(hdr[5:9], uint32(len(payload)))
@@ -216,7 +217,7 @@ func TestMaliciousTruncatedPayload(t *testing.T) {
 			return
 		}
 		_ = writeGetHeader(conn, getHeader{Status: statusOK, RawSize: 500, Scheme: codec.Gzip})
-		var hdr [blockHeaderLen]byte
+		var hdr [BlockHeaderLen]byte
 		hdr[0] = blockFlagRaw
 		binary.BigEndian.PutUint32(hdr[1:5], 500)
 		binary.BigEndian.PutUint32(hdr[5:9], 500)
@@ -235,7 +236,7 @@ func TestMaliciousCorruptHeader(t *testing.T) {
 		if !consumeRequest(conn) {
 			return
 		}
-		var buf [getHeaderLen]byte
+		var buf [GetHeaderLen]byte
 		buf[0] = statusNotFound // honest-looking status...
 		// ...but no valid CRC: all-zero trailer will not match.
 		_, _ = conn.Write(buf[:])

@@ -91,7 +91,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	content := workload.Generate(workload.ClassHTML, 400_000, 7)
 	// Cut the first connection mid-way through the second block, forcing
 	// exactly one retry that resumes from the 128 000-byte block boundary.
-	cut := getHeaderLen + blockHeaderLen + 128_000 + blockHeaderLen + 1_000
+	cut := GetHeaderLen + BlockHeaderLen + 128_000 + BlockHeaderLen + 1_000
 	var conns atomic.Int64
 	srvReg := obs.NewRegistry()
 	srvTracer := obs.NewTracer(16)
@@ -155,6 +155,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	}
 
 	// --- Server side: Stats(), /statsz, /metrics and /tracez must agree.
+	waitServed(t, srv, 4)
 	ss := srv.Stats()
 	if ss.ConnsTotal != 4 {
 		t.Errorf("ConnsTotal = %d, want 4 (two attempts + miss + hit)", ss.ConnsTotal)

@@ -73,20 +73,15 @@ const (
 	// reqTailExLen is the opGetEx tail: the opGet tail plus a deadline
 	// class byte and a millijoule energy budget, before the CRC.
 	reqTailExLen = reqTailLen + 1 + 4
-	// getHeaderLen is status + raw size + scheme + offset + CRC.
-	getHeaderLen = 1 + 8 + 1 + 8 + 4
-	// blockHeaderLen is flag + raw length + payload length + payload CRC.
-	blockHeaderLen = 1 + 4 + 4 + 4
-)
-
-// Exported frame sizes: the soak harness (internal/harness) reconciles
-// the client's WireBytes ledger against the server's payload counters,
-// which requires knowing the per-frame overhead it read.
-const (
-	// GetHeaderLen is the wire size of a GET response header frame.
-	GetHeaderLen = getHeaderLen
-	// BlockHeaderLen is the wire size of a block (or end) frame header.
-	BlockHeaderLen = blockHeaderLen
+	// GetHeaderLen is the wire size of a GET response header frame: status
+	// + raw size + scheme + offset + CRC. It and BlockHeaderLen are
+	// exported because the soak harness reconciles the client's WireBytes
+	// ledger against the server's payload counters, which requires knowing
+	// the per-frame overhead it read.
+	GetHeaderLen = 1 + 8 + 1 + 8 + 4
+	// BlockHeaderLen is the wire size of a block (or end) frame header:
+	// flag + raw length + payload length + payload CRC.
+	BlockHeaderLen = 1 + 4 + 4 + 4
 )
 
 // Mode is the transfer mode requested by the client.
@@ -241,7 +236,7 @@ type getHeader struct {
 }
 
 func writeGetHeader(w io.Writer, h getHeader) error {
-	var buf [getHeaderLen]byte
+	var buf [GetHeaderLen]byte
 	buf[0] = h.Status
 	binary.BigEndian.PutUint64(buf[1:9], h.RawSize)
 	buf[9] = byte(h.Scheme)
@@ -252,7 +247,7 @@ func writeGetHeader(w io.Writer, h getHeader) error {
 }
 
 func readGetHeader(r io.Reader) (getHeader, error) {
-	var buf [getHeaderLen]byte
+	var buf [GetHeaderLen]byte
 	if _, err := io.ReadFull(r, buf[:]); err != nil {
 		return getHeader{}, fmt.Errorf("%w: truncated header: %v", ErrProtocol, err)
 	}
@@ -267,17 +262,16 @@ func readGetHeader(r io.Reader) (getHeader, error) {
 	}, nil
 }
 
-// wireBlock is one framed block on the wire.
-type wireBlock struct {
-	Flag    byte
-	RawLen  uint32
-	Payload []byte
-}
-
-func writeBlock(w io.Writer, b wireBlock) error {
-	var hdr [blockHeaderLen]byte
-	hdr[0] = b.Flag
-	binary.BigEndian.PutUint32(hdr[1:5], b.RawLen)
+// WriteBlock frames one block: flag, raw length, payload length, payload
+// CRC-32, payload. PXY3 responses and PXY-P artifact streams
+// (internal/cluster) share this layout, so it has exactly one codec.
+func WriteBlock(w io.Writer, b selective.Block) error {
+	var hdr [BlockHeaderLen]byte
+	hdr[0] = blockFlagRaw
+	if b.Compressed {
+		hdr[0] = blockFlagCompressed
+	}
+	binary.BigEndian.PutUint32(hdr[1:5], uint32(b.RawLen))
 	binary.BigEndian.PutUint32(hdr[5:9], uint32(len(b.Payload)))
 	binary.BigEndian.PutUint32(hdr[9:13], crcOf(b.Payload))
 	if _, err := w.Write(hdr[:]); err != nil {
@@ -291,65 +285,65 @@ func writeBlock(w io.Writer, b wireBlock) error {
 	return nil
 }
 
-// writeEnd emits the terminal frame. The content CRC it carries is itself
-// covered by a CRC over the frame header: without that, a bit-flip in the
-// content-CRC field would be indistinguishable from the file having
+// WriteEnd emits the terminal frame with its 32-bit trailer: PXY3 carries
+// the content CRC there, PXY-P the stream's block count. The trailer is
+// itself covered by a CRC over the frame header: without that, a bit-flip
+// in the content-CRC field would be indistinguishable from the file having
 // changed between attempts, and the client would wrongly discard its
 // verified resume prefix.
-func writeEnd(w io.Writer, crc uint32) error {
-	var hdr [blockHeaderLen]byte
+func WriteEnd(w io.Writer, trailer uint32) error {
+	var hdr [BlockHeaderLen]byte
 	hdr[0] = blockFlagEnd
-	binary.BigEndian.PutUint32(hdr[1:5], crc)
+	binary.BigEndian.PutUint32(hdr[1:5], trailer)
 	binary.BigEndian.PutUint32(hdr[9:13], crcOf(hdr[:9]))
 	_, err := w.Write(hdr[:])
 	return err
 }
 
-// readBlock returns the next block, or ok=false with the trailing CRC when
-// the end marker is reached. Both length fields are bounded before any
-// allocation, and the payload must match its frame CRC — a block that
-// readBlock accepts is verified, which is what makes resume offsets safe
-// to trust.
+// ReadBlock returns the next block, or ok=false with the end frame's
+// trailer when the end marker is reached. Both length fields are bounded
+// before any allocation, and the payload must match its frame CRC — a
+// block that ReadBlock accepts is verified, which is what makes resume
+// offsets safe to trust.
 //
 // The payload buffer is drawn from the codec buffer pool; the caller owns
 // it and should hand it back with codec.PutBuf once the block is consumed.
-func readBlock(r io.Reader) (b wireBlock, crc uint32, ok bool, err error) {
-	var hdr [blockHeaderLen]byte
+func ReadBlock(r io.Reader) (b selective.Block, trailer uint32, ok bool, err error) {
+	var hdr [BlockHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return wireBlock{}, 0, false, fmt.Errorf("%w: truncated block: %v", ErrProtocol, err)
+		return selective.Block{}, 0, false, fmt.Errorf("%w: truncated block: %v", ErrProtocol, err)
 	}
 	if hdr[0] == blockFlagEnd {
 		if crcOf(hdr[:9]) != binary.BigEndian.Uint32(hdr[9:13]) {
-			return wireBlock{}, 0, false, fmt.Errorf("%w: end frame CRC mismatch", ErrProtocol)
+			return selective.Block{}, 0, false, fmt.Errorf("%w: end frame CRC mismatch", ErrProtocol)
 		}
-		return wireBlock{}, binary.BigEndian.Uint32(hdr[1:5]), false, nil
+		return selective.Block{}, binary.BigEndian.Uint32(hdr[1:5]), false, nil
 	}
 	if hdr[0] != blockFlagRaw && hdr[0] != blockFlagCompressed {
-		return wireBlock{}, 0, false, fmt.Errorf("%w: flag %#x", ErrProtocol, hdr[0])
+		return selective.Block{}, 0, false, fmt.Errorf("%w: flag %#x", ErrProtocol, hdr[0])
 	}
-	b.Flag = hdr[0]
-	b.RawLen = binary.BigEndian.Uint32(hdr[1:5])
+	rawLen := binary.BigEndian.Uint32(hdr[1:5])
 	payLen := binary.BigEndian.Uint32(hdr[5:9])
-	if err := selective.CheckWireLens(b.RawLen, payLen, maxBlockRaw, maxBlockWire); err != nil {
-		return wireBlock{}, 0, false, fmt.Errorf("%w: %v", ErrProtocol, err)
+	if err := selective.CheckWireLens(rawLen, payLen, maxBlockRaw, maxBlockWire); err != nil {
+		return selective.Block{}, 0, false, fmt.Errorf("%w: %v", ErrProtocol, err)
 	}
 	// A raw block's payload IS its raw bytes, so the two lengths must
 	// agree. Enforcing that here keeps the per-block RawLen claims an
 	// honest budget: downstream, the sum of accepted RawLens bounds the
 	// bytes that can reach the output buffer.
-	if b.Flag == blockFlagRaw && payLen != b.RawLen {
-		return wireBlock{}, 0, false, fmt.Errorf("%w: raw block claims %d raw bytes but carries %d", ErrProtocol, b.RawLen, payLen)
+	if hdr[0] == blockFlagRaw && payLen != rawLen {
+		return selective.Block{}, 0, false, fmt.Errorf("%w: raw block claims %d raw bytes but carries %d", ErrProtocol, rawLen, payLen)
 	}
-	b.Payload = codec.GetBuf(int(payLen))[:payLen]
-	if _, err := io.ReadFull(r, b.Payload); err != nil {
-		codec.PutBuf(b.Payload)
-		return wireBlock{}, 0, false, fmt.Errorf("%w: truncated payload: %v", ErrProtocol, err)
+	payload := codec.GetBuf(int(payLen))[:payLen]
+	if _, err := io.ReadFull(r, payload); err != nil {
+		codec.PutBuf(payload)
+		return selective.Block{}, 0, false, fmt.Errorf("%w: truncated payload: %v", ErrProtocol, err)
 	}
-	if crcOf(b.Payload) != binary.BigEndian.Uint32(hdr[9:13]) {
-		codec.PutBuf(b.Payload)
-		return wireBlock{}, 0, false, fmt.Errorf("%w: block payload CRC mismatch", ErrProtocol)
+	if crcOf(payload) != binary.BigEndian.Uint32(hdr[9:13]) {
+		codec.PutBuf(payload)
+		return selective.Block{}, 0, false, fmt.Errorf("%w: block payload CRC mismatch", ErrProtocol)
 	}
-	return b, 0, true, nil
+	return selective.Block{Compressed: hdr[0] == blockFlagCompressed, RawLen: int(rawLen), Payload: payload}, 0, true, nil
 }
 
 // crcOf is a helper around the repository's own CRC-32.

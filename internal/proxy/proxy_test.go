@@ -2,6 +2,7 @@ package proxy
 
 import (
 	"bytes"
+	"strings"
 	"sync"
 	"testing"
 
@@ -41,6 +42,30 @@ func TestList(t *testing.T) {
 		if names[i] != want[i] {
 			t.Fatalf("got %v, want %v", names, want)
 		}
+	}
+}
+
+// TestListOmitsUnfetchableNames: Register accepts any name, but one past
+// maxNameLen can never be requested. Listing it used to fail every
+// client's List with a retried protocol error (5,000 bytes) or wrap the
+// u16 length and corrupt the stream (70,000 bytes); List must return
+// exactly the fetchable names.
+func TestListOmitsUnfetchableNames(t *testing.T) {
+	srv := NewServer(nil)
+	srv.Register(strings.Repeat("a", 5_000), []byte("x"))
+	srv.Register("normal.txt", []byte("y"))
+	srv.Register(strings.Repeat("z", 70_000), []byte("z"))
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = srv.Close() })
+	names, err := NewClient(addr).List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(names) != 1 || names[0] != "normal.txt" {
+		t.Fatalf("List returned %d names, want exactly [normal.txt]", len(names))
 	}
 }
 

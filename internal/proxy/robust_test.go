@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/codec"
+	"repro/internal/selective"
 	"repro/internal/workload"
 )
 
@@ -141,7 +142,7 @@ func TestClientRejectsOversizedBlockFrame(t *testing.T) {
 		}
 		_ = writeGetHeader(conn, getHeader{Status: statusOK, RawSize: 100, Scheme: codec.Gzip})
 		// Block frame with a payload length over the cap.
-		var hdr [blockHeaderLen]byte
+		var hdr [BlockHeaderLen]byte
 		hdr[0] = blockFlagCompressed
 		hdr[5] = 0xFF
 		hdr[6] = 0xFF
@@ -176,8 +177,8 @@ func TestClientDetectsWrongCRC(t *testing.T) {
 			return
 		}
 		_ = writeGetHeader(conn, getHeader{Status: statusOK, RawSize: uint64(len(content)), Scheme: codec.Gzip})
-		_ = writeBlock(conn, wireBlock{Flag: blockFlagRaw, RawLen: uint32(len(content)), Payload: content})
-		_ = writeEnd(conn, 0xDEADBEEF) // wrong CRC
+		_ = WriteBlock(conn, selective.Block{RawLen: len(content), Payload: content})
+		_ = WriteEnd(conn, 0xDEADBEEF) // wrong CRC
 	}()
 	cli := NewClient(ln.Addr().String())
 	if _, _, err := cli.Fetch("x", codec.Gzip, ModeRaw); err == nil {

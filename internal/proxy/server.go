@@ -16,7 +16,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/export"
 	"repro/internal/selective"
-	"repro/internal/sim"
 )
 
 // ErrClosing is returned to requests caught by a server shutdown.
@@ -53,7 +52,7 @@ type Config struct {
 	// testbed (internal/simnet) injects its virtual clock here, which
 	// keeps the server's deadlines on the same timeline as the virtual
 	// link it is serving over.
-	Clock sim.WallClock
+	Clock WallClock
 	// FlightWait, when set, is how a singleflight follower waits for its
 	// leader's done channel. The default receives directly, which is
 	// right on a real clock; the virtual-time cluster harness substitutes
@@ -123,7 +122,7 @@ type Server struct {
 	tracer *obs.Tracer
 	events *export.Sink
 	log    *slog.Logger
-	clock  sim.WallClock
+	clock  WallClock
 
 	mu    sync.Mutex
 	files map[string][]byte
@@ -215,7 +214,7 @@ func NewServerWith(decider selective.Decider, cfg Config) *Server {
 	}
 	clock := cfg.Clock
 	if clock == nil {
-		clock = sim.SystemClock{}
+		clock = SystemClock{}
 	}
 	if cfg.Events != nil {
 		// The wide-event tee: every span the tracer retains also flattens
@@ -624,8 +623,18 @@ func (s *Server) handle(conn net.Conn) (err error) {
 	}
 }
 
+// handleList writes the catalogue, minus names longer than maxNameLen:
+// Register accepts them but no request frame can carry one, and listing
+// one fails every client's List (past 65,535 bytes it wraps the u16 length).
 func (s *Server) handleList(bw *bufio.Writer) error {
 	names := s.Files()
+	kept := names[:0]
+	for _, n := range names {
+		if len(n) <= maxNameLen {
+			kept = append(kept, n)
+		}
+	}
+	names = kept
 	var hdr [5]byte
 	hdr[0] = statusOK
 	binary.BigEndian.PutUint32(hdr[1:], uint32(len(names)))
@@ -675,18 +684,15 @@ func (s *Server) handleGet(bw *bufio.Writer, req request, span *obs.Span) error 
 	writeStart := time.Now()
 	var wrote int64
 	for _, b := range blocks[start:] {
-		flag := byte(blockFlagRaw)
 		if b.Compressed {
-			flag = blockFlagCompressed
 			s.metrics.bytesCompressed.Add(int64(len(b.Payload)))
 		} else {
 			s.metrics.bytesRaw.Add(int64(len(b.Payload)))
 		}
-		wb := wireBlock{Flag: flag, RawLen: uint32(b.RawLen), Payload: b.Payload}
-		if err := writeBlock(bw, wb); err != nil {
+		if err := WriteBlock(bw, b); err != nil {
 			return err
 		}
-		wrote += int64(blockHeaderLen + len(b.Payload))
+		wrote += int64(BlockHeaderLen + len(b.Payload))
 		// Flush per block so the client's pipeline can overlap
 		// decompression with the next block's arrival.
 		if err := bw.Flush(); err != nil {
@@ -694,7 +700,7 @@ func (s *Server) handleGet(bw *bufio.Writer, req request, span *obs.Span) error 
 		}
 	}
 	span.Phase("write-blocks", "", writeStart, time.Since(writeStart), wrote)
-	if err := writeEnd(bw, crcOf(content)); err != nil {
+	if err := WriteEnd(bw, crcOf(content)); err != nil {
 		return err
 	}
 	return bw.Flush()

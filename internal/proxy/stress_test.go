@@ -107,6 +107,7 @@ func TestServerConcurrentClients(t *testing.T) {
 		}
 	}
 
+	waitServed(t, srv, totalReqs)
 	st := srv.Stats()
 
 	// (b) singleflight: at most one compression per key, and never more

@@ -39,7 +39,7 @@ import (
 	"repro/internal/sim"
 )
 
-// Clock is the concurrent virtual clock. It implements sim.WallClock, so
+// Clock is the concurrent virtual clock. It satisfies proxy.WallClock, so
 // a proxy Client or Server configured with it runs its sleeps and
 // deadlines in virtual time. All simnet state (connections, listeners)
 // is guarded by the clock's single lock: within one Clock there is one

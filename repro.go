@@ -92,6 +92,10 @@ func Params11Mbps() EnergyModel { return energy.Params11Mbps() }
 // Params2Mbps returns the model at the 2 Mb/s validation setting.
 func Params2Mbps() EnergyModel { return energy.Params2Mbps() }
 
+// ParamsForMbps returns the model a nominal 802.11b bit rate is estimated
+// with (only 11 and 2 Mb/s were measured; other rates use the 11 Mb/s set).
+func ParamsForMbps(nominalMbps float64) EnergyModel { return energy.ParamsForMbps(nominalMbps) }
+
 // EnergyBreakdown attributes one transfer's modeled energy to the
 // hardware spending it: radio (receive + start-up), CPU (decompression)
 // and the unreclaimed CPU-idle residual. The parts sum exactly to the
