@@ -7,10 +7,8 @@
 //	energysim -scale 0.125 fig2
 //	energysim all
 //
-// Experiment ids: table1 table2 table3 fig1 fig2 fig3 fig4 fig5 fig6 fig7
-// fig8 fig9 fig11 fig12 fig13 thresholds upload ablation-levels
-// ablation-blocksize ablation-meter all. (Figure 10 is the algorithm
-// itself: internal/selective.)
+// The experiment ids are the rows of internal/experiment's table; run
+// energysim with no argument (or -h) to list them.
 //
 // The soak subcommand replays a deterministic multi-client scenario on the
 // virtual testbed (internal/harness) and checks every invariant oracle:
@@ -45,9 +43,12 @@ package main
 
 import (
 	"crypto/sha256"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 
 	"repro/internal/calib"
 	"repro/internal/decider"
@@ -59,44 +60,74 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "energysim:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	if len(os.Args) > 1 && os.Args[1] == "soak" {
-		return runSoak(os.Args[2:])
+func run(argv []string, stdout, stderr io.Writer) error {
+	if len(argv) > 0 && argv[0] == "soak" {
+		return runSoak(argv[1:])
 	}
-	if len(os.Args) > 1 && os.Args[1] == "calib" {
-		return runCalib(os.Args[2:])
+	if len(argv) > 0 && argv[0] == "calib" {
+		return runCalib(argv[1:])
 	}
+	fs := flag.NewFlagSet("energysim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		scale  = flag.Float64("scale", 0.125, "corpus size scale for large files")
-		nLarge = flag.Int("large", 0, "limit to first N large files (0 = all)")
-		nSmall = flag.Int("small", 0, "limit to first N small files (0 = all)")
+		scale  = fs.Float64("scale", 0.125, "corpus size scale for large files")
+		nLarge = fs.Int("large", 0, "limit to first N large files (0 = all)")
+		nSmall = fs.Int("small", 0, "limit to first N small files (0 = all)")
 	)
-	flag.Parse()
-	if flag.NArg() < 1 {
-		return fmt.Errorf("pass an experiment id (table1..table3, fig1..fig13, thresholds, all)")
+	fs.Usage = func() {
+		fmt.Fprintln(stderr, "usage: energysim [flags] <id>... | all | soak [flags] | calib [flags]")
+		fs.PrintDefaults()
+		fmt.Fprintln(stderr, idList())
+	}
+	if err := fs.Parse(argv); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return err
+	}
+	if fs.NArg() < 1 {
+		return fmt.Errorf("pass an experiment id or all\n%s", idList())
 	}
 	cfg := experiment.Config{Scale: *scale, LargeSubset: *nLarge, SmallSubset: *nSmall}
 
-	ids := flag.Args()
+	ids := fs.Args()
 	if len(ids) == 1 && ids[0] == "all" {
-		ids = []string{"table1", "table2", "table3", "fig1", "fig2", "fig3", "fig4",
-			"fig5", "fig6", "fig7", "fig8", "fig9", "fig11", "fig12", "fig13", "thresholds",
-			"upload", "ablation-levels", "ablation-blocksize", "ablation-meter", "policy", "battery", "trace"}
+		ids = nil
+		for _, e := range experiment.Experiments() {
+			if !e.Data {
+				ids = append(ids, e.ID)
+			}
+		}
 	}
 	for _, id := range ids {
-		out, err := runOne(cfg, id)
+		e, ok := experiment.Lookup(id)
+		if !ok {
+			return fmt.Errorf("unknown experiment id %q\n%s", id, idList())
+		}
+		out, err := e.Run(cfg)
 		if err != nil {
 			return fmt.Errorf("%s: %w", id, err)
 		}
-		fmt.Println(out)
+		fmt.Fprintln(stdout, out)
 	}
 	return nil
+}
+
+// idList renders the experiment table as the id listing shared by the
+// usage text and the missing/unknown-id errors.
+func idList() string {
+	var b strings.Builder
+	b.WriteString("experiment ids (all runs every one but the CSV dumps):")
+	for _, e := range experiment.Experiments() {
+		fmt.Fprintf(&b, "\n  %-20s%s", e.ID, e.Title)
+	}
+	return b.String()
 }
 
 // runSoak runs one seeded soak scenario on the virtual testbed, prints
@@ -292,141 +323,4 @@ func runCalib(argv []string) error {
 	}
 	fmt.Print(calib.Render(fits))
 	return nil
-}
-
-func runOne(cfg experiment.Config, id string) (string, error) {
-	switch id {
-	case "table1":
-		return experiment.RenderTable1(experiment.Table1()), nil
-	case "table2":
-		rows, err := cfg.Table2()
-		if err != nil {
-			return "", err
-		}
-		return experiment.RenderTable2(rows), nil
-	case "table3":
-		return experiment.RenderTable3(), nil
-	case "fig1", "fig2":
-		comps, err := cfg.SchemeComparison()
-		if err != nil {
-			return "", err
-		}
-		if id == "fig1" {
-			return experiment.RenderBars(
-				"Figure 1: time comparison (relative to uncompressed download)", "time", comps), nil
-		}
-		return experiment.RenderBars(
-			"Figure 2: energy comparison (relative to uncompressed download)", "energy", comps), nil
-	case "fig3":
-		b, err := cfg.Fig3IdleBreakdown(2_000_000)
-		if err != nil {
-			return "", err
-		}
-		return experiment.RenderFig3(b), nil
-	case "fig4":
-		s, err := cfg.Fig4Scenarios()
-		if err != nil {
-			return "", err
-		}
-		return experiment.RenderFig4(s), nil
-	case "fig5", "fig6":
-		comps, err := cfg.InterleavingComparison()
-		if err != nil {
-			return "", err
-		}
-		if id == "fig5" {
-			return experiment.RenderBars(
-				"Figure 5: effect of interleaving on time (gzip | zlib | zlib interleaved)", "time", comps), nil
-		}
-		return experiment.RenderBars(
-			"Figure 6: effect of interleaving on energy (gzip | zlib | zlib interleaved)", "energy", comps), nil
-	case "fig7":
-		s, err := cfg.Fig7InterleaveErrors()
-		if err != nil {
-			return "", err
-		}
-		return experiment.RenderErrorSeries("Figure 7: error rate of energy estimation for interleaving", s), nil
-	case "fig8":
-		fits, err := cfg.Fig8Fits()
-		if err != nil {
-			return "", err
-		}
-		return experiment.RenderFig8(fits), nil
-	case "fig9":
-		series, err := cfg.Fig9BitrateErrors()
-		if err != nil {
-			return "", err
-		}
-		return experiment.RenderErrorSeries("Figure 9: error rate of energy estimation (11 vs 2 Mb/s)", series...), nil
-	case "fig11":
-		comps, err := cfg.SelectiveComparison()
-		if err != nil {
-			return "", err
-		}
-		return experiment.RenderBars(
-			"Figure 11: effect of the block-by-block adaptive scheme (time & energy as 'relative')", "energy", comps), nil
-	case "fig12", "fig13":
-		comps, err := cfg.OnDemandComparison()
-		if err != nil {
-			return "", err
-		}
-		if id == "fig12" {
-			return experiment.RenderBars(
-				"Figure 12: time comparison, compression on demand (gzip | compress | zlib interleaved)", "time", comps), nil
-		}
-		return experiment.RenderBars(
-			"Figure 13: energy comparison, compression on demand (gzip | compress | zlib interleaved)", "energy", comps), nil
-	case "thresholds":
-		return experiment.RenderThresholds(experiment.Thresholds()), nil
-	case "upload":
-		rows, err := cfg.UploadComparison()
-		if err != nil {
-			return "", err
-		}
-		return experiment.RenderUploadComparison(rows), nil
-	case "ablation-levels":
-		rows, err := cfg.AblationLevels()
-		if err != nil {
-			return "", err
-		}
-		return experiment.RenderAblationLevels(rows), nil
-	case "ablation-blocksize":
-		rows, err := cfg.AblationBlockSize()
-		if err != nil {
-			return "", err
-		}
-		return experiment.RenderAblationBlockSize(rows), nil
-	case "ablation-meter":
-		rows, err := cfg.AblationMeterRate()
-		if err != nil {
-			return "", err
-		}
-		return experiment.RenderAblationMeterRate(rows), nil
-	case "battery":
-		rows, err := cfg.BatteryComparison()
-		if err != nil {
-			return "", err
-		}
-		return experiment.RenderBatteryComparison(rows), nil
-	case "policy":
-		rows, err := cfg.PolicyComparison()
-		if err != nil {
-			return "", err
-		}
-		return experiment.RenderPolicyComparison(rows), nil
-	case "trace":
-		traces, err := cfg.Trace(400_000)
-		if err != nil {
-			return "", err
-		}
-		return experiment.RenderTraceSummary(traces), nil
-	case "trace-csv":
-		traces, err := cfg.Trace(400_000)
-		if err != nil {
-			return "", err
-		}
-		return experiment.RenderTraceCSV(traces), nil
-	default:
-		return "", fmt.Errorf("unknown experiment id %q", id)
-	}
 }

@@ -412,13 +412,13 @@ func (d *DynamicDecider) Decide(ctx BlockContext) Decision {
 func (d *DynamicDecider) context(rawLen, compLen int) BlockContext {
 	rate, ps := d.liveLink()
 	return BlockContext{
-		RawLen:    rawLen,
-		CompLen:   compLen,
-		RateMBps:  rate,
-		PowerSave: ps,
+		RawLen:     rawLen,
+		CompLen:    compLen,
+		RateMBps:   rate,
+		PowerSave:  ps,
 		QueueDepth: d.liveQueue(),
-		Class:     d.class,
-		BudgetJ:   d.budgetJ,
+		Class:      d.class,
+		BudgetJ:    d.budgetJ,
 	}
 }
 

@@ -2,8 +2,8 @@
 // iPAQ 3650 with a WaveLAN 802.11b card — as a power-state machine whose
 // electrical currents are the measurements of the paper's Table 1. Energy
 // is the exact integral of supply voltage times state current over the
-// simulated timeline; the multimeter package samples the same signal the
-// way the paper's HP 3458a did.
+// simulated timeline; internal/pipeline's meter samples the same recorded
+// trace the way the paper's HP 3458a did.
 package device
 
 import (

@@ -16,9 +16,6 @@ const sendRatio = 510.0 / 497.2
 // MSend returns the energy to transmit one MB (J/MB).
 func (p Params) MSend() float64 { return p.M * sendRatio }
 
-// UploadTime returns the wall time to upload s MB.
-func (p Params) UploadTime(s float64) float64 { return p.DownloadTime(s) }
-
 // UploadEnergy is the uncompressed-upload mirror of Eq. 1:
 // E = msend·s + cs + ti·pi.
 func (p Params) UploadEnergy(s float64) float64 {
@@ -38,25 +35,6 @@ func (p Params) UploadCompressedEnergy(s, sc, tc float64) float64 {
 		return p.MSend()*sc + p.Cs + tc*p.Pd + (tiPrime-tc+ti1)*p.Pi
 	}
 	return p.MSend()*sc + p.Cs + tc*p.Pd + ti1*p.Pi
-}
-
-// UploadCompressedTime is the upload mirror of InterleavedTime, plus the
-// lead-in compression of the first buffer which cannot overlap anything.
-func (p Params) UploadCompressedTime(s, sc, tc float64) float64 {
-	tiPrime, _ := p.IdleSplit(s, sc)
-	t := p.UploadTime(sc)
-	if tc > tiPrime {
-		t += tc - tiPrime
-	}
-	// First-buffer lead-in: the share of tc covering the first BufMB.
-	if s > 0 {
-		frac := p.BufMB / s
-		if frac > 1 {
-			frac = 1
-		}
-		t += tc * frac
-	}
-	return t
 }
 
 // ShouldCompressUpload reports whether compressing before uploading is
@@ -93,25 +71,4 @@ func (p Params) UploadThresholdSizeBytes(tcPerInMB, tcFixed float64) float64 {
 		}
 	}
 	return hi * 1e6
-}
-
-// UploadThresholdFactor returns the minimum compression factor at which
-// compressing an upload of s MB pays off, given a compression cost of
-// tcPerMB seconds per raw MB (handheld-side). Returns +Inf when no factor
-// suffices.
-func (p Params) UploadThresholdFactor(s, tcPerMB float64) float64 {
-	tc := tcPerMB * s
-	if !p.ShouldCompressUpload(s, s*1e-9, tc) {
-		return math.Inf(1)
-	}
-	lo, hi := s*1e-9, s
-	for i := 0; i < 200; i++ {
-		mid := (lo + hi) / 2
-		if p.ShouldCompressUpload(s, mid, tc) {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return s / lo
 }

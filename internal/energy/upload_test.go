@@ -51,18 +51,6 @@ func TestUploadSlowCompressorLoses(t *testing.T) {
 	}
 }
 
-func TestUploadThresholdFactorMonotoneInCost(t *testing.T) {
-	p := Params11Mbps()
-	fast := p.UploadThresholdFactor(4.0, 0.36)
-	slow := p.UploadThresholdFactor(4.0, 0.93)
-	if !(slow > fast) {
-		t.Errorf("slower compressor should need a higher factor: %v vs %v", slow, fast)
-	}
-	if fast < 1.01 || slow > 10 {
-		t.Errorf("thresholds implausible: %v, %v", fast, slow)
-	}
-}
-
 func TestUploadThresholdSize(t *testing.T) {
 	p := Params11Mbps()
 	th := p.UploadThresholdSizeBytes(0.36, 0.0045)
@@ -94,14 +82,5 @@ func TestQuickUploadDecisionConsistent(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestUploadCompressedTimeIncludesLeadIn(t *testing.T) {
-	p := Params11Mbps()
-	s, sc, tc := 2.0, 0.5, 0.8
-	tCompressed := p.UploadCompressedTime(s, sc, tc)
-	if !(tCompressed > p.UploadTime(sc)) {
-		t.Error("compressed upload time must include the lead-in")
 	}
 }

@@ -8,11 +8,9 @@ import (
 	"repro/internal/codec"
 	"repro/internal/device"
 	"repro/internal/energy"
-	"repro/internal/multimeter"
 	"repro/internal/pipeline"
 	"repro/internal/selective"
 	"repro/internal/session"
-	"repro/internal/sim"
 	"repro/internal/wlan"
 	"repro/internal/workload"
 )
@@ -26,14 +24,14 @@ import (
 type LevelRow struct {
 	Level       int
 	Factor      float64
-	CompressMB  float64 // host-side compression throughput, MB/s
 	InterleaveJ float64 // modeled interleaved download energy
 }
 
 // AblationLevels sweeps gzip levels 1-9 on representative text: the paper
 // notes "a high compression factor does not increase the decompression
 // speed and energy much", so level 9 is almost free energy — this study
-// quantifies it.
+// quantifies it. (Compression throughput is host wall-clock, which this
+// deterministic world has none of; bench/'s codec probes measure it.)
 func (c Config) AblationLevels() ([]LevelRow, error) {
 	data := workload.Generate(workload.ClassSource, int(2_000_000*c.scale()*8)+200_000, 13)
 	model := energy.Params11Mbps()
@@ -44,22 +42,15 @@ func (c Config) AblationLevels() ([]LevelRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		start := time.Now()
 		comp, err := cdc.Compress(data)
 		if err != nil {
 			return nil, err
 		}
-		elapsed := time.Since(start).Seconds()
-		sc := float64(len(comp)) / 1e6
-		row := LevelRow{
+		rows = append(rows, LevelRow{
 			Level:       level,
 			Factor:      codec.Factor(len(data), len(comp)),
-			InterleaveJ: model.InterleavedEnergy(s, sc),
-		}
-		if elapsed > 0 {
-			row.CompressMB = s / elapsed
-		}
-		rows = append(rows, row)
+			InterleaveJ: model.InterleavedEnergy(s, float64(len(comp))/1e6),
+		})
 	}
 	return rows, nil
 }
@@ -71,11 +62,10 @@ func RenderAblationLevels(rows []LevelRow) string {
 	b.WriteString(header(
 		fmt.Sprintf("%-8s", "level"),
 		fmt.Sprintf("%10s", "factor"),
-		fmt.Sprintf("%14s", "comp MB/s"),
 		fmt.Sprintf("%16s", "download J"),
 	))
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-8d%10.3f%14.2f%16.4f\n", r.Level, r.Factor, r.CompressMB, r.InterleaveJ)
+		fmt.Fprintf(&b, "%-8d%10.3f%16.4f\n", r.Level, r.Factor, r.InterleaveJ)
 	}
 	return b.String()
 }
@@ -212,30 +202,26 @@ func (c Config) UploadComparison() ([]UploadRow, error) {
 	var rows []UploadRow
 	for _, spec := range large {
 		data := spec.Generate()
-		plain, err := pipeline.RunUpload(pipeline.UploadSpec{Data: data, Rate: wlan.Rate11Mbps(), MeterRate: c.MeterRate})
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, UploadRow{
-			Spec: spec, Strategy: "raw", Factor: 1,
-			EnergyJ: plain.ExactEnergyJ, RelEnergy: 1,
-		})
+		var rawJ float64
 		for _, strat := range []struct {
-			name      string
-			level     int
-			selective bool
-		}{{"zlib -9", 9, false}, {"zlib -1", 1, false}, {"zlib -1 adaptive", 1, true}} {
+			name                  string
+			level                 int
+			compressed, selective bool
+		}{{"raw", 0, false, false}, {"zlib -9", 9, true, false}, {"zlib -1", 1, true, false}, {"zlib -1 adaptive", 1, true, true}} {
 			res, err := pipeline.RunUpload(pipeline.UploadSpec{
-				Data: data, Scheme: codec.Zlib, Level: strat.level, Compressed: true,
+				Data: data, Scheme: codec.Zlib, Level: strat.level, Compressed: strat.compressed,
 				Selective: strat.selective, Rate: wlan.Rate11Mbps(), MeterRate: c.MeterRate,
 			})
 			if err != nil {
 				return nil, err
 			}
+			if !strat.compressed {
+				rawJ = res.ExactEnergyJ
+			}
 			rows = append(rows, UploadRow{
 				Spec: spec, Strategy: strat.name, Factor: res.Factor,
 				EnergyJ:   res.ExactEnergyJ,
-				RelEnergy: res.ExactEnergyJ / plain.ExactEnergyJ,
+				RelEnergy: res.ExactEnergyJ / rawJ,
 				StallSec:  res.StallSeconds.Seconds(),
 			})
 		}
@@ -268,22 +254,6 @@ func RenderUploadComparison(rows []UploadRow) string {
 	return b.String()
 }
 
-// meterProbe is a tiny self-check used by tests: a one-second constant
-// read through the full meter path.
-func meterProbe() float64 {
-	k := sim.NewKernel()
-	d := device.New(k, device.DefaultPowerTable())
-	m := multimeter.New(k, d, 0)
-	m.Trigger()
-	k.Schedule(time.Second, m.Stop)
-	k.Run()
-	r, err := m.Reading()
-	if err != nil {
-		return 0
-	}
-	return r.EnergyJ
-}
-
 // PolicyRow is one idle-management policy outcome (Section 2's sleep-mode
 // discussion, quantified).
 type PolicyRow struct {
@@ -300,30 +270,25 @@ type PolicyRow struct {
 func (c Config) PolicyComparison() ([]PolicyRow, error) {
 	reqs := session.WebSession(30, 4*time.Second, 120_000, 17)
 	var rows []PolicyRow
-	run := func(p session.Policy, acc float64) error {
+	for _, p := range []struct {
+		policy   session.Policy
+		accuracy float64
+	}{
+		{session.AlwaysOn, 0}, {session.HardwarePS, 0},
+		{session.PredictiveSleep, 1.0}, {session.PredictiveSleep, 0.9}, {session.PredictiveSleep, 0.7},
+		{session.PredictiveSleep, 0.5}, {session.PredictiveSleep, 0.0},
+	} {
 		res, err := session.Run(session.Spec{
-			Requests: reqs, Policy: p, PredictAccuracy: acc, Seed: 23,
+			Requests: reqs, Policy: p.policy, PredictAccuracy: p.accuracy, Seed: 23,
 		})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		rows = append(rows, PolicyRow{
-			Policy: p, Accuracy: acc,
+			Policy: p.policy, Accuracy: p.accuracy,
 			EnergyJ: res.EnergyJ, IdleEnergyJ: res.IdleEnergyJ,
 			AvgExtraLatency: res.AvgExtraLatency, Mispredictions: res.Mispredictions,
 		})
-		return nil
-	}
-	if err := run(session.AlwaysOn, 0); err != nil {
-		return nil, err
-	}
-	if err := run(session.HardwarePS, 0); err != nil {
-		return nil, err
-	}
-	for _, acc := range []float64{1.0, 0.9, 0.7, 0.5, 0.0} {
-		if err := run(session.PredictiveSleep, acc); err != nil {
-			return nil, err
-		}
 	}
 	return rows, nil
 }
@@ -375,43 +340,34 @@ func (c Config) BatteryComparison() ([]BatteryRow, error) {
 	}
 	battery := device.IPAQBattery()
 
-	run := func(strategy string, spec func(data []byte) pipeline.Spec) (BatteryRow, error) {
+	var rows []BatteryRow
+	var baseJ float64 // the first strategy's cost: the uncompressed baseline
+	for _, st := range []struct {
+		name string
+		spec pipeline.Spec
+	}{
+		{"uncompressed", pipeline.Spec{Mode: pipeline.ModePlain}},
+		{"gzip blind", pipeline.Spec{Scheme: codec.Gzip, Mode: pipeline.ModeInterleaved}},
+		{"zlib adaptive", pipeline.Spec{Scheme: codec.Zlib, Mode: pipeline.ModeInterleaved, Selective: true}},
+	} {
 		var total float64
 		for _, data := range mix {
-			res, err := c.runSpec(spec(data))
+			st.spec.Data = data
+			res, err := c.runSpec(st.spec)
 			if err != nil {
-				return BatteryRow{}, err
+				return nil, err
 			}
 			total += res.ExactEnergyJ
 		}
-		return BatteryRow{
-			Strategy:     strategy,
-			PerDownloadJ: total,
-			Downloads:    battery.Operations(total),
-		}, nil
-	}
-
-	plain, err := run("uncompressed", func(d []byte) pipeline.Spec {
-		return pipeline.Spec{Data: d, Mode: pipeline.ModePlain}
-	})
-	if err != nil {
-		return nil, err
-	}
-	blind, err := run("gzip blind", func(d []byte) pipeline.Spec {
-		return pipeline.Spec{Data: d, Scheme: codec.Gzip, Mode: pipeline.ModeInterleaved}
-	})
-	if err != nil {
-		return nil, err
-	}
-	adaptive, err := run("zlib adaptive", func(d []byte) pipeline.Spec {
-		return pipeline.Spec{Data: d, Scheme: codec.Zlib, Mode: pipeline.ModeInterleaved, Selective: true}
-	})
-	if err != nil {
-		return nil, err
-	}
-	rows := []BatteryRow{plain, blind, adaptive}
-	for i := range rows {
-		rows[i].LifeExtension = battery.LifeExtension(plain.PerDownloadJ, rows[i].PerDownloadJ)
+		if len(rows) == 0 {
+			baseJ = total
+		}
+		rows = append(rows, BatteryRow{
+			Strategy:      st.name,
+			PerDownloadJ:  total,
+			Downloads:     battery.Operations(total),
+			LifeExtension: battery.LifeExtension(baseJ, total),
+		})
 	}
 	return rows, nil
 }

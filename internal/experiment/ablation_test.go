@@ -5,6 +5,11 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/device"
+	"repro/internal/pipeline"
+	"repro/internal/sim"
+	"repro/internal/wlan"
 )
 
 func TestAblationLevels(t *testing.T) {
@@ -118,8 +123,15 @@ func TestUploadComparisonShape(t *testing.T) {
 }
 
 func TestMeterProbe(t *testing.T) {
+	// A one-second constant read through the full rig + meter path:
 	// 1 s at 310 mA, 5 V.
-	if got := meterProbe(); math.Abs(got-1.55) > 0.01 {
+	res, err := pipeline.Drive(wlan.RateConfig{}, func(k *sim.Kernel, _ *device.Device, _ *wlan.Link, done func()) {
+		k.Schedule(time.Second, done)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.MeteredEnergyJ; math.Abs(got-1.55) > 0.01 {
 		t.Errorf("probe %.4f J, want 1.55", got)
 	}
 }

@@ -16,7 +16,10 @@ func testConfig() Config {
 }
 
 func TestTable1MatchesPaperConstants(t *testing.T) {
-	rows := Table1()
+	rows, err := Table1()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rows) != 12 {
 		t.Fatalf("got %d rows", len(rows))
 	}

@@ -33,75 +33,56 @@ type FileComparison struct {
 	Bars  []Bar
 }
 
-func (c Config) compare(spec workload.FileSpec, runs []pipeline.Spec, labels []string) (FileComparison, error) {
-	data := spec.Generate()
-	plain, err := c.plainFor(data, runs[0].Rate)
-	if err != nil {
-		return FileComparison{}, err
-	}
-	fc := FileComparison{Spec: spec, Plain: plain}
-	for i, r := range runs {
-		r.Data = data
-		res, err := c.runSpec(r)
+// compare runs each spec's file through runs (bar i labelled labels[i])
+// and normalises every bar to the uncompressed download of the same bytes.
+func (c Config) compare(specs []workload.FileSpec, labels []string, runs ...pipeline.Spec) ([]FileComparison, error) {
+	out := make([]FileComparison, 0, len(specs))
+	for _, spec := range specs {
+		data := dataFor(spec)
+		plain, err := c.plainFor(data, runs[0].Rate)
 		if err != nil {
-			return FileComparison{}, fmt.Errorf("%s/%s: %w", spec.Name, labels[i], err)
+			return nil, err
 		}
-		bar := Bar{
-			Label:       labels[i],
-			Scheme:      r.Scheme,
-			RelTime:     res.TotalSeconds.Seconds() / plain.TotalSeconds.Seconds(),
-			RelEnergy:   res.ExactEnergyJ / plain.ExactEnergyJ,
-			DownloadSec: res.TransferSeconds.Seconds() - res.StallSeconds.Seconds(),
-			DecompSec:   res.DecompressSeconds.Seconds(),
-			CompressSec: res.StallSeconds.Seconds(),
-			Result:      res,
+		fc := FileComparison{Spec: spec, Plain: plain}
+		for i, r := range runs {
+			r.Data = data
+			res, err := c.runSpec(r)
+			if err != nil {
+				return nil, fmt.Errorf("%s/%s: %w", spec.Name, labels[i], err)
+			}
+			fc.Bars = append(fc.Bars, Bar{
+				Label:       labels[i],
+				Scheme:      r.Scheme,
+				RelTime:     res.TotalSeconds.Seconds() / plain.TotalSeconds.Seconds(),
+				RelEnergy:   res.ExactEnergyJ / plain.ExactEnergyJ,
+				DownloadSec: res.TransferSeconds.Seconds() - res.StallSeconds.Seconds(),
+				DecompSec:   res.DecompressSeconds.Seconds(),
+				CompressSec: res.StallSeconds.Seconds(),
+				Result:      res,
+			})
 		}
-		fc.Bars = append(fc.Bars, bar)
+		out = append(out, fc)
 	}
-	return fc, nil
+	return out, nil
 }
 
 // SchemeComparison reproduces Figures 1 and 2: per file, download+
 // decompress with gzip, compress and bzip2 (precompressed on the proxy;
 // bzip2 with power saving enabled, as the paper presents its energy).
 func (c Config) SchemeComparison() ([]FileComparison, error) {
-	large, small := c.corpus()
-	specs := append(append([]workload.FileSpec{}, large...), small...)
-	out := make([]FileComparison, 0, len(specs))
-	for _, spec := range specs {
-		runs := []pipeline.Spec{
-			{Scheme: codec.Gzip, Mode: pipeline.ModeSequential},
-			{Scheme: codec.Compress, Mode: pipeline.ModeSequential},
-			{Scheme: codec.Bzip2, Mode: pipeline.ModeSequential, SleepDuringDecompress: true},
-		}
-		fc, err := c.compare(spec, runs, []string{"gzip", "compress", "bzip2"})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, fc)
-	}
-	return out, nil
+	return c.compare(c.files(), []string{"gzip", "compress", "bzip2"},
+		pipeline.Spec{Scheme: codec.Gzip, Mode: pipeline.ModeSequential},
+		pipeline.Spec{Scheme: codec.Compress, Mode: pipeline.ModeSequential},
+		pipeline.Spec{Scheme: codec.Bzip2, Mode: pipeline.ModeSequential, SleepDuringDecompress: true})
 }
 
 // InterleavingComparison reproduces Figures 5 and 6: gzip without
 // interleaving, zlib without interleaving, and zlib with interleaving.
 func (c Config) InterleavingComparison() ([]FileComparison, error) {
-	large, small := c.corpus()
-	specs := append(append([]workload.FileSpec{}, large...), small...)
-	out := make([]FileComparison, 0, len(specs))
-	for _, spec := range specs {
-		runs := []pipeline.Spec{
-			{Scheme: codec.Gzip, Mode: pipeline.ModeSequential},
-			{Scheme: codec.Zlib, Mode: pipeline.ModeSequential},
-			{Scheme: codec.Zlib, Mode: pipeline.ModeInterleaved},
-		}
-		fc, err := c.compare(spec, runs, []string{"gzip", "zlib", "zlib+intl"})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, fc)
-	}
-	return out, nil
+	return c.compare(c.files(), []string{"gzip", "zlib", "zlib+intl"},
+		pipeline.Spec{Scheme: codec.Gzip, Mode: pipeline.ModeSequential},
+		pipeline.Spec{Scheme: codec.Zlib, Mode: pipeline.ModeSequential},
+		pipeline.Spec{Scheme: codec.Zlib, Mode: pipeline.ModeInterleaved})
 }
 
 // selectiveAffected returns the files the block-by-block scheme can
@@ -109,8 +90,7 @@ func (c Config) InterleavingComparison() ([]FileComparison, error) {
 // mixed file of the kind Section 4.3 calls out.
 func (c Config) selectiveAffected() []workload.FileSpec {
 	var out []workload.FileSpec
-	large, small := c.corpus()
-	for _, s := range append(append([]workload.FileSpec{}, large...), small...) {
+	for _, s := range c.files() {
 		if s.PaperGzip < 1.3 || s.Class == workload.ClassPDF || s.Class == workload.ClassTarHTML {
 			out = append(out, s)
 		}
@@ -130,40 +110,10 @@ func (c Config) selectiveAffected() []workload.FileSpec {
 // interleaved, and zlib with the block-by-block adaptive scheme, on the
 // files the scheme affects.
 func (c Config) SelectiveComparison() ([]FileComparison, error) {
-	specs := c.selectiveAffected()
-	out := make([]FileComparison, 0, len(specs))
-	for _, spec := range specs {
-		data := dataFor(spec)
-		plain, err := c.plainFor(data, pipeline.Spec{}.Rate)
-		if err != nil {
-			return nil, err
-		}
-		runs := []pipeline.Spec{
-			{Scheme: codec.Gzip, Mode: pipeline.ModeSequential},
-			{Scheme: codec.Zlib, Mode: pipeline.ModeInterleaved},
-			{Scheme: codec.Zlib, Mode: pipeline.ModeInterleaved, Selective: true},
-		}
-		labels := []string{"gzip", "zlib+intl", "zlib+adaptive"}
-		fc := FileComparison{Spec: spec, Plain: plain}
-		for i, r := range runs {
-			r.Data = data
-			res, err := c.runSpec(r)
-			if err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", spec.Name, labels[i], err)
-			}
-			fc.Bars = append(fc.Bars, Bar{
-				Label:       labels[i],
-				Scheme:      r.Scheme,
-				RelTime:     res.TotalSeconds.Seconds() / plain.TotalSeconds.Seconds(),
-				RelEnergy:   res.ExactEnergyJ / plain.ExactEnergyJ,
-				DownloadSec: res.TransferSeconds.Seconds(),
-				DecompSec:   res.DecompressSeconds.Seconds(),
-				Result:      res,
-			})
-		}
-		out = append(out, fc)
-	}
-	return out, nil
+	return c.compare(c.selectiveAffected(), []string{"gzip", "zlib+intl", "zlib+adaptive"},
+		pipeline.Spec{Scheme: codec.Gzip, Mode: pipeline.ModeSequential},
+		pipeline.Spec{Scheme: codec.Zlib, Mode: pipeline.ModeInterleaved},
+		pipeline.Spec{Scheme: codec.Zlib, Mode: pipeline.ModeInterleaved, Selective: true})
 }
 
 // dataFor generates spec's content, using the mixed generator for the
@@ -182,20 +132,10 @@ func dataFor(spec workload.FileSpec) []byte {
 // paper.
 func (c Config) OnDemandComparison() ([]FileComparison, error) {
 	large, _ := c.corpus()
-	out := make([]FileComparison, 0, len(large))
-	for _, spec := range large {
-		runs := []pipeline.Spec{
-			{Scheme: codec.Gzip, Mode: pipeline.ModeInterleaved, OnDemand: true, OnDemandWholeFile: true},
-			{Scheme: codec.Compress, Mode: pipeline.ModeInterleaved, OnDemand: true, OnDemandWholeFile: true},
-			{Scheme: codec.Zlib, Mode: pipeline.ModeInterleaved, OnDemand: true, Selective: true},
-		}
-		fc, err := c.compare(spec, runs, []string{"gzip", "compress", "zlib+intl"})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, fc)
-	}
-	return out, nil
+	return c.compare(large, []string{"gzip", "compress", "zlib+intl"},
+		pipeline.Spec{Scheme: codec.Gzip, Mode: pipeline.ModeInterleaved, OnDemand: true, OnDemandWholeFile: true},
+		pipeline.Spec{Scheme: codec.Compress, Mode: pipeline.ModeInterleaved, OnDemand: true, OnDemandWholeFile: true},
+		pipeline.Spec{Scheme: codec.Zlib, Mode: pipeline.ModeInterleaved, OnDemand: true, Selective: true})
 }
 
 // RenderBars formats a comparison figure as rows of relative values with

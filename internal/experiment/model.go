@@ -242,8 +242,7 @@ func (c Config) Fig8Fits() ([]FitResult, error) {
 	// (a) decompression time across the corpus (sequential runs, gzip).
 	var x [][]float64
 	var y []float64
-	large, small := c.corpus()
-	for _, spec := range append(append([]workload.FileSpec{}, large...), small...) {
+	for _, spec := range c.files() {
 		data := spec.Generate()
 		res, err := c.runSpec(pipeline.Spec{Data: data, Scheme: codec.Gzip, Mode: pipeline.ModeSequential})
 		if err != nil {

@@ -7,8 +7,9 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/device"
-	"repro/internal/multimeter"
+	"repro/internal/pipeline"
 	"repro/internal/sim"
+	"repro/internal/wlan"
 	"repro/internal/workload"
 )
 
@@ -19,62 +20,43 @@ type PowerRow struct {
 	PowerSave  bool
 	NICService bool
 	MeasuredMA float64
-	TableMA    float64 // the constant from the paper's Table 1
+	TableMA    float64 // the state's constant from the paper's Table 1 (device.PowerTable)
 }
 
 // Table1 reproduces the power-parameter table by putting the simulated
-// device in each state and reading the metered average current.
-func Table1() []PowerRow {
-	pt := device.DefaultPowerTable()
-	type state struct {
-		cpu   device.CPUState
-		radio device.RadioState
-		ps    bool
-		nic   bool
+// device in each state for a second and reading the metered average
+// current.
+func Table1() ([]PowerRow, error) {
+	rows := []PowerRow{
+		{CPU: device.CPUIdle, Radio: device.RadioSleep},
+		{CPU: device.CPUBusy, Radio: device.RadioSleep},
+		{CPU: device.CPUIdle, Radio: device.RadioIdle},
+		{CPU: device.CPUIdle, Radio: device.RadioIdle, PowerSave: true},
+		{CPU: device.CPUBusy, Radio: device.RadioIdle},
+		{CPU: device.CPUBusy, Radio: device.RadioIdle, PowerSave: true},
+		{CPU: device.CPUIdle, Radio: device.RadioRecv},
+		{CPU: device.CPUIdle, Radio: device.RadioRecv, PowerSave: true},
+		{CPU: device.CPUBusy, Radio: device.RadioRecv},
+		{CPU: device.CPUBusy, Radio: device.RadioRecv, PowerSave: true},
+		{CPU: device.CPUIdle, Radio: device.RadioRecv, NICService: true},
+		{CPU: device.CPUIdle, Radio: device.RadioRecv, PowerSave: true, NICService: true},
 	}
-	states := []state{
-		{device.CPUIdle, device.RadioSleep, false, false},
-		{device.CPUBusy, device.RadioSleep, false, false},
-		{device.CPUIdle, device.RadioIdle, false, false},
-		{device.CPUIdle, device.RadioIdle, true, false},
-		{device.CPUBusy, device.RadioIdle, false, false},
-		{device.CPUBusy, device.RadioIdle, true, false},
-		{device.CPUIdle, device.RadioRecv, false, false},
-		{device.CPUIdle, device.RadioRecv, true, false},
-		{device.CPUBusy, device.RadioRecv, false, false},
-		{device.CPUBusy, device.RadioRecv, true, false},
-		{device.CPUIdle, device.RadioRecv, false, true},
-		{device.CPUIdle, device.RadioRecv, true, true},
-	}
-	rows := make([]PowerRow, 0, len(states))
-	for _, st := range states {
-		k := sim.NewKernel()
-		d := device.New(k, pt)
-		d.SetCPU(st.cpu)
-		d.SetRadio(st.radio)
-		d.SetPowerSave(st.ps)
-		d.SetNICActive(st.nic)
-		m := multimeter.New(k, d, 0)
-		m.Trigger()
-		k.Schedule(time.Second, m.Stop)
-		k.Run()
-		r, err := m.Reading()
-		if err != nil {
-			continue
-		}
-		want := pt.Current(st.cpu, st.radio, st.ps)
-		if st.nic {
-			want = pt.NICServiceOff
-			if st.ps {
-				want = pt.NICServiceOn
-			}
-		}
-		rows = append(rows, PowerRow{
-			CPU: st.cpu, Radio: st.radio, PowerSave: st.ps, NICService: st.nic,
-			MeasuredMA: r.AvgMA, TableMA: want,
+	for i := range rows {
+		row := &rows[i]
+		res, err := pipeline.Drive(wlan.RateConfig{}, func(k *sim.Kernel, d *device.Device, _ *wlan.Link, done func()) {
+			d.SetCPU(row.CPU)
+			d.SetRadio(row.Radio)
+			d.SetPowerSave(row.PowerSave)
+			d.SetNICActive(row.NICService)
+			row.TableMA = d.CurrentMA()
+			k.Schedule(time.Second, done)
 		})
+		if err != nil {
+			return nil, err
+		}
+		row.MeasuredMA = res.AvgCurrentMA
 	}
-	return rows
+	return rows, nil
 }
 
 // RenderTable1 formats the power table.
@@ -115,8 +97,7 @@ type FactorRow struct {
 // paper's settings and reports the measured factors next to the published
 // ones.
 func (c Config) Table2() ([]FactorRow, error) {
-	large, small := c.corpus()
-	specs := append(append([]workload.FileSpec{}, large...), small...)
+	specs := c.files()
 	rows := make([]FactorRow, 0, len(specs))
 	for _, spec := range specs {
 		data := spec.Generate()

@@ -146,4 +146,3 @@ func TestBuildLengthsMatchesReference(t *testing.T) {
 		}
 	}
 }
-

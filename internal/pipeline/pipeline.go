@@ -1,10 +1,12 @@
 // Package pipeline executes complete simulated download experiments: it
 // compresses real bytes with the real codecs, then replays the transfer on
-// the simulated device/link/meter stack in one of the paper's modes —
+// the simulated device/link stack (the rig) in one of the paper's modes —
 // plain download, download-then-decompress (optionally with the radio put
 // to sleep), interleaved block-by-block decompression (Section 4.1),
 // selective block-adaptive streams (Section 4.3), and compression on
-// demand with server-side overlap (Section 5).
+// demand with server-side overlap (Section 5) — or in the upload
+// direction, and reads the recorded current trace back the way the paper's
+// multimeter did.
 package pipeline
 
 import (
@@ -14,9 +16,7 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/device"
-	"repro/internal/multimeter"
 	"repro/internal/selective"
-	"repro/internal/sim"
 	"repro/internal/wlan"
 )
 
@@ -78,6 +78,11 @@ type Spec struct {
 	// CaptureTrace records the device's current trace in the result, for
 	// timeline rendering (Figures 3-4 style).
 	CaptureTrace bool
+
+	// upload reverses the direction (set by RunUpload): the handheld
+	// compresses and sends. ModePlain sends the raw bytes, ModeInterleaved
+	// compresses block i+1 inside the idle windows of block i's transmission.
+	upload bool
 }
 
 // Result reports everything the paper's figures need.
@@ -116,102 +121,65 @@ func Run(spec Spec) (Result, error) {
 	if spec.Mode == 0 {
 		return Result{}, errors.New("pipeline: mode not set")
 	}
-	if spec.Rate.EffectiveMBps == 0 {
-		spec.Rate = wlan.Rate11Mbps()
+	if spec.Mode < 0 || spec.Mode > ModeInterleaved {
+		return Result{}, fmt.Errorf("pipeline: unknown mode %d", spec.Mode)
 	}
 	if spec.Decider == nil {
 		spec.Decider = selective.PaperDecider{}
 	}
-
-	blocks, wireBytes, stats, err := buildBlocks(spec)
+	build := buildBlocks
+	if spec.upload {
+		build = buildUploadBlocks
+	}
+	blocks, wireBytes, stats, err := build(spec)
 	if err != nil {
 		return Result{}, err
 	}
-
-	res := Result{
-		RawBytes:         len(spec.Data),
-		WireBytes:        wireBytes,
-		Factor:           codec.Factor(len(spec.Data), wireBytes),
-		BlocksTotal:      stats.total,
-		BlocksCompressed: stats.compressed,
-	}
-
-	k := sim.NewKernel()
-	dev := device.New(k, device.DefaultPowerTable())
-	dev.SetPowerSave(spec.PowerSave)
-	link, err := wlan.NewLink(k, dev, spec.Rate)
+	r, err := newRig(spec.Rate)
 	if err != nil {
 		return Result{}, err
 	}
-	meter := multimeter.New(k, dev, spec.MeterRate)
-	worker := device.NewWorker(k, dev)
+	r.dev.SetPowerSave(spec.PowerSave)
 
-	var transferEnd, totalEnd time.Duration
-	var stall time.Duration
-	// completed flips when a mode's finish callback actually ran; checking
-	// it (instead of a totalEnd==0 sentinel) keeps zero-byte experiments,
-	// whose end time legitimately is 0, from reporting a half-run result.
-	var completed bool
-
-	meter.Trigger()
-	switch spec.Mode {
-	case ModePlain:
-		link.Download(res.RawBytes, nil, nil, func() {
-			transferEnd = k.Now()
-			totalEnd = transferEnd
-			completed = true
-			meter.Stop()
-		})
-	case ModeSequential:
-		link.Download(wireBytes, nil, nil, func() {
-			transferEnd = k.Now()
+	switch {
+	case spec.upload:
+		r.upload(blocks, wireBytes)
+	case spec.Mode == ModePlain:
+		r.link.Download(wireBytes, nil, nil, r.drain)
+	case spec.Mode == ModeSequential:
+		r.link.Download(wireBytes, nil, nil, func() {
+			r.transferEnd = r.k.Now()
 			if spec.SleepDuringDecompress {
 				// The paper uses the hardware power-saving mechanism for
 				// this (the card mostly sleeps): busy+PS-idle draws
 				// 340 mA = 1.70 W, the pd it plugs into Eq. 2.
-				dev.SetPowerSave(true)
+				r.dev.SetPowerSave(true)
 			}
 			for _, b := range blocks {
-				worker.Add(b.work)
+				r.worker.Add(b.work)
 			}
-			end := worker.Drain()
-			k.At(end, func() {
-				if spec.SleepDuringDecompress {
-					dev.SetPowerSave(spec.PowerSave)
-				}
-				totalEnd = k.Now()
-				completed = true
-				meter.Stop()
+			r.k.At(r.worker.Drain(), func() {
+				r.dev.SetPowerSave(spec.PowerSave)
+				r.finish()
 			})
 		})
-	case ModeInterleaved:
-		if spec.OnDemand {
-			runOnDemand(k, link, worker, blocks, &transferEnd, &totalEnd, &completed, &stall, meter)
-		} else {
-			runInterleaved(k, link, worker, blocks, wireBytes, &transferEnd, &totalEnd, &completed, meter)
-		}
+	case spec.OnDemand:
+		r.onDemand(blocks)
 	default:
-		return Result{}, fmt.Errorf("pipeline: unknown mode %d", spec.Mode)
+		r.interleaved(blocks, wireBytes)
 	}
-	k.Run()
 
-	if !completed {
-		return Result{}, errors.New("pipeline: experiment did not complete")
-	}
-	res.TransferSeconds = transferEnd
-	res.TotalSeconds = totalEnd
-	res.DecompressSeconds = worker.BusyTotal()
-	res.StallSeconds = stall
-	reading, err := meter.Reading()
+	res, err := r.run(spec.MeterRate)
 	if err != nil {
 		return Result{}, err
 	}
-	res.MeteredEnergyJ = reading.EnergyJ
-	res.ExactEnergyJ = reading.ExactJ
-	res.AvgCurrentMA = reading.AvgMA
-	res.MaxCurrentMA = reading.MaxMA
+	res.RawBytes = len(spec.Data)
+	res.WireBytes = wireBytes
+	res.Factor = codec.Factor(len(spec.Data), wireBytes)
+	res.BlocksTotal = stats.total
+	res.BlocksCompressed = stats.compressed
 	if spec.CaptureTrace {
-		res.Trace = dev.Trace()
+		res.Trace = r.dev.Trace()
 	}
 	return res, nil
 }
@@ -326,12 +294,10 @@ func finishSchedule(spec Spec, blocks []wireBlock, wire int, stats blockStats) (
 	return blocks, wire, stats, nil
 }
 
-// runInterleaved downloads the whole wire stream, queueing each block's
+// interleaved downloads the whole wire stream, queueing each block's
 // decompression work as its last byte arrives; the worker consumes the
 // packet gaps.
-func runInterleaved(k *sim.Kernel, link *wlan.Link, worker *device.Worker,
-	blocks []wireBlock, wireBytes int, transferEnd, totalEnd *time.Duration, completed *bool, meter *multimeter.Meter) {
-
+func (r *rig) interleaved(blocks []wireBlock, wireBytes int) {
 	thresholds := make([]int, len(blocks))
 	sum := 0
 	for i, b := range blocks {
@@ -339,60 +305,43 @@ func runInterleaved(k *sim.Kernel, link *wlan.Link, worker *device.Worker,
 		thresholds[i] = sum
 	}
 	next := 0
-	link.Download(wireBytes, func(total int) {
+	r.link.Download(wireBytes, func(total int) {
 		for next < len(blocks) && total >= thresholds[next] {
-			worker.Add(blocks[next].work)
+			r.worker.Add(blocks[next].work)
 			next++
 		}
-	}, worker, func() {
-		*transferEnd = k.Now()
+	}, r.worker, func() {
 		for ; next < len(blocks); next++ { // rounding leftovers
-			worker.Add(blocks[next].work)
+			r.worker.Add(blocks[next].work)
 		}
-		end := worker.Drain()
-		k.At(end, func() {
-			*totalEnd = k.Now()
-			*completed = true
-			meter.Stop()
-		})
+		r.drain()
 	})
 }
 
-// runOnDemand chains per-block transfers, stalling (radio idle, worker
+// onDemand chains per-block transfers, stalling (radio idle, worker
 // granted the window) when the server's compression pipeline is behind.
-func runOnDemand(k *sim.Kernel, link *wlan.Link, worker *device.Worker,
-	blocks []wireBlock, transferEnd, totalEnd *time.Duration, completed *bool, stall *time.Duration, meter *multimeter.Meter) {
-
+func (r *rig) onDemand(blocks []wireBlock) {
 	var sendBlock func(i int)
-	finish := func() {
-		*transferEnd = k.Now()
-		end := worker.Drain()
-		k.At(end, func() {
-			*totalEnd = k.Now()
-			*completed = true
-			meter.Stop()
-		})
-	}
 	sendBlock = func(i int) {
 		if i >= len(blocks) {
-			finish()
+			r.drain()
 			return
 		}
 		b := blocks[i]
 		start := func() {
-			link.Transfer(b.wireBytes, nil, worker, func() {
-				worker.Add(b.work)
+			r.link.Transfer(b.wireBytes, nil, r.worker, func() {
+				r.worker.Add(b.work)
 				sendBlock(i + 1)
 			})
 		}
-		if wait := b.readyAt - k.Now(); wait > 0 {
-			*stall += wait
-			worker.Window(wait)
-			k.Schedule(wait, start)
+		if wait := b.readyAt - r.k.Now(); wait > 0 {
+			r.stall += wait
+			r.worker.Window(wait)
+			r.k.Schedule(wait, start)
 			return
 		}
 		start()
 	}
 	// Connection setup, then the block chain.
-	k.Schedule(wlan.SetupTime, func() { sendBlock(0) })
+	r.k.Schedule(wlan.SetupTime, func() { sendBlock(0) })
 }

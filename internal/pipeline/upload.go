@@ -1,15 +1,12 @@
 package pipeline
 
 import (
-	"errors"
 	"time"
 
 	"repro/internal/codec"
 	"repro/internal/device"
 	"repro/internal/energy"
-	"repro/internal/multimeter"
 	"repro/internal/selective"
-	"repro/internal/sim"
 	"repro/internal/wlan"
 )
 
@@ -43,100 +40,57 @@ type UploadSpec struct {
 	MeterRate float64
 }
 
-// RunUpload executes the upload experiment and reports the same result
-// structure as downloads (CompressSeconds lands in DecompressSeconds'
-// place: it is the CPU-busy time).
+// RunUpload executes the upload experiment — the same run as a download
+// with the direction reversed — and reports the same result structure
+// (CompressSeconds lands in DecompressSeconds' place: it is the CPU-busy
+// time).
 func RunUpload(spec UploadSpec) (Result, error) {
-	if spec.Rate.EffectiveMBps == 0 {
-		spec.Rate = wlan.Rate11Mbps()
+	mode := ModePlain
+	if spec.Compressed {
+		mode = ModeInterleaved
 	}
-	blocks, wireBytes, stats, err := buildUploadBlocks(spec)
-	if err != nil {
-		return Result{}, err
-	}
-	res := Result{
-		RawBytes:         len(spec.Data),
-		WireBytes:        wireBytes,
-		Factor:           codec.Factor(len(spec.Data), wireBytes),
-		BlocksTotal:      stats.total,
-		BlocksCompressed: stats.compressed,
-	}
+	return Run(Spec{
+		Data: spec.Data, Scheme: spec.Scheme, Level: spec.Level, Mode: mode,
+		Selective: spec.Selective, Rate: spec.Rate, MeterRate: spec.MeterRate,
+		upload: true,
+	})
+}
 
-	k := sim.NewKernel()
-	dev := device.New(k, device.DefaultPowerTable())
-	link, err := wlan.NewLink(k, dev, spec.Rate)
-	if err != nil {
-		return Result{}, err
-	}
-	meter := multimeter.New(k, dev, spec.MeterRate)
-	worker := device.NewWorker(k, dev)
-
-	var totalEnd time.Duration
-	var stall time.Duration
-
-	meter.Trigger()
+// upload sends blocks one transmission each, compressing block i+1 inside
+// the idle windows of block i's transmission; with no blocks it sends
+// wireBytes raw.
+func (r *rig) upload(blocks []wireBlock, wireBytes int) {
 	if len(blocks) == 0 {
-		link.Upload(wireBytes, nil, func() {
-			totalEnd = k.Now()
-			meter.Stop()
-		})
-	} else {
-		var sendBlock func(i int)
-		sendBlock = func(i int) {
-			if i >= len(blocks) {
-				totalEnd = k.Now()
-				meter.Stop()
-				return
-			}
-			// Block i must be fully compressed before its bytes exist to
-			// send; any leftover work stalls the radio (CPU busy).
-			start := func() {
-				// Queue the next block's compression to run inside this
-				// transmission's idle windows.
-				if i+1 < len(blocks) {
-					worker.Add(blocks[i+1].work)
-				}
-				link.Upload(blocks[i].wireBytes, worker, func() { sendBlock(i + 1) })
-			}
-			if worker.Pending() > 0 {
-				wait := worker.Pending()
-				stall += wait
-				end := worker.Drain()
-				k.At(end, start)
-				return
-			}
-			start()
+		r.link.Upload(wireBytes, nil, r.stop)
+		return
+	}
+	var sendBlock func(i int)
+	sendBlock = func(i int) {
+		if i >= len(blocks) {
+			r.stop()
+			return
 		}
-		// Lead-in: compress block 0 before anything can be sent.
-		worker.Add(blocks[0].work)
-		stall += blocks[0].work
-		end := worker.Drain()
-		k.At(end, func() { sendBlock(0) })
+		// Block i must be fully compressed before its bytes exist to
+		// send; any leftover work stalls the radio (CPU busy).
+		r.stall += r.worker.Pending()
+		r.k.At(r.worker.Drain(), func() {
+			// Queue the next block's compression to run inside this
+			// transmission's idle windows.
+			if i+1 < len(blocks) {
+				r.worker.Add(blocks[i+1].work)
+			}
+			r.link.Upload(blocks[i].wireBytes, r.worker, func() { sendBlock(i + 1) })
+		})
 	}
-	k.Run()
-
-	if totalEnd == 0 && res.RawBytes > 0 {
-		return Result{}, errors.New("pipeline: upload did not complete")
-	}
-	res.TotalSeconds = totalEnd
-	res.TransferSeconds = totalEnd
-	res.DecompressSeconds = worker.BusyTotal() // CPU-busy (compression) time
-	res.StallSeconds = stall
-	reading, err := meter.Reading()
-	if err != nil {
-		return Result{}, err
-	}
-	res.MeteredEnergyJ = reading.EnergyJ
-	res.ExactEnergyJ = reading.ExactJ
-	res.AvgCurrentMA = reading.AvgMA
-	res.MaxCurrentMA = reading.MaxMA
-	return res, nil
+	// Lead-in: compress block 0 before anything can be sent.
+	r.worker.Add(blocks[0].work)
+	sendBlock(0)
 }
 
 // buildUploadBlocks compresses the payload on the "handheld" and derives
 // per-block wire sizes and compression costs.
-func buildUploadBlocks(spec UploadSpec) ([]wireBlock, int, blockStats, error) {
-	if !spec.Compressed {
+func buildUploadBlocks(spec Spec) ([]wireBlock, int, blockStats, error) {
+	if spec.Mode == ModePlain {
 		return nil, len(spec.Data), blockStats{}, nil
 	}
 	c, err := codec.New(spec.Scheme, spec.Level)

@@ -89,16 +89,18 @@ func TestUploadEmptyData(t *testing.T) {
 
 func TestUploadModelThreshold(t *testing.T) {
 	// The handheld compressor is ~9x slower than the proxy, so the upload
-	// break-even factor must exceed the download one.
+	// break-even factor must exceed the download one: just above the
+	// download threshold compressing an upload still loses, while a
+	// plausible factor of 3 pays off.
 	p := energy.Params11Mbps()
-	cost := device.HandheldCompressCost(codec.Gzip)
-	upThresh := p.UploadThresholdFactor(4.0, cost.PerInMB)
-	downThresh := p.ThresholdFactor(4.0)
-	if !(upThresh > downThresh) {
-		t.Errorf("upload threshold %.3f should exceed download %.3f", upThresh, downThresh)
+	const s = 4.0
+	tc := device.HandheldCompressCost(codec.Gzip).PerInMB * s
+	downThresh := p.ThresholdFactor(s)
+	if p.ShouldCompressUpload(s, s/(downThresh*1.01), tc) {
+		t.Errorf("upload already pays off at the download threshold %.3f", downThresh)
 	}
-	if upThresh > 3 {
-		t.Errorf("upload threshold %.3f implausibly high", upThresh)
+	if !p.ShouldCompressUpload(s, s/3, tc) {
+		t.Error("upload threshold implausibly high: factor 3 does not pay off")
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 	"time"
 
 	"repro/internal/device"
-	"repro/internal/multimeter"
+	"repro/internal/pipeline"
 	"repro/internal/sim"
 	"repro/internal/wlan"
 )
@@ -93,78 +93,62 @@ func Run(spec Spec) (Result, error) {
 	if spec.Policy == 0 {
 		return Result{}, errors.New("session: policy not set")
 	}
-	if spec.Rate.EffectiveMBps == 0 {
-		spec.Rate = wlan.Rate11Mbps()
-	}
 	rng := rand.New(rand.NewSource(spec.Seed))
-
-	k := sim.NewKernel()
-	dev := device.New(k, device.DefaultPowerTable())
-	link, err := wlan.NewLink(k, dev, spec.Rate)
-	if err != nil {
-		return Result{}, err
-	}
-	meter := multimeter.New(k, dev, 0)
 
 	res := Result{Policy: spec.Policy, Requests: len(spec.Requests)}
 	var idleTime time.Duration
 	var extraLatency time.Duration
 
-	// idleState applies the between-request radio state.
-	idleState := func() {
-		switch spec.Policy {
-		case AlwaysOn:
-			dev.SetPowerSave(false)
-			dev.SetRadio(device.RadioIdle)
-		case HardwarePS:
-			dev.SetPowerSave(true)
-			dev.SetRadio(device.RadioIdle)
-		case PredictiveSleep:
-			dev.SetPowerSave(false)
-			dev.SetRadio(device.RadioSleep)
-		}
-	}
-	transferState := func() {
-		// During transfers, hardware PS keeps its rate penalty; the other
-		// policies run the radio at full rate.
-		dev.SetPowerSave(spec.Policy == HardwarePS)
-	}
-
-	var doRequest func(i int)
-	doRequest = func(i int) {
-		if i >= len(spec.Requests) {
-			meter.Stop()
-			return
-		}
-		req := spec.Requests[i]
-		idleState()
-		idleStart := k.Now()
-		k.Schedule(req.Gap, func() {
-			idleTime += k.Now() - idleStart
-			delay := time.Duration(0)
-			if spec.Policy == PredictiveSleep && rng.Float64() >= spec.PredictAccuracy {
-				// Mispredicted: the card is asleep when the request
-				// arrives and must be woken.
-				delay = WakeLatency
-				res.Mispredictions++
-				extraLatency += WakeLatency
+	run, err := pipeline.Drive(spec.Rate, func(k *sim.Kernel, dev *device.Device, link *wlan.Link, done func()) {
+		// idleState applies the between-request radio state.
+		idleState := func() {
+			switch spec.Policy {
+			case AlwaysOn:
+				dev.SetPowerSave(false)
+				dev.SetRadio(device.RadioIdle)
+			case HardwarePS:
+				dev.SetPowerSave(true)
+				dev.SetRadio(device.RadioIdle)
+			case PredictiveSleep:
+				dev.SetPowerSave(false)
+				dev.SetRadio(device.RadioSleep)
 			}
-			k.Schedule(delay, func() {
-				transferState()
-				link.Download(req.Bytes, nil, nil, func() { doRequest(i + 1) })
-			})
-		})
-	}
-	meter.Trigger()
-	doRequest(0)
-	k.Run()
+		}
 
-	reading, err := meter.Reading()
+		var doRequest func(i int)
+		doRequest = func(i int) {
+			if i >= len(spec.Requests) {
+				done()
+				return
+			}
+			req := spec.Requests[i]
+			idleState()
+			idleStart := k.Now()
+			k.Schedule(req.Gap, func() {
+				idleTime += k.Now() - idleStart
+				delay := time.Duration(0)
+				if spec.Policy == PredictiveSleep && rng.Float64() >= spec.PredictAccuracy {
+					// Mispredicted: the card is asleep when the request
+					// arrives and must be woken.
+					delay = WakeLatency
+					res.Mispredictions++
+					extraLatency += WakeLatency
+				}
+				k.Schedule(delay, func() {
+					// During transfers, hardware PS keeps its rate penalty;
+					// the other policies run the radio at full rate.
+					dev.SetPowerSave(spec.Policy == HardwarePS)
+					link.Download(req.Bytes, nil, nil, func() { doRequest(i + 1) })
+				})
+			})
+		}
+		doRequest(0)
+	})
 	if err != nil {
 		return Result{}, err
 	}
-	res.TotalSeconds = reading.Duration.Seconds()
-	res.EnergyJ = reading.ExactJ
+	res.TotalSeconds = run.TotalSeconds.Seconds()
+	res.EnergyJ = run.ExactEnergyJ
 	// Idle energy: the policy's idle current over the accumulated gaps.
 	pt := device.DefaultPowerTable()
 	var idleMA float64
@@ -177,9 +161,7 @@ func Run(spec Spec) (Result, error) {
 		idleMA = pt.IdleSleep
 	}
 	res.IdleEnergyJ = device.SupplyVoltage * (idleMA / 1000) * idleTime.Seconds()
-	if len(spec.Requests) > 0 {
-		res.AvgExtraLatency = extraLatency / time.Duration(len(spec.Requests))
-	}
+	res.AvgExtraLatency = extraLatency / time.Duration(len(spec.Requests))
 	return res, nil
 }
 

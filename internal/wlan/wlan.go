@@ -114,9 +114,6 @@ func NewLink(k *sim.Kernel, dev *device.Device, rate RateConfig) (*Link, error) 
 	return &Link{kernel: k, dev: dev, rate: rate}, nil
 }
 
-// Rate returns the link's rate configuration.
-func (l *Link) Rate() RateConfig { return l.rate }
-
 // EffectiveMBps returns the current effective data rate, accounting for
 // the power-saving penalty.
 func (l *Link) EffectiveMBps() float64 {
@@ -127,12 +124,6 @@ func (l *Link) EffectiveMBps() float64 {
 	return r
 }
 
-// DownloadTime returns the modeled wall time to download n bytes,
-// excluding connection setup.
-func (l *Link) DownloadTime(n int) time.Duration {
-	return time.Duration(float64(n) / 1e6 / l.EffectiveMBps() * float64(time.Second))
-}
-
 // Download schedules the reception of n bytes starting now.
 //
 // Per packet: an active slice (radio recv + CPU servicing the NIC at the
@@ -140,19 +131,10 @@ func (l *Link) DownloadTime(n int) time.Duration {
 // gap radio state. onDelivered, if non-nil, runs at the end of each active
 // slice with the cumulative byte count — block assembly and decompression
 // scheduling hang off it. gaps, if non-nil, is granted each idle window.
-// onDone runs when the last byte has been delivered (gaps included).
+// onDone runs when the last byte has been delivered; the final packet's
+// idle gap is not part of the transfer.
 func (l *Link) Download(n int, onDelivered func(total int), gaps GapConsumer, onDone func()) {
-	if n <= 0 {
-		l.kernel.Schedule(0, func() {
-			if onDone != nil {
-				onDone()
-			}
-		})
-		return
-	}
-	// Connection setup: radio idle at the base state, charging ~cs.
-	l.dev.SetRadio(device.RadioIdle)
-	l.kernel.Schedule(SetupTime, func() { l.packet(0, n, onDelivered, gaps, onDone) })
+	l.start(transfer{n: n, setup: true, onDelivered: onDelivered, gaps: gaps, onDone: onDone})
 }
 
 // Transfer is Download without the connection setup charge, for chaining
@@ -160,86 +142,85 @@ func (l *Link) Download(n int, onDelivered func(total int), gaps GapConsumer, on
 // Unlike Download, the final packet's idle gap is kept (granted to gaps),
 // since the stream continues with the next block.
 func (l *Link) Transfer(n int, onDelivered func(total int), gaps GapConsumer, onDone func()) {
-	if n <= 0 {
-		l.kernel.Schedule(0, func() {
-			if onDone != nil {
-				onDone()
-			}
-		})
-		return
-	}
-	l.packetKeepGap(0, n, onDelivered, gaps, onDone)
+	l.start(transfer{n: n, keepGap: true, onDelivered: onDelivered, gaps: gaps, onDone: onDone})
 }
 
-// packetKeepGap is the packet loop variant that schedules onDone after the
-// final inter-packet gap rather than eliding it.
-func (l *Link) packetKeepGap(delivered, total int, onDelivered func(int), gaps GapConsumer, onDone func()) {
-	remaining := total - delivered
+// Upload schedules the transmission of n bytes starting now — the upload
+// direction the paper's introduction raises ("lively captured voice and
+// pictures") and leaves to future work. It mirrors Download with the radio
+// in send states and the send-side composite current; the gaps are where
+// compression of the next block can run, so onDone fires after the final
+// one.
+func (l *Link) Upload(n int, gaps GapConsumer, onDone func()) {
+	l.start(transfer{n: n, send: true, setup: true, keepGap: true, gaps: gaps, onDone: onDone})
+}
+
+// transfer is one pass of n bytes through the packet loop: its direction,
+// whether it opens the connection, and whether the last packet's idle gap
+// belongs to it.
+type transfer struct {
+	n           int
+	send        bool
+	setup       bool
+	keepGap     bool
+	onDelivered func(total int)
+	gaps        GapConsumer
+	onDone      func()
+}
+
+func (l *Link) start(x transfer) {
+	if x.onDone == nil {
+		x.onDone = func() {}
+	}
+	switch {
+	case x.n <= 0:
+		l.kernel.Schedule(0, x.onDone)
+	case x.setup:
+		// Connection setup: radio idle at the base state, charging ~cs.
+		l.dev.SetRadio(device.RadioIdle)
+		l.kernel.Schedule(SetupTime, func() { l.packet(x, 0) })
+	default:
+		l.packet(x, 0)
+	}
+}
+
+// packet moves the next packet of x: an active slice, then the idle gap.
+func (l *Link) packet(x transfer, moved int) {
 	chunk := PacketBytes
-	if chunk > remaining {
-		chunk = remaining
+	if chunk > x.n-moved {
+		chunk = x.n - moved
 	}
 	interval := time.Duration(float64(chunk) / 1e6 / l.EffectiveMBps() * float64(time.Second))
 	active := time.Duration(float64(interval) * (1 - l.rate.IdleFrac))
 	gap := interval - active
 
-	l.dev.SetRadio(device.RadioRecv)
-	l.dev.SetNICActive(true)
+	radio, setNIC := device.RadioRecv, l.dev.SetNICActive
+	if x.send {
+		radio, setNIC = device.RadioSend, l.dev.SetNICSending
+	}
+	l.dev.SetRadio(radio)
+	setNIC(true)
 	l.kernel.Schedule(active, func() {
-		l.dev.SetNICActive(false)
+		setNIC(false)
 		l.dev.SetRadio(l.rate.GapRadio)
-		newTotal := delivered + chunk
-		if onDelivered != nil {
-			onDelivered(newTotal)
+		moved += chunk
+		if x.onDelivered != nil {
+			x.onDelivered(moved)
 		}
-		if gaps != nil {
-			gaps.Window(gap)
-		}
-		l.kernel.Schedule(gap, func() {
-			if newTotal >= total {
+		after := func() { l.packet(x, moved) }
+		if moved >= x.n {
+			after = func() {
 				l.dev.SetRadio(device.RadioIdle)
-				if onDone != nil {
-					onDone()
-				}
+				x.onDone()
+			}
+			if !x.keepGap {
+				after()
 				return
 			}
-			l.packetKeepGap(newTotal, total, onDelivered, gaps, onDone)
-		})
-	})
-}
-
-func (l *Link) packet(delivered, total int, onDelivered func(int), gaps GapConsumer, onDone func()) {
-	remaining := total - delivered
-	chunk := PacketBytes
-	if chunk > remaining {
-		chunk = remaining
-	}
-	interval := time.Duration(float64(chunk) / 1e6 / l.EffectiveMBps() * float64(time.Second))
-	active := time.Duration(float64(interval) * (1 - l.rate.IdleFrac))
-	gap := interval - active
-
-	l.dev.SetRadio(device.RadioRecv)
-	l.dev.SetNICActive(true)
-	l.kernel.Schedule(active, func() {
-		l.dev.SetNICActive(false)
-		l.dev.SetRadio(l.rate.GapRadio)
-		newTotal := delivered + chunk
-		if onDelivered != nil {
-			onDelivered(newTotal)
 		}
-		if newTotal >= total {
-			// Final gap is not part of the transfer; finish now.
-			l.dev.SetRadio(device.RadioIdle)
-			if onDone != nil {
-				onDone()
-			}
-			return
+		if x.gaps != nil {
+			x.gaps.Window(gap)
 		}
-		if gaps != nil {
-			gaps.Window(gap)
-		}
-		l.kernel.Schedule(gap, func() {
-			l.packet(newTotal, total, onDelivered, gaps, onDone)
-		})
+		l.kernel.Schedule(gap, after)
 	})
 }

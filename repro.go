@@ -11,7 +11,7 @@
 //     Equations 1-6, with the published parameters (EnergyModel,
 //     Params11Mbps, Params2Mbps);
 //   - a simulated iPAQ 3650 + WaveLAN 802.11b testbed — power-state
-//     machine, packet-level link, sampling multimeter — calibrated with
+//     machine, packet-level link, trace-sampling meter — calibrated with
 //     the paper's Table 1 currents and fitted coefficients (RunExperiment);
 //   - the block-by-block selective compression scheme of Section 4.3
 //     (SelectiveEncode/SelectiveDecode);

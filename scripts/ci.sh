@@ -13,9 +13,11 @@
 # byte-identically at two pinned seeds, cluster-wide compression-count
 # oracle under -race), the event-stream determinism + calibration gate
 # (canonical telemetry JSONL byte-identical to its committed golden, and
-# Table 1 re-fitted from it to within 1%), a per-package coverage
-# ratchet, and an admin-plane smoke test over real HTTP. Every change to
-# the proxy dataplane, wire path or telemetry layer must keep this green.
+# Table 1 re-fitted from it to within 1%), the figure-world golden (every
+# line `energysim -scale 0.125 all` prints), the benchmark module's own vet
+# and tests, a per-package coverage ratchet, and an admin-plane smoke test
+# over real HTTP. Every change to the proxy dataplane, wire path, telemetry
+# layer or figure world must keep this green.
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -23,6 +25,7 @@ cd "$(dirname "$0")/.."
 # ROADMAP's reported number: non-test Go lines outside the benchmark module.
 echo "non-test Go lines: $(git ls-files '*.go' | grep -v _test.go | grep -v '^bench/' | xargs cat | wc -l)"
 
+test -z "$(gofmt -l .)"
 go vet ./...
 
 # Optional linters: run them when the host has them, skip cleanly when it
@@ -40,6 +43,13 @@ fi
 
 go build ./...
 go test -race ./...
+
+# The benchmark is a module of its own (bench/, declared in BENCHMARK.json),
+# so the root build and tests never touch it: vet it and run its tests here
+# — the BENCHMARK.json <-> bench/metrics.go drift guard and a smoke run of
+# every workload.
+go -C bench vet ./...
+go -C bench test ./...
 
 # The hostile-wire gate: the retrying/resuming client must complete every
 # fetch CRC-clean under the seeded fault plan, and lying servers must never
@@ -77,7 +87,9 @@ go test -run='^$' -fuzz=FuzzSELParse -fuzztime=10s ./internal/selective
 # seed explores a fresh schedule every run and prints itself so any failure
 # is replayable. The replay guarantee itself is gated by running seed 1
 # twice and requiring byte-identical traces.
-SOAK="go run ./cmd/energysim soak -clients 4 -fetches 10"
+GATE_DIR=$(mktemp -d)
+go build -o "$GATE_DIR/energysim" ./cmd/energysim
+SOAK="$GATE_DIR/energysim soak -clients 4 -fetches 10"
 $SOAK -seed 1
 $SOAK -seed 2
 $SOAK -seed 1 -trace >/tmp/soak-a.$$ && $SOAK -seed 1 -trace >/tmp/soak-b.$$
@@ -99,12 +111,18 @@ $SOAK -seed 2 -differential
 # seeded soak must be byte-identical run to run AND match the committed
 # golden stream (the one EXPERIMENTS.md's calibration section quotes).
 # Then the calibrator must recover Table 1 from that stream to within 1%.
-EVGATE="go run ./cmd/energysim soak -clients 4 -fetches 10 -fault 0 -churn 0 -seed 1"
+EVGATE="$SOAK -fault 0 -churn 0 -seed 1"
 $EVGATE -events /tmp/events-a.$$ >/dev/null && $EVGATE -events /tmp/events-b.$$ >/dev/null
 cmp /tmp/events-a.$$ /tmp/events-b.$$
 cmp /tmp/events-a.$$ testdata/events/soak-seed1.jsonl
 rm -f /tmp/events-a.$$ /tmp/events-b.$$
-go run ./cmd/energysim calib -events testdata/events/soak-seed1.jsonl | grep -q 'within 1%: yes'
+"$GATE_DIR/energysim" calib -events testdata/events/soak-seed1.jsonl | grep -q 'within 1%: yes'
+
+# Figure-world golden: every line the paper-regeneration run prints (the
+# run EXPERIMENTS.md quotes) must match the committed transcript byte for
+# byte — a moved cell is a changed result, whatever the shape tests say.
+"$GATE_DIR/energysim" -scale 0.125 all >"$GATE_DIR/figures"
+cmp "$GATE_DIR/figures" testdata/figures/all.scale0125.golden
 
 # Scenario-corpus gate: every committed declarative spec replays at the
 # two pinned golden seeds and must reproduce its committed canonical
@@ -113,8 +131,6 @@ go run ./cmd/energysim calib -events testdata/events/soak-seed1.jsonl | grep -q 
 # there; the seed is printed for replay). Finally the 10,000-client
 # load-generation fleet must complete inside its expect bounds and
 # report latency percentiles and joules/MB.
-GATE_DIR=$(mktemp -d)
-go build -o "$GATE_DIR/energysim" ./cmd/energysim
 go build -o "$GATE_DIR/loadgen" ./cmd/loadgen
 for spec in testdata/scenarios/*.scn; do
 	name=$(basename "$spec" .scn)
@@ -177,8 +193,7 @@ check_cover ./internal/workload 93
 # allocation counts): the pooled dataplane must stay O(1) buffers per
 # block, event export with no sink must cost the fetch path zero
 # allocations, the table-driven Huffman fast path must stay zero-alloc
-# per symbol, and a 100x bench smoke proves every dataplane benchmark
-# still runs (bench/, declared in BENCHMARK.json, is the full harness).
+# per symbol, and a 100x smoke proves its benchmark still runs.
 go test -run 'TestReadBlockPooledAllocs|TestGetBufRecycles|TestEmitFetchEventNoSinkZeroAlloc' -count=1 ./internal/proxy
 go test -run 'TestDecodeLSBZeroAlloc' -count=1 ./internal/huffman
 go test -run 'TestDeflateSteadyStateAllocs|TestStreamingWriterSteadyAllocs' -count=1 ./internal/flate
@@ -190,7 +205,6 @@ go test -run 'TestDeflateSteadyStateAllocs|TestStreamingWriterSteadyAllocs' -cou
 go test -run 'TestParallelCompressDeterminism|TestParallelBelowThresholdMatchesSequential' -count=1 ./internal/flate
 go test -run 'TestCompressParallelDeterministic|TestCompressParallelFallbacks' -count=1 ./internal/codec
 go test -run 'TestEncodeParallelMatchesSequential|TestEncodeBlocksParallelOrdering' -count=1 ./internal/selective
-go test -run '^$' -bench 'BenchmarkCodec' -benchtime=100x .
 go test -run '^$' -bench 'BenchmarkDecodeTable$' -benchtime=100x ./internal/huffman
 
 # Admin-plane smoke: a real proxyd with -admin must answer /healthz,
