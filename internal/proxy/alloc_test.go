@@ -65,3 +65,15 @@ func TestGetBufRecycles(t *testing.T) {
 		t.Fatalf("recycled buffer cap = %d", cap(c))
 	}
 }
+
+// TestShardForZeroAllocs: shardFor is the first thing every cache lookup
+// does, so the whole hit path pays for whatever it allocates.
+func TestShardForZeroAllocs(t *testing.T) {
+	c := newBlockCache(1<<20, 16, nil)
+	k := cacheKey{name: "page-07.html", gen: 3, scheme: codec.Bzip2, fp: "dyn:v2:class1"}
+	var sink *cacheShard
+	if allocs := testing.AllocsPerRun(1000, func() { sink = c.shardFor(k) }); allocs != 0 {
+		t.Errorf("shardFor allocates %.1f objects per call, want 0", allocs)
+	}
+	_ = sink
+}

@@ -1,7 +1,6 @@
 package proxy
 
 import (
-	"hash/fnv"
 	"sync"
 
 	"repro/internal/codec"
@@ -93,13 +92,24 @@ func newBlockCache(totalBytes int64, nShards int, m *metrics) *blockCache {
 	return c
 }
 
+// shardFor hashes k with 32-bit FNV-1a over the name, the scheme byte, the
+// generation's low four bytes and the fingerprint. It runs on every get,
+// so it is written out over the strings rather than through hash/fnv,
+// which costs a hasher and three byte-slice copies per call.
 func (c *blockCache) shardFor(k cacheKey) *cacheShard {
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(k.name))
-	_, _ = h.Write([]byte{byte(k.scheme),
-		byte(k.gen), byte(k.gen >> 8), byte(k.gen >> 16), byte(k.gen >> 24)})
-	_, _ = h.Write([]byte(k.fp))
-	return &c.shards[h.Sum32()%uint32(len(c.shards))]
+	const offset32, prime32 = 2166136261, 16777619
+	h := uint32(offset32)
+	for i := 0; i < len(k.name); i++ {
+		h = (h ^ uint32(k.name[i])) * prime32
+	}
+	h = (h ^ uint32(byte(k.scheme))) * prime32
+	for shift := 0; shift < 32; shift += 8 {
+		h = (h ^ uint32(byte(k.gen>>shift))) * prime32
+	}
+	for i := 0; i < len(k.fp); i++ {
+		h = (h ^ uint32(k.fp[i])) * prime32
+	}
+	return &c.shards[h%uint32(len(c.shards))]
 }
 
 // entrySize is the budget charge for caching blocks.

@@ -2,6 +2,7 @@ package proxy
 
 import (
 	"fmt"
+	"hash/fnv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -142,6 +143,28 @@ func TestCacheGenerationsDoNotAlias(t *testing.T) {
 	}
 }
 
+// TestShardForMatchesFNV pins shardFor's inline hash to hash/fnv's 32-bit
+// FNV-1a over the same bytes, the function it replaced: every key stays on
+// the shard it was on.
+func TestShardForMatchesFNV(t *testing.T) {
+	c := newBlockCache(64<<20, 13, nil)
+	for i := 0; i < 500; i++ {
+		k := cacheKey{
+			name:   fmt.Sprintf("dir-%d/file-%d.dat", i%7, i),
+			gen:    uint64(i)*0x01010101 + 1<<33,
+			scheme: codec.Scheme(1 + i%4),
+			fp:     []string{fpAlways, fpNever, "dyn:v2:class1"}[i%3],
+		}
+		h := fnv.New32a()
+		h.Write([]byte(k.name))
+		h.Write([]byte{byte(k.scheme), byte(k.gen), byte(k.gen >> 8), byte(k.gen >> 16), byte(k.gen >> 24)})
+		h.Write([]byte(k.fp))
+		if got, want := c.shardFor(k), &c.shards[h.Sum32()%13]; got != want {
+			t.Fatalf("key %+v moved shards", k)
+		}
+	}
+}
+
 func TestCacheShardDistribution(t *testing.T) {
 	c := newBlockCache(64<<20, 16, nil)
 	seen := make(map[*cacheShard]int)
@@ -183,32 +206,29 @@ func TestCacheEvictionDuringSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if i == 0 {
-				blocks, err, _ := g.do(target, func() ([]selective.Block, error) {
-					close(building)
-					<-release
-					builds.Add(1)
-					b := blocksOfSize(600)
-					c.put(target, b)
-					return b, nil
-				})
-				if err != nil {
-					t.Error(err)
-				}
-				results[i] = blocks
-				return
+			if i != 0 {
+				<-building
 			}
-			<-building
-			blocks, err, _ := g.do(target, func() ([]selective.Block, error) {
-				// Late arrival after the leader's flight completed: the
-				// double-check must find the leader's artifact instead of
-				// rebuilding.
+			f, leader := g.join(target, 1)
+			if leader {
+				// Only request 0 can lead the first flight; a late arrival
+				// leads one after that flight completed, and its double-check
+				// must find the leader's artifact instead of rebuilding.
 				if b, ok := c.get(target); ok {
-					return b, nil
+					f.fill(b)
+				} else {
+					if i == 0 {
+						close(building)
+						<-release
+					}
+					builds.Add(1)
+					copy(f.blocks, blocksOfSize(600))
+					c.put(target, f.blocks)
+					f.publish(1)
 				}
-				builds.Add(1)
-				return blocksOfSize(600), nil
-			})
+				g.finish(target, f, nil)
+			}
+			blocks, err := artifact{blocks: f.blocks, f: f}.whole()
 			if err != nil {
 				t.Error(err)
 			}
@@ -301,7 +321,11 @@ func TestGenerationBumpDuringSingleflightFill(t *testing.T) {
 		}
 	}
 	stale := cacheKey{name: "f", gen: 1, scheme: codec.Gzip, fp: fpAlways}
-	if _, err := srv.getOrCompress(stale, oldContent, codec.Gzip, selective.AlwaysCompress{}, nil, false); err != nil {
+	a, err := srv.openArtifact(stale, oldContent, codec.Gzip, selective.AlwaysCompress{}, nil, false)
+	if err == nil {
+		_, err = a.whole()
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
 	if !bumped {

@@ -55,12 +55,19 @@ type Plan struct {
 	// corrupts about one frame in a hundred — the regime where the frame
 	// CRCs and resume machinery earn their keep.
 	BitFlipProb float64
+
+	// StallReadsAfter, when positive, makes the connection go silent once
+	// that many bytes have been read through it: every later Read blocks
+	// until the connection is closed. No reset and no EOF — a handheld that
+	// walked out of range mid-download, which its peer can only detect by
+	// its own write deadline.
+	StallReadsAfter int64
 }
 
 // enabled reports whether the plan can inject anything at all.
 func (p Plan) enabled() bool {
 	return p.DelayProb > 0 || p.FragmentProb > 0 || p.ResetProb > 0 ||
-		p.TruncateProb > 0 || p.BitFlipProb > 0
+		p.TruncateProb > 0 || p.BitFlipProb > 0 || p.StallReadsAfter > 0
 }
 
 // Wrap returns conn with the plan's faults applied. id selects the
@@ -76,7 +83,7 @@ func (p Plan) Wrap(conn net.Conn, id int64) net.Conn {
 	// SplitMix64-style spread so nearby ids get uncorrelated streams.
 	seed := p.Seed + id*0x1E3779B97F4A7C15
 	seed ^= seed >> 30
-	return &faultConn{Conn: conn, plan: p, rng: rand.New(rand.NewSource(seed))}
+	return &faultConn{Conn: conn, plan: p, rng: rand.New(rand.NewSource(seed)), gone: make(chan struct{})}
 }
 
 // Wrapper returns a hook suitable for proxy.Config.WrapConn: each call
@@ -115,6 +122,10 @@ type faultConn struct {
 	mu     sync.Mutex
 	rng    *rand.Rand
 	downed atomic.Bool
+	// nread counts bytes read, for StallReadsAfter; gone is closed when
+	// the connection is, and releases a stalled Read.
+	nread atomic.Int64
+	gone  chan struct{}
 }
 
 // decision is one I/O call's predrawn fault outcome.
@@ -165,6 +176,7 @@ func (c *faultConn) kill() {
 	if c.downed.Swap(true) {
 		return
 	}
+	close(c.gone)
 	if tc, ok := c.Conn.(*net.TCPConn); ok {
 		_ = tc.SetLinger(0)
 	}
@@ -173,6 +185,10 @@ func (c *faultConn) kill() {
 
 func (c *faultConn) Read(b []byte) (int, error) {
 	if c.downed.Load() {
+		return 0, ErrInjectedReset
+	}
+	if after := c.plan.StallReadsAfter; after > 0 && c.nread.Load() >= after {
+		<-c.gone
 		return 0, ErrInjectedReset
 	}
 	d := c.draw(len(b), false)
@@ -184,6 +200,7 @@ func (c *faultConn) Read(b []byte) (int, error) {
 		return 0, ErrInjectedReset
 	}
 	n, err := c.Conn.Read(b)
+	c.nread.Add(int64(n))
 	if n > 0 && d.flip >= 0 && d.flip/8 < n {
 		// Only corrupt a byte that actually arrived.
 		b[d.flip/8] ^= 1 << (d.flip % 8)
@@ -232,5 +249,6 @@ func (c *faultConn) Close() error {
 	if c.downed.Swap(true) {
 		return nil
 	}
+	close(c.gone)
 	return c.Conn.Close()
 }

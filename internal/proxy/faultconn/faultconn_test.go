@@ -163,3 +163,34 @@ func TestZeroPlanIsTransparent(t *testing.T) {
 		t.Fatal("zero plan wrapped the conn")
 	}
 }
+
+// TestStallReadsAfter: reads pass until the threshold is crossed, then the
+// connection goes silent — the next Read neither returns data nor fails
+// until Close releases it — while the bytes stay unread underneath.
+func TestStallReadsAfter(t *testing.T) {
+	mc := &memConn{r: bytes.NewReader(payload(100))}
+	fc := Plan{StallReadsAfter: 22}.Wrap(mc, 1)
+	buf := make([]byte, 30)
+	if n, err := fc.Read(buf); n != 30 || err != nil {
+		t.Fatalf("read before the stall: n=%d err=%v", n, err)
+	}
+	released := make(chan error, 1)
+	go func() {
+		_, err := fc.Read(buf)
+		released <- err
+	}()
+	select {
+	case err := <-released:
+		t.Fatalf("read past the threshold returned (%v), want it to block", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	if err := fc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-released; err != ErrInjectedReset {
+		t.Fatalf("stalled read released with %v, want ErrInjectedReset", err)
+	}
+	if mc.r.Len() != 70 {
+		t.Fatalf("%d bytes left underneath, want 70: the stalled read consumed data", mc.r.Len())
+	}
+}

@@ -97,7 +97,7 @@ func newMetrics(reg *obs.Registry) *metrics {
 		requests:     reg.Counter("proxy_requests_total", "Requests parsed off accepted connections."),
 		cacheHits:    reg.Counter("proxy_cache_hits_total", "Requests served from the artifact cache."),
 		cacheMisses:  reg.Counter("proxy_cache_misses_total", "Requests that missed the artifact cache."),
-		coalesced:    reg.Counter("proxy_coalesced_total", "Misses that waited on an identical in-flight compression."),
+		coalesced:    reg.Counter("proxy_coalesced_total", "Misses that joined an identical in-flight compression."),
 		compressions: reg.Counter("proxy_compressions_total", "Distinct artifacts actually compressed."),
 		evictions:    reg.Counter("proxy_cache_evictions_total", "Artifacts evicted by the LRU byte budget."),
 		cacheRejects: reg.Counter("proxy_cache_rejects_total", "Artifacts too large for their shard's budget."),

@@ -218,6 +218,37 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		t.Errorf("server /tracez has %d spans with req_id %s, want 2 (one per attempt)", matched, reqID)
 	}
 
+	// --- Overlap: the 4-block miss is served while it is compressed, so its
+	// serve span says how long the writer waited for the builder
+	// (block-wait) next to the build itself and the writes; the hit that
+	// follows waits for nobody.
+	servePhases := func(clientSpan obs.SpanData) map[string]time.Duration {
+		phases := make(map[string]time.Duration)
+		for _, sp := range tracez {
+			if sp.Attrs["req_id"] == clientSpan.Attrs["req_id"] {
+				for _, ph := range sp.Phases {
+					phases[ph.Name] += ph.Duration
+				}
+			}
+		}
+		return phases
+	}
+	miss, hit := servePhases(cspans[1]), servePhases(cspans[2])
+	for _, name := range []string{"cache-miss", "compress-on-demand", "block-wait", "write-blocks"} {
+		if _, ok := miss[name]; !ok {
+			t.Errorf("miss serve span has no %q phase: %v", name, miss)
+		}
+	}
+	if miss["block-wait"] <= 0 {
+		t.Errorf("miss waited %v for the blocks of a %v build", miss["block-wait"], miss["compress-on-demand"])
+	}
+	if _, ok := hit["block-wait"]; ok {
+		t.Errorf("hit serve span has a block-wait phase: %v", hit)
+	}
+	if _, ok := hit["cache-hit"]; !ok {
+		t.Errorf("hit serve span has no cache-hit phase: %v", hit)
+	}
+
 	// --- Energy attribution: each span's per-phase joules must sum to the
 	// model's whole-transfer answer for the same raw/wire sizes, per class.
 	p := energy.Params11Mbps()

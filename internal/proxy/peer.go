@@ -121,7 +121,11 @@ func (s *Server) Artifact(key ArtifactKey) ([]selective.Block, error) {
 		return nil, errors.New("proxy: unknown decider fingerprint " + key.FP)
 	}
 	k := cacheKey{name: key.Name, gen: key.Gen, scheme: key.Scheme, fp: key.FP}
-	return s.getOrCompress(k, content, key.Scheme, d, nil, false)
+	a, err := s.openArtifact(k, content, key.Scheme, d, nil, false)
+	if err != nil {
+		return nil, err
+	}
+	return a.whole()
 }
 
 // CachedArtifact returns key's artifact if (and only if) it is already in

@@ -54,11 +54,13 @@ type Config struct {
 	// link it is serving over.
 	Clock WallClock
 	// FlightWait, when set, is how a singleflight follower waits for its
-	// leader's done channel. The default receives directly, which is
-	// right on a real clock; the virtual-time cluster harness substitutes
-	// a poll in virtual time, because a follower blocking in real time
-	// holds a clock ledger token the leader needs released while it parks
-	// on peer-fetch I/O.
+	// flight's done channel before it starts reading the artifact. The
+	// default does not wait at all — a follower reads behind the builder,
+	// block by block — which is right on a real clock; the virtual-time
+	// cluster harness substitutes a poll in virtual time, because a
+	// follower blocking in real time holds a clock ledger token the leader
+	// needs released while it parks on peer-fetch I/O. A build takes no
+	// virtual time, so waiting for all of it costs such a follower nothing.
 	FlightWait func(done <-chan struct{})
 
 	// Metrics is the registry the server's instruments live on; sharing
@@ -132,7 +134,7 @@ type Server struct {
 	flights flightGroup
 	metrics *metrics
 	// workerSem bounds concurrent compressions (the worker pool): a slot
-	// must be held while compressBlocks runs.
+	// must be held while a build compresses.
 	workerSem chan struct{}
 	// connSem bounds concurrent connections.
 	connSem chan struct{}
@@ -149,6 +151,8 @@ type Server struct {
 	// (test hook for the singleflight guarantees; the cluster layer hooks
 	// it via SetOnCompress for hot-key replication and oracles).
 	onCompress func(cacheKey)
+	// newCodec is codec.New; tests substitute codecs that fail mid-build.
+	newCodec func(codec.Scheme, int) (codec.Codec, error)
 	// peerFetch, when set (SetPeerFetch), lets a flight leader satisfy a
 	// cache miss by fetching the compressed artifact from the key's ring
 	// owner instead of compressing locally.
@@ -240,6 +244,7 @@ func NewServerWith(decider selective.Decider, cfg Config) *Server {
 		connSem:   make(chan struct{}, cfg.MaxConns),
 		conns:     make(map[net.Conn]struct{}),
 		closed:    make(chan struct{}),
+		newCodec:  codec.New,
 	}
 	if cfg.CacheBytes > 0 {
 		s.cache = newBlockCache(cfg.CacheBytes, cfg.Shards, s.metrics)
@@ -328,30 +333,20 @@ func (s *Server) Precompress(name string, scheme codec.Scheme) error {
 		return fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
 	key := cacheKey{name: name, gen: gen, scheme: scheme, fp: fpAlways}
-	_, err := s.getOrCompress(key, content, scheme, selective.AlwaysCompress{}, nil, false)
+	a, err := s.openArtifact(key, content, scheme, selective.AlwaysCompress{}, nil, false)
+	if err != nil {
+		return err
+	}
+	_, err = a.whole()
 	return err
 }
 
-func (s *Server) compressBlocks(content []byte, scheme codec.Scheme, d selective.Decider) ([]selective.Block, error) {
-	c, err := codec.New(scheme, 0)
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	enc, err := selective.EncodeParallel(content, c, d, s.spawnCompress)
-	if err != nil {
-		return nil, err
-	}
-	s.metrics.observeCompress(scheme, len(content), time.Since(start))
-	return enc.Blocks, nil
-}
-
 // spawnCompress offers a block-compression task an extra worker-pool slot.
-// The compressing request already holds one slot (acquired in
-// getOrCompress), so extra slots are taken non-blocking: when the pool is
-// saturated the task runs inline on the leader's slot instead of queueing —
-// a single cache miss fans out across idle workers without ever
-// deadlocking on or oversubscribing the bounded pool.
+// The build already holds one slot (acquired in build), so extra slots are
+// taken non-blocking: when the pool is saturated the task runs inline on
+// the build's slot instead of queueing — a single cache miss fans out
+// across idle workers without ever deadlocking on or oversubscribing the
+// bounded pool.
 func (s *Server) spawnCompress(task func()) bool {
 	select {
 	case s.workerSem <- struct{}{}:
@@ -365,95 +360,148 @@ func (s *Server) spawnCompress(task func()) bool {
 	return true
 }
 
-// getOrCompress is the cache/singleflight/worker-pool fast path: return
-// the cached artifact, or build it exactly once per key under a bounded
-// compression slot while identical concurrent requests wait for the
-// result. The span, when present, gains a cache-hit / cache-miss phase
-// and, for flights this request led, a compress-on-demand phase.
+// openArtifact is the cache/singleflight fast path: return the cached
+// artifact, or join the flight building it — starting that flight, and
+// its one build, when this is the first request for the key. It never
+// waits for a build: a flight's blocks are read as they are published.
+// The span, when present, gains a cache-hit / cache-miss phase, a
+// coalesced phase when another request's work is shared, and, for a
+// build this request started, a compress-on-demand phase.
 // allowPeer enables the cluster peer-fetch consult: a flight leader on a
 // non-owner node asks the key's ring owner for the finished artifact
 // before burning local compression CPU, and degrades to compressing
 // locally on any peer failure — never surfacing an error to the client.
-func (s *Server) getOrCompress(key cacheKey, content []byte, scheme codec.Scheme, d selective.Decider, span *obs.Span, allowPeer bool) ([]selective.Block, error) {
+func (s *Server) openArtifact(key cacheKey, content []byte, scheme codec.Scheme, d selective.Decider, span *obs.Span, allowPeer bool) (artifact, error) {
 	lookupStart := time.Now()
 	if s.cache != nil {
 		if blocks, ok := s.cache.get(key); ok {
 			s.metrics.cacheHits.Add(1)
 			span.Phase("cache-hit", "", lookupStart, time.Since(lookupStart), int64(len(content)))
-			return blocks, nil
+			return artifact{blocks: blocks}, nil
 		}
 		s.metrics.cacheMisses.Add(1)
 		span.Phase("cache-miss", "", lookupStart, time.Since(lookupStart), 0)
 	}
-	ranCompression := false
-	peerFetched := false
-	blocks, err, _ := s.flights.do(key, func() ([]selective.Block, error) {
-		// Double-check under the flight: a previous leader may have
-		// populated the cache between our miss and winning the flight.
-		if s.cache != nil {
-			if b, ok := s.cache.get(key); ok {
-				return b, nil
-			}
-		}
-		if allowPeer && s.peerFetch != nil {
-			fetchStart := time.Now()
-			pb, perr := s.peerFetch(ArtifactKey{Name: key.name, Gen: key.gen, Scheme: key.scheme, FP: key.fp})
-			switch {
-			case perr == nil:
-				peerFetched = true
-				s.metrics.peerFetches.Add(1)
-				s.metrics.ringRemoteHits.Add(1)
-				span.PhaseDetail("peer-fetch", "", "fetched the artifact from its ring owner", fetchStart, time.Since(fetchStart), int64(len(content)))
-				return pb, nil
-			case errors.Is(perr, ErrOwnedLocally):
-				s.metrics.ringOwnerHits.Add(1)
-			default:
-				// Owner unreachable, departed, or at a different
-				// generation: degrade to local compression.
-				s.metrics.ringRemoteHits.Add(1)
-				s.metrics.peerFetchErrors.Add(1)
-			}
-		}
-		// Backpressure: block for a worker slot rather than compressing
-		// unboundedly; abort if the server is shutting down. The gauge
-		// covers the whole queued-or-compressing window — it is the queue
-		// depth the dynamic decider reads to price server-side waiting.
-		s.metrics.compressQueueDepth.Add(1)
-		defer s.metrics.compressQueueDepth.Add(-1)
-		select {
-		case s.workerSem <- struct{}{}:
-		case <-s.closed:
-			return nil, ErrClosing
-		}
-		defer func() { <-s.workerSem }()
-		ranCompression = true
-		s.metrics.compressions.Add(1)
-		if s.onCompress != nil {
-			s.onCompress(key)
-		}
-		compStart := time.Now()
-		b, err := s.compressBlocks(content, scheme, d)
-		span.Phase("compress-on-demand", "", compStart, time.Since(compStart), int64(len(content)))
-		if err != nil {
-			return nil, err
-		}
-		if s.cache != nil {
-			s.cache.put(key, b)
-		}
-		return b, nil
-	})
-	if err == nil && !ranCompression && !peerFetched {
-		// Either another request's flight produced the result or the
-		// double-check hit: this request's compression was coalesced away.
+	// This request's compression is coalesced away when another request's
+	// flight, or the double-check below, supplies the blocks.
+	coalesced := func() {
 		s.metrics.coalesced.Add(1)
-		span.PhaseDetail("coalesced", "", "waited on an identical in-flight compression", lookupStart, time.Since(lookupStart), 0)
+		span.PhaseDetail("coalesced", "", "joined an identical in-flight compression", lookupStart, time.Since(lookupStart), 0)
 	}
-	return blocks, err
+	f, leader := s.flights.join(key, selective.NumBlocks(len(content), selective.BlockSize))
+	if f == nil {
+		return artifact{}, ErrClosing
+	}
+	if !leader {
+		coalesced()
+		return artifact{blocks: f.blocks, f: f}, nil
+	}
+	// Double-check under the flight: a previous leader may have populated
+	// the cache between our miss and winning the flight.
+	if s.cache != nil {
+		if b, ok := s.cache.get(key); ok {
+			f.fill(b)
+			s.flights.finish(key, f, nil)
+			coalesced()
+			return artifact{blocks: b}, nil
+		}
+	}
+	// The peer consult runs here, on the request's own goroutine, and hands
+	// over a finished artifact: only local compression streams.
+	if allowPeer && s.peerFetch != nil {
+		fetchStart := time.Now()
+		pb, perr := s.peerFetch(ArtifactKey{Name: key.name, Gen: key.gen, Scheme: key.scheme, FP: key.fp})
+		if perr == nil && len(pb) != len(f.blocks) {
+			perr = fmt.Errorf("%w: peer sent %d blocks of a %d-block artifact", ErrProtocol, len(pb), len(f.blocks))
+		}
+		switch {
+		case perr == nil:
+			s.metrics.peerFetches.Add(1)
+			s.metrics.ringRemoteHits.Add(1)
+			span.PhaseDetail("peer-fetch", "", "fetched the artifact from its ring owner", fetchStart, time.Since(fetchStart), int64(len(content)))
+			f.fill(pb)
+			s.flights.finish(key, f, nil)
+			return artifact{blocks: pb}, nil
+		case errors.Is(perr, ErrOwnedLocally):
+			s.metrics.ringOwnerHits.Add(1)
+		default:
+			// Owner unreachable, departed, or at a different
+			// generation: degrade to local compression.
+			s.metrics.ringRemoteHits.Add(1)
+			s.metrics.peerFetchErrors.Add(1)
+		}
+	}
+	// The build gets a goroutine of its own so that it never waits on a
+	// client's socket: interleaved with the leader's writes it would stall
+	// every follower, and pin a worker slot, behind one slow handheld. On
+	// the virtual testbed that goroutine must join the clock's ledger, or
+	// virtual time could run on past a build that has not finished.
+	build := func() { s.flights.finish(key, f, s.build(key, f, content, scheme, d, span)) }
+	if ledger, ok := s.clock.(interface{ Go(func()) }); ok {
+		ledger.Go(build)
+	} else {
+		go build()
+	}
+	return artifact{blocks: f.blocks, f: f}, nil
+}
+
+// build compresses content into f under a worker slot, publishing each
+// block as it is done. The finished artifact is admitted to the cache
+// before its last block is published, so whoever has been served a whole
+// artifact can find it cached, and the cache's generation floor has
+// refused a build that raced a Register before anyone could think it
+// current. A failed build admits nothing.
+func (s *Server) build(key cacheKey, f *flight, content []byte, scheme codec.Scheme, d selective.Decider, span *obs.Span) error {
+	// Backpressure: block for a worker slot rather than compressing
+	// unboundedly; abort if the server is shutting down. The gauge
+	// covers the whole queued-or-compressing window — it is the queue
+	// depth the dynamic decider reads to price server-side waiting.
+	s.metrics.compressQueueDepth.Add(1)
+	defer s.metrics.compressQueueDepth.Add(-1)
+	select {
+	case s.workerSem <- struct{}{}:
+	case <-s.closed:
+		return ErrClosing
+	}
+	defer func() { <-s.workerSem }()
+	s.metrics.compressions.Add(1)
+	if s.onCompress != nil {
+		s.onCompress(key)
+	}
+	start := time.Now()
+	c, err := s.newCodec(scheme, 0)
+	if err != nil {
+		return err
+	}
+	made := 0
+	err = selective.EncodeBlocksParallel(content, c, d, selective.BlockSize, s.spawnCompress, func(b selective.Block) {
+		f.blocks[made] = b
+		made++
+		if made < len(f.blocks) {
+			f.publish(made)
+			// Let the readers just woken write the block out now. On a host
+			// whose processors are all compressing they would otherwise
+			// sit runnable until the scheduler's next preemption tick,
+			// some 10 ms into the next block.
+			runtime.Gosched()
+		}
+	})
+	dur := time.Since(start)
+	span.Phase("compress-on-demand", "", start, dur, int64(len(content)))
+	if err != nil {
+		return err
+	}
+	s.metrics.observeCompress(scheme, len(content), dur)
+	if s.cache != nil {
+		s.cache.put(key, f.blocks)
+	}
+	f.publish(len(f.blocks))
+	return nil
 }
 
 // chunkRaw frames content as raw blocks without touching a codec.
 func chunkRaw(content []byte) []selective.Block {
-	n := (len(content) + selective.BlockSize - 1) / selective.BlockSize
+	n := selective.NumBlocks(len(content), selective.BlockSize)
 	if n == 0 {
 		return nil
 	}
@@ -572,6 +620,8 @@ func (s *Server) Close() error {
 		}
 		s.connMu.Unlock()
 		s.wg.Wait()
+		// A build outlives a handler whose connection died under it.
+		s.flights.drain()
 	})
 	return err
 }
@@ -660,30 +710,53 @@ func (s *Server) handleGet(bw *bufio.Writer, req request, span *obs.Span) error 
 		return writeGetHeader(bw, getHeader{Status: statusNotFound})
 	}
 
-	blocks, err := s.blocksFor(req, content, gen, span)
+	a, err := s.artifactFor(req, content, gen, span)
 	if err != nil {
 		return err
 	}
 	// Resume: grant the largest block boundary at or below the requested
-	// offset and serve from there. Block boundaries are deterministic per
-	// (file, scheme, mode), so a client that verified N raw bytes on a
-	// previous attempt is handed exactly the blocks it is missing.
-	start, granted := 0, uint64(0)
-	for start < len(blocks) && granted+uint64(blocks[start].RawLen) <= req.Offset {
-		granted += uint64(blocks[start].RawLen)
-		start++
-	}
-	if err := writeGetHeader(bw, getHeader{
-		Status:  statusOK,
-		RawSize: uint64(len(content)),
-		Scheme:  req.Scheme,
-		Offset:  granted,
-	}); err != nil {
-		return err
+	// offset and serve from there. Block boundaries are fixed by the raw
+	// chunking, whatever the scheme or mode and before any block exists, so
+	// a client that verified N raw bytes on a previous attempt is handed
+	// exactly the blocks it is missing.
+	n := len(a.blocks)
+	start, granted := n, uint64(len(content))
+	if req.Offset < granted {
+		start = int(req.Offset / selective.BlockSize)
+		granted = uint64(start) * selective.BlockSize
 	}
 	writeStart := time.Now()
 	var wrote int64
-	for _, b := range blocks[start:] {
+	var waited time.Duration
+	for i := start; ; i++ {
+		if a.f != nil {
+			// Block i, or past the last block the build's verdict: an end
+			// frame is only ever written for an artifact that completed.
+			waitStart := time.Now()
+			err := a.f.await(i)
+			waited += time.Since(waitStart)
+			if err != nil {
+				return err
+			}
+		}
+		if i == start {
+			// The header waits for the first block and rides in its flush:
+			// a client's time to first byte is time to first payload, and a
+			// build that fails before producing anything to send has not
+			// yet promised statusOK.
+			if err := writeGetHeader(bw, getHeader{
+				Status:  statusOK,
+				RawSize: uint64(len(content)),
+				Scheme:  req.Scheme,
+				Offset:  granted,
+			}); err != nil {
+				return err
+			}
+		}
+		if i == n {
+			break
+		}
+		b := a.blocks[i]
 		if b.Compressed {
 			s.metrics.bytesCompressed.Add(int64(len(b.Payload)))
 		} else {
@@ -699,22 +772,28 @@ func (s *Server) handleGet(bw *bufio.Writer, req request, span *obs.Span) error 
 			return err
 		}
 	}
-	span.Phase("write-blocks", "", writeStart, time.Since(writeStart), wrote)
+	// The loop's time is waiting for the builder plus writing; the two
+	// phases are laid end to end, the waits first, so together they cover
+	// the loop's interval on the span.
+	if a.f != nil {
+		span.Phase("block-wait", "", writeStart, waited, 0)
+	}
+	span.Phase("write-blocks", "", writeStart.Add(waited), time.Since(writeStart)-waited, wrote)
 	if err := WriteEnd(bw, crcOf(content)); err != nil {
 		return err
 	}
 	return bw.Flush()
 }
 
-// blocksFor materialises the block stream for a request. ModeRaw chunks
+// artifactFor opens the block stream for a request. ModeRaw chunks
 // without compression; every compressing mode goes through the cache and
 // singleflight, so concurrent load amortises the server-side compute.
-func (s *Server) blocksFor(req request, content []byte, gen uint64, span *obs.Span) ([]selective.Block, error) {
+func (s *Server) artifactFor(req request, content []byte, gen uint64, span *obs.Span) (artifact, error) {
 	var d selective.Decider
 	var fp string
 	switch req.Mode {
 	case ModeRaw:
-		return chunkRaw(content), nil
+		return artifact{blocks: chunkRaw(content)}, nil
 	case ModePrecompressed, ModeOnDemand:
 		// Both serve the whole file compressed; they share artifacts. The
 		// modes differ only in when the paper's testbed pays the compute,
@@ -735,8 +814,8 @@ func (s *Server) blocksFor(req request, content []byte, gen uint64, span *obs.Sp
 			}
 		}
 	default:
-		return nil, fmt.Errorf("%w: mode %d", ErrProtocol, int(req.Mode))
+		return artifact{}, fmt.Errorf("%w: mode %d", ErrProtocol, int(req.Mode))
 	}
 	key := cacheKey{name: req.Name, gen: gen, scheme: req.Scheme, fp: fp}
-	return s.getOrCompress(key, content, req.Scheme, d, span, true)
+	return s.openArtifact(key, content, req.Scheme, d, span, true)
 }

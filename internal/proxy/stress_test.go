@@ -17,7 +17,7 @@ import (
 //
 //	(a) no data corruption — every fetch's CRC-32 matches the registered
 //	    content (internal/checksum);
-//	(b) singleflight — compressBlocks ran at most once per cache key;
+//	(b) singleflight — at most one build ran per cache key;
 //	(c) the Stats() counters reconcile exactly with observed traffic.
 //
 // Run under `go test -race`; the CI target does.

@@ -6,13 +6,29 @@ package selective_test
 
 import (
 	"bytes"
-	"sync"
+	"errors"
 	"testing"
 
 	"repro/internal/codec"
 	"repro/internal/selective"
 	"repro/internal/workload"
 )
+
+// spawnAll runs every task on its own goroutine: maximal interleaving.
+func spawnAll(task func()) bool {
+	go task()
+	return true
+}
+
+// collect runs the block loop under a spawn policy and gathers what it
+// emits, as the whole-buffer entry points do.
+func collect(data []byte, c codec.Codec, d selective.Decider, blockSize int, spawn func(func()) bool) (*selective.Encoded, error) {
+	e := &selective.Encoded{Scheme: c.Scheme()}
+	err := selective.EncodeBlocksParallel(data, c, d, blockSize, spawn, func(b selective.Block) {
+		e.Blocks = append(e.Blocks, b)
+	})
+	return e, err
+}
 
 // TestEncodeParallelMatchesSequential compares the goroutine-spawning path
 // against the inline path, and a saturated spawn (always refusing, forcing
@@ -27,23 +43,13 @@ func TestEncodeParallelMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var wg sync.WaitGroup
-	spawnAll := func(task func()) bool {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			task()
-		}()
-		return true
-	}
-	par, err := selective.EncodeParallel(data, c, d, spawnAll)
-	wg.Wait()
+	par, err := collect(data, c, d, selective.BlockSize, spawnAll)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	spawnNone := func(task func()) bool { return false }
-	inline, err := selective.EncodeParallel(data, c, d, spawnNone)
+	inline, err := collect(data, c, d, selective.BlockSize, spawnNone)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,16 +83,7 @@ func TestEncodeBlocksParallelOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
-	par, err := selective.EncodeBlocksParallel(data, c, d, blockSize, func(task func()) bool {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			task()
-		}()
-		return true
-	})
-	wg.Wait()
+	par, err := collect(data, c, d, blockSize, spawnAll)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,6 +94,52 @@ func TestEncodeBlocksParallelOrdering(t *testing.T) {
 		if par.Blocks[i].Compressed != seq.Blocks[i].Compressed ||
 			!bytes.Equal(par.Blocks[i].Payload, seq.Blocks[i].Payload) {
 			t.Fatalf("block %d differs between parallel and sequential", i)
+		}
+	}
+}
+
+// failAt is a codec whose Compress fails on the block that starts with a
+// marker byte; every other block goes to the real codec.
+type failAt struct {
+	codec.Codec
+	marker byte
+}
+
+var errInjected = errors.New("injected compress failure")
+
+func (f failAt) Compress(data []byte) ([]byte, error) {
+	if data[0] == f.marker {
+		return nil, errInjected
+	}
+	return f.Codec.Compress(data)
+}
+
+// TestEncodeBlocksParallelEmitStopsAtFailure: when block k fails, exactly
+// blocks 0..k-1 are emitted, in order, whatever the interleaving, and the
+// caller gets block k's error.
+func TestEncodeBlocksParallelEmitStopsAtFailure(t *testing.T) {
+	const blockSize, n, k = 4 * 1024, 12, 7
+	data := workload.Generate(workload.ClassMail, n*blockSize, 9)
+	for i := 0; i < n; i++ {
+		data[i*blockSize] = byte(i) // tag each block with its index
+	}
+	c := failAt{codec.MustNew(codec.Zlib, 6), k}
+	want, err := selective.EncodeBlocks(data[:k*blockSize], c, selective.AlwaysCompress{}, blockSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spawn := range []func(func()) bool{nil, spawnAll} {
+		got, err := collect(data, c, selective.AlwaysCompress{}, blockSize, spawn)
+		if !errors.Is(err, errInjected) {
+			t.Fatalf("err = %v, want the injected failure", err)
+		}
+		if len(got.Blocks) != k {
+			t.Fatalf("%d blocks emitted before the failure at block %d", len(got.Blocks), k)
+		}
+		for i, b := range got.Blocks {
+			if !bytes.Equal(b.Payload, want.Blocks[i].Payload) {
+				t.Fatalf("emitted block %d is not block %d of the stream", i, i)
+			}
 		}
 	}
 }

@@ -166,64 +166,100 @@ func Encode(data []byte, c codec.Codec, d Decider) (*Encoded, error) {
 }
 
 // EncodeBlocks is Encode with an explicit block size, used by the
-// block-size ablation study.
+// block-size ablation study. It collects what the block loop emits.
 func EncodeBlocks(data []byte, c codec.Codec, d Decider, blockSize int) (*Encoded, error) {
-	return EncodeBlocksParallel(data, c, d, blockSize, nil)
-}
-
-// EncodeParallel is Encode with block compression fanned out through spawn:
-// each block's compress-and-decide step may run on a worker (spawn returns
-// true after arranging to run the task) or inline (spawn is nil, or returns
-// false — the caller's backpressure signal). Blocks are independent and land
-// at fixed indices, so the encoded stream is byte-identical to Encode's for
-// every spawn policy and worker count.
-func EncodeParallel(data []byte, c codec.Codec, d Decider, spawn func(task func()) bool) (*Encoded, error) {
-	return EncodeBlocksParallel(data, c, d, BlockSize, spawn)
-}
-
-// EncodeBlocksParallel is EncodeBlocks with the spawn hook of EncodeParallel.
-// The codec must be safe for concurrent use when spawn is non-nil (every
-// codec in this repository is).
-func EncodeBlocksParallel(data []byte, c codec.Codec, d Decider, blockSize int, spawn func(task func()) bool) (*Encoded, error) {
-	if blockSize <= 0 {
-		return nil, fmt.Errorf("selective: block size %d", blockSize)
-	}
 	e := &Encoded{Scheme: c.Scheme()}
-	if len(data) == 0 {
-		return e, nil
+	err := EncodeBlocksParallel(data, c, d, blockSize, nil, func(b Block) {
+		if e.Blocks == nil {
+			e.Blocks = make([]Block, 0, NumBlocks(len(data), blockSize))
+		}
+		e.Blocks = append(e.Blocks, b)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// NumBlocks is how many blocks an n-byte buffer chunks into. The chunking
+// is fixed by the raw length alone, so a server can place a resume
+// boundary, or size an artifact, before any block has been compressed.
+func NumBlocks(n, blockSize int) int {
+	return (n + blockSize - 1) / blockSize
+}
+
+// EncodeBlocksParallel is the block loop every entry point runs. Each
+// block's compress-and-decide step may run on a worker (spawn returns true
+// after arranging to run the task) or inline (spawn is nil, or returns
+// false — the caller's backpressure signal); the codec must be safe for
+// concurrent use when spawn is non-nil (every codec in this repository is).
+//
+// emit receives each block exactly once, in stream order, the moment it
+// and every block before it are done — from whichever goroutine finished
+// the block that was being waited for, one call at a time. Blocks are
+// independent, so what is emitted is byte-identical for every spawn policy
+// and worker count. If a block fails, the blocks before it are still
+// emitted, nothing after it is, and its error is returned once all tasks
+// have stopped.
+func EncodeBlocksParallel(data []byte, c codec.Codec, d Decider, blockSize int, spawn func(task func()) bool, emit func(Block)) error {
+	if blockSize <= 0 {
+		return fmt.Errorf("selective: block size %d", blockSize)
 	}
 	minSize := d.MinSizeBytes()
 	// Whole-file rule: below the threshold size the file is not to be
 	// compressed before transferring.
 	wholeFileRaw := len(data) < minSize
 
-	n := (len(data) + blockSize - 1) / blockSize
-	e.Blocks = make([]Block, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for bi := 0; bi < n; bi++ {
+	type slot struct {
+		blk  Block
+		err  error
+		done bool
+	}
+	var (
+		wg sync.WaitGroup
+		// mu guards slots, next and emitting. It is released around emit,
+		// and emitting keeps a second finisher from emitting out of turn
+		// meanwhile: it leaves its block in its slot for the first to find.
+		mu       sync.Mutex
+		slots    = make([]slot, NumBlocks(len(data), blockSize))
+		next     int
+		emitting bool
+	)
+	run := func(bi int) {
+		defer wg.Done()
 		off := bi * blockSize
 		end := off + blockSize
 		if end > len(data) {
 			end = len(data)
 		}
-		bi, raw := bi, data[off:end]
-		task := func() {
-			defer wg.Done()
-			e.Blocks[bi], errs[bi] = encodeBlock(raw, off, c, d, wholeFileRaw, minSize)
+		blk, err := encodeBlock(data[off:end], off, c, d, wholeFileRaw, minSize)
+		mu.Lock()
+		defer mu.Unlock()
+		slots[bi] = slot{blk, err, true}
+		if emitting {
+			return
 		}
-		wg.Add(1)
-		if spawn == nil || !spawn(task) {
-			task()
+		emitting = true
+		for next < len(slots) && slots[next].done && slots[next].err == nil {
+			blk := slots[next].blk
+			next++
+			mu.Unlock()
+			emit(blk)
+			mu.Lock()
+		}
+		emitting = false
+	}
+	wg.Add(len(slots))
+	for bi := range slots {
+		if spawn == nil || !spawn(func() { run(bi) }) {
+			run(bi)
 		}
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if next < len(slots) {
+		return slots[next].err
 	}
-	return e, nil
+	return nil
 }
 
 // encodeBlock applies Figure 10's per-block decision to one raw block.

@@ -5,6 +5,7 @@
 # telemetry tests, short fuzz passes over the PXY3 and PXY-P wire-format
 # and SEL1 container parsers, a deterministic virtual-time soak with invariant
 # oracles (fixed seeds plus one printed random seed for replay), the
+# growing-artifact model check (the streamed miss path's state machine), the
 # scenario-corpus gate (every declarative spec diffed against its golden
 # trace at two pinned seeds plus a wall-clock seed, then the 10k-client
 # load-generation fleet), the decider gate (dominance and deadline
@@ -55,6 +56,14 @@ go -C bench test ./...
 # fetch CRC-clean under the seeded fault plan, and lying servers must never
 # provoke a panic, hang or attacker-sized allocation — all under -race.
 go test -race -run 'TestFetchCompletesUnderFaults|TestFetchResumes|TestMalicious' ./internal/proxy
+
+# The growing-artifact gate: a miss is served while it is being compressed,
+# so its state machine is model-checked — seeded schedules of readers
+# attaching mid-build, resumes on and off block boundaries, Register and
+# Close mid-build, against a sequential model — and a failed build must
+# leave nothing behind, repeatedly and under -race.
+go test -race -count=5 -run 'TestGrowingArtifactModel|TestFailedBuildLeavesNothingBehind|TestClosingWhileQueuedWritesNoHeader|TestCacheEvictionDuringSingleflight' ./internal/proxy
+go test -race -run 'TestSlowReaderDoesNotHoldTheBuild' ./internal/proxy
 
 # The telemetry gate: registry/tracer hammering and the end-to-end
 # observability test (stats/admin/trace consistency, energy attribution,
@@ -191,10 +200,10 @@ check_cover ./internal/workload 93
 
 # Decompression-kernel gates, without -race (the race runtime changes
 # allocation counts): the pooled dataplane must stay O(1) buffers per
-# block, event export with no sink must cost the fetch path zero
-# allocations, the table-driven Huffman fast path must stay zero-alloc
+# block, event export with no sink and the cache's shard hash must cost
+# the fetch path zero allocations, the table-driven Huffman fast path must stay zero-alloc
 # per symbol, and a 100x smoke proves its benchmark still runs.
-go test -run 'TestReadBlockPooledAllocs|TestGetBufRecycles|TestEmitFetchEventNoSinkZeroAlloc' -count=1 ./internal/proxy
+go test -run 'TestReadBlockPooledAllocs|TestGetBufRecycles|TestEmitFetchEventNoSinkZeroAlloc|TestShardForZeroAllocs' -count=1 ./internal/proxy
 go test -run 'TestDecodeLSBZeroAlloc' -count=1 ./internal/huffman
 go test -run 'TestDeflateSteadyStateAllocs|TestStreamingWriterSteadyAllocs' -count=1 ./internal/flate
 
@@ -204,7 +213,7 @@ go test -run 'TestDeflateSteadyStateAllocs|TestStreamingWriterSteadyAllocs' -cou
 # count or scheduling.
 go test -run 'TestParallelCompressDeterminism|TestParallelBelowThresholdMatchesSequential' -count=1 ./internal/flate
 go test -run 'TestCompressParallelDeterministic|TestCompressParallelFallbacks' -count=1 ./internal/codec
-go test -run 'TestEncodeParallelMatchesSequential|TestEncodeBlocksParallelOrdering' -count=1 ./internal/selective
+go test -run 'TestEncodeParallelMatchesSequential|TestEncodeBlocksParallelOrdering|TestEncodeBlocksParallelEmitStopsAtFailure' -count=1 ./internal/selective
 go test -run '^$' -bench 'BenchmarkDecodeTable$' -benchtime=100x ./internal/huffman
 
 # Admin-plane smoke: a real proxyd with -admin must answer /healthz,
