@@ -131,7 +131,19 @@ type LSBReader struct {
 
 // NewLSBReader returns an LSBReader consuming from r.
 func NewLSBReader(r io.Reader) *LSBReader {
-	return &LSBReader{r: r, buf: make([]byte, 0, 4096)}
+	br := &LSBReader{}
+	br.Reset(r)
+	return br
+}
+
+// Reset rebinds the reader to r and drops all buffered bits, bytes and
+// errors, so a reader held in a pooled workspace (the zero value included)
+// serves one stream after another with a single copy buffer.
+func (br *LSBReader) Reset(r io.Reader) {
+	*br = LSBReader{r: r, buf: br.buf[:0]}
+	if br.buf == nil {
+		br.buf = make([]byte, 0, 4096)
+	}
 }
 
 // fillBuf pulls the next chunk from the underlying reader.
@@ -377,7 +389,17 @@ type MSBReader struct {
 
 // NewMSBReader returns an MSBReader consuming from r.
 func NewMSBReader(r io.Reader) *MSBReader {
-	return &MSBReader{r: r, buf: make([]byte, 0, 4096)}
+	br := &MSBReader{}
+	br.Reset(r)
+	return br
+}
+
+// Reset rebinds the reader to r, as LSBReader.Reset does.
+func (br *MSBReader) Reset(r io.Reader) {
+	*br = MSBReader{r: r, buf: br.buf[:0]}
+	if br.buf == nil {
+		br.buf = make([]byte, 0, 4096)
+	}
 }
 
 func (br *MSBReader) fillBuf() {

@@ -3,6 +3,8 @@ package bwt
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 
 	"repro/internal/bitio"
 	"repro/internal/checksum"
@@ -30,25 +32,38 @@ const (
 	magic2 = 'r' // our simplified container, not bit-compatible with 'h'
 )
 
+// encoder is the compression workspace: cyclicSort's arrays, the buffers
+// the block passes between stages, the block's Huffman code and the
+// stream being written. It grows to the largest block it has compressed.
+type encoder struct {
+	sa, rank, spare, cnt []int32
+
+	rle   []byte   // RLE1 output: what the transform sorts
+	last  []byte   // its last column, then move-to-front coded in place
+	syms  []uint16 // the RLE2 symbol stream
+	freq  [numSymbols]int
+	lens  [numSymbols]uint8
+	codes [numSymbols]uint32
+	out   sliceWriter
+}
+
+var encoderPool = sync.Pool{New: func() any { return new(encoder) }}
+
 // Compress compresses data with block size level*100k (level 1..9; the
 // paper uses bzip2 -9).
 func Compress(data []byte, level int) ([]byte, error) {
 	if level < 1 || level > 9 {
 		return nil, fmt.Errorf("bwt: level %d out of range 1..9", level)
 	}
-	out := &sliceWriter{b: []byte{magic0, magic1, magic2, byte('0' + level)}}
-	bw := bitio.NewMSBWriter(out)
+	e := encoderPool.Get().(*encoder)
+	defer encoderPool.Put(e)
+	e.out.b = append(e.out.b[:0], magic0, magic1, magic2, byte('0'+level))
+	bw := bitio.NewMSBWriter(&e.out)
 	blockSize := level * blockSizeUnit
 
-	for start := 0; start < len(data) || (start == 0 && len(data) == 0); start += blockSize {
-		if len(data) == 0 {
-			break
-		}
-		end := start + blockSize
-		if end > len(data) {
-			end = len(data)
-		}
-		if err := compressBlock(bw, data[start:end]); err != nil {
+	for start := 0; start < len(data); start += blockSize {
+		end := min(start+blockSize, len(data))
+		if err := e.compressBlock(bw, data[start:end]); err != nil {
 			return nil, err
 		}
 	}
@@ -56,39 +71,38 @@ func Compress(data []byte, level int) ([]byte, error) {
 	if err := bw.Flush(); err != nil {
 		return nil, err
 	}
-	return out.b, nil
+	return slices.Clone(e.out.b), nil
 }
 
-func compressBlock(bw *bitio.MSBWriter, raw []byte) error {
+func (e *encoder) compressBlock(bw *bitio.MSBWriter, raw []byte) error {
 	bw.WriteBits(1, 1) // block marker
 	crc := checksum.CRC32(raw)
 
-	rle := rle1Encode(raw)
-	last, ptr := Transform(rle)
-	mtf := mtfEncode(last)
-	syms := rle2Encode(mtf)
+	e.rle = appendRLE1(e.rle[:0], raw)
+	e.last = slices.Grow(e.last[:0], len(e.rle))[:len(e.rle)]
+	ptr := e.transform(e.last, e.rle)
+	mtfEncodeInPlace(e.last)
+	e.syms = appendRLE2(e.syms[:0], e.last)
 
-	freq := make([]int, numSymbols)
-	for _, s := range syms {
-		freq[s]++
+	clear(e.freq[:])
+	for _, s := range e.syms {
+		e.freq[s]++
 	}
-	lens, err := huffman.BuildLengths(freq, maxHuffBits)
-	if err != nil {
+	if err := huffman.BuildLengthsInto(e.lens[:], e.freq[:], maxHuffBits); err != nil {
 		return err
 	}
-	codes, err := huffman.CanonicalCodes(lens)
-	if err != nil {
+	if err := huffman.CanonicalCodesInto(e.codes[:], e.lens[:]); err != nil {
 		return err
 	}
 
 	bw.WriteBits(uint64(crc), 32)
-	bw.WriteBits(uint64(len(rle)), 32)
+	bw.WriteBits(uint64(len(e.rle)), 32)
 	bw.WriteBits(uint64(ptr), 32)
-	for _, l := range lens {
+	for _, l := range e.lens {
 		bw.WriteBits(uint64(l), 5)
 	}
-	for _, s := range syms {
-		bw.WriteBits(uint64(codes[s]), uint(lens[s]))
+	for _, s := range e.syms {
+		bw.WriteBits(uint64(e.codes[s]), uint(e.lens[s]))
 	}
 	return bw.Err()
 }
@@ -99,9 +113,32 @@ func Decompress(data []byte, maxSize int) ([]byte, error) {
 	return DecompressAppend(nil, data, maxSize)
 }
 
+// decoder is the decompression workspace: the bit reader over the stream,
+// the block's Huffman code, and the three arrays a block passes through —
+// its symbols, its last column and the inverse transform's vector. They
+// grow to the largest block decoded, each only once the header checks and
+// the stage before it have passed.
+type decoder struct {
+	src  sliceReader
+	br   bitio.MSBReader
+	lens [numSymbols]uint8
+	huff huffman.Decoder
+	syms []uint16
+	last []byte
+	next []uint32
+}
+
+var decoderPool = sync.Pool{New: func() any { return new(decoder) }}
+
 // DecompressAppend is Decompress appending to dst (which may be nil or
 // recycled from a pool); maxSize bounds the appended bytes.
 func DecompressAppend(dst, data []byte, maxSize int) ([]byte, error) {
+	d := decoderPool.Get().(*decoder)
+	defer decoderPool.Put(d)
+	return d.decompressAppend(dst, data, maxSize)
+}
+
+func (d *decoder) decompressAppend(dst, data []byte, maxSize int) ([]byte, error) {
 	if len(data) < 4 {
 		return nil, fmt.Errorf("%w: too short", ErrCorrupt)
 	}
@@ -112,27 +149,25 @@ func DecompressAppend(dst, data []byte, maxSize int) ([]byte, error) {
 	if level < 1 || level > 9 {
 		return nil, fmt.Errorf("%w: bad level %q", ErrCorrupt, data[3])
 	}
-	br := bitio.NewMSBReader(&sliceReader{b: data[4:]})
+	d.src.b = data[4:]
+	defer func() { d.src.b = nil }() // a pooled workspace must not pin the stream
+	d.br.Reset(&d.src)
 	blockLimit := level * blockSizeUnit
 
 	out := dst
 	base := len(out)
 	for {
-		marker := br.ReadBits(1)
-		if br.Err() != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCorrupt, br.Err())
+		marker := d.br.ReadBits(1)
+		if d.br.Err() != nil {
+			return nil, fmt.Errorf("%w: %v", ErrCorrupt, d.br.Err())
 		}
 		if marker == 0 {
 			break
 		}
-		block, err := decompressBlock(br, blockLimit)
-		if err != nil {
+		var err error
+		if out, err = d.decompressBlock(out, base, maxSize, blockLimit); err != nil {
 			return nil, err
 		}
-		if maxSize > 0 && len(out)-base+len(block) > maxSize {
-			return nil, fmt.Errorf("%w: output exceeds limit %d", ErrCorrupt, maxSize)
-		}
-		out = append(out, block...)
 	}
 	if out == nil {
 		out = []byte{}
@@ -140,7 +175,10 @@ func DecompressAppend(dst, data []byte, maxSize int) ([]byte, error) {
 	return out, nil
 }
 
-func decompressBlock(br *bitio.MSBReader, blockLimit int) ([]byte, error) {
+// decompressBlock decodes the next block of d.br and appends it to out,
+// whose first base bytes were the caller's.
+func (d *decoder) decompressBlock(out []byte, base, maxSize, blockLimit int) ([]byte, error) {
+	br := &d.br
 	crc := uint32(br.ReadBits(32))
 	rleLen := int(br.ReadBits(32))
 	ptr := int(br.ReadBits(32))
@@ -155,24 +193,22 @@ func decompressBlock(br *bitio.MSBReader, blockLimit int) ([]byte, error) {
 	if ptr < 0 || (rleLen > 0 && ptr >= rleLen) {
 		return nil, fmt.Errorf("%w: pointer %d out of block %d", ErrCorrupt, ptr, rleLen)
 	}
-	lens := make([]uint8, numSymbols)
-	for i := range lens {
+	for i := range d.lens {
 		v := br.ReadBits(5)
 		if v > maxHuffBits {
 			return nil, fmt.Errorf("%w: code length %d", ErrCorrupt, v)
 		}
-		lens[i] = uint8(v)
+		d.lens[i] = uint8(v)
 	}
 	if br.Err() != nil {
 		return nil, fmt.Errorf("%w: code lengths: %v", ErrCorrupt, br.Err())
 	}
-	dec, err := huffman.NewDecoder(lens)
-	if err != nil {
+	if err := d.huff.Reset(d.lens[:]); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	syms := make([]uint16, 0, rleLen/2+16)
+	syms := d.syms[:0]
 	for {
-		s, err := dec.DecodeMSB(br)
+		s, err := d.huff.DecodeMSB(br)
 		if err != nil {
 			return nil, fmt.Errorf("%w: symbol stream", ErrCorrupt)
 		}
@@ -184,23 +220,22 @@ func decompressBlock(br *bitio.MSBReader, blockLimit int) ([]byte, error) {
 			return nil, fmt.Errorf("%w: runaway symbol stream", ErrCorrupt)
 		}
 	}
-	mtf, err := rle2Decode(syms, rleLen)
+	d.syms = syms
+	if err := d.undoRLE2MTF(rleLen); err != nil {
+		return nil, err
+	}
+	if len(d.last) != rleLen {
+		return nil, fmt.Errorf("%w: MTF length %d, header says %d", ErrCorrupt, len(d.last), rleLen)
+	}
+	start := len(out)
+	out, err := d.undoBWTRLE1(out, ptr, base, maxSize)
 	if err != nil {
 		return nil, err
 	}
-	if len(mtf) != rleLen {
-		return nil, fmt.Errorf("%w: MTF length %d, header says %d", ErrCorrupt, len(mtf), rleLen)
-	}
-	last := mtfDecode(mtf)
-	rle := Inverse(last, ptr)
-	raw, err := rle1Decode(rle)
-	if err != nil {
-		return nil, err
-	}
-	if checksum.CRC32(raw) != crc {
+	if checksum.CRC32(out[start:]) != crc {
 		return nil, fmt.Errorf("%w: block CRC mismatch", ErrCorrupt)
 	}
-	return raw, nil
+	return out, nil
 }
 
 type sliceWriter struct{ b []byte }

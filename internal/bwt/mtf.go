@@ -1,40 +1,28 @@
 package bwt
 
-// mtfEncode move-to-front codes data over the full byte alphabet: each
-// output value is the current list index of the input byte, which is then
+import (
+	"fmt"
+	"math"
+	"slices"
+)
+
+// mtfEncodeInPlace move-to-front codes data over the full byte alphabet:
+// each value becomes the current list index of the byte, which is then
 // moved to the front. BWT output is dominated by small indices.
-func mtfEncode(data []byte) []byte {
+func mtfEncodeInPlace(data []byte) {
 	var list [256]byte
 	for i := range list {
 		list[i] = byte(i)
 	}
-	out := make([]byte, len(data))
 	for k, b := range data {
 		idx := 0
 		for list[idx] != b {
 			idx++
 		}
-		out[k] = byte(idx)
+		data[k] = byte(idx)
 		copy(list[1:idx+1], list[:idx])
 		list[0] = b
 	}
-	return out
-}
-
-// mtfDecode inverts mtfEncode.
-func mtfDecode(data []byte) []byte {
-	var list [256]byte
-	for i := range list {
-		list[i] = byte(i)
-	}
-	out := make([]byte, len(data))
-	for k, idx := range data {
-		b := list[idx]
-		out[k] = b
-		copy(list[1:int(idx)+1], list[:idx])
-		list[0] = b
-	}
-	return out
 }
 
 // RLE1 is bzip2's pre-sort run-length pass: a run of 4..255 equal bytes is
@@ -42,8 +30,9 @@ func mtfDecode(data []byte) []byte {
 // bzip2 is to bound sorter worst cases on long runs; we keep it for the
 // same reason and for format fidelity.
 
-func rle1Encode(data []byte) []byte {
-	out := make([]byte, 0, len(data)+len(data)/64+16)
+// appendRLE1 appends the RLE1 coding of data to dst.
+func appendRLE1(dst, data []byte) []byte {
+	dst = slices.Grow(dst, len(data)+len(data)/64+16)
 	for i := 0; i < len(data); {
 		b := data[i]
 		j := i + 1
@@ -52,43 +41,15 @@ func rle1Encode(data []byte) []byte {
 		}
 		run := j - i
 		if run >= 4 {
-			out = append(out, b, b, b, b, byte(run-4))
+			dst = append(dst, b, b, b, b, byte(run-4))
 		} else {
 			for k := 0; k < run; k++ {
-				out = append(out, b)
+				dst = append(dst, b)
 			}
 		}
 		i = j
 	}
-	return out
-}
-
-func rle1Decode(data []byte) ([]byte, error) {
-	out := make([]byte, 0, len(data)*2)
-	runLen := 0
-	var prev byte
-	for i := 0; i < len(data); i++ {
-		b := data[i]
-		if runLen == 4 {
-			// b is the extension count for the preceding run of four.
-			for k := 0; k < int(b); k++ {
-				out = append(out, prev)
-			}
-			runLen = 0
-			continue
-		}
-		if len(out) > 0 && b == prev {
-			runLen++
-		} else {
-			runLen = 1
-		}
-		prev = b
-		out = append(out, b)
-	}
-	if runLen == 4 {
-		return nil, errMissingRunCount
-	}
-	return out, nil
+	return dst
 }
 
 // RLE2: the MTF stream's zero runs are recoded in bijective base 2 using
@@ -103,18 +64,17 @@ const (
 	numSymbols = 258
 )
 
-// rle2Encode converts MTF output to the RUNA/RUNB symbol stream,
-// terminated by EOB.
-func rle2Encode(mtf []byte) []uint16 {
-	out := make([]uint16, 0, len(mtf)/2+16)
+// appendRLE2 appends mtf's RUNA/RUNB symbol stream, terminated by EOB, to
+// dst.
+func appendRLE2(dst []uint16, mtf []byte) []uint16 {
 	run := 0
 	flush := func() {
 		for run > 0 {
 			if run&1 == 1 {
-				out = append(out, symRUNA)
+				dst = append(dst, symRUNA)
 				run = (run - 1) >> 1
 			} else {
-				out = append(out, symRUNB)
+				dst = append(dst, symRUNB)
 				run = (run - 2) >> 1
 			}
 		}
@@ -125,54 +85,113 @@ func rle2Encode(mtf []byte) []uint16 {
 			continue
 		}
 		flush()
-		out = append(out, uint16(v)+1)
+		dst = append(dst, uint16(v)+1)
 	}
 	flush()
-	out = append(out, symEOB)
-	return out
+	return append(dst, symEOB)
 }
 
-// rle2Decode inverts rle2Encode; the input must be EOB-terminated.
-func rle2Decode(syms []uint16, maxSize int) ([]byte, error) {
-	out := make([]byte, 0, len(syms)*2)
+// undoRLE2MTF inverts RLE2 and move-to-front in one pass over d.syms,
+// leaving the block's last column in d.last. A zero run is a run of the
+// list's front byte, so it is one fill and leaves the list alone. The
+// block may not outgrow size, the length its header declared: that is
+// checked as each run accumulates, before anything is written.
+func (d *decoder) undoRLE2MTF(size int) error {
+	d.last = slices.Grow(d.last[:0], size)[:size]
+	last := d.last
+	var list [256]byte
+	for i := range list {
+		list[i] = byte(i)
+	}
+	n := 0
 	run, bit := 0, 0
-	flush := func() bool {
-		if run == 0 {
-			return true
+	for _, s := range d.syms {
+		if s == symRUNA || s == symRUNB {
+			run += int(s+1) << bit
+			bit++
+			if run > size-n {
+				return errBlockTooLarge
+			}
+			continue
 		}
-		if maxSize > 0 && len(out)+run > maxSize {
-			return false
+		if run > 0 {
+			front := list[0]
+			for end := n + run; n < end; n++ {
+				last[n] = front
+			}
+			run, bit = 0, 0
 		}
-		for k := 0; k < run; k++ {
-			out = append(out, 0)
-		}
-		run, bit = 0, 0
-		return true
-	}
-	for _, s := range syms {
 		switch {
-		case s == symRUNA:
-			run += 1 << bit
-			bit++
-		case s == symRUNB:
-			run += 2 << bit
-			bit++
 		case s == symEOB:
-			if !flush() {
-				return nil, errBlockTooLarge
-			}
-			return out, nil
+			d.last = last[:n]
+			return nil
 		case s <= 256:
-			if !flush() {
-				return nil, errBlockTooLarge
+			if n >= size {
+				return errBlockTooLarge
 			}
-			if maxSize > 0 && len(out) >= maxSize {
-				return nil, errBlockTooLarge
-			}
-			out = append(out, byte(s-1))
+			idx := int(s - 1)
+			b := list[idx]
+			copy(list[1:idx+1], list[:idx])
+			list[0] = b
+			last[n] = b
+			n++
 		default:
-			return nil, errBadSymbol
+			return errBadSymbol
 		}
 	}
-	return nil, errMissingEOB
+	return errMissingEOB
+}
+
+// undoBWTRLE1 walks the inverse transform of d.last from row ptr and
+// undoes RLE1 as the bytes come out, appending the raw block to out. Only
+// a count byte lets output outrun input, so the size limit — out may reach
+// base+maxSize when maxSize is positive — is checked before every write,
+// not after the block. The caller verifies the block CRC over the appended
+// bytes before it lets anyone see them.
+func (d *decoder) undoBWTRLE1(out []byte, ptr, base, maxSize int) ([]byte, error) {
+	last := d.last
+	if len(last) == 0 {
+		return out, nil
+	}
+	limit := math.MaxInt
+	if maxSize > 0 {
+		limit = base + maxSize
+	}
+	errLimit := func() ([]byte, error) {
+		return nil, fmt.Errorf("%w: output exceeds limit %d", ErrCorrupt, maxSize)
+	}
+	next := d.buildNext(last)
+	out = slices.Grow(out, min(len(last), limit-len(out)))
+	runLen := 0
+	var prev byte
+	p := next[ptr]
+	for range last {
+		b := last[p]
+		p = next[p]
+		if runLen == 4 {
+			// b is the extension count for the preceding run of four.
+			if int(b) > limit-len(out) {
+				return errLimit()
+			}
+			for k := 0; k < int(b); k++ {
+				out = append(out, prev)
+			}
+			runLen = 0
+			continue
+		}
+		if b == prev {
+			runLen++ // from 0 (block start, or just past a count byte) this is 1 either way
+		} else {
+			runLen = 1
+		}
+		prev = b
+		if len(out) >= limit {
+			return errLimit()
+		}
+		out = append(out, b)
+	}
+	if runLen == 4 {
+		return nil, errMissingRunCount
+	}
+	return out, nil
 }

@@ -11,7 +11,6 @@ package cluster
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 
 	"repro/internal/proxy"
@@ -114,10 +113,24 @@ func (r *Ring) search(key string) int {
 // near-sequential strings (vnode labels, file names) leaves visible
 // structure in the high bits — measured ownership skew of 3x fair share
 // on a 5-node ring — and the avalanche pass removes it.
-func hash64(s string) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(s))
-	x := h.Sum64()
+func hash64(s string) uint64 { return mix64(fnv1a(fnvOffset64, s)) }
+
+// FNV-1a, 64 bits, as hash/fnv computes it — spelled out so that a hash
+// can be continued (sketchHash) and costs no hasher and no []byte copy.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+func fnv1a(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime64
+	}
+	return h
+}
+
+// mix64 is the splitmix64 finalizer.
+func mix64(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
 	x ^= x >> 27

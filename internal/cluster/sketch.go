@@ -1,9 +1,5 @@
 package cluster
 
-import (
-	"sort"
-)
-
 // Sketch dimensions: four independent rows keep the collision
 // overestimate negligible at artifact-key cardinalities (dozens of
 // distinct keys per node), and 512 counters per row cost 8 KiB total.
@@ -78,32 +74,27 @@ func (s *Sketch) Hot(key string) bool {
 }
 
 // prune drops the lowest-count candidates down to candLimit, ties broken
-// by key so pruning is deterministic.
+// by key (the larger goes) so pruning is deterministic. Add grows the
+// table one key at a time, so there is one victim and one pass finds it.
 func (s *Sketch) prune() {
-	type kc struct {
-		k string
-		c uint32
-	}
-	all := make([]kc, 0, len(s.cand))
-	for k, c := range s.cand {
-		all = append(all, kc{k, c})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].c != all[j].c {
-			return all[i].c > all[j].c
+	for len(s.cand) > s.candLimit() {
+		victim, low := "", ^uint32(0)
+		for k, c := range s.cand {
+			if c < low || (c == low && k > victim) {
+				victim, low = k, c
+			}
 		}
-		return all[i].k < all[j].k
-	})
-	for _, e := range all[s.candLimit():] {
-		delete(s.cand, e.k)
+		delete(s.cand, victim)
 	}
 }
 
 // sketchHash derives two independent 64-bit hashes for double hashing,
 // reusing the ring's finalized hash (raw FNV's structured output causes
-// heavy counter collisions on similar keys).
+// heavy counter collisions on similar keys): h2 is the hash of key with a
+// 0x9e byte appended, continued from key's own FNV state.
 func sketchHash(key string) (uint64, uint64) {
-	h1 := hash64(key)
-	h2 := hash64(key+"\x9e") | 1 // odd, so strides cover the row
+	raw := fnv1a(fnvOffset64, key)
+	h1 := mix64(raw)
+	h2 := mix64(fnv1a(raw, "\x9e")) | 1 // odd, so strides cover the row
 	return h1, h2
 }

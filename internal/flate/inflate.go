@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
+	"sync"
 
 	"repro/internal/bitio"
 	"repro/internal/huffman"
@@ -13,11 +15,25 @@ import (
 // ErrCorrupt is returned when the DEFLATE stream is structurally invalid.
 var ErrCorrupt = errors.New("flate: corrupt stream")
 
+// inflater is Inflate's workspace: the bit reader with its copy buffer and
+// the dynamic-block codes. One inflate allocates nothing beyond dst's
+// growth.
+type inflater struct {
+	br    bitio.LSBReader
+	codes dynamicCodes
+}
+
+var inflaterPool = sync.Pool{New: func() any { return new(inflater) }}
+
 // Inflate decompresses a complete DEFLATE stream from r, appending to dst
 // (which may be nil). maxSize, if positive, bounds the decompressed size to
 // protect against decompression bombs.
 func Inflate(dst []byte, r io.Reader, maxSize int) ([]byte, error) {
-	br := bitio.NewLSBReader(r)
+	z := inflaterPool.Get().(*inflater)
+	defer inflaterPool.Put(z)
+	br := &z.br
+	br.Reset(r)
+	defer br.Reset(nil) // a pooled workspace must not pin the caller's stream
 	for {
 		final := br.ReadBits(1)
 		btype := br.ReadBits(2)
@@ -29,12 +45,10 @@ func Inflate(dst []byte, r io.Reader, maxSize int) ([]byte, error) {
 		case 0:
 			dst, err = inflateStored(dst, br, maxSize)
 		case 1:
-			dst, err = inflateHuffman(dst, br, fixedLitDecoder(), fixedDistDecoder(), maxSize)
+			dst, err = inflateHuffman(dst, br, fixedLit, fixedDist, maxSize)
 		case 2:
-			var litDec, distDec *huffman.Decoder
-			litDec, distDec, err = readDynamicHeader(br)
-			if err == nil {
-				dst, err = inflateHuffman(dst, br, litDec, distDec, maxSize)
+			if err = z.codes.read(br); err == nil {
+				dst, err = inflateHuffman(dst, br, &z.codes.lit, &z.codes.dist, maxSize)
 			}
 		default:
 			err = fmt.Errorf("%w: reserved block type", ErrCorrupt)
@@ -61,11 +75,12 @@ func inflateStored(dst []byte, br *bitio.LSBReader, maxSize int) ([]byte, error)
 	if maxSize > 0 && len(dst)+int(n) > maxSize {
 		return nil, fmt.Errorf("%w: output exceeds limit %d", ErrCorrupt, maxSize)
 	}
-	chunk := make([]byte, n)
-	if err := br.ReadBytes(chunk); err != nil {
+	dst = slices.Grow(dst, int(n))
+	end := len(dst) + int(n)
+	if err := br.ReadBytes(dst[len(dst):end]); err != nil {
 		return nil, fmt.Errorf("%w: stored payload: %v", ErrCorrupt, err)
 	}
-	return append(dst, chunk...), nil
+	return dst[:end], nil
 }
 
 // The fixed decoders are immutable after construction and safe to share.
@@ -82,35 +97,43 @@ func mustDecoder(lens []uint8) *huffman.Decoder {
 	return d
 }
 
-func fixedLitDecoder() *huffman.Decoder  { return fixedLit }
-func fixedDistDecoder() *huffman.Decoder { return fixedDist }
+// dynamicCodes is the storage one dynamic block header decodes into: the
+// code-length arrays and the three decoders, each rebuilt in place, so a
+// stream of dynamic blocks allocates no tables after the first.
+type dynamicCodes struct {
+	clLens        [numCLSymbols]uint8
+	lens          [maxNumLit + maxNumDist]uint8
+	cl, lit, dist huffman.Decoder
+}
 
-func readDynamicHeader(br *bitio.LSBReader) (litDec, distDec *huffman.Decoder, err error) {
+// read parses a dynamic block header from br and leaves dc.lit and
+// dc.dist ready to decode the block.
+func (dc *dynamicCodes) read(br *bitio.LSBReader) error {
 	nlit := int(br.ReadBits(5)) + 257
 	ndist := int(br.ReadBits(5)) + 1
 	hclen := int(br.ReadBits(4)) + 4
 	if err := br.Err(); err != nil {
-		return nil, nil, fmt.Errorf("%w: dynamic header: %v", ErrCorrupt, err)
+		return fmt.Errorf("%w: dynamic header: %v", ErrCorrupt, err)
 	}
 	if nlit > maxNumLit || ndist > maxNumDist {
-		return nil, nil, fmt.Errorf("%w: nlit=%d ndist=%d out of range", ErrCorrupt, nlit, ndist)
+		return fmt.Errorf("%w: nlit=%d ndist=%d out of range", ErrCorrupt, nlit, ndist)
 	}
-	clLens := make([]uint8, numCLSymbols)
+	clear(dc.clLens[:])
 	for i := 0; i < hclen; i++ {
-		clLens[clOrder[i]] = uint8(br.ReadBits(3))
+		dc.clLens[clOrder[i]] = uint8(br.ReadBits(3))
 	}
 	if err := br.Err(); err != nil {
-		return nil, nil, fmt.Errorf("%w: CL lengths: %v", ErrCorrupt, err)
+		return fmt.Errorf("%w: CL lengths: %v", ErrCorrupt, err)
 	}
-	clDec, err := huffman.NewDecoder(clLens)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w: CL code: %v", ErrCorrupt, err)
+	if err := dc.cl.Reset(dc.clLens[:]); err != nil {
+		return fmt.Errorf("%w: CL code: %v", ErrCorrupt, err)
 	}
-	all := make([]uint8, nlit+ndist)
+	all := dc.lens[:nlit+ndist]
+	clear(all)
 	for i := 0; i < len(all); {
-		sym, err := clDec.DecodeLSB(br)
+		sym, err := dc.cl.DecodeLSB(br)
 		if err != nil {
-			return nil, nil, fmt.Errorf("%w: CL symbol: %v", ErrCorrupt, err)
+			return fmt.Errorf("%w: CL symbol: %v", ErrCorrupt, err)
 		}
 		switch {
 		case sym <= 15:
@@ -118,11 +141,11 @@ func readDynamicHeader(br *bitio.LSBReader) (litDec, distDec *huffman.Decoder, e
 			i++
 		case sym == 16:
 			if i == 0 {
-				return nil, nil, fmt.Errorf("%w: repeat with no previous length", ErrCorrupt)
+				return fmt.Errorf("%w: repeat with no previous length", ErrCorrupt)
 			}
 			rep := int(br.ReadBits(2)) + 3
 			if i+rep > len(all) {
-				return nil, nil, fmt.Errorf("%w: repeat overruns lengths", ErrCorrupt)
+				return fmt.Errorf("%w: repeat overruns lengths", ErrCorrupt)
 			}
 			v := all[i-1]
 			for k := 0; k < rep; k++ {
@@ -132,31 +155,29 @@ func readDynamicHeader(br *bitio.LSBReader) (litDec, distDec *huffman.Decoder, e
 		case sym == 17:
 			rep := int(br.ReadBits(3)) + 3
 			if i+rep > len(all) {
-				return nil, nil, fmt.Errorf("%w: zero run overruns lengths", ErrCorrupt)
+				return fmt.Errorf("%w: zero run overruns lengths", ErrCorrupt)
 			}
 			i += rep
 		case sym == 18:
 			rep := int(br.ReadBits(7)) + 11
 			if i+rep > len(all) {
-				return nil, nil, fmt.Errorf("%w: zero run overruns lengths", ErrCorrupt)
+				return fmt.Errorf("%w: zero run overruns lengths", ErrCorrupt)
 			}
 			i += rep
 		default:
-			return nil, nil, fmt.Errorf("%w: CL symbol %d", ErrCorrupt, sym)
+			return fmt.Errorf("%w: CL symbol %d", ErrCorrupt, sym)
 		}
 	}
 	if err := br.Err(); err != nil {
-		return nil, nil, fmt.Errorf("%w: lengths: %v", ErrCorrupt, err)
+		return fmt.Errorf("%w: lengths: %v", ErrCorrupt, err)
 	}
-	litDec, err = huffman.NewDecoder(all[:nlit])
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w: lit/len code: %v", ErrCorrupt, err)
+	if err := dc.lit.Reset(all[:nlit]); err != nil {
+		return fmt.Errorf("%w: lit/len code: %v", ErrCorrupt, err)
 	}
-	distDec, err = huffman.NewDecoder(all[nlit:])
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w: dist code: %v", ErrCorrupt, err)
+	if err := dc.dist.Reset(all[nlit:]); err != nil {
+		return fmt.Errorf("%w: dist code: %v", ErrCorrupt, err)
 	}
-	return litDec, distDec, nil
+	return nil
 }
 
 // inflateHuffman is the inflate inner loop, restructured around the

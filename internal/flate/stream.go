@@ -206,6 +206,8 @@ type Reader struct {
 	done      bool
 	errSticky error
 
+	codes dynamicCodes // what litDec/distDec point into during a dynamic block
+
 	window  []byte // last <=32 KB of produced output
 	pending []byte // decoded but not yet Read
 	crc     uint32
@@ -348,14 +350,13 @@ func (zr *Reader) step(target int) error {
 			zr.stored = int(n)
 		case 1:
 			zr.stored = -1
-			zr.litDec, zr.distDec = fixedLitDecoder(), fixedDistDecoder()
+			zr.litDec, zr.distDec = fixedLit, fixedDist
 		case 2:
 			zr.stored = -1
-			lit, dist, err := readDynamicHeader(zr.br)
-			if err != nil {
+			if err := zr.codes.read(zr.br); err != nil {
 				return err
 			}
-			zr.litDec, zr.distDec = lit, dist
+			zr.litDec, zr.distDec = &zr.codes.lit, &zr.codes.dist
 		default:
 			return fmt.Errorf("%w: reserved block type", ErrCorrupt)
 		}

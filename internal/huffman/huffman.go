@@ -10,6 +10,7 @@ package huffman
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -249,23 +250,30 @@ type BitSource interface {
 	ReadBit() uint64
 }
 
+// maxCodeLen is the longest code a Decoder accepts: canonical codes are
+// held in a uint32, and a 64-bit Kraft sum scaled by 2^32 cannot wrap.
+// (The callers stop far lower, DEFLATE at 15 bits and the bzip2-style
+// coder at 20.)
+const maxCodeLen = 32
+
 // Decoder decodes canonical Huffman codes: one bit at a time through
 // Decode (the verified fallback), or via two-level lookup tables through
-// DecodeLSB/DecodeMSB (see table.go). Decoders are immutable after
-// construction and safe for concurrent use; the lookup tables build
-// lazily, once per orientation.
+// DecodeLSB/DecodeMSB (see table.go). Between Resets a decoder is
+// immutable and safe for concurrent use; the lookup tables build lazily,
+// once per orientation. Reset rebuilds it for another code in the same
+// storage, so a decoder held in a workspace costs nothing per block.
 type Decoder struct {
 	maxLen  int
-	first   [58]uint32 // first canonical code of each length
-	offset  [58]int32  // index into syms of the first code of each length
-	count   [58]int32
+	first   [maxCodeLen + 1]uint32 // first canonical code of each length
+	offset  [maxCodeLen + 1]int32  // index into syms of the first code of each length
+	count   [maxCodeLen + 1]int32
 	syms    []int32 // symbols ordered by (length, symbol)
 	symbols int
 
 	lsbOnce sync.Once
-	lsb     *lookupTable
+	lsb     lookupTable
 	msbOnce sync.Once
-	msb     *lookupTable
+	msb     lookupTable
 }
 
 // NewDecoder builds a decoder for the given canonical code lengths. Lengths
@@ -273,37 +281,54 @@ type Decoder struct {
 // accepted only in the degenerate single-symbol case (as DEFLATE allows).
 func NewDecoder(lengths []uint8) (*Decoder, error) {
 	d := &Decoder{}
-	nonzero := 0
+	if err := d.Reset(lengths); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// Reset rebuilds d for the given canonical code lengths, reusing its
+// symbol and lookup-table storage. It validates exactly as NewDecoder
+// does; after an error d must be Reset again before it decodes. Reset
+// must not run while another goroutine is decoding with d.
+func (d *Decoder) Reset(lengths []uint8) error {
+	var count [maxCodeLen + 1]int32
+	maxLen, nonzero := 0, 0
 	for _, l := range lengths {
 		if l == 0 {
 			continue
 		}
-		if int(l) > d.maxLen {
-			d.maxLen = int(l)
+		if l > maxCodeLen {
+			return ErrInvalidLengths
 		}
-		d.count[l]++
+		if int(l) > maxLen {
+			maxLen = int(l)
+		}
+		count[l]++
 		nonzero++
 	}
 	if nonzero == 0 {
-		return nil, ErrInvalidLengths
+		return ErrInvalidLengths
 	}
 	sum, scale := KraftSum(lengths)
 	if sum > 1<<scale {
-		return nil, ErrInvalidLengths
+		return ErrInvalidLengths
 	}
 	if sum < 1<<scale && nonzero != 1 {
-		return nil, ErrInvalidLengths
+		return ErrInvalidLengths
 	}
+	d.maxLen, d.count, d.symbols = maxLen, count, nonzero
+	d.lsbOnce, d.msbOnce = sync.Once{}, sync.Once{}
 	code := uint32(0)
 	idx := int32(0)
-	for l := 1; l <= d.maxLen; l++ {
-		code = (code + uint32(d.count[l-1])) << 1
+	for l := 1; l <= maxLen; l++ {
+		code = (code + uint32(count[l-1])) << 1
 		d.first[l] = code
 		d.offset[l] = idx
-		idx += d.count[l]
+		idx += count[l]
 	}
-	d.syms = make([]int32, nonzero)
-	pos := make([]int32, d.maxLen+1)
+	d.syms = slices.Grow(d.syms[:0], nonzero)[:nonzero]
+	var pos [maxCodeLen + 1]int32
 	for s, l := range lengths {
 		if l == 0 {
 			continue
@@ -311,8 +336,7 @@ func NewDecoder(lengths []uint8) (*Decoder, error) {
 		d.syms[d.offset[l]+pos[l]] = int32(s)
 		pos[l]++
 	}
-	d.symbols = nonzero
-	return d, nil
+	return nil
 }
 
 // Decode reads bits from src until a complete code is seen and returns the

@@ -10,6 +10,7 @@ package huffman
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bitio"
 )
@@ -40,13 +41,22 @@ type lookupTable struct {
 	peek     uint // maxLen: the peek window covering any full code
 	root     []tableEntry
 	sub      []tableEntry
+	long     []longCode // build scratch
 }
 
-// buildTable constructs the two-level table for the decoder's canonical
-// code. msb selects the bzip2 orientation (codes read MSB-first); the
-// DEFLATE orientation indexes by the bit-reversed code because the stream
-// transmits codes LSB-first.
-func (d *Decoder) buildTable(msb bool) *lookupTable {
+// longCode is a code too long for the root table, parked until the
+// second-level tables are laid out.
+type longCode struct {
+	sym  int32
+	len  uint8
+	code uint32
+}
+
+// buildTable constructs, in t's storage, the two-level table for the
+// decoder's canonical code. msb selects the bzip2 orientation (codes read
+// MSB-first); the DEFLATE orientation indexes by the bit-reversed code
+// because the stream transmits codes LSB-first.
+func (d *Decoder) buildTable(t *lookupTable, msb bool) {
 	rootBits := uint(lsbRootBits)
 	if msb {
 		rootBits = msbRootBits
@@ -54,21 +64,18 @@ func (d *Decoder) buildTable(msb bool) *lookupTable {
 	if maxLen := uint(d.maxLen); rootBits > maxLen {
 		rootBits = maxLen
 	}
-	t := &lookupTable{
-		rootBits: rootBits,
-		rootMask: 1<<rootBits - 1,
-		peek:     uint(d.maxLen),
-		root:     make([]tableEntry, 1<<rootBits),
-	}
+	t.rootBits = rootBits
+	t.rootMask = 1<<rootBits - 1
+	t.peek = uint(d.maxLen)
+	// A zero entry marks a pattern no code produces, so storage left by
+	// the previous code is cleared; sub regrows zeroed, group by group.
+	t.root = slices.Grow(t.root[:0], 1<<rootBits)[:1<<rootBits]
+	clear(t.root)
+	t.sub = t.sub[:0]
 
 	// Walk symbols in canonical (length, symbol) order, regenerating each
 	// code the same way the walker's first/offset arrays imply it.
-	type longCode struct {
-		sym  int32
-		len  uint8
-		code uint32
-	}
-	var long []longCode
+	long := t.long[:0]
 	for l := 1; l <= d.maxLen; l++ {
 		c := d.count[l]
 		if c == 0 {
@@ -126,7 +133,7 @@ func (d *Decoder) buildTable(msb bool) *lookupTable {
 		t.root[slot] = tableEntry{sym: off, bits: uint8(subBits)}
 		i = j
 	}
-	return t
+	t.long = long
 }
 
 // fillRoot replicates a short code across every root slot sharing its
@@ -148,13 +155,13 @@ func (t *lookupTable) fillRoot(sym int32, l uint8, code uint32, msb bool) {
 // lsbTable / msbTable build lazily: a decoder pays only for the
 // orientation it actually decodes with.
 func (d *Decoder) lsbTable() *lookupTable {
-	d.lsbOnce.Do(func() { d.lsb = d.buildTable(false) })
-	return d.lsb
+	d.lsbOnce.Do(func() { d.buildTable(&d.lsb, false) })
+	return &d.lsb
 }
 
 func (d *Decoder) msbTable() *lookupTable {
-	d.msbOnce.Do(func() { d.msb = d.buildTable(true) })
-	return d.msb
+	d.msbOnce.Do(func() { d.buildTable(&d.msb, true) })
+	return &d.msb
 }
 
 // DecodeLSB decodes one symbol from an LSB-first stream (DEFLATE's

@@ -2,6 +2,14 @@ package lzw
 
 import "repro/internal/bitio"
 
+// sliceWriter collects a crafted stream's bytes.
+type sliceWriter struct{ b []byte }
+
+func (s *sliceWriter) Write(p []byte) (int, error) {
+	s.b = append(s.b, p...)
+	return len(p), nil
+}
+
 // newTestBitWriter exposes the production bit packing for crafted-stream
 // tests.
 type testBitWriter struct{ w *bitio.LSBWriter }

@@ -14,8 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-
-	"repro/internal/bitio"
+	"sync"
 )
 
 const (
@@ -45,19 +44,24 @@ type dictEntry struct {
 	code uint16
 }
 
+// hashSize is 2x the max code count, which keeps probe chains short.
+const hashSize = 1 << 17
+
 // hashTable is an open-addressed (prefix, byte) -> code map sized for the
 // 16-bit code space.
 type hashTable struct {
-	entries []dictEntry
-	mask    uint32
+	entries [hashSize]dictEntry
 }
 
-func newHashTable() *hashTable {
-	const size = 1 << 17 // 2x the max code count keeps probe chains short
-	h := &hashTable{entries: make([]dictEntry, size), mask: size - 1}
-	h.clear()
-	return h
+// encoder is the compression workspace: the 1 MiB table, cleared by
+// whoever takes it out of the pool, and the buffer the stream is built in,
+// so that Compress allocates only the exact-sized copy it returns.
+type encoder struct {
+	table hashTable
+	out   []byte
 }
+
+var encoderPool = sync.Pool{New: func() any { return new(encoder) }}
 
 func (h *hashTable) clear() {
 	for i := range h.entries {
@@ -68,7 +72,7 @@ func (h *hashTable) clear() {
 func key(prefix uint16, b byte) uint32 { return uint32(prefix)<<8 | uint32(b) }
 
 func (h *hashTable) lookup(k uint32) (uint16, bool) {
-	i := (k * 2654435761) & h.mask
+	i := (k * 2654435761) % hashSize
 	for {
 		e := h.entries[i]
 		if e.key == ^uint32(0) {
@@ -77,14 +81,14 @@ func (h *hashTable) lookup(k uint32) (uint16, bool) {
 		if e.key == k {
 			return e.code, true
 		}
-		i = (i + 1) & h.mask
+		i = (i + 1) % hashSize
 	}
 }
 
 func (h *hashTable) insert(k uint32, code uint16) {
-	i := (k * 2654435761) & h.mask
+	i := (k * 2654435761) % hashSize
 	for h.entries[i].key != ^uint32(0) {
-		i = (i + 1) & h.mask
+		i = (i + 1) % hashSize
 	}
 	h.entries[i] = dictEntry{key: k, code: code}
 }
@@ -95,13 +99,14 @@ func Compress(data []byte, maxBits int) ([]byte, error) {
 	if maxBits < MinBits || maxBits > MaxBits {
 		return nil, fmt.Errorf("lzw: maxBits %d out of range %d..%d", maxBits, MinBits, MaxBits)
 	}
-	out := &sliceWriter{b: []byte{magicByte1, magicByte2, byte(maxBits) | blockModeFlag}}
+	e := encoderPool.Get().(*encoder)
+	defer encoderPool.Put(e)
+	out := append(e.out[:0], magicByte1, magicByte2, byte(maxBits)|blockModeFlag)
 	if len(data) == 0 {
-		return out.b, nil
+		return slices.Clone(out), nil
 	}
-	bw := bitio.NewLSBWriter(out)
-
-	table := newHashTable()
+	table := &e.table
+	table.clear()
 	nextCode := firstCode
 	width := uint(MinBits)
 	maxCode := 1<<maxBits - 1
@@ -111,8 +116,17 @@ func Compress(data []byte, maxBits int) ([]byte, error) {
 	lastCheck := 0
 	var lastRatio float64
 
+	// Codes pack LSB-first; acc never holds more than 7+16 bits.
+	var acc uint32
+	var accBits uint
 	emit := func(code uint16) {
-		bw.WriteBits(uint64(code), width)
+		acc |= uint32(code) << accBits
+		accBits += width
+		for accBits >= 8 {
+			out = append(out, byte(acc))
+			acc >>= 8
+			accBits -= 8
+		}
 		outBits += int(width)
 	}
 
@@ -150,10 +164,11 @@ func Compress(data []byte, maxBits int) ([]byte, error) {
 		prefix = uint16(c)
 	}
 	emit(prefix)
-	if err := bw.Flush(); err != nil {
-		return nil, err
+	if accBits > 0 {
+		out = append(out, byte(acc))
 	}
-	return out.b, nil
+	e.out = out // keep what the stream grew it to
+	return slices.Clone(out), nil
 }
 
 // Decompress decodes a .Z stream produced by Compress. maxSize, if
@@ -162,12 +177,44 @@ func Decompress(data []byte, maxSize int) ([]byte, error) {
 	return DecompressAppend(nil, data, maxSize)
 }
 
+// decoder is the decode workspace: the dictionary as three parallel
+// tables over the 16-bit code space (448 KiB), recycled through
+// decoderPool and never re-zeroed. suffix/prefixOf map codes back to
+// strings; lenOf caches each code's expansion length so output space is
+// reserved before the chain walk. Leftovers are harmless: literals are
+// written once, by newDecoder; a code >= firstCode is looked up only past
+// the `code < nextCode` check, and this stream wrote every slot below
+// nextCode; slot 256 alone can be read unwritten (by a stream without
+// block mode, which must find lenOf[256] == 0), so it is zeroed per stream.
+type decoder struct {
+	suffix   [1 << MaxBits]byte
+	prefixOf [1 << MaxBits]uint16
+	lenOf    [1 << MaxBits]int32
+}
+
+func newDecoder() *decoder {
+	d := new(decoder)
+	for i := 0; i < 256; i++ {
+		d.suffix[i] = byte(i)
+		d.lenOf[i] = 1
+	}
+	return d
+}
+
+var decoderPool = sync.Pool{New: func() any { return newDecoder() }}
+
 // DecompressAppend is Decompress appending to dst (which may be nil or
 // recycled from a pool); maxSize bounds the appended bytes. Each code's
 // string is written backwards straight into the output — the dictionary
 // tracks expansion lengths, so there is no scratch buffer and no reverse
 // pass.
 func DecompressAppend(dst, data []byte, maxSize int) ([]byte, error) {
+	d := decoderPool.Get().(*decoder)
+	defer decoderPool.Put(d)
+	return d.decompressAppend(dst, data, maxSize)
+}
+
+func (d *decoder) decompressAppend(dst, data []byte, maxSize int) ([]byte, error) {
 	if len(data) < 3 {
 		return nil, fmt.Errorf("%w: too short", ErrCorrupt)
 	}
@@ -189,31 +236,17 @@ func DecompressAppend(dst, data []byte, maxSize int) ([]byte, error) {
 		}
 		return out, nil
 	}
-	br := bitio.NewLSBReader(&sliceReader{b: body})
 
-	// suffix/prefixOf map codes back to strings; lenOf caches each code's
-	// expansion length so output space is reserved before the chain walk.
+	d.lenOf[clearCode] = 0
 	size := 1 << maxBits
-	suffix := make([]byte, size)
-	prefixOf := make([]uint16, size)
-	lenOf := make([]int32, size)
-	for i := 0; i < 256; i++ {
-		suffix[i] = byte(i)
-		lenOf[i] = 1
-	}
 	nextCode := firstCode
 	width := uint(MinBits)
 
-	readCode := func() (uint16, bool) {
-		if br.AtEOF() {
-			return 0, false
-		}
-		v := br.ReadBits(width)
-		if br.Err() != nil {
-			return 0, false
-		}
-		return uint16(v), true
-	}
+	// Codes are read LSB-first straight from body: acc holds accBits
+	// unread bits (under 16+8), pos is the next byte to load.
+	var acc uint32
+	var accBits uint
+	pos := 0
 
 	prev := int32(-1)
 	var prevFirst byte
@@ -223,10 +256,18 @@ func DecompressAppend(dst, data []byte, maxSize int) ([]byte, error) {
 		if prev >= 0 && nextCode == 1<<width-1 && width < uint(maxBits) {
 			width++
 		}
-		code, ok := readCode()
-		if !ok {
+		for ; accBits < width && pos < len(body); pos++ {
+			acc |= uint32(body[pos]) << accBits
+			accBits += 8
+		}
+		// The stream ends where no whole code is left; trailing bits are
+		// the encoder's padding.
+		if accBits < width {
 			break
 		}
+		code := uint16(acc & (1<<width - 1))
+		acc >>= width
+		accBits -= width
 		if blockMode && code == clearCode {
 			nextCode = firstCode
 			width = MinBits
@@ -238,12 +279,12 @@ func DecompressAppend(dst, data []byte, maxSize int) ([]byte, error) {
 		kwkwk := prev >= 0 && int(code) == nextCode && nextCode < size
 		var n int
 		if kwkwk {
-			n = int(lenOf[prev]) + 1
+			n = int(d.lenOf[prev]) + 1
 		} else {
 			if int(code) >= nextCode {
 				return nil, fmt.Errorf("%w: code %d beyond table %d", ErrCorrupt, code, nextCode)
 			}
-			n = int(lenOf[code])
+			n = int(d.lenOf[code])
 		}
 		if n <= 0 {
 			return nil, fmt.Errorf("%w: code %d has no expansion", ErrCorrupt, code)
@@ -262,16 +303,16 @@ func DecompressAppend(dst, data []byte, maxSize int) ([]byte, error) {
 			c = uint16(prev)
 		}
 		for c >= 256 {
-			out[i] = suffix[c]
+			out[i] = d.suffix[c]
 			i--
-			c = prefixOf[c]
+			c = d.prefixOf[c]
 		}
 		out[i] = byte(c)
 		first := out[start]
 		if prev >= 0 && nextCode < size {
-			suffix[nextCode] = first
-			prefixOf[nextCode] = uint16(prev)
-			lenOf[nextCode] = lenOf[prev] + 1
+			d.suffix[nextCode] = first
+			d.prefixOf[nextCode] = uint16(prev)
+			d.lenOf[nextCode] = d.lenOf[prev] + 1
 			nextCode++
 		}
 		prev = int32(code)
@@ -282,23 +323,3 @@ func DecompressAppend(dst, data []byte, maxSize int) ([]byte, error) {
 	}
 	return out, nil
 }
-
-type sliceWriter struct{ b []byte }
-
-func (s *sliceWriter) Write(p []byte) (int, error) {
-	s.b = append(s.b, p...)
-	return len(p), nil
-}
-
-type sliceReader struct{ b []byte }
-
-func (s *sliceReader) Read(p []byte) (int, error) {
-	if len(s.b) == 0 {
-		return 0, errEOF
-	}
-	n := copy(p, s.b)
-	s.b = s.b[n:]
-	return n, nil
-}
-
-var errEOF = errors.New("EOF")

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"io"
 	"log/slog"
@@ -13,11 +15,12 @@ func NewLogger(w io.Writer, level slog.Level) *slog.Logger {
 	return slog.New(slog.NewTextHandler(w, &slog.HandlerOptions{Level: level}))
 }
 
+var nopLogger = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelError + 1}))
+
 // NopLogger returns a logger that discards everything — the default for
-// library components so instrumented code can log unconditionally.
-func NopLogger() *slog.Logger {
-	return slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelError + 1}))
-}
+// library components so instrumented code can log unconditionally. It is
+// one shared value: a fetch asks for it and must not pay for a handler.
+func NopLogger() *slog.Logger { return nopLogger }
 
 // ParseLevel maps the CLI spellings to slog levels.
 func ParseLevel(s string) (slog.Level, error) {
@@ -38,7 +41,13 @@ func ParseLevel(s string) (slog.Level, error) {
 // ReqID renders a wire request ID the way every log line and span
 // attribute spells it, so a grep for one ID crosses the client/server
 // boundary.
-func ReqID(id uint64) string { return fmt.Sprintf("%016x", id) }
+func ReqID(id uint64) string {
+	var raw [8]byte
+	var text [16]byte
+	binary.BigEndian.PutUint64(raw[:], id)
+	hex.Encode(text[:], raw[:])
+	return string(text[:]) // %016x, without fmt's boxing
+}
 
 // ReqIDAttr is the slog attribute carrying a request ID.
 func ReqIDAttr(id uint64) slog.Attr { return slog.String("req_id", ReqID(id)) }

@@ -9,10 +9,17 @@ package proxy
 
 import (
 	"bytes"
+	"encoding/binary"
+	"net"
+	"runtime"
+	"runtime/debug"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/codec"
+	"repro/internal/proxy/faultconn"
 	"repro/internal/selective"
+	"repro/internal/workload"
 )
 
 // TestReadBlockPooledAllocs: once the pool is warm, reading a verified
@@ -76,4 +83,64 @@ func TestShardForZeroAllocs(t *testing.T) {
 		t.Errorf("shardFor allocates %.1f objects per call, want 0", allocs)
 	}
 	_ = sink
+}
+
+// TestCorruptBlockReturnsPooledDestination: the RawLen of a block frame is
+// the one field no CRC covers, so a bit flipped there reaches the decoder
+// as a wrong size limit — and a decode that fails hands back nil, not the
+// pooled buffer it was given. The client must return that buffer itself:
+// before it did, every such block cost a fresh destination (here up to
+// 128 KiB). A seeded faultconn flips one bit of RawLen on every
+// connection; GetBuf and PutBuf balance exactly when the fetches, all of
+// them failing, allocate no block-sized memory beyond the output buffer an
+// attempt reserves for its caller (RawSize bytes, never pooled).
+func TestCorruptBlockReturnsPooledDestination(t *testing.T) {
+	raw := workload.Generate(workload.ClassXML, 1<<17-1, 18) // 17 set bits: half of all flips shrink it
+	c := codec.MustNew(codec.Compress, 0)
+	payload, err := c.Compress(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hdr [BlockHeaderLen]byte
+	hdr[0] = blockFlagCompressed
+	binary.BigEndian.PutUint32(hdr[1:5], uint32(len(raw)))
+	binary.BigEndian.PutUint32(hdr[5:9], uint32(len(payload)))
+	binary.BigEndian.PutUint32(hdr[9:13], crcOf(payload))
+	plan := faultconn.Plan{Seed: 18, BitFlipProb: 1}
+	var conns atomic.Int64
+	addr := maliciousServer(t, func(conn net.Conn) {
+		if !consumeRequest(conn) {
+			return
+		}
+		_ = writeGetHeader(conn, getHeader{Status: statusOK, RawSize: uint64(len(raw)), Scheme: codec.Compress})
+		_, _ = conn.Write(hdr[:1])
+		_, _ = plan.Wrap(conn, conns.Add(1)).Write(hdr[1:5]) // the damaged field
+		_, _ = conn.Write(hdr[5:])
+		_, _ = conn.Write(payload)
+		_ = WriteEnd(conn, crcOf(raw))
+	})
+	cli := hardenedClient(addr)
+	fetch := func() {
+		if _, _, err := cli.Fetch("x", codec.Compress, ModeRaw); err == nil {
+			t.Fatal("a fetch with a damaged RawLen succeeded")
+		}
+	}
+
+	// One P and no collection, so that what goes back to a pool is what
+	// the next fetch takes out of it.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for i := 0; i < 16; i++ {
+		fetch() // every size class a shrunken RawLen can land in gets its buffer
+	}
+	const runs = 64
+	var m1, m2 runtime.MemStats
+	runtime.ReadMemStats(&m1)
+	for i := 0; i < runs; i++ {
+		fetch()
+	}
+	runtime.ReadMemStats(&m2)
+	if perFetch, want := int(m2.TotalAlloc-m1.TotalAlloc)/runs, len(raw)+24<<10; perFetch > want {
+		t.Errorf("a fetch refused for a corrupt block allocates %d bytes, want <= %d: its pooled destination is being dropped", perFetch, want)
+	}
 }

@@ -427,11 +427,15 @@ func (c *Client) Fetch(name string, scheme codec.Scheme, mode Mode) ([]byte, Fet
 	// connections one logical fetch opened.
 	reqID := c.randUint64()
 	span := c.Tracer.Start("fetch")
-	span.SetAttr("req_id", obs.ReqID(reqID))
-	span.SetAttr("name", name)
-	span.SetAttr("scheme", scheme.String())
-	span.SetAttr("mode", mode.String())
-	log := c.logger().With("req_id", obs.ReqID(reqID), "name", name)
+	if span != nil { // or the ID is formatted for nobody
+		span.SetAttr("req_id", obs.ReqID(reqID))
+		span.SetAttr("name", name)
+		span.SetAttr("scheme", scheme.String())
+		span.SetAttr("mode", mode.String())
+	}
+	// Both log lines below, a retry's and a failure's, are off the common
+	// path: the logger and its attributes are built when one is written.
+	log := func() *slog.Logger { return c.logger().With("req_id", obs.ReqID(reqID), "name", name) }
 	vStart := c.clock().Now()
 	var out []byte
 	err := c.withRetries(func() (err error) {
@@ -440,7 +444,7 @@ func (c *Client) Fetch(name string, scheme codec.Scheme, mode Mode) ([]byte, Fet
 		out, err = c.fetchOnce(name, scheme, mode, reqID, out, &stats, span)
 		return err
 	}, func(err error, start time.Time, slept time.Duration) {
-		log.Debug("retrying after transient failure", "attempt", stats.Attempts, "err", err)
+		log().Debug("retrying after transient failure", "attempt", stats.Attempts, "err", err)
 		stats.BackoffSlept += slept
 		span.PhaseDetail("backoff", "", fmt.Sprintf("after attempt %d", stats.Attempts), start, slept, 0)
 	})
@@ -449,7 +453,7 @@ func (c *Client) Fetch(name string, scheme codec.Scheme, mode Mode) ([]byte, Fet
 	if err != nil {
 		out = nil
 		span.Fail(err)
-		log.Warn("fetch failed", "attempts", stats.Attempts, "err", err)
+		log().Warn("fetch failed", "attempts", stats.Attempts, "err", err)
 	} else {
 		stats.RawBytes = len(out)
 		stats.Factor = codec.Factor(stats.RawBytes, stats.WireBytes)
@@ -524,7 +528,10 @@ func (c *Client) emitFetchEvent(reqID uint64, name string, scheme codec.Scheme, 
 // Phases this attempt goes through are recorded on span (nil-safe), tagged
 // with the attempt number so a multi-attempt trace reads as a timeline.
 func (c *Client) fetchOnce(name string, scheme codec.Scheme, mode Mode, reqID uint64, verified []byte, stats *FetchStats, span *obs.Span) (out []byte, err error) {
-	attemptDetail := fmt.Sprintf("attempt %d", stats.Attempts)
+	var attemptDetail string // read by span alone
+	if span != nil {
+		attemptDetail = fmt.Sprintf("attempt %d", stats.Attempts)
+	}
 	out = verified
 	// Radio-facing phases (dial, header, recv) are stamped from the
 	// injected clock, so under the virtual testbed a span's timeline shows
@@ -623,13 +630,16 @@ func (c *Client) fetchOnce(name string, scheme codec.Scheme, mode Mode, reqID ui
 			start := time.Now()
 			var d decoded
 			if b.Compressed {
-				raw, err := codec.DecompressInto(dec, codec.GetBuf(b.RawLen), b.Payload, b.RawLen)
+				dst := codec.GetBuf(b.RawLen)
+				raw, err := codec.DecompressInto(dec, dst, b.Payload, b.RawLen)
 				codec.PutBuf(b.Payload)
 				if err == nil && len(raw) != b.RawLen {
 					err = fmt.Errorf("%w: block raw length %d, header %d", ErrProtocol, len(raw), b.RawLen)
 				}
 				if err != nil {
-					codec.PutBuf(raw)
+					// A failed decode returns nil, not the buffer it was
+					// given: dst is what goes back to the pool.
+					codec.PutBuf(dst)
 					raw = nil
 				}
 				decompBytes += int64(len(raw))

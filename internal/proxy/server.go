@@ -2,6 +2,7 @@ package proxy
 
 import (
 	"bufio"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -665,8 +666,10 @@ func (s *Server) handle(conn net.Conn) (err error) {
 		span.SetAttr("name", req.Name)
 		span.SetAttr("scheme", req.Scheme.String())
 		span.SetAttr("mode", req.Mode.String())
-		s.log.Debug("get", slog.String("name", req.Name), slog.String("mode", req.Mode.String()),
-			slog.Uint64("offset", req.Offset), obs.ReqIDAttr(req.ReqID))
+		if s.log.Enabled(context.Background(), slog.LevelDebug) { // or its attrs are built for nobody
+			s.log.Debug("get", slog.String("name", req.Name), slog.String("mode", req.Mode.String()),
+				slog.Uint64("offset", req.Offset), obs.ReqIDAttr(req.ReqID))
+		}
 		return s.handleGet(bw, req, span)
 	default:
 		return writeGetHeader(bw, getHeader{Status: statusBadReq})

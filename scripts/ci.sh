@@ -3,7 +3,8 @@
 # (which includes the fault-injection stress test and the malicious-server
 # suite), then an explicit race-mode pass over the hostile-wire and
 # telemetry tests, short fuzz passes over the PXY3 and PXY-P wire-format
-# and SEL1 container parsers, a deterministic virtual-time soak with invariant
+# and SEL1 container parsers and the LZW, BWT and Huffman decoders, a
+# deterministic virtual-time soak with invariant
 # oracles (fixed seeds plus one printed random seed for replay), the
 # growing-artifact model check (the streamed miss path's state machine), the
 # scenario-corpus gate (every declarative spec diffed against its golden
@@ -88,6 +89,12 @@ go test -run='^$' -fuzz=FuzzGzipDifferential -fuzztime=10s ./internal/flate
 go test -run='^$' -fuzz=FuzzDeflateDifferential -fuzztime=10s ./internal/flate
 go test -run='^$' -fuzz=FuzzSELRoundTrip -fuzztime=10s ./internal/selective
 go test -run='^$' -fuzz=FuzzSELParse -fuzztime=10s ./internal/selective
+# The decoders that run out of a reused workspace: each input is decoded
+# fresh and after an unrelated stream, and held to the pre-workspace
+# decoder kept in the test files.
+go test -run='^$' -fuzz=FuzzLZWDecode -fuzztime=10s ./internal/lzw
+go test -run='^$' -fuzz=FuzzBWTDecode -fuzztime=10s ./internal/bwt
+go test -run='^$' -fuzz=FuzzHuffmanNewDecoder -fuzztime=10s ./internal/huffman
 
 # Deterministic soak gate: seeded multi-client scenarios on the virtual
 # testbed (internal/harness) with every invariant oracle armed — byte-exact
@@ -200,12 +207,17 @@ check_cover ./internal/workload 93
 
 # Decompression-kernel gates, without -race (the race runtime changes
 # allocation counts): the pooled dataplane must stay O(1) buffers per
-# block, event export with no sink and the cache's shard hash must cost
-# the fetch path zero allocations, the table-driven Huffman fast path must stay zero-alloc
-# per symbol, and a 100x smoke proves its benchmark still runs.
-go test -run 'TestReadBlockPooledAllocs|TestGetBufRecycles|TestEmitFetchEventNoSinkZeroAlloc|TestShardForZeroAllocs' -count=1 ./internal/proxy
+# block (a corrupt one included), event export with no sink and the
+# cache's shard hash must cost the fetch path zero allocations, the
+# table-driven Huffman fast path must stay zero-alloc per symbol, and a
+# 100x smoke proves its benchmark still runs.
+go test -run 'TestReadBlockPooledAllocs|TestGetBufRecycles|TestEmitFetchEventNoSinkZeroAlloc|TestShardForZeroAllocs|TestCorruptBlockReturnsPooledDestination' -count=1 ./internal/proxy
 go test -run 'TestDecodeLSBZeroAlloc' -count=1 ./internal/huffman
 go test -run 'TestDeflateSteadyStateAllocs|TestStreamingWriterSteadyAllocs' -count=1 ./internal/flate
+# The codec workspaces: a warm decode into a buffer with room allocates
+# nothing that scales with the block or a codec's tables, and a warm LZW or
+# BWT encode allocates its output and a fixed few KiB.
+go test -run 'TestDecompressIntoSteadyStateAllocs|TestCompressSteadyStateAllocs' -count=1 ./internal/codec
 
 # Parallel-compression determinism gate: the chunked container and the
 # selective encoder must emit byte-identical output for every worker count
