@@ -51,6 +51,10 @@ type Codec interface {
 	// Decompress inverts Compress. maxSize, if positive, bounds the output
 	// size as a decompression-bomb guard.
 	Decompress(data []byte, maxSize int) ([]byte, error)
+	// DecompressAppend is Decompress appending to dst (nil, pooled, or the
+	// output decoded so far); maxSize bounds the appended bytes. A failed
+	// call returns nil and leaves dst[:len(dst)] as it was.
+	DecompressAppend(dst, data []byte, maxSize int) ([]byte, error)
 }
 
 // New returns a codec for the scheme at the given effort level. Levels

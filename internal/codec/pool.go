@@ -1,12 +1,12 @@
 package codec
 
-// Size-classed buffer pooling for the dataplane. The proxy decodes one
-// block per request leg and would otherwise allocate a fresh payload and
-// output buffer per block; these pools recycle them so a steady-state
-// serve/fetch loop runs with O(1) buffers per block.
+// Size-classed buffer pooling for the dataplane. A fetch reads one block
+// payload per frame and would otherwise allocate each; these pools recycle
+// them so a steady-state serve/fetch loop runs with O(1) buffers per block.
 
 import (
 	"math/bits"
+	"slices"
 	"sync"
 )
 
@@ -52,23 +52,10 @@ func PutBuf(b []byte) {
 	bufPools[k-minPoolClass].Put(&b)
 }
 
-// AppendDecompressor is implemented by codecs whose decompressor can
-// append into a caller-provided (possibly pooled) buffer instead of
-// allocating its own. DecompressAppend returns the extended slice;
-// maxSize, if positive, bounds the appended bytes.
-type AppendDecompressor interface {
-	DecompressAppend(dst, data []byte, maxSize int) ([]byte, error)
-}
-
-// DecompressInto decompresses data with c, appending into dst when the
-// codec supports it and falling back to Decompress otherwise.
+// DecompressInto decompresses data with c onto the end of dst. maxSize is
+// the size the caller expects (a block's RawLen, already bounded): room for
+// it is reserved first, amortised, as the decoders grow a buffer to the
+// exact size and would re-copy a long dst once per block.
 func DecompressInto(c Codec, dst, data []byte, maxSize int) ([]byte, error) {
-	if ad, ok := c.(AppendDecompressor); ok {
-		return ad.DecompressAppend(dst, data, maxSize)
-	}
-	out, err := c.Decompress(data, maxSize)
-	if err != nil {
-		return nil, err
-	}
-	return append(dst, out...), nil
+	return c.DecompressAppend(slices.Grow(dst, max(maxSize, 0)), data, maxSize)
 }

@@ -2,8 +2,12 @@ package flate
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
+
+	"repro/internal/bitio"
+	"repro/internal/checksum"
 )
 
 // TestGzipMutationNeverPanicsOrLies: for random single-byte mutations of a
@@ -160,5 +164,28 @@ func TestGzipHeaderWithOptionalFields(t *testing.T) {
 	}
 	if !bytes.Equal(out, data) {
 		t.Fatal("content mismatch")
+	}
+}
+
+// TestMatchCannotReachIntoPrefix: a stream decoded onto the tail of a
+// buffer may copy only from its own output. One fixed block whose first
+// symbol is a three-byte match at distance one is refused on an empty dst,
+// and must be on a dst that has three bytes to offer.
+func TestMatchCannotReachIntoPrefix(t *testing.T) {
+	var body bytes.Buffer
+	bw := bitio.NewLSBWriter(&body)
+	bw.WriteBits(1, 1)         // BFINAL
+	bw.WriteBits(1, 2)         // fixed codes
+	bw.WriteBits(0b1000000, 7) // length code 257 (0000001, first bit first): 3 bytes
+	bw.WriteBits(0, 5)         // distance code 0: 1 byte back
+	bw.WriteBits(0, 7)         // end of block
+	_ = bw.Flush()
+	stream := append([]byte{gzipID1, gzipID2, gzipCM, 0, 0, 0, 0, 0, 0, gzipOSUnix}, body.Bytes()...)
+	stream = binary.LittleEndian.AppendUint32(stream, checksum.CRC32([]byte("zzz")))
+	stream = binary.LittleEndian.AppendUint32(stream, 3)
+	for _, dst := range [][]byte{nil, []byte("xyz")} {
+		if out, err := GzipDecompressAppend(dst, stream, 0); err == nil {
+			t.Errorf("onto %q: decoded %q from a match that starts before the stream", dst, out[len(dst):])
+		}
 	}
 }

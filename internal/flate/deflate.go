@@ -47,45 +47,6 @@ func Deflate(w io.Writer, data []byte, level int) (int, error) {
 	return cw.n, nil
 }
 
-// AppendDeflateSync compresses data at the given level as a run of
-// non-final DEFLATE blocks terminated by an empty non-final stored block (a
-// "sync flush"), leaving the stream byte-aligned, and appends the bytes to
-// dst. Chunks produced this way concatenate into one valid DEFLATE stream
-// once a final block (FinalStoredBlock) ends it; this is the pigz-style
-// building block the parallel compression plane stitches together.
-func AppendDeflateSync(dst []byte, data []byte, level int) ([]byte, error) {
-	m, err := lz77.GetMatcher(level)
-	if err != nil {
-		return nil, err
-	}
-	defer lz77.PutMatcher(m)
-	sw := sliceWriter{b: dst}
-	bw := getLSBWriter(&sw)
-	defer putLSBWriter(bw)
-	enc := getEncoder(bw, data)
-	defer putEncoder(enc)
-
-	m.Tokenize(data, enc.appendToken)
-	enc.flushBlock(false)
-	// Sync flush: empty non-final stored block, which ends byte-aligned.
-	bw.WriteBits(0, 3) // BFINAL=0, BTYPE=00
-	bw.Align()
-	bw.WriteBits(0, 16)
-	bw.WriteBits(0xffff, 16)
-	if enc.err != nil {
-		return nil, enc.err
-	}
-	if err := bw.Flush(); err != nil {
-		return nil, err
-	}
-	return sw.b, nil
-}
-
-// FinalStoredBlock is the byte-aligned empty final DEFLATE block (BFINAL=1,
-// BTYPE=00, LEN=0) that terminates a stream assembled from AppendDeflateSync
-// chunks.
-var FinalStoredBlock = [5]byte{0x01, 0x00, 0x00, 0xff, 0xff}
-
 type countWriter struct {
 	w io.Writer
 	n int

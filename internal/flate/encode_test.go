@@ -1,10 +1,8 @@
 package flate_test
 
-// Differential and determinism tests for the rebuilt compression plane:
-// every level 1-9 must produce streams that both the standard library and
-// our own inflate reproduce exactly, the sync-flush chunk primitive must
-// compose into valid streams, and the chunk-parallel container must be a
-// pure function of (data, level) — never of the worker count.
+// Differential tests for the compression plane: every level 1-9 must
+// produce streams that both the standard library and our own inflate
+// reproduce exactly.
 
 import (
 	"bytes"
@@ -54,106 +52,6 @@ func TestDeflateAllLevelsDifferential(t *testing.T) {
 				t.Fatalf("%s/%d: our inflate decodes our deflate differently", name, level)
 			}
 		}
-	}
-}
-
-// TestAppendDeflateSyncCompose: independently sync-flushed chunks plus the
-// final stored block must concatenate into one valid DEFLATE stream — the
-// invariant the parallel container is built on.
-func TestAppendDeflateSyncCompose(t *testing.T) {
-	data := workload.Generate(workload.ClassSource, 300*1024, 11)
-	const chunk = 100 * 1024
-	var stream []byte
-	for off := 0; off < len(data); off += chunk {
-		end := off + chunk
-		if end > len(data) {
-			end = len(data)
-		}
-		var err error
-		stream, err = ours.AppendDeflateSync(stream, data[off:end], 9)
-		if err != nil {
-			t.Fatalf("AppendDeflateSync at %d: %v", off, err)
-		}
-	}
-	stream = append(stream, ours.FinalStoredBlock[:]...)
-	got, err := io.ReadAll(stdflate.NewReader(bytes.NewReader(stream)))
-	if err != nil {
-		t.Fatalf("stdlib read of stitched stream: %v", err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("stdlib decodes stitched stream differently")
-	}
-	got, err = ours.DecompressBytes(stream)
-	if err != nil {
-		t.Fatalf("our inflate of stitched stream: %v", err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("our inflate decodes stitched stream differently")
-	}
-}
-
-// TestParallelCompressDeterminism: the chunked container must emit
-// byte-identical output for every worker count, and the output must round
-// trip through both inflaters.
-func TestParallelCompressDeterminism(t *testing.T) {
-	data := workload.Generate(workload.ClassWebLog, 1<<20, 13)
-	for _, level := range []int{1, 6, 9} {
-		ref, err := ours.GzipCompressParallel(data, level, 1)
-		if err != nil {
-			t.Fatalf("level %d workers=1: %v", level, err)
-		}
-		for _, workers := range []int{2, 3, 4, 16} {
-			got, err := ours.GzipCompressParallel(data, level, workers)
-			if err != nil {
-				t.Fatalf("level %d workers=%d: %v", level, workers, err)
-			}
-			if !bytes.Equal(got, ref) {
-				t.Fatalf("level %d: workers=%d output differs from workers=1", level, workers)
-			}
-		}
-		dec, err := ours.GzipDecompress(ref, 0)
-		if err != nil {
-			t.Fatalf("level %d: our gunzip of parallel stream: %v", level, err)
-		}
-		if !bytes.Equal(dec, data) {
-			t.Fatalf("level %d: parallel gzip round trip mismatch", level)
-		}
-
-		zref, err := ours.ZlibCompressParallel(data, level, 1)
-		if err != nil {
-			t.Fatalf("zlib level %d workers=1: %v", level, err)
-		}
-		zgot, err := ours.ZlibCompressParallel(data, level, 7)
-		if err != nil {
-			t.Fatalf("zlib level %d workers=7: %v", level, err)
-		}
-		if !bytes.Equal(zgot, zref) {
-			t.Fatalf("zlib level %d: worker count changed the bytes", level)
-		}
-		dec, err = ours.ZlibDecompress(zref, 0)
-		if err != nil {
-			t.Fatalf("zlib level %d: decode of parallel stream: %v", level, err)
-		}
-		if !bytes.Equal(dec, data) {
-			t.Fatalf("zlib level %d: parallel round trip mismatch", level)
-		}
-	}
-}
-
-// TestParallelBelowThresholdMatchesSequential: small inputs must fall
-// through to the single-stream encoder unchanged.
-func TestParallelBelowThresholdMatchesSequential(t *testing.T) {
-	data := workload.Generate(workload.ClassMail, ours.ParallelThreshold-1, 5)
-	seq, err := ours.GzipCompress(data, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := ours.GzipCompressParallel(data, 9, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(seq, par) {
-		t.Fatal("below-threshold parallel output differs from sequential")
 	}
 }
 

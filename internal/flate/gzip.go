@@ -3,6 +3,7 @@ package flate
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 
 	"repro/internal/checksum"
 )
@@ -18,6 +19,64 @@ const (
 	gzipHdrLen   = 10
 	gzipTrailLen = 8
 )
+
+// skipGzipHeader consumes one member header from next, which hands out the
+// stream's bytes in order. Both inflaters read their header through it, so
+// they accept the same headers, and the ones compress/gzip accepts: a
+// header string is bounded and a header CRC, when announced, must match.
+func skipGzipHeader(next func() (byte, error)) error {
+	const flgFHCRC, flgFEXTRA, flgFNAME, flgFCOMMENT = 1 << 1, 1 << 2, 1 << 3, 1 << 4
+	var (
+		crc uint32
+		b   [1]byte
+		err error
+	)
+	read := func() byte { // sticky: after an error every read is 0, and it is reported last
+		if err == nil {
+			if b[0], err = next(); err == nil {
+				crc = checksum.UpdateCRC32(crc, b[:])
+				return b[0]
+			}
+		}
+		return 0
+	}
+	var fixed [gzipHdrLen]byte
+	for i := range fixed {
+		fixed[i] = read()
+	}
+	if err == nil && (fixed[0] != gzipID1 || fixed[1] != gzipID2) {
+		return fmt.Errorf("%w: bad gzip magic", ErrCorrupt)
+	}
+	if err == nil && fixed[2] != gzipCM {
+		return fmt.Errorf("%w: unsupported gzip method %d", ErrCorrupt, fixed[2])
+	}
+	flg := fixed[3]
+	if flg&flgFEXTRA != 0 {
+		for n := int(read()) | int(read())<<8; n > 0 && err == nil; n-- {
+			read()
+		}
+	}
+	for _, field := range []byte{flgFNAME, flgFCOMMENT} {
+		if flg&field == 0 {
+			continue
+		}
+		for n := 0; read() != 0; n++ {
+			if n == 511 { // compress/gzip's bound
+				return fmt.Errorf("%w: gzip header string too long", ErrCorrupt)
+			}
+		}
+	}
+	if flg&flgFHCRC != 0 {
+		want := uint16(crc)
+		if got := uint16(read()) | uint16(read())<<8; err == nil && got != want {
+			return fmt.Errorf("%w: gzip header CRC mismatch", ErrCorrupt)
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("%w: truncated gzip header: %v", ErrCorrupt, err)
+	}
+	return nil
+}
 
 // GzipCompress compresses data into a single-member gzip stream at the given
 // level (1-9), as `gzip -N` would.
@@ -62,56 +121,18 @@ func GzipDecompress(data []byte, maxSize int) ([]byte, error) {
 // field clamped to maxSize and maxTrailerPrealloc. It returns the extended
 // slice; only the appended bytes are checksummed.
 func GzipDecompressAppend(dst, data []byte, maxSize int) ([]byte, error) {
-	if len(data) < gzipHdrLen+gzipTrailLen {
-		return nil, fmt.Errorf("%w: gzip stream too short", ErrCorrupt)
-	}
-	if data[0] != gzipID1 || data[1] != gzipID2 {
-		return nil, fmt.Errorf("%w: bad gzip magic", ErrCorrupt)
-	}
-	if data[2] != gzipCM {
-		return nil, fmt.Errorf("%w: unsupported gzip method %d", ErrCorrupt, data[2])
-	}
-	flg := data[3]
-	pos := gzipHdrLen
-	const (
-		flgFEXTRA   = 1 << 2
-		flgFNAME    = 1 << 3
-		flgFCOMMENT = 1 << 4
-		flgFHCRC    = 1 << 1
-	)
-	if flg&flgFEXTRA != 0 {
-		if pos+2 > len(data) {
-			return nil, fmt.Errorf("%w: truncated FEXTRA", ErrCorrupt)
+	pos := 0
+	if err := skipGzipHeader(func() (byte, error) {
+		if pos == len(data) {
+			return 0, io.ErrUnexpectedEOF
 		}
-		xlen := int(binary.LittleEndian.Uint16(data[pos:]))
-		pos += 2 + xlen
-	}
-	skipZString := func() error {
-		for {
-			if pos >= len(data) {
-				return fmt.Errorf("%w: unterminated header string", ErrCorrupt)
-			}
-			pos++
-			if data[pos-1] == 0 {
-				return nil
-			}
-		}
-	}
-	if flg&flgFNAME != 0 {
-		if err := skipZString(); err != nil {
-			return nil, err
-		}
-	}
-	if flg&flgFCOMMENT != 0 {
-		if err := skipZString(); err != nil {
-			return nil, err
-		}
-	}
-	if flg&flgFHCRC != 0 {
-		pos += 2
+		pos++
+		return data[pos-1], nil
+	}); err != nil {
+		return nil, err
 	}
 	if pos+gzipTrailLen > len(data) {
-		return nil, fmt.Errorf("%w: gzip header overruns stream", ErrCorrupt)
+		return nil, fmt.Errorf("%w: gzip stream too short", ErrCorrupt)
 	}
 	body := data[pos : len(data)-gzipTrailLen]
 	trailer := data[len(data)-gzipTrailLen:]
@@ -119,7 +140,7 @@ func GzipDecompressAppend(dst, data []byte, maxSize int) ([]byte, error) {
 	wantSize := binary.LittleEndian.Uint32(trailer[4:8])
 	dst = reserve(dst, int(wantSize), maxSize)
 	base := len(dst)
-	out, err := Inflate(dst, bytesReader(body), sizeBudget(base, maxSize))
+	out, err := Inflate(dst, bytesReader(body), maxSize)
 	if err != nil {
 		return nil, err
 	}
@@ -151,15 +172,6 @@ func reserve(dst []byte, hint, maxSize int) []byte {
 	grown := make([]byte, len(dst), len(dst)+hint)
 	copy(grown, dst)
 	return grown
-}
-
-// sizeBudget converts a caller maxSize (bound on appended bytes) into the
-// absolute length bound Inflate enforces on the whole slice.
-func sizeBudget(base, maxSize int) int {
-	if maxSize <= 0 {
-		return 0
-	}
-	return base + maxSize
 }
 
 // zlib container constants (RFC 1950).
@@ -223,7 +235,7 @@ func ZlibDecompressAppend(dst, data []byte, maxSize int) ([]byte, error) {
 	}
 	body := data[2 : len(data)-zlibTrailLen]
 	base := len(dst)
-	out, err := Inflate(dst, bytesReader(body), sizeBudget(base, maxSize))
+	out, err := Inflate(dst, bytesReader(body), maxSize)
 	if err != nil {
 		return nil, err
 	}

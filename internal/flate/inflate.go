@@ -26,14 +26,20 @@ type inflater struct {
 var inflaterPool = sync.Pool{New: func() any { return new(inflater) }}
 
 // Inflate decompresses a complete DEFLATE stream from r, appending to dst
-// (which may be nil). maxSize, if positive, bounds the decompressed size to
-// protect against decompression bombs.
+// (which may be nil). The stream must be all of r: a byte left behind the
+// final block is an error, so a container that cut its trailer off the end
+// knows the two were adjacent. maxSize, if positive, bounds the bytes
+// appended, to protect against decompression bombs.
 func Inflate(dst []byte, r io.Reader, maxSize int) ([]byte, error) {
 	z := inflaterPool.Get().(*inflater)
 	defer inflaterPool.Put(z)
 	br := &z.br
 	br.Reset(r)
 	defer br.Reset(nil) // a pooled workspace must not pin the caller's stream
+	base := len(dst)    // where this stream's own output, all a match may copy from, begins
+	if maxSize > 0 {
+		maxSize += base
+	}
 	for {
 		final := br.ReadBits(1)
 		btype := br.ReadBits(2)
@@ -45,10 +51,10 @@ func Inflate(dst []byte, r io.Reader, maxSize int) ([]byte, error) {
 		case 0:
 			dst, err = inflateStored(dst, br, maxSize)
 		case 1:
-			dst, err = inflateHuffman(dst, br, fixedLit, fixedDist, maxSize)
+			dst, err = inflateHuffman(dst, base, br, fixedLit, fixedDist, maxSize)
 		case 2:
 			if err = z.codes.read(br); err == nil {
-				dst, err = inflateHuffman(dst, br, &z.codes.lit, &z.codes.dist, maxSize)
+				dst, err = inflateHuffman(dst, base, br, &z.codes.lit, &z.codes.dist, maxSize)
 			}
 		default:
 			err = fmt.Errorf("%w: reserved block type", ErrCorrupt)
@@ -57,6 +63,10 @@ func Inflate(dst []byte, r io.Reader, maxSize int) ([]byte, error) {
 			return nil, err
 		}
 		if final == 1 {
+			var one [1]byte
+			if br.Align(); br.ReadBytes(one[:]) == nil {
+				return nil, fmt.Errorf("%w: data after the final block", ErrCorrupt)
+			}
 			return dst, nil
 		}
 	}
@@ -174,18 +184,33 @@ func (dc *dynamicCodes) read(br *bitio.LSBReader) error {
 	if err := dc.lit.Reset(all[:nlit]); err != nil {
 		return fmt.Errorf("%w: lit/len code: %v", ErrCorrupt, err)
 	}
-	if err := dc.dist.Reset(all[nlit:]); err != nil {
+	dist := all[nlit:]
+	if slices.Max(dist) == 0 {
+		dist = noDistCodes[:]
+	}
+	if err := dc.dist.Reset(dist); err != nil {
 		return fmt.Errorf("%w: dist code: %v", ErrCorrupt, err)
+	}
+	// A code of one symbol is complete only at one bit; zlib and
+	// compress/flate refuse the longer ones, so this does.
+	for _, d := range [...]*huffman.Decoder{&dc.lit, &dc.dist} {
+		if d.NumSymbols() == 1 && d.MaxLen() > 1 {
+			return fmt.Errorf("%w: incomplete code", ErrCorrupt)
+		}
 	}
 	return nil
 }
+
+// noDistCodes stands in for the empty distance tree a block of literals may
+// declare (RFC 1951 3.2.7): it decodes only to symbols no block may use.
+var noDistCodes = [32]uint8{30: 1, 31: 1}
 
 // inflateHuffman is the inflate inner loop, restructured around the
 // peek/consume bit reader and the table-driven Huffman kernels: one table
 // probe per symbol instead of one reader call per bit, and back-reference
 // copies move in chunks (doubling through the overlap when dist < length)
 // instead of byte-at-a-time.
-func inflateHuffman(dst []byte, br *bitio.LSBReader, litDec, distDec *huffman.Decoder, maxSize int) ([]byte, error) {
+func inflateHuffman(dst []byte, base int, br *bitio.LSBReader, litDec, distDec *huffman.Decoder, maxSize int) ([]byte, error) {
 	for {
 		sym, err := litDec.DecodeLSB(br)
 		if err != nil {
@@ -211,8 +236,8 @@ func inflateHuffman(dst []byte, br *bitio.LSBReader, litDec, distDec *huffman.De
 			if err := br.Err(); err != nil {
 				return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 			}
-			if dist > len(dst) {
-				return nil, fmt.Errorf("%w: distance %d beyond output %d", ErrCorrupt, dist, len(dst))
+			if dist > len(dst)-base {
+				return nil, fmt.Errorf("%w: distance %d beyond output %d", ErrCorrupt, dist, len(dst)-base)
 			}
 			if length > lz77.MaxMatch {
 				return nil, fmt.Errorf("%w: match length %d", ErrCorrupt, length)

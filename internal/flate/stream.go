@@ -221,55 +221,6 @@ func NewReader(r io.Reader) *Reader {
 	return &Reader{br: bitio.NewLSBReader(r), stored: -1}
 }
 
-// readHeader consumes and validates the gzip header.
-func (zr *Reader) readHeader() error {
-	hdr := make([]byte, gzipHdrLen)
-	if err := zr.br.ReadBytes(hdr); err != nil {
-		return fmt.Errorf("%w: gzip header: %v", ErrCorrupt, err)
-	}
-	if hdr[0] != gzipID1 || hdr[1] != gzipID2 {
-		return fmt.Errorf("%w: bad gzip magic", ErrCorrupt)
-	}
-	if hdr[2] != gzipCM {
-		return fmt.Errorf("%w: method %d", ErrCorrupt, hdr[2])
-	}
-	flg := hdr[3]
-	skip := func(n int) error {
-		b := make([]byte, n)
-		return zr.br.ReadBytes(b)
-	}
-	if flg&(1<<2) != 0 { // FEXTRA
-		var l [2]byte
-		if err := zr.br.ReadBytes(l[:]); err != nil {
-			return fmt.Errorf("%w: FEXTRA: %v", ErrCorrupt, err)
-		}
-		if err := skip(int(binary.LittleEndian.Uint16(l[:]))); err != nil {
-			return fmt.Errorf("%w: FEXTRA: %v", ErrCorrupt, err)
-		}
-	}
-	for _, bit := range []byte{1 << 3, 1 << 4} { // FNAME, FCOMMENT
-		if flg&bit == 0 {
-			continue
-		}
-		for {
-			var b [1]byte
-			if err := zr.br.ReadBytes(b[:]); err != nil {
-				return fmt.Errorf("%w: header string: %v", ErrCorrupt, err)
-			}
-			if b[0] == 0 {
-				break
-			}
-		}
-	}
-	if flg&(1<<1) != 0 { // FHCRC
-		if err := skip(2); err != nil {
-			return fmt.Errorf("%w: FHCRC: %v", ErrCorrupt, err)
-		}
-	}
-	zr.headerOK = true
-	return nil
-}
-
 // emit appends one byte to pending, the window and the checksum state.
 func (zr *Reader) emit(b byte) {
 	zr.pending = append(zr.pending, b)
@@ -289,9 +240,14 @@ func (zr *Reader) trimWindow() {
 // fill decodes until at least target bytes are pending, EOF, or error.
 func (zr *Reader) fill(target int) error {
 	if !zr.headerOK {
-		if err := zr.readHeader(); err != nil {
+		var b [1]byte
+		if err := skipGzipHeader(func() (byte, error) {
+			err := zr.br.ReadBytes(b[:])
+			return b[0], err
+		}); err != nil {
 			return err
 		}
+		zr.headerOK = true
 	}
 	for len(zr.pending) < target && !zr.done {
 		if err := zr.step(target); err != nil {
@@ -472,6 +428,11 @@ func (zr *Reader) checkTrailer() error {
 	}
 	if binary.LittleEndian.Uint32(trailer[4:8]) != zr.out {
 		return fmt.Errorf("%w: ISIZE mismatch", ErrCorrupt)
+	}
+	// One member is the whole stream, as for GzipDecompress: anything behind
+	// the trailer is refused rather than silently dropped.
+	if zr.br.ReadBytes(trailer[:1]) == nil {
+		return fmt.Errorf("%w: data after the gzip trailer", ErrCorrupt)
 	}
 	return nil
 }

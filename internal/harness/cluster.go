@@ -5,19 +5,11 @@ import (
 	"net"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/proxy"
 	"repro/internal/simnet"
 )
-
-// flightPollInterval is how often a singleflight follower re-checks its
-// leader's done channel in virtual time on a cluster run. The follower
-// cannot block on the channel directly there: it would hold a clock
-// ledger token while the leader parks in virtual time on peer-fetch I/O,
-// freezing the clock under it.
-const flightPollInterval = 250 * time.Microsecond
 
 // nodeAddr / peerAddr are the simnet listener names of server k's client
 // side and of ring member id's PXY-P side.
@@ -30,7 +22,8 @@ func peerAddr(id string) string { return "peer:" + id }
 // behind a shared transmit line at the client link rate (a node's NIC
 // serializes its responses, so aggregate serve throughput honestly scales
 // with node count). The single-server shape gets no transmit line and no
-// FlightWait poll, so its virtual timeline is the pre-cluster testbed's.
+// peer-fetch hook (so no follower poll: proxy.SetPeerFetch), and its
+// virtual timeline is the pre-cluster testbed's.
 // compLog is the ring-wide compression ledger the per-key oracle reads
 // once every server is closed: (key → nodes that compressed it).
 func startServers(s Scenario, clock *simnet.Clock, nw *simnet.Network, corpus []corpusFile) (
@@ -51,7 +44,7 @@ func startServers(s Scenario, clock *simnet.Clock, nw *simnet.Network, corpus []
 	}
 
 	for k := 0; k < max(s.Nodes, 1); k++ {
-		cfg := proxy.Config{
+		srv := proxy.NewServerWith(nil, proxy.Config{
 			Clock: clock,
 			// Each server gets its own decider instance so per-node metric
 			// registries never share counters.
@@ -59,20 +52,7 @@ func startServers(s Scenario, clock *simnet.Clock, nw *simnet.Network, corpus []
 			// Never shed: ConnsTotal == Σ attempts must hold exactly, and a
 			// busy-shed path would couple one client's timeline to another's.
 			MaxConns: s.Clients + 2,
-		}
-		if s.Nodes > 0 {
-			cfg.FlightWait = func(done <-chan struct{}) {
-				for {
-					select {
-					case <-done:
-						return
-					default:
-					}
-					clock.Sleep(flightPollInterval)
-				}
-			}
-		}
-		srv := proxy.NewServerWith(nil, cfg)
+		})
 		for _, f := range corpus {
 			srv.Register(f.name, f.content)
 		}

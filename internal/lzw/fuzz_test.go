@@ -166,8 +166,20 @@ func checkDecode(d *decoder, x []byte, what string) error {
 	if err == nil && !bytes.Equal(got, want) {
 		return fmt.Errorf("%s: %d bytes differ from the reference's %d", what, len(got), len(want))
 	}
+	// The same decode onto the tail of a buffer that has room, as the
+	// client does it: a refusal returns nil and leaves what was there.
+	dst := append(make([]byte, 0, len(decodedSoFar)+len(want)+16<<10), decodedSoFar...)
+	got, err = d.decompressAppend(dst, x, fuzzLimit)
+	if !bytes.Equal(dst, decodedSoFar) || (err != nil) != (wantErr != nil) || (err != nil && got != nil) {
+		return fmt.Errorf("%s, onto a prefix: err %v returning %d bytes, prefix now %q", what, err, len(got), dst)
+	}
+	if err == nil && !(bytes.HasPrefix(got, decodedSoFar) && bytes.Equal(got[len(decodedSoFar):], want)) {
+		return fmt.Errorf("%s, onto a prefix: %d bytes differ from prefix + reference", what, len(got))
+	}
 	return nil
 }
+
+var decodedSoFar = []byte("the blocks before this one")
 
 // poisoned is a workspace whose every reusable slot holds the worst
 // leftovers a previous stream could have written.

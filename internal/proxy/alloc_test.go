@@ -85,16 +85,16 @@ func TestShardForZeroAllocs(t *testing.T) {
 	_ = sink
 }
 
-// TestCorruptBlockReturnsPooledDestination: the RawLen of a block frame is
+// TestCorruptBlockAllocatesNoDestination: the RawLen of a block frame is
 // the one field no CRC covers, so a bit flipped there reaches the decoder
-// as a wrong size limit — and a decode that fails hands back nil, not the
-// pooled buffer it was given. The client must return that buffer itself:
-// before it did, every such block cost a fresh destination (here up to
-// 128 KiB). A seeded faultconn flips one bit of RawLen on every
-// connection; GetBuf and PutBuf balance exactly when the fetches, all of
-// them failing, allocate no block-sized memory beyond the output buffer an
-// attempt reserves for its caller (RawSize bytes, never pooled).
-func TestCorruptBlockReturnsPooledDestination(t *testing.T) {
+// as a wrong size limit, and the decode fails. The block was being decoded
+// onto the tail of the attempt's output buffer, so the failure must cost
+// nothing block-sized: no scratch destination, and the pooled payload goes
+// back. A seeded faultconn flips one bit of RawLen on every connection;
+// the fetches, all of them failing, allocate no block-sized memory beyond
+// the output buffer an attempt reserves for its caller (RawSize bytes,
+// never pooled).
+func TestCorruptBlockAllocatesNoDestination(t *testing.T) {
 	raw := workload.Generate(workload.ClassXML, 1<<17-1, 18) // 17 set bits: half of all flips shrink it
 	c := codec.MustNew(codec.Compress, 0)
 	payload, err := c.Compress(raw)
@@ -141,6 +141,6 @@ func TestCorruptBlockReturnsPooledDestination(t *testing.T) {
 	}
 	runtime.ReadMemStats(&m2)
 	if perFetch, want := int(m2.TotalAlloc-m1.TotalAlloc)/runs, len(raw)+24<<10; perFetch > want {
-		t.Errorf("a fetch refused for a corrupt block allocates %d bytes, want <= %d: its pooled destination is being dropped", perFetch, want)
+		t.Errorf("a fetch refused for a corrupt block allocates %d bytes, want <= %d: a failed decode is costing a buffer", perFetch, want)
 	}
 }

@@ -18,6 +18,9 @@ type cacheKey struct {
 	fp     string
 }
 
+// cacheShards is the server cache's lock-domain count.
+const cacheShards = 16
+
 // entryOverhead approximates the bookkeeping cost of a cached entry
 // beyond its payload bytes, so the byte budget does not undercount many
 // tiny artifacts.
@@ -78,9 +81,6 @@ type blockCache struct {
 }
 
 func newBlockCache(totalBytes int64, nShards int, m *metrics) *blockCache {
-	if nShards < 1 {
-		nShards = 1
-	}
 	c := &blockCache{shards: make([]cacheShard, nShards), metrics: m, floors: make(map[string]uint64)}
 	per := totalBytes / int64(nShards)
 	if per < 1 {
@@ -178,28 +178,11 @@ func (c *blockCache) put(k cacheKey, blocks []selective.Block) {
 	sh.curBytes += size
 }
 
-// dropName removes every entry for the named file, in any generation,
-// scheme or policy.
-func (c *blockCache) dropName(name string) {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		for k, e := range sh.entries {
-			if k.name == name {
-				sh.unlink(e)
-				delete(sh.entries, k)
-				sh.curBytes -= e.bytes
-			}
-		}
-		sh.mu.Unlock()
-	}
-}
-
 // invalidate raises name's generation floor to minGen and drops every
 // entry below it. Register (and cluster-propagated generation bumps) call
-// this instead of a bare dropName: the floor closes the race where a
-// singleflight fill for the old generation completes after the scan and
-// would otherwise re-insert the stale artifact.
+// this; the floor closes the race where a singleflight fill for the old
+// generation completes after the scan and would otherwise re-insert the
+// stale artifact.
 func (c *blockCache) invalidate(name string, minGen uint64) {
 	c.floorMu.Lock()
 	if c.floors[name] < minGen {

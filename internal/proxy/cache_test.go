@@ -80,8 +80,8 @@ func TestCacheByteAccounting(t *testing.T) {
 	if got := c.bytes(); got != want {
 		t.Fatalf("bytes after replace = %d, want %d", got, want)
 	}
-	// dropName frees the bytes.
-	c.dropName("file0003")
+	// Invalidating past the entry's generation frees the bytes.
+	c.invalidate("file0003", k.gen+1)
 	want -= entrySize(k, blocksOfSize(5000))
 	if got := c.bytes(); got != want {
 		t.Fatalf("bytes after drop = %d, want %d", got, want)
@@ -136,10 +136,10 @@ func TestCacheGenerationsDoNotAlias(t *testing.T) {
 	if len(b1[0].Payload) != 10 || len(b2[0].Payload) != 20 {
 		t.Fatal("generations aliased")
 	}
-	// dropName removes both generations.
-	c.dropName("f")
+	// Invalidating past the newest removes both generations.
+	c.invalidate("f", k2.gen+1)
 	if c.len() != 0 {
-		t.Fatalf("len = %d after dropName", c.len())
+		t.Fatalf("len = %d after invalidate", c.len())
 	}
 }
 
@@ -302,8 +302,8 @@ func TestCacheInvalidateFloorRejectsStaleFill(t *testing.T) {
 // invalidation) landing while a singleflight fill for the old generation
 // is mid-compression must not let that fill resurrect the stale artifact
 // when it completes. The onCompress hook fires inside the flight, after
-// the leader won it but before its put — exactly the window the bare
-// dropName scan used to leave open.
+// the leader won it but before its put — exactly the window a scan with
+// no generation floor leaves open.
 func TestGenerationBumpDuringSingleflightFill(t *testing.T) {
 	srv := NewServerWith(nil, Config{CacheBytes: 1 << 20})
 	oldContent := make([]byte, 4096)

@@ -407,12 +407,6 @@ func budgetMilliJoules(j float64) uint32 {
 	return uint32(mj)
 }
 
-// decoded is one block's decompression outcome, in order.
-type decoded struct {
-	data []byte
-	err  error
-}
-
 // Fetch downloads name with the given scheme and mode, returning the
 // verified content and transfer statistics. Reception and decompression
 // run in separate goroutines: block i decompresses while block i+1 is on
@@ -612,75 +606,61 @@ func (c *Client) fetchOnce(name string, scheme codec.Scheme, mode Mode, reqID ui
 	// goroutine. Channel capacity 1: the decompressor works on block i
 	// while block i+1 is being received.
 	//
-	// Buffer ownership: block payloads come from the codec buffer pool
-	// (ReadBlock draws them); the decompressor recycles a compressed
-	// payload as soon as it is decoded, and its output rides a pooled
-	// scratch buffer that drainOne recycles after appending — so a
-	// steady-state fetch uses O(1) pooled buffers regardless of block
-	// count. A raw payload passes through to drainOne unchanged.
+	// Buffer ownership: until verdicts is closed out belongs to the
+	// decompressor, which decodes each block straight onto its tail and stops
+	// appending at the first that fails, so out is always a prefix of the
+	// file; the receive loop gets back one verdict per block, nothing else.
+	// Payloads come from the codec buffer pool (ReadBlock) and go back once
+	// decoded: a block lives in the socket buffer, one pooled payload and out.
 	blocksCh := make(chan selective.Block, 1)
-	resultCh := make(chan decoded, 1)
-	done := make(chan struct{})
+	verdicts := make(chan error, 1)
 	var decompWall time.Duration
 	var decompBytes int64
-
-	go func() {
-		defer close(done)
-		for b := range blocksCh {
-			start := time.Now()
-			var d decoded
-			if b.Compressed {
-				dst := codec.GetBuf(b.RawLen)
-				raw, err := codec.DecompressInto(dec, dst, b.Payload, b.RawLen)
-				codec.PutBuf(b.Payload)
-				if err == nil && len(raw) != b.RawLen {
-					err = fmt.Errorf("%w: block raw length %d, header %d", ErrProtocol, len(raw), b.RawLen)
-				}
-				if err != nil {
-					// A failed decode returns nil, not the buffer it was
-					// given: dst is what goes back to the pool.
-					codec.PutBuf(dst)
-					raw = nil
-				}
-				decompBytes += int64(len(raw))
-				d = decoded{data: raw, err: err}
-			} else {
-				d = decoded{data: b.Payload}
+	// appendBlock decodes b onto out's tail.
+	appendBlock := func(b selective.Block) error {
+		if b.Compressed {
+			raw, err := codec.DecompressInto(dec, out, b.Payload, b.RawLen)
+			if err != nil {
+				return err
 			}
-			decompWall += time.Since(start)
-			resultCh <- d
+			if n := len(raw) - len(out); n != b.RawLen {
+				return fmt.Errorf("%w: block raw length %d, header %d", ErrProtocol, n, b.RawLen)
+			}
+			out, decompBytes = raw, decompBytes+int64(b.RawLen)
+		} else {
+			out = append(out, b.Payload...)
 		}
-		close(resultCh)
-	}()
-
-	var wantCRC uint32
-	var recvErr error
-	pending := 0
-	recvStart := clk.Now()
-	recvBytes := 0
-	// rawPromised tracks the raw bytes the accepted block headers have
-	// claimed so far; it may never exceed the header's total.
-	rawPromised := hdr.Offset
-
-	drainOne := func() error {
-		d := <-resultCh
-		pending--
-		if d.err != nil {
-			return d.err
-		}
-		out = append(out, d.data...)
-		codec.PutBuf(d.data)
-		// ReadBlock guarantees a raw block's payload matches its RawLen and
-		// the decompressor checks the same for compressed blocks, so the
-		// rawPromised budget already bounds this; re-check here so the
+		// ReadBlock holds a raw payload to its RawLen and a compressed one was
+		// just checked, so rawPromised already bounds this; re-checked so the
 		// memory guarantee does not depend on code in another file.
 		if uint64(len(out)) > hdr.RawSize {
 			return fmt.Errorf("%w: %d raw bytes received, header says %d", ErrProtocol, len(out), hdr.RawSize)
 		}
 		return nil
 	}
+	go func() {
+		defer close(verdicts)
+		var failed error
+		for b := range blocksCh {
+			if failed == nil {
+				start := time.Now()
+				failed = appendBlock(b)
+				decompWall += time.Since(start)
+			}
+			codec.PutBuf(b.Payload)
+			verdicts <- failed
+		}
+	}()
 
-recvLoop:
+	var wantCRC uint32
+	var recvErr error
+	handed := 0
+	recvStart := clk.Now()
+	recvBytes := 0
+	// rawPromised tracks the raw bytes the accepted block headers have
+	// claimed so far; it may never exceed the header's total.
+	rawPromised := hdr.Offset
+
 	for {
 		b, crc, ok, err := ReadBlock(br)
 		if err != nil {
@@ -691,7 +671,7 @@ recvLoop:
 			wantCRC = crc
 			stats.WireBytes += BlockHeaderLen // end frame
 			recvBytes += BlockHeaderLen
-			break recvLoop
+			break
 		}
 		rawPromised += uint64(b.RawLen)
 		if rawPromised > hdr.RawSize {
@@ -705,24 +685,25 @@ recvLoop:
 		if b.Compressed {
 			stats.BlocksCompressed++
 		}
-		// Keep at most one result outstanding so memory stays bounded.
-		for pending > 1 {
-			if err := drainOne(); err != nil {
+		// Keep at most one verdict outstanding so memory stays bounded. Only
+		// here is a decode failure learnt while blocks still arrive (block i's,
+		// once block i+2 is counted), so the counts never depend on scheduling.
+		if handed >= 2 {
+			if err := <-verdicts; err != nil {
 				codec.PutBuf(b.Payload) // b never reached the decompressor
 				recvErr = err
-				break recvLoop
+				break
 			}
 		}
 		blocksCh <- b
-		pending++
+		handed++
 	}
 	close(blocksCh)
-	for pending > 0 {
-		if err := drainOne(); err != nil && recvErr == nil {
+	for err := range verdicts {
+		if recvErr == nil {
 			recvErr = err
 		}
 	}
-	<-done
 	stats.DecompressWall += decompWall
 	span.PhaseDetail("recv", obs.ClassRadio, attemptDetail, recvStart, clk.Now().Sub(recvStart), int64(recvBytes))
 	if decompWall > 0 {

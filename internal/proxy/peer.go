@@ -45,7 +45,19 @@ type PeerFetchFunc func(key ArtifactKey) ([]selective.Block, error)
 
 // SetPeerFetch installs the peer-fetch consult on the miss path. Must be
 // called before the server starts accepting traffic.
-func (s *Server) SetPeerFetch(f PeerFetchFunc) { s.peerFetch = f }
+//
+// On a ledger clock (the virtual testbed's: the probe openArtifact makes)
+// a follower then polls in virtual time for its whole flight instead of
+// reading behind the builder: blocked in real time it would hold a ledger
+// token the leader needs released while it parks on peer-fetch I/O, and a
+// build takes no virtual time, so the wait costs it nothing. With no peer
+// hook no leader parks, and no follower polls.
+func (s *Server) SetPeerFetch(f PeerFetchFunc) {
+	s.peerFetch = f
+	if _, ok := s.clock.(interface{ Go(func()) }); ok {
+		s.flights.poll = s.clock
+	}
+}
 
 // SetOnCompress installs an observer called for every artifact actually
 // compressed on this node (cluster replication and the at-most-one-

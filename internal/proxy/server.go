@@ -25,12 +25,10 @@ var ErrClosing = errors.New("proxy: server closing")
 // Config tunes the server's dataplane. The zero value selects defaults.
 type Config struct {
 	// CacheBytes is the total byte budget for the compressed-artifact
-	// cache, split evenly across shards. 0 selects 64 MiB; negative
-	// disables caching (every cacheable request compresses, modulo
-	// singleflight coalescing).
+	// cache, split evenly across its cacheShards lock domains. 0 selects
+	// 64 MiB; negative disables caching (every cacheable request
+	// compresses, modulo singleflight coalescing).
 	CacheBytes int64
-	// Shards is the cache's lock-domain count. 0 selects 16.
-	Shards int
 	// Workers bounds how many compressions run concurrently; requests
 	// beyond the bound queue (backpressure) instead of spawning unbounded
 	// compression work. 0 selects GOMAXPROCS.
@@ -54,15 +52,6 @@ type Config struct {
 	// keeps the server's deadlines on the same timeline as the virtual
 	// link it is serving over.
 	Clock WallClock
-	// FlightWait, when set, is how a singleflight follower waits for its
-	// flight's done channel before it starts reading the artifact. The
-	// default does not wait at all — a follower reads behind the builder,
-	// block by block — which is right on a real clock; the virtual-time
-	// cluster harness substitutes a poll in virtual time, because a
-	// follower blocking in real time holds a clock ledger token the leader
-	// needs released while it parks on peer-fetch I/O. A build takes no
-	// virtual time, so waiting for all of it costs such a follower nothing.
-	FlightWait func(done <-chan struct{})
 
 	// Metrics is the registry the server's instruments live on; sharing
 	// one registry between a server and its admin endpoint (or several
@@ -91,9 +80,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.CacheBytes == 0 {
 		c.CacheBytes = 64 << 20
-	}
-	if c.Shards <= 0 {
-		c.Shards = 16
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
@@ -248,9 +234,8 @@ func NewServerWith(decider selective.Decider, cfg Config) *Server {
 		newCodec:  codec.New,
 	}
 	if cfg.CacheBytes > 0 {
-		s.cache = newBlockCache(cfg.CacheBytes, cfg.Shards, s.metrics)
+		s.cache = newBlockCache(cfg.CacheBytes, cacheShards, s.metrics)
 	}
-	s.flights.wait = cfg.FlightWait
 	// A queue-aware decider gets the live compression-queue depth (the
 	// decider_* counters land on the same registry). Both bindings are
 	// optional interfaces so this package needs no decider dependency.

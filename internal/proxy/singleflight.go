@@ -2,6 +2,7 @@ package proxy
 
 import (
 	"sync"
+	"time"
 
 	"repro/internal/selective"
 )
@@ -22,9 +23,6 @@ type flight struct {
 	ready    int
 	finished bool
 	err      error
-	// done is closed at finish. It exists for Config.FlightWait, whose
-	// followers cannot sleep on grown.
-	done chan struct{}
 }
 
 // publish makes blocks[:n] readable. Only the builder calls it, after
@@ -57,6 +55,13 @@ func (f *flight) await(i int) error {
 	return nil
 }
 
+// done reports whether the build has finished, either way.
+func (f *flight) done() bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.finished
+}
+
 // artifact is one request's view of a block stream: a finished one (a
 // cache hit, a raw chunking, a peer's copy) or one a flight is still
 // appending to. Either way len(blocks) is the stream's final length.
@@ -84,11 +89,13 @@ type flightGroup struct {
 	closed bool
 	// wg counts unfinished flights: what drain waits for.
 	wg sync.WaitGroup
-	// wait, when set, is how a follower blocks on its flight's done
-	// channel (Config.FlightWait) before it starts reading; nil reads
-	// behind the builder.
-	wait func(done <-chan struct{})
+	// poll, when set (SetPeerFetch, on a virtual clock), is the clock a
+	// follower sleeps on, flightPollInterval at a time, until its flight has
+	// finished; nil reads behind the builder.
+	poll WallClock
 }
+
+const flightPollInterval = 250 * time.Microsecond
 
 // join returns the flight for key, starting one of n blocks when none is
 // in the air. leader reports that this caller started it and so owes it a
@@ -97,8 +104,8 @@ func (g *flightGroup) join(key cacheKey, n int) (f *flight, leader bool) {
 	g.mu.Lock()
 	if f, ok := g.m[key]; ok {
 		g.mu.Unlock()
-		if g.wait != nil {
-			g.wait(f.done)
+		for g.poll != nil && !f.done() {
+			g.poll.Sleep(flightPollInterval)
 		}
 		return f, false
 	}
@@ -109,7 +116,7 @@ func (g *flightGroup) join(key cacheKey, n int) (f *flight, leader bool) {
 	if g.m == nil {
 		g.m = make(map[cacheKey]*flight)
 	}
-	f = &flight{blocks: make([]selective.Block, n), done: make(chan struct{})}
+	f = &flight{blocks: make([]selective.Block, n)}
 	f.grown.L = &f.mu
 	g.m[key] = f
 	// Under mu, so no Add can race drain's Wait.
@@ -129,7 +136,6 @@ func (g *flightGroup) finish(key cacheKey, f *flight, err error) {
 	f.mu.Lock()
 	f.finished, f.err = true, err
 	f.mu.Unlock()
-	close(f.done)
 	f.grown.Broadcast()
 	g.wg.Done()
 }

@@ -317,6 +317,9 @@ func (c stubCodec) Compress(raw []byte) ([]byte, error) {
 func (stubCodec) Decompress([]byte, int) ([]byte, error) {
 	return nil, errors.New("stub codec cannot decompress")
 }
+func (stubCodec) DecompressAppend(_, _ []byte, _ int) ([]byte, error) {
+	return nil, errors.New("stub codec cannot decompress")
+}
 
 // modelKey is an artifact as the model sees it: all requests use one file
 // and one scheme, so generation and mode tell artifacts apart.

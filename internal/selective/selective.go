@@ -290,6 +290,8 @@ func Decode(stream []byte, maxSize int) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
+	// Each block is decoded straight onto out's tail, which grows with the
+	// blocks that decode, never from the sum of their untrusted RawLens.
 	out := []byte{}
 	for i, b := range blocks {
 		if maxSize > 0 && len(out)+b.RawLen > maxSize {
@@ -299,14 +301,14 @@ func Decode(stream []byte, maxSize int) ([]byte, error) {
 			out = append(out, b.Payload...)
 			continue
 		}
-		raw, err := c.Decompress(b.Payload, b.RawLen)
+		raw, err := codec.DecompressInto(c, out, b.Payload, b.RawLen)
 		if err != nil {
 			return nil, fmt.Errorf("%w: block %d: %v", ErrCorrupt, i, err)
 		}
-		if len(raw) != b.RawLen {
-			return nil, fmt.Errorf("%w: block %d length %d, header says %d", ErrCorrupt, i, len(raw), b.RawLen)
+		if n := len(raw) - len(out); n != b.RawLen {
+			return nil, fmt.Errorf("%w: block %d length %d, header says %d", ErrCorrupt, i, n, b.RawLen)
 		}
-		out = append(out, raw...)
+		out = raw
 	}
 	return out, nil
 }
