@@ -26,11 +26,9 @@ const (
 // header string is bounded and a header CRC, when announced, must match.
 func skipGzipHeader(next func() (byte, error)) error {
 	const flgFHCRC, flgFEXTRA, flgFNAME, flgFCOMMENT = 1 << 1, 1 << 2, 1 << 3, 1 << 4
-	var (
-		crc uint32
-		b   [1]byte
-		err error
-	)
+	var crc uint32
+	var b [1]byte
+	var err error
 	read := func() byte { // sticky: after an error every read is 0, and it is reported last
 		if err == nil {
 			if b[0], err = next(); err == nil {

@@ -22,8 +22,7 @@ func peerAddr(id string) string { return "peer:" + id }
 // behind a shared transmit line at the client link rate (a node's NIC
 // serializes its responses, so aggregate serve throughput honestly scales
 // with node count). The single-server shape gets no transmit line and no
-// peer-fetch hook (so no follower poll: proxy.SetPeerFetch), and its
-// virtual timeline is the pre-cluster testbed's.
+// peer hook (so no follower poll), and keeps the pre-cluster timeline.
 // compLog is the ring-wide compression ledger the per-key oracle reads
 // once every server is closed: (key → nodes that compressed it).
 func startServers(s Scenario, clock *simnet.Clock, nw *simnet.Network, corpus []corpusFile) (

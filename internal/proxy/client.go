@@ -514,6 +514,30 @@ func (c *Client) emitFetchEvent(reqID uint64, name string, scheme codec.Scheme, 
 	c.Events.Record(e)
 }
 
+// appendBlock decodes b onto the tail of out, a fetch's output so far of
+// rawSize bytes in all, and returns it extended — or unchanged, with the
+// error, when b does not decode to the RawLen it claims.
+func appendBlock(dec codec.Codec, out []byte, b selective.Block, rawSize uint64) ([]byte, error) {
+	grown := out
+	if b.Compressed {
+		var err error
+		if grown, err = codec.DecompressInto(dec, out, b.Payload, b.RawLen); err != nil {
+			return out, err
+		}
+		if n := len(grown) - len(out); n != b.RawLen {
+			return out, fmt.Errorf("%w: block raw length %d, header %d", ErrProtocol, n, b.RawLen)
+		}
+	} else {
+		grown = append(out, b.Payload...)
+	}
+	// The caller's rawPromised budget already bounds this; re-checked so the
+	// memory guarantee does not depend on code in another place.
+	if uint64(len(grown)) > rawSize {
+		return out, fmt.Errorf("%w: %d raw bytes received, header says %d", ErrProtocol, len(grown), rawSize)
+	}
+	return grown, nil
+}
+
 // fetchOnce runs a single connection's worth of a fetch. verified is the
 // raw prefix already CRC-verified by earlier attempts; the returned slice
 // extends (a server-granted prefix of) it with this attempt's verified
@@ -616,35 +640,15 @@ func (c *Client) fetchOnce(name string, scheme codec.Scheme, mode Mode, reqID ui
 	verdicts := make(chan error, 1)
 	var decompWall time.Duration
 	var decompBytes int64
-	// appendBlock decodes b onto out's tail.
-	appendBlock := func(b selective.Block) error {
-		if b.Compressed {
-			raw, err := codec.DecompressInto(dec, out, b.Payload, b.RawLen)
-			if err != nil {
-				return err
-			}
-			if n := len(raw) - len(out); n != b.RawLen {
-				return fmt.Errorf("%w: block raw length %d, header %d", ErrProtocol, n, b.RawLen)
-			}
-			out, decompBytes = raw, decompBytes+int64(b.RawLen)
-		} else {
-			out = append(out, b.Payload...)
-		}
-		// ReadBlock holds a raw payload to its RawLen and a compressed one was
-		// just checked, so rawPromised already bounds this; re-checked so the
-		// memory guarantee does not depend on code in another file.
-		if uint64(len(out)) > hdr.RawSize {
-			return fmt.Errorf("%w: %d raw bytes received, header says %d", ErrProtocol, len(out), hdr.RawSize)
-		}
-		return nil
-	}
 	go func() {
 		defer close(verdicts)
 		var failed error
 		for b := range blocksCh {
 			if failed == nil {
 				start := time.Now()
-				failed = appendBlock(b)
+				if out, failed = appendBlock(dec, out, b, hdr.RawSize); failed == nil && b.Compressed {
+					decompBytes += int64(b.RawLen)
+				}
 				decompWall += time.Since(start)
 			}
 			codec.PutBuf(b.Payload)
@@ -654,9 +658,8 @@ func (c *Client) fetchOnce(name string, scheme codec.Scheme, mode Mode, reqID ui
 
 	var wantCRC uint32
 	var recvErr error
-	handed := 0
+	handed, recvBytes := 0, 0
 	recvStart := clk.Now()
-	recvBytes := 0
 	// rawPromised tracks the raw bytes the accepted block headers have
 	// claimed so far; it may never exceed the header's total.
 	rawPromised := hdr.Offset
