@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/workload"
 )
 
 func TestTransformKnownExample(t *testing.T) {
@@ -289,8 +291,12 @@ func TestQuickCompressRoundTrip(t *testing.T) {
 	}
 }
 
+// benchData is program source, not a phrase repeated: a proper power is
+// the sorter's degenerate case (BenchmarkTransform keeps one, by name).
+func benchData() []byte { return workload.Generate(workload.ClassSource, 96000, 20) }
+
 func BenchmarkCompressLevel9(b *testing.B) {
-	data := []byte(strings.Repeat("bwt benchmark corpus with typical textual redundancy 0123456789\n", 1500))
+	data := benchData()
 	b.SetBytes(int64(len(data)))
 	for i := 0; i < b.N; i++ {
 		if _, err := Compress(data, 9); err != nil {
@@ -300,7 +306,7 @@ func BenchmarkCompressLevel9(b *testing.B) {
 }
 
 func BenchmarkDecompress(b *testing.B) {
-	data := []byte(strings.Repeat("bwt benchmark corpus with typical textual redundancy 0123456789\n", 1500))
+	data := benchData()
 	comp, err := Compress(data, 9)
 	if err != nil {
 		b.Fatal(err)
@@ -363,12 +369,53 @@ func TestQuickCyclicSortMatchesNaive(t *testing.T) {
 	}
 }
 
+// TestTransformPeriodicInputs pins what a proper power u^k transforms to:
+// the rotations of u, each k times over, and of the k equal rows that
+// decode to the block, the lowest — whatever an earlier block left in the
+// workspace. (Manber-Myers named row 3 of "abababab" and row 1 of
+// "abcabcabcabc": an accident of its tie order.)
 func TestTransformPeriodicInputs(t *testing.T) {
-	for _, s := range []string{"abab", "abcabc", "aaaaaaaa", "abaaba", "xyxyxyxyxy"} {
-		last, ptr := Transform([]byte(s))
-		got := Inverse(last, ptr)
-		if string(got) != s {
-			t.Errorf("periodic %q: round trip gave %q", s, got)
+	cases := []struct {
+		s, last string
+		ptr     int
+	}{
+		{"abab", "bbaa", 0},
+		{"abababab", "bbbbaaaa", 0},
+		{"babababa", "bbbbaaaa", 4},
+		{"abcabcabcabc", "ccccaaaabbbb", 0},
+		{"cabcabcabcab", "ccccaaaabbbb", 8},
+		{"aaaaaaaa", "aaaaaaaa", 0},
+		{"abaaba", "bbaaaa", 2},
+		{"xyxyxyxyxy", "yyyyyxxxxx", 0},
+	}
+	e := new(encoder)
+	for _, c := range cases {
+		for _, before := range []string{"q", "mississippi", "zzzzzzzzzzzzzzzzzzzzzzzz"} {
+			e.transform(make([]byte, len(before)), []byte(before))
+			last := make([]byte, len(c.s))
+			ptr := e.transform(last, []byte(c.s))
+			if string(last) != c.last || ptr != c.ptr {
+				t.Errorf("periodic %q after %q: (%q, %d), want (%q, %d)", c.s, before, last, ptr, c.last, c.ptr)
+			}
+			if got := Inverse(last, ptr); string(got) != c.s {
+				t.Errorf("periodic %q: round trip gave %q", c.s, got)
+			}
+		}
+	}
+
+	// Compress is a pure function of its input across workspace reuse.
+	var streams [][]byte
+	for round := 0; round < 2; round++ {
+		for i, c := range cases {
+			comp, err := Compress([]byte(strings.Repeat(c.s, 300)), 1+i%9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if round == 0 {
+				streams = append(streams, comp)
+			} else if !bytes.Equal(comp, streams[i]) {
+				t.Errorf("periodic %q: second Compress gave a different stream", c.s)
+			}
 		}
 	}
 }

@@ -32,11 +32,12 @@ const (
 	magic2 = 'r' // our simplified container, not bit-compatible with 'h'
 )
 
-// encoder is the compression workspace: cyclicSort's arrays, the buffers
+// encoder is the compression workspace: sortRotations' arrays, the buffers
 // the block passes between stages, the block's Huffman code and the
 // stream being written. It grows to the largest block it has compressed.
 type encoder struct {
-	sa, rank, spare, cnt []int32
+	rot     []byte  // the block rotated to its least rotation
+	sa, bkt []int32 // that rotation's suffix array; SA-IS bucket counters
 
 	rle   []byte   // RLE1 output: what the transform sorts
 	last  []byte   // its last column, then move-to-front coded in place

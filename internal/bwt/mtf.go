@@ -8,14 +8,19 @@ import (
 
 // mtfEncodeInPlace move-to-front codes data over the full byte alphabet:
 // each value becomes the current list index of the byte, which is then
-// moved to the front. BWT output is dominated by small indices.
+// moved to the front. BWT output mostly repeats the byte before, which is
+// already there: that case is taken before any scan.
 func mtfEncodeInPlace(data []byte) {
 	var list [256]byte
 	for i := range list {
 		list[i] = byte(i)
 	}
 	for k, b := range data {
-		idx := 0
+		if list[0] == b {
+			data[k] = 0
+			continue
+		}
+		idx := 1
 		for list[idx] != b {
 			idx++
 		}

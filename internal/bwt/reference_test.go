@@ -4,12 +4,18 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+
+	"repro/internal/bitio"
+	"repro/internal/checksum"
+	"repro/internal/huffman"
 )
 
 // The decode stages as they were before the workspace fused them — each
 // allocating its own output — kept as the reference the fused kernels are
-// held to, and as what the stage tests in bwt_test.go call. The encode
-// stages and the sorter are thin adapters onto the production code.
+// held to, and as what the stage tests in bwt_test.go call; with them the
+// encode side's retired kernels, the Manber-Myers rotation sort and the
+// scanning move-to-front loop, which the linear-time ones are held to. The
+// other encode stages are thin adapters onto the production code.
 
 func mtfEncode(data []byte) []byte {
 	out := bytes.Clone(data)
@@ -17,17 +23,183 @@ func mtfEncode(data []byte) []byte {
 	return out
 }
 
+// referenceMTFEncode is mtfEncodeInPlace as it was: scan for the byte,
+// then move everything before it.
+func referenceMTFEncode(data []byte) []byte {
+	var list [256]byte
+	for i := range list {
+		list[i] = byte(i)
+	}
+	out := make([]byte, len(data))
+	for k, b := range data {
+		idx := 0
+		for list[idx] != b {
+			idx++
+		}
+		out[k] = byte(idx)
+		copy(list[1:idx+1], list[:idx])
+		list[0] = b
+	}
+	return out
+}
+
 func rle1Encode(data []byte) []byte { return appendRLE1(nil, data) }
 
 func rle2Encode(mtf []byte) []uint16 { return appendRLE2(nil, mtf) }
 
+// cyclicSort lists the rotation starts of s in the order sortRotations
+// puts them; equal rotations (s periodic) are adjacent, lowest start of
+// the least rotation's copies first.
 func cyclicSort(s []byte) []int {
-	sa := new(encoder).cyclicSort(s)
-	out := make([]int, len(sa))
-	for i, p := range sa {
-		out[i] = int(p)
+	w, sa, r := new(encoder).sortRotations(s)
+	out := make([]int, 0, len(s))
+	for _, p := range sa {
+		for at := int(p); at < len(s); at += len(w) {
+			out = append(out, (r+at)%len(s))
+		}
 	}
 	return out
+}
+
+// referenceTransform is the transform over the retired sorter: what every
+// stream before the linear-time sort was made with.
+func referenceTransform(block []byte) ([]byte, int) {
+	n := len(block)
+	last := make([]byte, n)
+	ptr := 0
+	for i, p := range manberMyers(block) {
+		if p == 0 {
+			ptr = i
+		}
+		last[i] = block[(int(p)+n-1)%n]
+	}
+	return last, ptr
+}
+
+// referenceCompress is Compress over the retired kernels: the stream the
+// parent of the linear-time sort wrote for data, except that a block whose
+// RLE1 form is a proper power names the lowest of its equal rows — the
+// parent named whichever its tie order left at rotation 0.
+func referenceCompress(data []byte, level int) []byte {
+	out := &sliceWriter{b: []byte{magic0, magic1, magic2, byte('0' + level)}}
+	bw := bitio.NewMSBWriter(out)
+	for start := 0; start < len(data); start += level * blockSizeUnit {
+		raw := data[start:min(start+level*blockSizeUnit, len(data))]
+		rle := rle1Encode(raw)
+		last, ptr := referenceTransform(rle)
+		if len(rle) > 0 {
+			ptr = lowestEqualRow(rle, ptr)
+		}
+		syms := rle2Encode(referenceMTFEncode(last))
+		freq := make([]int, numSymbols)
+		for _, s := range syms {
+			freq[s]++
+		}
+		lens, err := huffman.BuildLengths(freq, maxHuffBits)
+		if err != nil {
+			panic(err)
+		}
+		codes, err := huffman.CanonicalCodes(lens)
+		if err != nil {
+			panic(err)
+		}
+		bw.WriteBits(1, 1)
+		bw.WriteBits(uint64(checksum.CRC32(raw)), 32)
+		bw.WriteBits(uint64(len(rle)), 32)
+		bw.WriteBits(uint64(ptr), 32)
+		for _, l := range lens {
+			bw.WriteBits(uint64(l), 5)
+		}
+		for _, s := range syms {
+			bw.WriteBits(uint64(codes[s]), uint(lens[s]))
+		}
+	}
+	bw.WriteBits(0, 1)
+	if err := bw.Flush(); err != nil {
+		panic(err)
+	}
+	return out.b
+}
+
+// manberMyers returns the start indices of the cyclic rotations of s in
+// lexicographic order by prefix doubling with counting sorts, O(n log n):
+// the production sorter until the linear-time one replaced it. Identical
+// rotations (s periodic) never separate into distinct classes and come out
+// in whatever order the last round left them.
+func manberMyers(s []byte) []int32 {
+	n := int32(len(s))
+	sa := make([]int32, n)
+	rank := make([]int32, n)
+	spare := make([]int32, n)
+	cnt := make([]int32, max(len(s), 256)+1) // one per class, or per byte value in the first pass
+
+	// Initial counting sort by first byte.
+	for _, c := range s {
+		cnt[c]++
+	}
+	for i := 1; i < 256; i++ {
+		cnt[i] += cnt[i-1]
+	}
+	for i := n - 1; i >= 0; i-- {
+		cnt[s[i]]--
+		sa[cnt[s[i]]] = i
+	}
+	if n == 0 {
+		return sa
+	}
+	rank[sa[0]] = 0
+	classes := int32(1)
+	for i := int32(1); i < n; i++ {
+		if s[sa[i]] != s[sa[i-1]] {
+			classes++
+		}
+		rank[sa[i]] = classes - 1
+	}
+
+	for k := int32(1); classes < n && k < n; k <<= 1 {
+		// Order by second key: shifting each start back by k gives a
+		// sequence already sorted by rank[(i+k) mod n].
+		tmp := spare
+		for i := int32(0); i < n; i++ {
+			tmp[i] = sa[i] - k
+			if tmp[i] < 0 {
+				tmp[i] += n
+			}
+		}
+		// Stable counting sort by first key rank[tmp[i]].
+		for i := int32(0); i < classes; i++ {
+			cnt[i] = 0
+		}
+		for i := int32(0); i < n; i++ {
+			cnt[rank[tmp[i]]]++
+		}
+		for i := int32(1); i < classes; i++ {
+			cnt[i] += cnt[i-1]
+		}
+		for i := n - 1; i >= 0; i-- {
+			c := rank[tmp[i]]
+			cnt[c]--
+			sa[cnt[c]] = tmp[i]
+		}
+		// Recompute equivalence classes on (rank[i], rank[(i+k) mod n]).
+		newRank := tmp
+		classes = 1
+		var prev [2]int32
+		for i := int32(0); i < n; i++ {
+			second := sa[i] + k
+			if second >= n {
+				second -= n
+			}
+			cur := [2]int32{rank[sa[i]], rank[second]}
+			if i > 0 && cur != prev {
+				classes++
+			}
+			newRank[sa[i]] = classes - 1
+			prev = cur
+		}
+		rank, spare = newRank, rank
+	}
+	return sa
 }
 
 // mtfDecode inverts mtfEncode.

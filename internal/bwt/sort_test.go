@@ -1,0 +1,358 @@
+package bwt
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"testing"
+	"time"
+
+	"repro/internal/flate"
+	"repro/internal/workload"
+)
+
+// blockBytes is the dataplane's block (selective.BlockSize): what a cold
+// bzip2 miss sorts.
+const blockBytes = 128 * 1000
+
+// splitmix and benchFiles rebuild the six files the benchmark's large
+// workloads serve (bench/loopback.go: largeFiles at corpusSeed), so the
+// sorter is tested and timed on the blocks the end-to-end numbers come from.
+func splitmix(seed, salt uint64) uint64 {
+	z := seed ^ (salt+1)*0x9E3779B97F4A7C15
+	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+	return z ^ (z >> 31)
+}
+
+type namedBlock struct {
+	name string
+	data []byte
+}
+
+func benchFiles(tb testing.TB) []namedBlock {
+	gzipFactor := func(b []byte) float64 {
+		c, err := flate.GzipCompress(b, 6)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return float64(len(b)) / float64(len(c))
+	}
+	class := func(c workload.Class) func(int, uint64) []byte {
+		return func(size int, seed uint64) []byte { return workload.Generate(c, size, seed) }
+	}
+	files := []struct {
+		name string
+		size int
+		gen  func(int, uint64) []byte
+	}{
+		{"prog.c", 256 << 10, class(workload.ClassSource)},
+		{"spec.html", 512 << 10, class(workload.ClassHTML)},
+		{"tool.bin", 384 << 10, class(workload.ClassBinary)},
+		{"paper.ps", 768 << 10, class(workload.ClassPostscript)},
+		{"deck.mixed", 1 << 20, workload.MixedFile},
+		{"media.r115", 512 << 10, func(size int, seed uint64) []byte {
+			return workload.GenerateRatio(size, 1.15, seed, gzipFactor)
+		}},
+	}
+	out := make([]namedBlock, len(files))
+	for i, f := range files {
+		out[i] = namedBlock{f.name, f.gen(f.size, splitmix(2003, uint64(i)))}
+	}
+	return out
+}
+
+// fibonacciWord is the classic suffix-sorting adversary: every prefix
+// doubling round and every depth-limited comparison sort meets its long
+// repeats, and no rotation of it equals another.
+func fibonacciWord(n int) []byte {
+	a, b := []byte("b"), []byte("a")
+	for len(b) < n {
+		a, b = b, append(bytes.Clone(b), a...)
+	}
+	return b[:n]
+}
+
+// adversarialBlocks are block-sized inputs chosen against sorters, not
+// drawn from any workload: powers u^k of short and long roots, what RLE1
+// makes of a zero-filled block, a random block repeated, a Fibonacci word.
+func adversarialBlocks(size int) []namedBlock {
+	rng := rand.New(rand.NewSource(20))
+	random := func(n int) []byte {
+		b := make([]byte, n)
+		rng.Read(b)
+		return b
+	}
+	power := func(u []byte) []byte { return bytes.Repeat(u, size/len(u)) }
+	almost := power([]byte("ab"))
+	almost[len(almost)-1] = 'c'
+	return []namedBlock{
+		{"a^k", power([]byte("a"))},
+		{"(ab)^k", power([]byte("ab"))},
+		{"(abc)^k", power([]byte("abc"))},
+		{"(64 random)^k", power(random(64))},
+		{"(1000 random)^k", power(random(1000))},
+		{"(ab)^k c", almost},
+		{"rle1 of zeros", appendRLE1(nil, make([]byte, size))},
+		{"random half twice", power(random(size / 2))},
+		{"fibonacci", fibonacciWord(size)},
+	}
+}
+
+// checkTransform is the encode side's differential oracle: on workspace e,
+// block must transform to the last column the retired Manber-Myers sorter
+// gives, with its row pointer when no other row equals that one and the
+// lowest equal row otherwise, and invert to itself. Blocks short enough are
+// also held to the quadratic sort.
+func checkTransform(e *encoder, block []byte) error {
+	if len(block) == 0 {
+		return nil
+	}
+	last := make([]byte, len(block))
+	ptr := e.transform(last, block)
+	wantLast, wantPtr := referenceTransform(block)
+	if !bytes.Equal(last, wantLast) {
+		return fmt.Errorf("last column differs from Manber-Myers'")
+	}
+	if lowest := lowestEqualRow(block, wantPtr); ptr != lowest {
+		return fmt.Errorf("row pointer %d, want %d (Manber-Myers chose %d)", ptr, lowest, wantPtr)
+	}
+	if !bytes.Equal(Inverse(last, ptr), block) {
+		return fmt.Errorf("Inverse(last, %d) is not the block", ptr)
+	}
+	if len(block) <= 512 {
+		naive := naiveCyclicSort(block)
+		for i, p := range naive {
+			if c := block[(p+len(block)-1)%len(block)]; c != last[i] {
+				return fmt.Errorf("row %d ends in %q, the quadratic sort says %q", i, last[i], c)
+			}
+		}
+	}
+	return nil
+}
+
+// lowestEqualRow is the first of the sorted rows equal to row ptr: ptr
+// itself unless block is a proper power u^k, whose k copies of each
+// rotation are adjacent. The smallest period comes from the border array.
+func lowestEqualRow(block []byte, ptr int) int {
+	n := len(block)
+	border := make([]int, n+1)
+	border[0] = -1
+	for i, k := 0, -1; i < n; {
+		for k >= 0 && block[i] != block[k] {
+			k = border[k]
+		}
+		i++
+		k++
+		border[i] = k
+	}
+	period := n - border[n]
+	if n%period != 0 {
+		return ptr
+	}
+	k := n / period
+	return ptr / k * k
+}
+
+// checkEncodeWorkspaces runs checkTransform on x fresh and after y has been
+// through the same workspace, and requires Compress — which draws whatever
+// workspace the pool hands it — to be a pure function of its input.
+func checkEncodeWorkspaces(x, y []byte) error {
+	if err := checkTransform(new(encoder), x); err != nil {
+		return fmt.Errorf("fresh workspace: %w", err)
+	}
+	used := new(encoder)
+	if len(y) > 0 {
+		used.transform(make([]byte, len(y)), y)
+	}
+	if err := checkTransform(used, x); err != nil {
+		return fmt.Errorf("used workspace: %w", err)
+	}
+	a, err := Compress(x, 1)
+	if err != nil {
+		return err
+	}
+	if _, err := Compress(y, 1); err != nil {
+		return err
+	}
+	b, err := Compress(x, 1)
+	if err != nil {
+		return err
+	}
+	if !bytes.Equal(a, b) {
+		return fmt.Errorf("Compress gave two streams for one input")
+	}
+	if want := referenceCompress(x, 1); !bytes.Equal(a, want) {
+		return fmt.Errorf("Compress differs from the reference pipeline's stream")
+	}
+	return nil
+}
+
+// sortSeeds is FuzzBWTTransform's corpus: the adversarial shapes scaled
+// down so a seed costs the oracle milliseconds, one of them — a 64 kB
+// random block twice — at full size too, and a slice of every workload
+// class.
+func sortSeeds() []namedBlock {
+	seeds := adversarialBlocks(8000)
+	seeds = append(seeds, adversarialBlocks(maxFuzzBlock)[7],
+		namedBlock{"empty", nil}, namedBlock{"one byte", []byte("q")}, namedBlock{"abababab", []byte("abababab")})
+	for c := workload.ClassXML; c <= workload.ClassScript; c++ {
+		seeds = append(seeds, namedBlock{c.String(), workload.Generate(c, 6000, 20)})
+	}
+	return seeds
+}
+
+// maxFuzzBlock bounds what FuzzBWTTransform sorts: a dataplane block and
+// a little more.
+const maxFuzzBlock = 128 << 10
+
+// FuzzBWTTransform holds the linear-time sorter to the retired Manber-Myers
+// one and, on short inputs, to the quadratic sort, on arbitrary blocks x,
+// each fresh and after an unrelated block y; raw x and x repeated (a proper
+// power whenever it is long enough to matter) both go through. The seeds
+// meet a periodic and an aperiodic predecessor and run under plain go test.
+func FuzzBWTTransform(f *testing.F) {
+	seeds := sortSeeds()
+	for _, x := range seeds {
+		f.Add(x.data, seeds[1].data, uint8(1))
+		f.Add(x.data, seeds[len(seeds)-1].data, uint8(3))
+	}
+	f.Fuzz(func(t *testing.T, x, y []byte, k uint8) {
+		if len(x) > maxFuzzBlock {
+			x = x[:maxFuzzBlock]
+		}
+		if err := checkEncodeWorkspaces(x, y); err != nil {
+			t.Fatal(err)
+		}
+		if power := bytes.Repeat(x, 1+int(k%8)); len(power) <= maxFuzzBlock {
+			if err := checkEncodeWorkspaces(power, y); err != nil {
+				t.Fatalf("x^%d: %v", 1+k%8, err)
+			}
+		}
+	})
+}
+
+// TestBenchFilesMatchReference is the byte-identity claim on the data the
+// benchmark serves: every 128 kB block of its six files, and every level-9
+// block, compresses to the stream the retired sorter and move-to-front
+// loop produce.
+func TestBenchFilesMatchReference(t *testing.T) {
+	for _, f := range benchFiles(t) {
+		for off := 0; off < len(f.data); off += blockBytes {
+			block := f.data[off:min(off+blockBytes, len(f.data))]
+			got, err := Compress(block, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, referenceCompress(block, 2)) {
+				t.Errorf("%s block at %d: stream differs from the reference pipeline's", f.name, off)
+			}
+		}
+		if testing.Short() {
+			continue
+		}
+		got, err := Compress(f.data, 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, referenceCompress(f.data, 9)) {
+			t.Errorf("%s at level 9: stream differs from the reference pipeline's", f.name)
+		}
+	}
+}
+
+// TestSortWorstCase is the guard on what an operator can register: no
+// adversarial block may cost more than 8x the per-byte time of an HTML
+// block sorted in the same process, which a depth-limited comparison sort
+// without a linear fallback fails by orders of magnitude.
+func TestSortWorstCase(t *testing.T) {
+	e := new(encoder)
+	perByte := func(block []byte) float64 {
+		last := make([]byte, len(block))
+		best := time.Duration(1 << 62)
+		for i := 0; i < 3; i++ {
+			start := time.Now()
+			e.transform(last, block)
+			best = min(best, time.Since(start))
+		}
+		return float64(best) / float64(len(block))
+	}
+	html := appendRLE1(nil, workload.Generate(workload.ClassHTML, blockBytes, 20))
+	base := perByte(html)
+	for _, b := range adversarialBlocks(blockBytes) {
+		if got := perByte(b.data); got > 8*base {
+			t.Errorf("%s: %.1f ns/byte, HTML block %.1f ns/byte: over 8x", b.name, got, base)
+		}
+	}
+}
+
+// TestLevel9BlockRoundTrip sorts the largest block a level allows — 900 kB,
+// the czip and figure path — whose indices must fit the sorter's int32.
+func TestLevel9BlockRoundTrip(t *testing.T) {
+	data := workload.Generate(workload.ClassSource, 9*blockSizeUnit, 20)
+	for _, block := range [][]byte{data, bytes.Repeat(data[:1000], 900), fibonacciWord(len(data))} {
+		last, ptr := Transform(block)
+		if !bytes.Equal(Inverse(last, ptr), block) {
+			t.Fatalf("900 kB block starting %q does not round-trip", block[:16])
+		}
+		comp, err := Compress(block, 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := Decompress(comp, len(block))
+		if err != nil || !bytes.Equal(back, block) {
+			t.Fatalf("level 9 round trip of block starting %q: %v", block[:16], err)
+		}
+	}
+}
+
+// TestMTFMatchesReference holds the move-to-front coder to the scanning
+// loop it replaced.
+func TestMTFMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	inputs := [][]byte{nil, {0}, {255, 255, 0}, bytes.Repeat([]byte{7}, 300)}
+	for i := 0; i < 50; i++ {
+		b := make([]byte, rng.Intn(4000))
+		alpha := 1 + rng.Intn(256)
+		for j := range b {
+			if j > 0 && rng.Intn(3) > 0 {
+				b[j] = b[j-1] // BWT-like: mostly the byte before
+			} else {
+				b[j] = byte(rng.Intn(alpha))
+			}
+		}
+		inputs = append(inputs, b)
+	}
+	for _, f := range sortSeeds() {
+		last, _ := Transform(f.data)
+		inputs = append(inputs, last)
+	}
+	for i, in := range inputs {
+		if got, want := mtfEncode(in), referenceMTFEncode(in); !bytes.Equal(got, want) {
+			t.Errorf("input %d (%d bytes): differs from the scanning loop", i, len(in))
+		}
+	}
+}
+
+// BenchmarkTransform times the block sort alone on one dataplane block of
+// each file the benchmark's large workloads serve, after RLE1 as the
+// compressor sorts it, and on one periodic block — the degenerate case the
+// package's other benchmarks happen to feed.
+func BenchmarkTransform(b *testing.B) {
+	blocks := []namedBlock{}
+	for _, f := range benchFiles(b) {
+		blocks = append(blocks, namedBlock{f.name, appendRLE1(nil, f.data[:blockBytes])})
+	}
+	blocks = append(blocks, namedBlock{"periodic", bytes.Repeat([]byte("bwt benchmark corpus with typical textual redundancy 0123456789\n"), blockBytes/64)})
+	for _, blk := range blocks {
+		b.Run(blk.name, func(b *testing.B) {
+			e := new(encoder)
+			last := make([]byte, len(blk.data))
+			b.SetBytes(int64(len(blk.data)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.transform(last, blk.data)
+			}
+		})
+	}
+}

@@ -11,7 +11,8 @@
 //
 // Both directions work out of a pooled workspace (encoder, decoder) that
 // grows to the largest block it has seen, so a call allocates its output
-// and little else.
+// and little else. The block sort (sais.go) is linear in the block whatever
+// is in it, so there is no second sorter to fall back on.
 package bwt
 
 import "slices"
@@ -29,110 +30,30 @@ func Transform(block []byte) ([]byte, int) {
 	return last, e.transform(last, block)
 }
 
-// transform writes block's last column into last (len(last) == len(block))
-// and returns the row pointer.
+// transform writes the last column of block, which is not empty, into last
+// (len(last) == len(block)) and returns the row pointer: the row at which
+// block itself appears. A block that is a proper power u^k appears at k
+// adjacent rows, any of which decodes to it; the pointer is the lowest, so
+// the stream is a function of the block alone and not of how a sorter
+// happens to order equal rows.
 func (e *encoder) transform(last, block []byte) int {
-	n := len(block)
-	ptr := 0
-	for i, p := range e.cyclicSort(block) {
-		if p == 0 {
-			ptr = i
-			last[i] = block[n-1]
-		} else {
-			last[i] = block[p-1]
+	w, sa, r := e.sortRotations(block)
+	k := len(block) / len(w)
+	self := (len(block) - r) % len(w) // the rotation of w at which block starts
+	ptr, row := 0, 0
+	for _, p := range sa {
+		if int(p) == self {
+			ptr = row
+		}
+		c := w[len(w)-1]
+		if p > 0 {
+			c = w[p-1]
+		}
+		for end := row + k; row < end; row++ {
+			last[row] = c
 		}
 	}
 	return ptr
-}
-
-// cyclicSort returns the start indices of the cyclic rotations of s in
-// lexicographic order, using prefix doubling with counting sorts
-// (Manber-Myers), O(n log n). Its four arrays live in the encoder as
-// int32 — 16 bytes per input byte — which holds any block a level allows
-// (len(s) must stay below 1<<30); the result is valid until e's next sort.
-func (e *encoder) cyclicSort(s []byte) []int32 {
-	n := int32(len(s))
-	// Resized, not cleared: each array is written in full before it is read.
-	e.sa = slices.Grow(e.sa[:0], len(s))[:len(s)]
-	e.rank = slices.Grow(e.rank[:0], len(s))[:len(s)]
-	e.spare = slices.Grow(e.spare[:0], len(s))[:len(s)]
-	counters := max(len(s), 256) + 1 // one per class, or per byte value in the first pass
-	e.cnt = slices.Grow(e.cnt[:0], counters)[:counters]
-	sa, rank, spare, cnt := e.sa, e.rank, e.spare, e.cnt
-
-	// Initial counting sort by first byte.
-	for i := 0; i < 256; i++ {
-		cnt[i] = 0
-	}
-	for _, c := range s {
-		cnt[c]++
-	}
-	for i := 1; i < 256; i++ {
-		cnt[i] += cnt[i-1]
-	}
-	for i := n - 1; i >= 0; i-- {
-		cnt[s[i]]--
-		sa[cnt[s[i]]] = i
-	}
-	rank[sa[0]] = 0
-	classes := int32(1)
-	for i := int32(1); i < n; i++ {
-		if s[sa[i]] != s[sa[i-1]] {
-			classes++
-		}
-		rank[sa[i]] = classes - 1
-	}
-
-	// Stop at k >= n as well as classes == n: periodic inputs (e.g. "abab")
-	// contain identical rotations that never separate into distinct
-	// classes, and identical rotations may appear in any relative order
-	// without affecting the transform.
-	for k := int32(1); classes < n && k < n; k <<= 1 {
-		// Order by second key: shifting each start back by k gives a
-		// sequence already sorted by rank[(i+k) mod n].
-		tmp := spare
-		for i := int32(0); i < n; i++ {
-			tmp[i] = sa[i] - k
-			if tmp[i] < 0 {
-				tmp[i] += n
-			}
-		}
-		// Stable counting sort by first key rank[tmp[i]].
-		for i := int32(0); i < classes; i++ {
-			cnt[i] = 0
-		}
-		for i := int32(0); i < n; i++ {
-			cnt[rank[tmp[i]]]++
-		}
-		for i := int32(1); i < classes; i++ {
-			cnt[i] += cnt[i-1]
-		}
-		for i := n - 1; i >= 0; i-- {
-			c := rank[tmp[i]]
-			cnt[c]--
-			sa[cnt[c]] = tmp[i]
-		}
-		// Recompute equivalence classes on (rank[i], rank[(i+k) mod n]);
-		// i and k are both below n, so one subtraction is the modulo. The
-		// sort is done with tmp, so its storage takes the new ranks.
-		newRank := tmp
-		classes = 1
-		var prev [2]int32
-		for i := int32(0); i < n; i++ {
-			second := sa[i] + k
-			if second >= n {
-				second -= n
-			}
-			cur := [2]int32{rank[sa[i]], rank[second]}
-			if i > 0 && cur != prev {
-				classes++
-			}
-			newRank[sa[i]] = classes - 1
-			prev = cur
-		}
-		rank, spare = newRank, rank
-	}
-	return sa
 }
 
 // Inverse reconstructs the original block from its Burrows-Wheeler

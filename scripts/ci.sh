@@ -111,6 +111,10 @@ fuzz ./internal/selective FuzzSELParse
 fuzz ./internal/lzw FuzzLZWDecode
 fuzz ./internal/bwt FuzzBWTDecode
 fuzz ./internal/huffman FuzzHuffmanNewDecoder
+# The encode side of the block sorter: the linear-time rotation sort held to
+# the retired Manber-Myers one (and a quadratic sort on short blocks) on
+# arbitrary and periodic blocks, fresh and after an unrelated block.
+fuzz ./internal/bwt FuzzBWTTransform
 
 # Deterministic soak gate: seeded multi-client scenarios on the virtual
 # testbed (internal/harness) with every invariant oracle armed — byte-exact
