@@ -229,13 +229,10 @@ func induceL[T byte | int32](t []T, sa, bkt []int32, final bool) {
 	put(int32(len(t))) // from the sentinel: the final suffix heads its bucket
 	for i := range sa {
 		j := sa[i]
-		switch {
-		case final:
+		if final || j < 0 {
 			sa[i] = ^j
-		case j > 0:
+		} else {
 			sa[i] = 0
-		case j < 0:
-			sa[i] = ^j
 		}
 		if j > 0 {
 			put(j)
