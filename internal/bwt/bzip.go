@@ -36,9 +36,8 @@ const (
 // the block passes between stages, the block's Huffman code and the
 // stream being written. It grows to the largest block it has compressed.
 type encoder struct {
-	rot     []byte     // the block rotated to its least rotation
-	sa, bkt []int32    // that rotation's suffix array; reduced problems' bucket counters
-	bkt0    [256]int32 // the byte-level problem's
+	rot     []byte  // the block rotated to its least rotation
+	sa, bkt []int32 // that rotation's suffix array; SA-IS bucket counters
 
 	rle   []byte   // RLE1 output: what the transform sorts
 	last  []byte   // its last column, then move-to-front coded in place

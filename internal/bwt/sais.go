@@ -19,7 +19,7 @@ func (e *encoder) sortRotations(s []byte) (w []byte, sa []int32, r int) {
 	e.rot = append(append(e.rot[:0], s[r:]...), s[:r]...)
 	w = e.rot[:lyndonRoot(e.rot)]
 	e.sa = slices.Grow(e.sa[:0], len(w))[:len(w)]
-	sais(w, e.sa, e.bkt0[:], len(e.bkt0), &e.bkt)
+	sais(w, e.sa, nil, 256, &e.bkt)
 	return w, e.sa, r
 }
 
@@ -75,9 +75,8 @@ func lyndonRoot(t []byte) int {
 // two induction passes, name them, recurse on the names if two substrings
 // share one, then induce every suffix from the sorted LMS suffixes. The
 // reduced text and its suffix array live in sa itself; only the k bucket
-// counters need a home — free (the idle middle of the caller's sa; for the
-// byte-level call a fixed array) when they fit there, else *spill, which
-// is grown to hold them. Entries of sa
+// counters need a home — free, the idle middle of the caller's sa, when
+// they fit there, else *spill, which is grown to hold them. Entries of sa
 // are positions; a complemented (negative) entry is one the current pass
 // must not induce from, and 0 doubles as "empty" because suffix 0 has no
 // predecessor to induce.
