@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/pipeline"
 	"repro/internal/simnet"
 	"repro/internal/workload"
 )
@@ -202,11 +203,11 @@ func TestFullStackDownloadVsUploadAsymmetry(t *testing.T) {
 			down.ExactEnergyJ, downPlain.ExactEnergyJ)
 	}
 
-	upSlow, err := repro.RunUpload(repro.UploadSpec{Data: data, Scheme: repro.Zlib, Level: 9, Compressed: true})
+	upSlow, err := pipeline.RunUpload(pipeline.UploadSpec{Data: data, Scheme: repro.Zlib, Level: 9, Compressed: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	upFast, err := repro.RunUpload(repro.UploadSpec{Data: data, Scheme: repro.Zlib, Level: 1, Compressed: true})
+	upFast, err := pipeline.RunUpload(pipeline.UploadSpec{Data: data, Scheme: repro.Zlib, Level: 1, Compressed: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,14 +17,6 @@ func IPAQBattery() Battery {
 	return Battery{CapacityJ: 1500.0 / 1000 * 3.7 * 3600}
 }
 
-// ExtendedPackBattery returns the expansion-pack configuration the paper's
-// setup mentions (roughly doubling capacity).
-func ExtendedPackBattery() Battery {
-	b := IPAQBattery()
-	b.CapacityJ *= 2
-	return b
-}
-
 // Lifetime returns how long the battery lasts at a constant power draw.
 func (b Battery) Lifetime(powerW float64) time.Duration {
 	if powerW <= 0 {

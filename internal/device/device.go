@@ -316,15 +316,3 @@ func (d *Device) EnergyJ(from, to time.Duration) float64 {
 	}
 	return joules
 }
-
-// CurrentAt returns the traced current at time t.
-func (d *Device) CurrentAt(t time.Duration) float64 {
-	cur := d.trace[0].CurrentMA
-	for _, seg := range d.trace {
-		if seg.Start > t {
-			break
-		}
-		cur = seg.CurrentMA
-	}
-	return cur
-}

@@ -100,20 +100,6 @@ func TestEnergyPartialWindow(t *testing.T) {
 	}
 }
 
-func TestCurrentAt(t *testing.T) {
-	k := sim.NewKernel()
-	d := New(k, DefaultPowerTable())
-	k.Schedule(time.Second, func() { d.SetRadio(RadioSleep) })
-	k.Schedule(2*time.Second, func() { d.SetRadio(RadioIdle) })
-	k.Run()
-	if got := d.CurrentAt(500 * time.Millisecond); got != 310 {
-		t.Errorf("at 0.5s: %v", got)
-	}
-	if got := d.CurrentAt(1500 * time.Millisecond); got != 90 {
-		t.Errorf("at 1.5s: %v", got)
-	}
-}
-
 func TestNICActiveOverridesCPU(t *testing.T) {
 	k := sim.NewKernel()
 	d := New(k, DefaultPowerTable())
@@ -189,9 +175,6 @@ func TestBatteryCapacity(t *testing.T) {
 	b := IPAQBattery()
 	if math.Abs(b.CapacityJ-19980) > 1 {
 		t.Errorf("capacity %v J, want ~19980", b.CapacityJ)
-	}
-	if ExtendedPackBattery().CapacityJ != 2*b.CapacityJ {
-		t.Error("extended pack should double capacity")
 	}
 }
 

@@ -244,12 +244,6 @@ func (p Params) InterleavedTime(s, sc float64) float64 {
 	return t
 }
 
-// SequentialTime returns the wall time without interleaving: transfer then
-// full decompression.
-func (p Params) SequentialTime(s, sc float64) float64 {
-	return p.DownloadTime(sc) + p.DecompressTime(s, sc)
-}
-
 // ShouldCompress reports whether compressing is predicted to save energy
 // (Eq. 6): interleaved compressed download vs plain download.
 func (p Params) ShouldCompress(s, sc float64) bool {

@@ -212,7 +212,7 @@ func TestInterleavedTimeNeverBelowTransfer(t *testing.T) {
 		factor := 1.01 + float64(fRaw%150)/10
 		sc := s / factor
 		ti := p.InterleavedTime(s, sc)
-		return ti >= p.DownloadTime(sc)-1e-12 && ti <= p.SequentialTime(s, sc)+1e-12
+		return ti >= p.DownloadTime(sc)-1e-12 && ti <= p.DownloadTime(sc)+p.DecompressTime(s, sc)+1e-12
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -167,19 +167,3 @@ func Evaluate(pred, obs []float64) (Stats, error) {
 	}
 	return s, nil
 }
-
-// RelErrors returns the paper's per-point error rate series:
-// (calculated - measured) / measured.
-func RelErrors(pred, obs []float64) ([]float64, error) {
-	if len(pred) != len(obs) {
-		return nil, fmt.Errorf("fit: length mismatch %d vs %d", len(pred), len(obs))
-	}
-	out := make([]float64, len(obs))
-	for i := range obs {
-		if obs[i] == 0 {
-			return nil, fmt.Errorf("fit: zero observation at %d", i)
-		}
-		out[i] = (pred[i] - obs[i]) / obs[i]
-	}
-	return out, nil
-}

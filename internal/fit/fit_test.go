@@ -121,19 +121,6 @@ func TestEvaluateKnownErrors(t *testing.T) {
 	}
 }
 
-func TestRelErrors(t *testing.T) {
-	out, err := RelErrors([]float64{11, 8}, []float64{10, 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(out[0], 0.1, 1e-12) || !almostEqual(out[1], -0.2, 1e-12) {
-		t.Errorf("got %v", out)
-	}
-	if _, err := RelErrors([]float64{1}, []float64{0}); err == nil {
-		t.Error("zero observation accepted")
-	}
-}
-
 // TestQuickLinearRecovery: for random non-degenerate lines, the fit
 // recovers slope and intercept.
 func TestQuickLinearRecovery(t *testing.T) {

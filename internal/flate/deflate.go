@@ -438,16 +438,6 @@ func (e *blockEncoder) writeHuffman(final bool, btype int, litEnc, distEnc []uin
 	}
 }
 
-// CompressBytes is a convenience wrapper returning the DEFLATE stream for
-// data at the given level.
-func CompressBytes(data []byte, level int) ([]byte, error) {
-	buf := sliceWriter{b: make([]byte, 0, deflateSizeHint(len(data)))}
-	if _, err := Deflate(&buf, data, level); err != nil {
-		return nil, err
-	}
-	return buf.b, nil
-}
-
 // deflateSizeHint estimates output capacity for compressing n input bytes:
 // half the input (typical text compresses well past that) plus headroom for
 // the incompressible case's stored-block framing on small inputs.

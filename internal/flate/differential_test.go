@@ -15,71 +15,16 @@ import (
 	"compress/gzip"
 	"compress/zlib"
 	"io"
-	"math/rand"
 	"testing"
 
 	ours "repro/internal/flate"
 	"repro/internal/workload"
 )
 
-// differentialCorpus covers the paper's content classes plus adversarial
-// shapes for the Huffman tables.
-func differentialCorpus(t testing.TB) map[string][]byte {
-	corpus := map[string][]byte{
-		"empty": nil,
-		"one":   {42},
-		"runs":  bytes.Repeat([]byte{'r'}, 96*1024),
-	}
-	for _, c := range []struct {
-		name  string
-		class workload.Class
-	}{
-		{"source", workload.ClassSource},
-		{"xml", workload.ClassXML},
-		{"weblog", workload.ClassWebLog},
-		{"binary", workload.ClassBinary},
-		{"media", workload.ClassMedia}, // already-encoded: near-incompressible
-		{"mail", workload.ClassMail},
-	} {
-		corpus[c.name] = workload.Generate(c.class, 128*1024, 7)
-	}
-	corpus["deepcode"] = deepCodeData(96 * 1024)
-	return corpus
-}
-
-// deepCodeData draws bytes from a Fibonacci-decaying distribution: the
-// literal frequencies span ~2^20, which pushes package-merge (and zlib's
-// tree builder) to assign near-maximum 15-bit codes to the rare symbols.
-func deepCodeData(n int) []byte {
-	weights := make([]int, 40)
-	a, b := 1, 1
-	for i := range weights {
-		weights[i] = a
-		a, b = b, a+b
-	}
-	total := 0
-	for _, w := range weights {
-		total += w
-	}
-	rng := rand.New(rand.NewSource(29))
-	out := make([]byte, n)
-	for i := range out {
-		v := rng.Intn(total)
-		for s, w := range weights {
-			if v < w {
-				out[i] = byte(s)
-				break
-			}
-			v -= w
-		}
-	}
-	return out
-}
-
 // TestDifferentialStdlibDecompressesOurs: everything our three
 // compressors emit, the standard library must reproduce exactly.
 func TestDifferentialStdlibDecompressesOurs(t *testing.T) {
-	for name, data := range differentialCorpus(t) {
+	for name, data := range ours.DifferentialCorpus() {
 		for _, level := range []int{1, 6, 9} {
 			comp, err := ours.GzipCompress(data, level)
 			if err != nil {
@@ -132,7 +77,7 @@ func TestDifferentialStdlibDecompressesOurs(t *testing.T) {
 // TestDifferentialWeDecompressStdlib: everything the standard library's
 // compressors emit, our table-driven inflate must reproduce exactly.
 func TestDifferentialWeDecompressStdlib(t *testing.T) {
-	for name, data := range differentialCorpus(t) {
+	for name, data := range ours.DifferentialCorpus() {
 		for _, level := range []int{1, 6, 9} {
 			var buf bytes.Buffer
 			zw, _ := gzip.NewWriterLevel(&buf, level)
@@ -177,7 +122,7 @@ func TestDifferentialWeDecompressStdlib(t *testing.T) {
 // the stdlib over the corpus, read through a small buffer so the
 // mid-block pause/resume path runs constantly.
 func TestDifferentialStreamingReader(t *testing.T) {
-	for name, data := range differentialCorpus(t) {
+	for name, data := range ours.DifferentialCorpus() {
 		var buf bytes.Buffer
 		zw, _ := gzip.NewWriterLevel(&buf, 9)
 		zw.Write(data)
@@ -235,7 +180,7 @@ func FuzzGzipDifferential(f *testing.F) {
 	f.Add([]byte(nil))
 	f.Add([]byte("a"))
 	f.Add(bytes.Repeat([]byte("ab"), 4096))
-	f.Add(deepCodeData(4096)) // drives 15-bit Huffman codes
+	f.Add(ours.DeepCodeData(4096)) // drives 15-bit Huffman codes
 	f.Add(workload.Generate(workload.ClassSource, 8192, 1))
 	f.Add(workload.Generate(workload.ClassMedia, 8192, 2))
 	f.Fuzz(func(t *testing.T, data []byte) {

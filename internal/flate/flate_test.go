@@ -236,6 +236,34 @@ func TestInflateMaxSizeGuard(t *testing.T) {
 	if len(out) != len(data) {
 		t.Fatalf("got %d bytes", len(out))
 	}
+
+	// The boundary itself, wherever it falls: output of exactly maxSize
+	// passes and one byte more is refused.
+	noise := make([]byte, 3000)
+	rand.New(rand.NewSource(19)).Read(noise)
+	for name, c := range map[string]struct {
+		data   []byte
+		stored bool
+	}{
+		"stored block":           {noise, true},
+		"literal run":            {[]byte("abcdefghijklmnopqrstuvwxyz"), false}, // no byte twice: no match
+		"match across the limit": {bytes.Repeat([]byte{'a'}, 259), false},       // ends in one of >= 3 bytes
+	} {
+		comp, err := CompressBytes(c.data, 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stored := comp[0]>>1&3 == 0; stored != c.stored {
+			t.Fatalf("%s: a stored block: %v, meant %v", name, stored, c.stored)
+		}
+		out, err := Inflate(nil, bytesReader(comp), len(c.data))
+		if err != nil || !bytes.Equal(out, c.data) {
+			t.Errorf("%s: maxSize of exactly the output: err %v", name, err)
+		}
+		if _, err := Inflate(nil, bytesReader(comp), len(c.data)-1); err == nil {
+			t.Errorf("%s: maxSize one byte under the output was not enforced", name)
+		}
+	}
 }
 
 func TestLevelValidation(t *testing.T) {

@@ -21,9 +21,10 @@ const (
 )
 
 // skipGzipHeader consumes one member header from next, which hands out the
-// stream's bytes in order. Both inflaters read their header through it, so
-// they accept the same headers, and the ones compress/gzip accepts: a
-// header string is bounded and a header CRC, when announced, must match.
+// stream's bytes in order. GzipDecompress and the Reader read their header
+// through it, so they accept the same headers, and the ones compress/gzip
+// accepts: a header string is bounded and a header CRC, when announced, must
+// match.
 func skipGzipHeader(next func() (byte, error)) error {
 	const flgFHCRC, flgFEXTRA, flgFNAME, flgFCOMMENT = 1 << 1, 1 << 2, 1 << 3, 1 << 4
 	var crc uint32
@@ -82,25 +83,44 @@ func GzipCompress(data []byte, level int) ([]byte, error) {
 	if err := validateLevel(level); err != nil {
 		return nil, err
 	}
-	hdr := make([]byte, gzipHdrLen, gzipHdrLen+deflateSizeHint(len(data))+gzipTrailLen)
-	hdr[0], hdr[1], hdr[2] = gzipID1, gzipID2, gzipCM
-	// FLG=0, MTIME=0 (deterministic output).
+	hdr := gzipHeader(level)
+	b := make([]byte, 0, gzipHdrLen+deflateSizeHint(len(data))+gzipTrailLen)
+	out := sliceWriter{b: append(b, hdr[:]...)}
+	if _, err := Deflate(&out, data, level); err != nil {
+		return nil, err
+	}
+	return appendGzipTrailer(out.b, checksum.CRC32(data), uint32(len(data))), nil
+}
+
+// gzipHeader is the member header both compressors write: no flags, MTIME 0
+// (deterministic output), XFL from the level.
+func gzipHeader(level int) [gzipHdrLen]byte {
+	hdr := [gzipHdrLen]byte{0: gzipID1, 1: gzipID2, 2: gzipCM, 9: gzipOSUnix}
 	switch level {
 	case 9:
 		hdr[8] = gzipXFLBest
 	case 1:
 		hdr[8] = gzipXFLFast
 	}
-	hdr[9] = gzipOSUnix
+	return hdr
+}
 
-	out := sliceWriter{b: hdr}
-	if _, err := Deflate(&out, data, level); err != nil {
-		return nil, err
+// appendGzipTrailer appends a member's trailer: the CRC-32 and the length
+// mod 2^32 of what it decodes to.
+func appendGzipTrailer(dst []byte, crc, size uint32) []byte {
+	return binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(dst, crc), size)
+}
+
+// checkGzipTrailer holds a member's trailer to the CRC-32 and length of
+// what it decoded to.
+func checkGzipTrailer(trailer []byte, crc, size uint32) error {
+	if binary.LittleEndian.Uint32(trailer[0:4]) != crc {
+		return fmt.Errorf("%w: gzip CRC mismatch", ErrCorrupt)
 	}
-	var trailer [gzipTrailLen]byte
-	binary.LittleEndian.PutUint32(trailer[0:4], checksum.CRC32(data))
-	binary.LittleEndian.PutUint32(trailer[4:8], uint32(len(data)))
-	return append(out.b, trailer[:]...), nil
+	if binary.LittleEndian.Uint32(trailer[4:8]) != size {
+		return fmt.Errorf("%w: gzip ISIZE mismatch", ErrCorrupt)
+	}
+	return nil
 }
 
 // maxTrailerPrealloc caps how much the decompressors pre-reserve from the
@@ -134,19 +154,15 @@ func GzipDecompressAppend(dst, data []byte, maxSize int) ([]byte, error) {
 	}
 	body := data[pos : len(data)-gzipTrailLen]
 	trailer := data[len(data)-gzipTrailLen:]
-	wantCRC := binary.LittleEndian.Uint32(trailer[0:4])
-	wantSize := binary.LittleEndian.Uint32(trailer[4:8])
-	dst = reserve(dst, int(wantSize), maxSize)
+	// ISIZE is read ahead of its check, as a hint of how much room to make.
+	dst = reserve(dst, int(binary.LittleEndian.Uint32(trailer[4:8])), maxSize)
 	base := len(dst)
 	out, err := Inflate(dst, bytesReader(body), maxSize)
 	if err != nil {
 		return nil, err
 	}
-	if checksum.CRC32(out[base:]) != wantCRC {
-		return nil, fmt.Errorf("%w: gzip CRC mismatch", ErrCorrupt)
-	}
-	if uint32(len(out)-base) != wantSize {
-		return nil, fmt.Errorf("%w: gzip ISIZE mismatch", ErrCorrupt)
+	if err := checkGzipTrailer(trailer, checksum.CRC32(out[base:]), uint32(len(out)-base)); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"sync"
 
@@ -15,15 +16,31 @@ import (
 // ErrCorrupt is returned when the DEFLATE stream is structurally invalid.
 var ErrCorrupt = errors.New("flate: corrupt stream")
 
-// inflater is Inflate's workspace: the bit reader with its copy buffer and
-// the dynamic-block codes. One inflate allocates nothing beyond dst's
-// growth.
+// inflater is the package's one DEFLATE decoder: the bit reader with its
+// copy buffer, the dynamic-block codes, and its place in the block
+// structure, so that run can stop wherever an output limit falls and a later
+// run carries on from there. Inflate takes one from the pool and runs it to
+// the end; a Reader owns one and runs it a Read's worth at a time. Decoding
+// allocates nothing beyond dst's growth.
 type inflater struct {
 	br    bitio.LSBReader
 	codes dynamicCodes
+
+	inBlock   bool             // a block's header is read and its end is not
+	final     bool             // that block, or the one that just ended, is the last
+	stored    int              // bytes a stored block has still to hand over
+	lit, dist *huffman.Decoder // a Huffman block's codes; lit is nil in a stored block
+	copyLen   int              // what the limit cut off a match,
+	copyDist  int              // and how far back that match copies from
 }
 
 var inflaterPool = sync.Pool{New: func() any { return new(inflater) }}
+
+// reset points z at the start of a stream read from r.
+func (z *inflater) reset(r io.Reader) {
+	z.br.Reset(r)
+	z.inBlock, z.final, z.copyLen = false, false, 0
+}
 
 // Inflate decompresses a complete DEFLATE stream from r, appending to dst
 // (which may be nil). The stream must be all of r: a byte left behind the
@@ -32,64 +49,101 @@ var inflaterPool = sync.Pool{New: func() any { return new(inflater) }}
 // appended, to protect against decompression bombs.
 func Inflate(dst []byte, r io.Reader, maxSize int) ([]byte, error) {
 	z := inflaterPool.Get().(*inflater)
-	defer inflaterPool.Put(z)
-	br := &z.br
-	br.Reset(r)
-	defer br.Reset(nil) // a pooled workspace must not pin the caller's stream
-	base := len(dst)    // where this stream's own output, all a match may copy from, begins
+	z.reset(r)
+	defer func() {
+		z.reset(nil) // a pooled workspace must not pin the caller's stream
+		inflaterPool.Put(z)
+	}()
+	base := len(dst) // where this stream's own output, all a match may copy from, begins
+	limit := math.MaxInt
 	if maxSize > 0 {
-		maxSize += base
+		limit = base + maxSize + 1 // the first length that is too long: a run that gets there is refused
 	}
-	for {
-		final := br.ReadBits(1)
-		btype := br.ReadBits(2)
-		if err := br.Err(); err != nil {
-			return nil, fmt.Errorf("%w: block header: %v", ErrCorrupt, err)
-		}
-		var err error
-		switch btype {
-		case 0:
-			dst, err = inflateStored(dst, br, maxSize)
-		case 1:
-			dst, err = inflateHuffman(dst, base, br, fixedLit, fixedDist, maxSize)
-		case 2:
-			if err = z.codes.read(br); err == nil {
-				dst, err = inflateHuffman(dst, base, br, &z.codes.lit, &z.codes.dist, maxSize)
-			}
-		default:
-			err = fmt.Errorf("%w: reserved block type", ErrCorrupt)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if final == 1 {
-			var one [1]byte
-			if br.Align(); br.ReadBytes(one[:]) == nil {
-				return nil, fmt.Errorf("%w: data after the final block", ErrCorrupt)
-			}
-			return dst, nil
-		}
+	dst, done, err := z.run(dst, base, limit)
+	if err != nil {
+		return nil, err
 	}
-}
-
-func inflateStored(dst []byte, br *bitio.LSBReader, maxSize int) ([]byte, error) {
-	br.Align()
-	n := br.ReadBits(16)
-	nlen := br.ReadBits(16)
-	if err := br.Err(); err != nil {
-		return nil, fmt.Errorf("%w: stored header: %v", ErrCorrupt, err)
-	}
-	if n != ^nlen&0xffff {
-		return nil, fmt.Errorf("%w: stored LEN/NLEN mismatch", ErrCorrupt)
-	}
-	if maxSize > 0 && len(dst)+int(n) > maxSize {
+	if !done {
 		return nil, fmt.Errorf("%w: output exceeds limit %d", ErrCorrupt, maxSize)
 	}
-	dst = slices.Grow(dst, int(n))
-	end := len(dst) + int(n)
-	if err := br.ReadBytes(dst[len(dst):end]); err != nil {
+	var one [1]byte
+	if z.br.Align(); z.br.ReadBytes(one[:]) == nil {
+		return nil, fmt.Errorf("%w: data after the final block", ErrCorrupt)
+	}
+	return dst, nil
+}
+
+// run decodes onto dst until the final block has ended, which it reports as
+// done, or len(dst) has reached limit, and returns dst as it then stands.
+// Called again with room under the limit it carries on where it stopped. A
+// match copies from dst[base:] only; a caller that trims dst between runs
+// keeps the last lz77.WindowSize bytes in place.
+func (z *inflater) run(dst []byte, base, limit int) (_ []byte, done bool, err error) {
+	for len(dst) < limit {
+		switch {
+		case z.copyLen > 0:
+			dst = z.match(dst, z.copyDist, z.copyLen, limit)
+		case !z.inBlock && z.final:
+			return dst, true, nil
+		case !z.inBlock:
+			err = z.blockHeader()
+		case z.lit == nil:
+			dst, err = z.storedBlock(dst, limit)
+		default:
+			dst, err = z.huffmanBlock(dst, base, limit)
+		}
+		if err != nil {
+			return nil, false, err
+		}
+	}
+	return dst, false, nil
+}
+
+// blockHeader reads the next block's header and leaves z inside the block.
+func (z *inflater) blockHeader() error {
+	br := &z.br
+	final := br.ReadBits(1)
+	btype := br.ReadBits(2)
+	if err := br.Err(); err != nil {
+		return fmt.Errorf("%w: block header: %v", ErrCorrupt, err)
+	}
+	z.inBlock, z.final = true, final == 1
+	switch btype {
+	case 0:
+		br.Align()
+		n := br.ReadBits(16)
+		nlen := br.ReadBits(16)
+		if err := br.Err(); err != nil {
+			return fmt.Errorf("%w: stored header: %v", ErrCorrupt, err)
+		}
+		if n != ^nlen&0xffff {
+			return fmt.Errorf("%w: stored LEN/NLEN mismatch", ErrCorrupt)
+		}
+		z.stored, z.lit = int(n), nil
+	case 1:
+		z.lit, z.dist = fixedLit, fixedDist
+	case 2:
+		if err := z.codes.read(br); err != nil {
+			return err
+		}
+		z.lit, z.dist = &z.codes.lit, &z.codes.dist
+	default:
+		return fmt.Errorf("%w: reserved block type", ErrCorrupt)
+	}
+	return nil
+}
+
+// storedBlock reads what is left of a stored block, or as much of it as the
+// limit has room for, straight into dst.
+func (z *inflater) storedBlock(dst []byte, limit int) ([]byte, error) {
+	n := min(z.stored, limit-len(dst))
+	dst = slices.Grow(dst, n)
+	end := len(dst) + n
+	if err := z.br.ReadBytes(dst[len(dst):end]); err != nil {
 		return nil, fmt.Errorf("%w: stored payload: %v", ErrCorrupt, err)
 	}
+	z.stored -= n
+	z.inBlock = z.stored > 0
 	return dst[:end], nil
 }
 
@@ -205,13 +259,13 @@ func (dc *dynamicCodes) read(br *bitio.LSBReader) error {
 // declare (RFC 1951 3.2.7): it decodes only to symbols no block may use.
 var noDistCodes = [32]uint8{30: 1, 31: 1}
 
-// inflateHuffman is the inflate inner loop, restructured around the
-// peek/consume bit reader and the table-driven Huffman kernels: one table
-// probe per symbol instead of one reader call per bit, and back-reference
-// copies move in chunks (doubling through the overlap when dist < length)
-// instead of byte-at-a-time.
-func inflateHuffman(dst []byte, base int, br *bitio.LSBReader, litDec, distDec *huffman.Decoder, maxSize int) ([]byte, error) {
-	for {
+// huffmanBlock is the inflate inner loop, built around the peek/consume
+// bit reader and the table-driven Huffman kernels: one table probe per
+// symbol instead of one reader call per bit. It returns at the end of the
+// block or at the limit.
+func (z *inflater) huffmanBlock(dst []byte, base, limit int) ([]byte, error) {
+	br, litDec, distDec := &z.br, z.lit, z.dist
+	for len(dst) < limit {
 		sym, err := litDec.DecodeLSB(br)
 		if err != nil {
 			return nil, fmt.Errorf("%w: lit/len: %v", ErrCorrupt, err)
@@ -220,6 +274,7 @@ func inflateHuffman(dst []byte, base int, br *bitio.LSBReader, litDec, distDec *
 		case sym < 256:
 			dst = append(dst, byte(sym))
 		case sym == endBlockMarker:
+			z.inBlock = false
 			return dst, nil
 		case sym <= 285:
 			le := lengthTable[sym-257]
@@ -242,36 +297,26 @@ func inflateHuffman(dst []byte, base int, br *bitio.LSBReader, litDec, distDec *
 			if length > lz77.MaxMatch {
 				return nil, fmt.Errorf("%w: match length %d", ErrCorrupt, length)
 			}
-			if maxSize > 0 && len(dst)+length > maxSize {
-				return nil, fmt.Errorf("%w: output exceeds limit %d", ErrCorrupt, maxSize)
-			}
-			start := len(dst) - dist
-			if dist >= length {
-				// Source and destination cannot overlap: one copy.
-				dst = append(dst, dst[start:start+length]...)
-			} else {
-				// Overlapping copy: the run doubles each append.
-				total := len(dst) + length
-				for len(dst) < total {
-					chunk := len(dst) - start
-					if rem := total - len(dst); chunk > rem {
-						chunk = rem
-					}
-					dst = append(dst, dst[start:start+chunk]...)
-				}
-			}
+			dst = z.match(dst, dist, length, limit)
 		default:
 			return nil, fmt.Errorf("%w: lit/len symbol %d", ErrCorrupt, sym)
 		}
-		if maxSize > 0 && len(dst) > maxSize {
-			return nil, fmt.Errorf("%w: output exceeds limit %d", ErrCorrupt, maxSize)
-		}
 	}
+	return dst, nil
 }
 
-// DecompressBytes inflates a complete DEFLATE stream held in memory.
-func DecompressBytes(data []byte) ([]byte, error) {
-	return Inflate(nil, bytesReader(data), 0)
+// match appends length bytes that repeat what lies dist back, or as many of
+// them as the limit has room for, and leaves the rest for the next run. The
+// copy moves in chunks, doubling through the overlap when dist < length,
+// not byte at a time.
+func (z *inflater) match(dst []byte, dist, length, limit int) []byte {
+	n := min(length, limit-len(dst))
+	z.copyLen, z.copyDist = length-n, dist
+	start := len(dst) - dist
+	for total := len(dst) + n; len(dst) < total; {
+		dst = append(dst, dst[start:min(len(dst), start+total-len(dst))]...)
+	}
+	return dst
 }
 
 func bytesReader(b []byte) io.Reader { return &sliceReader{b: b} }

@@ -1,10 +1,10 @@
 package flate
 
-// The package keeps two inflaters because they serve different inputs: the
-// one-shot Inflate decodes a block held in memory straight into the
-// caller's slice, the resumable Reader decodes a stream of any length in
-// constant memory. FuzzStreamReader holds them to each other, and both to
-// the standard library, on arbitrary bytes.
+// The package's one inflater is used two ways: Inflate runs it once to the
+// end of a block held in memory, straight into the caller's slice; the
+// Reader resumes it a Read at a time over a stream of any length, in
+// constant memory. FuzzStreamReader holds the two uses to each other, and
+// both to the standard library, on arbitrary bytes.
 
 import (
 	"bytes"
@@ -89,9 +89,9 @@ func streamSeeds(tb testing.TB) map[string][]byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	for i := 0; i < 3; i++ { // a Flush ends a segment: three runs of blocks and sync markers
+	for i := 0; i < 3; i++ { // three segments, each its own run of blocks
 		_, _ = zw.Write(text[i*1000 : (i+1)*1000])
-		if err := zw.Flush(); err != nil {
+		if err := zw.flushSegment(); err != nil {
 			tb.Fatal(err)
 		}
 	}

@@ -7,6 +7,10 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"repro/internal/bitio"
+	"repro/internal/checksum"
+	"repro/internal/lz77"
 )
 
 func streamCompress(t testing.TB, data []byte, level int, chunk int) []byte {
@@ -148,34 +152,6 @@ func TestStreamLargeConstantMemory(t *testing.T) {
 	}
 }
 
-func TestStreamWriterFlush(t *testing.T) {
-	var buf bytes.Buffer
-	zw, err := NewWriter(&buf, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := zw.Write([]byte("first part ")); err != nil {
-		t.Fatal(err)
-	}
-	if err := zw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	mid := buf.Len()
-	if mid == 0 {
-		t.Fatal("flush produced no output")
-	}
-	if _, err := zw.Write([]byte("second part")); err != nil {
-		t.Fatal(err)
-	}
-	if err := zw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got := streamDecompress(t, buf.Bytes(), 64)
-	if string(got) != "first part second part" {
-		t.Fatalf("got %q", got)
-	}
-}
-
 func TestStreamWriteAfterClose(t *testing.T) {
 	zw, err := NewWriter(io.Discard, 6)
 	if err != nil {
@@ -208,14 +184,105 @@ func TestStreamReaderDetectsCorruption(t *testing.T) {
 	}
 }
 
+// TestStreamMatchesAcrossReadBoundaries: wherever a Read's size stops the
+// decoder — inside a stored block, part-way through a match, on either side
+// of the buffer sliding — the next Read carries on from there, and the
+// stream decodes as it does in one run.
 func TestStreamMatchesAcrossReadBoundaries(t *testing.T) {
-	// Long matches split across many small reads must reconstruct exactly.
-	data := append(bytes.Repeat([]byte("abcdefgh"), 10_000), bytes.Repeat([]byte{0}, 50_000)...)
-	comp := streamCompress(t, data, 9, 1<<20)
-	got := streamDecompress(t, comp, 3) // tiny reads
-	if !bytes.Equal(got, data) {
-		t.Fatal("mismatch with tiny reads")
+	members := streamSeeds(t)
+	corpus := DifferentialCorpus()
+	for name, data := range corpus {
+		comp, err := GzipCompress(data, 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		members["corpus/"+name] = comp
 	}
+	for name, comp := range members {
+		want, wantErr := GzipDecompress(comp, 0)
+		for _, size := range []int{1, 2, 3, 257, 258, 259, 32767, 32768, 32769} {
+			got, err := readMember(NewReader(bytes.NewReader(comp)), size)
+			if (err != nil) != (wantErr != nil) {
+				t.Errorf("%s in %d-byte reads: err %v; in one run: err %v", name, size, err, wantErr)
+			} else if err == nil && !bytes.Equal(got, want) {
+				t.Errorf("%s in %d-byte reads decodes to different bytes (%d, %d)", name, size, len(got), len(want))
+			}
+		}
+	}
+
+	// A first read sized to stop the decoder at a known place, which is
+	// checked, then the rest.
+	gz := func(data []byte) []byte {
+		comp, err := GzipCompress(data, 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return comp
+	}
+	noise := make([]byte, 2*lz77.WindowSize)
+	rand.New(rand.NewSource(19)).Read(noise)
+	echo := append(noise[:300:300], noise[:300]...)
+	farComp, far := windowBackMatch(noise)
+	for _, c := range []struct {
+		name   string
+		comp   []byte
+		data   []byte
+		first  int
+		paused func(zr *Reader) bool
+	}{
+		{"a stored block", gz(noise[:3000]), noise[:3000], 100,
+			func(zr *Reader) bool { return zr.z.inBlock && zr.z.lit == nil && zr.z.stored == 2900 }},
+		{"a match", gz(echo), echo, 400,
+			func(zr *Reader) bool { return zr.z.copyLen > 0 && zr.z.copyDist == 300 }},
+		{"a match that overlaps its own output", gz(corpus["runs"]), corpus["runs"], 10,
+			func(zr *Reader) bool { return zr.z.copyLen > 1 && zr.z.copyDist == 1 }},
+		{"a full buffer, which the next match reaches the far end of", farComp, far, len(noise),
+			func(zr *Reader) bool { return len(zr.buf) == 2*lz77.WindowSize && !zr.z.inBlock }},
+	} {
+		zr := NewReader(bytes.NewReader(c.comp))
+		got := make([]byte, c.first)
+		if _, err := io.ReadFull(zr, got); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !c.paused(zr) {
+			t.Errorf("%s: %d bytes in, the decoder is not paused there (stored %d, match %d from %d back, buffer %d)",
+				c.name, c.first, zr.z.stored, zr.z.copyLen, zr.z.copyDist, len(zr.buf))
+		}
+		got = append(got, 0)
+		if _, err := zr.Read(got[c.first:]); err != nil { // one byte: the least that carries on
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		rest, err := io.ReadAll(zr)
+		if err != nil || !bytes.Equal(append(got, rest...), c.data) {
+			t.Errorf("%s: resumed to different bytes (err %v)", c.name, err)
+		}
+	}
+}
+
+// windowBackMatch is two windows of bytes in a stored block each, then a
+// three-byte match at the longest distance there is: a Reader whose buffer
+// is full when it gets there has to have kept the whole of the last window.
+// It returns the gzip member and what it decodes to.
+func windowBackMatch(twoWindows []byte) (comp, data []byte) {
+	var body bytes.Buffer
+	bw := bitio.NewLSBWriter(&body)
+	for _, window := range [][]byte{twoWindows[:lz77.WindowSize], twoWindows[lz77.WindowSize:]} {
+		bw.WriteBits(0, 3) // not final, stored
+		bw.Align()
+		bw.WriteBits(lz77.WindowSize, 16)
+		bw.WriteBits(^uint64(lz77.WindowSize)&0xffff, 16)
+		bw.WriteBytes(window)
+	}
+	bw.WriteBits(1, 1)         // BFINAL
+	bw.WriteBits(1, 2)         // fixed codes
+	bw.WriteBits(0b1000000, 7) // length code 257 (0000001, first bit first): 3 bytes
+	bw.WriteBits(0b10111, 5)   // distance code 29 (11101, first bit first): 24577 and up
+	bw.WriteBits(8191, 13)     // 24577 + 8191 = 32768
+	bw.WriteBits(0, 7)         // end of block
+	_ = bw.Flush()
+	data = append(bytes.Clone(twoWindows), twoWindows[lz77.WindowSize:][:3]...)
+	hdr := gzipHeader(6)
+	return appendGzipTrailer(append(hdr[:], body.Bytes()...), checksum.CRC32(data), uint32(len(data))), data
 }
 
 func BenchmarkStreamWriter(b *testing.B) {

@@ -155,14 +155,6 @@ func (s Scenario) withDefaults() Scenario {
 	return s
 }
 
-// FaultModes reports how many distinct fault modes the scenario injects.
-func (s Scenario) FaultModes() int {
-	if s.FaultRate > 0 {
-		return 4 // fragment, reset, truncate, bit-flip
-	}
-	return 0
-}
-
 // corpusFile is one generated workload file served by the scenario.
 type corpusFile struct {
 	name    string

@@ -46,7 +46,7 @@ func TestFetchCompletesUnderFaults(t *testing.T) {
 	}
 	srv := NewServerWith(nil, Config{
 		WrapConn:    plan.Wrapper(),
-		ReadTimeout: 2 * time.Second,
+		readTimeout: 2 * time.Second,
 	})
 	files := map[string][]byte{
 		"small.txt": workload.Generate(workload.ClassMail, 5_000, 1),

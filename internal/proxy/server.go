@@ -36,11 +36,6 @@ type Config struct {
 	// MaxConns caps concurrent connections; excess connections receive
 	// statusBusy and are closed. 0 selects 256.
 	MaxConns int
-	// ReadTimeout bounds how long the server waits for a client's request
-	// frame. 0 selects 30s.
-	ReadTimeout time.Duration
-	// WriteTimeout bounds serving the whole response. 0 selects 2m.
-	WriteTimeout time.Duration
 	// WrapConn, when set, wraps every accepted connection before the
 	// server touches it. It is the hook the fault-injection transport
 	// (internal/proxy/faultconn) plugs into, so the whole stack can be
@@ -75,7 +70,19 @@ type Config struct {
 	// /eventsz endpoint. The sink never blocks the dataplane (full
 	// buffers drop and count); its lifecycle belongs to the caller.
 	Events *export.Sink
+
+	// What the package's tests shorten: 0 selects defaultReadTimeout and
+	// defaultWriteTimeout.
+	readTimeout, writeTimeout time.Duration
 }
+
+const (
+	// defaultReadTimeout bounds how long the server waits for a client's
+	// request frame.
+	defaultReadTimeout = 30 * time.Second
+	// defaultWriteTimeout bounds serving the whole response.
+	defaultWriteTimeout = 2 * time.Minute
+)
 
 func (c Config) withDefaults() Config {
 	if c.CacheBytes == 0 {
@@ -87,11 +94,11 @@ func (c Config) withDefaults() Config {
 	if c.MaxConns <= 0 {
 		c.MaxConns = 256
 	}
-	if c.ReadTimeout <= 0 {
-		c.ReadTimeout = 30 * time.Second
+	if c.readTimeout <= 0 {
+		c.readTimeout = defaultReadTimeout
 	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 2 * time.Minute
+	if c.writeTimeout <= 0 {
+		c.writeTimeout = defaultWriteTimeout
 	}
 	return c
 }
@@ -598,7 +605,7 @@ func (s *Server) Close() error {
 			err = s.ln.Close()
 		}
 		// Expire pending request reads so idle connections cannot hold the
-		// drain hostage for ReadTimeout; writes (responses in flight)
+		// drain hostage for the read timeout; writes (responses in flight)
 		// proceed untouched.
 		s.connMu.Lock()
 		for conn := range s.conns {
@@ -626,9 +633,9 @@ func (s *Server) handle(conn net.Conn) (err error) {
 		span.Finish()
 	}()
 
-	// A client must present its whole request within ReadTimeout, and the
-	// full response must drain within WriteTimeout.
-	if err := conn.SetReadDeadline(s.clock.Now().Add(s.cfg.ReadTimeout)); err != nil {
+	// A client must present its whole request within readTimeout, and the
+	// full response must drain within writeTimeout.
+	if err := conn.SetReadDeadline(s.clock.Now().Add(s.cfg.readTimeout)); err != nil {
 		return err
 	}
 	readStart := time.Now()
@@ -639,7 +646,7 @@ func (s *Server) handle(conn net.Conn) (err error) {
 	span.Phase("read-request", "", readStart, time.Since(readStart), 0)
 	span.SetAttr("req_id", obs.ReqID(req.ReqID))
 	s.metrics.requests.Add(1)
-	if err := conn.SetWriteDeadline(s.clock.Now().Add(s.cfg.WriteTimeout)); err != nil {
+	if err := conn.SetWriteDeadline(s.clock.Now().Add(s.cfg.writeTimeout)); err != nil {
 		return err
 	}
 	switch req.Op {

@@ -210,7 +210,7 @@ func TestClosingWhileQueuedWritesNoHeader(t *testing.T) {
 // right after the header, with its socket buffers full. The build must not
 // notice — a follower for the same key completes, the queue-depth gauge
 // returns to zero and the worker slot is free while the stalled connection
-// is still open — and what finally reaps that connection is WriteTimeout.
+// is still open — and what finally reaps that connection is the write timeout.
 func TestSlowReaderDoesNotHoldTheBuild(t *testing.T) {
 	const writeTimeout = 4 * time.Second
 	// Incompressible, so the response overflows the shrunken socket
@@ -219,7 +219,7 @@ func TestSlowReaderDoesNotHoldTheBuild(t *testing.T) {
 	rand.New(rand.NewSource(5)).Read(content)
 	srv := NewServerWith(nil, Config{
 		Workers:      1,
-		WriteTimeout: writeTimeout,
+		writeTimeout: writeTimeout,
 		WrapConn: func(c net.Conn) net.Conn {
 			_ = c.(*net.TCPConn).SetWriteBuffer(4 << 10)
 			return c
@@ -286,12 +286,12 @@ func TestSlowReaderDoesNotHoldTheBuild(t *testing.T) {
 			st.Compressions, st.CacheEntries)
 	}
 	if since := time.Since(start); since >= writeTimeout {
-		t.Fatalf("build took %v to let go of the stalled leader; WriteTimeout is %v", since, writeTimeout)
+		t.Fatalf("build took %v to let go of the stalled leader; the write timeout is %v", since, writeTimeout)
 	}
 
 	waitFor(t, func() bool { return srv.Stats().ConnsActive == 0 })
 	if reaped := time.Since(start); reaped < writeTimeout {
-		t.Errorf("stalled connection reaped after %v, before its %v WriteTimeout", reaped, writeTimeout)
+		t.Errorf("stalled connection reaped after %v, before its %v write timeout", reaped, writeTimeout)
 	}
 	if st := srv.Stats(); st.Errors != 1 {
 		t.Errorf("%d errored requests, want the one stalled connection", st.Errors)

@@ -83,18 +83,6 @@ func (k *Kernel) Run() time.Duration {
 	return k.now
 }
 
-// RunUntil executes events with time <= t, then advances the clock to t.
-func (k *Kernel) RunUntil(t time.Duration) {
-	for len(k.pq) > 0 && k.pq[0].at <= t {
-		e := heap.Pop(&k.pq).(*event)
-		k.now = e.at
-		e.fn()
-	}
-	if t > k.now {
-		k.now = t
-	}
-}
-
 // Step pops and runs the single earliest event, advancing the clock to
 // its time. It reports false (and leaves the clock alone) when the queue
 // is empty. Concurrent drivers (internal/simnet) advance the kernel one

@@ -75,27 +75,6 @@ func TestNegativeDelayClamped(t *testing.T) {
 	k.Run()
 }
 
-func TestRunUntil(t *testing.T) {
-	k := NewKernel()
-	ran := 0
-	k.Schedule(time.Second, func() { ran++ })
-	k.Schedule(3*time.Second, func() { ran++ })
-	k.RunUntil(2 * time.Second)
-	if ran != 1 {
-		t.Errorf("ran %d events, want 1", ran)
-	}
-	if k.Now() != 2*time.Second {
-		t.Errorf("clock at %v", k.Now())
-	}
-	if k.Pending() != 1 {
-		t.Errorf("pending %d", k.Pending())
-	}
-	k.Run()
-	if ran != 2 {
-		t.Errorf("ran %d events after Run", ran)
-	}
-}
-
 func TestAtAbsoluteTime(t *testing.T) {
 	k := NewKernel()
 	var at time.Duration

@@ -36,12 +36,6 @@ func WaveLAN11() Link {
 	return Link{BytesPerSec: 0.6e6, Latency: 2 * time.Millisecond}
 }
 
-// WaveLAN2 is the Section 4.2 validation configuration: 2 Mb/s nominal,
-// 0.18 MB/s effective.
-func WaveLAN2() Link {
-	return Link{BytesPerSec: 0.18e6, Latency: 5 * time.Millisecond}
-}
-
 // txTime returns the virtual time serializing n bytes takes on l,
 // drawing jitter from rng when configured.
 func (l Link) txTime(n int, rng *rand.Rand) time.Duration {

@@ -95,28 +95,6 @@ func Table2() []FileSpec {
 	}
 }
 
-// LargeFiles returns Table 2's large-file group in figure order.
-func LargeFiles() []FileSpec {
-	var out []FileSpec
-	for _, s := range Table2() {
-		if s.Large {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// SmallFiles returns Table 2's small-file group in figure order.
-func SmallFiles() []FileSpec {
-	var out []FileSpec
-	for _, s := range Table2() {
-		if !s.Large {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // ScaledCorpus returns the full corpus with large files scaled by factor;
 // small files (the absolute-threshold group) keep their true sizes.
 func ScaledCorpus(factor float64) []FileSpec {

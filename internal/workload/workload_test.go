@@ -40,14 +40,9 @@ func TestTable2Complete(t *testing.T) {
 }
 
 func TestSmallFilesAreSmall(t *testing.T) {
-	for _, s := range SmallFiles() {
-		if s.Size > 100_000 {
-			t.Errorf("%s: small-group file of %d bytes", s.Name, s.Size)
-		}
-	}
-	for _, s := range LargeFiles() {
-		if s.Size < 100_000 {
-			t.Errorf("%s: large-group file of %d bytes", s.Name, s.Size)
+	for _, s := range Table2() {
+		if s.Large && s.Size < 100_000 || !s.Large && s.Size > 100_000 {
+			t.Errorf("%s: %d bytes, in the large group: %v", s.Name, s.Size, s.Large)
 		}
 	}
 }

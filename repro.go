@@ -127,13 +127,6 @@ const (
 // transfer on the simulated device/link/meter stack.
 func RunExperiment(spec ExperimentSpec) (ExperimentResult, error) { return pipeline.Run(spec) }
 
-// UploadSpec describes one simulated upload experiment (the extension of
-// the paper's Section 7: the handheld compresses, then sends).
-type UploadSpec = pipeline.UploadSpec
-
-// RunUpload executes an upload experiment.
-func RunUpload(spec UploadSpec) (ExperimentResult, error) { return pipeline.RunUpload(spec) }
-
 // RateConfig describes an 802.11b rate point.
 type RateConfig = wlan.RateConfig
 

@@ -99,9 +99,9 @@ fuzz ./internal/proxy FuzzReadBlockFrame
 fuzz ./internal/cluster FuzzReadPeerRequest
 fuzz ./internal/flate FuzzGzipDifferential
 fuzz ./internal/flate FuzzDeflateDifferential
-# The two inflaters — the one-shot one the dataplane decodes blocks with and
-# the resumable Reader behind czip — held to each other and to compress/gzip
-# on arbitrary bytes.
+# The one inflater, held to itself — run once to the end of the caller's
+# buffer, as the dataplane decodes blocks, against resumed a Read at a time
+# by the Reader behind czip — and to compress/gzip, on arbitrary bytes.
 fuzz ./internal/flate FuzzStreamReader
 fuzz ./internal/selective FuzzSELRoundTrip
 fuzz ./internal/selective FuzzSELParse
@@ -221,6 +221,12 @@ check_cover ./internal/decider 85
 check_cover ./internal/energy 87
 check_cover ./internal/scenario 88
 check_cover ./internal/workload 93
+check_cover ./internal/flate 88
+check_cover ./internal/huffman 93
+check_cover ./internal/lzw 97
+check_cover ./internal/bwt 95
+check_cover ./internal/lz77 91
+check_cover ./internal/codec 90
 
 # Decompression-kernel gates, without -race (the race runtime changes
 # allocation counts): the pooled dataplane must stay O(1) buffers per
