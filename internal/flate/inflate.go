@@ -82,7 +82,9 @@ func (z *inflater) run(dst []byte, base, limit int) (_ []byte, done bool, err er
 	for len(dst) < limit {
 		switch {
 		case z.copyLen > 0:
-			dst = z.match(dst, z.copyDist, z.copyLen, limit)
+			length := z.copyLen
+			z.copyLen = 0 // match sets it again if the limit cuts this part too
+			dst = z.match(dst, z.copyDist, length, limit)
 		case !z.inBlock && z.final:
 			return dst, true, nil
 		case !z.inBlock:
@@ -308,12 +310,18 @@ func (z *inflater) huffmanBlock(dst []byte, base, limit int) ([]byte, error) {
 // match appends length bytes that repeat what lies dist back, or as many of
 // them as the limit has room for, and leaves the rest for the next run. The
 // copy moves in chunks, doubling through the overlap when dist < length,
-// not byte at a time.
+// not byte at a time; only a match that is cut touches z, which keeps the
+// inflate loop's common path free of stores.
 func (z *inflater) match(dst []byte, dist, length, limit int) []byte {
-	n := min(length, limit-len(dst))
-	z.copyLen, z.copyDist = length-n, dist
+	if room := limit - len(dst); length > room {
+		z.copyLen, z.copyDist = length-room, dist
+		length = room
+	}
 	start := len(dst) - dist
-	for total := len(dst) + n; len(dst) < total; {
+	if dist >= length {
+		return append(dst, dst[start:start+length]...)
+	}
+	for total := len(dst) + length; len(dst) < total; {
 		dst = append(dst, dst[start:min(len(dst), start+total-len(dst))]...)
 	}
 	return dst
