@@ -18,8 +18,14 @@ var ErrBitOverflow = errors.New("bitio: bit count out of range")
 
 const maxBitsPerCall = 57
 
+// writerBuf is a writer's buffer. It is handed to the io.Writer once it has
+// no room left for another eight bytes, which is what one WriteBits stores.
+const writerBuf = 4096
+
 // LSBWriter packs bits least-significant-bit first, the order used by DEFLATE
-// and by the LZW .Z format.
+// and by the LZW .Z format. Between calls the accumulator holds fewer than
+// eight bits: every WriteBits stores the accumulator's eight bytes at the
+// end of the buffer and keeps the whole ones.
 type LSBWriter struct {
 	w   io.Writer
 	acc uint64
@@ -30,7 +36,7 @@ type LSBWriter struct {
 
 // NewLSBWriter returns an LSBWriter emitting to w.
 func NewLSBWriter(w io.Writer) *LSBWriter {
-	return &LSBWriter{w: w, buf: make([]byte, 0, 4096)}
+	return &LSBWriter{w: w, buf: make([]byte, 0, writerBuf)}
 }
 
 // Reset rebinds the writer to w and clears all buffered bits, bytes and the
@@ -52,15 +58,14 @@ func (bw *LSBWriter) WriteBits(v uint64, n uint) {
 		bw.err = ErrBitOverflow
 		return
 	}
-	bw.acc |= (v & ((1 << n) - 1)) << bw.n
-	bw.n += n
-	for bw.n >= 8 {
-		bw.buf = append(bw.buf, byte(bw.acc))
-		bw.acc >>= 8
-		bw.n -= 8
-		if len(bw.buf) >= 4096 {
-			bw.drain()
-		}
+	acc, have := bw.acc|(v&(1<<n-1))<<bw.n, bw.n+n
+	at := len(bw.buf)
+	binary.LittleEndian.PutUint64(bw.buf[at:at+8], acc)
+	at += int(have >> 3)
+	bw.buf = bw.buf[:at]
+	bw.acc, bw.n = acc>>(have&^7), have&7
+	if at > writerBuf-8 {
+		bw.drain()
 	}
 }
 
@@ -82,9 +87,7 @@ func (bw *LSBWriter) WriteBytes(p []byte) {
 // Align pads with zero bits to the next byte boundary.
 func (bw *LSBWriter) Align() {
 	if bw.n > 0 {
-		bw.buf = append(bw.buf, byte(bw.acc))
-		bw.acc = 0
-		bw.n = 0
+		bw.WriteBits(0, 8-bw.n)
 	}
 }
 
@@ -315,6 +318,8 @@ func (br *LSBReader) AtEOF() bool {
 }
 
 // MSBWriter packs bits most-significant-bit first, the order used by bzip2.
+// Its accumulator is filled from the top, so that its big-endian store puts
+// the oldest bits first; it too keeps fewer than eight bits between calls.
 type MSBWriter struct {
 	w   io.Writer
 	acc uint64
@@ -325,7 +330,7 @@ type MSBWriter struct {
 
 // NewMSBWriter returns an MSBWriter emitting to w.
 func NewMSBWriter(w io.Writer) *MSBWriter {
-	return &MSBWriter{w: w, buf: make([]byte, 0, 4096)}
+	return &MSBWriter{w: w, buf: make([]byte, 0, writerBuf)}
 }
 
 // WriteBits writes the low n bits of v with the most significant of those
@@ -338,16 +343,16 @@ func (bw *MSBWriter) WriteBits(v uint64, n uint) {
 		bw.err = ErrBitOverflow
 		return
 	}
-	bw.acc = (bw.acc << n) | (v & ((1 << n) - 1))
-	bw.n += n
-	for bw.n >= 8 {
-		bw.buf = append(bw.buf, byte(bw.acc>>(bw.n-8)))
-		bw.n -= 8
-		if len(bw.buf) >= 4096 {
-			bw.drain()
-		}
+	have := bw.n + n
+	acc := bw.acc | (v&(1<<n-1))<<(64-have)
+	at := len(bw.buf)
+	binary.BigEndian.PutUint64(bw.buf[at:at+8], acc)
+	at += int(have >> 3)
+	bw.buf = bw.buf[:at]
+	bw.acc, bw.n = acc<<(have&^7), have&7
+	if at > writerBuf-8 {
+		bw.drain()
 	}
-	bw.acc &= (1 << bw.n) - 1
 }
 
 func (bw *MSBWriter) drain() {
@@ -364,9 +369,7 @@ func (bw *MSBWriter) drain() {
 // error.
 func (bw *MSBWriter) Flush() error {
 	if bw.n > 0 {
-		bw.buf = append(bw.buf, byte(bw.acc<<(8-bw.n)))
-		bw.acc = 0
-		bw.n = 0
+		bw.WriteBits(0, 8-bw.n)
 	}
 	bw.drain()
 	return bw.err

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/rand"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 )
 
@@ -300,3 +301,145 @@ func TestMSBWriterErr(t *testing.T) {
 		t.Fatal("write error not surfaced")
 	}
 }
+
+// TestPeekConsumeMatchesReadBits reads one random stream twice through each
+// reader — value by value with ReadBits, and the way the table-driven
+// decoders do, peeking a fixed window and consuming what a value used — in
+// one-byte and whole-buffer source reads, and over-consumes at the end.
+func TestPeekConsumeMatchesReadBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	seq := make([]uint, 20000)
+	vals := make([]uint64, len(seq))
+	var lsb, msb bytes.Buffer
+	lw, mw := NewLSBWriter(&lsb), NewMSBWriter(&msb)
+	for i := range seq {
+		seq[i] = uint(1 + rng.Intn(24))
+		vals[i] = rng.Uint64() & (1<<seq[i] - 1)
+		lw.WriteBits(vals[i], seq[i])
+		mw.WriteBits(vals[i], seq[i])
+	}
+	if lw.Flush() != nil || mw.Flush() != nil {
+		t.Fatal("flush failed")
+	}
+	type reader interface {
+		ReadBits(uint) uint64
+		ReadBit() uint64
+		PeekBits(uint) uint64
+		Consume(uint)
+		Err() error
+	}
+	for _, oneByte := range []bool{false, true} {
+		src := func(b []byte) io.Reader {
+			if oneByte {
+				return iotest.OneByteReader(bytes.NewReader(b))
+			}
+			return bytes.NewReader(b)
+		}
+		for name, r := range map[string]reader{
+			"LSB": NewLSBReader(src(lsb.Bytes())),
+			"MSB": NewMSBReader(src(msb.Bytes())),
+		} {
+			for i, n := range seq {
+				var got uint64
+				switch {
+				case n == 1:
+					got = r.ReadBit()
+				case i%2 == 0:
+					got = r.ReadBits(n)
+				case name == "LSB":
+					got = r.PeekBits(24) & (1<<n - 1)
+					r.Consume(n)
+				default:
+					got = r.PeekBits(24) >> (24 - n)
+					r.Consume(n)
+				}
+				if got != vals[i] {
+					t.Fatalf("%s (one byte at a time: %v) value %d: got %#x want %#x", name, oneByte, i, got, vals[i])
+				}
+			}
+			if r.Err() != nil {
+				t.Fatalf("%s: %v", name, r.Err())
+			}
+			r.PeekBits(57) // past the end: zero-padded, not an error
+			if r.Err() != nil {
+				t.Fatalf("%s: peeking past the end set %v", name, r.Err())
+			}
+			r.Consume(57)
+			if r.Err() != io.ErrUnexpectedEOF {
+				t.Fatalf("%s: consuming past the end: Err %v, want unexpected EOF", name, r.Err())
+			}
+		}
+	}
+}
+
+// TestReadersSurfaceSourceErrors: a source that fails, or returns nothing
+// without an error, ends the stream with its error (or unexpected EOF) once
+// a read needs bits it cannot supply — from ReadBits, Consume and ReadBytes,
+// and never before.
+func TestReadersSurfaceSourceErrors(t *testing.T) {
+	boom := errors.New("boom")
+	failing := func() io.Reader {
+		return io.MultiReader(bytes.NewReader([]byte{1, 2, 3}), iotest.ErrReader(boom))
+	}
+	stalled := func() io.Reader { return io.MultiReader(bytes.NewReader([]byte{1}), stall{}) }
+
+	l := NewLSBReader(failing())
+	if l.ReadBits(24) != 0x030201 || l.Err() != nil {
+		t.Fatalf("LSB: the bytes before the failure: %v", l.Err())
+	}
+	if l.ReadBits(8); l.Err() != boom {
+		t.Fatalf("LSB ReadBits: Err %v, want the source's", l.Err())
+	}
+	l = NewLSBReader(failing())
+	if l.PeekBits(32); l.Err() != nil {
+		t.Fatal("LSB: a peek surfaced the source's error")
+	}
+	if l.Consume(32); l.Err() != boom {
+		t.Fatalf("LSB Consume: Err %v, want the source's", l.Err())
+	}
+	l = NewLSBReader(failing())
+	if err := l.ReadBytes(make([]byte, 4)); err != boom || l.Err() != boom {
+		t.Fatalf("LSB ReadBytes: %v, want the source's", err)
+	}
+	l = NewLSBReader(stalled())
+	if l.ReadBits(16); l.Err() != io.ErrUnexpectedEOF {
+		t.Fatalf("LSB on a stalled source: Err %v", l.Err())
+	}
+	l = NewLSBReader(stalled())
+	if l.ReadBits(8); l.AtEOF() != true {
+		t.Fatal("LSB: not at EOF after the last byte of a stalled source")
+	}
+	if l.ReadBits(58); l.Err() != ErrBitOverflow {
+		t.Fatalf("LSB: 58 bits: Err %v", l.Err())
+	}
+
+	m := NewMSBReader(failing())
+	if m.ReadBits(24) != 0x010203 || m.Err() != nil {
+		t.Fatalf("MSB: the bytes before the failure: %v", m.Err())
+	}
+	if m.ReadBits(8); m.Err() != boom {
+		t.Fatalf("MSB ReadBits: Err %v, want the source's", m.Err())
+	}
+	m = NewMSBReader(failing())
+	if m.PeekBits(32) != 0x01020300 || m.Err() != nil {
+		t.Fatal("MSB: a short peek must left-align what is there and set no error")
+	}
+	if m.Consume(32); m.Err() != boom {
+		t.Fatalf("MSB Consume: Err %v, want the source's", m.Err())
+	}
+	m = NewMSBReader(stalled())
+	if m.ReadBits(0) != 0 || m.Err() != nil {
+		t.Fatal("MSB: reading no bits")
+	}
+	if m.ReadBits(16); m.Err() != io.ErrUnexpectedEOF {
+		t.Fatalf("MSB on a stalled source: Err %v", m.Err())
+	}
+	if m = NewMSBReader(stalled()); m.ReadBits(58) != 0 || m.Err() != ErrBitOverflow {
+		t.Fatalf("MSB: 58 bits: Err %v", m.Err())
+	}
+}
+
+// stall is a source that returns no bytes and no error.
+type stall struct{}
+
+func (stall) Read([]byte) (int, error) { return 0, nil }
