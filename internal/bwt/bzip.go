@@ -40,8 +40,8 @@ type encoder struct {
 	sa, bkt []int32 // that rotation's suffix array; SA-IS bucket counters
 
 	rle   []byte   // RLE1 output: what the transform sorts
-	last  []byte   // its last column, then move-to-front coded in place
-	syms  []uint16 // the RLE2 symbol stream
+	last  []byte   // its last column
+	syms  []uint16 // the RLE2 symbol stream and its histogram
 	freq  [numSymbols]int
 	lens  [numSymbols]uint8
 	codes [numSymbols]uint32
@@ -82,13 +82,7 @@ func (e *encoder) compressBlock(bw *bitio.MSBWriter, raw []byte) error {
 	e.rle = appendRLE1(e.rle[:0], raw)
 	e.last = slices.Grow(e.last[:0], len(e.rle))[:len(e.rle)]
 	ptr := e.transform(e.last, e.rle)
-	mtfEncodeInPlace(e.last)
-	e.syms = appendRLE2(e.syms[:0], e.last)
-
-	clear(e.freq[:])
-	for _, s := range e.syms {
-		e.freq[s]++
-	}
+	e.mtfRLE2(e.last)
 	if err := huffman.BuildLengthsInto(e.lens[:], e.freq[:], maxHuffBits); err != nil {
 		return err
 	}

@@ -1,34 +1,11 @@
 package bwt
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"slices"
 )
-
-// mtfEncodeInPlace move-to-front codes data over the full byte alphabet:
-// each value becomes the current list index of the byte, which is then
-// moved to the front. BWT output mostly repeats the byte before, which is
-// already there: that case is taken before any scan.
-func mtfEncodeInPlace(data []byte) {
-	var list [256]byte
-	for i := range list {
-		list[i] = byte(i)
-	}
-	for k, b := range data {
-		if list[0] == b {
-			data[k] = 0
-			continue
-		}
-		idx := 1
-		for list[idx] != b {
-			idx++
-		}
-		data[k] = byte(idx)
-		copy(list[1:idx+1], list[:idx])
-		list[0] = b
-	}
-}
 
 // RLE1 is bzip2's pre-sort run-length pass: a run of 4..255 equal bytes is
 // emitted as the 4 bytes followed by a count byte (run-4). Its purpose in
@@ -69,32 +46,77 @@ const (
 	numSymbols = 258
 )
 
-// appendRLE2 appends mtf's RUNA/RUNB symbol stream, terminated by EOB, to
-// dst.
-func appendRLE2(dst []uint16, mtf []byte) []uint16 {
-	run := 0
-	flush := func() {
-		for run > 0 {
-			if run&1 == 1 {
-				dst = append(dst, symRUNA)
-				run = (run - 1) >> 1
-			} else {
-				dst = append(dst, symRUNB)
-				run = (run - 2) >> 1
-			}
-		}
+// mtfRLE2 turns the block's last column into its symbol stream in one
+// pass: each byte is move-to-front coded over the full byte alphabet, runs
+// of the front byte (MTF zeros) are counted and recoded in RUNA/RUNB when
+// they end, and every symbol is tallied as it is written. The stream, EOB
+// included, is left in e.syms and its histogram in e.freq.
+//
+// BWT output mostly repeats the byte before — the list's front — which
+// costs a compare. Otherwise the first entries are probed by hand, the rest
+// of the list 32 bytes at a time by bytes.IndexByte, and the entries ahead
+// of the byte move down by a loop when they are few: on a block that does
+// not compress the byte sits ~128 deep, where a scalar scan and a memmove
+// call per byte were the dearest thing the encoder did.
+func (e *encoder) mtfRLE2(last []byte) {
+	syms := slices.Grow(e.syms[:0], len(last)+1)[:len(last)+1] // a run never takes more symbols than bytes
+	freq := &e.freq
+	clear(freq[:])
+	var list [256]byte
+	for i := range list {
+		list[i] = byte(i)
 	}
-	for _, v := range mtf {
-		if v == 0 {
+	n, run := 0, 0
+	for _, b := range last {
+		if list[0] == b {
 			run++
 			continue
 		}
-		flush()
-		dst = append(dst, uint16(v)+1)
+		n, run = putRun(syms, freq, n, run), 0
+		var idx int
+		switch b {
+		case list[1]:
+			idx = 1
+		case list[2]:
+			idx = 2
+		case list[3]:
+			idx = 3
+		default:
+			idx = 4 + bytes.IndexByte(list[4:], b)
+		}
+		if idx < mtfLoopShift {
+			for j := idx; j > 0; j-- {
+				list[j] = list[j-1]
+			}
+		} else {
+			copy(list[1:idx+1], list[:idx])
+		}
+		list[0] = b
+		syms[n] = uint16(idx + 1)
+		freq[idx+1]++
+		n++
 	}
-	flush()
-	return append(dst, symEOB)
+	n = putRun(syms, freq, n, run)
+	syms[n] = symEOB
+	freq[symEOB]++
+	e.syms = syms[:n+1]
 }
+
+// putRun writes a run of MTF zeros at syms[n:] in bijective base 2 — RUNA
+// for an odd remainder, RUNB for an even one — and returns the new length.
+func putRun(syms []uint16, freq *[numSymbols]int, n, run int) int {
+	for ; run > 0; run = (run - 1) >> 1 {
+		s := (run - 1) & 1
+		syms[n] = uint16(s)
+		freq[s]++
+		n++
+	}
+	return n
+}
+
+// mtfLoopShift is the list depth from which moving the entries ahead of a
+// byte is a memmove call and below which it is a loop.
+const mtfLoopShift = 16
 
 // undoRLE2MTF inverts RLE2 and move-to-front in one pass over d.syms,
 // leaving the block's last column in d.last. A zero run is a run of the

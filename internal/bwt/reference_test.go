@@ -17,14 +17,71 @@ import (
 // scanning move-to-front loop, which the linear-time ones are held to. The
 // other encode stages are thin adapters onto the production code.
 
+// mtfEncode is the move-to-front coding of data as the fused pass sees it:
+// its symbol stream with the zero runs expanded again.
 func mtfEncode(data []byte) []byte {
-	out := bytes.Clone(data)
-	mtfEncodeInPlace(out)
+	e := new(encoder)
+	e.mtfRLE2(data)
+	out, err := rle2Decode(e.syms, 0)
+	if err != nil {
+		panic(err)
+	}
 	return out
 }
 
-// referenceMTFEncode is mtfEncodeInPlace as it was: scan for the byte,
-// then move everything before it.
+// mtfEncodeInPlace and appendRLE2 are the two passes mtfRLE2 fused, as
+// they ran until then (a third counted the symbols). mtfEncodeInPlace
+// move-to-front codes data over the full byte alphabet: each value becomes
+// the current list index of the byte, which is then moved to the front.
+func mtfEncodeInPlace(data []byte) {
+	var list [256]byte
+	for i := range list {
+		list[i] = byte(i)
+	}
+	for k, b := range data {
+		if list[0] == b {
+			data[k] = 0
+			continue
+		}
+		idx := 1
+		for list[idx] != b {
+			idx++
+		}
+		data[k] = byte(idx)
+		copy(list[1:idx+1], list[:idx])
+		list[0] = b
+	}
+}
+
+// appendRLE2 appends mtf's RUNA/RUNB symbol stream, terminated by EOB, to
+// dst.
+func appendRLE2(dst []uint16, mtf []byte) []uint16 {
+	run := 0
+	flush := func() {
+		for run > 0 {
+			if run&1 == 1 {
+				dst = append(dst, symRUNA)
+				run = (run - 1) >> 1
+			} else {
+				dst = append(dst, symRUNB)
+				run = (run - 2) >> 1
+			}
+		}
+	}
+	for _, v := range mtf {
+		if v == 0 {
+			run++
+			continue
+		}
+		flush()
+		dst = append(dst, uint16(v)+1)
+	}
+	flush()
+	return append(dst, symEOB)
+}
+
+// referenceMTFEncode is the move-to-front loop with no case taken early:
+// scan for the byte, then move everything before it.
 func referenceMTFEncode(data []byte) []byte {
 	var list [256]byte
 	for i := range list {
@@ -45,7 +102,13 @@ func referenceMTFEncode(data []byte) []byte {
 
 func rle1Encode(data []byte) []byte { return appendRLE1(nil, data) }
 
-func rle2Encode(mtf []byte) []uint16 { return appendRLE2(nil, mtf) }
+// rle2Encode is the fused pass's symbol stream for the column whose
+// move-to-front coding is mtf.
+func rle2Encode(mtf []byte) []uint16 {
+	e := new(encoder)
+	e.mtfRLE2(mtfDecode(mtf))
+	return e.syms
+}
 
 // cyclicSort lists the rotation starts of s in the order sortRotations
 // puts them; equal rotations (s periodic) are adjacent, lowest start of
@@ -90,7 +153,9 @@ func referenceCompress(data []byte, level int) []byte {
 		if len(rle) > 0 {
 			ptr = lowestEqualRow(rle, ptr)
 		}
-		syms := rle2Encode(referenceMTFEncode(last))
+		mtf := bytes.Clone(last)
+		mtfEncodeInPlace(mtf)
+		syms := appendRLE2(nil, mtf)
 		freq := make([]int, numSymbols)
 		for _, s := range syms {
 			freq[s]++

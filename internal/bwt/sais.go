@@ -74,37 +74,45 @@ func lyndonRoot(t []byte) int {
 // the sentinel-free form of Mori's sais-lite): sort the LMS substrings by
 // two induction passes, name them, recurse on the names if two substrings
 // share one, then induce every suffix from the sorted LMS suffixes. The
-// reduced text and its suffix array live in sa itself; only the k bucket
-// counters need a home — free, the idle middle of the caller's sa, when
-// they fit there, else *spill, which is grown to hold them. Entries of sa
-// are positions; a complemented (negative) entry is one the current pass
-// must not induce from, and 0 doubles as "empty" because suffix 0 has no
-// predecessor to induce.
+// reduced text and its suffix array live in sa itself; only the counters
+// need a home, two per symbol — how often it occurs, counted once, and the
+// head or tail of its bucket, set from the counts before each pass and
+// moved by it. They live in free, the idle middle of the caller's sa, when
+// they fit there, else on top of *spill, which every level leaves as long
+// as it found it. Entries of sa are positions; a complemented (negative)
+// entry is one the current pass must not induce from, and 0 doubles as
+// "empty" because suffix 0 has no predecessor to induce.
 func sais[T byte | int32](t []T, sa, free []int32, k int, spill *[]int32) {
 	n := len(t)
 	if n < 2 {
 		clear(sa)
 		return
 	}
-	bkt := free
-	if k > len(free) {
-		*spill = slices.Grow((*spill)[:0], k)
-		bkt = *spill
+	mark := len(*spill)
+	if 2*k > len(free) {
+		*spill = slices.Grow(*spill, 2*k)[:mark+2*k]
+		free = (*spill)[mark:]
 	}
-	bkt = bkt[:k]
+	freq, bkt := free[:k], free[k:2*k]
+	clear(freq)
+	for _, c := range t {
+		freq[c]++
+	}
 
 	// Stage 1: drop every LMS position at the tail of its bucket and sort
 	// the LMS substrings by induction.
 	clear(sa)
-	fillBuckets(t, bkt, true)
+	setBuckets(freq, bkt, true)
 	m := 0
 	eachLMS(t, func(p int) {
 		bkt[t[p]]--
 		sa[bkt[t[p]]] = int32(p)
 		m++
 	})
-	induceL(t, sa, bkt, false)
-	induceS(t, sa, bkt, false)
+	setBuckets(freq, bkt, false)
+	sortL(t, sa, bkt)
+	setBuckets(freq, bkt, true)
+	sortS(t, sa, bkt)
 	// What is left is the LMS positions, complemented, in substring order:
 	// gather them at the front, ...
 	got := 0
@@ -137,7 +145,8 @@ func sais[T byte | int32](t []T, sa, free []int32, k int, spill *[]int32) {
 
 	// Stage 2: distinct names are already suffix order; otherwise sort the
 	// text of names, packed at the end of sa, into the front of sa, and
-	// turn its indices back into LMS positions.
+	// turn its indices back into LMS positions. The counters sit in sa
+	// between the two when free is the caller's: outside both.
 	if names < m {
 		t1 := sa[n-m:]
 		j := m
@@ -161,26 +170,25 @@ func sais[T byte | int32](t []T, sa, free []int32, k int, spill *[]int32) {
 	// Stage 3: spread the sorted LMS suffixes to the tails of their buckets
 	// and induce the rest.
 	clear(sa[m:])
-	fillBuckets(t, bkt, true)
+	setBuckets(freq, bkt, true)
 	for i := m - 1; i >= 0; i-- {
 		p := sa[i]
 		sa[i] = 0
 		bkt[t[p]]--
 		sa[bkt[t[p]]] = p
 	}
-	induceL(t, sa, bkt, true)
-	induceS(t, sa, bkt, true)
+	setBuckets(freq, bkt, false)
+	induceL(t, sa, bkt)
+	setBuckets(freq, bkt, true)
+	induceS(t, sa, bkt)
+	*spill = (*spill)[:mark]
 }
 
-// fillBuckets sets bkt[c] to the start of symbol c's bucket in the suffix
-// array of t, or to its end.
-func fillBuckets[T byte | int32](t []T, bkt []int32, tails bool) {
-	clear(bkt)
-	for _, c := range t {
-		bkt[c]++
-	}
+// setBuckets sets bkt[c] to the start of symbol c's bucket in the suffix
+// array of the text whose symbol counts are freq, or to its end.
+func setBuckets(freq, bkt []int32, tails bool) {
 	sum := int32(0)
-	for c, f := range bkt {
+	for c, f := range freq {
 		if tails {
 			bkt[c] = sum + f
 		} else {
@@ -209,60 +217,83 @@ func eachLMS[T byte | int32](t []T, f func(p int)) {
 	}
 }
 
-// induceL scans sa upwards and, for each suffix it meets whose predecessor
-// is L-type, puts the predecessor at the head of its bucket, complemented
-// if its own predecessor is S-type (it starts a run of L-types and is all
-// that induceS needs of it). When only LMS substrings are being sorted
-// (final false) an entry is erased once used; otherwise it is complemented
-// so that induceS, which undoes that, leaves it alone.
-func induceL[T byte | int32](t []T, sa, bkt []int32, final bool) {
-	fillBuckets(t, bkt, false)
-	put := func(j int32) { // j-1 is L-type
-		j--
-		c := t[j]
-		if j > 0 && t[j-1] < c {
-			j = ^j
-		}
-		sa[bkt[c]] = j
-		bkt[c]++
+// putL puts suffix j-1, which is L-type, at the head of its bucket,
+// complemented if its own predecessor is S-type: it starts a run of L-types
+// and is all that the S pass needs of it.
+func putL[T byte | int32](t []T, sa, bkt []int32, j int32) {
+	j--
+	c := t[j]
+	if j > 0 && t[j-1] < c {
+		j = ^j
 	}
-	put(int32(len(t))) // from the sentinel: the final suffix heads its bucket
-	for i := range sa {
-		j := sa[i]
-		if final || j < 0 {
-			sa[i] = ^j
-		} else {
-			sa[i] = 0
-		}
+	sa[bkt[c]] = j
+	bkt[c]++
+}
+
+// sortL and induceL scan sa upwards from bucket heads and, for each suffix
+// they meet whose predecessor is L-type, put the predecessor at the head of
+// its bucket; the first is the sentinel's, the final suffix. sortL, sorting
+// LMS substrings, erases an entry once used and restores a complemented
+// one; induceL complements every entry so that induceS, which undoes that,
+// leaves it alone.
+func sortL[T byte | int32](t []T, sa, bkt []int32) {
+	putL(t, sa, bkt, int32(len(t)))
+	for i, j := range sa {
 		if j > 0 {
-			put(j)
+			sa[i] = 0
+			putL(t, sa, bkt, j)
+		} else if j < 0 {
+			sa[i] = ^j
 		}
 	}
 }
 
-// induceS scans sa downwards and, for each suffix it meets whose
-// predecessor is S-type, puts the predecessor at the tail of its bucket,
-// complemented if its own predecessor is L-type: it is an LMS position,
-// already where it belongs. When only LMS substrings are being sorted an
-// entry is erased once used, which leaves exactly those; otherwise every
-// complement is undone on the way and sa ends as the suffix array.
-func induceS[T byte | int32](t []T, sa, bkt []int32, final bool) {
-	fillBuckets(t, bkt, true)
+func induceL[T byte | int32](t []T, sa, bkt []int32) {
+	putL(t, sa, bkt, int32(len(t)))
+	for i := range sa {
+		j := sa[i]
+		sa[i] = ^j
+		if j > 0 {
+			putL(t, sa, bkt, j)
+		}
+	}
+}
+
+// sortS and induceS scan sa downwards from bucket tails and, for each
+// suffix they meet whose predecessor is S-type, put the predecessor at the
+// tail of its bucket, complemented if its own predecessor is L-type: it is
+// an LMS position, already where it belongs. sortS erases an entry once
+// used, which leaves exactly those; induceS undoes every complement on the
+// way (suffix 0 is complemented only so that the scan restores it like the
+// rest) and sa ends as the suffix array.
+func sortS[T byte | int32](t []T, sa, bkt []int32) {
 	for i := len(sa) - 1; i >= 0; i-- {
 		j := sa[i]
 		if j <= 0 {
-			if final {
-				sa[i] = ^j
-			}
 			continue
 		}
-		if !final {
-			sa[i] = 0
+		sa[i] = 0
+		j--
+		c := t[j]
+		if j > 0 && t[j-1] > c {
+			j = ^j
+		}
+		bkt[c]--
+		sa[bkt[c]] = j
+	}
+}
+
+func induceS[T byte | int32](t []T, sa, bkt []int32) {
+	for i := len(sa) - 1; i >= 0; i-- {
+		j := sa[i]
+		if j <= 0 {
+			sa[i] = ^j
+			continue
 		}
 		j--
 		c := t[j]
-		if j > 0 && t[j-1] > c || final && j == 0 {
-			j = ^j // suffix 0 only so that the scan restores it like the rest
+		if j == 0 || t[j-1] > c {
+			j = ^j
 		}
 		bkt[c]--
 		sa[bkt[c]] = j

@@ -2,6 +2,8 @@ package bwt
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -232,12 +234,27 @@ func FuzzBWTTransform(f *testing.F) {
 	})
 }
 
+// benchDigests are the first eight bytes of the SHA-256 of each bench file's
+// bzip2 artifact — Compress at level 9 of every 128 kB block, one after
+// another, as the dataplane builds it — as the parent of the fused
+// move-to-front pass and the word-storing bit writer wrote it.
+var benchDigests = map[string]string{
+	"prog.c":     "e4be19d5ede2f33a",
+	"spec.html":  "e14788ad35e8e8c3",
+	"tool.bin":   "f4eabe6e04260f92",
+	"paper.ps":   "8aef086c62c00d38",
+	"deck.mixed": "1ac580a4d71b5b75",
+	"media.r115": "1318ed20a7c7ee36",
+}
+
 // TestBenchFilesMatchReference is the byte-identity claim on the data the
 // benchmark serves: every 128 kB block of its six files, and every level-9
-// block, compresses to the stream the retired sorter and move-to-front
-// loop produce.
+// block, compresses to the stream the retired sorter, move-to-front loop
+// and zero-run coder produce, and each file's artifact to the bytes
+// recorded before the bit writer under both pipelines changed.
 func TestBenchFilesMatchReference(t *testing.T) {
 	for _, f := range benchFiles(t) {
+		sum := sha256.New()
 		for off := 0; off < len(f.data); off += blockBytes {
 			block := f.data[off:min(off+blockBytes, len(f.data))]
 			got, err := Compress(block, 2)
@@ -247,6 +264,13 @@ func TestBenchFilesMatchReference(t *testing.T) {
 			if !bytes.Equal(got, referenceCompress(block, 2)) {
 				t.Errorf("%s block at %d: stream differs from the reference pipeline's", f.name, off)
 			}
+			if got, err = Compress(block, 9); err != nil {
+				t.Fatal(err)
+			}
+			sum.Write(got)
+		}
+		if got := hex.EncodeToString(sum.Sum(nil)[:8]); got != benchDigests[f.name] {
+			t.Errorf("%s: bzip2 artifact digest %s, recorded %q", f.name, got, benchDigests[f.name])
 		}
 		if testing.Short() {
 			continue
@@ -352,6 +376,64 @@ func BenchmarkTransform(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				e.transform(last, blk.data)
+			}
+		})
+	}
+}
+
+// benchLastColumns is the BWT output of the first dataplane block of each
+// bench file: what move-to-front reads.
+func benchLastColumns(tb testing.TB) []namedBlock {
+	var out []namedBlock
+	for _, f := range benchFiles(tb) {
+		last, _ := Transform(appendRLE1(nil, f.data[:blockBytes]))
+		out = append(out, namedBlock{f.name, last})
+	}
+	return out
+}
+
+// BenchmarkMTF times the pass from last column to counted symbol stream on
+// those columns: fused, as compressBlock runs it, and as the three passes
+// it replaced (move-to-front in place, RLE2, the symbol count).
+func BenchmarkMTF(b *testing.B) {
+	for _, col := range benchLastColumns(b) {
+		b.Run(col.name+"/fused", func(b *testing.B) {
+			e := new(encoder)
+			b.SetBytes(int64(len(col.data)))
+			for i := 0; i < b.N; i++ {
+				e.mtfRLE2(col.data)
+			}
+		})
+		b.Run(col.name+"/retired", func(b *testing.B) {
+			var syms []uint16
+			var freq [numSymbols]int
+			mtf := make([]byte, len(col.data))
+			b.SetBytes(int64(len(col.data)))
+			for i := 0; i < b.N; i++ {
+				copy(mtf, col.data)
+				mtfEncodeInPlace(mtf)
+				syms = appendRLE2(syms[:0], mtf)
+				clear(freq[:])
+				for _, s := range syms {
+					freq[s]++
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkCompressBlock times one block's whole encode — RLE1, sort,
+// move-to-front and RLE2, Huffman build, bit writer — on the first
+// dataplane block of each bench file.
+func BenchmarkCompressBlock(b *testing.B) {
+	for _, f := range benchFiles(b) {
+		b.Run(f.name, func(b *testing.B) {
+			block := f.data[:blockBytes]
+			b.SetBytes(int64(len(block)))
+			for i := 0; i < b.N; i++ {
+				if _, err := Compress(block, 9); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
