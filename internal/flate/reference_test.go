@@ -1,0 +1,452 @@
+package flate
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math/bits"
+	"math/rand"
+	"testing"
+
+	"repro/internal/lz77"
+	"repro/internal/workload"
+)
+
+// The LZ77 matcher as it was before a candidate had to show three equal
+// bytes to reach the length comparison and before Tokenize stopped wiping
+// the chain links: lz77.Matcher's reset, hashing, findMatch, matchLen and
+// Tokenize, verbatim but for the names. Every DEFLATE stream the encoder
+// wrote was this matcher's tokens through the block encoder below it, so
+// the encoder's bytes are held to what it produces. (The bit writer those
+// bytes pass through has its own reference in internal/bitio; the digests
+// in TestBenchFilesMatchReference pin the two together.)
+
+const (
+	refHashBits = 15
+	refHashSize = 1 << refHashBits
+	refHashMask = refHashSize - 1
+)
+
+type referenceMatcher struct {
+	cfg  lz77.Config
+	head []int32
+	prev []int32
+}
+
+func newReferenceMatcher(tb testing.TB, level int) *referenceMatcher {
+	cfg, err := lz77.LevelConfig(level)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return &referenceMatcher{cfg: cfg, head: make([]int32, refHashSize), prev: make([]int32, lz77.WindowSize)}
+}
+
+func (m *referenceMatcher) reset() {
+	for i := range m.head {
+		m.head[i] = -1
+	}
+	for i := range m.prev {
+		m.prev[i] = -1
+	}
+}
+
+func refHash4(data []byte, i int) uint32 {
+	// Multiplicative hash over 4 bytes; good dispersion for text and binary.
+	v := uint32(data[i]) | uint32(data[i+1])<<8 | uint32(data[i+2])<<16 | uint32(data[i+3])<<24
+	return (v * 2654435761) >> (32 - refHashBits) & refHashMask
+}
+
+func refHash3(data []byte, i int) uint32 {
+	v := uint32(data[i]) | uint32(data[i+1])<<8 | uint32(data[i+2])<<16
+	return (v * 506832829) >> (32 - refHashBits) & refHashMask
+}
+
+func (m *referenceMatcher) hashAt(data []byte, i int) uint32 {
+	if i+4 <= len(data) {
+		return refHash4(data, i)
+	}
+	return refHash3(data, i)
+}
+
+func (m *referenceMatcher) insert(data []byte, i int) {
+	h := m.hashAt(data, i)
+	m.prev[i&(lz77.WindowSize-1)] = m.head[h]
+	m.head[h] = int32(i)
+}
+
+// findMatch searches the hash chain for the longest match at position i,
+// requiring it to beat prevLen. It returns length 0 when nothing longer is
+// found.
+func (m *referenceMatcher) findMatch(data []byte, i, prevLen, maxChain int) (length, dist int) {
+	limit := i - lz77.MaxDist
+	if limit < 0 {
+		limit = 0
+	}
+	maxLen := len(data) - i
+	if maxLen > lz77.MaxMatch {
+		maxLen = lz77.MaxMatch
+	}
+	if maxLen < lz77.MinMatch {
+		return 0, 0
+	}
+	nice := m.cfg.NiceLength
+	if nice > maxLen {
+		nice = maxLen
+	}
+	best := prevLen
+	bestDist := 0
+	if best >= maxLen {
+		// Nothing at this position can beat the pending match; every
+		// candidate would fail the end-bytes quick reject below.
+		return 0, 0
+	}
+	// Quick-reject pair: a candidate can only beat the current best if it
+	// matches through byte best, so compare the two bytes ending there in
+	// one load. Hoisted out of the chain walk and refreshed when best
+	// improves (best < maxLen holds throughout, keeping i+best in bounds).
+	// All chain entries are positions this Tokenize call inserted before
+	// reaching i, so every candidate j satisfies j < i and the loads below
+	// stay in bounds.
+	var scanEnd uint16
+	if best >= 1 {
+		scanEnd = binary.LittleEndian.Uint16(data[i+best-1:])
+	}
+	// The fixed-size array views let the compiler drop bounds checks on the
+	// masked chain loads in the hot walk.
+	prev := (*[lz77.WindowSize]int32)(m.prev)
+	cand := m.head[m.hashAt(data, i)]
+	for chain := 0; chain < maxChain && cand >= int32(limit); chain++ {
+		j := int(cand)
+		// Quick reject: the two bytes closing the would-be match.
+		if best >= 1 && binary.LittleEndian.Uint16(data[j+best-1:]) != scanEnd {
+			cand = prev[j&(lz77.WindowSize-1)]
+			continue
+		}
+		l := refMatchLen(data, j, i, maxLen)
+		if l > best {
+			best = l
+			bestDist = i - j
+			if l >= nice {
+				break
+			}
+			scanEnd = binary.LittleEndian.Uint16(data[i+best-1:])
+		}
+		cand = prev[j&(lz77.WindowSize-1)]
+	}
+	if bestDist == 0 || best < lz77.MinMatch {
+		return 0, 0
+	}
+	return best, bestDist
+}
+
+// matchLen compares 8 bytes per step; j < i keeps every load inside data
+// because i+maxLen <= len(data).
+func refMatchLen(data []byte, j, i, maxLen int) int {
+	n := 0
+	for n+8 <= maxLen {
+		x := binary.LittleEndian.Uint64(data[j+n:]) ^ binary.LittleEndian.Uint64(data[i+n:])
+		if x != 0 {
+			return n + bits.TrailingZeros64(x)>>3
+		}
+		n += 8
+	}
+	for n < maxLen && data[j+n] == data[i+n] {
+		n++
+	}
+	return n
+}
+
+// Tokenize scans data and emits LZ77 tokens through emit. The token stream
+// exactly covers data: the sum of Advance() over all tokens equals
+// len(data). Reset state is cleared per call, so each call tokenises an
+// independent buffer (one compression "member").
+func (m *referenceMatcher) Tokenize(data []byte, emit func(lz77.Token)) {
+	m.reset()
+	n := len(data)
+	if n == 0 {
+		return
+	}
+	i := 0
+	// Pending lazy literal state.
+	prevLen, prevDist := 0, 0
+	havePrev := false
+	for i < n {
+		if n-i < lz77.MinMatch {
+			if havePrev {
+				emit(lz77.Literal(data[i-1]))
+				havePrev = false
+			}
+			for ; i < n; i++ {
+				emit(lz77.Literal(data[i]))
+			}
+			break
+		}
+		if havePrev && prevLen >= m.cfg.MaxLazy {
+			// The pending match is already long enough that the lazy
+			// comparison below could never prefer a new one (prevLen >=
+			// MaxLazy fails its guard); skip the search entirely, as zlib
+			// does. Emitting here is the same decision the comparison would
+			// reach.
+			emit(lz77.Match(prevLen, prevDist))
+			end := i - 1 + prevLen
+			for k := i; k < end && k+lz77.MinMatch <= n; k++ {
+				m.insert(data, k)
+			}
+			i = end
+			havePrev = false
+			continue
+		}
+		chain := m.cfg.MaxChain
+		searchFloor := 0
+		if havePrev {
+			if prevLen >= m.cfg.GoodLength {
+				chain >>= 2
+			}
+			// zlib's prev_length pruning: the lazy comparison only cares
+			// whether this position beats the pending match, so the search
+			// may reject anything not longer than prevLen. findMatch then
+			// returns 0 when nothing beats it, which leaves the curLen >
+			// prevLen decision unchanged.
+			searchFloor = prevLen
+		}
+		curLen, curDist := m.findMatch(data, i, searchFloor, chain)
+
+		if !m.cfg.Lazy {
+			if curLen >= lz77.MinMatch {
+				emit(lz77.Match(curLen, curDist))
+				// Insert positions covered by the match (bounded for speed
+				// at low levels, as zlib does for short inserts).
+				end := i + curLen
+				m.insert(data, i)
+				for k := i + 1; k < end && k+lz77.MinMatch <= n; k++ {
+					m.insert(data, k)
+				}
+				i = end
+			} else {
+				emit(lz77.Literal(data[i]))
+				m.insert(data, i)
+				i++
+			}
+			continue
+		}
+
+		// Lazy matching: compare this position's match with the previous
+		// position's pending match.
+		if havePrev {
+			if curLen > prevLen && prevLen < m.cfg.MaxLazy {
+				// The new match is better: the previous byte becomes a
+				// literal and the new match stays pending.
+				emit(lz77.Literal(data[i-1]))
+				prevLen, prevDist = curLen, curDist
+				m.insert(data, i)
+				i++
+				continue
+			}
+			// Previous match wins; emit it anchored at i-1.
+			emit(lz77.Match(prevLen, prevDist))
+			end := i - 1 + prevLen
+			for k := i; k < end && k+lz77.MinMatch <= n; k++ {
+				m.insert(data, k)
+			}
+			i = end
+			havePrev = false
+			continue
+		}
+		if curLen >= lz77.MinMatch && curLen < m.cfg.MaxLazy {
+			// Defer the decision by one byte.
+			prevLen, prevDist = curLen, curDist
+			havePrev = true
+			m.insert(data, i)
+			i++
+			continue
+		}
+		if curLen >= lz77.MinMatch {
+			emit(lz77.Match(curLen, curDist))
+			end := i + curLen
+			m.insert(data, i)
+			for k := i + 1; k < end && k+lz77.MinMatch <= n; k++ {
+				m.insert(data, k)
+			}
+			i = end
+			continue
+		}
+		emit(lz77.Literal(data[i]))
+		m.insert(data, i)
+		i++
+	}
+	if havePrev {
+		emit(lz77.Literal(data[n-1]))
+	}
+}
+
+// deflateThrough is Deflate with the tokeniser passed in: tokenize's tokens
+// through a pooled block encoder and bit writer.
+func deflateThrough(tb testing.TB, tokenize func([]byte, func(lz77.Token)), data []byte) []byte {
+	var buf sliceWriter
+	bw := getLSBWriter(&buf)
+	defer putLSBWriter(bw)
+	enc := getEncoder(bw, data)
+	defer putEncoder(enc)
+	tokenize(data, enc.appendToken)
+	enc.flushBlock(true)
+	if enc.err != nil {
+		tb.Fatal(enc.err)
+	}
+	if err := bw.Flush(); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.b
+}
+
+// checkEncodeIdentical requires x to deflate, at levels 1, 6 and 9, to the
+// bytes the reference matcher's tokens encode to — through Deflate and its
+// pooled matcher, through a matcher that has never run, and through one
+// that has just tokenised y, whose links it must not follow.
+func checkEncodeIdentical(tb testing.TB, x, y []byte) {
+	for _, level := range []int{1, 6, 9} {
+		want := deflateThrough(tb, newReferenceMatcher(tb, level).Tokenize, x)
+		pooled, err := CompressBytes(x, level)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		fresh, err := lz77.NewMatcher(level)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		reused, _ := lz77.NewMatcher(level)
+		reused.Tokenize(y, func(lz77.Token) {})
+		for _, got := range []struct {
+			how string
+			b   []byte
+		}{
+			{"Deflate", pooled},
+			{"a fresh matcher", deflateThrough(tb, fresh.Tokenize, x)},
+			{"a reused matcher", deflateThrough(tb, reused.Tokenize, x)},
+		} {
+			if !bytes.Equal(got.b, want) {
+				tb.Fatalf("level %d, %d bytes through %s: stream differs from the reference matcher's", level, len(x), got.how)
+			}
+		}
+	}
+}
+
+// encodeSeeds is FuzzDeflateEncodeIdentical's corpus: a slice of every
+// workload class, noise (where nearly every chain candidate is a hash
+// collision), runs, and inputs that end inside the last hashable position.
+func encodeSeeds() [][]byte {
+	noise := make([]byte, 48<<10)
+	rand.New(rand.NewSource(22)).Read(noise)
+	seeds := [][]byte{
+		nil, {42}, []byte("ab"), []byte("abc"), []byte("abcabc"), []byte("abcdabcd"), []byte("aaaaaaaaaaaa"),
+		bytes.Repeat([]byte("xy"), 9000), noise, append(bytes.Clone(noise[:40<<10]), noise[:9<<10]...),
+		DeepCodeData(24 << 10),
+	}
+	for c := workload.ClassXML; c <= workload.ClassScript; c++ {
+		seeds = append(seeds, workload.Generate(c, 12<<10, 22))
+	}
+	return seeds
+}
+
+// FuzzDeflateEncodeIdentical compares compressed bytes, which the two
+// inflater differentials do not: arbitrary x, after arbitrary y has been
+// through the matcher, must deflate to the reference matcher's stream.
+func FuzzDeflateEncodeIdentical(f *testing.F) {
+	seeds := encodeSeeds()
+	for _, x := range seeds {
+		f.Add(x, seeds[8])
+		f.Add(x, seeds[len(seeds)-1])
+	}
+	f.Fuzz(func(t *testing.T, x, y []byte) { checkEncodeIdentical(t, x, y) })
+}
+
+// benchFiles rebuilds the six files the benchmark's large workloads serve
+// (bench/loopback.go: largeFiles at corpusSeed), as internal/bwt's tests do.
+func benchFiles(tb testing.TB) []struct {
+	name string
+	data []byte
+} {
+	splitmix := func(seed, salt uint64) uint64 {
+		z := seed ^ (salt+1)*0x9E3779B97F4A7C15
+		z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+		z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+		return z ^ (z >> 31)
+	}
+	gzipFactor := func(b []byte) float64 {
+		c, err := GzipCompress(b, 6)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return float64(len(b)) / float64(len(c))
+	}
+	class := func(c workload.Class) func(int, uint64) []byte {
+		return func(size int, seed uint64) []byte { return workload.Generate(c, size, seed) }
+	}
+	files := []struct {
+		name string
+		size int
+		gen  func(int, uint64) []byte
+	}{
+		{"prog.c", 256 << 10, class(workload.ClassSource)},
+		{"spec.html", 512 << 10, class(workload.ClassHTML)},
+		{"tool.bin", 384 << 10, class(workload.ClassBinary)},
+		{"paper.ps", 768 << 10, class(workload.ClassPostscript)},
+		{"deck.mixed", 1 << 20, workload.MixedFile},
+		{"media.r115", 512 << 10, func(size int, seed uint64) []byte {
+			return workload.GenerateRatio(size, 1.15, seed, gzipFactor)
+		}},
+	}
+	out := make([]struct {
+		name string
+		data []byte
+	}, len(files))
+	for i, f := range files {
+		out[i].name, out[i].data = f.name, f.gen(f.size, splitmix(2003, uint64(i)))
+	}
+	return out
+}
+
+// blockBytes is the dataplane's block (selective.BlockSize): what a cold
+// gzip miss deflates.
+const blockBytes = 128 * 1000
+
+// benchDigests are the first eight bytes of the SHA-256 of each bench
+// file's gzip artifact — GzipCompress at level 9 of every block, one after
+// another — as the parent of the word-storing bit writers wrote it.
+var benchDigests = map[string]string{
+	"prog.c":     "264cb0cb9d5264ce",
+	"spec.html":  "3d8f2ac416d737ab",
+	"tool.bin":   "b2ca6ee44f5ce98d",
+	"paper.ps":   "f1ea891cb9367238",
+	"deck.mixed": "8942dbc171b70d54",
+	"media.r115": "8939369c2d288e88",
+}
+
+// TestBenchFilesMatchReference is the byte-identity claim on the data the
+// benchmark serves: every 128 kB block of its six files deflates at level 9
+// to the reference matcher's stream, and each file's blocks, gzipped, to the
+// bytes recorded before the matcher or the bit writer changed.
+func TestBenchFilesMatchReference(t *testing.T) {
+	ref := newReferenceMatcher(t, 9)
+	for _, f := range benchFiles(t) {
+		sum := sha256.New()
+		for off := 0; off < len(f.data); off += blockBytes {
+			block := f.data[off:min(off+blockBytes, len(f.data))]
+			got, err := CompressBytes(block, 9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, deflateThrough(t, ref.Tokenize, block)) {
+				t.Errorf("%s block at %d: stream differs from the reference matcher's", f.name, off)
+			}
+			member, err := GzipCompress(block, 9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum.Write(member)
+		}
+		if got := hex.EncodeToString(sum.Sum(nil)[:8]); got != benchDigests[f.name] {
+			t.Errorf("%s: gzip artifact digest %s, recorded %q", f.name, got, benchDigests[f.name])
+		}
+	}
+}

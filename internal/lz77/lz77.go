@@ -148,12 +148,11 @@ func PutMatcher(m *Matcher) {
 	matcherPools[m.level-1].Put(m)
 }
 
+// reset empties the hash heads. The chain links in prev stay as they are:
+// a walk starts at a head, so it only ever follows links written since.
 func (m *Matcher) reset() {
 	for i := range m.head {
 		m.head[i] = -1
-	}
-	for i := range m.prev {
-		m.prev[i] = -1
 	}
 }
 
@@ -207,15 +206,19 @@ func (m *Matcher) findMatch(data []byte, i, prevLen, maxChain int) (length, dist
 		// candidate would fail the end-bytes quick reject below.
 		return 0, 0
 	}
-	// Quick-reject pair: a candidate can only beat the current best if it
-	// matches through byte best, so compare the two bytes ending there in
-	// one load. Hoisted out of the chain walk and refreshed when best
-	// improves (best < maxLen holds throughout, keeping i+best in bounds).
-	// All chain entries are positions this Tokenize call inserted before
-	// reaching i, so every candidate j satisfies j < i and the loads below
-	// stay in bounds.
+	// Quick rejects, one load each. While nothing is pending (best below
+	// MinMatch) only a candidate whose first three bytes are those at i can
+	// be of use, and on data that does not compress nearly every candidate
+	// is a hash collision that fails there. After that a candidate can only
+	// beat the current best if it matches through byte best, so the two
+	// bytes ending there are compared; hoisted out of the chain walk and
+	// refreshed when best improves (best < maxLen holds throughout, keeping
+	// i+best in bounds). All chain entries are positions this Tokenize call
+	// inserted before reaching i, so every candidate j satisfies j < i and
+	// the loads below stay in bounds: j+4 <= i+MinMatch <= len(data).
+	first := uint32(data[i]) | uint32(data[i+1])<<8 | uint32(data[i+2])<<16
 	var scanEnd uint16
-	if best >= 1 {
+	if best >= MinMatch {
 		scanEnd = binary.LittleEndian.Uint16(data[i+best-1:])
 	}
 	// The fixed-size array views let the compiler drop bounds checks on the
@@ -224,9 +227,12 @@ func (m *Matcher) findMatch(data []byte, i, prevLen, maxChain int) (length, dist
 	cand := m.head[m.hashAt(data, i)]
 	for chain := 0; chain < maxChain && cand >= int32(limit); chain++ {
 		j := int(cand)
-		// Quick reject: the two bytes closing the would-be match.
-		if best >= 1 && binary.LittleEndian.Uint16(data[j+best-1:]) != scanEnd {
-			cand = prev[j&(WindowSize-1)]
+		cand = prev[j&(WindowSize-1)]
+		if best < MinMatch {
+			if binary.LittleEndian.Uint32(data[j:])&0xffffff != first {
+				continue
+			}
+		} else if binary.LittleEndian.Uint16(data[j+best-1:]) != scanEnd {
 			continue
 		}
 		l := matchLen(data, j, i, maxLen)
@@ -238,7 +244,6 @@ func (m *Matcher) findMatch(data []byte, i, prevLen, maxChain int) (length, dist
 			}
 			scanEnd = binary.LittleEndian.Uint16(data[i+best-1:])
 		}
-		cand = prev[j&(WindowSize-1)]
 	}
 	if bestDist == 0 || best < MinMatch {
 		return 0, 0

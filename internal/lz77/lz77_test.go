@@ -211,20 +211,3 @@ func TestMatcherReusableAcrossBuffers(t *testing.T) {
 		}
 	}
 }
-
-func BenchmarkTokenizeLevel1(b *testing.B) { benchTokenize(b, 1) }
-func BenchmarkTokenizeLevel6(b *testing.B) { benchTokenize(b, 6) }
-func BenchmarkTokenizeLevel9(b *testing.B) { benchTokenize(b, 9) }
-
-func benchTokenize(b *testing.B, level int) {
-	data := []byte(strings.Repeat("a benchmark corpus line with moderate redundancy 0123456789\n", 2000))
-	m, err := NewMatcher(level)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Tokenize(data, func(Token) {})
-	}
-}
