@@ -39,23 +39,30 @@ const (
 // ErrCorrupt is returned for structurally invalid .Z streams.
 var ErrCorrupt = errors.New("lzw: corrupt stream")
 
+// dictEntry is one slot of the encoder's table; it is in use if its epoch is
+// the table's.
 type dictEntry struct {
-	key  uint32
-	code uint16
+	key   uint32
+	code  uint16
+	epoch uint16
 }
 
 // hashSize is 2x the max code count, which keeps probe chains short.
 const hashSize = 1 << 17
 
 // hashTable is an open-addressed (prefix, byte) -> code map sized for the
-// 16-bit code space.
+// 16-bit code space: 1 MiB, of which a 128 kB block touches a tenth. It is
+// emptied by moving to the next epoch, so a stream pays for the slots it
+// fills and not for the table; only when the 16-bit epoch comes round, every
+// 65,535 clears, are the slots themselves wiped.
 type hashTable struct {
 	entries [hashSize]dictEntry
+	epoch   uint16
 }
 
-// encoder is the compression workspace: the 1 MiB table, cleared by
-// whoever takes it out of the pool, and the buffer the stream is built in,
-// so that Compress allocates only the exact-sized copy it returns.
+// encoder is the compression workspace: the table, emptied by whoever takes
+// it out of the pool, and the buffer the stream is built in, so that
+// Compress allocates only the exact-sized copy it returns.
 type encoder struct {
 	table hashTable
 	out   []byte
@@ -64,8 +71,9 @@ type encoder struct {
 var encoderPool = sync.Pool{New: func() any { return new(encoder) }}
 
 func (h *hashTable) clear() {
-	for i := range h.entries {
-		h.entries[i].key = ^uint32(0)
+	h.epoch++
+	if h.epoch == 0 {
+		*h = hashTable{epoch: 1}
 	}
 }
 
@@ -75,7 +83,7 @@ func (h *hashTable) lookup(k uint32) (uint16, bool) {
 	i := (k * 2654435761) % hashSize
 	for {
 		e := h.entries[i]
-		if e.key == ^uint32(0) {
+		if e.epoch != h.epoch {
 			return 0, false
 		}
 		if e.key == k {
@@ -87,10 +95,10 @@ func (h *hashTable) lookup(k uint32) (uint16, bool) {
 
 func (h *hashTable) insert(k uint32, code uint16) {
 	i := (k * 2654435761) % hashSize
-	for h.entries[i].key != ^uint32(0) {
+	for h.entries[i].epoch == h.epoch {
 		i = (i + 1) % hashSize
 	}
-	h.entries[i] = dictEntry{key: k, code: code}
+	h.entries[i] = dictEntry{key: k, code: code, epoch: h.epoch}
 }
 
 // Compress compresses data in the .Z block-mode format with codes up to
