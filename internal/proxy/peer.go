@@ -80,8 +80,8 @@ func (s *Server) DeciderFP() string { return s.deciderFP }
 func (s *Server) Generation(name string) (uint64, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	gen, ok := s.gens[name]
-	return gen, ok
+	f, ok := s.files[name]
+	return f.gen, ok
 }
 
 // SyncGeneration raises this node's generation for name to at least gen
@@ -90,11 +90,13 @@ func (s *Server) Generation(name string) (uint64, bool) {
 // arriving late is a no-op).
 func (s *Server) SyncGeneration(name string, gen uint64) {
 	s.mu.Lock()
-	if _, ok := s.files[name]; !ok || s.gens[name] >= gen {
+	f, ok := s.files[name]
+	if !ok || f.gen >= gen {
 		s.mu.Unlock()
 		return
 	}
-	s.gens[name] = gen
+	f.gen = gen
+	s.files[name] = f
 	s.mu.Unlock()
 	if s.cache != nil {
 		s.cache.invalidate(name, gen)
@@ -121,11 +123,11 @@ func (s *Server) deciderFor(fp string) (selective.Decider, bool) {
 // consult is disabled on this path, so ownership confusion during ring
 // churn can never forward a request in a cycle.
 func (s *Server) Artifact(key ArtifactKey) ([]selective.Block, error) {
-	content, gen, ok := s.lookup(key.Name)
+	f, ok := s.lookup(key.Name)
 	if !ok {
 		return nil, ErrNotFound
 	}
-	if gen != key.Gen {
+	if f.gen != key.Gen {
 		return nil, ErrStaleGeneration
 	}
 	d, ok := s.deciderFor(key.FP)
@@ -133,7 +135,7 @@ func (s *Server) Artifact(key ArtifactKey) ([]selective.Block, error) {
 		return nil, errors.New("proxy: unknown decider fingerprint " + key.FP)
 	}
 	k := cacheKey{name: key.Name, gen: key.Gen, scheme: key.Scheme, fp: key.FP}
-	a, err := s.openArtifact(k, content, key.Scheme, d, nil, false)
+	a, err := s.openArtifact(k, f.content, key.Scheme, d, nil, false)
 	if err != nil {
 		return nil, err
 	}

@@ -121,8 +121,7 @@ type Server struct {
 	clock  WallClock
 
 	mu    sync.Mutex
-	files map[string][]byte
-	gens  map[string]uint64
+	files map[string]file
 
 	cache   *blockCache // nil when caching is disabled
 	flights flightGroup
@@ -232,8 +231,7 @@ func NewServerWith(decider selective.Decider, cfg Config) *Server {
 		log:       logger,
 		clock:     clock,
 		metrics:   newMetrics(reg),
-		files:     make(map[string][]byte),
-		gens:      make(map[string]uint64),
+		files:     make(map[string]file),
 		workerSem: make(chan struct{}, cfg.Workers),
 		connSem:   make(chan struct{}, cfg.MaxConns),
 		conns:     make(map[net.Conn]struct{}),
@@ -255,13 +253,23 @@ func NewServerWith(decider selective.Decider, cfg Config) *Server {
 	return s
 }
 
+// file is one registration: the content, the generation it was registered
+// as, and the content's CRC-32, which ends every response for it — taken
+// once here, not by a pass over the file per request.
+type file struct {
+	content []byte
+	gen     uint64
+	crc     uint32
+}
+
 // Register stores a file under name. Content is copied. Re-registering a
 // name bumps its generation and drops its cached artifacts.
 func (s *Server) Register(name string, content []byte) {
+	f := file{content: append([]byte{}, content...), crc: crcOf(content)}
 	s.mu.Lock()
-	s.files[name] = append([]byte{}, content...)
-	s.gens[name]++
-	gen := s.gens[name]
+	f.gen = s.files[name].gen + 1
+	s.files[name] = f
+	gen := f.gen
 	s.mu.Unlock()
 	if s.cache != nil {
 		// Invalidate below the new generation rather than bare-dropping:
@@ -307,12 +315,12 @@ func (s *Server) refreshGauges() {
 	}
 }
 
-// lookup returns the named file's content and current generation.
-func (s *Server) lookup(name string) (content []byte, gen uint64, ok bool) {
+// lookup returns the named file's current registration.
+func (s *Server) lookup(name string) (file, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	content, ok = s.files[name]
-	return content, s.gens[name], ok
+	f, ok := s.files[name]
+	return f, ok
 }
 
 // Precompress compresses name's blocks with scheme ahead of time, as the
@@ -321,12 +329,12 @@ func (s *Server) lookup(name string) (content []byte, gen uint64, ok bool) {
 // ModePrecompressed (or ModeOnDemand) request for the same scheme is a
 // cache hit.
 func (s *Server) Precompress(name string, scheme codec.Scheme) error {
-	content, gen, ok := s.lookup(name)
+	f, ok := s.lookup(name)
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	key := cacheKey{name: name, gen: gen, scheme: scheme, fp: fpAlways}
-	a, err := s.openArtifact(key, content, scheme, selective.AlwaysCompress{}, nil, false)
+	key := cacheKey{name: name, gen: f.gen, scheme: scheme, fp: fpAlways}
+	a, err := s.openArtifact(key, f.content, scheme, selective.AlwaysCompress{}, nil, false)
 	if err != nil {
 		return err
 	}
@@ -700,12 +708,12 @@ func (s *Server) handleList(bw *bufio.Writer) error {
 }
 
 func (s *Server) handleGet(bw *bufio.Writer, req request, span *obs.Span) error {
-	content, gen, ok := s.lookup(req.Name)
+	f, ok := s.lookup(req.Name)
 	if !ok {
 		return writeGetHeader(bw, getHeader{Status: statusNotFound})
 	}
 
-	a, err := s.artifactFor(req, content, gen, span)
+	a, err := s.artifactFor(req, f.content, f.gen, span)
 	if err != nil {
 		return err
 	}
@@ -715,7 +723,7 @@ func (s *Server) handleGet(bw *bufio.Writer, req request, span *obs.Span) error 
 	// a client that verified N raw bytes on a previous attempt is handed
 	// exactly the blocks it is missing.
 	n := len(a.blocks)
-	start, granted := n, uint64(len(content))
+	start, granted := n, uint64(len(f.content))
 	if req.Offset < granted {
 		start = int(req.Offset / selective.BlockSize)
 		granted = uint64(start) * selective.BlockSize
@@ -741,7 +749,7 @@ func (s *Server) handleGet(bw *bufio.Writer, req request, span *obs.Span) error 
 			// yet promised statusOK.
 			if err := writeGetHeader(bw, getHeader{
 				Status:  statusOK,
-				RawSize: uint64(len(content)),
+				RawSize: uint64(len(f.content)),
 				Scheme:  req.Scheme,
 				Offset:  granted,
 			}); err != nil {
@@ -774,7 +782,7 @@ func (s *Server) handleGet(bw *bufio.Writer, req request, span *obs.Span) error 
 		span.Phase("block-wait", "", writeStart, waited, 0)
 	}
 	span.Phase("write-blocks", "", writeStart.Add(waited), time.Since(writeStart)-waited, wrote)
-	if err := WriteEnd(bw, crcOf(content)); err != nil {
+	if err := WriteEnd(bw, f.crc); err != nil {
 		return err
 	}
 	return bw.Flush()
