@@ -1,6 +1,9 @@
 package bwt
 
-import "slices"
+import (
+	"bytes"
+	"slices"
+)
 
 // sortRotations sorts the cyclic rotations of s in linear time. It rotates
 // s to its least rotation t, which is a power w^k of a Lyndon word w (k is
@@ -24,11 +27,32 @@ func (e *encoder) sortRotations(s []byte) (w []byte, sa []int32, r int) {
 }
 
 // leastRotation returns the start of a lexicographically least rotation of
-// s: two candidates are compared k bytes at a time and the loser skips past
-// everything the comparison ruled out, so the scan is linear.
+// s, which is not empty: two candidates are compared k bytes at a time and the loser skips past
+// everything the comparison ruled out, so the scan is linear. Only a
+// position that starts a run of the least byte of s is a candidate — any
+// other rotation starts higher, or with a shorter run of it — which on
+// ordinary data leaves few, found by bytes.IndexByte.
 func leastRotation(s []byte) int {
 	n := len(s)
-	i, j, k := 0, 1, 0
+	lo := slices.Min(s)
+	next := func(p int) int { // the first candidate at or after p, or n
+		for p < n {
+			q := bytes.IndexByte(s[p:], lo)
+			if q < 0 {
+				return n
+			}
+			if p += q; s[(p+n-1)%n] != lo {
+				return p
+			}
+			p++
+		}
+		return n
+	}
+	i := next(0)
+	if i == n {
+		return 0 // s is one byte repeated
+	}
+	j, k := next(i+1), 0
 	for i < n && j < n && k < n {
 		a, b := i+k, j+k
 		if a >= n {
@@ -42,12 +66,12 @@ func leastRotation(s []byte) int {
 			continue
 		}
 		if s[a] > s[b] {
-			i += k + 1
+			i = next(i + k + 1)
 		} else {
-			j += k + 1
+			j = next(j + k + 1)
 		}
 		if i == j {
-			j++
+			j = next(j + 1)
 		}
 		k = 0
 	}
