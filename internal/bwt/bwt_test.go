@@ -7,8 +7,6 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/workload"
 )
 
 func TestTransformKnownExample(t *testing.T) {
@@ -291,32 +289,25 @@ func TestQuickCompressRoundTrip(t *testing.T) {
 	}
 }
 
-// benchData is program source, not a phrase repeated: a proper power is
-// the sorter's degenerate case (BenchmarkTransform keeps one, by name).
-func benchData() []byte { return workload.Generate(workload.ClassSource, 96000, 20) }
-
-func BenchmarkCompressLevel9(b *testing.B) {
-	data := benchData()
-	b.SetBytes(int64(len(data)))
-	for i := 0; i < b.N; i++ {
-		if _, err := Compress(data, 9); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
+// BenchmarkDecompress decodes the first dataplane block of each file the
+// benchmark's large workloads serve (BenchmarkCompressBlock, in
+// sort_test.go, is its encode side).
 func BenchmarkDecompress(b *testing.B) {
-	data := benchData()
-	comp, err := Compress(data, 9)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Decompress(comp, 0); err != nil {
-			b.Fatal(err)
-		}
+	for _, f := range benchFiles(b) {
+		b.Run(f.name, func(b *testing.B) {
+			block := f.data[:blockBytes]
+			comp, err := Compress(block, 9)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(len(block)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Decompress(comp, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

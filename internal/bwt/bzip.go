@@ -37,7 +37,7 @@ const (
 // stream being written. It grows to the largest block it has compressed.
 type encoder struct {
 	rot     []byte  // the block rotated to its least rotation
-	sa, bkt []int32 // that rotation's suffix array; SA-IS bucket counters
+	sa, bkt []int32 // that rotation's suffix array; SA-IS symbol and bucket counters
 
 	rle   []byte   // RLE1 output: what the transform sorts
 	last  []byte   // its last column

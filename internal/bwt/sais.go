@@ -12,11 +12,12 @@ import (
 // those of w, each k times over. It returns w, the suffix array of w and
 // the index r at which t starts in s, so rotation sa[i] of w is rotation
 // (r + sa[i] + j·len(w)) mod len(s) of s for every j < k. All three live
-// in e until its next sort: 5 bytes per block byte, plus the bucket
-// counters of whichever reduced problem found no idle room for them in
-// the suffix array (see sais) — a few KiB on text, at most 2 bytes per
-// block byte. Indices are int32: len(s) must stay below 1<<31, which any
-// block a level allows does.
+// in e until its next sort: 5 bytes per block byte, plus the counters of
+// every level of the sort that found no idle room for them in the suffix
+// array (see sais) — 2 KiB for the bytes, tens of KiB more on text, up to
+// 4 bytes per block byte on one that does not compress, whose reduced
+// texts have nearly as many symbols as entries. Indices are int32: len(s)
+// must stay below 1<<31, which any block a level allows does.
 func (e *encoder) sortRotations(s []byte) (w []byte, sa []int32, r int) {
 	r = leastRotation(s)
 	e.rot = append(append(e.rot[:0], s[r:]...), s[:r]...)
@@ -27,11 +28,11 @@ func (e *encoder) sortRotations(s []byte) (w []byte, sa []int32, r int) {
 }
 
 // leastRotation returns the start of a lexicographically least rotation of
-// s, which is not empty: two candidates are compared k bytes at a time and the loser skips past
-// everything the comparison ruled out, so the scan is linear. Only a
-// position that starts a run of the least byte of s is a candidate — any
-// other rotation starts higher, or with a shorter run of it — which on
-// ordinary data leaves few, found by bytes.IndexByte.
+// s, which is not empty: two candidates are compared k bytes at a time and
+// the loser skips past everything the comparison ruled out, so the scan is
+// linear. Only a position that starts a run of the least byte of s is a
+// candidate — any other rotation starts higher, or with a shorter run of
+// it — which on ordinary data leaves few, found by bytes.IndexByte.
 func leastRotation(s []byte) int {
 	n := len(s)
 	lo := slices.Min(s)

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -330,8 +331,31 @@ func TestLevel9BlockRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMTFMatchesReference holds the move-to-front coder to the scanning
-// loop it replaced.
+// everyDepth is a column in which every byte value is met at every list
+// depth 0-255 — so on both sides of each depth at which mtfRLE2 changes how
+// it searches or shifts — and every such meeting is followed by a short run.
+func everyDepth() []byte {
+	var out []byte
+	for b := 0; b < 256; b++ {
+		for d := 0; d < 256; d++ {
+			out = append(out, byte(b))
+			for k := 1; k <= d; k++ {
+				out = append(out, byte(b+k)) // d distinct others: b is now d deep
+			}
+			for run := 0; run <= d%5; run++ {
+				out = append(out, byte(b))
+			}
+		}
+	}
+	return out
+}
+
+// TestMTFMatchesReference holds the fused pass to what it replaced, on one
+// workspace throughout: its symbol stream and histogram are those of the
+// retired move-to-front, RLE2 and counting passes, whose move-to-front
+// values are in turn the plain scanning loop's. The inputs are BWT-like
+// columns, the sort seeds' real last columns, a uniform-random dataplane
+// block (every byte ~128 deep) and everyDepth.
 func TestMTFMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	inputs := [][]byte{nil, {0}, {255, 255, 0}, bytes.Repeat([]byte{7}, 300)}
@@ -351,9 +375,41 @@ func TestMTFMatchesReference(t *testing.T) {
 		last, _ := Transform(f.data)
 		inputs = append(inputs, last)
 	}
+	uniform := make([]byte, blockBytes)
+	rng.Read(uniform)
+	deep := everyDepth()
+	inputs = append(inputs, uniform, deep)
+
+	var met [256][256]bool
+	for i, b := range referenceMTFEncode(deep) {
+		met[deep[i]][b] = true
+	}
+	for b := range met {
+		for d, ok := range met[b] {
+			if !ok {
+				t.Fatalf("everyDepth never meets byte %d at depth %d", b, d)
+			}
+		}
+	}
+
+	e := new(encoder)
 	for i, in := range inputs {
-		if got, want := mtfEncode(in), referenceMTFEncode(in); !bytes.Equal(got, want) {
-			t.Errorf("input %d (%d bytes): differs from the scanning loop", i, len(in))
+		mtf := bytes.Clone(in)
+		mtfEncodeInPlace(mtf)
+		if !bytes.Equal(mtf, referenceMTFEncode(in)) {
+			t.Errorf("input %d (%d bytes): the retired in-place loop differs from the scanning loop", i, len(in))
+		}
+		want := appendRLE2(nil, mtf)
+		var freq [numSymbols]int
+		for _, s := range want {
+			freq[s]++
+		}
+		e.mtfRLE2(in)
+		if !slices.Equal(e.syms, want) {
+			t.Errorf("input %d (%d bytes): symbol stream differs from the retired passes'", i, len(in))
+		}
+		if e.freq != freq {
+			t.Errorf("input %d (%d bytes): histogram differs from a count of the stream", i, len(in))
 		}
 	}
 }

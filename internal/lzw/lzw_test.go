@@ -187,28 +187,38 @@ func TestLowerFactorThanDeflateOnText(t *testing.T) {
 	}
 }
 
+// BenchmarkCompress and BenchmarkDecompress run on the first dataplane block
+// (128 kB) of each file the benchmark's large workloads serve.
 func BenchmarkCompress(b *testing.B) {
-	data := []byte(strings.Repeat("lzw benchmark content with moderate redundancy 0123456789\n", 2000))
-	b.SetBytes(int64(len(data)))
-	for i := 0; i < b.N; i++ {
-		if _, err := Compress(data, 16); err != nil {
-			b.Fatal(err)
-		}
+	for _, f := range benchFiles(b) {
+		b.Run(f.name, func(b *testing.B) {
+			block := f.data[:128*1000]
+			b.SetBytes(int64(len(block)))
+			for i := 0; i < b.N; i++ {
+				if _, err := Compress(block, 16); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
 func BenchmarkDecompress(b *testing.B) {
-	data := []byte(strings.Repeat("lzw benchmark content with moderate redundancy 0123456789\n", 2000))
-	comp, err := Compress(data, 16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Decompress(comp, 0); err != nil {
-			b.Fatal(err)
-		}
+	for _, f := range benchFiles(b) {
+		b.Run(f.name, func(b *testing.B) {
+			block := f.data[:128*1000]
+			comp, err := Compress(block, 16)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(len(block)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Decompress(comp, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -184,7 +184,7 @@ func FuzzLZWEncodeIdentical(f *testing.F) {
 
 // benchFiles rebuilds the six files the benchmark's large workloads serve
 // (bench/loopback.go: largeFiles at corpusSeed), as internal/bwt's tests do.
-func benchFiles(tb testing.TB) map[string][]byte {
+func benchFiles(tb testing.TB) []namedFile {
 	splitmix := func(seed, salt uint64) uint64 {
 		z := seed ^ (salt+1)*0x9E3779B97F4A7C15
 		z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
@@ -201,7 +201,7 @@ func benchFiles(tb testing.TB) map[string][]byte {
 	class := func(c workload.Class) func(int, uint64) []byte {
 		return func(size int, seed uint64) []byte { return workload.Generate(c, size, seed) }
 	}
-	out := map[string][]byte{}
+	var out []namedFile
 	for i, f := range []struct {
 		name string
 		size int
@@ -216,9 +216,14 @@ func benchFiles(tb testing.TB) map[string][]byte {
 			return workload.GenerateRatio(size, 1.15, seed, gzipFactor)
 		}},
 	} {
-		out[f.name] = f.gen(f.size, splitmix(2003, uint64(i)))
+		out = append(out, namedFile{f.name, f.gen(f.size, splitmix(2003, uint64(i)))})
 	}
 	return out
+}
+
+type namedFile struct {
+	name string
+	data []byte
 }
 
 // benchDigests are the first eight bytes of the SHA-256 of each bench file's
@@ -240,7 +245,8 @@ var benchDigests = map[string]string{
 // to the bytes recorded at the parent.
 func TestBenchFilesMatchReference(t *testing.T) {
 	const blockBytes = 128 * 1000 // selective.BlockSize
-	for name, data := range benchFiles(t) {
+	for _, f := range benchFiles(t) {
+		name, data := f.name, f.data
 		sum := sha256.New()
 		for off := 0; off < len(data); off += blockBytes {
 			block := data[off:min(off+blockBytes, len(data))]

@@ -99,6 +99,13 @@ fuzz ./internal/proxy FuzzReadBlockFrame
 fuzz ./internal/cluster FuzzReadPeerRequest
 fuzz ./internal/flate FuzzGzipDifferential
 fuzz ./internal/flate FuzzDeflateDifferential
+# Those two ask whether both inflaters read our streams back. These two ask
+# whether the streams are the bytes they always were: deflate at levels 1,
+# 6 and 9 through a pooled, a fresh and a reused matcher against the frozen
+# matcher's tokens, compress against the frozen encoder, each after an
+# unrelated input has been through the workspace.
+fuzz ./internal/flate FuzzDeflateEncodeIdentical
+fuzz ./internal/lzw FuzzLZWEncodeIdentical
 # The one inflater, held to itself — run once to the end of the caller's
 # buffer, as the dataplane decodes blocks, against resumed a Read at a time
 # by the Reader behind czip — and to compress/gzip, on arbitrary bytes.
@@ -113,7 +120,9 @@ fuzz ./internal/bwt FuzzBWTDecode
 fuzz ./internal/huffman FuzzHuffmanNewDecoder
 # The encode side of the block sorter: the linear-time rotation sort held to
 # the retired Manber-Myers one (and a quadratic sort on short blocks) on
-# arbitrary and periodic blocks, fresh and after an unrelated block.
+# arbitrary and periodic blocks, fresh and after an unrelated block — and
+# Compress, through the fused move-to-front pass and the word-storing bit
+# writer, to the retired passes' stream.
 fuzz ./internal/bwt FuzzBWTTransform
 
 # Deterministic soak gate: seeded multi-client scenarios on the virtual
@@ -227,6 +236,7 @@ check_cover ./internal/lzw 97
 check_cover ./internal/bwt 95
 check_cover ./internal/lz77 91
 check_cover ./internal/codec 90
+check_cover ./internal/bitio 93
 
 # Decompression-kernel gates, without -race (the race runtime changes
 # allocation counts): the pooled dataplane must stay O(1) buffers per
