@@ -170,8 +170,7 @@ func sais[T byte | int32](t []T, sa, free []int32, k int, spill *[]int32) {
 
 	// Stage 2: distinct names are already suffix order; otherwise sort the
 	// text of names, packed at the end of sa, into the front of sa, and
-	// turn its indices back into LMS positions. The counters sit in sa
-	// between the two when free is the caller's: outside both.
+	// turn its indices back into LMS positions.
 	if names < m {
 		t1 := sa[n-m:]
 		j := m

@@ -269,14 +269,13 @@ func (s *Server) Register(name string, content []byte) {
 	s.mu.Lock()
 	f.gen = s.files[name].gen + 1
 	s.files[name] = f
-	gen := f.gen
 	s.mu.Unlock()
 	if s.cache != nil {
 		// Invalidate below the new generation rather than bare-dropping:
 		// the generation floor also blocks a concurrent singleflight fill
 		// for the old generation from re-inserting its artifact after the
 		// scan (see blockCache.invalidate).
-		s.cache.invalidate(name, gen)
+		s.cache.invalidate(name, f.gen)
 	}
 }
 
