@@ -13,9 +13,10 @@ import (
 // The decode stages as they were before the workspace fused them — each
 // allocating its own output — kept as the reference the fused kernels are
 // held to, and as what the stage tests in bwt_test.go call; with them the
-// encode side's retired kernels, the Manber-Myers rotation sort and the
-// scanning move-to-front loop, which the linear-time ones are held to. The
-// other encode stages are thin adapters onto the production code.
+// encode side's retired kernels — the Manber-Myers rotation sort, the
+// scanning move-to-front loops and the RLE2 pass — which the linear-time
+// sort and the fused pass are held to. The other encode stages are thin
+// adapters onto the production code.
 
 // mtfEncode is the move-to-front coding of data as the fused pass sees it:
 // its symbol stream with the zero runs expanded again.

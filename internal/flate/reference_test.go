@@ -362,10 +362,7 @@ func FuzzDeflateEncodeIdentical(f *testing.F) {
 
 // benchFiles rebuilds the six files the benchmark's large workloads serve
 // (bench/loopback.go: largeFiles at corpusSeed), as internal/bwt's tests do.
-func benchFiles(tb testing.TB) []struct {
-	name string
-	data []byte
-} {
+func benchFiles(tb testing.TB) []namedFile {
 	splitmix := func(seed, salt uint64) uint64 {
 		z := seed ^ (salt+1)*0x9E3779B97F4A7C15
 		z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
@@ -396,14 +393,16 @@ func benchFiles(tb testing.TB) []struct {
 			return workload.GenerateRatio(size, 1.15, seed, gzipFactor)
 		}},
 	}
-	out := make([]struct {
-		name string
-		data []byte
-	}, len(files))
+	out := make([]namedFile, len(files))
 	for i, f := range files {
-		out[i].name, out[i].data = f.name, f.gen(f.size, splitmix(2003, uint64(i)))
+		out[i] = namedFile{f.name, f.gen(f.size, splitmix(2003, uint64(i)))}
 	}
 	return out
+}
+
+type namedFile struct {
+	name string
+	data []byte
 }
 
 // blockBytes is the dataplane's block (selective.BlockSize): what a cold

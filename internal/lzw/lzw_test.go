@@ -192,7 +192,7 @@ func TestLowerFactorThanDeflateOnText(t *testing.T) {
 func BenchmarkCompress(b *testing.B) {
 	for _, f := range benchFiles(b) {
 		b.Run(f.name, func(b *testing.B) {
-			block := f.data[:128*1000]
+			block := f.data[:blockBytes]
 			b.SetBytes(int64(len(block)))
 			for i := 0; i < b.N; i++ {
 				if _, err := Compress(block, 16); err != nil {
@@ -206,7 +206,7 @@ func BenchmarkCompress(b *testing.B) {
 func BenchmarkDecompress(b *testing.B) {
 	for _, f := range benchFiles(b) {
 		b.Run(f.name, func(b *testing.B) {
-			block := f.data[:128*1000]
+			block := f.data[:blockBytes]
 			comp, err := Compress(block, 16)
 			if err != nil {
 				b.Fatal(err)

@@ -226,6 +226,10 @@ type namedFile struct {
 	data []byte
 }
 
+// blockBytes is the dataplane's block (selective.BlockSize): what a cold
+// compress miss encodes.
+const blockBytes = 128 * 1000
+
 // benchDigests are the first eight bytes of the SHA-256 of each bench file's
 // compress artifact — Compress at 16 bits of every 128 kB block, one after
 // another — as the parent of the stamped table wrote it.
@@ -244,25 +248,23 @@ var benchDigests = map[string]string{
 // compresses to the reference encoder's stream, and each file's artifact
 // to the bytes recorded at the parent.
 func TestBenchFilesMatchReference(t *testing.T) {
-	const blockBytes = 128 * 1000 // selective.BlockSize
 	for _, f := range benchFiles(t) {
-		name, data := f.name, f.data
 		sum := sha256.New()
-		for off := 0; off < len(data); off += blockBytes {
-			block := data[off:min(off+blockBytes, len(data))]
+		for off := 0; off < len(f.data); off += blockBytes {
+			block := f.data[off:min(off+blockBytes, len(f.data))]
 			got, err := Compress(block, MaxBits)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, referenceCompress(block, MaxBits)) {
-				t.Errorf("%s block at %d: stream differs from the reference encoder's", name, off)
+				t.Errorf("%s block at %d: stream differs from the reference encoder's", f.name, off)
 			}
 			sum.Write(got)
 		}
-		if got := hex.EncodeToString(sum.Sum(nil)[:8]); got != benchDigests[name] {
-			t.Errorf("%s: compress artifact digest %s, recorded %q", name, got, benchDigests[name])
+		if got := hex.EncodeToString(sum.Sum(nil)[:8]); got != benchDigests[f.name] {
+			t.Errorf("%s: compress artifact digest %s, recorded %q", f.name, got, benchDigests[f.name])
 		}
-		checkEncode(t, data, MaxBits, 12)
+		checkEncode(t, f.data, MaxBits, 12)
 	}
 	// The reset path is part of the claim only if these inputs take it.
 	if _, resets := referenceCompressResets(shifting(300<<10), MaxBits); resets == 0 {
