@@ -64,7 +64,7 @@ func run() error {
 		useCorpus  = flag.Bool("corpus", false, "serve the built-in synthetic Table 2 corpus")
 		scale      = flag.Float64("scale", 0.125, "corpus size scale")
 		precompSch = flag.String("precompress", "", "precompress all files with this scheme (gzip, compress, bzip2, zlib)")
-		cacheBytes = flag.Int64("cache-bytes", 64<<20, "compressed-artifact cache budget in bytes (negative disables)")
+		cacheBytes = flag.Int64("cache-bytes", 64<<20, "compressed-artifact cache budget in bytes, one budget for the whole cache: an artifact up to this size is cached (negative disables)")
 		workers    = flag.Int("workers", 0, "max concurrent compressions (0 = GOMAXPROCS)")
 		maxConns   = flag.Int("max-conns", 0, "max concurrent connections (0 = 256)")
 		faultRate  = flag.Float64("fault-rate", 0, "per-I/O fault probability for resets, truncations and bit-flips (0 disables injection)")

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -74,13 +75,7 @@ func NewNode(cfg Config) (*Node, error) {
 		return nil, errors.New("cluster: Config needs Self, Server and Dial")
 	}
 	ring := NewRing(cfg.Nodes, cfg.Vnodes)
-	found := false
-	for _, n := range ring.Nodes() {
-		if n == cfg.Self {
-			found = true
-		}
-	}
-	if !found {
+	if !slices.Contains(ring.Nodes(), cfg.Self) {
 		return nil, fmt.Errorf("cluster: self %q not in membership %v", cfg.Self, cfg.Nodes)
 	}
 	if cfg.Clock == nil {
@@ -144,7 +139,7 @@ func (n *Node) PeerFetch(key proxy.ArtifactKey) ([]selective.Block, error) {
 		vns = n.cfg.VNow()
 	}
 	start := n.cfg.Clock.Now()
-	blocks, wire, err := n.fetchFrom(owner, key)
+	blocks, err := n.exchange(owner, peerRequest{Op: peerOpFetch, Key: key}, nil)
 	if n.cfg.Events != nil {
 		e := export.Event{
 			VNS:     vns,
@@ -159,12 +154,11 @@ func (n *Node) PeerFetch(key proxy.ArtifactKey) ([]selective.Block, error) {
 		if err != nil {
 			e.Outcome = "err"
 		} else {
-			for _, b := range blocks {
-				e.RawBytes += int64(b.RawLen)
-			}
-			e.WireBytes = wire
+			e.WireBytes = 5 + proxy.BlockHeaderLen // status + end frame
 			e.Blocks = len(blocks)
 			for _, b := range blocks {
+				e.RawBytes += int64(b.RawLen)
+				e.WireBytes += int64(proxy.BlockHeaderLen + len(b.Payload))
 				if b.Compressed {
 					e.BlocksCompressed++
 				}
@@ -185,74 +179,55 @@ func (n *Node) PeerFetch(key proxy.ArtifactKey) ([]selective.Block, error) {
 	return blocks, nil
 }
 
-// fetchFrom runs one PXY-P fetch exchange against owner, returning the
-// artifact blocks and the wire bytes read.
-func (n *Node) fetchFrom(owner string, key proxy.ArtifactKey) ([]selective.Block, int64, error) {
-	conn, err := n.cfg.Dial(owner)
+// exchange runs one PXY-P exchange with peer on a connection of its own:
+// the request frame, body after it when the request is a put, the status
+// frame — an error unless it says OK — and, for a fetch, the artifact.
+func (n *Node) exchange(peer string, req peerRequest, body []selective.Block) ([]selective.Block, error) {
+	conn, err := n.cfg.Dial(peer)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	defer conn.Close()
 	_ = conn.SetDeadline(n.cfg.Clock.Now().Add(n.cfg.Timeout))
-	if err := writePeerRequest(conn, peerRequest{Op: peerOpFetch, Key: key}); err != nil {
-		return nil, 0, err
+	if err := writePeerRequest(conn, req); err != nil {
+		return nil, err
+	}
+	if req.Op == peerOpPut {
+		if err := writeArtifact(conn, body); err != nil {
+			return nil, err
+		}
 	}
 	status, err := readPeerStatus(conn)
-	if err != nil {
-		return nil, 0, err
+	switch {
+	case err != nil:
+		return nil, err
+	case status == peerStatusNotOwner:
+		return nil, errNotOwner
+	case status == peerStatusStale:
+		return nil, proxy.ErrStaleGeneration
+	case status == peerStatusNotFound:
+		return nil, proxy.ErrNotFound
+	case status != peerStatusOK:
+		return nil, fmt.Errorf("%w: status %#x", ErrPeerProtocol, status)
+	case req.Op != peerOpFetch:
+		return nil, nil
 	}
-	switch status {
-	case peerStatusOK:
-	case peerStatusNotOwner:
-		return nil, 0, errNotOwner
-	case peerStatusStale:
-		return nil, 0, proxy.ErrStaleGeneration
-	case peerStatusNotFound:
-		return nil, 0, proxy.ErrNotFound
-	default:
-		return nil, 0, fmt.Errorf("%w: fetch status %#x", ErrPeerProtocol, status)
-	}
-	blocks, err := readArtifact(conn)
-	if err != nil {
-		return nil, 0, err
-	}
-	wire := int64(5 + proxy.BlockHeaderLen) // status + end frame
-	for _, b := range blocks {
-		wire += int64(proxy.BlockHeaderLen + len(b.Payload))
-	}
-	return blocks, wire, nil
+	return readArtifact(conn)
 }
 
-// Register stores content on the local proxy and broadcasts the resulting
-// generation bump ring-wide, so every node's floor rises and stale
-// artifacts become uncacheable everywhere.
+// Register stores content on the local proxy and pushes the resulting
+// generation bump to every other ring member, so every node's floor rises
+// and stale artifacts become uncacheable everywhere. Best-effort: a node
+// that misses it serves ErrStaleGeneration to peer fetches until its own
+// registration catches up, which requesters degrade from by compressing
+// locally.
 func (n *Node) Register(name string, content []byte) {
 	n.cfg.Server.Register(name, content)
 	gen, _ := n.cfg.Server.Generation(name)
-	n.broadcastInval(name, gen)
-}
-
-// broadcastInval pushes an invalidation to every other ring member.
-// Best-effort: a node that misses it serves ErrStaleGeneration to
-// peer fetches until its own registration catches up, which requesters
-// degrade from by compressing locally.
-func (n *Node) broadcastInval(name string, gen uint64) {
 	for _, peer := range n.ring.Nodes() {
-		if peer == n.cfg.Self {
-			continue
+		if peer != n.cfg.Self {
+			_, _ = n.exchange(peer, peerRequest{Op: peerOpInval, Key: proxy.ArtifactKey{Name: name, Gen: gen}}, nil)
 		}
-		func() {
-			conn, err := n.cfg.Dial(peer)
-			if err != nil {
-				return
-			}
-			defer conn.Close()
-			_ = conn.SetDeadline(n.cfg.Clock.Now().Add(n.cfg.Timeout))
-			if err := writePeerRequest(conn, peerRequest{Op: peerOpInval, Key: proxy.ArtifactKey{Name: name, Gen: gen}}); err != nil {
-				return
-			}
-			_, _ = readPeerStatus(conn)
-		}()
 	}
 }
 
@@ -351,20 +326,8 @@ func (n *Node) maybeReplicate(ks string, key proxy.ArtifactKey, blocks []selecti
 		return
 	}
 	for _, succ := range n.ring.Successors(ks, n.cfg.Replicas) {
-		func() {
-			conn, err := n.cfg.Dial(succ)
-			if err != nil {
-				return
-			}
-			defer conn.Close()
-			_ = conn.SetDeadline(n.cfg.Clock.Now().Add(n.cfg.Timeout))
-			if err := writePeerRequest(conn, peerRequest{Op: peerOpPut, Key: key}); err != nil {
-				return
-			}
-			if err := writeArtifact(conn, blocks); err != nil {
-				return
-			}
-			_, _ = readPeerStatus(conn)
-		}()
+		// Best-effort, as an invalidation is: a successor that misses the
+		// push serves the key as any non-owner would.
+		_, _ = n.exchange(succ, peerRequest{Op: peerOpPut, Key: key}, blocks)
 	}
 }

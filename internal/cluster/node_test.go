@@ -272,7 +272,7 @@ func TestHotKeyAdmissionAndReplication(t *testing.T) {
 		}
 	}
 	if succ != "" {
-		blocks, _, err := tc.nodes["na"].fetchFrom(succ, key)
+		blocks, err := tc.nodes["na"].exchange(succ, peerRequest{Op: peerOpFetch, Key: key}, nil)
 		if err != nil {
 			t.Fatalf("replica fetch from successor %s failed: %v", succ, err)
 		}

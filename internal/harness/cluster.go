@@ -128,43 +128,3 @@ func (r *Report) checkClusterCompressions(compLog map[string][]string) {
 			total, r.Stats.Compressions)
 	}
 }
-
-// sumStats adds b's counters into a field-by-field; gauges and the
-// latency histogram sum too (bucket bounds are identical across nodes).
-func sumStats(a, b proxy.Stats) proxy.Stats {
-	a.Requests += b.Requests
-	a.CacheHits += b.CacheHits
-	a.CacheMisses += b.CacheMisses
-	a.Coalesced += b.Coalesced
-	a.Compressions += b.Compressions
-	a.Evictions += b.Evictions
-	a.CacheRejects += b.CacheRejects
-	a.CacheEntries += b.CacheEntries
-	a.CacheBytes += b.CacheBytes
-	a.BytesServedRaw += b.BytesServedRaw
-	a.BytesServedCompressed += b.BytesServedCompressed
-	a.PeerFetches += b.PeerFetches
-	a.PeerFetchErrors += b.PeerFetchErrors
-	a.RingOwnerHits += b.RingOwnerHits
-	a.RingRemoteHits += b.RingRemoteHits
-	a.ConnsTotal += b.ConnsTotal
-	a.ConnsActive += b.ConnsActive
-	a.ConnsRejected += b.ConnsRejected
-	a.Errors += b.Errors
-	if a.Latency == nil {
-		a.Latency = append([]proxy.LatencyBucket(nil), b.Latency...)
-	} else {
-		for i := range a.Latency {
-			if i < len(b.Latency) {
-				a.Latency[i].Count += b.Latency[i].Count
-			}
-		}
-	}
-	if a.CompressInputBytes == nil {
-		a.CompressInputBytes = make(map[string]int64, len(b.CompressInputBytes))
-	}
-	for k, v := range b.CompressInputBytes {
-		a.CompressInputBytes[k] += v
-	}
-	return a
-}

@@ -513,7 +513,7 @@ func Run(s Scenario) (*Report, error) {
 		for _, srv := range servers {
 			st := srv.Stats()
 			r.PerNode = append(r.PerNode, st)
-			r.Stats = sumStats(r.Stats, st)
+			r.Stats = r.Stats.Add(st)
 		}
 	}
 	for i := 0; i < s.Clients; i++ {

@@ -54,7 +54,6 @@ func (s *Server) AdminHandler() http.Handler {
 	})
 
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		s.refreshGauges()
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = obs.WritePrometheus(w, s.reg.Snapshot())
 	})

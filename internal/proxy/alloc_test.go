@@ -13,10 +13,12 @@ import (
 	"net"
 	"runtime"
 	"runtime/debug"
+	"strings"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/codec"
+	"repro/internal/obs"
 	"repro/internal/proxy/faultconn"
 	"repro/internal/selective"
 	"repro/internal/workload"
@@ -73,16 +75,21 @@ func TestGetBufRecycles(t *testing.T) {
 	}
 }
 
-// TestShardForZeroAllocs: shardFor is the first thing every cache lookup
-// does, so the whole hit path pays for whatever it allocates.
-func TestShardForZeroAllocs(t *testing.T) {
-	c := newBlockCache(1<<20, 16, nil)
-	k := cacheKey{name: "page-07.html", gen: 3, scheme: codec.Bzip2, fp: "dyn:v2:class1"}
-	var sink *cacheShard
-	if allocs := testing.AllocsPerRun(1000, func() { sink = c.shardFor(k) }); allocs != 0 {
-		t.Errorf("shardFor allocates %.1f objects per call, want 0", allocs)
+// TestCacheHitZeroAllocs: every warm fetch starts at store.get, so the
+// whole hit path pays for whatever the lookup allocates — hashing the key,
+// a dynamic decider's 200-byte fingerprint included, and moving the entry
+// to the front of the LRU.
+func TestCacheHitZeroAllocs(t *testing.T) {
+	st := newStore(1<<20, newMetrics(obs.NewRegistry()))
+	k := ArtifactKey{Name: "page-07.html", Gen: 3, Scheme: codec.Bzip2, FP: strings.Repeat("dyn:v2:c1;", 20)}
+	st.admit(k, blocksOfSize(1000))
+	hit := false
+	if allocs := testing.AllocsPerRun(1000, func() { _, hit = st.get(k) }); allocs != 0 {
+		t.Errorf("store.get allocates %.1f objects per hit, want 0", allocs)
 	}
-	_ = sink
+	if !hit {
+		t.Fatal("the key was not cached: the lookup measured was a miss")
+	}
 }
 
 // TestCorruptBlockAllocatesNoDestination: the RawLen of a block frame is

@@ -2,7 +2,7 @@ package proxy
 
 import (
 	"fmt"
-	"hash/fnv"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,188 +12,191 @@ import (
 	"repro/internal/selective"
 )
 
+// Tests for the store's finished half: the byte-budgeted LRU, the
+// generation floor, and what a flight's finish may and may not admit.
+
 // blocksOfSize builds a one-block stream whose cache charge is
-// predictable: entrySize = entryOverhead + len(name) + payload + 32.
+// predictable: entrySize = entryOverhead + len(name) + len(fp) + payload + 32.
 func blocksOfSize(payload int) []selective.Block {
 	return []selective.Block{{RawLen: payload, Payload: make([]byte, payload)}}
 }
 
-func key1(name string) cacheKey {
-	return cacheKey{name: name, gen: 1, scheme: codec.Gzip, fp: fpAlways}
+func key1(name string) ArtifactKey {
+	return ArtifactKey{Name: name, Gen: 1, Scheme: codec.Gzip, FP: fpAlways}
 }
 
-// oneShardCache keeps every key in a single lock domain so eviction order
-// is fully deterministic.
-func oneShardCache(budget int64, m *metrics) *blockCache {
-	return newBlockCache(budget, 1, m)
+func testStore(budget int64) *store {
+	return newStore(budget, newMetrics(obs.NewRegistry()))
+}
+
+// occupancy reads the entries and bytes held off the gauges the store
+// keeps, which is where Stats and /metrics read them.
+func (st *store) occupancy() (entries, bytes int64) {
+	return st.metrics.cacheEntries.Value(), st.metrics.cacheBytes.Value()
+}
+
+func (st *store) cached(k ArtifactKey) bool {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	_, ok := st.entries[k]
+	return ok
 }
 
 func TestCacheLRUEvictionOrder(t *testing.T) {
 	// Budget fits exactly three single-block entries of this shape.
-	name := "aaaa"
-	per := entrySize(key1(name), blocksOfSize(1000))
-	m := newMetrics(obs.NewRegistry())
-	c := oneShardCache(3*per, m)
+	per := entrySize(key1("aaaa"), blocksOfSize(1000))
+	st := testStore(3 * per)
 
 	for _, n := range []string{"aaaa", "bbbb", "cccc"} {
-		c.put(key1(n), blocksOfSize(1000))
+		st.admit(key1(n), blocksOfSize(1000))
 	}
-	if got := c.len(); got != 3 {
-		t.Fatalf("len = %d, want 3", got)
+	if got, _ := st.occupancy(); got != 3 {
+		t.Fatalf("entries = %d, want 3", got)
 	}
 	// Refresh "aaaa" so "bbbb" is now least recently used.
-	if _, ok := c.get(key1("aaaa")); !ok {
+	if _, ok := st.get(key1("aaaa")); !ok {
 		t.Fatal("aaaa missing")
 	}
-	c.put(key1("dddd"), blocksOfSize(1000))
+	st.admit(key1("dddd"), blocksOfSize(1000))
 
-	if _, ok := c.get(key1("bbbb")); ok {
+	if st.cached(key1("bbbb")) {
 		t.Error("bbbb should have been evicted as LRU")
 	}
 	for _, n := range []string{"aaaa", "cccc", "dddd"} {
-		if _, ok := c.get(key1(n)); !ok {
+		if !st.cached(key1(n)) {
 			t.Errorf("%s evicted, want retained", n)
 		}
 	}
-	if got := m.evictions.Value(); got != 1 {
+	if got := st.metrics.evictions.Value(); got != 1 {
 		t.Errorf("evictions = %d, want 1", got)
 	}
 }
 
 func TestCacheByteAccounting(t *testing.T) {
-	m := newMetrics(obs.NewRegistry())
-	c := oneShardCache(1<<20, m)
+	st := testStore(1 << 20)
 	want := int64(0)
 	for i := 0; i < 10; i++ {
 		k := key1(fmt.Sprintf("file%04d", i))
 		b := blocksOfSize(100 * (i + 1))
-		c.put(k, b)
+		st.admit(k, b)
 		want += entrySize(k, b)
 	}
-	if got := c.bytes(); got != want {
+	if _, got := st.occupancy(); got != want {
 		t.Fatalf("bytes = %d, want %d", got, want)
 	}
 	// Replacing a key must not double-count.
 	k := key1("file0003")
-	c.put(k, blocksOfSize(5000))
+	st.admit(k, blocksOfSize(5000))
 	want += entrySize(k, blocksOfSize(5000)) - entrySize(k, blocksOfSize(400))
-	if got := c.bytes(); got != want {
+	if _, got := st.occupancy(); got != want {
 		t.Fatalf("bytes after replace = %d, want %d", got, want)
 	}
-	// Invalidating past the entry's generation frees the bytes.
-	c.invalidate("file0003", k.gen+1)
-	want -= entrySize(k, blocksOfSize(5000))
-	if got := c.bytes(); got != want {
-		t.Fatalf("bytes after drop = %d, want %d", got, want)
+	// Registering the name (generation 1, which the entry is not below)
+	// keeps it; registering it again frees the bytes.
+	st.register("file0003", nil)
+	if _, got := st.occupancy(); got != want {
+		t.Fatalf("bytes after a registration at the entry's generation = %d, want %d", got, want)
 	}
-	if got := c.len(); got != 9 {
-		t.Fatalf("len after drop = %d, want 9", got)
+	st.register("file0003", nil)
+	want -= entrySize(k, blocksOfSize(5000))
+	if n, got := st.occupancy(); got != want || n != 9 {
+		t.Fatalf("after the drop: %d entries, %d bytes; want 9, %d", n, got, want)
 	}
 }
 
 func TestCacheBudgetNeverExceeded(t *testing.T) {
-	m := newMetrics(obs.NewRegistry())
 	budget := int64(8 * 1024)
-	c := oneShardCache(budget, m)
+	st := testStore(budget)
 	for i := 0; i < 200; i++ {
-		c.put(key1(fmt.Sprintf("f%03d", i)), blocksOfSize(500+i))
-		if got := c.bytes(); got > budget {
-			t.Fatalf("after put %d: %d bytes > budget %d", i, got, budget)
+		st.admit(key1(fmt.Sprintf("f%03d", i)), blocksOfSize(500+i))
+		if _, got := st.occupancy(); got > budget {
+			t.Fatalf("after admission %d: %d bytes > budget %d", i, got, budget)
 		}
 	}
-	if m.evictions.Value() == 0 {
+	if st.metrics.evictions.Value() == 0 {
 		t.Error("expected evictions under a tight budget")
 	}
 }
 
+// TestCacheRejectsOversizedArtifact: the refusal is at the whole budget —
+// an artifact that exactly fills it is cached (and evicts everything else),
+// one byte more is refused and evicts nothing.
 func TestCacheRejectsOversizedArtifact(t *testing.T) {
-	m := newMetrics(obs.NewRegistry())
-	c := oneShardCache(1024, m)
-	c.put(key1("small"), blocksOfSize(100))
-	c.put(key1("huge"), blocksOfSize(10_000))
-	if _, ok := c.get(key1("huge")); ok {
-		t.Error("artifact larger than the shard budget was cached")
+	const budget = 4096
+	st := testStore(budget)
+	small, fills, huge := key1("small"), key1("fills"), key1("huge!")
+	fit := budget - int(entrySize(fills, blocksOfSize(0)))
+
+	st.admit(small, blocksOfSize(100))
+	st.admit(huge, blocksOfSize(fit+1))
+	if st.cached(huge) {
+		t.Error("artifact larger than the whole budget was cached")
 	}
-	if _, ok := c.get(key1("small")); !ok {
-		t.Error("oversized put evicted an unrelated resident entry")
+	if !st.cached(small) {
+		t.Error("oversized admission evicted an unrelated resident entry")
 	}
-	if got := m.cacheRejects.Value(); got != 1 {
+	if got := st.metrics.cacheRejects.Value(); got != 1 {
 		t.Errorf("rejects = %d, want 1", got)
+	}
+	st.admit(fills, blocksOfSize(fit))
+	if n, bytes := st.occupancy(); !st.cached(fills) || n != 1 || bytes != budget {
+		t.Errorf("an artifact of exactly the budget: cached=%v, %d entries, %d bytes; want it alone at %d",
+			st.cached(fills), n, bytes, budget)
+	}
+	if got := st.metrics.cacheRejects.Value(); got != 1 {
+		t.Errorf("rejects = %d after an artifact that fits, want 1", got)
+	}
+}
+
+// TestArtifactUpToBudgetIsCached: the byte budget is one budget. Split 16
+// ways, as it once was, an 8 MiB cache refused this 1 MiB artifact twice
+// and compressed it twice.
+func TestArtifactUpToBudgetIsCached(t *testing.T) {
+	content := make([]byte, 1<<20)
+	rand.New(rand.NewSource(23)).Read(content) // incompressible: the artifact is no smaller
+	srv := NewServerWith(nil, Config{CacheBytes: 8 << 20})
+	srv.Register("f", content)
+	for i := 0; i < 2; i++ {
+		if err := srv.Precompress("f", codec.Gzip); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := srv.Stats(); st.Compressions != 1 || st.CacheRejects != 0 || st.CacheEntries != 1 {
+		t.Errorf("two requests for a 1 MiB artifact in an 8 MiB cache: %d compressions, %d rejects, %d entries; want 1, 0, 1",
+			st.Compressions, st.CacheRejects, st.CacheEntries)
 	}
 }
 
 func TestCacheGenerationsDoNotAlias(t *testing.T) {
-	c := oneShardCache(1<<20, nil)
-	k1 := cacheKey{name: "f", gen: 1, scheme: codec.Gzip, fp: fpAlways}
-	k2 := cacheKey{name: "f", gen: 2, scheme: codec.Gzip, fp: fpAlways}
-	c.put(k1, blocksOfSize(10))
-	if _, ok := c.get(k2); ok {
+	st := testStore(1 << 20)
+	k1 := key1("f")
+	k2 := k1
+	k2.Gen = 2
+	st.admit(k1, blocksOfSize(10))
+	if _, ok := st.get(k2); ok {
 		t.Fatal("generation 2 read generation 1's artifact")
 	}
-	c.put(k2, blocksOfSize(20))
-	b1, _ := c.get(k1)
-	b2, _ := c.get(k2)
+	st.admit(k2, blocksOfSize(20))
+	b1, _ := st.get(k1)
+	b2, _ := st.get(k2)
 	if len(b1[0].Payload) != 10 || len(b2[0].Payload) != 20 {
 		t.Fatal("generations aliased")
 	}
-	// Invalidating past the newest removes both generations.
-	c.invalidate("f", k2.gen+1)
-	if c.len() != 0 {
-		t.Fatalf("len = %d after invalidate", c.len())
+	// A generation past the newest drops both.
+	st.register("f", nil)
+	st.syncGeneration("f", k2.Gen+1)
+	if n, _ := st.occupancy(); n != 0 {
+		t.Fatalf("%d entries after the file moved past both generations", n)
 	}
 }
 
-// TestShardForMatchesFNV pins shardFor's inline hash to hash/fnv's 32-bit
-// FNV-1a over the same bytes, the function it replaced: every key stays on
-// the shard it was on.
-func TestShardForMatchesFNV(t *testing.T) {
-	c := newBlockCache(64<<20, 13, nil)
-	for i := 0; i < 500; i++ {
-		k := cacheKey{
-			name:   fmt.Sprintf("dir-%d/file-%d.dat", i%7, i),
-			gen:    uint64(i)*0x01010101 + 1<<33,
-			scheme: codec.Scheme(1 + i%4),
-			fp:     []string{fpAlways, fpNever, "dyn:v2:class1"}[i%3],
-		}
-		h := fnv.New32a()
-		h.Write([]byte(k.name))
-		h.Write([]byte{byte(k.scheme), byte(k.gen), byte(k.gen >> 8), byte(k.gen >> 16), byte(k.gen >> 24)})
-		h.Write([]byte(k.fp))
-		if got, want := c.shardFor(k), &c.shards[h.Sum32()%13]; got != want {
-			t.Fatalf("key %+v moved shards", k)
-		}
-	}
-}
-
-func TestCacheShardDistribution(t *testing.T) {
-	c := newBlockCache(64<<20, 16, nil)
-	seen := make(map[*cacheShard]int)
-	for i := 0; i < 2000; i++ {
-		k := cacheKey{name: fmt.Sprintf("file-%d.dat", i), gen: 1, scheme: codec.Scheme(1 + i%4), fp: fpAlways}
-		seen[c.shardFor(k)]++
-	}
-	if len(seen) != 16 {
-		t.Fatalf("keys landed on %d/16 shards", len(seen))
-	}
-	for sh, n := range seen {
-		// 2000 keys over 16 shards averages 125; a shard under 40 or over
-		// 320 means the hash is badly skewed.
-		if n < 40 || n > 320 {
-			t.Errorf("shard %p got %d keys, want roughly balanced", sh, n)
-		}
-	}
-}
-
-// TestCacheEvictionDuringSingleflight interleaves a slow singleflight
-// build with concurrent puts that churn the shard: exactly one build may
-// run (followers either share the flight or hit the cache the leader
-// filled — the server's double-check pattern), the leader's eventual put
-// must stay within budget, and every waiter must receive the built blocks.
+// TestCacheEvictionDuringSingleflight interleaves a slow flight with
+// admissions that churn the cache: exactly one build may run (a request
+// joins the flight or, after it, hits what it left), the finished artifact
+// must stay within budget, and every reader must receive the built blocks.
 func TestCacheEvictionDuringSingleflight(t *testing.T) {
-	m := newMetrics(obs.NewRegistry())
 	budget := int64(4 * 1024)
-	c := oneShardCache(budget, m)
-	var g flightGroup
+	st := testStore(budget)
 
 	target := key1("contested")
 	building := make(chan struct{})
@@ -209,38 +212,33 @@ func TestCacheEvictionDuringSingleflight(t *testing.T) {
 			if i != 0 {
 				<-building
 			}
-			f, leader := g.join(target, 1)
-			if leader {
-				// Only request 0 can lead the first flight; a late arrival
-				// leads one after that flight completed, and its double-check
-				// must find the leader's artifact instead of rebuilding.
-				if b, ok := c.get(target); ok {
-					f.fill(b)
-				} else {
-					if i == 0 {
-						close(building)
-						<-release
-					}
-					builds.Add(1)
-					copy(f.blocks, blocksOfSize(600))
-					c.put(target, f.blocks)
-					f.publish(1)
-				}
-				g.finish(target, f, nil)
-			}
-			blocks, err := artifact{blocks: f.blocks, f: f}.whole()
+			a, leader, err := st.open(target, 1)
 			if err != nil {
 				t.Error(err)
+				return
 			}
-			results[i] = blocks
+			if leader {
+				// Only request 0 can lead: whoever arrives once its flight
+				// has finished finds the artifact it left.
+				if i == 0 {
+					close(building)
+					<-release
+				}
+				builds.Add(1)
+				copy(a.blocks, blocksOfSize(600))
+				st.finish(target, a.f, true, nil)
+			}
+			if results[i], err = a.whole(); err != nil {
+				t.Error(err)
+			}
 		}(i)
 	}
 
-	// While the leader is parked mid-build, churn the shard so evictions
+	// While the leader is parked mid-build, churn the cache so evictions
 	// interleave with the flight.
 	<-building
 	for i := 0; i < 50; i++ {
-		c.put(key1(fmt.Sprintf("churn%02d", i)), blocksOfSize(700))
+		st.admit(key1(fmt.Sprintf("churn%02d", i)), blocksOfSize(700))
 	}
 	close(release)
 	wg.Wait()
@@ -250,60 +248,89 @@ func TestCacheEvictionDuringSingleflight(t *testing.T) {
 	}
 	for i, b := range results {
 		if len(b) != 1 || len(b[0].Payload) != 600 {
-			t.Fatalf("waiter %d got wrong blocks: %v", i, b)
+			t.Fatalf("reader %d got wrong blocks: %v", i, b)
 		}
 	}
-	if got := c.bytes(); got > budget {
+	if _, got := st.occupancy(); got > budget {
 		t.Fatalf("budget exceeded after interleaved churn: %d > %d", got, budget)
 	}
-	if m.evictions.Value() == 0 {
+	if st.metrics.evictions.Value() == 0 {
 		t.Error("expected evictions during churn")
 	}
 }
 
-// TestCacheInvalidateFloorRejectsStaleFill: after a generation-bump
-// invalidation, a put for the invalidated generation (a singleflight fill
-// that was already past the invalidation scan) must be rejected by the
-// generation floor — one name's generations land on different shards, so
-// only a global floor can close this race.
+// TestCacheInvalidateFloorRejectsStaleFill: once a file's generation has
+// moved on, an artifact of the old one — a build or a peer's push that was
+// already under way — must be refused: nothing would ever drop it again.
 func TestCacheInvalidateFloorRejectsStaleFill(t *testing.T) {
-	c := newBlockCache(1<<20, 8, nil)
+	st := testStore(1 << 20)
 	k1 := key1("f")
 	k2 := k1
-	k2.gen = 2
+	k2.Gen = 2
 
-	c.put(k1, blocksOfSize(100))
-	c.invalidate("f", 2)
-	if _, ok := c.get(k1); ok {
-		t.Fatal("invalidate left the stale-generation entry cached")
+	st.register("f", nil)
+	st.admit(k1, blocksOfSize(100))
+	st.register("f", nil)
+	if st.cached(k1) {
+		t.Fatal("the bump left the stale-generation entry cached")
 	}
-	// The racing fill completes after the scan: must stay out.
-	c.put(k1, blocksOfSize(100))
-	if _, ok := c.get(k1); ok {
-		t.Fatal("stale-generation fill re-inserted after invalidate")
+	// The racing fill completes after the bump: must stay out.
+	st.admit(k1, blocksOfSize(100))
+	if st.cached(k1) {
+		t.Fatal("stale-generation fill admitted after the bump")
 	}
 	// The new generation is admitted normally.
-	c.put(k2, blocksOfSize(100))
-	if _, ok := c.get(k2); !ok {
+	st.admit(k2, blocksOfSize(100))
+	if !st.cached(k2) {
 		t.Fatal("current-generation artifact rejected")
 	}
-	// A late, lower invalidation must not lower the floor.
-	c.invalidate("f", 1)
-	c.put(k1, blocksOfSize(100))
-	if _, ok := c.get(k1); ok {
+	// A late, lower generation from a peer must not lower the floor.
+	st.syncGeneration("f", 1)
+	st.admit(k1, blocksOfSize(100))
+	if st.cached(k1) {
 		t.Fatal("floor lowered by a stale invalidation")
 	}
-	if _, ok := c.get(k2); !ok {
+	if !st.cached(k2) {
 		t.Fatal("stale invalidation dropped the current generation")
 	}
 }
 
-// TestGenerationBumpDuringSingleflightFill: a Register (generation bump +
-// invalidation) landing while a singleflight fill for the old generation
-// is mid-compression must not let that fill resurrect the stale artifact
-// when it completes. The onCompress hook fires inside the flight, after
-// the leader won it but before its put — exactly the window a scan with
-// no generation floor leaves open.
+// TestAdmissionRidesTheFlight: an admission for a key in the air (the peer
+// consult's hot-key AdmitArtifact always is one) caches nothing then — the
+// key stays joinable, never finished as well — and is made by finish, even
+// of a flight that would not otherwise be kept; without one, such a flight
+// leaves nothing.
+func TestAdmissionRidesTheFlight(t *testing.T) {
+	st := testStore(1 << 20)
+	for _, admit := range []bool{true, false} {
+		k := key1(fmt.Sprint("admit-", admit))
+		a, leader, _ := st.open(k, 1)
+		if !leader {
+			t.Fatal("first request did not lead")
+		}
+		copy(a.blocks, blocksOfSize(600))
+		if admit {
+			st.admit(k, a.blocks)
+		}
+		if again, led, _ := st.open(k, 1); st.cached(k) || again.f != a.f || led {
+			t.Fatalf("admit=%v, flight in the air: cached=%v, next request joined=%v led=%v; want false, true, false",
+				admit, st.cached(k), again.f == a.f, led)
+		}
+		st.finish(k, a.f, false, nil)
+		if st.cached(k) != admit {
+			t.Errorf("admit=%v: cached=%v once the flight finished", admit, st.cached(k))
+		}
+		if b, err := a.whole(); err != nil || len(b[0].Payload) != 600 {
+			t.Errorf("admit=%v: the flight's reader got %v, %v", admit, b, err)
+		}
+	}
+	st.drain()
+}
+
+// TestGenerationBumpDuringSingleflightFill: a Register landing while a
+// build for the old generation is mid-compression must not let that build
+// resurrect the stale artifact when it completes. The onCompress hook
+// fires inside the flight, after the leader won it and before its finish.
 func TestGenerationBumpDuringSingleflightFill(t *testing.T) {
 	srv := NewServerWith(nil, Config{CacheBytes: 1 << 20})
 	oldContent := make([]byte, 4096)
@@ -314,14 +341,14 @@ func TestGenerationBumpDuringSingleflightFill(t *testing.T) {
 	srv.Register("f", oldContent) // generation 1
 
 	bumped := false
-	srv.onCompress = func(k cacheKey) {
-		if !bumped && k.gen == 1 {
+	srv.onCompress = func(k ArtifactKey) {
+		if !bumped && k.Gen == 1 {
 			bumped = true
-			srv.Register("f", newContent) // generation 2: invalidates below it
+			srv.Register("f", newContent) // generation 2
 		}
 	}
-	stale := cacheKey{name: "f", gen: 1, scheme: codec.Gzip, fp: fpAlways}
-	a, err := srv.openArtifact(stale, oldContent, codec.Gzip, selective.AlwaysCompress{}, nil, false)
+	stale := key1("f")
+	a, err := srv.openArtifact(stale, oldContent, selective.AlwaysCompress{}, nil, false)
 	if err == nil {
 		_, err = a.whole()
 	}
@@ -331,15 +358,16 @@ func TestGenerationBumpDuringSingleflightFill(t *testing.T) {
 	if !bumped {
 		t.Fatal("test hook never fired: fill did not run a compression")
 	}
-	if _, ok := srv.cache.get(stale); ok {
+	if srv.store.cached(stale) {
 		t.Fatal("stale-generation artifact cached after a concurrent generation bump")
 	}
 	// The current generation builds and caches cleanly.
 	if err := srv.Precompress("f", codec.Gzip); err != nil {
 		t.Fatal(err)
 	}
-	fresh := cacheKey{name: "f", gen: 2, scheme: codec.Gzip, fp: fpAlways}
-	if _, ok := srv.cache.get(fresh); !ok {
+	fresh := stale
+	fresh.Gen = 2
+	if !srv.store.cached(fresh) {
 		t.Fatal("current-generation artifact not cached")
 	}
 }

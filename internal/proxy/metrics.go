@@ -100,7 +100,7 @@ func newMetrics(reg *obs.Registry) *metrics {
 		coalesced:    reg.Counter("proxy_coalesced_total", "Misses that joined an identical in-flight compression."),
 		compressions: reg.Counter("proxy_compressions_total", "Distinct artifacts actually compressed."),
 		evictions:    reg.Counter("proxy_cache_evictions_total", "Artifacts evicted by the LRU byte budget."),
-		cacheRejects: reg.Counter("proxy_cache_rejects_total", "Artifacts too large for their shard's budget."),
+		cacheRejects: reg.Counter("proxy_cache_rejects_total", "Artifacts larger than the whole cache budget."),
 
 		bytesRaw:        reg.Counter("proxy_bytes_served_raw_total", "Raw block payload bytes written to the wire."),
 		bytesCompressed: reg.Counter("proxy_bytes_served_compressed_total", "Compressed block payload bytes written to the wire."),
@@ -184,7 +184,7 @@ type Stats struct {
 	Coalesced    int64
 	Compressions int64
 	Evictions    int64
-	// CacheRejects counts artifacts too large for their shard's budget.
+	// CacheRejects counts artifacts larger than the whole cache budget.
 	CacheRejects int64
 	// CacheEntries / CacheBytes are the cache's current occupancy.
 	CacheEntries int
@@ -222,6 +222,50 @@ type Stats struct {
 	CompressInputBytes map[string]int64
 }
 
+// Add returns the field-by-field sum of two snapshots, gauges and
+// histogram included: what a cluster's nodes report as one server (their
+// latency bucket bounds are the same).
+func (s Stats) Add(o Stats) Stats {
+	s.Requests += o.Requests
+	s.CacheHits += o.CacheHits
+	s.CacheMisses += o.CacheMisses
+	s.Coalesced += o.Coalesced
+	s.Compressions += o.Compressions
+	s.Evictions += o.Evictions
+	s.CacheRejects += o.CacheRejects
+	s.CacheEntries += o.CacheEntries
+	s.CacheBytes += o.CacheBytes
+	s.CompressQueueDepth += o.CompressQueueDepth
+	s.BytesServedRaw += o.BytesServedRaw
+	s.BytesServedCompressed += o.BytesServedCompressed
+	s.PeerFetches += o.PeerFetches
+	s.PeerFetchErrors += o.PeerFetchErrors
+	s.RingOwnerHits += o.RingOwnerHits
+	s.RingRemoteHits += o.RingRemoteHits
+	s.ConnsTotal += o.ConnsTotal
+	s.ConnsActive += o.ConnsActive
+	s.ConnsRejected += o.ConnsRejected
+	s.Errors += o.Errors
+	// Neither operand's slice or map is written to.
+	sum := append([]LatencyBucket(nil), s.Latency...)
+	for i, b := range o.Latency {
+		if i == len(sum) {
+			sum = append(sum, LatencyBucket{UpTo: b.UpTo})
+		}
+		sum[i].Count += b.Count
+	}
+	s.Latency = sum
+	in := make(map[string]int64, len(o.CompressInputBytes))
+	for k, v := range s.CompressInputBytes {
+		in[k] = v
+	}
+	for k, v := range o.CompressInputBytes {
+		in[k] += v
+	}
+	s.CompressInputBytes = in
+	return s
+}
+
 // snapshot materialises the instruments into a Stats value.
 func (m *metrics) snapshot() Stats {
 	s := Stats{
@@ -232,6 +276,8 @@ func (m *metrics) snapshot() Stats {
 		Compressions:          m.compressions.Value(),
 		Evictions:             m.evictions.Value(),
 		CacheRejects:          m.cacheRejects.Value(),
+		CacheEntries:          int(m.cacheEntries.Value()),
+		CacheBytes:            m.cacheBytes.Value(),
 		CompressQueueDepth:    m.compressQueueDepth.Value(),
 		BytesServedRaw:        m.bytesRaw.Value(),
 		BytesServedCompressed: m.bytesCompressed.Value(),

@@ -18,8 +18,8 @@ import (
 
 // ArtifactKey identifies one compressed artifact cluster-wide: a named
 // file at a registration generation, compressed under a scheme and a
-// decision-policy fingerprint. It is the exported mirror of the cache
-// key, and what the consistent-hash ring hashes.
+// decision-policy fingerprint. It is the one key the server's store, its
+// hooks and the consistent-hash ring all use.
 type ArtifactKey struct {
 	Name   string
 	Gen    uint64
@@ -55,22 +55,14 @@ type PeerFetchFunc func(key ArtifactKey) ([]selective.Block, error)
 func (s *Server) SetPeerFetch(f PeerFetchFunc) {
 	s.peerFetch = f
 	if _, ok := s.clock.(interface{ Go(func()) }); ok {
-		s.flights.poll = s.clock
+		s.store.poll = s.clock
 	}
 }
 
 // SetOnCompress installs an observer called for every artifact actually
 // compressed on this node (cluster replication and the at-most-one-
 // compression-per-key oracle hook). Must be set before traffic.
-func (s *Server) SetOnCompress(f func(ArtifactKey)) {
-	if f == nil {
-		s.onCompress = nil
-		return
-	}
-	s.onCompress = func(k cacheKey) {
-		f(ArtifactKey{Name: k.name, Gen: k.gen, Scheme: k.scheme, FP: k.fp})
-	}
-}
+func (s *Server) SetOnCompress(f func(ArtifactKey)) { s.onCompress = f }
 
 // DeciderFP returns the fingerprint of this server's selective-mode
 // decision policy — the FP a cluster node advertises for selective keys.
@@ -78,9 +70,7 @@ func (s *Server) DeciderFP() string { return s.deciderFP }
 
 // Generation returns the server's current generation for name.
 func (s *Server) Generation(name string) (uint64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	f, ok := s.files[name]
+	f, ok := s.store.file(name)
 	return f.gen, ok
 }
 
@@ -88,20 +78,7 @@ func (s *Server) Generation(name string) (uint64, bool) {
 // and invalidates cached artifacts below it. Cluster invalidation
 // broadcasts land here; it never lowers a generation (a stale broadcast
 // arriving late is a no-op).
-func (s *Server) SyncGeneration(name string, gen uint64) {
-	s.mu.Lock()
-	f, ok := s.files[name]
-	if !ok || f.gen >= gen {
-		s.mu.Unlock()
-		return
-	}
-	f.gen = gen
-	s.files[name] = f
-	s.mu.Unlock()
-	if s.cache != nil {
-		s.cache.invalidate(name, gen)
-	}
-}
+func (s *Server) SyncGeneration(name string, gen uint64) { s.store.syncGeneration(name, gen) }
 
 // deciderFor maps a policy fingerprint back to a decider this server can
 // run — the fixed policies, or its own configured selective decider.
@@ -123,7 +100,7 @@ func (s *Server) deciderFor(fp string) (selective.Decider, bool) {
 // consult is disabled on this path, so ownership confusion during ring
 // churn can never forward a request in a cycle.
 func (s *Server) Artifact(key ArtifactKey) ([]selective.Block, error) {
-	f, ok := s.lookup(key.Name)
+	f, ok := s.store.file(key.Name)
 	if !ok {
 		return nil, ErrNotFound
 	}
@@ -134,8 +111,7 @@ func (s *Server) Artifact(key ArtifactKey) ([]selective.Block, error) {
 	if !ok {
 		return nil, errors.New("proxy: unknown decider fingerprint " + key.FP)
 	}
-	k := cacheKey{name: key.Name, gen: key.Gen, scheme: key.Scheme, fp: key.FP}
-	a, err := s.openArtifact(k, f.content, key.Scheme, d, nil, false)
+	a, err := s.openArtifact(key, f.content, d, nil, false)
 	if err != nil {
 		return nil, err
 	}
@@ -145,19 +121,9 @@ func (s *Server) Artifact(key ArtifactKey) ([]selective.Block, error) {
 // CachedArtifact returns key's artifact if (and only if) it is already in
 // the local cache, touching no hit/miss counters: the probe a non-owner
 // uses to serve a peer fetch from a replicated copy.
-func (s *Server) CachedArtifact(key ArtifactKey) ([]selective.Block, bool) {
-	if s.cache == nil {
-		return nil, false
-	}
-	return s.cache.get(cacheKey{name: key.Name, gen: key.Gen, scheme: key.Scheme, fp: key.FP})
-}
+func (s *Server) CachedArtifact(key ArtifactKey) ([]selective.Block, bool) { return s.store.get(key) }
 
 // AdmitArtifact inserts a peer-built artifact into the local cache (hot-
-// key admission and replication pushes). The cache's generation floor
-// silently rejects artifacts for invalidated generations.
-func (s *Server) AdmitArtifact(key ArtifactKey, blocks []selective.Block) {
-	if s.cache == nil {
-		return
-	}
-	s.cache.put(cacheKey{name: key.Name, gen: key.Gen, scheme: key.Scheme, fp: key.FP}, blocks)
-}
+// key admission and replication pushes). An artifact of a generation the
+// file has left behind is silently refused.
+func (s *Server) AdmitArtifact(key ArtifactKey, blocks []selective.Block) { s.store.admit(key, blocks) }

@@ -9,7 +9,6 @@ import (
 	"log/slog"
 	"net"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -24,9 +23,9 @@ var ErrClosing = errors.New("proxy: server closing")
 
 // Config tunes the server's dataplane. The zero value selects defaults.
 type Config struct {
-	// CacheBytes is the total byte budget for the compressed-artifact
-	// cache, split evenly across its cacheShards lock domains. 0 selects
-	// 64 MiB; negative disables caching (every cacheable request
+	// CacheBytes is the byte budget for the compressed-artifact cache, one
+	// budget for the whole cache: an artifact up to CacheBytes is cached. 0
+	// selects 64 MiB; negative disables caching (every cacheable request
 	// compresses, modulo singleflight coalescing).
 	CacheBytes int64
 	// Workers bounds how many compressions run concurrently; requests
@@ -105,10 +104,10 @@ func (c Config) withDefaults() Config {
 
 // Server is the proxy: a stationary machine that stores files and serves
 // them to handheld clients over TCP, optionally compressing them ahead of
-// time or on demand. Compressed block streams are cached in a sharded LRU
-// keyed by (file, generation, scheme, decision policy); concurrent
-// requests for the same uncached key coalesce into one compression, and
-// compressions run under a bounded worker budget.
+// time or on demand. Compressed block streams are cached in an LRU keyed by
+// (file, generation, scheme, decision policy); concurrent requests for the
+// same uncached key coalesce into one compression, and compressions run
+// under a bounded worker budget.
 type Server struct {
 	decider   selective.Decider
 	deciderFP string
@@ -120,11 +119,9 @@ type Server struct {
 	log    *slog.Logger
 	clock  WallClock
 
-	mu    sync.Mutex
-	files map[string]file
-
-	cache   *blockCache // nil when caching is disabled
-	flights flightGroup
+	// store holds the registered files, the finished artifacts and the
+	// flights in the air.
+	store   *store
 	metrics *metrics
 	// workerSem bounds concurrent compressions (the worker pool): a slot
 	// must be held while a build compresses.
@@ -143,7 +140,7 @@ type Server struct {
 	// onCompress, when set before Listen, observes each artifact build
 	// (test hook for the singleflight guarantees; the cluster layer hooks
 	// it via SetOnCompress for hot-key replication and oracles).
-	onCompress func(cacheKey)
+	onCompress func(ArtifactKey)
 	// newCodec is codec.New; tests substitute codecs that fail mid-build.
 	newCodec func(codec.Scheme, int) (codec.Codec, error)
 	// peerFetch, when set (SetPeerFetch), lets a flight leader satisfy a
@@ -231,16 +228,13 @@ func NewServerWith(decider selective.Decider, cfg Config) *Server {
 		log:       logger,
 		clock:     clock,
 		metrics:   newMetrics(reg),
-		files:     make(map[string]file),
 		workerSem: make(chan struct{}, cfg.Workers),
 		connSem:   make(chan struct{}, cfg.MaxConns),
 		conns:     make(map[net.Conn]struct{}),
 		closed:    make(chan struct{}),
 		newCodec:  codec.New,
 	}
-	if cfg.CacheBytes > 0 {
-		s.cache = newBlockCache(cfg.CacheBytes, cacheShards, s.metrics)
-	}
+	s.store = newStore(cfg.CacheBytes, s.metrics)
 	// A queue-aware decider gets the live compression-queue depth (the
 	// decider_* counters land on the same registry). Both bindings are
 	// optional interfaces so this package needs no decider dependency.
@@ -253,74 +247,17 @@ func NewServerWith(decider selective.Decider, cfg Config) *Server {
 	return s
 }
 
-// file is one registration: the content, the generation it was registered
-// as, and the content's CRC-32, which ends every response for it — taken
-// once here, not by a pass over the file per request.
-type file struct {
-	content []byte
-	gen     uint64
-	crc     uint32
-}
-
 // Register stores a file under name. Content is copied. Re-registering a
 // name bumps its generation and drops its cached artifacts.
-func (s *Server) Register(name string, content []byte) {
-	f := file{content: append([]byte{}, content...), crc: crcOf(content)}
-	s.mu.Lock()
-	f.gen = s.files[name].gen + 1
-	s.files[name] = f
-	s.mu.Unlock()
-	if s.cache != nil {
-		// Invalidate below the new generation rather than bare-dropping:
-		// the generation floor also blocks a concurrent singleflight fill
-		// for the old generation from re-inserting its artifact after the
-		// scan (see blockCache.invalidate).
-		s.cache.invalidate(name, f.gen)
-	}
-}
+func (s *Server) Register(name string, content []byte) { s.store.register(name, content) }
 
 // Files lists registered file names, sorted.
-func (s *Server) Files() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.files))
-	for n := range s.files {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
+func (s *Server) Files() []string { return s.store.names() }
 
 // Stats returns a snapshot of the server's counters. The SIGUSR1 report,
 // /statsz and /metrics all read through here (or through the registry the
 // same instruments live on), so every exposure of the counters agrees.
-func (s *Server) Stats() Stats {
-	s.refreshGauges()
-	st := s.metrics.snapshot()
-	if s.cache != nil {
-		st.CacheEntries = s.cache.len()
-		st.CacheBytes = s.cache.bytes()
-	}
-	return st
-}
-
-// refreshGauges folds current occupancy into the registry gauges, so a
-// raw registry snapshot (the admin /metrics page) carries the same cache
-// occupancy a Stats call reports.
-func (s *Server) refreshGauges() {
-	if s.cache != nil {
-		s.metrics.cacheEntries.Set(int64(s.cache.len()))
-		s.metrics.cacheBytes.Set(s.cache.bytes())
-	}
-}
-
-// lookup returns the named file's current registration.
-func (s *Server) lookup(name string) (file, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	f, ok := s.files[name]
-	return f, ok
-}
+func (s *Server) Stats() Stats { return s.metrics.snapshot() }
 
 // Precompress compresses name's blocks with scheme ahead of time, as the
 // Section 3 experiments assume ("compressed a priori and stored on the
@@ -328,12 +265,12 @@ func (s *Server) lookup(name string) (file, bool) {
 // ModePrecompressed (or ModeOnDemand) request for the same scheme is a
 // cache hit.
 func (s *Server) Precompress(name string, scheme codec.Scheme) error {
-	f, ok := s.lookup(name)
+	f, ok := s.store.file(name)
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	key := cacheKey{name: name, gen: f.gen, scheme: scheme, fp: fpAlways}
-	a, err := s.openArtifact(key, f.content, scheme, selective.AlwaysCompress{}, nil, false)
+	key := ArtifactKey{Name: name, Gen: f.gen, Scheme: scheme, FP: fpAlways}
+	a, err := s.openArtifact(key, f.content, selective.AlwaysCompress{}, nil, false)
 	if err != nil {
 		return err
 	}
@@ -371,46 +308,32 @@ func (s *Server) spawnCompress(task func()) bool {
 // non-owner node asks the key's ring owner for the finished artifact
 // before burning local compression CPU, and degrades to compressing
 // locally on any peer failure — never surfacing an error to the client.
-func (s *Server) openArtifact(key cacheKey, content []byte, scheme codec.Scheme, d selective.Decider, span *obs.Span, allowPeer bool) (artifact, error) {
+func (s *Server) openArtifact(key ArtifactKey, content []byte, d selective.Decider, span *obs.Span, allowPeer bool) (artifact, error) {
 	lookupStart := time.Now()
-	if s.cache != nil {
-		if blocks, ok := s.cache.get(key); ok {
+	a, leader, err := s.store.open(key, selective.NumBlocks(len(content), selective.BlockSize))
+	if err != nil {
+		return artifact{}, err
+	}
+	if s.cfg.CacheBytes > 0 { // with no cache there is nothing to hit or miss
+		if a.f == nil {
 			s.metrics.cacheHits.Add(1)
 			span.Phase("cache-hit", "", lookupStart, time.Since(lookupStart), int64(len(content)))
-			return artifact{blocks: blocks}, nil
+			return a, nil
 		}
 		s.metrics.cacheMisses.Add(1)
 		span.Phase("cache-miss", "", lookupStart, time.Since(lookupStart), 0)
 	}
-	// This request's compression is coalesced away when another request's
-	// flight, or the double-check below, supplies the blocks.
-	coalesced := func() {
+	if !leader {
 		s.metrics.coalesced.Add(1)
 		span.PhaseDetail("coalesced", "", "joined an identical in-flight compression", lookupStart, time.Since(lookupStart), 0)
+		return a, nil
 	}
-	f, leader := s.flights.join(key, selective.NumBlocks(len(content), selective.BlockSize))
-	if f == nil {
-		return artifact{}, ErrClosing
-	}
-	if !leader {
-		coalesced()
-		return artifact{blocks: f.blocks, f: f}, nil
-	}
-	// Double-check under the flight: a previous leader may have populated
-	// the cache between our miss and winning the flight.
-	if s.cache != nil {
-		if b, ok := s.cache.get(key); ok {
-			f.fill(b)
-			s.flights.finish(key, f, nil)
-			coalesced()
-			return artifact{blocks: b}, nil
-		}
-	}
+	f := a.f
 	// The peer consult runs here, on the request's own goroutine, and hands
 	// over a finished artifact: only local compression streams.
 	if allowPeer && s.peerFetch != nil {
 		fetchStart := time.Now()
-		pb, perr := s.peerFetch(ArtifactKey{Name: key.name, Gen: key.gen, Scheme: key.scheme, FP: key.fp})
+		pb, perr := s.peerFetch(key)
 		if perr == nil && len(pb) != len(f.blocks) {
 			perr = fmt.Errorf("%w: peer sent %d blocks of a %d-block artifact", ErrProtocol, len(pb), len(f.blocks))
 		}
@@ -419,8 +342,10 @@ func (s *Server) openArtifact(key cacheKey, content []byte, scheme codec.Scheme,
 			s.metrics.peerFetches.Add(1)
 			s.metrics.ringRemoteHits.Add(1)
 			span.PhaseDetail("peer-fetch", "", "fetched the artifact from its ring owner", fetchStart, time.Since(fetchStart), int64(len(content)))
-			f.fill(pb)
-			s.flights.finish(key, f, nil)
+			copy(f.blocks, pb)
+			// Whether a peer's copy is kept was the hook's to decide, by
+			// calling AdmitArtifact (the cluster does for a hot key).
+			s.store.finish(key, f, false, nil)
 			return artifact{blocks: pb}, nil
 		case errors.Is(perr, ErrOwnedLocally):
 			s.metrics.ringOwnerHits.Add(1)
@@ -436,22 +361,19 @@ func (s *Server) openArtifact(key cacheKey, content []byte, scheme codec.Scheme,
 	// every follower, and pin a worker slot, behind one slow handheld. On
 	// the virtual testbed that goroutine must join the clock's ledger, or
 	// virtual time could run on past a build that has not finished.
-	build := func() { s.flights.finish(key, f, s.build(key, f, content, scheme, d, span)) }
+	build := func() { s.store.finish(key, f, true, s.build(key, f, content, d, span)) }
 	if ledger, ok := s.clock.(interface{ Go(func()) }); ok {
 		ledger.Go(build)
 	} else {
 		go build()
 	}
-	return artifact{blocks: f.blocks, f: f}, nil
+	return a, nil
 }
 
 // build compresses content into f under a worker slot, publishing each
-// block as it is done. The finished artifact is admitted to the cache
-// before its last block is published, so whoever has been served a whole
-// artifact can find it cached, and the cache's generation floor has
-// refused a build that raced a Register before anyone could think it
-// current. A failed build admits nothing.
-func (s *Server) build(key cacheKey, f *flight, content []byte, scheme codec.Scheme, d selective.Decider, span *obs.Span) error {
+// block as it is done but the last, which store.finish publishes once the
+// artifact has been admitted. A failed build admits nothing.
+func (s *Server) build(key ArtifactKey, f *flight, content []byte, d selective.Decider, span *obs.Span) error {
 	// Backpressure: block for a worker slot rather than compressing
 	// unboundedly; abort if the server is shutting down. The gauge
 	// covers the whole queued-or-compressing window — it is the queue
@@ -469,7 +391,7 @@ func (s *Server) build(key cacheKey, f *flight, content []byte, scheme codec.Sch
 		s.onCompress(key)
 	}
 	start := time.Now()
-	c, err := s.newCodec(scheme, 0)
+	c, err := s.newCodec(key.Scheme, 0)
 	if err != nil {
 		return err
 	}
@@ -491,11 +413,7 @@ func (s *Server) build(key cacheKey, f *flight, content []byte, scheme codec.Sch
 	if err != nil {
 		return err
 	}
-	s.metrics.observeCompress(scheme, len(content), dur)
-	if s.cache != nil {
-		s.cache.put(key, f.blocks)
-	}
-	f.publish(len(f.blocks))
+	s.metrics.observeCompress(key.Scheme, len(content), dur)
 	return nil
 }
 
@@ -621,7 +539,7 @@ func (s *Server) Close() error {
 		s.connMu.Unlock()
 		s.wg.Wait()
 		// A build outlives a handler whose connection died under it.
-		s.flights.drain()
+		s.store.drain()
 	})
 	return err
 }
@@ -707,7 +625,7 @@ func (s *Server) handleList(bw *bufio.Writer) error {
 }
 
 func (s *Server) handleGet(bw *bufio.Writer, req request, span *obs.Span) error {
-	f, ok := s.lookup(req.Name)
+	f, ok := s.store.file(req.Name)
 	if !ok {
 		return writeGetHeader(bw, getHeader{Status: statusNotFound})
 	}
@@ -818,6 +736,6 @@ func (s *Server) artifactFor(req request, content []byte, gen uint64, span *obs.
 	default:
 		return artifact{}, fmt.Errorf("%w: mode %d", ErrProtocol, int(req.Mode))
 	}
-	key := cacheKey{name: req.Name, gen: gen, scheme: req.Scheme, fp: fp}
-	return s.openArtifact(key, content, req.Scheme, d, span, true)
+	key := ArtifactKey{Name: req.Name, Gen: gen, Scheme: req.Scheme, FP: fp}
+	return s.openArtifact(key, content, d, span, true)
 }

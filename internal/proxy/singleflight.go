@@ -2,7 +2,6 @@ package proxy
 
 import (
 	"sync"
-	"time"
 
 	"repro/internal/selective"
 )
@@ -14,7 +13,7 @@ import (
 // exists, not when the whole file is done.
 type flight struct {
 	mu sync.Mutex
-	// grown is signalled on every publish and at finish.
+	// grown is signalled on every publish and at store.finish.
 	grown sync.Cond
 	// blocks has the artifact's final length from the start (the raw
 	// chunking fixes it before anything is compressed), so a reader's view
@@ -23,6 +22,9 @@ type flight struct {
 	ready    int
 	finished bool
 	err      error
+	// admitted, under the store's lock and not mu: admit was asked to cache
+	// this key while the flight was in the air, so finish is to.
+	admitted bool
 }
 
 // publish makes blocks[:n] readable. Only the builder calls it, after
@@ -32,12 +34,6 @@ func (f *flight) publish(n int) {
 	f.ready = n
 	f.mu.Unlock()
 	f.grown.Broadcast()
-}
-
-// fill publishes a whole artifact obtained elsewhere (the cache, a peer).
-func (f *flight) fill(blocks []selective.Block) {
-	copy(f.blocks, blocks)
-	f.publish(len(f.blocks))
 }
 
 // await blocks until block i is readable or, for an i the artifact will
@@ -78,72 +74,4 @@ func (a artifact) whole() ([]selective.Block, error) {
 		}
 	}
 	return a.blocks, nil
-}
-
-// flightGroup gives singleflight semantics to artifact construction: N
-// simultaneous requests for the same uncached cacheKey share one flight,
-// so its build runs exactly once.
-type flightGroup struct {
-	mu     sync.Mutex
-	m      map[cacheKey]*flight
-	closed bool
-	// wg counts unfinished flights: what drain waits for.
-	wg sync.WaitGroup
-	// poll, when set (SetPeerFetch, on a virtual clock), is the clock a
-	// follower sleeps on, flightPollInterval at a time, until its flight has
-	// finished; nil reads behind the builder.
-	poll WallClock
-}
-
-const flightPollInterval = 250 * time.Microsecond
-
-// join returns the flight for key, starting one of n blocks when none is
-// in the air. leader reports that this caller started it and so owes it a
-// build and a finish. The flight is nil once the group is drained.
-func (g *flightGroup) join(key cacheKey, n int) (f *flight, leader bool) {
-	g.mu.Lock()
-	if f, ok := g.m[key]; ok {
-		g.mu.Unlock()
-		for g.poll != nil && !f.done() {
-			g.poll.Sleep(flightPollInterval)
-		}
-		return f, false
-	}
-	if g.closed {
-		g.mu.Unlock()
-		return nil, false
-	}
-	if g.m == nil {
-		g.m = make(map[cacheKey]*flight)
-	}
-	f = &flight{blocks: make([]selective.Block, n)}
-	f.grown.L = &f.mu
-	g.m[key] = f
-	// Under mu, so no Add can race drain's Wait.
-	g.wg.Add(1)
-	g.mu.Unlock()
-	return f, true
-}
-
-// finish ends key's flight, complete (err nil, every block published) or
-// failed, and wakes its readers. The key is forgotten either way: a
-// finished artifact lives on in the cache, not here, and a failure is
-// retried by the next request rather than remembered.
-func (g *flightGroup) finish(key cacheKey, f *flight, err error) {
-	g.mu.Lock()
-	delete(g.m, key)
-	g.mu.Unlock()
-	f.mu.Lock()
-	f.finished, f.err = true, err
-	f.mu.Unlock()
-	f.grown.Broadcast()
-	g.wg.Done()
-}
-
-// drain refuses new flights and waits for the ones in the air to finish.
-func (g *flightGroup) drain() {
-	g.mu.Lock()
-	g.closed = true
-	g.mu.Unlock()
-	g.wg.Wait()
 }

@@ -147,9 +147,9 @@ func TestFailedBuildLeavesNothingBehind(t *testing.T) {
 		t.Errorf("after the failed build: %d compressions, %d cache entries, %d errored requests; want 1, 0, 3",
 			st.Compressions, st.CacheEntries, st.Errors)
 	}
-	srv.flights.mu.Lock()
-	inAir := len(srv.flights.m)
-	srv.flights.mu.Unlock()
+	srv.store.mu.Lock()
+	inAir := len(srv.store.flights)
+	srv.store.mu.Unlock()
 	if inAir != 0 {
 		t.Errorf("%d flights still registered after the failure", inAir)
 	}
@@ -228,7 +228,7 @@ func TestSlowReaderDoesNotHoldTheBuild(t *testing.T) {
 	srv.Register("f", content)
 	leading := make(chan struct{})
 	following := make(chan struct{})
-	srv.onCompress = func(cacheKey) {
+	srv.onCompress = func(ArtifactKey) {
 		close(leading)
 		<-following
 	}
@@ -328,11 +328,28 @@ type modelKey struct {
 	mode Mode
 }
 
+// encodedKey is what decides a model artifact's blocks: which of the rig's
+// contents, under which mode.
+type encodedKey struct {
+	content int
+	mode    Mode
+}
+
 // steppedBuild lets the driver advance one running build block by block.
 type steppedBuild struct {
-	key   modelKey
-	steps chan struct{} // one token per block the build may compress
-	done  int           // blocks the driver has released
+	key    modelKey
+	steps  chan struct{} // one token per block the build may compress
+	done   int           // blocks the driver has released; nBlocks once no more will be
+	failAt int           // the block whose compression fails, or -1
+	seen   int           // blocks the codec has been handed (the build's goroutine only)
+}
+
+// modelFlight is a build the model knows to be running.
+type modelFlight struct {
+	f         *flight
+	published int
+	failAt    int // as steppedBuild's
+	failed    bool
 }
 
 // modelRig drives a real Server (no sockets: readers call handleGet into a
@@ -340,33 +357,49 @@ type steppedBuild struct {
 type modelRig struct {
 	t        *testing.T
 	srv      *Server
-	contents [2][]byte // generation g serves contents[g%2]
+	contents [2][]byte
+	content  map[uint64]int // which of contents a generation serves (the driver's)
 	nBlocks  int
+	budget   int64
+	decider  selective.Decider // the selective mode's, and its fingerprint
+	fp       string
+	encoded  map[encodedKey][]selective.Block
 
 	mu      sync.Mutex
 	running *steppedBuild    // the build holding the one worker slot
 	built   map[modelKey]int // builds the server actually ran
+	failAt  map[modelKey]int // the block a key's next build is to fail at
 }
 
+// newModelRig builds the rig for a seed; every other seed's cache holds one
+// artifact or the other of a generation but not both, so admissions evict.
 func newModelRig(t *testing.T, seed int64) *modelRig {
 	const nBlocks = 4
-	r := &modelRig{t: t, nBlocks: nBlocks, srv: NewServerWith(nil, Config{Workers: 1}), built: map[modelKey]int{}}
+	r := &modelRig{t: t, nBlocks: nBlocks, content: map[uint64]int{}, built: map[modelKey]int{}, failAt: map[modelKey]int{},
+		decider: selective.PaperDecider{}, fp: deciderFingerprint(selective.PaperDecider{})}
+	r.encoded = map[encodedKey][]selective.Block{}
 	rng := rand.New(rand.NewSource(seed))
 	for i := range r.contents {
 		r.contents[i] = make([]byte, (nBlocks-1)*selective.BlockSize+4321)
 		rng.Read(r.contents[i])
 	}
+	r.budget = 64 << 20
+	if seed%2 == 0 {
+		r.budget = max(r.charge(modelKey{1, ModeOnDemand}), r.charge(modelKey{1, ModeSelective}))
+	}
+	r.srv = NewServerWith(r.decider, Config{Workers: 1, CacheBytes: r.budget})
 	// One worker, so builds run one at a time and onCompress — which fires
 	// once a build holds the slot — names the one newCodec is about to
 	// serve.
-	r.srv.onCompress = func(k cacheKey) {
+	r.srv.onCompress = func(k ArtifactKey) {
 		mode := ModeSelective
-		if k.fp == fpAlways {
+		if k.FP == fpAlways {
 			mode = ModeOnDemand
 		}
+		key := modelKey{k.Gen, mode}
 		r.mu.Lock()
-		r.running = &steppedBuild{key: modelKey{k.gen, mode}, steps: make(chan struct{}, nBlocks)}
-		r.built[r.running.key]++
+		r.running = &steppedBuild{key: key, steps: make(chan struct{}, nBlocks), failAt: r.failAt[key]}
+		r.built[key]++
 		r.mu.Unlock()
 	}
 	r.srv.newCodec = func(s codec.Scheme, _ int) (codec.Codec, error) {
@@ -374,7 +407,15 @@ func newModelRig(t *testing.T, seed int64) *modelRig {
 		b := r.running
 		r.mu.Unlock()
 		return hookCodec{stubCodec{s}, func([]byte) error {
+			i := b.seen
+			b.seen++
+			if b.failAt >= 0 && i > b.failAt {
+				return nil // the encoder still compresses the blocks after a failed one; no step is owed them
+			}
 			<-b.steps
+			if i == b.failAt {
+				return errInjectedBuild
+			}
 			return nil
 		}}, nil
 	}
@@ -395,41 +436,69 @@ func (r *modelRig) awaitRunning() *steppedBuild {
 	return b
 }
 
-// flightFor returns key's flight, or nil.
-func (r *modelRig) flightFor(k modelKey) *flight {
-	fp := r.srv.deciderFP
+func (r *modelRig) artifactKey(k modelKey) ArtifactKey {
+	fp := r.fp
 	if k.mode == ModeOnDemand {
 		fp = fpAlways
 	}
-	r.srv.flights.mu.Lock()
-	defer r.srv.flights.mu.Unlock()
-	return r.srv.flights.m[cacheKey{name: "f", gen: k.gen, scheme: codec.Gzip, fp: fp}]
+	return ArtifactKey{Name: "f", Gen: k.gen, Scheme: codec.Gzip, FP: fp}
 }
 
-// expectedWire is the sequential model of one response: the header for the
-// granted offset, then selective.Encode's blocks from there, then the end
-// frame.
-func (r *modelRig) expectedWire(k modelKey, offset uint64) []byte {
-	content := r.contents[k.gen%2]
+// flightFor returns key's flight, or nil.
+func (r *modelRig) flightFor(k modelKey) *flight {
+	r.srv.store.mu.Lock()
+	defer r.srv.store.mu.Unlock()
+	return r.srv.store.flights[r.artifactKey(k)]
+}
+
+// blocks is the sequential model of k's artifact: selective.Encode's, of
+// the content k's generation serves (encoded once per content and mode).
+func (r *modelRig) blocks(k modelKey) []selective.Block {
+	memo := encodedKey{r.content[k.gen], k.mode}
+	if b, ok := r.encoded[memo]; ok {
+		return b
+	}
 	var d selective.Decider = selective.AlwaysCompress{}
 	if k.mode == ModeSelective {
-		d = r.srv.decider
+		d = r.decider
 	}
-	enc, err := selective.Encode(content, stubCodec{codec.Gzip}, d)
+	enc, err := selective.Encode(r.contents[memo.content], stubCodec{codec.Gzip}, d)
 	if err != nil {
 		r.t.Fatal(err)
 	}
+	r.encoded[memo] = enc.Blocks
+	return enc.Blocks
+}
+
+// charge is what caching k costs the byte budget.
+func (r *modelRig) charge(k modelKey) int64 { return entrySize(r.artifactKey(k), r.blocks(k)) }
+
+// expectedWire is the sequential model of one response: the header for the
+// granted offset, then the model's blocks from there, then the end frame —
+// or, read off a build that failed at block failAt (-1: none did), the
+// blocks before that one and no end frame, and not even a header when the
+// first block owed was never made.
+func (r *modelRig) expectedWire(k modelKey, offset uint64, failAt int) []byte {
+	content, blocks := r.contents[r.content[k.gen]], r.blocks(k)
 	var w bytes.Buffer
 	start, granted := 0, uint64(0)
-	for start < len(enc.Blocks) && granted+uint64(enc.Blocks[start].RawLen) <= offset {
-		granted += uint64(enc.Blocks[start].RawLen)
+	for start < len(blocks) && granted+uint64(blocks[start].RawLen) <= offset {
+		granted += uint64(blocks[start].RawLen)
 		start++
 	}
+	if failAt >= 0 {
+		if start >= failAt {
+			return nil
+		}
+		blocks = blocks[:failAt]
+	}
 	_ = writeGetHeader(&w, getHeader{Status: statusOK, RawSize: uint64(len(content)), Scheme: codec.Gzip, Offset: granted})
-	for _, b := range enc.Blocks[start:] {
+	for _, b := range blocks[start:] {
 		_ = WriteBlock(&w, b)
 	}
-	_ = WriteEnd(&w, crcOf(content))
+	if failAt < 0 {
+		_ = WriteEnd(&w, crcOf(content))
+	}
 	return w.Bytes()
 }
 
@@ -437,6 +506,7 @@ func (r *modelRig) expectedWire(k modelKey, offset uint64) []byte {
 type modelReader struct {
 	key    modelKey
 	offset uint64
+	flight *modelFlight // the build it reads behind; nil for a hit
 	out    bytes.Buffer
 	err    error
 	done   chan struct{}
@@ -444,12 +514,17 @@ type modelReader struct {
 
 // TestGrowingArtifactModel runs seeded schedules — readers attaching with
 // the build at any block, resuming from offsets on and off block
-// boundaries, a Register mid-build, Close mid-build — against a model that
-// is trivially right: whatever the interleaving, every reader's bytes are
-// the header, selective.Encode's blocks from its granted boundary, and the
-// end frame; a key is compressed at most once per generation; the Stats
-// counters are the ones the schedule implies; and no goroutine outlives
-// Close.
+// boundaries, a Register or a peer's SyncGeneration mid-build, a peer's
+// AdmitArtifact of the current generation and of one left behind, a build
+// whose codec fails at a block, a cache too small for two artifacts, Close
+// mid-build — against a model that is trivially right: whatever the
+// interleaving, every reader's bytes are the header, selective.Encode's
+// blocks from its granted boundary, and the end frame, or exactly the
+// blocks made before its build failed; a key is built once per generation
+// and once more per failure; the cache is the LRU the schedule implies,
+// within its budget, holding no generation its file has left and no key
+// that is also in the air; the Stats counters are the ones the schedule
+// implies; and no goroutine outlives Close.
 func TestGrowingArtifactModel(t *testing.T) {
 	for seed := int64(1); seed <= 24; seed++ {
 		seed := seed
@@ -464,23 +539,132 @@ func runModelSchedule(t *testing.T, seed int64) {
 	size := uint64(len(r.contents[0]))
 	offsets := []uint64{0, 0, 1, selective.BlockSize - 1, selective.BlockSize, selective.BlockSize + 77,
 		2 * selective.BlockSize, size - 1, size}
+	modes := []Mode{ModeOnDemand, ModeSelective}
 
-	// The model: which artifacts are cached, which are in the air and how
-	// far along, and the counters so far.
-	gen := uint64(0)
-	cached := map[modelKey]bool{}
-	inAir := map[modelKey]int{} // blocks published
-	var hits, misses, coalesced, compressions int64
+	// The model: the file's generation and which content it has, the cached
+	// artifacts most recently used first, the builds running and how far
+	// along, and the counters so far.
+	gen, cur := uint64(0), 0
+	var lru []modelKey
+	building := map[modelKey]*modelFlight{}
+	wantBuilt := map[modelKey]int{}
+	var hits, misses, coalesced, compressions, evictions int64
 	var readers []*modelReader
 
+	uncache := func(drop func(modelKey) bool) {
+		kept := lru[:0]
+		for _, k := range lru {
+			if !drop(k) {
+				kept = append(kept, k)
+			}
+		}
+		lru = kept
+	}
+	charged := func() (n int64) {
+		for _, k := range lru {
+			n += r.charge(k)
+		}
+		return n
+	}
+	// toFront makes k the most recently used artifact, evicting from the
+	// other end whatever the budget cannot hold beside it.
+	toFront := func(k modelKey) {
+		uncache(func(o modelKey) bool { return o == k })
+		for charged()+r.charge(k) > r.budget {
+			lru = lru[:len(lru)-1]
+			evictions++
+		}
+		lru = append([]modelKey{k}, lru...)
+	}
+	// admitModel is the cache's one admission rule.
+	admitModel := func(k modelKey) {
+		if k.gen >= gen && r.charge(k) <= r.budget {
+			toFront(k)
+		}
+	}
+	// check holds the store to the model and to its own invariants; every
+	// operation ends with the server where the model says it is, and here.
+	check := func(after string) {
+		t.Helper()
+		st := r.srv.store
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		for k := range st.entries {
+			if k.Gen < st.files[k.Name].gen {
+				t.Fatalf("after %s: generation %d of %q is cached, the file is at %d", after, k.Gen, k.Name, st.files[k.Name].gen)
+			}
+			if _, ok := st.flights[k]; ok {
+				t.Fatalf("after %s: %+v is finished and in the air", after, k)
+			}
+		}
+		if n, b := st.occupancy(); n != int64(len(st.entries)) || b != st.bytes {
+			t.Fatalf("after %s: the gauges read %d entries and %d bytes, the store holds %d and %d", after, n, b, len(st.entries), st.bytes)
+		}
+		if st.bytes > r.budget || st.bytes != charged() || len(st.entries) != len(lru) {
+			t.Fatalf("after %s: %d entries charged %d bytes of %d; the model has %d charged %d",
+				after, len(st.entries), st.bytes, r.budget, len(lru), charged())
+		}
+		for el, i := st.lru.Front(), 0; el != nil; el, i = el.Next(), i+1 {
+			if key := el.Value.(*entry).key; key != r.artifactKey(lru[i]) {
+				t.Fatalf("after %s: entry %d from the front is %+v, the model's is %+v", after, i, key, lru[i])
+			}
+		}
+		if len(st.flights) != len(building) {
+			t.Fatalf("after %s: %d flights in the air, the model has %d", after, len(st.flights), len(building))
+		}
+	}
+
+	bump := func(to uint64) {
+		gen = to
+		r.content[gen] = cur
+		uncache(func(k modelKey) bool { return k.gen < gen })
+	}
 	register := func() {
-		gen++
-		r.srv.Register("f", r.contents[gen%2])
+		cur ^= 1
+		r.srv.Register("f", r.contents[cur])
+		bump(gen + 1)
+	}
+	// syncGen is a peer's invalidation: behind, level with or ahead of the
+	// file's generation, and only the last moves anything.
+	syncGen := func() {
+		to := gen - 1 + uint64(rng.Intn(4))
+		r.srv.SyncGeneration("f", to)
+		if to > gen {
+			bump(to)
+		}
+	}
+	// admit is a peer's push: of the current generation it is cached, unless
+	// the key is in the air, where it is left to the build's own admission;
+	// of a generation left behind it is refused.
+	admit := func(stale bool) {
+		k := modelKey{gen, modes[rng.Intn(2)]}
+		blocks := r.blocks(k)
+		if stale {
+			k.gen--
+		}
+		r.srv.AdmitArtifact(r.artifactKey(k), blocks)
+		if building[k] == nil {
+			admitModel(k)
+		}
 	}
 	attach := func() {
-		k := modelKey{gen, []Mode{ModeOnDemand, ModeSelective}[rng.Intn(2)]}
-		rd := &modelReader{key: k, offset: offsets[rng.Intn(len(offsets))], done: make(chan struct{})}
+		k := modelKey{gen, modes[rng.Intn(2)]}
+		rd := &modelReader{key: k, offset: offsets[rng.Intn(len(offsets))], flight: building[k], done: make(chan struct{})}
 		readers = append(readers, rd)
+		isCached := false
+		for _, o := range lru {
+			isCached = isCached || o == k
+		}
+		leads := !isCached && rd.flight == nil
+		if leads {
+			rd.flight = &modelFlight{failAt: -1}
+			if rng.Intn(5) == 0 {
+				rd.flight.failAt = rng.Intn(r.nBlocks)
+			}
+			r.mu.Lock()
+			r.failAt[k] = rd.flight.failAt
+			r.mu.Unlock()
+		}
 		go func() {
 			defer close(rd.done)
 			bw := bufio.NewWriter(&rd.out)
@@ -489,68 +673,91 @@ func runModelSchedule(t *testing.T, seed int64) {
 		}()
 		// Wait until the request is where the model says it is, so the next
 		// operation cannot overtake it.
-		_, flying := inAir[k]
 		switch {
-		case cached[k]:
+		case isCached:
 			hits++
+			toFront(k)
 			waitFor(t, func() bool { return r.srv.Stats().CacheHits == hits })
-		case flying:
+		case !leads:
 			misses++
 			coalesced++
 			waitFor(t, func() bool { return r.srv.Stats().Coalesced == coalesced })
 		default:
 			misses++
 			compressions++
-			inAir[k] = 0
+			wantBuilt[k]++
+			building[k] = rd.flight
 			waitFor(t, func() bool { return r.flightFor(k) != nil })
+			rd.flight.f = r.flightFor(k)
 		}
 	}
 	// step lets the build holding the worker slot compress one more block
-	// and waits for the block to be published — or, for the last one, for
-	// the flight to finish.
+	// and waits for the block to be published — or, for the last one or one
+	// that fails, for the flight to finish.
 	step := func() {
 		b := r.awaitRunning()
 		k := b.key
+		fl := building[k]
+		fails := fl.published == fl.failAt
 		b.steps <- struct{}{}
 		r.mu.Lock()
 		b.done++
+		if fails {
+			b.done = r.nBlocks
+		}
 		r.mu.Unlock()
-		inAir[k]++
-		if inAir[k] < r.nBlocks {
-			f := r.flightFor(k)
+		if !fails {
+			fl.published++
+		}
+		if !fails && fl.published < r.nBlocks {
 			waitFor(t, func() bool {
-				f.mu.Lock()
-				defer f.mu.Unlock()
-				return f.ready == inAir[k]
+				fl.f.mu.Lock()
+				defer fl.f.mu.Unlock()
+				return fl.f.ready == fl.published
 			})
 			return
 		}
-		waitFor(t, func() bool { return r.flightFor(k) == nil })
-		delete(inAir, k)
-		// Admission is refused to a build a Register overtook.
-		cached[k] = k.gen == gen
+		waitFor(t, fl.f.done)
+		delete(building, k)
+		fl.failed = fails
+		if !fails {
+			// Refused, by the same rule, to a build a bump overtook.
+			admitModel(k)
+		}
 	}
 
 	register()
-	for op := 0; op < 30; op++ {
-		switch p := rng.Intn(10); {
-		case p < 4:
+	for op := 0; op < 40; op++ {
+		switch p := rng.Intn(20); {
+		case p < 7:
 			attach()
-		case p < 9:
-			if len(inAir) > 0 {
+			check("an attach")
+		case p < 15:
+			if len(building) > 0 {
 				step()
+				check("a step")
 			}
-		default:
+		case p < 16:
 			register()
+			check("a Register")
+		case p < 17:
+			syncGen()
+			check("a SyncGeneration")
+		case p < 19:
+			admit(false)
+			check("an AdmitArtifact of the current generation")
+		default:
+			admit(true)
+			check("an AdmitArtifact of a stale generation")
 		}
 	}
 	// Close mid-build: with exactly one build in the air (a queued one
 	// might or might not get its slot before it sees the close), part-way
 	// through when the schedule left one there.
-	for len(inAir) > 1 {
+	for len(building) > 1 {
 		step()
 	}
-	if len(inAir) == 1 {
+	if len(building) == 1 {
 		r.awaitRunning()
 	}
 	closed := make(chan struct{})
@@ -558,37 +765,44 @@ func runModelSchedule(t *testing.T, seed int64) {
 		_ = r.srv.Close()
 		close(closed)
 	}()
-	if len(inAir) == 1 {
+	if len(building) == 1 {
 		select {
 		case <-closed:
 			t.Fatal("Close returned with a build still in the air")
 		case <-time.After(10 * time.Millisecond):
 		}
-		for len(inAir) > 0 {
+		for len(building) > 0 {
 			step()
 		}
 	}
 	<-closed
+	check("Close")
 
 	for i, rd := range readers {
 		<-rd.done
-		if rd.err != nil {
-			t.Errorf("reader %d (%+v offset %d): %v", i, rd.key, rd.offset, rd.err)
-		} else if !bytes.Equal(rd.out.Bytes(), r.expectedWire(rd.key, rd.offset)) {
-			t.Errorf("reader %d (%+v offset %d): wire bytes differ from the sequential model's", i, rd.key, rd.offset)
+		failAt, wantErr := -1, error(nil)
+		if rd.flight != nil && rd.flight.failed {
+			failAt, wantErr = rd.flight.failAt, errInjectedBuild
+		}
+		if !errors.Is(rd.err, wantErr) {
+			t.Errorf("reader %d (%+v offset %d): err = %v, want %v", i, rd.key, rd.offset, rd.err, wantErr)
+		} else if !bytes.Equal(rd.out.Bytes(), r.expectedWire(rd.key, rd.offset, failAt)) {
+			t.Errorf("reader %d (%+v offset %d, build failing at %d): wire bytes differ from the sequential model's", i, rd.key, rd.offset, failAt)
 		}
 	}
 	for k, n := range r.built {
-		if n > 1 {
-			t.Errorf("%+v compressed %d times", k, n)
+		if n != wantBuilt[k] {
+			t.Errorf("%+v compressed %d times, the schedule implies %d", k, n, wantBuilt[k])
 		}
 	}
 	st := r.srv.Stats()
-	if st.CacheHits != hits || st.CacheMisses != misses || st.Coalesced != coalesced || st.Compressions != compressions {
-		t.Errorf("counters hits=%d misses=%d coalesced=%d compressions=%d; the schedule implies %d, %d, %d, %d",
-			st.CacheHits, st.CacheMisses, st.Coalesced, st.Compressions, hits, misses, coalesced, compressions)
+	if st.CacheHits != hits || st.CacheMisses != misses || st.Coalesced != coalesced || st.Compressions != compressions ||
+		st.Evictions != evictions || st.CacheRejects != 0 {
+		t.Errorf("counters hits=%d misses=%d coalesced=%d compressions=%d evictions=%d rejects=%d; the schedule implies %d, %d, %d, %d, %d, 0",
+			st.CacheHits, st.CacheMisses, st.Coalesced, st.Compressions, st.Evictions, st.CacheRejects,
+			hits, misses, coalesced, compressions, evictions)
 	}
-	if _, err := r.srv.openArtifact(cacheKey{name: "late"}, nil, codec.Gzip, selective.AlwaysCompress{}, nil, false); !errors.Is(err, ErrClosing) {
+	if _, err := r.srv.openArtifact(ArtifactKey{Name: "late"}, nil, selective.AlwaysCompress{}, nil, false); !errors.Is(err, ErrClosing) {
 		t.Errorf("a flight started after Close: err = %v, want ErrClosing", err)
 	}
 	waitFor(t, func() bool { return runtime.NumGoroutine() <= before })

@@ -39,8 +39,8 @@ func TestServerConcurrentClients(t *testing.T) {
 	// singleflight guarantee is exact, not just overwhelmingly likely.
 	srv := NewServerWith(nil, Config{CacheBytes: 256 << 20, Workers: 4})
 	var compressMu sync.Mutex
-	compressed := make(map[cacheKey]int)
-	srv.onCompress = func(k cacheKey) {
+	compressed := make(map[ArtifactKey]int)
+	srv.onCompress = func(k ArtifactKey) {
 		compressMu.Lock()
 		compressed[k]++
 		compressMu.Unlock()
@@ -228,7 +228,7 @@ func TestCloseDrainsInflightTransfers(t *testing.T) {
 	}
 
 	started := make(chan struct{})
-	srv.onCompress = func(cacheKey) { close(started) }
+	srv.onCompress = func(ArtifactKey) { close(started) }
 
 	type result struct {
 		crc uint32

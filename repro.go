@@ -232,8 +232,8 @@ type ProxyClient = proxy.Client
 type ProxyClientMode = proxy.Mode
 
 // ProxyConfig tunes the proxy server's dataplane: artifact-cache byte
-// budget and shard count, compression worker bound, connection cap, and
-// per-connection deadlines. The zero value selects defaults.
+// budget, compression worker bound, connection cap, and per-connection
+// deadlines. The zero value selects defaults.
 type ProxyConfig = proxy.Config
 
 // ProxyStats is a snapshot of the proxy server's counters (cache

@@ -82,10 +82,11 @@ go -C bench test ./...
 
 # The growing-artifact gate: a miss is served while it is being compressed,
 # so its state machine is model-checked — seeded schedules of readers
-# attaching mid-build, resumes on and off block boundaries, Register and
-# Close mid-build, against a sequential model — and a failed build must
-# leave nothing behind, repeatedly and under -race.
-named ./internal/proxy 'TestGrowingArtifactModel|TestFailedBuildLeavesNothingBehind|TestClosingWhileQueuedWritesNoHeader|TestCacheEvictionDuringSingleflight' -race -count=5
+# attaching mid-build, resumes on and off block boundaries, Register, a
+# peer's SyncGeneration and AdmitArtifact, a failing codec, evicting
+# admissions and Close mid-build, against a sequential model — and a failed
+# build must leave nothing behind, repeatedly and under -race.
+named ./internal/proxy 'TestGrowingArtifactModel|TestFailedBuildLeavesNothingBehind|TestClosingWhileQueuedWritesNoHeader|TestCacheEvictionDuringSingleflight|TestAdmissionRidesTheFlight' -race -count=5
 
 # The decode-verdict gate: what a fetch attempt keeps and counts when a
 # block fails to decode must not depend on how its two goroutines were
@@ -240,11 +241,11 @@ check_cover ./internal/bitio 93
 
 # Decompression-kernel gates, without -race (the race runtime changes
 # allocation counts): the pooled dataplane must stay O(1) buffers per
-# block (a corrupt one included), event export with no sink and the
-# cache's shard hash must cost the fetch path zero allocations, the
+# block (a corrupt one included), event export with no sink and a cache
+# hit's lookup must cost the fetch path zero allocations, the
 # table-driven Huffman fast path must stay zero-alloc per symbol, and a
 # 100x smoke proves its benchmark still runs.
-named ./internal/proxy 'TestReadBlockPooledAllocs|TestGetBufRecycles|TestEmitFetchEventNoSinkZeroAlloc|TestShardForZeroAllocs|TestCorruptBlockAllocatesNoDestination' -count=1
+named ./internal/proxy 'TestReadBlockPooledAllocs|TestGetBufRecycles|TestEmitFetchEventNoSinkZeroAlloc|TestCacheHitZeroAllocs|TestCorruptBlockAllocatesNoDestination' -count=1
 named ./internal/huffman 'TestDecodeLSBZeroAlloc' -count=1
 named ./internal/flate 'TestDeflateSteadyStateAllocs|TestStreamingWriterSteadyAllocs' -count=1
 # The codec workspaces: a warm decode into a buffer with room allocates
@@ -279,6 +280,9 @@ if command -v curl >/dev/null 2>&1; then
 	NAME=$("$SMOKE_DIR/hhfetch" -addr "$ADDR" -list | head -n 1)
 	"$SMOKE_DIR/hhfetch" -addr "$ADDR" -name "$NAME" -mode ondemand -trace >/dev/null
 	curl -fsS "http://$ADMIN/metrics" | grep -q '^proxy_requests_total [1-9]'
+	# The fetch left its artifact cached, and the occupancy gauges say so.
+	curl -fsS "http://$ADMIN/metrics" | grep -q '^proxy_cache_entries [1-9]'
+	curl -fsS "http://$ADMIN/metrics" | grep -q '^proxy_cache_bytes [1-9]'
 	curl -fsS "http://$ADMIN/statsz" | grep -q '"Requests"'
 	curl -fsS "http://$ADMIN/tracez" | grep -q '"req_id"'
 	curl -fsS "http://$ADMIN/tracez?name=serve&limit=1" | grep -q '"req_id"'
