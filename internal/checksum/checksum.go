@@ -1,39 +1,12 @@
-// Package checksum implements the CRC-32 (IEEE 802.3, reflected) and
-// Adler-32 checksums from first principles. They are used by the gzip and
-// zlib container formats produced by this repository's codecs.
+// Package checksum computes the two checksums of the gzip and zlib container
+// formats this repository's codecs produce, and of the proxy's block frames:
+// Adler-32 from first principles, and CRC-32 (IEEE 802.3, reflected) by
+// hash/crc32, which runs it on the carry-less-multiply unit where the
+// machine has one. The from-scratch slicing-by-8 CRC this package used to
+// run is the oracle in checksum_test.go.
 package checksum
 
-// crc32Poly is the reversed (reflected) IEEE 802.3 polynomial.
-const crc32Poly = 0xEDB88320
-
-// crc32Table is the byte-at-a-time lookup table for the reflected IEEE
-// polynomial; crc32Tables extends it to the 8 shifted tables of the
-// slicing-by-8 method (crc32Tables[0] is the classic table).
-var crc32Tables = makeCRC32Tables()
-
-func makeCRC32Tables() [8][256]uint32 {
-	var t [8][256]uint32
-	for i := range t[0] {
-		crc := uint32(i)
-		for k := 0; k < 8; k++ {
-			if crc&1 != 0 {
-				crc = (crc >> 1) ^ crc32Poly
-			} else {
-				crc >>= 1
-			}
-		}
-		t[0][i] = crc
-	}
-	// Table j maps a byte processed j positions early: one more table
-	// lookup folds in each additional shift of 8 bits.
-	for j := 1; j < 8; j++ {
-		for i := range t[j] {
-			crc := t[j-1][i]
-			t[j][i] = t[0][byte(crc)] ^ (crc >> 8)
-		}
-	}
-	return t
-}
+import "hash/crc32"
 
 // CRC32 computes the IEEE CRC-32 of p in one shot.
 func CRC32(p []byte) uint32 {
@@ -42,26 +15,8 @@ func CRC32(p []byte) uint32 {
 
 // UpdateCRC32 extends crc with the bytes of p. A zero crc starts a new
 // computation, so UpdateCRC32(UpdateCRC32(0, a), b) == CRC32(a || b).
-// Bulk input runs through the slicing-by-8 variant (8 bytes per step, one
-// table load each); the byte-at-a-time loop handles the tail.
 func UpdateCRC32(crc uint32, p []byte) uint32 {
-	crc = ^crc
-	for len(p) >= 8 {
-		crc ^= uint32(p[0]) | uint32(p[1])<<8 | uint32(p[2])<<16 | uint32(p[3])<<24
-		crc = crc32Tables[7][byte(crc)] ^
-			crc32Tables[6][byte(crc>>8)] ^
-			crc32Tables[5][byte(crc>>16)] ^
-			crc32Tables[4][byte(crc>>24)] ^
-			crc32Tables[3][p[4]] ^
-			crc32Tables[2][p[5]] ^
-			crc32Tables[1][p[6]] ^
-			crc32Tables[0][p[7]]
-		p = p[8:]
-	}
-	for _, b := range p {
-		crc = crc32Tables[0][byte(crc)^b] ^ (crc >> 8)
-	}
-	return ^crc
+	return crc32.Update(crc, crc32.IEEETable, p)
 }
 
 // adlerMod is the largest prime smaller than 65536.

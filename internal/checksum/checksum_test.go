@@ -12,6 +12,61 @@ import (
 // The stdlib hashes serve as reference oracles for our from-scratch
 // implementations; the codecs themselves use only this package.
 
+// crc32Poly is the reversed (reflected) IEEE 802.3 polynomial.
+const crc32Poly = 0xEDB88320
+
+// crc32Tables and refUpdateCRC32 are the from-scratch CRC-32 the package
+// ran before it handed the work to hash/crc32, kept as its oracle:
+// crc32Tables[0] is the classic byte-at-a-time table, the other seven the
+// shifted tables of the slicing-by-8 method.
+var crc32Tables = makeCRC32Tables()
+
+func makeCRC32Tables() [8][256]uint32 {
+	var t [8][256]uint32
+	for i := range t[0] {
+		crc := uint32(i)
+		for k := 0; k < 8; k++ {
+			if crc&1 != 0 {
+				crc = (crc >> 1) ^ crc32Poly
+			} else {
+				crc >>= 1
+			}
+		}
+		t[0][i] = crc
+	}
+	// Table j maps a byte processed j positions early: one more table
+	// lookup folds in each additional shift of 8 bits.
+	for j := 1; j < 8; j++ {
+		for i := range t[j] {
+			crc := t[j-1][i]
+			t[j][i] = t[0][byte(crc)] ^ (crc >> 8)
+		}
+	}
+	return t
+}
+
+// refUpdateCRC32 runs bulk input through the slicing-by-8 variant (8 bytes
+// per step, one table load each); the byte-at-a-time loop handles the tail.
+func refUpdateCRC32(crc uint32, p []byte) uint32 {
+	crc = ^crc
+	for len(p) >= 8 {
+		crc ^= uint32(p[0]) | uint32(p[1])<<8 | uint32(p[2])<<16 | uint32(p[3])<<24
+		crc = crc32Tables[7][byte(crc)] ^
+			crc32Tables[6][byte(crc>>8)] ^
+			crc32Tables[5][byte(crc>>16)] ^
+			crc32Tables[4][byte(crc>>24)] ^
+			crc32Tables[3][p[4]] ^
+			crc32Tables[2][p[5]] ^
+			crc32Tables[1][p[6]] ^
+			crc32Tables[0][p[7]]
+		p = p[8:]
+	}
+	for _, b := range p {
+		crc = crc32Tables[0][byte(crc)^b] ^ (crc >> 8)
+	}
+	return ^crc
+}
+
 func TestCRC32KnownVectors(t *testing.T) {
 	cases := []struct {
 		in   string
@@ -53,10 +108,42 @@ func TestCRC32MatchesStdlib(t *testing.T) {
 		n := rng.Intn(10000)
 		p := make([]byte, n)
 		rng.Read(p)
-		if got, want := CRC32(p), crc32.ChecksumIEEE(p); got != want {
-			t.Fatalf("len %d: got %#x want %#x", n, got, want)
+		// The package, the from-scratch oracle and the stdlib's one-shot
+		// entry point: three routes to one value.
+		if got, ref, want := CRC32(p), refUpdateCRC32(0, p), crc32.ChecksumIEEE(p); got != want || ref != want {
+			t.Fatalf("len %d: got %#x, from scratch %#x, want %#x", n, got, ref, want)
 		}
 	}
+}
+
+// FuzzCRC32MatchesReference holds UpdateCRC32 to the from-scratch oracle:
+// in one shot, chained across a split point (so each piece starts and ends
+// at any alignment and the second starts from a running value), and on an
+// unaligned tail of the same buffer.
+func FuzzCRC32MatchesReference(f *testing.F) {
+	f.Add([]byte(""), uint16(0), uint8(0))
+	f.Add([]byte("123456789"), uint16(4), uint8(1))
+	f.Add(bytes.Repeat([]byte("handheld"), 40), uint16(129), uint8(7))
+	f.Fuzz(func(t *testing.T, p []byte, split uint16, skip uint8) {
+		want := refUpdateCRC32(0, p)
+		if got := CRC32(p); got != want {
+			t.Fatalf("one shot: got %#x, from scratch %#x", got, want)
+		}
+		cut := 0
+		if len(p) > 0 {
+			cut = int(split) % (len(p) + 1)
+		}
+		if got := UpdateCRC32(UpdateCRC32(0, p[:cut]), p[cut:]); got != want {
+			t.Fatalf("chained at %d of %d: got %#x, from scratch %#x", cut, len(p), got, want)
+		}
+		if got := UpdateCRC32(UpdateCRC32(UpdateCRC32(0, p[:cut]), nil), p[cut:]); got != want {
+			t.Fatalf("chained at %d through an empty piece: got %#x, from scratch %#x", cut, got, want)
+		}
+		tail := p[min(int(skip)%16, len(p)):]
+		if got, want := UpdateCRC32(0xDEADBEEF, tail), refUpdateCRC32(0xDEADBEEF, tail); got != want {
+			t.Fatalf("tail from %d, running value: got %#x, from scratch %#x", len(p)-len(tail), got, want)
+		}
+	})
 }
 
 func TestAdler32MatchesStdlib(t *testing.T) {

@@ -38,7 +38,10 @@ func perOp(f func()) (bytes, allocs float64) {
 // TestDecompressIntoSteadyStateAllocs: decoding a block into a buffer
 // that already has room — what the client does with every block it is
 // sent — allocates nothing that grows with the block or with a codec's
-// tables: at most 1 KiB and 4 objects, whatever the scheme and size.
+// tables: at most one small object (the deflate containers' byte reader),
+// whatever the scheme and size. The bound is what the decoders do, not a
+// margin over it: a one-byte buffer that a header check moved to the heap,
+// once per block, went through a looser one unseen.
 func TestDecompressIntoSteadyStateAllocs(t *testing.T) {
 	for _, s := range []Scheme{Gzip, Compress, Bzip2, Zlib} {
 		for _, size := range []int{4 << 10, 128 << 10} {
@@ -56,8 +59,8 @@ func TestDecompressIntoSteadyStateAllocs(t *testing.T) {
 						t.Fatalf("DecompressInto: %d bytes, err %v", len(out), err)
 					}
 				})
-				if bytes > 1<<10 || allocs > 4 {
-					t.Errorf("a warm decode allocates %.0f bytes in %.1f objects, want <= 1024 in <= 4", bytes, allocs)
+				if bytes > 64 || allocs > 1 {
+					t.Errorf("a warm decode allocates %.0f bytes in %.1f objects, want <= 64 in <= 1", bytes, allocs)
 				}
 			})
 		}

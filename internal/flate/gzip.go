@@ -27,14 +27,19 @@ const (
 // match.
 func skipGzipHeader(next func() (byte, error)) error {
 	const flgFHCRC, flgFEXTRA, flgFNAME, flgFCOMMENT = 1 << 1, 1 << 2, 1 << 3, 1 << 4
-	var crc uint32
-	var b [1]byte
+	// announced collects the header's bytes once its flags announce a CRC
+	// of them, which ours never do: summing every header a byte at a time
+	// would hand hash/crc32 a buffer it moves to the heap, once per block.
+	var announced []byte
 	var err error
 	read := func() byte { // sticky: after an error every read is 0, and it is reported last
 		if err == nil {
-			if b[0], err = next(); err == nil {
-				crc = checksum.UpdateCRC32(crc, b[:])
-				return b[0]
+			var b byte
+			if b, err = next(); err == nil {
+				if announced != nil {
+					announced = append(announced, b)
+				}
+				return b
 			}
 		}
 		return 0
@@ -50,6 +55,9 @@ func skipGzipHeader(next func() (byte, error)) error {
 		return fmt.Errorf("%w: unsupported gzip method %d", ErrCorrupt, fixed[2])
 	}
 	flg := fixed[3]
+	if flg&flgFHCRC != 0 {
+		announced = append(announced, fixed[:]...)
+	}
 	if flg&flgFEXTRA != 0 {
 		for n := int(read()) | int(read())<<8; n > 0 && err == nil; n-- {
 			read()
@@ -66,7 +74,7 @@ func skipGzipHeader(next func() (byte, error)) error {
 		}
 	}
 	if flg&flgFHCRC != 0 {
-		want := uint16(crc)
+		want := uint16(checksum.CRC32(announced))
 		if got := uint16(read()) | uint16(read())<<8; err == nil && got != want {
 			return fmt.Errorf("%w: gzip header CRC mismatch", ErrCorrupt)
 		}

@@ -108,6 +108,9 @@ func streamSeeds(tb testing.TB) map[string][]byte {
 	}
 
 	dynamic := oneShot(text, 2)
+	// A header that announces a CRC of itself, and keeps the promise.
+	hcrc := []byte{gzipID1, gzipID2, gzipCM, 1<<1 | 1<<3 /* FHCRC, FNAME */, 0, 0, 0, 0, 0, gzipOSUnix, 'n', 0}
+	hcrc = binary.LittleEndian.AppendUint16(hcrc, uint16(checksum.CRC32(hcrc)))
 	badCRC := bytes.Clone(dynamic)
 	badCRC[len(badCRC)-gzipTrailLen] ^= 0x40
 	return map[string][]byte{
@@ -123,6 +126,7 @@ func streamSeeds(tb testing.TB) map[string][]byte {
 		"trailing-byte":      append(bytes.Clone(dynamic), 0),
 		"second-member":      append(bytes.Clone(dynamic), dynamic...),
 		"gap-before-trailer": slices.Insert(bytes.Clone(dynamic), len(dynamic)-gzipTrailLen, 0),
+		"good-header-crc":    append(hcrc, dynamic[gzipHdrLen:]...),
 		"bad-header-crc":     append([]byte{gzipID1, gzipID2, gzipCM, 1 << 1 /* FHCRC */, 0, 0, 0, 0, 0, 3, 0xff, 0xff}, dynamic[gzipHdrLen:]...),
 		"no-dist-codes":      literalsOnly(0), // legal: "aaa"
 		"one-dist-code":      literalsOnly(1),
@@ -200,7 +204,7 @@ func checkStreamReader(data []byte) error {
 // them decode, so that a seed that stops exercising its case is noticed.
 func TestStreamSeedsAgree(t *testing.T) {
 	decodes := map[string]bool{"stored": true, "fixed": true, "dynamic": true, "empty": true,
-		"writer-segments": true, "fextra-fname": true, "no-dist-codes": true, "one-dist-code": true}
+		"writer-segments": true, "fextra-fname": true, "good-header-crc": true, "no-dist-codes": true, "one-dist-code": true}
 	for name, data := range streamSeeds(t) {
 		if err := checkStreamReader(data); err != nil {
 			t.Errorf("%s: %v", name, err)

@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"hash/fnv"
-	"math/rand"
 	"net"
 	"runtime"
 	"strings"
@@ -35,6 +34,7 @@ import (
 	"repro/internal/proxy"
 	"repro/internal/proxy/faultconn"
 	"repro/internal/selective"
+	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/workload"
 )
@@ -272,6 +272,19 @@ type Report struct {
 	// informational and excluded from the canonical trace.
 	Elapsed    time.Duration
 	Violations []string
+	// first[i] is where client i's records start in Records, with one
+	// closing entry: addClient keeps it as it concatenates.
+	first []int
+}
+
+// addClient appends the next client's records and spans to the report.
+func (r *Report) addClient(recs []FetchRecord, spans []obs.SpanData) {
+	if len(r.first) == 0 {
+		r.first = append(r.first, 0)
+	}
+	r.Records = append(r.Records, recs...)
+	r.Spans = append(r.Spans, spans)
+	r.first = append(r.first, len(r.Records))
 }
 
 // OK reports whether every oracle passed.
@@ -413,7 +426,7 @@ func Run(s Scenario) (*Report, error) {
 		running.Add(1)
 		clock.Go(func() {
 			defer running.Done()
-			sched := rand.New(rand.NewSource(mix(s.Seed, int64(1000+i))))
+			sched := sim.NewRand(mix(s.Seed, int64(1000+i)))
 			plan := faultconn.Plan{
 				Seed:         mix(s.Seed, int64(3000+i)),
 				FragmentProb: s.FaultRate,
@@ -429,7 +442,7 @@ func Run(s Scenario) (*Report, error) {
 			cli.MaxRetries = s.MaxRetries
 			cli.RetryBaseDelay = 10 * time.Millisecond
 			cli.RetryMaxDelay = 200 * time.Millisecond
-			cli.Rand = rand.New(rand.NewSource(mix(s.Seed, int64(2000+i))))
+			cli.Rand = sim.NewRand(mix(s.Seed, int64(2000+i)))
 			cli.Tracer = tracers[i]
 			cli.DeadlineClass = s.DeadlineClass
 			cli.EnergyBudgetJ = s.BudgetJ
@@ -474,7 +487,7 @@ func Run(s Scenario) (*Report, error) {
 		running.Add(1)
 		clock.Go(func() {
 			defer running.Done()
-			rng := rand.New(rand.NewSource(mix(s.Seed, 4000)))
+			rng := sim.NewRand(mix(s.Seed, 4000))
 			for k := 0; k < s.Churn; k++ {
 				clock.Sleep(time.Duration(20+rng.Intn(20)) * time.Millisecond)
 				f := corpus[rng.Intn(len(corpus))]
@@ -506,7 +519,8 @@ func Run(s Scenario) (*Report, error) {
 		}
 	}
 
-	r := &Report{Scenario: s, Elapsed: elapsed}
+	r := &Report{Scenario: s, Elapsed: elapsed,
+		Records: make([]FetchRecord, 0, s.Clients*s.FetchesPerClient)}
 	if s.Nodes == 0 {
 		r.Stats = servers[0].Stats()
 	} else {
@@ -517,8 +531,7 @@ func Run(s Scenario) (*Report, error) {
 		}
 	}
 	for i := 0; i < s.Clients; i++ {
-		r.Records = append(r.Records, records[i]...)
-		r.Spans = append(r.Spans, tracers[i].Snapshot())
+		r.addClient(records[i], tracers[i].Snapshot())
 	}
 	r.runOracles(corpus, goroutinesBefore)
 	if s.Nodes > 0 {

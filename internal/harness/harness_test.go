@@ -216,3 +216,41 @@ func TestCheckBounds(t *testing.T) {
 		t.Error("CheckBounds mutated Report.Violations")
 	}
 }
+
+// TestClientRecordsAliasesReport: the per-client oracles read a client's
+// records as its stretch of Report.Records — found without a scan and
+// handed out without a copy, so judging a fleet is linear in its size.
+func TestClientRecordsAliasesReport(t *testing.T) {
+	const clients, fetches = 3, 4
+	r := &Report{}
+	for ci := 0; ci < clients; ci++ {
+		recs := make([]FetchRecord, fetches)
+		for k := range recs {
+			recs[k] = FetchRecord{Client: ci, Index: k}
+		}
+		r.addClient(recs, nil)
+	}
+	r.addClient(nil, nil) // a client that never fetched
+	for ci := 0; ci < clients; ci++ {
+		got := r.clientRecords(ci)
+		if len(got) != fetches {
+			t.Fatalf("client %d: %d records, want %d", ci, len(got), fetches)
+		}
+		for k, rec := range got {
+			if rec.Client != ci || rec.Index != k {
+				t.Errorf("client %d record %d is c%02d f%03d", ci, k, rec.Client, rec.Index)
+			}
+		}
+		if &got[0] != &r.Records[ci*fetches] {
+			t.Errorf("client %d: records are a copy, not a stretch of Report.Records", ci)
+		}
+	}
+	if got := r.clientRecords(clients); len(got) != 0 {
+		t.Errorf("client without fetches: %d records", len(got))
+	}
+	var sink []FetchRecord
+	if n := testing.AllocsPerRun(100, func() { sink = r.clientRecords(1) }); n != 0 {
+		t.Errorf("clientRecords allocates %v times per call, want 0", n)
+	}
+	_ = sink
+}

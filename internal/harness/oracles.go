@@ -221,16 +221,10 @@ func (r *Report) checkGoroutines(before int) {
 	}
 }
 
-// clientRecords returns client ci's records (they are contiguous and in
-// fetch order within the client-major Records slice).
+// clientRecords returns client ci's records, in fetch order: its stretch
+// of the client-major Records slice itself, not a copy.
 func (r *Report) clientRecords(ci int) []FetchRecord {
-	out := make([]FetchRecord, 0, r.Scenario.FetchesPerClient)
-	for _, rec := range r.Records {
-		if rec.Client == ci {
-			out = append(out, rec)
-		}
-	}
-	return out
+	return r.Records[r.first[ci]:r.first[ci+1]]
 }
 
 // closeRel reports a ≈ b within energyTolerance (relative, with an

@@ -18,6 +18,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/sim"
 )
 
 // ErrInjectedReset is the error surfaced locally when the plan kills a
@@ -83,7 +85,7 @@ func (p Plan) Wrap(conn net.Conn, id int64) net.Conn {
 	// SplitMix64-style spread so nearby ids get uncorrelated streams.
 	seed := p.Seed + id*0x1E3779B97F4A7C15
 	seed ^= seed >> 30
-	return &faultConn{Conn: conn, plan: p, rng: rand.New(rand.NewSource(seed)), gone: make(chan struct{})}
+	return &faultConn{Conn: conn, plan: p, rng: sim.NewRand(seed), gone: make(chan struct{})}
 }
 
 // Wrapper returns a hook suitable for proxy.Config.WrapConn: each call

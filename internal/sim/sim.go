@@ -4,40 +4,28 @@
 // wall-clock speed — the substitution for the paper's physical testbed.
 package sim
 
-import (
-	"container/heap"
-	"time"
-)
+import "time"
 
-// Event is a scheduled callback.
+// Waker is what an event wakes when it needs no callback of its own: the
+// concurrent driver's parked goroutines (internal/simnet) schedule
+// themselves here without a closure per timer.
+type Waker interface{ Wake() }
+
+// event is a scheduled callback, or a Waker to wake; the queue holds them
+// by value.
 type event struct {
 	at  time.Duration
 	seq uint64
 	fn  func()
+	w   Waker
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before orders events by time, FIFO among simultaneous ones.
+func (e *event) before(o *event) bool {
+	if e.at != o.at {
+		return e.at < o.at
 	}
-	return h[i].seq < h[j].seq // FIFO among simultaneous events
-}
-
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-
-func (h *eventHeap) Push(x any) { *h = append(*h, x.(*event)) }
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+	return e.seq < o.seq
 }
 
 // Kernel owns the virtual clock and the pending-event queue. The zero value
@@ -45,7 +33,7 @@ func (h *eventHeap) Pop() any {
 // design: all model code runs inside event callbacks.
 type Kernel struct {
 	now time.Duration
-	pq  eventHeap
+	pq  []event // binary min-heap on (at, seq)
 	seq uint64
 }
 
@@ -61,11 +49,7 @@ func (k *Kernel) Now() time.Duration { return k.now }
 // kernel never moves time backwards). Events at equal times run in
 // scheduling order.
 func (k *Kernel) Schedule(delay time.Duration, fn func()) {
-	if delay < 0 {
-		delay = 0
-	}
-	k.seq++
-	heap.Push(&k.pq, &event{at: k.now + delay, seq: k.seq, fn: fn})
+	k.push(delay, event{fn: fn})
 }
 
 // At enqueues fn at absolute virtual time t (clamped to now).
@@ -73,12 +57,65 @@ func (k *Kernel) At(t time.Duration, fn func()) {
 	k.Schedule(t-k.now, fn)
 }
 
+// ScheduleWake enqueues a call of w.Wake after delay, ordered among
+// Schedule's events as if it had been one.
+func (k *Kernel) ScheduleWake(delay time.Duration, w Waker) {
+	k.push(delay, event{w: w})
+}
+
+func (k *Kernel) push(delay time.Duration, e event) {
+	if delay < 0 {
+		delay = 0
+	}
+	k.seq++
+	e.at, e.seq = k.now+delay, k.seq
+	k.pq = append(k.pq, e)
+	// Sift up.
+	i := len(k.pq) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.before(&k.pq[parent]) {
+			break
+		}
+		k.pq[i] = k.pq[parent]
+		i = parent
+	}
+	k.pq[i] = e
+}
+
+// pop removes the earliest event, which the caller has checked exists.
+func (k *Kernel) pop() event {
+	top := k.pq[0]
+	n := len(k.pq) - 1
+	e := k.pq[n]
+	k.pq[n] = event{} // drop the references the vacated slot holds
+	k.pq = k.pq[:n]
+	if n == 0 {
+		return top
+	}
+	// Sift the former last event down from the root.
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if child+1 < n && k.pq[child+1].before(&k.pq[child]) {
+			child++
+		}
+		if !k.pq[child].before(&e) {
+			break
+		}
+		k.pq[i] = k.pq[child]
+		i = child
+	}
+	k.pq[i] = e
+	return top
+}
+
 // Run executes events until the queue drains, returning the final time.
 func (k *Kernel) Run() time.Duration {
-	for len(k.pq) > 0 {
-		e := heap.Pop(&k.pq).(*event)
-		k.now = e.at
-		e.fn()
+	for k.Step() {
 	}
 	return k.now
 }
@@ -91,9 +128,13 @@ func (k *Kernel) Step() bool {
 	if len(k.pq) == 0 {
 		return false
 	}
-	e := heap.Pop(&k.pq).(*event)
+	e := k.pop()
 	k.now = e.at
-	e.fn()
+	if e.w != nil {
+		e.w.Wake()
+	} else {
+		e.fn()
+	}
 	return true
 }
 

@@ -108,3 +108,77 @@ func TestQuickRandomSchedulesOrdered(t *testing.T) {
 		}
 	}
 }
+
+// wakeLog is a Waker that records that it fired.
+type wakeLog struct {
+	id    int
+	fired *[]int
+}
+
+func (w *wakeLog) Wake() { *w.fired = append(*w.fired, w.id) }
+
+// TestWakersShareTheEventOrder: callbacks and wakers are one queue — time
+// order, scheduling order among equal times — whichever kind an event is
+// and however pushes and pops interleave. The model is a stable sort of
+// what was scheduled.
+func TestWakersShareTheEventOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	for trial := 0; trial < 50; trial++ {
+		k := NewKernel()
+		type due struct {
+			at time.Duration
+			id int
+		}
+		var fired []int
+		var model []due
+		schedule := func(id int) {
+			d := time.Duration(rng.Intn(8)) * time.Millisecond // few values: many ties
+			model = append(model, due{k.Now() + d, id})
+			if rng.Intn(2) == 0 {
+				k.Schedule(d, func() { fired = append(fired, id) })
+			} else {
+				k.ScheduleWake(d, &wakeLog{id, &fired})
+			}
+		}
+		id := 0
+		for round := 0; round < 40; round++ {
+			for n := rng.Intn(6); n > 0; n-- {
+				schedule(id)
+				id++
+			}
+			for n := rng.Intn(4); n > 0 && k.Step(); n-- {
+			}
+		}
+		k.Run()
+		// Nothing is scheduled before now, so whatever a Step already ran
+		// sorts ahead of everything scheduled after it: the firing order is
+		// one stable sort by time, ids being in scheduling order.
+		sort.SliceStable(model, func(a, b int) bool { return model[a].at < model[b].at })
+		if len(fired) != len(model) {
+			t.Fatalf("trial %d: %d events fired, %d scheduled", trial, len(fired), len(model))
+		}
+		for i := range model {
+			if fired[i] != model[i].id {
+				t.Fatalf("trial %d: event %d to fire was %d, model says %d", trial, i, fired[i], model[i].id)
+			}
+		}
+	}
+}
+
+// A waker event costs the queue's amortized growth and nothing else.
+func TestScheduleWakeAllocs(t *testing.T) {
+	k := NewKernel()
+	var fired []int
+	w := &wakeLog{fired: &fired}
+	fired = make([]int, 0, 4096)
+	n := testing.AllocsPerRun(1000, func() {
+		k.ScheduleWake(time.Millisecond, w)
+		k.ScheduleWake(time.Microsecond, w)
+		k.Step()
+		k.Step()
+		fired = fired[:0]
+	})
+	if n != 0 {
+		t.Errorf("two waker events scheduled and run: %v allocations, want 0", n)
+	}
+}

@@ -63,20 +63,29 @@ func NewClock() *Clock {
 	return &Clock{kern: sim.NewKernel(), epoch: time.Now()}
 }
 
-// waiter is one parked goroutine. woken and err are guarded by the clock
-// lock; wakeLocked transfers a busy token to the waiter as it wakes it.
-// Each waiter sleeps on its own condition variable (lazily created when it
-// actually has to wait), so waking one costs one Signal instead of a
-// broadcast to every parked goroutine — the difference between O(1) and
-// O(clients) per event on a 10,000-client soak.
+// waiter is one park of one goroutine, made fresh for it. woken and err
+// are guarded by the clock lock; wakeLocked transfers a busy token to the
+// waiter as it wakes it. Each waiter sleeps on its own condition variable
+// (armed only when it actually has to wait), so waking one costs one
+// Signal instead of a broadcast to every parked goroutine — the difference
+// between O(1) and O(clients) per event on a 10,000-client soak.
+//
+// A waiter is also the kernel event that wakes it (sim.Waker): a timeout
+// is the waiter itself in the event queue, with no closure around it. Such
+// an event needs no cancelling — a park returns only once its waiter is
+// woken, waking a woken waiter is a no-op, and no waiter is parked on
+// twice — so one that outlives its park fires into nothing. It still takes
+// its turn in the queue: the clock visits its time, as every trace expects.
 type waiter struct {
+	c     *Clock
 	woken bool
 	err   error
-	cond  *sync.Cond
+	cond  sync.Cond // L is set once a goroutine waits on it
 }
 
-// timer is a cancellable scheduled callback.
-type timer struct{ stopped bool }
+// Wake is the waiter's timeout firing, under the clock lock like every
+// kernel event.
+func (w *waiter) Wake() { w.c.wakeLocked(w, nil) }
 
 // Now returns the current virtual time as a wall-anchored time.Time.
 func (c *Clock) Now() time.Time {
@@ -101,8 +110,8 @@ func (c *Clock) Sleep(d time.Duration) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	w := &waiter{}
-	c.scheduleLocked(d, func() { c.wakeLocked(w, nil) })
+	w := &waiter{c: c}
+	c.kern.ScheduleWake(d, w)
 	c.parkLocked(w)
 }
 
@@ -175,7 +184,7 @@ func (c *Clock) parkLocked(w *waiter) {
 	// pending, exactly one goroutine is inside this loop stepping them.
 	c.kickLocked()
 	if !w.woken {
-		w.cond = sync.NewCond(&c.mu)
+		w.cond.L = &c.mu
 		for !w.woken {
 			// Another ledger goroutine is runnable (it will advance time
 			// when it parks or exits) or the system is fully idle (an
@@ -198,19 +207,7 @@ func (c *Clock) wakeLocked(w *waiter, err error) {
 	w.woken = true
 	w.err = err
 	c.busy++
-	if w.cond != nil {
+	if w.cond.L != nil {
 		w.cond.Signal()
 	}
-}
-
-// scheduleLocked enqueues fn after d of virtual time and returns a handle
-// that cancels it (the callback checks the flag under the clock lock).
-func (c *Clock) scheduleLocked(d time.Duration, fn func()) *timer {
-	t := &timer{}
-	c.kern.Schedule(d, func() {
-		if !t.stopped {
-			fn()
-		}
-	})
-	return t
 }

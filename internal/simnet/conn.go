@@ -99,20 +99,16 @@ func (e *endpoint) Read(b []byte) (int, error) {
 		if e.expiredLocked(e.rdl) {
 			return 0, os.ErrDeadlineExceeded
 		}
-		w := &waiter{}
+		w := &waiter{c: c}
 		e.rwait = w
-		var tm *timer
 		if !e.rdl.IsZero() {
 			// Wake at the deadline and re-evaluate: the loop re-derives
 			// the timeout, which also handles a deadline that was extended
 			// while we were parked.
-			tm = c.scheduleLocked(e.untilLocked(e.rdl), func() { c.wakeLocked(w, nil) })
+			c.kern.ScheduleWake(e.untilLocked(e.rdl), w)
 		}
 		c.parkLocked(w)
 		e.rwait = nil
-		if tm != nil {
-			tm.stopped = true
-		}
 		if w.err != nil {
 			return 0, w.err
 		}
@@ -170,7 +166,7 @@ func (e *endpoint) Write(b []byte) (int, error) {
 	}
 	data := append([]byte(nil), b...)
 	pe := e.peer
-	c.scheduleLocked(arrival-now, func() {
+	c.kern.Schedule(arrival-now, func() {
 		if pe.closed {
 			return // delivered into a closed socket: dropped
 		}
@@ -201,12 +197,11 @@ func (e *endpoint) Write(b []byte) (int, error) {
 				wakeAt = dl
 			}
 		}
-		w := &waiter{}
+		w := &waiter{c: c}
 		e.wwait = w
-		tm := c.scheduleLocked(wakeAt-now, func() { c.wakeLocked(w, nil) })
+		c.kern.ScheduleWake(wakeAt-now, w)
 		c.parkLocked(w)
 		e.wwait = nil
-		tm.stopped = true
 		if w.err != nil {
 			return 0, w.err
 		}
@@ -237,7 +232,7 @@ func (e *endpoint) Close() error {
 		at = rem
 	}
 	pe := e.peer
-	c.scheduleLocked(at, func() {
+	c.kern.Schedule(at, func() {
 		if pe.closed {
 			return
 		}

@@ -2,8 +2,10 @@ package simnet
 
 import (
 	"fmt"
-	"math/rand"
 	"net"
+	"strconv"
+
+	"repro/internal/sim"
 )
 
 // Network is a set of named virtual listeners sharing one Clock. It is
@@ -95,7 +97,7 @@ func (l *Listener) Accept() (net.Conn, error) {
 			c.busy++
 			return ep, nil
 		}
-		w := &waiter{}
+		w := &waiter{c: c}
 		l.waiters = append(l.waiters, w)
 		c.parkLocked(w)
 		for i, o := range l.waiters {
@@ -157,18 +159,17 @@ func (nw *Network) DialLink(name string, link Link) (net.Conn, error) {
 			Err: fmt.Errorf("connection refused (no listener %q)", name)}
 	}
 	nw.connSeq++
-	id := nw.connSeq
-	caddr := simAddr(fmt.Sprintf("sim-peer-%d", id))
+	caddr := simAddr("sim-peer-" + strconv.Itoa(nw.connSeq))
 	cep := &endpoint{c: c, nw: nw, link: link, local: caddr, remote: simAddr(name),
-		rng: rand.New(rand.NewSource(dirSeed(link.Seed, 1)))}
+		rng: sim.NewRand(dirSeed(link.Seed, 1))}
 	sep := &endpoint{c: c, nw: nw, link: link, local: simAddr(name), remote: caddr,
-		rng: rand.New(rand.NewSource(dirSeed(link.Seed, 2))), line: l.line}
+		rng: sim.NewRand(dirSeed(link.Seed, 2)), line: l.line}
 	cep.peer, sep.peer = sep, cep
 
-	w := &waiter{}
+	w := &waiter{c: c}
 	// The connection request reaches the listener after one one-way
 	// latency; the handshake completes at the dialer one round trip out.
-	c.scheduleLocked(link.Latency, func() {
+	c.kern.Schedule(link.Latency, func() {
 		if l.closed {
 			c.wakeLocked(w, &net.OpError{Op: "dial", Net: "sim", Addr: simAddr(name),
 				Err: fmt.Errorf("connection refused (listener closed)")})
@@ -186,7 +187,7 @@ func (nw *Network) DialLink(name string, link Link) (net.Conn, error) {
 			c.busy++
 		}
 	})
-	c.scheduleLocked(2*link.Latency, func() { c.wakeLocked(w, nil) })
+	c.kern.ScheduleWake(2*link.Latency, w)
 	c.parkLocked(w)
 	if w.err != nil {
 		return nil, w.err

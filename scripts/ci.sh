@@ -125,6 +125,12 @@ fuzz ./internal/huffman FuzzHuffmanNewDecoder
 # Compress, through the fused move-to-front pass and the word-storing bit
 # writer, to the retired passes' stream.
 fuzz ./internal/bwt FuzzBWTTransform
+# The two pieces of the standard library the testbed and the dataplane lean
+# on for their numbers: the O(1)-seeded generator held to math/rand's own,
+# draw for draw, and hash/crc32 held to the from-scratch CRC-32 kept in the
+# test file, across split points and unaligned tails.
+fuzz ./internal/sim FuzzSeededRand
+fuzz ./internal/checksum FuzzCRC32MatchesReference
 
 # Deterministic soak gate: seeded multi-client scenarios on the virtual
 # testbed (internal/harness) with every invariant oracle armed — byte-exact
@@ -187,6 +193,7 @@ for spec in testdata/scenarios/*.scn; do
 	"$GATE_DIR/energysim" soak -scenario "$spec" -seed "$RANDOM_SEED"
 done
 "$GATE_DIR/loadgen" -spec testdata/scenarios/loadgen/fleet-10k.scn -seed "$RANDOM_SEED"
+echo "loadgen fleet-10k: the wall time on its first line read 3.1 s at PR 23, before the testbed's generators were seeded in O(1) (logged, not gated: a wall-clock gate on a shared box is a flake)"
 
 # Cluster replay gate: the 3-node consistent-hash ring scenario must replay
 # byte-identically at two pinned seeds (run twice, traces compared — on
@@ -252,6 +259,11 @@ named ./internal/flate 'TestDeflateSteadyStateAllocs|TestStreamingWriterSteadyAl
 # nothing that scales with the block or a codec's tables, and a warm LZW or
 # BWT encode allocates its output and a fixed few KiB.
 named ./internal/codec 'TestDecompressIntoSteadyStateAllocs|TestCompressSteadyStateAllocs' -count=1
+# The testbed's own costs: a generator and four draws stay within three
+# allocations and 160 bytes, a timeout in the event queue costs none, and
+# an oracle reads a client's records where they lie.
+named ./internal/sim 'TestSeededRandAllocs|TestScheduleWakeAllocs' -count=1
+named ./internal/harness 'TestClientRecordsAliasesReport' -count=1
 
 # Parallel-compression determinism gate: the selective encoder must emit
 # byte-identical output for every worker count (1 vs N), so cached artifacts
