@@ -231,6 +231,11 @@ func TestEndFrameCorruptionPreservesResume(t *testing.T) {
 // time, so these tests are immune to host-scheduler stalls that used to
 // make the real-time versions flaky.
 func busyServerFixture(t *testing.T) (*simnet.Clock, *simnet.Network, *Server, *Client) {
+	return busyServerFixtureWrapped(t, nil)
+}
+
+// busyServerFixtureWrapped is busyServerFixture with Config.WrapConn set.
+func busyServerFixtureWrapped(t *testing.T, wrap func(net.Conn) net.Conn) (*simnet.Clock, *simnet.Network, *Server, *Client) {
 	t.Helper()
 	clock := simnet.NewClock()
 	nw := simnet.NewNetwork(clock, simnet.Link{BytesPerSec: 1e6, Latency: time.Millisecond})
@@ -238,7 +243,7 @@ func busyServerFixture(t *testing.T) (*simnet.Clock, *simnet.Network, *Server, *
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServerWith(nil, Config{MaxConns: 1, Clock: clock})
+	srv := NewServerWith(nil, Config{MaxConns: 1, Clock: clock, WrapConn: wrap})
 	srv.Serve(ln)
 	t.Cleanup(func() { srv.Close() })
 
@@ -300,6 +305,35 @@ func TestFetchRetriesBusy(t *testing.T) {
 	if stats.Attempts < 2 {
 		t.Errorf("attempts = %d, want ≥ 2 (first should hit ErrBusy)", stats.Attempts)
 	}
+}
+
+// stallAfterClose is a connection whose Close returns late in host time:
+// a handler goroutine the host stops running right after it has closed its
+// connection, which on the virtual testbed is the moment the clock lets go
+// of it.
+type stallAfterClose struct{ net.Conn }
+
+func (c stallAfterClose) Close() error {
+	err := c.Conn.Close()
+	time.Sleep(20 * time.Millisecond)
+	return err
+}
+
+// TestBusySlotFreedWhileTheClockHoldsTheHandler: a handler gives its
+// connection slot back before it closes the connection. Once it has closed
+// it the virtual clock no longer waits for it, and a client can retry —
+// and be refused — as many times as fit into however long the host leaves
+// the handler unscheduled; the other order failed TestFetchRetriesBusy once
+// in some thousands of runs, and fails here every time.
+func TestBusySlotFreedWhileTheClockHoldsTheHandler(t *testing.T) {
+	clock, nw, srv, cli := busyServerFixtureWrapped(t, func(c net.Conn) net.Conn { return stallAfterClose{c} })
+	srv.Register("f", []byte("x"))
+	clock.Run(func() {
+		hogSlot(t, clock, nw)
+		if _, err := cli.List(); err != nil {
+			t.Errorf("list through busy server: %v", err)
+		}
+	})
 }
 
 // TestListRetriesBusy: List honors the same retry contract, also in

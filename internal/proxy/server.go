@@ -494,8 +494,12 @@ func (s *Server) acceptLoop() {
 				s.metrics.connsActive.Add(-1)
 				s.metrics.observeLatency(s.clock.Now().Sub(start))
 				s.trackConn(conn, false)
-				conn.Close()
+				// The slot first: on the virtual testbed closing the
+				// connection hands back the clock's hold on this goroutine,
+				// and a client could be refused any number of times before
+				// the host ran the line after it.
 				<-s.connSem
+				conn.Close()
 				s.wg.Done()
 			}()
 			// One request per connection, as the paper's one-shot
