@@ -10,30 +10,26 @@
 // The experiment ids are the rows of internal/experiment's table; run
 // energysim with no argument (or -h) to list them.
 //
-// The soak subcommand replays a deterministic multi-client scenario on the
-// virtual testbed (internal/harness) and checks every invariant oracle:
+// The soak subcommand runs one declarative scenario spec
+// (internal/scenario: fleet size, link schedule, workload corpus and
+// expected-outcome bounds) on the virtual testbed (internal/harness) and
+// checks every invariant oracle and bound. It prints a digest line and
+// the fleet report — latency percentiles, the radio/cpu/idle energy
+// split, per-node cluster lines and per-scheme throughput — or, with
+// -trace, the canonical trace alone:
 //
-//	energysim soak -seed 42
-//	energysim soak -seed 42 -clients 4 -fetches 10 -fault 0.02 -trace
+//	energysim soak -scenario testdata/scenarios/default.scn -seed 42
 //	energysim soak -scenario testdata/scenarios/rate-cliff.scn -seed 1 -trace
+//	energysim soak -scenario testdata/scenarios/loadgen/fleet-10k.scn -nodes 3
 //
-// With -scenario the soak shape comes from a declarative spec file
-// (internal/scenario) — fleet size, link schedule, workload corpus and
-// expected-outcome bounds — and the ad-hoc shape flags are ignored.
 // The same seed always produces a byte-identical trace, so any soak
 // failure CI reports can be replayed locally from its printed seed.
-// With -events FILE the soak also writes its canonical wide-event stream
-// as JSONL (same determinism guarantee), and -calib prints the post-run
-// calibration report: energy-model coefficients re-fitted from that
-// telemetry against the paper's Table 1.
-//
-// -decider selects the selective-mode policy (static Eq. 6 or the
-// queue-aware dynamic decider), -deadline and -budget declare the
-// fleet's request attributes, and -differential runs the paired
+// -events FILE also writes the canonical wide-event stream as JSONL (same
+// determinism guarantee). -nodes and -decider override the spec's ring
+// size and selective-mode policy; -differential runs the paired
 // static-vs-dynamic oracle instead of a single run:
 //
-//	energysim soak -seed 1 -decider dynamic -deadline standard -budget 50
-//	energysim soak -seed 1 -differential
+//	energysim soak -scenario testdata/scenarios/decider-dynamic.scn -differential
 //
 // The calib subcommand fits a previously exported event stream:
 //
@@ -42,16 +38,15 @@
 package main
 
 import (
-	"crypto/sha256"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"strings"
+	"time"
 
 	"repro/internal/calib"
-	"repro/internal/decider"
 	"repro/internal/experiment"
 	"repro/internal/harness"
 	"repro/internal/obs/agg"
@@ -68,10 +63,10 @@ func main() {
 
 func run(argv []string, stdout, stderr io.Writer) error {
 	if len(argv) > 0 && argv[0] == "soak" {
-		return runSoak(argv[1:])
+		return runSoak(argv[1:], stdout, stderr)
 	}
 	if len(argv) > 0 && argv[0] == "calib" {
-		return runCalib(argv[1:])
+		return runCalib(argv[1:], stdout, stderr)
 	}
 	fs := flag.NewFlagSet("energysim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -130,90 +125,66 @@ func idList() string {
 	return b.String()
 }
 
-// runSoak runs one seeded soak scenario on the virtual testbed, prints
-// either the full canonical trace or a digest summary, and fails (exit 1)
-// if any invariant oracle or scenario bound is violated — the error
-// names the first violation so CI logs lead with the actual failure,
-// not just a count.
-func runSoak(argv []string) error {
+// runSoak runs one scenario spec on the virtual testbed and prints either
+// its canonical trace or a digest line and the fleet report, and fails if
+// any invariant oracle or expect bound is violated — the error names the
+// first violation and the replay command, so CI logs lead with the actual
+// failure. -nodes and -decider rewrite the spec before it is validated.
+func runSoak(argv []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("soak", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
+		specPath = fs.String("scenario", "", "scenario spec file to run (required)")
 		seed     = fs.Int64("seed", 1, "scenario seed; same seed => byte-identical trace")
-		specPath = fs.String("scenario", "", "declarative scenario spec file; overrides the shape flags")
-		clients  = fs.Int("clients", 10, "concurrent clients")
-		fetches  = fs.Int("fetches", 50, "fetches per client")
-		fault    = fs.Float64("fault", 0.01, "per-operation fault probability (fragment/reset/truncate/bit-flip)")
-		churn    = fs.Int("churn", 100, "cache-churn re-registrations over the run (0 = off)")
-		trace    = fs.Bool("trace", false, "print the full canonical trace instead of the digest")
+		trace    = fs.Bool("trace", false, "print the canonical trace instead of the digest and fleet report")
 		events   = fs.String("events", "", "write the canonical wide-event stream as JSONL to this file")
-		calibOut = fs.Bool("calib", false, "print the post-run calibration report (model re-fit from telemetry)")
-		deciderP = fs.String("decider", "", "selective-mode decision policy: static (default, Eq. 6) or dynamic")
-		deadline = fs.String("deadline", "", "fleet deadline class: none, relaxed, standard or strict")
-		budget   = fs.Float64("budget", 0, "per-client advisory energy budget in joules (0 = undeclared)")
 		diff     = fs.Bool("differential", false, "run the paired static-vs-dynamic differential oracle instead of a single run")
+		nodes    = fs.Int("nodes", 0, "override the spec's cluster node count (1 forces a single node)")
+		deciderP = fs.String("decider", "", "override the spec's selective-mode policy: static or dynamic")
 	)
 	if err := fs.Parse(argv); err != nil {
 		return err
 	}
-	if *deciderP != "" && *deciderP != "static" && *deciderP != "dynamic" {
-		return fmt.Errorf("soak: -decider %q: want static or dynamic", *deciderP)
+	if *specPath == "" {
+		return fmt.Errorf("soak: -scenario FILE is required")
 	}
-	class, ok := decider.ParseClass(*deadline)
-	if !ok {
-		return fmt.Errorf("soak: -deadline %q: want none, relaxed, standard or strict", *deadline)
+	if *diff && *deciderP != "" {
+		return fmt.Errorf("soak: -differential runs both deciders; drop -decider")
 	}
-
-	if *diff {
-		return runDifferential(*specPath, *seed, *clients, *fetches, *fault, *churn, uint8(class), *budget)
-	}
-
-	var (
-		r      *harness.Report
-		err    error
-		replay string
-	)
-	if *specPath != "" {
-		spec, serr := scenario.Load(*specPath)
-		if serr != nil {
-			return serr
-		}
-		r, err = spec.Run(*seed)
-		replay = fmt.Sprintf("energysim soak -scenario %s -seed %d -trace", *specPath, *seed)
-	} else {
-		sc := harness.Default(*seed)
-		sc.Clients = *clients
-		sc.FetchesPerClient = *fetches
-		sc.FaultRate = *fault
-		sc.Churn = *churn
-		sc.Decider = *deciderP
-		sc.DeadlineClass = uint8(class)
-		sc.BudgetJ = *budget
-		r, err = harness.Run(sc)
-		replay = fmt.Sprintf("energysim soak -seed %d -clients %d -fetches %d -fault %g -churn %d -trace",
-			*seed, *clients, *fetches, *fault, *churn)
-		if *deciderP != "" || *deadline != "" || *budget != 0 {
-			replay += fmt.Sprintf(" -decider %s -deadline %s -budget %g", *deciderP, *deadline, *budget)
-		}
-	}
+	spec, err := scenario.Load(*specPath)
 	if err != nil {
 		return err
 	}
-	tr := r.Trace()
+	replay := fmt.Sprintf("energysim soak -scenario %s -seed %d -trace", *specPath, *seed)
+	if *nodes != 0 {
+		spec.Cluster.Nodes = *nodes
+		// A smaller ring can't hold the spec's replication factor; clamp it
+		// so `-nodes 1` (the single-node baseline of a scaling comparison)
+		// works against any cluster spec.
+		spec.Cluster.Replicas = min(spec.Cluster.Replicas, *nodes-1)
+		replay += fmt.Sprintf(" -nodes %d", *nodes)
+	}
+	if *deciderP != "" {
+		spec.Decider = *deciderP
+		replay += " -decider " + *deciderP
+	}
+	if err := spec.Validate(); err != nil {
+		return fmt.Errorf("soak: %w", err)
+	}
+	if *diff {
+		return runDifferential(spec.Compile(*seed), stdout, stderr)
+	}
+
+	start := time.Now()
+	r, err := spec.Run(*seed)
+	if err != nil {
+		return err
+	}
+	wall := time.Since(start)
 	if *trace {
-		fmt.Print(tr)
+		fmt.Fprint(stdout, r.Trace())
 	} else {
-		ok, retried := 0, 0
-		for _, rec := range r.Records {
-			if rec.Err == "" {
-				ok++
-			}
-			if rec.Stats.Attempts > 1 {
-				retried++
-			}
-		}
-		sum := sha256.Sum256([]byte(tr))
-		fmt.Printf("soak seed=%d: %d fetches (%d ok, %d retried) in %s virtual; trace sha256=%x\n",
-			*seed, len(r.Records), ok, retried, r.Elapsed, sum[:8])
+		report(stdout, r, wall)
 	}
 	if *events != "" {
 		f, ferr := os.Create(*events)
@@ -228,15 +199,8 @@ func runSoak(argv []string) error {
 			return fmt.Errorf("soak seed=%d: writing events: %w", *seed, werr)
 		}
 	}
-	if *calibOut {
-		fits, cerr := calib.Calibrate(r.Events())
-		if cerr != nil {
-			return fmt.Errorf("soak seed=%d: %w", *seed, cerr)
-		}
-		fmt.Print(calib.Render(fits))
-	}
 	for _, v := range r.Violations {
-		fmt.Fprintln(os.Stderr, "oracle violation:", v)
+		fmt.Fprintln(stderr, "oracle violation:", v)
 	}
 	if len(r.Violations) > 0 {
 		return fmt.Errorf("soak seed=%d: %d oracle violations; first: %s (replay: %s)",
@@ -247,25 +211,10 @@ func runSoak(argv []string) error {
 
 // runDifferential executes the paired static-vs-dynamic differential
 // oracle (internal/harness.RunPaired): the same seeded scenario runs
-// under both deciders, payloads must stay byte-exact, and the dynamic
-// policy's modeled corpus energy must never exceed the static policy's.
-func runDifferential(specPath string, seed int64, clients, fetches int, fault float64, churn int, class uint8, budget float64) error {
-	var sc harness.Scenario
-	if specPath != "" {
-		spec, err := scenario.Load(specPath)
-		if err != nil {
-			return err
-		}
-		sc = spec.Compile(seed)
-	} else {
-		sc = harness.Default(seed)
-		sc.Clients = clients
-		sc.FetchesPerClient = fetches
-		sc.FaultRate = fault
-		sc.Churn = churn
-		sc.DeadlineClass = class
-		sc.BudgetJ = budget
-	}
+// under both deciders, each held to the scenario's bounds, payloads must
+// stay byte-exact, and the dynamic policy's modeled corpus energy must
+// never exceed the static policy's.
+func runDifferential(sc harness.Scenario, stdout, stderr io.Writer) error {
 	d, err := harness.RunPaired(sc)
 	if err != nil {
 		return err
@@ -274,13 +223,13 @@ func runDifferential(specPath string, seed int64, clients, fetches int, fault fl
 	if d.StaticJ > 0 {
 		saved = 100 * (1 - d.DynamicJ/d.StaticJ)
 	}
-	fmt.Printf("differential seed=%d: corpus model energy static %.4g J, dynamic %.4g J (%.2f%% saved)\n",
-		seed, d.StaticJ, d.DynamicJ, saved)
+	fmt.Fprintf(stdout, "differential seed=%d: corpus model energy static %.4g J, dynamic %.4g J (%.2f%% saved)\n",
+		sc.Seed, d.StaticJ, d.DynamicJ, saved)
 	for _, v := range d.Violations {
-		fmt.Fprintln(os.Stderr, "differential violation:", v)
+		fmt.Fprintln(stderr, "differential violation:", v)
 	}
 	if !d.OK() {
-		return fmt.Errorf("differential seed=%d: %d violations; first: %s", seed, len(d.Violations), d.Violations[0])
+		return fmt.Errorf("differential seed=%d: %d violations; first: %s", sc.Seed, len(d.Violations), d.Violations[0])
 	}
 	return nil
 }
@@ -288,8 +237,9 @@ func runDifferential(specPath string, seed int64, clients, fetches int, fault fl
 // runCalib re-fits the energy model from a previously exported event
 // stream and prints the calibration report; with -window it also prints
 // the windowed (scheme, device) rollup table over virtual time.
-func runCalib(argv []string) error {
+func runCalib(argv []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("calib", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
 		eventsPath = fs.String("events", "", "JSONL wide-event stream to calibrate (required)")
 		window     = fs.Duration("window", 0, "also print windowed rollups at this width (virtual time)")
@@ -314,13 +264,13 @@ func runCalib(argv []string) error {
 		for _, e := range evs {
 			a.Observe(e)
 		}
-		fmt.Print(agg.Render(a.Snapshot()))
-		fmt.Println()
+		fmt.Fprint(stdout, agg.Render(a.Snapshot()))
+		fmt.Fprintln(stdout)
 	}
 	fits, err := calib.Calibrate(evs)
 	if err != nil {
 		return err
 	}
-	fmt.Print(calib.Render(fits))
+	fmt.Fprint(stdout, calib.Render(fits))
 	return nil
 }

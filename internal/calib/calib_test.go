@@ -20,11 +20,7 @@ import (
 // they match to float precision) with R² ≥ 0.999 — any drift anywhere in
 // the span/charge/export/decode path breaks this.
 func TestCalibrationRecoversTable1(t *testing.T) {
-	sc := harness.Default(1)
-	sc.Clients = 4
-	sc.FetchesPerClient = 10
-	sc.FaultRate = 0
-	sc.Churn = 0
+	sc := harness.Scenario{Seed: 1, Clients: 4, FetchesPerClient: 10}
 	r, err := harness.Run(sc)
 	if err != nil {
 		t.Fatal(err)

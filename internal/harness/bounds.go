@@ -6,9 +6,9 @@ import (
 )
 
 // Bounds are the expected-outcome oracles a declarative scenario spec
-// pins alongside the structural invariants runOracles always checks: how
-// well the run must have gone, not just that the ledgers reconcile. The
-// zero value of every field disables that check.
+// pins (its expect lines) alongside the structural invariants runOracles
+// always checks: how well the run must have gone, not just that the
+// ledgers reconcile. The zero value of every field disables that check.
 type Bounds struct {
 	// MinOKFrac is the minimum fraction of fetches that must succeed.
 	MinOKFrac float64
@@ -22,18 +22,13 @@ type Bounds struct {
 	MaxJoulesPerMB float64
 }
 
-// zero reports whether no bound is set.
-func (b Bounds) zero() bool {
-	return b == Bounds{}
-}
-
-// CheckBounds evaluates b against the finished run and returns one
+// checkBounds evaluates b against the finished run and returns one
 // violation string per breached bound, in the same "oracle: detail"
-// shape runOracles uses. It does not mutate the report; callers append
-// the result to Violations when bounds are part of the scenario's gate.
-func (r *Report) CheckBounds(b Bounds) []string {
+// shape runOracles uses. It does not mutate the report; Run appends the
+// result to Violations.
+func (r *Report) checkBounds(b Bounds) []string {
 	var out []string
-	if b.zero() {
+	if b == (Bounds{}) {
 		return out
 	}
 	ok := 0
@@ -74,7 +69,7 @@ func (r *Report) CheckBounds(b Bounds) []string {
 // EnergyDelivered sums the fleet's modeled joules over every finished
 // fetch span and the raw megabytes successfully delivered — the two
 // numbers behind the joules-per-MB figure the paper optimizes and the
-// load generator reports.
+// soak's fleet report prints.
 func (r *Report) EnergyDelivered() (joules, rawMB float64) {
 	for _, spans := range r.Spans {
 		for _, sd := range spans {

@@ -15,10 +15,7 @@ import (
 // the energysim binary.
 func TestEventStreamDeterministic(t *testing.T) {
 	run := func() []byte {
-		sc := Default(7)
-		sc.Clients = 3
-		sc.FetchesPerClient = 5
-		sc.FaultRate = 0.05
+		sc := Scenario{Seed: 7, Clients: 3, FetchesPerClient: 5, FaultRate: 0.05, Churn: 100}
 		r, err := Run(sc)
 		if err != nil {
 			t.Fatal(err)
@@ -40,11 +37,7 @@ func TestEventStreamDeterministic(t *testing.T) {
 // counts via the paper's Eq. 1 / Eq. 3 — the property the calibrator
 // depends on.
 func TestEventsShape(t *testing.T) {
-	sc := Default(3)
-	sc.Clients = 2
-	sc.FetchesPerClient = 6
-	sc.FaultRate = 0
-	sc.Churn = 0
+	sc := Scenario{Seed: 3, Clients: 2, FetchesPerClient: 6}
 	r, err := Run(sc)
 	if err != nil {
 		t.Fatal(err)

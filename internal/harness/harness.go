@@ -10,12 +10,12 @@
 // zero leaked goroutines.
 //
 // The same seed produces a byte-identical canonical trace (Report.Trace),
-// which is what the CI soak gate diffs and what `energysim soak -seed N`
-// replays. The trace deliberately excludes wall/virtual timestamps and
-// scheduling-dependent counters (cache hits, coalesced flights): those
-// vary with goroutine interleaving even though every client's wire
-// behavior — attempt counts, fault draws, resume offsets, byte counts —
-// is fully determined by the seed.
+// which is what the CI soak gate diffs and what `energysim soak -scenario
+// FILE -seed N -trace` replays. The trace deliberately excludes
+// wall/virtual timestamps and scheduling-dependent counters (cache hits,
+// coalesced flights): those vary with goroutine interleaving even though
+// every client's wire behavior — attempt counts, fault draws, resume
+// offsets, byte counts — is fully determined by the seed.
 package harness
 
 import (
@@ -40,9 +40,9 @@ import (
 )
 
 // Scenario is one seeded soak configuration. The zero value of any field
-// selects the default noted on it; Default() is the CI soak shape.
-// Scenarios are built two ways: literally in Go (the tests below) or
-// compiled from an on-disk declarative spec by internal/scenario.
+// selects the default noted on it. Scenarios are built two ways: literally
+// in Go (the tests) or compiled from an on-disk declarative spec by
+// internal/scenario — CI's soak shape is testdata/scenarios/default.scn.
 type Scenario struct {
 	// Name labels the scenario in the canonical trace header; empty reads
 	// as "default". Spec-driven scenarios carry their spec name so golden
@@ -113,6 +113,9 @@ type Scenario struct {
 	// jitter — fast enough that peer fetches beat recompression, slow
 	// enough that they are not free.
 	PeerLink simnet.Link
+	// Bounds are the expected outcomes Run holds the run to alongside the
+	// structural oracles (a spec's expect lines); the zero value checks none.
+	Bounds Bounds
 }
 
 // CorpusEntry is one generated workload file of a custom scenario corpus.
@@ -124,12 +127,6 @@ type CorpusEntry struct {
 	Class workload.Class
 	Ratio float64
 	Size  int
-}
-
-// Default is the CI soak shape: 10 clients × 50 fetches (500 total), all
-// four fault modes at 1%, cache churn on.
-func Default(seed int64) Scenario {
-	return Scenario{Seed: seed, FaultRate: 0.01, Churn: 100}
 }
 
 func (s Scenario) withDefaults() Scenario {
@@ -241,7 +238,7 @@ type FetchRecord struct {
 	CRC   uint32
 	Stats proxy.FetchStats
 	// Virtual is the fetch's duration on the virtual clock, backoff
-	// included — the latency the load generator aggregates into fleet
+	// included — the latency the soak's fleet report aggregates into
 	// percentiles. Like all timing it is excluded from the canonical
 	// trace.
 	Virtual time.Duration
@@ -537,5 +534,6 @@ func Run(s Scenario) (*Report, error) {
 	if s.Nodes > 0 {
 		r.checkClusterCompressions(compLog)
 	}
+	r.Violations = append(r.Violations, r.checkBounds(s.Bounds)...)
 	return r, nil
 }

@@ -51,7 +51,7 @@ func TestSoakDefaultScenario(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full soak")
 	}
-	sc := Default(11)
+	sc := Scenario{Seed: 11, FaultRate: 0.01, Churn: 100}
 	wallStart := time.Now()
 	r, err := Run(sc)
 	if err != nil {
@@ -196,11 +196,11 @@ func TestCheckBounds(t *testing.T) {
 	if len(r.Violations) != 0 {
 		t.Fatalf("clean run reported violations: %v", r.Violations)
 	}
-	if got := r.CheckBounds(Bounds{}); len(got) != 0 {
+	if got := r.checkBounds(Bounds{}); len(got) != 0 {
 		t.Errorf("zero bounds produced violations: %v", got)
 	}
 	ok := Bounds{MinOKFrac: 1.0, MaxVirtual: time.Hour, MaxAttempts: 1, MaxJoulesPerMB: 1e6}
-	if got := r.CheckBounds(ok); len(got) != 0 {
+	if got := r.checkBounds(ok); len(got) != 0 {
 		t.Errorf("satisfied bounds produced violations: %v", got)
 	}
 	joules, mb := r.EnergyDelivered()
@@ -208,12 +208,12 @@ func TestCheckBounds(t *testing.T) {
 		t.Fatalf("EnergyDelivered = %v J, %v MB", joules, mb)
 	}
 	tight := Bounds{MaxVirtual: time.Nanosecond, MaxAttempts: 0, MinOKFrac: 0, MaxJoulesPerMB: joules / mb / 2}
-	got := r.CheckBounds(tight)
+	got := r.checkBounds(tight)
 	if len(got) != 2 {
 		t.Fatalf("tight bounds produced %d violations, want 2: %v", len(got), got)
 	}
 	if len(r.Violations) != 0 {
-		t.Error("CheckBounds mutated Report.Violations")
+		t.Error("checkBounds mutated Report.Violations")
 	}
 }
 

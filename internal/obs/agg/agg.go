@@ -8,13 +8,14 @@
 // is itself deterministic.
 //
 // The package also owns the repository's quantile math: the exact
-// sample-based Percentile the load generator reports, and the
+// sample-based Percentile the soak's fleet report prints, and the
 // interpolated HistogramSnapshot.Quantile wrappers (P50/P99/P999) for
 // bucketed distributions.
 package agg
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -30,8 +31,7 @@ type Key struct {
 	Device string
 }
 
-// latencyBounds covers 1 ms .. ~2 min of per-fetch latency, doubling —
-// the same shape loadgen's fleet histogram uses.
+// latencyBounds covers 1 ms .. ~2 min of per-fetch latency, doubling.
 func latencyBounds() []float64 {
 	out := make([]float64, 0, 18)
 	for ms := 1.0; ms <= 131072; ms *= 2 {
@@ -215,14 +215,15 @@ func P50P99P999(h obs.HistogramSnapshot) (p50, p99, p999 float64) {
 	return h.Quantile(0.50), h.Quantile(0.99), h.Quantile(0.999)
 }
 
-// Percentile reads the q-quantile from an ascending sample slice — the
-// exact (non-interpolated) form fleet reports use for virtual latencies.
-// An empty slice returns 0.
+// Percentile reads the nearest-rank q-quantile from an ascending sample
+// slice — the smallest sample at or above a q fraction of them, index
+// ⌈q·n⌉−1 — the exact (non-interpolated) form fleet reports use for
+// virtual latencies. An empty slice returns 0.
 func Percentile(sorted []time.Duration, q float64) time.Duration {
 	if len(sorted) == 0 {
 		return 0
 	}
-	i := int(q*float64(len(sorted))) - 1
+	i := int(math.Ceil(q*float64(len(sorted)))) - 1
 	if i < 0 {
 		i = 0
 	}

@@ -88,13 +88,30 @@ func TestP50P99P999(t *testing.T) {
 	}
 }
 
-// TestPercentile pins the exact sample-quantile semantics loadgen reports
-// moved here: index int(q*n)-1 clamped into range, 0 on empty input.
+// TestPercentile pins nearest-rank: index ⌈q·n⌉−1 clamped into range, 0
+// on empty input. Where q·n is an integer that is the ⌊q·n⌋−1 the fleet
+// report used to read; where it is not, the sample one rank up — p99 of 4
+// samples or of 90 is the largest, not the one below it.
 func TestPercentile(t *testing.T) {
-	s := []time.Duration{10, 20, 30, 40}
-	for q, want := range map[float64]time.Duration{0: 10, 0.25: 10, 0.5: 20, 0.99: 30, 1: 40} {
-		if got := Percentile(s, q); got != want {
-			t.Errorf("Percentile(%g) = %d, want %d", q, got, want)
+	four := []time.Duration{10, 20, 30, 40}
+	ninety := make([]time.Duration, 90)
+	for i := range ninety {
+		ninety[i] = time.Duration(i + 1)
+	}
+	for _, c := range []struct {
+		s    []time.Duration
+		q    float64
+		want time.Duration
+	}{
+		// q·n an integer.
+		{four, 0, 10}, {four, 0.25, 10}, {four, 0.5, 20}, {four, 0.75, 30}, {four, 1, 40},
+		{ninety, 0.5, 45}, {ninety, 0.9, 81}, {ninety, 1, 90},
+		// q·n not an integer.
+		{four, 0.3, 20}, {four, 0.6, 30}, {four, 0.99, 40}, {four, 0.999, 40},
+		{ninety, 0.25, 23}, {ninety, 0.99, 90}, {ninety, 0.999, 90},
+	} {
+		if got := Percentile(c.s, c.q); got != c.want {
+			t.Errorf("Percentile(n=%d, %g) = %d, want %d", len(c.s), c.q, got, c.want)
 		}
 	}
 	if got := Percentile(nil, 0.5); got != 0 {

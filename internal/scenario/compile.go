@@ -27,34 +27,27 @@ func (s *Spec) Compile(seed int64) harness.Scenario {
 		MaxRetries:       s.MaxRetries,
 		Timeout:          s.Timeout,
 		Decider:          s.Decider,
-		DeadlineClass:    deadlineTokens[s.Deadline],
+		DeadlineClass:    uint8(s.Deadline),
 		BudgetJ:          s.Budget,
-	}
-	if s.Link != (Link{}) {
-		sc.Link = simnet.Link{BytesPerSec: s.Link.Rate, Latency: s.Link.Latency, JitterFrac: s.Link.Jitter}
+		Link:             s.Link,
+		Corpus:           s.Files,
+		Schedule:         compileSchedule(s.baseRate(), s.LinkAt, s.PowerSave),
+		Bounds:           s.Expect,
 	}
 	if s.Cluster.Nodes > 0 {
 		sc.Nodes = s.Cluster.Nodes
 		sc.Replicas = s.Cluster.Replicas
 		sc.HotK = s.Cluster.HotK
-		if s.PeerLink != (Link{}) {
-			sc.PeerLink = simnet.Link{BytesPerSec: s.PeerLink.Rate, Latency: s.PeerLink.Latency, JitterFrac: s.PeerLink.Jitter}
-		}
+		sc.PeerLink = s.PeerLink
 	}
-	for _, fs := range s.Files {
-		sc.Corpus = append(sc.Corpus, harness.CorpusEntry{
-			Name: fs.Name, Class: fs.Class, Ratio: fs.Ratio, Size: fs.Size,
-		})
-	}
-	sc.Schedule = compileSchedule(s.baseRate(), s.LinkAt, s.PowerSave)
 	return sc
 }
 
 // baseRate is the medium rate in force before any linkat event — the
 // spec's link line, or the harness's WaveLAN 11 Mb/s default.
 func (s *Spec) baseRate() float64 {
-	if s.Link.Rate > 0 {
-		return s.Link.Rate
+	if s.Link.BytesPerSec > 0 {
+		return s.Link.BytesPerSec
 	}
 	return simnet.WaveLAN11().BytesPerSec
 }
@@ -110,27 +103,11 @@ func compileSchedule(base float64, linkat []RateChange, ps []Window) []simnet.Ph
 	return phases
 }
 
-// Bounds converts the spec's expect lines into the harness's
-// outcome-oracle form.
-func (s *Spec) Bounds() harness.Bounds {
-	return harness.Bounds{
-		MinOKFrac:      s.Expect.MinOK,
-		MaxVirtual:     s.Expect.MaxVirtual,
-		MaxAttempts:    s.Expect.MaxAttempts,
-		MaxJoulesPerMB: s.Expect.MaxJoulesPerMB,
-	}
-}
-
-// Run compiles and executes the spec at seed, then folds any breached
-// expect bound into the report's violations alongside the structural
-// oracles, so callers have a single pass/fail surface.
+// Run compiles and executes the spec at seed. The compiled scenario
+// carries the spec's expect bounds, so a breached bound lands in the
+// report's violations with the structural oracles'.
 func (s *Spec) Run(seed int64) (*harness.Report, error) {
-	rep, err := harness.Run(s.Compile(seed))
-	if err != nil {
-		return nil, err
-	}
-	rep.Violations = append(rep.Violations, rep.CheckBounds(s.Bounds())...)
-	return rep, nil
+	return harness.Run(s.Compile(seed))
 }
 
 // Load reads, parses and validates one spec file, and requires the

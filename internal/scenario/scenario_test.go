@@ -6,6 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/decider"
+	"repro/internal/harness"
 	"repro/internal/simnet"
 	"repro/internal/workload"
 )
@@ -43,17 +45,17 @@ func TestParseFullSpec(t *testing.T) {
 	want := &Spec{
 		Name: "kitchen-sink", Clients: 4, Fetches: 6, Fault: 0.02, Churn: 3,
 		MaxRetries: 12, Timeout: 90 * time.Second,
-		Decider: "dynamic", Deadline: "standard", Budget: 25,
-		Link:      Link{Rate: 180000, Latency: 5 * time.Millisecond, Jitter: 0.1},
+		Decider: "dynamic", Deadline: decider.ClassStandard, Budget: 25,
+		Link:      simnet.Link{BytesPerSec: 180000, Latency: 5 * time.Millisecond, JitterFrac: 0.1},
 		Cluster:   ClusterSpec{Nodes: 2, Replicas: 1, HotK: 8},
-		PeerLink:  Link{Rate: 240000, Latency: time.Millisecond, Jitter: 0.05},
+		PeerLink:  simnet.Link{BytesPerSec: 240000, Latency: time.Millisecond, JitterFrac: 0.05},
 		LinkAt:    []RateChange{{200 * time.Millisecond, 600000}, {time.Second, 180000}},
 		PowerSave: []Window{{400 * time.Millisecond, 100 * time.Millisecond}},
-		Files: []FileSpec{
+		Files: []harness.CorpusEntry{
 			{Name: "notes.txt", Class: workload.ClassMail, Size: 4096},
 			{Name: "blob.bin", Ratio: 2.5, Size: 20000},
 		},
-		Expect: Expect{MinOK: 0.95, MaxVirtual: 10 * time.Minute, MaxAttempts: 20, MaxJoulesPerMB: 500},
+		Expect: harness.Bounds{MinOKFrac: 0.95, MaxVirtual: 10 * time.Minute, MaxAttempts: 20, MaxJoulesPerMB: 500},
 	}
 	if !reflect.DeepEqual(s, want) {
 		t.Fatalf("parsed\n%#v\nwant\n%#v", s, want)
@@ -95,6 +97,7 @@ func TestParseErrors(t *testing.T) {
 		{"link rate\n", "dangling key"},
 		{"link speed 3\n", "unknown key"},
 		{"budget much\n", "invalid syntax"},
+		{"deadline whenever\n", "unknown deadline class"},
 		{"peerlink rate x\n", "invalid syntax"},
 		{"linkat 1s speed 3\n", "linkat DUR rate F"},
 		{"file\n", "file needs a name"},
@@ -110,44 +113,48 @@ func TestParseErrors(t *testing.T) {
 func TestValidateRejects(t *testing.T) {
 	base := func() *Spec { return &Spec{Name: "ok", Clients: 2, Fetches: 2} }
 	for name, breaks := range map[string]func(*Spec){
-		"no name":         func(s *Spec) { s.Name = "" },
-		"bad name":        func(s *Spec) { s.Name = "No Spaces Allowed" },
-		"clients cap":     func(s *Spec) { s.Clients = maxClients + 1 },
-		"fetch budget":    func(s *Spec) { s.Clients, s.Fetches = 1000, 1000 },
-		"fault cap":       func(s *Spec) { s.Fault = 0.5 },
-		"link rate low":   func(s *Spec) { s.Link.Rate = 10 },
-		"jitter range":    func(s *Spec) { s.Link = Link{Rate: 1e6, Jitter: 2} },
-		"linkat order":    func(s *Spec) { s.LinkAt = []RateChange{{time.Second, 1e6}, {time.Second, 2e6}} },
-		"linkat rate":     func(s *Spec) { s.LinkAt = []RateChange{{time.Second, 0}} },
-		"ps overlap":      func(s *Spec) { s.PowerSave = []Window{{0, time.Second}, {500 * time.Millisecond, time.Second}} },
-		"ps empty":        func(s *Spec) { s.PowerSave = []Window{{time.Second, 0}} },
-		"file both":       func(s *Spec) { s.Files = []FileSpec{{Name: "x", Class: workload.ClassXML, Ratio: 2, Size: 10}} },
-		"file neither":    func(s *Spec) { s.Files = []FileSpec{{Name: "x", Size: 10}} },
-		"file dup":        func(s *Spec) { s.Files = []FileSpec{{Name: "x", Ratio: 2, Size: 10}, {Name: "x", Ratio: 3, Size: 10}} },
-		"file size":       func(s *Spec) { s.Files = []FileSpec{{Name: "x", Ratio: 2, Size: maxFileSize + 1}} },
-		"ratio range":     func(s *Spec) { s.Files = []FileSpec{{Name: "x", Ratio: 40, Size: 10}} },
-		"minok range":     func(s *Spec) { s.Expect.MinOK = 1.5 },
+		"no name":       func(s *Spec) { s.Name = "" },
+		"bad name":      func(s *Spec) { s.Name = "No Spaces Allowed" },
+		"clients cap":   func(s *Spec) { s.Clients = maxClients + 1 },
+		"fetch budget":  func(s *Spec) { s.Clients, s.Fetches = 1000, 1000 },
+		"fault cap":     func(s *Spec) { s.Fault = 0.5 },
+		"link rate low": func(s *Spec) { s.Link.BytesPerSec = 10 },
+		"jitter range":  func(s *Spec) { s.Link = simnet.Link{BytesPerSec: 1e6, JitterFrac: 2} },
+		"linkat order":  func(s *Spec) { s.LinkAt = []RateChange{{time.Second, 1e6}, {time.Second, 2e6}} },
+		"linkat rate":   func(s *Spec) { s.LinkAt = []RateChange{{time.Second, 0}} },
+		"ps overlap":    func(s *Spec) { s.PowerSave = []Window{{0, time.Second}, {500 * time.Millisecond, time.Second}} },
+		"ps empty":      func(s *Spec) { s.PowerSave = []Window{{time.Second, 0}} },
+		"file both": func(s *Spec) {
+			s.Files = []harness.CorpusEntry{{Name: "x", Class: workload.ClassXML, Ratio: 2, Size: 10}}
+		},
+		"file neither": func(s *Spec) { s.Files = []harness.CorpusEntry{{Name: "x", Size: 10}} },
+		"file dup": func(s *Spec) {
+			s.Files = []harness.CorpusEntry{{Name: "x", Ratio: 2, Size: 10}, {Name: "x", Ratio: 3, Size: 10}}
+		},
+		"file size":       func(s *Spec) { s.Files = []harness.CorpusEntry{{Name: "x", Ratio: 2, Size: maxFileSize + 1}} },
+		"ratio range":     func(s *Spec) { s.Files = []harness.CorpusEntry{{Name: "x", Ratio: 40, Size: 10}} },
+		"minok range":     func(s *Spec) { s.Expect.MinOKFrac = 1.5 },
 		"sched budget":    func(s *Spec) { s.LinkAt = make([]RateChange, maxSchedEvents+1) },
 		"neg maxretries":  func(s *Spec) { s.MaxRetries = -1 },
 		"timeout horizon": func(s *Spec) { s.Timeout = 2 * time.Hour },
 		"bad decider":     func(s *Spec) { s.Decider = "oracle" },
-		"bad deadline":    func(s *Spec) { s.Deadline = "whenever" },
+		"bad deadline":    func(s *Spec) { s.Deadline = decider.ClassStrict + 1 },
 		"budget range":    func(s *Spec) { s.Budget = maxBudgetJ + 1 },
 		"neg budget":      func(s *Spec) { s.Budget = -1 },
 		"neg fetches":     func(s *Spec) { s.Fetches = -1 },
 		"churn range":     func(s *Spec) { s.Churn = 20000 },
-		"link latency":    func(s *Spec) { s.Link = Link{Rate: 1e6, Latency: time.Minute} },
+		"link latency":    func(s *Spec) { s.Link = simnet.Link{BytesPerSec: 1e6, Latency: time.Minute} },
 		"nodes cap":       func(s *Spec) { s.Cluster.Nodes = maxNodes + 1 },
 		"orphan hotk":     func(s *Spec) { s.Cluster.HotK = 8 },
 		"replicas range":  func(s *Spec) { s.Cluster = ClusterSpec{Nodes: 2, Replicas: 2} },
 		"hotk range":      func(s *Spec) { s.Cluster = ClusterSpec{Nodes: 2, HotK: 5000} },
-		"orphan peerlink": func(s *Spec) { s.PeerLink = Link{Rate: 1e6} },
-		"peerlink rate":   func(s *Spec) { s.Cluster.Nodes = 2; s.PeerLink = Link{Rate: 10} },
-		"peerlink lat":    func(s *Spec) { s.Cluster.Nodes = 2; s.PeerLink = Link{Rate: 1e6, Latency: time.Minute} },
-		"peerlink jitter": func(s *Spec) { s.Cluster.Nodes = 2; s.PeerLink = Link{Rate: 1e6, Jitter: 2} },
+		"orphan peerlink": func(s *Spec) { s.PeerLink = simnet.Link{BytesPerSec: 1e6} },
+		"peerlink rate":   func(s *Spec) { s.Cluster.Nodes = 2; s.PeerLink = simnet.Link{BytesPerSec: 10} },
+		"peerlink lat":    func(s *Spec) { s.Cluster.Nodes = 2; s.PeerLink = simnet.Link{BytesPerSec: 1e6, Latency: time.Minute} },
+		"peerlink jitter": func(s *Spec) { s.Cluster.Nodes = 2; s.PeerLink = simnet.Link{BytesPerSec: 1e6, JitterFrac: 2} },
 		"linkat horizon":  func(s *Spec) { s.LinkAt = []RateChange{{maxHorizon + time.Second, 1e6}} },
-		"file budget":     func(s *Spec) { s.Files = make([]FileSpec, maxFiles+1) },
-		"file name":       func(s *Spec) { s.Files = []FileSpec{{Name: "bad name", Ratio: 2, Size: 10}} },
+		"file budget":     func(s *Spec) { s.Files = make([]harness.CorpusEntry, maxFiles+1) },
+		"file name":       func(s *Spec) { s.Files = []harness.CorpusEntry{{Name: "bad name", Ratio: 2, Size: 10}} },
 		"maxvirtual cap":  func(s *Spec) { s.Expect.MaxVirtual = maxHorizon + time.Hour },
 		"maxattempts cap": func(s *Spec) { s.Expect.MaxAttempts = 2000 },
 		"neg joules":      func(s *Spec) { s.Expect.MaxJoulesPerMB = -1 },
@@ -209,30 +216,36 @@ func TestCompile(t *testing.T) {
 		t.Fatalf("compiled cluster wrong: nodes=%d replicas=%d hotk=%d peerlink=%+v",
 			sc.Nodes, sc.Replicas, sc.HotK, sc.PeerLink)
 	}
-	if sc.Decider != "dynamic" || sc.DeadlineClass != deadlineTokens["standard"] || sc.BudgetJ != 25 {
+	if sc.Decider != "dynamic" || sc.DeadlineClass != uint8(decider.ClassStandard) || sc.BudgetJ != 25 {
 		t.Fatalf("compiled decider wrong: decider=%q class=%d budget=%g",
 			sc.Decider, sc.DeadlineClass, sc.BudgetJ)
 	}
 	if len(sc.Schedule) == 0 {
 		t.Fatal("schedule did not compile")
 	}
-	b := s.Bounds()
-	if b.MinOKFrac != 0.95 || b.MaxAttempts != 20 {
-		t.Fatalf("bounds wrong: %+v", b)
+	if sc.Bounds != s.Expect || sc.Bounds.MinOKFrac != 0.95 || sc.Bounds.MaxAttempts != 20 {
+		t.Fatalf("bounds wrong: %+v", sc.Bounds)
 	}
+}
+
+// impossibleSpec is a clean little fleet with a 1 ns virtual-time budget:
+// every run of it breaches exactly one bound.
+func impossibleSpec(t *testing.T) *Spec {
+	t.Helper()
+	s := &Spec{Name: "impossible", Clients: 2, Fetches: 2,
+		Files:  []harness.CorpusEntry{{Name: "a.txt", Class: workload.ClassMail, Size: 2000}},
+		Expect: harness.Bounds{MaxVirtual: time.Nanosecond}}
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 // TestSpecRunBounds: Run folds breached expect bounds into Violations.
 // An impossible virtual-time budget must trip; the structural oracles
 // must stay green.
 func TestSpecRunBounds(t *testing.T) {
-	s := &Spec{Name: "impossible", Clients: 2, Fetches: 2,
-		Files:  []FileSpec{{Name: "a.txt", Class: workload.ClassMail, Size: 2000}},
-		Expect: Expect{MaxVirtual: time.Nanosecond}}
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := s.Run(5)
+	rep, err := impossibleSpec(t).Run(5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,6 +259,29 @@ func TestSpecRunBounds(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("1ns budget did not trip the maxvirtual bound")
+	}
+}
+
+// TestRunPairedChecksBounds: the differential holds both of its runs to
+// the compiled spec's bounds — the breach is reported once for the static
+// run and once for the dynamic one. (When the bounds were appended by
+// Spec.Run after the fact, RunPaired reported neither.)
+func TestRunPairedChecksBounds(t *testing.T) {
+	d, err := harness.RunPaired(impossibleSpec(t).Compile(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	breaches := map[string]int{}
+	for _, v := range d.Violations {
+		run, rest, _ := strings.Cut(v, " run: ")
+		if !strings.HasPrefix(rest, "bounds: run took") {
+			t.Errorf("unexpected violation: %s", v)
+			continue
+		}
+		breaches[run]++
+	}
+	if breaches["static"] != 1 || breaches["dynamic"] != 1 || len(breaches) != 2 {
+		t.Fatalf("maxvirtual breaches per run = %v, want static 1 and dynamic 1", breaches)
 	}
 }
 

@@ -20,13 +20,18 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/decider"
+	"repro/internal/harness"
+	"repro/internal/simnet"
 	"repro/internal/workload"
 )
 
 // Spec is one parsed scenario file. The zero value of every field means
 // "not specified": Compile leaves harness defaults in charge, and
-// Format omits the line. Parse and Format are exact inverses over any
-// successfully parsed spec — the fuzz target pins
+// Format omits the line. Where the harness already has a type for a
+// directive (link, file, expect) the spec holds that type, so Compile
+// copies values rather than translating them. Parse and Format are exact
+// inverses over any successfully parsed spec — the fuzz target pins
 // Parse(Format(spec)) == spec — so specs can be rewritten losslessly.
 type Spec struct {
 	// Name labels the scenario; LoadDir requires it to match the file's
@@ -49,16 +54,17 @@ type Spec struct {
 	// "static" (the paper's Equation 6, also the "" default) or "dynamic"
 	// (the queue-aware, link-adaptive decider of internal/decider).
 	Decider string
-	// Deadline is the fleet's declared deadline class ("none", "relaxed",
-	// "standard", "strict"); "" leaves requests undeclared. Budget is each
-	// client's advisory energy budget in joules (0 = undeclared). Both
-	// ride the extended GET op, so a spec setting neither replays
-	// byte-identically to the pre-attribute grammar.
-	Deadline string
+	// Deadline is the fleet's declared deadline class, spelled as
+	// decider.ParseClass reads it; the zero value (ClassNone) leaves
+	// requests undeclared. Budget is each client's advisory energy budget
+	// in joules (0 = undeclared). Both ride the extended GET op, so a spec
+	// setting neither replays byte-identically to the pre-attribute grammar.
+	Deadline decider.Class
 	Budget   float64
-	// Link is the base shared medium; the zero value selects the
-	// paper's 11 Mb/s WaveLAN shape.
-	Link Link
+	// Link is the base shared medium (`link rate R latency D jitter J`);
+	// the zero value selects the paper's 11 Mb/s WaveLAN shape. The spec
+	// never sets Link.Seed: every dial derives its own.
+	Link simnet.Link
 	// LinkAt scripts rate changes at virtual-time offsets; PowerSave
 	// scripts windows where the medium pauses entirely. Together they
 	// compile into the simnet link schedule.
@@ -70,12 +76,13 @@ type Spec struct {
 	Cluster ClusterSpec
 	// PeerLink shapes the inter-node backhaul of a cluster scenario; the
 	// zero value selects the harness's 100 Mb/s wired default.
-	PeerLink Link
-	// Files is the workload corpus; empty keeps the harness's built-in
-	// nine-file mix.
-	Files []FileSpec
-	// Expect are the outcome bounds checked after the run.
-	Expect Expect
+	PeerLink simnet.Link
+	// Files is the workload corpus, one `file` line each: exactly one of
+	// Class / Ratio describes a file's content. Empty keeps the harness's
+	// built-in nine-file mix.
+	Files []harness.CorpusEntry
+	// Expect are the outcome bounds (`expect` lines) the run is held to.
+	Expect harness.Bounds
 }
 
 // ClusterSpec is the ring shape of a cluster scenario: node count, how
@@ -85,14 +92,6 @@ type ClusterSpec struct {
 	Nodes    int
 	Replicas int
 	HotK     int
-}
-
-// Link is the base medium shape: bytes/sec, one-way hop latency, and
-// the ±fractional per-transfer jitter.
-type Link struct {
-	Rate    float64
-	Latency time.Duration
-	Jitter  float64
 }
 
 // RateChange reschedules the medium to Rate bytes/sec at virtual time At.
@@ -106,24 +105,6 @@ type RateChange struct {
 type Window struct {
 	Start time.Duration
 	Dur   time.Duration
-}
-
-// FileSpec is one corpus file. Exactly one of Class / Ratio describes
-// its content: a Table 3 content class, or a target gzip factor for the
-// compressibility knob.
-type FileSpec struct {
-	Name  string
-	Class workload.Class
-	Ratio float64
-	Size  int
-}
-
-// Expect is the spec's outcome gate; zero fields are unchecked.
-type Expect struct {
-	MinOK          float64
-	MaxVirtual     time.Duration
-	MaxAttempts    int
-	MaxJoulesPerMB float64
 }
 
 // classTokens maps the spec grammar's one-word class names to Table 3
@@ -189,15 +170,18 @@ func Parse(data []byte) (*Spec, error) {
 		case "decider":
 			err = wantArgs(f, 1, func() error { s.Decider = f[1]; return nil })
 		case "deadline":
-			err = wantArgs(f, 1, func() error { s.Deadline = f[1]; return nil })
+			err = wantArgs(f, 1, func() error {
+				c, ok := decider.ParseClass(f[1])
+				if !ok {
+					return fmt.Errorf("unknown deadline class %q", f[1])
+				}
+				s.Deadline = c
+				return nil
+			})
 		case "budget":
 			err = wantArgs(f, 1, func() error { s.Budget, err = pFloat(f[1]); return err })
 		case "link":
-			err = parsePairs(f[1:], map[string]func(string) error{
-				"rate":    func(v string) (e error) { s.Link.Rate, e = pFloat(v); return },
-				"latency": func(v string) (e error) { s.Link.Latency, e = pDur(v); return },
-				"jitter":  func(v string) (e error) { s.Link.Jitter, e = pFloat(v); return },
-			})
+			err = parseLink(f[1:], &s.Link)
 		case "cluster":
 			err = parsePairs(f[1:], map[string]func(string) error{
 				"nodes":    func(v string) (e error) { s.Cluster.Nodes, e = pInt(v); return },
@@ -205,11 +189,7 @@ func Parse(data []byte) (*Spec, error) {
 				"hotk":     func(v string) (e error) { s.Cluster.HotK, e = pInt(v); return },
 			})
 		case "peerlink":
-			err = parsePairs(f[1:], map[string]func(string) error{
-				"rate":    func(v string) (e error) { s.PeerLink.Rate, e = pFloat(v); return },
-				"latency": func(v string) (e error) { s.PeerLink.Latency, e = pDur(v); return },
-				"jitter":  func(v string) (e error) { s.PeerLink.Jitter, e = pFloat(v); return },
-			})
+			err = parseLink(f[1:], &s.PeerLink)
 		case "linkat":
 			err = wantArgs(f, 3, func() error {
 				if f[2] != "rate" {
@@ -242,7 +222,7 @@ func Parse(data []byte) (*Spec, error) {
 				err = fmt.Errorf("file needs a name")
 				break
 			}
-			fs := FileSpec{Name: f[1]}
+			fs := harness.CorpusEntry{Name: f[1]}
 			err = parsePairs(f[2:], map[string]func(string) error{
 				"class": func(v string) error {
 					c, ok := classTokens[v]
@@ -262,7 +242,7 @@ func Parse(data []byte) (*Spec, error) {
 			err = wantArgs(f, 2, func() error {
 				switch f[1] {
 				case "minok":
-					s.Expect.MinOK, err = pFloat(f[2])
+					s.Expect.MinOKFrac, err = pFloat(f[2])
 				case "maxvirtual":
 					s.Expect.MaxVirtual, err = pDur(f[2])
 				case "maxattempts":
@@ -312,21 +292,17 @@ func Format(s *Spec) []byte {
 	if s.Decider != "" {
 		fmt.Fprintf(&b, "decider %s\n", s.Decider)
 	}
-	if s.Deadline != "" {
+	if s.Deadline != decider.ClassNone {
 		fmt.Fprintf(&b, "deadline %s\n", s.Deadline)
 	}
 	if s.Budget != 0 {
 		fmt.Fprintf(&b, "budget %s\n", ff(s.Budget))
 	}
-	if s.Link != (Link{}) {
-		fmt.Fprintf(&b, "link rate %s latency %s jitter %s\n", ff(s.Link.Rate), s.Link.Latency, ff(s.Link.Jitter))
-	}
+	formatLink(&b, "link", s.Link)
 	if s.Cluster != (ClusterSpec{}) {
 		fmt.Fprintf(&b, "cluster nodes %d replicas %d hotk %d\n", s.Cluster.Nodes, s.Cluster.Replicas, s.Cluster.HotK)
 	}
-	if s.PeerLink != (Link{}) {
-		fmt.Fprintf(&b, "peerlink rate %s latency %s jitter %s\n", ff(s.PeerLink.Rate), s.PeerLink.Latency, ff(s.PeerLink.Jitter))
-	}
+	formatLink(&b, "peerlink", s.PeerLink)
 	for _, rc := range s.LinkAt {
 		fmt.Fprintf(&b, "linkat %s rate %s\n", rc.At, ff(rc.Rate))
 	}
@@ -346,8 +322,8 @@ func Format(s *Spec) []byte {
 		}
 		b.WriteByte('\n')
 	}
-	if s.Expect.MinOK != 0 {
-		fmt.Fprintf(&b, "expect minok %s\n", ff(s.Expect.MinOK))
+	if s.Expect.MinOKFrac != 0 {
+		fmt.Fprintf(&b, "expect minok %s\n", ff(s.Expect.MinOKFrac))
 	}
 	if s.Expect.MaxVirtual != 0 {
 		fmt.Fprintf(&b, "expect maxvirtual %s\n", s.Expect.MaxVirtual)
@@ -386,16 +362,6 @@ const (
 	maxNodes       = 16
 	maxBudgetJ     = 1e6
 )
-
-// deadlineTokens maps the grammar's deadline-class names onto the wire's
-// class byte (the decider.ClassFromByte vocabulary). Kept in sync with
-// internal/decider by TestDeadlineTokens.
-var deadlineTokens = map[string]uint8{
-	"none":     0,
-	"relaxed":  1,
-	"standard": 2,
-	"strict":   3,
-}
 
 // Validate checks ranges, budgets and cross-field rules. A valid spec
 // is guaranteed to compile into a runnable harness scenario: in
@@ -436,22 +402,14 @@ func (s *Spec) Validate() error {
 	if s.Decider != "" && s.Decider != "static" && s.Decider != "dynamic" {
 		return fmt.Errorf("decider %q: want static or dynamic", s.Decider)
 	}
-	if _, ok := deadlineTokens[s.Deadline]; !ok && s.Deadline != "" {
-		return fmt.Errorf("deadline %q: want none/relaxed/standard/strict", s.Deadline)
+	if s.Deadline > decider.ClassStrict {
+		return fmt.Errorf("deadline class %d: want none/relaxed/standard/strict", s.Deadline)
 	}
 	if s.Budget < 0 || s.Budget > maxBudgetJ {
 		return fmt.Errorf("budget %g outside [0, %g]", s.Budget, float64(maxBudgetJ))
 	}
-	if s.Link != (Link{}) {
-		if s.Link.Rate < minRate || s.Link.Rate > maxRate {
-			return fmt.Errorf("link rate %g outside [%g, %g]", s.Link.Rate, minRate, maxRate)
-		}
-		if s.Link.Latency < 0 || s.Link.Latency > 10*time.Second {
-			return fmt.Errorf("link latency %s outside [0, 10s]", s.Link.Latency)
-		}
-		if s.Link.Jitter < 0 || s.Link.Jitter > 1 {
-			return fmt.Errorf("link jitter %g outside [0, 1]", s.Link.Jitter)
-		}
+	if err := validateLink("link", s.Link); err != nil {
+		return err
 	}
 	if s.Cluster.Nodes < 0 || s.Cluster.Nodes > maxNodes {
 		return fmt.Errorf("cluster nodes %d outside [0, %d]", s.Cluster.Nodes, maxNodes)
@@ -467,19 +425,11 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("cluster hotk %d outside [0, 4096]", s.Cluster.HotK)
 		}
 	}
-	if s.PeerLink != (Link{}) {
-		if s.Cluster.Nodes == 0 {
-			return fmt.Errorf("peerlink needs cluster nodes > 0")
-		}
-		if s.PeerLink.Rate < minRate || s.PeerLink.Rate > maxRate {
-			return fmt.Errorf("peerlink rate %g outside [%g, %g]", s.PeerLink.Rate, minRate, maxRate)
-		}
-		if s.PeerLink.Latency < 0 || s.PeerLink.Latency > 10*time.Second {
-			return fmt.Errorf("peerlink latency %s outside [0, 10s]", s.PeerLink.Latency)
-		}
-		if s.PeerLink.Jitter < 0 || s.PeerLink.Jitter > 1 {
-			return fmt.Errorf("peerlink jitter %g outside [0, 1]", s.PeerLink.Jitter)
-		}
+	if s.PeerLink != (simnet.Link{}) && s.Cluster.Nodes == 0 {
+		return fmt.Errorf("peerlink needs cluster nodes > 0")
+	}
+	if err := validateLink("peerlink", s.PeerLink); err != nil {
+		return err
 	}
 	if len(s.LinkAt)+len(s.PowerSave) > maxSchedEvents {
 		return fmt.Errorf("%d schedule events, budget is %d", len(s.LinkAt)+len(s.PowerSave), maxSchedEvents)
@@ -525,8 +475,8 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("file %q size %d outside [1, %d]", fs.Name, fs.Size, maxFileSize)
 		}
 	}
-	if s.Expect.MinOK < 0 || s.Expect.MinOK > 1 {
-		return fmt.Errorf("expect minok %g outside [0, 1]", s.Expect.MinOK)
+	if s.Expect.MinOKFrac < 0 || s.Expect.MinOKFrac > 1 {
+		return fmt.Errorf("expect minok %g outside [0, 1]", s.Expect.MinOKFrac)
 	}
 	if s.Expect.MaxVirtual < 0 || s.Expect.MaxVirtual > maxHorizon {
 		return fmt.Errorf("expect maxvirtual %s outside [0, %s]", s.Expect.MaxVirtual, maxHorizon)
@@ -536,6 +486,36 @@ func (s *Spec) Validate() error {
 	}
 	if s.Expect.MaxJoulesPerMB < 0 {
 		return fmt.Errorf("expect maxjoulespermb %g negative", s.Expect.MaxJoulesPerMB)
+	}
+	return nil
+}
+
+// parseLink, formatLink and validateLink are the one grammar of the
+// `link` and `peerlink` lines: `rate` is BytesPerSec, `jitter` JitterFrac.
+func parseLink(f []string, l *simnet.Link) error {
+	return parsePairs(f, map[string]func(string) error{
+		"rate":    func(v string) (e error) { l.BytesPerSec, e = pFloat(v); return },
+		"latency": func(v string) (e error) { l.Latency, e = pDur(v); return },
+		"jitter":  func(v string) (e error) { l.JitterFrac, e = pFloat(v); return },
+	})
+}
+
+func formatLink(b *strings.Builder, key string, l simnet.Link) {
+	if l != (simnet.Link{}) {
+		fmt.Fprintf(b, "%s rate %s latency %s jitter %s\n", key, ff(l.BytesPerSec), l.Latency, ff(l.JitterFrac))
+	}
+}
+
+func validateLink(key string, l simnet.Link) error {
+	switch {
+	case l == (simnet.Link{}):
+		return nil
+	case l.BytesPerSec < minRate || l.BytesPerSec > maxRate:
+		return fmt.Errorf("%s rate %g outside [%g, %g]", key, l.BytesPerSec, minRate, maxRate)
+	case l.Latency < 0 || l.Latency > 10*time.Second:
+		return fmt.Errorf("%s latency %s outside [0, 10s]", key, l.Latency)
+	case l.JitterFrac < 0 || l.JitterFrac > 1:
+		return fmt.Errorf("%s jitter %g outside [0, 1]", key, l.JitterFrac)
 	}
 	return nil
 }

@@ -446,7 +446,7 @@ func TestScheduleValidation(t *testing.T) {
 }
 
 // TestManyParkedGoroutines: ten thousand concurrent sleepers — the
-// loadgen fleet shape — must drain without the wakeup path degrading into
+// fleet-10k shape — must drain without the wakeup path degrading into
 // a broadcast storm. The test goroutine stays outside the ledger (a plain
 // WaitGroup wait), so time starts advancing as soon as every sleeper has
 // parked.

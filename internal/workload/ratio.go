@@ -2,9 +2,9 @@ package workload
 
 import "math/rand"
 
-// Compressibility-knob generation: scenario specs (internal/scenario) and
-// the load generator describe workload shape not as a Table 3 content
-// class but as a numeric target — "a 30 kB file that gzips 2.4x" — the way
+// Compressibility-knob generation: scenario specs (internal/scenario)
+// describe workload shape not as a Table 3 content class but as a
+// numeric target — "a 30 kB file that gzips 2.4x" — the way
 // open-lambda's load simulator parameterizes its synthetic packages. The
 // generator mixes templated text (compresses far past any realistic
 // target) with incompressible random chunks and calibrates the mix against

@@ -5,12 +5,14 @@
 # there), the benchmark module's own vet and tests, then only what a second
 # run adds: the growing-artifact model check and the client's decode-verdict
 # tests repeated under -race, short fuzz passes over every parser and
-# decoder that reads bytes from a wire or a file, a deterministic
-# virtual-time soak with invariant oracles (fixed seeds plus one printed
-# random seed for replay), the scenario-corpus gate (every declarative spec
-# diffed against its golden trace at two pinned seeds plus a wall-clock
-# seed, then the 10k-client load-generation fleet), the cluster replay gate
-# (3-node ring replayed byte-identically at two pinned seeds), the
+# decoder that reads bytes from a wire or a file, and — every one through
+# the one testbed runner, `energysim soak -scenario` — a deterministic
+# virtual-time soak with invariant oracles (testdata/scenarios/default.scn
+# at fixed seeds plus one printed random seed for replay), the
+# scenario-corpus gate (every declarative spec diffed against its golden
+# trace at two pinned seeds plus a wall-clock seed, then the 10k-client
+# fleet), the cluster replay gate (3-node ring replayed byte-identically
+# at two pinned seeds) and the
 # event-stream determinism + calibration gate (canonical telemetry JSONL
 # byte-identical to its committed golden, and Table 1 re-fitted from it to
 # within 1%), the figure-world golden (every line `energysim -scale 0.125
@@ -132,37 +134,45 @@ fuzz ./internal/bwt FuzzBWTTransform
 fuzz ./internal/sim FuzzSeededRand
 fuzz ./internal/checksum FuzzCRC32MatchesReference
 
-# Deterministic soak gate: seeded multi-client scenarios on the virtual
-# testbed (internal/harness) with every invariant oracle armed — byte-exact
-# payloads, counter reconciliation, energy conservation, monotone resume,
-# goroutine leaks. Two fixed seeds pin known-good schedules; one wall-clock
-# seed explores a fresh schedule every run and prints itself so any failure
-# is replayable. The replay guarantee itself is gated by running seed 1
-# twice and requiring byte-identical traces.
+# Deterministic soak gate: CI's soak shape (testdata/scenarios/default.scn)
+# on the virtual testbed (internal/harness) with every invariant oracle
+# armed — byte-exact payloads, counter reconciliation, energy conservation,
+# monotone resume, goroutine leaks. Two fixed seeds pin known-good
+# schedules; one wall-clock seed explores a fresh schedule every run and
+# prints itself so any failure is replayable. The replay guarantee itself is
+# gated by running seed 1 twice and requiring byte-identical traces.
 GATE_DIR=$(mktemp -d)
 go build -o "$GATE_DIR/energysim" ./cmd/energysim
-SOAK="$GATE_DIR/energysim soak -clients 4 -fetches 10"
+SOAK="$GATE_DIR/energysim soak -scenario testdata/scenarios/default.scn"
 $SOAK -seed 1
 $SOAK -seed 2
 $SOAK -seed 1 -trace >/tmp/soak-a.$$ && $SOAK -seed 1 -trace >/tmp/soak-b.$$
 cmp /tmp/soak-a.$$ /tmp/soak-b.$$
 rm -f /tmp/soak-a.$$ /tmp/soak-b.$$
 RANDOM_SEED=$(date +%s)
-echo "soak random seed: $RANDOM_SEED (replay: go run ./cmd/energysim soak -seed $RANDOM_SEED -clients 4 -fetches 10 -trace)"
+echo "soak random seed: $RANDOM_SEED (replay: go run ./cmd/energysim soak -scenario testdata/scenarios/default.scn -seed $RANDOM_SEED -trace)"
 $SOAK -seed "$RANDOM_SEED"
 
 # Differential soak gate, CLI surface: paired same-seed static-vs-dynamic
 # runs at two pinned seeds — byte-exact payloads, modeled-energy dominance
 # (strict, on a corpus where the policies genuinely diverge) and the
-# deadline implication. (The same oracle's tests ran under -race above.)
+# deadline implication — and both runs held to the spec's expect bounds.
+# (The same oracle's tests ran under -race above.)
 $SOAK -seed 1 -differential
 $SOAK -seed 2 -differential
+# The runner's own tests ran under -race above; checked by name here so a
+# rename cannot leave the soak CLI, the differential's bounds or the fleet
+# report's nearest-rank percentile untested.
+exists ./cmd/energysim 'TestSoakMatchesGolden|TestSoakOverrides'
+exists ./internal/scenario 'TestRunPairedChecksBounds'
+exists ./internal/obs/agg 'TestPercentile'
 
 # Event-stream determinism gate: the canonical wide-event JSONL of a
-# seeded soak must be byte-identical run to run AND match the committed
+# seeded soak (testdata/events/soak-seed1.scn: the soak's fleet, no faults,
+# no churn) must be byte-identical run to run AND match the committed
 # golden stream (the one EXPERIMENTS.md's calibration section quotes).
 # Then the calibrator must recover Table 1 from that stream to within 1%.
-EVGATE="$SOAK -fault 0 -churn 0 -seed 1"
+EVGATE="$GATE_DIR/energysim soak -scenario testdata/events/soak-seed1.scn -seed 1"
 $EVGATE -events /tmp/events-a.$$ >/dev/null && $EVGATE -events /tmp/events-b.$$ >/dev/null
 cmp /tmp/events-a.$$ /tmp/events-b.$$
 cmp /tmp/events-a.$$ testdata/events/soak-seed1.jsonl
@@ -179,10 +189,9 @@ cmp "$GATE_DIR/figures" testdata/figures/all.scale0125.golden
 # two pinned golden seeds and must reproduce its committed canonical
 # trace byte-for-byte, then runs once at the wall-clock seed above so
 # bounds and oracles face a schedule nobody tuned for (no golden exists
-# there; the seed is printed for replay). Finally the 10,000-client
-# load-generation fleet must complete inside its expect bounds and
-# report latency percentiles and joules/MB.
-go build -o "$GATE_DIR/loadgen" ./cmd/loadgen
+# there; the seed is printed for replay). Finally the 10,000-client fleet
+# must complete inside its expect bounds and report latency percentiles
+# and joules/MB.
 for spec in testdata/scenarios/*.scn; do
 	name=$(basename "$spec" .scn)
 	for seed in 1 2; do
@@ -192,8 +201,8 @@ for spec in testdata/scenarios/*.scn; do
 	echo "scenario $name wall-clock seed: $RANDOM_SEED (replay: go run ./cmd/energysim soak -scenario $spec -seed $RANDOM_SEED -trace)"
 	"$GATE_DIR/energysim" soak -scenario "$spec" -seed "$RANDOM_SEED"
 done
-"$GATE_DIR/loadgen" -spec testdata/scenarios/loadgen/fleet-10k.scn -seed "$RANDOM_SEED"
-echo "loadgen fleet-10k: the wall time on its first line read 3.1 s at PR 23, before the testbed's generators were seeded in O(1) (logged, not gated: a wall-clock gate on a shared box is a flake)"
+"$GATE_DIR/energysim" soak -scenario testdata/scenarios/loadgen/fleet-10k.scn -seed "$RANDOM_SEED"
+echo "fleet-10k: the wall time on its report's second line read 3.1 s at PR 23, before the testbed's generators were seeded in O(1) (logged, not gated: a wall-clock gate on a shared box is a flake)"
 
 # Cluster replay gate: the 3-node consistent-hash ring scenario must replay
 # byte-identically at two pinned seeds (run twice, traces compared — on
