@@ -110,9 +110,9 @@ func Decompress(data []byte, maxSize int) ([]byte, error) {
 
 // decoder is the decompression workspace: the bit reader over the stream,
 // the block's Huffman code, and the three arrays a block passes through —
-// its symbols, its last column and the inverse transform's vector. They
-// grow to the largest block decoded, each only once the header checks and
-// the stage before it have passed.
+// its symbols, its last column (with that column's byte histogram) and the
+// inverse transform's vector. They grow to the largest block decoded, each
+// only once the header checks and the stage before it have passed.
 type decoder struct {
 	src  sliceReader
 	br   bitio.MSBReader
@@ -120,6 +120,7 @@ type decoder struct {
 	huff huffman.Decoder
 	syms []uint16
 	last []byte
+	freq [256]uint32
 	next []uint32
 }
 

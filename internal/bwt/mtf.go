@@ -119,13 +119,16 @@ func putRun(syms []uint16, freq *[numSymbols]int, n, run int) int {
 const mtfLoopShift = 16
 
 // undoRLE2MTF inverts RLE2 and move-to-front in one pass over d.syms,
-// leaving the block's last column in d.last. A zero run is a run of the
+// leaving the block's last column in d.last and how often each byte occurs
+// in it in d.freq, tallied as it is written. A zero run is a run of the
 // list's front byte, so it is one fill and leaves the list alone. The
 // block may not outgrow size, the length its header declared: that is
 // checked as each run accumulates, before anything is written.
 func (d *decoder) undoRLE2MTF(size int) error {
 	d.last = slices.Grow(d.last[:0], size)[:size]
 	last := d.last
+	freq := &d.freq
+	clear(freq[:])
 	var list [256]byte
 	for i := range list {
 		list[i] = byte(i)
@@ -143,6 +146,7 @@ func (d *decoder) undoRLE2MTF(size int) error {
 		}
 		if run > 0 {
 			front := list[0]
+			freq[front] += uint32(run)
 			for end := n + run; n < end; n++ {
 				last[n] = front
 			}
@@ -161,6 +165,7 @@ func (d *decoder) undoRLE2MTF(size int) error {
 			copy(list[1:idx+1], list[:idx])
 			list[0] = b
 			last[n] = b
+			freq[b]++
 			n++
 		default:
 			return errBadSymbol

@@ -406,6 +406,13 @@ func TestFusedStagesMatchReference(t *testing.T) {
 		if !bytes.Equal(d.last, want) {
 			t.Fatalf("round %d: fused RLE2+MTF differs from reference (%d vs %d bytes)", round, len(d.last), len(want))
 		}
+		var hist [256]uint32
+		for _, c := range want {
+			hist[c]++
+		}
+		if d.freq != hist {
+			t.Fatalf("round %d: the counts tallied with the column are not its histogram", round)
+		}
 		if len(want) == 0 {
 			continue
 		}

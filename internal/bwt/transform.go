@@ -68,6 +68,10 @@ func Inverse(last []byte, ptr int) []byte {
 	}
 	d := decoderPool.Get().(*decoder)
 	defer decoderPool.Put(d)
+	clear(d.freq[:])
+	for _, c := range last {
+		d.freq[c]++
+	}
 	next := d.buildNext(last)
 	out := make([]byte, n)
 	p := next[ptr]
@@ -80,15 +84,13 @@ func Inverse(last []byte, ptr int) []byte {
 
 // buildNext computes, for each position in the first column of the sorted
 // matrix, the position of the same byte in the last column: following it
-// from the row pointer reads the block forwards. The vector lives in d,
-// 4 bytes per block byte.
+// from the row pointer reads the block forwards. The buckets come from
+// d.freq, which must be last's histogram. The vector lives in d, 4 bytes
+// per block byte.
 func (d *decoder) buildNext(last []byte) []uint32 {
 	var base [256]uint32
-	for _, c := range last {
-		base[c]++
-	}
 	sum := uint32(0)
-	for c, k := range base {
+	for c, k := range d.freq {
 		base[c] = sum
 		sum += k
 	}

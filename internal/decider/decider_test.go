@@ -125,6 +125,23 @@ func TestParamsFromFitOverlayAndFallback(t *testing.T) {
 	}
 }
 
+// TestParamsFromFitRefusesNonPositive: a fitted group with a coefficient
+// that is zero, negative or infinite is refused as a NaN one is, and the
+// other group still applies on its own merits.
+func TestParamsFromFitRefusesNonPositive(t *testing.T) {
+	ref := energy.Params11Mbps()
+	for _, bad := range []float64{0, -0.004, math.Inf(1), math.Inf(-1)} {
+		p, ok := ParamsFromFit(calib.Fit{Ref: ref, TdA: 0.2, TdB: 0.15, TdC: bad, TdN: 4, M: 2.5, EIntercept: 0.01, EN: 3})
+		if !ok || p.TdA != ref.TdA || p.TdC != ref.TdC || p.M != 2.5 {
+			t.Errorf("td fit with c = %g: ok=%v %+v, want Table 1 td and the E overlay", bad, ok, p)
+		}
+		p, ok = ParamsFromFit(calib.Fit{Ref: ref, M: 2.5, EIntercept: bad, EN: 3})
+		if ok || p != ref {
+			t.Errorf("E fit with cs = %g: ok=%v %+v, want Table 1 unchanged", bad, ok, p)
+		}
+	}
+}
+
 func TestMinSizeBytesNeverAboveStaticFloor(t *testing.T) {
 	for _, rate := range []float64{0.6, 0.40, 0.18, 0.10} {
 		rate := rate

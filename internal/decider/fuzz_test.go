@@ -1,11 +1,84 @@
 package decider
 
 import (
+	"bytes"
 	"math"
+	"os"
+	"reflect"
 	"testing"
 
+	"repro/internal/calib"
 	"repro/internal/energy"
 )
+
+// FuzzCalibrationFromJSONL feeds arbitrary bytes — a stale, truncated or
+// hostile event file — to the loader behind `proxyd -calib`: calib.FromJSONL,
+// then ParamsFromFit on every fit. Either the stream is refused, or each fit
+// is one ParamsFromFit refuses, handing back the device's Table 1 set
+// unchanged, or it yields parameters that are all finite and positive and
+// under which the dynamic decider is never worse than Eq. 6 in modeled
+// joules, over the swept link states, deadline classes and queue depths.
+// The committed corpus (testdata/fuzz/FuzzCalibrationFromJSONL) holds the
+// golden stream's head, a truncated line, fits that come out negative,
+// numbers at the edge of float64, an unknown device and non-JSON.
+func FuzzCalibrationFromJSONL(f *testing.F) {
+	golden, err := os.ReadFile(goldenEvents)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	blocks := []propBlock{{1, 1}, {3900, 1200}, {20000, 19000}, {128000, 30000}, {128000, 128000}}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fits, err := calib.FromJSONL(bytes.NewReader(data))
+		if err != nil {
+			if fits != nil {
+				t.Fatalf("refused (%v) but returned %d fits", err, len(fits))
+			}
+			return
+		}
+		for _, fit := range fits {
+			ref, ok := calib.RefParams(fit.Device)
+			if !ok || fit.Ref != ref {
+				t.Fatalf("fit for device %q is scored against %+v, not its Table 1 set", fit.Device, fit.Ref)
+			}
+			p, applied := ParamsFromFit(fit)
+			if !applied {
+				if p != ref {
+					t.Fatalf("refused fit for %q left %+v, not Table 1", fit.Device, p)
+				}
+				continue
+			}
+			v := reflect.ValueOf(p)
+			for i := 0; i < v.NumField(); i++ {
+				if x := v.Field(i).Float(); !(x > 0) || math.IsInf(x, 1) {
+					t.Fatalf("fit for %q applied %s = %g: %+v", fit.Device, v.Type().Field(i).Name, x, fit)
+				}
+			}
+			for _, rate := range sweptRates {
+				for _, ps := range []bool{false, true} {
+					for _, dl := range deadlineClasses {
+						d := New(Config{Base: p, Calibrated: true, Class: dl})
+						for _, queue := range []int{0, 4} {
+							for _, b := range blocks {
+								ctx := BlockContext{RawLen: b.rawLen, CompLen: b.compLen, RateMBps: rate.mbps, PowerSave: ps, QueueDepth: queue, Class: dl}
+								dec := d.Decide(ctx)
+								rawJ, compJ, _, _ := d.Evaluate(ctx)
+								statJ := rawJ
+								if staticChoice(b) {
+									statJ = compJ
+								}
+								if !(dec.EnergyJ <= statJ*(1+1e-12)) {
+									t.Fatalf("%s ps=%v dl=%s q=%d block %+v: dynamic %g J, static %g J under %+v",
+										rate.name, ps, dl, queue, b, dec.EnergyJ, statJ, p)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	})
+}
 
 // FuzzDynamicDecide throws arbitrary BlockContext values — negative and
 // overflowing sizes, zero/NaN/Inf rates, hostile queue depths, unknown

@@ -127,21 +127,24 @@ func clampRate(r float64) float64 {
 // ParamsFromFit overlays a fleet calibration on its reference parameter
 // set: the fitted td(s, sc) coefficients replace Table 1's when the td
 // regression ran, and the fitted E(s) line replaces the receive-copy m
-// and stream constant cs when the energy regression ran. The bool
-// reports whether any fitted coefficient was applied — false means the
-// caller should fall back to the static set (the fallback order README
-// documents: calib → static).
+// and stream constant cs when the energy regression ran. A group is
+// applied only if each of its coefficients is finite and positive, as
+// every Table 1 value is: a fit of a stale or hostile stream can leave the
+// static set in place, never make a cost negative. The bool reports whether
+// any fitted coefficient was applied — false means the caller should fall
+// back to the static set (the fallback order README documents: calib →
+// static).
 func ParamsFromFit(f calib.Fit) (energy.Params, bool) {
 	p := f.Ref
 	if p.RateMBps <= 0 {
 		p = energy.Params11Mbps()
 	}
 	applied := false
-	if f.TdN > 0 && finiteAll(f.TdA, f.TdB, f.TdC) {
+	if f.TdN > 0 && positiveAll(f.TdA, f.TdB, f.TdC) {
 		p.TdA, p.TdB, p.TdC = f.TdA, f.TdB, f.TdC
 		applied = true
 	}
-	if f.EN > 0 && finiteAll(f.M, f.EIntercept) && f.M > 0 {
+	if f.EN > 0 && positiveAll(f.M, f.EIntercept) {
 		p.M = f.M
 		p.Cs = f.EIntercept
 		applied = true
@@ -149,9 +152,9 @@ func ParamsFromFit(f calib.Fit) (energy.Params, bool) {
 	return p, applied
 }
 
-func finiteAll(vs ...float64) bool {
+func positiveAll(vs ...float64) bool {
 	for _, v := range vs {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
+		if !(v > 0) || math.IsInf(v, 1) {
 			return false
 		}
 	}

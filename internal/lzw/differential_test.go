@@ -1,15 +1,14 @@
 package lzw
 
-// Differential coverage for the append-free table-walk decoder. A
-// byte-for-byte cross-check against the standard library is not
-// applicable for this scheme: compress/lzw implements the GIF/TIFF
-// flavour (no .Z container, different clear-code and first-code
-// semantics, per-stream literal width), which is wire-incompatible with
-// the ncompress .Z format this package reproduces. The differential here
-// is therefore round-trip over the paper's workload corpus — the old
-// reversed-scratch decoder and the new backwards-writing decoder were
-// held equal on these inputs during the transition — plus an explicit
-// fixture that the two formats do not accidentally interdecode.
+// Differential coverage for the decoder. A byte-for-byte cross-check
+// against the standard library is not applicable for this scheme:
+// compress/lzw implements the GIF/TIFF flavour (no .Z container,
+// different clear-code and first-code semantics, per-stream literal
+// width), which is wire-incompatible with the ncompress .Z format this
+// package reproduces. The differential here is therefore round-trip over
+// the paper's workload corpus — the decoder is held byte for byte to the
+// prefix-chain walker in fuzz_test.go (referenceDecompress) — plus an
+// explicit fixture that the two formats do not accidentally interdecode.
 
 import (
 	"bytes"
@@ -69,6 +68,63 @@ func TestDecompressAppendExtendsPrefix(t *testing.T) {
 	}
 	if _, err := DecompressAppend(nil, comp, len(data)-1); err == nil {
 		t.Fatal("undersized budget not enforced")
+	}
+}
+
+// TestDecodeLeavesSpareCapacity: a short string is stored as a whole word,
+// up to 7 bytes past its end. Decoding onto a prefix with maxSize the raw
+// length — as the client decodes each block of a fetch into the buffer the
+// whole fetch lands in — into a buffer with canary bytes of spare capacity
+// past that length, the block must land in place and every canary survive.
+// The crafted streams end on each kind of code: a literal, a lone byte, a
+// dictionary string of exactly 8 bytes, and KwKwK strings of 2 and 8.
+func TestDecodeLeavesSpareCapacity(t *testing.T) {
+	c9 := func(codes ...uint) []byte {
+		w := make([][2]uint, len(codes))
+		for i, c := range codes {
+			w[i] = [2]uint{c, 9}
+		}
+		return craft(0x90, w...)
+	}
+	streams := map[string][]byte{
+		"last-literal":   c9('a', 'b', 'c'),
+		"lone-byte":      c9('a'),
+		"last-8-byte":    c9('a', 257, 258, 259, 260, 261, 262, 'b', 263), // 263 is "aaaaaaab"
+		"last-kwkwk-2":   c9('a', 257),
+		"last-kwkwk-8":   c9('a', 257, 258, 259, 260, 261, 262, 263),
+		"last-long-copy": c9('a', 257, 258, 259, 260, 261, 262, 263, 264, 'b', 265),
+	}
+	for _, f := range benchFiles(t) {
+		comp, err := Compress(f.data[:blockBytes], MaxBits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		streams[f.name] = comp
+	}
+	const canary, spare = 0xcc, 64
+	for name, stream := range streams {
+		raw, err := referenceDecompress(stream, 0)
+		if err != nil || len(raw) == 0 {
+			t.Fatalf("%s: the reference decodes %d bytes, err %v", name, len(raw), err)
+		}
+		buf := make([]byte, len(decodedSoFar)+len(raw)+spare)
+		copy(buf, decodedSoFar)
+		tail := buf[len(decodedSoFar)+len(raw):]
+		for i := range tail {
+			tail[i] = canary
+		}
+		out, err := DecompressAppend(buf[:len(decodedSoFar)], stream, len(raw))
+		if err != nil || !bytes.Equal(out, append(bytes.Clone(decodedSoFar), raw...)) {
+			t.Fatalf("%s: %d bytes, err %v; want the prefix and the reference's %d", name, len(out), err, len(raw))
+		}
+		if &out[0] != &buf[0] {
+			t.Errorf("%s: decoded into a new array, not the buffer with room", name)
+		}
+		for i, b := range tail {
+			if b != canary {
+				t.Fatalf("%s: spare byte %d past the block overwritten (%#x)", name, i, b)
+			}
+		}
 	}
 }
 

@@ -185,11 +185,11 @@ var decodedSoFar = []byte("the blocks before this one")
 // leftovers a previous stream could have written.
 func poisoned() *decoder {
 	d := newDecoder()
-	d.lenOf[clearCode] = 7 // the one slot a stream can read without having written it
-	for i := firstCode; i < len(d.suffix); i++ {
-		d.suffix[i] = 0xa5
-		d.prefixOf[i] = uint16(i) // a chain that never reaches a literal
-		d.lenOf[i] = 1 << 30
+	d.n[clearCode] = 7 // the one slot a stream can read without having written it
+	d.off[clearCode] = ^uint32(0)
+	for i := firstCode; i < len(d.n); i++ {
+		d.off[i] = ^uint32(0) // far past any output
+		d.n[i] = ^uint16(0)   // longer than any string a stream defines
 	}
 	return d
 }

@@ -97,6 +97,13 @@ named ./internal/proxy 'TestDecodeVerdictPoint|TestDecodeFailureLeavesAnInOrderP
 
 fuzz ./internal/scenario FuzzScenarioSpec
 fuzz ./internal/decider FuzzDynamicDecide
+# The two readers of an exported event file: wide events round-trip through
+# JSONL and arbitrary bytes stay inside an allocation bound; and whatever
+# the calibration loader makes of arbitrary bytes either leaves Table 1 in
+# charge or is finite, positive and never worse than Eq. 6.
+fuzz ./internal/obs/export FuzzReadJSONL
+fuzz ./internal/decider FuzzCalibrationFromJSONL
+exists ./internal/decider 'TestParamsFromFitRefusesNonPositive'
 fuzz ./internal/proxy FuzzReadRequest
 fuzz ./internal/proxy FuzzReadBlockFrame
 fuzz ./internal/cluster FuzzReadPeerRequest
@@ -120,6 +127,12 @@ fuzz ./internal/selective FuzzSELParse
 # decoder kept in the test files.
 fuzz ./internal/lzw FuzzLZWDecode
 fuzz ./internal/bwt FuzzBWTDecode
+# The same oracles run in the suite above; named here so a rename cannot
+# leave them running on nothing: the LZW decoder on fresh, used and
+# poisoned workspaces and its word stores against a buffer's spare
+# capacity, and the bzip2 decoder's fused stages and the counts they tally.
+exists ./internal/lzw 'TestWorkspaceReuse|TestDecodeLeavesSpareCapacity'
+exists ./internal/bwt 'TestWorkspaceReuse|TestFusedStagesMatchReference'
 fuzz ./internal/huffman FuzzHuffmanNewDecoder
 # The encode side of the block sorter: the linear-time rotation sort held to
 # the retired Manber-Myers one (and a quadratic sort on short blocks) on
