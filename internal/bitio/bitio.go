@@ -294,14 +294,10 @@ func (br *LSBReader) ReadBytes(p []byte) error {
 	return nil
 }
 
-// Err reports the sticky error, if any. io.EOF is reported once input is
-// exhausted and a read went past the end.
-func (br *LSBReader) Err() error {
-	if br.err == io.EOF {
-		return io.ErrUnexpectedEOF
-	}
-	return br.err
-}
+// Err reports the sticky error, if any: an over-read reports
+// io.ErrUnexpectedEOF (endErr never records a bare io.EOF), so checking it
+// per symbol is one load.
+func (br *LSBReader) Err() error { return br.err }
 
 // AtEOF reports whether all buffered bits are consumed and the source
 // returned EOF.
@@ -483,13 +479,21 @@ func (br *MSBReader) ReadBit() uint64 { return br.ReadBits(1) }
 
 // PeekBits returns the next n bits (MSB first) without consuming them. If
 // the stream ends inside the window the missing low bits read as zero.
+// The refill is out of line, so that what a decode loop pays per symbol
+// inlines.
 func (br *MSBReader) PeekBits(n uint) uint64 {
 	if br.n < n {
-		br.refill(n)
-		if br.n < n {
-			// Left-align what is left: missing future bits read as zero.
-			return (br.acc << (n - br.n)) & (1<<n - 1)
-		}
+		return br.peekRefill(n)
+	}
+	return (br.acc >> (br.n - n)) & (1<<n - 1)
+}
+
+// peekRefill is PeekBits when the accumulator holds fewer than n bits.
+func (br *MSBReader) peekRefill(n uint) uint64 {
+	br.refill(n)
+	if br.n < n {
+		// Left-align what is left: missing future bits read as zero.
+		return (br.acc << (n - br.n)) & (1<<n - 1)
 	}
 	return (br.acc >> (br.n - n)) & (1<<n - 1)
 }
@@ -508,10 +512,5 @@ func (br *MSBReader) Consume(n uint) {
 	br.acc &= 1<<br.n - 1
 }
 
-// Err reports the sticky error, if any.
-func (br *MSBReader) Err() error {
-	if br.err == io.EOF {
-		return io.ErrUnexpectedEOF
-	}
-	return br.err
-}
+// Err reports the sticky error, if any, as LSBReader.Err does.
+func (br *MSBReader) Err() error { return br.err }

@@ -2,6 +2,7 @@ package bwt
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -105,7 +106,38 @@ func seedStreams(tb testing.TB) map[string][]byte {
 		"zero-len-lying": craftBlock(checksum.CRC32(nil), 0, 0, map[int]uint8{symRUNB: 1, symEOB: 1}, symRUNB, symRUNB, symRUNB, symEOB),
 		// "aaaa" with its count byte missing: RLE1 must refuse the block.
 		"rle1-missing-count": craftBlock(checksum.CRC32([]byte("aaaa")), 4, 0, map[int]uint8{symRUNA: 2, symRUNB: 2, 'a' + 1: 2, symEOB: 2}, 'a'+1, symRUNA, symRUNA, symEOB),
+		// Row 1 of "aba" lies on a cycle of length 2 (row 0 is one of its
+		// own): the one walk reads "aba", the CRC says so, and only the
+		// meeting rule can refuse it.
+		"not-a-transform": columnStream(tb, []byte("aba"), 1),
 	}
+}
+
+// columnStream writes a level-1 stream of one block whose last column is
+// col and row pointer ptr, with the CRC of what the one forward walk and
+// RLE1 make of them: a stream every check but the meeting rule passes.
+func columnStream(tb testing.TB, col []byte, ptr int) []byte {
+	raw, err := rle1Decode(referenceInverse(col, ptr))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	e := new(encoder)
+	e.mtfRLE2(col)
+	lens, err := huffman.BuildLengths(e.freq[:], maxHuffBits)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	code := map[int]uint8{}
+	for s, l := range lens {
+		if l > 0 {
+			code[s] = l
+		}
+	}
+	syms := make([]int, len(e.syms))
+	for i, s := range e.syms {
+		syms[i] = int(s)
+	}
+	return craftBlock(checksum.CRC32(raw), len(col), ptr, code, syms...)
 }
 
 func bytes2ints(b []byte) []int {
@@ -117,8 +149,10 @@ func bytes2ints(b []byte) []int {
 }
 
 // referenceDecompress is the decoder as it stood before the workspace —
-// fresh arrays per stage, the unfused stages of reference_test.go — which
-// the production decoder is held to byte for byte, refusals included.
+// fresh arrays per stage, the unfused stages of reference_test.go, one
+// symbol and one forward step at a time — with the meeting rule as a
+// check of its own, and the production decoder is held to it byte for
+// byte, refusals included.
 func referenceDecompress(data []byte, maxSize int) ([]byte, error) {
 	if len(data) < 4 || data[0] != magic0 || data[1] != magic1 || data[2] != magic2 {
 		return nil, ErrCorrupt
@@ -176,7 +210,11 @@ func referenceDecompress(data []byte, maxSize int) ([]byte, error) {
 		if err != nil || len(mtf) != rleLen {
 			return nil, ErrCorrupt
 		}
-		raw, err := rle1Decode(Inverse(mtfDecode(mtf), ptr))
+		col := mtfDecode(mtf)
+		if rleLen > 0 && !meetingRule(col, ptr) {
+			return nil, ErrCorrupt
+		}
+		raw, err := rle1Decode(referenceInverse(col, ptr))
 		if err != nil || checksum.CRC32(raw) != crc {
 			return nil, ErrCorrupt
 		}
@@ -242,6 +280,9 @@ func TestSeedStreamsMeanWhatTheySay(t *testing.T) {
 		_, err := Decompress(x, fuzzLimit)
 		if valid := strings.HasPrefix(name, "valid-") || name == "empty-block"; valid != (err == nil) {
 			t.Errorf("%s: err = %v", name, err)
+		}
+		if name == "not-a-transform" && !errors.Is(err, errNotATransform) {
+			t.Errorf("%s: refused for another reason: %v", name, err)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package bwt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -162,8 +163,16 @@ func (d *decoder) undoRLE2MTF(size int) error {
 			}
 			idx := int(s - 1)
 			b := list[idx]
-			copy(list[1:idx+1], list[:idx])
-			list[0] = b
+			if idx < 8 {
+				// The entries ahead of b are in the list's first word:
+				// shift them down a byte under a mask, b in front.
+				w := binary.LittleEndian.Uint64(list[:8])
+				moved := uint64(1)<<(8*idx+8) - 1 // bytes 0..idx; all eight at idx 7
+				binary.LittleEndian.PutUint64(list[:8], (w<<8|uint64(b))&moved|w&^moved)
+			} else {
+				copy(list[1:idx+1], list[:idx])
+				list[0] = b
+			}
 			last[n] = b
 			freq[b]++
 			n++
@@ -174,15 +183,18 @@ func (d *decoder) undoRLE2MTF(size int) error {
 	return errMissingEOB
 }
 
-// undoBWTRLE1 walks the inverse transform of d.last from row ptr and
-// undoes RLE1 as the bytes come out, appending the raw block to out. Only
-// a count byte lets output outrun input, so the size limit — out may reach
-// base+maxSize when maxSize is positive — is checked before every write,
-// not after the block. The caller verifies the block CRC over the appended
-// bytes before it lets anyone see them.
+// undoBWTRLE1 inverts the transform of d.last from row ptr into d.last
+// itself — nothing reads the column once buildNext has packed it into the
+// vectors — and undoes RLE1 from there in one sequential pass, appending
+// the raw block to out a span at a time. A column on which inverse's two
+// chains do not meet is refused. Only a count byte lets output outrun
+// input, so the size limit — out may reach base+maxSize when maxSize is
+// positive — is checked before every write, not after the block. The
+// caller verifies the block CRC over the appended bytes before it lets
+// anyone see them.
 func (d *decoder) undoBWTRLE1(out []byte, ptr, base, maxSize int) ([]byte, error) {
-	last := d.last
-	if len(last) == 0 {
+	rle := d.last
+	if len(rle) == 0 {
 		return out, nil
 	}
 	limit := math.MaxInt
@@ -192,38 +204,40 @@ func (d *decoder) undoBWTRLE1(out []byte, ptr, base, maxSize int) ([]byte, error
 	errLimit := func() ([]byte, error) {
 		return nil, fmt.Errorf("%w: output exceeds limit %d", ErrCorrupt, maxSize)
 	}
-	next := d.buildNext(last)
-	out = slices.Grow(out, min(len(last), limit-len(out)))
-	runLen := 0
-	var prev byte
-	p := next[ptr]
-	for range last {
-		b := last[p]
-		p = next[p]
-		if runLen == 4 {
-			// b is the extension count for the preceding run of four.
-			if int(b) > limit-len(out) {
-				return errLimit()
+	next, lf := d.buildNext(rle)
+	if !inverse(rle, next, lf, ptr) {
+		return nil, errNotATransform
+	}
+	out = slices.Grow(out, min(len(rle), limit-len(out)))
+	for len(rle) > 0 {
+		// Copy through the fourth byte of the next run of four equal
+		// bytes, or to the end; the byte after such a run is its count.
+		k, run := 1, 1
+		for ; k < len(rle) && run < 4; k++ {
+			if rle[k] == rle[k-1] {
+				run++
+			} else {
+				run = 1
 			}
-			for k := 0; k < int(b); k++ {
-				out = append(out, prev)
-			}
-			runLen = 0
-			continue
 		}
-		if b == prev {
-			runLen++ // from 0 (block start, or just past a count byte) this is 1 either way
-		} else {
-			runLen = 1
-		}
-		prev = b
-		if len(out) >= limit {
+		if k > limit-len(out) {
 			return errLimit()
 		}
-		out = append(out, b)
-	}
-	if runLen == 4 {
-		return nil, errMissingRunCount
+		out = append(out, rle[:k]...)
+		if run < 4 {
+			break
+		}
+		if k == len(rle) {
+			return nil, errMissingRunCount
+		}
+		b, count := rle[k-1], int(rle[k])
+		if count > limit-len(out) {
+			return errLimit()
+		}
+		for range count {
+			out = append(out, b)
+		}
+		rle = rle[k+1:]
 	}
 	return out, nil
 }

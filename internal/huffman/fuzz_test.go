@@ -227,3 +227,58 @@ func FuzzHuffmanNewDecoder(f *testing.F) {
 		}
 	})
 }
+
+// appendMSBLoop is what AppendMSB stands for: DecodeMSB a symbol at a
+// time, until stop or past limit.
+func appendMSBLoop(d *Decoder, dst []uint16, br *bitio.MSBReader, stop, limit int) ([]uint16, error) {
+	for {
+		s, err := d.DecodeMSB(br)
+		if err != nil {
+			return dst, err
+		}
+		dst = append(dst, uint16(s))
+		if s == stop {
+			return dst, nil
+		}
+		if len(dst) > limit {
+			return dst, errRunaway
+		}
+	}
+}
+
+// bitsLeft drains br a bit at a time, through its refusal.
+func bitsLeft(br *bitio.MSBReader) []uint64 {
+	var bits []uint64
+	for br.Err() == nil {
+		bits = append(bits, br.ReadBits(1))
+	}
+	return bits
+}
+
+// FuzzAppendMSB holds AppendMSB to a DecodeMSB loop over a code built from
+// arbitrary lengths and an arbitrary stream, for a stop symbol, a limit
+// and a few symbols already in dst drawn from the input: the same
+// symbols, the same error, and the same bits left in the reader.
+func FuzzAppendMSB(f *testing.F) {
+	f.Fuzz(func(t *testing.T, raw, stream []byte, stop, limit uint16, held uint8) {
+		lengths := fuzzLengths(raw)
+		d, err := NewDecoder(lengths)
+		if err != nil {
+			return
+		}
+		stopSym, lim := int(stop)%(len(lengths)+1), int(limit%2048)
+		pre := make([]uint16, held%4)
+		br, wantBr := bitio.NewMSBReader(bytes.NewReader(stream)), bitio.NewMSBReader(bytes.NewReader(stream))
+		got, err := d.AppendMSB(slices.Clone(pre), br, stopSym, lim)
+		want, wantErr := appendMSBLoop(d, slices.Clone(pre), wantBr, stopSym, lim)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("AppendMSB err %v, DecodeMSB loop err %v", err, wantErr)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("AppendMSB gave %d symbols, the loop %d, or different ones", len(got), len(want))
+		}
+		if left, wantLeft := bitsLeft(br), bitsLeft(wantBr); !slices.Equal(left, wantLeft) {
+			t.Fatalf("AppendMSB left %d bits in the reader, the loop %d, or different ones", len(left), len(wantLeft))
+		}
+	})
+}

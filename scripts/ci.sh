@@ -132,8 +132,21 @@ fuzz ./internal/bwt FuzzBWTDecode
 # poisoned workspaces and its word stores against a buffer's spare
 # capacity, and the bzip2 decoder's fused stages and the counts they tally.
 exists ./internal/lzw 'TestWorkspaceReuse|TestDecodeLeavesSpareCapacity'
-exists ./internal/bwt 'TestWorkspaceReuse|TestFusedStagesMatchReference'
+exists ./internal/bwt 'TestWorkspaceReuse|TestFusedStagesMatchReference|TestSeedStreamsMeanWhatTheySay|TestInverseMeetingRule|TestBlockFitsThePackedVectors'
 fuzz ./internal/huffman FuzzHuffmanNewDecoder
+# The bzip2 decoder's bulk symbol read, held to a DecodeMSB loop: the same
+# symbols, the same refusals and the same bits left in the reader.
+fuzz ./internal/huffman FuzzAppendMSB
+# The decode loops lean on the readers' PeekBits and Consume inlining; the
+# compiler drops a method that grows past its budget without a word, so
+# the gate asks for each by name.
+INLINE=$(go build -gcflags=-m ./internal/bitio 2>&1)
+for m in '(*LSBReader).PeekBits' '(*LSBReader).Consume' '(*MSBReader).PeekBits' '(*MSBReader).Consume'; do
+	if ! echo "$INLINE" | grep -qF "can inline $m"; then
+		echo "ci: bitio $m no longer inlines" >&2
+		exit 1
+	fi
+done
 # The encode side of the block sorter: the linear-time rotation sort held to
 # the retired Manber-Myers one (and a quadratic sort on short blocks) on
 # arbitrary and periodic blocks, fresh and after an unrelated block — and
