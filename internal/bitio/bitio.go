@@ -251,6 +251,22 @@ func (br *LSBReader) Consume(n uint) {
 	br.n -= n
 }
 
+// Bits lends the reader's state to a decode loop that refills from the
+// buffer itself: the accumulator, the count of bits it holds (at most 64;
+// the bits above the count are clear), and the buffered input with the
+// index of its first byte not yet in the accumulator. The reader is
+// unchanged until SetBits hands the state back.
+func (br *LSBReader) Bits() (acc uint64, n uint, buf []byte, pos int) {
+	return br.acc, br.n, br.buf, br.pos
+}
+
+// SetBits takes back the state a Bits caller advanced: the low n bits of
+// acc are the stream's next bits (the rest are cleared; n must be below
+// 64), followed by the buffer from pos on.
+func (br *LSBReader) SetBits(acc uint64, n uint, pos int) {
+	br.acc, br.n, br.pos = acc&(1<<n-1), n, pos
+}
+
 // Align discards bits up to the next byte boundary.
 func (br *LSBReader) Align() {
 	drop := br.n % 8

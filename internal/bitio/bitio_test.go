@@ -2,6 +2,7 @@ package bitio
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math/rand"
@@ -369,6 +370,60 @@ func TestPeekConsumeMatchesReadBits(t *testing.T) {
 				t.Fatalf("%s: consuming past the end: Err %v, want unexpected EOF", name, r.Err())
 			}
 		}
+	}
+}
+
+// TestBitsHandBack: a decode loop that borrows the LSB reader's state, tops
+// the accumulator up from the buffer itself with whole 8-byte loads, takes
+// values out and hands the state back leaves the reader where a ReadBits
+// loop would have: the values after it, and the bytes after an Align, read
+// on as written. The source hands over a few bytes at a time, so the loop
+// often has no 8 bytes to load and the reader refills between its turns.
+func TestBitsHandBack(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	seq := make([]uint, 5000)
+	vals := make([]uint64, len(seq))
+	var buf bytes.Buffer
+	w := NewLSBWriter(&buf)
+	for i := range seq {
+		seq[i] = uint(1 + rng.Intn(13))
+		vals[i] = rng.Uint64() & (1<<seq[i] - 1)
+		w.WriteBits(vals[i], seq[i])
+	}
+	w.Align()
+	w.WriteBytes([]byte("tail"))
+	if w.Flush() != nil {
+		t.Fatal("flush failed")
+	}
+	r := NewLSBReader(iotest.HalfReader(bytes.NewReader(buf.Bytes())))
+	for i := 0; i < len(seq); {
+		for k := 0; k < 3 && i < len(seq); k, i = k+1, i+1 {
+			if got := r.ReadBits(seq[i]); got != vals[i] {
+				t.Fatalf("ReadBits value %d: got %#x want %#x", i, got, vals[i])
+			}
+		}
+		acc, n, in, pos := r.Bits()
+		if acc>>n != 0 && n < 64 {
+			t.Fatalf("value %d: Bits lent an accumulator with bits above its count", i)
+		}
+		if n > 63 {
+			continue
+		}
+		for k := 0; k < 5 && i < len(seq) && pos+8 <= len(in); k, i = k+1, i+1 {
+			acc |= binary.LittleEndian.Uint64(in[pos:]) << n
+			pos += int(63-n) >> 3
+			n |= 56
+			if got := acc & (1<<seq[i] - 1); got != vals[i] {
+				t.Fatalf("borrowed state, value %d: got %#x want %#x", i, got, vals[i])
+			}
+			acc, n = acc>>seq[i], n-seq[i]
+		}
+		r.SetBits(acc, n, pos)
+	}
+	r.Align()
+	tail := make([]byte, 4)
+	if err := r.ReadBytes(tail); err != nil || string(tail) != "tail" {
+		t.Fatalf("after the values: %q, err %v", tail, err)
 	}
 }
 

@@ -5,6 +5,9 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
+	"io"
+	"math"
 	"math/bits"
 	"math/rand"
 	"testing"
@@ -12,6 +15,113 @@ import (
 	"repro/internal/lz77"
 	"repro/internal/workload"
 )
+
+// The inflater as it was before the fast loop: the same block structure,
+// stored blocks and match, and a Huffman block decoded one DecodeLSB call
+// per symbol over the huffman.Decoder's own tables. What the inflater
+// accepts and refuses, with what output and in what words, is held to it.
+
+type referenceInflater struct{ inflater }
+
+// The fixed codes as the reference decodes them.
+var refFixedLit, refFixedDist = mustDecoder(fixedLitLengths()), mustDecoder(fixedDistLengths())
+
+// referenceInflate is Inflate through the reference loop. When the only
+// fault is data after the final block it returns the output with the
+// error.
+func referenceInflate(dst []byte, r io.Reader, maxSize int) ([]byte, error) {
+	z := new(referenceInflater)
+	z.reset(r)
+	base := len(dst)
+	limit := math.MaxInt
+	if maxSize > 0 {
+		limit = base + maxSize + 1
+	}
+	dst, done, err := z.run(dst, base, limit)
+	if err != nil {
+		return nil, err
+	}
+	if !done {
+		return nil, fmt.Errorf("%w: output exceeds limit %d", ErrCorrupt, maxSize)
+	}
+	var one [1]byte
+	if z.br.Align(); z.br.ReadBytes(one[:]) == nil {
+		return dst, fmt.Errorf("%w: data after the final block", ErrCorrupt)
+	}
+	return dst, nil
+}
+
+func (z *referenceInflater) run(dst []byte, base, limit int) (_ []byte, done bool, err error) {
+	for len(dst) < limit {
+		switch {
+		case z.copyLen > 0:
+			length := z.copyLen
+			z.copyLen = 0
+			dst = z.match(dst, z.copyDist, length, limit)
+		case !z.inBlock && z.final:
+			return dst, true, nil
+		case !z.inBlock:
+			err = z.blockHeader()
+		case z.lit == nil:
+			dst, err = z.storedBlock(dst, limit)
+		default:
+			dst, err = z.huffmanBlock(dst, base, limit)
+		}
+		if err != nil {
+			return nil, false, err
+		}
+	}
+	return dst, false, nil
+}
+
+// huffmanBlock is the inflate inner loop, built around the peek/consume
+// bit reader and the table-driven Huffman kernels: one table probe per
+// symbol instead of one reader call per bit. It returns at the end of the
+// block or at the limit.
+func (z *referenceInflater) huffmanBlock(dst []byte, base, limit int) ([]byte, error) {
+	br, litDec, distDec := &z.br, &z.codes.lit, &z.codes.dist
+	if z.lit == fixedLit {
+		litDec, distDec = refFixedLit, refFixedDist
+	}
+	for len(dst) < limit {
+		sym, err := litDec.DecodeLSB(br)
+		if err != nil {
+			return nil, fmt.Errorf("%w: lit/len: %v", ErrCorrupt, err)
+		}
+		switch {
+		case sym < 256:
+			dst = append(dst, byte(sym))
+		case sym == endBlockMarker:
+			z.inBlock = false
+			return dst, nil
+		case sym <= 285:
+			le := lengthTable[sym-257]
+			length := int(le.base) + int(br.ReadBits(uint(le.extra)))
+			dsym, err := distDec.DecodeLSB(br)
+			if err != nil {
+				return nil, fmt.Errorf("%w: dist: %v", ErrCorrupt, err)
+			}
+			if dsym >= maxNumDist {
+				return nil, fmt.Errorf("%w: dist code %d", ErrCorrupt, dsym)
+			}
+			de := distTable[dsym]
+			dist := int(de.base) + int(br.ReadBits(uint(de.extra)))
+			if err := br.Err(); err != nil {
+				return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+			}
+			if dist > len(dst)-base {
+				return nil, fmt.Errorf("%w: distance %d beyond output %d", ErrCorrupt, dist, len(dst)-base)
+			}
+			if length > lz77.MaxMatch {
+				return nil, fmt.Errorf("%w: match length %d", ErrCorrupt, length)
+			}
+			dst = z.match(dst, dist, length, limit)
+		default:
+			return nil, fmt.Errorf("%w: lit/len symbol %d", ErrCorrupt, sym)
+		}
+	}
+	return dst, nil
+}
 
 // The LZ77 matcher as it was before a candidate had to show three equal
 // bytes to reach the length comparison and before Tokenize stopped wiping

@@ -1,6 +1,11 @@
 package flate
 
-import "repro/internal/huffman"
+import (
+	"fmt"
+
+	"repro/internal/bitio"
+	"repro/internal/huffman"
+)
 
 // DEFLATE symbol-table constants (RFC 1951).
 const (
@@ -42,6 +47,88 @@ var distTable = [30]struct {
 	{7, 257}, {7, 385}, {8, 513}, {8, 769}, {9, 1025}, {9, 1537},
 	{10, 2049}, {10, 3073}, {11, 4097}, {11, 6145}, {12, 8193}, {12, 12289},
 	{13, 16385}, {13, 24577},
+}
+
+// The inflater's code tables: one uint32 slot per pattern of the stream's
+// next bits, laid out by huffman.Decoder.LayoutLSB, whose low bits are the
+// code's length. The kind above them says what a slot decodes to, and with
+// it the extra-bit count and the base, so one load gives a symbol and what
+// its extra bits add to. A zero slot is a pattern no code produces.
+const (
+	litRootBits  = 10
+	distRootBits = 8
+
+	slotLen  = 1<<4 - 1 // the code's length; a pointer's table's index width
+	slotKind = 7 << 4
+
+	kindLiteral = 1 << 4 // the byte at bits 16-23
+	kindLength  = 2 << 4 // extra bits at 8-15, base at 16-31
+	kindDist    = 3 << 4 // extra bits at 8-15, base at 16-31
+	kindEnd     = 4 << 4
+	kindInvalid = 5 << 4 // a symbol the code may hold and no block may use, at 16-31
+	kindSub     = 6 << 4 // a pointer: its second-level table's offset at 8-31
+)
+
+// litSlots and distSlots are what a code's slots hold for each symbol of
+// the two alphabets, less the code's length.
+var litSlots, distSlots = symbolSlots()
+
+func symbolSlots() (lit [maxNumLit + 2]uint32, dist [maxNumDist + 2]uint32) {
+	for s := range lit {
+		switch {
+		case s < endBlockMarker:
+			lit[s] = kindLiteral | uint32(s)<<16
+		case s == endBlockMarker:
+			lit[s] = kindEnd
+		case s < maxNumLit:
+			e := lengthTable[s-endBlockMarker-1]
+			lit[s] = kindLength | uint32(e.extra)<<8 | uint32(e.base)<<16
+		default:
+			lit[s] = kindInvalid | uint32(s)<<16
+		}
+	}
+	for s := range dist {
+		if s < maxNumDist {
+			e := distTable[s]
+			dist[s] = kindDist | uint32(e.extra)<<8 | uint32(e.base)<<16
+		} else {
+			dist[s] = kindInvalid | uint32(s)<<16
+		}
+	}
+	return lit, dist
+}
+
+// codeTable is one code laid out for the inflater.
+type codeTable struct {
+	slots    []uint32
+	rootBits uint
+	maxLen   uint // the careful loop's peek: the longest code
+}
+
+// build lays d's code out in t's storage, each symbol's slots holding
+// vals[sym].
+func (t *codeTable) build(d *huffman.Decoder, rootBits uint, vals []uint32) {
+	t.slots = d.LayoutLSB(t.slots, rootBits, vals, kindSub)
+	t.rootBits, t.maxLen = rootBits, uint(d.MaxLen())
+}
+
+// decode reads one code of t with the reader's own peek and consume, the
+// careful loop's probe: it refuses what huffman.Decoder.DecodeLSB refuses,
+// in the same words.
+func (t *codeTable) decode(br *bitio.LSBReader) (uint32, error) {
+	v := br.PeekBits(t.maxLen)
+	e := t.slots[v&(1<<t.rootBits-1)]
+	if e&slotKind == kindSub {
+		e = t.slots[e>>8+uint32(v>>t.rootBits)&(1<<(e&slotLen)-1)]
+	}
+	if e&slotLen == 0 {
+		return 0, fmt.Errorf("huffman: invalid code %#b", v)
+	}
+	br.Consume(uint(e & slotLen))
+	if err := br.Err(); err != nil {
+		return 0, err
+	}
+	return e, nil
 }
 
 // clOrder is the permuted order in which code-length-code lengths appear in

@@ -2,7 +2,7 @@ package huffman
 
 // Two-level lookup-table decoding (the zlib inflate strategy): a root
 // table indexed by the next rootBits of the stream resolves every code of
-// length <= rootBits in one probe; longer codes hit a root entry that
+// length <= rootBits in one probe; longer codes hit a root slot that
 // points at a second-level table indexed by the remaining bits. The
 // bit-at-a-time walker in Decode stays as the verified fallback — the
 // tables are an equivalent projection of the same canonical code, and the
@@ -11,6 +11,7 @@ package huffman
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"repro/internal/bitio"
@@ -25,32 +26,30 @@ const (
 	msbRootBits = 10
 )
 
-// tableEntry is one lookup slot. len == 0 marks a bit pattern no code
-// produces (possible only for the degenerate single-symbol code). A root
-// entry with bits != 0 is a pointer: sym is the offset of its
-// second-level table and bits its index width.
-type tableEntry struct {
-	sym  int32
-	len  uint8
-	bits uint8
-}
+// A table is one []uint32: the root slots first, then the second-level
+// tables. The low bits of a code's slot are the code's length and the rest
+// are the table owner's to define; a pointer slot is ptr | offset<<8 |
+// width, where ptr is the owner's mark for it and offset and width say
+// where its second-level table starts and how many bits index it. A zero
+// slot is a pattern no code produces (possible only for the degenerate
+// single-symbol code). The decoder's own tables mark pointers with
+// slotPtr and hold sym<<8 | length in a code's slot.
+const (
+	slotLen = 1<<6 - 1 // a length of up to maxCodeLen bits
+	slotPtr = 1 << 7
+
+	// maxSlots bounds a table by what a pointer slot can address. The
+	// callers' codes stop at 20 bits over a few hundred symbols, which
+	// need tens of thousands.
+	maxSlots = 1 << 24
+)
 
 // lookupTable is a decoding table over one bit orientation.
 type lookupTable struct {
 	rootBits uint
 	rootMask uint64
 	peek     uint // maxLen: the peek window covering any full code
-	root     []tableEntry
-	sub      []tableEntry
-	long     []longCode // build scratch
-}
-
-// longCode is a code too long for the root table, parked until the
-// second-level tables are laid out.
-type longCode struct {
-	sym  int32
-	len  uint8
-	code uint32
+	slots    []uint32
 }
 
 // buildTable constructs, in t's storage, the two-level table for the
@@ -62,94 +61,90 @@ func (d *Decoder) buildTable(t *lookupTable, msb bool) {
 	if msb {
 		rootBits = msbRootBits
 	}
-	if maxLen := uint(d.maxLen); rootBits > maxLen {
-		rootBits = maxLen
-	}
+	rootBits = min(rootBits, uint(d.maxLen))
 	t.rootBits = rootBits
 	t.rootMask = 1<<rootBits - 1
 	t.peek = uint(d.maxLen)
-	// A zero entry marks a pattern no code produces, so storage left by
-	// the previous code is cleared; sub regrows zeroed, group by group.
-	t.root = slices.Grow(t.root[:0], 1<<rootBits)[:1<<rootBits]
-	clear(t.root)
-	t.sub = t.sub[:0]
-
-	// Walk symbols in canonical (length, symbol) order, regenerating each
-	// code the same way the walker's first/offset arrays imply it.
-	long := t.long[:0]
-	for l := 1; l <= d.maxLen; l++ {
-		c := d.count[l]
-		if c == 0 {
-			continue
-		}
-		for i := int32(0); i < c; i++ {
-			sym := d.syms[d.offset[l]+i]
-			code := d.first[l] + uint32(i)
-			if uint(l) <= rootBits {
-				t.fillRoot(sym, uint8(l), code, msb)
-			} else {
-				long = append(long, longCode{sym: sym, len: uint8(l), code: code})
-			}
-		}
-	}
-
-	// Group long codes by their first rootBits transmitted bits (the
-	// canonical MSB prefix) and build one second-level table per group,
-	// sized for the longest code in the group.
-	for i := 0; i < len(long); {
-		prefix := long[i].code >> (uint(long[i].len) - rootBits)
-		j := i
-		maxLen := uint(0)
-		for j < len(long) && long[j].code>>(uint(long[j].len)-rootBits) == prefix {
-			if l := uint(long[j].len); l > maxLen {
-				maxLen = l
-			}
-			j++
-		}
-		subBits := maxLen - rootBits
-		off := int32(len(t.sub))
-		t.sub = append(t.sub, make([]tableEntry, 1<<subBits)...)
-		for _, lc := range long[i:j] {
-			tailBits := uint(lc.len) - rootBits
-			tail := lc.code & (1<<tailBits - 1)
-			if msb {
-				// MSB: the tail arrives left-aligned within subBits.
-				base := tail << (subBits - tailBits)
-				for k := uint32(0); k < 1<<(subBits-tailBits); k++ {
-					t.sub[off+int32(base+k)] = tableEntry{sym: lc.sym, len: lc.len}
-				}
-			} else {
-				// LSB: the tail arrives bit-reversed in the low bits.
-				base := Reverse(tail, uint8(tailBits))
-				for k := uint32(0); k < 1<<(subBits-tailBits); k++ {
-					t.sub[off+int32(base|k<<tailBits)] = tableEntry{sym: lc.sym, len: lc.len}
-				}
-			}
-		}
-		// Point the root slot at the group's table.
-		slot := prefix
-		if !msb {
-			slot = Reverse(prefix, uint8(rootBits))
-		}
-		t.root[slot] = tableEntry{sym: off, bits: uint8(subBits)}
-		i = j
-	}
-	t.long = long
+	t.slots = d.layout(t.slots, rootBits, msb, nil, slotPtr)
 }
 
-// fillRoot replicates a short code across every root slot sharing its
-// leading transmitted bits.
-func (t *lookupTable) fillRoot(sym int32, l uint8, code uint32, msb bool) {
-	if msb {
-		base := code << (t.rootBits - uint(l))
-		for k := uint32(0); k < 1<<(t.rootBits-uint(l)); k++ {
-			t.root[base+k] = tableEntry{sym: sym, len: l}
+// LayoutLSB lays the decoder's code out in dst's storage as a two-level
+// table for an LSB-first stream (DEFLATE's orientation) and returns it:
+// 1<<rootBits root slots indexed by the stream's next rootBits bits (which
+// may exceed the longest code), then the second-level tables. A code's
+// slots hold vals[sym] | length, so vals[sym] must leave the low bits a
+// length takes clear; a pointer slot holds ptr | offset<<8 | width.
+func (d *Decoder) LayoutLSB(dst []uint32, rootBits uint, vals []uint32, ptr uint32) []uint32 {
+	return d.layout(dst, rootBits, false, vals, ptr)
+}
+
+// layout is the one table builder. It walks the code in canonical
+// (length, symbol) order, regenerating each code the way the walker's
+// first/offset arrays imply it. A code no longer than rootBits fills every
+// root slot it begins. Longer codes come grouped by their first rootBits
+// transmitted bits (the canonical MSB prefix), and the first of a group
+// opens the group's second-level table, sized for the longest code in it:
+// zlib's count of how many codes of each length the prefix's subtree still
+// has room for, so no pass over the group is needed first.
+func (d *Decoder) layout(t []uint32, rootBits uint, msb bool, vals []uint32, ptr uint32) []uint32 {
+	// A zero slot marks a pattern no code produces, so storage left by the
+	// previous code is cleared; second-level tables regrow zeroed.
+	t = slices.Grow(t[:0], 1<<rootBits)[:1<<rootBits]
+	clear(t)
+	left := d.count // codes of each length not yet laid out
+	group := ^uint32(0)
+	var sub, width uint // the open second-level table and its index width
+	for l := 1; l <= d.maxLen; l++ {
+		for i := int32(0); i < d.count[l]; i++ {
+			sym := d.syms[d.offset[l]+i]
+			code := d.first[l] + uint32(i)
+			slot := uint32(sym)<<8 | uint32(l)
+			if vals != nil {
+				slot = vals[sym] | uint32(l)
+			}
+			if uint(l) <= rootBits {
+				fill(t, code, uint(l), rootBits, msb, slot)
+				continue
+			}
+			tail := uint(l) - rootBits
+			if prefix := code >> tail; prefix != group {
+				group = prefix
+				width = tail
+				for room := int32(1) << tail; rootBits+width < uint(d.maxLen); width++ {
+					if room -= left[rootBits+width]; room <= 0 {
+						break
+					}
+					room <<= 1
+				}
+				sub = uint(len(t))
+				if sub+1<<width > maxSlots {
+					panic("huffman: lookup table beyond its addressable size")
+				}
+				t = slices.Grow(t, 1<<width)[:sub+1<<width]
+				clear(t[sub:])
+				if !msb {
+					prefix = bits.Reverse32(prefix) >> (32 - rootBits)
+				}
+				t[prefix] = ptr | uint32(sub)<<8 | uint32(width)
+			}
+			fill(t[sub:], code&(1<<tail-1), tail, width, msb, slot)
+			left[l]--
 		}
-		return
 	}
-	base := Reverse(code, l)
-	for k := uint32(0); k < 1<<(t.rootBits-uint(l)); k++ {
-		t.root[base|k<<uint(l)] = tableEntry{sym: sym, len: l}
+	return t
+}
+
+// fill writes slot into every slot of a table indexed by width bits whose
+// index begins with the l-bit code: its left-aligned run in the MSB
+// orientation, its bit-reversed value and every continuation above it in
+// the LSB one.
+func fill(t []uint32, code uint32, l, width uint, msb bool, slot uint32) {
+	base, step := code<<(width-l), uint32(1)
+	if !msb {
+		base, step = bits.Reverse32(code)>>(32-l), 1<<l
+	}
+	for k := uint32(0); k < 1<<(width-l); k++ {
+		t[base+k*step] = slot
 	}
 }
 
@@ -172,18 +167,18 @@ func (d *Decoder) msbTable() *lookupTable {
 func (d *Decoder) DecodeLSB(br *bitio.LSBReader) (int, error) {
 	t := d.lsbTable()
 	v := br.PeekBits(t.peek)
-	e := t.root[v&t.rootMask]
-	if e.bits != 0 {
-		e = t.sub[e.sym+int32(v>>t.rootBits&(1<<e.bits-1))]
+	e := t.slots[v&t.rootMask]
+	if e&slotPtr != 0 {
+		e = t.slots[e>>8+uint32(v>>t.rootBits)&(1<<(e&slotLen)-1)]
 	}
-	if e.len == 0 {
+	if e&slotLen == 0 {
 		return 0, fmt.Errorf("huffman: invalid code %#b", v)
 	}
-	br.Consume(uint(e.len))
+	br.Consume(uint(e & slotLen))
 	if err := br.Err(); err != nil {
 		return 0, err
 	}
-	return int(e.sym), nil
+	return int(e >> 8), nil
 }
 
 // DecodeMSB decodes one symbol from an MSB-first stream (the bzip2-style
@@ -191,19 +186,19 @@ func (d *Decoder) DecodeLSB(br *bitio.LSBReader) (int, error) {
 func (d *Decoder) DecodeMSB(br *bitio.MSBReader) (int, error) {
 	t := d.msbTable()
 	v := br.PeekBits(t.peek)
-	e := t.root[v>>(t.peek-t.rootBits)]
-	if e.bits != 0 {
-		shift := t.peek - t.rootBits - uint(e.bits)
-		e = t.sub[e.sym+int32(v>>shift&(1<<e.bits-1))]
+	e := t.slots[v>>(t.peek-t.rootBits)]
+	if e&slotPtr != 0 {
+		shift := t.peek - t.rootBits - uint(e&slotLen)
+		e = t.slots[e>>8+uint32(v>>shift)&(1<<(e&slotLen)-1)]
 	}
-	if e.len == 0 {
+	if e&slotLen == 0 {
 		return 0, fmt.Errorf("huffman: invalid code %#b", v)
 	}
-	br.Consume(uint(e.len))
+	br.Consume(uint(e & slotLen))
 	if err := br.Err(); err != nil {
 		return 0, err
 	}
-	return int(e.sym), nil
+	return int(e >> 8), nil
 }
 
 // errRunaway is AppendMSB's refusal of a stream that has not reached its
@@ -219,23 +214,24 @@ var errRunaway = errors.New("huffman: no stop symbol within the limit")
 // with the error.
 func (d *Decoder) AppendMSB(dst []uint16, br *bitio.MSBReader, stop, limit int) ([]uint16, error) {
 	t := d.msbTable()
-	root, sub := t.root, t.sub
+	slots := t.slots
 	peek, rootShift := t.peek, t.peek-t.rootBits
 	for {
 		v := br.PeekBits(peek)
-		e := root[v>>rootShift]
-		if e.bits != 0 {
-			e = sub[e.sym+int32(v>>(rootShift-uint(e.bits))&(1<<e.bits-1))]
+		e := slots[v>>rootShift]
+		if e&slotPtr != 0 {
+			e = slots[e>>8+uint32(v>>(rootShift-uint(e&slotLen)))&(1<<(e&slotLen)-1)]
 		}
-		if e.len == 0 {
+		if e&slotLen == 0 {
 			return dst, fmt.Errorf("huffman: invalid code %#b", v)
 		}
-		br.Consume(uint(e.len))
+		br.Consume(uint(e & slotLen))
 		if err := br.Err(); err != nil {
 			return dst, err
 		}
-		dst = append(dst, uint16(e.sym))
-		if int(e.sym) == stop {
+		sym := int(e >> 8)
+		dst = append(dst, uint16(sym))
+		if sym == stop {
 			return dst, nil
 		}
 		if len(dst) > limit {

@@ -106,7 +106,7 @@ func TestTableMatchesWalkerLSB(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: NewDecoder: %v", name, err)
 		}
-		if name == "deep15" && len(d.lsbTable().sub) == 0 {
+		if lt := d.lsbTable(); name == "deep15" && len(lt.slots) == 1<<lt.rootBits {
 			t.Fatalf("deep15 built no second-level table")
 		}
 		syms := randomSymbols(lengths, 4096, 1)
@@ -138,7 +138,7 @@ func TestTableMatchesWalkerMSB(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: NewDecoder: %v", name, err)
 		}
-		if name == "deep20" && len(d.msbTable().sub) == 0 {
+		if mt := d.msbTable(); name == "deep20" && len(mt.slots) == 1<<mt.rootBits {
 			t.Fatalf("deep20 built no second-level table")
 		}
 		syms := randomSymbols(lengths, 4096, 2)
