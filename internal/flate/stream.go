@@ -166,8 +166,12 @@ func (zw *Writer) Close() error {
 // arbitrarily large members decompress in constant memory, and it verifies
 // the CRC-32/ISIZE trailer at EOF.
 type Reader struct {
-	z        inflater
-	buf      []byte // output: history a match may still reach, then buf[next:], not yet read
+	z inflater
+	// buf is the output: history a match may still reach, then buf[next:],
+	// not yet read. It holds at most two windows, and its capacity is those
+	// and the fast loop's slop from the start, so it never moves and every
+	// fill has the spare capacity the fast loop writes into.
+	buf      []byte
 	next     int
 	headerOK bool
 	crc      uint32
@@ -179,7 +183,7 @@ var _ io.Reader = (*Reader)(nil)
 
 // NewReader returns a streaming gzip reader over r.
 func NewReader(r io.Reader) *Reader {
-	zr := new(Reader)
+	zr := &Reader{buf: make([]byte, 0, 2*lz77.WindowSize+fastSlop)}
 	zr.z.reset(r)
 	return zr
 }

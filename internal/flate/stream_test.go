@@ -3,6 +3,7 @@ package flate
 import (
 	"bytes"
 	"compress/gzip"
+	"fmt"
 	"io"
 	"math/rand"
 	"strings"
@@ -308,19 +309,45 @@ func BenchmarkStreamReader(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	buf := make([]byte, 64*1024)
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		zr := NewReader(bytes.NewReader(comp))
-		for {
-			_, err := zr.Read(buf)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				b.Fatal(err)
-			}
+		readAll(b, comp, 64*1024)
+	}
+}
+
+// BenchmarkStreamReaderReadSize reads each bench file, gzipped whole as one
+// member, through the Reader in 300-byte and 4 KiB reads: the sizes at
+// which each fill decodes a small part of the Reader's window.
+func BenchmarkStreamReaderReadSize(b *testing.B) {
+	for _, f := range benchFiles(b) {
+		comp, err := GzipCompress(f.data, 9)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, size := range []int{300, 4096} {
+			b.Run(fmt.Sprintf("%s/%d", f.name, size), func(b *testing.B) {
+				b.SetBytes(int64(len(f.data)))
+				for i := 0; i < b.N; i++ {
+					readAll(b, comp, size)
+				}
+			})
+		}
+	}
+}
+
+// readAll reads the gzip member comp through a Reader to its end, in reads
+// of readSize bytes.
+func readAll(b *testing.B, comp []byte, readSize int) {
+	zr := NewReader(bytes.NewReader(comp))
+	buf := make([]byte, readSize)
+	for {
+		_, err := zr.Read(buf)
+		if err == io.EOF {
+			return
+		}
+		if err != nil {
+			b.Fatal(err)
 		}
 	}
 }
