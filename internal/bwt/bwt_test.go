@@ -154,6 +154,42 @@ func TestQuickRLE1Inverse(t *testing.T) {
 	}
 }
 
+// TestRLE1MatchesRetired holds appendRLE1, which looks for runs a word at a
+// time, to the byte loop it replaced: runs of every length from 1 to 600
+// at every offset in a word, between bytes that differ or pair up, random
+// blocks of few values, and the bench files' dataplane blocks — each
+// appended after a prefix that must stay as it was.
+func TestRLE1MatchesRetired(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	var inputs [][]byte
+	for run := 1; run <= 600; run++ {
+		for off := 0; off < 9; off++ {
+			b := append(bytes.Repeat([]byte("xyzz"), off)[:off], bytes.Repeat([]byte{'r'}, run)...)
+			inputs = append(inputs, append(b, "qqs"[:1+run%3]...))
+		}
+	}
+	for i := 0; i < 200; i++ {
+		b := make([]byte, rng.Intn(3000))
+		alpha := 1 + rng.Intn(4)
+		for j := range b {
+			b[j] = byte(rng.Intn(alpha))
+		}
+		inputs = append(inputs, b)
+	}
+	for _, f := range benchFiles(t) {
+		for off := 0; off < len(f.data); off += blockBytes {
+			inputs = append(inputs, f.data[off:min(off+blockBytes, len(f.data))])
+		}
+	}
+	prefix := []byte("kept")
+	for i, in := range inputs {
+		got := appendRLE1(bytes.Clone(prefix), in)
+		if want := append(bytes.Clone(prefix), rle1Encode(in)...); !bytes.Equal(got, want) {
+			t.Fatalf("input %d (%d bytes): appendRLE1 differs from the byte loop", i, len(in))
+		}
+	}
+}
+
 func TestRLE2ZeroRuns(t *testing.T) {
 	for run := 0; run <= 200; run++ {
 		mtf := make([]byte, run)

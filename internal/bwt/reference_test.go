@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/bitio"
@@ -103,7 +104,25 @@ func referenceMTFEncode(data []byte) []byte {
 	return out
 }
 
-func rle1Encode(data []byte) []byte { return appendRLE1(nil, data) }
+// rle1Encode is RLE1 a byte at a time, as appendRLE1 ran it before it
+// looked for runs a word at a time.
+func rle1Encode(data []byte) []byte {
+	var dst []byte
+	for i := 0; i < len(data); {
+		b := data[i]
+		j := i + 1
+		for j < len(data) && data[j] == b && j-i < 255+4 {
+			j++
+		}
+		if run := j - i; run >= 4 {
+			dst = append(dst, b, b, b, b, byte(run-4))
+		} else {
+			dst = append(dst, data[i:j]...)
+		}
+		i = j
+	}
+	return dst
+}
 
 // rle2Encode is the fused pass's symbol stream for the column whose
 // move-to-front coding is mtf.
@@ -113,18 +132,282 @@ func rle2Encode(mtf []byte) []uint16 {
 	return e.syms
 }
 
-// cyclicSort lists the rotation starts of s in the order sortRotations
-// puts them; equal rotations (s periodic) are adjacent, lowest start of
-// the least rotation's copies first.
+// cyclicSort lists the rotation starts of s in the order transform's sort
+// puts them; equal rotations (s periodic) are adjacent, lowest start of the
+// least rotation's copies first.
 func cyclicSort(s []byte) []int {
-	w, sa, r := new(encoder).sortRotations(s)
+	e := new(encoder)
+	e.transform(make([]byte, len(s)), s)
+	r, w := leastRotation(s), len(e.sa)
 	out := make([]int, 0, len(s))
-	for _, p := range sa {
-		for at := int(p); at < len(s); at += len(w) {
+	for _, p := range e.sa {
+		for at := int(p); at < len(s); at += w {
 			out = append(out, (r+at)%len(s))
 		}
 	}
 	return out
+}
+
+// The rotation sort as it stood before each SA-IS level found its LMS
+// positions once and named them without a compare pass, and before the
+// final induction wrote the last column: three scans of the text for LMS
+// positions, a closure call per position, and every entry rewritten by
+// both final passes. transform then read the column back from the suffix
+// array with retiredColumn. TestSortMatchesRetiredSAIS and FuzzBWTTransform
+// hold the production sort to it.
+
+// retiredSortRotations sorts the cyclic rotations of s as transform's sort
+// does: it returns the Lyndon root w of s's least rotation, the suffix
+// array of w and the index r at which that rotation starts in s.
+func retiredSortRotations(s []byte) (w []byte, sa []int32, r int) {
+	r = leastRotation(s)
+	rot := append(append([]byte(nil), s[r:]...), s[:r]...)
+	w = rot[:retiredLyndonRoot(rot)]
+	sa = make([]int32, len(w))
+	var spill []int32
+	retiredSAIS(w, sa, nil, 256, &spill)
+	return w, sa, r
+}
+
+// retiredLyndonRoot is lyndonRoot a byte at a time.
+func retiredLyndonRoot(t []byte) int {
+	j := 0
+	for k := 1; k < len(t); k++ {
+		if t[j] < t[k] {
+			j = 0
+		} else {
+			j++
+		}
+	}
+	return len(t) - j
+}
+
+// retiredColumn is the pass transform made over the sorted rotations of a
+// block of n bytes whose least rotation is a power of w with suffix array
+// sa and which starts at rotation self of w: the last column, each row's
+// byte loaded from w, and the lowest row equal to the block.
+func retiredColumn(w []byte, sa []int32, n, self int) ([]byte, int) {
+	last := make([]byte, n)
+	k := n / len(w)
+	ptr, row := 0, 0
+	for _, p := range sa {
+		if int(p) == self {
+			ptr = row
+		}
+		c := w[len(w)-1]
+		if p > 0 {
+			c = w[p-1]
+		}
+		for end := row + k; row < end; row++ {
+			last[row] = c
+		}
+	}
+	return last, ptr
+}
+
+// retiredTransform is the transform over the retired sort.
+func retiredTransform(block []byte) ([]byte, int) {
+	w, sa, r := retiredSortRotations(block)
+	return retiredColumn(w, sa, len(block), (len(block)-r)%len(w))
+}
+
+// retiredSAIS is SA-IS as the package ran it: a complemented entry is one
+// the current pass must not induce from, and the counters live in free when
+// they fit, else on top of *spill.
+func retiredSAIS[T byte | int32](t []T, sa, free []int32, k int, spill *[]int32) {
+	n := len(t)
+	if n < 2 {
+		clear(sa)
+		return
+	}
+	mark := len(*spill)
+	if 2*k > len(free) {
+		*spill = slices.Grow(*spill, 2*k)[:mark+2*k]
+		free = (*spill)[mark:]
+	}
+	freq, bkt := free[:k], free[k:2*k]
+	clear(freq)
+	for _, c := range t {
+		freq[c]++
+	}
+
+	// Stage 1: drop every LMS position at the tail of its bucket and sort
+	// the LMS substrings by induction.
+	clear(sa)
+	setBuckets(freq, bkt, true)
+	m := 0
+	retiredEachLMS(t, func(p int) {
+		bkt[t[p]]--
+		sa[bkt[t[p]]] = int32(p)
+		m++
+	})
+	setBuckets(freq, bkt, false)
+	retiredSortL(t, sa, bkt)
+	setBuckets(freq, bkt, true)
+	retiredSortS(t, sa, bkt)
+	// What is left is the LMS positions, complemented, in substring order:
+	// gather them at the front, ...
+	got := 0
+	for i, j := range sa {
+		if j < 0 {
+			sa[i] = 0
+			sa[got] = ^j
+			got++
+		}
+	}
+	// ... note each substring's length (through the next LMS position, or
+	// to the end of t) at sa[m+p/2], which two LMS positions never share,
+	// and replace it by the substring's name, its rank among distinct ones.
+	end := n
+	retiredEachLMS(t, func(p int) {
+		sa[m+p/2] = int32(end - p)
+		end = p + 1
+	})
+	names, q, qlen := 0, int32(0), int32(-1)
+	for _, p := range sa[:m] {
+		plen := sa[m+int(p)/2]
+		// The substring that runs off the end of t ends in the sentinel and
+		// equals no other.
+		if plen != qlen || int(p+plen) >= n || int(q+qlen) >= n || !slices.Equal(t[p:p+plen], t[q:q+qlen]) {
+			names++
+			q, qlen = p, plen
+		}
+		sa[m+int(p)/2] = int32(names)
+	}
+
+	// Stage 2: distinct names are already suffix order; otherwise sort the
+	// text of names, packed at the end of sa, into the front of sa, and
+	// turn its indices back into LMS positions.
+	if names < m {
+		t1 := sa[n-m:]
+		j := m
+		for i := m + (n-1)/2; i >= m; i-- {
+			if sa[i] != 0 {
+				j--
+				t1[j] = sa[i] - 1
+			}
+		}
+		retiredSAIS(t1, sa[:m], sa[m:n-m], names, spill)
+		j = m
+		retiredEachLMS(t, func(p int) {
+			j--
+			t1[j] = int32(p)
+		})
+		for i, r := range sa[:m] {
+			sa[i] = t1[r]
+		}
+	}
+
+	// Stage 3: spread the sorted LMS suffixes to the tails of their buckets
+	// and induce the rest.
+	clear(sa[m:])
+	setBuckets(freq, bkt, true)
+	for i := m - 1; i >= 0; i-- {
+		p := sa[i]
+		sa[i] = 0
+		bkt[t[p]]--
+		sa[bkt[t[p]]] = p
+	}
+	setBuckets(freq, bkt, false)
+	retiredInduceL(t, sa, bkt)
+	setBuckets(freq, bkt, true)
+	retiredInduceS(t, sa, bkt)
+	*spill = (*spill)[:mark]
+}
+
+// retiredEachLMS calls f with every LMS position of t from the last to the
+// first.
+func retiredEachLMS[T byte | int32](t []T, f func(p int)) {
+	sType, next := false, t[len(t)-1]
+	for i := len(t) - 2; i >= 0; i-- {
+		c := t[i]
+		if c < next {
+			sType = true
+		} else if c > next {
+			if sType {
+				f(i + 1)
+			}
+			sType = false
+		}
+		next = c
+	}
+}
+
+// retiredPutL puts suffix j-1, which is L-type, at the head of its bucket,
+// complemented if its own predecessor is S-type.
+func retiredPutL[T byte | int32](t []T, sa, bkt []int32, j int32) {
+	j--
+	c := t[j]
+	if j > 0 && t[j-1] < c {
+		j = ^j
+	}
+	sa[bkt[c]] = j
+	bkt[c]++
+}
+
+// retiredSortL and retiredInduceL scan sa upwards from bucket heads and put
+// each L-type predecessor at the head of its bucket; retiredSortL erases an
+// entry once used and restores a complemented one, retiredInduceL
+// complements every entry for retiredInduceS to undo.
+func retiredSortL[T byte | int32](t []T, sa, bkt []int32) {
+	retiredPutL(t, sa, bkt, int32(len(t)))
+	for i, j := range sa {
+		if j > 0 {
+			sa[i] = 0
+			retiredPutL(t, sa, bkt, j)
+		} else if j < 0 {
+			sa[i] = ^j
+		}
+	}
+}
+
+func retiredInduceL[T byte | int32](t []T, sa, bkt []int32) {
+	retiredPutL(t, sa, bkt, int32(len(t)))
+	for i := range sa {
+		j := sa[i]
+		sa[i] = ^j
+		if j > 0 {
+			retiredPutL(t, sa, bkt, j)
+		}
+	}
+}
+
+// retiredSortS and retiredInduceS scan sa downwards from bucket tails and
+// put each S-type predecessor at the tail of its bucket, complemented if it
+// is an LMS position; retiredSortS erases an entry once used, and
+// retiredInduceS undoes every complement on the way.
+func retiredSortS[T byte | int32](t []T, sa, bkt []int32) {
+	for i := len(sa) - 1; i >= 0; i-- {
+		j := sa[i]
+		if j <= 0 {
+			continue
+		}
+		sa[i] = 0
+		j--
+		c := t[j]
+		if j > 0 && t[j-1] > c {
+			j = ^j
+		}
+		bkt[c]--
+		sa[bkt[c]] = j
+	}
+}
+
+func retiredInduceS[T byte | int32](t []T, sa, bkt []int32) {
+	for i := len(sa) - 1; i >= 0; i-- {
+		j := sa[i]
+		if j <= 0 {
+			sa[i] = ^j
+			continue
+		}
+		j--
+		c := t[j]
+		if j == 0 || t[j-1] > c {
+			j = ^j
+		}
+		bkt[c]--
+		sa[bkt[c]] = j
+	}
 }
 
 // referenceTransform is the transform over the retired sorter: what every

@@ -123,6 +123,9 @@ func checkTransform(e *encoder, block []byte) error {
 	if !bytes.Equal(Inverse(last, ptr), block) {
 		return fmt.Errorf("Inverse(last, %d) is not the block", ptr)
 	}
+	if err := checkRetiredSort(e, block); err != nil {
+		return err
+	}
 	if len(block) <= 512 {
 		naive := naiveCyclicSort(block)
 		for i, p := range naive {
@@ -132,6 +135,63 @@ func checkTransform(e *encoder, block []byte) error {
 		}
 	}
 	return nil
+}
+
+// checkRetiredSort holds transform's sort, on workspace e, to the retired
+// one: the same suffix array of the Lyndon root, and the column and row
+// pointer the induction wrote equal to those read back from the suffix
+// array, its own and the retired sort's alike.
+func checkRetiredSort(e *encoder, block []byte) error {
+	if len(block) == 0 {
+		return nil
+	}
+	last := make([]byte, len(block))
+	ptr := e.transform(last, block)
+	w, sa, r := retiredSortRotations(block)
+	if !slices.Equal(e.sa, sa) {
+		return fmt.Errorf("suffix array of the %d-byte root differs from the retired sort's", len(w))
+	}
+	if !bytes.Equal(e.rot[:len(w)], w) {
+		return fmt.Errorf("Lyndon root differs from the retired sort's")
+	}
+	self := (len(block) - r) % len(w)
+	for _, sa := range [][]int32{e.sa, sa} {
+		wantLast, wantPtr := retiredColumn(w, sa, len(block), self)
+		if !bytes.Equal(last, wantLast) {
+			return fmt.Errorf("the column the induction wrote differs from the one read back from the suffix array")
+		}
+		if ptr != wantPtr {
+			return fmt.Errorf("row pointer %d, read back from the suffix array %d", ptr, wantPtr)
+		}
+	}
+	return nil
+}
+
+// TestSortMatchesRetiredSAIS holds the sort to the one it replaced, through
+// one workspace throughout, on the fuzz seeds and their cubes, the
+// adversarial blocks, and every block the bench files' bzip2 artifacts
+// sort: each 128 kB dataplane block after RLE1, as levels 2 and 9 both
+// take it, and each level-9 block of a whole file.
+func TestSortMatchesRetiredSAIS(t *testing.T) {
+	var blocks []namedBlock
+	for _, b := range sortSeeds() {
+		blocks = append(blocks, b, namedBlock{b.name + "^3", bytes.Repeat(b.data, 3)})
+	}
+	blocks = append(blocks, adversarialBlocks(blockBytes)...)
+	for _, f := range benchFiles(t) {
+		for _, size := range []int{blockBytes, 9 * blockSizeUnit} {
+			for off := 0; off < len(f.data); off += size {
+				raw := f.data[off:min(off+size, len(f.data))]
+				blocks = append(blocks, namedBlock{fmt.Sprintf("%s %d-byte block at %d", f.name, size, off), appendRLE1(nil, raw)})
+			}
+		}
+	}
+	e := new(encoder)
+	for _, b := range blocks {
+		if err := checkRetiredSort(e, b.data); err != nil {
+			t.Errorf("%s: %v", b.name, err)
+		}
+	}
 }
 
 // lowestEqualRow is the first of the sorted rows equal to row ptr: ptr
@@ -210,7 +270,9 @@ func sortSeeds() []namedBlock {
 const maxFuzzBlock = 128 << 10
 
 // FuzzBWTTransform holds the linear-time sorter to the retired Manber-Myers
-// one and, on short inputs, to the quadratic sort, on arbitrary blocks x,
+// one, to the retired SA-IS (suffix array, and the column the induction
+// writes against the one read back from it) and, on short inputs, to the
+// quadratic sort, on arbitrary blocks x,
 // each fresh and after an unrelated block y; raw x and x repeated (a proper
 // power whenever it is long enough to matter) both go through. The seeds
 // meet a periodic and an aperiodic predecessor and run under plain go test.
@@ -432,6 +494,21 @@ func BenchmarkTransform(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				e.transform(last, blk.data)
+			}
+		})
+	}
+}
+
+// BenchmarkRLE1 times the run-length pass before the sort on the first
+// dataplane block of each bench file.
+func BenchmarkRLE1(b *testing.B) {
+	for _, f := range benchFiles(b) {
+		b.Run(f.name, func(b *testing.B) {
+			block := f.data[:blockBytes]
+			var dst []byte
+			b.SetBytes(int64(len(block)))
+			for i := 0; i < b.N; i++ {
+				dst = appendRLE1(dst[:0], block)
 			}
 		})
 	}
