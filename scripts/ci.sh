@@ -164,6 +164,14 @@ exists ./internal/bitio 'TestBitsHandBack'
 # Compress, through the fused move-to-front pass and the word-storing bit
 # writer, to the retired passes' stream.
 fuzz ./internal/bwt FuzzBWTTransform
+# What the record quotes of the encoders, checked by name so a rename
+# cannot leave it running on nothing: the pinned artifact digests of the
+# bench files under each encoder, the sort's linearity guard, its
+# largest-block round trip, the retired SA-IS it is held to, and the block
+# sort, whole-block and move-to-front kernels.
+exists ./internal/bwt 'TestBenchFilesMatchReference|TestSortWorstCase|TestLevel9BlockRoundTrip|TestSortMatchesRetiredSAIS|BenchmarkTransform|BenchmarkCompressBlock|BenchmarkMTF'
+exists ./internal/flate 'TestBenchFilesMatchReference'
+exists ./internal/lzw 'TestBenchFilesMatchReference'
 # The two pieces of the standard library the testbed and the dataplane lean
 # on for their numbers: the O(1)-seeded generator held to math/rand's own,
 # draw for draw, and hash/crc32 held to the from-scratch CRC-32 kept in the
