@@ -224,9 +224,6 @@ func (br *LSBReader) ReadBits(n uint) uint64 {
 	return v
 }
 
-// ReadBit reads a single bit.
-func (br *LSBReader) ReadBit() uint64 { return br.ReadBits(1) }
-
 // PeekBits returns the next n bits (LSB first) without consuming them,
 // zero-padded when the stream ends within the window. n must be <= 57.
 // Peeking past the end is not an error; only Consume detects over-reads.
@@ -489,9 +486,6 @@ func (br *MSBReader) ReadBits(n uint) uint64 {
 	br.acc &= 1<<br.n - 1
 	return v
 }
-
-// ReadBit reads a single bit.
-func (br *MSBReader) ReadBit() uint64 { return br.ReadBits(1) }
 
 // PeekBits returns the next n bits (MSB first) without consuming them. If
 // the stream ends inside the window the missing low bits read as zero.

@@ -258,7 +258,7 @@ func TestMSBReadBitSequence(t *testing.T) {
 	r := NewMSBReader(bytes.NewReader([]byte{0b10110100}))
 	want := []uint64{1, 0, 1, 1, 0, 1, 0, 0}
 	for i, w := range want {
-		if got := r.ReadBit(); got != w {
+		if got := r.ReadBits(1); got != w {
 			t.Fatalf("bit %d: got %d want %d", i, got, w)
 		}
 	}
@@ -324,7 +324,6 @@ func TestPeekConsumeMatchesReadBits(t *testing.T) {
 	}
 	type reader interface {
 		ReadBits(uint) uint64
-		ReadBit() uint64
 		PeekBits(uint) uint64
 		Consume(uint)
 		Err() error
@@ -343,8 +342,6 @@ func TestPeekConsumeMatchesReadBits(t *testing.T) {
 			for i, n := range seq {
 				var got uint64
 				switch {
-				case n == 1:
-					got = r.ReadBit()
 				case i%2 == 0:
 					got = r.ReadBits(n)
 				case name == "LSB":

@@ -89,7 +89,7 @@ func TestMTFRoundTrip(t *testing.T) {
 		[]byte{255, 0, 255, 1, 128},
 	}
 	for _, c := range cases {
-		if got := mtfDecode(mtfEncode(c)); !bytes.Equal(got, c) {
+		if got := mtfDecode(referenceMTFEncode(c)); !bytes.Equal(got, c) {
 			t.Errorf("mtf round trip failed for %v", c)
 		}
 	}
@@ -97,15 +97,20 @@ func TestMTFRoundTrip(t *testing.T) {
 
 func TestMTFFrontBias(t *testing.T) {
 	// Runs map to zeros after the first occurrence.
-	enc := mtfEncode([]byte("aaaa"))
+	enc := referenceMTFEncode([]byte("aaaa"))
 	if enc[1] != 0 || enc[2] != 0 || enc[3] != 0 {
 		t.Errorf("run should encode to zeros: %v", enc)
 	}
 }
 
+// TestQuickMTFInverse undoes the fused pass's symbol stream by the
+// reference stages.
 func TestQuickMTFInverse(t *testing.T) {
+	e := new(encoder)
 	f := func(data []byte) bool {
-		return bytes.Equal(mtfDecode(mtfEncode(data)), data)
+		e.mtfRLE2(data)
+		mtf, err := rle2Decode(e.syms, 0)
+		return err == nil && bytes.Equal(mtfDecode(mtf), data)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -177,8 +182,8 @@ func TestRLE1MatchesRetired(t *testing.T) {
 		inputs = append(inputs, b)
 	}
 	for _, f := range benchFiles(t) {
-		for off := 0; off < len(f.data); off += blockBytes {
-			inputs = append(inputs, f.data[off:min(off+blockBytes, len(f.data))])
+		for off := 0; off < len(f.Data); off += blockBytes {
+			inputs = append(inputs, f.Data[off:min(off+blockBytes, len(f.Data))])
 		}
 	}
 	prefix := []byte("kept")
@@ -191,11 +196,12 @@ func TestRLE1MatchesRetired(t *testing.T) {
 }
 
 func TestRLE2ZeroRuns(t *testing.T) {
+	e := new(encoder)
 	for run := 0; run <= 200; run++ {
 		mtf := make([]byte, run)
 		mtf = append(mtf, 5) // terminator value so the run flushes
-		syms := rle2Encode(mtf)
-		got, err := rle2Decode(syms, 0)
+		e.mtfRLE2(mtfDecode(mtf))
+		got, err := rle2Decode(e.syms, 0)
 		if err != nil {
 			t.Fatalf("run %d: %v", run, err)
 		}
@@ -330,8 +336,8 @@ func TestQuickCompressRoundTrip(t *testing.T) {
 // sort_test.go, is its encode side).
 func BenchmarkDecompress(b *testing.B) {
 	for _, f := range benchFiles(b) {
-		b.Run(f.name, func(b *testing.B) {
-			block := f.data[:blockBytes]
+		b.Run(f.Name, func(b *testing.B) {
+			block := f.Data[:blockBytes]
 			comp, err := Compress(block, 9)
 			if err != nil {
 				b.Fatal(err)
@@ -368,7 +374,10 @@ func naiveCyclicSort(s []byte) []int {
 	return idx
 }
 
+// TestQuickCyclicSortMatchesNaive holds the sort to the quadratic one, and
+// to Manber-Myers, on short blocks.
 func TestQuickCyclicSortMatchesNaive(t *testing.T) {
+	e := new(encoder)
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(200)
@@ -377,17 +386,9 @@ func TestQuickCyclicSortMatchesNaive(t *testing.T) {
 		for i := range s {
 			s[i] = byte(rng.Intn(alpha))
 		}
-		got := cyclicSort(s)
-		want := naiveCyclicSort(s)
-		// Compare the rotations themselves (equal rotations may be in any
-		// order, so compare lexicographic content, not indices).
-		rot := func(p int) string {
-			return string(append(append([]byte{}, s[p:]...), s[:p]...))
-		}
-		for i := range got {
-			if rot(got[i]) != rot(want[i]) {
-				return false
-			}
+		if err := checkTransform(e, s); err != nil {
+			t.Logf("%q: %v", s, err)
+			return false
 		}
 		return true
 	}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"repro/internal/bitio"
@@ -16,45 +15,28 @@ import (
 // The decode stages as they were before the workspace fused them — each
 // allocating its own output — kept as the reference the fused kernels are
 // held to, and as what the stage tests in bwt_test.go call; with them the
-// encode side's retired kernels — the Manber-Myers rotation sort, the
-// scanning move-to-front loops and the RLE2 pass — which the linear-time
-// sort and the fused pass are held to. The other encode stages are thin
-// adapters onto the production code.
+// encode side's witnesses: the Manber-Myers rotation sort, the scanning
+// move-to-front loop, and the RLE1 and RLE2 passes a byte and a symbol at a
+// time.
 
-// mtfEncode is the move-to-front coding of data as the fused pass sees it:
-// its symbol stream with the zero runs expanded again.
-func mtfEncode(data []byte) []byte {
-	e := new(encoder)
-	e.mtfRLE2(data)
-	out, err := rle2Decode(e.syms, 0)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
-// mtfEncodeInPlace and appendRLE2 are the two passes mtfRLE2 fused, as
-// they ran until then (a third counted the symbols). mtfEncodeInPlace
-// move-to-front codes data over the full byte alphabet: each value becomes
-// the current list index of the byte, which is then moved to the front.
-func mtfEncodeInPlace(data []byte) {
+// referenceMTFEncode is the move-to-front loop with no case taken early:
+// scan for the byte, then move everything before it.
+func referenceMTFEncode(data []byte) []byte {
 	var list [256]byte
 	for i := range list {
 		list[i] = byte(i)
 	}
+	out := make([]byte, len(data))
 	for k, b := range data {
-		if list[0] == b {
-			data[k] = 0
-			continue
-		}
-		idx := 1
+		idx := 0
 		for list[idx] != b {
 			idx++
 		}
-		data[k] = byte(idx)
+		out[k] = byte(idx)
 		copy(list[1:idx+1], list[:idx])
 		list[0] = b
 	}
+	return out
 }
 
 // appendRLE2 appends mtf's RUNA/RUNB symbol stream, terminated by EOB, to
@@ -84,26 +66,6 @@ func appendRLE2(dst []uint16, mtf []byte) []uint16 {
 	return append(dst, symEOB)
 }
 
-// referenceMTFEncode is the move-to-front loop with no case taken early:
-// scan for the byte, then move everything before it.
-func referenceMTFEncode(data []byte) []byte {
-	var list [256]byte
-	for i := range list {
-		list[i] = byte(i)
-	}
-	out := make([]byte, len(data))
-	for k, b := range data {
-		idx := 0
-		for list[idx] != b {
-			idx++
-		}
-		out[k] = byte(idx)
-		copy(list[1:idx+1], list[:idx])
-		list[0] = b
-	}
-	return out
-}
-
 // rle1Encode is RLE1 a byte at a time, as appendRLE1 ran it before it
 // looked for runs a word at a time.
 func rle1Encode(data []byte) []byte {
@@ -124,293 +86,7 @@ func rle1Encode(data []byte) []byte {
 	return dst
 }
 
-// rle2Encode is the fused pass's symbol stream for the column whose
-// move-to-front coding is mtf.
-func rle2Encode(mtf []byte) []uint16 {
-	e := new(encoder)
-	e.mtfRLE2(mtfDecode(mtf))
-	return e.syms
-}
-
-// cyclicSort lists the rotation starts of s in the order transform's sort
-// puts them; equal rotations (s periodic) are adjacent, lowest start of the
-// least rotation's copies first.
-func cyclicSort(s []byte) []int {
-	e := new(encoder)
-	e.transform(make([]byte, len(s)), s)
-	r, w := leastRotation(s), len(e.sa)
-	out := make([]int, 0, len(s))
-	for _, p := range e.sa {
-		for at := int(p); at < len(s); at += w {
-			out = append(out, (r+at)%len(s))
-		}
-	}
-	return out
-}
-
-// The rotation sort as it stood before each SA-IS level found its LMS
-// positions once and named them without a compare pass, and before the
-// final induction wrote the last column: three scans of the text for LMS
-// positions, a closure call per position, and every entry rewritten by
-// both final passes. transform then read the column back from the suffix
-// array with retiredColumn. TestSortMatchesRetiredSAIS and FuzzBWTTransform
-// hold the production sort to it.
-
-// retiredSortRotations sorts the cyclic rotations of s as transform's sort
-// does: it returns the Lyndon root w of s's least rotation, the suffix
-// array of w and the index r at which that rotation starts in s.
-func retiredSortRotations(s []byte) (w []byte, sa []int32, r int) {
-	r = leastRotation(s)
-	rot := append(append([]byte(nil), s[r:]...), s[:r]...)
-	w = rot[:retiredLyndonRoot(rot)]
-	sa = make([]int32, len(w))
-	var spill []int32
-	retiredSAIS(w, sa, nil, 256, &spill)
-	return w, sa, r
-}
-
-// retiredLyndonRoot is lyndonRoot a byte at a time.
-func retiredLyndonRoot(t []byte) int {
-	j := 0
-	for k := 1; k < len(t); k++ {
-		if t[j] < t[k] {
-			j = 0
-		} else {
-			j++
-		}
-	}
-	return len(t) - j
-}
-
-// retiredColumn is the pass transform made over the sorted rotations of a
-// block of n bytes whose least rotation is a power of w with suffix array
-// sa and which starts at rotation self of w: the last column, each row's
-// byte loaded from w, and the lowest row equal to the block.
-func retiredColumn(w []byte, sa []int32, n, self int) ([]byte, int) {
-	last := make([]byte, n)
-	k := n / len(w)
-	ptr, row := 0, 0
-	for _, p := range sa {
-		if int(p) == self {
-			ptr = row
-		}
-		c := w[len(w)-1]
-		if p > 0 {
-			c = w[p-1]
-		}
-		for end := row + k; row < end; row++ {
-			last[row] = c
-		}
-	}
-	return last, ptr
-}
-
-// retiredTransform is the transform over the retired sort.
-func retiredTransform(block []byte) ([]byte, int) {
-	w, sa, r := retiredSortRotations(block)
-	return retiredColumn(w, sa, len(block), (len(block)-r)%len(w))
-}
-
-// retiredSAIS is SA-IS as the package ran it: a complemented entry is one
-// the current pass must not induce from, and the counters live in free when
-// they fit, else on top of *spill.
-func retiredSAIS[T byte | int32](t []T, sa, free []int32, k int, spill *[]int32) {
-	n := len(t)
-	if n < 2 {
-		clear(sa)
-		return
-	}
-	mark := len(*spill)
-	if 2*k > len(free) {
-		*spill = slices.Grow(*spill, 2*k)[:mark+2*k]
-		free = (*spill)[mark:]
-	}
-	freq, bkt := free[:k], free[k:2*k]
-	clear(freq)
-	for _, c := range t {
-		freq[c]++
-	}
-
-	// Stage 1: drop every LMS position at the tail of its bucket and sort
-	// the LMS substrings by induction.
-	clear(sa)
-	setBuckets(freq, bkt, true)
-	m := 0
-	retiredEachLMS(t, func(p int) {
-		bkt[t[p]]--
-		sa[bkt[t[p]]] = int32(p)
-		m++
-	})
-	setBuckets(freq, bkt, false)
-	retiredSortL(t, sa, bkt)
-	setBuckets(freq, bkt, true)
-	retiredSortS(t, sa, bkt)
-	// What is left is the LMS positions, complemented, in substring order:
-	// gather them at the front, ...
-	got := 0
-	for i, j := range sa {
-		if j < 0 {
-			sa[i] = 0
-			sa[got] = ^j
-			got++
-		}
-	}
-	// ... note each substring's length (through the next LMS position, or
-	// to the end of t) at sa[m+p/2], which two LMS positions never share,
-	// and replace it by the substring's name, its rank among distinct ones.
-	end := n
-	retiredEachLMS(t, func(p int) {
-		sa[m+p/2] = int32(end - p)
-		end = p + 1
-	})
-	names, q, qlen := 0, int32(0), int32(-1)
-	for _, p := range sa[:m] {
-		plen := sa[m+int(p)/2]
-		// The substring that runs off the end of t ends in the sentinel and
-		// equals no other.
-		if plen != qlen || int(p+plen) >= n || int(q+qlen) >= n || !slices.Equal(t[p:p+plen], t[q:q+qlen]) {
-			names++
-			q, qlen = p, plen
-		}
-		sa[m+int(p)/2] = int32(names)
-	}
-
-	// Stage 2: distinct names are already suffix order; otherwise sort the
-	// text of names, packed at the end of sa, into the front of sa, and
-	// turn its indices back into LMS positions.
-	if names < m {
-		t1 := sa[n-m:]
-		j := m
-		for i := m + (n-1)/2; i >= m; i-- {
-			if sa[i] != 0 {
-				j--
-				t1[j] = sa[i] - 1
-			}
-		}
-		retiredSAIS(t1, sa[:m], sa[m:n-m], names, spill)
-		j = m
-		retiredEachLMS(t, func(p int) {
-			j--
-			t1[j] = int32(p)
-		})
-		for i, r := range sa[:m] {
-			sa[i] = t1[r]
-		}
-	}
-
-	// Stage 3: spread the sorted LMS suffixes to the tails of their buckets
-	// and induce the rest.
-	clear(sa[m:])
-	setBuckets(freq, bkt, true)
-	for i := m - 1; i >= 0; i-- {
-		p := sa[i]
-		sa[i] = 0
-		bkt[t[p]]--
-		sa[bkt[t[p]]] = p
-	}
-	setBuckets(freq, bkt, false)
-	retiredInduceL(t, sa, bkt)
-	setBuckets(freq, bkt, true)
-	retiredInduceS(t, sa, bkt)
-	*spill = (*spill)[:mark]
-}
-
-// retiredEachLMS calls f with every LMS position of t from the last to the
-// first.
-func retiredEachLMS[T byte | int32](t []T, f func(p int)) {
-	sType, next := false, t[len(t)-1]
-	for i := len(t) - 2; i >= 0; i-- {
-		c := t[i]
-		if c < next {
-			sType = true
-		} else if c > next {
-			if sType {
-				f(i + 1)
-			}
-			sType = false
-		}
-		next = c
-	}
-}
-
-// retiredPutL puts suffix j-1, which is L-type, at the head of its bucket,
-// complemented if its own predecessor is S-type.
-func retiredPutL[T byte | int32](t []T, sa, bkt []int32, j int32) {
-	j--
-	c := t[j]
-	if j > 0 && t[j-1] < c {
-		j = ^j
-	}
-	sa[bkt[c]] = j
-	bkt[c]++
-}
-
-// retiredSortL and retiredInduceL scan sa upwards from bucket heads and put
-// each L-type predecessor at the head of its bucket; retiredSortL erases an
-// entry once used and restores a complemented one, retiredInduceL
-// complements every entry for retiredInduceS to undo.
-func retiredSortL[T byte | int32](t []T, sa, bkt []int32) {
-	retiredPutL(t, sa, bkt, int32(len(t)))
-	for i, j := range sa {
-		if j > 0 {
-			sa[i] = 0
-			retiredPutL(t, sa, bkt, j)
-		} else if j < 0 {
-			sa[i] = ^j
-		}
-	}
-}
-
-func retiredInduceL[T byte | int32](t []T, sa, bkt []int32) {
-	retiredPutL(t, sa, bkt, int32(len(t)))
-	for i := range sa {
-		j := sa[i]
-		sa[i] = ^j
-		if j > 0 {
-			retiredPutL(t, sa, bkt, j)
-		}
-	}
-}
-
-// retiredSortS and retiredInduceS scan sa downwards from bucket tails and
-// put each S-type predecessor at the tail of its bucket, complemented if it
-// is an LMS position; retiredSortS erases an entry once used, and
-// retiredInduceS undoes every complement on the way.
-func retiredSortS[T byte | int32](t []T, sa, bkt []int32) {
-	for i := len(sa) - 1; i >= 0; i-- {
-		j := sa[i]
-		if j <= 0 {
-			continue
-		}
-		sa[i] = 0
-		j--
-		c := t[j]
-		if j > 0 && t[j-1] > c {
-			j = ^j
-		}
-		bkt[c]--
-		sa[bkt[c]] = j
-	}
-}
-
-func retiredInduceS[T byte | int32](t []T, sa, bkt []int32) {
-	for i := len(sa) - 1; i >= 0; i-- {
-		j := sa[i]
-		if j <= 0 {
-			sa[i] = ^j
-			continue
-		}
-		j--
-		c := t[j]
-		if j == 0 || t[j-1] > c {
-			j = ^j
-		}
-		bkt[c]--
-		sa[bkt[c]] = j
-	}
-}
-
-// referenceTransform is the transform over the retired sorter: what every
+// referenceTransform is the transform over the Manber-Myers sort: what every
 // stream before the linear-time sort was made with.
 func referenceTransform(block []byte) ([]byte, int) {
 	n := len(block)
@@ -425,7 +101,7 @@ func referenceTransform(block []byte) ([]byte, int) {
 	return last, ptr
 }
 
-// referenceCompress is Compress over the retired kernels: the stream the
+// referenceCompress is Compress over the witnesses above: the stream the
 // parent of the linear-time sort wrote for data, except that a block whose
 // RLE1 form is a proper power names the lowest of its equal rows — the
 // parent named whichever its tie order left at rotation 0.
@@ -439,9 +115,7 @@ func referenceCompress(data []byte, level int) []byte {
 		if len(rle) > 0 {
 			ptr = lowestEqualRow(rle, ptr)
 		}
-		mtf := bytes.Clone(last)
-		mtfEncodeInPlace(mtf)
-		syms := appendRLE2(nil, mtf)
+		syms := appendRLE2(nil, referenceMTFEncode(last))
 		freq := make([]int, numSymbols)
 		for _, s := range syms {
 			freq[s]++
@@ -553,7 +227,7 @@ func manberMyers(s []byte) []int32 {
 	return sa
 }
 
-// mtfDecode inverts mtfEncode.
+// mtfDecode inverts referenceMTFEncode.
 func mtfDecode(data []byte) []byte {
 	var list [256]byte
 	for i := range list {
@@ -651,7 +325,7 @@ func meetingRule(last []byte, ptr int) bool {
 	return len(last)%cycleLen(referenceNext(last), ptr) == 0
 }
 
-// rle2Decode inverts rle2Encode; the input must be EOB-terminated.
+// rle2Decode inverts appendRLE2; the input must be EOB-terminated.
 func rle2Decode(syms []uint16, maxSize int) ([]byte, error) {
 	out := make([]byte, 0, len(syms)*2)
 	run, bit := 0, 0

@@ -18,51 +18,21 @@ import (
 // bzip2 miss sorts.
 const blockBytes = 128 * 1000
 
-// splitmix and benchFiles rebuild the six files the benchmark's large
-// workloads serve (bench/loopback.go: largeFiles at corpusSeed), so the
-// sorter is tested and timed on the blocks the end-to-end numbers come from.
-func splitmix(seed, salt uint64) uint64 {
-	z := seed ^ (salt+1)*0x9E3779B97F4A7C15
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
 type namedBlock struct {
 	name string
 	data []byte
 }
 
-func benchFiles(tb testing.TB) []namedBlock {
-	gzipFactor := func(b []byte) float64 {
+// benchFiles is workload.BenchFiles measured by flate's gzip -6: the sorter
+// is tested and timed on the blocks the end-to-end numbers come from.
+func benchFiles(tb testing.TB) []workload.BenchFile {
+	return workload.BenchFiles(func(b []byte) float64 {
 		c, err := flate.GzipCompress(b, 6)
 		if err != nil {
 			tb.Fatal(err)
 		}
 		return float64(len(b)) / float64(len(c))
-	}
-	class := func(c workload.Class) func(int, uint64) []byte {
-		return func(size int, seed uint64) []byte { return workload.Generate(c, size, seed) }
-	}
-	files := []struct {
-		name string
-		size int
-		gen  func(int, uint64) []byte
-	}{
-		{"prog.c", 256 << 10, class(workload.ClassSource)},
-		{"spec.html", 512 << 10, class(workload.ClassHTML)},
-		{"tool.bin", 384 << 10, class(workload.ClassBinary)},
-		{"paper.ps", 768 << 10, class(workload.ClassPostscript)},
-		{"deck.mixed", 1 << 20, workload.MixedFile},
-		{"media.r115", 512 << 10, func(size int, seed uint64) []byte {
-			return workload.GenerateRatio(size, 1.15, seed, gzipFactor)
-		}},
-	}
-	out := make([]namedBlock, len(files))
-	for i, f := range files {
-		out[i] = namedBlock{f.name, f.gen(f.size, splitmix(2003, uint64(i)))}
-	}
-	return out
+	})
 }
 
 // fibonacciWord is the classic suffix-sorting adversary: every prefix
@@ -102,11 +72,13 @@ func adversarialBlocks(size int) []namedBlock {
 	}
 }
 
-// checkTransform is the encode side's differential oracle: on workspace e,
-// block must transform to the last column the retired Manber-Myers sorter
-// gives, with its row pointer when no other row equals that one and the
-// lowest equal row otherwise, and invert to itself. Blocks short enough are
-// also held to the quadratic sort.
+// checkTransform is the encode side's oracle, Manber-Myers: on workspace
+// e, block must transform to the last column it gives, with its row pointer
+// when no other row equals that one and the lowest equal row otherwise, and
+// invert to itself. Inside, the sort must leave the block's Lyndon root —
+// the first period bytes of its least rotation — and the root's suffix array
+// in the order Manber-Myers sorts the root's rotations, which is the order
+// of its suffixes. Blocks short enough are also held to the quadratic sort.
 func checkTransform(e *encoder, block []byte) error {
 	if len(block) == 0 {
 		return nil
@@ -123,8 +95,12 @@ func checkTransform(e *encoder, block []byte) error {
 	if !bytes.Equal(Inverse(last, ptr), block) {
 		return fmt.Errorf("Inverse(last, %d) is not the block", ptr)
 	}
-	if err := checkRetiredSort(e, block); err != nil {
-		return err
+	root := referenceInverse(wantLast, 0)[:period(block)]
+	if !bytes.Equal(e.rot[:len(e.sa)], root) {
+		return fmt.Errorf("the sort's %d-byte root is not the block's %d-byte Lyndon root", len(e.sa), len(root))
+	}
+	if !slices.Equal(e.sa, manberMyers(root)) {
+		return fmt.Errorf("suffix array of the %d-byte root differs from Manber-Myers'", len(root))
 	}
 	if len(block) <= 512 {
 		naive := naiveCyclicSort(block)
@@ -137,42 +113,12 @@ func checkTransform(e *encoder, block []byte) error {
 	return nil
 }
 
-// checkRetiredSort holds transform's sort, on workspace e, to the retired
-// one: the same suffix array of the Lyndon root, and the column and row
-// pointer the induction wrote equal to those read back from the suffix
-// array, its own and the retired sort's alike.
-func checkRetiredSort(e *encoder, block []byte) error {
-	if len(block) == 0 {
-		return nil
-	}
-	last := make([]byte, len(block))
-	ptr := e.transform(last, block)
-	w, sa, r := retiredSortRotations(block)
-	if !slices.Equal(e.sa, sa) {
-		return fmt.Errorf("suffix array of the %d-byte root differs from the retired sort's", len(w))
-	}
-	if !bytes.Equal(e.rot[:len(w)], w) {
-		return fmt.Errorf("Lyndon root differs from the retired sort's")
-	}
-	self := (len(block) - r) % len(w)
-	for _, sa := range [][]int32{e.sa, sa} {
-		wantLast, wantPtr := retiredColumn(w, sa, len(block), self)
-		if !bytes.Equal(last, wantLast) {
-			return fmt.Errorf("the column the induction wrote differs from the one read back from the suffix array")
-		}
-		if ptr != wantPtr {
-			return fmt.Errorf("row pointer %d, read back from the suffix array %d", ptr, wantPtr)
-		}
-	}
-	return nil
-}
-
-// TestSortMatchesRetiredSAIS holds the sort to the one it replaced, through
-// one workspace throughout, on the fuzz seeds and their cubes, the
-// adversarial blocks, and every block the bench files' bzip2 artifacts
-// sort: each 128 kB dataplane block after RLE1, as levels 2 and 9 both
-// take it, and each level-9 block of a whole file.
-func TestSortMatchesRetiredSAIS(t *testing.T) {
+// TestSortMatchesManberMyers holds the sort to Manber-Myers, through one
+// workspace throughout, on the fuzz seeds and their cubes, the adversarial
+// blocks, and every block the bench files' bzip2 artifacts sort: each
+// 128 kB dataplane block after RLE1, as levels 2 and 9 both take it, and
+// each level-9 block of a whole file.
+func TestSortMatchesManberMyers(t *testing.T) {
 	var blocks []namedBlock
 	for _, b := range sortSeeds() {
 		blocks = append(blocks, b, namedBlock{b.name + "^3", bytes.Repeat(b.data, 3)})
@@ -180,15 +126,15 @@ func TestSortMatchesRetiredSAIS(t *testing.T) {
 	blocks = append(blocks, adversarialBlocks(blockBytes)...)
 	for _, f := range benchFiles(t) {
 		for _, size := range []int{blockBytes, 9 * blockSizeUnit} {
-			for off := 0; off < len(f.data); off += size {
-				raw := f.data[off:min(off+size, len(f.data))]
-				blocks = append(blocks, namedBlock{fmt.Sprintf("%s %d-byte block at %d", f.name, size, off), appendRLE1(nil, raw)})
+			for off := 0; off < len(f.Data); off += size {
+				raw := f.Data[off:min(off+size, len(f.Data))]
+				blocks = append(blocks, namedBlock{fmt.Sprintf("%s %d-byte block at %d", f.Name, size, off), appendRLE1(nil, raw)})
 			}
 		}
 	}
 	e := new(encoder)
 	for _, b := range blocks {
-		if err := checkRetiredSort(e, b.data); err != nil {
+		if err := checkTransform(e, b.data); err != nil {
 			t.Errorf("%s: %v", b.name, err)
 		}
 	}
@@ -196,8 +142,16 @@ func TestSortMatchesRetiredSAIS(t *testing.T) {
 
 // lowestEqualRow is the first of the sorted rows equal to row ptr: ptr
 // itself unless block is a proper power u^k, whose k copies of each
-// rotation are adjacent. The smallest period comes from the border array.
+// rotation are adjacent.
 func lowestEqualRow(block []byte, ptr int) int {
+	k := len(block) / period(block)
+	return ptr / k * k
+}
+
+// period is the length of the shortest u of which block, not empty, is a
+// power u^k: len(block) unless block is periodic. It comes from the border
+// array.
+func period(block []byte) int {
 	n := len(block)
 	border := make([]int, n+1)
 	border[0] = -1
@@ -209,12 +163,10 @@ func lowestEqualRow(block []byte, ptr int) int {
 		k++
 		border[i] = k
 	}
-	period := n - border[n]
-	if n%period != 0 {
-		return ptr
+	if p := n - border[n]; n%p == 0 {
+		return p
 	}
-	k := n / period
-	return ptr / k * k
+	return n
 }
 
 // checkEncodeWorkspaces runs checkTransform on x fresh and after y has been
@@ -269,10 +221,9 @@ func sortSeeds() []namedBlock {
 // a little more.
 const maxFuzzBlock = 128 << 10
 
-// FuzzBWTTransform holds the linear-time sorter to the retired Manber-Myers
-// one, to the retired SA-IS (suffix array, and the column the induction
-// writes against the one read back from it) and, on short inputs, to the
-// quadratic sort, on arbitrary blocks x,
+// FuzzBWTTransform holds the linear-time sorter to Manber-Myers (column,
+// row pointer, Lyndon root and its suffix array) and, on short inputs, to
+// the quadratic sort, on arbitrary blocks x,
 // each fresh and after an unrelated block y; raw x and x repeated (a proper
 // power whenever it is long enough to matter) both go through. The seeds
 // meet a periodic and an aperiodic predecessor and run under plain go test.
@@ -312,38 +263,39 @@ var benchDigests = map[string]string{
 
 // TestBenchFilesMatchReference is the byte-identity claim on the data the
 // benchmark serves: every 128 kB block of its six files, and every level-9
-// block, compresses to the stream the retired sorter, move-to-front loop
-// and zero-run coder produce, and each file's artifact to the bytes
-// recorded before the bit writer under both pipelines changed.
+// block, compresses to the stream the Manber-Myers sort, the scanning
+// move-to-front loop and the zero-run coder produce, and each file's
+// artifact to the bytes recorded before the bit writer under both pipelines
+// changed.
 func TestBenchFilesMatchReference(t *testing.T) {
 	for _, f := range benchFiles(t) {
 		sum := sha256.New()
-		for off := 0; off < len(f.data); off += blockBytes {
-			block := f.data[off:min(off+blockBytes, len(f.data))]
+		for off := 0; off < len(f.Data); off += blockBytes {
+			block := f.Data[off:min(off+blockBytes, len(f.Data))]
 			got, err := Compress(block, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, referenceCompress(block, 2)) {
-				t.Errorf("%s block at %d: stream differs from the reference pipeline's", f.name, off)
+				t.Errorf("%s block at %d: stream differs from the reference pipeline's", f.Name, off)
 			}
 			if got, err = Compress(block, 9); err != nil {
 				t.Fatal(err)
 			}
 			sum.Write(got)
 		}
-		if got := hex.EncodeToString(sum.Sum(nil)[:8]); got != benchDigests[f.name] {
-			t.Errorf("%s: bzip2 artifact digest %s, recorded %q", f.name, got, benchDigests[f.name])
+		if got := hex.EncodeToString(sum.Sum(nil)[:8]); got != benchDigests[f.Name] {
+			t.Errorf("%s: bzip2 artifact digest %s, recorded %q", f.Name, got, benchDigests[f.Name])
 		}
 		if testing.Short() {
 			continue
 		}
-		got, err := Compress(f.data, 9)
+		got, err := Compress(f.Data, 9)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, referenceCompress(f.data, 9)) {
-			t.Errorf("%s at level 9: stream differs from the reference pipeline's", f.name)
+		if !bytes.Equal(got, referenceCompress(f.Data, 9)) {
+			t.Errorf("%s at level 9: stream differs from the reference pipeline's", f.Name)
 		}
 	}
 }
@@ -412,12 +364,11 @@ func everyDepth() []byte {
 	return out
 }
 
-// TestMTFMatchesReference holds the fused pass to what it replaced, on one
-// workspace throughout: its symbol stream and histogram are those of the
-// retired move-to-front, RLE2 and counting passes, whose move-to-front
-// values are in turn the plain scanning loop's. The inputs are BWT-like
-// columns, the sort seeds' real last columns, a uniform-random dataplane
-// block (every byte ~128 deep) and everyDepth.
+// TestMTFMatchesReference holds the fused pass, on one workspace
+// throughout, to the scanning move-to-front loop and the zero-run coder:
+// the same symbol stream, and the histogram of that stream. The inputs are
+// BWT-like columns, the sort seeds' real last columns, a uniform-random
+// dataplane block (every byte ~128 deep) and everyDepth.
 func TestMTFMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	inputs := [][]byte{nil, {0}, {255, 255, 0}, bytes.Repeat([]byte{7}, 300)}
@@ -456,19 +407,14 @@ func TestMTFMatchesReference(t *testing.T) {
 
 	e := new(encoder)
 	for i, in := range inputs {
-		mtf := bytes.Clone(in)
-		mtfEncodeInPlace(mtf)
-		if !bytes.Equal(mtf, referenceMTFEncode(in)) {
-			t.Errorf("input %d (%d bytes): the retired in-place loop differs from the scanning loop", i, len(in))
-		}
-		want := appendRLE2(nil, mtf)
+		want := appendRLE2(nil, referenceMTFEncode(in))
 		var freq [numSymbols]int
 		for _, s := range want {
 			freq[s]++
 		}
 		e.mtfRLE2(in)
 		if !slices.Equal(e.syms, want) {
-			t.Errorf("input %d (%d bytes): symbol stream differs from the retired passes'", i, len(in))
+			t.Errorf("input %d (%d bytes): symbol stream differs from the reference passes'", i, len(in))
 		}
 		if e.freq != freq {
 			t.Errorf("input %d (%d bytes): histogram differs from a count of the stream", i, len(in))
@@ -483,7 +429,7 @@ func TestMTFMatchesReference(t *testing.T) {
 func BenchmarkTransform(b *testing.B) {
 	blocks := []namedBlock{}
 	for _, f := range benchFiles(b) {
-		blocks = append(blocks, namedBlock{f.name, appendRLE1(nil, f.data[:blockBytes])})
+		blocks = append(blocks, namedBlock{f.Name, appendRLE1(nil, f.Data[:blockBytes])})
 	}
 	blocks = append(blocks, namedBlock{"periodic", bytes.Repeat([]byte("bwt benchmark corpus with typical textual redundancy 0123456789\n"), blockBytes/64)})
 	for _, blk := range blocks {
@@ -503,8 +449,8 @@ func BenchmarkTransform(b *testing.B) {
 // dataplane block of each bench file.
 func BenchmarkRLE1(b *testing.B) {
 	for _, f := range benchFiles(b) {
-		b.Run(f.name, func(b *testing.B) {
-			block := f.data[:blockBytes]
+		b.Run(f.Name, func(b *testing.B) {
+			block := f.Data[:blockBytes]
 			var dst []byte
 			b.SetBytes(int64(len(block)))
 			for i := 0; i < b.N; i++ {
@@ -519,37 +465,21 @@ func BenchmarkRLE1(b *testing.B) {
 func benchLastColumns(tb testing.TB) []namedBlock {
 	var out []namedBlock
 	for _, f := range benchFiles(tb) {
-		last, _ := Transform(appendRLE1(nil, f.data[:blockBytes]))
-		out = append(out, namedBlock{f.name, last})
+		last, _ := Transform(appendRLE1(nil, f.Data[:blockBytes]))
+		out = append(out, namedBlock{f.Name, last})
 	}
 	return out
 }
 
-// BenchmarkMTF times the pass from last column to counted symbol stream on
-// those columns: fused, as compressBlock runs it, and as the three passes
-// it replaced (move-to-front in place, RLE2, the symbol count).
+// BenchmarkMTF times the fused pass from last column to counted symbol
+// stream on those columns, as compressBlock runs it.
 func BenchmarkMTF(b *testing.B) {
 	for _, col := range benchLastColumns(b) {
-		b.Run(col.name+"/fused", func(b *testing.B) {
+		b.Run(col.name, func(b *testing.B) {
 			e := new(encoder)
 			b.SetBytes(int64(len(col.data)))
 			for i := 0; i < b.N; i++ {
 				e.mtfRLE2(col.data)
-			}
-		})
-		b.Run(col.name+"/retired", func(b *testing.B) {
-			var syms []uint16
-			var freq [numSymbols]int
-			mtf := make([]byte, len(col.data))
-			b.SetBytes(int64(len(col.data)))
-			for i := 0; i < b.N; i++ {
-				copy(mtf, col.data)
-				mtfEncodeInPlace(mtf)
-				syms = appendRLE2(syms[:0], mtf)
-				clear(freq[:])
-				for _, s := range syms {
-					freq[s]++
-				}
 			}
 		})
 	}
@@ -560,8 +490,8 @@ func BenchmarkMTF(b *testing.B) {
 // dataplane block of each bench file.
 func BenchmarkCompressBlock(b *testing.B) {
 	for _, f := range benchFiles(b) {
-		b.Run(f.name, func(b *testing.B) {
-			block := f.data[:blockBytes]
+		b.Run(f.Name, func(b *testing.B) {
+			block := f.Data[:blockBytes]
 			b.SetBytes(int64(len(block)))
 			for i := 0; i < b.N; i++ {
 				if _, err := Compress(block, 9); err != nil {

@@ -2,8 +2,8 @@
 // formats this repository's codecs produce, and of the proxy's block frames:
 // Adler-32 from first principles, and CRC-32 (IEEE 802.3, reflected) by
 // hash/crc32, which runs it on the carry-less-multiply unit where the
-// machine has one. The from-scratch slicing-by-8 CRC this package used to
-// run is the oracle in checksum_test.go.
+// machine has one. A bit-at-a-time CRC-32 in checksum_test.go is its
+// oracle.
 package checksum
 
 import "hash/crc32"

@@ -15,54 +15,15 @@ import (
 // crc32Poly is the reversed (reflected) IEEE 802.3 polynomial.
 const crc32Poly = 0xEDB88320
 
-// crc32Tables and refUpdateCRC32 are the from-scratch CRC-32 the package
-// ran before it handed the work to hash/crc32, kept as its oracle:
-// crc32Tables[0] is the classic byte-at-a-time table, the other seven the
-// shifted tables of the slicing-by-8 method.
-var crc32Tables = makeCRC32Tables()
-
-func makeCRC32Tables() [8][256]uint32 {
-	var t [8][256]uint32
-	for i := range t[0] {
-		crc := uint32(i)
-		for k := 0; k < 8; k++ {
-			if crc&1 != 0 {
-				crc = (crc >> 1) ^ crc32Poly
-			} else {
-				crc >>= 1
-			}
-		}
-		t[0][i] = crc
-	}
-	// Table j maps a byte processed j positions early: one more table
-	// lookup folds in each additional shift of 8 bits.
-	for j := 1; j < 8; j++ {
-		for i := range t[j] {
-			crc := t[j-1][i]
-			t[j][i] = t[0][byte(crc)] ^ (crc >> 8)
-		}
-	}
-	return t
-}
-
-// refUpdateCRC32 runs bulk input through the slicing-by-8 variant (8 bytes
-// per step, one table load each); the byte-at-a-time loop handles the tail.
+// refUpdateCRC32 is CRC-32 a bit at a time, the definition every faster
+// one is built from: the oracle UpdateCRC32 is held to.
 func refUpdateCRC32(crc uint32, p []byte) uint32 {
 	crc = ^crc
-	for len(p) >= 8 {
-		crc ^= uint32(p[0]) | uint32(p[1])<<8 | uint32(p[2])<<16 | uint32(p[3])<<24
-		crc = crc32Tables[7][byte(crc)] ^
-			crc32Tables[6][byte(crc>>8)] ^
-			crc32Tables[5][byte(crc>>16)] ^
-			crc32Tables[4][byte(crc>>24)] ^
-			crc32Tables[3][p[4]] ^
-			crc32Tables[2][p[5]] ^
-			crc32Tables[1][p[6]] ^
-			crc32Tables[0][p[7]]
-		p = p[8:]
-	}
 	for _, b := range p {
-		crc = crc32Tables[0][byte(crc)^b] ^ (crc >> 8)
+		crc ^= uint32(b)
+		for k := 0; k < 8; k++ {
+			crc = crc>>1 ^ crc32Poly&-(crc&1)
+		}
 	}
 	return ^crc
 }

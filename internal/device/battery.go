@@ -1,7 +1,5 @@
 package device
 
-import "time"
-
 // Battery converts the experiments' joule figures into the quantity the
 // paper's title is about: battery life. The paper measures current with
 // the batteries disconnected (5 V external supply); a battery is modeled
@@ -15,14 +13,6 @@ type Battery struct {
 // at 3.7 V nominal ≈ 19,980 J usable.
 func IPAQBattery() Battery {
 	return Battery{CapacityJ: 1500.0 / 1000 * 3.7 * 3600}
-}
-
-// Lifetime returns how long the battery lasts at a constant power draw.
-func (b Battery) Lifetime(powerW float64) time.Duration {
-	if powerW <= 0 {
-		return 0
-	}
-	return time.Duration(b.CapacityJ / powerW * float64(time.Second))
 }
 
 // Operations returns how many operations of the given energy cost fit in

@@ -178,16 +178,6 @@ func TestBatteryCapacity(t *testing.T) {
 	}
 }
 
-func TestBatteryLifetime(t *testing.T) {
-	b := Battery{CapacityJ: 3600}
-	if got := b.Lifetime(1.0); got != time.Hour {
-		t.Errorf("1 W on 3600 J should last an hour, got %v", got)
-	}
-	if b.Lifetime(0) != 0 {
-		t.Error("zero power should return 0")
-	}
-}
-
 func TestBatteryOperations(t *testing.T) {
 	b := Battery{CapacityJ: 100}
 	if got := b.Operations(2.5); got != 40 {

@@ -11,9 +11,7 @@ package flate_test
 
 import (
 	"bytes"
-	"compress/flate"
 	"compress/gzip"
-	"compress/zlib"
 	"io"
 	"testing"
 
@@ -26,49 +24,8 @@ import (
 func TestDifferentialStdlibDecompressesOurs(t *testing.T) {
 	for name, data := range ours.DifferentialCorpus() {
 		for _, level := range []int{1, 6, 9} {
-			comp, err := ours.GzipCompress(data, level)
-			if err != nil {
-				t.Fatalf("%s/%d: GzipCompress: %v", name, level, err)
-			}
-			zr, err := gzip.NewReader(bytes.NewReader(comp))
-			if err != nil {
-				t.Fatalf("%s/%d: stdlib gzip reader: %v", name, level, err)
-			}
-			got, err := io.ReadAll(zr)
-			if err != nil {
-				t.Fatalf("%s/%d: stdlib gzip read: %v", name, level, err)
-			}
-			if !bytes.Equal(got, data) {
-				t.Fatalf("%s/%d: stdlib decodes our gzip differently", name, level)
-			}
-
-			comp, err = ours.ZlibCompress(data, level)
-			if err != nil {
-				t.Fatalf("%s/%d: ZlibCompress: %v", name, level, err)
-			}
-			wr, err := zlib.NewReader(bytes.NewReader(comp))
-			if err != nil {
-				t.Fatalf("%s/%d: stdlib zlib reader: %v", name, level, err)
-			}
-			got, err = io.ReadAll(wr)
-			if err != nil {
-				t.Fatalf("%s/%d: stdlib zlib read: %v", name, level, err)
-			}
-			if !bytes.Equal(got, data) {
-				t.Fatalf("%s/%d: stdlib decodes our zlib differently", name, level)
-			}
-
-			comp, err = ours.CompressBytes(data, level)
-			if err != nil {
-				t.Fatalf("%s/%d: CompressBytes: %v", name, level, err)
-			}
-			fr := flate.NewReader(bytes.NewReader(comp))
-			got, err = io.ReadAll(fr)
-			if err != nil {
-				t.Fatalf("%s/%d: stdlib flate read: %v", name, level, err)
-			}
-			if !bytes.Equal(got, data) {
-				t.Fatalf("%s/%d: stdlib decodes our deflate differently", name, level)
+			for _, format := range []string{"gzip", "zlib", "deflate"} {
+				ours.StdReadsOurs(t, name, format, data, level)
 			}
 		}
 	}
@@ -79,40 +36,8 @@ func TestDifferentialStdlibDecompressesOurs(t *testing.T) {
 func TestDifferentialWeDecompressStdlib(t *testing.T) {
 	for name, data := range ours.DifferentialCorpus() {
 		for _, level := range []int{1, 6, 9} {
-			var buf bytes.Buffer
-			zw, _ := gzip.NewWriterLevel(&buf, level)
-			zw.Write(data)
-			zw.Close()
-			got, err := ours.GzipDecompress(buf.Bytes(), 0)
-			if err != nil {
-				t.Fatalf("%s/%d: GzipDecompress(stdlib): %v", name, level, err)
-			}
-			if !bytes.Equal(got, data) {
-				t.Fatalf("%s/%d: we decode stdlib gzip differently", name, level)
-			}
-
-			buf.Reset()
-			wr, _ := zlib.NewWriterLevel(&buf, level)
-			wr.Write(data)
-			wr.Close()
-			got, err = ours.ZlibDecompress(buf.Bytes(), 0)
-			if err != nil {
-				t.Fatalf("%s/%d: ZlibDecompress(stdlib): %v", name, level, err)
-			}
-			if !bytes.Equal(got, data) {
-				t.Fatalf("%s/%d: we decode stdlib zlib differently", name, level)
-			}
-
-			buf.Reset()
-			fw, _ := flate.NewWriter(&buf, level)
-			fw.Write(data)
-			fw.Close()
-			got, err = ours.DecompressBytes(buf.Bytes())
-			if err != nil {
-				t.Fatalf("%s/%d: DecompressBytes(stdlib): %v", name, level, err)
-			}
-			if !bytes.Equal(got, data) {
-				t.Fatalf("%s/%d: we decode stdlib deflate differently", name, level)
+			for _, format := range []string{"gzip", "zlib", "deflate"} {
+				ours.OursReadStd(t, name, format, data, level)
 			}
 		}
 	}
@@ -184,31 +109,7 @@ func FuzzGzipDifferential(f *testing.F) {
 	f.Add(workload.Generate(workload.ClassSource, 8192, 1))
 	f.Add(workload.Generate(workload.ClassMedia, 8192, 2))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		comp, err := ours.GzipCompress(data, 9)
-		if err != nil {
-			t.Fatalf("GzipCompress: %v", err)
-		}
-		zr, err := gzip.NewReader(bytes.NewReader(comp))
-		if err != nil {
-			t.Fatalf("stdlib reader on our gzip: %v", err)
-		}
-		got, err := io.ReadAll(zr)
-		if err != nil {
-			t.Fatalf("stdlib read on our gzip: %v", err)
-		}
-		if !bytes.Equal(got, data) {
-			t.Fatal("stdlib decodes our gzip differently")
-		}
-		var buf bytes.Buffer
-		zw, _ := gzip.NewWriterLevel(&buf, 9)
-		zw.Write(data)
-		zw.Close()
-		got, err = ours.GzipDecompress(buf.Bytes(), 0)
-		if err != nil {
-			t.Fatalf("our decode of stdlib gzip: %v", err)
-		}
-		if !bytes.Equal(got, data) {
-			t.Fatal("we decode stdlib gzip differently")
-		}
+		ours.StdReadsOurs(t, "fuzz input", "gzip", data, 9)
+		ours.OursReadStd(t, "fuzz input", "gzip", data, 9)
 	})
 }

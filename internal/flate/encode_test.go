@@ -6,8 +6,6 @@ package flate_test
 
 import (
 	"bytes"
-	stdflate "compress/flate"
-	"io"
 	"testing"
 
 	ours "repro/internal/flate"
@@ -33,24 +31,7 @@ func levelCorpus() map[string][]byte {
 func TestDeflateAllLevelsDifferential(t *testing.T) {
 	for name, data := range levelCorpus() {
 		for level := 1; level <= 9; level++ {
-			comp, err := ours.CompressBytes(data, level)
-			if err != nil {
-				t.Fatalf("%s/%d: CompressBytes: %v", name, level, err)
-			}
-			got, err := io.ReadAll(stdflate.NewReader(bytes.NewReader(comp)))
-			if err != nil {
-				t.Fatalf("%s/%d: stdlib flate read: %v", name, level, err)
-			}
-			if !bytes.Equal(got, data) {
-				t.Fatalf("%s/%d: stdlib decodes our deflate differently", name, level)
-			}
-			got, err = ours.DecompressBytes(comp)
-			if err != nil {
-				t.Fatalf("%s/%d: our inflate: %v", name, level, err)
-			}
-			if !bytes.Equal(got, data) {
-				t.Fatalf("%s/%d: our inflate decodes our deflate differently", name, level)
-			}
+			ours.StdReadsOurs(t, name, "deflate", data, level)
 		}
 	}
 }
@@ -66,24 +47,7 @@ func FuzzDeflateDifferential(f *testing.F) {
 	f.Add(workload.Generate(workload.ClassMedia, 8192, 2))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, level := range []int{1, 9} {
-			comp, err := ours.CompressBytes(data, level)
-			if err != nil {
-				t.Fatalf("level %d: CompressBytes: %v", level, err)
-			}
-			got, err := io.ReadAll(stdflate.NewReader(bytes.NewReader(comp)))
-			if err != nil {
-				t.Fatalf("level %d: stdlib read: %v", level, err)
-			}
-			if !bytes.Equal(got, data) {
-				t.Fatalf("level %d: stdlib decodes our deflate differently", level)
-			}
-			got, err = ours.DecompressBytes(comp)
-			if err != nil {
-				t.Fatalf("level %d: our inflate: %v", level, err)
-			}
-			if !bytes.Equal(got, data) {
-				t.Fatalf("level %d: our inflate decodes differently", level)
-			}
+			ours.StdReadsOurs(t, "fuzz input", "deflate", data, level)
 		}
 	})
 }

@@ -2,10 +2,6 @@ package flate
 
 import (
 	"bytes"
-	"compress/flate"
-	"compress/gzip"
-	"compress/zlib"
-	"io"
 	"math/rand"
 	"strings"
 	"testing"
@@ -83,117 +79,29 @@ func TestDeflateRandomNearStored(t *testing.T) {
 // Interop: the stdlib must inflate our output, and we must inflate stdlib's.
 func TestInteropStdlibInflatesOurs(t *testing.T) {
 	for name, data := range corpusSamples() {
-		comp, err := CompressBytes(data, 9)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := flate.NewReader(bytes.NewReader(comp))
-		got, err := io.ReadAll(r)
-		if err != nil {
-			t.Fatalf("%s: stdlib inflate of our stream: %v", name, err)
-		}
-		if !bytes.Equal(got, data) {
-			t.Fatalf("%s: stdlib decoded different bytes", name)
-		}
+		StdReadsOurs(t, name, "deflate", data, 9)
 	}
 }
 
 func TestInteropWeInflateStdlib(t *testing.T) {
 	for name, data := range corpusSamples() {
-		var buf bytes.Buffer
-		w, err := flate.NewWriter(&buf, 9)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := w.Write(data); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		got, err := DecompressBytes(buf.Bytes())
-		if err != nil {
-			t.Fatalf("%s: our inflate of stdlib stream: %v", name, err)
-		}
-		if !bytes.Equal(got, data) {
-			t.Fatalf("%s: we decoded different bytes", name)
-		}
+		OursReadStd(t, name, "deflate", data, 9)
 	}
 }
 
 func TestGzipRoundTrip(t *testing.T) {
 	for name, data := range corpusSamples() {
-		comp, err := GzipCompress(data, 9)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		got, err := GzipDecompress(comp, 0)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !bytes.Equal(got, data) {
-			t.Fatalf("%s: gzip round trip mismatch", name)
-		}
+		StdReadsOurs(t, name, "gzip", data, 9)
 	}
 }
 
 func TestGzipInteropStdlib(t *testing.T) {
-	data := corpusSamples()["structured"]
-	comp, err := GzipCompress(data, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	zr, err := gzip.NewReader(bytes.NewReader(comp))
-	if err != nil {
-		t.Fatalf("stdlib gzip reader rejected our stream: %v", err)
-	}
-	got, err := io.ReadAll(zr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("stdlib gzip decoded different bytes")
-	}
-
-	// And the reverse.
-	var buf bytes.Buffer
-	zw := gzip.NewWriter(&buf)
-	if _, err := zw.Write(data); err != nil {
-		t.Fatal(err)
-	}
-	if err := zw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got2, err := GzipDecompress(buf.Bytes(), 0)
-	if err != nil {
-		t.Fatalf("we rejected stdlib gzip stream: %v", err)
-	}
-	if !bytes.Equal(got2, data) {
-		t.Fatal("we decoded stdlib gzip stream differently")
-	}
+	StdReadsOurs(t, "structured", "gzip", corpusSamples()["structured"], 6)
+	OursReadStd(t, "structured", "gzip", corpusSamples()["structured"], 6)
 }
 
 func TestZlibRoundTripAndInterop(t *testing.T) {
-	data := corpusSamples()["text"]
-	comp, err := ZlibCompress(data, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ZlibDecompress(comp, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("zlib round trip mismatch")
-	}
-	zr, err := zlib.NewReader(bytes.NewReader(comp))
-	if err != nil {
-		t.Fatalf("stdlib zlib reader rejected our stream: %v", err)
-	}
-	got2, err := io.ReadAll(zr)
-	if err != nil || !bytes.Equal(got2, data) {
-		t.Fatalf("stdlib zlib decode: %v", err)
-	}
+	StdReadsOurs(t, "text", "zlib", corpusSamples()["text"], 9)
 }
 
 func TestGzipDetectsCorruption(t *testing.T) {
@@ -349,19 +257,19 @@ func BenchmarkDeflateLevel9Text(b *testing.B) {
 func BenchmarkInflateBlocks(b *testing.B) {
 	for _, f := range benchFiles(b) {
 		var blocks [][]byte
-		for off := 0; off < len(f.data); off += blockBytes {
-			member, err := GzipCompress(f.data[off:min(off+blockBytes, len(f.data))], 9)
+		for off := 0; off < len(f.Data); off += blockBytes {
+			member, err := GzipCompress(f.Data[off:min(off+blockBytes, len(f.Data))], 9)
 			if err != nil {
 				b.Fatal(err)
 			}
 			blocks = append(blocks, member)
 		}
-		b.Run(f.name, func(b *testing.B) {
+		b.Run(f.Name, func(b *testing.B) {
 			dst := make([]byte, 0, blockBytes)
-			b.SetBytes(int64(len(f.data)))
+			b.SetBytes(int64(len(f.Data)))
 			for i := 0; i < b.N; i++ {
 				for k, member := range blocks {
-					size := min(blockBytes, len(f.data)-k*blockBytes)
+					size := min(blockBytes, len(f.Data)-k*blockBytes)
 					if _, err := GzipDecompressAppend(dst, member, size); err != nil {
 						b.Fatal(err)
 					}
@@ -377,15 +285,15 @@ func BenchmarkInflateBlocks(b *testing.B) {
 func BenchmarkInflateNoRoom(b *testing.B) {
 	for _, f := range benchFiles(b) {
 		var blocks [][]byte
-		for off := 0; off < len(f.data); off += blockBytes {
-			z, err := ZlibCompress(f.data[off:min(off+blockBytes, len(f.data))], 9)
+		for off := 0; off < len(f.Data); off += blockBytes {
+			z, err := ZlibCompress(f.Data[off:min(off+blockBytes, len(f.Data))], 9)
 			if err != nil {
 				b.Fatal(err)
 			}
 			blocks = append(blocks, z)
 		}
-		b.Run(f.name, func(b *testing.B) {
-			b.SetBytes(int64(len(f.data)))
+		b.Run(f.Name, func(b *testing.B) {
+			b.SetBytes(int64(len(f.Data)))
 			for i := 0; i < b.N; i++ {
 				for _, z := range blocks {
 					if _, err := ZlibDecompress(z, 0); err != nil {

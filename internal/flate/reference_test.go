@@ -5,9 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
-	"io"
-	"math"
 	"math/bits"
 	"math/rand"
 	"testing"
@@ -15,113 +12,6 @@ import (
 	"repro/internal/lz77"
 	"repro/internal/workload"
 )
-
-// The inflater as it was before the fast loop: the same block structure,
-// stored blocks and match, and a Huffman block decoded one DecodeLSB call
-// per symbol over the huffman.Decoder's own tables. What the inflater
-// accepts and refuses, with what output and in what words, is held to it.
-
-type referenceInflater struct{ inflater }
-
-// The fixed codes as the reference decodes them.
-var refFixedLit, refFixedDist = mustDecoder(fixedLitLengths()), mustDecoder(fixedDistLengths())
-
-// referenceInflate is Inflate through the reference loop. When the only
-// fault is data after the final block it returns the output with the
-// error.
-func referenceInflate(dst []byte, r io.Reader, maxSize int) ([]byte, error) {
-	z := new(referenceInflater)
-	z.reset(r)
-	base := len(dst)
-	limit := math.MaxInt
-	if maxSize > 0 {
-		limit = base + maxSize + 1
-	}
-	dst, done, err := z.run(dst, base, limit)
-	if err != nil {
-		return nil, err
-	}
-	if !done {
-		return nil, fmt.Errorf("%w: output exceeds limit %d", ErrCorrupt, maxSize)
-	}
-	var one [1]byte
-	if z.br.Align(); z.br.ReadBytes(one[:]) == nil {
-		return dst, fmt.Errorf("%w: data after the final block", ErrCorrupt)
-	}
-	return dst, nil
-}
-
-func (z *referenceInflater) run(dst []byte, base, limit int) (_ []byte, done bool, err error) {
-	for len(dst) < limit {
-		switch {
-		case z.copyLen > 0:
-			length := z.copyLen
-			z.copyLen = 0
-			dst = z.match(dst, z.copyDist, length, limit)
-		case !z.inBlock && z.final:
-			return dst, true, nil
-		case !z.inBlock:
-			err = z.blockHeader()
-		case z.lit == nil:
-			dst, err = z.storedBlock(dst, limit)
-		default:
-			dst, err = z.huffmanBlock(dst, base, limit)
-		}
-		if err != nil {
-			return nil, false, err
-		}
-	}
-	return dst, false, nil
-}
-
-// huffmanBlock is the inflate inner loop, built around the peek/consume
-// bit reader and the table-driven Huffman kernels: one table probe per
-// symbol instead of one reader call per bit. It returns at the end of the
-// block or at the limit.
-func (z *referenceInflater) huffmanBlock(dst []byte, base, limit int) ([]byte, error) {
-	br, litDec, distDec := &z.br, &z.codes.lit, &z.codes.dist
-	if z.lit == fixedLit {
-		litDec, distDec = refFixedLit, refFixedDist
-	}
-	for len(dst) < limit {
-		sym, err := litDec.DecodeLSB(br)
-		if err != nil {
-			return nil, fmt.Errorf("%w: lit/len: %v", ErrCorrupt, err)
-		}
-		switch {
-		case sym < 256:
-			dst = append(dst, byte(sym))
-		case sym == endBlockMarker:
-			z.inBlock = false
-			return dst, nil
-		case sym <= 285:
-			le := lengthTable[sym-257]
-			length := int(le.base) + int(br.ReadBits(uint(le.extra)))
-			dsym, err := distDec.DecodeLSB(br)
-			if err != nil {
-				return nil, fmt.Errorf("%w: dist: %v", ErrCorrupt, err)
-			}
-			if dsym >= maxNumDist {
-				return nil, fmt.Errorf("%w: dist code %d", ErrCorrupt, dsym)
-			}
-			de := distTable[dsym]
-			dist := int(de.base) + int(br.ReadBits(uint(de.extra)))
-			if err := br.Err(); err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-			}
-			if dist > len(dst)-base {
-				return nil, fmt.Errorf("%w: distance %d beyond output %d", ErrCorrupt, dist, len(dst)-base)
-			}
-			if length > lz77.MaxMatch {
-				return nil, fmt.Errorf("%w: match length %d", ErrCorrupt, length)
-			}
-			dst = z.match(dst, dist, length, limit)
-		default:
-			return nil, fmt.Errorf("%w: lit/len symbol %d", ErrCorrupt, sym)
-		}
-	}
-	return dst, nil
-}
 
 // The LZ77 matcher as it was before a candidate had to show three equal
 // bytes to reach the length comparison and before Tokenize stopped wiping
@@ -470,49 +360,15 @@ func FuzzDeflateEncodeIdentical(f *testing.F) {
 	f.Fuzz(func(t *testing.T, x, y []byte) { checkEncodeIdentical(t, x, y) })
 }
 
-// benchFiles rebuilds the six files the benchmark's large workloads serve
-// (bench/loopback.go: largeFiles at corpusSeed), as internal/bwt's tests do.
-func benchFiles(tb testing.TB) []namedFile {
-	splitmix := func(seed, salt uint64) uint64 {
-		z := seed ^ (salt+1)*0x9E3779B97F4A7C15
-		z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-		z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-		return z ^ (z >> 31)
-	}
-	gzipFactor := func(b []byte) float64 {
+// benchFiles is workload.BenchFiles measured by this package's gzip -6.
+func benchFiles(tb testing.TB) []workload.BenchFile {
+	return workload.BenchFiles(func(b []byte) float64 {
 		c, err := GzipCompress(b, 6)
 		if err != nil {
 			tb.Fatal(err)
 		}
 		return float64(len(b)) / float64(len(c))
-	}
-	class := func(c workload.Class) func(int, uint64) []byte {
-		return func(size int, seed uint64) []byte { return workload.Generate(c, size, seed) }
-	}
-	files := []struct {
-		name string
-		size int
-		gen  func(int, uint64) []byte
-	}{
-		{"prog.c", 256 << 10, class(workload.ClassSource)},
-		{"spec.html", 512 << 10, class(workload.ClassHTML)},
-		{"tool.bin", 384 << 10, class(workload.ClassBinary)},
-		{"paper.ps", 768 << 10, class(workload.ClassPostscript)},
-		{"deck.mixed", 1 << 20, workload.MixedFile},
-		{"media.r115", 512 << 10, func(size int, seed uint64) []byte {
-			return workload.GenerateRatio(size, 1.15, seed, gzipFactor)
-		}},
-	}
-	out := make([]namedFile, len(files))
-	for i, f := range files {
-		out[i] = namedFile{f.name, f.gen(f.size, splitmix(2003, uint64(i)))}
-	}
-	return out
-}
-
-type namedFile struct {
-	name string
-	data []byte
+	})
 }
 
 // blockBytes is the dataplane's block (selective.BlockSize): what a cold
@@ -539,14 +395,14 @@ func TestBenchFilesMatchReference(t *testing.T) {
 	ref := newReferenceMatcher(t, 9)
 	for _, f := range benchFiles(t) {
 		sum := sha256.New()
-		for off := 0; off < len(f.data); off += blockBytes {
-			block := f.data[off:min(off+blockBytes, len(f.data))]
+		for off := 0; off < len(f.Data); off += blockBytes {
+			block := f.Data[off:min(off+blockBytes, len(f.Data))]
 			got, err := CompressBytes(block, 9)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, deflateThrough(t, ref.Tokenize, block)) {
-				t.Errorf("%s block at %d: stream differs from the reference matcher's", f.name, off)
+				t.Errorf("%s block at %d: stream differs from the reference matcher's", f.Name, off)
 			}
 			member, err := GzipCompress(block, 9)
 			if err != nil {
@@ -554,8 +410,8 @@ func TestBenchFilesMatchReference(t *testing.T) {
 			}
 			sum.Write(member)
 		}
-		if got := hex.EncodeToString(sum.Sum(nil)[:8]); got != benchDigests[f.name] {
-			t.Errorf("%s: gzip artifact digest %s, recorded %q", f.name, got, benchDigests[f.name])
+		if got := hex.EncodeToString(sum.Sum(nil)[:8]); got != benchDigests[f.Name] {
+			t.Errorf("%s: gzip artifact digest %s, recorded %q", f.Name, got, benchDigests[f.Name])
 		}
 	}
 }

@@ -2,7 +2,6 @@ package flate
 
 import (
 	"bytes"
-	"compress/gzip"
 	"fmt"
 	"io"
 	"math/rand"
@@ -75,32 +74,11 @@ func TestStreamEmptyInput(t *testing.T) {
 }
 
 func TestStreamInteropStdlibReadsOurs(t *testing.T) {
-	data := []byte(strings.Repeat("interop with the standard library. ", 30_000))
-	comp := streamCompress(t, data, 9, 100_000)
-	zr, err := gzip.NewReader(bytes.NewReader(comp))
-	if err != nil {
-		t.Fatalf("stdlib rejected our stream: %v", err)
-	}
-	got, err := io.ReadAll(zr)
-	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("stdlib decode: %v", err)
-	}
+	StdReadsOurs(t, "text", "gzip stream", []byte(strings.Repeat("interop with the standard library. ", 30_000)), 9)
 }
 
 func TestStreamInteropWeReadStdlib(t *testing.T) {
-	data := []byte(strings.Repeat("the reverse direction. ", 30_000))
-	var buf bytes.Buffer
-	zw := gzip.NewWriter(&buf)
-	if _, err := zw.Write(data); err != nil {
-		t.Fatal(err)
-	}
-	if err := zw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got := streamDecompress(t, buf.Bytes(), 4096)
-	if !bytes.Equal(got, data) {
-		t.Fatal("we decoded stdlib stream differently")
-	}
+	OursReadStd(t, "text", "gzip stream", []byte(strings.Repeat("the reverse direction. ", 30_000)), 6)
 }
 
 func TestStreamReaderReadsOneShotOutput(t *testing.T) {
@@ -321,13 +299,13 @@ func BenchmarkStreamReader(b *testing.B) {
 // which each fill decodes a small part of the Reader's window.
 func BenchmarkStreamReaderReadSize(b *testing.B) {
 	for _, f := range benchFiles(b) {
-		comp, err := GzipCompress(f.data, 9)
+		comp, err := GzipCompress(f.Data, 9)
 		if err != nil {
 			b.Fatal(err)
 		}
 		for _, size := range []int{300, 4096} {
-			b.Run(fmt.Sprintf("%s/%d", f.name, size), func(b *testing.B) {
-				b.SetBytes(int64(len(f.data)))
+			b.Run(fmt.Sprintf("%s/%d", f.Name, size), func(b *testing.B) {
+				b.SetBytes(int64(len(f.Data)))
 				for i := 0; i < b.N; i++ {
 					readAll(b, comp, size)
 				}

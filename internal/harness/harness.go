@@ -352,14 +352,8 @@ func (r *Report) Trace() string {
 	return b.String()
 }
 
-// mix spreads (seed, salt) into an independent rng seed (SplitMix64-ish),
-// so nearby salts give uncorrelated streams.
-func mix(seed, salt int64) int64 {
-	z := uint64(seed) ^ (uint64(salt)+1)*0x9E3779B97F4A7C15
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return int64(z ^ (z >> 31))
-}
+// mix is workload.Splitmix on the run's signed seeds.
+func mix(seed, salt int64) int64 { return int64(workload.Splitmix(uint64(seed), uint64(salt))) }
 
 var schemes = []codec.Scheme{codec.Gzip, codec.Compress, codec.Bzip2}
 var modes = []proxy.Mode{proxy.ModeRaw, proxy.ModePrecompressed, proxy.ModeOnDemand, proxy.ModeSelective}

@@ -19,7 +19,7 @@ func TestDecodeLSBZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	syms := randomSymbols(lengths, 512, 21)
-	enc := encodeSymbolsLSB(t, lengths, syms)
+	enc := encodeSymbols(t, lengths, syms, false)
 	d.lsbTable() // build outside the measured region
 
 	br := bitio.NewLSBReader(bytes.NewReader(enc))

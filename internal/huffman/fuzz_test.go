@@ -35,37 +35,22 @@ func fuzzLengths(raw []byte) []uint8 {
 // tables and through the bit walker, until each first refuses, and
 // checks that table and walker agree symbol for symbol.
 func decodeAll(d *Decoder, stream []byte) (lsb, msb []int, err error) {
-	fastL, slowL := bitio.NewLSBReader(bytes.NewReader(stream)), bitio.NewLSBReader(bytes.NewReader(stream))
-	for len(lsb) < fuzzMaxDecod {
-		s, err := d.DecodeLSB(fastL)
-		w, werr := d.Decode(slowL)
-		if werr == nil && slowL.Err() != nil {
-			werr = slowL.Err()
+	var out [2][]int
+	for o, order := range []string{"LSB", "MSB"} {
+		table, walker := decoders(d, stream, o == 1)
+		for len(out[o]) < fuzzMaxDecod {
+			s, err := table()
+			w, werr := walker()
+			if (err != nil) != (werr != nil) || (err == nil && s != w) {
+				return nil, nil, fmt.Errorf("%s symbol %d: table %d (%v), walker %d (%v)", order, len(out[o]), s, err, w, werr)
+			}
+			if err != nil {
+				break
+			}
+			out[o] = append(out[o], s)
 		}
-		if (err != nil) != (werr != nil) || (err == nil && s != w) {
-			return nil, nil, fmt.Errorf("LSB symbol %d: table %d (%v), walker %d (%v)", len(lsb), s, err, w, werr)
-		}
-		if err != nil {
-			break
-		}
-		lsb = append(lsb, s)
 	}
-	fastM, slowM := bitio.NewMSBReader(bytes.NewReader(stream)), bitio.NewMSBReader(bytes.NewReader(stream))
-	for len(msb) < fuzzMaxDecod {
-		s, err := d.DecodeMSB(fastM)
-		w, werr := d.Decode(slowM)
-		if werr == nil && slowM.Err() != nil {
-			werr = slowM.Err()
-		}
-		if (err != nil) != (werr != nil) || (err == nil && s != w) {
-			return nil, nil, fmt.Errorf("MSB symbol %d: table %d (%v), walker %d (%v)", len(msb), s, err, w, werr)
-		}
-		if err != nil {
-			break
-		}
-		msb = append(msb, s)
-	}
-	return lsb, msb, nil
+	return out[0], out[1], nil
 }
 
 // checkReset is the differential oracle: a decoder built fresh for

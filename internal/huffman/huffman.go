@@ -245,20 +245,14 @@ func KraftSum(lengths []uint8) (sum uint64, scale uint8) {
 	return sum, scale
 }
 
-// BitSource yields one bit per call; both bitio readers satisfy it.
-type BitSource interface {
-	ReadBit() uint64
-}
-
 // maxCodeLen is the longest code a Decoder accepts: canonical codes are
 // held in a uint32, and a 64-bit Kraft sum scaled by 2^32 cannot wrap.
 // (The callers stop far lower, DEFLATE at 15 bits and the bzip2-style
 // coder at 20.)
 const maxCodeLen = 32
 
-// Decoder decodes canonical Huffman codes: one bit at a time through
-// Decode (the verified fallback), or via two-level lookup tables through
-// DecodeLSB/DecodeMSB (see table.go). Between Resets a decoder is
+// Decoder decodes canonical Huffman codes through two-level lookup tables
+// (DecodeLSB/DecodeMSB, see table.go). Between Resets a decoder is
 // immutable and safe for concurrent use; the lookup tables build lazily,
 // once per orientation. Reset rebuilds it for another code in the same
 // storage, so a decoder held in a workspace costs nothing per block.
@@ -337,21 +331,6 @@ func (d *Decoder) Reset(lengths []uint8) error {
 		pos[l]++
 	}
 	return nil
-}
-
-// Decode reads bits from src until a complete code is seen and returns the
-// decoded symbol. It returns an error if the bit pattern is not a valid code
-// within the maximum length (possible only for degenerate codes or corrupt
-// input past EOF, which the caller detects via the reader's sticky error).
-func (d *Decoder) Decode(src BitSource) (int, error) {
-	code := uint32(0)
-	for l := 1; l <= d.maxLen; l++ {
-		code = code<<1 | uint32(src.ReadBit())
-		if c := d.count[l]; c > 0 && code >= d.first[l] && code < d.first[l]+uint32(c) {
-			return int(d.syms[d.offset[l]+int32(code-d.first[l])]), nil
-		}
-	}
-	return 0, fmt.Errorf("huffman: invalid code %#b", code)
 }
 
 // MaxLen reports the longest code length in the decoder's code.

@@ -169,7 +169,7 @@ func roundTrip(t *testing.T, data []byte, maxBits int) {
 	}
 	r := bitio.NewMSBReader(&buf)
 	for i, want := range data {
-		got, err := dec.Decode(r)
+		got, err := dec.walk(r)
 		if err != nil {
 			t.Fatalf("decode at %d: %v", i, err)
 		}
@@ -231,7 +231,7 @@ func TestQuickRoundTripRandomDistributions(t *testing.T) {
 		}
 		r := bitio.NewMSBReader(&buf)
 		for _, want := range data {
-			got, err := dec.Decode(r)
+			got, err := dec.walk(r)
 			if err != nil || byte(got) != want {
 				return false
 			}
@@ -268,7 +268,7 @@ func TestNewDecoderAcceptsDegenerateSingle(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := d.Decode(bitio.NewMSBReader(&buf))
+	got, err := d.walk(bitio.NewMSBReader(&buf))
 	if err != nil || got != 1 {
 		t.Fatalf("got %d, %v", got, err)
 	}

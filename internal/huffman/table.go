@@ -3,10 +3,10 @@ package huffman
 // Two-level lookup-table decoding (the zlib inflate strategy): a root
 // table indexed by the next rootBits of the stream resolves every code of
 // length <= rootBits in one probe; longer codes hit a root slot that
-// points at a second-level table indexed by the remaining bits. The
-// bit-at-a-time walker in Decode stays as the verified fallback — the
-// tables are an equivalent projection of the same canonical code, and the
-// differential tests hold the two paths equal.
+// points at a second-level table indexed by the remaining bits. The tables
+// are a projection of the canonical code held in first/offset/count/syms;
+// the bit-at-a-time walker over those arrays, kept in the test files, is
+// what the differential tests hold them to.
 
 import (
 	"errors"

@@ -2,47 +2,69 @@ package huffman
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro/internal/bitio"
 )
 
-// encodeSymbolsLSB writes syms through the canonical code in DEFLATE's
-// LSB-first orientation.
-func encodeSymbolsLSB(t *testing.T, lengths []uint8, syms []int) []byte {
-	t.Helper()
+// walk is the table decoders' witness: it reads src a bit at a time until
+// the bits form a code of the canonical code d holds, and returns its
+// symbol, with the reader's error if it ran out of bits on the way. It
+// refuses a pattern that is no code within the longest length.
+func (d *Decoder) walk(src interface {
+	ReadBits(uint) uint64
+	Err() error
+}) (int, error) {
+	code := uint32(0)
+	for l := 1; l <= d.maxLen; l++ {
+		code = code<<1 | uint32(src.ReadBits(1))
+		if c := d.count[l]; c > 0 && code >= d.first[l] && code < d.first[l]+uint32(c) {
+			return int(d.syms[d.offset[l]+int32(code-d.first[l])]), src.Err()
+		}
+	}
+	return 0, fmt.Errorf("huffman: invalid code %#b", code)
+}
+
+// encodeSymbols writes syms through the canonical code, MSB-first as the
+// bzip2-style coder does or else LSB-first as DEFLATE does.
+func encodeSymbols(tb testing.TB, lengths []uint8, syms []int, msb bool) []byte {
+	tb.Helper()
 	codes, err := CanonicalCodes(lengths)
 	if err != nil {
-		t.Fatalf("CanonicalCodes: %v", err)
+		tb.Fatalf("CanonicalCodes: %v", err)
 	}
 	var buf bytes.Buffer
-	bw := bitio.NewLSBWriter(&buf)
+	var bw interface {
+		WriteBits(uint64, uint)
+		Flush() error
+	} = bitio.NewLSBWriter(&buf)
+	if msb {
+		bw = bitio.NewMSBWriter(&buf)
+	}
 	for _, s := range syms {
-		bw.WriteBits(uint64(Reverse(codes[s], lengths[s])), uint(lengths[s]))
+		code := codes[s]
+		if !msb {
+			code = Reverse(code, lengths[s])
+		}
+		bw.WriteBits(uint64(code), uint(lengths[s]))
 	}
 	if err := bw.Flush(); err != nil {
-		t.Fatalf("flush: %v", err)
+		tb.Fatalf("flush: %v", err)
 	}
 	return buf.Bytes()
 }
 
-// encodeSymbolsMSB writes syms in bzip2's MSB-first orientation.
-func encodeSymbolsMSB(t *testing.T, lengths []uint8, syms []int) []byte {
-	t.Helper()
-	codes, err := CanonicalCodes(lengths)
-	if err != nil {
-		t.Fatalf("CanonicalCodes: %v", err)
+// decoders returns d's table decoder and its walker for one bit order,
+// each reading stream from the start.
+func decoders(d *Decoder, stream []byte, msb bool) (table, walker func() (int, error)) {
+	if msb {
+		fast, slow := bitio.NewMSBReader(bytes.NewReader(stream)), bitio.NewMSBReader(bytes.NewReader(stream))
+		return func() (int, error) { return d.DecodeMSB(fast) }, func() (int, error) { return d.walk(slow) }
 	}
-	var buf bytes.Buffer
-	bw := bitio.NewMSBWriter(&buf)
-	for _, s := range syms {
-		bw.WriteBits(uint64(codes[s]), uint(lengths[s]))
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatalf("flush: %v", err)
-	}
-	return buf.Bytes()
+	fast, slow := bitio.NewLSBReader(bytes.NewReader(stream)), bitio.NewLSBReader(bytes.NewReader(stream))
+	return func() (int, error) { return d.DecodeLSB(fast) }, func() (int, error) { return d.walk(slow) }
 }
 
 // randomSymbols draws n symbols with nonzero code length.
@@ -100,64 +122,42 @@ func tableCodes() map[string][]uint8 {
 
 // TestTableMatchesWalkerLSB holds DecodeLSB equal to the bit-at-a-time
 // walker over random symbol streams for every table shape.
-func TestTableMatchesWalkerLSB(t *testing.T) {
-	for name, lengths := range tableCodes() {
-		d, err := NewDecoder(lengths)
-		if err != nil {
-			t.Fatalf("%s: NewDecoder: %v", name, err)
-		}
-		if lt := d.lsbTable(); name == "deep15" && len(lt.slots) == 1<<lt.rootBits {
-			t.Fatalf("deep15 built no second-level table")
-		}
-		syms := randomSymbols(lengths, 4096, 1)
-		enc := encodeSymbolsLSB(t, lengths, syms)
-
-		fast := bitio.NewLSBReader(bytes.NewReader(enc))
-		slow := bitio.NewLSBReader(bytes.NewReader(enc))
-		for i, want := range syms {
-			gf, err := d.DecodeLSB(fast)
-			if err != nil {
-				t.Fatalf("%s sym %d: DecodeLSB: %v", name, i, err)
-			}
-			gs, err := d.Decode(slow)
-			if err != nil {
-				t.Fatalf("%s sym %d: Decode: %v", name, i, err)
-			}
-			if gf != want || gs != want {
-				t.Fatalf("%s sym %d: fast=%d slow=%d want=%d", name, i, gf, gs, want)
-			}
-		}
-	}
-}
+func TestTableMatchesWalkerLSB(t *testing.T) { checkTableMatchesWalker(t, false, "deep15", 1) }
 
 // TestTableMatchesWalkerMSB is the MSB-orientation twin, covering the
 // 20-bit codes the bzip2-style coder can emit.
-func TestTableMatchesWalkerMSB(t *testing.T) {
+func TestTableMatchesWalkerMSB(t *testing.T) { checkTableMatchesWalker(t, true, "deep20", 2) }
+
+// checkTableMatchesWalker decodes random symbols of every table shape in
+// one bit order through the table and the walker, and requires the code
+// named deep to have built a second-level table.
+func checkTableMatchesWalker(t *testing.T, msb bool, deep string, seed int64) {
 	for name, lengths := range tableCodes() {
 		d, err := NewDecoder(lengths)
 		if err != nil {
 			t.Fatalf("%s: NewDecoder: %v", name, err)
 		}
-		if mt := d.msbTable(); name == "deep20" && len(mt.slots) == 1<<mt.rootBits {
-			t.Fatalf("deep20 built no second-level table")
-		}
-		syms := randomSymbols(lengths, 4096, 2)
-		enc := encodeSymbolsMSB(t, lengths, syms)
-
-		fast := bitio.NewMSBReader(bytes.NewReader(enc))
-		slow := bitio.NewMSBReader(bytes.NewReader(enc))
+		syms := randomSymbols(lengths, 4096, seed)
+		table, walker := decoders(d, encodeSymbols(t, lengths, syms, msb), msb)
 		for i, want := range syms {
-			gf, err := d.DecodeMSB(fast)
+			gf, err := table()
 			if err != nil {
-				t.Fatalf("%s sym %d: DecodeMSB: %v", name, i, err)
+				t.Fatalf("%s sym %d: table: %v", name, i, err)
 			}
-			gs, err := d.Decode(slow)
+			gs, err := walker()
 			if err != nil {
-				t.Fatalf("%s sym %d: Decode: %v", name, i, err)
+				t.Fatalf("%s sym %d: walker: %v", name, i, err)
 			}
 			if gf != want || gs != want {
-				t.Fatalf("%s sym %d: fast=%d slow=%d want=%d", name, i, gf, gs, want)
+				t.Fatalf("%s sym %d: table=%d walker=%d want=%d", name, i, gf, gs, want)
 			}
+		}
+		lt := d.lsbTable()
+		if msb {
+			lt = d.msbTable()
+		}
+		if name == deep && len(lt.slots) == 1<<lt.rootBits {
+			t.Fatalf("%s built no second-level table", deep)
 		}
 	}
 }
@@ -199,7 +199,7 @@ func TestTableBuiltCodes(t *testing.T) {
 			t.Fatalf("NewDecoder: %v", err)
 		}
 		syms := randomSymbols(lengths, 2048, int64(trial))
-		enc := encodeSymbolsLSB(t, lengths, syms)
+		enc := encodeSymbols(t, lengths, syms, false)
 		fast := bitio.NewLSBReader(bytes.NewReader(enc))
 		for i, want := range syms {
 			got, err := d.DecodeLSB(fast)
@@ -236,7 +236,7 @@ func TestTableTruncatedStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	syms := randomSymbols(lengths, 64, 3)
-	enc := encodeSymbolsLSB(t, lengths, syms)
+	enc := encodeSymbols(t, lengths, syms, false)
 	br := bitio.NewLSBReader(bytes.NewReader(enc[:len(enc)/2]))
 	for i := 0; i < len(syms)+16; i++ {
 		if _, err := d.DecodeLSB(br); err != nil {
@@ -246,10 +246,9 @@ func TestTableTruncatedStream(t *testing.T) {
 	t.Fatal("truncated stream never surfaced an error")
 }
 
-func BenchmarkDecodeWalker(b *testing.B) { benchDecode(b, false) }
-func BenchmarkDecodeTable(b *testing.B)  { benchDecode(b, true) }
-
-func benchDecode(b *testing.B, table bool) {
+// BenchmarkDecodeTable decodes a DEFLATE-shaped lit/len code's symbols
+// through the LSB-first table.
+func BenchmarkDecodeTable(b *testing.B) {
 	freq := make([]int, 286)
 	rng := rand.New(rand.NewSource(11))
 	for i := range freq {
@@ -264,28 +263,13 @@ func benchDecode(b *testing.B, table bool) {
 		b.Fatal(err)
 	}
 	syms := randomSymbols(lengths, 1<<16, 13)
-	codes, _ := CanonicalCodes(lengths)
-	var buf bytes.Buffer
-	bw := bitio.NewLSBWriter(&buf)
-	for _, s := range syms {
-		bw.WriteBits(uint64(Reverse(codes[s], lengths[s])), uint(lengths[s]))
-	}
-	if err := bw.Flush(); err != nil {
-		b.Fatal(err)
-	}
-	enc := buf.Bytes()
+	enc := encodeSymbols(b, lengths, syms, false)
 	b.SetBytes(int64(len(syms)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		br := bitio.NewLSBReader(bytes.NewReader(enc))
 		for j := 0; j < len(syms); j++ {
-			var err error
-			if table {
-				_, err = d.DecodeLSB(br)
-			} else {
-				_, err = d.Decode(br)
-			}
-			if err != nil {
+			if _, err := d.DecodeLSB(br); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -95,11 +95,11 @@ func TestDecodeLeavesSpareCapacity(t *testing.T) {
 		"last-long-copy": c9('a', 257, 258, 259, 260, 261, 262, 263, 264, 'b', 265),
 	}
 	for _, f := range benchFiles(t) {
-		comp, err := Compress(f.data[:blockBytes], MaxBits)
+		comp, err := Compress(f.Data[:blockBytes], MaxBits)
 		if err != nil {
 			t.Fatal(err)
 		}
-		streams[f.name] = comp
+		streams[f.Name] = comp
 	}
 	const canary, spare = 0xcc, 64
 	for name, stream := range streams {

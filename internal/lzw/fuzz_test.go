@@ -22,13 +22,13 @@ const (
 
 // craft packs codes at the given widths behind a .Z header.
 func craft(flags byte, codes ...[2]uint) []byte {
-	out := &sliceWriter{b: []byte{magicByte1, magicByte2, flags}}
-	bw := newTestBitWriter(out)
+	out := bytes.NewBuffer([]byte{magicByte1, magicByte2, flags})
+	bw := bitio.NewLSBWriter(out)
 	for _, c := range codes {
-		bw.write(uint64(c[0]), c[1])
+		bw.WriteBits(uint64(c[0]), c[1])
 	}
-	bw.flush()
-	return out.b
+	_ = bw.Flush()
+	return out.Bytes()
 }
 
 // seedStreams is the seed corpus: what FuzzLZWDecode starts from and what

@@ -191,8 +191,8 @@ func TestLowerFactorThanDeflateOnText(t *testing.T) {
 // (128 kB) of each file the benchmark's large workloads serve.
 func BenchmarkCompress(b *testing.B) {
 	for _, f := range benchFiles(b) {
-		b.Run(f.name, func(b *testing.B) {
-			block := f.data[:blockBytes]
+		b.Run(f.Name, func(b *testing.B) {
+			block := f.Data[:blockBytes]
 			b.SetBytes(int64(len(block)))
 			for i := 0; i < b.N; i++ {
 				if _, err := Compress(block, 16); err != nil {
@@ -205,8 +205,8 @@ func BenchmarkCompress(b *testing.B) {
 
 func BenchmarkDecompress(b *testing.B) {
 	for _, f := range benchFiles(b) {
-		b.Run(f.name, func(b *testing.B) {
-			block := f.data[:blockBytes]
+		b.Run(f.Name, func(b *testing.B) {
+			block := f.Data[:blockBytes]
 			comp, err := Compress(block, 16)
 			if err != nil {
 				b.Fatal(err)
@@ -227,14 +227,8 @@ func BenchmarkDecompress(b *testing.B) {
 func TestExplicitClearCodeHandling(t *testing.T) {
 	// Build by hand with the same bit packing the encoder uses:
 	// codes: 'a'(97) 'b'(98) CLEAR(256) 'c'(99) 'd'(100), all 9-bit.
-	out := []byte{magicByte1, magicByte2, 16 | blockModeFlag}
-	w := &sliceWriter{b: out}
-	bw := newTestBitWriter(w)
-	for _, code := range []uint16{97, 98, clearCode, 99, 100} {
-		bw.write(uint64(code), 9)
-	}
-	bw.flush()
-	got, err := Decompress(w.b, 0)
+	stream := craft(16|blockModeFlag, [2]uint{97, 9}, [2]uint{98, 9}, [2]uint{clearCode, 9}, [2]uint{99, 9}, [2]uint{100, 9})
+	got, err := Decompress(stream, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -182,48 +182,15 @@ func FuzzLZWEncodeIdentical(f *testing.F) {
 	})
 }
 
-// benchFiles rebuilds the six files the benchmark's large workloads serve
-// (bench/loopback.go: largeFiles at corpusSeed), as internal/bwt's tests do.
-func benchFiles(tb testing.TB) []namedFile {
-	splitmix := func(seed, salt uint64) uint64 {
-		z := seed ^ (salt+1)*0x9E3779B97F4A7C15
-		z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-		z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-		return z ^ (z >> 31)
-	}
-	gzipFactor := func(b []byte) float64 {
+// benchFiles is workload.BenchFiles measured by flate's gzip -6.
+func benchFiles(tb testing.TB) []workload.BenchFile {
+	return workload.BenchFiles(func(b []byte) float64 {
 		c, err := flate.GzipCompress(b, 6)
 		if err != nil {
 			tb.Fatal(err)
 		}
 		return float64(len(b)) / float64(len(c))
-	}
-	class := func(c workload.Class) func(int, uint64) []byte {
-		return func(size int, seed uint64) []byte { return workload.Generate(c, size, seed) }
-	}
-	var out []namedFile
-	for i, f := range []struct {
-		name string
-		size int
-		gen  func(int, uint64) []byte
-	}{
-		{"prog.c", 256 << 10, class(workload.ClassSource)},
-		{"spec.html", 512 << 10, class(workload.ClassHTML)},
-		{"tool.bin", 384 << 10, class(workload.ClassBinary)},
-		{"paper.ps", 768 << 10, class(workload.ClassPostscript)},
-		{"deck.mixed", 1 << 20, workload.MixedFile},
-		{"media.r115", 512 << 10, func(size int, seed uint64) []byte {
-			return workload.GenerateRatio(size, 1.15, seed, gzipFactor)
-		}},
-	} {
-		out = append(out, namedFile{f.name, f.gen(f.size, splitmix(2003, uint64(i)))})
-	}
-	return out
-}
-
-type namedFile struct {
-	name string
-	data []byte
+	})
 }
 
 // blockBytes is the dataplane's block (selective.BlockSize): what a cold
@@ -250,21 +217,21 @@ var benchDigests = map[string]string{
 func TestBenchFilesMatchReference(t *testing.T) {
 	for _, f := range benchFiles(t) {
 		sum := sha256.New()
-		for off := 0; off < len(f.data); off += blockBytes {
-			block := f.data[off:min(off+blockBytes, len(f.data))]
+		for off := 0; off < len(f.Data); off += blockBytes {
+			block := f.Data[off:min(off+blockBytes, len(f.Data))]
 			got, err := Compress(block, MaxBits)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, referenceCompress(block, MaxBits)) {
-				t.Errorf("%s block at %d: stream differs from the reference encoder's", f.name, off)
+				t.Errorf("%s block at %d: stream differs from the reference encoder's", f.Name, off)
 			}
 			sum.Write(got)
 		}
-		if got := hex.EncodeToString(sum.Sum(nil)[:8]); got != benchDigests[f.name] {
-			t.Errorf("%s: compress artifact digest %s, recorded %q", f.name, got, benchDigests[f.name])
+		if got := hex.EncodeToString(sum.Sum(nil)[:8]); got != benchDigests[f.Name] {
+			t.Errorf("%s: compress artifact digest %s, recorded %q", f.Name, got, benchDigests[f.Name])
 		}
-		checkEncode(t, f.data, MaxBits, 12)
+		checkEncode(t, f.Data, MaxBits, 12)
 	}
 	// The reset path is part of the claim only if these inputs take it.
 	if _, resets := referenceCompressResets(shifting(300<<10), MaxBits); resets == 0 {

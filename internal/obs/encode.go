@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
@@ -69,11 +68,4 @@ func writeHistogram(w io.Writer, h HistogramSnapshot) error {
 // representation that round-trips.
 func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// WriteJSON renders a registry snapshot as indented JSON.
-func WriteJSON(w io.Writer, s Snapshot) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
 }

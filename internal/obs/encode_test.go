@@ -7,59 +7,6 @@ import (
 	"testing"
 )
 
-// TestWriteJSONGolden pins the JSON exposition byte for byte: field names,
-// field order, indentation. /statsz consumers parse this shape.
-func TestWriteJSONGolden(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("reqs_total", "Requests.").Add(3)
-	reg.Gauge("active", "").Set(-2)
-	h := reg.Histogram("lat_seconds", "Latency.", []float64{0.25, 1})
-	h.Observe(0.25)
-	h.Observe(0.5)
-	h.Observe(2)
-
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, reg.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	const golden = `{
-  "counters": [
-    {
-      "name": "reqs_total",
-      "help": "Requests.",
-      "value": 3
-    }
-  ],
-  "gauges": [
-    {
-      "name": "active",
-      "value": -2
-    }
-  ],
-  "histograms": [
-    {
-      "name": "lat_seconds",
-      "help": "Latency.",
-      "bounds": [
-        0.25,
-        1
-      ],
-      "counts": [
-        1,
-        1,
-        1
-      ],
-      "count": 3,
-      "sum": 2.75
-    }
-  ]
-}
-`
-	if got := buf.String(); got != golden {
-		t.Errorf("JSON mismatch:\n--- got ---\n%s--- want ---\n%s", got, golden)
-	}
-}
-
 // TestPrometheusHistogramRoundTrip re-parses the rendered text and checks
 // it reconstructs the snapshot exactly: cumulative le-buckets must match
 // the disjoint counts' running sum, +Inf must equal the total count, and

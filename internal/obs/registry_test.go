@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"encoding/json"
 	"math"
 	"strings"
 	"sync"
@@ -114,28 +113,6 @@ conn_seconds_count 4
 `
 	if got := buf.String(); got != golden {
 		t.Errorf("prometheus text mismatch:\n--- got ---\n%s--- want ---\n%s", got, golden)
-	}
-}
-
-// TestSnapshotJSON checks the JSON encoder emits a parsable document with
-// the same numbers the registry holds.
-func TestSnapshotJSON(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("c_total", "help").Add(7)
-	reg.Histogram("h", "", []float64{1}).Observe(0.5)
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, reg.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	var round Snapshot
-	if err := json.Unmarshal(buf.Bytes(), &round); err != nil {
-		t.Fatalf("round-trip: %v\n%s", err, buf.String())
-	}
-	if len(round.Counters) != 1 || round.Counters[0].Value != 7 {
-		t.Errorf("counters = %+v", round.Counters)
-	}
-	if len(round.Histograms) != 1 || round.Histograms[0].Count != 1 {
-		t.Errorf("histograms = %+v", round.Histograms)
 	}
 }
 

@@ -2,12 +2,57 @@ package repro_test
 
 import (
 	"bytes"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
 
 	"repro"
 )
+
+// TestDocsNameDeclaredFacade fails when README.md, DESIGN.md or
+// EXPERIMENTS.md names a repro.X that repro.go does not declare: a name
+// trimmed from the facade must leave the documents too.
+func TestDocsNameDeclaredFacade(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "repro.go", nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := map[string]bool{}
+	for _, d := range f.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			declared[d.Name.Name] = true
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch spec := spec.(type) {
+				case *ast.TypeSpec:
+					declared[spec.Name.Name] = true
+				case *ast.ValueSpec:
+					for _, n := range spec.Names {
+						declared[n.Name] = true
+					}
+				}
+			}
+		}
+	}
+	named := regexp.MustCompile(`\brepro\.([A-Z]\w*)`)
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range named.FindAllStringSubmatch(string(text), -1) {
+			if !declared[m[1]] {
+				t.Errorf("%s names repro.%s, which repro.go does not declare", doc, m[1])
+			}
+		}
+	}
+}
 
 func TestFacadeCodecRoundTrip(t *testing.T) {
 	data := []byte(strings.Repeat("public api round trip ", 2000))

@@ -120,13 +120,13 @@ fuzz ./internal/lzw FuzzLZWEncodeIdentical
 # buffer, as the dataplane decodes blocks, against resumed a Read at a time
 # by the Reader behind czip — and to compress/gzip, on arbitrary bytes.
 fuzz ./internal/flate FuzzStreamReader
-# The inflater's fast loop and its careful one, held to the reference
-# inflater (a DecodeLSB call per symbol, kept in the test files) on
+# The inflater's fast loop and its careful one, held to compress/flate on
 # arbitrary raw DEFLATE: onto nil, exact and ample room, under an arbitrary
 # limit and through the Reader in small reads — the same bytes, the same
-# verdict, the same words. The seeds put each refusal in the fast loop's
-# reach, and the test that pins them is named here too, with the one that
-# holds every run to its limit and the kernels the record quotes.
+# verdict, and a refusal in the same words every way. The seeds put each
+# refusal in the fast loop's reach, and the test that pins their words is
+# named here too, with the one that holds every run to its limit and the
+# kernels the record quotes.
 fuzz ./internal/flate FuzzInflateFastPath
 exists ./internal/flate 'TestFastPathSeeds|TestRunStopsAtTheLimit|BenchmarkInflateBlocks|BenchmarkInflateNoRoom|BenchmarkStreamReaderReadSize'
 fuzz ./internal/selective FuzzSELRoundTrip
@@ -159,19 +159,21 @@ for m in '(*LSBReader).PeekBits' '(*LSBReader).Consume' '(*LSBReader).Bits' '(*L
 done
 exists ./internal/bitio 'TestBitsHandBack'
 # The encode side of the block sorter: the linear-time rotation sort held to
-# the retired Manber-Myers one (and a quadratic sort on short blocks) on
-# arbitrary and periodic blocks, fresh and after an unrelated block — and
-# Compress, through the fused move-to-front pass and the word-storing bit
-# writer, to the retired passes' stream.
+# Manber-Myers (and a quadratic sort on short blocks) on arbitrary and
+# periodic blocks, fresh and after an unrelated block — and Compress,
+# through the fused move-to-front pass and the word-storing bit writer, to
+# the stream of the reference passes.
 fuzz ./internal/bwt FuzzBWTTransform
 # What the record quotes of the encoders, checked by name so a rename
 # cannot leave it running on nothing: the pinned artifact digests of the
 # bench files under each encoder, the sort's linearity guard, its
-# largest-block round trip, the retired SA-IS it is held to, and the block
-# sort, whole-block and move-to-front kernels.
-exists ./internal/bwt 'TestBenchFilesMatchReference|TestSortWorstCase|TestLevel9BlockRoundTrip|TestSortMatchesRetiredSAIS|BenchmarkTransform|BenchmarkCompressBlock|BenchmarkMTF'
+# largest-block round trip, the Manber-Myers sort it is held to, and the
+# block sort, whole-block and move-to-front kernels — and the raw bench
+# files the three codecs' tests share, pinned by digest.
+exists ./internal/bwt 'TestBenchFilesMatchReference|TestSortWorstCase|TestLevel9BlockRoundTrip|TestSortMatchesManberMyers|BenchmarkTransform|BenchmarkCompressBlock|BenchmarkMTF'
 exists ./internal/flate 'TestBenchFilesMatchReference'
 exists ./internal/lzw 'TestBenchFilesMatchReference'
+exists ./internal/workload 'TestBenchFilesPinned'
 # The two pieces of the standard library the testbed and the dataplane lean
 # on for their numbers: the O(1)-seeded generator held to math/rand's own,
 # draw for draw, and hash/crc32 held to the from-scratch CRC-32 kept in the
@@ -222,7 +224,13 @@ $EVGATE -events /tmp/events-a.$$ >/dev/null && $EVGATE -events /tmp/events-b.$$ 
 cmp /tmp/events-a.$$ /tmp/events-b.$$
 cmp /tmp/events-a.$$ testdata/events/soak-seed1.jsonl
 rm -f /tmp/events-a.$$ /tmp/events-b.$$
-"$GATE_DIR/energysim" calib -events testdata/events/soak-seed1.jsonl | grep -q 'within 1%: yes'
+# Every device class's fit must be within 1%, not just one of them.
+CALIB=$("$GATE_DIR/energysim" calib -events testdata/events/soak-seed1.jsonl)
+echo "$CALIB" | grep -q 'within 1%: yes'
+if echo "$CALIB" | grep -q 'within 1%: no'; then
+	echo "ci: a device class missed Table 1 by more than 1%" >&2
+	exit 1
+fi
 
 # Figure-world golden: every line the paper-regeneration run prints (the
 # run EXPERIMENTS.md quotes) must match the committed transcript byte for
@@ -349,7 +357,7 @@ if command -v curl >/dev/null 2>&1; then
 	# The fetch left its artifact cached, and the occupancy gauges say so.
 	curl -fsS "http://$ADMIN/metrics" | grep -q '^proxy_cache_entries [1-9]'
 	curl -fsS "http://$ADMIN/metrics" | grep -q '^proxy_cache_bytes [1-9]'
-	curl -fsS "http://$ADMIN/statsz" | grep -q '"Requests"'
+	curl -fsS "http://$ADMIN/statsz" | grep -Eq '"Requests": [1-9]'
 	curl -fsS "http://$ADMIN/tracez" | grep -q '"req_id"'
 	curl -fsS "http://$ADMIN/tracez?name=serve&limit=1" | grep -q '"req_id"'
 	curl -fsS "http://$ADMIN/eventsz" | grep -q '"span": "serve"'
