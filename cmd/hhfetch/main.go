@@ -55,6 +55,7 @@ func run() error {
 		return err
 	}
 	cli := repro.NewProxyClient(*addr)
+	defer cli.Close()
 	cli.Timeout = *timeout
 	cli.MaxRetries = *retries
 	cli.RetryBaseDelay = *retryBase

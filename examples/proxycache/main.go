@@ -34,7 +34,10 @@ func run() error {
 	defer srv.Close()
 	fmt.Println("proxy serving on", addr)
 
+	// One client, one kept connection: the listing and every fetch after
+	// it share it.
 	cli := repro.NewProxyClient(addr)
+	defer cli.Close()
 	names, err := cli.List()
 	if err != nil {
 		return err

@@ -104,8 +104,12 @@ func TestCorpusThroughProxyAllModes(t *testing.T) {
 	if st.Compressions+st.Coalesced != st.CacheMisses {
 		t.Errorf("compressions(%d)+coalesced(%d) != misses(%d)", st.Compressions, st.Coalesced, st.CacheMisses)
 	}
-	if st.ConnsTotal != int64(fetches)+2 { // + the List call + the repeat fetch
-		t.Errorf("ConnsTotal = %d, want %d", st.ConnsTotal, fetches+2)
+	if st.Requests != int64(fetches)+2 { // + the List call + the repeat fetch
+		t.Errorf("Requests = %d, want %d", st.Requests, fetches+2)
+	}
+	// The client's one kept connection carries every request.
+	if st.ConnsTotal != 1 {
+		t.Errorf("ConnsTotal = %d, want 1", st.ConnsTotal)
 	}
 	if st.Errors != 0 {
 		t.Errorf("server recorded %d errors during the sweep", st.Errors)

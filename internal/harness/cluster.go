@@ -48,7 +48,7 @@ func startServers(s Scenario, clock *simnet.Clock, nw *simnet.Network, corpus []
 			// Each server gets its own decider instance so per-node metric
 			// registries never share counters.
 			Decider: buildDecider(s),
-			// Never shed: ConnsTotal == Σ attempts must hold exactly, and a
+			// Never shed: ConnsTotal == Σ dials must hold exactly, and a
 			// busy-shed path would couple one client's timeline to another's.
 			MaxConns: s.Clients + 2,
 		})

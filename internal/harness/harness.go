@@ -265,6 +265,8 @@ type Report struct {
 	// Spans holds each client's fetch spans, oldest first; span k of
 	// client i is fetch k (the tracer ring is sized to hold them all).
 	Spans [][]obs.SpanData
+	// Dials counts each client's connections.
+	Dials []int64
 	// Elapsed is the virtual time the client schedules took. It is
 	// informational and excluded from the canonical trace.
 	Elapsed    time.Duration
@@ -404,6 +406,7 @@ func Run(s Scenario) (*Report, error) {
 	}
 	records := make([][]FetchRecord, s.Clients)
 	tracers := make([]*obs.Tracer, s.Clients)
+	dials := make([]int64, s.Clients)
 	var running sync.WaitGroup
 	// Hold the clock until every actor is on its ledger: a client the host
 	// schedules early must not spend virtual time before its siblings exist.
@@ -426,7 +429,6 @@ func Run(s Scenario) (*Report, error) {
 				BitFlipProb:  s.FaultRate,
 			}
 			addr := addrs[i%len(addrs)]
-			var dials int64
 			cli := proxy.NewClient(addr)
 			cli.Clock = clock
 			cli.Timeout = s.Timeout
@@ -441,21 +443,29 @@ func Run(s Scenario) (*Report, error) {
 			// fault stream (via plan.Wrap's per-id rng), both derived from
 			// (scenario seed, client, dial ordinal) — so a client's wire
 			// behavior replays exactly regardless of how the other clients
-			// interleave with it.
+			// interleave with it. The client keeps its connection from one
+			// fetch to the next, so it dials again only after a failed
+			// attempt, or when the server closed the kept connection.
 			cli.Dial = func() (net.Conn, error) {
-				dials++
+				dials[i]++
 				link := s.Link
-				link.Seed = mix(s.Seed, int64(i)*1_000_000+dials)
+				link.Seed = mix(s.Seed, int64(i)*1_000_000+dials[i])
 				conn, err := nw.DialLink(addr, link)
 				if err != nil {
 					return nil, err
 				}
-				return plan.Wrap(conn, dials), nil
+				return plan.Wrap(conn, dials[i]), nil
 			}
+			// Hang up once the last fetch is in, so that the server's
+			// handler does not wait out its idle timeout on the connection.
+			defer cli.Close()
 
 			// Stagger starts so the schedule is not one synchronized burst.
 			clock.Sleep(time.Duration(i) * time.Millisecond)
 			for j := 0; j < s.FetchesPerClient; j++ {
+				if j > 0 {
+					clock.Sleep(time.Duration(sched.Intn(20)) * time.Millisecond)
+				}
 				f := corpus[sched.Intn(len(corpus))]
 				scheme := schemes[sched.Intn(len(schemes))]
 				mode := modes[sched.Intn(len(modes))]
@@ -469,7 +479,6 @@ func Run(s Scenario) (*Report, error) {
 					rec.CRC = crc32.ChecksumIEEE(got)
 				}
 				records[i] = append(records[i], rec)
-				clock.Sleep(time.Duration(sched.Intn(20)) * time.Millisecond)
 			}
 		})
 	}
@@ -510,7 +519,7 @@ func Run(s Scenario) (*Report, error) {
 		}
 	}
 
-	r := &Report{Scenario: s, Elapsed: elapsed,
+	r := &Report{Scenario: s, Elapsed: elapsed, Dials: dials,
 		Records: make([]FetchRecord, 0, s.Clients*s.FetchesPerClient)}
 	if s.Nodes == 0 {
 		r.Stats = servers[0].Stats()

@@ -91,8 +91,8 @@ func TestSoakDefaultScenario(t *testing.T) {
 
 // TestSoakFaultFreeExactReconciliation: with no faults every fetch takes
 // exactly one attempt and the counter oracle tightens to equalities
-// (Requests == ConnsTotal == fetches, zero errors, payload bytes served
-// == payload bytes received). Any slack here means the ledger lies.
+// (Requests == fetches, ConnsTotal == clients, zero errors, payload bytes
+// served == payload bytes received). Any slack here means the ledger lies.
 func TestSoakFaultFreeExactReconciliation(t *testing.T) {
 	sc := Scenario{Seed: 3, Clients: 5, FetchesPerClient: 10, Churn: 5}
 	r, err := Run(sc)
@@ -113,8 +113,12 @@ func TestSoakFaultFreeExactReconciliation(t *testing.T) {
 			t.Errorf("fault-free fetch resumed %d bytes: c%02d f%03d", rec.Stats.ResumedBytes, rec.Client, rec.Index)
 		}
 	}
-	if r.Stats.ConnsTotal != int64(len(r.Records)) {
-		t.Errorf("ConnsTotal %d != %d fetches", r.Stats.ConnsTotal, len(r.Records))
+	if r.Stats.Requests != int64(len(r.Records)) {
+		t.Errorf("Requests %d != %d fetches", r.Stats.Requests, len(r.Records))
+	}
+	// Each client's fetches share its one kept connection.
+	if r.Stats.ConnsTotal != int64(sc.Clients) {
+		t.Errorf("ConnsTotal %d != %d clients", r.Stats.ConnsTotal, sc.Clients)
 	}
 }
 

@@ -82,6 +82,9 @@ type Span struct {
 	t  *Tracer
 	mu sync.Mutex
 	d  SpanData
+	// phases backs d.Phases until a span records more than fit: a served
+	// request's span records three or four.
+	phases [4]Phase
 }
 
 // SetAttr attaches a key/value attribute.
@@ -270,11 +273,13 @@ func (t *Tracer) Start(name string) *Span {
 	if t == nil {
 		return nil
 	}
-	return &Span{t: t, d: SpanData{
+	s := &Span{t: t, d: SpanData{
 		ID:    t.nextID.Add(1),
 		Name:  name,
 		Start: time.Now(),
 	}}
+	s.d.Phases = s.phases[:0]
+	return s
 }
 
 // SetOnFinish installs a hook observing every span after it is pushed to

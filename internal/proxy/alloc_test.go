@@ -151,3 +151,46 @@ func TestCorruptBlockAllocatesNoDestination(t *testing.T) {
 		t.Errorf("a fetch refused for a corrupt block allocates %d bytes, want <= %d: a failed decode is costing a buffer", perFetch, want)
 	}
 }
+
+// TestKeepAliveHitAllocs: a warm cache-hit fetch of a small file over a
+// kept loopback connection, client and server together, allocates no more
+// than keepAliveHitBudget objects. Neither side's connection, request
+// frame or response frames cost one; what is left is per request:
+//
+//	client: the output buffer handed to the caller, the gzip decoder's
+//	        byte reader, the slice box codec.PutBuf hands the pool;
+//	server: the request's name, its serve span, the span's attribute map
+//	        (two) and its req_id string, and the copy the tracer ring
+//	        keeps of the span (three: phases, attribute map).
+func TestKeepAliveHitAllocs(t *testing.T) {
+	const keepAliveHitBudget = 11
+	content := workload.Generate(workload.ClassHTML, 18_000, 10)
+	srv := NewServer(nil)
+	srv.Register("page.html", content)
+	if err := srv.Precompress("page.html", codec.Gzip); err != nil {
+		t.Fatal(err)
+	}
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cli := NewClient(addr)
+	defer cli.Close()
+	fetch := func() {
+		got, _, err := cli.Fetch("page.html", codec.Gzip, ModePrecompressed)
+		if err != nil || len(got) != len(content) {
+			t.Fatalf("fetch: %v", err)
+		}
+	}
+	for i := 0; i < 16; i++ {
+		fetch()
+	}
+	allocs := testing.AllocsPerRun(200, fetch)
+	if allocs > keepAliveHitBudget {
+		t.Errorf("a warm kept-connection cache hit allocates %.1f objects, want <= %d", allocs, keepAliveHitBudget)
+	}
+	if st := srv.Stats(); st.ConnsTotal != 1 || st.CacheHits != 217 {
+		t.Errorf("%d connections and %d cache hits, want 1 and 217: the fetches measured were not warm hits on one kept connection", st.ConnsTotal, st.CacheHits)
+	}
+}

@@ -1,6 +1,7 @@
 package proxy
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -118,6 +119,38 @@ type Client struct {
 
 	metricsOnce sync.Once
 	cm          clientMetrics
+
+	// idle is the connection kept from the last call that ended on a
+	// whole answer, for the next call to reuse; nil when there is none.
+	idleMu sync.Mutex
+	idle   *clientConn
+}
+
+// clientConn is a connection with the scratch its request frames are
+// built in.
+type clientConn struct {
+	net.Conn
+	req     []byte
+	scratch [64]byte
+}
+
+// Close closes the kept idle connection, if there is one. The client
+// stays usable: its next call dials.
+func (c *Client) Close() error {
+	if cc := c.swapIdle(nil); cc != nil {
+		return cc.Close()
+	}
+	return nil
+}
+
+// swapIdle makes cc the kept idle connection and returns the one it
+// replaces, if any.
+func (c *Client) swapIdle(cc *clientConn) *clientConn {
+	c.idleMu.Lock()
+	defer c.idleMu.Unlock()
+	old := c.idle
+	c.idle = cc
+	return old
 }
 
 // clock resolves the configured or default time source.
@@ -168,7 +201,7 @@ func (c *Client) metrics() *clientMetrics {
 				"Raw bytes a retry attempt did not re-transfer, one sample per resumed attempt.",
 				[]float64{1 << 10, 16 << 10, 128 << 10, 1 << 20, 16 << 20, 256 << 20}),
 			attempts: reg.Histogram("client_fetch_attempts",
-				"Connections one Fetch call used (1 = no retries).",
+				"Attempts one Fetch call made (1 = no retries).",
 				[]float64{1, 2, 3, 5, 10, 20, 40}),
 			decompressRate: reg.Histogram("client_decompress_bytes_per_second",
 				"Raw bytes produced per second of decompressor busy time, one sample per attempt that decompressed blocks.",
@@ -264,8 +297,8 @@ func (c *Client) backoffDelay(attempt int) time.Duration {
 	return d
 }
 
-// dial connects and applies the per-call deadline.
-func (c *Client) dial() (net.Conn, error) {
+// dial connects.
+func (c *Client) dial() (*clientConn, error) {
 	var conn net.Conn
 	var err error
 	if c.Dial != nil {
@@ -276,13 +309,82 @@ func (c *Client) dial() (net.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
+	cc := &clientConn{Conn: conn}
+	cc.req = cc.scratch[:0]
+	return cc, nil
+}
+
+// exchange sends req on the kept connection, or on a new one, applies the
+// per-call deadline, and waits for the first byte of the answer. A kept
+// connection the server has closed in the meantime (idle timeout, drain,
+// eviction at its connection cap, or a server that closes after every
+// answer) dies before that byte arrives: it is redialled once, and the
+// redial is part of the same attempt. A dial is recorded on span as a
+// dial phase; the header phase runs from the request's write.
+func (c *Client) exchange(req request, span *obs.Span, detail string) (*clientConn, *bufio.Reader, time.Time, error) {
+	clk := c.clock()
+	cc := c.swapIdle(nil)
+	kept := cc != nil
+	for {
+		if cc == nil {
+			dialStart := clk.Now()
+			var err error
+			cc, err = c.dial()
+			span.PhaseDetail("dial", obs.ClassRadio, detail, dialStart, clk.Now().Sub(dialStart), 0)
+			if err != nil {
+				return nil, nil, time.Time{}, err
+			}
+		}
+		sent := clk.Now()
+		err := c.send(cc, req)
+		br := getConnReader(cc)
+		if err == nil {
+			if _, err = br.Peek(1); err == nil {
+				return cc, br, sent, nil
+			}
+		}
+		putConnReader(br)
+		cc.Close()
+		if !kept || isTimeout(err) {
+			return nil, nil, sent, err
+		}
+		cc, kept = nil, false
+	}
+}
+
+// send applies the per-call deadline to cc and writes req on it.
+func (c *Client) send(cc *clientConn, req request) error {
 	if c.Timeout > 0 {
-		if err := conn.SetDeadline(c.clock().Now().Add(c.Timeout)); err != nil {
-			conn.Close()
-			return nil, err
+		if err := cc.SetDeadline(c.clock().Now().Add(c.Timeout)); err != nil {
+			return err
 		}
 	}
-	return conn, nil
+	var err error
+	if cc.req, err = appendRequest(cc.req[:0], req); err != nil {
+		return err
+	}
+	_, err = cc.Write(cc.req)
+	return err
+}
+
+// isTimeout reports whether err is a deadline expiring: a kept connection
+// that times out is a slow server, not a stale connection.
+func isTimeout(err error) bool {
+	var ne net.Error
+	return errors.As(err, &ne) && ne.Timeout()
+}
+
+// release keeps cc for the next call when the exchange on it ended on a
+// whole answer with nothing left unread, closing the one it replaces, and
+// closes cc otherwise; either way br goes back to the pool.
+func (c *Client) release(cc *clientConn, br *bufio.Reader, ok bool) {
+	if ok && br.Buffered() == 0 {
+		cc = c.swapIdle(cc)
+	}
+	if cc != nil {
+		cc.Close()
+	}
+	putConnReader(br)
 }
 
 // FetchStats reports what crossed the wire.
@@ -292,7 +394,9 @@ type FetchStats struct {
 	BlocksTotal      int
 	BlocksCompressed int
 	Factor           float64
-	// Attempts is how many connections the fetch used (1 = no retries).
+	// Attempts is how many times the fetch sent its request (1 = no
+	// retries). Redialling a kept connection the server had closed is not
+	// another attempt.
 	Attempts int
 	// ResumedBytes counts raw bytes retry attempts did NOT re-transfer
 	// because the server granted a resume offset.
@@ -348,17 +452,12 @@ func (c *Client) withRetries(op func() error, onBackoff func(err error, start ti
 	}
 }
 
-func (c *Client) listOnce() ([]string, error) {
-	conn, err := c.dial()
+func (c *Client) listOnce() (names []string, err error) {
+	cc, br, _, err := c.exchange(request{Op: opList}, nil, "")
 	if err != nil {
 		return nil, err
 	}
-	defer conn.Close()
-	if err := writeRequest(conn, request{Op: opList}); err != nil {
-		return nil, err
-	}
-	br := getConnReader(conn)
-	defer putConnReader(br)
+	defer func() { c.release(cc, br, err == nil) }()
 	var hdr [5]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrProtocol, err)
@@ -374,7 +473,7 @@ func (c *Client) listOnce() ([]string, error) {
 	if n > 1<<20 {
 		return nil, fmt.Errorf("%w: %d names", ErrProtocol, n)
 	}
-	names := make([]string, 0, n)
+	names = make([]string, 0, n)
 	for i := 0; i < n; i++ {
 		var n16 [2]byte
 		if _, err := io.ReadFull(br, n16[:]); err != nil {
@@ -655,26 +754,20 @@ func (c *Client) fetchOnce(name string, scheme codec.Scheme, mode Mode, reqID ui
 	// the modeled link time, not host-scheduler noise. CPU busy phases
 	// (decompress) keep host-time durations — that is what they measure.
 	clk := c.clock()
-	dialStart := clk.Now()
-	conn, err := c.dial()
-	span.PhaseDetail("dial", obs.ClassRadio, attemptDetail, dialStart, clk.Now().Sub(dialStart), 0)
-	if err != nil {
-		return out, err
-	}
-	defer conn.Close()
-
-	hdrStart := clk.Now()
 	req := request{Op: opGet, Name: name, Scheme: scheme, Mode: mode, Offset: uint64(len(verified)), ReqID: reqID}
 	if c.DeadlineClass != 0 || c.EnergyBudgetJ > 0 {
 		req.Op = opGetEx
 		req.Class = c.DeadlineClass
 		req.BudgetMJ = budgetMilliJoules(c.EnergyBudgetJ)
 	}
-	if err := writeRequest(conn, req); err != nil {
+	cc, br, hdrStart, err := c.exchange(req, span, attemptDetail)
+	if err != nil {
 		return out, err
 	}
-	br := getConnReader(conn)
-	defer putConnReader(br)
+	// Only a fetch that verified the whole file leaves its connection
+	// ready for the next request: any failure may have left part of a
+	// frame unread.
+	defer func() { c.release(cc, br, err == nil) }()
 	hdr, err := readGetHeader(br)
 	if err != nil {
 		return out, err

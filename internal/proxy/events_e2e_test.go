@@ -131,18 +131,20 @@ func waitFor(t *testing.T, cond func() bool) {
 	}
 }
 
-// waitServed blocks until the server has retired n connections. A
-// handler's teardown (active gauge, then latency sample) trails the
-// client's final byte, so counters read right after a fetch returns may
-// still show the last connection in flight.
+// waitServed blocks until the server has finished n requests and closed
+// every connection. A request's latency sample trails the client's final
+// byte, and a connection closes only once its client has closed it too,
+// so counters read right after a fetch returns may still show the last
+// request, or its connection, in flight: the clients must Close first.
 func waitServed(t *testing.T, srv *Server, n int64) {
 	t.Helper()
 	waitFor(t, func() bool {
+		st := srv.Stats()
 		var served int64
-		for _, b := range srv.Stats().Latency {
+		for _, b := range st.Latency {
 			served += b.Count
 		}
-		return served == n
+		return served == n && st.ConnsActive == 0
 	})
 }
 

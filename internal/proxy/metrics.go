@@ -13,7 +13,7 @@ import (
 // overflow bucket.
 const numLatencyBounds = 11
 
-// latencyBounds are the upper edges of the per-connection latency
+// latencyBounds are the upper edges of the per-request latency
 // histogram buckets; durations past the last bound land in the overflow
 // bucket.
 var latencyBounds = [numLatencyBounds]time.Duration{
@@ -111,7 +111,7 @@ func newMetrics(reg *obs.Registry) *metrics {
 		ringRemoteHits:  reg.Counter("proxy_ring_remote_hits_total", "Cache-missing cacheable requests whose key a peer owns."),
 
 		connsTotal:    reg.Counter("proxy_conns_total", "Connections accepted and served."),
-		connsActive:   reg.Gauge("proxy_conns_active", "Connections currently being served."),
+		connsActive:   reg.Gauge("proxy_conns_active", "Connections currently open, mid-request or idle between requests."),
 		connsRejected: reg.Counter("proxy_conns_rejected_total", "Connections shed with statusBusy at the MaxConns cap."),
 		errors:        reg.Counter("proxy_errors_total", "Connections that ended in an error."),
 
@@ -121,7 +121,7 @@ func newMetrics(reg *obs.Registry) *metrics {
 		compressQueueDepth: reg.Gauge("server_compress_queue_depth",
 			"Requests queued for or holding a compression worker slot."),
 
-		latency: reg.Histogram("proxy_conn_seconds", "Per-connection wall time.", latencyBoundsSeconds()),
+		latency: reg.Histogram("proxy_request_seconds", "Per-request wall time, from the request's arrival (a connection's first request: its accept) to the end of its response.", latencyBoundsSeconds()),
 
 		compressRate: reg.Histogram("server_compress_bytes_per_second",
 			"Raw bytes consumed per second of wall time building one artifact (all workers combined), one sample per compression.",
@@ -148,7 +148,7 @@ func (m *metrics) observeCompress(scheme codec.Scheme, rawBytes int, d time.Dura
 	}
 }
 
-// observeLatency records one connection's wall time.
+// observeLatency records one request's wall time.
 func (m *metrics) observeLatency(d time.Duration) {
 	m.latency.Observe(d.Seconds())
 }
@@ -206,14 +206,16 @@ type Stats struct {
 	RingOwnerHits   int64
 	RingRemoteHits  int64
 
-	// Connection counters. ConnsRejected counts connections turned away
-	// with statusBusy at the MaxConns cap.
+	// Connection counters: ConnsTotal counts connections accepted,
+	// ConnsActive those open now (mid-request or idle between requests).
+	// ConnsRejected counts connections turned away with statusBusy at the
+	// MaxConns cap, when no idle connection could be evicted.
 	ConnsTotal    int64
 	ConnsActive   int64
 	ConnsRejected int64
 	Errors        int64
 
-	// Latency is the per-connection wall-time histogram, one bucket per
+	// Latency is the per-request wall-time histogram, one bucket per
 	// bound plus a trailing overflow bucket.
 	Latency []LatencyBucket
 

@@ -155,10 +155,11 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	}
 
 	// --- Server side: Stats(), /statsz, /metrics and /tracez must agree.
+	cli.Close()
 	waitServed(t, srv, 4)
 	ss := srv.Stats()
-	if ss.ConnsTotal != 4 {
-		t.Errorf("ConnsTotal = %d, want 4 (two attempts + miss + hit)", ss.ConnsTotal)
+	if ss.ConnsTotal != 2 {
+		t.Errorf("ConnsTotal = %d, want 2 (the cut first attempt's, then the retry's, kept for the miss and the hit)", ss.ConnsTotal)
 	}
 	if ss.Requests != 4 {
 		t.Errorf("Requests = %d, want 4", ss.Requests)

@@ -6,6 +6,15 @@
 // user-level interleaving of Section 4.1, with the receive path and the
 // decompression path in separate goroutines.
 //
+// A connection carries many requests, one after another. The server
+// serves a connection until its client closes it, it sits idle past the
+// read timeout, the server drains, or it is evicted: at its connection cap
+// the server ends an idle connection to take a new one. The client keeps
+// one idle connection per server and redials once, within the same
+// attempt, when the kept connection turns out closed before any of the
+// answer arrives. A one-shot client that dials for every request is served
+// as before.
+//
 // The energy numbers of the reproduction come from the simulation stack
 // (internal/pipeline); this package exists so the protocol, the framing and
 // the interleaving are exercised for real over sockets, as in the paper's
@@ -13,6 +22,7 @@
 package proxy
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -156,41 +166,39 @@ func (r request) tailLen() int {
 	return reqTailLen
 }
 
-func writeRequest(w io.Writer, req request) error {
-	name := []byte(req.Name)
-	if len(name) > maxNameLen {
-		return fmt.Errorf("%w: name too long", ErrProtocol)
+// appendRequest appends req's frame to dst. A client that keeps its
+// connection passes the same scratch every time, so a request frame costs
+// no allocation once the scratch has grown to fit.
+func appendRequest(dst []byte, req request) ([]byte, error) {
+	if len(req.Name) > maxNameLen {
+		return dst, fmt.Errorf("%w: name too long", ErrProtocol)
 	}
-	buf := make([]byte, 0, reqFixedLen+len(name)+req.tailLen())
-	buf = append(buf, protoMagic...)
+	buf := append(dst, protoMagic...)
 	buf = append(buf, req.Op)
-	var n16 [2]byte
-	binary.BigEndian.PutUint16(n16[:], uint16(len(name)))
-	buf = append(buf, n16[:]...)
-	buf = append(buf, name...)
+	buf = binary.BigEndian.AppendUint16(buf, uint16(len(req.Name)))
+	buf = append(buf, req.Name...)
 	buf = append(buf, byte(req.Scheme), byte(req.Mode))
-	var u64 [8]byte
-	binary.BigEndian.PutUint64(u64[:], req.Offset)
-	buf = append(buf, u64[:]...)
-	binary.BigEndian.PutUint64(u64[:], req.ReqID)
-	buf = append(buf, u64[:]...)
+	buf = binary.BigEndian.AppendUint64(buf, req.Offset)
+	buf = binary.BigEndian.AppendUint64(buf, req.ReqID)
 	if req.Op == opGetEx {
 		buf = append(buf, req.Class)
-		var u32 [4]byte
-		binary.BigEndian.PutUint32(u32[:], req.BudgetMJ)
-		buf = append(buf, u32[:]...)
+		buf = binary.BigEndian.AppendUint32(buf, req.BudgetMJ)
 	}
 	// The CRC covers everything after the magic, so a bit-flipped request
 	// is rejected server-side instead of fetching the wrong file.
-	var crc [4]byte
-	binary.BigEndian.PutUint32(crc[:], crcOf(buf[len(protoMagic):]))
-	buf = append(buf, crc[:]...)
-	_, err := w.Write(buf)
-	return err
+	return binary.BigEndian.AppendUint32(buf, crcOf(buf[len(dst)+len(protoMagic):])), nil
 }
 
-func readRequest(r io.Reader) (request, error) {
-	hdr := make([]byte, reqFixedLen)
+// requestReader decodes request frames into scratch it keeps between
+// them: a server connection that carries many requests allocates only
+// each request's name.
+type requestReader struct {
+	hdr  [reqFixedLen]byte
+	rest []byte
+}
+
+func (rr *requestReader) read(r io.Reader) (request, error) {
+	hdr := rr.hdr[:]
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return request{}, err
 	}
@@ -202,7 +210,11 @@ func readRequest(r io.Reader) (request, error) {
 	if nameLen > maxNameLen {
 		return request{}, fmt.Errorf("%w: name length %d", ErrProtocol, nameLen)
 	}
-	rest := make([]byte, nameLen+req.tailLen())
+	n := nameLen + req.tailLen()
+	if cap(rr.rest) < n {
+		rr.rest = make([]byte, n)
+	}
+	rest := rr.rest[:n]
 	if _, err := io.ReadFull(r, rest); err != nil {
 		return request{}, fmt.Errorf("%w: truncated request: %v", ErrProtocol, err)
 	}
@@ -236,19 +248,19 @@ type getHeader struct {
 }
 
 func writeGetHeader(w io.Writer, h getHeader) error {
-	var buf [GetHeaderLen]byte
+	buf := frameBuf(w, GetHeaderLen)
 	buf[0] = h.Status
 	binary.BigEndian.PutUint64(buf[1:9], h.RawSize)
 	buf[9] = byte(h.Scheme)
 	binary.BigEndian.PutUint64(buf[10:18], h.Offset)
 	binary.BigEndian.PutUint32(buf[18:22], crcOf(buf[:18]))
-	_, err := w.Write(buf[:])
+	_, err := w.Write(buf)
 	return err
 }
 
 func readGetHeader(r io.Reader) (getHeader, error) {
-	var buf [GetHeaderLen]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
+	buf, err := nextFrame(r, GetHeaderLen)
+	if err != nil {
 		return getHeader{}, fmt.Errorf("%w: truncated header: %v", ErrProtocol, err)
 	}
 	if crcOf(buf[:18]) != binary.BigEndian.Uint32(buf[18:22]) {
@@ -266,7 +278,7 @@ func readGetHeader(r io.Reader) (getHeader, error) {
 // CRC-32, payload. PXY3 responses and PXY-P artifact streams
 // (internal/cluster) share this layout, so it has exactly one codec.
 func WriteBlock(w io.Writer, b selective.Block) error {
-	var hdr [BlockHeaderLen]byte
+	hdr := frameBuf(w, BlockHeaderLen)
 	hdr[0] = blockFlagRaw
 	if b.Compressed {
 		hdr[0] = blockFlagCompressed
@@ -274,7 +286,7 @@ func WriteBlock(w io.Writer, b selective.Block) error {
 	binary.BigEndian.PutUint32(hdr[1:5], uint32(b.RawLen))
 	binary.BigEndian.PutUint32(hdr[5:9], uint32(len(b.Payload)))
 	binary.BigEndian.PutUint32(hdr[9:13], crcOf(b.Payload))
-	if _, err := w.Write(hdr[:]); err != nil {
+	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
 	if len(b.Payload) > 0 {
@@ -292,11 +304,11 @@ func WriteBlock(w io.Writer, b selective.Block) error {
 // changed between attempts, and the client would wrongly discard its
 // verified resume prefix.
 func WriteEnd(w io.Writer, trailer uint32) error {
-	var hdr [BlockHeaderLen]byte
+	hdr := frameBuf(w, BlockHeaderLen)
 	hdr[0] = blockFlagEnd
 	binary.BigEndian.PutUint32(hdr[1:5], trailer)
 	binary.BigEndian.PutUint32(hdr[9:13], crcOf(hdr[:9]))
-	_, err := w.Write(hdr[:])
+	_, err := w.Write(hdr)
 	return err
 }
 
@@ -309,8 +321,8 @@ func WriteEnd(w io.Writer, trailer uint32) error {
 // The payload buffer is drawn from the codec buffer pool; the caller owns
 // it and should hand it back with codec.PutBuf once the block is consumed.
 func ReadBlock(r io.Reader) (b selective.Block, trailer uint32, ok bool, err error) {
-	var hdr [BlockHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	hdr, err := nextFrame(r, BlockHeaderLen)
+	if err != nil {
 		return selective.Block{}, 0, false, fmt.Errorf("%w: truncated block: %v", ErrProtocol, err)
 	}
 	if hdr[0] == blockFlagEnd {
@@ -334,16 +346,45 @@ func ReadBlock(r io.Reader) (b selective.Block, trailer uint32, ok bool, err err
 	if hdr[0] == blockFlagRaw && payLen != rawLen {
 		return selective.Block{}, 0, false, fmt.Errorf("%w: raw block claims %d raw bytes but carries %d", ErrProtocol, rawLen, payLen)
 	}
+	// hdr may be r's own buffer, which reading the payload reuses.
+	compressed, wantCRC := hdr[0] == blockFlagCompressed, binary.BigEndian.Uint32(hdr[9:13])
 	payload := codec.GetBuf(int(payLen))[:payLen]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		codec.PutBuf(payload)
 		return selective.Block{}, 0, false, fmt.Errorf("%w: truncated payload: %v", ErrProtocol, err)
 	}
-	if crcOf(payload) != binary.BigEndian.Uint32(hdr[9:13]) {
+	if crcOf(payload) != wantCRC {
 		codec.PutBuf(payload)
 		return selective.Block{}, 0, false, fmt.Errorf("%w: block payload CRC mismatch", ErrProtocol)
 	}
-	return selective.Block{Compressed: hdr[0] == blockFlagCompressed, RawLen: int(rawLen), Payload: payload}, 0, true, nil
+	return selective.Block{Compressed: compressed, RawLen: int(rawLen), Payload: payload}, 0, true, nil
+}
+
+// frameBuf returns n zeroed bytes to build a frame header in, for the
+// caller to Write to w: w's own free buffer space when w is a bufio.Writer
+// with room for it, so that a response's frames cost no allocation.
+func frameBuf(w io.Writer, n int) []byte {
+	if bw, ok := w.(*bufio.Writer); ok && bw.Available() >= n {
+		buf := bw.AvailableBuffer()[:n]
+		clear(buf)
+		return buf
+	}
+	return make([]byte, n)
+}
+
+// nextFrame reads the next n bytes of r, frameBuf's mirror: from a
+// bufio.Reader holding them they are the reader's own buffer, valid until
+// its next read.
+func nextFrame(r io.Reader, n int) ([]byte, error) {
+	if br, ok := r.(*bufio.Reader); ok {
+		if p, err := br.Peek(n); err == nil {
+			_, err = br.Discard(n)
+			return p, err
+		}
+	}
+	p := make([]byte, n)
+	_, err := io.ReadFull(r, p)
+	return p, err
 }
 
 // crcOf is a helper around the repository's own CRC-32.

@@ -10,6 +10,7 @@ import (
 	"net"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/codec"
@@ -32,8 +33,10 @@ type Config struct {
 	// beyond the bound queue (backpressure) instead of spawning unbounded
 	// compression work. 0 selects GOMAXPROCS.
 	Workers int
-	// MaxConns caps concurrent connections; excess connections receive
-	// statusBusy and are closed. 0 selects 256.
+	// MaxConns caps open connections. At the cap an idle kept connection
+	// is evicted to make room for a new one; only when every connection
+	// is mid-request does the new one receive statusBusy and close. 0
+	// selects 256.
 	MaxConns int
 	// WrapConn, when set, wraps every accepted connection before the
 	// server touches it. It is the hook the fault-injection transport
@@ -77,7 +80,8 @@ type Config struct {
 
 const (
 	// defaultReadTimeout bounds how long the server waits for a client's
-	// request frame.
+	// request frame, from the connection's accept or from its last
+	// response: it is the idle timeout of a kept connection too.
 	defaultReadTimeout = 30 * time.Second
 	// defaultWriteTimeout bounds serving the whole response.
 	defaultWriteTimeout = 2 * time.Minute
@@ -130,7 +134,7 @@ type Server struct {
 	connSem chan struct{}
 
 	connMu sync.Mutex
-	conns  map[net.Conn]struct{}
+	conns  map[*serverConn]struct{}
 
 	ln        net.Listener
 	wg        sync.WaitGroup
@@ -230,7 +234,7 @@ func NewServerWith(decider selective.Decider, cfg Config) *Server {
 		metrics:   newMetrics(reg),
 		workerSem: make(chan struct{}, cfg.Workers),
 		connSem:   make(chan struct{}, cfg.MaxConns),
-		conns:     make(map[net.Conn]struct{}),
+		conns:     make(map[*serverConn]struct{}),
 		closed:    make(chan struct{}),
 		newCodec:  codec.New,
 	}
@@ -465,10 +469,8 @@ func (s *Server) acceptLoop() {
 		if s.cfg.WrapConn != nil {
 			conn = s.cfg.WrapConn(conn)
 		}
-		select {
-		case s.connSem <- struct{}{}:
-		default:
-			// Over the connection cap: tell the client we are busy and
+		if !s.takeSlot() {
+			// Every slot is mid-request: tell the client we are busy and
 			// shed the connection instead of queueing it invisibly.
 			s.metrics.connsRejected.Add(1)
 			s.wg.Add(1)
@@ -484,16 +486,19 @@ func (s *Server) acceptLoop() {
 			}()
 			continue
 		}
-		s.trackConn(conn, true)
+		sc := &serverConn{Conn: conn, br: getReqReader(conn), remote: conn.RemoteAddr().String()}
+		// The first request's deadline is set here, before Close can find
+		// the connection to expire it.
+		_ = conn.SetReadDeadline(s.clock.Now().Add(s.cfg.readTimeout))
+		s.trackConn(sc, true)
+		s.metrics.connsTotal.Add(1)
+		s.metrics.connsActive.Add(1)
 		s.wg.Add(1)
 		go func() {
-			start := s.clock.Now()
-			s.metrics.connsTotal.Add(1)
-			s.metrics.connsActive.Add(1)
 			defer func() {
 				s.metrics.connsActive.Add(-1)
-				s.metrics.observeLatency(s.clock.Now().Sub(start))
-				s.trackConn(conn, false)
+				s.trackConn(sc, false)
+				putReqReader(sc.br)
 				// The slot first: on the virtual testbed closing the
 				// connection hands back the clock's hold on this goroutine,
 				// and a client could be refused any number of times before
@@ -502,30 +507,119 @@ func (s *Server) acceptLoop() {
 				conn.Close()
 				s.wg.Done()
 			}()
-			// One request per connection, as the paper's one-shot
-			// downloads do.
-			if err := s.handle(conn); err != nil {
-				s.metrics.errors.Add(1)
-				s.log.Warn("request failed", "remote", conn.RemoteAddr().String(), "err", err)
-			}
+			s.serveConn(sc)
 		}()
 	}
 }
 
-func (s *Server) trackConn(conn net.Conn, add bool) {
-	s.connMu.Lock()
-	defer s.connMu.Unlock()
-	if add {
-		s.conns[conn] = struct{}{}
-	} else {
-		delete(s.conns, conn)
+// takeSlot reserves a connection slot. At the cap it evicts an idle kept
+// connection, whose handler then hands its slot back, and waits for that
+// slot; it fails only when every connection is mid-request.
+func (s *Server) takeSlot() bool {
+	select {
+	case s.connSem <- struct{}{}:
+		return true
+	default:
+	}
+	if !s.evictIdle() {
+		return false
+	}
+	select {
+	case s.connSem <- struct{}{}:
+		return true
+	case <-s.closed:
+		return false
 	}
 }
 
-// Close stops the listener and gracefully drains: connections mid-request
-// are unblocked (their pending reads expire immediately) while in-flight
-// compressions and response writes run to completion. It is safe to call
-// more than once.
+// Connection states: a handler is idle while it waits for the first byte
+// of a request after serving one, and busy otherwise. The accept loop
+// evicts an idle connection at the cap; its handler then ends it.
+const (
+	connBusy int32 = iota
+	connIdle
+	connEvicted
+)
+
+// serverConn is an accepted connection and what its handler keeps from
+// one request to the next: the request reader, sized for a request frame,
+// and the peer's address, formatted once.
+type serverConn struct {
+	net.Conn
+	br     *bufio.Reader
+	reqs   requestReader
+	remote string
+	state  atomic.Int32
+}
+
+// evictIdle expires the read deadline of one idle kept connection.
+func (s *Server) evictIdle() bool {
+	s.connMu.Lock()
+	defer s.connMu.Unlock()
+	for sc := range s.conns {
+		if sc.state.CompareAndSwap(connIdle, connEvicted) {
+			_ = sc.SetReadDeadline(s.clock.Now())
+			return true
+		}
+	}
+	return false
+}
+
+// serveConn serves requests on sc until the client closes it, it sits
+// idle past readTimeout, it is evicted, or a request fails. A connection
+// that ends between requests is not an error.
+func (s *Server) serveConn(sc *serverConn) {
+	for {
+		start := s.clock.Now()
+		err := s.handle(sc)
+		s.metrics.observeLatency(s.clock.Now().Sub(start))
+		if err != nil {
+			s.metrics.errors.Add(1)
+			s.log.Warn("request failed", "remote", sc.remote, "err", err)
+			return
+		}
+		if !s.awaitRequest(sc) {
+			return
+		}
+	}
+}
+
+// awaitRequest waits, idle, for the first byte of sc's next request, and
+// reports whether one arrived before the client closed the connection,
+// readTimeout passed, or the connection was evicted.
+func (s *Server) awaitRequest(sc *serverConn) bool {
+	// A client must present its whole request within readTimeout of the
+	// last response: readTimeout is the idle timeout too.
+	if err := sc.SetReadDeadline(s.clock.Now().Add(s.cfg.readTimeout)); err != nil {
+		return false
+	}
+	sc.state.Store(connIdle)
+	// Close expires the deadline of every connection it finds after
+	// closing s.closed; one that went idle before then has its deadline
+	// expired, one that goes idle after sees s.closed here.
+	select {
+	case <-s.closed:
+		return false
+	default:
+	}
+	_, err := sc.br.Peek(1)
+	return sc.state.CompareAndSwap(connIdle, connBusy) && err == nil
+}
+
+func (s *Server) trackConn(sc *serverConn, add bool) {
+	s.connMu.Lock()
+	defer s.connMu.Unlock()
+	if add {
+		s.conns[sc] = struct{}{}
+	} else {
+		delete(s.conns, sc)
+	}
+}
+
+// Close stops the listener and gracefully drains: idle kept connections
+// end, connections mid-request are unblocked (their pending reads expire
+// immediately) while in-flight compressions and response writes run to
+// completion. It is safe to call more than once.
 func (s *Server) Close() error {
 	var err error
 	s.closeOnce.Do(func() {
@@ -537,8 +631,8 @@ func (s *Server) Close() error {
 		// drain hostage for the read timeout; writes (responses in flight)
 		// proceed untouched.
 		s.connMu.Lock()
-		for conn := range s.conns {
-			_ = conn.SetReadDeadline(s.clock.Now())
+		for sc := range s.conns {
+			_ = sc.SetReadDeadline(s.clock.Now())
 		}
 		s.connMu.Unlock()
 		s.wg.Wait()
@@ -548,34 +642,29 @@ func (s *Server) Close() error {
 	return err
 }
 
-func (s *Server) handle(conn net.Conn) (err error) {
-	br := getConnReader(conn)
-	defer putConnReader(br)
-	bw := getConnWriter(conn)
+// handle reads one request off sc and serves it.
+func (s *Server) handle(sc *serverConn) (err error) {
+	bw := getConnWriter(sc)
 	defer putConnWriter(bw)
 	defer bw.Flush()
 
 	span := s.tracer.Start("serve")
-	span.SetAttr("remote", conn.RemoteAddr().String())
+	span.SetAttr("remote", sc.remote)
 	defer func() {
 		span.Fail(err)
 		span.Finish()
 	}()
 
-	// A client must present its whole request within readTimeout, and the
-	// full response must drain within writeTimeout.
-	if err := conn.SetReadDeadline(s.clock.Now().Add(s.cfg.readTimeout)); err != nil {
-		return err
-	}
 	readStart := time.Now()
-	req, err := readRequest(br)
+	req, err := sc.reqs.read(sc.br)
 	if err != nil {
 		return err
 	}
 	span.Phase("read-request", "", readStart, time.Since(readStart), 0)
 	span.SetAttr("req_id", obs.ReqID(req.ReqID))
 	s.metrics.requests.Add(1)
-	if err := conn.SetWriteDeadline(s.clock.Now().Add(s.cfg.writeTimeout)); err != nil {
+	// The full response must drain within writeTimeout.
+	if err := sc.SetWriteDeadline(s.clock.Now().Add(s.cfg.writeTimeout)); err != nil {
 		return err
 	}
 	switch req.Op {

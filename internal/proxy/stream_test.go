@@ -260,7 +260,9 @@ func TestSlowReaderDoesNotHoldTheBuild(t *testing.T) {
 
 	followerDone := make(chan error, 1)
 	go func() {
-		got, _, err := NewClient(addr).Fetch("f", codec.Gzip, ModeOnDemand)
+		follower := NewClient(addr)
+		defer follower.Close()
+		got, _, err := follower.Fetch("f", codec.Gzip, ModeOnDemand)
 		if err == nil && !bytes.Equal(got, content) {
 			err = errors.New("follower's content corrupted")
 		}

@@ -75,6 +75,7 @@ func TestServerConcurrentClients(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(i)))
 			cli := NewClient(addr)
+			defer cli.Close()
 			var cacheable, total int64
 			for j := 0; j < fetchesPerClient; j++ {
 				name := names[rng.Intn(len(names))]
@@ -139,8 +140,12 @@ func TestServerConcurrentClients(t *testing.T) {
 		t.Errorf("compressions(%d)+coalesced(%d) != misses(%d)",
 			st.Compressions, st.Coalesced, st.CacheMisses)
 	}
-	if st.ConnsTotal != totalReqs {
-		t.Errorf("ConnsTotal = %d, want %d", st.ConnsTotal, totalReqs)
+	if st.Requests != totalReqs {
+		t.Errorf("Requests = %d, want %d", st.Requests, totalReqs)
+	}
+	// Each client's fetches share its one kept connection.
+	if st.ConnsTotal != clients {
+		t.Errorf("ConnsTotal = %d, want %d", st.ConnsTotal, clients)
 	}
 	if st.ConnsActive != 0 {
 		t.Errorf("ConnsActive = %d after drain, want 0", st.ConnsActive)

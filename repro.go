@@ -177,7 +177,7 @@ func SelectiveDecode(stream []byte, maxSize int) ([]byte, error) {
 type ProxyClientMode = proxy.Mode
 
 // ProxyConfig tunes the proxy server's dataplane: artifact-cache byte
-// budget, compression worker bound, connection cap, and per-connection
+// budget, compression worker bound, connection cap, and per-request
 // deadlines. The zero value selects defaults.
 type ProxyConfig = proxy.Config
 

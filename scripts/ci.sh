@@ -95,6 +95,13 @@ named ./internal/proxy 'TestGrowingArtifactModel|TestFailedBuildLeavesNothingBeh
 # scheduled, so those tests are repeated under -race.
 named ./internal/proxy 'TestDecodeVerdictPoint|TestDecodeFailureLeavesAnInOrderPrefix' -race -count=20
 
+# The kept-connection gate: a one-shot client against the server, the
+# client against a server that closes after every answer, Close with idle
+# kept connections, eviction at the connection cap, a failed fetch never
+# keeping its connection, and one client shared by goroutines — repeated
+# under -race, since each ends a connection from two sides at once.
+named ./internal/proxy 'TestOneShotClientAgainstKeptServer|TestClientRedialsAfterOneShotServer|TestCloseDrainsIdleKeptConns|TestIdleConnEvictedAtCap|TestFailedFetchDropsItsConn|TestKeptConnsAcrossGoroutines' -race -count=10
+
 fuzz ./internal/scenario FuzzScenarioSpec
 fuzz ./internal/decider FuzzDynamicDecide
 # The two readers of an exported event file: wide events round-trip through
@@ -313,8 +320,9 @@ check_cover ./internal/bitio 93
 # block (a corrupt one included), event export with no sink and a cache
 # hit's lookup must cost the fetch path zero allocations, the
 # table-driven Huffman fast path must stay zero-alloc per symbol, and a
-# 100x smoke proves its benchmark still runs.
-named ./internal/proxy 'TestReadBlockPooledAllocs|TestGetBufRecycles|TestEmitFetchEventNoSinkZeroAlloc|TestCacheHitZeroAllocs|TestCorruptBlockAllocatesNoDestination' -count=1
+# 100x smoke proves its benchmark still runs. A warm cache hit over a kept
+# connection, client and server together, stays within its stated budget.
+named ./internal/proxy 'TestReadBlockPooledAllocs|TestGetBufRecycles|TestEmitFetchEventNoSinkZeroAlloc|TestCacheHitZeroAllocs|TestCorruptBlockAllocatesNoDestination|TestKeepAliveHitAllocs' -count=1
 named ./internal/huffman 'TestDecodeLSBZeroAlloc' -count=1
 named ./internal/flate 'TestDeflateSteadyStateAllocs|TestStreamingWriterSteadyAllocs' -count=1
 # The codec workspaces: a warm decode into a buffer with room allocates
