@@ -30,7 +30,6 @@ package decider
 import (
 	"fmt"
 	"math"
-	"strings"
 	"sync"
 
 	"repro/internal/energy"
@@ -343,7 +342,9 @@ func (d *DynamicDecider) Evaluate(ctx BlockContext) (rawJ, compJ, rawT, compT fl
 // Decide makes the block decision. It is total: any BlockContext —
 // extreme or non-finite rates, empty blocks, unknown classes — yields a
 // finite, deterministic Decision (FuzzDynamicDecide gates this).
-func (d *DynamicDecider) Decide(ctx BlockContext) Decision {
+func (d *DynamicDecider) Decide(ctx BlockContext) Decision { return d.count(d.decide(ctx)) }
+
+func (d *DynamicDecider) decide(ctx BlockContext) Decision {
 	class := ctx.Class
 	if class > ClassStrict {
 		class = ClassNone
@@ -390,14 +391,19 @@ func (d *DynamicDecider) Decide(ctx BlockContext) Decision {
 		}
 		dec.OverBudget = spent+dec.EnergyJ > budget
 	}
+	return dec
+}
+
+// count adds dec to the decider_* counters.
+func (d *DynamicDecider) count(dec Decision) Decision {
 	if m := d.m; m != nil {
 		m.decisions.Inc()
-		if compress {
+		if dec.Compress {
 			m.compress.Inc()
 		} else {
 			m.raw.Inc()
 		}
-		if constrained {
+		if dec.Constrained {
 			m.constrained.Inc()
 		}
 		if dec.OverBudget {
@@ -425,6 +431,16 @@ func (d *DynamicDecider) context(rawLen, compLen int) BlockContext {
 // ShouldCompress implements selective.Decider against live state.
 func (d *DynamicDecider) ShouldCompress(rawBytes, compBytes int) bool {
 	return d.Decide(d.context(rawBytes, compBytes)).Compress
+}
+
+// MayCompress is ShouldCompress asked of the selective encoder's probe
+// bound. Only a refusal, which sends the block raw, counts as a decision.
+func (d *DynamicDecider) MayCompress(rawBytes, boundBytes int) bool {
+	dec := d.decide(d.context(rawBytes, boundBytes))
+	if !dec.Compress {
+		d.count(dec)
+	}
+	return dec.Compress
 }
 
 // MinSizeBytes implements selective.Decider: blocks below this size are
@@ -509,49 +525,4 @@ func (d *DynamicDecider) Fingerprint() string {
 		"dynamic/v1 rate=%g idle=%g m=%g cs=%g pi=%g pd=%g pis=%g pds=%g tda=%g tdb=%g tdc=%g buf=%g srv=%g calib=%t class=%s",
 		p.RateMBps, p.IdleFrac, p.M, p.Cs, p.Pi, p.Pd, p.PiSleep, p.PdSleep,
 		p.TdA, p.TdB, p.TdC, p.BufMB, d.serverMBps, d.calibrated, d.class)
-}
-
-// ParseFingerprint inverts Fingerprint: it reconstructs the policy
-// configuration a fingerprint pins (hooks and budget are not part of a
-// fingerprint and come back nil/zero). A decider rebuilt from the parse
-// fingerprints identically — the fuzz target gates this round trip.
-func ParseFingerprint(s string) (Config, bool) {
-	rest, ok := strings.CutPrefix(s, "dynamic/v1 ")
-	if !ok {
-		return Config{}, false
-	}
-	var cfg Config
-	p := &cfg.Base
-	var classTok string
-	fields := strings.Fields(rest)
-	if len(fields) != 15 {
-		return Config{}, false
-	}
-	targets := []struct {
-		key string
-		f   *float64
-	}{
-		{"rate", &p.RateMBps}, {"idle", &p.IdleFrac}, {"m", &p.M},
-		{"cs", &p.Cs}, {"pi", &p.Pi}, {"pd", &p.Pd},
-		{"pis", &p.PiSleep}, {"pds", &p.PdSleep},
-		{"tda", &p.TdA}, {"tdb", &p.TdB}, {"tdc", &p.TdC},
-		{"buf", &p.BufMB}, {"srv", &cfg.ServerMBps},
-	}
-	for i, t := range targets {
-		if _, err := fmt.Sscanf(fields[i], t.key+"=%g", t.f); err != nil {
-			return Config{}, false
-		}
-	}
-	if _, err := fmt.Sscanf(fields[13], "calib=%t", &cfg.Calibrated); err != nil {
-		return Config{}, false
-	}
-	if _, err := fmt.Sscanf(fields[14], "class=%s", &classTok); err != nil {
-		return Config{}, false
-	}
-	class, ok := ParseClass(classTok)
-	if !ok {
-		return Config{}, false
-	}
-	cfg.Class = class
-	return cfg, true
 }

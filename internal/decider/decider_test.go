@@ -1,7 +1,9 @@
 package decider
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/calib"
@@ -299,17 +301,17 @@ func TestParseFingerprintRoundTrip(t *testing.T) {
 		New(Config{Class: ClassRelaxed}),
 	} {
 		fp := d.Fingerprint()
-		cfg, ok := ParseFingerprint(fp)
+		cfg, ok := parseFingerprint(fp)
 		if !ok {
-			t.Fatalf("ParseFingerprint rejected %q", fp)
+			t.Fatalf("parseFingerprint rejected %q", fp)
 		}
 		if got := New(cfg).Fingerprint(); got != fp {
 			t.Fatalf("round trip drifted:\n in  %q\n out %q", fp, got)
 		}
 	}
 	for _, bad := range []string{"", "static", "dynamic/v1", "dynamic/v1 rate=x"} {
-		if _, ok := ParseFingerprint(bad); ok {
-			t.Fatalf("ParseFingerprint accepted %q", bad)
+		if _, ok := parseFingerprint(bad); ok {
+			t.Fatalf("parseFingerprint accepted %q", bad)
 		}
 	}
 }
@@ -361,4 +363,49 @@ func TestLoadCalibrationGolden(t *testing.T) {
 	if _, err := LoadCalibration("nosuch-file.jsonl", ""); err == nil {
 		t.Fatal("missing file must error")
 	}
+}
+
+// parseFingerprint inverts Fingerprint: it reconstructs the policy
+// configuration a fingerprint pins (hooks and budget are not part of a
+// fingerprint and come back nil/zero). A decider rebuilt from the parse
+// fingerprints identically — the fuzz target gates this round trip.
+func parseFingerprint(s string) (Config, bool) {
+	rest, ok := strings.CutPrefix(s, "dynamic/v1 ")
+	if !ok {
+		return Config{}, false
+	}
+	var cfg Config
+	p := &cfg.Base
+	var classTok string
+	fields := strings.Fields(rest)
+	if len(fields) != 15 {
+		return Config{}, false
+	}
+	targets := []struct {
+		key string
+		f   *float64
+	}{
+		{"rate", &p.RateMBps}, {"idle", &p.IdleFrac}, {"m", &p.M},
+		{"cs", &p.Cs}, {"pi", &p.Pi}, {"pd", &p.Pd},
+		{"pis", &p.PiSleep}, {"pds", &p.PdSleep},
+		{"tda", &p.TdA}, {"tdb", &p.TdB}, {"tdc", &p.TdC},
+		{"buf", &p.BufMB}, {"srv", &cfg.ServerMBps},
+	}
+	for i, t := range targets {
+		if _, err := fmt.Sscanf(fields[i], t.key+"=%g", t.f); err != nil {
+			return Config{}, false
+		}
+	}
+	if _, err := fmt.Sscanf(fields[13], "calib=%t", &cfg.Calibrated); err != nil {
+		return Config{}, false
+	}
+	if _, err := fmt.Sscanf(fields[14], "class=%s", &classTok); err != nil {
+		return Config{}, false
+	}
+	class, ok := ParseClass(classTok)
+	if !ok {
+		return Config{}, false
+	}
+	cfg.Class = class
+	return cfg, true
 }

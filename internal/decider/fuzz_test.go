@@ -145,7 +145,7 @@ func FuzzDynamicDecide(f *testing.F) {
 		if fp2 := d.Fingerprint(); fp2 != fp {
 			t.Fatalf("fingerprint unstable: %q vs %q", fp, fp2)
 		}
-		cfg, ok := ParseFingerprint(fp)
+		cfg, ok := parseFingerprint(fp)
 		if !ok {
 			t.Fatalf("own fingerprint does not parse: %q", fp)
 		}

@@ -3,8 +3,11 @@ package decider
 import (
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/energy"
 	"repro/internal/obs"
+	"repro/internal/selective"
+	"repro/internal/workload"
 )
 
 // TestMetricsCountersTrackDecisions drives one decision down each
@@ -73,5 +76,58 @@ func TestBindQueueDepthRespectsPinnedHook(t *testing.T) {
 	pinned.BindQueueDepth(func() int { return 42 })
 	if got := pinned.liveQueue(); got != 0 {
 		t.Fatalf("pinned negative hook: liveQueue = %d, want 0 (clamped, not rebound)", got)
+	}
+}
+
+// TestProbeCountsOneDecisionPerBlock: the selective encoder asks the
+// dynamic decider about a block's probe bound before compressing it, and
+// then about its real size. Through the decider_* counters each block is
+// one decision: a block the probe refuses is counted once, as raw, and a
+// block it passes is counted once, on its real size, not again for the
+// probe.
+func TestProbeCountsOneDecisionPerBlock(t *testing.T) {
+	reg := obs.NewRegistry()
+	d := New(Config{Metrics: reg})
+	// The bench's mixed file: four random blocks among text ones.
+	enc, err := selective.Encode(workload.MixedFile(1<<20, 2003), codec.MustNew(codec.Gzip, 0), d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var probed, raw, compressed int64
+	for _, b := range enc.Blocks {
+		switch {
+		case b.Probed:
+			probed++
+			raw++
+		case b.Compressed:
+			compressed++
+		default:
+			raw++
+		}
+	}
+	if probed == 0 || compressed == 0 {
+		t.Fatalf("premise: want blocks both probed raw and compressed, got %d and %d of %d", probed, compressed, len(enc.Blocks))
+	}
+	for name, want := range map[string]int64{
+		"decider_decisions_total": int64(len(enc.Blocks)),
+		"decider_compress_total":  compressed,
+		"decider_raw_total":       raw,
+	} {
+		if got := reg.Counter(name, "").Value(); got != want {
+			t.Errorf("%s = %d, want %d (%d blocks, %d probed raw)", name, got, want, len(enc.Blocks), probed)
+		}
+	}
+
+	// The probe's question, asked directly, counts only a refusal, and
+	// answers as ShouldCompress does.
+	before := reg.Counter("decider_decisions_total", "").Value()
+	if !d.MayCompress(selective.BlockSize, 1) {
+		t.Fatal("a block compressed to one byte must be worth compressing")
+	}
+	if d.MayCompress(selective.BlockSize, selective.BlockSize) {
+		t.Fatal("a block that does not shrink must not be worth compressing")
+	}
+	if got := reg.Counter("decider_decisions_total", "").Value() - before; got != 1 {
+		t.Errorf("a pass and a refusal counted %d decisions, want the refusal's 1", got)
 	}
 }

@@ -51,6 +51,7 @@ type metrics struct {
 	cacheMisses  *obs.Counter
 	coalesced    *obs.Counter
 	compressions *obs.Counter
+	probedRaw    *obs.Counter
 	evictions    *obs.Counter
 	cacheRejects *obs.Counter
 
@@ -99,6 +100,7 @@ func newMetrics(reg *obs.Registry) *metrics {
 		cacheMisses:  reg.Counter("proxy_cache_misses_total", "Requests that missed the artifact cache."),
 		coalesced:    reg.Counter("proxy_coalesced_total", "Misses that joined an identical in-flight compression."),
 		compressions: reg.Counter("proxy_compressions_total", "Distinct artifacts actually compressed."),
+		probedRaw:    reg.Counter("server_blocks_probed_raw_total", "Selective blocks sent raw on the probe's bound, no codec run."),
 		evictions:    reg.Counter("proxy_cache_evictions_total", "Artifacts evicted by the LRU byte budget."),
 		cacheRejects: reg.Counter("proxy_cache_rejects_total", "Artifacts larger than the whole cache budget."),
 

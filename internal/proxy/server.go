@@ -9,6 +9,7 @@ import (
 	"log/slog"
 	"net"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -399,10 +400,13 @@ func (s *Server) build(key ArtifactKey, f *flight, content []byte, d selective.D
 	if err != nil {
 		return err
 	}
-	made := 0
+	made, probed := 0, 0
 	err = selective.EncodeBlocksParallel(content, c, d, selective.BlockSize, s.spawnCompress, func(b selective.Block) {
 		f.blocks[made] = b
 		made++
+		if b.Probed {
+			probed++
+		}
 		if made < len(f.blocks) {
 			f.publish(made)
 			// Let the readers just woken write the block out now. On a host
@@ -414,6 +418,8 @@ func (s *Server) build(key ArtifactKey, f *flight, content []byte, d selective.D
 	})
 	dur := time.Since(start)
 	span.Phase("compress-on-demand", "", start, dur, int64(len(content)))
+	span.SetAttr("blocks_probed_raw", strconv.Itoa(probed))
+	s.metrics.probedRaw.Add(int64(probed))
 	if err != nil {
 		return err
 	}

@@ -384,6 +384,12 @@ func newModelRig(t *testing.T, seed int64) *modelRig {
 	for i := range r.contents {
 		r.contents[i] = make([]byte, (nBlocks-1)*selective.BlockSize+4321)
 		rng.Read(r.contents[i])
+		// Six random bits a byte: random enough that no two contents or
+		// blocks match, skewed enough that the selective encoder's probe
+		// passes every block to the stepped codec.
+		for j := range r.contents[i] {
+			r.contents[i][j] &= 0x3f
+		}
 	}
 	r.budget = 64 << 20
 	if seed%2 == 0 {
@@ -467,6 +473,11 @@ func (r *modelRig) blocks(k modelKey) []selective.Block {
 	enc, err := selective.Encode(r.contents[memo.content], stubCodec{codec.Gzip}, d)
 	if err != nil {
 		r.t.Fatal(err)
+	}
+	for i, b := range enc.Blocks {
+		if b.Probed {
+			r.t.Fatalf("the probe sent block %d raw: the stepped codec would never see it", i)
+		}
 	}
 	r.encoded[memo] = enc.Blocks
 	return enc.Blocks

@@ -13,58 +13,6 @@ import (
 // check particular numbers; they check the shape of the decision surface
 // that the selective scheme's correctness argument rests on.
 
-// TestDecisionMonotoneInCompressionRatio: for a fixed raw size, "compress"
-// must be monotone in the compression factor — if Eq. 6 says compress at
-// factor f, it must also say compress at every better factor. A violation
-// would mean the decider can flip back to "don't compress" as compression
-// gets MORE effective, which breaks the threshold-factor framing of
-// Section 4.3 (compress iff f exceeds a per-size threshold). Checked for
-// both the paper's literal constants and the first-principles model,
-// across seeded random raw sizes spanning both branches of Eq. 6.
-func TestDecisionMonotoneInCompressionRatio(t *testing.T) {
-	model := ModelDecider{Params: energy.Params11Mbps()}
-	deciders := []struct {
-		name string
-		fn   func(raw, comp int) bool
-	}{
-		{"paper", PaperDecider{}.ShouldCompress},
-		{"model", model.ShouldCompress},
-	}
-	rng := rand.New(rand.NewSource(61))
-	var sizes []int
-	for i := 0; i < 200; i++ {
-		// Cover below and above the 0.128 MB branch point, and the exact
-		// block size the selective encoder feeds the decider.
-		sizes = append(sizes, 1+rng.Intn(2_000_000))
-	}
-	sizes = append(sizes, 1, 3_899, 3_900, 127_999, 128_000, BlockSize, 1_000_000)
-
-	for _, d := range deciders {
-		for _, raw := range sizes {
-			// Sweep compressed size downward (factor improves); once the
-			// decision turns true it must never turn false again.
-			turned := false
-			for comp := raw; comp >= 1; comp -= 1 + comp/64 {
-				got := d.fn(raw, comp)
-				if turned && !got {
-					t.Fatalf("%s: non-monotone decision at raw=%d: compress at a worse factor but not at comp=%d",
-						d.name, raw, comp)
-				}
-				turned = turned || got
-			}
-			// Sanity anchors: no decider may compress when the output is
-			// not smaller, and a near-infinite factor on a large file must
-			// compress.
-			if d.fn(raw, raw) {
-				t.Fatalf("%s: compresses at factor 1.0 (raw=%d)", d.name, raw)
-			}
-			if raw >= 128_000 && !d.fn(raw, 1) {
-				t.Fatalf("%s: refuses to compress raw=%d at factor %d", d.name, raw, raw)
-			}
-		}
-	}
-}
-
 // TestDecisionMonotoneThresholdFactor cross-checks the sweep against the
 // model's closed-form threshold: the decision must flip exactly where
 // ThresholdFactor says it does (within one sweep step).

@@ -101,8 +101,10 @@ func (NeverCompress) MinSizeBytes() int { return int(^uint(0) >> 1) }
 // Block is one framed block of an encoded stream.
 type Block struct {
 	Compressed bool
-	RawLen     int
-	Payload    []byte
+	// Probed marks a block sent raw on the probe's bound, no codec run.
+	Probed  bool
+	RawLen  int
+	Payload []byte
 }
 
 // WireLen is the block's on-the-wire size including framing.
@@ -267,6 +269,18 @@ func encodeBlock(raw []byte, off int, c codec.Codec, d Decider, wholeFileRaw boo
 	blk := Block{RawLen: len(raw), Payload: raw}
 	if wholeFileRaw || len(raw) < minSize {
 		return blk, nil
+	}
+	// Every decider is monotone in compBytes, so one refusing the probe's
+	// best case refuses what any codec makes (AlwaysCompress refuses none).
+	// A decider that counts decisions answers via MayCompress: refusals only.
+	if _, always := d.(AlwaysCompress); !always {
+		may := d.ShouldCompress
+		if p, ok := d.(interface{ MayCompress(int, int) bool }); ok {
+			may = p.MayCompress
+		}
+		if blk.Probed = !may(len(raw), probe(raw)); blk.Probed {
+			return blk, nil
+		}
 	}
 	comp, err := c.Compress(raw)
 	if err != nil {

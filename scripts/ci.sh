@@ -137,6 +137,15 @@ fuzz ./internal/flate FuzzStreamReader
 fuzz ./internal/flate FuzzInflateFastPath
 exists ./internal/flate 'TestFastPathSeeds|TestRunStopsAtTheLimit|BenchmarkInflateBlocks|BenchmarkInflateNoRoom|BenchmarkStreamReaderReadSize'
 fuzz ./internal/selective FuzzSELRoundTrip
+# The encoder's probe sends a block raw before any codec runs: on random
+# blocks planted with repeats and a byte that follows its predecessor, a
+# block it sends raw must fail Eq. 6 under every scheme's real output. The
+# same holds over the ratio sweep, the Table 2 classes and the bench files;
+# it rests on every decider being monotone in the compressed size, and on
+# the dynamic decider counting one decision per probed block.
+fuzz ./internal/selective FuzzProbeNoFalseSkip
+exists ./internal/selective 'TestProbeNoFalseSkip|TestDecisionMonotoneInCompressionRatio|BenchmarkProbe|BenchmarkEncodeBenchFiles'
+exists ./internal/decider 'TestProbeCountsOneDecisionPerBlock'
 fuzz ./internal/selective FuzzSELParse
 # The decoders that run out of a reused workspace: each input is decoded
 # fresh and after an unrelated stream, and held to the pre-workspace
