@@ -5,8 +5,10 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/lz77"
@@ -331,16 +333,97 @@ func checkEncodeIdentical(tb testing.TB, x, y []byte) {
 	}
 }
 
+// overlapInput is runs and short periods, where the next candidate of a
+// search can overlap the position searched. It opens with a built case: a
+// period-5 run is entered with a lazy match of 9 pending from the byte
+// before it, so the search at the run's start may jump to the chain of the
+// bytes 6 past it, but its best candidate is the period just before, whose
+// own bytes 6 on are not yet inserted.
+func overlapInput() []byte {
+	rng := rand.New(rand.NewSource(34))
+	upper := func(n int) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte('A' + rng.Intn(26))
+		}
+		return b
+	}
+	var b []byte
+	for range 10 {
+		b = append(append(b, "uvwx"...), upper(3)...)
+	}
+	x := upper(8)
+	b = append(append(append(b, x...), "uvwxQ"...), upper(20)...)
+	b = append(append(b, "yuvwxyuvw!"...), upper(20)...)
+	b = append(append(b, x...), bytes.Repeat([]byte("uvwxy"), 9)...)
+	b = append(b, 'R')
+	var periods [][]byte
+	for range 600 {
+		var p []byte
+		if len(periods) > 0 && rng.Intn(3) == 0 {
+			p = periods[rng.Intn(len(periods))]
+		} else {
+			p = make([]byte, 1+rng.Intn(8))
+			for i := range p {
+				p[i] = byte('a' + rng.Intn(4))
+			}
+			periods = append(periods, p)
+		}
+		for n := 3 + rng.Intn(60); n > 0; n-- {
+			b = append(b, p[n%len(p)])
+		}
+		b = append(b, upper(rng.Intn(3))...)
+	}
+	return b
+}
+
+// crowdedInput is records of "abcd" and a letter, so that "abcd" recurs
+// 4,096 times within a window and every search at a record's start runs into
+// its chain cutoff. A run of twelve records, t, is planted three times: the
+// last copy's best match is a 47-byte copy past the cutoff, and a shorter
+// copy lies well inside it. With pending, a '#' before the last copy and
+// the shorter one makes a lazy match of 39 pending at the last copy's start,
+// so the search there runs under the cut to a quarter of the chain after a
+// match of GoodLength.
+func crowdedInput(pending bool) []byte {
+	rng := rand.New(rand.NewSource(34))
+	var b []byte
+	records := func(n int) {
+		for range n {
+			b = append(b, 'a', 'b', 'c', 'd', byte('e'+rng.Intn(22)))
+		}
+	}
+	records(12)
+	t := bytes.Clone(b)
+	b = b[:0]
+	if pending {
+		records(1000)
+		b = append(b, t[:47]...)
+		records(2000)
+		b = append(append(b, '#'), t[:38]...)
+	} else {
+		records(1500)
+		b = append(b, t[:47]...)
+		records(4600)
+		b = append(b, t[:22]...)
+	}
+	records(300)
+	b = append(append(b, '#'), t...)
+	records(200)
+	return b
+}
+
 // encodeSeeds is FuzzDeflateEncodeIdentical's corpus: a slice of every
 // workload class, noise (where nearly every chain candidate is a hash
-// collision), runs, and inputs that end inside the last hashable position.
+// collision), runs, inputs that end inside the last hashable position, and
+// the three inputs built to reach the match finder's jumps between chains.
 func encodeSeeds() [][]byte {
 	noise := make([]byte, 48<<10)
 	rand.New(rand.NewSource(22)).Read(noise)
 	seeds := [][]byte{
 		nil, {42}, []byte("ab"), []byte("abc"), []byte("abcabc"), []byte("abcdabcd"), []byte("aaaaaaaaaaaa"),
 		bytes.Repeat([]byte("xy"), 9000), noise, append(bytes.Clone(noise[:40<<10]), noise[:9<<10]...),
-		DeepCodeData(24 << 10),
+		DeepCodeData(24 << 10), overlapInput(), crowdedInput(false), crowdedInput(true),
 	}
 	for c := workload.ClassXML; c <= workload.ClassScript; c++ {
 		seeds = append(seeds, workload.Generate(c, 12<<10, 22))
@@ -350,7 +433,10 @@ func encodeSeeds() [][]byte {
 
 // FuzzDeflateEncodeIdentical compares compressed bytes, which the two
 // inflater differentials do not: arbitrary x, after arbitrary y has been
-// through the matcher, must deflate to the reference matcher's stream.
+// through the matcher, must deflate to the reference matcher's stream. That
+// covers the match finder's walk on a shifted, rarer chain, which the
+// reference never takes: its seeds include the runs, the crowded chain and
+// the pending match that reach the walk's overlap guard and both cutoffs.
 func FuzzDeflateEncodeIdentical(f *testing.F) {
 	seeds := encodeSeeds()
 	for _, x := range seeds {
@@ -412,6 +498,48 @@ func TestBenchFilesMatchReference(t *testing.T) {
 		}
 		if got := hex.EncodeToString(sum.Sum(nil)[:8]); got != benchDigests[f.Name] {
 			t.Errorf("%s: gzip artifact digest %s, recorded %q", f.Name, got, benchDigests[f.Name])
+		}
+	}
+}
+
+// TestTokenizeMatchesReference holds lz77.Matcher's tokens, at every level,
+// to the frozen matcher's, on each 128 kB block of the bench files and on
+// the three inputs built to reach the corners of the walk on a shifted
+// chain: runs whose next candidate overlaps the position searched, a chain
+// long enough for level 9's cutoff, and the same under a pending match that
+// cuts it to a quarter.
+func TestTokenizeMatchesReference(t *testing.T) {
+	inputs := map[string][]byte{
+		"overlap":          overlapInput(),
+		"crowded":          crowdedInput(false),
+		"crowded, pending": crowdedInput(true),
+	}
+	for _, f := range benchFiles(t) {
+		for off := 0; off < len(f.Data); off += blockBytes {
+			inputs[fmt.Sprintf("%s at %d", f.Name, off)] = f.Data[off:min(off+blockBytes, len(f.Data))]
+		}
+	}
+	tokens := func(tokenize func([]byte, func(lz77.Token)), data []byte) []lz77.Token {
+		var toks []lz77.Token
+		tokenize(data, func(tok lz77.Token) { toks = append(toks, tok) })
+		return toks
+	}
+	for level := 1; level <= 9; level++ {
+		m, err := lz77.NewMatcher(level)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := newReferenceMatcher(t, level)
+		for name, data := range inputs {
+			want, got := tokens(ref.Tokenize, data), tokens(m.Tokenize, data)
+			if slices.Equal(got, want) {
+				continue
+			}
+			k := 0
+			for k < min(len(got), len(want)) && got[k] == want[k] {
+				k++
+			}
+			t.Errorf("level %d, %s: token %d of %d differs from the reference matcher's", level, name, k, len(want))
 		}
 	}
 }

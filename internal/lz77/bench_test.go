@@ -12,36 +12,31 @@ func BenchmarkTokenizeLevel1(b *testing.B) { benchTokenize(b, 1) }
 func BenchmarkTokenizeLevel6(b *testing.B) { benchTokenize(b, 6) }
 func BenchmarkTokenizeLevel9(b *testing.B) { benchTokenize(b, 9) }
 
-// benchTokenize times the matcher on one dataplane block (128 kB) of program
-// source and of the class of the benchmark's media.r115 — bytes calibrated
-// to gzip 1.15x, where nearly every chain candidate is a hash collision and
-// the block ends up sent raw. (An external test package: the calibration
-// needs gzip, which is built on this matcher.)
+// benchTokenize times the matcher on the benchmark's six files, one
+// dataplane block (128 kB) at a time, as a cold miss tokenises them. (An
+// external test package: media.r115 is calibrated to a gzip factor, and
+// gzip is built on this matcher.)
 func benchTokenize(b *testing.B, level int) {
 	const blockBytes = 128 * 1000
-	gzipFactor := func(p []byte) float64 {
+	files := workload.BenchFiles(func(p []byte) float64 {
 		c, err := flate.GzipCompress(p, 6)
 		if err != nil {
 			b.Fatal(err)
 		}
 		return float64(len(p)) / float64(len(c))
-	}
-	for _, in := range []struct {
-		name string
-		data []byte
-	}{
-		{"text", workload.Generate(workload.ClassSource, blockBytes, 22)},
-		{"media.r115", workload.GenerateRatio(blockBytes, 1.15, 22, gzipFactor)},
-	} {
-		b.Run(in.name, func(b *testing.B) {
+	})
+	for _, f := range files {
+		b.Run(f.Name, func(b *testing.B) {
 			m, err := lz77.NewMatcher(level)
 			if err != nil {
 				b.Fatal(err)
 			}
-			b.SetBytes(int64(len(in.data)))
+			b.SetBytes(int64(len(f.Data)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				m.Tokenize(in.data, func(lz77.Token) {})
+				for off := 0; off < len(f.Data); off += blockBytes {
+					m.Tokenize(f.Data[off:min(off+blockBytes, len(f.Data))], func(lz77.Token) {})
+				}
 			}
 		})
 	}

@@ -24,6 +24,9 @@ const (
 	hashBits = 15
 	hashSize = 1 << hashBits
 	hashMask = hashSize - 1
+	// switchLen is the shortest best match for which findMatch looks for
+	// a rarer chain to walk.
+	switchLen = 6
 )
 
 // Token is a single LZ77 output symbol: either a literal byte (Len == 0) or
@@ -102,8 +105,14 @@ func LevelConfig(level int) (Config, error) {
 type Matcher struct {
 	cfg   Config
 	level int
-	head  []int32
-	prev  []int32
+	head  [hashSize]int32
+	prev  [WindowSize]int32
+	// count is each bucket's number of insertions since reset, and idx
+	// each window position's insertion index in its own bucket, both
+	// modulo 2^16: how far apart two positions of one chain within the
+	// window are is known without walking it.
+	count [hashSize]uint16
+	idx   [WindowSize]uint16
 }
 
 // NewMatcher returns a matcher at the given compression level.
@@ -112,19 +121,14 @@ func NewMatcher(level int) (*Matcher, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &Matcher{
-		cfg:   cfg,
-		level: level,
-		head:  make([]int32, hashSize),
-		prev:  make([]int32, WindowSize),
-	}
+	m := &Matcher{cfg: cfg, level: level}
 	m.reset()
 	return m, nil
 }
 
-// matcherPools recycles matchers per level: the head/prev arrays are 256 KB
-// of state that the compress-on-demand hot path would otherwise allocate
-// (and fault in) on every call.
+// matcherPools recycles matchers per level: the head, prev, count and idx
+// arrays are 384 KB of state that the compress-on-demand hot path would
+// otherwise allocate (and fault in) on every call.
 var matcherPools [9]sync.Pool
 
 // GetMatcher returns a pooled matcher for the level, allocating one only
@@ -148,12 +152,14 @@ func PutMatcher(m *Matcher) {
 	matcherPools[m.level-1].Put(m)
 }
 
-// reset empties the hash heads. The chain links in prev stay as they are:
-// a walk starts at a head, so it only ever follows links written since.
+// reset empties the hash buckets' heads and counts. The chain links in prev
+// and the indexes in idx stay as they are: a walk starts at a head, so it
+// only ever reads slots written since.
 func (m *Matcher) reset() {
 	for i := range m.head {
 		m.head[i] = -1
 	}
+	clear(m.count[:])
 }
 
 func hash4(data []byte, i int) uint32 {
@@ -177,6 +183,9 @@ func (m *Matcher) hashAt(data []byte, i int) uint32 {
 func (m *Matcher) insert(data []byte, i int) {
 	h := m.hashAt(data, i)
 	m.prev[i&(WindowSize-1)] = m.head[h]
+	c := m.count[h]
+	m.idx[i&(WindowSize-1)] = c
+	m.count[h] = c + 1
 	m.head[h] = int32(i)
 }
 
@@ -221,11 +230,28 @@ func (m *Matcher) findMatch(data []byte, i, prevLen, maxChain int) (length, dist
 	if best >= MinMatch {
 		scanEnd = binary.LittleEndian.Uint16(data[i+best-1:])
 	}
-	// The fixed-size array views let the compiler drop bounds checks on the
+	// The arrays' fixed sizes let the compiler drop bounds checks on the
 	// masked chain loads in the hot walk.
-	prev := (*[WindowSize]int32)(m.prev)
-	cand := m.head[m.hashAt(data, i)]
-	for chain := 0; chain < maxChain && cand >= int32(limit); chain++ {
+	prev := &m.prev
+	h := m.hashAt(data, i)
+	cand := m.head[h]
+	// A rarer chain to walk instead: once best >= switchLen, every candidate
+	// j that can beat it has at j+shift the four bytes at i+shift, shift =
+	// best-3, so it is on their chain too. If that bucket has seen fewer
+	// insertions, the walk goes on here while the next candidate is at or
+	// above lo = i-shift, where j+shift has not been inserted yet, and then
+	// jumps.
+	var next uint32
+	shift := 0
+	lo := int32(limit)
+	if best >= switchLen {
+		if t := hash4(data, i+best-3); m.count[t] < m.count[h] {
+			next, shift = t, best-3
+			lo = max(int32(limit), int32(i-shift))
+		}
+	}
+	chain := 0
+	for ; chain < maxChain && cand >= lo; chain++ {
 		j := int(cand)
 		cand = prev[j&(WindowSize-1)]
 		if best < MinMatch {
@@ -240,13 +266,72 @@ func (m *Matcher) findMatch(data []byte, i, prevLen, maxChain int) (length, dist
 			best = l
 			bestDist = i - j
 			if l >= nice {
-				break
+				return best, bestDist
 			}
 			scanEnd = binary.LittleEndian.Uint16(data[i+best-1:])
+			if best >= switchLen {
+				if t := hash4(data, i+best-3); m.count[t] < m.count[h] {
+					next, shift = t, best-3
+					lo = max(int32(limit), int32(i-shift))
+				}
+			}
 		}
+	}
+	if chain < maxChain && cand >= int32(limit) {
+		best, bestDist = m.walkShifted(data, i, limit, maxLen, nice, maxChain, best, bestDist, m.count[h]-1, shift, next)
 	}
 	if bestDist == 0 || best < MinMatch {
 		return 0, 0
+	}
+	return best, bestDist
+}
+
+// walkShifted goes on with findMatch's search on the chain of bucket next,
+// whose positions are candidates shifted by shift. That chain holds every
+// candidate that can beat best but also positions that do not match at i,
+// which the first four bytes reject. One that passes is on the chain at i,
+// whose head has insertion index top: its place in findMatch's walk is top
+// less its own index, and as that walk stops at a place of maxChain, so does
+// this one. A longer best moves the walk to a rarer chain again, once the
+// candidates have passed i-shift for the new shift.
+func (m *Matcher) walkShifted(data []byte, i, limit, maxLen, nice, maxChain, best, bestDist int, top uint16, shift int, next uint32) (int, int) {
+	prev, idx := &m.prev, &m.idx
+	first4 := binary.LittleEndian.Uint32(data[i:])
+	scanEnd := binary.LittleEndian.Uint16(data[i+best-1:])
+	cand, seen := m.head[next], m.count[next]
+	nextShift, lo := 0, limit
+	for {
+		j := int(cand) - shift
+		if j < lo {
+			if j < limit {
+				break
+			}
+			cand, seen, shift, lo = m.head[next], m.count[next], nextShift, limit
+			continue
+		}
+		cand = prev[int(cand)&(WindowSize-1)]
+		if binary.LittleEndian.Uint32(data[j:]) != first4 {
+			continue
+		}
+		if int(top-idx[j&(WindowSize-1)]) >= maxChain {
+			break
+		}
+		if binary.LittleEndian.Uint16(data[j+best-1:]) != scanEnd {
+			continue
+		}
+		l := matchLen(data, j, i, maxLen)
+		if l > best {
+			best = l
+			bestDist = i - j
+			if l >= nice {
+				break
+			}
+			scanEnd = binary.LittleEndian.Uint16(data[i+best-1:])
+			if t := hash4(data, i+best-3); m.count[t] < seen {
+				next, nextShift = t, best-3
+				lo = max(limit, i-nextShift)
+			}
+		}
 	}
 	return best, bestDist
 }

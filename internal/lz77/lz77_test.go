@@ -211,3 +211,64 @@ func TestMatcherReusableAcrossBuffers(t *testing.T) {
 		}
 	}
 }
+
+// shiftedWalkInputs reach findMatch's walk on a shifted chain: a crowded
+// chain of records "abcd"+letter with a run of records planted at several
+// lengths (the walk jumps to the rarer chain past each best match and runs
+// into the chain cutoff), short periods whose next candidate overlaps the
+// position searched, and phrases that recur behind varying prefixes, where
+// the shifted walk reaches the nice length.
+func shiftedWalkInputs() map[string][]byte {
+	rng := rand.New(rand.NewSource(34))
+	var crowded []byte
+	record := func() []byte { return []byte{'a', 'b', 'c', 'd', byte('e' + rng.Intn(22))} }
+	var run []byte
+	for range 12 {
+		run = append(run, record()...)
+	}
+	for k, n := range []int{47, 22, 38, 60, 30} {
+		for range 1200 {
+			crowded = append(crowded, record()...)
+		}
+		crowded = append(append(crowded, byte('#'+k%2)), run[:n]...)
+	}
+	var periods []byte
+	for range 400 {
+		p := make([]byte, 1+rng.Intn(8))
+		for i := range p {
+			p[i] = byte('a' + rng.Intn(3))
+		}
+		for n := 3 + rng.Intn(40); n > 0; n-- {
+			periods = append(periods, p[n%len(p)])
+		}
+		periods = append(periods, byte('A'+rng.Intn(26)))
+	}
+	var phrases []byte
+	phrase := []byte("the proxy compresses the block while the handheld waits for it")
+	for range 300 {
+		phrases = append(phrases, byte('A'+rng.Intn(26)), byte('A'+rng.Intn(26)))
+		phrases = append(phrases, phrase[rng.Intn(8):]...)
+	}
+	return map[string][]byte{"crowded": crowded, "periods": periods, "phrases": phrases}
+}
+
+func TestRoundTripShiftedWalk(t *testing.T) {
+	for name, data := range shiftedWalkInputs() {
+		for level := 1; level <= 9; level++ {
+			toks := roundTrip(t, data, level)
+			matched := 0
+			for _, tok := range toks {
+				if tok.IsLiteral() {
+					continue
+				}
+				if int(tok.Len) < MinMatch || int(tok.Len) > MaxMatch || int(tok.Dist) < 1 || int(tok.Dist) > MaxDist {
+					t.Fatalf("%s, level %d: match %d at distance %d out of bounds", name, level, tok.Len, tok.Dist)
+				}
+				matched += int(tok.Len)
+			}
+			if matched < len(data)/2 {
+				t.Errorf("%s, level %d: matches cover %d of %d bytes", name, level, matched, len(data))
+			}
+		}
+	}
+}

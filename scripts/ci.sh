@@ -184,10 +184,13 @@ fuzz ./internal/bwt FuzzBWTTransform
 # cannot leave it running on nothing: the pinned artifact digests of the
 # bench files under each encoder, the sort's linearity guard, its
 # largest-block round trip, the Manber-Myers sort it is held to, and the
-# block sort, whole-block and move-to-front kernels — and the raw bench
-# files the three codecs' tests share, pinned by digest.
+# block sort, whole-block and move-to-front kernels; the match finder's
+# tokens at every level held to the frozen matcher's, and the per-file
+# deflate and tokenise kernels — and the raw bench files the three codecs'
+# tests share, pinned by digest.
 exists ./internal/bwt 'TestBenchFilesMatchReference|TestSortWorstCase|TestLevel9BlockRoundTrip|TestSortMatchesManberMyers|BenchmarkTransform|BenchmarkCompressBlock|BenchmarkMTF'
-exists ./internal/flate 'TestBenchFilesMatchReference'
+exists ./internal/flate 'TestBenchFilesMatchReference|TestTokenizeMatchesReference|BenchmarkDeflateBenchFiles'
+exists ./internal/lz77 'BenchmarkTokenizeLevel9'
 exists ./internal/lzw 'TestBenchFilesMatchReference'
 exists ./internal/workload 'TestBenchFilesPinned'
 # The two pieces of the standard library the testbed and the dataplane lean
