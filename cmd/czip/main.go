@@ -35,7 +35,7 @@ func run() error {
 	)
 	flag.Parse()
 
-	scheme, err := parseScheme(*schemeName)
+	scheme, err := repro.ParseScheme(*schemeName)
 	if err != nil {
 		return err
 	}
@@ -121,19 +121,4 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	n, err := c.w.Write(p)
 	*c.n += int64(n)
 	return n, err
-}
-
-func parseScheme(name string) (repro.Scheme, error) {
-	switch name {
-	case "gzip":
-		return repro.Gzip, nil
-	case "compress":
-		return repro.Compress, nil
-	case "bzip2":
-		return repro.Bzip2, nil
-	case "zlib":
-		return repro.Zlib, nil
-	default:
-		return 0, fmt.Errorf("unknown scheme %q", name)
-	}
 }

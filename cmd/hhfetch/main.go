@@ -50,17 +50,18 @@ func run() error {
 	)
 	flag.Parse()
 
-	model, err := modelForRate(*rateMbps)
-	if err != nil {
-		return err
+	rate, ok := repro.RateForMbps(*rateMbps)
+	if !ok {
+		return fmt.Errorf("unsupported rate %.1f", *rateMbps)
 	}
+	model := rate.Params()
 	cli := repro.NewProxyClient(*addr)
 	defer cli.Close()
 	cli.Timeout = *timeout
 	cli.MaxRetries = *retries
 	cli.RetryBaseDelay = *retryBase
 	cli.MaxFetchBytes = *maxBytes
-	cli.EnergyParams = &model
+	cli.Rate = rate
 	var tracer *repro.Tracer
 	if *trace {
 		tracer = repro.NewTracer(4)
@@ -77,12 +78,6 @@ func run() error {
 			_ = f.Close()
 		}()
 		cli.Events = sink
-		cli.DeviceClass = repro.DeviceIPAQ11
-		if *rateMbps == 2 {
-			cli.DeviceClass = repro.DeviceIPAQ2
-		}
-		// Modeled link rate in bytes/s, the event stream's link_bps field.
-		cli.LinkRateBps = *rateMbps * 1e6 / 8
 	}
 	if *list {
 		names, err := cli.List()
@@ -97,7 +92,7 @@ func run() error {
 	if *name == "" {
 		return fmt.Errorf("pass -name or -list")
 	}
-	scheme, err := parseScheme(*schemeName)
+	scheme, err := repro.ParseScheme(*schemeName)
 	if err != nil {
 		return err
 	}
@@ -142,30 +137,6 @@ func run() error {
 		}
 	}
 	return nil
-}
-
-func modelForRate(mbps float64) (repro.EnergyModel, error) {
-	switch mbps {
-	case 11, 5.5, 2, 1:
-		return repro.ParamsForMbps(mbps), nil
-	default:
-		return repro.EnergyModel{}, fmt.Errorf("unsupported rate %.1f", mbps)
-	}
-}
-
-func parseScheme(name string) (repro.Scheme, error) {
-	switch name {
-	case "gzip":
-		return repro.Gzip, nil
-	case "compress":
-		return repro.Compress, nil
-	case "bzip2":
-		return repro.Bzip2, nil
-	case "zlib":
-		return repro.Zlib, nil
-	default:
-		return 0, fmt.Errorf("unknown scheme %q", name)
-	}
 }
 
 func parseMode(name string) (repro.ProxyClientMode, error) {

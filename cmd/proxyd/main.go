@@ -181,7 +181,7 @@ func run() error {
 	}
 
 	if *precompSch != "" {
-		scheme, err := parseScheme(*precompSch)
+		scheme, err := repro.ParseScheme(*precompSch)
 		if err != nil {
 			return err
 		}
@@ -299,19 +299,4 @@ func parsePeers(s string) (map[string]string, error) {
 		peers[id] = addr
 	}
 	return peers, nil
-}
-
-func parseScheme(name string) (repro.Scheme, error) {
-	switch name {
-	case "gzip":
-		return repro.Gzip, nil
-	case "compress":
-		return repro.Compress, nil
-	case "bzip2":
-		return repro.Bzip2, nil
-	case "zlib":
-		return repro.Zlib, nil
-	default:
-		return 0, fmt.Errorf("unknown scheme %q", name)
-	}
 }

@@ -27,20 +27,19 @@ import (
 	"repro/internal/obs/export"
 )
 
-// RefParams returns the hardcoded Table 1 parameter set for a device
-// class (export.DeviceIPAQ11 / export.DeviceIPAQ2), false for classes
-// the table does not cover.
+// RefParams returns the hardcoded parameter set of the rate point whose
+// events carry device (energy.RateConfig.Device), false for tokens the
+// rate table does not hold. Events with no device tag calibrate against
+// the paper's primary configuration, matching the client's default rate.
 func RefParams(device string) (energy.Params, bool) {
-	switch device {
-	case export.DeviceIPAQ11, "":
-		// Events with no device tag calibrate against the paper's primary
-		// configuration, matching the client's EnergyParams default.
-		return energy.ParamsForMbps(11), true
-	case export.DeviceIPAQ2:
-		return energy.ParamsForMbps(2), true
-	default:
+	if device == "" {
+		return energy.Params11Mbps(), true
+	}
+	r, ok := energy.RateForDevice(device)
+	if !ok {
 		return energy.Params{}, false
 	}
+	return r.Params(), true
 }
 
 // RefESlope is the reference E(s) slope: the Figure 8b m_eff that folds

@@ -36,8 +36,8 @@ func TestCalibrationRecoversTable1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fits) != 1 || fits[0].Device != export.DeviceIPAQ11 {
-		t.Fatalf("fits = %+v, want exactly one for %s", fits, export.DeviceIPAQ11)
+	if len(fits) != 1 || fits[0].Device != energy.Rate11Mbps().Device {
+		t.Fatalf("fits = %+v, want exactly one for %s", fits, energy.Rate11Mbps().Device)
 	}
 	f := fits[0]
 	if f.TdN < 4 || f.EN < 2 {
@@ -80,8 +80,8 @@ func TestCalibrateRejectsUnusableStreams(t *testing.T) {
 		t.Error("empty stream must not calibrate")
 	}
 	bad := []export.Event{
-		{Span: "fetch", Outcome: "busy", RawBytes: 100, Device: export.DeviceIPAQ11},
-		{Span: "serve", Outcome: "ok", RawBytes: 100, Device: export.DeviceIPAQ11},
+		{Span: "fetch", Outcome: "busy", RawBytes: 100, Device: energy.Rate11Mbps().Device},
+		{Span: "serve", Outcome: "ok", RawBytes: 100, Device: energy.Rate11Mbps().Device},
 	}
 	if _, err := calib.Calibrate(bad); err == nil {
 		t.Error("stream with no usable fetch events must not calibrate")
@@ -91,10 +91,10 @@ func TestCalibrateRejectsUnusableStreams(t *testing.T) {
 // TestRefParams maps device tokens to Table 1 parameter sets and rejects
 // unknown classes.
 func TestRefParams(t *testing.T) {
-	if p, ok := calib.RefParams(export.DeviceIPAQ11); !ok || p.RateMBps != energy.Params11Mbps().RateMBps {
+	if p, ok := calib.RefParams(energy.Rate11Mbps().Device); !ok || p.RateMBps != energy.Params11Mbps().RateMBps {
 		t.Errorf("11 Mb/s params wrong: %+v ok=%v", p, ok)
 	}
-	if p, ok := calib.RefParams(export.DeviceIPAQ2); !ok || p.RateMBps != energy.Params2Mbps().RateMBps {
+	if p, ok := calib.RefParams(energy.Rate2Mbps().Device); !ok || p.RateMBps != energy.Params2Mbps().RateMBps {
 		t.Errorf("2 Mb/s params wrong: %+v ok=%v", p, ok)
 	}
 	if _, ok := calib.RefParams("android-54mbps"); ok {

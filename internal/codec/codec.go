@@ -39,6 +39,16 @@ func (s Scheme) String() string {
 	}
 }
 
+// ParseScheme is the inverse of String: the scheme a tool name names.
+func ParseScheme(name string) (Scheme, error) {
+	for s := Gzip; s <= Zlib; s++ {
+		if s.String() == name {
+			return s, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown scheme %q", name)
+}
+
 // Schemes lists the three schemes of the paper's three-way comparison.
 func Schemes() []Scheme { return []Scheme{Gzip, Compress, Bzip2} }
 

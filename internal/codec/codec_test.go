@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -104,6 +105,22 @@ func TestSchemeStrings(t *testing.T) {
 	for s, w := range want {
 		if s.String() != w {
 			t.Errorf("%d.String() = %q, want %q", int(s), s.String(), w)
+		}
+	}
+}
+
+// TestParseScheme round-trips every scheme through its name and refuses an
+// unknown name with the text the commands have always printed.
+func TestParseScheme(t *testing.T) {
+	for _, s := range []Scheme{Gzip, Compress, Bzip2, Zlib} {
+		if got, err := ParseScheme(s.String()); err != nil || got != s {
+			t.Errorf("ParseScheme(%q) = %v, %v; want %v", s.String(), got, err, s)
+		}
+	}
+	for _, name := range []string{"", "lzma", "GZIP", "Scheme(5)"} {
+		_, err := ParseScheme(name)
+		if want := fmt.Sprintf("unknown scheme %q", name); err == nil || err.Error() != want {
+			t.Errorf("ParseScheme(%q) error %v, want %q", name, err, want)
 		}
 	}
 }

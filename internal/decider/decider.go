@@ -119,7 +119,7 @@ type BlockContext struct {
 	// or non-finite values fall back to the decider's base rate.
 	RateMBps float64
 	// PowerSave reports 802.11 power-save mode: the effective rate drops
-	// by wlan.PowerSavePenalty and the idle radio draw falls to the
+	// by energy.PowerSavePenalty and the idle radio draw falls to the
 	// sleep-mode current.
 	PowerSave bool
 	// QueueDepth is the server compression queue length (builds waiting

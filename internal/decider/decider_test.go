@@ -16,7 +16,7 @@ func closeTo(a, b, tol float64) bool {
 	return math.Abs(a-b) <= tol*math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
 }
 
-// The anchor table is derived from wlan.Rates() and the two energy
+// The anchor table is derived from energy.Rates() and the two energy
 // parameter sets; it must come out as the four measured operating points
 // the decider has always interpolated between (cached artifacts and
 // PXY-P keys embed decisions made from them).
@@ -91,6 +91,108 @@ func TestParamsForLinkPowerSave(t *testing.T) {
 	}
 	if p.Pi != base.PiSleep {
 		t.Fatalf("power-save idle draw %g, want sleep current %g", p.Pi, base.PiSleep)
+	}
+}
+
+// parentAnchors are the four anchors ParamsForLink interpolated between
+// before the rate table moved into energy, written out whole.
+var parentAnchors = func() [4]energy.Params {
+	recv := energy.Params{M: 2.556, Cs: 0.012, Pi: 2.15, Pd: 3.10, PdSleep: 1.70, PiSleep: 0.55, TdA: 0.161, TdB: 0.161, TdC: 0.004, BufMB: 0.128}
+	idle := energy.Params{M: 2.486, Cs: 0.012, Pi: 1.55, Pd: 2.85, PdSleep: 1.70, PiSleep: 0.55, TdA: 0.161, TdB: 0.161, TdC: 0.004, BufMB: 0.128}
+	a := [4]energy.Params{recv, recv, idle, idle}
+	for i, ri := range [4][2]float64{{0.10, 0.87}, {0.18, 0.815}, {0.40, 0.55}, {0.6, 0.40}} {
+		a[i].RateMBps, a[i].IdleFrac = ri[0], ri[1]
+	}
+	return a
+}()
+
+// parentParamsForLink is ParamsForLink as it read against parentAnchors.
+func parentParamsForLink(base energy.Params, rate float64, powerSave bool) energy.Params {
+	lerp := func(rate float64) energy.Params {
+		a := parentAnchors[3]
+		switch {
+		case rate <= parentAnchors[0].RateMBps:
+			a = parentAnchors[0]
+		case rate < a.RateMBps:
+			for i := 1; i < len(parentAnchors); i++ {
+				lo, hi := parentAnchors[i-1], parentAnchors[i]
+				if rate > hi.RateMBps {
+					continue
+				}
+				t := (rate - lo.RateMBps) / (hi.RateMBps - lo.RateMBps)
+				a.IdleFrac = lo.IdleFrac + t*(hi.IdleFrac-lo.IdleFrac)
+				a.M = lo.M + t*(hi.M-lo.M)
+				a.Pi = lo.Pi + t*(hi.Pi-lo.Pi)
+				a.Pd = lo.Pd + t*(hi.Pd-lo.Pd)
+				break
+			}
+		}
+		a.RateMBps = rate
+		return a
+	}
+	clamp := func(r float64) float64 {
+		if r <= 0 || math.IsNaN(r) || math.IsInf(r, 0) {
+			r = 0.6
+		}
+		return math.Min(math.Max(r, 0.01), 125)
+	}
+	if rate <= 0 || math.IsNaN(rate) || math.IsInf(rate, 0) {
+		rate = base.RateMBps
+	}
+	rate = clamp(rate)
+	if powerSave {
+		rate *= 1 - 0.25
+	}
+	a := lerp(rate)
+	p := base
+	p.RateMBps, p.IdleFrac = rate, a.IdleFrac
+	if baseAnchor := lerp(clamp(base.RateMBps)); baseAnchor.M > 0 && base.M > 0 {
+		p.M = a.M * (base.M / baseAnchor.M)
+	} else {
+		p.M = a.M
+	}
+	p.Pi, p.Pd = a.Pi, a.Pd
+	if powerSave && base.PiSleep > 0 {
+		p.Pi = base.PiSleep
+	}
+	return p
+}
+
+// TestParamsForLinkUnchanged holds ParamsForLink, bit for bit, to what it
+// answered against parentAnchors: over a sweep of rates from 0.005 to 130
+// MB/s that lands on every anchor with power save off and on, on the
+// static sets and on calibrated bases.
+func TestParamsForLinkUnchanged(t *testing.T) {
+	fit, err := LoadCalibration(goldenEvents, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fitted, ok := ParamsFromFit(fit)
+	if !ok {
+		t.Fatal("the committed stream's fit did not apply")
+	}
+	odd := energy.Params11Mbps()
+	odd.M, odd.TdA, odd.RateMBps = 2.71, 0.2, 0.33
+	bases := map[string]energy.Params{
+		"11Mb/s": energy.Params11Mbps(), "2Mb/s": energy.Params2Mbps(),
+		"calibrated": fitted, "calibrated off-anchor": odd,
+	}
+	rates := []float64{0, -1, math.NaN(), math.Inf(1)}
+	for _, a := range parentAnchors {
+		rates = append(rates, a.RateMBps, a.RateMBps/(1-0.25))
+	}
+	for r := 0.005; r <= 130; r *= 1.01 {
+		rates = append(rates, r)
+	}
+	for name, base := range bases {
+		for _, r := range rates {
+			for _, ps := range []bool{false, true} {
+				got, want := ParamsForLink(base, r, ps), parentParamsForLink(base, r, ps)
+				if got != want {
+					t.Fatalf("%s base, rate %g, power save %v:\n got %+v\nwant %+v", name, r, ps, got, want)
+				}
+			}
+		}
 	}
 }
 

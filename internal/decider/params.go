@@ -9,34 +9,22 @@ import (
 	"os"
 
 	"repro/internal/calib"
-	"repro/internal/device"
 	"repro/internal/energy"
-	"repro/internal/wlan"
 )
 
 // linkAnchors pins the rate-dependent coefficients (rate, idle fraction,
-// m, pi, pd) at the 802.11b operating points, ordered by rate: 1, 2, 5.5,
-// 11 Mb/s nominal. Each is an energy parameter set placed at a row of
-// wlan's rate table: Section 4.2's 2 Mb/s set where the radio stays in
-// receive through the CPU-idle gaps (1 and 2 Mb/s), Table 1's 11 Mb/s set
-// where it idles between bursts (5.5 and 11 Mb/s). Between anchors the
-// decider interpolates linearly; beyond them it clamps — extrapolating
-// past the measured range would leave the model's validity envelope.
-var linkAnchors = buildLinkAnchors()
-
-func buildLinkAnchors() []energy.Params {
-	rates := wlan.Rates() // fastest first
+// m, pi, pd) at energy's 802.11b rate points, ordered by rate: 1, 2, 5.5,
+// 11 Mb/s nominal. Between anchors the decider interpolates linearly;
+// beyond them it clamps — extrapolating past the measured range would
+// leave the model's validity envelope.
+var linkAnchors = func() []energy.Params {
+	rates := energy.Rates() // fastest first
 	anchors := make([]energy.Params, len(rates))
 	for i, r := range rates {
-		p := energy.Params11Mbps()
-		if r.GapRadio == device.RadioRecv {
-			p = energy.Params2Mbps()
-		}
-		p.RateMBps, p.IdleFrac = r.EffectiveMBps, r.IdleFrac
-		anchors[len(rates)-1-i] = p
+		anchors[len(rates)-1-i] = r.Params()
 	}
 	return anchors
-}
+}()
 
 // lerpAnchor interpolates the anchor table's rate-dependent coefficients
 // at rate, clamping outside the measured range; the other fields of the
@@ -72,7 +60,7 @@ func lerpAnchor(rate float64) energy.Params {
 // proportionally (at the static Table 1 values the scaling is exactly 1,
 // so ParamsForLink(Params11Mbps(), 0.6, false) == Params11Mbps()).
 //
-// Power-save mode costs wlan.PowerSavePenalty of the effective rate and
+// Power-save mode costs energy.PowerSavePenalty of the effective rate and
 // drops the idle radio draw to the sleep-mode current (the radio dozes
 // between beacons; receive still needs it awake, so pd is unchanged).
 //
@@ -86,7 +74,7 @@ func ParamsForLink(base energy.Params, rateMBps float64, powerSave bool) energy.
 	}
 	rate = clampRate(rate)
 	if powerSave {
-		rate *= 1 - wlan.PowerSavePenalty
+		rate *= 1 - energy.PowerSavePenalty
 	}
 
 	a := lerpAnchor(rate)

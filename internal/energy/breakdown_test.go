@@ -85,14 +85,24 @@ func TestTransferBreakdownRule(t *testing.T) {
 	}
 }
 
-// TestParamsForMbps: only nominal 2 Mb/s selects the Section 4.2 set.
+// TestParamsForMbps: each nominal rate the table holds looks up its own
+// row — Table 1's set at 11 Mb/s, Section 4.2's at 2 — and no other rate
+// is found.
 func TestParamsForMbps(t *testing.T) {
-	if ParamsForMbps(2) != Params2Mbps() {
+	for _, want := range Rates() {
+		if r, ok := RateForMbps(want.NominalMbps); !ok || r != want {
+			t.Errorf("%g Mb/s looks up %+v, %v; want %+v", want.NominalMbps, r, ok, want)
+		}
+	}
+	if r, _ := RateForMbps(11); r.Params() != Params11Mbps() {
+		t.Error("11 Mb/s must select Params11Mbps")
+	}
+	if r, _ := RateForMbps(2); r.Params() != Params2Mbps() {
 		t.Error("2 Mb/s must select Params2Mbps")
 	}
-	for _, mbps := range []float64{11, 5.5, 1} {
-		if ParamsForMbps(mbps) != Params11Mbps() {
-			t.Errorf("%g Mb/s must select Params11Mbps", mbps)
+	for _, mbps := range []float64{0, 3, 54} {
+		if r, ok := RateForMbps(mbps); ok || r.OrDefault() != Rate11Mbps() {
+			t.Errorf("%g Mb/s found %+v, %v; want no row (reading as 11 Mb/s)", mbps, r, ok)
 		}
 	}
 }

@@ -57,50 +57,6 @@ type Params struct {
 	BufMB float64
 }
 
-// Params11Mbps returns the paper's primary experimental configuration.
-func Params11Mbps() Params {
-	return Params{
-		RateMBps: 0.6,
-		IdleFrac: 0.40,
-		M:        2.486,
-		Cs:       0.012,
-		Pi:       1.55,
-		Pd:       2.85,
-		PdSleep:  1.70,
-		PiSleep:  0.55,
-		TdA:      0.161,
-		TdB:      0.161,
-		TdC:      0.004,
-		BufMB:    0.128,
-	}
-}
-
-// Params2Mbps returns the Section 4.2 validation configuration. At 2 Mb/s
-// the radio remains in receive through the CPU-idle gaps, so Pi is the
-// idle-CPU/receiving-radio power (430 mA → 2.15 W) and the per-MB receive
-// coefficient is slightly higher (longer active servicing per byte).
-func Params2Mbps() Params {
-	p := Params11Mbps()
-	p.RateMBps = 0.18
-	p.IdleFrac = 0.815
-	p.M = 2.556
-	p.Pi = 2.15
-	// Decompression during the gaps happens with the radio still in
-	// receive: busy+recv draws 620 mA -> 3.10 W.
-	p.Pd = 3.10
-	return p
-}
-
-// ParamsForMbps is the one nominal-rate lookup: the parameter set a
-// nominal 802.11b bit rate is modeled with. The paper measured only 11
-// and 2 Mb/s; every other rate takes the 11 Mb/s power structure.
-func ParamsForMbps(nominalMbps float64) Params {
-	if nominalMbps == 2 {
-		return Params2Mbps()
-	}
-	return Params11Mbps()
-}
-
 // DownloadTime returns the wall time in seconds to download s MB.
 func (p Params) DownloadTime(s float64) float64 {
 	if s <= 0 {
@@ -143,13 +99,6 @@ func (p Params) DownloadEnergy(s float64) float64 {
 // DecompressTime returns td for raw size s and compressed size sc (MB).
 func (p Params) DecompressTime(s, sc float64) float64 {
 	return p.TdA*s + p.TdB*sc + p.TdC
-}
-
-// SequentialEnergy returns Eq. 2: download the compressed file, then
-// decompress, without interleaving and without power saving.
-func (p Params) SequentialEnergy(s, sc float64) float64 {
-	tiPrime, ti1 := p.IdleSplit(s, sc)
-	return p.M*sc + p.Cs + (tiPrime+ti1)*p.Pi + p.DecompressTime(s, sc)*p.Pd
 }
 
 // SleepEnergy returns Eq. 2 with the radio put to power-save sleep during

@@ -1,58 +1,9 @@
 package energy
 
-// This file carries the paper's literal published constants, used by the
-// experiment harness to print paper-vs-reproduction comparisons. The model
-// in energy.go reproduces these from first principles; keeping the literal
-// values separate lets EXPERIMENTS.md report both.
-
-// PaperDownloadEnergy is the paper's fitted line E = 3.519·s + 0.012 (J, s
-// in MB) for plain downloading at 11 Mb/s (Figure 8(b), 7.2% average
-// error).
-func PaperDownloadEnergy(s float64) float64 {
-	return 3.519*s + 0.012
-}
-
-// PaperDecompressTime is the paper's fitted gzip decompression time
-// td = 0.161·s + 0.161·sc + 0.004 (Figure 8(a); 3% average error, 13%
-// max, R² = 96.7%).
-func PaperDecompressTime(s, sc float64) float64 {
-	return 0.161*s + 0.161*sc + 0.004
-}
-
-// PaperInterleavedEnergy is the paper's Equation 5 closed form. For
-// s > 0.128 MB it has two branches split at F = 3.14 − 0.265/s:
-//
-//   - high factors (decompression outruns the shrunken idle windows,
-//     ti' ≤ td): E = 0.4589·s + 2.945·sc + 0.132/F + 0.0234 — this is
-//     m·sc + cs + td·pd + ti1·pi with the 0.132/F term being ti1·pi;
-//   - low factors (idle windows absorb all decompression, ti' > td):
-//     E = 0.2093·s + 3.729·sc + 0.0172 — the idle-reclaim form
-//     m·sc + cs + td·(pd−pi) + ti·pi.
-//
-// Both derive exactly from Eqs. 1-4 with the Table 1 powers; see DESIGN.md.
-func PaperInterleavedEnergy(s, sc float64) float64 {
-	if s < 0.128 {
-		return PaperInterleavedEnergySmall(s, sc)
-	}
-	f := s / sc
-	if f > 3.14-0.265/s {
-		return 0.4589*s + 2.945*sc + 0.132/f + 0.0234
-	}
-	return 0.2093*s + 3.729*sc + 0.0172
-}
-
-// PaperInterleavedEnergySmall is Equation 5's s <= 0.128 MB branch:
-// E = 0.4589·s + 3.9784·sc + 0.0234.
-func PaperInterleavedEnergySmall(s, sc float64) float64 {
-	return 0.4589*s + 3.9784*sc + 0.0234
-}
-
-// PaperInterleavedEnergy2Mbps is the Section 4.2 estimate at the 2 Mb/s
-// nominal rate for compression factors below the fill-idle threshold of
-// 27: E = 2.0125·s + 12.4291·sc + 0.0275 (s > 0.128 MB).
-func PaperInterleavedEnergy2Mbps(s, sc float64) float64 {
-	return 2.0125*s + 12.4291*sc + 0.0275
-}
+// This file carries the paper's literal Equation 6 constants, which
+// selective.PaperDecider and the decider apply. The model in energy.go
+// reproduces them from first principles; the paper's other published
+// forms are the tests' oracles.
 
 // PaperShouldCompress is the paper's Equation 6 decision test.
 func PaperShouldCompress(sBytes, scBytes int) bool {
@@ -73,14 +24,6 @@ func PaperShouldCompress(sBytes, scBytes int) bool {
 // PaperFileThresholdBytes is the file size below which the paper never
 // compresses (Section 4.3).
 const PaperFileThresholdBytes = 3900
-
-// PaperSleepCrossoverFactor is the paper's derived factor above which
-// sleep-mode decompression beats interleaving at 11 Mb/s.
-const PaperSleepCrossoverFactor = 4.6
-
-// PaperFillIdleFactor2Mbps is the paper's derived factor needed to fill
-// all idle time with decompression at 2 Mb/s.
-const PaperFillIdleFactor2Mbps = 27.0
 
 // WithDecompressCost returns a copy of p with the decompression-time
 // coefficients replaced, to model schemes other than gzip (the harness

@@ -11,7 +11,6 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/selective"
 	"repro/internal/session"
-	"repro/internal/wlan"
 	"repro/internal/workload"
 )
 
@@ -210,7 +209,7 @@ func (c Config) UploadComparison() ([]UploadRow, error) {
 		}{{"raw", 0, false, false}, {"zlib -9", 9, true, false}, {"zlib -1", 1, true, false}, {"zlib -1 adaptive", 1, true, true}} {
 			res, err := pipeline.RunUpload(pipeline.UploadSpec{
 				Data: data, Scheme: codec.Zlib, Level: strat.level, Compressed: strat.compressed,
-				Selective: strat.selective, Rate: wlan.Rate11Mbps(), MeterRate: c.MeterRate,
+				Selective: strat.selective, Rate: energy.Rate11Mbps(), MeterRate: c.MeterRate,
 			})
 			if err != nil {
 				return nil, err

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/device"
+	"repro/internal/energy"
 	"repro/internal/pipeline"
 	"repro/internal/sim"
 	"repro/internal/wlan"
@@ -125,7 +126,7 @@ func TestUploadComparisonShape(t *testing.T) {
 func TestMeterProbe(t *testing.T) {
 	// A one-second constant read through the full rig + meter path:
 	// 1 s at 310 mA, 5 V.
-	res, err := pipeline.Drive(wlan.RateConfig{}, func(k *sim.Kernel, _ *device.Device, _ *wlan.Link, done func()) {
+	res, err := pipeline.Drive(energy.RateConfig{}, func(k *sim.Kernel, _ *device.Device, _ *wlan.Link, done func()) {
 		k.Schedule(time.Second, done)
 	})
 	if err != nil {

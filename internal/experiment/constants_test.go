@@ -23,13 +23,13 @@ func TestModelConstantsMatchDeviceTables(t *testing.T) {
 
 	for _, link := range []struct {
 		model    energy.Params
-		rate     wlan.RateConfig
+		rate     energy.RateConfig
 		idleMA   float64 // CPU idle in the inter-packet gaps
 		decompMA float64 // CPU busy in the inter-packet gaps
 	}{
-		{energy.Params11Mbps(), wlan.Rate11Mbps(), pt.IdleIdleOff, pt.BusyIdleOff},
+		{energy.Params11Mbps(), energy.Rate11Mbps(), pt.IdleIdleOff, pt.BusyIdleOff},
 		// At 2 Mb/s the radio stays in receive through the gaps.
-		{energy.Params2Mbps(), wlan.Rate2Mbps(), pt.IdleRecvOff, pt.BusyRecvOff},
+		{energy.Params2Mbps(), energy.Rate2Mbps(), pt.IdleRecvOff, pt.BusyRecvOff},
 	} {
 		p, r := link.model, link.rate
 		for _, c := range []struct {

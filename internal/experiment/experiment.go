@@ -12,7 +12,6 @@ import (
 	"repro/internal/device"
 	"repro/internal/energy"
 	"repro/internal/pipeline"
-	"repro/internal/wlan"
 	"repro/internal/workload"
 )
 
@@ -160,9 +159,9 @@ func traces(c Config) ([]TraceResult, error) { return c.Trace(400_000) }
 
 // modelFor returns the analytic energy model for a scheme at a rate,
 // substituting the scheme's decompression cost coefficients.
-func modelFor(scheme codec.Scheme, rate wlan.RateConfig) energy.Params {
+func modelFor(scheme codec.Scheme, rate energy.RateConfig) energy.Params {
 	cost := device.DecompressCost(scheme)
-	return energy.ParamsForMbps(rate.NominalMbps).WithDecompressCost(cost.PerOutMB, cost.PerInMB, cost.PerStream)
+	return rate.Params().WithDecompressCost(cost.PerOutMB, cost.PerInMB, cost.PerStream)
 }
 
 // runSpec executes one pipeline experiment.
@@ -174,7 +173,7 @@ func (c Config) runSpec(spec pipeline.Spec) (pipeline.Result, error) {
 }
 
 // plainFor returns the uncompressed-download baseline for data.
-func (c Config) plainFor(data []byte, rate wlan.RateConfig) (pipeline.Result, error) {
+func (c Config) plainFor(data []byte, rate energy.RateConfig) (pipeline.Result, error) {
 	return c.runSpec(pipeline.Spec{Data: data, Mode: pipeline.ModePlain, Rate: rate})
 }
 

@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/codec"
-	"repro/internal/wlan"
+	"repro/internal/energy"
 )
 
 // testConfig keeps runs fast: large files scaled to ~1/40, few files per
@@ -280,11 +280,11 @@ func TestThresholdsNearPaper(t *testing.T) {
 
 func TestModelForSchemes(t *testing.T) {
 	for _, s := range codec.Schemes() {
-		p11 := modelFor(s, wlan.Rate11Mbps())
+		p11 := modelFor(s, energy.Rate11Mbps())
 		if p11.TdA <= 0 {
 			t.Errorf("%v: bad 11 Mb/s model", s)
 		}
-		p2 := modelFor(s, wlan.Rate2Mbps())
+		p2 := modelFor(s, energy.Rate2Mbps())
 		if p2.RateMBps != 0.18 {
 			t.Errorf("%v: 2 Mb/s model rate %.2f", s, p2.RateMBps)
 		}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/energy"
 	"repro/internal/fit"
 	"repro/internal/pipeline"
-	"repro/internal/wlan"
 	"repro/internal/workload"
 )
 
@@ -130,7 +129,7 @@ type ErrorSeries struct {
 
 // interleaveErrors computes the Eq. 3 prediction error against the metered
 // simulation for zlib-with-interleaving at the given rate.
-func (c Config) interleaveErrors(label string, rate wlan.RateConfig) (ErrorSeries, error) {
+func (c Config) interleaveErrors(label string, rate energy.RateConfig) (ErrorSeries, error) {
 	model := modelFor(codec.Zlib, rate)
 	series := ErrorSeries{Label: label}
 	large, small := c.corpus()
@@ -186,17 +185,17 @@ func avgAbs(pts []ErrorPoint) float64 {
 // Fig7InterleaveErrors reproduces Figure 7: energy-estimation error for
 // interleaving at 11 Mb/s (paper: ~2.5% large, ~9.1% small).
 func (c Config) Fig7InterleaveErrors() (ErrorSeries, error) {
-	return c.interleaveErrors("11Mb/s interleaving model error", wlan.Rate11Mbps())
+	return c.interleaveErrors("11Mb/s interleaving model error", energy.Rate11Mbps())
 }
 
 // Fig9BitrateErrors reproduces Figure 9: the same error series at 11 and
 // 2 Mb/s.
 func (c Config) Fig9BitrateErrors() ([]ErrorSeries, error) {
-	s11, err := c.interleaveErrors("11Mb/s", wlan.Rate11Mbps())
+	s11, err := c.interleaveErrors("11Mb/s", energy.Rate11Mbps())
 	if err != nil {
 		return nil, err
 	}
-	s2, err := c.interleaveErrors("2Mb/s", wlan.Rate2Mbps())
+	s2, err := c.interleaveErrors("2Mb/s", energy.Rate2Mbps())
 	if err != nil {
 		return nil, err
 	}

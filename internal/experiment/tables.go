@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/device"
+	"repro/internal/energy"
 	"repro/internal/pipeline"
 	"repro/internal/sim"
 	"repro/internal/wlan"
@@ -43,7 +44,7 @@ func Table1() ([]PowerRow, error) {
 	}
 	for i := range rows {
 		row := &rows[i]
-		res, err := pipeline.Drive(wlan.RateConfig{}, func(k *sim.Kernel, d *device.Device, _ *wlan.Link, done func()) {
+		res, err := pipeline.Drive(energy.RateConfig{}, func(k *sim.Kernel, d *device.Device, _ *wlan.Link, done func()) {
 			d.SetCPU(row.CPU)
 			d.SetRadio(row.Radio)
 			d.SetPowerSave(row.PowerSave)

@@ -23,7 +23,8 @@ import (
 func (r *Report) Events() []export.Event {
 	// The soak fleet models the paper's primary configuration; the
 	// energy-conservation oracle charges with the same parameter set.
-	p := energy.Params11Mbps()
+	rate := energy.Rate11Mbps()
+	p := rate.Params()
 	evs := make([]export.Event, 0, len(r.Records))
 	for _, rec := range r.Records {
 		var span obs.SpanData
@@ -37,7 +38,7 @@ func (r *Report) Events() []export.Event {
 			Name:             rec.Name,
 			Scheme:           rec.Scheme.String(),
 			Mode:             rec.Mode.String(),
-			Device:           export.DeviceIPAQ11,
+			Device:           rate.Device,
 			LinkBps:          r.Scenario.Link.BytesPerSec,
 			Outcome:          "ok",
 			RawBytes:         int64(rec.Raw),

@@ -54,7 +54,7 @@ func TestEventsShape(t *testing.T) {
 		if i > 0 && e.VNS < evs[i-1].VNS {
 			t.Errorf("event %d out of order: v_ns %d after %d", i, e.VNS, evs[i-1].VNS)
 		}
-		if e.Span != "fetch" || e.ReqID == "" || e.Device != export.DeviceIPAQ11 {
+		if e.Span != "fetch" || e.ReqID == "" || e.Device != energy.Rate11Mbps().Device {
 			t.Errorf("event %d identity wrong: %+v", i, e)
 		}
 		if e.Outcome != "ok" {

@@ -32,14 +32,6 @@ import (
 	"repro/internal/obs"
 )
 
-// Device-class tokens for Event.Device, part of the schema contract.
-// They name the paper's two measured iPAQ/WaveLAN configurations; the
-// calibrator maps them to Table 1 parameter sets.
-const (
-	DeviceIPAQ11 = "ipaq-11mbps"
-	DeviceIPAQ2  = "ipaq-2mbps"
-)
-
 // Event is one wide event: the flattened, self-describing record of a
 // finished fetch or serve span. Field order is the wire order; it is part
 // of the schema contract.
@@ -61,10 +53,11 @@ type Event struct {
 	// Scheme and Mode are the transfer's compression scheme and mode.
 	Scheme string `json:"scheme,omitempty"`
 	Mode   string `json:"mode,omitempty"`
-	// Device is the handheld's device class (e.g. "ipaq-11mbps"), the
-	// calibrator's grouping key.
+	// Device is the handheld's device class, its rate point's token
+	// (energy.RateConfig.Device, e.g. "ipaq-11mbps"): the calibrator's
+	// grouping key.
 	Device string `json:"device,omitempty"`
-	// LinkBps is the modeled link rate in bytes per second.
+	// LinkBps is the modeled link's effective rate in bytes per second.
 	LinkBps float64 `json:"link_bps,omitempty"`
 	// Outcome is "ok" or a stable error class (busy/notfound/protocol/err
 	// on canonical streams; live events may carry the raw error text).

@@ -23,7 +23,7 @@ func TestEventJSONGolden(t *testing.T) {
 		Name:             "nes96.xml",
 		Scheme:           "gzip",
 		Mode:             "selective",
-		Device:           DeviceIPAQ11,
+		Device:           "ipaq-11mbps",
 		LinkBps:          600000,
 		Outcome:          "ok",
 		RawBytes:         1000000,

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/device"
+	"repro/internal/energy"
 	"repro/internal/sim"
 	"repro/internal/wlan"
 )
@@ -192,7 +193,7 @@ func TestVeryShortWindowFallsBackToExact(t *testing.T) {
 }
 
 func TestDriveWithoutDoneFails(t *testing.T) {
-	_, err := Drive(wlan.RateConfig{}, func(*sim.Kernel, *device.Device, *wlan.Link, func()) {})
+	_, err := Drive(energy.RateConfig{}, func(*sim.Kernel, *device.Device, *wlan.Link, func()) {})
 	if err == nil {
 		t.Error("a run whose window never closed reported a result")
 	}

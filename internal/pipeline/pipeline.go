@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/device"
+	"repro/internal/energy"
 	"repro/internal/selective"
 	"repro/internal/wlan"
 )
@@ -67,7 +68,7 @@ type Spec struct {
 	// zlib of Section 5 uses the block pipeline instead.
 	OnDemandWholeFile bool
 	// Rate is the link configuration (defaults to 11 Mb/s).
-	Rate wlan.RateConfig
+	Rate energy.RateConfig
 	// PowerSave enables the WaveLAN power-saving mode for the whole run.
 	PowerSave bool
 	// SleepDuringDecompress puts the radio to sleep for the decompression

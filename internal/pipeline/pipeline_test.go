@@ -7,7 +7,6 @@ import (
 	"repro/internal/codec"
 	"repro/internal/energy"
 	"repro/internal/selective"
-	"repro/internal/wlan"
 	"repro/internal/workload"
 )
 
@@ -52,7 +51,9 @@ func TestSequentialMatchesModel(t *testing.T) {
 	res := mustRun(t, Spec{Data: textData(n), Scheme: codec.Gzip, Mode: ModeSequential})
 	s := float64(n) / 1e6
 	sc := float64(res.WireBytes) / 1e6
-	want := p.SequentialEnergy(s, sc)
+	// Eq. 2: download the compressed file, then decompress.
+	tiPrime, ti1 := p.IdleSplit(s, sc)
+	want := p.M*sc + p.Cs + (tiPrime+ti1)*p.Pi + p.DecompressTime(s, sc)*p.Pd
 	if rel := math.Abs(res.ExactEnergyJ-want) / want; rel > 0.06 {
 		t.Errorf("sim %.4f J vs model %.4f J (%.1f%%)", res.ExactEnergyJ, want, rel*100)
 	}
@@ -198,8 +199,8 @@ func Test2MbpsFavoursCompression(t *testing.T) {
 	// At 2 Mb/s communication is so expensive that even modest factors pay
 	// off strongly (paper Section 4.2).
 	data := workload.Generate(workload.ClassBinary, 1_000_000, 17)
-	plain := mustRun(t, Spec{Data: data, Mode: ModePlain, Rate: wlan.Rate2Mbps()})
-	comp := mustRun(t, Spec{Data: data, Scheme: codec.Gzip, Mode: ModeInterleaved, Rate: wlan.Rate2Mbps()})
+	plain := mustRun(t, Spec{Data: data, Mode: ModePlain, Rate: energy.Rate2Mbps()})
+	comp := mustRun(t, Spec{Data: data, Scheme: codec.Gzip, Mode: ModeInterleaved, Rate: energy.Rate2Mbps()})
 	saving := 1 - comp.ExactEnergyJ/plain.ExactEnergyJ
 	if saving < 0.3 {
 		t.Errorf("2 Mb/s saving %.2f, want > 0.3 at factor %.2f", saving, comp.Factor)

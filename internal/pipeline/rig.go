@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/device"
+	"repro/internal/energy"
 	"repro/internal/sim"
 	"repro/internal/wlan"
 )
@@ -31,10 +32,8 @@ type rig struct {
 }
 
 // newRig builds the testbed at rate (zero selects 11 Mb/s).
-func newRig(rate wlan.RateConfig) (*rig, error) {
-	if rate.EffectiveMBps == 0 {
-		rate = wlan.Rate11Mbps()
-	}
+func newRig(rate energy.RateConfig) (*rig, error) {
+	rate = rate.OrDefault()
 	k := sim.NewKernel()
 	dev := device.New(k, device.DefaultPowerTable())
 	link, err := wlan.NewLink(k, dev, rate)
@@ -88,7 +87,7 @@ func (r *rig) run(meterRate float64) (Result, error) {
 // (internal/session's request sequences, Table 1's held states). script
 // schedules its activity on k and calls done when the measured interval
 // ends.
-func Drive(rate wlan.RateConfig, script func(k *sim.Kernel, dev *device.Device, link *wlan.Link, done func())) (Result, error) {
+func Drive(rate energy.RateConfig, script func(k *sim.Kernel, dev *device.Device, link *wlan.Link, done func())) (Result, error) {
 	r, err := newRig(rate)
 	if err != nil {
 		return Result{}, err

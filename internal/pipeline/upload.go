@@ -7,7 +7,6 @@ import (
 	"repro/internal/device"
 	"repro/internal/energy"
 	"repro/internal/selective"
-	"repro/internal/wlan"
 )
 
 // uploadProbeBytes is the sample size the adaptive uploader compresses to
@@ -35,7 +34,7 @@ type UploadSpec struct {
 	// each block (with the raw/compressed framing of Section 4.3).
 	Selective bool
 	// Rate is the link configuration (defaults to 11 Mb/s).
-	Rate wlan.RateConfig
+	Rate energy.RateConfig
 	// MeterRate is the multimeter sampling rate (0 = 300/s).
 	MeterRate float64
 }

@@ -67,9 +67,11 @@ type Client struct {
 	// every attempt, charged with modeled joules on success so the trace
 	// shows radio vs CPU energy the way the paper's model splits it.
 	Tracer *obs.Tracer
-	// EnergyParams is the model used to charge finished fetch spans; nil
-	// selects the paper's 11 Mb/s parameters.
-	EnergyParams *energy.Params
+	// Rate is the handheld's 802.11b rate point: its model charges
+	// finished fetches, and its device token and effective bytes per second
+	// tag their events (the calibrator's grouping key and link_bps). The
+	// zero value is the 11 Mb/s row.
+	Rate energy.RateConfig
 	// Metrics, when set, records the handheld-side instruments: backoff
 	// actually slept, resumed bytes, attempts per fetch, and the
 	// permanent-vs-transient error classification — the numbers that make
@@ -92,13 +94,6 @@ type Client struct {
 	// wire frames byte-identical to a pre-extension client.
 	DeadlineClass uint8
 	EnergyBudgetJ float64
-	// DeviceClass tags emitted events with the handheld's device class
-	// (e.g. export.DeviceIPAQ11), the calibrator's grouping key. Empty is
-	// read downstream as the paper's primary 11 Mb/s configuration.
-	DeviceClass string
-	// LinkRateBps tags emitted events with the modeled link rate in bytes
-	// per second, purely informational.
-	LinkRateBps float64
 
 	// Clock supplies the time source for connection deadlines, retry
 	// backoff sleeps and span phase timestamps; nil selects the host
@@ -550,11 +545,7 @@ func (c *Client) Fetch(name string, scheme codec.Scheme, mode Mode) ([]byte, Fet
 	} else {
 		stats.RawBytes = len(out)
 		stats.Factor = codec.Factor(stats.RawBytes, stats.WireBytes)
-		p := energy.Params11Mbps()
-		if c.EnergyParams != nil {
-			p = *c.EnergyParams
-		}
-		bd = p.TransferBreakdown(stats.RawBytes, stats.WireBytes, stats.BlocksCompressed)
+		bd = c.Rate.OrDefault().Params().TransferBreakdown(stats.RawBytes, stats.WireBytes, stats.BlocksCompressed)
 		chargeSpan(span, bd)
 	}
 	span.Finish()
@@ -585,6 +576,7 @@ func (c *Client) emitFetchEvent(reqID uint64, name string, scheme codec.Scheme, 
 	if c.Events == nil {
 		return
 	}
+	rate := c.Rate.OrDefault()
 	e := export.Event{
 		Time:             time.Now().UTC().Format(time.RFC3339Nano),
 		Span:             "fetch",
@@ -592,8 +584,8 @@ func (c *Client) emitFetchEvent(reqID uint64, name string, scheme codec.Scheme, 
 		Name:             name,
 		Scheme:           scheme.String(),
 		Mode:             mode.String(),
-		Device:           c.DeviceClass,
-		LinkBps:          c.LinkRateBps,
+		Device:           rate.Device,
+		LinkBps:          rate.BytesPerSec(),
 		Outcome:          "ok",
 		RawBytes:         int64(stats.RawBytes),
 		WireBytes:        int64(stats.WireBytes),

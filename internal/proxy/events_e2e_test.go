@@ -40,8 +40,10 @@ func TestEventExportEndToEnd(t *testing.T) {
 	cli := retryingClient(addr)
 	cli.Tracer = obs.NewTracer(8)
 	cli.Events = cliSink
-	cli.DeviceClass = export.DeviceIPAQ11
-	cli.LinkRateBps = 1.375e6
+	// A row other than the zero value's: the charge, the device token and
+	// link_bps must all come from it.
+	rate := energy.Rate2Mbps()
+	cli.Rate = rate
 
 	_, stats, err := cli.Fetch("f", codec.Gzip, ModeOnDemand)
 	if err != nil {
@@ -60,7 +62,7 @@ func TestEventExportEndToEnd(t *testing.T) {
 	ok := evs[0]
 	if ok.Span != "fetch" || ok.Outcome != "ok" || ok.Name != "f" ||
 		ok.Scheme != codec.Gzip.String() || ok.Mode != ModeOnDemand.String() ||
-		ok.Device != export.DeviceIPAQ11 || ok.LinkBps != 1.375e6 {
+		ok.Device != rate.Device || ok.LinkBps != rate.BytesPerSec() {
 		t.Errorf("ok event = %+v", ok)
 	}
 	if ok.RawBytes != int64(stats.RawBytes) || ok.WireBytes != int64(stats.WireBytes) ||
@@ -70,7 +72,7 @@ func TestEventExportEndToEnd(t *testing.T) {
 	if ok.Time == "" || len(ok.Phases) == 0 {
 		t.Errorf("live event missing wall time or phases: %+v", ok)
 	}
-	p := energy.Params11Mbps()
+	p := rate.Params()
 	want := p.InterleavedEnergy(float64(stats.RawBytes)/1e6, float64(stats.WireBytes)/1e6)
 	if math.Abs(ok.TotalJoules()-want) > 1e-9 {
 		t.Errorf("ok event total = %g J, model says %g J", ok.TotalJoules(), want)

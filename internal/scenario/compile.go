@@ -130,26 +130,3 @@ func Load(path string) (*Spec, error) {
 	}
 	return s, nil
 }
-
-// LoadDir loads every *.scn spec directly under dir, sorted by name.
-// It errors on an empty corpus: a scenario gate that silently checks
-// nothing is worse than no gate.
-func LoadDir(dir string) ([]*Spec, error) {
-	paths, err := filepath.Glob(filepath.Join(dir, "*.scn"))
-	if err != nil {
-		return nil, err
-	}
-	if len(paths) == 0 {
-		return nil, fmt.Errorf("no *.scn specs in %s", dir)
-	}
-	sort.Strings(paths)
-	specs := make([]*Spec, 0, len(paths))
-	for _, p := range paths {
-		s, err := Load(p)
-		if err != nil {
-			return nil, err
-		}
-		specs = append(specs, s)
-	}
-	return specs, nil
-}

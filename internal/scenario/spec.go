@@ -34,7 +34,7 @@ import (
 // inverses over any successfully parsed spec — the fuzz target pins
 // Parse(Format(spec)) == spec — so specs can be rewritten losslessly.
 type Spec struct {
-	// Name labels the scenario; LoadDir requires it to match the file's
+	// Name labels the scenario; Load requires it to match the file's
 	// base name so golden traces can never be attributed to the wrong
 	// spec.
 	Name string

@@ -1,13 +1,15 @@
 package selective
 
 import (
-	"bytes"
 	"encoding/binary"
 	"math"
 )
 
 // probeSegment is the stretch one order-0 histogram covers.
 const probeSegment = 4096
+
+// probeSampleShift keeps one string in 16 in the repeat sample.
+const probeSampleShift = 64 - 4
 
 // probeNLog2N[c] is c·log2(c): a histogram's order-0 entropy in bits is
 // n·log2(n) − Σ c·log2(c).
@@ -20,35 +22,26 @@ var probeNLog2N = func() (t [probeSegment + 1]float32) {
 
 // probe returns an optimistic lower bound on the size any codec here could
 // compress block to, from its bytes alone: 1 ("could be tiny") unless no
-// sampled 4-byte string recurs and both the order-0 entropy over 4 KB
+// sampled 8-byte string recurs and both the order-0 entropy over 4 KB
 // segments and that of sampled byte-to-byte deltas (an alphabet drifting
 // within a segment) exceed 7 bits a byte; then the lesser, less a tenth.
 func probe(block []byte) int {
-	// Strings at the first segment's commonest byte: chosen by content, a
-	// repeat and its source are sampled alike, and a byte that mostly follows
-	// its predecessor recurs. Random bytes repeat one in about 500 blocks.
-	h := histogram(block[:min(probeSegment, len(block))])
-	anchor := 0
-	for b, c := range h {
-		if c > h[anchor] {
-			anchor = b
-		}
-	}
-	var seen [1024]uint64
-	for i, repeats := 0, 0; ; i++ {
-		j := bytes.IndexByte(block[i:], byte(anchor))
-		if j < 0 || i+j+4 > len(block) {
-			break
-		}
-		i += j
-		g := uint64(binary.LittleEndian.Uint32(block[i:])) | 1<<32
-		slot := &seen[uint32(g)*0x9E3779B1>>22]
-		if *slot == g {
-			if repeats++; repeats == 2 {
-				return 1
+	// Strings whose hash has its top bits clear: chosen by content, a repeat
+	// and its source are sampled alike whatever the alphabet. Random bytes
+	// repeat an 8-byte string about once in 2^31 blocks.
+	var seen [4096]uint64
+	repeats := 0
+	for b := block; len(b) >= 8; b = b[1:] {
+		v := binary.LittleEndian.Uint64(b)
+		if h := v * 0x9E3779B97F4A7C15; h>>probeSampleShift == 0 {
+			slot := &seen[h>>(probeSampleShift-12)&4095]
+			if *slot == v {
+				if repeats++; repeats == 2 {
+					return 1
+				}
 			}
+			*slot = v
 		}
-		*slot = g
 	}
 	bits, delta := 0.0, 0.0
 	for off := 0; off < len(block); off += probeSegment {

@@ -98,6 +98,7 @@ func FuzzProbeNoFalseSkip(f *testing.F) {
 	f.Add(uint64(4), uint16(300), uint8(0), uint8(40), uint8(50))
 	f.Add(uint64(5), uint16(31025), uint8(48), uint8(0), uint8(0)) // one whole block
 	f.Add(uint64(6), uint16(31025), uint8(40), uint8(1), uint8(10))
+	f.Add(uint64(1), uint16(2200), uint8(90), uint8(7), uint8(0))
 	f.Fuzz(func(t *testing.T, seed uint64, size uint16, spread, copies, follow uint8) {
 		n := PaperDecider{}.MinSizeBytes() + int(size)*4 // up to three blocks
 		rng := rand.New(rand.NewSource(int64(seed)))
@@ -170,5 +171,58 @@ func BenchmarkEncodeBenchFiles(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// probeDecisions encodes each bench file under PaperDecider with each
+// scheme and spells every block's outcome: 'p' sent raw on the probe's
+// bound, 'c' compressed, 'r' compressed by the codec but sent raw.
+func probeDecisions(tb testing.TB) map[string]string {
+	got := map[string]string{}
+	for _, f := range workload.BenchFiles(gzip6Factor(tb)) {
+		for _, s := range probeSchemes {
+			enc, err := Encode(f.Data, codec.MustNew(s, 0), PaperDecider{})
+			if err != nil {
+				tb.Fatal(err)
+			}
+			var b []byte
+			for _, blk := range enc.Blocks {
+				switch {
+				case blk.Probed:
+					b = append(b, 'p')
+				case blk.Compressed:
+					b = append(b, 'c')
+				default:
+					b = append(b, 'r')
+				}
+			}
+			got[s.String()+"/"+f.Name] = string(b)
+		}
+	}
+	return got
+}
+
+// TestProbeDecisionsPinned holds every bench-file block's outcome under
+// each scheme to the one recorded when the probe keyed its repeat sample
+// on the first segment's commonest byte: the content-defined sample finds
+// the repeats that one missed without moving a bench block.
+func TestProbeDecisionsPinned(t *testing.T) {
+	want := map[string]string{}
+	for name, d := range map[string]string{
+		"prog.c": "ccr", "spec.html": "ccccc", "tool.bin": "cccr", "paper.ps": "ccccccc",
+		"deck.mixed": "cpcpcpcpc", "media.r115": "rrrrr",
+	} {
+		for _, scheme := range probeSchemes {
+			want[scheme.String()+"/"+name] = d
+		}
+	}
+	got := probeDecisions(t)
+	for k, d := range want {
+		if got[k] != d {
+			t.Errorf("%s: blocks %q, want %q", k, got[k], d)
+		}
+	}
+	if len(got) != len(want) {
+		t.Errorf("%d file/scheme pairs, want %d", len(got), len(want))
 	}
 }

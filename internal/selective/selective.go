@@ -44,23 +44,6 @@ type Decider interface {
 	MinSizeBytes() int
 }
 
-// ModelDecider drives decisions from the analytic energy model.
-type ModelDecider struct {
-	Params energy.Params
-}
-
-var _ Decider = ModelDecider{}
-
-// ShouldCompress applies Equation 6 via the model.
-func (d ModelDecider) ShouldCompress(rawBytes, compBytes int) bool {
-	return d.Params.ShouldCompress(float64(rawBytes)/1e6, float64(compBytes)/1e6)
-}
-
-// MinSizeBytes returns the model's file-size threshold (≈3900 bytes).
-func (d ModelDecider) MinSizeBytes() int {
-	return int(d.Params.ThresholdSizeBytes())
-}
-
 // PaperDecider applies the paper's literal Equation 6 constants.
 type PaperDecider struct{}
 

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/device"
+	"repro/internal/energy"
 	"repro/internal/pipeline"
 	"repro/internal/sim"
 	"repro/internal/wlan"
@@ -71,7 +72,7 @@ type Spec struct {
 	// Seed drives the deterministic misprediction pattern.
 	Seed int64
 	// Rate is the link configuration (default 11 Mb/s).
-	Rate wlan.RateConfig
+	Rate energy.RateConfig
 }
 
 // Result summarises a session run.

@@ -4,7 +4,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/wlan"
+	"repro/internal/energy"
 )
 
 func webSpec(policy Policy, accuracy float64) Spec {
@@ -144,7 +144,7 @@ func TestCustomRate(t *testing.T) {
 	res, err := Run(Spec{
 		Requests: []Request{{Gap: time.Second, Bytes: 180_000}},
 		Policy:   AlwaysOn,
-		Rate:     wlan.Rate2Mbps(),
+		Rate:     energy.Rate2Mbps(),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,8 @@ package simnet
 import (
 	"math/rand"
 	"time"
+
+	"repro/internal/energy"
 )
 
 // Link models one hop of the testbed WLAN: a serialization rate, a
@@ -12,11 +14,10 @@ import (
 // downloads are effectively one-way bulk transfers).
 type Link struct {
 	// BytesPerSec is the effective one-way data rate, MAC overhead
-	// included. The paper's measured WaveLAN numbers: 0.6 MB/s effective
-	// at nominal 11 Mb/s, 0.18 MB/s at 2 Mb/s (energy.Params.RateMBps
-	// uses the same figures, which is what keeps the harness's modeled
-	// transfer times and its Eq. 1/Eq. 3 energy accounting on one
-	// timeline). Zero or negative means infinitely fast.
+	// included. WaveLAN11 takes the paper's measured figure from energy's
+	// rate table, which energy.Params.RateMBps also reads — what keeps the
+	// harness's modeled transfer times and its Eq. 1/Eq. 3 energy accounting
+	// on one timeline. Zero or negative means infinitely fast.
 	BytesPerSec float64
 	// Latency is the one-way propagation + queueing delay per hop.
 	Latency time.Duration
@@ -30,10 +31,10 @@ type Link struct {
 	Seed int64
 }
 
-// WaveLAN11 is the paper's primary configuration: 11 Mb/s nominal,
-// 0.6 MB/s effective (Table 1 / Section 3.1), ~2 ms one-way latency.
+// WaveLAN11 is the paper's primary configuration: the 11 Mb/s rate point's
+// effective rate (Table 1 / Section 3.1), ~2 ms one-way latency.
 func WaveLAN11() Link {
-	return Link{BytesPerSec: 0.6e6, Latency: 2 * time.Millisecond}
+	return Link{BytesPerSec: energy.Rate11Mbps().BytesPerSec(), Latency: 2 * time.Millisecond}
 }
 
 // txTime returns the virtual time serializing n bytes takes on l,

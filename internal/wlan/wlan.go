@@ -1,8 +1,9 @@
 // Package wlan models the paper's Lucent WaveLAN (Orinoco) IEEE 802.11b
-// link at packet granularity: nominal bit rates with their measured
-// effective data rates and CPU-idle fractions, the power-saving mode's 25%
-// throughput penalty, and per-packet active/idle alternation that creates
-// the idle windows interleaved decompression reclaims.
+// link at packet granularity: a rate point of energy's table (effective
+// data rate, CPU-idle fraction, the radio's state through the gaps), the
+// power-saving mode's throughput penalty, and per-packet active/idle
+// alternation that creates the idle windows interleaved decompression
+// reclaims.
 package wlan
 
 import (
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/device"
+	"repro/internal/energy"
 	"repro/internal/sim"
 )
 
@@ -17,81 +19,10 @@ import (
 // headers, as on the paper's TCP downloads).
 const PacketBytes = 1460
 
-// PowerSavePenalty is the effective-rate reduction in power-saving mode:
-// "the effective data rate decreases by about 25% in the power-saving
-// mode, due to the overhead to switch between the states".
-const PowerSavePenalty = 0.25
-
 // SetupTime is the connection start-up interval; at the idle-state current
 // it charges the paper's fitted cs = 0.012 J
 // (0.012 J / (5 V * 0.310 A) = 7.742 ms).
 const SetupTime = 7742 * time.Microsecond
-
-// RateConfig describes one nominal 802.11b rate as the paper measured it.
-type RateConfig struct {
-	Name          string
-	NominalMbps   float64
-	EffectiveMBps float64 // end-to-end data rate including idle gaps
-	IdleFrac      float64 // CPU-idle fraction of total downloading time
-	// GapRadio is the radio state during CPU-idle gaps: at 11 Mb/s packets
-	// arrive in bursts and the radio idles between them; at 2 Mb/s the
-	// radio stays in receive essentially the whole time and only the CPU
-	// idles.
-	GapRadio device.RadioState
-}
-
-// Rate11Mbps is the paper's primary setting: ~0.6 MB/s effective
-// (602 KB/s measured), 40% CPU-idle time.
-func Rate11Mbps() RateConfig {
-	return RateConfig{
-		Name:          "11Mb/s",
-		NominalMbps:   11,
-		EffectiveMBps: 0.6,
-		IdleFrac:      0.40,
-		GapRadio:      device.RadioIdle,
-	}
-}
-
-// Rate2Mbps is the validation setting of Section 4.2: 180 KB/s effective,
-// 81.5% CPU-idle time.
-func Rate2Mbps() RateConfig {
-	return RateConfig{
-		Name:          "2Mb/s",
-		NominalMbps:   2,
-		EffectiveMBps: 0.18,
-		IdleFrac:      0.815,
-		GapRadio:      device.RadioRecv,
-	}
-}
-
-// Rate5_5Mbps interpolates the intermediate 802.11b rate (not measured by
-// the paper; used by the bit-rate sweep example).
-func Rate5_5Mbps() RateConfig {
-	return RateConfig{
-		Name:          "5.5Mb/s",
-		NominalMbps:   5.5,
-		EffectiveMBps: 0.40,
-		IdleFrac:      0.55,
-		GapRadio:      device.RadioIdle,
-	}
-}
-
-// Rate1Mbps extrapolates the lowest 802.11b rate (not measured by the
-// paper; used by the bit-rate sweep example).
-func Rate1Mbps() RateConfig {
-	return RateConfig{
-		Name:          "1Mb/s",
-		NominalMbps:   1,
-		EffectiveMBps: 0.10,
-		IdleFrac:      0.87,
-		GapRadio:      device.RadioRecv,
-	}
-}
-
-// Rates returns the configured rate points, fastest first.
-func Rates() []RateConfig {
-	return []RateConfig{Rate11Mbps(), Rate5_5Mbps(), Rate2Mbps(), Rate1Mbps()}
-}
 
 // GapConsumer receives the CPU-idle windows between packet arrivals;
 // device.Worker implements it to run decompression inside them.
@@ -103,15 +34,21 @@ type GapConsumer interface {
 type Link struct {
 	kernel *sim.Kernel
 	dev    *device.Device
-	rate   RateConfig
+	rate   energy.RateConfig
+	// gapRadio is the radio state during CPU-idle gaps.
+	gapRadio device.RadioState
 }
 
 // NewLink returns a link for the device at the given rate.
-func NewLink(k *sim.Kernel, dev *device.Device, rate RateConfig) (*Link, error) {
+func NewLink(k *sim.Kernel, dev *device.Device, rate energy.RateConfig) (*Link, error) {
 	if rate.EffectiveMBps <= 0 || rate.IdleFrac < 0 || rate.IdleFrac >= 1 {
 		return nil, fmt.Errorf("wlan: invalid rate config %+v", rate)
 	}
-	return &Link{kernel: k, dev: dev, rate: rate}, nil
+	l := &Link{kernel: k, dev: dev, rate: rate, gapRadio: device.RadioIdle}
+	if rate.RecvGaps {
+		l.gapRadio = device.RadioRecv
+	}
+	return l, nil
 }
 
 // EffectiveMBps returns the current effective data rate, accounting for
@@ -119,7 +56,7 @@ func NewLink(k *sim.Kernel, dev *device.Device, rate RateConfig) (*Link, error) 
 func (l *Link) EffectiveMBps() float64 {
 	r := l.rate.EffectiveMBps
 	if l.dev.PowerSave() {
-		r *= 1 - PowerSavePenalty
+		r *= 1 - energy.PowerSavePenalty
 	}
 	return r
 }
@@ -202,7 +139,7 @@ func (l *Link) packet(x transfer, moved int) {
 	setNIC(true)
 	l.kernel.Schedule(active, func() {
 		setNIC(false)
-		l.dev.SetRadio(l.rate.GapRadio)
+		l.dev.SetRadio(l.gapRadio)
 		moved += chunk
 		if x.onDelivered != nil {
 			x.onDelivered(moved)

@@ -6,10 +6,11 @@ import (
 	"time"
 
 	"repro/internal/device"
+	"repro/internal/energy"
 	"repro/internal/sim"
 )
 
-func setup(rate RateConfig) (*sim.Kernel, *device.Device, *Link) {
+func setup(rate energy.RateConfig) (*sim.Kernel, *device.Device, *Link) {
 	k := sim.NewKernel()
 	d := device.New(k, device.DefaultPowerTable())
 	l, err := NewLink(k, d, rate)
@@ -20,7 +21,7 @@ func setup(rate RateConfig) (*sim.Kernel, *device.Device, *Link) {
 }
 
 func TestDownloadTimeMatchesEffectiveRate(t *testing.T) {
-	k, _, l := setup(Rate11Mbps())
+	k, _, l := setup(energy.Rate11Mbps())
 	done := time.Duration(-1)
 	l.Download(600_000, nil, nil, func() { done = k.Now() })
 	k.Run()
@@ -37,7 +38,7 @@ func TestDownloadTimeMatchesEffectiveRate(t *testing.T) {
 func TestPlainDownloadEnergyMatchesPaperLine(t *testing.T) {
 	// E = 3.519*s + 0.012 J at 11 Mb/s, per the paper's fitted line.
 	for _, sMB := range []float64{0.5, 1.0, 3.0, 8.0} {
-		k, d, l := setup(Rate11Mbps())
+		k, d, l := setup(energy.Rate11Mbps())
 		var end time.Duration
 		l.Download(int(sMB*1e6), nil, nil, func() { end = k.Now() })
 		k.Run()
@@ -50,7 +51,7 @@ func TestPlainDownloadEnergyMatchesPaperLine(t *testing.T) {
 }
 
 func TestIdleFractionObserved(t *testing.T) {
-	k, d, l := setup(Rate11Mbps())
+	k, d, l := setup(energy.Rate11Mbps())
 	var end time.Duration
 	l.Download(2_000_000, nil, nil, func() { end = k.Now() })
 	k.Run()
@@ -74,12 +75,12 @@ func TestIdleFractionObserved(t *testing.T) {
 
 func TestPowerSaveSlowsAndSaves(t *testing.T) {
 	n := 1_000_000
-	k1, d1, l1 := setup(Rate11Mbps())
+	k1, d1, l1 := setup(energy.Rate11Mbps())
 	var end1 time.Duration
 	l1.Download(n, nil, nil, func() { end1 = k1.Now() })
 	k1.Run()
 
-	k2, d2, l2 := setup(Rate11Mbps())
+	k2, d2, l2 := setup(energy.Rate11Mbps())
 	d2.SetPowerSave(true)
 	var end2 time.Duration
 	l2.Download(n, nil, nil, func() { end2 = k2.Now() })
@@ -89,8 +90,8 @@ func TestPowerSaveSlowsAndSaves(t *testing.T) {
 		t.Errorf("power save should slow the download: %v vs %v", end2, end1)
 	}
 	slowdown := end2.Seconds() / end1.Seconds()
-	if math.Abs(slowdown-1/(1-PowerSavePenalty)) > 0.05 {
-		t.Errorf("slowdown %.3f, want ~%.3f", slowdown, 1/(1-PowerSavePenalty))
+	if math.Abs(slowdown-1/(1-energy.PowerSavePenalty)) > 0.05 {
+		t.Errorf("slowdown %.3f, want ~%.3f", slowdown, 1/(1-energy.PowerSavePenalty))
 	}
 	// For a pure download, the 25% slowdown outweighs the lower PS
 	// currents — which is exactly why the paper leaves power saving off
@@ -114,7 +115,7 @@ func TestPowerSaveWinsWithLongIdleTail(t *testing.T) {
 	tail := 3 * time.Second
 
 	run := func(ps bool) float64 {
-		k, d, l := setup(Rate11Mbps())
+		k, d, l := setup(energy.Rate11Mbps())
 		d.SetPowerSave(ps)
 		w := device.NewWorker(k, d)
 		var end time.Duration
@@ -132,7 +133,7 @@ func TestPowerSaveWinsWithLongIdleTail(t *testing.T) {
 }
 
 func TestOnDeliveredMonotonic(t *testing.T) {
-	k, _, l := setup(Rate11Mbps())
+	k, _, l := setup(energy.Rate11Mbps())
 	last := 0
 	calls := 0
 	l.Download(100_000, func(total int) {
@@ -153,7 +154,7 @@ func TestOnDeliveredMonotonic(t *testing.T) {
 }
 
 func TestGapWindowsGranted(t *testing.T) {
-	k, d, l := setup(Rate11Mbps())
+	k, d, l := setup(energy.Rate11Mbps())
 	w := device.NewWorker(k, d)
 	w.Add(50 * time.Millisecond)
 	l.Download(500_000, nil, w, func() {})
@@ -169,12 +170,12 @@ func TestGapWindowsGranted(t *testing.T) {
 func TestInterleavingRaisesGapCurrentNotTime(t *testing.T) {
 	n := 1_000_000
 	// Baseline.
-	k1, _, l1 := setup(Rate11Mbps())
+	k1, _, l1 := setup(energy.Rate11Mbps())
 	var end1 time.Duration
 	l1.Download(n, nil, nil, func() { end1 = k1.Now() })
 	k1.Run()
 	// With CPU work that fits comfortably in the gaps.
-	k2, d2, l2 := setup(Rate11Mbps())
+	k2, d2, l2 := setup(energy.Rate11Mbps())
 	w := device.NewWorker(k2, d2)
 	var end2 time.Duration
 	l2.Download(n, func(total int) {
@@ -187,7 +188,7 @@ func TestInterleavingRaisesGapCurrentNotTime(t *testing.T) {
 }
 
 func TestZeroByteDownload(t *testing.T) {
-	k, _, l := setup(Rate11Mbps())
+	k, _, l := setup(energy.Rate11Mbps())
 	called := false
 	l.Download(0, nil, nil, func() { called = true })
 	k.Run()
@@ -197,7 +198,7 @@ func TestZeroByteDownload(t *testing.T) {
 }
 
 func TestRate2MbpsProfile(t *testing.T) {
-	k, d, l := setup(Rate2Mbps())
+	k, d, l := setup(energy.Rate2Mbps())
 	var end time.Duration
 	l.Download(1_000_000, nil, nil, func() { end = k.Now() })
 	k.Run()
@@ -215,10 +216,10 @@ func TestRate2MbpsProfile(t *testing.T) {
 func TestInvalidRateRejected(t *testing.T) {
 	k := sim.NewKernel()
 	d := device.New(k, device.DefaultPowerTable())
-	if _, err := NewLink(k, d, RateConfig{EffectiveMBps: 0}); err == nil {
+	if _, err := NewLink(k, d, energy.RateConfig{EffectiveMBps: 0}); err == nil {
 		t.Error("zero rate accepted")
 	}
-	if _, err := NewLink(k, d, RateConfig{EffectiveMBps: 1, IdleFrac: 1.5}); err == nil {
+	if _, err := NewLink(k, d, energy.RateConfig{EffectiveMBps: 1, IdleFrac: 1.5}); err == nil {
 		t.Error("idle fraction > 1 accepted")
 	}
 }

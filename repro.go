@@ -44,7 +44,6 @@ import (
 	"repro/internal/proxy/faultconn"
 	"repro/internal/selective"
 	"repro/internal/session"
-	"repro/internal/wlan"
 	"repro/internal/workload"
 )
 
@@ -65,6 +64,9 @@ func NewCodec(s Scheme, level int) (codec.Codec, error) { return codec.New(s, le
 
 // Schemes lists the three schemes of the paper's comparison.
 func Schemes() []Scheme { return codec.Schemes() }
+
+// ParseScheme is the inverse of Scheme.String.
+func ParseScheme(name string) (Scheme, error) { return codec.ParseScheme(name) }
 
 // NewGzipWriter returns a streaming gzip compressor (io.WriteCloser) at
 // the given level; large inputs compress in constant memory.
@@ -89,9 +91,12 @@ func Params11Mbps() EnergyModel { return energy.Params11Mbps() }
 // Params2Mbps returns the model at the 2 Mb/s validation setting.
 func Params2Mbps() EnergyModel { return energy.Params2Mbps() }
 
-// ParamsForMbps returns the model a nominal 802.11b bit rate is estimated
-// with (only 11 and 2 Mb/s were measured; other rates use the 11 Mb/s set).
-func ParamsForMbps(nominalMbps float64) EnergyModel { return energy.ParamsForMbps(nominalMbps) }
+// ParamsForMbps returns the model at a nominal 802.11b bit rate's rate
+// point (a rate the table does not hold takes the 11 Mb/s set).
+func ParamsForMbps(nominalMbps float64) EnergyModel {
+	r, _ := energy.RateForMbps(nominalMbps)
+	return r.OrDefault().Params()
+}
 
 // ShouldCompress is the paper's Equation 6 decision test on byte sizes.
 func ShouldCompress(rawBytes, compBytes int) bool {
@@ -114,15 +119,18 @@ const (
 // transfer on the simulated device/link/meter stack.
 func RunExperiment(spec ExperimentSpec) (pipeline.Result, error) { return pipeline.Run(spec) }
 
-// RateConfig describes an 802.11b rate point.
-type RateConfig = wlan.RateConfig
+// RateConfig is an 802.11b rate point: effective rate, CPU-idle fraction,
+// the radio's state through the gaps and the event device token.
+type RateConfig = energy.RateConfig
 
-// Rate constructors for the measured and interpolated 802.11b settings.
+// Rate constructors for the measured and interpolated 802.11b settings,
+// and the lookup by nominal bit rate.
 var (
-	Rate11Mbps  = wlan.Rate11Mbps
-	Rate5_5Mbps = wlan.Rate5_5Mbps
-	Rate2Mbps   = wlan.Rate2Mbps
-	Rate1Mbps   = wlan.Rate1Mbps
+	Rate11Mbps  = energy.Rate11Mbps
+	Rate5_5Mbps = energy.Rate5_5Mbps
+	Rate2Mbps   = energy.Rate2Mbps
+	Rate1Mbps   = energy.Rate1Mbps
+	RateForMbps = energy.RateForMbps
 )
 
 // DynamicDeciderConfig assembles a dynamic decider: base (possibly
@@ -229,12 +237,6 @@ type Tracer = obs.Tracer
 
 // NewTracer returns a tracer retaining up to capacity finished spans.
 func NewTracer(capacity int) *Tracer { return obs.NewTracer(capacity) }
-
-// Device classes tagging telemetry events, the calibrator's grouping key.
-const (
-	DeviceIPAQ11 = export.DeviceIPAQ11
-	DeviceIPAQ2  = export.DeviceIPAQ2
-)
 
 // NewEventSink starts a sink that delivers wide events to w (nil keeps only
 // the ring) as JSONL without ever blocking the dataplane (full buffers drop

@@ -75,6 +75,19 @@ fi
 go build ./...
 go test -race ./...
 
+# One rate table: every 802.11b rate point is a row in internal/energy,
+# which every user reads back (TestRateTableAgrees), and the decider
+# depends on the model only — neither the figure world's device nor its
+# link may be among its imports. ParamsForLink stays bit for bit what it
+# answered before the table moved.
+if go list -deps ./internal/decider | grep -Eqx 'repro/internal/(device|wlan)'; then
+	echo "ci: internal/decider depends on internal/device or internal/wlan" >&2
+	exit 1
+fi
+exists . 'TestRateTableAgrees'
+exists ./internal/decider 'TestParamsForLinkUnchanged|TestLinkAnchorsAreTheMeasuredPoints'
+exists ./internal/codec 'TestParseScheme'
+
 # The benchmark is a module of its own (bench/, declared in BENCHMARK.json),
 # so the root build and tests never touch it: vet it and run its tests here
 # — the BENCHMARK.json <-> bench/metrics.go drift guard and a smoke run of
@@ -142,9 +155,10 @@ fuzz ./internal/selective FuzzSELRoundTrip
 # block it sends raw must fail Eq. 6 under every scheme's real output. The
 # same holds over the ratio sweep, the Table 2 classes and the bench files;
 # it rests on every decider being monotone in the compressed size, and on
-# the dynamic decider counting one decision per probed block.
+# the dynamic decider counting one decision per probed block. Every bench
+# block's outcome under each scheme is pinned.
 fuzz ./internal/selective FuzzProbeNoFalseSkip
-exists ./internal/selective 'TestProbeNoFalseSkip|TestDecisionMonotoneInCompressionRatio|BenchmarkProbe|BenchmarkEncodeBenchFiles'
+exists ./internal/selective 'TestProbeNoFalseSkip|TestProbeDecisionsPinned|TestDecisionMonotoneInCompressionRatio|BenchmarkProbe|BenchmarkEncodeBenchFiles'
 exists ./internal/decider 'TestProbeCountsOneDecisionPerBlock'
 fuzz ./internal/selective FuzzSELParse
 # The decoders that run out of a reused workspace: each input is decoded
