@@ -12,7 +12,8 @@ import (
 
 // TestObserveCompress: one artifact build lands its input bytes on the
 // right per-scheme counter, feeds the throughput histogram, and surfaces in
-// both the Stats snapshot and the registry text the admin plane serves.
+// both the Stats snapshot and the registry text the admin plane serves; a
+// build that ran no codec observes nothing.
 func TestObserveCompress(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := newMetrics(reg)
@@ -20,7 +21,8 @@ func TestObserveCompress(t *testing.T) {
 	m.observeCompress(codec.Gzip, 1<<20, 100*time.Millisecond) // 10 MiB/s
 	m.observeCompress(codec.Gzip, 1<<20, 50*time.Millisecond)
 	m.observeCompress(codec.Bzip2, 4096, time.Millisecond)
-	m.observeCompress(codec.Gzip, 123, 0) // zero duration: count bytes, skip rate
+	m.observeCompress(codec.Gzip, 123, 0)              // zero duration: count bytes, skip rate
+	m.observeCompress(codec.Zlib, 0, time.Millisecond) // a build that ran no codec: nothing
 
 	s := m.snapshot()
 	if got := s.CompressInputBytes["gzip"]; got != 2<<20+123 {

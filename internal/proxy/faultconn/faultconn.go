@@ -1,7 +1,7 @@
-// Package faultconn is a fault-injection transport: net.Conn and
-// net.Listener wrappers that damage traffic according to a seeded,
-// deterministic plan — injected delays, fragmented writes, mid-stream
-// resets, truncation, and payload bit-flips. It models the lossy 802.11b
+// Package faultconn is a fault-injection transport: a net.Conn wrapper
+// that damages traffic according to a seeded, deterministic plan —
+// injected delays, fragmented writes, mid-stream resets, truncation, and
+// payload bit-flips. It models the lossy 802.11b
 // link of the paper's testbed so the proxy protocol, the retrying client,
 // and the whole stress suite can be exercised over a hostile wire instead
 // of a loopback that never fails.
@@ -93,26 +93,6 @@ func (p Plan) Wrap(conn net.Conn, id int64) net.Conn {
 func (p Plan) Wrapper() func(net.Conn) net.Conn {
 	var n atomic.Int64
 	return func(conn net.Conn) net.Conn { return p.Wrap(conn, n.Add(1)) }
-}
-
-// Listener wraps ln so every accepted connection carries the plan's
-// faults, with sequential deterministic ids.
-func (p Plan) Listener(ln net.Listener) net.Listener {
-	return &faultListener{Listener: ln, plan: p}
-}
-
-type faultListener struct {
-	net.Listener
-	plan Plan
-	n    atomic.Int64
-}
-
-func (l *faultListener) Accept() (net.Conn, error) {
-	conn, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return l.plan.Wrap(conn, l.n.Add(1)), nil
 }
 
 // faultConn applies a Plan to one connection. The PRNG is shared by the

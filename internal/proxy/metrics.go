@@ -52,6 +52,7 @@ type metrics struct {
 	coalesced    *obs.Counter
 	compressions *obs.Counter
 	probedRaw    *obs.Counter
+	reused       *obs.Counter
 	evictions    *obs.Counter
 	cacheRejects *obs.Counter
 
@@ -99,8 +100,9 @@ func newMetrics(reg *obs.Registry) *metrics {
 		cacheHits:    reg.Counter("proxy_cache_hits_total", "Requests served from the artifact cache."),
 		cacheMisses:  reg.Counter("proxy_cache_misses_total", "Requests that missed the artifact cache."),
 		coalesced:    reg.Counter("proxy_coalesced_total", "Misses that joined an identical in-flight compression."),
-		compressions: reg.Counter("proxy_compressions_total", "Distinct artifacts actually compressed."),
+		compressions: reg.Counter("proxy_compressions_total", "Artifact builds led by a local cache miss or Precompress."),
 		probedRaw:    reg.Counter("server_blocks_probed_raw_total", "Selective blocks sent raw on the probe's bound, no codec run."),
+		reused:       reg.Counter("server_blocks_reused_total", "Blocks a build took compressed from a local sibling artifact, no codec run."),
 		evictions:    reg.Counter("proxy_cache_evictions_total", "Artifacts evicted by the LRU byte budget."),
 		cacheRejects: reg.Counter("proxy_cache_rejects_total", "Artifacts larger than the whole cache budget."),
 
@@ -126,19 +128,23 @@ func newMetrics(reg *obs.Registry) *metrics {
 		latency: reg.Histogram("proxy_request_seconds", "Per-request wall time, from the request's arrival (a connection's first request: its accept) to the end of its response.", latencyBoundsSeconds()),
 
 		compressRate: reg.Histogram("server_compress_bytes_per_second",
-			"Raw bytes consumed per second of wall time building one artifact (all workers combined), one sample per compression.",
+			"Raw bytes a codec ran on per second of wall time building one artifact (all workers combined), one sample per build that ran one.",
 			[]float64{1 << 20, 4 << 20, 16 << 20, 64 << 20, 256 << 20, 1 << 30}),
 	}
 	for i, s := range compressSchemes {
 		m.compressInput[i] = reg.Counter("server_compress_input_bytes_total_"+s.String(),
-			"Raw bytes submitted to "+s.String()+" compression when building artifacts.")
+			"Raw bytes a "+s.String()+" codec ran on when building artifacts.")
 	}
 	return m
 }
 
-// observeCompress records one artifact build: its scheme's input volume and
-// the build's overall throughput.
+// observeCompress records one artifact build: the raw bytes its codec ran
+// on, as its scheme's input volume and, over the build's wall time, its
+// throughput. A build that ran no codec observes nothing.
 func (m *metrics) observeCompress(scheme codec.Scheme, rawBytes int, d time.Duration) {
+	if rawBytes == 0 {
+		return
+	}
 	for i, s := range compressSchemes {
 		if s == scheme {
 			m.compressInput[i].Add(int64(rawBytes))

@@ -366,6 +366,7 @@ func (s *Server) openArtifact(key ArtifactKey, content []byte, d selective.Decid
 	// every follower, and pin a worker slot, behind one slow handheld. On
 	// the virtual testbed that goroutine must join the clock's ledger, or
 	// virtual time could run on past a build that has not finished.
+	s.store.lend(key, f)
 	build := func() { s.store.finish(key, f, true, s.build(key, f, content, d, span)) }
 	if ledger, ok := s.clock.(interface{ Go(func()) }); ok {
 		ledger.Go(build)
@@ -377,7 +378,11 @@ func (s *Server) openArtifact(key ArtifactKey, content []byte, d selective.Decid
 
 // build compresses content into f under a worker slot, publishing each
 // block as it is done but the last, which store.finish publishes once the
-// artifact has been admitted. A failed build admits nothing.
+// artifact has been admitted. A failed build admits nothing. A block that a
+// local sibling — the same file generation and scheme under another policy —
+// has already published compressed is taken from it, not compressed again:
+// every build runs the codec at level 0, so the bytes are the same, and the
+// probe and every decision still run on the block as they would have.
 func (s *Server) build(key ArtifactKey, f *flight, content []byte, d selective.Decider, span *obs.Span) error {
 	// Backpressure: block for a worker slot rather than compressing
 	// unboundedly; abort if the server is shutting down. The gauge
@@ -400,8 +405,17 @@ func (s *Server) build(key ArtifactKey, f *flight, content []byte, d selective.D
 	if err != nil {
 		return err
 	}
+	var encoded, reused atomic.Int64
+	compress := func(i int, raw []byte) ([]byte, error) {
+		if comp, ok := s.store.borrow(key, i); ok {
+			reused.Add(1)
+			return comp, nil
+		}
+		encoded.Add(int64(len(raw)))
+		return c.Compress(raw)
+	}
 	made, probed := 0, 0
-	err = selective.EncodeBlocksParallel(content, c, d, selective.BlockSize, s.spawnCompress, func(b selective.Block) {
+	err = selective.EncodeBlocksParallel(content, compress, d, selective.BlockSize, s.spawnCompress, func(b selective.Block) {
 		f.blocks[made] = b
 		made++
 		if b.Probed {
@@ -419,11 +433,13 @@ func (s *Server) build(key ArtifactKey, f *flight, content []byte, d selective.D
 	dur := time.Since(start)
 	span.Phase("compress-on-demand", "", start, dur, int64(len(content)))
 	span.SetAttr("blocks_probed_raw", strconv.Itoa(probed))
+	span.SetAttr("blocks_reused", strconv.FormatInt(reused.Load(), 10))
 	s.metrics.probedRaw.Add(int64(probed))
+	s.metrics.reused.Add(reused.Load())
 	if err != nil {
 		return err
 	}
-	s.metrics.observeCompress(key.Scheme, len(content), dur)
+	s.metrics.observeCompress(key.Scheme, int(encoded.Load()), dur)
 	return nil
 }
 

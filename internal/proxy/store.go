@@ -2,10 +2,12 @@ package proxy
 
 import (
 	"container/list"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/selective"
 )
 
@@ -28,7 +30,23 @@ type entry struct {
 	key    ArtifactKey
 	blocks []selective.Block
 	bytes  int64
+	// lender is the flight that built blocks here, nil for an artifact
+	// obtained elsewhere (a peer's copy, a replication push).
+	lender *flight
 }
+
+// siblingKey names the artifacts whose compressed blocks are the same
+// bytes: one file generation under one scheme, whatever the decision
+// policy. That holds while every build runs the scheme's codec at level 0
+// (build does): ArtifactKey carries no level, so a build at another level
+// would have to add it here.
+type siblingKey struct {
+	name   string
+	gen    uint64
+	scheme codec.Scheme
+}
+
+func siblingOf(k ArtifactKey) siblingKey { return siblingKey{k.Name, k.Gen, k.Scheme} }
 
 // store is everything the server knows about an artifact key, under one
 // lock: the file it was made from and that file's current generation, the
@@ -48,6 +66,10 @@ type store struct {
 	// budget is cached. Not positive disables caching.
 	budget  int64
 	flights map[ArtifactKey]*flight
+	// lenders are the flights of the local builds, in the air or finished
+	// and cached, by the blocks they share: what a build may take instead
+	// of running the codec. A peer's artifact is never one.
+	lenders map[siblingKey][]*flight
 	// closed refuses new flights; wg counts the unfinished ones, which is
 	// what drain waits for.
 	closed bool
@@ -67,6 +89,7 @@ func newStore(budget int64, m *metrics) *store {
 		entries: make(map[ArtifactKey]*list.Element),
 		lru:     list.New(),
 		flights: make(map[ArtifactKey]*flight),
+		lenders: make(map[siblingKey][]*flight),
 		budget:  budget,
 		metrics: m,
 	}
@@ -177,12 +200,19 @@ func (st *store) open(key ArtifactKey, n int) (a artifact, leader bool, err erro
 // block is published: whoever has been served a whole artifact can find it
 // cached, and a build that a Register overtook has been refused before
 // anyone could think it current. A failure is forgotten, to be retried by
-// the next request rather than remembered.
-func (st *store) finish(key ArtifactKey, f *flight, keep bool, err error) {
+// the next request rather than remembered. A local build lends its blocks
+// on for as long as it stays cached.
+func (st *store) finish(key ArtifactKey, f *flight, local bool, err error) {
 	st.mu.Lock()
 	delete(st.flights, key)
-	if err == nil && (keep || f.admitted) {
-		st.insert(key, f.blocks)
+	kept := false
+	if err == nil && local {
+		kept = st.insert(key, f.blocks, f)
+	} else if err == nil && f.admitted {
+		st.insert(key, f.blocks, nil)
+	}
+	if local && !kept {
+		st.unlend(key, f)
 	}
 	st.mu.Unlock()
 	f.mu.Lock()
@@ -207,22 +237,60 @@ func (st *store) admit(key ArtifactKey, blocks []selective.Block) {
 		f.admitted = true
 		return
 	}
-	st.insert(key, blocks)
+	st.insert(key, blocks, nil)
 }
 
-// insert caches blocks as key's artifact, replacing any it had and
-// evicting least-recently-used entries until the budget holds it. It
-// refuses a generation its file has left behind — cached, nothing would
-// ever drop it — and an artifact larger than the whole budget, rather than
-// churning the cache empty for it.
-func (st *store) insert(key ArtifactKey, blocks []selective.Block) {
+// lend offers the blocks of key's local build, as they are published, to
+// the builds of its siblings.
+func (st *store) lend(key ArtifactKey, f *flight) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	sk := siblingOf(key)
+	st.lenders[sk] = append(st.lenders[sk], f)
+}
+
+// unlend withdraws f from key's siblings.
+func (st *store) unlend(key ArtifactKey, f *flight) {
+	sk := siblingOf(key)
+	fs := slices.DeleteFunc(st.lenders[sk], func(o *flight) bool { return o == f })
+	if len(fs) == 0 {
+		delete(st.lenders, sk)
+	} else {
+		st.lenders[sk] = fs
+	}
+}
+
+// borrow returns block i compressed as a local sibling of key holds it,
+// published, if one does. It never waits for a sibling's build: that build
+// may be queued behind the caller's for a worker slot.
+func (st *store) borrow(key ArtifactKey, i int) ([]byte, bool) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for _, f := range st.lenders[siblingOf(key)] {
+		f.mu.Lock()
+		ok := i < f.ready && f.blocks[i].Compressed
+		f.mu.Unlock()
+		if ok {
+			return f.blocks[i].Payload, true
+		}
+	}
+	return nil, false
+}
+
+// insert caches blocks, built by lender (nil: obtained elsewhere), as key's
+// artifact, replacing any it had and evicting least-recently-used entries
+// until the budget holds it. It refuses a generation its file has left
+// behind — cached, nothing would ever drop it — and an artifact larger than
+// the whole budget, rather than churning the cache empty for it. It
+// reports whether it cached blocks.
+func (st *store) insert(key ArtifactKey, blocks []selective.Block, lender *flight) bool {
 	if st.budget <= 0 || key.Gen < st.files[key.Name].gen {
-		return
+		return false
 	}
 	size := entrySize(key, blocks)
 	if size > st.budget {
 		st.metrics.cacheRejects.Add(1)
-		return
+		return false
 	}
 	if old, ok := st.entries[key]; ok {
 		st.remove(old)
@@ -231,8 +299,9 @@ func (st *store) insert(key ArtifactKey, blocks []selective.Block) {
 		st.remove(st.lru.Back())
 		st.metrics.evictions.Add(1)
 	}
-	st.entries[key] = st.lru.PushFront(&entry{key: key, blocks: blocks, bytes: size})
+	st.entries[key] = st.lru.PushFront(&entry{key: key, blocks: blocks, bytes: size, lender: lender})
 	st.charge(size)
+	return true
 }
 
 // entrySize is the budget charge for caching blocks.
@@ -247,6 +316,9 @@ func entrySize(key ArtifactKey, blocks []selective.Block) int64 {
 func (st *store) remove(el *list.Element) {
 	e := st.lru.Remove(el).(*entry)
 	delete(st.entries, e.key)
+	if e.lender != nil {
+		st.unlend(e.key, e.lender)
+	}
 	st.charge(-e.bytes)
 }
 

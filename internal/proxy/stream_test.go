@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -340,17 +341,20 @@ type encodedKey struct {
 // steppedBuild lets the driver advance one running build block by block.
 type steppedBuild struct {
 	key    modelKey
+	start  chan struct{} // closed when the driver lets the build at its blocks
 	steps  chan struct{} // one token per block the build may compress
-	done   int           // blocks the driver has released; nBlocks once no more will be
 	failAt int           // the block whose compression fails, or -1
-	seen   int           // blocks the codec has been handed (the build's goroutine only)
+	parked int           // the block the codec waits for a token on, or -1 (under the rig's mu)
+	over   bool          // the driver has seen the build finish (under the rig's mu)
+	failed bool          // the codec has failed (the build's goroutine only)
 }
 
 // modelFlight is a build the model knows to be running.
 type modelFlight struct {
 	f         *flight
+	started   bool
 	published int
-	failAt    int // as steppedBuild's
+	failAt    int // as steppedBuild's; a block taken from a sibling never fails
 	failed    bool
 }
 
@@ -390,6 +394,11 @@ func newModelRig(t *testing.T, seed int64) *modelRig {
 		for j := range r.contents[i] {
 			r.contents[i][j] &= 0x3f
 		}
+		// Block j starts with byte j, so the codec can tell which block
+		// it was handed.
+		for j := 0; j < nBlocks; j++ {
+			r.contents[i][j*selective.BlockSize] = byte(j)
+		}
 	}
 	r.budget = 64 << 20
 	if seed%2 == 0 {
@@ -398,30 +407,43 @@ func newModelRig(t *testing.T, seed int64) *modelRig {
 	r.srv = NewServerWith(r.decider, Config{Workers: 1, CacheBytes: r.budget})
 	// One worker, so builds run one at a time and onCompress — which fires
 	// once a build holds the slot — names the one newCodec is about to
-	// serve.
+	// serve. The build then waits for the driver to start it: which of its
+	// blocks a sibling lends it is decided against the cache as the model
+	// has it then.
 	r.srv.onCompress = func(k ArtifactKey) {
 		mode := ModeSelective
 		if k.FP == fpAlways {
 			mode = ModeOnDemand
 		}
 		key := modelKey{k.Gen, mode}
+		b := &steppedBuild{key: key, start: make(chan struct{}), steps: make(chan struct{}, nBlocks), parked: -1}
 		r.mu.Lock()
-		r.running = &steppedBuild{key: key, steps: make(chan struct{}, nBlocks), failAt: r.failAt[key]}
+		b.failAt = r.failAt[key]
+		r.running = b
 		r.built[key]++
 		r.mu.Unlock()
+		<-b.start
 	}
-	r.srv.newCodec = func(s codec.Scheme, _ int) (codec.Codec, error) {
+	r.srv.newCodec = func(s codec.Scheme, level int) (codec.Codec, error) {
+		if level != 0 {
+			t.Errorf("a build asked for codec level %d: siblings lend blocks only while every build runs level 0", level)
+		}
 		r.mu.Lock()
 		b := r.running
 		r.mu.Unlock()
-		return hookCodec{stubCodec{s}, func([]byte) error {
-			i := b.seen
-			b.seen++
-			if b.failAt >= 0 && i > b.failAt {
+		return hookCodec{stubCodec{s}, func(raw []byte) error {
+			if b.failed {
 				return nil // the encoder still compresses the blocks after a failed one; no step is owed them
 			}
+			i := int(raw[0])
+			r.mu.Lock()
+			b.parked = i
+			r.mu.Unlock()
 			<-b.steps
-			if i == b.failAt {
+			r.mu.Lock()
+			b.parked = -1
+			r.mu.Unlock()
+			if b.failed = i == b.failAt; b.failed {
 				return errInjectedBuild
 			}
 			return nil
@@ -430,8 +452,8 @@ func newModelRig(t *testing.T, seed int64) *modelRig {
 	return r
 }
 
-// awaitRunning returns the build that holds the worker slot, once one with
-// blocks still to compress does. Which of several queued builds that is,
+// awaitRunning returns the build that holds the worker slot, once one the
+// driver has not seen finish does. Which of several queued builds that is,
 // the slot decides, not the model.
 func (r *modelRig) awaitRunning() *steppedBuild {
 	var b *steppedBuild
@@ -439,9 +461,16 @@ func (r *modelRig) awaitRunning() *steppedBuild {
 		r.mu.Lock()
 		defer r.mu.Unlock()
 		b = r.running
-		return b != nil && b.done < r.nBlocks
+		return b != nil && !b.over
 	})
 	return b
+}
+
+// lent reports whether f's blocks are offered to its siblings' builds.
+func (r *modelRig) lent(k modelKey, f *flight) bool {
+	r.srv.store.mu.Lock()
+	defer r.srv.store.mu.Unlock()
+	return slices.Contains(r.srv.store.lenders[siblingOf(r.artifactKey(k))], f)
 }
 
 func (r *modelRig) artifactKey(k modelKey) ArtifactKey {
@@ -534,18 +563,27 @@ type modelReader struct {
 // interleaving, every reader's bytes are the header, selective.Encode's
 // blocks from its granted boundary, and the end frame, or exactly the
 // blocks made before its build failed; a key is built once per generation
-// and once more per failure; the cache is the LRU the schedule implies,
+// and once more per failure; a build owes the codec a step only for the
+// blocks that no sibling built here and still cached holds compressed, and
+// takes the rest from it; the cache is the LRU the schedule implies,
 // within its budget, holding no generation its file has left and no key
-// that is also in the air; the Stats counters are the ones the schedule
-// implies; and no goroutine outlives Close.
+// that is also in the air, and lends exactly the artifacts built here; the
+// Stats counters are the ones the schedule implies; and no goroutine
+// outlives Close.
 func TestGrowingArtifactModel(t *testing.T) {
+	var reused int64
 	for seed := int64(1); seed <= 24; seed++ {
 		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) { runModelSchedule(t, seed) })
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) { reused += runModelSchedule(t, seed) })
+	}
+	if reused == 0 {
+		t.Error("no schedule had a build take a block from a sibling")
 	}
 }
 
-func runModelSchedule(t *testing.T, seed int64) {
+// runModelSchedule runs one seed's schedule and returns how many blocks its
+// builds took from siblings.
+func runModelSchedule(t *testing.T, seed int64) int64 {
 	before := runtime.NumGoroutine()
 	r := newModelRig(t, seed)
 	rng := rand.New(rand.NewSource(seed * 7919))
@@ -559,9 +597,10 @@ func runModelSchedule(t *testing.T, seed int64) {
 	// along, and the counters so far.
 	gen, cur := uint64(0), 0
 	var lru []modelKey
+	builtHere := map[modelKey]bool{} // a cached artifact's provenance: a local build, not a peer's copy
 	building := map[modelKey]*modelFlight{}
 	wantBuilt := map[modelKey]int{}
-	var hits, misses, coalesced, compressions, evictions int64
+	var hits, misses, coalesced, compressions, evictions, reused int64
 	var readers []*modelReader
 
 	uncache := func(drop func(modelKey) bool) {
@@ -590,10 +629,20 @@ func runModelSchedule(t *testing.T, seed int64) {
 		lru = append([]modelKey{k}, lru...)
 	}
 	// admitModel is the cache's one admission rule.
-	admitModel := func(k modelKey) {
+	admitModel := func(k modelKey, local bool) {
 		if k.gen >= gen && r.charge(k) <= r.budget {
 			toFront(k)
+			builtHere[k] = local
 		}
+	}
+	// lends is the reuse rule: k's build takes block i, instead of running
+	// the codec, from the other mode's artifact of its generation when that
+	// is cached, was built here, and holds block i compressed. With one
+	// worker no sibling in the air has published a block: it is queued
+	// behind k's build, and a build that ran finished first.
+	lends := func(k modelKey, i int) bool {
+		s := modelKey{k.gen, ModeOnDemand + ModeSelective - k.mode}
+		return slices.Contains(lru, s) && builtHere[s] && r.blocks(s)[i].Compressed
 	}
 	// check holds the store to the model and to its own invariants; every
 	// operation ends with the server where the model says it is, and here.
@@ -609,6 +658,32 @@ func runModelSchedule(t *testing.T, seed int64) {
 			if _, ok := st.flights[k]; ok {
 				t.Fatalf("after %s: %+v is finished and in the air", after, k)
 			}
+		}
+		// The lenders are the local builds: every flight (the rig has no
+		// peer) and every cached artifact the model says was built here.
+		lenders := len(st.flights)
+		for k, f := range st.flights {
+			if !slices.Contains(st.lenders[siblingOf(k)], f) {
+				t.Fatalf("after %s: the build of %+v lends no block", after, k)
+			}
+		}
+		for el, i := st.lru.Front(), 0; el != nil && i < len(lru); el, i = el.Next(), i+1 {
+			e := el.Value.(*entry)
+			if (e.lender != nil) != builtHere[lru[i]] {
+				t.Fatalf("after %s: %+v lends blocks %v, the model says built here %v", after, e.key, e.lender != nil, builtHere[lru[i]])
+			}
+			if e.lender != nil {
+				lenders++
+				if !slices.Contains(st.lenders[siblingOf(e.key)], e.lender) {
+					t.Fatalf("after %s: cached %+v is missing from its siblings' lenders", after, e.key)
+				}
+			}
+		}
+		for _, fs := range st.lenders {
+			lenders -= len(fs)
+		}
+		if lenders != 0 {
+			t.Fatalf("after %s: the lender index is off by %d from the local builds", after, -lenders)
 		}
 		if n, b := st.occupancy(); n != int64(len(st.entries)) || b != st.bytes {
 			t.Fatalf("after %s: the gauges read %d entries and %d bytes, the store holds %d and %d", after, n, b, len(st.entries), st.bytes)
@@ -657,7 +732,7 @@ func runModelSchedule(t *testing.T, seed int64) {
 		}
 		r.srv.AdmitArtifact(r.artifactKey(k), blocks)
 		if building[k] == nil {
-			admitModel(k)
+			admitModel(k, false)
 		}
 	}
 	attach := func() {
@@ -700,42 +775,51 @@ func runModelSchedule(t *testing.T, seed int64) {
 			compressions++
 			wantBuilt[k]++
 			building[k] = rd.flight
-			waitFor(t, func() bool { return r.flightFor(k) != nil })
+			waitFor(t, func() bool { f := r.flightFor(k); return f != nil && r.lent(k, f) })
 			rd.flight.f = r.flightFor(k)
 		}
 	}
-	// step lets the build holding the worker slot compress one more block
-	// and waits for the block to be published — or, for the last one or one
-	// that fails, for the flight to finish.
+	// step starts the build holding the worker slot or lets it compress
+	// one more block; then the build takes what blocks its siblings lend
+	// it, and step waits for it to publish them and park on the codec — or,
+	// past the last block or one that fails, for the flight to finish.
 	step := func() {
 		b := r.awaitRunning()
 		k := b.key
 		fl := building[k]
-		fails := fl.published == fl.failAt
-		b.steps <- struct{}{}
-		r.mu.Lock()
-		b.done++
-		if fails {
-			b.done = r.nBlocks
+		if !fl.started {
+			fl.started = true
+			close(b.start)
+		} else {
+			fl.failed = fl.published == fl.failAt
+			b.steps <- struct{}{}
+			if !fl.failed {
+				fl.published++
+			}
 		}
-		r.mu.Unlock()
-		if !fails {
+		for !fl.failed && fl.published < r.nBlocks && lends(k, fl.published) {
 			fl.published++
+			reused++
 		}
-		if !fails && fl.published < r.nBlocks {
+		if !fl.failed && fl.published < r.nBlocks {
 			waitFor(t, func() bool {
+				r.mu.Lock()
+				parked := b.parked
+				r.mu.Unlock()
 				fl.f.mu.Lock()
 				defer fl.f.mu.Unlock()
-				return fl.f.ready == fl.published
+				return fl.f.ready == fl.published && parked == fl.published
 			})
 			return
 		}
 		waitFor(t, fl.f.done)
+		r.mu.Lock()
+		b.over = true
+		r.mu.Unlock()
 		delete(building, k)
-		fl.failed = fails
-		if !fails {
+		if !fl.failed {
 			// Refused, by the same rule, to a build a bump overtook.
-			admitModel(k)
+			admitModel(k, true)
 		}
 	}
 
@@ -808,6 +892,9 @@ func runModelSchedule(t *testing.T, seed int64) {
 			t.Errorf("%+v compressed %d times, the schedule implies %d", k, n, wantBuilt[k])
 		}
 	}
+	if got := r.srv.metrics.reused.Value(); got != reused {
+		t.Errorf("builds took %d blocks from siblings, the schedule implies %d", got, reused)
+	}
 	st := r.srv.Stats()
 	if st.CacheHits != hits || st.CacheMisses != misses || st.Coalesced != coalesced || st.Compressions != compressions ||
 		st.Evictions != evictions || st.CacheRejects != 0 {
@@ -819,4 +906,5 @@ func runModelSchedule(t *testing.T, seed int64) {
 		t.Errorf("a flight started after Close: err = %v, want ErrClosing", err)
 	}
 	waitFor(t, func() bool { return runtime.NumGoroutine() <= before })
+	return reused
 }

@@ -7,6 +7,8 @@ package selective_test
 import (
 	"bytes"
 	"errors"
+	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/codec"
@@ -24,7 +26,8 @@ func spawnAll(task func()) bool {
 // emits, as the whole-buffer entry points do.
 func collect(data []byte, c codec.Codec, d selective.Decider, blockSize int, spawn func(func()) bool) (*selective.Encoded, error) {
 	e := &selective.Encoded{Scheme: c.Scheme()}
-	err := selective.EncodeBlocksParallel(data, c, d, blockSize, spawn, func(b selective.Block) {
+	compress := func(_ int, raw []byte) ([]byte, error) { return c.Compress(raw) }
+	err := selective.EncodeBlocksParallel(data, compress, d, blockSize, spawn, func(b selective.Block) {
 		e.Blocks = append(e.Blocks, b)
 	})
 	return e, err
@@ -140,6 +143,48 @@ func TestEncodeBlocksParallelEmitStopsAtFailure(t *testing.T) {
 			if !bytes.Equal(b.Payload, want.Blocks[i].Payload) {
 				t.Fatalf("emitted block %d is not block %d of the stream", i, i)
 			}
+		}
+	}
+}
+
+// TestEncodeBlocksParallelPassesIndex: the compress step is handed each
+// block that reaches the codec with that block's index — every block the
+// decider did not send raw first, and no other — whatever the interleaving.
+func TestEncodeBlocksParallelPassesIndex(t *testing.T) {
+	const blockSize, n = 16 * 1024, 9
+	data := workload.Generate(workload.ClassHTML, n*blockSize-500, 3)
+	rand.New(rand.NewSource(3)).Read(data[4*blockSize : 6*blockSize]) // two blocks the probe sends raw
+	c := codec.MustNew(codec.Gzip, 0)
+	for _, spawn := range []func(func()) bool{nil, spawnAll} {
+		var mu sync.Mutex
+		handed := map[int]bool{}
+		compress := func(i int, raw []byte) ([]byte, error) {
+			if !bytes.Equal(raw, data[i*blockSize:min((i+1)*blockSize, len(data))]) {
+				t.Errorf("block %d handed the bytes of another block", i)
+			}
+			mu.Lock()
+			handed[i] = true
+			mu.Unlock()
+			return c.Compress(raw)
+		}
+		var blocks []selective.Block
+		err := selective.EncodeBlocksParallel(data, compress, selective.PaperDecider{}, blockSize, spawn, func(b selective.Block) {
+			blocks = append(blocks, b)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		probed := 0
+		for i, b := range blocks {
+			if reached := !b.Probed; handed[i] != reached {
+				t.Errorf("block %d: handed to compress %v, probed raw %v", i, handed[i], b.Probed)
+			}
+			if b.Probed {
+				probed++
+			}
+		}
+		if len(blocks) != n || probed != 2 {
+			t.Fatalf("%d blocks, %d probed raw; want %d and the 2 random ones", len(blocks), probed, n)
 		}
 	}
 }

@@ -154,7 +154,8 @@ func Encode(data []byte, c codec.Codec, d Decider) (*Encoded, error) {
 // block-size ablation study. It collects what the block loop emits.
 func EncodeBlocks(data []byte, c codec.Codec, d Decider, blockSize int) (*Encoded, error) {
 	e := &Encoded{Scheme: c.Scheme()}
-	err := EncodeBlocksParallel(data, c, d, blockSize, nil, func(b Block) {
+	compress := func(_ int, raw []byte) ([]byte, error) { return c.Compress(raw) }
+	err := EncodeBlocksParallel(data, compress, d, blockSize, nil, func(b Block) {
 		if e.Blocks == nil {
 			e.Blocks = make([]Block, 0, NumBlocks(len(data), blockSize))
 		}
@@ -176,8 +177,11 @@ func NumBlocks(n, blockSize int) int {
 // EncodeBlocksParallel is the block loop every entry point runs. Each
 // block's compress-and-decide step may run on a worker (spawn returns true
 // after arranging to run the task) or inline (spawn is nil, or returns
-// false — the caller's backpressure signal); the codec must be safe for
+// false — the caller's backpressure signal); compress must be safe for
 // concurrent use when spawn is non-nil (every codec in this repository is).
+// compress is handed block i's raw bytes, only for a block the decider has
+// not already sent raw, and returns what the codec makes of them; the index
+// lets a caller hand back output it already holds for that block.
 //
 // emit receives each block exactly once, in stream order, the moment it
 // and every block before it are done — from whichever goroutine finished
@@ -186,7 +190,7 @@ func NumBlocks(n, blockSize int) int {
 // and worker count. If a block fails, the blocks before it are still
 // emitted, nothing after it is, and its error is returned once all tasks
 // have stopped.
-func EncodeBlocksParallel(data []byte, c codec.Codec, d Decider, blockSize int, spawn func(task func()) bool, emit func(Block)) error {
+func EncodeBlocksParallel(data []byte, compress func(i int, raw []byte) ([]byte, error), d Decider, blockSize int, spawn func(task func()) bool, emit func(Block)) error {
 	if blockSize <= 0 {
 		return fmt.Errorf("selective: block size %d", blockSize)
 	}
@@ -217,7 +221,7 @@ func EncodeBlocksParallel(data []byte, c codec.Codec, d Decider, blockSize int, 
 		if end > len(data) {
 			end = len(data)
 		}
-		blk, err := encodeBlock(data[off:end], off, c, d, wholeFileRaw, minSize)
+		blk, err := encodeBlock(data[off:end], bi, off, compress, d, wholeFileRaw, minSize)
 		mu.Lock()
 		defer mu.Unlock()
 		slots[bi] = slot{blk, err, true}
@@ -248,7 +252,7 @@ func EncodeBlocksParallel(data []byte, c codec.Codec, d Decider, blockSize int, 
 }
 
 // encodeBlock applies Figure 10's per-block decision to one raw block.
-func encodeBlock(raw []byte, off int, c codec.Codec, d Decider, wholeFileRaw bool, minSize int) (Block, error) {
+func encodeBlock(raw []byte, bi, off int, compress func(int, []byte) ([]byte, error), d Decider, wholeFileRaw bool, minSize int) (Block, error) {
 	blk := Block{RawLen: len(raw), Payload: raw}
 	if wholeFileRaw || len(raw) < minSize {
 		return blk, nil
@@ -265,7 +269,7 @@ func encodeBlock(raw []byte, off int, c codec.Codec, d Decider, wholeFileRaw boo
 			return blk, nil
 		}
 	}
-	comp, err := c.Compress(raw)
+	comp, err := compress(bi, raw)
 	if err != nil {
 		return Block{}, fmt.Errorf("selective: compress block at %d: %w", off, err)
 	}

@@ -100,8 +100,13 @@ go -C bench test ./...
 # attaching mid-build, resumes on and off block boundaries, Register, a
 # peer's SyncGeneration and AdmitArtifact, a failing codec, evicting
 # admissions and Close mid-build, against a sequential model — and a failed
-# build must leave nothing behind, repeatedly and under -race.
-named ./internal/proxy 'TestGrowingArtifactModel|TestFailedBuildLeavesNothingBehind|TestClosingWhileQueuedWritesNoHeader|TestCacheEvictionDuringSingleflight|TestAdmissionRidesTheFlight' -race -count=5
+# build must leave nothing behind, repeatedly and under -race. A build takes
+# the blocks a local sibling artifact already holds compressed: every bench
+# file under three schemes and three policies, built in three orders, is
+# what a from-scratch encode makes of it; a held sibling lends what it has
+# published without being waited for; a peer's artifact lends nothing; the
+# compress-rate telemetry counts only bytes a codec ran on.
+named ./internal/proxy 'TestGrowingArtifactModel|TestFailedBuildLeavesNothingBehind|TestClosingWhileQueuedWritesNoHeader|TestCacheEvictionDuringSingleflight|TestAdmissionRidesTheFlight|TestSiblingReuseByteIdentical|TestSiblingInFlightLendsWithoutWaiting|TestPeerArtifactsLendNothing|TestCompressRateCountsOnlyEncodedBytes' -race -count=5
 
 # The decode-verdict gate: what a fetch attempt keeps and counts when a
 # block fails to decode must not depend on how its two goroutines were
@@ -364,7 +369,7 @@ named ./internal/harness 'TestClientRecordsAliasesReport' -count=1
 # Parallel-compression determinism gate: the selective encoder must emit
 # byte-identical output for every worker count (1 vs N), so cached artifacts
 # and golden traces never depend on core count or scheduling.
-named ./internal/selective 'TestEncodeParallelMatchesSequential|TestEncodeBlocksParallelOrdering|TestEncodeBlocksParallelEmitStopsAtFailure' -count=1
+named ./internal/selective 'TestEncodeParallelMatchesSequential|TestEncodeBlocksParallelOrdering|TestEncodeBlocksParallelEmitStopsAtFailure|TestEncodeBlocksParallelPassesIndex' -count=1
 exists ./internal/huffman 'BenchmarkDecodeTable'
 go test -run '^$' -bench 'BenchmarkDecodeTable$' -benchtime=100x ./internal/huffman
 
