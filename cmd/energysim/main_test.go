@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -72,6 +73,29 @@ func TestEveryIDListedAndRuns(t *testing.T) {
 	}
 	if err := run(nil, io.Discard, io.Discard); err == nil || !strings.Contains(err.Error(), "trace-csv") {
 		t.Errorf("missing-id error should list the ids, got %v", err)
+	}
+}
+
+// TestDocCommandsExist: every `energysim <word>` the top-level docs show
+// names something the command accepts — an experiment id, all, soak, calib
+// or a flag — so a retired experiment cannot linger in a documented
+// command line.
+func TestDocCommandsExist(t *testing.T) {
+	known := map[string]bool{"all": true, "soak": true, "calib": true}
+	for _, e := range experiment.Experiments() {
+		known[e.ID] = true
+	}
+	word := regexp.MustCompile(`energysim[ \t]+([-\w]+)`)
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		text, err := os.ReadFile(filepath.Join("..", "..", doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range word.FindAllStringSubmatch(string(text), -1) {
+			if w := m[1]; !known[w] && !strings.HasPrefix(w, "-") {
+				t.Errorf("%s: %q is not an energysim id, subcommand or flag", doc, m[0])
+			}
+		}
 	}
 }
 

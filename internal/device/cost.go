@@ -95,17 +95,3 @@ func (m CostModel) ScaledForLevel(level int) CostModel {
 	m.PerInMB *= f
 	return m
 }
-
-// HandheldCompressCost returns the iPAQ-side compression cost model, used
-// for upload-style what-if experiments. Compression on the SA-1110 is
-// roughly the proxy model scaled by the clock and architecture gap.
-func HandheldCompressCost(s codec.Scheme) CostModel {
-	p := ProxyCompressCost(s)
-	const slowdown = 9.0
-	return CostModel{
-		PerOutMB:  p.PerOutMB * slowdown,
-		PerInMB:   p.PerInMB * slowdown,
-		PerStream: p.PerStream * slowdown,
-		PerBlock:  p.PerBlock * slowdown,
-	}
-}

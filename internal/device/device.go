@@ -37,7 +37,6 @@ const (
 	RadioSleep RadioState = iota + 1
 	RadioIdle
 	RadioRecv
-	RadioSend
 )
 
 func (s RadioState) String() string {
@@ -48,8 +47,6 @@ func (s RadioState) String() string {
 		return "idle"
 	case RadioRecv:
 		return "recv"
-	case RadioSend:
-		return "send"
 	default:
 		return fmt.Sprintf("RadioState(%d)", int(s))
 	}
@@ -81,10 +78,6 @@ type PowerTable struct {
 	IdleRecvOn  float64
 	BusyRecvOff float64
 	BusyRecvOn  float64
-	IdleSendOff float64
-	IdleSendOn  float64
-	BusySendOff float64
-	BusySendOn  float64
 
 	// NICServiceOff/On is the composite average current while the device
 	// is actively receiving and copying packet data (radio recv + CPU
@@ -94,12 +87,6 @@ type PowerTable struct {
 	// idle fraction: m = V * I * (1-idleFrac)/rate => I = 497.2 mA.
 	NICServiceOff float64
 	NICServiceOn  float64
-
-	// NICSendOff/On is the send-side composite (transmit draws a little
-	// more than receive on the WaveLAN card; the paper measured only the
-	// receive path, so these extend the table symmetrically).
-	NICSendOff float64
-	NICSendOn  float64
 }
 
 // DefaultPowerTable returns Table 1's currents (mA).
@@ -115,16 +102,9 @@ func DefaultPowerTable() PowerTable {
 		IdleRecvOn:  400,
 		BusyRecvOff: 620, // midpoint of 550-690
 		BusyRecvOn:  580, // midpoint of 470-690
-		IdleSendOff: 450, // send rows modeled symmetric to recv
-		IdleSendOn:  420,
-		BusySendOff: 640,
-		BusySendOn:  600,
 
 		NICServiceOff: 497.2,
 		NICServiceOn:  462.5,
-
-		NICSendOff: 510.0,
-		NICSendOn:  475.0,
 	}
 }
 
@@ -158,17 +138,6 @@ func (t PowerTable) Current(cpu CPUState, radio RadioState, ps bool) float64 {
 		default:
 			return t.IdleRecvOff
 		}
-	case RadioSend:
-		switch {
-		case cpu == CPUBusy && ps:
-			return t.BusySendOn
-		case cpu == CPUBusy:
-			return t.BusySendOff
-		case ps:
-			return t.IdleSendOn
-		default:
-			return t.IdleSendOff
-		}
 	default:
 		return t.IdleIdleOff
 	}
@@ -190,7 +159,6 @@ type Device struct {
 	radio     RadioState
 	powerSave bool
 	nicActive bool
-	nicSend   bool
 
 	trace []Segment
 }
@@ -210,16 +178,10 @@ func New(k *sim.Kernel, table PowerTable) *Device {
 // CurrentMA returns the instantaneous current draw.
 func (d *Device) CurrentMA() float64 {
 	if d.nicActive {
-		switch {
-		case d.nicSend && d.powerSave:
-			return d.table.NICSendOn
-		case d.nicSend:
-			return d.table.NICSendOff
-		case d.powerSave:
+		if d.powerSave {
 			return d.table.NICServiceOn
-		default:
-			return d.table.NICServiceOff
 		}
+		return d.table.NICServiceOff
 	}
 	return d.table.Current(d.cpu, d.radio, d.powerSave)
 }
@@ -261,20 +223,8 @@ func (d *Device) SetPowerSave(on bool) {
 // computation, as the paper describes).
 func (d *Device) SetNICActive(on bool) {
 	d.nicActive = on
-	d.nicSend = false
 	d.noteChange()
 }
-
-// SetNICSending marks the device as actively transmitting packet data (the
-// upload direction), drawing the send-side composite current.
-func (d *Device) SetNICSending(on bool) {
-	d.nicActive = on
-	d.nicSend = on
-	d.noteChange()
-}
-
-// CPU returns the current processor state.
-func (d *Device) CPU() CPUState { return d.cpu }
 
 // PowerSave reports whether power saving is enabled.
 func (d *Device) PowerSave() bool { return d.powerSave }

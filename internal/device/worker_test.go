@@ -24,7 +24,7 @@ func TestWorkerWindowPartialConsumption(t *testing.T) {
 	if w.BusyTotal() != 10*time.Millisecond {
 		t.Errorf("busy total %v", w.BusyTotal())
 	}
-	if d.CPU() != CPUIdle {
+	if d.cpu != CPUIdle {
 		t.Error("CPU not idle after window end")
 	}
 }
@@ -35,7 +35,7 @@ func TestWorkerWindowNoWork(t *testing.T) {
 	d.SetCPU(CPUBusy)
 	w := NewWorker(k, d)
 	w.Window(time.Millisecond) // no pending work: must drop CPU to idle
-	if d.CPU() != CPUIdle {
+	if d.cpu != CPUIdle {
 		t.Error("empty window should idle the CPU")
 	}
 }
@@ -77,29 +77,12 @@ func TestWorkerDrainEmpty(t *testing.T) {
 	}
 }
 
-func TestSetNICSendingCurrent(t *testing.T) {
-	k := sim.NewKernel()
-	d := New(k, DefaultPowerTable())
-	d.SetNICSending(true)
-	if got := d.CurrentMA(); got != DefaultPowerTable().NICSendOff {
-		t.Errorf("send composite %v", got)
-	}
-	d.SetPowerSave(true)
-	if got := d.CurrentMA(); got != DefaultPowerTable().NICSendOn {
-		t.Errorf("send composite (PS) %v", got)
-	}
-	d.SetNICSending(false)
-	if got := d.CurrentMA(); got != 110 {
-		t.Errorf("after send: %v", got)
-	}
-}
-
 func TestStateStrings(t *testing.T) {
 	if CPUBusy.String() != "busy" || CPUIdle.String() != "idle" {
 		t.Error("CPU state strings")
 	}
 	for s, want := range map[RadioState]string{
-		RadioSleep: "sleep", RadioIdle: "idle", RadioRecv: "recv", RadioSend: "send",
+		RadioSleep: "sleep", RadioIdle: "idle", RadioRecv: "recv",
 	} {
 		if s.String() != want {
 			t.Errorf("%d: %q", int(s), s.String())

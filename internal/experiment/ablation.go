@@ -16,8 +16,7 @@ import (
 
 // Ablation studies for the design choices DESIGN.md calls out: the gzip
 // effort level the paper fixes at 9, the 0.128 MB block size of the
-// selective scheme, and the multimeter sampling rate. Plus the upload
-// extension the paper's introduction raises and leaves to future work.
+// selective scheme, and the multimeter sampling rate.
 
 // LevelRow is one compression-level data point.
 type LevelRow struct {
@@ -177,78 +176,6 @@ func RenderAblationMeterRate(rows []MeterRateRow) string {
 	))
 	for _, r := range rows {
 		fmt.Fprintf(&b, "%-12.0f%12.4f%12.4f%10s\n", r.SamplesPerSec, r.SampledJ, r.ExactJ, pct(r.RelError))
-	}
-	return b.String()
-}
-
-// UploadRow is one file x strategy upload outcome.
-type UploadRow struct {
-	Spec      workload.FileSpec
-	Strategy  string
-	Factor    float64
-	EnergyJ   float64
-	RelEnergy float64 // vs raw upload
-	StallSec  float64
-}
-
-// UploadComparison runs the upload-direction extension over a corpus
-// slice: raw upload vs compressed at the paper's level 9, at the fast
-// level 1, and level 1 with the adaptive per-block test. The handheld's
-// 206 MHz CPU makes level-9 compression nearly break even — the study's
-// finding is that uploads want a light compressor setting.
-func (c Config) UploadComparison() ([]UploadRow, error) {
-	large, _ := c.corpus()
-	var rows []UploadRow
-	for _, spec := range large {
-		data := spec.Generate()
-		var rawJ float64
-		for _, strat := range []struct {
-			name                  string
-			level                 int
-			compressed, selective bool
-		}{{"raw", 0, false, false}, {"zlib -9", 9, true, false}, {"zlib -1", 1, true, false}, {"zlib -1 adaptive", 1, true, true}} {
-			res, err := pipeline.RunUpload(pipeline.UploadSpec{
-				Data: data, Scheme: codec.Zlib, Level: strat.level, Compressed: strat.compressed,
-				Selective: strat.selective, Rate: energy.Rate11Mbps(), MeterRate: c.MeterRate,
-			})
-			if err != nil {
-				return nil, err
-			}
-			if !strat.compressed {
-				rawJ = res.ExactEnergyJ
-			}
-			rows = append(rows, UploadRow{
-				Spec: spec, Strategy: strat.name, Factor: res.Factor,
-				EnergyJ:   res.ExactEnergyJ,
-				RelEnergy: res.ExactEnergyJ / rawJ,
-				StallSec:  res.StallSeconds.Seconds(),
-			})
-		}
-	}
-	return rows, nil
-}
-
-// RenderUploadComparison formats the upload extension table.
-func RenderUploadComparison(rows []UploadRow) string {
-	var b strings.Builder
-	b.WriteString("Extension: upload direction (handheld compresses, then sends)\n")
-	b.WriteString(header(
-		fmt.Sprintf("%-24s", "file"),
-		fmt.Sprintf("%-14s", "strategy"),
-		fmt.Sprintf("%8s", "factor"),
-		fmt.Sprintf("%12s", "energy J"),
-		fmt.Sprintf("%10s", "relative"),
-		fmt.Sprintf("%10s", "stall s"),
-	))
-	prev := ""
-	for _, r := range rows {
-		name := ""
-		if r.Spec.Name != prev {
-			name = r.Spec.Name
-			prev = r.Spec.Name
-		}
-		fmt.Fprintf(&b, "%-24s%-14s%8.2f%12.4f%10.3f%10.3f\n",
-			name, r.Strategy, r.Factor, r.EnergyJ, r.RelEnergy, r.StallSec)
 	}
 	return b.String()
 }

@@ -87,42 +87,6 @@ func TestAblationMeterRate(t *testing.T) {
 	}
 }
 
-func TestUploadComparisonShape(t *testing.T) {
-	cfg := Config{Scale: 1.0 / 40, LargeSubset: 3}
-	rows, err := cfg.UploadComparison()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 12 { // 3 files x 4 strategies
-		t.Fatalf("got %d rows", len(rows))
-	}
-	for i := 0; i < len(rows); i += 4 {
-		raw, slow, fast, adaptive := rows[i], rows[i+1], rows[i+2], rows[i+3]
-		if raw.Strategy != "raw" || slow.Strategy != "zlib -9" {
-			t.Fatalf("row ordering broken: %v %v", raw.Strategy, slow.Strategy)
-		}
-		// The finding: the fast level must clearly beat the slow level on
-		// the handheld, and win against raw on compressible files.
-		if fast.EnergyJ >= slow.EnergyJ {
-			t.Errorf("%s: zlib -1 (%.4f J) should beat zlib -9 (%.4f J) on the handheld",
-				raw.Spec.Name, fast.EnergyJ, slow.EnergyJ)
-		}
-		// Single-block files cannot overlap compression with sending (the
-		// whole file is the lead-in), so only multi-block files must win
-		// decisively.
-		if raw.Spec.PaperGzip > 5 && raw.Spec.Size > 256_000 && fast.RelEnergy > 0.8 {
-			t.Errorf("%s: fast compressed upload rel %.3f, want < 0.8", raw.Spec.Name, fast.RelEnergy)
-		}
-		if adaptive.RelEnergy > fast.RelEnergy*1.15 {
-			t.Errorf("%s: adaptive upload %.3f much worse than fast %.3f",
-				raw.Spec.Name, adaptive.RelEnergy, fast.RelEnergy)
-		}
-	}
-	if out := RenderUploadComparison(rows); !strings.Contains(out, "strategy") {
-		t.Error("render missing header")
-	}
-}
-
 func TestMeterProbe(t *testing.T) {
 	// A one-second constant read through the full rig + meter path:
 	// 1 s at 310 mA, 5 V.

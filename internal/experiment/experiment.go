@@ -113,8 +113,6 @@ var experiments = []Experiment{
 	bars("fig13", "Figure 13: energy comparison, compression on demand (gzip | compress | zlib interleaved)", "energy", Config.OnDemandComparison),
 	{ID: "thresholds", Title: "Derived decision thresholds",
 		Run: func(Config) (string, error) { return RenderThresholds(Thresholds()), nil }},
-	{ID: "upload", Title: "Extension: upload direction",
-		Run: rendered(Config.UploadComparison, RenderUploadComparison)},
 	{ID: "ablation-levels", Title: "Ablation: gzip compression level",
 		Run: rendered(Config.AblationLevels, RenderAblationLevels)},
 	{ID: "ablation-blocksize", Title: "Ablation: selective-scheme block size",

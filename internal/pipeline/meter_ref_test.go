@@ -98,7 +98,7 @@ func TestMeterMatchesEventDrivenReference(t *testing.T) {
 				at = period * time.Duration(1+rng.Intn(600)) // exactly on a sample instant
 			}
 			cpu := device.CPUIdle + device.CPUState(rng.Intn(2))
-			radio := device.RadioSleep + device.RadioState(rng.Intn(4))
+			radio := device.RadioSleep + device.RadioState(rng.Intn(3))
 			ps, nic := rng.Intn(2) == 0, rng.Intn(4) == 0
 			k.Schedule(at, func() {
 				d.SetCPU(cpu)

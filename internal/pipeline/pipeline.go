@@ -4,9 +4,8 @@
 // plain download, download-then-decompress (optionally with the radio put
 // to sleep), interleaved block-by-block decompression (Section 4.1),
 // selective block-adaptive streams (Section 4.3), and compression on
-// demand with server-side overlap (Section 5) — or in the upload
-// direction, and reads the recorded current trace back the way the paper's
-// multimeter did.
+// demand with server-side overlap (Section 5) — and reads the recorded
+// current trace back the way the paper's multimeter did.
 package pipeline
 
 import (
@@ -79,11 +78,6 @@ type Spec struct {
 	// CaptureTrace records the device's current trace in the result, for
 	// timeline rendering (Figures 3-4 style).
 	CaptureTrace bool
-
-	// upload reverses the direction (set by RunUpload): the handheld
-	// compresses and sends. ModePlain sends the raw bytes, ModeInterleaved
-	// compresses block i+1 inside the idle windows of block i's transmission.
-	upload bool
 }
 
 // Result reports everything the paper's figures need.
@@ -128,11 +122,7 @@ func Run(spec Spec) (Result, error) {
 	if spec.Decider == nil {
 		spec.Decider = selective.PaperDecider{}
 	}
-	build := buildBlocks
-	if spec.upload {
-		build = buildUploadBlocks
-	}
-	blocks, wireBytes, stats, err := build(spec)
+	blocks, wireBytes, stats, err := buildBlocks(spec)
 	if err != nil {
 		return Result{}, err
 	}
@@ -143,8 +133,6 @@ func Run(spec Spec) (Result, error) {
 	r.dev.SetPowerSave(spec.PowerSave)
 
 	switch {
-	case spec.upload:
-		r.upload(blocks, wireBytes)
 	case spec.Mode == ModePlain:
 		r.link.Download(wireBytes, nil, nil, r.drain)
 	case spec.Mode == ModeSequential:

@@ -35,10 +35,8 @@ func TestDecisionMonotoneInCompressionRatio(t *testing.T) {
 		{"model", model.ShouldCompress, true, 207},
 		{"always", selective.AlwaysCompress{}.ShouldCompress, false, 207},
 	}
-	for _, in := range []float64{0.36, 2} {
-		u := selective.UploadDecider{Params: energy.Params11Mbps(), PerInMB: in, PerOutMB: 0.072, PerStream: 0.0045}
-		deciders = append(deciders, sweep{fmt.Sprintf("upload(in=%g)", in), u.ShouldCompress, false, 207})
-	}
+	// The two upload(in=…) sweeps left with UploadDecider, when the
+	// upload direction was retired.
 	for _, rate := range []float64{0.60, 0.40, 0.18, 0.10} {
 		for _, ps := range []bool{false, true} {
 			for _, queue := range []int{0, 4, 32} {

@@ -390,34 +390,3 @@ func Parse(stream []byte) ([]Block, codec.Scheme, error) {
 		pos += int(payLen)
 	}
 }
-
-// UploadDecider drives per-block decisions for the upload direction, where
-// the cost side is the handheld's compression time rather than
-// decompression: compress iff the predicted compressed-upload energy
-// (Equations 1-4 mirrored, with tc from the handheld cost model) beats the
-// raw upload.
-type UploadDecider struct {
-	Params energy.Params
-	// PerInMB / PerOutMB are the handheld compression cost coefficients
-	// (seconds per MB of input / output); PerStream is the fixed setup.
-	PerInMB, PerOutMB, PerStream float64
-}
-
-var _ Decider = UploadDecider{}
-
-// ShouldCompress applies the upload energy comparison to one block.
-func (d UploadDecider) ShouldCompress(rawBytes, compBytes int) bool {
-	s := float64(rawBytes) / 1e6
-	sc := float64(compBytes) / 1e6
-	tc := d.PerInMB*s + d.PerOutMB*sc + d.PerStream
-	return d.Params.ShouldCompressUpload(s, sc, tc)
-}
-
-// MinSizeBytes returns the upload file-size threshold for this cost model.
-func (d UploadDecider) MinSizeBytes() int {
-	v := d.Params.UploadThresholdSizeBytes(d.PerInMB, d.PerStream)
-	if v > 1e12 {
-		return 1 << 40
-	}
-	return int(v)
-}

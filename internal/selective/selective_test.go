@@ -291,26 +291,6 @@ func TestEncodeBlocksCustomSizes(t *testing.T) {
 	}
 }
 
-func TestUploadDeciderBehaviour(t *testing.T) {
-	d := UploadDecider{
-		Params:    energy.Params11Mbps(),
-		PerInMB:   0.36, // handheld zlib -1
-		PerOutMB:  0.072,
-		PerStream: 0.0045,
-	}
-	// High factor on a full block: compress.
-	if !d.ShouldCompress(128_000, 16_000) {
-		t.Error("factor 8 upload block should compress")
-	}
-	// Marginal factor: the compression cost kills it.
-	if d.ShouldCompress(128_000, 120_000) {
-		t.Error("factor 1.07 upload block should go raw")
-	}
-	if d.MinSizeBytes() < 3000 {
-		t.Errorf("upload min size %d implausibly low", d.MinSizeBytes())
-	}
-}
-
 // ModelDecider drives decisions from the analytic energy model.
 type ModelDecider struct {
 	Params energy.Params

@@ -82,22 +82,11 @@ func (l *Link) Transfer(n int, onDelivered func(total int), gaps GapConsumer, on
 	l.start(transfer{n: n, keepGap: true, onDelivered: onDelivered, gaps: gaps, onDone: onDone})
 }
 
-// Upload schedules the transmission of n bytes starting now — the upload
-// direction the paper's introduction raises ("lively captured voice and
-// pictures") and leaves to future work. It mirrors Download with the radio
-// in send states and the send-side composite current; the gaps are where
-// compression of the next block can run, so onDone fires after the final
-// one.
-func (l *Link) Upload(n int, gaps GapConsumer, onDone func()) {
-	l.start(transfer{n: n, send: true, setup: true, keepGap: true, gaps: gaps, onDone: onDone})
-}
-
-// transfer is one pass of n bytes through the packet loop: its direction,
-// whether it opens the connection, and whether the last packet's idle gap
-// belongs to it.
+// transfer is one pass of n bytes through the packet loop: whether it
+// opens the connection, and whether the last packet's idle gap belongs to
+// it.
 type transfer struct {
 	n           int
-	send        bool
 	setup       bool
 	keepGap     bool
 	onDelivered func(total int)
@@ -131,14 +120,10 @@ func (l *Link) packet(x transfer, moved int) {
 	active := time.Duration(float64(interval) * (1 - l.rate.IdleFrac))
 	gap := interval - active
 
-	radio, setNIC := device.RadioRecv, l.dev.SetNICActive
-	if x.send {
-		radio, setNIC = device.RadioSend, l.dev.SetNICSending
-	}
-	l.dev.SetRadio(radio)
-	setNIC(true)
+	l.dev.SetRadio(device.RadioRecv)
+	l.dev.SetNICActive(true)
 	l.kernel.Schedule(active, func() {
-		setNIC(false)
+		l.dev.SetNICActive(false)
 		l.dev.SetRadio(l.gapRadio)
 		moved += chunk
 		if x.onDelivered != nil {

@@ -234,7 +234,7 @@ func TestWorkerDrain(t *testing.T) {
 		t.Errorf("drain end %v", end)
 	}
 	k.Run()
-	if d.CPU() != device.CPUIdle {
+	if d.CurrentMA() != device.DefaultPowerTable().IdleIdleOff {
 		t.Error("CPU not idle after drain")
 	}
 	// The busy window charges busy-idle current.

@@ -345,6 +345,14 @@ check_cover ./internal/bwt 95
 check_cover ./internal/lz77 91
 check_cover ./internal/codec 90
 check_cover ./internal/bitio 93
+# The figure world: the simulated handheld, its link, the run shapes over
+# them, the experiments that print the goldens, sessions and the kernel.
+check_cover ./internal/device 79
+check_cover ./internal/wlan 92
+check_cover ./internal/pipeline 89
+check_cover ./internal/experiment 85
+check_cover ./internal/session 86
+check_cover ./internal/sim 95
 
 # Decompression-kernel gates, without -race (the race runtime changes
 # allocation counts): the pooled dataplane must stay O(1) buffers per
