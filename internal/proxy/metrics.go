@@ -128,7 +128,7 @@ func newMetrics(reg *obs.Registry) *metrics {
 		latency: reg.Histogram("proxy_request_seconds", "Per-request wall time, from the request's arrival (a connection's first request: its accept) to the end of its response.", latencyBoundsSeconds()),
 
 		compressRate: reg.Histogram("server_compress_bytes_per_second",
-			"Raw bytes a codec ran on per second of wall time building one artifact (all workers combined), one sample per build that ran one.",
+			"Raw bytes a codec ran on per second spent inside the codec (summed over a build's workers), one sample per build that ran one.",
 			[]float64{1 << 20, 4 << 20, 16 << 20, 64 << 20, 256 << 20, 1 << 30}),
 	}
 	for i, s := range compressSchemes {
@@ -139,8 +139,9 @@ func newMetrics(reg *obs.Registry) *metrics {
 }
 
 // observeCompress records one artifact build: the raw bytes its codec ran
-// on, as its scheme's input volume and, over the build's wall time, its
-// throughput. A build that ran no codec observes nothing.
+// on, as its scheme's input volume and, over d, the time spent inside
+// those codec calls, its throughput. A build that ran no codec observes
+// nothing.
 func (m *metrics) observeCompress(scheme codec.Scheme, rawBytes int, d time.Duration) {
 	if rawBytes == 0 {
 		return

@@ -378,11 +378,12 @@ func (s *Server) openArtifact(key ArtifactKey, content []byte, d selective.Decid
 
 // build compresses content into f under a worker slot, publishing each
 // block as it is done but the last, which store.finish publishes once the
-// artifact has been admitted. A failed build admits nothing. A block that a
-// local sibling — the same file generation and scheme under another policy —
-// has already published compressed is taken from it, not compressed again:
-// every build runs the codec at level 0, so the bytes are the same, and the
-// probe and every decision still run on the block as they would have.
+// artifact has been admitted. A failed build admits nothing. The codec runs
+// once per block of a file generation and scheme: a block that a local
+// sibling — the same generation and scheme under another policy — has run
+// the codec on, or is running it on, is taken from it (store.take). Every
+// build runs the codec at level 0, so the bytes are the same, and the probe
+// and every decision still run on the block as they would have.
 func (s *Server) build(key ArtifactKey, f *flight, content []byte, d selective.Decider, span *obs.Span) error {
 	// Backpressure: block for a worker slot rather than compressing
 	// unboundedly; abort if the server is shutting down. The gauge
@@ -405,14 +406,18 @@ func (s *Server) build(key ArtifactKey, f *flight, content []byte, d selective.D
 	if err != nil {
 		return err
 	}
-	var encoded, reused atomic.Int64
+	var encoded, reused, codecTime atomic.Int64
 	compress := func(i int, raw []byte) ([]byte, error) {
-		if comp, ok := s.store.borrow(key, i); ok {
+		if out, ok := s.store.take(key, f, i); ok {
 			reused.Add(1)
-			return comp, nil
+			return out, nil
 		}
 		encoded.Add(int64(len(raw)))
-		return c.Compress(raw)
+		t := time.Now()
+		out, err := c.Compress(raw)
+		codecTime.Add(int64(time.Since(t)))
+		f.ran(i, out, err)
+		return out, err
 	}
 	made, probed := 0, 0
 	err = selective.EncodeBlocksParallel(content, compress, d, selective.BlockSize, s.spawnCompress, func(b selective.Block) {
@@ -439,7 +444,7 @@ func (s *Server) build(key ArtifactKey, f *flight, content []byte, d selective.D
 	if err != nil {
 		return err
 	}
-	s.metrics.observeCompress(key.Scheme, int(encoded.Load()), dur)
+	s.metrics.observeCompress(key.Scheme, int(encoded.Load()), time.Duration(codecTime.Load()))
 	return nil
 }
 

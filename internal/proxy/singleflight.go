@@ -13,7 +13,8 @@ import (
 // exists, not when the whole file is done.
 type flight struct {
 	mu sync.Mutex
-	// grown is signalled on every publish and at store.finish.
+	// grown is signalled on every publish, on every codec run's end (ran)
+	// and at store.finish.
 	grown sync.Cond
 	// blocks has the artifact's final length from the start (the raw
 	// chunking fixes it before anything is compressed), so a reader's view
@@ -25,6 +26,45 @@ type flight struct {
 	// admitted, under the store's lock and not mu: admit was asked to cache
 	// this key while the flight was in the air, so finish is to.
 	admitted bool
+	// runs, for a local build (from store.lend on), is what its codec made
+	// or is making of each block: what its siblings take or wait for while
+	// it lends (store.take).
+	runs []codecRun
+}
+
+// codecRun is one block's codec output as a build holds it for its
+// siblings, whether the decider then sent the block compressed or raw.
+type codecRun struct {
+	out []byte
+	// made: out is the codec's output (its own or a sibling's); running:
+	// this build's codec is at work on the block, and holds its claim.
+	made, running bool
+}
+
+// ran records what the codec made of block i, or — err set — releases the
+// claim for a sibling's build to run the codec itself, and wakes whoever
+// waits for it.
+func (f *flight) ran(i int, out []byte, err error) {
+	f.mu.Lock()
+	f.runs[i] = codecRun{out: out, made: err == nil}
+	f.mu.Unlock()
+	f.grown.Broadcast()
+}
+
+// spare is the bytes of the codec outputs f holds beyond its blocks: the
+// ones the decider sent raw.
+func (f *flight) spare() (n int64) {
+	if f == nil {
+		return 0
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for i, r := range f.runs {
+		if !f.blocks[i].Compressed {
+			n += int64(len(r.out))
+		}
+	}
+	return n
 }
 
 // publish makes blocks[:n] readable. Only the builder calls it, after

@@ -35,11 +35,11 @@ type entry struct {
 	lender *flight
 }
 
-// siblingKey names the artifacts whose compressed blocks are the same
-// bytes: one file generation under one scheme, whatever the decision
-// policy. That holds while every build runs the scheme's codec at level 0
-// (build does): ArtifactKey carries no level, so a build at another level
-// would have to add it here.
+// siblingKey names the artifacts whose codec outputs are the same bytes:
+// one file generation under one scheme, whatever the decision policy. That
+// holds while every build runs the scheme's codec at level 0 (build does):
+// ArtifactKey carries no level, so a build at another level would have to
+// add it here.
 type siblingKey struct {
 	name   string
 	gen    uint64
@@ -67,8 +67,9 @@ type store struct {
 	budget  int64
 	flights map[ArtifactKey]*flight
 	// lenders are the flights of the local builds, in the air or finished
-	// and cached, by the blocks they share: what a build may take instead
-	// of running the codec. A peer's artifact is never one.
+	// and cached, by the blocks they share: whose codec outputs a build
+	// takes, or waits for, instead of running the codec. A peer's artifact
+	// is never one.
 	lenders map[siblingKey][]*flight
 	// closed refuses new flights; wg counts the unfinished ones, which is
 	// what drain waits for.
@@ -200,8 +201,8 @@ func (st *store) open(key ArtifactKey, n int) (a artifact, leader bool, err erro
 // block is published: whoever has been served a whole artifact can find it
 // cached, and a build that a Register overtook has been refused before
 // anyone could think it current. A failure is forgotten, to be retried by
-// the next request rather than remembered. A local build lends its blocks
-// on for as long as it stays cached.
+// the next request rather than remembered. A local build lends its codec
+// outputs on for as long as it stays cached.
 func (st *store) finish(key ArtifactKey, f *flight, local bool, err error) {
 	st.mu.Lock()
 	delete(st.flights, key)
@@ -240,11 +241,12 @@ func (st *store) admit(key ArtifactKey, blocks []selective.Block) {
 	st.insert(key, blocks, nil)
 }
 
-// lend offers the blocks of key's local build, as they are published, to
-// the builds of its siblings.
+// lend offers what the codec makes of the blocks of key's local build, as
+// it makes them, to the builds of its siblings.
 func (st *store) lend(key ArtifactKey, f *flight) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	f.runs = make([]codecRun, len(f.blocks))
 	sk := siblingOf(key)
 	st.lenders[sk] = append(st.lenders[sk], f)
 }
@@ -260,34 +262,69 @@ func (st *store) unlend(key ArtifactKey, f *flight) {
 	}
 }
 
-// borrow returns block i compressed as a local sibling of key holds it,
-// published, if one does. It never waits for a sibling's build: that build
-// may be queued behind the caller's for a worker slot.
-func (st *store) borrow(key ArtifactKey, i int) ([]byte, bool) {
+// take is how self, a local build of key, gets what the codec makes of
+// block i without the codec running on it twice in the file generation.
+// It returns the output a local sibling recorded (taken: the decider may
+// have sent that sibling's block raw), or waits for a sibling whose codec
+// is running on the block now and takes what it made, or else claims the
+// block for self, whose caller then owes the codec run and flight.ran. A
+// sibling's failed run releases its claim, and take looks again. Only a
+// caller that holds a worker slot and calls the codec next may take, and a
+// codec never blocks, so every wait is on a codec that is running: never
+// on a build queued for a slot or held before its first block.
+func (st *store) take(key ArtifactKey, self *flight, i int) (out []byte, taken bool) {
+	sk := siblingOf(key)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	for _, f := range st.lenders[siblingOf(key)] {
-		f.mu.Lock()
-		ok := i < f.ready && f.blocks[i].Compressed
-		f.mu.Unlock()
-		if ok {
-			return f.blocks[i].Payload, true
+	for {
+		var r codecRun
+		var busy *flight
+		for _, f := range st.lenders[sk] {
+			f.mu.Lock()
+			if f.runs[i].made {
+				r = f.runs[i]
+			} else if f.runs[i].running {
+				busy = f
+			}
+			f.mu.Unlock()
+			if r.made {
+				break
+			}
 		}
+		if !r.made && busy != nil {
+			// Wait on busy itself: it may finish and stop lending meanwhile.
+			busy.mu.Lock()
+			st.mu.Unlock()
+			for busy.runs[i].running {
+				busy.grown.Wait()
+			}
+			r = busy.runs[i]
+			busy.mu.Unlock()
+			st.mu.Lock()
+			if !r.made {
+				continue // its codec failed: look again
+			}
+		}
+		r.running = !r.made // a claim
+		self.mu.Lock()
+		self.runs[i] = r
+		self.mu.Unlock()
+		return r.out, r.made
 	}
-	return nil, false
 }
 
 // insert caches blocks, built by lender (nil: obtained elsewhere), as key's
-// artifact, replacing any it had and evicting least-recently-used entries
-// until the budget holds it. It refuses a generation its file has left
-// behind — cached, nothing would ever drop it — and an artifact larger than
-// the whole budget, rather than churning the cache empty for it. It
-// reports whether it cached blocks.
+// artifact, charged with the codec outputs the lender holds beyond them,
+// replacing any it had and evicting least-recently-used entries until the
+// budget holds it. It refuses a generation its file has left behind —
+// cached, nothing would ever drop it — and an artifact larger than the
+// whole budget, rather than churning the cache empty for it. It reports
+// whether it cached blocks.
 func (st *store) insert(key ArtifactKey, blocks []selective.Block, lender *flight) bool {
 	if st.budget <= 0 || key.Gen < st.files[key.Name].gen {
 		return false
 	}
-	size := entrySize(key, blocks)
+	size := entrySize(key, blocks) + lender.spare()
 	if size > st.budget {
 		st.metrics.cacheRejects.Add(1)
 		return false

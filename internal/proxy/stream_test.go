@@ -307,15 +307,21 @@ func TestSlowReaderDoesNotHoldTheBuild(t *testing.T) {
 
 // --- model check -----------------------------------------------------------
 
-// stubCodec "compresses" a block to its CRC and length: deterministic,
-// cheap under -race, and never decoded — the model check compares wire
-// bytes, it does not decompress them.
+// stubCodec "compresses" a block to its CRC and length, and a short block
+// (a file's tail) to that padded out to the block's own length, which
+// Equation 6 sends raw and always-compress does not: deterministic, cheap
+// under -race, and never decoded — the model check compares wire bytes, it
+// does not decompress them.
 type stubCodec struct{ scheme codec.Scheme }
 
 func (c stubCodec) Scheme() codec.Scheme { return c.scheme }
 func (c stubCodec) Compress(raw []byte) ([]byte, error) {
 	out := binary.BigEndian.AppendUint32(nil, checksum.CRC32(raw))
-	return binary.BigEndian.AppendUint32(out, uint32(len(raw))), nil
+	out = binary.BigEndian.AppendUint32(out, uint32(len(raw)))
+	if len(raw) < selective.BlockSize {
+		out = append(out, make([]byte, len(raw)-len(out))...)
+	}
+	return out, nil
 }
 func (stubCodec) Decompress([]byte, int) ([]byte, error) {
 	return nil, errors.New("stub codec cannot decompress")
@@ -402,7 +408,7 @@ func newModelRig(t *testing.T, seed int64) *modelRig {
 	}
 	r.budget = 64 << 20
 	if seed%2 == 0 {
-		r.budget = max(r.charge(modelKey{1, ModeOnDemand}), r.charge(modelKey{1, ModeSelective}))
+		r.budget = max(r.charge(modelKey{1, ModeOnDemand}, true), r.charge(modelKey{1, ModeSelective}, true))
 	}
 	r.srv = NewServerWith(r.decider, Config{Workers: 1, CacheBytes: r.budget})
 	// One worker, so builds run one at a time and onCompress — which fires
@@ -508,12 +514,24 @@ func (r *modelRig) blocks(k modelKey) []selective.Block {
 			r.t.Fatalf("the probe sent block %d raw: the stepped codec would never see it", i)
 		}
 	}
+	if last := enc.Blocks[r.nBlocks-1]; last.Compressed != (k.mode == ModeOnDemand) {
+		r.t.Fatalf("the tail block of a %v artifact is compressed %v: the model wants Equation 6 alone to send it raw", k.mode, last.Compressed)
+	}
 	r.encoded[memo] = enc.Blocks
 	return enc.Blocks
 }
 
-// charge is what caching k costs the byte budget.
-func (r *modelRig) charge(k modelKey) int64 { return entrySize(r.artifactKey(k), r.blocks(k)) }
+// charge is what caching k costs the byte budget: a local build is charged
+// too with the codec outputs it holds for its siblings beyond its blocks —
+// the tail's, which Equation 6 sent raw.
+func (r *modelRig) charge(k modelKey, local bool) int64 {
+	n := entrySize(r.artifactKey(k), r.blocks(k))
+	if last := r.blocks(k)[r.nBlocks-1]; local && !last.Compressed {
+		out, _ := stubCodec{codec.Gzip}.Compress(last.Payload)
+		n += int64(len(out))
+	}
+	return n
+}
 
 // expectedWire is the sequential model of one response: the header for the
 // granted offset, then the model's blocks from there, then the end frame —
@@ -564,10 +582,12 @@ type modelReader struct {
 // blocks from its granted boundary, and the end frame, or exactly the
 // blocks made before its build failed; a key is built once per generation
 // and once more per failure; a build owes the codec a step only for the
-// blocks that no sibling built here and still cached holds compressed, and
-// takes the rest from it; the cache is the LRU the schedule implies,
-// within its budget, holding no generation its file has left and no key
-// that is also in the air, and lends exactly the artifacts built here; the
+// blocks that no sibling built here and still cached ran the codec on, and
+// takes the rest from it, a block that sibling's decider sent raw
+// included; the cache is the LRU the schedule implies, within its budget —
+// a local build charged with the codec outputs it holds beyond its blocks —
+// holding no generation its file has left and no key that is also in the
+// air, and lends exactly the artifacts built here; the
 // Stats counters are the ones the schedule implies; and no goroutine
 // outlives Close.
 func TestGrowingArtifactModel(t *testing.T) {
@@ -576,6 +596,7 @@ func TestGrowingArtifactModel(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) { reused += runModelSchedule(t, seed) })
 	}
+	t.Logf("%d blocks taken from siblings across the seeds", reused)
 	if reused == 0 {
 		t.Error("no schedule had a build take a block from a sibling")
 	}
@@ -614,7 +635,7 @@ func runModelSchedule(t *testing.T, seed int64) int64 {
 	}
 	charged := func() (n int64) {
 		for _, k := range lru {
-			n += r.charge(k)
+			n += r.charge(k, builtHere[k])
 		}
 		return n
 	}
@@ -622,7 +643,7 @@ func runModelSchedule(t *testing.T, seed int64) int64 {
 	// other end whatever the budget cannot hold beside it.
 	toFront := func(k modelKey) {
 		uncache(func(o modelKey) bool { return o == k })
-		for charged()+r.charge(k) > r.budget {
+		for charged()+r.charge(k, builtHere[k]) > r.budget {
 			lru = lru[:len(lru)-1]
 			evictions++
 		}
@@ -630,19 +651,21 @@ func runModelSchedule(t *testing.T, seed int64) int64 {
 	}
 	// admitModel is the cache's one admission rule.
 	admitModel := func(k modelKey, local bool) {
-		if k.gen >= gen && r.charge(k) <= r.budget {
-			toFront(k)
+		if k.gen >= gen && r.charge(k, local) <= r.budget {
 			builtHere[k] = local
+			toFront(k)
 		}
 	}
-	// lends is the reuse rule: k's build takes block i, instead of running
-	// the codec, from the other mode's artifact of its generation when that
-	// is cached, was built here, and holds block i compressed. With one
-	// worker no sibling in the air has published a block: it is queued
-	// behind k's build, and a build that ran finished first.
-	lends := func(k modelKey, i int) bool {
+	// lends is the take/wait/claim rule: k's build takes what the codec made
+	// of each block, instead of running it, from the other mode's artifact
+	// of its generation when that is cached and was built here — its codec
+	// ran on every block, whether its decider kept the output (the tail,
+	// under Equation 6, it did not). With one worker no build ever waits: a
+	// sibling in the air is queued behind k's build, holding no claim, and
+	// a build that ran finished first. So k's build claims the rest.
+	lends := func(k modelKey) bool {
 		s := modelKey{k.gen, ModeOnDemand + ModeSelective - k.mode}
-		return slices.Contains(lru, s) && builtHere[s] && r.blocks(s)[i].Compressed
+		return slices.Contains(lru, s) && builtHere[s]
 	}
 	// check holds the store to the model and to its own invariants; every
 	// operation ends with the server where the model says it is, and here.
@@ -797,7 +820,7 @@ func runModelSchedule(t *testing.T, seed int64) int64 {
 				fl.published++
 			}
 		}
-		for !fl.failed && fl.published < r.nBlocks && lends(k, fl.published) {
+		for !fl.failed && fl.published < r.nBlocks && lends(k) {
 			fl.published++
 			reused++
 		}

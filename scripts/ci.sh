@@ -100,13 +100,17 @@ go -C bench test ./...
 # attaching mid-build, resumes on and off block boundaries, Register, a
 # peer's SyncGeneration and AdmitArtifact, a failing codec, evicting
 # admissions and Close mid-build, against a sequential model — and a failed
-# build must leave nothing behind, repeatedly and under -race. A build takes
-# the blocks a local sibling artifact already holds compressed: every bench
-# file under three schemes and three policies, built in three orders, is
-# what a from-scratch encode makes of it; a held sibling lends what it has
-# published without being waited for; a peer's artifact lends nothing; the
-# compress-rate telemetry counts only bytes a codec ran on.
-named ./internal/proxy 'TestGrowingArtifactModel|TestFailedBuildLeavesNothingBehind|TestClosingWhileQueuedWritesNoHeader|TestCacheEvictionDuringSingleflight|TestAdmissionRidesTheFlight|TestSiblingReuseByteIdentical|TestSiblingInFlightLendsWithoutWaiting|TestPeerArtifactsLendNothing|TestCompressRateCountsOnlyEncodedBytes' -race -count=5
+# build must leave nothing behind, repeatedly and under -race. The codec
+# runs once per block of a file generation and scheme: a build takes what a
+# local sibling's codec made of a block, sent or refused, or waits for one
+# whose codec is on it. Every bench file under three schemes and three
+# policies, built in three orders on one worker and on three, is what a
+# from-scratch encode makes of it, with one codec run per block; a sibling
+# held before its codec is never waited for, one whose codec is running is;
+# a claimer whose codec fails hands the block to its waiter; a peer's
+# artifact lends nothing; the compress-rate telemetry counts only bytes a
+# codec ran on, over the time inside it.
+named ./internal/proxy 'TestGrowingArtifactModel|TestFailedBuildLeavesNothingBehind|TestClosingWhileQueuedWritesNoHeader|TestCacheEvictionDuringSingleflight|TestAdmissionRidesTheFlight|TestSiblingReuseByteIdentical|TestCodecRunsOncePerBlock|TestSiblingHeldBeforeItsCodecIsNotWaitedFor|TestSiblingRunningCodecIsWaitedFor|TestSiblingCodecFailureHandsTheBlockOver|TestPeerArtifactsLendNothing|TestCompressRateCountsOnlyEncodedBytes' -race -count=5
 
 # The decode-verdict gate: what a fetch attempt keeps and counts when a
 # block fails to decode must not depend on how its two goroutines were
