@@ -78,20 +78,3 @@ func ProxyCompressCost(s codec.Scheme) CostModel {
 		return CostModel{PerInMB: 0.100, PerOutMB: 0.020, PerStream: 0.0005}
 	}
 }
-
-// ScaledForLevel returns the model with the per-byte costs scaled for a
-// compression effort level 1-9 (level 0 = the paper's setting = 9): lower
-// levels search shorter hash chains and skip lazy matching, costing
-// roughly 40%% of level 9's time at level 1.
-func (m CostModel) ScaledForLevel(level int) CostModel {
-	if level <= 0 {
-		level = 9
-	}
-	if level > 9 {
-		level = 9
-	}
-	f := 0.325 + 0.075*float64(level)
-	m.PerOutMB *= f
-	m.PerInMB *= f
-	return m
-}

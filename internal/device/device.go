@@ -226,9 +226,6 @@ func (d *Device) SetNICActive(on bool) {
 	d.noteChange()
 }
 
-// PowerSave reports whether power saving is enabled.
-func (d *Device) PowerSave() bool { return d.powerSave }
-
 // Trace returns the recorded current trace (a copy).
 func (d *Device) Trace() []Segment {
 	out := make([]Segment, len(d.trace))

@@ -160,30 +160,3 @@ func TestTraceCoalescesEqualCurrents(t *testing.T) {
 		t.Errorf("no-op state change grew trace to %d segments", n)
 	}
 }
-
-func TestBatteryCapacity(t *testing.T) {
-	b := IPAQBattery()
-	if math.Abs(b.CapacityJ-19980) > 1 {
-		t.Errorf("capacity %v J, want ~19980", b.CapacityJ)
-	}
-}
-
-func TestBatteryOperations(t *testing.T) {
-	b := Battery{CapacityJ: 100}
-	if got := b.Operations(2.5); got != 40 {
-		t.Errorf("got %d operations", got)
-	}
-	if b.Operations(0) != 0 {
-		t.Error("zero-cost operations should return 0")
-	}
-}
-
-func TestBatteryLifeExtension(t *testing.T) {
-	b := IPAQBattery()
-	if got := b.LifeExtension(3.5, 0.7); math.Abs(got-5) > 1e-9 {
-		t.Errorf("extension %v, want 5", got)
-	}
-	if b.LifeExtension(0, 1) != 0 || b.LifeExtension(1, 0) != 0 {
-		t.Error("degenerate inputs should return 0")
-	}
-}

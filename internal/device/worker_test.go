@@ -89,24 +89,3 @@ func TestStateStrings(t *testing.T) {
 		}
 	}
 }
-
-func TestScaledForLevel(t *testing.T) {
-	base := ProxyCompressCost(codecGzip())
-	l9 := base.ScaledForLevel(9)
-	if l9.PerInMB != base.PerInMB {
-		t.Errorf("level 9 should be unscaled: %v vs %v", l9.PerInMB, base.PerInMB)
-	}
-	l1 := base.ScaledForLevel(1)
-	if !(l1.PerInMB < base.PerInMB*0.5) {
-		t.Errorf("level 1 should cost well under half: %v vs %v", l1.PerInMB, base.PerInMB)
-	}
-	if d := base.ScaledForLevel(0); d.PerInMB != l9.PerInMB {
-		t.Error("level 0 should mean the paper setting (9)")
-	}
-	if d := base.ScaledForLevel(99); d.PerInMB != l9.PerInMB {
-		t.Error("out-of-range level should clamp to 9")
-	}
-	if l1.PerStream != base.PerStream {
-		t.Error("per-stream setup is level-independent")
-	}
-}

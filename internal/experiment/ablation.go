@@ -3,14 +3,11 @@ package experiment
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/codec"
-	"repro/internal/device"
 	"repro/internal/energy"
 	"repro/internal/pipeline"
 	"repro/internal/selective"
-	"repro/internal/session"
 	"repro/internal/workload"
 )
 
@@ -176,140 +173,6 @@ func RenderAblationMeterRate(rows []MeterRateRow) string {
 	))
 	for _, r := range rows {
 		fmt.Fprintf(&b, "%-12.0f%12.4f%12.4f%10s\n", r.SamplesPerSec, r.SampledJ, r.ExactJ, pct(r.RelError))
-	}
-	return b.String()
-}
-
-// PolicyRow is one idle-management policy outcome (Section 2's sleep-mode
-// discussion, quantified).
-type PolicyRow struct {
-	Policy          session.Policy
-	Accuracy        float64
-	EnergyJ         float64
-	IdleEnergyJ     float64
-	AvgExtraLatency time.Duration
-	Mispredictions  int
-}
-
-// PolicyComparison runs a browse-like session under always-on, hardware
-// power saving, and predictive sleep at several prediction accuracies.
-func (c Config) PolicyComparison() ([]PolicyRow, error) {
-	reqs := session.WebSession(30, 4*time.Second, 120_000, 17)
-	var rows []PolicyRow
-	for _, p := range []struct {
-		policy   session.Policy
-		accuracy float64
-	}{
-		{session.AlwaysOn, 0}, {session.HardwarePS, 0},
-		{session.PredictiveSleep, 1.0}, {session.PredictiveSleep, 0.9}, {session.PredictiveSleep, 0.7},
-		{session.PredictiveSleep, 0.5}, {session.PredictiveSleep, 0.0},
-	} {
-		res, err := session.Run(session.Spec{
-			Requests: reqs, Policy: p.policy, PredictAccuracy: p.accuracy, Seed: 23,
-		})
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, PolicyRow{
-			Policy: p.policy, Accuracy: p.accuracy,
-			EnergyJ: res.EnergyJ, IdleEnergyJ: res.IdleEnergyJ,
-			AvgExtraLatency: res.AvgExtraLatency, Mispredictions: res.Mispredictions,
-		})
-	}
-	return rows, nil
-}
-
-// RenderPolicyComparison formats the policy study.
-func RenderPolicyComparison(rows []PolicyRow) string {
-	var b strings.Builder
-	b.WriteString("Radio idle-management policies (Section 2 discussion, 30-request browse session)\n")
-	b.WriteString(header(
-		fmt.Sprintf("%-18s", "policy"),
-		fmt.Sprintf("%10s", "accuracy"),
-		fmt.Sprintf("%12s", "energy J"),
-		fmt.Sprintf("%12s", "idle J"),
-		fmt.Sprintf("%14s", "avg latency"),
-		fmt.Sprintf("%8s", "misses"),
-	))
-	for _, r := range rows {
-		acc := "-"
-		if r.Policy == session.PredictiveSleep {
-			acc = fmt.Sprintf("%.0f%%", r.Accuracy*100)
-		}
-		fmt.Fprintf(&b, "%-18v%10s%12.3f%12.3f%14s%8d\n",
-			r.Policy, acc, r.EnergyJ, r.IdleEnergyJ, r.AvgExtraLatency, r.Mispredictions)
-	}
-	return b.String()
-}
-
-// BatteryRow is one strategy's downloads-per-charge figure.
-type BatteryRow struct {
-	Strategy      string
-	PerDownloadJ  float64
-	Downloads     int
-	LifeExtension float64 // vs the uncompressed baseline
-}
-
-// BatteryComparison converts the headline experiment into the paper's
-// motivating quantity: how many downloads of a representative page mix
-// one iPAQ battery charge sustains under each strategy.
-func (c Config) BatteryComparison() ([]BatteryRow, error) {
-	// Representative mix: one XML page, one binary, one media file,
-	// 400 kB total (scaled).
-	var mix [][]byte
-	for _, name := range []string{"nes96.xml", "pegwit", "image01.jpg"} {
-		spec, ok := workload.ByName(name)
-		if !ok {
-			return nil, fmt.Errorf("corpus file %s missing", name)
-		}
-		mix = append(mix, spec.ScaledTo(0.05, 0).Generate())
-	}
-	battery := device.IPAQBattery()
-
-	var rows []BatteryRow
-	var baseJ float64 // the first strategy's cost: the uncompressed baseline
-	for _, st := range []struct {
-		name string
-		spec pipeline.Spec
-	}{
-		{"uncompressed", pipeline.Spec{Mode: pipeline.ModePlain}},
-		{"gzip blind", pipeline.Spec{Scheme: codec.Gzip, Mode: pipeline.ModeInterleaved}},
-		{"zlib adaptive", pipeline.Spec{Scheme: codec.Zlib, Mode: pipeline.ModeInterleaved, Selective: true}},
-	} {
-		var total float64
-		for _, data := range mix {
-			st.spec.Data = data
-			res, err := c.runSpec(st.spec)
-			if err != nil {
-				return nil, err
-			}
-			total += res.ExactEnergyJ
-		}
-		if len(rows) == 0 {
-			baseJ = total
-		}
-		rows = append(rows, BatteryRow{
-			Strategy:      st.name,
-			PerDownloadJ:  total,
-			Downloads:     battery.Operations(total),
-			LifeExtension: battery.LifeExtension(baseJ, total),
-		})
-	}
-	return rows, nil
-}
-
-// RenderBatteryComparison formats the battery study.
-func RenderBatteryComparison(rows []BatteryRow) string {
-	var b strings.Builder
-	b.WriteString("Battery life (iPAQ 1500 mAh pack, 3-file page mix per 'download')\n")
-	b.WriteString(header(
-		fmt.Sprintf("%-16s", "strategy"),
-		fmt.Sprintf("%14s", "J/download"),
-		fmt.Sprintf("%14s", "downloads"),
-		fmt.Sprintf("%12s", "life gain"),
-	))
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-16s%14.3f%14d%11.2fx\n", r.Strategy, r.PerDownloadJ, r.Downloads, r.LifeExtension)
 	}
 	return b.String()
 }

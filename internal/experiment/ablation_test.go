@@ -100,56 +100,3 @@ func TestMeterProbe(t *testing.T) {
 		t.Errorf("probe %.4f J, want 1.55", got)
 	}
 }
-
-func TestPolicyComparisonShape(t *testing.T) {
-	rows, err := Config{}.PolicyComparison()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 7 {
-		t.Fatalf("got %d rows", len(rows))
-	}
-	on, ps := rows[0], rows[1]
-	if !(ps.EnergyJ < on.EnergyJ/2) {
-		t.Errorf("hardware PS should at least halve session energy: %.1f vs %.1f", ps.EnergyJ, on.EnergyJ)
-	}
-	perfect := rows[2]
-	if !(perfect.EnergyJ < ps.EnergyJ) {
-		t.Errorf("perfect predictive sleep should beat PS: %.1f vs %.1f", perfect.EnergyJ, ps.EnergyJ)
-	}
-	// Latency grows monotonically as accuracy drops.
-	prev := time.Duration(-1)
-	for _, r := range rows[2:] {
-		if r.AvgExtraLatency < prev {
-			t.Errorf("latency not monotone: %v after %v", r.AvgExtraLatency, prev)
-		}
-		prev = r.AvgExtraLatency
-	}
-	if out := RenderPolicyComparison(rows); !strings.Contains(out, "predictive-sleep") {
-		t.Error("render missing policy rows")
-	}
-}
-
-func TestBatteryComparisonShape(t *testing.T) {
-	rows, err := Config{}.BatteryComparison()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("got %d rows", len(rows))
-	}
-	plain, blind, adaptive := rows[0], rows[1], rows[2]
-	if plain.LifeExtension != 1.0 {
-		t.Errorf("baseline extension %v", plain.LifeExtension)
-	}
-	if !(adaptive.Downloads > blind.Downloads && blind.Downloads > plain.Downloads) {
-		t.Errorf("downloads ordering broken: %d, %d, %d",
-			plain.Downloads, blind.Downloads, adaptive.Downloads)
-	}
-	if adaptive.LifeExtension < 1.3 {
-		t.Errorf("adaptive life gain %.2fx, want > 1.3x", adaptive.LifeExtension)
-	}
-	if out := RenderBatteryComparison(rows); !strings.Contains(out, "life gain") {
-		t.Error("render missing header")
-	}
-}

@@ -11,18 +11,15 @@ import (
 	"repro/internal/codec"
 	"repro/internal/device"
 	"repro/internal/energy"
-	"repro/internal/pipeline"
 	"repro/internal/workload"
 )
 
-// Config controls corpus scaling and measurement detail. The zero value is
-// usable: full Table 2 sizes, 300 samples/s metering.
+// Config controls corpus scaling and subsetting. The zero value is
+// usable: full Table 2 sizes.
 type Config struct {
 	// Scale multiplies large-file sizes (small files keep their absolute
 	// sizes; the thresholds are absolute). 0 means 1.0 (paper sizes).
 	Scale float64
-	// MeterRate is the multimeter sampling rate (0 = 300/s).
-	MeterRate float64
 	// LargeSubset / SmallSubset limit each file group to the first N
 	// entries (0 = all), for fast test runs.
 	LargeSubset, SmallSubset int
@@ -119,10 +116,6 @@ var experiments = []Experiment{
 		Run: rendered(Config.AblationBlockSize, RenderAblationBlockSize)},
 	{ID: "ablation-meter", Title: "Ablation: multimeter sampling rate",
 		Run: rendered(Config.AblationMeterRate, RenderAblationMeterRate)},
-	{ID: "policy", Title: "Radio idle-management policies",
-		Run: rendered(Config.PolicyComparison, RenderPolicyComparison)},
-	{ID: "battery", Title: "Battery life per charge",
-		Run: rendered(Config.BatteryComparison, RenderBatteryComparison)},
 	{ID: "trace", Title: "Device current timelines (summary)", Run: rendered(traces, RenderTraceSummary)},
 	{ID: "trace-csv", Title: "Device current timelines (CSV)", Data: true, Run: rendered(traces, RenderTraceCSV)},
 }
@@ -160,19 +153,6 @@ func traces(c Config) ([]TraceResult, error) { return c.Trace(400_000) }
 func modelFor(scheme codec.Scheme, rate energy.RateConfig) energy.Params {
 	cost := device.DecompressCost(scheme)
 	return rate.Params().WithDecompressCost(cost.PerOutMB, cost.PerInMB, cost.PerStream)
-}
-
-// runSpec executes one pipeline experiment.
-func (c Config) runSpec(spec pipeline.Spec) (pipeline.Result, error) {
-	if spec.MeterRate == 0 {
-		spec.MeterRate = c.MeterRate
-	}
-	return pipeline.Run(spec)
-}
-
-// plainFor returns the uncompressed-download baseline for data.
-func (c Config) plainFor(data []byte, rate energy.RateConfig) (pipeline.Result, error) {
-	return c.runSpec(pipeline.Spec{Data: data, Mode: pipeline.ModePlain, Rate: rate})
 }
 
 // header renders a fixed-width table header with a separator line.

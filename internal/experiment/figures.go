@@ -39,14 +39,14 @@ func (c Config) compare(specs []workload.FileSpec, labels []string, runs ...pipe
 	out := make([]FileComparison, 0, len(specs))
 	for _, spec := range specs {
 		data := dataFor(spec)
-		plain, err := c.plainFor(data, runs[0].Rate)
+		plain, err := pipeline.Run(pipeline.Spec{Data: data, Mode: pipeline.ModePlain, Rate: runs[0].Rate})
 		if err != nil {
 			return nil, err
 		}
 		fc := FileComparison{Spec: spec, Plain: plain}
 		for i, r := range runs {
 			r.Data = data
-			res, err := c.runSpec(r)
+			res, err := pipeline.Run(r)
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s: %w", spec.Name, labels[i], err)
 			}

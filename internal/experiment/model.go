@@ -26,7 +26,7 @@ type IdleBreakdown struct {
 // shares.
 func (c Config) Fig3IdleBreakdown(sizeBytes int) (IdleBreakdown, error) {
 	data := workload.Generate(workload.ClassSource, sizeBytes, 3)
-	res, err := c.runSpec(pipeline.Spec{Data: data, Mode: pipeline.ModePlain})
+	res, err := pipeline.Run(pipeline.Spec{Data: data, Mode: pipeline.ModePlain})
 	if err != nil {
 		return IdleBreakdown{}, err
 	}
@@ -80,7 +80,7 @@ func (c Config) Fig4Scenarios() ([]InterleaveScenario, error) {
 	var out []InterleaveScenario
 	for _, cs := range cases {
 		data := workload.Generate(cs.class, cs.size, 17)
-		res, err := c.runSpec(pipeline.Spec{Data: data, Scheme: codec.Zlib, Mode: pipeline.ModeInterleaved})
+		res, err := pipeline.Run(pipeline.Spec{Data: data, Scheme: codec.Zlib, Mode: pipeline.ModeInterleaved})
 		if err != nil {
 			return nil, err
 		}
@@ -137,7 +137,7 @@ func (c Config) interleaveErrors(label string, rate energy.RateConfig) (ErrorSer
 		var pts []ErrorPoint
 		for _, spec := range specs {
 			data := spec.Generate()
-			res, err := c.runSpec(pipeline.Spec{
+			res, err := pipeline.Run(pipeline.Spec{
 				Data: data, Scheme: codec.Zlib, Mode: pipeline.ModeInterleaved, Rate: rate,
 			})
 			if err != nil {
@@ -243,7 +243,7 @@ func (c Config) Fig8Fits() ([]FitResult, error) {
 	var y []float64
 	for _, spec := range c.files() {
 		data := spec.Generate()
-		res, err := c.runSpec(pipeline.Spec{Data: data, Scheme: codec.Gzip, Mode: pipeline.ModeSequential})
+		res, err := pipeline.Run(pipeline.Spec{Data: data, Scheme: codec.Gzip, Mode: pipeline.ModeSequential})
 		if err != nil {
 			return nil, err
 		}
@@ -278,7 +278,7 @@ func (c Config) Fig8Fits() ([]FitResult, error) {
 			size = 20_000
 		}
 		data := workload.Generate(workload.ClassSource, size, uint64(n))
-		res, err := c.runSpec(pipeline.Spec{Data: data, Mode: pipeline.ModePlain})
+		res, err := pipeline.Run(pipeline.Spec{Data: data, Mode: pipeline.ModePlain})
 		if err != nil {
 			return nil, err
 		}

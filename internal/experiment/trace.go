@@ -38,7 +38,7 @@ func (c Config) Trace(sizeBytes int) ([]TraceResult, error) {
 		{"plain download", pipeline.Spec{Data: data, Mode: pipeline.ModePlain, CaptureTrace: true}},
 		{"gzip interleaved", pipeline.Spec{Data: data, Scheme: codec.Gzip, Mode: pipeline.ModeInterleaved, CaptureTrace: true}},
 	} {
-		res, err := c.runSpec(cs.spec)
+		res, err := pipeline.Run(cs.spec)
 		if err != nil {
 			return nil, err
 		}

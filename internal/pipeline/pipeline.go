@@ -47,15 +47,12 @@ type Spec struct {
 	Data []byte
 	// Scheme is the compression scheme (ignored for ModePlain).
 	Scheme codec.Scheme
-	// Level is the codec level; 0 selects the paper's setting.
-	Level int
 	// Mode is the execution strategy.
 	Mode Mode
 	// Selective wraps the data in the block-adaptive container of
-	// Section 4.3 instead of one whole-file stream.
+	// Section 4.3 instead of one whole-file stream, deciding each block by
+	// the paper's Eq. 6.
 	Selective bool
-	// Decider drives selective decisions (defaults to the paper's Eq. 6).
-	Decider selective.Decider
 	// OnDemand makes the proxy compress during the transfer (Section 5):
 	// block i+1 is compressed while block i transmits, and the client may
 	// stall when the server falls behind. Stall windows are granted to the
@@ -68,8 +65,6 @@ type Spec struct {
 	OnDemandWholeFile bool
 	// Rate is the link configuration (defaults to 11 Mb/s).
 	Rate energy.RateConfig
-	// PowerSave enables the WaveLAN power-saving mode for the whole run.
-	PowerSave bool
 	// SleepDuringDecompress puts the radio to sleep for the decompression
 	// phase (meaningful for ModeSequential; the paper uses it for bzip2).
 	SleepDuringDecompress bool
@@ -119,9 +114,6 @@ func Run(spec Spec) (Result, error) {
 	if spec.Mode < 0 || spec.Mode > ModeInterleaved {
 		return Result{}, fmt.Errorf("pipeline: unknown mode %d", spec.Mode)
 	}
-	if spec.Decider == nil {
-		spec.Decider = selective.PaperDecider{}
-	}
 	blocks, wireBytes, stats, err := buildBlocks(spec)
 	if err != nil {
 		return Result{}, err
@@ -130,7 +122,6 @@ func Run(spec Spec) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	r.dev.SetPowerSave(spec.PowerSave)
 
 	switch {
 	case spec.Mode == ModePlain:
@@ -148,7 +139,7 @@ func Run(spec Spec) (Result, error) {
 				r.worker.Add(b.work)
 			}
 			r.k.At(r.worker.Drain(), func() {
-				r.dev.SetPowerSave(spec.PowerSave)
+				r.dev.SetPowerSave(false)
 				r.finish()
 			})
 		})
@@ -182,18 +173,18 @@ func buildBlocks(spec Spec) ([]wireBlock, int, blockStats, error) {
 	if spec.Mode == ModePlain {
 		return nil, len(raw), blockStats{}, nil
 	}
-	c, err := codec.New(spec.Scheme, spec.Level)
+	c, err := codec.New(spec.Scheme, 0)
 	if err != nil {
 		return nil, 0, blockStats{}, err
 	}
 	decompCost := device.DecompressCost(spec.Scheme)
-	proxyCost := device.ProxyCompressCost(spec.Scheme).ScaledForLevel(spec.Level)
+	proxyCost := device.ProxyCompressCost(spec.Scheme)
 
 	var blocks []wireBlock
 	var stats blockStats
 
 	if spec.Selective {
-		enc, err := selective.Encode(raw, c, spec.Decider)
+		enc, err := selective.Encode(raw, c, selective.PaperDecider{})
 		if err != nil {
 			return nil, 0, blockStats{}, err
 		}

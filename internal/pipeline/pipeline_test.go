@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/energy"
-	"repro/internal/selective"
 	"repro/internal/workload"
 )
 
@@ -218,17 +217,5 @@ func TestMeteredCloseToExact(t *testing.T) {
 func TestModeRequired(t *testing.T) {
 	if _, err := Run(Spec{Data: []byte("x")}); err == nil {
 		t.Error("missing mode accepted")
-	}
-}
-
-func TestCustomDecider(t *testing.T) {
-	data := workload.Generate(workload.ClassRandom, 500_000, 21)
-	res := mustRun(t, Spec{
-		Data: data, Scheme: codec.Zlib, Mode: ModeInterleaved,
-		Selective: true, Decider: selective.AlwaysCompress{},
-	})
-	if res.BlocksCompressed != res.BlocksTotal {
-		t.Errorf("AlwaysCompress left %d/%d blocks raw",
-			res.BlocksTotal-res.BlocksCompressed, res.BlocksTotal)
 	}
 }

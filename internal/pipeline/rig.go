@@ -84,9 +84,8 @@ func (r *rig) run(meterRate float64) (Result, error) {
 // Drive runs script on a fresh testbed at rate (zero selects 11 Mb/s) and
 // reports the time and energy from time zero until script's done callback
 // ran — the entry point for studies that are not downloads of one file
-// (internal/session's request sequences, Table 1's held states). script
-// schedules its activity on k and calls done when the measured interval
-// ends.
+// (Table 1's held states). script schedules its activity on k and calls
+// done when the measured interval ends.
 func Drive(rate energy.RateConfig, script func(k *sim.Kernel, dev *device.Device, link *wlan.Link, done func())) (Result, error) {
 	r, err := newRig(rate)
 	if err != nil {

@@ -81,13 +81,11 @@ func (s *Server) Generation(name string) (uint64, bool) {
 func (s *Server) SyncGeneration(name string, gen uint64) { s.store.syncGeneration(name, gen) }
 
 // deciderFor maps a policy fingerprint back to a decider this server can
-// run — the fixed policies, or its own configured selective decider.
+// run — the fixed policy, or its own configured selective decider.
 func (s *Server) deciderFor(fp string) (selective.Decider, bool) {
 	switch fp {
 	case fpAlways:
 		return selective.AlwaysCompress{}, true
-	case fpNever:
-		return selective.NeverCompress{}, true
 	case s.deciderFP:
 		return s.decider, true
 	}

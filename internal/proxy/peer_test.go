@@ -199,8 +199,10 @@ func TestArtifactOwnerPath(t *testing.T) {
 	if _, err := srv.Artifact(ArtifactKey{Name: "a.txt", Gen: 99, Scheme: codec.Gzip, FP: "always"}); !errors.Is(err, ErrStaleGeneration) {
 		t.Fatalf("wrong generation: got %v, want ErrStaleGeneration", err)
 	}
-	if _, err := srv.Artifact(ArtifactKey{Name: "a.txt", Gen: 1, Scheme: codec.Gzip, FP: "martian"}); err == nil {
-		t.Fatal("unknown decider fingerprint must be rejected")
+	for _, fp := range []string{"martian", "never"} {
+		if _, err := srv.Artifact(ArtifactKey{Name: "a.txt", Gen: 1, Scheme: codec.Gzip, FP: fp}); err == nil {
+			t.Fatalf("unknown decider fingerprint %q must be rejected", fp)
+		}
 	}
 }
 

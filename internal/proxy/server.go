@@ -154,11 +154,8 @@ type Server struct {
 	peerFetch PeerFetchFunc
 }
 
-// Fingerprints for the fixed policies of the non-selective modes.
-const (
-	fpAlways = "always"
-	fpNever  = "never"
-)
+// fpAlways fingerprints the fixed policy of the non-selective modes.
+const fpAlways = "always"
 
 // defaultTraceCap is the span ring size when Config.Tracer is nil.
 const defaultTraceCap = 256
@@ -174,14 +171,10 @@ func deciderFingerprint(d selective.Decider) string {
 	if f, ok := d.(interface{ Fingerprint() string }); ok {
 		return f.Fingerprint()
 	}
-	switch d.(type) {
-	case selective.AlwaysCompress:
+	if _, ok := d.(selective.AlwaysCompress); ok {
 		return fpAlways
-	case selective.NeverCompress:
-		return fpNever
-	default:
-		return fmt.Sprintf("%T%+v", d, d)
 	}
+	return fmt.Sprintf("%T%+v", d, d)
 }
 
 // NewServer returns a server with the default Config using the given

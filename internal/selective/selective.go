@@ -68,19 +68,6 @@ func (AlwaysCompress) ShouldCompress(int, int) bool { return true }
 // MinSizeBytes returns zero.
 func (AlwaysCompress) MinSizeBytes() int { return 0 }
 
-// NeverCompress sends every block raw (the uncompressed baseline wrapped
-// in the same framing).
-type NeverCompress struct{}
-
-var _ Decider = NeverCompress{}
-
-// ShouldCompress always returns false.
-func (NeverCompress) ShouldCompress(int, int) bool { return false }
-
-// MinSizeBytes returns the largest int so even huge blocks skip the
-// compression attempt.
-func (NeverCompress) MinSizeBytes() int { return int(^uint(0) >> 1) }
-
 // Block is one framed block of an encoded stream.
 type Block struct {
 	Compressed bool

@@ -1,9 +1,10 @@
 // Package wlan models the paper's Lucent WaveLAN (Orinoco) IEEE 802.11b
 // link at packet granularity: a rate point of energy's table (effective
-// data rate, CPU-idle fraction, the radio's state through the gaps), the
-// power-saving mode's throughput penalty, and per-packet active/idle
-// alternation that creates the idle windows interleaved decompression
-// reclaims.
+// data rate, CPU-idle fraction, the radio's state through the gaps) and
+// per-packet active/idle alternation that creates the idle windows
+// interleaved decompression reclaims. The link runs at the row's rate
+// whatever the card's power-save state: no figure-world download runs
+// with power saving on.
 package wlan
 
 import (
@@ -49,16 +50,6 @@ func NewLink(k *sim.Kernel, dev *device.Device, rate energy.RateConfig) (*Link, 
 		l.gapRadio = device.RadioRecv
 	}
 	return l, nil
-}
-
-// EffectiveMBps returns the current effective data rate, accounting for
-// the power-saving penalty.
-func (l *Link) EffectiveMBps() float64 {
-	r := l.rate.EffectiveMBps
-	if l.dev.PowerSave() {
-		r *= 1 - energy.PowerSavePenalty
-	}
-	return r
 }
 
 // Download schedules the reception of n bytes starting now.
@@ -116,7 +107,7 @@ func (l *Link) packet(x transfer, moved int) {
 	if chunk > x.n-moved {
 		chunk = x.n - moved
 	}
-	interval := time.Duration(float64(chunk) / 1e6 / l.EffectiveMBps() * float64(time.Second))
+	interval := time.Duration(float64(chunk) / 1e6 / l.rate.EffectiveMBps * float64(time.Second))
 	active := time.Duration(float64(interval) * (1 - l.rate.IdleFrac))
 	gap := interval - active
 

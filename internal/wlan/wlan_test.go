@@ -73,53 +73,20 @@ func TestIdleFractionObserved(t *testing.T) {
 	}
 }
 
-func TestPowerSaveSlowsAndSaves(t *testing.T) {
-	n := 1_000_000
-	k1, d1, l1 := setup(energy.Rate11Mbps())
-	var end1 time.Duration
-	l1.Download(n, nil, nil, func() { end1 = k1.Now() })
-	k1.Run()
-
-	k2, d2, l2 := setup(energy.Rate11Mbps())
-	d2.SetPowerSave(true)
-	var end2 time.Duration
-	l2.Download(n, nil, nil, func() { end2 = k2.Now() })
-	k2.Run()
-
-	if !(end2 > end1) {
-		t.Errorf("power save should slow the download: %v vs %v", end2, end1)
-	}
-	slowdown := end2.Seconds() / end1.Seconds()
-	if math.Abs(slowdown-1/(1-energy.PowerSavePenalty)) > 0.05 {
-		t.Errorf("slowdown %.3f, want ~%.3f", slowdown, 1/(1-energy.PowerSavePenalty))
-	}
-	// For a pure download, the 25% slowdown outweighs the lower PS
-	// currents — which is exactly why the paper leaves power saving off
-	// for gzip and enables it only for bzip2's long decompressions. The
-	// penalty must be small (a few percent), not a win.
-	e1 := d1.EnergyJ(0, end1)
-	e2 := d2.EnergyJ(0, end2)
-	if !(e2 > e1) {
-		t.Errorf("power-save pure download should cost slightly more: %.3f vs %.3f J", e2, e1)
-	}
-	if (e2-e1)/e1 > 0.05 {
-		t.Errorf("power-save penalty %.1f%% too large", 100*(e2-e1)/e1)
-	}
-}
-
 func TestPowerSaveWinsWithLongIdleTail(t *testing.T) {
 	// Download followed by a long CPU-only phase (bzip2-style): with power
-	// saving on, the radio idles at 110 mA instead of 310 mA during the
-	// tail, which must dominate the download penalty.
+	// saving switched on once the last byte is in, as the pipeline's
+	// sleep-during-decompress runs do, the busy device draws 340 mA
+	// instead of 570 mA through the tail.
 	n := 200_000
 	tail := 3 * time.Second
 
 	run := func(ps bool) float64 {
 		k, d, l := setup(energy.Rate11Mbps())
-		d.SetPowerSave(ps)
 		w := device.NewWorker(k, d)
 		var end time.Duration
 		l.Download(n, nil, nil, func() {
+			d.SetPowerSave(ps)
 			w.Add(tail)
 			end = w.Drain()
 		})

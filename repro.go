@@ -28,13 +28,11 @@ package repro
 import (
 	"io"
 	"log/slog"
-	"time"
 
 	"repro/internal/calib"
 	"repro/internal/cluster"
 	"repro/internal/codec"
 	"repro/internal/decider"
-	"repro/internal/device"
 	"repro/internal/energy"
 	"repro/internal/flate"
 	"repro/internal/obs"
@@ -43,7 +41,6 @@ import (
 	"repro/internal/proxy"
 	"repro/internal/proxy/faultconn"
 	"repro/internal/selective"
-	"repro/internal/session"
 	"repro/internal/workload"
 )
 
@@ -274,23 +271,3 @@ func ScaledCorpus(factor float64) []workload.FileSpec { return workload.ScaledCo
 // GenerateMixedFile produces tar-like content alternating compressible and
 // incompressible blocks (Section 4.3's motivating case).
 func GenerateMixedFile(size int, seed uint64) []byte { return workload.MixedFile(size, seed) }
-
-// SessionSpec describes a multi-request browse session for the radio
-// idle-management policy study (the paper's Section 2 discussion).
-type SessionSpec = session.Spec
-
-// Radio idle-management policies.
-const (
-	PolicyHardwarePS = session.HardwarePS
-)
-
-// RunSession executes a session under a policy.
-func RunSession(spec SessionSpec) (session.Result, error) { return session.Run(spec) }
-
-// WebSession builds a deterministic browse-like request mix.
-func WebSession(n int, meanGap time.Duration, meanBytes int, seed int64) []session.Request {
-	return session.WebSession(n, meanGap, meanBytes, seed)
-}
-
-// IPAQBattery returns the iPAQ 3650's 1500 mAh pack.
-func IPAQBattery() device.Battery { return device.IPAQBattery() }

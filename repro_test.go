@@ -9,14 +9,15 @@ import (
 	"regexp"
 	"strings"
 	"testing"
-	"time"
 
 	"repro"
 )
 
 // TestDocsNameDeclaredFacade fails when README.md, DESIGN.md or
-// EXPERIMENTS.md names a repro.X that repro.go does not declare: a name
-// trimmed from the facade must leave the documents too.
+// EXPERIMENTS.md names a repro.X that repro.go does not declare, or
+// backticks an internal/… or cmd/… path that is not a directory (a .go
+// file, for a path ending in .go): a name trimmed from the facade, or a
+// package deleted, must leave the documents too.
 func TestDocsNameDeclaredFacade(t *testing.T) {
 	f, err := parser.ParseFile(token.NewFileSet(), "repro.go", nil, parser.SkipObjectResolution)
 	if err != nil {
@@ -41,6 +42,7 @@ func TestDocsNameDeclaredFacade(t *testing.T) {
 		}
 	}
 	named := regexp.MustCompile(`\brepro\.([A-Z]\w*)`)
+	path := regexp.MustCompile("`((?:internal|cmd)/[^`\\s]*)")
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
@@ -49,6 +51,11 @@ func TestDocsNameDeclaredFacade(t *testing.T) {
 		for _, m := range named.FindAllStringSubmatch(string(text), -1) {
 			if !declared[m[1]] {
 				t.Errorf("%s names repro.%s, which repro.go does not declare", doc, m[1])
+			}
+		}
+		for _, m := range path.FindAllStringSubmatch(string(text), -1) {
+			if fi, err := os.Stat(m[1]); err != nil || fi.IsDir() == strings.HasSuffix(m[1], ".go") {
+				t.Errorf("%s names `%s`, which is not a package directory or Go file", doc, m[1])
 			}
 		}
 	}
@@ -150,22 +157,5 @@ func TestFacadeCorpus(t *testing.T) {
 	scaled := repro.ScaledCorpus(0.1)
 	if scaled[0].Size >= repro.Corpus()[0].Size {
 		t.Error("scaling had no effect")
-	}
-}
-
-func TestFacadeSessionAndBattery(t *testing.T) {
-	reqs := repro.WebSession(5, time.Second, 50_000, 1)
-	res, err := repro.RunSession(repro.SessionSpec{
-		Requests: reqs, Policy: repro.PolicyHardwarePS,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.EnergyJ <= 0 {
-		t.Errorf("session energy %v", res.EnergyJ)
-	}
-	b := repro.IPAQBattery()
-	if b.Operations(res.EnergyJ) <= 0 {
-		t.Error("battery operations")
 	}
 }

@@ -350,12 +350,11 @@ check_cover ./internal/lz77 91
 check_cover ./internal/codec 90
 check_cover ./internal/bitio 93
 # The figure world: the simulated handheld, its link, the run shapes over
-# them, the experiments that print the goldens, sessions and the kernel.
+# them, the experiments that print the goldens and the kernel.
 check_cover ./internal/device 79
 check_cover ./internal/wlan 92
 check_cover ./internal/pipeline 89
 check_cover ./internal/experiment 85
-check_cover ./internal/session 86
 check_cover ./internal/sim 95
 
 # Decompression-kernel gates, without -race (the race runtime changes
