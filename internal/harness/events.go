@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"repro/internal/energy"
 	"repro/internal/obs"
 	"repro/internal/obs/export"
 )
@@ -21,9 +20,9 @@ import (
 // recv, backoff, resume — the virtual-time phases) come from the
 // clients' span rings.
 func (r *Report) Events() []export.Event {
-	// The soak fleet models the paper's primary configuration; the
-	// energy-conservation oracle charges with the same parameter set.
-	rate := energy.Rate11Mbps()
+	// The clients were charged at the link's rate row, and the
+	// energy-conservation oracle holds them to the same one.
+	rate := r.Scenario.rate()
 	p := rate.Params()
 	evs := make([]export.Event, 0, len(r.Records))
 	for _, rec := range r.Records {

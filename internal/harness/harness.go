@@ -30,6 +30,7 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/decider"
+	"repro/internal/energy"
 	"repro/internal/obs"
 	"repro/internal/proxy"
 	"repro/internal/proxy/faultconn"
@@ -150,6 +151,19 @@ func (s Scenario) withDefaults() Scenario {
 		s.PeerLink = simnet.Link{BytesPerSec: 12_500_000, Latency: 200 * time.Microsecond}
 	}
 	return s
+}
+
+// rate is the 802.11b rate row the scenario's link runs at: the row whose
+// effective rate the link's equals, else the 11 Mb/s row. The clients are
+// charged at it, the energy oracle holds them to it and the events carry
+// it.
+func (s Scenario) rate() energy.RateConfig {
+	for _, r := range energy.Rates() {
+		if r.BytesPerSec() == s.Link.BytesPerSec {
+			return r
+		}
+	}
+	return energy.Rate11Mbps()
 }
 
 // corpusFile is one generated workload file served by the scenario.
@@ -404,6 +418,7 @@ func Run(s Scenario) (*Report, error) {
 	for k := range addrs {
 		addrs[k] = nodeAddr(k)
 	}
+	rate := s.rate()
 	records := make([][]FetchRecord, s.Clients)
 	tracers := make([]*obs.Tracer, s.Clients)
 	dials := make([]int64, s.Clients)
@@ -436,6 +451,7 @@ func Run(s Scenario) (*Report, error) {
 			cli.RetryBaseDelay = 10 * time.Millisecond
 			cli.RetryMaxDelay = 200 * time.Millisecond
 			cli.Rand = sim.NewRand(mix(s.Seed, int64(2000+i)))
+			cli.Rate = rate
 			cli.Tracer = tracers[i]
 			cli.DeadlineClass = s.DeadlineClass
 			cli.EnergyBudgetJ = s.BudgetJ

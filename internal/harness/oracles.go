@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"time"
 
-	"repro/internal/energy"
 	"repro/internal/proxy"
 )
 
@@ -63,7 +62,7 @@ func (r *Report) checkPayloads(byName map[string]corpusFile) {
 // (interleaved) when compressed blocks crossed the wire, Eq. 1 (plain
 // download) otherwise — split into the same radio/CPU/idle components.
 func (r *Report) checkEnergyConservation() {
-	p := energy.Params11Mbps()
+	p := r.Scenario.rate().Params()
 	for ci, spans := range r.Spans {
 		recs := r.clientRecords(ci)
 		if len(spans) != len(recs) {

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -77,22 +78,38 @@ func (d SpanData) JoulesByClass() map[string]float64 {
 // Span is an in-progress trace. Its mutator methods are safe for
 // concurrent use (the client's decompressor goroutine records phases
 // while the receive loop does) and nil-safe, so instrumented code never
-// branches on whether tracing is enabled.
+// branches on whether tracing is enabled. A finished span is immutable:
+// Finish hands its phases and attrs to the tracer's ring as they are, so
+// every mutator called after it changes nothing.
 type Span struct {
-	t  *Tracer
-	mu sync.Mutex
-	d  SpanData
+	t    *Tracer
+	mu   sync.Mutex
+	d    SpanData
+	done bool
 	// phases backs d.Phases until a span records more than fit: a served
 	// request's span records three or four.
 	phases [4]Phase
 }
 
-// SetAttr attaches a key/value attribute.
-func (s *Span) SetAttr(key, value string) {
+// open locks s for a mutation, reporting false (and leaving it unlocked)
+// for a nil or finished span.
+func (s *Span) open() bool {
 	if s == nil {
-		return
+		return false
 	}
 	s.mu.Lock()
+	if s.done {
+		s.mu.Unlock()
+		return false
+	}
+	return true
+}
+
+// SetAttr attaches a key/value attribute.
+func (s *Span) SetAttr(key, value string) {
+	if !s.open() {
+		return
+	}
 	defer s.mu.Unlock()
 	if s.d.Attrs == nil {
 		s.d.Attrs = make(map[string]string)
@@ -102,10 +119,9 @@ func (s *Span) SetAttr(key, value string) {
 
 // Phase records an interval that started at the given wall time.
 func (s *Span) Phase(name, class string, start time.Time, dur time.Duration, bytes int64) {
-	if s == nil {
+	if !s.open() {
 		return
 	}
-	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.d.Phases = append(s.d.Phases, Phase{
 		Name:     name,
@@ -118,10 +134,9 @@ func (s *Span) Phase(name, class string, start time.Time, dur time.Duration, byt
 
 // PhaseDetail records an interval with a free-form detail string.
 func (s *Span) PhaseDetail(name, class, detail string, start time.Time, dur time.Duration, bytes int64) {
-	if s == nil {
+	if !s.open() {
 		return
 	}
-	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.d.Phases = append(s.d.Phases, Phase{
 		Name:     name,
@@ -137,10 +152,9 @@ func (s *Span) PhaseDetail(name, class, detail string, start time.Time, dur time
 // directly — the idle-residual energy of the paper's model, which belongs
 // to no recorded interval.
 func (s *Span) AccountPhase(name, class string, joules float64) {
-	if s == nil {
+	if !s.open() {
 		return
 	}
-	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.d.Phases = append(s.d.Phases, Phase{Name: name, Class: class, Joules: joules})
 }
@@ -152,69 +166,69 @@ func (s *Span) AccountPhase(name, class string, joules float64) {
 // energy is silently dropped. The span's total modeled energy therefore
 // increases by exactly total.
 func (s *Span) DistributeJoules(class string, total float64) {
-	if s == nil || total == 0 {
+	if total == 0 || !s.open() {
 		return
 	}
-	s.mu.Lock()
 	defer s.mu.Unlock()
-	var idx []int
+	var n, last int
 	var byteSum, durSum float64
 	for i, p := range s.d.Phases {
 		if p.Class == class {
-			idx = append(idx, i)
+			n, last = n+1, i
 			byteSum += float64(p.Bytes)
 			durSum += p.Duration.Seconds()
 		}
 	}
-	if len(idx) == 0 {
+	if n == 0 {
 		s.d.Phases = append(s.d.Phases, Phase{Name: class, Class: class, Joules: total})
 		return
-	}
-	weight := func(p Phase) float64 { return 1 }
-	wsum := float64(len(idx))
-	switch {
-	case byteSum > 0:
-		weight, wsum = func(p Phase) float64 { return float64(p.Bytes) }, byteSum
-	case durSum > 0:
-		weight, wsum = func(p Phase) float64 { return p.Duration.Seconds() }, durSum
 	}
 	// Give the last phase the exact remainder so rounding never loses or
 	// invents energy relative to total.
 	rest := total
-	for n, i := range idx {
-		if n == len(idx)-1 {
-			s.d.Phases[i].Joules += rest
-			break
+	for i := range s.d.Phases[:last] {
+		p := &s.d.Phases[i]
+		if p.Class != class {
+			continue
 		}
-		share := total * weight(s.d.Phases[i]) / wsum
-		s.d.Phases[i].Joules += share
+		var share float64
+		switch {
+		case byteSum > 0:
+			share = total * float64(p.Bytes) / byteSum
+		case durSum > 0:
+			share = total * p.Duration.Seconds() / durSum
+		default:
+			share = total / float64(n)
+		}
+		p.Joules += share
 		rest -= share
 	}
+	s.d.Phases[last].Joules += rest
 }
 
 // Fail records the error the span ended with.
 func (s *Span) Fail(err error) {
-	if s == nil || err == nil {
+	if err == nil || !s.open() {
 		return
 	}
-	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.d.Err = err.Error()
 }
 
 // Data returns a copy of the span's current state, usable before or after
-// Finish (hhfetch -trace prints the fetch span it owns this way).
+// Finish (hhfetch -trace prints the fetch span it owns this way). After
+// Finish it shares the finished span's phases and attrs, which nothing
+// changes any more.
 func (s *Span) Data() SpanData {
 	if s == nil {
 		return SpanData{}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.copyLocked()
-}
-
-func (s *Span) copyLocked() SpanData {
 	d := s.d
+	if s.done {
+		return d
+	}
 	d.Phases = append([]Phase(nil), s.d.Phases...)
 	if s.d.Attrs != nil {
 		d.Attrs = make(map[string]string, len(s.d.Attrs))
@@ -225,20 +239,21 @@ func (s *Span) copyLocked() SpanData {
 	return d
 }
 
-// Finish stamps the end time and publishes the span to its tracer's ring
-// buffer. Finish is idempotent in effect only if called once; call it
-// exactly once, typically via defer.
+// Finish stamps the end time, freezes the span and publishes it to its
+// tracer's ring buffer. Only the first call does anything; call it once,
+// typically via defer.
 func (s *Span) Finish() {
-	if s == nil {
+	if !s.open() {
 		return
 	}
-	s.mu.Lock()
 	s.d.End = time.Now()
-	d := s.copyLocked()
-	t := s.t
+	s.done = true
+	// Clipped, so that a reader appending to its phases copies them.
+	s.d.Phases = slices.Clip(s.d.Phases)
+	d := s.d
 	s.mu.Unlock()
-	if t != nil {
-		t.push(d)
+	if s.t != nil {
+		s.t.push(d)
 	}
 }
 

@@ -55,6 +55,14 @@ type Clock struct {
 	busy int
 	// parked counts goroutines blocked in parkLocked, for diagnostics.
 	parked int
+
+	// The free lists (free.go): idle waiters, notices and write segments.
+	waiters []*waiter
+	notices []*notice
+	segs    [segClasses][][]byte
+	// segFree is the bytes segs holds; segsHeld counts segments taken by a
+	// Write and not yet returned (in flight, or buffered unread).
+	segFree, segsHeld int
 }
 
 // NewClock returns a virtual clock at virtual time zero, anchored so that
@@ -63,12 +71,13 @@ func NewClock() *Clock {
 	return &Clock{kern: sim.NewKernel(), epoch: time.Now()}
 }
 
-// waiter is one park of one goroutine, made fresh for it. woken and err
-// are guarded by the clock lock; wakeLocked transfers a busy token to the
-// waiter as it wakes it. Each waiter sleeps on its own condition variable
-// (armed only when it actually has to wait), so waking one costs one
-// Signal instead of a broadcast to every parked goroutine — the difference
-// between O(1) and O(clients) per event on a 10,000-client soak.
+// waiter is one park of one goroutine, taken from the clock's free list.
+// woken and err are guarded by the clock lock; wakeLocked transfers a busy
+// token to the waiter as it wakes it. Each waiter sleeps on its own
+// condition variable (armed only when it actually has to wait), so waking
+// one costs one Signal instead of a broadcast to every parked goroutine —
+// the difference between O(1) and O(clients) per event on a 10,000-client
+// soak.
 //
 // A waiter is also the kernel event that wakes it (sim.Waker): a timeout
 // is the waiter itself in the event queue, with no closure around it. Such
@@ -76,16 +85,24 @@ func NewClock() *Clock {
 // woken, waking a woken waiter is a no-op, and no waiter is parked on
 // twice — so one that outlives its park fires into nothing. It still takes
 // its turn in the queue: the clock visits its time, as every trace expects.
+// That is also why a waiter goes back on the free list only when both its
+// park is over (held clear) and no timeout of it is left in the queue
+// (armed clear): a stale timeout must never reach a later park.
 type waiter struct {
-	c     *Clock
-	woken bool
-	err   error
-	cond  sync.Cond // L is set once a goroutine waits on it
+	c           *Clock
+	woken       bool
+	held, armed bool
+	err         error
+	cond        sync.Cond // L is set once a goroutine waits on it
 }
 
 // Wake is the waiter's timeout firing, under the clock lock like every
 // kernel event.
-func (w *waiter) Wake() { w.c.wakeLocked(w, nil) }
+func (w *waiter) Wake() {
+	w.armed = false
+	w.c.wakeLocked(w, nil)
+	w.c.recycleLocked(w)
+}
 
 // Now returns the current virtual time as a wall-anchored time.Time.
 func (c *Clock) Now() time.Time {
@@ -110,8 +127,8 @@ func (c *Clock) Sleep(d time.Duration) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	w := &waiter{c: c}
-	c.kern.ScheduleWake(d, w)
+	w := c.waiterLocked()
+	c.timeoutLocked(d, w)
 	c.parkLocked(w)
 }
 
@@ -168,11 +185,13 @@ func (c *Clock) kickLocked() {
 }
 
 // parkLocked blocks the calling ledger goroutine until w is woken,
-// releasing its busy token for the duration. The goroutine that takes
-// busy to zero advances the clock itself (kickLocked); every other parked
-// goroutine sleeps on its own waiter cond until a wake targets it.
-// Called with the lock held; returns with it held.
-func (c *Clock) parkLocked(w *waiter) {
+// releasing its busy token for the duration, and returns the error w was
+// woken with. The goroutine that takes busy to zero advances the clock
+// itself (kickLocked); every other parked goroutine sleeps on its own
+// waiter cond until a wake targets it. The park is w's last use by its
+// goroutine: w goes back to the clock, and the caller must not touch it
+// again. Called with the lock held; returns with it held.
+func (c *Clock) parkLocked(w *waiter) error {
 	c.busy--
 	if c.busy < 0 {
 		panic("simnet: blocking call from a goroutine outside the clock ledger; wrap it in Clock.Run or Clock.Go")
@@ -194,6 +213,10 @@ func (c *Clock) parkLocked(w *waiter) {
 		}
 	}
 	c.parked--
+	err := w.err
+	w.held = false
+	c.recycleLocked(w)
+	return err
 }
 
 // wakeLocked marks w woken, transferring a busy token to it on its

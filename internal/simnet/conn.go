@@ -32,8 +32,10 @@ type endpoint struct {
 	peer *endpoint
 	link Link
 	// rng draws this direction's transmit jitter.
-	rng           *rand.Rand
-	local, remote simAddr
+	rng *rand.Rand
+	// local and remote point into the connection's pipe and its listener,
+	// so handing them out boxes nothing.
+	local, remote net.Addr
 
 	// line, when non-nil, is the node-wide transmitter this endpoint's
 	// writes serialize on (a server-side endpoint accepted from a
@@ -47,8 +49,12 @@ type endpoint struct {
 	// the peer; the close marker must not overtake it.
 	lastArrival time.Duration
 
-	// buf holds delivered-but-unread chunks, oldest first.
-	buf [][]byte
+	// buf holds delivered-but-unread segments, oldest first, from
+	// buf[head] on; roff bytes of buf[head] have been read.
+	buf        [][]byte
+	head, roff int
+	// inline backs buf until more than two segments wait unread.
+	inline [2][]byte
 	// rwait / wwait are the currently parked reader / writer, if any.
 	rwait, wwait *waiter
 	// rdl / wdl are the read / write deadlines; zero means none.
@@ -84,12 +90,16 @@ func (e *endpoint) Read(b []byte) (int, error) {
 		if e.closed {
 			return 0, net.ErrClosed
 		}
-		if len(e.buf) > 0 {
-			n := copy(b, e.buf[0])
-			if n == len(e.buf[0]) {
-				e.buf = e.buf[1:]
-			} else {
-				e.buf[0] = e.buf[0][n:]
+		if e.head < len(e.buf) {
+			seg := e.buf[e.head]
+			n := copy(b, seg[e.roff:])
+			if e.roff += n; e.roff == len(seg) {
+				e.buf[e.head] = nil
+				e.head, e.roff = e.head+1, 0
+				if e.head == len(e.buf) {
+					e.buf, e.head = e.buf[:0], 0
+				}
+				c.putSegLocked(seg)
 			}
 			return n, nil
 		}
@@ -99,18 +109,18 @@ func (e *endpoint) Read(b []byte) (int, error) {
 		if e.expiredLocked(e.rdl) {
 			return 0, os.ErrDeadlineExceeded
 		}
-		w := &waiter{c: c}
+		w := c.waiterLocked()
 		e.rwait = w
 		if !e.rdl.IsZero() {
 			// Wake at the deadline and re-evaluate: the loop re-derives
 			// the timeout, which also handles a deadline that was extended
 			// while we were parked.
-			c.kern.ScheduleWake(e.untilLocked(e.rdl), w)
+			c.timeoutLocked(e.untilLocked(e.rdl), w)
 		}
-		c.parkLocked(w)
+		err := c.parkLocked(w)
 		e.rwait = nil
-		if w.err != nil {
-			return 0, w.err
+		if err != nil {
+			return 0, err
 		}
 	}
 }
@@ -164,17 +174,9 @@ func (e *endpoint) Write(b []byte) (int, error) {
 	if arrival > e.lastArrival {
 		e.lastArrival = arrival
 	}
-	data := append([]byte(nil), b...)
-	pe := e.peer
-	c.kern.Schedule(arrival-now, func() {
-		if pe.closed {
-			return // delivered into a closed socket: dropped
-		}
-		pe.buf = append(pe.buf, data)
-		if pe.rwait != nil {
-			c.wakeLocked(pe.rwait, nil)
-		}
-	})
+	seg := c.segLocked(len(b))
+	copy(seg, b)
+	c.kern.ScheduleWake(arrival-now, c.noticeLocked(e.peer, seg))
 	for {
 		now = c.kern.Now()
 		if now >= done {
@@ -197,13 +199,13 @@ func (e *endpoint) Write(b []byte) (int, error) {
 				wakeAt = dl
 			}
 		}
-		w := &waiter{c: c}
+		w := c.waiterLocked()
 		e.wwait = w
-		c.kern.ScheduleWake(wakeAt-now, w)
-		c.parkLocked(w)
+		c.timeoutLocked(wakeAt-now, w)
+		err := c.parkLocked(w)
 		e.wwait = nil
-		if w.err != nil {
-			return 0, w.err
+		if err != nil {
+			return 0, err
 		}
 	}
 }
@@ -227,15 +229,52 @@ func (e *endpoint) Close() error {
 	if e.wwait != nil {
 		c.wakeLocked(e.wwait, nil)
 	}
+	// Unread segments go back to the clock; so will any still in flight
+	// to this endpoint, as they arrive.
+	for _, seg := range e.buf[e.head:] {
+		c.putSegLocked(seg)
+	}
+	e.buf, e.head, e.roff = nil, 0, 0
 	at := e.link.Latency
 	if rem := e.lastArrival - c.kern.Now(); rem > at {
 		at = rem
 	}
-	pe := e.peer
-	c.kern.Schedule(at, func() {
-		if pe.closed {
-			return
+	c.kern.ScheduleWake(at, c.noticeLocked(e.peer, nil))
+	if e.handoff {
+		e.handoff = false
+		c.dropTokenLocked()
+	}
+	return nil
+}
+
+// notice is a kernel event that crosses a link to endpoint to: a segment
+// of written bytes arriving (seg non-nil), or the close marker. Notices
+// come from the clock's free list and return to it once they have fired.
+type notice struct {
+	to  *endpoint
+	seg []byte
+}
+
+// Wake delivers the notice, under the clock lock like every kernel event.
+func (n *notice) Wake() {
+	pe, seg := n.to, n.seg
+	c := pe.c
+	*n = notice{}
+	if len(c.notices) < maxFreeNotices {
+		c.notices = append(c.notices, n)
+	}
+	switch {
+	case pe.closed:
+		// Delivered into a closed socket: dropped.
+		if seg != nil {
+			c.putSegLocked(seg)
 		}
+	case seg != nil:
+		pe.buf = append(pe.buf, seg)
+		if pe.rwait != nil {
+			c.wakeLocked(pe.rwait, nil)
+		}
+	default:
 		pe.peerClosed = true
 		if pe.rwait != nil {
 			c.wakeLocked(pe.rwait, nil)
@@ -243,12 +282,7 @@ func (e *endpoint) Close() error {
 		if pe.wwait != nil {
 			c.wakeLocked(pe.wwait, nil)
 		}
-	})
-	if e.handoff {
-		e.handoff = false
-		c.dropTokenLocked()
 	}
-	return nil
 }
 
 func (e *endpoint) LocalAddr() net.Addr  { return e.local }

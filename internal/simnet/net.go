@@ -39,7 +39,7 @@ func (nw *Network) Clock() *Clock { return nw.clock }
 type Listener struct {
 	c       *Clock
 	nw      *Network
-	name    string
+	addr    simAddr // the name it is bound under
 	pending []*endpoint
 	waiters []*waiter
 	// backlog counts busy tokens held on behalf of pending connections
@@ -64,7 +64,7 @@ func (nw *Network) Listen(name string) (*Listener, error) {
 	if _, ok := nw.listeners[name]; ok {
 		return nil, fmt.Errorf("simnet: address %q already bound", name)
 	}
-	l := &Listener{c: nw.clock, nw: nw, name: name}
+	l := &Listener{c: nw.clock, nw: nw, addr: simAddr(name)}
 	nw.listeners[name] = l
 	return l, nil
 }
@@ -97,17 +97,19 @@ func (l *Listener) Accept() (net.Conn, error) {
 			c.busy++
 			return ep, nil
 		}
-		w := &waiter{c: c}
+		w := c.waiterLocked()
 		l.waiters = append(l.waiters, w)
-		c.parkLocked(w)
+		err := c.parkLocked(w)
+		// w is back with the clock, but the lock has been held since it
+		// woke, so it is still this park's entry in the list.
 		for i, o := range l.waiters {
 			if o == w {
 				l.waiters = append(l.waiters[:i], l.waiters[i+1:]...)
 				break
 			}
 		}
-		if w.err != nil {
-			return nil, w.err
+		if err != nil {
+			return nil, err
 		}
 	}
 }
@@ -122,7 +124,7 @@ func (l *Listener) Close() error {
 		return nil
 	}
 	l.closed = true
-	delete(l.nw.listeners, l.name)
+	delete(l.nw.listeners, string(l.addr))
 	for _, w := range l.waiters {
 		c.wakeLocked(w, net.ErrClosed)
 	}
@@ -137,7 +139,7 @@ func (l *Listener) Close() error {
 }
 
 // Addr returns the listener's virtual address.
-func (l *Listener) Addr() net.Addr { return simAddr(l.name) }
+func (l *Listener) Addr() net.Addr { return &l.addr }
 
 // Dial connects to the named listener over the network's default link.
 // The caller must be in the clock ledger (Clock.Go / Clock.Run): the call
@@ -159,40 +161,58 @@ func (nw *Network) DialLink(name string, link Link) (net.Conn, error) {
 			Err: fmt.Errorf("connection refused (no listener %q)", name)}
 	}
 	nw.connSeq++
-	caddr := simAddr("sim-peer-" + strconv.Itoa(nw.connSeq))
-	cep := &endpoint{c: c, nw: nw, link: link, local: caddr, remote: simAddr(name),
+	p := &pipe{caddr: simAddr("sim-peer-" + strconv.Itoa(nw.connSeq)), l: l, w: c.waiterLocked()}
+	cep, sep := &p.ends[0], &p.ends[1]
+	*cep = endpoint{c: c, nw: nw, link: link, local: &p.caddr, remote: &l.addr,
 		rng: sim.NewRand(dirSeed(link.Seed, 1))}
-	sep := &endpoint{c: c, nw: nw, link: link, local: simAddr(name), remote: caddr,
+	*sep = endpoint{c: c, nw: nw, link: link, local: &l.addr, remote: &p.caddr,
 		rng: sim.NewRand(dirSeed(link.Seed, 2)), line: l.line}
 	cep.peer, sep.peer = sep, cep
+	cep.buf, sep.buf = cep.inline[:0], sep.inline[:0]
 
-	w := &waiter{c: c}
 	// The connection request reaches the listener after one one-way
 	// latency; the handshake completes at the dialer one round trip out.
-	c.kern.Schedule(link.Latency, func() {
-		if l.closed {
-			c.wakeLocked(w, &net.OpError{Op: "dial", Net: "sim", Addr: simAddr(name),
-				Err: fmt.Errorf("connection refused (listener closed)")})
-			return
-		}
-		l.pending = append(l.pending, sep)
-		if len(l.waiters) > 0 {
-			c.wakeLocked(l.waiters[0], nil)
-		} else {
-			// No Accept is parked: hold a busy token until one arrives, so
-			// virtual time cannot outrun the accept loop. (A listener that
-			// is never accepted from freezes the clock — like dialing a
-			// bound port whose accept queue nobody drains.)
-			l.backlog++
-			c.busy++
-		}
-	})
-	c.kern.ScheduleWake(2*link.Latency, w)
-	c.parkLocked(w)
-	if w.err != nil {
-		return nil, w.err
+	w := p.w
+	c.kern.ScheduleWake(link.Latency, p)
+	c.timeoutLocked(2*link.Latency, w)
+	if err := c.parkLocked(w); err != nil {
+		return nil, err
 	}
 	return cep, nil
+}
+
+// pipe is one virtual connection in a single allocation: its two
+// endpoints (the dialer's first), the dialer's address, and while the dial
+// is under way the listener it goes to and the dialer's waiter.
+type pipe struct {
+	ends  [2]endpoint
+	caddr simAddr
+	l     *Listener
+	w     *waiter
+}
+
+// Wake is the connection request reaching the listener, under the clock
+// lock like every kernel event.
+func (p *pipe) Wake() {
+	l, w := p.l, p.w
+	p.l, p.w = nil, nil
+	c := l.c
+	if l.closed {
+		c.wakeLocked(w, &net.OpError{Op: "dial", Net: "sim", Addr: l.addr,
+			Err: fmt.Errorf("connection refused (listener closed)")})
+		return
+	}
+	l.pending = append(l.pending, &p.ends[1])
+	if len(l.waiters) > 0 {
+		c.wakeLocked(l.waiters[0], nil)
+	} else {
+		// No Accept is parked: hold a busy token until one arrives, so
+		// virtual time cannot outrun the accept loop. (A listener that
+		// is never accepted from freezes the clock — like dialing a
+		// bound port whose accept queue nobody drains.)
+		l.backlog++
+		c.busy++
+	}
 }
 
 // ensure interface compliance
