@@ -397,12 +397,14 @@ func buildDecider(s Scenario) selective.Decider {
 // Scenario.Nodes ring members, then the same clients, churn actor and
 // report assembly run against them. Client i's schedule, fault plan and
 // jitter seeds derive from (seed, i) alone, whatever the server count.
-func Run(s Scenario) (*Report, error) {
+func Run(s Scenario) (*Report, error) { return run(s, simnet.NewClock()) }
+
+// run is Run on a given clock, which a test reads back afterwards.
+func run(s Scenario, clock *simnet.Clock) (*Report, error) {
 	s = s.withDefaults()
 	goroutinesBefore := runtime.NumGoroutine()
 
 	corpus := buildCorpus(s)
-	clock := simnet.NewClock()
 	nw := simnet.NewNetwork(clock, s.Link)
 	if len(s.Schedule) > 0 {
 		if err := nw.SetSchedule(s.Schedule); err != nil {

@@ -89,3 +89,15 @@ func (c *Clock) putSegLocked(seg []byte) {
 	c.segs[k] = append(c.segs[k], seg[:0])
 	c.segFree += cap(seg)
 }
+
+// Segments reports the clock's write segments: held ones, taken by a
+// write and not yet returned (in flight, or buffered unread), and free
+// ones, waiting on the free lists.
+func (c *Clock) Segments() (held, free int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, l := range c.segs {
+		free += len(l)
+	}
+	return c.segsHeld, free
+}

@@ -85,6 +85,8 @@ if go list -deps ./internal/decider | grep -Eqx 'repro/internal/(device|wlan)'; 
 	exit 1
 fi
 exists . 'TestRateTableAgrees'
+# A testbed spec is charged at the row its link runs at.
+exists ./internal/harness 'TestTwoMbpsLinkChargedAtItsRow'
 exists ./internal/decider 'TestParamsForLinkUnchanged|TestLinkAnchorsAreTheMeasuredPoints'
 exists ./internal/codec 'TestParseScheme'
 
@@ -372,10 +374,20 @@ named ./internal/flate 'TestDeflateSteadyStateAllocs|TestStreamingWriterSteadyAl
 # BWT encode allocates its output and a fixed few KiB.
 named ./internal/codec 'TestDecompressIntoSteadyStateAllocs|TestCompressSteadyStateAllocs' -count=1
 # The testbed's own costs: a generator and four draws stay within three
-# allocations and 160 bytes, a timeout in the event queue costs none, and
-# an oracle reads a client's records where they lie.
+# allocations and 160 bytes, a timeout in the event queue costs none, a
+# paced write and its read on a warm simnet connection cost none, a
+# client-shaped span costs four, and an oracle reads a client's records
+# where they lie.
 named ./internal/sim 'TestSeededRandAllocs|TestScheduleWakeAllocs' -count=1
+named ./internal/simnet 'TestSimnetRoundTripAllocs' -count=1
+named ./internal/obs 'TestSpanLifecycleAllocs' -count=1
 named ./internal/harness 'TestClientRecordsAliasesReport' -count=1
+# What those budgets rest on, repeated under -race: a finished span that
+# readers share is never written again, every write segment comes back to
+# its clock, and a waiter is reused only once no timeout of it is queued.
+named ./internal/obs 'TestFinishedSpanIsImmutable' -race -count=10
+named ./internal/simnet 'TestSegmentsComeBack|TestStaleTimeoutNeverWakesLaterPark' -race -count=10
+named ./internal/harness 'TestRunReturnsEverySegment' -count=1
 
 # Parallel-compression determinism gate: the selective encoder must emit
 # byte-identical output for every worker count (1 vs N), so cached artifacts
