@@ -260,7 +260,7 @@ func (n *notice) Wake() {
 	pe, seg := n.to, n.seg
 	c := pe.c
 	*n = notice{}
-	if len(c.notices) < maxFreeNotices {
+	if len(c.notices) < maxFree {
 		c.notices = append(c.notices, n)
 	}
 	switch {

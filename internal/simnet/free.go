@@ -13,22 +13,32 @@ import (
 // write gets a segment of its own size that is not kept), and what a full
 // list is handed is dropped.
 const (
-	maxFreeWaiters = 4096
-	maxFreeNotices = 4096
-	segMinShift    = 9
-	segClasses     = 8
-	maxFreeSegMem  = 4 << 20
+	maxFree       = 4096 // waiters, and notices
+	segMinShift   = 9
+	segClasses    = 8
+	maxFreeSegMem = 4 << 20
 )
+
+// pop takes the last entry off free list l, reporting false when it is
+// empty.
+func pop[T any](l *[]T) (T, bool) {
+	var zero T
+	n := len(*l)
+	if n == 0 {
+		return zero, false
+	}
+	x := (*l)[n-1]
+	(*l)[n-1] = zero
+	*l = (*l)[:n-1]
+	return x, true
+}
 
 // waiterLocked takes a waiter for a park of the calling goroutine.
 func (c *Clock) waiterLocked() *waiter {
-	n := len(c.waiters)
-	if n == 0 {
+	w, ok := pop(&c.waiters)
+	if !ok {
 		return &waiter{c: c, held: true}
 	}
-	w := c.waiters[n-1]
-	c.waiters[n-1] = nil
-	c.waiters = c.waiters[:n-1]
 	w.woken, w.err, w.held = false, nil, true
 	return w
 }
@@ -41,19 +51,15 @@ func (c *Clock) timeoutLocked(d time.Duration, w *waiter) {
 
 // recycleLocked puts w back on the free list once nothing can reach it.
 func (c *Clock) recycleLocked(w *waiter) {
-	if !w.held && !w.armed && len(c.waiters) < maxFreeWaiters {
+	if !w.held && !w.armed && len(c.waiters) < maxFree {
 		c.waiters = append(c.waiters, w)
 	}
 }
 
 // noticeLocked takes a notice of seg (nil for the close marker) for to.
 func (c *Clock) noticeLocked(to *endpoint, seg []byte) *notice {
-	var n *notice
-	if k := len(c.notices); k > 0 {
-		n = c.notices[k-1]
-		c.notices[k-1] = nil
-		c.notices = c.notices[:k-1]
-	} else {
+	n, ok := pop(&c.notices)
+	if !ok {
 		n = new(notice)
 	}
 	n.to, n.seg = to, seg
@@ -68,10 +74,7 @@ func (c *Clock) segLocked(n int) []byte {
 	if k >= segClasses {
 		return make([]byte, n)
 	}
-	if free := c.segs[k]; len(free) > 0 {
-		seg := free[len(free)-1]
-		free[len(free)-1] = nil
-		c.segs[k] = free[:len(free)-1]
+	if seg, ok := pop(&c.segs[k]); ok {
 		c.segFree -= cap(seg)
 		return seg[:n]
 	}

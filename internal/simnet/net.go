@@ -85,8 +85,12 @@ func (l *Listener) Accept() (net.Conn, error) {
 			return nil, net.ErrClosed
 		}
 		if len(l.pending) > 0 {
+			// Shift rather than reslice, so the queue's array is reused
+			// instead of regrown as it slides.
 			ep := l.pending[0]
-			l.pending = l.pending[1:]
+			n := copy(l.pending, l.pending[1:])
+			l.pending[n] = nil
+			l.pending = l.pending[:n]
 			if l.backlog > 0 {
 				// This connection's arrival froze the clock; our call token
 				// keeps busy positive, so dropping it here cannot kick.
