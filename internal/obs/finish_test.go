@@ -14,7 +14,7 @@ import (
 // DistributeJoules calls, the idle account and Finish — costs the span, a
 // phase array past the inline four, and the attrs map. Finish hands both
 // to the ring instead of copying them, and DistributeJoules allocates
-// nothing (the same span cost twelve allocations before).
+// nothing.
 func TestSpanLifecycleAllocs(t *testing.T) {
 	tr := NewTracer(16)
 	now := time.Now()

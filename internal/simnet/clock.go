@@ -72,22 +72,21 @@ func NewClock() *Clock {
 }
 
 // waiter is one park of one goroutine, taken from the clock's free list.
-// woken and err are guarded by the clock lock; wakeLocked transfers a busy
+// Its fields are guarded by the clock lock; wakeLocked transfers a busy
 // token to the waiter as it wakes it. Each waiter sleeps on its own
-// condition variable (armed only when it actually has to wait), so waking
-// one costs one Signal instead of a broadcast to every parked goroutine —
-// the difference between O(1) and O(clients) per event on a 10,000-client
-// soak.
+// condition variable (given its L only when it actually has to wait), so
+// waking one costs one Signal instead of a broadcast to every parked
+// goroutine — the difference between O(1) and O(clients) per event on a
+// 10,000-client soak.
 //
 // A waiter is also the kernel event that wakes it (sim.Waker): a timeout
 // is the waiter itself in the event queue, with no closure around it. Such
 // an event needs no cancelling — a park returns only once its waiter is
-// woken, waking a woken waiter is a no-op, and no waiter is parked on
-// twice — so one that outlives its park fires into nothing. It still takes
-// its turn in the queue: the clock visits its time, as every trace expects.
-// That is also why a waiter goes back on the free list only when both its
-// park is over (held clear) and no timeout of it is left in the queue
-// (armed clear): a stale timeout must never reach a later park.
+// woken, waking a woken waiter is a no-op, and a waiter goes back on the
+// free list only when its park is over (held clear) and no timeout of it
+// is left in the queue (armed clear) — so one that outlives its park fires
+// into nothing and never reaches a later park. It still takes its turn in
+// the queue: the clock visits its time, as every trace expects.
 type waiter struct {
 	c           *Clock
 	woken       bool

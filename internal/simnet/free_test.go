@@ -47,8 +47,7 @@ func connected(t *testing.T, link Link) (c *Clock, dialer, accepted net.Conn) {
 
 // A paced write and the peer's read of it, on a warm connection, allocate
 // nothing: the payload rides a recycled segment, its arrival a recycled
-// notice, and both parks recycled waiters. (Before segments, notices and
-// waiters were recycled the pair cost five allocations.)
+// notice, and both parks recycled waiters.
 func TestSimnetRoundTripAllocs(t *testing.T) {
 	_, dialer, accepted := connected(t, Link{BytesPerSec: 1e6, Latency: time.Millisecond, JitterFrac: 0.1, Seed: 1})
 	payload := make([]byte, 3000)
