@@ -19,6 +19,11 @@ const (
 
 var bufPools [maxPoolClass - minPoolClass + 1]sync.Pool
 
+// holders recycles the *[]byte each pooled buffer is kept in: GetBuf
+// empties the one its buffer came in, PutBuf fills one for the buffer it
+// keeps, so a warm round trip boxes no slice header.
+var holders sync.Pool
+
 // GetBuf returns a zero-length buffer with capacity at least n, recycled
 // when possible. Requests beyond the top size class fall through to a
 // plain allocation.
@@ -31,7 +36,11 @@ func GetBuf(n int) []byte {
 		c = bits.Len(uint(n - 1)) // ceil(log2 n)
 	}
 	if v := bufPools[c-minPoolClass].Get(); v != nil {
-		return (*v.(*[]byte))[:0]
+		h := v.(*[]byte)
+		b := (*h)[:0]
+		*h = nil
+		holders.Put(h)
+		return b
 	}
 	return make([]byte, 0, 1<<c)
 }
@@ -48,8 +57,12 @@ func PutBuf(b []byte) {
 	if k > maxPoolClass {
 		k = maxPoolClass
 	}
-	b = b[:0]
-	bufPools[k-minPoolClass].Put(&b)
+	h, _ := holders.Get().(*[]byte)
+	if h == nil {
+		h = new([]byte)
+	}
+	*h = b[:0]
+	bufPools[k-minPoolClass].Put(h)
 }
 
 // DecompressInto decompresses data with c onto the end of dst. maxSize is

@@ -19,11 +19,11 @@
 package harness
 
 import (
-	"fmt"
 	"hash/crc32"
 	"hash/fnv"
 	"net"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -227,13 +227,22 @@ func buildCorpus(s Scenario) []corpusFile {
 
 // corpusDigest folds the corpus shape into the trace header, so traces of
 // scenarios that differ only in workload cannot be mistaken for each other.
+// It hashes each entry as "name/class/ratio/size;", ratio in %g.
 func corpusDigest(entries []CorpusEntry) uint32 {
 	if len(entries) == 0 {
 		entries = defaultCorpus
 	}
 	h := fnv.New32a()
+	var b [128]byte
 	for _, e := range entries {
-		fmt.Fprintf(h, "%s/%d/%g/%d;", e.Name, e.Class, e.Ratio, e.Size)
+		p := append(b[:0], e.Name...)
+		p = append(p, '/')
+		p = strconv.AppendInt(p, int64(e.Class), 10)
+		p = append(p, '/')
+		p = strconv.AppendFloat(p, e.Ratio, 'g', -1, 64)
+		p = append(p, '/')
+		p = strconv.AppendInt(p, int64(e.Size), 10)
+		h.Write(append(p, ';'))
 	}
 	return h.Sum32()
 }
@@ -281,8 +290,9 @@ type Report struct {
 	Spans [][]obs.SpanData
 	// Dials counts each client's connections.
 	Dials []int64
-	// Elapsed is the virtual time the client schedules took. It is
-	// informational and excluded from the canonical trace.
+	// Elapsed is the virtual time the client schedules took, up to the
+	// last timeout they left queued. It is informational and excluded
+	// from the canonical trace.
 	Elapsed    time.Duration
 	Violations []string
 	// first[i] is where client i's records start in Records, with one
@@ -328,22 +338,54 @@ func (r *Report) ClientMakespan() time.Duration {
 // line per fetch in client-major order. Two runs of the same scenario
 // must produce byte-identical traces; anything scheduling-dependent
 // (timestamps, cache hit/miss split, joule floats) is deliberately absent.
+//
+// Each line is formatted on the stack, once to size the trace and once to
+// write it, so the trace is one allocation however many fetches it holds.
 func (r *Report) Trace() string {
+	var head, line [256]byte
+	h := r.appendHeader(head[:0])
+	n := len(h)
+	for i := range r.Records {
+		n += len(appendRecord(line[:0], &r.Records[i]))
+	}
 	var b strings.Builder
+	b.Grow(n)
+	b.Write(h)
+	for i := range r.Records {
+		b.Write(appendRecord(line[:0], &r.Records[i]))
+	}
+	return b.String()
+}
+
+// appendHeader appends the trace's header line to b: in fmt's terms,
+// "soak name=%s seed=%d clients=%d fetches=%d fault=%.4f link=%.0fBps
+// lat=%s jitter=%.2f churn=%d corpus=%08x sched=%d", then the cluster and
+// decider suffixes when the scenario sets them.
+func (r *Report) appendHeader(b []byte) []byte {
 	s := r.Scenario
 	name := s.Name
 	if name == "" {
 		name = "default"
 	}
-	fmt.Fprintf(&b, "soak name=%s seed=%d clients=%d fetches=%d fault=%.4f link=%.0fBps lat=%s jitter=%.2f churn=%d corpus=%08x sched=%d",
-		name, s.Seed, s.Clients, s.FetchesPerClient, s.FaultRate,
-		s.Link.BytesPerSec, s.Link.Latency, s.Link.JitterFrac, s.Churn,
-		corpusDigest(s.Corpus), len(s.Schedule))
+	b = append(append(b, "soak name="...), name...)
+	b = strconv.AppendInt(append(b, " seed="...), s.Seed, 10)
+	b = strconv.AppendInt(append(b, " clients="...), int64(s.Clients), 10)
+	b = strconv.AppendInt(append(b, " fetches="...), int64(s.FetchesPerClient), 10)
+	b = strconv.AppendFloat(append(b, " fault="...), s.FaultRate, 'f', 4, 64)
+	b = strconv.AppendFloat(append(b, " link="...), s.Link.BytesPerSec, 'f', 0, 64)
+	b = append(append(append(b, "Bps lat="...), s.Link.Latency.String()...), " jitter="...)
+	b = strconv.AppendFloat(b, s.Link.JitterFrac, 'f', 2, 64)
+	b = strconv.AppendInt(append(b, " churn="...), int64(s.Churn), 10)
+	b = appendZeroPad(append(b, " corpus="...), uint64(corpusDigest(s.Corpus)), 16, 8)
+	b = strconv.AppendInt(append(b, " sched="...), int64(len(s.Schedule)), 10)
 	if s.Nodes > 0 {
 		// The cluster suffix appears only on cluster traces, so every
 		// pre-cluster golden stays byte-identical.
-		fmt.Fprintf(&b, " nodes=%d replicas=%d hotk=%d peerlink=%.0fBps",
-			s.Nodes, s.Replicas, s.HotK, s.PeerLink.BytesPerSec)
+		b = strconv.AppendInt(append(b, " nodes="...), int64(s.Nodes), 10)
+		b = strconv.AppendInt(append(b, " replicas="...), int64(s.Replicas), 10)
+		b = strconv.AppendInt(append(b, " hotk="...), int64(s.HotK), 10)
+		b = strconv.AppendFloat(append(b, " peerlink="...), s.PeerLink.BytesPerSec, 'f', 0, 64)
+		b = append(b, "Bps"...)
 	}
 	if s.Decider != "" || s.DeadlineClass != 0 || s.BudgetJ != 0 {
 		// Same rule as the cluster suffix: the decider fields appear only
@@ -352,20 +394,47 @@ func (r *Report) Trace() string {
 		if dec == "" {
 			dec = "static"
 		}
-		fmt.Fprintf(&b, " decider=%s class=%d budget=%g", dec, s.DeadlineClass, s.BudgetJ)
+		b = append(append(b, " decider="...), dec...)
+		b = strconv.AppendInt(append(b, " class="...), int64(s.DeadlineClass), 10)
+		b = strconv.AppendFloat(append(b, " budget="...), s.BudgetJ, 'g', -1, 64)
 	}
-	b.WriteByte('\n')
-	for _, rec := range r.Records {
-		status := rec.Err
-		if status == "" {
-			status = "ok"
-		}
-		fmt.Fprintf(&b, "c%02d f%03d %s %s %s %s raw=%d crc=%08x attempts=%d resumed=%d wire=%d blocks=%d/%d\n",
-			rec.Client, rec.Index, rec.Name, rec.Scheme, rec.Mode, status,
-			rec.Raw, rec.CRC, rec.Stats.Attempts, rec.Stats.ResumedBytes,
-			rec.Stats.WireBytes, rec.Stats.BlocksCompressed, rec.Stats.BlocksTotal)
+	return append(b, '\n')
+}
+
+// appendRecord appends rec's trace line to b: in fmt's terms, "c%02d f%03d
+// %s %s %s %s raw=%d crc=%08x attempts=%d resumed=%d wire=%d
+// blocks=%d/%d" with the status "ok" for a fetch that succeeded.
+func appendRecord(b []byte, rec *FetchRecord) []byte {
+	status := rec.Err
+	if status == "" {
+		status = "ok"
 	}
-	return b.String()
+	st := &rec.Stats
+	b = appendZeroPad(append(b, 'c'), uint64(rec.Client), 10, 2)
+	b = appendZeroPad(append(b, " f"...), uint64(rec.Index), 10, 3)
+	b = append(append(b, ' '), rec.Name...)
+	b = append(append(b, ' '), rec.Scheme.String()...)
+	b = append(append(b, ' '), rec.Mode.String()...)
+	b = append(append(b, ' '), status...)
+	b = strconv.AppendInt(append(b, " raw="...), int64(rec.Raw), 10)
+	b = appendZeroPad(append(b, " crc="...), uint64(rec.CRC), 16, 8)
+	b = strconv.AppendInt(append(b, " attempts="...), int64(st.Attempts), 10)
+	b = strconv.AppendInt(append(b, " resumed="...), int64(st.ResumedBytes), 10)
+	b = strconv.AppendInt(append(b, " wire="...), int64(st.WireBytes), 10)
+	b = strconv.AppendInt(append(b, " blocks="...), int64(st.BlocksCompressed), 10)
+	b = strconv.AppendInt(append(b, '/'), int64(st.BlocksTotal), 10)
+	return append(b, '\n')
+}
+
+// appendZeroPad appends v in base with at least width digits, padded with
+// leading zeros, as fmt's %0*d and %0*x print a value that is not negative.
+func appendZeroPad(b []byte, v uint64, base, width int) []byte {
+	var num [20]byte
+	d := strconv.AppendUint(num[:0], v, base)
+	for i := len(d); i < width; i++ {
+		b = append(b, '0')
+	}
+	return append(b, d...)
 }
 
 // mix is workload.Splitmix on the run's signed seeds.
@@ -397,7 +466,45 @@ func buildDecider(s Scenario) selective.Decider {
 // Scenario.Nodes ring members, then the same clients, churn actor and
 // report assembly run against them. Client i's schedule, fault plan and
 // jitter seeds derive from (seed, i) alone, whatever the server count.
-func Run(s Scenario) (*Report, error) { return run(s, simnet.NewClock()) }
+func Run(s Scenario) (*Report, error) {
+	clock := lastClock.take()
+	r, err := run(s, clock)
+	if err == nil {
+		lastClock.put(clock)
+	}
+	return r, err
+}
+
+// lastClock holds the clock of the Run that finished last, for the next
+// Run to start with the free lists that one filled. Passes run one after
+// another, so one slot suffices; a sync.Pool would lose it to each of the
+// one or two collections a pass runs.
+var lastClock clockSlot
+
+type clockSlot struct {
+	mu    sync.Mutex
+	clock *simnet.Clock
+}
+
+// take returns the kept clock reset to time zero, or a new one when none
+// is kept or the kept one is still in use.
+func (s *clockSlot) take() *simnet.Clock {
+	s.mu.Lock()
+	c := s.clock
+	s.clock = nil
+	s.mu.Unlock()
+	if c == nil || c.Reset() != nil {
+		c = simnet.NewClock()
+	}
+	return c
+}
+
+// put keeps c, whose run is over, for the next take.
+func (s *clockSlot) put(c *simnet.Clock) {
+	s.mu.Lock()
+	s.clock = c
+	s.mu.Unlock()
+}
 
 // run is Run on a given clock, which a test reads back afterwards.
 func run(s Scenario, clock *simnet.Clock) (*Report, error) {
@@ -524,6 +631,9 @@ func run(s Scenario, clock *simnet.Clock) (*Report, error) {
 
 	close(launched)
 	running.Wait()
+	// The last client's exit and the server handlers it hangs up on run
+	// the clock on after it is done: read the time once they have.
+	clock.WaitIdle()
 	elapsed := clock.Elapsed()
 	// Nodes first (their peer handlers use the servers), then the servers.
 	for _, n := range nodes {

@@ -1,11 +1,15 @@
 package harness
 
 import (
+	"fmt"
 	"os"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/energy"
+	"repro/internal/proxy"
 	"repro/internal/simnet"
 )
 
@@ -76,4 +80,128 @@ func TestTwoMbpsLinkChargedAtItsRow(t *testing.T) {
 			t.Fatalf("event device %q, want %q", e.Device, row.Device)
 		}
 	}
+}
+
+// traceReport is a report of n records whose fields exercise every width
+// the trace pads to and past: clients past 99, fetch indexes past 999, CRCs
+// with leading zeros, failed fetches, and both header suffixes.
+func traceReport(n int) *Report {
+	r := &Report{Scenario: Scenario{Name: "wide", Seed: -42, Clients: n / 8, FetchesPerClient: 8,
+		FaultRate: 0.0125, Link: simnet.Link{BytesPerSec: 180000.4, Latency: 1500 * time.Microsecond, JitterFrac: 0.105},
+		Churn: 3, Schedule: make([]simnet.Phase, 2), Nodes: 3, Replicas: 1, HotK: 16,
+		PeerLink: simnet.Link{BytesPerSec: 12_500_000}, DeadlineClass: 2, BudgetJ: 1e-7}}
+	for i := 0; i < n; i++ {
+		rec := FetchRecord{Client: i / 8 * 13, Index: i * 7 % 1200, Name: defaultCorpus[i%len(defaultCorpus)].Name,
+			Scheme: schemes[i%len(schemes)], Mode: modes[i%len(modes)], Raw: i * 977, CRC: uint32(i) * 0x01000193 >> (i % 32),
+			Stats: proxy.FetchStats{Attempts: 1 + i%3, ResumedBytes: i % 5 * 1000, WireBytes: i * 301, BlocksCompressed: i % 4, BlocksTotal: i % 7}}
+		if i%11 == 0 {
+			rec.Err = "protocol"
+		}
+		r.Records = append(r.Records, rec)
+	}
+	return r
+}
+
+// The trace writer prints what fmt printed: the header's verbs and each
+// record's "c%02d f%03d %s %s %s %s raw=%d crc=%08x attempts=%d resumed=%d
+// wire=%d blocks=%d/%d" line.
+func TestTraceMatchesFmt(t *testing.T) {
+	for _, r := range []*Report{traceReport(2500), {Scenario: Scenario{Seed: 1}}} {
+		s := r.Scenario
+		name := s.Name
+		if name == "" {
+			name = "default"
+		}
+		var want strings.Builder
+		fmt.Fprintf(&want, "soak name=%s seed=%d clients=%d fetches=%d fault=%.4f link=%.0fBps lat=%s jitter=%.2f churn=%d corpus=%08x sched=%d",
+			name, s.Seed, s.Clients, s.FetchesPerClient, s.FaultRate,
+			s.Link.BytesPerSec, s.Link.Latency, s.Link.JitterFrac, s.Churn,
+			corpusDigest(s.Corpus), len(s.Schedule))
+		if s.Nodes > 0 {
+			fmt.Fprintf(&want, " nodes=%d replicas=%d hotk=%d peerlink=%.0fBps", s.Nodes, s.Replicas, s.HotK, s.PeerLink.BytesPerSec)
+			fmt.Fprintf(&want, " decider=static class=%d budget=%g", s.DeadlineClass, s.BudgetJ)
+		}
+		want.WriteByte('\n')
+		for _, rec := range r.Records {
+			status := rec.Err
+			if status == "" {
+				status = "ok"
+			}
+			fmt.Fprintf(&want, "c%02d f%03d %s %s %s %s raw=%d crc=%08x attempts=%d resumed=%d wire=%d blocks=%d/%d\n",
+				rec.Client, rec.Index, rec.Name, rec.Scheme, rec.Mode, status,
+				rec.Raw, rec.CRC, rec.Stats.Attempts, rec.Stats.ResumedBytes,
+				rec.Stats.WireBytes, rec.Stats.BlocksCompressed, rec.Stats.BlocksTotal)
+		}
+		if got := r.Trace(); got != want.String() {
+			gl, wl := strings.Split(got, "\n"), strings.Split(want.String(), "\n")
+			for i := range wl {
+				if i >= len(gl) || gl[i] != wl[i] {
+					t.Fatalf("line %d:\n got %q\nwant %q", i, gl[min(i, len(gl)-1)], wl[i])
+				}
+			}
+			t.Fatalf("%d lines, fmt gives %d", len(gl), len(wl))
+		}
+	}
+}
+
+// The trace of a 2,500-fetch report, a fleet pass's, is one allocation
+// sized up front.
+func TestTraceAllocs(t *testing.T) {
+	r := traceReport(2500)
+	if n := testing.AllocsPerRun(20, func() { _ = r.Trace() }); n > 2 {
+		t.Errorf("Trace of %d records: %v allocations, want <= 2", len(r.Records), n)
+	}
+}
+
+// A Run on the clock an earlier Run left replays it: the same trace, event
+// stream and elapsed virtual time as a Run on a new clock. Run keeps that
+// clock for the next Run, and Reset refuses it while a goroutine is busy
+// on it.
+func TestReusedClockReplays(t *testing.T) {
+	sc := Scenario{Name: "default", Seed: 1, Clients: 4, FetchesPerClient: 10, FaultRate: 0.01, Churn: 100}
+	fresh, err := run(sc, simnet.NewClock())
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock := simnet.NewClock()
+	if _, err := run(sc, clock); err != nil {
+		t.Fatal(err)
+	}
+	if err := clock.Reset(); err != nil {
+		t.Fatalf("the clock of a finished run does not reset: %v", err)
+	}
+	again, err := run(sc, clock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lastClock.put(clock)
+	kept, err := Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lastClock.clock != clock {
+		t.Error("Run did not keep the clock it ran on")
+	}
+	for _, r := range []*Report{again, kept} {
+		if !r.OK() {
+			t.Fatalf("oracle violations: %v", r.Violations)
+		}
+		if r.Trace() != fresh.Trace() {
+			t.Error("the trace on a reused clock differs from a new clock's")
+		}
+		if !reflect.DeepEqual(r.Events(), fresh.Events()) {
+			t.Error("the event stream on a reused clock differs from a new clock's")
+		}
+		if r.Elapsed != fresh.Elapsed {
+			t.Errorf("elapsed %v on a reused clock, %v on a new one", r.Elapsed, fresh.Elapsed)
+		}
+	}
+
+	busy := simnet.NewClock()
+	hold := make(chan struct{})
+	busy.Go(func() { <-hold })
+	if busy.Reset() == nil {
+		t.Error("Reset of a clock with a busy goroutine succeeded")
+	}
+	close(hold)
 }

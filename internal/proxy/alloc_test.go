@@ -58,7 +58,8 @@ func TestReadBlockPooledAllocs(t *testing.T) {
 }
 
 // TestGetBufRecycles pins the pool contract the dataplane relies on:
-// capacity classes round up, and a returned buffer is handed out again.
+// capacity classes round up, a returned buffer is handed out again, and a
+// warm round trip allocates nothing, not even the header it is kept in.
 func TestGetBufRecycles(t *testing.T) {
 	b := codec.GetBuf(100_000)
 	if cap(b) < 100_000 {
@@ -72,6 +73,10 @@ func TestGetBufRecycles(t *testing.T) {
 	}
 	if cap(c) < 100_000 {
 		t.Fatalf("recycled buffer cap = %d", cap(c))
+	}
+	codec.PutBuf(c)
+	if n := testing.AllocsPerRun(1000, func() { codec.PutBuf(codec.GetBuf(100_000)) }); n != 0 {
+		t.Errorf("a warm GetBuf/PutBuf round trip: %v allocations, want 0", n)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"log/slog"
 	"math/rand"
 	"net"
+	"strconv"
 	"sync"
 	"time"
 
@@ -534,7 +535,7 @@ func (c *Client) Fetch(name string, scheme codec.Scheme, mode Mode) ([]byte, Fet
 	}, func(err error, start time.Time, slept time.Duration) {
 		log().Debug("retrying after transient failure", "attempt", stats.Attempts, "err", err)
 		stats.BackoffSlept += slept
-		span.PhaseDetail("backoff", "", fmt.Sprintf("after attempt %d", stats.Attempts), start, slept, 0)
+		span.PhaseDetail("backoff", "", attemptLabelsOf(stats.Attempts).backoff, start, slept, 0)
 	})
 	c.metrics().attempts.Observe(float64(stats.Attempts))
 	var bd energy.Breakdown
@@ -728,6 +729,31 @@ func (p *decodePipeline) finish() blockDecoder {
 	return p.dec
 }
 
+// attemptLabels are the span details of one attempt's phases.
+type attemptLabels struct{ phase, decompress, backoff string }
+
+func newAttemptLabels(n int) attemptLabels {
+	a := "attempt " + strconv.Itoa(n)
+	return attemptLabels{phase: a, decompress: a + ", overlaps recv", backoff: "after " + a}
+}
+
+// firstAttempts holds the labels of attempts 1 to 4, made once, so a fetch
+// formats none until it has retried more often than that.
+var firstAttempts = func() (l [4]attemptLabels) {
+	for i := range l {
+		l[i] = newAttemptLabels(i + 1)
+	}
+	return l
+}()
+
+// attemptLabelsOf returns the labels of attempt n.
+func attemptLabelsOf(n int) attemptLabels {
+	if n >= 1 && n <= len(firstAttempts) {
+		return firstAttempts[n-1]
+	}
+	return newAttemptLabels(n)
+}
+
 // fetchOnce runs a single connection's worth of a fetch. verified is the
 // raw prefix already CRC-verified by earlier attempts; the returned slice
 // extends (a server-granted prefix of) it with this attempt's verified
@@ -736,10 +762,11 @@ func (p *decodePipeline) finish() blockDecoder {
 // Phases this attempt goes through are recorded on span (nil-safe), tagged
 // with the attempt number so a multi-attempt trace reads as a timeline.
 func (c *Client) fetchOnce(name string, scheme codec.Scheme, mode Mode, reqID uint64, verified []byte, stats *FetchStats, span *obs.Span) (out []byte, err error) {
-	var attemptDetail string // read by span alone
+	var labels attemptLabels // read by span alone
 	if span != nil {
-		attemptDetail = fmt.Sprintf("attempt %d", stats.Attempts)
+		labels = attemptLabelsOf(stats.Attempts)
 	}
+	attemptDetail := labels.phase
 	out = verified
 	// Radio-facing phases (dial, header, recv) are stamped from the
 	// injected clock, so under the virtual testbed a span's timeline shows
@@ -872,7 +899,7 @@ func (c *Client) fetchOnce(name string, scheme codec.Scheme, mode Mode, reqID ui
 		// The decoder runs while blocks are received (Section 4.1's
 		// interleaving), so this phase overlaps recv: it starts inside the
 		// recv window and carries only busy time.
-		span.PhaseDetail("decompress", obs.ClassCPU, attemptDetail+", overlaps recv", recvStart, bd.wall, 0)
+		span.PhaseDetail("decompress", obs.ClassCPU, labels.decompress, recvStart, bd.wall, 0)
 		if bd.bytes > 0 {
 			// Decompression throughput is what the paper's td term models
 			// (td = 0.161*s + 0.161*sc + 0.004): the faster this phase, the

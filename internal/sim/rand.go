@@ -109,8 +109,27 @@ func (s *seeded) Uint64() uint64 {
 
 // NewRand returns a generator whose every draw equals that of
 // rand.New(rand.NewSource(seed)), at a cost that does not depend on the
-// 607-word state a short-lived stream never reads. The testbed seeds one
-// per simulated client, connection direction and fault plan.
+// 607-word state a short-lived stream never reads. The testbed seeds them
+// per simulated client and per faulty connection; a link direction, which
+// only draws Float64s, keeps a Stream.
 func NewRand(seed int64) *rand.Rand {
 	return rand.New(&seeded{x0: lehmerSeed(seed)})
+}
+
+// Stream is a seeded generator held by value: its Float64 draws are those
+// of rand.New(rand.NewSource(seed)).Float64, one for one, and making one
+// allocates nothing. A link direction that only ever draws jitter keeps
+// one inside its connection instead of a *rand.Rand of its own.
+type Stream struct{ src seeded }
+
+// NewStream returns the stream of seed.
+func NewStream(seed int64) Stream { return Stream{seeded{x0: lehmerSeed(seed)}} }
+
+// Float64 returns the next draw in [0, 1), as (*rand.Rand).Float64 does.
+func (s *Stream) Float64() float64 {
+	for {
+		if f := float64(s.src.Int63()) / (1 << 63); f != 1 {
+			return f
+		}
+	}
 }

@@ -97,7 +97,7 @@ func TestCookedMatchesGoroot(t *testing.T) {
 	}
 }
 
-// A short-lived stream is what the testbed makes four of per fetch: the
+// A short-lived stream is what the testbed makes two of per fetch: the
 // constructor and a few draws must not pay for the state they never read.
 func TestSeededRandAllocs(t *testing.T) {
 	var sink int
@@ -117,6 +117,32 @@ func TestSeededRandAllocs(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if b := (after.TotalAlloc - before.TotalAlloc) / rounds; b > 160 {
 		t.Errorf("NewRand + 4 draws: %d bytes, want <= 160", b)
+	}
+	_ = sink
+}
+
+// A Stream's Float64 draws are NewRand's, one for one, past the hand-over
+// at draw 273 to the full generator, and making one allocates nothing.
+func TestStreamMatchesNewRand(t *testing.T) {
+	pick := rand.New(rand.NewSource(41))
+	for i := 0; i < 100; i++ {
+		seed := int64(pick.Uint64())
+		if i < 10 {
+			seed = int64(i - 5)
+		}
+		s, r := NewStream(seed), NewRand(seed)
+		for k := 0; k < 1000; k++ {
+			if got, want := s.Float64(), r.Float64(); got != want {
+				t.Fatalf("seed %d, draw %d: Stream %v, NewRand %v", seed, k, got, want)
+			}
+		}
+	}
+	var sink float64
+	if n := testing.AllocsPerRun(100, func() {
+		s := NewStream(24)
+		sink += s.Float64() + s.Float64()
+	}); n != 0 {
+		t.Errorf("NewStream + 2 draws: %v allocations, want 0", n)
 	}
 	_ = sink
 }

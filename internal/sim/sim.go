@@ -4,7 +4,10 @@
 // wall-clock speed — the substitution for the paper's physical testbed.
 package sim
 
-import "time"
+import (
+	"fmt"
+	"time"
+)
 
 // Waker is what an event wakes when it needs no callback of its own: the
 // concurrent driver's parked goroutines (internal/simnet) schedule
@@ -40,6 +43,16 @@ type Kernel struct {
 // NewKernel returns a kernel with the clock at zero.
 func NewKernel() *Kernel {
 	return &Kernel{}
+}
+
+// Reset returns an idle kernel to time zero, keeping the queue's storage
+// for the next run. It refuses a kernel with events still queued.
+func (k *Kernel) Reset() error {
+	if len(k.pq) > 0 {
+		return fmt.Errorf("sim: reset with %d events queued", len(k.pq))
+	}
+	k.now, k.seq = 0, 0
+	return nil
 }
 
 // Now returns the current virtual time.

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -180,5 +181,38 @@ func TestScheduleWakeAllocs(t *testing.T) {
 	})
 	if n != 0 {
 		t.Errorf("two waker events scheduled and run: %v allocations, want 0", n)
+	}
+}
+
+// Reset refuses a kernel with events queued; an idle one it returns to
+// time zero, and the events scheduled after it run at the times and in
+// the order a new kernel gives them.
+func TestKernelReset(t *testing.T) {
+	schedule := func(k *Kernel, fired *[]int) {
+		for i, d := range []time.Duration{3, 1, 2, 1} {
+			k.Schedule(d*time.Millisecond, func() { *fired = append(*fired, i) })
+		}
+	}
+	var want []int
+	fresh := NewKernel()
+	schedule(fresh, &want)
+	end := fresh.Run()
+
+	k := NewKernel()
+	k.Schedule(5*time.Millisecond, func() {})
+	if err := k.Reset(); err == nil {
+		t.Fatal("Reset with an event queued succeeded")
+	}
+	k.Run()
+	if err := k.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	if k.Now() != 0 {
+		t.Fatalf("after Reset the clock reads %v, want 0", k.Now())
+	}
+	var got []int
+	schedule(k, &got)
+	if e := k.Run(); e != end || !slices.Equal(got, want) {
+		t.Fatalf("after Reset: order %v ending at %v, a new kernel gives %v ending at %v", got, e, want, end)
 	}
 }

@@ -33,6 +33,7 @@
 package simnet
 
 import (
+	"fmt"
 	"sync"
 	"time"
 
@@ -55,6 +56,10 @@ type Clock struct {
 	busy int
 	// parked counts goroutines blocked in parkLocked, for diagnostics.
 	parked int
+	// rest wakes WaitIdle's callers when the clock comes to rest; resting
+	// is set while one waits.
+	rest    sync.Cond
+	resting bool
 
 	// The free lists (free.go): idle waiters, notices and write segments.
 	waiters []*waiter
@@ -69,6 +74,27 @@ type Clock struct {
 // Now() starts at (approximately) the real present.
 func NewClock() *Clock {
 	return &Clock{kern: sim.NewKernel(), epoch: time.Now()}
+}
+
+// Reset returns a quiescent clock to virtual time zero, anchored anew at
+// the real present, as NewClock would make it; it keeps its free lists
+// and the kernel queue's storage, so the next run on it starts with the
+// objects the last one left. It refuses a clock that is not quiescent: a
+// goroutine still busy or parked, an event still queued, or a segment
+// still held. A run's listeners and connections must be done with before
+// it is reset; nothing ties them to the new timeline.
+func (c *Clock) Reset() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.busy != 0 || c.parked != 0 || c.segsHeld != 0 {
+		return fmt.Errorf("simnet: reset of a clock in use: %d busy, %d parked, %d segments held",
+			c.busy, c.parked, c.segsHeld)
+	}
+	if err := c.kern.Reset(); err != nil {
+		return err
+	}
+	c.epoch = time.Now()
+	return nil
 }
 
 // waiter is one park of one goroutine, taken from the clock's free list.
@@ -180,6 +206,27 @@ func (c *Clock) dropTokenLocked() {
 func (c *Clock) kickLocked() {
 	for c.busy == 0 && c.kern.Pending() > 0 {
 		c.kern.Step()
+	}
+	if c.busy == 0 && c.resting {
+		c.resting = false
+		c.rest.Broadcast()
+	}
+}
+
+// WaitIdle blocks its caller, a goroutine outside the ledger, until the
+// clock comes to rest: no ledger goroutine runnable and no event queued,
+// so virtual time stands at the last event that will ever run unless a
+// goroutine outside the ledger starts something new. Events such a
+// goroutine queued it runs itself; a ledger goroutine that stays busy
+// forever makes it wait forever.
+func (c *Clock) WaitIdle() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.kickLocked()
+	for c.busy > 0 || c.kern.Pending() > 0 {
+		c.rest.L = &c.mu
+		c.resting = true
+		c.rest.Wait()
 	}
 }
 

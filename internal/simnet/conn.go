@@ -3,10 +3,11 @@ package simnet
 import (
 	"errors"
 	"io"
-	"math/rand"
 	"net"
 	"os"
 	"time"
+
+	"repro/internal/sim"
 )
 
 // errConnReset is what an endpoint's Write reports when the peer has
@@ -32,7 +33,7 @@ type endpoint struct {
 	peer *endpoint
 	link Link
 	// rng draws this direction's transmit jitter.
-	rng *rand.Rand
+	rng sim.Stream
 	// local and remote point into the connection's pipe and its listener,
 	// so handing them out boxes nothing.
 	local, remote net.Addr
@@ -156,7 +157,7 @@ func (e *endpoint) Write(b []byte) (int, error) {
 		if e.line.nextFree > start {
 			start = e.line.nextFree
 		}
-		done = start + e.line.link.txTime(len(b), e.rng)
+		done = start + e.line.link.txTime(len(b), &e.rng)
 		e.line.nextFree = done
 		e.nextFree = done
 	} else {
@@ -164,9 +165,9 @@ func (e *endpoint) Write(b []byte) (int, error) {
 			start = e.nextFree
 		}
 		if e.nw != nil && e.nw.sched != nil {
-			done = e.nw.sched.txDone(start, len(b), e.link, e.rng)
+			done = e.nw.sched.txDone(start, len(b), e.link, &e.rng)
 		} else {
-			done = start + e.link.txTime(len(b), e.rng)
+			done = start + e.link.txTime(len(b), &e.rng)
 		}
 		e.nextFree = done
 	}

@@ -3,6 +3,7 @@ package simnet
 import (
 	"io"
 	"net"
+	"strings"
 	"testing"
 	"time"
 )
@@ -158,4 +159,74 @@ func TestStaleTimeoutNeverWakesLaterPark(t *testing.T) {
 	}
 	dialer.Close()
 	accepted.Close()
+}
+
+// Reset refuses a clock that is in use — a goroutine busy or parked on it,
+// a segment held unread, an event queued — and takes one that is not back
+// to time zero with its free lists.
+func TestResetRefusesAClockInUse(t *testing.T) {
+	refused := func(c *Clock, what, why string) {
+		t.Helper()
+		err := c.Reset()
+		if err == nil {
+			t.Fatalf("Reset of a clock with %s succeeded", what)
+		}
+		if !strings.Contains(err.Error(), why) {
+			t.Fatalf("Reset of a clock with %s: %v, want it to say %q", what, err, why)
+		}
+	}
+	// The caller holds the accepted end's handoff token: busy.
+	c, dialer, accepted := connected(t, Link{BytesPerSec: 1e6, Latency: time.Millisecond})
+	refused(c, "a busy goroutine", "1 busy")
+	if _, err := accepted.Write(make([]byte, 1500)); err != nil {
+		t.Fatal(err)
+	}
+	// Giving the token back runs the clock on: the bytes land unread.
+	accepted.Close()
+	refused(c, "a segment held unread", "0 busy, 0 parked, 1 segments held")
+	// A close from outside the ledger queues its marker and runs nothing.
+	dialer.Close()
+	refused(c, "an event queued", "1 events queued")
+	c.Run(func() {}) // runs the marker
+	waitReset(t, c)
+	if got := c.Elapsed(); got != 0 {
+		t.Fatalf("a reset clock reads %v, want 0", got)
+	}
+	if _, free := c.Segments(); free == 0 {
+		t.Error("Reset dropped the free segments")
+	}
+
+	// An acceptor parked with nothing queued: parked.
+	nw := NewNetwork(c, Link{})
+	ln, err := nw.Listen("srv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		ln.Accept()
+	}()
+	waitAcceptorParked(t, c, ln)
+	refused(c, "a parked goroutine", "0 busy, 1 parked")
+	ln.Close()
+	<-done
+	waitReset(t, c)
+}
+
+// waitReset resets c once the goroutines that just left its ledger have
+// given their tokens back.
+func waitReset(t *testing.T, c *Clock) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		err := c.Reset()
+		if err == nil {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal(err)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }

@@ -1,10 +1,10 @@
 package simnet
 
 import (
-	"math/rand"
 	"time"
 
 	"repro/internal/energy"
+	"repro/internal/sim"
 )
 
 // Link models one hop of the testbed WLAN: a serialization rate, a
@@ -39,12 +39,12 @@ func WaveLAN11() Link {
 
 // txTime returns the virtual time serializing n bytes takes on l,
 // drawing jitter from rng when configured.
-func (l Link) txTime(n int, rng *rand.Rand) time.Duration {
+func (l Link) txTime(n int, rng *sim.Stream) time.Duration {
 	if l.BytesPerSec <= 0 || n <= 0 {
 		return 0
 	}
 	secs := float64(n) / l.BytesPerSec
-	if l.JitterFrac > 0 && rng != nil {
+	if l.JitterFrac > 0 {
 		secs *= 1 + l.JitterFrac*rng.Float64()
 	}
 	return time.Duration(secs * float64(time.Second))

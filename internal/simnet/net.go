@@ -168,9 +168,9 @@ func (nw *Network) DialLink(name string, link Link) (net.Conn, error) {
 	p := &pipe{caddr: simAddr("sim-peer-" + strconv.Itoa(nw.connSeq)), l: l, w: c.waiterLocked()}
 	cep, sep := &p.ends[0], &p.ends[1]
 	*cep = endpoint{c: c, nw: nw, link: link, local: &p.caddr, remote: &l.addr,
-		rng: sim.NewRand(dirSeed(link.Seed, 1))}
+		rng: sim.NewStream(dirSeed(link.Seed, 1))}
 	*sep = endpoint{c: c, nw: nw, link: link, local: &l.addr, remote: &p.caddr,
-		rng: sim.NewRand(dirSeed(link.Seed, 2)), line: l.line}
+		rng: sim.NewStream(dirSeed(link.Seed, 2)), line: l.line}
 	cep.peer, sep.peer = sep, cep
 	cep.buf, sep.buf = cep.inline[:0], sep.inline[:0]
 

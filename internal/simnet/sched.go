@@ -2,9 +2,10 @@ package simnet
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"time"
+
+	"repro/internal/sim"
 )
 
 // Phase is one step of a scripted link schedule: from Start (virtual time
@@ -71,12 +72,12 @@ func (s *Schedule) rateAt(t time.Duration, base float64) (rate float64, until ti
 // write — the same single rng draw the constant-rate path makes — so a
 // link's seeded timeline stays a pure function of (seed, write sequence)
 // whether or not a schedule is installed.
-func (s *Schedule) txDone(start time.Duration, n int, base Link, rng *rand.Rand) time.Duration {
+func (s *Schedule) txDone(start time.Duration, n int, base Link, rng *sim.Stream) time.Duration {
 	if n <= 0 {
 		return start
 	}
 	bytes := float64(n)
-	if base.JitterFrac > 0 && rng != nil {
+	if base.JitterFrac > 0 {
 		bytes *= 1 + base.JitterFrac*rng.Float64()
 	}
 	t := start

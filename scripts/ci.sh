@@ -374,19 +374,23 @@ named ./internal/flate 'TestDeflateSteadyStateAllocs|TestStreamingWriterSteadyAl
 # BWT encode allocates its output and a fixed few KiB.
 named ./internal/codec 'TestDecompressIntoSteadyStateAllocs|TestCompressSteadyStateAllocs' -count=1
 # The testbed's own costs: a generator and four draws stay within three
-# allocations and 160 bytes, a timeout in the event queue costs none, a
-# paced write and its read on a warm simnet connection cost none, a
-# client-shaped span costs four, and an oracle reads a client's records
-# where they lie.
-named ./internal/sim 'TestSeededRandAllocs|TestScheduleWakeAllocs' -count=1
-named ./internal/simnet 'TestSimnetRoundTripAllocs' -count=1
+# allocations and 160 bytes, a link's jitter stream draws math/rand's
+# Float64s and allocates nothing, a timeout in the event queue costs none,
+# a paced write and its read on a warm simnet connection cost none, a
+# client-shaped span costs four, an oracle reads a client's records where
+# they lie, and the trace of a 2,500-fetch pass is at most two allocations
+# that print what fmt printed.
+named ./internal/sim 'TestSeededRandAllocs|TestStreamMatchesNewRand|TestScheduleWakeAllocs|TestKernelReset' -count=1
+named ./internal/simnet 'TestSimnetRoundTripAllocs|TestResetRefusesAClockInUse' -count=1
 named ./internal/obs 'TestSpanLifecycleAllocs' -count=1
-named ./internal/harness 'TestClientRecordsAliasesReport' -count=1
+named ./internal/harness 'TestClientRecordsAliasesReport|TestTraceAllocs|TestTraceMatchesFmt' -count=1
 # What those budgets rest on, repeated under -race: a finished span that
 # readers share is never written again, every write segment comes back to
-# its clock, and a waiter is reused only once no timeout of it is queued.
+# its clock, a waiter is reused only once no timeout of it is queued, and
+# a run on the clock an earlier run left replays a run on a new one.
 named ./internal/obs 'TestFinishedSpanIsImmutable' -race -count=10
-named ./internal/simnet 'TestSegmentsComeBack|TestStaleTimeoutNeverWakesLaterPark' -race -count=10
+named ./internal/simnet 'TestSegmentsComeBack|TestStaleTimeoutNeverWakesLaterPark|TestResetRefusesAClockInUse' -race -count=10
+named ./internal/harness 'TestReusedClockReplays' -race -count=3
 named ./internal/harness 'TestRunReturnsEverySegment' -count=1
 
 # Parallel-compression determinism gate: the selective encoder must emit
