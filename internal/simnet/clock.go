@@ -73,7 +73,9 @@ type Clock struct {
 // NewClock returns a virtual clock at virtual time zero, anchored so that
 // Now() starts at (approximately) the real present.
 func NewClock() *Clock {
-	return &Clock{kern: sim.NewKernel(), epoch: time.Now()}
+	c := &Clock{kern: sim.NewKernel(), epoch: time.Now()}
+	c.rest.L = &c.mu
+	return c
 }
 
 // Reset returns a quiescent clock to virtual time zero, anchored anew at
@@ -224,7 +226,6 @@ func (c *Clock) WaitIdle() {
 	defer c.mu.Unlock()
 	c.kickLocked()
 	for c.busy > 0 || c.kern.Pending() > 0 {
-		c.rest.L = &c.mu
 		c.resting = true
 		c.rest.Wait()
 	}
