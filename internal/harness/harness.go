@@ -532,8 +532,9 @@ func run(s Scenario, clock *simnet.Clock) (*Report, error) {
 	tracers := make([]*obs.Tracer, s.Clients)
 	dials := make([]int64, s.Clients)
 	var running sync.WaitGroup
-	// Hold the clock until every actor is on its ledger: a client the host
-	// schedules early must not spend virtual time before its siblings exist.
+	// Hold the clock at time zero until every actor is on its ledger or
+	// queued to start: client 0, which starts at once, must not spend
+	// virtual time before its siblings' starts are in the queue.
 	launched := make(chan struct{})
 	clock.Go(func() { <-launched })
 
@@ -542,9 +543,12 @@ func run(s Scenario, clock *simnet.Clock) (*Report, error) {
 		tracers[i] = obs.NewTracer(s.FetchesPerClient + 1)
 		records[i] = make([]FetchRecord, 0, s.FetchesPerClient)
 		running.Add(1)
-		clock.Go(func() {
+		// Stagger starts so the schedule is not one synchronized burst:
+		// client i starts i ms in, and until then it is an event in the
+		// clock's queue rather than a goroutine.
+		clock.GoAfter(time.Duration(i)*time.Millisecond, func() {
 			defer running.Done()
-			sched := sim.NewRand(mix(s.Seed, int64(1000+i)))
+			sched := sim.NewStream(mix(s.Seed, int64(1000+i)))
 			plan := faultconn.Plan{
 				Seed:         mix(s.Seed, int64(3000+i)),
 				FragmentProb: s.FaultRate,
@@ -585,8 +589,6 @@ func run(s Scenario, clock *simnet.Clock) (*Report, error) {
 			// handler does not wait out its idle timeout on the connection.
 			defer cli.Close()
 
-			// Stagger starts so the schedule is not one synchronized burst.
-			clock.Sleep(time.Duration(i) * time.Millisecond)
 			for j := 0; j < s.FetchesPerClient; j++ {
 				if j > 0 {
 					clock.Sleep(time.Duration(sched.Intn(20)) * time.Millisecond)

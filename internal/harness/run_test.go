@@ -11,6 +11,7 @@ import (
 	"repro/internal/energy"
 	"repro/internal/proxy"
 	"repro/internal/simnet"
+	"repro/internal/workload"
 )
 
 // Once every connection of a default.scn run has closed, every segment a
@@ -204,4 +205,31 @@ func TestReusedClockReplays(t *testing.T) {
 		t.Error("Reset of a clock with a busy goroutine succeeded")
 	}
 	close(hold)
+}
+
+// A fleet pass starts each handheld at its turn, on a goroutine an earlier
+// one left: testdata/scenarios/loadgen/fleet-10k.scn at the benchmark's
+// 2,500 clients and seed 1 runs its clients, the server's handlers aside,
+// on a few dozen ledger goroutines rather than one each, and passes every
+// oracle, the goroutine-leak oracle among them.
+func TestFleetPassSpawnsFewGoroutines(t *testing.T) {
+	sc := Scenario{Name: "fleet-10k", Seed: 1, Clients: 2500, FetchesPerClient: 1, MaxRetries: 10,
+		Corpus: []CorpusEntry{
+			{Name: "ping.txt", Class: workload.ClassMail, Size: 2000},
+			{Name: "pong.bin", Ratio: 1.5, Size: 3000},
+		}}
+	clock := simnet.NewClock()
+	r, err := run(sc, clock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r.OK() {
+		t.Fatalf("oracle violations: %v", r.Violations)
+	}
+	if len(r.Records) != sc.Clients {
+		t.Fatalf("%d fetches, want %d", len(r.Records), sc.Clients)
+	}
+	if n := clock.Spawned(); n > 64 {
+		t.Errorf("%d ledger goroutines for %d handhelds, want at most 64", n, sc.Clients)
+	}
 }

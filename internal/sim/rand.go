@@ -111,15 +111,17 @@ func (s *seeded) Uint64() uint64 {
 // rand.New(rand.NewSource(seed)), at a cost that does not depend on the
 // 607-word state a short-lived stream never reads. The testbed seeds them
 // per simulated client and per faulty connection; a link direction, which
-// only draws Float64s, keeps a Stream.
+// only draws Float64s, and a client's schedule, which only draws Intns,
+// keep a Stream.
 func NewRand(seed int64) *rand.Rand {
 	return rand.New(&seeded{x0: lehmerSeed(seed)})
 }
 
-// Stream is a seeded generator held by value: its Float64 draws are those
-// of rand.New(rand.NewSource(seed)).Float64, one for one, and making one
+// Stream is a seeded generator held by value: its Float64 and Intn draws
+// are those of rand.New(rand.NewSource(seed)), one for one, and making one
 // allocates nothing. A link direction that only ever draws jitter keeps
-// one inside its connection instead of a *rand.Rand of its own.
+// one inside its connection, and a simulated client one for its schedule,
+// instead of a *rand.Rand of their own.
 type Stream struct{ src seeded }
 
 // NewStream returns the stream of seed.
@@ -133,3 +135,37 @@ func (s *Stream) Float64() float64 {
 		}
 	}
 }
+
+// Intn returns the next draw in [0, n), as (*rand.Rand).Intn does: a mask
+// of the top 31 bits (all 63 when n does not fit in 31) for a power of
+// two, else the remainder of the first draw below the largest multiple of
+// n. It panics if n <= 0.
+func (s *Stream) Intn(n int) int {
+	if n <= 0 {
+		panic("invalid argument to Intn")
+	}
+	if n <= 1<<31-1 {
+		n := int32(n)
+		if n&(n-1) == 0 {
+			return int(s.int31() & (n - 1))
+		}
+		lim := int32(1<<31 - 1 - (1<<31)%uint32(n))
+		v := s.int31()
+		for v > lim {
+			v = s.int31()
+		}
+		return int(v % n)
+	}
+	n64 := int64(n)
+	if n64&(n64-1) == 0 {
+		return int(s.src.Int63() & (n64 - 1))
+	}
+	lim := int64(1<<63 - 1 - (1<<63)%uint64(n64))
+	v := s.src.Int63()
+	for v > lim {
+		v = s.src.Int63()
+	}
+	return int(v % n64)
+}
+
+func (s *Stream) int31() int32 { return int32(s.src.Int63() >> 32) }

@@ -121,8 +121,33 @@ func TestSeededRandAllocs(t *testing.T) {
 	_ = sink
 }
 
-// A Stream's Float64 draws are NewRand's, one for one, past the hand-over
-// at draw 273 to the full generator, and making one allocates nothing.
+// intnArgs take every path of (*rand.Rand).Intn: a power of two masked
+// from a 31-bit draw and from a 63-bit one, and a bound whose rejection
+// loop redraws about half the time, below 2^31 and above it.
+var intnArgs = []int{1, 2, 20, 1 << 20, 1<<30 + 1, 1<<31 - 1, 1 << 31, 1 << 40, 1<<62 + 1, math.MaxInt64}
+
+// sameStreamIntn draws n times from s and from want, alternating Float64
+// with Intn of each of args in turn, and reports the first draw at which
+// they differ.
+func sameStreamIntn(t *testing.T, s *Stream, want *rand.Rand, seed int64, args []int, n int) {
+	t.Helper()
+	for k := 0; k < n; k++ {
+		if k%4 == 3 {
+			if g, w := s.Float64(), want.Float64(); g != w {
+				t.Fatalf("seed %d, draw %d: Float64 %v, math/rand %v", seed, k, g, w)
+			}
+			continue
+		}
+		arg := args[k%len(args)]
+		if g, w := s.Intn(arg), want.Intn(arg); g != w {
+			t.Fatalf("seed %d, draw %d: Intn(%d) %d, math/rand %d", seed, k, arg, g, w)
+		}
+	}
+}
+
+// A Stream's Float64 and Intn draws are NewRand's, one for one, past the
+// hand-over at draw 273 to the full generator, and making one allocates
+// nothing.
 func TestStreamMatchesNewRand(t *testing.T) {
 	pick := rand.New(rand.NewSource(41))
 	for i := 0; i < 100; i++ {
@@ -136,13 +161,15 @@ func TestStreamMatchesNewRand(t *testing.T) {
 				t.Fatalf("seed %d, draw %d: Stream %v, NewRand %v", seed, k, got, want)
 			}
 		}
+		s = NewStream(seed)
+		sameStreamIntn(t, &s, NewRand(seed), seed, intnArgs, 1000)
 	}
 	var sink float64
 	if n := testing.AllocsPerRun(100, func() {
 		s := NewStream(24)
-		sink += s.Float64() + s.Float64()
+		sink += s.Float64() + s.Float64() + float64(s.Intn(20)+s.Intn(1<<30+1))
 	}); n != 0 {
-		t.Errorf("NewStream + 2 draws: %v allocations, want 0", n)
+		t.Errorf("NewStream + 4 draws: %v allocations, want 0", n)
 	}
 	_ = sink
 }
@@ -153,6 +180,11 @@ func FuzzSeededRand(f *testing.F) {
 	f.Add(int64(math.MinInt64), uint16(3*rngLen))
 	f.Fuzz(func(t *testing.T, seed int64, draws uint16) {
 		sameStream(t, NewRand(seed), rand.New(rand.NewSource(seed)), seed, int(draws)%(4*rngLen))
+		// A Stream's Intn, on intnArgs and on two bounds this input picks:
+		// one of any size and a power of two.
+		args := append(intnArgs, max(1, int(uint64(seed)>>(1+draws%64))), 1<<(draws%63))
+		s := NewStream(seed)
+		sameStreamIntn(t, &s, rand.New(rand.NewSource(seed)), seed, args, int(draws)%(4*rngLen))
 	})
 }
 

@@ -21,15 +21,25 @@
 // goroutine's wall-clock speed never influences what virtual time it
 // observes.
 //
-// Goroutines enter the ledger three ways: explicitly via Clock.Go /
-// Clock.Run (harness clients, test bodies), implicitly when a goroutine
-// first calls Accept on a listener (the proxy's accept loop), and via a
-// handoff token attached to each accepted connection that covers the
-// per-connection handler goroutine the server spawns (released when the
-// handler closes the connection). Goroutines outside the ledger must not
-// block on simnet primitives — doing so panics with a diagnostic — but
-// may freely perform non-blocking operations (Close, deadline pokes),
-// which is what Server.Close does during drain.
+// Goroutines enter the ledger three ways: explicitly via Clock.Go,
+// Clock.GoAfter and Clock.Run (harness clients, the server's artifact
+// builds, test bodies), implicitly when a goroutine first calls Accept on
+// a listener (the proxy's accept loop), and via a handoff token attached
+// to each accepted connection that covers the per-connection handler
+// goroutine the server spawns (released when the handler closes the
+// connection). Goroutines outside the ledger must not block on simnet
+// primitives — doing so panics with a diagnostic — but may freely perform
+// non-blocking operations (Close, deadline pokes), which is what
+// Server.Close does during drain.
+//
+// The explicit starts share one path: fn runs on an idle ledger goroutine
+// (a worker) when the clock has one and on a new one only when none is
+// idle, and a worker whose fn returns waits for the next start until the
+// clock comes to rest, when every idle worker exits. A GoAfter start is an
+// event in the queue, not a parked goroutine, so a simulated handheld
+// exists only from its turn: a pass of 2,500 staggered handhelds holds
+// goroutines for the few dozen on the air, each on a stack an earlier one
+// grew.
 package simnet
 
 import (
@@ -61,10 +71,17 @@ type Clock struct {
 	rest    sync.Cond
 	resting bool
 
-	// The free lists (free.go): idle waiters, notices and write segments.
-	waiters []*waiter
-	notices []*notice
-	segs    [segClasses][][]byte
+	// idle are the workers waiting for a start, the last to finish on top;
+	// spawned counts the workers started since NewClock or Reset.
+	idle    []*worker
+	spawned int
+
+	// The free lists (free.go): idle waiters, notices, queued starts and
+	// write segments.
+	waiters  []*waiter
+	notices  []*notice
+	launches []*launch
+	segs     [segClasses][][]byte
 	// segFree is the bytes segs holds; segsHeld counts segments taken by a
 	// Write and not yet returned (in flight, or buffered unread).
 	segFree, segsHeld int
@@ -96,6 +113,7 @@ func (c *Clock) Reset() error {
 		return err
 	}
 	c.epoch = time.Now()
+	c.spawned = 0
 	return nil
 }
 
@@ -159,22 +177,37 @@ func (c *Clock) Sleep(d time.Duration) {
 	c.parkLocked(w)
 }
 
-// Go runs fn on a new goroutine registered in the ledger: the clock will
-// not advance past a moment where fn is runnable.
+// Go runs fn on a ledger goroutine: the clock will not advance past a
+// moment where fn is runnable. The goroutine is an idle worker when the
+// clock has one, a new one otherwise; it outlives fn only as long as the
+// clock keeps running (see worker).
 func (c *Clock) Go(fn func()) {
 	c.mu.Lock()
-	c.busy++
+	c.startLocked(fn)
 	c.mu.Unlock()
-	go func() {
-		defer c.exit()
-		fn()
-	}()
+}
+
+// GoAfter runs fn on a ledger goroutine once d of virtual time has
+// passed, as Go(func() { c.Sleep(d); fn() }) does, with no goroutine
+// until then: the start is one event in the kernel queue, pushed where
+// that Sleep would push its timeout. Called outside the ledger while the
+// clock is at rest, it runs the clock on at once.
+func (c *Clock) GoAfter(d time.Duration, fn func()) {
+	if d <= 0 {
+		c.Go(fn)
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.kern.ScheduleWake(d, c.launchLocked(fn))
+	c.kickLocked()
 }
 
 // Run executes fn on a ledger goroutine and blocks the caller until it
 // returns. It is how code outside the ledger (a test body, a CLI main)
 // drives blocking simnet operations: the caller waits on a plain channel,
-// invisible to the clock, while fn runs in virtual time.
+// invisible to the clock, while fn runs in virtual time on a worker, as
+// Go's fn does.
 func (c *Clock) Run(fn func()) {
 	done := make(chan struct{})
 	c.Go(func() {
@@ -182,6 +215,78 @@ func (c *Clock) Run(fn func()) {
 		fn()
 	})
 	<-done
+}
+
+// startLocked gives fn a busy token and a ledger goroutine to run on: the
+// idle worker that finished last, or a new one when none is idle.
+func (c *Clock) startLocked(fn func()) {
+	c.busy++
+	if w, ok := pop(&c.idle); ok {
+		w.fn = fn
+		w.cond.Signal()
+		return
+	}
+	c.spawned++
+	w := &worker{c: c}
+	w.cond.L = &c.mu
+	go w.run(fn)
+}
+
+// Spawned reports how many ledger goroutines the clock has started since
+// it was made or last reset: one per start that found no worker idle.
+func (c *Clock) Spawned() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.spawned
+}
+
+// worker is a ledger goroutine that runs one start's fn after another.
+// Between two it is on the clock's idle list, holding no busy token and
+// no waiter, and waits on its own condition variable for startLocked to
+// hand it the next fn, or for the clock to come to rest: nothing runnable
+// and nothing queued, so no start can come unless a goroutine outside the
+// ledger makes one. Then it exits, and a rested clock has no goroutine of
+// its own left.
+type worker struct {
+	c        *Clock
+	fn       func() // the next start's, set while the worker is idle
+	released bool   // the clock came to rest while the worker was idle
+	cond     sync.Cond
+}
+
+// run is the worker's goroutine: fn, then whatever starts come its way.
+func (w *worker) run(fn func()) {
+	done := false
+	defer func() {
+		if !done {
+			// fn left by runtime.Goexit (a test's t.Fatal): its token
+			// goes back as a returning fn's would.
+			w.c.exit()
+		}
+	}()
+	for fn != nil {
+		fn()
+		fn = w.next()
+	}
+	done = true
+}
+
+// next gives back the token of the fn that just returned, joins the idle
+// list and waits for the next fn, which it returns, or for the clock to
+// release it, when it returns nil. It joins the list before dropping the
+// token, so a start that the drop's kick runs takes this worker at once.
+func (w *worker) next() func() {
+	c := w.c
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.idle = append(c.idle, w)
+	c.dropTokenLocked()
+	for w.fn == nil && !w.released {
+		w.cond.Wait()
+	}
+	fn := w.fn
+	w.fn = nil
+	return fn
 }
 
 // exit removes a ledger goroutine that is returning.
@@ -209,7 +314,19 @@ func (c *Clock) kickLocked() {
 	for c.busy == 0 && c.kern.Pending() > 0 {
 		c.kern.Step()
 	}
-	if c.busy == 0 && c.resting {
+	if c.busy != 0 {
+		return
+	}
+	if c.kern.Pending() == 0 {
+		// At rest: no start can come from inside the ledger.
+		for i, w := range c.idle {
+			w.released = true
+			w.cond.Signal()
+			c.idle[i] = nil
+		}
+		c.idle = c.idle[:0]
+	}
+	if c.resting {
 		c.resting = false
 		c.rest.Broadcast()
 	}

@@ -6,14 +6,14 @@ import (
 )
 
 // The clock's free lists, all guarded by its lock: waiters for parks,
-// notices for deliveries and close markers, and segments for written
-// bytes. A run of thousands of one-fetch handhelds takes its objects from
+// notices for deliveries and close markers, launches for queued starts,
+// and segments for written bytes. A run of thousands of one-fetch handhelds takes its objects from
 // them and puts them back, instead of leaving each to the collector. The
 // bounds: a write segment is a power of two from 512 B to 64 KiB (a larger
 // write gets a segment of its own size that is not kept), and what a full
 // list is handed is dropped.
 const (
-	maxFree       = 4096 // waiters, and notices
+	maxFree       = 4096 // waiters, notices, and launches
 	segMinShift   = 9
 	segClasses    = 8
 	maxFreeSegMem = 4 << 20
@@ -64,6 +64,36 @@ func (c *Clock) noticeLocked(to *endpoint, seg []byte) *notice {
 	}
 	n.to, n.seg = to, seg
 	return n
+}
+
+// launch is a start GoAfter queued: the kernel event that hands fn to a
+// ledger goroutine when it fires, in place of a goroutine parked until
+// then. Launches come from the clock's free list and return to it once
+// they have fired.
+type launch struct {
+	c  *Clock
+	fn func()
+}
+
+// launchLocked takes a launch of fn.
+func (c *Clock) launchLocked(fn func()) *launch {
+	l, ok := pop(&c.launches)
+	if !ok {
+		l = &launch{c: c}
+	}
+	l.fn = fn
+	return l
+}
+
+// Wake starts the launch's fn, under the clock lock like every kernel
+// event.
+func (l *launch) Wake() {
+	c, fn := l.c, l.fn
+	l.fn = nil
+	if len(c.launches) < maxFree {
+		c.launches = append(c.launches, l)
+	}
+	c.startLocked(fn)
 }
 
 // segLocked takes a segment of n > 0 bytes for a write's payload: from the
