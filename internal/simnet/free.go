@@ -7,11 +7,11 @@ import (
 
 // The clock's free lists, all guarded by its lock: waiters for parks,
 // notices for deliveries and close markers, launches for queued starts,
-// and segments for written bytes. A run of thousands of one-fetch handhelds takes its objects from
-// them and puts them back, instead of leaving each to the collector. The
-// bounds: a write segment is a power of two from 512 B to 64 KiB (a larger
-// write gets a segment of its own size that is not kept), and what a full
-// list is handed is dropped.
+// and segments for written bytes. A run of thousands of one-fetch
+// handhelds takes its objects from them and puts them back, instead of
+// leaving each to the collector. The bounds: a write segment is a power of
+// two from 512 B to 64 KiB (a larger write gets a segment of its own size
+// that is not kept), and what a full list is handed is dropped.
 const (
 	maxFree       = 4096 // waiters, notices, and launches
 	segMinShift   = 9

@@ -15,8 +15,7 @@ import (
 // broken by queue order alone. The script's body holds the clock at time
 // zero until each step's event is queued, so that order does not depend on
 // how the host schedules the goroutines it starts.
-func startOrder(t *testing.T, start func(c *Clock, d time.Duration, fn func())) []string {
-	t.Helper()
+func startOrder(start func(c *Clock, d time.Duration, fn func())) []string {
 	c := NewClock()
 	var mu sync.Mutex
 	var got []string
@@ -73,10 +72,10 @@ func TestGoAfterOrdersAsGoAndSleep(t *testing.T) {
 		})
 	}
 	for i := 0; i < 20; i++ {
-		if got := fmt.Sprint(startOrder(t, goSleep)); got != want {
+		if got := fmt.Sprint(startOrder(goSleep)); got != want {
 			t.Fatalf("Go + Sleep ran %v, want %v", got, want)
 		}
-		if got := fmt.Sprint(startOrder(t, (*Clock).GoAfter)); got != want {
+		if got := fmt.Sprint(startOrder((*Clock).GoAfter)); got != want {
 			t.Fatalf("GoAfter ran %v, want %v", got, want)
 		}
 	}
@@ -98,7 +97,8 @@ func waitGoroutines(t *testing.T, n int) {
 // A staggered fleet of starts runs on as many goroutines as are busy at
 // once, and once the clock rests none of them is left: the process is
 // back to its goroutines before the run and the clock resets. A fn that
-// ends in runtime.Goexit gives its token back too.
+// ends in runtime.Goexit gives its token back too, and a start queued
+// from outside the ledger on a rested clock runs the clock on itself.
 func TestRestedClockLeavesNoGoroutine(t *testing.T) {
 	before := runtime.NumGoroutine()
 	c := NewClock()
@@ -137,6 +137,18 @@ func TestRestedClockLeavesNoGoroutine(t *testing.T) {
 			t.Errorf("pass %d: a reset clock reports %d goroutines spawned, want 0", pass, s)
 		}
 	}
+	ran := make(chan time.Duration)
+	c.GoAfter(time.Second, func() { ran <- c.Elapsed() })
+	select {
+	case got := <-ran:
+		if got != time.Second {
+			t.Errorf("a start queued on a rested clock ran at %v, want 1s", got)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a start queued on a rested clock never ran")
+	}
+	c.WaitIdle()
+	waitGoroutines(t, before)
 }
 
 // A worker carries nothing from one fn into the next: the fn that ran
@@ -154,7 +166,16 @@ func TestWorkerCarriesNothing(t *testing.T) {
 			spawned, busy, waiters = c.spawned, c.busy, len(c.waiters)
 		})
 	})
-	c.WaitIdle()
+	rested := make(chan struct{})
+	go func() {
+		defer close(rested)
+		c.WaitIdle()
+	}()
+	select {
+	case <-rested:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the clock never came to rest: a busy token outlived its fn")
+	}
 	if spawned != 1 {
 		t.Errorf("%d goroutines for three starts one after another, want 1", spawned)
 	}

@@ -376,21 +376,25 @@ named ./internal/codec 'TestDecompressIntoSteadyStateAllocs|TestCompressSteadySt
 # The testbed's own costs: a generator and four draws stay within three
 # allocations and 160 bytes, a link's jitter stream draws math/rand's
 # Float64s and allocates nothing, a timeout in the event queue costs none,
-# a paced write and its read on a warm simnet connection cost none, a
-# client-shaped span costs four, an oracle reads a client's records where
-# they lie, and the trace of a 2,500-fetch pass is at most two allocations
+# a paced write and its read on a warm simnet connection cost none, nor
+# does a start queued on a warm clock, a client-shaped span costs four, an
+# oracle reads a client's records where they lie, and the trace of a 2,500-fetch pass is at most two allocations
 # that print what fmt printed.
 named ./internal/sim 'TestSeededRandAllocs|TestStreamMatchesNewRand|TestScheduleWakeAllocs|TestKernelReset' -count=1
-named ./internal/simnet 'TestSimnetRoundTripAllocs|TestResetRefusesAClockInUse' -count=1
+named ./internal/simnet 'TestSimnetRoundTripAllocs|TestResetRefusesAClockInUse|TestGoAfterAllocs' -count=1
 named ./internal/obs 'TestSpanLifecycleAllocs' -count=1
 named ./internal/harness 'TestClientRecordsAliasesReport|TestTraceAllocs|TestTraceMatchesFmt' -count=1
 # What those budgets rest on, repeated under -race: a finished span that
 # readers share is never written again, every write segment comes back to
-# its clock, a waiter is reused only once no timeout of it is queued, and
-# a run on the clock an earlier run left replays a run on a new one.
+# its clock, a waiter is reused only once no timeout of it is queued, a
+# queued start runs where Go + Sleep would have, on a worker that carries
+# nothing from the start before and exits when the clock rests, a run on
+# the clock an earlier run left replays a run on a new one, and a
+# 2,500-handheld pass, whose starts hand workers from one handheld to the
+# next, runs on a few dozen goroutines.
 named ./internal/obs 'TestFinishedSpanIsImmutable' -race -count=10
-named ./internal/simnet 'TestSegmentsComeBack|TestStaleTimeoutNeverWakesLaterPark|TestResetRefusesAClockInUse' -race -count=10
-named ./internal/harness 'TestReusedClockReplays' -race -count=3
+named ./internal/simnet 'TestSegmentsComeBack|TestStaleTimeoutNeverWakesLaterPark|TestResetRefusesAClockInUse|TestGoAfterOrdersAsGoAndSleep|TestRestedClockLeavesNoGoroutine|TestWorkerCarriesNothing' -race -count=10
+named ./internal/harness 'TestReusedClockReplays|TestFleetPassSpawnsFewGoroutines' -race -count=10
 named ./internal/harness 'TestRunReturnsEverySegment' -count=1
 
 # Parallel-compression determinism gate: the selective encoder must emit
