@@ -126,9 +126,9 @@ func TestSeededRandAllocs(t *testing.T) {
 // loop redraws about half the time, below 2^31 and above it.
 var intnArgs = []int{1, 2, 20, 1 << 20, 1<<30 + 1, 1<<31 - 1, 1 << 31, 1 << 40, 1<<62 + 1, math.MaxInt64}
 
-// sameStreamIntn draws n times from s and from want, alternating Float64
-// with Intn of each of args in turn, and reports the first draw at which
-// they differ.
+// sameStreamIntn draws n times from s and from want, Intn of each of args
+// in turn with every fourth draw a Float64, and reports the first draw at
+// which they differ.
 func sameStreamIntn(t *testing.T, s *Stream, want *rand.Rand, seed int64, args []int, n int) {
 	t.Helper()
 	for k := 0; k < n; k++ {
@@ -182,7 +182,7 @@ func FuzzSeededRand(f *testing.F) {
 		sameStream(t, NewRand(seed), rand.New(rand.NewSource(seed)), seed, int(draws)%(4*rngLen))
 		// A Stream's Intn, on intnArgs and on two bounds this input picks:
 		// one of any size and a power of two.
-		args := append(intnArgs, max(1, int(uint64(seed)>>(1+draws%64))), 1<<(draws%63))
+		args := append([]int{max(1, int(uint64(seed)>>(1+draws%64))), 1 << (draws % 63)}, intnArgs...)
 		s := NewStream(seed)
 		sameStreamIntn(t, &s, rand.New(rand.NewSource(seed)), seed, args, int(draws)%(4*rngLen))
 	})
