@@ -54,7 +54,6 @@ func run() error {
 	if !ok {
 		return fmt.Errorf("unsupported rate %.1f", *rateMbps)
 	}
-	model := rate.Params()
 	cli := repro.NewProxyClient(*addr)
 	defer cli.Close()
 	cli.Timeout = *timeout
@@ -119,9 +118,9 @@ func run() error {
 	fmt.Printf("blocks: %d total, %d compressed; host decompress wall %.3f ms\n",
 		stats.BlocksTotal, stats.BlocksCompressed, stats.DecompressWall.Seconds()*1000)
 
-	plain := model.DownloadEnergy(float64(stats.RawBytes) / 1e6)
+	plain := rate.Params().DownloadEnergy(float64(stats.RawBytes) / 1e6)
 	// The charge the client's trace span carries for this transfer.
-	this := model.TransferBreakdown(stats.RawBytes, stats.WireBytes, stats.BlocksCompressed).Total()
+	this := stats.Energy.Total()
 	fmt.Printf("iPAQ energy estimate at %.1f Mb/s: plain %.4f J, this transfer %.4f J (%.1f%% saving)\n",
 		*rateMbps, plain, this, (1-this/plain)*100)
 

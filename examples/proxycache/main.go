@@ -42,8 +42,6 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	model := repro.Params11Mbps()
-
 	for _, name := range names {
 		fmt.Printf("\n=== %s ===\n", name)
 		fmt.Printf("%-14s %10s %10s %8s %10s %10s\n",
@@ -56,7 +54,8 @@ func run() error {
 				return fmt.Errorf("%s/%v: %w", name, mode, err)
 			}
 			_ = content // verified inside Fetch via CRC
-			e := model.TransferBreakdown(stats.RawBytes, stats.WireBytes, stats.BlocksCompressed).Total()
+			// Charged by the client, at its default 11 Mb/s row.
+			e := stats.Energy.Total()
 			fmt.Printf("%-14v %10d %10d %8.2f %6d/%-3d %10.4f\n",
 				mode, stats.RawBytes, stats.WireBytes, stats.Factor,
 				stats.BlocksCompressed, stats.BlocksTotal, e)

@@ -166,37 +166,21 @@ func calibrateOne(dev string, ref energy.Params, events []export.Event) (Fit, bo
 
 	fitted := false
 	if len(tdY) >= 4 {
-		coef, err := fit.Multiple(tdX, tdY)
+		coef, st, err := fit.Multiple(tdX, tdY)
 		if err == nil {
 			f.TdA, f.TdB, f.TdC = coef[0], coef[1], coef[2]
-			f.TdN = len(tdY)
-			pred := make([]float64, len(tdY))
-			for i, x := range tdX {
-				pred[i] = f.TdA*x[0] + f.TdB*x[1] + f.TdC
-			}
-			f.TdStats, err = fit.Evaluate(pred, tdY)
-			if err != nil {
-				return f, false, err
-			}
+			f.TdN, f.TdStats = len(tdY), st
 			fitted = true
 		} else if err != fit.ErrSingular {
 			return f, false, err
 		}
 	}
 	if len(eY) >= 2 {
-		slope, intercept, err := fit.Linear(eX, eY)
+		slope, intercept, st, err := fit.Linear(eX, eY)
 		if err == nil {
 			f.ESlope, f.EIntercept = slope, intercept
-			f.EN = len(eY)
+			f.EN, f.EStats = len(eY), st
 			f.M = slope - ref.IdleFrac*ref.Pi/ref.RateMBps
-			pred := make([]float64, len(eY))
-			for i, x := range eX {
-				pred[i] = slope*x + intercept
-			}
-			f.EStats, err = fit.Evaluate(pred, eY)
-			if err != nil {
-				return f, false, err
-			}
 			fitted = true
 		} else if err != fit.ErrSingular {
 			return f, false, err

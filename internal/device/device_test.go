@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/codec"
 	"repro/internal/sim"
 )
 
@@ -111,43 +110,6 @@ func TestNICActiveOverridesCPU(t *testing.T) {
 	d.SetNICActive(false)
 	if got := d.CurrentMA(); got != 570 {
 		t.Errorf("back to busy: %v", got)
-	}
-}
-
-func TestGzipDecompressCostMatchesPaperFit(t *testing.T) {
-	// td = 0.161*s + 0.161*sc + 0.004 for s=1 MB, sc=0.25 MB.
-	m := DecompressCost(codec.Gzip)
-	got := m.Seconds(250_000, 1_000_000, 1).Seconds()
-	want := 0.161*1.0 + 0.161*0.25 + 0.004
-	if !almost(got, want, 1e-9) {
-		t.Errorf("td = %v, want %v", got, want)
-	}
-}
-
-func TestBzip2CostsSeveralTimesGzip(t *testing.T) {
-	in, out := 300_000, 1_000_000
-	g := DecompressCost(codec.Gzip).Seconds(in, out, 1)
-	b := DecompressCost(codec.Bzip2).Seconds(in, out, 4)
-	if ratio := b.Seconds() / g.Seconds(); ratio < 2.5 {
-		t.Errorf("bzip2/gzip decompress ratio %.2f, want > 2.5", ratio)
-	}
-	c := DecompressCost(codec.Compress).Seconds(in, out, 1)
-	if c >= g {
-		t.Errorf("LZW decode (%v) should be cheaper than gzip (%v)", c, g)
-	}
-}
-
-func TestProxyGzipOverlapsTransmission(t *testing.T) {
-	// The paper: "the compression almost completely overlaps with data
-	// transmitting on the proxy server" — compressing 1 MB must take less
-	// time than transmitting its compressed form at 0.6 MB/s for typical
-	// factors.
-	in := 1_000_000
-	outMB := 0.4 // factor 2.5
-	comp := ProxyCompressCost(codec.Gzip).Seconds(in, int(outMB*1e6), 1)
-	tx := time.Duration(outMB / 0.6 * float64(time.Second))
-	if comp > tx {
-		t.Errorf("gzip proxy compression (%v) exceeds transmission (%v)", comp, tx)
 	}
 }
 

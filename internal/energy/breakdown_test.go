@@ -50,6 +50,37 @@ func TestDownloadBreakdownSums(t *testing.T) {
 	}
 }
 
+// TestEquationsAsWritten holds Eq. 1 and Eq. 3 bit for bit to the
+// paper's closed forms, written out here term by term, at every size —
+// non-positive ones included: the decider evaluates Eq. 3 with a zero
+// compressed size, where the breakdown attributes nothing but the
+// equation still answers.
+func TestEquationsAsWritten(t *testing.T) {
+	sizes := []float64{-1, 0, 0.004, 0.05, 0.128, 0.5, 1, 4}
+	for _, p := range []Params{Params11Mbps(), Params2Mbps()} {
+		for _, s := range sizes {
+			want := 0.0
+			if s > 0 {
+				want = p.M*s + p.Cs + p.IdleTime(s)*p.Pi
+			}
+			if got := p.DownloadEnergy(s); got != want {
+				t.Errorf("%v: DownloadEnergy(%g) = %v, Eq. 1 gives %v", p, s, got, want)
+			}
+			for _, sc := range sizes {
+				tiPrime, ti1 := p.IdleSplit(s, sc)
+				td := p.DecompressTime(s, sc)
+				want := p.M*sc + p.Cs + td*p.Pd + ti1*p.Pi
+				if tiPrime > td {
+					want = p.M*sc + p.Cs + td*p.Pd + (tiPrime-td+ti1)*p.Pi
+				}
+				if got := p.InterleavedEnergy(s, sc); got != want {
+					t.Errorf("%v: InterleavedEnergy(%g, %g) = %v, Eq. 3 gives %v", p, s, sc, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestBreakdownDegenerate: non-positive sizes attribute nothing.
 func TestBreakdownDegenerate(t *testing.T) {
 	p := Params11Mbps()

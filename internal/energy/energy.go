@@ -89,12 +89,7 @@ func (p Params) IdleSplit(s, sc float64) (tiPrime, ti1 float64) {
 
 // DownloadEnergy returns Eq. 1: E = m·s + cs + ti·pi, the energy to
 // download s MB uncompressed.
-func (p Params) DownloadEnergy(s float64) float64 {
-	if s <= 0 {
-		return 0
-	}
-	return p.M*s + p.Cs + p.IdleTime(s)*p.Pi
-}
+func (p Params) DownloadEnergy(s float64) float64 { return p.DownloadBreakdown(s).Total() }
 
 // DecompressTime returns td for raw size s and compressed size sc (MB).
 func (p Params) DecompressTime(s, sc float64) float64 {
@@ -111,23 +106,16 @@ func (p Params) SleepEnergy(s, sc float64) float64 {
 
 // InterleavedEnergy returns Eq. 3: decompression of block i overlaps the
 // download of block i+1, reclaiming idle time at power pd instead of pi.
-func (p Params) InterleavedEnergy(s, sc float64) float64 {
-	tiPrime, ti1 := p.IdleSplit(s, sc)
-	td := p.DecompressTime(s, sc)
-	if tiPrime > td {
-		// Decompression fits in the idle windows.
-		return p.M*sc + p.Cs + td*p.Pd + (tiPrime-td+ti1)*p.Pi
-	}
-	return p.M*sc + p.Cs + td*p.Pd + ti1*p.Pi
-}
+// Unlike InterleavedBreakdown it answers for non-positive sizes too.
+func (p Params) InterleavedEnergy(s, sc float64) float64 { return p.interleaved(s, sc).Total() }
 
 // Breakdown attributes one transfer's modeled energy to the hardware that
 // spends it: RadioJ is receive plus communication start-up energy
 // (m·sc + cs), CPUJ is decompression energy (td·pd), and IdleJ is the
-// CPU-idle residual (pi·idle time not reclaimed by interleaving). The
-// three parts sum exactly to the corresponding whole-transfer equation,
-// which is what lets a phase-level trace carry per-phase joules whose
-// total equals the model's answer.
+// CPU-idle residual (pi·idle time not reclaimed by interleaving). Eq. 1
+// and Eq. 3 are each written once, as a breakdown, and the whole-transfer
+// energy is its Total, which is what lets a phase-level trace carry
+// per-phase joules whose total equals the model's answer.
 type Breakdown struct {
 	RadioJ float64
 	CPUJ   float64
@@ -138,19 +126,22 @@ type Breakdown struct {
 func (b Breakdown) Total() float64 { return b.RadioJ + b.CPUJ + b.IdleJ }
 
 // InterleavedBreakdown splits Eq. 3 — InterleavedEnergy(s, sc) — into its
-// radio, CPU and idle components. The identity
-//
-//	bd.RadioJ + bd.CPUJ + bd.IdleJ == InterleavedEnergy(s, sc)
-//
-// holds exactly (same floating-point terms, same order of combination).
+// radio, CPU and idle components; a transfer with a non-positive size
+// attributes nothing.
 func (p Params) InterleavedBreakdown(s, sc float64) Breakdown {
 	if s <= 0 || sc <= 0 {
 		return Breakdown{}
 	}
+	return p.interleaved(s, sc)
+}
+
+// interleaved is Eq. 3's one body.
+func (p Params) interleaved(s, sc float64) Breakdown {
 	tiPrime, ti1 := p.IdleSplit(s, sc)
 	td := p.DecompressTime(s, sc)
 	bd := Breakdown{RadioJ: p.M*sc + p.Cs, CPUJ: td * p.Pd}
 	if tiPrime > td {
+		// Decompression fits in the idle windows.
 		bd.IdleJ = (tiPrime - td + ti1) * p.Pi
 	} else {
 		bd.IdleJ = ti1 * p.Pi
@@ -158,7 +149,7 @@ func (p Params) InterleavedBreakdown(s, sc float64) Breakdown {
 	return bd
 }
 
-// DownloadBreakdown splits Eq. 1 — DownloadEnergy(s) — the same way; an
+// DownloadBreakdown is Eq. 1's one body, split the same way; an
 // uncompressed transfer has no CPU component.
 func (p Params) DownloadBreakdown(s float64) Breakdown {
 	if s <= 0 {
@@ -167,11 +158,11 @@ func (p Params) DownloadBreakdown(s float64) Breakdown {
 	return Breakdown{RadioJ: p.M*s + p.Cs, IdleJ: p.IdleTime(s) * p.Pi}
 }
 
-// TransferBreakdown charges one finished transfer from its byte counts —
-// the one rule every consumer (client spans and events, the soak harness,
-// hhfetch, the examples) applies: Eq. 3 when compressed blocks crossed the
-// wire, Eq. 1 otherwise. A selective fetch whose blocks all went raw is
-// an uncompressed download, whatever mode was requested.
+// TransferBreakdown charges one finished transfer from its byte counts:
+// Eq. 3 when compressed blocks crossed the wire, Eq. 1 otherwise. A
+// selective fetch whose blocks all went raw is an uncompressed download,
+// whatever mode was requested. The client charges each fetch with it once;
+// the soak's energy oracle recomputes it as the reference.
 func (p Params) TransferBreakdown(rawBytes, wireBytes, blocksCompressed int) Breakdown {
 	s := float64(rawBytes) / 1e6
 	if blocksCompressed > 0 {

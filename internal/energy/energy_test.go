@@ -226,17 +226,6 @@ func TestShouldCompressRejectsDegenerate(t *testing.T) {
 	}
 }
 
-func TestWithDecompressCost(t *testing.T) {
-	p := Params11Mbps().WithDecompressCost(0.55, 0.35, 0.01)
-	if !almost(p.DecompressTime(1, 0.2), 0.55+0.35*0.2+0.01, 1e-12) {
-		t.Errorf("bzip2-style td = %v", p.DecompressTime(1, 0.2))
-	}
-	// Heavier decompression must raise the break-even factor.
-	if p.ThresholdFactor(2.0) <= Params11Mbps().ThresholdFactor(2.0) {
-		t.Error("heavier codec should need a higher factor")
-	}
-}
-
 func TestParamsString(t *testing.T) {
 	if s := Params11Mbps().String(); s == "" {
 		t.Error("empty String()")

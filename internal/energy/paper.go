@@ -24,11 +24,3 @@ func PaperShouldCompress(sBytes, scBytes int) bool {
 // PaperFileThresholdBytes is the file size below which the paper never
 // compresses (Section 4.3).
 const PaperFileThresholdBytes = 3900
-
-// WithDecompressCost returns a copy of p with the decompression-time
-// coefficients replaced, to model schemes other than gzip (the harness
-// takes them from device.DecompressCost).
-func (p Params) WithDecompressCost(perOutMB, perInMB, perStream float64) Params {
-	p.TdA, p.TdB, p.TdC = perOutMB, perInMB, perStream
-	return p
-}

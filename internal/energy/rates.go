@@ -1,5 +1,11 @@
 package energy
 
+import (
+	"time"
+
+	"repro/internal/codec"
+)
+
 // PowerSavePenalty is the effective-rate reduction in power-saving mode:
 // "the effective data rate decreases by about 25% in the power-saving
 // mode, due to the overhead to switch between the states".
@@ -87,8 +93,10 @@ func (r RateConfig) BytesPerSec() float64 { return r.EffectiveMBps * 1e6 }
 // Section 4.2's where it stays in receive: there Pi is the
 // idle-CPU/receiving-radio power (430 mA → 2.15 W), decompressing in the
 // gaps draws busy+recv (620 mA → 3.10 W), and the per-MB receive
-// coefficient is slightly higher (longer active servicing per byte).
+// coefficient is slightly higher (longer active servicing per byte). Its
+// decode time is gzip's row of the decompression table.
 func (r RateConfig) Params() Params {
+	td := DecompressCost(codec.Gzip)
 	p := Params{
 		RateMBps: r.EffectiveMBps,
 		IdleFrac: r.IdleFrac,
@@ -98,9 +106,9 @@ func (r RateConfig) Params() Params {
 		Pd:       2.85,
 		PdSleep:  1.70,
 		PiSleep:  0.55,
-		TdA:      0.161,
-		TdB:      0.161,
-		TdC:      0.004,
+		TdA:      td.PerOutMB,
+		TdB:      td.PerInMB,
+		TdC:      td.PerStream,
 		BufMB:    0.128,
 	}
 	if r.RecvGaps {
@@ -114,3 +122,47 @@ func Params11Mbps() Params { return Rate11Mbps().Params() }
 
 // Params2Mbps returns the Section 4.2 validation configuration.
 func Params2Mbps() Params { return Rate2Mbps().Params() }
+
+// CostModel is a linear CPU-time model for a codec operation:
+// seconds = PerOutMB*outMB + PerInMB*inMB + PerStream + PerBlock*blocks.
+// Decompression reads sc and writes s, so PerOutMB, PerInMB and PerStream
+// are Params' TdA, TdB and TdC.
+type CostModel struct {
+	PerOutMB  float64 // seconds per MB of produced output
+	PerInMB   float64 // seconds per MB of consumed input
+	PerStream float64 // fixed start-up seconds (library init, tables)
+	PerBlock  float64 // seconds per processed block
+}
+
+// Seconds evaluates the model including the per-stream start-up cost.
+func (m CostModel) Seconds(inBytes, outBytes, blocks int) time.Duration {
+	return m.MarginalSeconds(inBytes, outBytes, blocks) +
+		time.Duration(m.PerStream*float64(time.Second))
+}
+
+// MarginalSeconds evaluates the model without the per-stream start-up
+// cost, for blocks after the first of a shared stream.
+func (m CostModel) MarginalSeconds(inBytes, outBytes, blocks int) time.Duration {
+	const mb = 1e6
+	s := m.PerOutMB*float64(outBytes)/mb +
+		m.PerInMB*float64(inBytes)/mb +
+		m.PerBlock*float64(blocks)
+	return time.Duration(s * float64(time.Second))
+}
+
+// DecompressCost returns the iPAQ (SA-1110 206 MHz) decompression cost
+// model for a scheme. gzip/zlib use the paper's Figure 8(a) fit; compress and
+// bzip2 are calibrated to the paper's qualitative measurements — LZW decode
+// is the cheapest per byte, the BWT inverse pipeline several times more
+// expensive than DEFLATE (the property that costs bzip2 its energy
+// advantage in Figures 1-2).
+func DecompressCost(s codec.Scheme) CostModel {
+	switch s {
+	case codec.Compress:
+		return CostModel{PerOutMB: 0.150, PerInMB: 0.130, PerStream: 0.003}
+	case codec.Bzip2:
+		return CostModel{PerOutMB: 0.550, PerInMB: 0.350, PerStream: 0.010, PerBlock: 0.002}
+	default: // gzip, zlib
+		return CostModel{PerOutMB: 0.161, PerInMB: 0.161, PerStream: 0.004}
+	}
+}

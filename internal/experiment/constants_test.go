@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/codec"
 	"repro/internal/device"
 	"repro/internal/energy"
 	"repro/internal/wlan"
@@ -12,14 +11,14 @@ import (
 
 // TestModelConstantsMatchDeviceTables pins the two remaining copies of the
 // paper's constants against each other: the analytic model's parameters
-// (internal/energy) must be what the simulated device, link and cost tables
-// (internal/device, internal/wlan) imply, until one is derived from the
-// other.
+// (internal/energy) must be what the simulated device's power table and
+// the link (internal/device, internal/wlan) imply, until one is derived
+// from the other. The decode-time coefficients have one copy, the table
+// in internal/energy.
 func TestModelConstantsMatchDeviceTables(t *testing.T) {
 	const v = device.SupplyVoltage
 	pt := device.DefaultPowerTable()
 	watts := func(mA float64) float64 { return v * mA / 1000 }
-	td := device.DecompressCost(codec.Gzip)
 
 	for _, link := range []struct {
 		model    energy.Params
@@ -44,9 +43,6 @@ func TestModelConstantsMatchDeviceTables(t *testing.T) {
 			{"Pd", p.Pd, watts(link.decompMA)},
 			{"PdSleep", p.PdSleep, watts(pt.BusyIdleOn)},
 			{"PiSleep", p.PiSleep, watts(pt.IdleIdleOn)},
-			{"TdA", p.TdA, td.PerOutMB},
-			{"TdB", p.TdB, td.PerInMB},
-			{"TdC", p.TdC, td.PerStream},
 		} {
 			if math.Abs(c.got-c.want) > 1e-3*math.Abs(c.want) {
 				t.Errorf("%s %s: model %v, device tables give %v", r.Name, c.name, c.got, c.want)

@@ -8,9 +8,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/codec"
-	"repro/internal/device"
-	"repro/internal/energy"
 	"repro/internal/workload"
 )
 
@@ -147,13 +144,6 @@ func errorSeries(id, title string, compute func(Config) ([]ErrorSeries, error)) 
 }
 
 func traces(c Config) ([]TraceResult, error) { return c.Trace(400_000) }
-
-// modelFor returns the analytic energy model for a scheme at a rate,
-// substituting the scheme's decompression cost coefficients.
-func modelFor(scheme codec.Scheme, rate energy.RateConfig) energy.Params {
-	cost := device.DecompressCost(scheme)
-	return rate.Params().WithDecompressCost(cost.PerOutMB, cost.PerInMB, cost.PerStream)
-}
 
 // header renders a fixed-width table header with a separator line.
 func header(cols ...string) string {

@@ -4,9 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-
-	"repro/internal/codec"
-	"repro/internal/energy"
 )
 
 // testConfig keeps runs fast: large files scaled to ~1/40, few files per
@@ -275,18 +272,5 @@ func TestThresholdsNearPaper(t *testing.T) {
 	}
 	if out := RenderThresholds(th); !strings.Contains(out, "3900") {
 		t.Error("render missing paper constants")
-	}
-}
-
-func TestModelForSchemes(t *testing.T) {
-	for _, s := range codec.Schemes() {
-		p11 := modelFor(s, energy.Rate11Mbps())
-		if p11.TdA <= 0 {
-			t.Errorf("%v: bad 11 Mb/s model", s)
-		}
-		p2 := modelFor(s, energy.Rate2Mbps())
-		if p2.RateMBps != 0.18 {
-			t.Errorf("%v: 2 Mb/s model rate %.2f", s, p2.RateMBps)
-		}
 	}
 }

@@ -32,12 +32,10 @@ func (c Config) Fig3IdleBreakdown(sizeBytes int) (IdleBreakdown, error) {
 	}
 	p := energy.Params11Mbps()
 	s := float64(sizeBytes) / 1e6
-	idleT := p.IdleTime(s)
-	idleE := idleT * p.Pi
 	return IdleBreakdown{
 		SizeBytes:       sizeBytes,
-		IdleTimeFrac:    idleT / res.TotalSeconds.Seconds(),
-		IdleEnergyFrac:  idleE / res.ExactEnergyJ,
+		IdleTimeFrac:    p.IdleTime(s) / res.TotalSeconds.Seconds(),
+		IdleEnergyFrac:  p.DownloadBreakdown(s).IdleJ / res.ExactEnergyJ,
 		TotalEnergyJ:    res.ExactEnergyJ,
 		DownloadSeconds: res.TotalSeconds.Seconds(),
 	}, nil
@@ -130,7 +128,7 @@ type ErrorSeries struct {
 // interleaveErrors computes the Eq. 3 prediction error against the metered
 // simulation for zlib-with-interleaving at the given rate.
 func (c Config) interleaveErrors(label string, rate energy.RateConfig) (ErrorSeries, error) {
-	model := modelFor(codec.Zlib, rate)
+	model := rate.Params()
 	series := ErrorSeries{Label: label}
 	large, small := c.corpus()
 	run := func(specs []workload.FileSpec) ([]ErrorPoint, error) {
@@ -250,22 +248,15 @@ func (c Config) Fig8Fits() ([]FitResult, error) {
 		x = append(x, []float64{float64(res.RawBytes) / 1e6, float64(res.WireBytes) / 1e6})
 		y = append(y, res.DecompressSeconds.Seconds())
 	}
-	coefs, err := fit.Multiple(x, y)
+	coefs, stA, err := fit.Multiple(x, y)
 	if err != nil {
 		return nil, err
 	}
-	pred := make([]float64, len(y))
-	for i := range x {
-		pred[i] = coefs[0]*x[i][0] + coefs[1]*x[i][1] + coefs[2]
-	}
-	stA, err := fit.Evaluate(pred, y)
-	if err != nil {
-		return nil, err
-	}
+	td := energy.DecompressCost(codec.Gzip) // the paper's Figure 8(a) fit
 	fitA := FitResult{
 		Label:  "(a) td = a*s + b*sc + c",
 		Coefs:  coefs,
-		Paper:  []float64{0.161, 0.161, 0.004},
+		Paper:  []float64{td.PerOutMB, td.PerInMB, td.PerStream},
 		Points: len(y),
 		Stats:  stA,
 	}
@@ -285,15 +276,7 @@ func (c Config) Fig8Fits() ([]FitResult, error) {
 		xs = append(xs, float64(size)/1e6)
 		ys = append(ys, res.MeteredEnergyJ)
 	}
-	slope, icept, err := fit.Linear(xs, ys)
-	if err != nil {
-		return nil, err
-	}
-	predB := make([]float64, len(ys))
-	for i := range xs {
-		predB[i] = slope*xs[i] + icept
-	}
-	stB, err := fit.Evaluate(predB, ys)
+	slope, icept, stB, err := fit.Linear(xs, ys)
 	if err != nil {
 		return nil, err
 	}

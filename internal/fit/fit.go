@@ -2,7 +2,8 @@
 // calibrate its energy model: simple linear regression for download energy
 // (E = m·s + cs, Figure 8b), multiple linear regression for decompression
 // time (td = a·s + b·sc + c, Figure 8a), and the error statistics the paper
-// reports (average relative error, maximum error, R²).
+// reports (average relative error, maximum error, R²). Each fit is scored
+// against the points it was fitted to in the same call.
 package fit
 
 import (
@@ -15,13 +16,14 @@ import (
 // e.g. when predictors are collinear or there are too few points.
 var ErrSingular = errors.New("fit: singular system")
 
-// Linear fits y = slope*x + intercept by ordinary least squares.
-func Linear(x, y []float64) (slope, intercept float64, err error) {
+// Linear fits y = slope*x + intercept by ordinary least squares and
+// scores the line against its points.
+func Linear(x, y []float64) (slope, intercept float64, st Stats, err error) {
 	if len(x) != len(y) {
-		return 0, 0, fmt.Errorf("fit: length mismatch %d vs %d", len(x), len(y))
+		return 0, 0, st, fmt.Errorf("fit: length mismatch %d vs %d", len(x), len(y))
 	}
 	if len(x) < 2 {
-		return 0, 0, fmt.Errorf("fit: need at least 2 points, got %d", len(x))
+		return 0, 0, st, fmt.Errorf("fit: need at least 2 points, got %d", len(x))
 	}
 	n := float64(len(x))
 	var sx, sy, sxx, sxy float64
@@ -33,26 +35,32 @@ func Linear(x, y []float64) (slope, intercept float64, err error) {
 	}
 	den := n*sxx - sx*sx
 	if math.Abs(den) < 1e-12 {
-		return 0, 0, ErrSingular
+		return 0, 0, st, ErrSingular
 	}
 	slope = (n*sxy - sx*sy) / den
 	intercept = (sy - slope*sx) / n
-	return slope, intercept, nil
+	pred := make([]float64, len(y))
+	for i, v := range x {
+		pred[i] = slope*v + intercept
+	}
+	st, err = Evaluate(pred, y)
+	return slope, intercept, st, err
 }
 
 // Multiple fits y = coef[0]*X[i][0] + ... + coef[k-1]*X[i][k-1] + coef[k]
-// (an intercept is appended automatically) by solving the normal equations.
-func Multiple(x [][]float64, y []float64) ([]float64, error) {
+// (an intercept is appended automatically) by solving the normal equations,
+// and scores the fit against its points.
+func Multiple(x [][]float64, y []float64) (coef []float64, st Stats, err error) {
 	if len(x) != len(y) {
-		return nil, fmt.Errorf("fit: length mismatch %d vs %d", len(x), len(y))
+		return nil, st, fmt.Errorf("fit: length mismatch %d vs %d", len(x), len(y))
 	}
 	if len(x) == 0 {
-		return nil, errors.New("fit: no data")
+		return nil, st, errors.New("fit: no data")
 	}
 	k := len(x[0])
 	dim := k + 1 // + intercept
 	if len(x) < dim {
-		return nil, fmt.Errorf("fit: %d points cannot determine %d coefficients", len(x), dim)
+		return nil, st, fmt.Errorf("fit: %d points cannot determine %d coefficients", len(x), dim)
 	}
 	// Build X'X and X'y with the intercept column folded in.
 	xtx := make([][]float64, dim)
@@ -63,7 +71,7 @@ func Multiple(x [][]float64, y []float64) ([]float64, error) {
 	row := make([]float64, dim)
 	for i := range x {
 		if len(x[i]) != k {
-			return nil, fmt.Errorf("fit: ragged row %d", i)
+			return nil, st, fmt.Errorf("fit: ragged row %d", i)
 		}
 		copy(row, x[i])
 		row[k] = 1
@@ -74,7 +82,19 @@ func Multiple(x [][]float64, y []float64) ([]float64, error) {
 			xty[a] += row[a] * y[i]
 		}
 	}
-	return solve(xtx, xty)
+	if coef, err = solve(xtx, xty); err != nil {
+		return nil, st, err
+	}
+	pred := make([]float64, len(y))
+	for i, r := range x {
+		var v float64
+		for j := range r {
+			v += coef[j] * r[j]
+		}
+		pred[i] = v + coef[k]
+	}
+	st, err = Evaluate(pred, y)
+	return coef, st, err
 }
 
 // solve performs Gaussian elimination with partial pivoting on a copy of

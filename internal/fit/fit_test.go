@@ -16,7 +16,7 @@ func TestLinearExact(t *testing.T) {
 	for i, v := range x {
 		y[i] = 3.519*v + 0.012 // the paper's download-energy line
 	}
-	slope, icept, err := Linear(x, y)
+	slope, icept, _, err := Linear(x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestLinearNoisy(t *testing.T) {
 		x = append(x, v)
 		y = append(y, 2.5*v+1.0+rng.NormFloat64()*0.01)
 	}
-	slope, icept, err := Linear(x, y)
+	slope, icept, _, err := Linear(x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,13 +43,13 @@ func TestLinearNoisy(t *testing.T) {
 }
 
 func TestLinearDegenerate(t *testing.T) {
-	if _, _, err := Linear([]float64{1}, []float64{1}); err == nil {
+	if _, _, _, err := Linear([]float64{1}, []float64{1}); err == nil {
 		t.Error("single point accepted")
 	}
-	if _, _, err := Linear([]float64{2, 2, 2}, []float64{1, 2, 3}); !errors.Is(err, ErrSingular) {
+	if _, _, _, err := Linear([]float64{2, 2, 2}, []float64{1, 2, 3}); !errors.Is(err, ErrSingular) {
 		t.Errorf("constant x should be singular, got %v", err)
 	}
-	if _, _, err := Linear([]float64{1, 2}, []float64{1}); err == nil {
+	if _, _, _, err := Linear([]float64{1, 2}, []float64{1}); err == nil {
 		t.Error("length mismatch accepted")
 	}
 }
@@ -65,7 +65,7 @@ func TestMultipleExact(t *testing.T) {
 		x = append(x, []float64{s, sc})
 		y = append(y, 0.161*s+0.161*sc+0.004)
 	}
-	coef, err := Multiple(x, y)
+	coef, _, err := Multiple(x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,19 +81,19 @@ func TestMultipleSingular(t *testing.T) {
 	// Perfectly collinear predictors.
 	x := [][]float64{{1, 2}, {2, 4}, {3, 6}, {4, 8}}
 	y := []float64{1, 2, 3, 4}
-	if _, err := Multiple(x, y); !errors.Is(err, ErrSingular) {
+	if _, _, err := Multiple(x, y); !errors.Is(err, ErrSingular) {
 		t.Errorf("collinear predictors should be singular, got %v", err)
 	}
 }
 
 func TestMultipleValidation(t *testing.T) {
-	if _, err := Multiple(nil, nil); err == nil {
+	if _, _, err := Multiple(nil, nil); err == nil {
 		t.Error("empty input accepted")
 	}
-	if _, err := Multiple([][]float64{{1, 2}}, []float64{1}); err == nil {
+	if _, _, err := Multiple([][]float64{{1, 2}}, []float64{1}); err == nil {
 		t.Error("underdetermined system accepted")
 	}
-	if _, err := Multiple([][]float64{{1, 2}, {1}}, []float64{1, 2}); err == nil {
+	if _, _, err := Multiple([][]float64{{1, 2}, {1}}, []float64{1, 2}); err == nil {
 		t.Error("ragged rows accepted")
 	}
 }
@@ -134,7 +134,7 @@ func TestQuickLinearRecovery(t *testing.T) {
 			x = append(x, v)
 			y = append(y, slope*v+icept)
 		}
-		gs, gi, err := Linear(x, y)
+		gs, gi, _, err := Linear(x, y)
 		return err == nil && almostEqual(gs, slope, 1e-6) && almostEqual(gi, icept, 1e-4)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -152,7 +152,7 @@ func TestQuickResidualOrthogonality(t *testing.T) {
 			x = append(x, rng.Float64()*10)
 			y = append(y, rng.Float64()*10)
 		}
-		slope, icept, err := Linear(x, y)
+		slope, icept, _, err := Linear(x, y)
 		if errors.Is(err, ErrSingular) {
 			return true
 		}
@@ -169,5 +169,45 @@ func TestQuickResidualOrthogonality(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFitsScoreThemselves: Linear and Multiple score each fit against the
+// points it was fitted to — the Stats Evaluate gives for the fitted line
+// or plane, Figure 8's E(s) and td(s, sc).
+func TestFitsScoreThemselves(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	var xs, ys []float64
+	var xp [][]float64
+	var yp []float64
+	for i := 0; i < 40; i++ {
+		s, sc := rng.Float64()*4, rng.Float64()
+		xs = append(xs, s)
+		ys = append(ys, 3.519*s+0.012+rng.NormFloat64()*0.01)
+		xp = append(xp, []float64{s, sc})
+		yp = append(yp, 0.161*s+0.161*sc+0.004+rng.NormFloat64()*0.001)
+	}
+
+	slope, icept, st, err := Linear(xs, ys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pred := make([]float64, len(ys))
+	for i, v := range xs {
+		pred[i] = slope*v + icept
+	}
+	if want, _ := Evaluate(pred, ys); st != want || st.R2 < 0.99 {
+		t.Errorf("line scored %+v, Evaluate gives %+v", st, want)
+	}
+
+	coef, st, err := Multiple(xp, yp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range xp {
+		pred[i] = coef[0]*r[0] + coef[1]*r[1] + coef[2]
+	}
+	if want, _ := Evaluate(pred, yp); st != want || st.R2 < 0.99 {
+		t.Errorf("plane scored %+v, Evaluate gives %+v", st, want)
 	}
 }

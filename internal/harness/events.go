@@ -13,17 +13,15 @@ import (
 // same seed always yields byte-identical JSONL, which is what the CI
 // event-determinism gate diffs and what the calibrator consumes.
 //
-// Per-class joules are recomputed from each record's byte counts with
-// the charge rule the client charges spans with (TransferBreakdown): exact
-// model arithmetic rather than re-summed span floats, so the stream
-// never wobbles by a ULP across runs. Phase timelines (dial, header,
-// recv, backoff, resume — the virtual-time phases) come from the
-// clients' span rings.
+// Per-class joules are each record's FetchStats.Energy, the charge the
+// client computed once from the byte counts: exact model arithmetic
+// rather than re-summed span floats, so the stream never wobbles by a
+// ULP across runs. Phase timelines (dial, header, recv, backoff, resume —
+// the virtual-time phases) come from the clients' span rings.
 func (r *Report) Events() []export.Event {
 	// The clients were charged at the link's rate row, and the
-	// energy-conservation oracle holds them to the same one.
+	// energy-conservation oracle holds them to it.
 	rate := r.Scenario.rate()
-	p := rate.Params()
 	evs := make([]export.Event, 0, len(r.Records))
 	for _, rec := range r.Records {
 		var span obs.SpanData
@@ -48,12 +46,12 @@ func (r *Report) Events() []export.Event {
 			ResumedBytes:     int64(rec.Stats.ResumedBytes),
 			DurNS:            rec.Virtual.Nanoseconds(),
 			Phases:           export.FoldPhases(span.Phases),
+			RadioJ:           rec.Stats.Energy.RadioJ, // zero for a failed fetch
+			CPUJ:             rec.Stats.Energy.CPUJ,
+			IdleJ:            rec.Stats.Energy.IdleJ,
 		}
 		if rec.Err != "" {
 			e.Outcome = rec.Err
-		} else {
-			bd := p.TransferBreakdown(rec.Raw, rec.Stats.WireBytes, rec.Stats.BlocksCompressed)
-			e.RadioJ, e.CPUJ, e.IdleJ = bd.RadioJ, bd.CPUJ, bd.IdleJ
 		}
 		evs = append(evs, e)
 	}

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/energy"
@@ -71,5 +72,28 @@ func TestEventsShape(t *testing.T) {
 			t.Errorf("event %d joules %g/%g/%g, model says %g/%g/%g",
 				i, e.RadioJ, e.CPUJ, e.IdleJ, want.RadioJ, want.CPUJ, want.IdleJ)
 		}
+	}
+}
+
+// TestEnergyOracleHoldsStatsCharge: the energy oracle recomputes each
+// fetch's charge from its byte counts and holds the client's
+// FetchStats.Energy — the joules Events exports — to it, so a charge that
+// drifts from the model is a violation even where the span agrees.
+func TestEnergyOracleHoldsStatsCharge(t *testing.T) {
+	r, err := Run(Scenario{Seed: 3, Clients: 2, FetchesPerClient: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r.OK() {
+		t.Fatalf("oracle violations: %v", r.Violations)
+	}
+	i := 0
+	for r.Records[i].Err != "" {
+		i++
+	}
+	r.Records[i].Stats.Energy.IdleJ += 1e-3
+	r.checkEnergyConservation()
+	if len(r.Violations) != 1 || !strings.Contains(r.Violations[0], "stats charge") {
+		t.Fatalf("a drifted FetchStats charge gave violations %q, want one on the stats charge", r.Violations)
 	}
 }

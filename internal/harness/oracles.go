@@ -60,7 +60,10 @@ func (r *Report) checkPayloads(byName map[string]corpusFile) {
 // checkEnergyConservation: a successful fetch's span must carry exactly
 // the joules the paper's model assigns to its transfer — Eq. 3
 // (interleaved) when compressed blocks crossed the wire, Eq. 1 (plain
-// download) otherwise — split into the same radio/CPU/idle components.
+// download) otherwise — split into the same radio/CPU/idle components,
+// and the charge on its FetchStats must be that breakdown. The reference
+// is recomputed here from the record's byte counts, not read back from
+// what the client charged.
 func (r *Report) checkEnergyConservation() {
 	p := r.Scenario.rate().Params()
 	for ci, spans := range r.Spans {
@@ -78,6 +81,10 @@ func (r *Report) checkEnergyConservation() {
 				continue
 			}
 			bd := p.TransferBreakdown(rec.Stats.RawBytes, rec.Stats.WireBytes, rec.Stats.BlocksCompressed)
+			if rec.Stats.Energy != bd {
+				r.violate("energy: c%02d f%03d %s: stats charge %+v, model %+v",
+					ci, k, rec.Name, rec.Stats.Energy, bd)
+			}
 			got := sd.TotalJoules()
 			if !closeRel(got, bd.Total()) {
 				r.violate("energy: c%02d f%03d %s: span %.12f J, model %.12f J",

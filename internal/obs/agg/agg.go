@@ -65,8 +65,8 @@ type Aggregator struct {
 	cells map[int64]map[Key]*cell
 }
 
-// New returns an aggregator cutting windows of the given width (minimum
-// 1 ns, so index arithmetic never divides by zero).
+// New returns an aggregator cutting windows of the given width; a
+// width ≤ 0 cuts 1 s windows, so index arithmetic never divides by zero.
 func New(width time.Duration) *Aggregator {
 	if width <= 0 {
 		width = time.Second
@@ -87,7 +87,12 @@ func (a *Aggregator) ObserveAt(at time.Duration, e export.Event) {
 		return
 	}
 	k := Key{Scheme: e.Scheme, Device: e.Device}
+	// Floor division: an offset before zero belongs to window −1, not to
+	// window 0 with the offsets after it.
 	idx := int64(at / a.width)
+	if at%a.width < 0 {
+		idx--
+	}
 	a.mu.Lock()
 	byKey := a.cells[idx]
 	if byKey == nil {

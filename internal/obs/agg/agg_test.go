@@ -71,6 +71,31 @@ func TestAggregatorWindowsAndKeys(t *testing.T) {
 	}
 }
 
+// TestWindowsEitherSideOfZero: an offset before zero lands in window −1,
+// [−1s, 0), not in window 0 with an offset after zero; a width ≤ 0 cuts
+// 1 s windows.
+func TestWindowsEitherSideOfZero(t *testing.T) {
+	for _, width := range []time.Duration{time.Second, 0} {
+		a := New(width)
+		a.Observe(ev(-0.5e9, "gzip/raw", "ipaq-11mbps", "ok", 1e6, 10e6, 1))
+		a.Observe(ev(0.5e9, "gzip/raw", "ipaq-11mbps", "ok", 1e6, 10e6, 1))
+		a.Observe(ev(-1e9, "gzip/raw", "ipaq-11mbps", "ok", 1e6, 10e6, 1))
+		snap := a.Snapshot()
+		if len(snap) != 2 {
+			t.Fatalf("width %v: got %d windows, want 2: %+v", width, len(snap), snap)
+		}
+		before, after := snap[0], snap[1]
+		if before.Index != -1 || before.Start != -time.Second || before.End != 0 || before.Count != 2 {
+			t.Errorf("width %v: window before zero %d [%s, %s) holds %d, want -1 [-1s, 0s) holding 2",
+				width, before.Index, before.Start, before.End, before.Count)
+		}
+		if after.Index != 0 || after.Start != 0 || after.End != time.Second || after.Count != 1 {
+			t.Errorf("width %v: window after zero %d [%s, %s) holds %d, want 0 [0s, 1s) holding 1",
+				width, after.Index, after.Start, after.End, after.Count)
+		}
+	}
+}
+
 // TestP50P99P999 reads the fleet quantiles through the interpolated
 // histogram path.
 func TestP50P99P999(t *testing.T) {

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"math"
 	"testing"
+	"time"
 
 	"repro/internal/codec"
 	"repro/internal/energy"
@@ -211,6 +212,20 @@ func TestMeteredCloseToExact(t *testing.T) {
 	res := mustRun(t, Spec{Data: data, Scheme: codec.Gzip, Mode: ModeInterleaved})
 	if rel := math.Abs(res.MeteredEnergyJ-res.ExactEnergyJ) / res.ExactEnergyJ; rel > 0.05 {
 		t.Errorf("meter error %.2f%%", rel*100)
+	}
+}
+
+func TestProxyGzipOverlapsTransmission(t *testing.T) {
+	// The paper: "the compression almost completely overlaps with data
+	// transmitting on the proxy server" — compressing 1 MB must take less
+	// time than transmitting its compressed form at 0.6 MB/s for typical
+	// factors.
+	in := 1_000_000
+	outMB := 0.4 // factor 2.5
+	comp := proxyCompressCost(codec.Gzip).Seconds(in, int(outMB*1e6), 1)
+	tx := time.Duration(outMB / 0.6 * float64(time.Second))
+	if comp > tx {
+		t.Errorf("gzip proxy compression (%v) exceeds transmission (%v)", comp, tx)
 	}
 }
 

@@ -403,6 +403,10 @@ type FetchStats struct {
 	// busy (host-machine time; energy accounting uses the simulator, not
 	// this number).
 	DecompressWall time.Duration
+	// Energy is the fetch's modeled charge at the client's rate row,
+	// energy.Params.TransferBreakdown of the byte counts above; zero for a
+	// failed fetch. The span and the wide event carry the same value.
+	Energy energy.Breakdown
 }
 
 // List fetches the server's file catalogue, retrying transient failures up
@@ -538,7 +542,6 @@ func (c *Client) Fetch(name string, scheme codec.Scheme, mode Mode) ([]byte, Fet
 		span.PhaseDetail("backoff", "", attemptLabelsOf(stats.Attempts).backoff, start, slept, 0)
 	})
 	c.metrics().attempts.Observe(float64(stats.Attempts))
-	var bd energy.Breakdown
 	if err != nil {
 		out = nil
 		span.Fail(err)
@@ -546,34 +549,29 @@ func (c *Client) Fetch(name string, scheme codec.Scheme, mode Mode) ([]byte, Fet
 	} else {
 		stats.RawBytes = len(out)
 		stats.Factor = codec.Factor(stats.RawBytes, stats.WireBytes)
-		bd = c.Rate.OrDefault().Params().TransferBreakdown(stats.RawBytes, stats.WireBytes, stats.BlocksCompressed)
-		chargeSpan(span, bd)
+		// The fetch's one charge. The span spreads its radio joules over
+		// the dial/header/recv phases byte-weighted, its CPU joules over
+		// decompress/verify duration-weighted, and the idle residual in one
+		// entry, so its TotalJoules is the model's answer exactly.
+		bd := c.Rate.OrDefault().Params().TransferBreakdown(stats.RawBytes, stats.WireBytes, stats.BlocksCompressed)
+		stats.Energy = bd
+		span.DistributeJoules(obs.ClassRadio, bd.RadioJ)
+		span.DistributeJoules(obs.ClassCPU, bd.CPUJ)
+		span.AccountPhase("idle", obs.ClassIdle, bd.IdleJ)
 	}
 	span.Finish()
-	c.emitFetchEvent(reqID, name, scheme, mode, span, stats, c.clock().Now().Sub(vStart), bd, err)
+	c.emitFetchEvent(reqID, name, scheme, mode, span, stats, c.clock().Now().Sub(vStart), err)
 	return out, stats, err
-}
-
-// chargeSpan attributes the finished transfer's modeled energy (the
-// energy.Params.TransferBreakdown charge) to the span's phases. Radio
-// joules spread over the dial/header/recv phases byte-weighted, CPU joules
-// over decompress/verify duration-weighted, and the idle residual lands in
-// one accounting entry, so the span's TotalJoules equals the model's
-// whole-transfer answer exactly (see energy.Breakdown).
-func chargeSpan(span *obs.Span, bd energy.Breakdown) {
-	span.DistributeJoules(obs.ClassRadio, bd.RadioJ)
-	span.DistributeJoules(obs.ClassCPU, bd.CPUJ)
-	span.AccountPhase("idle", obs.ClassIdle, bd.IdleJ)
 }
 
 // emitFetchEvent publishes one wide event for a finished fetch (either
 // outcome) to the configured sink. The nil-sink guard comes first so the
 // default path costs one branch and zero allocations; everything the
-// event needs is only materialised past it. bd is the same breakdown
-// chargeSpan was handed (zero on failure), so the event's per-class totals
-// equal the model's answer exactly even when no tracer (and thus no
-// charged span) is configured.
-func (c *Client) emitFetchEvent(reqID uint64, name string, scheme codec.Scheme, mode Mode, span *obs.Span, stats FetchStats, dur time.Duration, bd energy.Breakdown, err error) {
+// event needs is only materialised past it. Its joules are stats.Energy,
+// the breakdown the span was charged (zero on failure), so the event's
+// per-class totals equal the model's answer exactly even when no tracer
+// (and thus no charged span) is configured.
+func (c *Client) emitFetchEvent(reqID uint64, name string, scheme codec.Scheme, mode Mode, span *obs.Span, stats FetchStats, dur time.Duration, err error) {
 	if c.Events == nil {
 		return
 	}
@@ -596,9 +594,9 @@ func (c *Client) emitFetchEvent(reqID uint64, name string, scheme codec.Scheme, 
 		ResumedBytes:     int64(stats.ResumedBytes),
 		DurNS:            dur.Nanoseconds(),
 		Phases:           export.FoldPhases(span.Data().Phases),
-		RadioJ:           bd.RadioJ,
-		CPUJ:             bd.CPUJ,
-		IdleJ:            bd.IdleJ,
+		RadioJ:           stats.Energy.RadioJ,
+		CPUJ:             stats.Energy.CPUJ,
+		IdleJ:            stats.Energy.IdleJ,
 	}
 	if err != nil {
 		e.Outcome = ErrorClass(err)

@@ -5,8 +5,11 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -14,12 +17,89 @@ import (
 )
 
 // TestDocsNameDeclaredFacade fails when README.md, DESIGN.md or
-// EXPERIMENTS.md names a repro.X that repro.go does not declare, or
-// backticks an internal/… or cmd/… path that is not a directory (a .go
-// file, for a path ending in .go): a name trimmed from the facade, or a
-// package deleted, must leave the documents too.
+// EXPERIMENTS.md names a repro.X that repro.go does not declare, backticks
+// an internal/… or cmd/… path that is not a directory (a .go file, for a
+// path ending in .go), backticks a pkg.Name of an internal package that
+// does not declare Name (a function, method, type, variable or constant),
+// or cites a Test…, Fuzz… or Benchmark… name that no test function's name
+// starts with: a name trimmed from the code, or a package deleted, must
+// leave the documents too.
 func TestDocsNameDeclaredFacade(t *testing.T) {
-	f, err := parser.ParseFile(token.NewFileSet(), "repro.go", nil, parser.SkipObjectResolution)
+	facade := declaredNames(t, "repro.go")
+	internal := map[string]map[string]bool{} // package name → its names
+	if err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.PackageClauseOnly)
+		if err != nil {
+			return err
+		}
+		names := internal[f.Name.Name]
+		if names == nil {
+			names = map[string]bool{}
+			internal[f.Name.Name] = names
+		}
+		for n := range declaredNames(t, path) {
+			names[n] = true
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var tests []string
+	if err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		for n := range declaredNames(t, path) {
+			tests = append(tests, n)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	named := regexp.MustCompile(`\brepro\.([A-Z]\w*)`)
+	path := regexp.MustCompile("`((?:internal|cmd)/[^`\\s]*)")
+	backticked := regexp.MustCompile("`([^`\n]+)`")
+	qualified := regexp.MustCompile(`(?:^|[^\w.])([a-z][a-z0-9]*)\.([A-Z]\w*)`)
+	cited := regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z0-9_]\w*`)
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range named.FindAllStringSubmatch(string(text), -1) {
+			if !facade[m[1]] {
+				t.Errorf("%s names repro.%s, which repro.go does not declare", doc, m[1])
+			}
+		}
+		for _, m := range path.FindAllStringSubmatch(string(text), -1) {
+			if fi, err := os.Stat(m[1]); err != nil || fi.IsDir() == strings.HasSuffix(m[1], ".go") {
+				t.Errorf("%s names `%s`, which is not a package directory or Go file", doc, m[1])
+			}
+		}
+		for _, span := range backticked.FindAllStringSubmatch(string(text), -1) {
+			for _, m := range qualified.FindAllStringSubmatch(span[1], -1) {
+				if names, ok := internal[m[1]]; ok && !names[m[2]] {
+					t.Errorf("%s names `%s.%s`, which internal package %s does not declare", doc, m[1], m[2], m[1])
+				}
+			}
+		}
+		for _, name := range cited.FindAllString(string(text), -1) {
+			if !slices.ContainsFunc(tests, func(n string) bool { return strings.HasPrefix(n, name) }) {
+				t.Errorf("%s cites %s, which no test, fuzz target or benchmark is named", doc, name)
+			}
+		}
+	}
+}
+
+// declaredNames returns the names a Go file declares at top level: its
+// functions, methods, types, variables and constants.
+func declaredNames(t *testing.T, path string) map[string]bool {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,24 +121,7 @@ func TestDocsNameDeclaredFacade(t *testing.T) {
 			}
 		}
 	}
-	named := regexp.MustCompile(`\brepro\.([A-Z]\w*)`)
-	path := regexp.MustCompile("`((?:internal|cmd)/[^`\\s]*)")
-	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
-		text, err := os.ReadFile(doc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, m := range named.FindAllStringSubmatch(string(text), -1) {
-			if !declared[m[1]] {
-				t.Errorf("%s names repro.%s, which repro.go does not declare", doc, m[1])
-			}
-		}
-		for _, m := range path.FindAllStringSubmatch(string(text), -1) {
-			if fi, err := os.Stat(m[1]); err != nil || fi.IsDir() == strings.HasSuffix(m[1], ".go") {
-				t.Errorf("%s names `%s`, which is not a package directory or Go file", doc, m[1])
-			}
-		}
-	}
+	return declared
 }
 
 func TestFacadeCodecRoundTrip(t *testing.T) {

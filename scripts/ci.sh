@@ -85,6 +85,24 @@ if go list -deps ./internal/decider | grep -Eqx 'repro/internal/(device|wlan)'; 
 	exit 1
 fi
 exists . 'TestRateTableAgrees'
+# One energy model: the per-scheme decode costs are a table in
+# internal/energy beside the rate rows, so the figure world's device holds
+# power states only and never reads a codec. Eq. 1 and Eq. 3 are each one
+# body, held bit for bit to the paper's closed forms; the client charges a
+# fetch once, and its span, its wide event and the harness's byte-count
+# oracle all read that charge; Figure 8's fits are scored in fit.
+if go list -deps ./internal/device | grep -qx 'repro/internal/codec'; then
+	echo "ci: internal/device depends on internal/codec" >&2
+	exit 1
+fi
+exists ./internal/energy 'TestGzipDecompressCostMatchesPaperFit|TestBzip2CostsSeveralTimesGzip|TestEquationsAsWritten'
+exists ./internal/pipeline 'TestProxyGzipOverlapsTransmission'
+exists ./internal/proxy 'TestFetchChargedOnce'
+exists ./internal/harness 'TestEnergyOracleHoldsStatsCharge'
+exists ./internal/fit 'TestFitsScoreThemselves'
+# The documents name only what exists: facade names, paths, internal
+# identifiers and test names.
+exists . 'TestDocsNameDeclaredFacade'
 # A testbed spec is charged at the row its link runs at.
 exists ./internal/harness 'TestTwoMbpsLinkChargedAtItsRow'
 exists ./internal/decider 'TestParamsForLinkUnchanged|TestLinkAnchorsAreTheMeasuredPoints'
@@ -256,7 +274,7 @@ $SOAK -seed 2 -differential
 # report's nearest-rank percentile untested.
 exists ./cmd/energysim 'TestSoakMatchesGolden|TestSoakOverrides'
 exists ./internal/scenario 'TestRunPairedChecksBounds'
-exists ./internal/obs/agg 'TestPercentile'
+exists ./internal/obs/agg 'TestPercentile|TestWindowsEitherSideOfZero'
 
 # Event-stream determinism gate: the canonical wide-event JSONL of a
 # seeded soak (testdata/events/soak-seed1.scn: the soak's fleet, no faults,
