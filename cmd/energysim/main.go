@@ -95,9 +95,7 @@ func run(argv []string, stdout, stderr io.Writer) error {
 	if len(ids) == 1 && ids[0] == "all" {
 		ids = nil
 		for _, e := range experiment.Experiments() {
-			if !e.Data {
-				ids = append(ids, e.ID)
-			}
+			ids = append(ids, e.ID)
 		}
 	}
 	for _, id := range ids {
@@ -118,7 +116,7 @@ func run(argv []string, stdout, stderr io.Writer) error {
 // usage text and the missing/unknown-id errors.
 func idList() string {
 	var b strings.Builder
-	b.WriteString("experiment ids (all runs every one but the CSV dumps):")
+	b.WriteString("experiment ids (all runs every one):")
 	for _, e := range experiment.Experiments() {
 		fmt.Fprintf(&b, "\n  %-20s%s", e.ID, e.Title)
 	}

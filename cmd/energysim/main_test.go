@@ -49,30 +49,32 @@ func TestAllMatchesGolden(t *testing.T) {
 }
 
 // TestEveryIDListedAndRuns checks the table against the CLI surface built
-// from it: each id is in the usage listing and the unknown-id error, and
-// the ids `all` leaves out run on their own.
+// from it: each id is in the usage listing, the unknown-id error and the
+// missing-id error. (Each id runs in `all`, which TestAllMatchesGolden
+// holds.)
 func TestEveryIDListedAndRuns(t *testing.T) {
 	var usage bytes.Buffer
 	if err := run([]string{"-h"}, io.Discard, &usage); err != nil {
 		t.Fatal(err)
 	}
-	err := run([]string{"no-such-id"}, io.Discard, io.Discard)
-	if err == nil {
+	unknown := run([]string{"no-such-id"}, io.Discard, io.Discard)
+	if unknown == nil {
 		t.Fatal("unknown id accepted")
+	}
+	missing := run(nil, io.Discard, io.Discard)
+	if missing == nil {
+		t.Fatal("no id accepted")
 	}
 	for _, e := range experiment.Experiments() {
 		if !strings.Contains(usage.String(), "\n  "+e.ID+" ") {
 			t.Errorf("usage text does not list %s", e.ID)
 		}
-		if !strings.Contains(err.Error(), "\n  "+e.ID+" ") {
+		if !strings.Contains(unknown.Error(), "\n  "+e.ID+" ") {
 			t.Errorf("unknown-id error does not list %s", e.ID)
 		}
-		if e.Data && runReduced(t, e.ID) == "" {
-			t.Errorf("%s printed nothing", e.ID)
+		if !strings.Contains(missing.Error(), "\n  "+e.ID+" ") {
+			t.Errorf("missing-id error does not list %s", e.ID)
 		}
-	}
-	if err := run(nil, io.Discard, io.Discard); err == nil || !strings.Contains(err.Error(), "trace-csv") {
-		t.Errorf("missing-id error should list the ids, got %v", err)
 	}
 }
 

@@ -54,15 +54,12 @@ func (c Config) files() []workload.FileSpec {
 	return append(large, small...)
 }
 
-// Experiment is one entry of the evaluation: a table, figure or study that
-// Run regenerates as text.
+// Experiment is one entry of the evaluation: a table, figure or derived
+// result that Run regenerates as text.
 type Experiment struct {
 	ID    string
 	Title string
-	// Data marks machine-readable output (CSV), which the human-readable
-	// `all` report leaves out.
-	Data bool
-	Run  func(Config) (string, error)
+	Run   func(Config) (string, error)
 }
 
 // Experiments returns every experiment in report order — the one list
@@ -107,14 +104,6 @@ var experiments = []Experiment{
 	bars("fig13", "Figure 13: energy comparison, compression on demand (gzip | compress | zlib interleaved)", "energy", Config.OnDemandComparison),
 	{ID: "thresholds", Title: "Derived decision thresholds",
 		Run: func(Config) (string, error) { return RenderThresholds(Thresholds()), nil }},
-	{ID: "ablation-levels", Title: "Ablation: gzip compression level",
-		Run: rendered(Config.AblationLevels, RenderAblationLevels)},
-	{ID: "ablation-blocksize", Title: "Ablation: selective-scheme block size",
-		Run: rendered(Config.AblationBlockSize, RenderAblationBlockSize)},
-	{ID: "ablation-meter", Title: "Ablation: multimeter sampling rate",
-		Run: rendered(Config.AblationMeterRate, RenderAblationMeterRate)},
-	{ID: "trace", Title: "Device current timelines (summary)", Run: rendered(traces, RenderTraceSummary)},
-	{ID: "trace-csv", Title: "Device current timelines (CSV)", Data: true, Run: rendered(traces, RenderTraceCSV)},
 }
 
 // rendered chains an experiment's computation into its text renderer.
@@ -142,8 +131,6 @@ func errorSeries(id, title string, compute func(Config) ([]ErrorSeries, error)) 
 		return RenderErrorSeries(title, s...)
 	})}
 }
-
-func traces(c Config) ([]TraceResult, error) { return c.Trace(400_000) }
 
 // header renders a fixed-width table header with a separator line.
 func header(cols ...string) string {

@@ -19,13 +19,11 @@ import (
 type refMeter struct {
 	kernel *sim.Kernel
 	dev    *device.Device
-	rate   float64
 
 	sampling bool
 	stopAt   time.Duration
 	samples  int
 	sumMA    float64
-	maxMA    float64
 }
 
 func (m *refMeter) Trigger() {
@@ -34,16 +32,11 @@ func (m *refMeter) Trigger() {
 }
 
 func (m *refMeter) scheduleSample() {
-	period := time.Duration(float64(time.Second) / m.rate)
-	m.kernel.Schedule(period, func() {
+	m.kernel.Schedule(time.Second/sampleRate, func() {
 		if !m.sampling {
 			return
 		}
-		i := m.dev.CurrentMA()
-		if m.samples == 0 || i > m.maxMA {
-			m.maxMA = i
-		}
-		m.sumMA += i
+		m.sumMA += m.dev.CurrentMA()
 		m.samples++
 		m.scheduleSample()
 	})
@@ -55,7 +48,7 @@ func (m *refMeter) Stop() {
 }
 
 func (m *refMeter) Reading() reading {
-	r := reading{samples: m.samples, maxMA: m.maxMA, exactJ: m.dev.EnergyJ(0, m.stopAt)}
+	r := reading{samples: m.samples, exactJ: m.dev.EnergyJ(0, m.stopAt)}
 	if m.samples > 0 {
 		r.avgMA = m.sumMA / float64(m.samples)
 		r.energyJ = device.SupplyVoltage * (r.avgMA / 1000) * m.stopAt.Seconds()
@@ -75,8 +68,7 @@ func (m *refMeter) Reading() reading {
 // trace-derived meter assumes (a sample sees every change at its instant,
 // and none is taken at the stop instant).
 func TestMeterMatchesEventDrivenReference(t *testing.T) {
-	rate := 300.0
-	period := time.Duration(float64(time.Second) / rate)
+	const period = time.Second / sampleRate
 	windows := []time.Duration{
 		0,                     // zero-length window
 		period / 3,            // shorter than one period: exact-integral fallback
@@ -107,12 +99,12 @@ func TestMeterMatchesEventDrivenReference(t *testing.T) {
 				d.SetNICActive(nic)
 			})
 		}
-		ref := &refMeter{kernel: k, dev: d, rate: rate}
+		ref := &refMeter{kernel: k, dev: d}
 		k.Schedule(stop, ref.Stop)
 		ref.Trigger()
 		k.Run()
 
-		want, got := ref.Reading(), meter(d, stop, rate)
+		want, got := ref.Reading(), meter(d, stop)
 		if got != want {
 			t.Errorf("seed %d, window %v:\n trace-derived %+v\n event-driven  %+v", seed, stop, got, want)
 		}
@@ -129,13 +121,13 @@ func held(stop time.Duration, poke func(k *sim.Kernel, d *device.Device)) readin
 	}
 	k.Schedule(stop, func() {})
 	k.Run()
-	return meter(d, stop, 300)
+	return meter(d, stop)
 }
 
 func TestConstantCurrentReading(t *testing.T) {
 	r := held(2*time.Second, nil)
-	if r.avgMA != 310 || r.maxMA != 310 {
-		t.Errorf("avg/max = %v/%v", r.avgMA, r.maxMA)
+	if r.avgMA != 310 {
+		t.Errorf("avg = %v", r.avgMA)
 	}
 	want := 5 * 0.310 * 2
 	if math.Abs(r.energyJ-want) > 1e-6 {
@@ -146,16 +138,6 @@ func TestConstantCurrentReading(t *testing.T) {
 	}
 	if r.samples < 590 || r.samples > 610 {
 		t.Errorf("samples %d, want ~600", r.samples)
-	}
-}
-
-func TestMaxTracksStateChanges(t *testing.T) {
-	r := held(3*time.Second, func(k *sim.Kernel, d *device.Device) {
-		k.Schedule(time.Second, func() { d.SetCPU(device.CPUBusy) })
-		k.Schedule(2*time.Second, func() { d.SetRadio(device.RadioSleep) })
-	})
-	if r.maxMA != 570 {
-		t.Errorf("max %v, want 570 (busy+idle)", r.maxMA)
 	}
 }
 
@@ -175,7 +157,7 @@ func TestSamplingErrorSmall(t *testing.T) {
 	}
 	k.Schedule(stop, func() {})
 	k.Run()
-	r := meter(d, stop, 300)
+	r := meter(d, stop)
 	if rel := math.Abs(r.energyJ-r.exactJ) / r.exactJ; rel > 0.03 {
 		t.Errorf("sampling error %.4f, want < 3%%", rel)
 	}
@@ -189,6 +171,20 @@ func TestVeryShortWindowFallsBackToExact(t *testing.T) {
 	want := 5 * 0.310 * 0.001
 	if math.Abs(r.energyJ-want) > 1e-9 {
 		t.Errorf("fallback energy %v, want %v", r.energyJ, want)
+	}
+}
+
+func TestMeterProbe(t *testing.T) {
+	// A one-second constant read through the full rig + meter path:
+	// 1 s at 310 mA, 5 V.
+	res, err := Drive(energy.RateConfig{}, func(k *sim.Kernel, _ *device.Device, _ *wlan.Link, done func()) {
+		k.Schedule(time.Second, done)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.MeteredEnergyJ; math.Abs(got-1.55) > 0.01 {
+		t.Errorf("probe %.4f J, want 1.55", got)
 	}
 }
 

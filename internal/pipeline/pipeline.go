@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/codec"
-	"repro/internal/device"
 	"repro/internal/energy"
 	"repro/internal/selective"
 	"repro/internal/wlan"
@@ -73,28 +72,24 @@ type Spec struct {
 	Mode Mode
 	// Selective wraps the data in the block-adaptive container of
 	// Section 4.3 instead of one whole-file stream, deciding each block by
-	// the paper's Eq. 6.
+	// the paper's Eq. 6 (not with ModePlain).
 	Selective bool
-	// OnDemand makes the proxy compress during the transfer (Section 5):
-	// block i+1 is compressed while block i transmits, and the client may
-	// stall when the server falls behind. Stall windows are granted to the
-	// decompression worker, so waiting burns no extra energy beyond idle.
+	// OnDemand (ModeInterleaved only) makes the proxy compress during the
+	// transfer (Section 5): block i+1 is compressed while block i
+	// transmits, and the client may stall when the server falls behind.
+	// Stall windows are granted to the decompression worker, so waiting
+	// burns no extra energy beyond idle.
 	OnDemand bool
-	// OnDemandWholeFile models the stock gzip/compress tools, which (as
-	// the paper measured them) compress the entire file before the
-	// transfer starts instead of pipelining block by block; the revised
-	// zlib of Section 5 uses the block pipeline instead.
+	// OnDemandWholeFile (with OnDemand) models the stock gzip/compress
+	// tools, which (as the paper measured them) compress the entire file
+	// before the transfer starts instead of pipelining block by block; the
+	// revised zlib of Section 5 uses the block pipeline instead.
 	OnDemandWholeFile bool
 	// Rate is the link configuration (defaults to 11 Mb/s).
 	Rate energy.RateConfig
 	// SleepDuringDecompress puts the radio to sleep for the decompression
-	// phase (meaningful for ModeSequential; the paper uses it for bzip2).
+	// phase (ModeSequential only; the paper uses it for bzip2).
 	SleepDuringDecompress bool
-	// MeterRate is the multimeter sampling rate (samples/s; default 300).
-	MeterRate float64
-	// CaptureTrace records the device's current trace in the result, for
-	// timeline rendering (Figures 3-4 style).
-	CaptureTrace bool
 }
 
 // Result reports everything the paper's figures need.
@@ -111,13 +106,9 @@ type Result struct {
 	MeteredEnergyJ float64 // avg-current reading, as the paper measures
 	ExactEnergyJ   float64 // exact trace integral
 	AvgCurrentMA   float64
-	MaxCurrentMA   float64
 
 	BlocksTotal      int
 	BlocksCompressed int
-
-	// Trace is the device current trace (only when Spec.CaptureTrace).
-	Trace []device.Segment
 }
 
 // wireBlock is one transfer unit with its decompression cost and, for
@@ -130,11 +121,21 @@ type wireBlock struct {
 
 // Run executes the experiment.
 func Run(spec Spec) (Result, error) {
-	if spec.Mode == 0 {
+	switch {
+	case spec.Mode == 0:
 		return Result{}, errors.New("pipeline: mode not set")
-	}
-	if spec.Mode < 0 || spec.Mode > ModeInterleaved {
+	case spec.Mode < 0 || spec.Mode > ModeInterleaved:
 		return Result{}, fmt.Errorf("pipeline: unknown mode %d", spec.Mode)
+	// A flag with no execution in the requested mode is refused, not
+	// silently dropped.
+	case spec.OnDemand && spec.Mode != ModeInterleaved:
+		return Result{}, errors.New("pipeline: OnDemand needs ModeInterleaved")
+	case spec.OnDemandWholeFile && !spec.OnDemand:
+		return Result{}, errors.New("pipeline: OnDemandWholeFile needs OnDemand")
+	case spec.SleepDuringDecompress && spec.Mode != ModeSequential:
+		return Result{}, errors.New("pipeline: SleepDuringDecompress needs ModeSequential")
+	case spec.Selective && spec.Mode == ModePlain:
+		return Result{}, errors.New("pipeline: Selective needs a compressed mode")
 	}
 	blocks, wireBytes, stats, err := buildBlocks(spec)
 	if err != nil {
@@ -171,7 +172,7 @@ func Run(spec Spec) (Result, error) {
 		r.interleaved(blocks, wireBytes)
 	}
 
-	res, err := r.run(spec.MeterRate)
+	res, err := r.run()
 	if err != nil {
 		return Result{}, err
 	}
@@ -180,9 +181,6 @@ func Run(spec Spec) (Result, error) {
 	res.Factor = codec.Factor(len(spec.Data), wireBytes)
 	res.BlocksTotal = stats.total
 	res.BlocksCompressed = stats.compressed
-	if spec.CaptureTrace {
-		res.Trace = r.dev.Trace()
-	}
 	return res, nil
 }
 

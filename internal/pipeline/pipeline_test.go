@@ -234,3 +234,34 @@ func TestModeRequired(t *testing.T) {
 		t.Error("missing mode accepted")
 	}
 }
+
+// TestUnhonouredFlagsRejected: a flag Run has no execution for in the
+// requested mode is an error, not an experiment silently run without it.
+func TestUnhonouredFlagsRejected(t *testing.T) {
+	data := textData(10_000)
+	for name, spec := range map[string]Spec{
+		"on demand, sequential":        {Mode: ModeSequential, OnDemand: true},
+		"on demand, plain":             {Mode: ModePlain, OnDemand: true},
+		"whole file, sequential":       {Mode: ModeSequential, OnDemand: true, OnDemandWholeFile: true},
+		"whole file without on demand": {Mode: ModeInterleaved, OnDemandWholeFile: true},
+		"sleep, interleaved":           {Mode: ModeInterleaved, SleepDuringDecompress: true},
+		"sleep, plain":                 {Mode: ModePlain, SleepDuringDecompress: true},
+		"selective, plain":             {Mode: ModePlain, Selective: true},
+	} {
+		spec.Data, spec.Scheme = data, codec.Gzip
+		if _, err := Run(spec); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	for name, spec := range map[string]Spec{
+		"selective, sequential": {Mode: ModeSequential, Selective: true},
+		"selective, on demand":  {Mode: ModeInterleaved, Selective: true, OnDemand: true},
+		"whole file, on demand": {Mode: ModeInterleaved, OnDemand: true, OnDemandWholeFile: true},
+		"sleep, sequential":     {Mode: ModeSequential, SleepDuringDecompress: true},
+	} {
+		spec.Data, spec.Scheme = data, codec.Gzip
+		if _, err := Run(spec); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}

@@ -10,9 +10,9 @@ import (
 	"repro/internal/wlan"
 )
 
-// defaultSampleRate is the meter's samples per second; the paper reports
+// sampleRate is the meter's samples per second; the paper reports
 // "several hundred samples per second".
-const defaultSampleRate = 300
+const sampleRate = 300
 
 // rig is the simulated testbed every figure-world run drives: one event
 // kernel, the iPAQ on it, its WaveLAN link and the CPU worker, plus the
@@ -63,12 +63,12 @@ func (r *rig) drain() {
 }
 
 // run plays the scheduled events out and reads the meter over the window.
-func (r *rig) run(meterRate float64) (Result, error) {
+func (r *rig) run() (Result, error) {
 	r.k.Run()
 	if !r.finished {
 		return Result{}, errors.New("pipeline: experiment did not complete")
 	}
-	m := meter(r.dev, r.totalEnd, meterRate)
+	m := meter(r.dev, r.totalEnd)
 	return Result{
 		TransferSeconds:   r.transferEnd,
 		TotalSeconds:      r.totalEnd,
@@ -77,7 +77,6 @@ func (r *rig) run(meterRate float64) (Result, error) {
 		MeteredEnergyJ:    m.energyJ,
 		ExactEnergyJ:      m.exactJ,
 		AvgCurrentMA:      m.avgMA,
-		MaxCurrentMA:      m.maxMA,
 	}, nil
 }
 
@@ -92,13 +91,13 @@ func Drive(rate energy.RateConfig, script func(k *sim.Kernel, dev *device.Device
 		return Result{}, err
 	}
 	script(r.k, r.dev, r.link, r.stop)
-	return r.run(0)
+	return r.run()
 }
 
 // reading is one metered window.
 type reading struct {
-	samples      int
-	avgMA, maxMA float64
+	samples int
+	avgMA   float64
 	// energyJ is avg-current × V × duration, the way the paper derives
 	// energy from the meter; exactJ is the exact integral over the device
 	// trace, for quantifying the sampling error.
@@ -106,16 +105,13 @@ type reading struct {
 }
 
 // meter reads dev's recorded current trace over [0, stop) the way the
-// paper's HP 3458a did: one sample every 1/rate seconds after the trigger,
-// so the reading carries a small, deterministic sampling error relative to
-// the exact integral, just as the physical meter did. (The trigger
-// interrupt's overhead is under 0.5% per the paper's measurement and is not
-// modeled.)
-func meter(dev *device.Device, stop time.Duration, rate float64) reading {
-	if rate <= 0 {
-		rate = defaultSampleRate
-	}
-	period := time.Duration(float64(time.Second) / rate)
+// paper's HP 3458a did: one sample every 1/sampleRate seconds after the
+// trigger, so the reading carries a small, deterministic sampling error
+// relative to the exact integral, just as the physical meter did. (The
+// trigger interrupt's overhead is under 0.5% per the paper's measurement
+// and is not modeled.)
+func meter(dev *device.Device, stop time.Duration) reading {
+	const period = time.Second / sampleRate
 	trace := dev.Trace()
 	r := reading{exactJ: dev.EnergyJ(0, stop)}
 	var sumMA float64
@@ -124,11 +120,7 @@ func meter(dev *device.Device, stop time.Duration, rate float64) reading {
 		for seg+1 < len(trace) && trace[seg+1].Start <= t {
 			seg++
 		}
-		i := trace[seg].CurrentMA
-		if r.samples == 0 || i > r.maxMA {
-			r.maxMA = i
-		}
-		sumMA += i
+		sumMA += trace[seg].CurrentMA
 		r.samples++
 	}
 	if r.samples == 0 {

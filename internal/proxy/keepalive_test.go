@@ -46,7 +46,7 @@ func TestOneShotClientAgainstKeptServer(t *testing.T) {
 	defer srv.Close()
 	for i := 0; i < 2; i++ {
 		hdr, hdrErr, blocks, ended := rawGet(addr, request{Op: opGet, Name: "f", Scheme: codec.Gzip, Mode: ModeOnDemand})
-		if hdrErr != nil || hdr.Status != statusOK || !ended || blocks != selective.NumBlocks(len(content), selective.BlockSize) {
+		if hdrErr != nil || hdr.Status != statusOK || !ended || blocks != selective.NumBlocks(len(content)) {
 			t.Fatalf("one-shot fetch %d: status %d, %d blocks, ended %v, err %v", i, hdr.Status, blocks, ended, hdrErr)
 		}
 	}

@@ -273,7 +273,7 @@ func TestCodecRunsOncePerBlock(t *testing.T) {
 					for _, sc := range reuseSchemes {
 						srv.AdmitArtifact(ArtifactKey{Name: f.Name, Gen: 1, Scheme: sc, FP: "peer"}, lyingBlocks(f.Data))
 						buildEveryPolicy(t, srv, fi, sc, o)
-						for i := range selective.NumBlocks(len(f.Data), selective.BlockSize) {
+						for i := range selective.NumBlocks(len(f.Data)) {
 							if n := runs.of(sc, f.Data, i); n != 1 {
 								t.Errorf("%s %s block %d: the codec ran %d times, want once", f.Name, sc, i, n)
 							}

@@ -308,7 +308,7 @@ func (s *Server) spawnCompress(task func()) bool {
 // locally on any peer failure — never surfacing an error to the client.
 func (s *Server) openArtifact(key ArtifactKey, content []byte, d selective.Decider, span *obs.Span, allowPeer bool) (artifact, error) {
 	lookupStart := time.Now()
-	a, leader, err := s.store.open(key, selective.NumBlocks(len(content), selective.BlockSize))
+	a, leader, err := s.store.open(key, selective.NumBlocks(len(content)))
 	if err != nil {
 		return artifact{}, err
 	}
@@ -413,7 +413,7 @@ func (s *Server) build(key ArtifactKey, f *flight, content []byte, d selective.D
 		return out, err
 	}
 	made, probed := 0, 0
-	err = selective.EncodeBlocksParallel(content, compress, d, selective.BlockSize, s.spawnCompress, func(b selective.Block) {
+	err = selective.EncodeBlocksParallel(content, compress, d, s.spawnCompress, func(b selective.Block) {
 		f.blocks[made] = b
 		made++
 		if b.Probed {
@@ -443,7 +443,7 @@ func (s *Server) build(key ArtifactKey, f *flight, content []byte, d selective.D
 
 // chunkRaw frames content as raw blocks without touching a codec.
 func chunkRaw(content []byte) []selective.Block {
-	n := selective.NumBlocks(len(content), selective.BlockSize)
+	n := selective.NumBlocks(len(content))
 	if n == 0 {
 		return nil
 	}

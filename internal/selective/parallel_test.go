@@ -24,10 +24,10 @@ func spawnAll(task func()) bool {
 
 // collect runs the block loop under a spawn policy and gathers what it
 // emits, as the whole-buffer entry points do.
-func collect(data []byte, c codec.Codec, d selective.Decider, blockSize int, spawn func(func()) bool) (*selective.Encoded, error) {
+func collect(data []byte, c codec.Codec, d selective.Decider, spawn func(func()) bool) (*selective.Encoded, error) {
 	e := &selective.Encoded{Scheme: c.Scheme()}
 	compress := func(_ int, raw []byte) ([]byte, error) { return c.Compress(raw) }
-	err := selective.EncodeBlocksParallel(data, compress, d, blockSize, spawn, func(b selective.Block) {
+	err := selective.EncodeBlocksParallel(data, compress, d, spawn, func(b selective.Block) {
 		e.Blocks = append(e.Blocks, b)
 	})
 	return e, err
@@ -46,13 +46,13 @@ func TestEncodeParallelMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	par, err := collect(data, c, d, selective.BlockSize, spawnAll)
+	par, err := collect(data, c, d, spawnAll)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	spawnNone := func(task func()) bool { return false }
-	inline, err := collect(data, c, d, selective.BlockSize, spawnNone)
+	inline, err := collect(data, c, d, spawnNone)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,20 +73,19 @@ func TestEncodeParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestEncodeBlocksParallelOrdering: with many small blocks and maximal
-// goroutine interleaving, block order and per-block flags must still match
-// the sequential encoder exactly.
+// TestEncodeBlocksParallelOrdering: with many blocks and maximal goroutine
+// interleaving, block order and per-block flags must still match the
+// sequential encoder exactly.
 func TestEncodeBlocksParallelOrdering(t *testing.T) {
-	data := workload.Generate(workload.ClassMail, 256*1024, 4)
+	data := workload.Generate(workload.ClassMail, 32*selective.BlockSize, 4)
 	c := codec.MustNew(codec.Zlib, 6)
 	d := selective.AlwaysCompress{}
-	const blockSize = 8 * 1024
 
-	seq, err := selective.EncodeBlocks(data, c, d, blockSize)
+	seq, err := selective.Encode(data, c, d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := collect(data, c, d, blockSize, spawnAll)
+	par, err := collect(data, c, d, spawnAll)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,18 +120,18 @@ func (f failAt) Compress(data []byte) ([]byte, error) {
 // blocks 0..k-1 are emitted, in order, whatever the interleaving, and the
 // caller gets block k's error.
 func TestEncodeBlocksParallelEmitStopsAtFailure(t *testing.T) {
-	const blockSize, n, k = 4 * 1024, 12, 7
-	data := workload.Generate(workload.ClassMail, n*blockSize, 9)
+	const n, k = 12, 7
+	data := workload.Generate(workload.ClassMail, n*selective.BlockSize, 9)
 	for i := 0; i < n; i++ {
-		data[i*blockSize] = byte(i) // tag each block with its index
+		data[i*selective.BlockSize] = byte(i) // tag each block with its index
 	}
 	c := failAt{codec.MustNew(codec.Zlib, 6), k}
-	want, err := selective.EncodeBlocks(data[:k*blockSize], c, selective.AlwaysCompress{}, blockSize)
+	want, err := selective.Encode(data[:k*selective.BlockSize], c, selective.AlwaysCompress{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, spawn := range []func(func()) bool{nil, spawnAll} {
-		got, err := collect(data, c, selective.AlwaysCompress{}, blockSize, spawn)
+		got, err := collect(data, c, selective.AlwaysCompress{}, spawn)
 		if !errors.Is(err, errInjected) {
 			t.Fatalf("err = %v, want the injected failure", err)
 		}
@@ -151,7 +150,7 @@ func TestEncodeBlocksParallelEmitStopsAtFailure(t *testing.T) {
 // block that reaches the codec with that block's index — every block the
 // decider did not send raw first, and no other — whatever the interleaving.
 func TestEncodeBlocksParallelPassesIndex(t *testing.T) {
-	const blockSize, n = 16 * 1024, 9
+	const blockSize, n = selective.BlockSize, 9
 	data := workload.Generate(workload.ClassHTML, n*blockSize-500, 3)
 	rand.New(rand.NewSource(3)).Read(data[4*blockSize : 6*blockSize]) // two blocks the probe sends raw
 	c := codec.MustNew(codec.Gzip, 0)
@@ -168,7 +167,7 @@ func TestEncodeBlocksParallelPassesIndex(t *testing.T) {
 			return c.Compress(raw)
 		}
 		var blocks []selective.Block
-		err := selective.EncodeBlocksParallel(data, compress, selective.PaperDecider{}, blockSize, spawn, func(b selective.Block) {
+		err := selective.EncodeBlocksParallel(data, compress, selective.PaperDecider{}, spawn, func(b selective.Block) {
 			blocks = append(blocks, b)
 		})
 		if err != nil {

@@ -131,20 +131,15 @@ func (e *Encoded) Bytes() []byte {
 }
 
 // Encode selectively compresses data with the codec per Figure 10 using
-// the paper's 0.128 MB blocks. Note "send the raw data" in the figure
-// means writing the raw block into the (pre)compressed stream.
+// the paper's 0.128 MB blocks, collecting what the block loop emits. Note
+// "send the raw data" in the figure means writing the raw block into the
+// (pre)compressed stream.
 func Encode(data []byte, c codec.Codec, d Decider) (*Encoded, error) {
-	return EncodeBlocks(data, c, d, BlockSize)
-}
-
-// EncodeBlocks is Encode with an explicit block size, used by the
-// block-size ablation study. It collects what the block loop emits.
-func EncodeBlocks(data []byte, c codec.Codec, d Decider, blockSize int) (*Encoded, error) {
 	e := &Encoded{Scheme: c.Scheme()}
 	compress := func(_ int, raw []byte) ([]byte, error) { return c.Compress(raw) }
-	err := EncodeBlocksParallel(data, compress, d, blockSize, nil, func(b Block) {
+	err := EncodeBlocksParallel(data, compress, d, nil, func(b Block) {
 		if e.Blocks == nil {
-			e.Blocks = make([]Block, 0, NumBlocks(len(data), blockSize))
+			e.Blocks = make([]Block, 0, NumBlocks(len(data)))
 		}
 		e.Blocks = append(e.Blocks, b)
 	})
@@ -154,18 +149,19 @@ func EncodeBlocks(data []byte, c codec.Codec, d Decider, blockSize int) (*Encode
 	return e, nil
 }
 
-// NumBlocks is how many blocks an n-byte buffer chunks into. The chunking
-// is fixed by the raw length alone, so a server can place a resume
+// NumBlocks is how many BlockSize blocks an n-byte buffer chunks into. The
+// chunking is fixed by the raw length alone, so a server can place a resume
 // boundary, or size an artifact, before any block has been compressed.
-func NumBlocks(n, blockSize int) int {
-	return (n + blockSize - 1) / blockSize
+func NumBlocks(n int) int {
+	return (n + BlockSize - 1) / BlockSize
 }
 
-// EncodeBlocksParallel is the block loop every entry point runs. Each
-// block's compress-and-decide step may run on a worker (spawn returns true
-// after arranging to run the task) or inline (spawn is nil, or returns
-// false — the caller's backpressure signal); compress must be safe for
-// concurrent use when spawn is non-nil (every codec in this repository is).
+// EncodeBlocksParallel is the block loop every entry point runs over
+// BlockSize blocks. Each block's compress-and-decide step may run on a
+// worker (spawn returns true after arranging to run the task) or inline
+// (spawn is nil, or returns false — the caller's backpressure signal);
+// compress must be safe for concurrent use when spawn is non-nil (every
+// codec in this repository is).
 // compress is handed block i's raw bytes, only for a block the decider has
 // not already sent raw, and returns what the codec makes of them; the index
 // lets a caller hand back output it already holds for that block.
@@ -177,10 +173,7 @@ func NumBlocks(n, blockSize int) int {
 // and worker count. If a block fails, the blocks before it are still
 // emitted, nothing after it is, and its error is returned once all tasks
 // have stopped.
-func EncodeBlocksParallel(data []byte, compress func(i int, raw []byte) ([]byte, error), d Decider, blockSize int, spawn func(task func()) bool, emit func(Block)) error {
-	if blockSize <= 0 {
-		return fmt.Errorf("selective: block size %d", blockSize)
-	}
+func EncodeBlocksParallel(data []byte, compress func(i int, raw []byte) ([]byte, error), d Decider, spawn func(task func()) bool, emit func(Block)) error {
 	minSize := d.MinSizeBytes()
 	// Whole-file rule: below the threshold size the file is not to be
 	// compressed before transferring.
@@ -197,14 +190,14 @@ func EncodeBlocksParallel(data []byte, compress func(i int, raw []byte) ([]byte,
 		// and emitting keeps a second finisher from emitting out of turn
 		// meanwhile: it leaves its block in its slot for the first to find.
 		mu       sync.Mutex
-		slots    = make([]slot, NumBlocks(len(data), blockSize))
+		slots    = make([]slot, NumBlocks(len(data)))
 		next     int
 		emitting bool
 	)
 	run := func(bi int) {
 		defer wg.Done()
-		off := bi * blockSize
-		end := off + blockSize
+		off := bi * BlockSize
+		end := off + BlockSize
 		if end > len(data) {
 			end = len(data)
 		}
@@ -309,7 +302,8 @@ func Decode(stream []byte, maxSize int) ([]byte, error) {
 
 // MaxPlausibleRawLen is the largest raw block length any container or wire
 // frame of this repository may claim: 16 of the paper's 0.128 MB
-// compression buffers, covering every block size the ablation study uses.
+// compression buffers, ample headroom over the BlockSize every encoder
+// here writes while keeping what a claimed length can size near 2 MB.
 const MaxPlausibleRawLen = 16 * BlockSize
 
 // CheckWireLens validates a frame's untrusted 32-bit length fields against

@@ -270,27 +270,6 @@ func TestContainerMutationNeverPanics(t *testing.T) {
 	}
 }
 
-func TestEncodeBlocksCustomSizes(t *testing.T) {
-	data := workload.MixedFile(600_000, 8)
-	for _, bs := range []int{16_000, 64_000, 256_000, 1_000_000} {
-		enc, err := EncodeBlocks(data, gzipCodec(t), modelDecider(), bs)
-		if err != nil {
-			t.Fatalf("bs %d: %v", bs, err)
-		}
-		got, err := Decode(enc.Bytes(), 0)
-		if err != nil || !bytes.Equal(got, data) {
-			t.Fatalf("bs %d: round trip: %v", bs, err)
-		}
-		wantBlocks := (len(data) + bs - 1) / bs
-		if enc.Stats().BlocksTotal != wantBlocks {
-			t.Errorf("bs %d: %d blocks, want %d", bs, enc.Stats().BlocksTotal, wantBlocks)
-		}
-	}
-	if _, err := EncodeBlocks(data, gzipCodec(t), modelDecider(), 0); err == nil {
-		t.Error("zero block size accepted")
-	}
-}
-
 // ModelDecider drives decisions from the analytic energy model.
 type ModelDecider struct {
 	Params energy.Params

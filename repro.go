@@ -113,7 +113,8 @@ const (
 )
 
 // RunExperiment compresses real bytes with the real codecs and replays the
-// transfer on the simulated device/link/meter stack.
+// transfer on the simulated device/link/meter stack. A flag the spec's mode
+// cannot honour (OnDemand outside ModeInterleaved, say) is an error.
 func RunExperiment(spec ExperimentSpec) (pipeline.Result, error) { return pipeline.Run(spec) }
 
 // RateConfig is an 802.11b rate point: effective rate, CPU-idle fraction,

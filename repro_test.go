@@ -20,10 +20,11 @@ import (
 // EXPERIMENTS.md names a repro.X that repro.go does not declare, backticks
 // an internal/… or cmd/… path that is not a directory (a .go file, for a
 // path ending in .go), backticks a pkg.Name of an internal package that
-// does not declare Name (a function, method, type, variable or constant),
-// or cites a Test…, Fuzz… or Benchmark… name that no test function's name
-// starts with: a name trimmed from the code, or a package deleted, must
-// leave the documents too.
+// does not declare Name (a function, method, type, variable or constant)
+// or a pkg.Type.Member whose Type has no such field or method, or cites a
+// Test…, Fuzz… or Benchmark… name that no test function's name starts
+// with: a name trimmed from the code, or a package deleted, must leave the
+// documents too.
 func TestDocsNameDeclaredFacade(t *testing.T) {
 	facade := declaredNames(t, "repro.go")
 	internal := map[string]map[string]bool{} // package name → its names
@@ -56,7 +57,9 @@ func TestDocsNameDeclaredFacade(t *testing.T) {
 			return err
 		}
 		for n := range declaredNames(t, path) {
-			tests = append(tests, n)
+			if !strings.Contains(n, ".") {
+				tests = append(tests, n)
+			}
 		}
 		return nil
 	}); err != nil {
@@ -66,7 +69,7 @@ func TestDocsNameDeclaredFacade(t *testing.T) {
 	named := regexp.MustCompile(`\brepro\.([A-Z]\w*)`)
 	path := regexp.MustCompile("`((?:internal|cmd)/[^`\\s]*)")
 	backticked := regexp.MustCompile("`([^`\n]+)`")
-	qualified := regexp.MustCompile(`(?:^|[^\w.])([a-z][a-z0-9]*)\.([A-Z]\w*)`)
+	qualified := regexp.MustCompile(`(?:^|[^\w.])([a-z][a-z0-9]*)\.([A-Z]\w*)(?:\.(\w+))?`)
 	cited := regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z0-9_]\w*`)
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
 		text, err := os.ReadFile(doc)
@@ -85,8 +88,13 @@ func TestDocsNameDeclaredFacade(t *testing.T) {
 		}
 		for _, span := range backticked.FindAllStringSubmatch(string(text), -1) {
 			for _, m := range qualified.FindAllStringSubmatch(span[1], -1) {
-				if names, ok := internal[m[1]]; ok && !names[m[2]] {
+				names, ok := internal[m[1]]
+				switch {
+				case !ok:
+				case !names[m[2]]:
 					t.Errorf("%s names `%s.%s`, which internal package %s does not declare", doc, m[1], m[2], m[1])
+				case m[3] != "" && !names[m[2]+"."+m[3]]:
+					t.Errorf("%s names `%s.%s.%s`, which is no field or method of %s.%s", doc, m[1], m[2], m[3], m[1], m[2])
 				}
 			}
 		}
@@ -99,7 +107,8 @@ func TestDocsNameDeclaredFacade(t *testing.T) {
 }
 
 // declaredNames returns the names a Go file declares at top level: its
-// functions, methods, types, variables and constants.
+// functions, methods, types, variables and constants, and, as Type.Member,
+// each method and each struct field or interface method of a type.
 func declaredNames(t *testing.T, path string) map[string]bool {
 	t.Helper()
 	f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
@@ -111,11 +120,30 @@ func declaredNames(t *testing.T, path string) map[string]bool {
 		switch d := d.(type) {
 		case *ast.FuncDecl:
 			declared[d.Name.Name] = true
+			if d.Recv != nil {
+				declared[typeName(d.Recv.List[0].Type)+"."+d.Name.Name] = true
+			}
 		case *ast.GenDecl:
 			for _, spec := range d.Specs {
 				switch spec := spec.(type) {
 				case *ast.TypeSpec:
 					declared[spec.Name.Name] = true
+					var members []*ast.Field
+					switch typ := spec.Type.(type) {
+					case *ast.StructType:
+						members = typ.Fields.List
+					case *ast.InterfaceType:
+						members = typ.Methods.List
+					}
+					for _, field := range members {
+						names := field.Names
+						if len(names) == 0 { // embedded: named by its type
+							names = []*ast.Ident{{Name: typeName(field.Type)}}
+						}
+						for _, n := range names {
+							declared[spec.Name.Name+"."+n.Name] = true
+						}
+					}
 				case *ast.ValueSpec:
 					for _, n := range spec.Names {
 						declared[n.Name] = true
@@ -125,6 +153,24 @@ func declaredNames(t *testing.T, path string) map[string]bool {
 		}
 	}
 	return declared
+}
+
+// typeName is the bare name of a receiver or embedded type: T for T, *T,
+// T[P], pkg.T.
+func typeName(e ast.Expr) string {
+	switch e := e.(type) {
+	case *ast.Ident:
+		return e.Name
+	case *ast.StarExpr:
+		return typeName(e.X)
+	case *ast.IndexExpr:
+		return typeName(e.X)
+	case *ast.IndexListExpr:
+		return typeName(e.X)
+	case *ast.SelectorExpr:
+		return e.Sel.Name
+	}
+	return ""
 }
 
 func TestFacadeCodecRoundTrip(t *testing.T) {

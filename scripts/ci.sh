@@ -96,7 +96,7 @@ if go list -deps ./internal/device | grep -qx 'repro/internal/codec'; then
 	exit 1
 fi
 exists ./internal/energy 'TestGzipDecompressCostMatchesPaperFit|TestBzip2CostsSeveralTimesGzip|TestEquationsAsWritten'
-exists ./internal/pipeline 'TestProxyGzipOverlapsTransmission'
+exists ./internal/pipeline 'TestProxyGzipOverlapsTransmission|TestMeterProbe'
 exists ./internal/proxy 'TestFetchChargedOnce'
 exists ./internal/harness 'TestEnergyOracleHoldsStatsCharge'
 exists ./internal/fit 'TestFitsScoreThemselves'
@@ -251,13 +251,13 @@ fuzz ./internal/checksum FuzzCRC32MatchesReference
 # prints itself so any failure is replayable. The replay guarantee itself is
 # gated by running seed 1 twice and requiring byte-identical traces.
 GATE_DIR=$(mktemp -d)
+trap 'rm -rf "$GATE_DIR"' EXIT
 go build -o "$GATE_DIR/energysim" ./cmd/energysim
 SOAK="$GATE_DIR/energysim soak -scenario testdata/scenarios/default.scn"
 $SOAK -seed 1
 $SOAK -seed 2
-$SOAK -seed 1 -trace >/tmp/soak-a.$$ && $SOAK -seed 1 -trace >/tmp/soak-b.$$
-cmp /tmp/soak-a.$$ /tmp/soak-b.$$
-rm -f /tmp/soak-a.$$ /tmp/soak-b.$$
+$SOAK -seed 1 -trace >"$GATE_DIR/soak-a" && $SOAK -seed 1 -trace >"$GATE_DIR/soak-b"
+cmp "$GATE_DIR/soak-a" "$GATE_DIR/soak-b"
 RANDOM_SEED=$(date +%s)
 echo "soak random seed: $RANDOM_SEED (replay: go run ./cmd/energysim soak -scenario testdata/scenarios/default.scn -seed $RANDOM_SEED -trace)"
 $SOAK -seed "$RANDOM_SEED"
@@ -282,10 +282,9 @@ exists ./internal/obs/agg 'TestPercentile|TestWindowsEitherSideOfZero'
 # golden stream (the one EXPERIMENTS.md's calibration section quotes).
 # Then the calibrator must recover Table 1 from that stream to within 1%.
 EVGATE="$GATE_DIR/energysim soak -scenario testdata/events/soak-seed1.scn -seed 1"
-$EVGATE -events /tmp/events-a.$$ >/dev/null && $EVGATE -events /tmp/events-b.$$ >/dev/null
-cmp /tmp/events-a.$$ /tmp/events-b.$$
-cmp /tmp/events-a.$$ testdata/events/soak-seed1.jsonl
-rm -f /tmp/events-a.$$ /tmp/events-b.$$
+$EVGATE -events "$GATE_DIR/events-a" >/dev/null && $EVGATE -events "$GATE_DIR/events-b" >/dev/null
+cmp "$GATE_DIR/events-a" "$GATE_DIR/events-b"
+cmp "$GATE_DIR/events-a" testdata/events/soak-seed1.jsonl
 # Every device class's fit must be within 1%, not just one of them.
 CALIB=$("$GATE_DIR/energysim" calib -events testdata/events/soak-seed1.jsonl)
 echo "$CALIB" | grep -q 'within 1%: yes'
