@@ -23,6 +23,7 @@ import (
 	"hash/fnv"
 	"net"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -291,8 +292,8 @@ type Report struct {
 	// Dials counts each client's connections.
 	Dials []int64
 	// Elapsed is the virtual time the client schedules took, up to the
-	// last timeout they left queued. It is informational and excluded
-	// from the canonical trace.
+	// latest deadline they queued, a cancelled one included. It is
+	// informational and excluded from the canonical trace.
 	Elapsed    time.Duration
 	Violations []string
 	// first[i] is where client i's records start in Records, with one
@@ -523,97 +524,40 @@ func run(s Scenario, clock *simnet.Clock) (*Report, error) {
 		return nil, err
 	}
 
-	addrs := make([]string, len(servers)) // clients pin to server (client mod servers)
-	for k := range addrs {
-		addrs[k] = nodeAddr(k)
+	p := &pass{s: s, clock: clock, nw: nw, corpus: corpus, rate: s.rate(),
+		addrs: make([]string, len(servers)), dials: make([]int64, s.Clients)}
+	for k := range p.addrs {
+		p.addrs[k] = nodeAddr(k) // clients pin to server (client mod servers)
 	}
-	rate := s.rate()
-	records := make([][]FetchRecord, s.Clients)
-	tracers := make([]*obs.Tracer, s.Clients)
-	dials := make([]int64, s.Clients)
-	var running sync.WaitGroup
 	// Hold the clock at time zero until every actor is on its ledger or
 	// queued to start: client 0, which starts at once, must not spend
 	// virtual time before its siblings' starts are in the queue.
 	launched := make(chan struct{})
 	clock.Go(func() { <-launched })
 
-	for i := 0; i < s.Clients; i++ {
-		i := i
-		tracers[i] = obs.NewTracer(s.FetchesPerClient + 1)
-		records[i] = make([]FetchRecord, 0, s.FetchesPerClient)
-		running.Add(1)
+	// Every handheld's state comes out of a few slabs, one allocation each
+	// per pass however many handhelds it runs: the handhelds themselves
+	// (client, generator, tracer), their records, and their span rings.
+	n, per := s.Clients, s.FetchesPerClient
+	hands := make([]handheld, n)
+	records := make([]FetchRecord, n*per)
+	rings := make([]obs.SpanData, n*(per+1))
+	for i := range hands {
+		h := &hands[i]
+		h.p, h.i = p, i
+		h.records = records[i*per : i*per : (i+1)*per]
+		h.tracer.Init(rings[i*(per+1) : (i+1)*(per+1)])
+		p.running.Add(1)
 		// Stagger starts so the schedule is not one synchronized burst:
 		// client i starts i ms in, and until then it is an event in the
 		// clock's queue rather than a goroutine.
-		clock.GoAfter(time.Duration(i)*time.Millisecond, func() {
-			defer running.Done()
-			sched := sim.NewStream(mix(s.Seed, int64(1000+i)))
-			plan := faultconn.Plan{
-				Seed:         mix(s.Seed, int64(3000+i)),
-				FragmentProb: s.FaultRate,
-				ResetProb:    s.FaultRate,
-				TruncateProb: s.FaultRate,
-				BitFlipProb:  s.FaultRate,
-			}
-			addr := addrs[i%len(addrs)]
-			cli := proxy.NewClient(addr)
-			cli.Clock = clock
-			cli.Timeout = s.Timeout
-			cli.MaxRetries = s.MaxRetries
-			cli.RetryBaseDelay = 10 * time.Millisecond
-			cli.RetryMaxDelay = 200 * time.Millisecond
-			cli.Rand = sim.NewRand(mix(s.Seed, int64(2000+i)))
-			cli.Rate = rate
-			cli.Tracer = tracers[i]
-			cli.DeadlineClass = s.DeadlineClass
-			cli.EnergyBudgetJ = s.BudgetJ
-			// Each dial gets its own jitter seed (via DialLink) and its own
-			// fault stream (via plan.Wrap's per-id rng), both derived from
-			// (scenario seed, client, dial ordinal) — so a client's wire
-			// behavior replays exactly regardless of how the other clients
-			// interleave with it. The client keeps its connection from one
-			// fetch to the next, so it dials again only after a failed
-			// attempt, or when the server closed the kept connection.
-			cli.Dial = func() (net.Conn, error) {
-				dials[i]++
-				link := s.Link
-				link.Seed = mix(s.Seed, int64(i)*1_000_000+dials[i])
-				conn, err := nw.DialLink(addr, link)
-				if err != nil {
-					return nil, err
-				}
-				return plan.Wrap(conn, dials[i]), nil
-			}
-			// Hang up once the last fetch is in, so that the server's
-			// handler does not wait out its idle timeout on the connection.
-			defer cli.Close()
-
-			for j := 0; j < s.FetchesPerClient; j++ {
-				if j > 0 {
-					clock.Sleep(time.Duration(sched.Intn(20)) * time.Millisecond)
-				}
-				f := corpus[sched.Intn(len(corpus))]
-				scheme := schemes[sched.Intn(len(schemes))]
-				mode := modes[sched.Intn(len(modes))]
-				fetchStart := clock.Elapsed()
-				got, stats, err := cli.Fetch(f.name, scheme, mode)
-				rec := FetchRecord{Client: i, Index: j, Name: f.name,
-					Scheme: scheme, Mode: mode, Err: proxy.ErrorClass(err), Stats: stats,
-					Virtual: clock.Elapsed() - fetchStart, VStart: fetchStart}
-				if err == nil {
-					rec.Raw = len(got)
-					rec.CRC = crc32.ChecksumIEEE(got)
-				}
-				records[i] = append(records[i], rec)
-			}
-		})
+		clock.GoAfter(time.Duration(i)*time.Millisecond, h.run)
 	}
 
 	if s.Churn > 0 {
-		running.Add(1)
+		p.running.Add(1)
 		clock.Go(func() {
-			defer running.Done()
+			defer p.running.Done()
 			rng := sim.NewRand(mix(s.Seed, 4000))
 			for k := 0; k < s.Churn; k++ {
 				clock.Sleep(time.Duration(20+rng.Intn(20)) * time.Millisecond)
@@ -632,7 +576,7 @@ func run(s Scenario, clock *simnet.Clock) (*Report, error) {
 	}
 
 	close(launched)
-	running.Wait()
+	p.running.Wait()
 	// The last client's exit and the server handlers it hangs up on run
 	// the clock on after it is done: read the time once they have.
 	clock.WaitIdle()
@@ -649,7 +593,7 @@ func run(s Scenario, clock *simnet.Clock) (*Report, error) {
 		}
 	}
 
-	r := &Report{Scenario: s, Elapsed: elapsed, Dials: dials,
+	r := &Report{Scenario: s, Elapsed: elapsed, Dials: p.dials,
 		Records: make([]FetchRecord, 0, s.Clients*s.FetchesPerClient)}
 	if s.Nodes == 0 {
 		r.Stats = servers[0].Stats()
@@ -660,8 +604,14 @@ func run(s Scenario, clock *simnet.Clock) (*Report, error) {
 			r.Stats = r.Stats.Add(st)
 		}
 	}
-	for i := 0; i < s.Clients; i++ {
-		r.addClient(records[i], tracers[i].Snapshot())
+	// The spans of every client are read into one slice, each client's
+	// clipped so that appending to it cannot reach the next client's.
+	spans := make([]obs.SpanData, 0, n*per)
+	for i := range hands {
+		h := &hands[i]
+		from := len(spans)
+		spans = h.tracer.AppendSnapshot(spans)
+		r.addClient(h.records, slices.Clip(spans[from:]))
 	}
 	r.runOracles(corpus, goroutinesBefore)
 	if s.Nodes > 0 {
@@ -669,4 +619,98 @@ func run(s Scenario, clock *simnet.Clock) (*Report, error) {
 	}
 	r.Violations = append(r.Violations, r.checkBounds(s.Bounds)...)
 	return r, nil
+}
+
+// pass is what every handheld of one run shares.
+type pass struct {
+	s       Scenario
+	clock   *simnet.Clock
+	nw      *simnet.Network
+	corpus  []corpusFile
+	rate    energy.RateConfig
+	addrs   []string
+	dials   []int64 // per client; the report's Dials
+	running sync.WaitGroup
+}
+
+// handheld is one simulated client of a pass: its proxy client, the
+// generator behind the client's Rand, its tracer, and its records, which
+// point into the pass's records slab.
+type handheld struct {
+	p       *pass
+	i       int
+	cli     proxy.Client
+	rng     sim.RandSlot
+	tracer  obs.Tracer
+	records []FetchRecord
+}
+
+// run is the handheld's life: its schedule of fetches, one after another,
+// each recorded.
+func (h *handheld) run() {
+	p, s, i := h.p, h.p.s, h.i
+	defer p.running.Done()
+	sched := sim.NewStream(mix(s.Seed, int64(1000+i)))
+	// A zero Client dials only through Dial.
+	cli := &h.cli
+	cli.Clock = p.clock
+	cli.Timeout = s.Timeout
+	cli.MaxRetries = s.MaxRetries
+	cli.RetryBaseDelay = 10 * time.Millisecond
+	cli.RetryMaxDelay = 200 * time.Millisecond
+	cli.Rand = h.rng.Seed(mix(s.Seed, int64(2000+i)))
+	cli.Rate = p.rate
+	cli.Tracer = &h.tracer
+	cli.DeadlineClass = s.DeadlineClass
+	cli.EnergyBudgetJ = s.BudgetJ
+	cli.Dial = h.dial
+	// Hang up once the last fetch is in, so that the server's handler does
+	// not wait out its idle timeout on the connection.
+	defer cli.Close()
+
+	for j := 0; j < s.FetchesPerClient; j++ {
+		if j > 0 {
+			p.clock.Sleep(time.Duration(sched.Intn(20)) * time.Millisecond)
+		}
+		f := p.corpus[sched.Intn(len(p.corpus))]
+		scheme := schemes[sched.Intn(len(schemes))]
+		mode := modes[sched.Intn(len(modes))]
+		fetchStart := p.clock.Elapsed()
+		got, stats, err := cli.Fetch(f.name, scheme, mode)
+		rec := FetchRecord{Client: i, Index: j, Name: f.name,
+			Scheme: scheme, Mode: mode, Err: proxy.ErrorClass(err), Stats: stats,
+			Virtual: p.clock.Elapsed() - fetchStart, VStart: fetchStart}
+		if err == nil {
+			rec.Raw = len(got)
+			rec.CRC = crc32.ChecksumIEEE(got)
+		}
+		h.records = append(h.records, rec)
+	}
+}
+
+// dial is the handheld's client's Dial. Each dial gets its own jitter seed
+// (via DialLink) and its own fault stream (via the plan's per-id rng),
+// both derived from (scenario seed, client, dial ordinal) — so a client's
+// wire behavior replays exactly regardless of how the other clients
+// interleave with it. The client keeps its connection from one fetch to
+// the next, so it dials again only after a failed attempt, or when the
+// server closed the kept connection.
+func (h *handheld) dial() (net.Conn, error) {
+	p, s, i := h.p, h.p.s, h.i
+	p.dials[i]++
+	link := s.Link
+	link.Seed = mix(s.Seed, int64(i)*1_000_000+p.dials[i])
+	addr := p.addrs[i%len(p.addrs)]
+	conn, err := p.nw.DialLink(addr, link)
+	if err != nil {
+		return nil, err
+	}
+	plan := faultconn.Plan{
+		Seed:         mix(s.Seed, int64(3000+i)),
+		FragmentProb: s.FaultRate,
+		ResetProb:    s.FaultRate,
+		TruncateProb: s.FaultRate,
+		BitFlipProb:  s.FaultRate,
+	}
+	return plan.Wrap(conn, p.dials[i]), nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -213,11 +214,7 @@ func TestReusedClockReplays(t *testing.T) {
 // on a few dozen ledger goroutines rather than one each, and passes every
 // oracle, the goroutine-leak oracle among them.
 func TestFleetPassSpawnsFewGoroutines(t *testing.T) {
-	sc := Scenario{Name: "fleet-10k", Seed: 1, Clients: 2500, FetchesPerClient: 1, MaxRetries: 10,
-		Corpus: []CorpusEntry{
-			{Name: "ping.txt", Class: workload.ClassMail, Size: 2000},
-			{Name: "pong.bin", Ratio: 1.5, Size: 3000},
-		}}
+	sc := fleetScenario(2500)
 	clock := simnet.NewClock()
 	r, err := run(sc, clock)
 	if err != nil {
@@ -231,5 +228,59 @@ func TestFleetPassSpawnsFewGoroutines(t *testing.T) {
 	}
 	if n := clock.Spawned(); n > 64 {
 		t.Errorf("%d ledger goroutines for %d handhelds, want at most 64", n, sc.Clients)
+	}
+}
+
+// fleetScenario is testdata/scenarios/loadgen/fleet-10k.scn at the given
+// number of clients and seed 1.
+func fleetScenario(clients int) Scenario {
+	return Scenario{Name: "fleet-10k", Seed: 1, Clients: clients, FetchesPerClient: 1, MaxRetries: 10,
+		Corpus: []CorpusEntry{
+			{Name: "ping.txt", Class: workload.ClassMail, Size: 2000},
+			{Name: "pong.bin", Ratio: 1.5, Size: 3000},
+		}}
+}
+
+// fleetAllocsPerFetch is what a 500-client fleet pass on a reused clock
+// allocates per fetch, the pass's set-up (corpus, server, report and
+// oracles) included: 24.3 measured on go1.24, 34.4 before its read
+// timeouts were cancelled and its handhelds came out of slabs. The budget
+// leaves a margin of about 10 % for the collector's timing, which decides
+// how often a pooled codec workspace must be made again.
+const fleetAllocsPerFetch = 26.5
+
+// A fleet pass allocates only what its fetches need: fleet-10k.scn at 500
+// clients, on the clock the pass before it left, stays within
+// fleetAllocsPerFetch objects per fetch.
+func TestFleetPassAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts of a race-detector build")
+	}
+	sc := fleetScenario(500)
+	clock := simnet.NewClock()
+	pass := func() {
+		if err := clock.Reset(); err != nil {
+			t.Fatal(err)
+		}
+		r, err := run(sc, clock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !r.OK() {
+			t.Fatalf("oracle violations: %v", r.Violations)
+		}
+	}
+	pass()
+	const passes = 4
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < passes; i++ {
+		pass()
+	}
+	runtime.ReadMemStats(&after)
+	perFetch := float64(after.Mallocs-before.Mallocs) / float64(passes*sc.Clients)
+	t.Logf("%.2f allocations per fetch", perFetch)
+	if perFetch > fleetAllocsPerFetch {
+		t.Errorf("a fleet pass allocates %.2f objects per fetch, want at most %v", perFetch, fleetAllocsPerFetch)
 	}
 }

@@ -185,6 +185,7 @@ var decodedSoFar = []byte("the blocks before this one")
 // leftovers a previous stream could have written.
 func poisoned() *decoder {
 	d := newDecoder()
+	d.fit(1 << MaxBits)
 	d.n[clearCode] = 7 // the one slot a stream can read without having written it
 	d.off[clearCode] = ^uint32(0)
 	for i := firstCode; i < len(d.n); i++ {

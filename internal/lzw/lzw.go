@@ -49,18 +49,20 @@ type dictEntry struct {
 	epoch uint16
 }
 
-// hashSize is 2x the max code count, which keeps probe chains short.
-const hashSize = 1 << 17
-
-// hashTable is an open-addressed (prefix, byte) -> code map sized for the
-// 16-bit code space: 1 MiB, of which a 128 kB block touches a tenth. It is
-// emptied by moving to the next epoch, so a stream pays for the slots it
-// fills and not for the table; only when the 16-bit epoch comes round, every
-// 65,535 clears, are the slots themselves wiped.
+// hashTable is an open-addressed (prefix, byte) -> code map of a power of
+// two slots, at least twice the codes a stream can add, which keeps probe
+// chains short: 1 MiB for a 128 kB block, which fills a tenth of it, and
+// 64 KiB for a 3 kB one. It is emptied by moving to the next epoch, so a
+// stream pays for the slots it fills and not for the table; only when the
+// 16-bit epoch comes round, every 65,535 clears, are the slots themselves
+// wiped.
 type hashTable struct {
-	entries [hashSize]dictEntry
+	entries []dictEntry
 	epoch   uint16
 }
+
+// minHashSlots is the smallest table a stream gets.
+const minHashSlots = 1 << 10
 
 // encoder is the compression workspace: the table, emptied by whoever takes
 // it out of the pool, and the buffer the stream is built in, so that
@@ -72,17 +74,38 @@ type encoder struct {
 
 var encoderPool = sync.Pool{New: func() any { return new(encoder) }}
 
-func (h *hashTable) clear() {
+// fit returns the table sized for the codes a stream of n bytes at maxBits
+// can add, at most one per byte after the first and at most the code space
+// above the literals: h when it is large enough, else a new empty table.
+// The table's methods take and return it by value, so that Compress keeps
+// it in registers.
+func (h hashTable) fit(n, maxBits int) hashTable {
+	codes := min(n, 1<<maxBits-firstCode)
+	slots := minHashSlots
+	for slots < 2*codes {
+		slots <<= 1
+	}
+	if len(h.entries) < slots {
+		return hashTable{entries: make([]dictEntry, slots)}
+	}
+	return h
+}
+
+// clear returns h emptied.
+func (h hashTable) clear() hashTable {
 	h.epoch++
 	if h.epoch == 0 {
-		*h = hashTable{epoch: 1}
+		clear(h.entries)
+		h.epoch = 1
 	}
+	return h
 }
 
 func key(prefix uint16, b byte) uint32 { return uint32(prefix)<<8 | uint32(b) }
 
-func (h *hashTable) lookup(k uint32) (uint16, bool) {
-	i := (k * 2654435761) % hashSize
+func (h hashTable) lookup(k uint32) (uint16, bool) {
+	mask := uint32(len(h.entries) - 1)
+	i := (k * 2654435761) & mask
 	for {
 		e := h.entries[i]
 		if e.epoch != h.epoch {
@@ -91,14 +114,15 @@ func (h *hashTable) lookup(k uint32) (uint16, bool) {
 		if e.key == k {
 			return e.code, true
 		}
-		i = (i + 1) % hashSize
+		i = (i + 1) & mask
 	}
 }
 
-func (h *hashTable) insert(k uint32, code uint16) {
-	i := (k * 2654435761) % hashSize
+func (h hashTable) insert(k uint32, code uint16) {
+	mask := uint32(len(h.entries) - 1)
+	i := (k * 2654435761) & mask
 	for h.entries[i].epoch == h.epoch {
-		i = (i + 1) % hashSize
+		i = (i + 1) & mask
 	}
 	h.entries[i] = dictEntry{key: k, code: code, epoch: h.epoch}
 }
@@ -115,8 +139,7 @@ func Compress(data []byte, maxBits int) ([]byte, error) {
 	if len(data) == 0 {
 		return slices.Clone(out), nil
 	}
-	table := &e.table
-	table.clear()
+	table := e.table.fit(len(data), maxBits).clear()
 	nextCode := firstCode
 	width := uint(MinBits)
 	maxCode := 1<<maxBits - 1
@@ -163,7 +186,7 @@ func Compress(data []byte, maxBits int) ([]byte, error) {
 			ratio := float64(inBytes*8) / float64(outBits+1)
 			if ratio < lastRatio {
 				emit(clearCode)
-				table.clear()
+				table = table.clear()
 				nextCode = firstCode
 				width = MinBits
 				lastRatio = 0
@@ -177,6 +200,7 @@ func Compress(data []byte, maxBits int) ([]byte, error) {
 	if accBits > 0 {
 		out = append(out, byte(acc))
 	}
+	e.table = table
 	e.out = out // keep what the stream grew it to
 	return slices.Clone(out), nil
 }
@@ -189,8 +213,9 @@ func Decompress(data []byte, maxSize int) ([]byte, error) {
 
 // decoder is the decode workspace: for each code, where its string already
 // lies in the output — an offset from the stream's start or its last clear
-// code — and its length, over the 16-bit code space (384 KiB), recycled
-// through decoderPool and never re-zeroed.
+// code — and its length, over as much of the code space as the stream can
+// reach (384 KiB for all 16 bits), recycled through decoderPool and never
+// re-zeroed.
 //
 // The code added after prev was written at p is out[p : p+len(prev)+1]:
 // the byte after prev is the first byte of the next string. Both fields
@@ -199,21 +224,28 @@ func Decompress(data []byte, maxSize int) ([]byte, error) {
 // and an offset under 2^31, whatever maxSize allows.
 //
 // A literal's slot is length 1 at offset 0 (the decoder stores the byte
-// itself), written once, by newDecoder. Leftovers are harmless: a code >= firstCode is looked up only past the
-// `code < nextCode` check, and this stream wrote every slot below
-// nextCode; slot 256 alone can be read unwritten (by a stream without
-// block mode, which must find n[256] == 0), so it is zeroed per stream.
+// itself), written once, when the table is made. Leftovers are harmless: a
+// code >= firstCode is looked up only past the `code < nextCode` check,
+// and this stream wrote every slot below nextCode; slot 256 alone can be
+// read unwritten (by a stream without block mode, which must find n[256]
+// == 0), so it is zeroed per stream.
 type decoder struct {
-	off [1 << MaxBits]uint32
-	n   [1 << MaxBits]uint16
+	off []uint32
+	n   []uint16
 }
 
-func newDecoder() *decoder {
-	d := new(decoder)
+func newDecoder() *decoder { return new(decoder) }
+
+// fit makes the tables hold codes entries: it keeps large enough tables,
+// and replaces smaller ones with new ones whose literal slots are written.
+func (d *decoder) fit(codes int) {
+	if len(d.n) >= codes {
+		return
+	}
+	d.off, d.n = make([]uint32, codes), make([]uint16, codes)
 	for i := range clearCode {
 		d.n[i] = 1
 	}
-	return d
 }
 
 var decoderPool = sync.Pool{New: func() any { return newDecoder() }}
@@ -261,8 +293,14 @@ func (d *decoder) decompressAppend(dst, data []byte, maxSize int) ([]byte, error
 	}
 	end := min(cap(out), limit)
 
-	d.n[clearCode] = 0
+	// A code is at least MinBits wide, so body holds at most
+	// 8·len(body)/MinBits of them, and each adds at most one entry: a
+	// 3 kB stream needs under 3,000 slots of the 65,536 that 16 bits
+	// address.
 	size := 1 << maxBits
+	d.fit(min(size, firstCode+8*len(body)/MinBits))
+	off, lens := d.off, d.n
+	lens[clearCode] = 0
 	nextCode := firstCode
 	width := uint(MinBits)
 
@@ -318,14 +356,14 @@ func (d *decoder) decompressAppend(dst, data []byte, maxSize int) ([]byte, error
 		// KwKwK — the code being added — an ordinary one, whose copy from
 		// prev's occurrence ends one byte into its own.
 		if prevLen > 0 && nextCode < size {
-			d.off[nextCode] = uint32(prevAt - origin)
-			d.n[nextCode] = uint16(prevLen + 1)
+			off[nextCode] = uint32(prevAt - origin)
+			lens[nextCode] = uint16(prevLen + 1)
 			nextCode++
 		}
 		if code >= nextCode {
 			return nil, fmt.Errorf("%w: code %d beyond table %d", ErrCorrupt, code, nextCode)
 		}
-		from, n := origin+int(d.off[code]), int(d.n[code])
+		from, n := origin+int(off[code]), int(lens[code])
 		if n == 0 {
 			return nil, fmt.Errorf("%w: code %d has no expansion", ErrCorrupt, code)
 		}

@@ -17,6 +17,8 @@ import (
 // empty marker on entry and again at each ratio reset — kept as the
 // reference the encoder's bytes are held to.
 
+const hashSize = 1 << 17
+
 type referenceTable struct {
 	entries [hashSize]dictEntry
 }
@@ -247,11 +249,11 @@ func TestBenchFilesMatchReference(t *testing.T) {
 // included.
 func TestTableEpochComesRound(t *testing.T) {
 	h := new(hashTable)
-	h.clear()
+	*h = h.fit(1<<16, MaxBits).clear()
 	h.insert(key(1, 'a'), 300) // stamped with epoch 1: what a wrap without a wipe would revive
 	h.epoch = ^uint16(0) - 1
 	for round := 0; round < 4; round++ {
-		h.clear()
+		*h = h.clear()
 		if _, ok := h.lookup(key(1, 'a')); ok {
 			t.Fatalf("epoch %d: an entry of an earlier epoch is live", h.epoch)
 		}

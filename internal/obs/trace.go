@@ -87,8 +87,9 @@ type Span struct {
 	d    SpanData
 	done bool
 	// phases backs d.Phases until a span records more than fit: a served
-	// request's span records three or four.
-	phases [4]Phase
+	// request's span records three or four, a client fetch's six (dial,
+	// header, recv, decompress, verify, idle).
+	phases [6]Phase
 }
 
 // open locks s for a mutation, reporting false (and leaving it unlocked)
@@ -276,10 +277,16 @@ type Tracer struct {
 // NewTracer returns a tracer retaining up to capacity finished spans
 // (minimum 1).
 func NewTracer(capacity int) *Tracer {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Tracer{ring: make([]SpanData, capacity)}
+	return new(Tracer).Init(make([]SpanData, max(capacity, 1)))
+}
+
+// Init makes t, a zero Tracer, retain up to len(ring) finished spans in
+// ring, which must not be empty, and returns t. A caller that runs many
+// tracers at once (the testbed, one per simulated handheld) keeps them
+// and their rings in slices of its own this way.
+func (t *Tracer) Init(ring []SpanData) *Tracer {
+	t.ring = ring
+	return t
 }
 
 // Start begins a span. A nil tracer returns a nil span, which absorbs all
@@ -335,15 +342,30 @@ func (t *Tracer) Snapshot() []SpanData {
 	if t.count == 0 {
 		return nil
 	}
-	out := make([]SpanData, 0, t.count)
+	return t.appendLocked(make([]SpanData, 0, t.count))
+}
+
+// AppendSnapshot appends the retained spans to dst, oldest finished
+// first, and returns the extended slice: a caller reading many tracers
+// can read them all into one slice of its own.
+func (t *Tracer) AppendSnapshot(dst []SpanData) []SpanData {
+	if t == nil {
+		return dst
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.appendLocked(dst)
+}
+
+func (t *Tracer) appendLocked(dst []SpanData) []SpanData {
 	start := t.head - t.count
 	if start < 0 {
 		start += len(t.ring)
 	}
 	for i := 0; i < t.count; i++ {
-		out = append(out, t.ring[(start+i)%len(t.ring)])
+		dst = append(dst, t.ring[(start+i)%len(t.ring)])
 	}
-	return out
+	return dst
 }
 
 // Len reports how many finished spans the tracer currently retains.

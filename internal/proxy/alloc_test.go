@@ -164,11 +164,11 @@ func TestCorruptBlockAllocatesNoDestination(t *testing.T) {
 //
 //	client: the output buffer handed to the caller, the gzip decoder's
 //	        byte reader, the slice box codec.PutBuf hands the pool;
-//	server: the request's name, its serve span, the span's attribute map
-//	        (two) and its req_id string, and the copy the tracer ring
-//	        keeps of the span (three: phases, attribute map).
+//	server: its serve span, the span's attribute map (two) and its req_id
+//	        string, and the copy the tracer ring keeps of the span (three:
+//	        phases, attribute map). A registered name costs nothing.
 func TestKeepAliveHitAllocs(t *testing.T) {
-	const keepAliveHitBudget = 11
+	const keepAliveHitBudget = 10
 	content := workload.Generate(workload.ClassHTML, 18_000, 10)
 	srv := NewServer(nil)
 	srv.Register("page.html", content)

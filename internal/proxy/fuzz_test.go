@@ -19,7 +19,7 @@ func writeRequest(w io.Writer, req request) error {
 	return err
 }
 
-func readRequest(r io.Reader) (request, error) { return new(requestReader).read(r) }
+func readRequest(r io.Reader) (request, error) { return new(requestReader).read(r, nil) }
 
 // FuzzReadRequest throws arbitrary bytes at the PXY3 request parser:
 // malformed magic, truncated frames and oversized length fields must
@@ -53,7 +53,7 @@ func FuzzReadRequest(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var rr requestReader
-		req, err := rr.read(bytes.NewReader(data))
+		req, err := rr.read(bytes.NewReader(data), nil)
 		if err != nil {
 			return
 		}
@@ -64,7 +64,7 @@ func FuzzReadRequest(f *testing.F) {
 		if err := writeRequest(&buf, req); err != nil {
 			t.Fatalf("re-encode of accepted request failed: %v", err)
 		}
-		back, err := rr.read(&buf)
+		back, err := rr.read(&buf, nil)
 		if err != nil {
 			t.Fatalf("re-decode of accepted request failed: %v", err)
 		}

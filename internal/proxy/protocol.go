@@ -190,14 +190,22 @@ func appendRequest(dst []byte, req request) ([]byte, error) {
 }
 
 // requestReader decodes request frames into scratch it keeps between
-// them: a server connection that carries many requests allocates only
-// each request's name.
+// them: inline for a name of up to reqInlineName bytes, which is nearly
+// every name, grown once past that. A request for a registered file
+// allocates nothing; any other request, its name.
 type requestReader struct {
-	hdr  [reqFixedLen]byte
-	rest []byte
+	hdr    [reqFixedLen]byte
+	inline [reqInlineName + reqTailExLen]byte
+	rest   []byte
 }
 
-func (rr *requestReader) read(r io.Reader) (request, error) {
+// reqInlineName is the longest name a requestReader reads without scratch
+// of its own.
+const reqInlineName = 64
+
+// read decodes the next request frame off r. Its name is names' key when
+// names has the name registered (names may be nil).
+func (rr *requestReader) read(r io.Reader, names *store) (request, error) {
 	hdr := rr.hdr[:]
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return request{}, err
@@ -211,10 +219,14 @@ func (rr *requestReader) read(r io.Reader) (request, error) {
 		return request{}, fmt.Errorf("%w: name length %d", ErrProtocol, nameLen)
 	}
 	n := nameLen + req.tailLen()
-	if cap(rr.rest) < n {
-		rr.rest = make([]byte, n)
+	rest := rr.inline[:]
+	if n > len(rest) {
+		if cap(rr.rest) < n {
+			rr.rest = make([]byte, n)
+		}
+		rest = rr.rest
 	}
-	rest := rr.rest[:n]
+	rest = rest[:n]
 	if _, err := io.ReadFull(r, rest); err != nil {
 		return request{}, fmt.Errorf("%w: truncated request: %v", ErrProtocol, err)
 	}
@@ -224,7 +236,7 @@ func (rr *requestReader) read(r io.Reader) (request, error) {
 	if sum != wantCRC {
 		return request{}, fmt.Errorf("%w: request CRC mismatch", ErrProtocol)
 	}
-	req.Name = string(body[:nameLen])
+	req.Name = names.name(body[:nameLen])
 	req.Scheme = codec.Scheme(body[nameLen])
 	req.Mode = Mode(body[nameLen+1])
 	req.Offset = binary.BigEndian.Uint64(body[nameLen+2:])

@@ -676,7 +676,7 @@ func (s *Server) handle(sc *serverConn) (err error) {
 	}()
 
 	readStart := time.Now()
-	req, err := sc.reqs.read(sc.br)
+	req, err := sc.reqs.read(sc.br, s.store)
 	if err != nil {
 		return err
 	}

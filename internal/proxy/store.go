@@ -15,6 +15,7 @@ import (
 // as, and the content's CRC-32, which ends every response for it — taken
 // once at registration, not by a pass over the file per request.
 type file struct {
+	name    string // the key it is registered under
 	content []byte
 	gen     uint64
 	crc     uint32
@@ -118,7 +119,7 @@ func (st *store) syncGeneration(name string, gen uint64) {
 // name's finished artifacts of generations under it. A flight of one runs
 // on for its readers; finish refuses it admission.
 func (st *store) bump(name string, f file, gen uint64) {
-	f.gen = gen
+	f.name, f.gen = name, gen
 	st.files[name] = f
 	for k, el := range st.entries {
 		if k.Name == name && k.Gen < gen {
@@ -133,6 +134,21 @@ func (st *store) file(name string) (file, bool) {
 	defer st.mu.Unlock()
 	f, ok := st.files[name]
 	return f, ok
+}
+
+// name returns the key b is registered under, or b as a new string when
+// it names no registered file (or st is nil): a request for a registered
+// file allocates no name.
+func (st *store) name(b []byte) string {
+	if st != nil {
+		st.mu.Lock()
+		f, ok := st.files[string(b)]
+		st.mu.Unlock()
+		if ok {
+			return f.name
+		}
+	}
+	return string(b)
 }
 
 // names lists the registered names, sorted.

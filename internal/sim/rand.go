@@ -114,7 +114,23 @@ func (s *seeded) Uint64() uint64 {
 // only draws Float64s, and a client's schedule, which only draws Intns,
 // keep a Stream.
 func NewRand(seed int64) *rand.Rand {
-	return rand.New(&seeded{x0: lehmerSeed(seed)})
+	return new(RandSlot).Seed(seed)
+}
+
+// RandSlot is a NewRand generator and its source in one value, so that a
+// caller seeding many (the testbed, one per simulated handheld) can keep
+// them in one slice of its own.
+type RandSlot struct {
+	r   rand.Rand
+	src seeded
+}
+
+// Seed seeds the slot as NewRand(seed) seeds a new generator and returns
+// the slot's generator.
+func (s *RandSlot) Seed(seed int64) *rand.Rand {
+	s.src = seeded{x0: lehmerSeed(seed)}
+	s.r = *rand.New(&s.src)
+	return &s.r
 }
 
 // Stream is a seeded generator held by value: its Float64 and Intn draws

@@ -126,27 +126,26 @@ func (c *Clock) Reset() error {
 // 10,000-client soak.
 //
 // A waiter is also the kernel event that wakes it (sim.Waker): a timeout
-// is the waiter itself in the event queue, with no closure around it. Such
-// an event needs no cancelling — a park returns only once its waiter is
-// woken, waking a woken waiter is a no-op, and a waiter goes back on the
-// free list only when its park is over (held clear) and no timeout of it
-// is left in the queue (armed clear) — so one that outlives its park fires
-// into nothing and never reaches a later park. It still takes its turn in
-// the queue: the clock visits its time, as every trace expects.
+// is the waiter itself in the event queue, with no closure around it, and
+// timer names it there. Whatever else wakes the waiter first (data, a
+// close, a deadline poke) cancels the timeout, so a park that ends leaves
+// nothing of itself in the queue and its waiter goes back on the free list
+// at once. The kernel keeps the cancelled timeout's time: a clock that
+// runs out of events stands at the latest deadline it ever queued, as it
+// would had the timeout stayed queued and fired into nothing.
 type waiter struct {
-	c           *Clock
-	woken       bool
-	held, armed bool
-	err         error
-	cond        sync.Cond // L is set once a goroutine waits on it
+	c     *Clock
+	woken bool
+	err   error
+	timer sim.Timer // the queued timeout, zero when there is none
+	cond  sync.Cond // L is set once a goroutine waits on it
 }
 
 // Wake is the waiter's timeout firing, under the clock lock like every
 // kernel event.
 func (w *waiter) Wake() {
-	w.armed = false
+	w.timer = sim.Timer{}
 	w.c.wakeLocked(w, nil)
-	w.c.recycleLocked(w)
 }
 
 // Now returns the current virtual time as a wall-anchored time.Time.
@@ -311,8 +310,9 @@ func (c *Clock) dropTokenLocked() {
 // ledger goroutine runnable, at least one event pending. Each step may
 // wake parked goroutines (making busy > 0 again), which stops the loop.
 func (c *Clock) kickLocked() {
-	for c.busy == 0 && c.kern.Pending() > 0 {
-		c.kern.Step()
+	// The last Step finds the queue empty and moves the clock to the
+	// latest deadline a cancelled timeout left.
+	for c.busy == 0 && c.kern.Step() {
 	}
 	if c.busy != 0 {
 		return
@@ -378,21 +378,25 @@ func (c *Clock) parkLocked(w *waiter) error {
 	}
 	c.parked--
 	err := w.err
-	w.held = false
-	c.recycleLocked(w)
+	if len(c.waiters) < maxFree {
+		c.waiters = append(c.waiters, w)
+	}
 	return err
 }
 
 // wakeLocked marks w woken, transferring a busy token to it on its
 // behalf — the token is held from this instant, before the goroutine is
-// scheduled, so time cannot slip past the wakeup. Waking an already-woken
-// waiter is a no-op (a deadline poke racing a delivery, say).
+// scheduled, so time cannot slip past the wakeup — and cancels its queued
+// timeout, if another wake came first. Waking an already-woken waiter is
+// a no-op (a deadline poke racing a delivery, say).
 func (c *Clock) wakeLocked(w *waiter, err error) {
 	if w.woken {
 		return
 	}
 	w.woken = true
 	w.err = err
+	c.kern.Cancel(w.timer)
+	w.timer = sim.Timer{}
 	c.busy++
 	if w.cond.L != nil {
 		w.cond.Signal()

@@ -37,23 +37,15 @@ func pop[T any](l *[]T) (T, bool) {
 func (c *Clock) waiterLocked() *waiter {
 	w, ok := pop(&c.waiters)
 	if !ok {
-		return &waiter{c: c, held: true}
+		return &waiter{c: c}
 	}
-	w.woken, w.err, w.held = false, nil, true
+	w.woken, w.err = false, nil
 	return w
 }
 
 // timeoutLocked queues w's timeout d of virtual time from now.
 func (c *Clock) timeoutLocked(d time.Duration, w *waiter) {
-	w.armed = true
-	c.kern.ScheduleWake(d, w)
-}
-
-// recycleLocked puts w back on the free list once nothing can reach it.
-func (c *Clock) recycleLocked(w *waiter) {
-	if !w.held && !w.armed && len(c.waiters) < maxFree {
-		c.waiters = append(c.waiters, w)
-	}
+	w.timer = c.kern.ScheduleWake(d, w)
 }
 
 // noticeLocked takes a notice of seg (nil for the close marker) for to.

@@ -3,6 +3,8 @@ package simnet
 import (
 	"io"
 	"net"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -123,12 +125,12 @@ func TestSegmentsComeBack(t *testing.T) {
 	accepted2.Close()
 }
 
-// A timeout left in the queue by an earlier park never wakes a later one.
-// A read parks with a deadline and is woken by data, so its deadline's
-// timeout stays queued, pointing at the read's waiter. The same goroutine
-// then sleeps past that deadline and reads the endpoint again: were the
-// waiter reused while its timeout was queued, the stale timeout would end
-// the sleep early.
+// A timeout of an earlier park never wakes a later one. A read parks with
+// a deadline and is woken by data, which cancels its deadline's timeout
+// and puts the read's waiter back on the free list. The same goroutine
+// then sleeps past that deadline and reads the endpoint again: had the
+// timeout stayed queued while the waiter was reused, it would end the
+// sleep early.
 func TestStaleTimeoutNeverWakesLaterPark(t *testing.T) {
 	c, dialer, accepted := connected(t, Link{Latency: time.Millisecond})
 	start := c.Elapsed()
@@ -159,6 +161,54 @@ func TestStaleTimeoutNeverWakesLaterPark(t *testing.T) {
 	}
 	dialer.Close()
 	accepted.Close()
+}
+
+// A read woken by data before its deadline cancels the deadline's timeout:
+// its waiter is back on the free list as soon as the read returns, and no
+// event of it is left in the queue. The clock owes the deadline its time
+// all the same: once it comes to rest it stands at the deadline, as it did
+// when the timeout stayed queued and fired into nothing.
+func TestWokenReadFreesItsWaiter(t *testing.T) {
+	c, dialer, accepted := connected(t, Link{Latency: time.Millisecond})
+	deadline := c.Elapsed() + 100*time.Millisecond
+	if err := dialer.SetReadDeadline(c.Now().Add(100 * time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	read := make(chan error, 1)
+	c.Go(func() {
+		var b [1]byte
+		_, err := dialer.Read(b[:])
+		read <- err
+	})
+	// The caller holds the accepted end's token, so the clock stands still
+	// while the reader parks; find its waiter.
+	ep := dialer.(*endpoint)
+	var w *waiter
+	for w == nil {
+		c.mu.Lock()
+		w = ep.rwait
+		c.mu.Unlock()
+		runtime.Gosched()
+	}
+	if _, err := accepted.Write([]byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	c.Sleep(10 * time.Millisecond) // the byte lands 1ms in and wakes the read
+	if err := <-read; err != nil {
+		t.Fatal(err)
+	}
+	c.mu.Lock()
+	free, pending := slices.Contains(c.waiters, w), c.kern.Pending()
+	c.mu.Unlock()
+	if !free || pending != 0 {
+		t.Errorf("after the read: its waiter free %v, %d events queued; want true and 0", free, pending)
+	}
+	dialer.Close()
+	accepted.Close()
+	c.WaitIdle()
+	if got := c.Elapsed(); got != deadline {
+		t.Errorf("the clock came to rest at %v, want the read deadline %v", got, deadline)
+	}
 }
 
 // Reset refuses a clock that is in use — a goroutine busy or parked on it,

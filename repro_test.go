@@ -21,10 +21,11 @@ import (
 // an internal/… or cmd/… path that is not a directory (a .go file, for a
 // path ending in .go), backticks a pkg.Name of an internal package that
 // does not declare Name (a function, method, type, variable or constant)
-// or a pkg.Type.Member whose Type has no such field or method, or cites a
-// Test…, Fuzz… or Benchmark… name that no test function's name starts
-// with: a name trimmed from the code, or a package deleted, must leave the
-// documents too.
+// or a pkg.Type.Member whose Type has no such field or method, backticks a
+// bare Name or Type.Member that no Go file of the repository declares, or
+// cites a Test…, Fuzz… or Benchmark… name that no test function's name
+// starts with: a name trimmed from the code, or a package deleted, must
+// leave the documents too.
 func TestDocsNameDeclaredFacade(t *testing.T) {
 	facade := declaredNames(t, "repro.go")
 	internal := map[string]map[string]bool{} // package name → its names
@@ -49,15 +50,22 @@ func TestDocsNameDeclaredFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	var tests []string
+	anywhere := map[string]bool{}  // every name any Go file declares, members also bare
+	aliases := map[string]string{} // alias → the type it names
 	if err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err == nil && d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
 			return filepath.SkipDir // .git, the bench's build cache
 		}
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
 			return err
 		}
 		for n := range declaredNames(t, path) {
-			if !strings.Contains(n, ".") {
+			anywhere[n] = true
+			if alias, target, ok := strings.Cut(n, "="); ok {
+				aliases[alias] = target
+			} else if _, member, ok := strings.Cut(n, "."); ok {
+				anywhere[member] = true
+			} else if strings.HasSuffix(path, "_test.go") {
 				tests = append(tests, n)
 			}
 		}
@@ -65,12 +73,23 @@ func TestDocsNameDeclaredFacade(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	for n := range anywhere { // an alias has its type's members
+		for alias, target := range aliases {
+			if member, ok := strings.CutPrefix(n, target+"."); ok {
+				anywhere[alias+"."+member] = true
+			}
+		}
+	}
 
 	named := regexp.MustCompile(`\brepro\.([A-Z]\w*)`)
 	path := regexp.MustCompile("`((?:internal|cmd)/[^`\\s]*)")
 	backticked := regexp.MustCompile("`([^`\n]+)`")
 	qualified := regexp.MustCompile(`(?:^|[^\w.])([a-z][a-z0-9]*)\.([A-Z]\w*)(?:\.(\w+))?`)
 	cited := regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z0-9_]\w*`)
+	// A bare Go name: an exported identifier with a lower-case letter in
+	// it (acronyms such as PXY3 or SIGUSR1 are not names), alone or with
+	// one member.
+	bare := regexp.MustCompile(`^([A-Z]\w*[a-z]\w*)(?:\.(\w+))?$`)
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
@@ -87,6 +106,11 @@ func TestDocsNameDeclaredFacade(t *testing.T) {
 			}
 		}
 		for _, span := range backticked.FindAllStringSubmatch(string(text), -1) {
+			if m := bare.FindStringSubmatch(span[1]); m != nil {
+				if name := strings.TrimSuffix(m[1]+"."+m[2], "."); !anywhere[name] {
+					t.Errorf("%s names `%s`, which no Go file declares", doc, name)
+				}
+			}
 			for _, m := range qualified.FindAllStringSubmatch(span[1], -1) {
 				names, ok := internal[m[1]]
 				switch {
@@ -108,7 +132,8 @@ func TestDocsNameDeclaredFacade(t *testing.T) {
 
 // declaredNames returns the names a Go file declares at top level: its
 // functions, methods, types, variables and constants, and, as Type.Member,
-// each method and each struct field or interface method of a type.
+// each method and each struct field or interface method of a type; and,
+// as Alias=Type, the type an alias names.
 func declaredNames(t *testing.T, path string) map[string]bool {
 	t.Helper()
 	f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
@@ -128,6 +153,9 @@ func declaredNames(t *testing.T, path string) map[string]bool {
 				switch spec := spec.(type) {
 				case *ast.TypeSpec:
 					declared[spec.Name.Name] = true
+					if spec.Assign.IsValid() {
+						declared[spec.Name.Name+"="+typeName(spec.Type)] = true
+					}
 					var members []*ast.Field
 					switch typ := spec.Type.(type) {
 					case *ast.StructType:

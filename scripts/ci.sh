@@ -242,6 +242,11 @@ exists ./internal/workload 'TestBenchFilesPinned'
 # test file, across split points and unaligned tails.
 fuzz ./internal/sim FuzzSeededRand
 fuzz ./internal/checksum FuzzCRC32MatchesReference
+# The kernel's cancellation, held to a sorted queue that keeps cancelled
+# events and runs them into nothing: the same surviving events in the same
+# (time, order), and the clock at rest at the same time.
+fuzz ./internal/sim FuzzKernelCancel
+exists ./internal/sim 'TestCancelMatchesModel|TestCancelRemovesTheWake'
 
 # Deterministic soak gate: CI's soak shape (testdata/scenarios/default.scn)
 # on the virtual testbed (internal/harness) with every invariant oracle
@@ -394,23 +399,27 @@ named ./internal/codec 'TestDecompressIntoSteadyStateAllocs|TestCompressSteadySt
 # allocations and 160 bytes, a link's jitter stream draws math/rand's
 # Float64s and allocates nothing, a timeout in the event queue costs none,
 # a paced write and its read on a warm simnet connection cost none, nor
-# does a start queued on a warm clock, a client-shaped span costs four, an
-# oracle reads a client's records where they lie, and the trace of a 2,500-fetch pass is at most two allocations
-# that print what fmt printed.
+# does a start queued on a warm clock, a client-shaped span costs three, an
+# oracle reads a client's records where they lie, the trace of a
+# 2,500-fetch pass is at most two allocations that print what fmt printed,
+# and a 500-client fleet pass on a reused clock stays within its stated
+# allocations per fetch.
 named ./internal/sim 'TestSeededRandAllocs|TestStreamMatchesNewRand|TestScheduleWakeAllocs|TestKernelReset' -count=1
 named ./internal/simnet 'TestSimnetRoundTripAllocs|TestResetRefusesAClockInUse|TestGoAfterAllocs' -count=1
 named ./internal/obs 'TestSpanLifecycleAllocs' -count=1
-named ./internal/harness 'TestClientRecordsAliasesReport|TestTraceAllocs|TestTraceMatchesFmt' -count=1
+named ./internal/harness 'TestClientRecordsAliasesReport|TestTraceAllocs|TestTraceMatchesFmt|TestFleetPassAllocs' -count=1
 # What those budgets rest on, repeated under -race: a finished span that
 # readers share is never written again, every write segment comes back to
-# its clock, a waiter is reused only once no timeout of it is queued, a
+# its clock, a read woken before its deadline cancels the deadline's
+# timeout and frees its waiter at once while the clock still rests at the
+# deadline, a reused waiter is never woken by an earlier park's timeout, a
 # queued start runs where Go + Sleep would have, on a worker that carries
 # nothing from the start before and exits when the clock rests, a run on
 # the clock an earlier run left replays a run on a new one, and a
 # 2,500-handheld pass, whose starts hand workers from one handheld to the
 # next, runs on a few dozen goroutines.
 named ./internal/obs 'TestFinishedSpanIsImmutable' -race -count=10
-named ./internal/simnet 'TestSegmentsComeBack|TestStaleTimeoutNeverWakesLaterPark|TestResetRefusesAClockInUse|TestGoAfterOrdersAsGoAndSleep|TestRestedClockLeavesNoGoroutine|TestWorkerCarriesNothing' -race -count=10
+named ./internal/simnet 'TestSegmentsComeBack|TestWokenReadFreesItsWaiter|TestStaleTimeoutNeverWakesLaterPark|TestResetRefusesAClockInUse|TestGoAfterOrdersAsGoAndSleep|TestRestedClockLeavesNoGoroutine|TestWorkerCarriesNothing' -race -count=10
 named ./internal/harness 'TestReusedClockReplays|TestFleetPassSpawnsFewGoroutines' -race -count=10
 named ./internal/harness 'TestRunReturnsEverySegment' -count=1
 
