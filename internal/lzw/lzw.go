@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 )
@@ -52,12 +53,14 @@ type dictEntry struct {
 // hashTable is an open-addressed (prefix, byte) -> code map of a power of
 // two slots, at least twice the codes a stream can add, which keeps probe
 // chains short: 1 MiB for a 128 kB block, which fills a tenth of it, and
-// 64 KiB for a 3 kB one. It is emptied by moving to the next epoch, so a
-// stream pays for the slots it fills and not for the table; only when the
-// 16-bit epoch comes round, every 65,535 clears, are the slots themselves
-// wiped.
+// 64 KiB for a 3 kB one. A key's home slot is the top bits of its
+// multiplicative hash, which spreads the keys over a small table as well as
+// over a large one. It is emptied by moving to the next epoch, so a stream
+// pays for the slots it fills and not for the table; only when the 16-bit
+// epoch comes round, every 65,535 clears, are the slots themselves wiped.
 type hashTable struct {
 	entries []dictEntry
+	shift   uint32 // 32 - log2(len(entries))
 	epoch   uint16
 }
 
@@ -86,7 +89,7 @@ func (h hashTable) fit(n, maxBits int) hashTable {
 		slots <<= 1
 	}
 	if len(h.entries) < slots {
-		return hashTable{entries: make([]dictEntry, slots)}
+		return hashTable{entries: make([]dictEntry, slots), shift: uint32(33 - bits.Len(uint(slots)))}
 	}
 	return h
 }
@@ -105,7 +108,7 @@ func key(prefix uint16, b byte) uint32 { return uint32(prefix)<<8 | uint32(b) }
 
 func (h hashTable) lookup(k uint32) (uint16, bool) {
 	mask := uint32(len(h.entries) - 1)
-	i := (k * 2654435761) & mask
+	i := (k * 2654435761) >> h.shift
 	for {
 		e := h.entries[i]
 		if e.epoch != h.epoch {
@@ -120,7 +123,7 @@ func (h hashTable) lookup(k uint32) (uint16, bool) {
 
 func (h hashTable) insert(k uint32, code uint16) {
 	mask := uint32(len(h.entries) - 1)
-	i := (k * 2654435761) & mask
+	i := (k * 2654435761) >> h.shift
 	for h.entries[i].epoch == h.epoch {
 		i = (i + 1) & mask
 	}
@@ -297,9 +300,11 @@ func (d *decoder) decompressAppend(dst, data []byte, maxSize int) ([]byte, error
 	// 8·len(body)/MinBits of them, and each adds at most one entry: a
 	// 3 kB stream needs under 3,000 slots of the 65,536 that 16 bits
 	// address.
-	size := 1 << maxBits
-	d.fit(min(size, firstCode+8*len(body)/MinBits))
-	off, lens := d.off, d.n
+	d.fit(min(1<<maxBits, firstCode+8*len(body)/MinBits))
+	// The table is full at 1<<maxBits entries; a table sized to the stream
+	// is never filled by it, so it can stand in for that bound.
+	size := min(1<<maxBits, len(d.off))
+	off, lens := d.off[:size], d.n[:size]
 	lens[clearCode] = 0
 	nextCode := firstCode
 	width := uint(MinBits)
@@ -355,12 +360,14 @@ func (d *decoder) decompressAppend(dst, data []byte, maxSize int) ([]byte, error
 		// so it can be entered before this code is looked up. That makes
 		// KwKwK — the code being added — an ordinary one, whose copy from
 		// prev's occurrence ends one byte into its own.
-		if prevLen > 0 && nextCode < size {
+		if prevLen > 0 && uint(nextCode) < uint(size) {
 			off[nextCode] = uint32(prevAt - origin)
 			lens[nextCode] = uint16(prevLen + 1)
 			nextCode++
 		}
-		if code >= nextCode {
+		// code < nextCode <= size; saying so outright lets the compiler
+		// drop both tables' bounds checks below.
+		if code >= nextCode || uint(code) >= uint(size) {
 			return nil, fmt.Errorf("%w: code %d beyond table %d", ErrCorrupt, code, nextCode)
 		}
 		from, n := origin+int(off[code]), int(lens[code])

@@ -142,9 +142,9 @@ type waiter struct {
 }
 
 // Wake is the waiter's timeout firing, under the clock lock like every
-// kernel event.
+// kernel event; the timer it cancels has already run, which leaves the
+// queue as it is.
 func (w *waiter) Wake() {
-	w.timer = sim.Timer{}
 	w.c.wakeLocked(w, nil)
 }
 
