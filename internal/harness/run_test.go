@@ -243,10 +243,9 @@ func fleetScenario(clients int) Scenario {
 
 // fleetAllocsPerFetch is what a 500-client fleet pass on a reused clock
 // allocates per fetch, the pass's set-up (corpus, server, report and
-// oracles) included: 24.3 measured on go1.24, 34.4 before its read
-// timeouts were cancelled and its handhelds came out of slabs. The budget
-// leaves a margin of about 10 % for the collector's timing, which decides
-// how often a pooled codec workspace must be made again.
+// oracles) included: 24.3 measured on go1.24. The budget leaves a margin
+// of about 10 % for the collector's timing, which decides how often a
+// pooled codec workspace must be made again.
 const fleetAllocsPerFetch = 26.5
 
 // A fleet pass allocates only what its fetches need: fleet-10k.scn at 500
