@@ -118,7 +118,7 @@ func run() error {
 	fmt.Printf("blocks: %d total, %d compressed; host decompress wall %.3f ms\n",
 		stats.BlocksTotal, stats.BlocksCompressed, stats.DecompressWall.Seconds()*1000)
 
-	plain := rate.Params().DownloadEnergy(float64(stats.RawBytes) / 1e6)
+	plain := rate.ParamsFor(scheme).DownloadEnergy(float64(stats.RawBytes) / 1e6)
 	// The charge the client's trace span carries for this transfer.
 	this := stats.Energy.Total()
 	fmt.Printf("iPAQ energy estimate at %.1f Mb/s: plain %.4f J, this transfer %.4f J (%.1f%% saving)\n",

@@ -22,6 +22,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/codec"
 	"repro/internal/energy"
 	"repro/internal/fit"
 	"repro/internal/obs/export"
@@ -39,7 +40,7 @@ func RefParams(device string) (energy.Params, bool) {
 	if !ok {
 		return energy.Params{}, false
 	}
-	return r.Params(), true
+	return r.ParamsFor(codec.Gzip), true
 }
 
 // RefESlope is the reference E(s) slope: the Figure 8b m_eff that folds

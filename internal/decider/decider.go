@@ -180,18 +180,15 @@ type Config struct {
 	Class Class
 	// BudgetJ is the default advisory energy budget (0 = unlimited).
 	BudgetJ float64
-	// ServerMBps is the server's compression service rate used to model
-	// queue wait; zero reads as the measured ~16 MB/s pooled-encoder
-	// rate.
-	ServerMBps float64
 	// Metrics, when set, binds the decider_* counters immediately.
 	Metrics *obs.Registry
 }
 
-// defaultServerMBps is the pooled gzip encoder's measured service rate
-// (17.6–18.3 MB/s on the reference runner; see ROADMAP "compression
-// plane"), rounded down so queue-wait estimates err pessimistic.
-const defaultServerMBps = 16.0
+// serverMBps is the server's compression service rate the decider models
+// queue wait with: the pooled gzip encoder's measured rate (17.6–18.3 MB/s
+// on the reference runner; see ROADMAP "compression plane"), rounded down
+// so queue-wait estimates err pessimistic.
+const serverMBps = 16.0
 
 // DynamicDecider chooses compress-or-raw per block to minimize modeled
 // joules subject to the deadline class, never doing worse than the
@@ -204,7 +201,6 @@ type DynamicDecider struct {
 	queue      func() int
 	class      Class
 	budgetJ    float64
-	serverMBps float64
 
 	m *counters
 
@@ -234,10 +230,6 @@ func New(cfg Config) *DynamicDecider {
 	if base.RateMBps <= 0 || math.IsNaN(base.RateMBps) || math.IsInf(base.RateMBps, 0) {
 		base = energy.Params11Mbps()
 	}
-	srv := cfg.ServerMBps
-	if srv <= 0 || math.IsNaN(srv) || math.IsInf(srv, 0) {
-		srv = defaultServerMBps
-	}
 	d := &DynamicDecider{
 		base:       base,
 		calibrated: cfg.Calibrated,
@@ -245,7 +237,6 @@ func New(cfg Config) *DynamicDecider {
 		queue:      cfg.Queue,
 		class:      cfg.Class,
 		budgetJ:    sanitizeBudget(cfg.BudgetJ),
-		serverMBps: srv,
 		thresholds: make(map[thresholdKey]int),
 	}
 	if cfg.Metrics != nil {
@@ -332,7 +323,7 @@ func (d *DynamicDecider) Evaluate(ctx BlockContext) (rawJ, compJ, rawT, compT fl
 	compJ = p.InterleavedEnergy(s, sc)
 	compT = p.InterleavedTime(s, sc)
 	if q := ctx.QueueDepth; q > 0 && s > 0 {
-		wait := float64(q) * s / d.serverMBps
+		wait := float64(q) * s / serverMBps
 		compT += wait
 		compJ += wait * p.Pi
 	}
@@ -488,17 +479,8 @@ func (d *DynamicDecider) WithClass(class Class, budgetJ float64) *DynamicDecider
 	if class > ClassStrict {
 		class = ClassNone
 	}
-	out := &DynamicDecider{
-		base:       d.base,
-		calibrated: d.calibrated,
-		link:       d.link,
-		queue:      d.queue,
-		class:      class,
-		budgetJ:    sanitizeBudget(budgetJ),
-		serverMBps: d.serverMBps,
-		m:          d.m,
-		thresholds: make(map[thresholdKey]int),
-	}
+	out := New(Config{Base: d.base, Calibrated: d.calibrated, Link: d.link, Queue: d.queue, Class: class, BudgetJ: budgetJ})
+	out.m = d.m
 	return out
 }
 
@@ -524,5 +506,5 @@ func (d *DynamicDecider) Fingerprint() string {
 	return fmt.Sprintf(
 		"dynamic/v1 rate=%g idle=%g m=%g cs=%g pi=%g pd=%g pis=%g pds=%g tda=%g tdb=%g tdc=%g buf=%g srv=%g calib=%t class=%s",
 		p.RateMBps, p.IdleFrac, p.M, p.Cs, p.Pi, p.Pd, p.PiSleep, p.PdSleep,
-		p.TdA, p.TdB, p.TdC, p.BufMB, d.serverMBps, d.calibrated, d.class)
+		p.TdA, p.TdB, p.TdC, p.BufMB, serverMBps, d.calibrated, d.class)
 }

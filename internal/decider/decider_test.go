@@ -288,7 +288,7 @@ func TestQueueWaitPenalizesCompression(t *testing.T) {
 		t.Fatalf("queue depth must raise the compressed option's cost: t %g->%g, J %g->%g",
 			compT0, compT8, compJ0, compJ8)
 	}
-	wantWait := 8 * 0.128 / defaultServerMBps
+	wantWait := 8 * 0.128 / serverMBps
 	if !closeTo(compT8-compT0, wantWait, 1e-12) {
 		t.Fatalf("queue wait %g, want %g", compT8-compT0, wantWait)
 	}
@@ -399,7 +399,7 @@ func TestFingerprintDistinguishesPolicies(t *testing.T) {
 func TestParseFingerprintRoundTrip(t *testing.T) {
 	for _, d := range []*DynamicDecider{
 		New(Config{}),
-		New(Config{Base: energy.Params2Mbps(), Calibrated: true, Class: ClassStrict, ServerMBps: 20}),
+		New(Config{Base: energy.Params2Mbps(), Calibrated: true, Class: ClassStrict}),
 		New(Config{Class: ClassRelaxed}),
 	} {
 		fp := d.Fingerprint()
@@ -478,6 +478,7 @@ func parseFingerprint(s string) (Config, bool) {
 	}
 	var cfg Config
 	p := &cfg.Base
+	var srv float64
 	var classTok string
 	fields := strings.Fields(rest)
 	if len(fields) != 15 {
@@ -491,12 +492,16 @@ func parseFingerprint(s string) (Config, bool) {
 		{"cs", &p.Cs}, {"pi", &p.Pi}, {"pd", &p.Pd},
 		{"pis", &p.PiSleep}, {"pds", &p.PdSleep},
 		{"tda", &p.TdA}, {"tdb", &p.TdB}, {"tdc", &p.TdC},
-		{"buf", &p.BufMB}, {"srv", &cfg.ServerMBps},
+		{"buf", &p.BufMB}, {"srv", &srv},
 	}
 	for i, t := range targets {
 		if _, err := fmt.Sscanf(fields[i], t.key+"=%g", t.f); err != nil {
 			return Config{}, false
 		}
+	}
+	// The service rate is a constant, not a setting.
+	if srv != serverMBps {
+		return Config{}, false
 	}
 	if _, err := fmt.Sscanf(fields[13], "calib=%t", &cfg.Calibrated); err != nil {
 		return Config{}, false

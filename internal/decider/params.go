@@ -9,6 +9,7 @@ import (
 	"os"
 
 	"repro/internal/calib"
+	"repro/internal/codec"
 	"repro/internal/energy"
 )
 
@@ -21,7 +22,7 @@ var linkAnchors = func() []energy.Params {
 	rates := energy.Rates() // fastest first
 	anchors := make([]energy.Params, len(rates))
 	for i, r := range rates {
-		anchors[len(rates)-1-i] = r.Params()
+		anchors[len(rates)-1-i] = r.ParamsFor(codec.Gzip)
 	}
 	return anchors
 }()

@@ -3,6 +3,8 @@ package energy
 import (
 	"math"
 	"testing"
+
+	"repro/internal/codec"
 )
 
 // TestInterleavedBreakdownSums: the radio/CPU/idle attribution must sum
@@ -125,10 +127,10 @@ func TestParamsForMbps(t *testing.T) {
 			t.Errorf("%g Mb/s looks up %+v, %v; want %+v", want.NominalMbps, r, ok, want)
 		}
 	}
-	if r, _ := RateForMbps(11); r.Params() != Params11Mbps() {
+	if r, _ := RateForMbps(11); r.ParamsFor(codec.Gzip) != Params11Mbps() {
 		t.Error("11 Mb/s must select Params11Mbps")
 	}
-	if r, _ := RateForMbps(2); r.Params() != Params2Mbps() {
+	if r, _ := RateForMbps(2); r.ParamsFor(codec.Gzip) != Params2Mbps() {
 		t.Error("2 Mb/s must select Params2Mbps")
 	}
 	for _, mbps := range []float64{0, 3, 54} {

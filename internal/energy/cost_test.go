@@ -14,11 +14,22 @@ func TestGzipDecompressCostMatchesPaperFit(t *testing.T) {
 	if !almost(got, want, 1e-9) {
 		t.Errorf("td = %v, want %v", got, want)
 	}
-	// The rate rows' decode time is that row, at every rate.
+}
+
+// TestParamsForChargesGzipEveryScheme pins the charge seam: at every rate
+// row, a fetch of every scheme is charged gzip's row of the decompression
+// table. Step 1c of ROADMAP item 13 turns this into each scheme's own row.
+func TestParamsForChargesGzipEveryScheme(t *testing.T) {
+	m := DecompressCost(codec.Gzip)
 	for _, r := range Rates() {
-		p := r.Params()
-		if p.TdA != m.PerOutMB || p.TdB != m.PerInMB || p.TdC != m.PerStream {
-			t.Errorf("%s: td = %v·s + %v·sc + %v, want gzip's row %+v", r.Name, p.TdA, p.TdB, p.TdC, m)
+		want := r.ParamsFor(codec.Gzip)
+		if want.TdA != m.PerOutMB || want.TdB != m.PerInMB || want.TdC != m.PerStream {
+			t.Errorf("%s: td = %v·s + %v·sc + %v, want gzip's row %+v", r.Name, want.TdA, want.TdB, want.TdC, m)
+		}
+		for _, s := range codec.Schemes() {
+			if got := r.ParamsFor(s); got != want {
+				t.Errorf("%s, %s: ParamsFor = %+v, want gzip's %+v", r.Name, s, got, want)
+			}
 		}
 	}
 }

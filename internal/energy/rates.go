@@ -88,14 +88,17 @@ func (r RateConfig) OrDefault() RateConfig {
 // BytesPerSec is the effective rate in bytes per second.
 func (r RateConfig) BytesPerSec() float64 { return r.EffectiveMBps * 1e6 }
 
-// Params returns the model at r's effective rate and idle fraction, with
-// Table 1's power structure where the radio idles through the gaps and
-// Section 4.2's where it stays in receive: there Pi is the
-// idle-CPU/receiving-radio power (430 mA → 2.15 W), decompressing in the
-// gaps draws busy+recv (620 mA → 3.10 W), and the per-MB receive
-// coefficient is slightly higher (longer active servicing per byte). Its
-// decode time is gzip's row of the decompression table.
-func (r RateConfig) Params() Params {
+// ParamsFor returns the model that charges a fetch of scheme at r: r's
+// effective rate and idle fraction, with Table 1's power structure where
+// the radio idles through the gaps and Section 4.2's where it stays in
+// receive: there Pi is the idle-CPU/receiving-radio power (430 mA →
+// 2.15 W), decompressing in the gaps draws busy+recv (620 mA → 3.10 W),
+// and the per-MB receive coefficient is slightly higher (longer active
+// servicing per byte).
+// It is the one place that decides which decode time charges a fetch:
+// gzip's row of the decompression table, whatever the scheme, until step
+// 1c of ROADMAP item 13 makes it the scheme's own row.
+func (r RateConfig) ParamsFor(scheme codec.Scheme) Params {
 	td := DecompressCost(codec.Gzip)
 	p := Params{
 		RateMBps: r.EffectiveMBps,
@@ -118,10 +121,10 @@ func (r RateConfig) Params() Params {
 }
 
 // Params11Mbps returns the paper's primary experimental configuration.
-func Params11Mbps() Params { return Rate11Mbps().Params() }
+func Params11Mbps() Params { return Rate11Mbps().ParamsFor(codec.Gzip) }
 
 // Params2Mbps returns the Section 4.2 validation configuration.
-func Params2Mbps() Params { return Rate2Mbps().Params() }
+func Params2Mbps() Params { return Rate2Mbps().ParamsFor(codec.Gzip) }
 
 // CostModel is a linear CPU-time model for a codec operation:
 // seconds = PerOutMB*outMB + PerInMB*inMB + PerStream + PerBlock*blocks.

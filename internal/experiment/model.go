@@ -128,7 +128,7 @@ type ErrorSeries struct {
 // interleaveErrors computes the Eq. 3 prediction error against the metered
 // simulation for zlib-with-interleaving at the given rate.
 func (c Config) interleaveErrors(label string, rate energy.RateConfig) (ErrorSeries, error) {
-	model := rate.Params()
+	model := rate.ParamsFor(codec.Gzip)
 	series := ErrorSeries{Label: label}
 	large, small := c.corpus()
 	run := func(specs []workload.FileSpec) ([]ErrorPoint, error) {

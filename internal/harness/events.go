@@ -3,10 +3,12 @@ package harness
 import (
 	"repro/internal/obs"
 	"repro/internal/obs/export"
+	"repro/internal/proxy"
 )
 
 // Events synthesizes the canonical wide-event stream of a finished run:
-// one fetch event per record, ordered by (virtual start, request ID),
+// one fetch event per record (proxy.FetchEvent, the event the client
+// emits live), ordered by (virtual start, request ID),
 // with wall-clock and other host-measured fields stripped
 // (export.Canonicalize). Everything left is pinned by the scenario seed
 // — virtual timestamps, wire bytes, attempts, modeled joules — so the
@@ -28,31 +30,10 @@ func (r *Report) Events() []export.Event {
 		if rec.Client < len(r.Spans) && rec.Index < len(r.Spans[rec.Client]) {
 			span = r.Spans[rec.Client][rec.Index]
 		}
-		e := export.Event{
-			VNS:              rec.VStart.Nanoseconds(),
-			Span:             "fetch",
-			ReqID:            span.Attrs["req_id"],
-			Name:             rec.Name,
-			Scheme:           rec.Scheme.String(),
-			Mode:             rec.Mode.String(),
-			Device:           rate.Device,
-			LinkBps:          r.Scenario.Link.BytesPerSec,
-			Outcome:          "ok",
-			RawBytes:         int64(rec.Raw),
-			WireBytes:        int64(rec.Stats.WireBytes),
-			Blocks:           rec.Stats.BlocksTotal,
-			BlocksCompressed: rec.Stats.BlocksCompressed,
-			Attempts:         rec.Stats.Attempts,
-			ResumedBytes:     int64(rec.Stats.ResumedBytes),
-			DurNS:            rec.Virtual.Nanoseconds(),
-			Phases:           export.FoldPhases(span.Phases),
-			RadioJ:           rec.Stats.Energy.RadioJ, // zero for a failed fetch
-			CPUJ:             rec.Stats.Energy.CPUJ,
-			IdleJ:            rec.Stats.Energy.IdleJ,
-		}
-		if rec.Err != "" {
-			e.Outcome = rec.Err
-		}
+		e := proxy.FetchEvent(span.Attrs["req_id"], rec.Name, rec.Scheme, rec.Mode, rate, rec.Stats, span.Phases, rec.Virtual, rec.Err)
+		e.VNS = rec.VStart.Nanoseconds()
+		// The link's own rate, which is not its row's when no row matches.
+		e.LinkBps = r.Scenario.Link.BytesPerSec
 		evs = append(evs, e)
 	}
 	return export.Canonicalize(evs)

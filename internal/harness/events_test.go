@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/energy"
 	"repro/internal/obs/export"
 )
@@ -47,7 +48,6 @@ func TestEventsShape(t *testing.T) {
 	if len(evs) != len(r.Records) {
 		t.Fatalf("%d events for %d records", len(evs), len(r.Records))
 	}
-	p := energy.Params11Mbps()
 	for i, e := range evs {
 		if e.Time != "" {
 			t.Errorf("event %d kept wall time %q", i, e.Time)
@@ -62,6 +62,11 @@ func TestEventsShape(t *testing.T) {
 			t.Errorf("fault-free event %d outcome = %q", i, e.Outcome)
 			continue
 		}
+		scheme, err := codec.ParseScheme(e.Scheme)
+		if err != nil {
+			t.Fatalf("event %d: %v", i, err)
+		}
+		p := energy.Rate11Mbps().ParamsFor(scheme)
 		s := float64(e.RawBytes) / 1e6
 		scMB := float64(e.WireBytes) / 1e6
 		want := p.DownloadBreakdown(s)

@@ -65,7 +65,7 @@ func (r *Report) checkPayloads(byName map[string]corpusFile) {
 // is recomputed here from the record's byte counts, not read back from
 // what the client charged.
 func (r *Report) checkEnergyConservation() {
-	p := r.Scenario.rate().Params()
+	rate := r.Scenario.rate()
 	for ci, spans := range r.Spans {
 		recs := r.clientRecords(ci)
 		if len(spans) != len(recs) {
@@ -80,7 +80,7 @@ func (r *Report) checkEnergyConservation() {
 				}
 				continue
 			}
-			bd := p.TransferBreakdown(rec.Stats.RawBytes, rec.Stats.WireBytes, rec.Stats.BlocksCompressed)
+			bd := rate.ParamsFor(rec.Scheme).TransferBreakdown(rec.Stats.RawBytes, rec.Stats.WireBytes, rec.Stats.BlocksCompressed)
 			if rec.Stats.Energy != bd {
 				r.violate("energy: c%02d f%03d %s: stats charge %+v, model %+v",
 					ci, k, rec.Name, rec.Stats.Energy, bd)

@@ -59,7 +59,6 @@ func TestTwoMbpsLinkChargedAtItsRow(t *testing.T) {
 	if !r.OK() {
 		t.Fatalf("oracle violations: %v", r.Violations)
 	}
-	p := row.Params()
 	ok := 0
 	for ci, spans := range r.Spans {
 		for k, sd := range spans {
@@ -68,7 +67,7 @@ func TestTwoMbpsLinkChargedAtItsRow(t *testing.T) {
 				continue
 			}
 			ok++
-			bd := p.TransferBreakdown(rec.Stats.RawBytes, rec.Stats.WireBytes, rec.Stats.BlocksCompressed)
+			bd := row.ParamsFor(rec.Scheme).TransferBreakdown(rec.Stats.RawBytes, rec.Stats.WireBytes, rec.Stats.BlocksCompressed)
 			if got := sd.TotalJoules(); !closeRel(got, bd.Total()) {
 				t.Errorf("c%02d f%03d: span charged %.9f J, the 2 Mb/s row says %.9f J", ci, k, got, bd.Total())
 			}

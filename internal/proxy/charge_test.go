@@ -37,7 +37,6 @@ func TestFetchChargedOnce(t *testing.T) {
 		cli.Rate = rate
 		cli.Tracer = obs.NewTracer(64)
 		cli.Events = sink
-		p := rate.Params()
 		n := 0
 		for _, scheme := range codec.Schemes() {
 			for _, mode := range []Mode{ModeRaw, ModePrecompressed, ModeOnDemand, ModeSelective} {
@@ -48,7 +47,7 @@ func TestFetchChargedOnce(t *testing.T) {
 				n++
 				at := func(what string) string { return rate.Name + " " + scheme.String() + "/" + mode.String() + " " + what }
 				bd := stats.Energy
-				if want := p.TransferBreakdown(stats.RawBytes, stats.WireBytes, stats.BlocksCompressed); bd != want || bd.Total() <= 0 {
+				if want := rate.ParamsFor(scheme).TransferBreakdown(stats.RawBytes, stats.WireBytes, stats.BlocksCompressed); bd != want || bd.Total() <= 0 {
 					t.Errorf("%s = %+v, model of the byte counts %+v", at("FetchStats.Energy"), bd, want)
 				}
 				spans := cli.Tracer.Snapshot()

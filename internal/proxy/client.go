@@ -2,6 +2,7 @@ package proxy
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -553,7 +554,7 @@ func (c *Client) Fetch(name string, scheme codec.Scheme, mode Mode) ([]byte, Fet
 		// the dial/header/recv phases byte-weighted, its CPU joules over
 		// decompress/verify duration-weighted, and the idle residual in one
 		// entry, so its TotalJoules is the model's answer exactly.
-		bd := c.Rate.OrDefault().Params().TransferBreakdown(stats.RawBytes, stats.WireBytes, stats.BlocksCompressed)
+		bd := c.Rate.OrDefault().ParamsFor(scheme).TransferBreakdown(stats.RawBytes, stats.WireBytes, stats.BlocksCompressed)
 		stats.Energy = bd
 		span.DistributeJoules(obs.ClassRadio, bd.RadioJ)
 		span.DistributeJoules(obs.ClassCPU, bd.CPUJ)
@@ -565,27 +566,32 @@ func (c *Client) Fetch(name string, scheme codec.Scheme, mode Mode) ([]byte, Fet
 }
 
 // emitFetchEvent publishes one wide event for a finished fetch (either
-// outcome) to the configured sink. The nil-sink guard comes first so the
-// default path costs one branch and zero allocations; everything the
-// event needs is only materialised past it. Its joules are stats.Energy,
-// the breakdown the span was charged (zero on failure), so the event's
-// per-class totals equal the model's answer exactly even when no tracer
-// (and thus no charged span) is configured.
+// outcome) to the configured sink, stamped with the wall time. The
+// nil-sink guard comes first so the default path costs one branch and zero
+// allocations; everything the event needs is only materialised past it.
 func (c *Client) emitFetchEvent(reqID uint64, name string, scheme codec.Scheme, mode Mode, span *obs.Span, stats FetchStats, dur time.Duration, err error) {
 	if c.Events == nil {
 		return
 	}
-	rate := c.Rate.OrDefault()
-	e := export.Event{
-		Time:             time.Now().UTC().Format(time.RFC3339Nano),
+	e := FetchEvent(obs.ReqID(reqID), name, scheme, mode, c.Rate.OrDefault(), stats, span.Data().Phases, dur, ErrorClass(err))
+	e.Time = time.Now().UTC().Format(time.RFC3339Nano)
+	c.Events.Record(e)
+}
+
+// FetchEvent is the wide event of one finished fetch, live or canonical;
+// errClass is its ErrorClass. Its joules are stats.Energy, the charge at
+// rate (zero on failure), so its per-class totals equal the model's answer
+// exactly even when no tracer (and thus no charged span) is configured.
+func FetchEvent(reqID, name string, scheme codec.Scheme, mode Mode, rate energy.RateConfig, stats FetchStats, phases []obs.Phase, dur time.Duration, errClass string) export.Event {
+	return export.Event{
 		Span:             "fetch",
-		ReqID:            obs.ReqID(reqID),
+		ReqID:            reqID,
 		Name:             name,
 		Scheme:           scheme.String(),
 		Mode:             mode.String(),
 		Device:           rate.Device,
 		LinkBps:          rate.BytesPerSec(),
-		Outcome:          "ok",
+		Outcome:          cmp.Or(errClass, "ok"),
 		RawBytes:         int64(stats.RawBytes),
 		WireBytes:        int64(stats.WireBytes),
 		Blocks:           stats.BlocksTotal,
@@ -593,15 +599,11 @@ func (c *Client) emitFetchEvent(reqID uint64, name string, scheme codec.Scheme, 
 		Attempts:         stats.Attempts,
 		ResumedBytes:     int64(stats.ResumedBytes),
 		DurNS:            dur.Nanoseconds(),
-		Phases:           export.FoldPhases(span.Data().Phases),
+		Phases:           export.FoldPhases(phases),
 		RadioJ:           stats.Energy.RadioJ,
 		CPUJ:             stats.Energy.CPUJ,
 		IdleJ:            stats.Energy.IdleJ,
 	}
-	if err != nil {
-		e.Outcome = ErrorClass(err)
-	}
-	c.Events.Record(e)
 }
 
 // appendBlock decodes b onto the tail of out, a fetch's output so far of

@@ -72,7 +72,7 @@ func TestEventExportEndToEnd(t *testing.T) {
 	if ok.Time == "" || len(ok.Phases) == 0 {
 		t.Errorf("live event missing wall time or phases: %+v", ok)
 	}
-	p := rate.Params()
+	p := rate.ParamsFor(codec.Gzip)
 	want := p.InterleavedEnergy(float64(stats.RawBytes)/1e6, float64(stats.WireBytes)/1e6)
 	if math.Abs(ok.TotalJoules()-want) > 1e-9 {
 		t.Errorf("ok event total = %g J, model says %g J", ok.TotalJoules(), want)

@@ -81,13 +81,17 @@ func (s *Server) Generation(name string) (uint64, bool) {
 func (s *Server) SyncGeneration(name string, gen uint64) { s.store.syncGeneration(name, gen) }
 
 // deciderFor maps a policy fingerprint back to a decider this server can
-// run — the fixed policy, or its own configured selective decider.
+// run: the fixed policy, or the selective policy a request's deadline
+// class selects (selectivePolicy, with no budget: it never enters a
+// fingerprint). Every class byte is tried; the decider knows which differ.
 func (s *Server) deciderFor(fp string) (selective.Decider, bool) {
-	switch fp {
-	case fpAlways:
+	if fp == fpAlways {
 		return selective.AlwaysCompress{}, true
-	case s.deciderFP:
-		return s.decider, true
+	}
+	for class := range 256 {
+		if d, dfp := s.selectivePolicy(uint8(class), 0); dfp == fp {
+			return d, true
+		}
 	}
 	return nil, false
 }

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/codec"
+	"repro/internal/decider"
 	"repro/internal/selective"
 	"repro/internal/workload"
 )
@@ -203,6 +204,40 @@ func TestArtifactOwnerPath(t *testing.T) {
 		if _, err := srv.Artifact(ArtifactKey{Name: "a.txt", Gen: 1, Scheme: codec.Gzip, FP: fp}); err == nil {
 			t.Fatalf("unknown decider fingerprint %q must be rejected", fp)
 		}
+	}
+}
+
+// TestArtifactServesRequestPolicies: under the dynamic decider a request
+// that declares a deadline class keys its selective artifact by a
+// class-derived fingerprint, and its peer fetch carries that key to the
+// owner. The owner, configured alike, must build it under that very
+// policy for every class byte a request can carry; a key it cannot map
+// fails the peer fetch and the requester compresses the key a second
+// time ring-wide.
+func TestArtifactServesRequestPolicies(t *testing.T) {
+	content := workload.Generate(workload.ClassXML, 45000, 9)
+	dyn := decider.New(decider.Config{})
+	srv := NewServerWith(dyn, Config{CacheBytes: 1 << 20})
+	srv.Register("a.xml", content)
+	fps := map[string]bool{srv.DeciderFP(): true}
+	for class := 0; class <= 4; class++ { // 4 is no class: it folds to none
+		for _, budgetMJ := range []uint32{0, 50_000} {
+			d, fp := dyn.ForRequest(uint8(class), budgetMJ)
+			fps[fp] = true
+			blocks, err := srv.Artifact(ArtifactKey{Name: "a.xml", Gen: 1, Scheme: codec.Gzip, FP: fp})
+			if err != nil {
+				t.Fatalf("class %d budget %d mJ: %v", class, budgetMJ, err)
+			}
+			want, err := selective.Encode(content, codec.MustNew(codec.Gzip, 0), d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameBlocks(t, fp, blocks, want.Blocks)
+		}
+	}
+	// none (the server's own), relaxed, standard, strict.
+	if len(fps) != 4 {
+		t.Fatalf("%d distinct fingerprints, want 4: %v", len(fps), fps)
 	}
 }
 

@@ -818,6 +818,23 @@ func (s *Server) handleGet(bw *bufio.Writer, req request, span *obs.Span) error 
 	return bw.Flush()
 }
 
+// selectivePolicy is the decider a selective request runs under and its
+// fingerprint. An opGetEx request that declared attributes gets a
+// per-request policy derivation when the decider supports it (the dynamic
+// decider folds the deadline class into its fingerprint, so blocks shaped
+// by a stricter deadline never serve a laxer request from cache, or vice
+// versa; the advisory budget stays out of it). deciderFor inverts it.
+func (s *Server) selectivePolicy(class uint8, budgetMJ uint32) (selective.Decider, string) {
+	if class != 0 || budgetMJ != 0 {
+		if pr, ok := s.decider.(interface {
+			ForRequest(uint8, uint32) (selective.Decider, string)
+		}); ok {
+			return pr.ForRequest(class, budgetMJ)
+		}
+	}
+	return s.decider, s.deciderFP
+}
+
 // artifactFor opens the block stream for a request. ModeRaw chunks
 // without compression; every compressing mode goes through the cache and
 // singleflight, so concurrent load amortises the server-side compute.
@@ -833,19 +850,7 @@ func (s *Server) artifactFor(req request, content []byte, gen uint64, span *obs.
 		// which the cache now amortises either way.
 		d, fp = selective.AlwaysCompress{}, fpAlways
 	case ModeSelective:
-		d, fp = s.decider, s.deciderFP
-		// An opGetEx request that declared attributes gets a per-request
-		// policy derivation when the decider supports it (the dynamic
-		// decider folds the deadline class into its fingerprint, so blocks
-		// shaped by a stricter deadline never serve a laxer request from
-		// cache, or vice versa).
-		if req.Class != 0 || req.BudgetMJ != 0 {
-			if pr, ok := s.decider.(interface {
-				ForRequest(uint8, uint32) (selective.Decider, string)
-			}); ok {
-				d, fp = pr.ForRequest(req.Class, req.BudgetMJ)
-			}
-		}
+		d, fp = s.selectivePolicy(req.Class, req.BudgetMJ)
 	default:
 		return artifact{}, fmt.Errorf("%w: mode %d", ErrProtocol, int(req.Mode))
 	}

@@ -148,3 +148,29 @@ func LoadDir(dir string) ([]*Spec, error) {
 	}
 	return specs, nil
 }
+
+// TestDynamicDeciderOnARing runs decider-dynamic.scn on a 3-node ring.
+// Its handhelds declare a deadline class, so their selective artifacts
+// are keyed by class-derived fingerprints: every owner must build those
+// for its peers, so no peer fetch fails and no key is compressed twice
+// ring-wide.
+func TestDynamicDeciderOnARing(t *testing.T) {
+	s, err := Load(filepath.Join(corpusDir, "decider-dynamic.scn"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Cluster.Nodes = 3
+	for seed := int64(1); seed <= 3; seed++ {
+		rep, err := s.Run(seed)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for _, v := range rep.Violations {
+			t.Errorf("seed %d: %s", seed, v)
+		}
+		if rep.Stats.PeerFetches == 0 || rep.Stats.PeerFetchErrors != 0 {
+			t.Errorf("seed %d: %d peer fetches, %d failed; want some and none failed",
+				seed, rep.Stats.PeerFetches, rep.Stats.PeerFetchErrors)
+		}
+	}
+}

@@ -8,6 +8,7 @@ import (
 
 	"repro"
 	"repro/internal/calib"
+	"repro/internal/codec"
 	"repro/internal/decider"
 	"repro/internal/device"
 	"repro/internal/energy"
@@ -59,7 +60,7 @@ func TestRateTableAgrees(t *testing.T) {
 			t.Errorf("%s: the rig idled %.4f of the transfer at %g mA, want %g", row.Name, share, gapMA, row.IdleFrac)
 		}
 
-		want := row.Params()
+		want := row.ParamsFor(codec.Gzip)
 		if got := decider.ParamsForLink(energy.Params11Mbps(), row.EffectiveMBps, false); got != want {
 			t.Errorf("%s: ParamsForLink = %+v, want %+v", row.Name, got, want)
 		}
@@ -93,8 +94,9 @@ func checkClientRate(t *testing.T, rate, want energy.RateConfig) {
 	cli.Events = sink
 	cli.Rate = rate
 	var stats proxy.FetchStats
+	scheme := repro.Gzip
 	clock.Run(func() {
-		_, stats, err = cli.Fetch("page", repro.Gzip, repro.ProxyOnDemand)
+		_, stats, err = cli.Fetch("page", scheme, repro.ProxyOnDemand)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -105,7 +107,7 @@ func checkClientRate(t *testing.T, rate, want energy.RateConfig) {
 		t.Fatalf("%s: %d events, want 1", want.Name, len(evs))
 	}
 	e := evs[0]
-	bd := want.Params().TransferBreakdown(stats.RawBytes, stats.WireBytes, stats.BlocksCompressed)
+	bd := want.ParamsFor(scheme).TransferBreakdown(stats.RawBytes, stats.WireBytes, stats.BlocksCompressed)
 	if e.Device != want.Device || e.LinkBps != want.BytesPerSec() ||
 		e.RadioJ != bd.RadioJ || e.CPUJ != bd.CPUJ || e.IdleJ != bd.IdleJ {
 		t.Errorf("%s: event %+v, want device %q, link_bps %g, joules %+v", want.Name, e, want.Device, want.BytesPerSec(), bd)

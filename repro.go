@@ -88,13 +88,6 @@ func Params11Mbps() EnergyModel { return energy.Params11Mbps() }
 // Params2Mbps returns the model at the 2 Mb/s validation setting.
 func Params2Mbps() EnergyModel { return energy.Params2Mbps() }
 
-// ParamsForMbps returns the model at a nominal 802.11b bit rate's rate
-// point (a rate the table does not hold takes the 11 Mb/s set).
-func ParamsForMbps(nominalMbps float64) EnergyModel {
-	r, _ := energy.RateForMbps(nominalMbps)
-	return r.OrDefault().Params()
-}
-
 // ShouldCompress is the paper's Equation 6 decision test on byte sizes.
 func ShouldCompress(rawBytes, compBytes int) bool {
 	return energy.PaperShouldCompress(rawBytes, compBytes)

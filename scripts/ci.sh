@@ -96,6 +96,9 @@ if go list -deps ./internal/device | grep -qx 'repro/internal/codec'; then
 	exit 1
 fi
 exists ./internal/energy 'TestGzipDecompressCostMatchesPaperFit|TestBzip2CostsSeveralTimesGzip|TestEquationsAsWritten'
+# Which decode time charges a fetch is decided in one place,
+# RateConfig.ParamsFor, and for now it is gzip's for every scheme.
+exists ./internal/energy 'TestParamsForChargesGzipEveryScheme'
 exists ./internal/pipeline 'TestProxyGzipOverlapsTransmission|TestMeterProbe'
 exists ./internal/proxy 'TestFetchChargedOnce'
 exists ./internal/harness 'TestEnergyOracleHoldsStatsCharge'
@@ -334,6 +337,13 @@ for seed in 1 2; do
 	"$GATE_DIR/energysim" soak -scenario testdata/scenarios/cluster-3.scn -seed "$seed" -trace >"$GATE_DIR/cluster-b"
 	cmp "$GATE_DIR/cluster-a" "$GATE_DIR/cluster-b"
 done
+# A ring owner builds a peer's artifact under whatever policy a request's
+# deadline class selected: the dynamic-decider spec on three nodes, at the
+# printed seed, exits non-zero on a key compressed twice ring-wide.
+exists ./internal/proxy 'TestArtifactServesRequestPolicies'
+exists ./internal/scenario 'TestDynamicDeciderOnARing'
+echo "decider-dynamic -nodes 3 seed: $RANDOM_SEED (replay: go run ./cmd/energysim soak -scenario testdata/scenarios/decider-dynamic.scn -nodes 3 -seed $RANDOM_SEED -trace)"
+"$GATE_DIR/energysim" soak -scenario testdata/scenarios/decider-dynamic.scn -nodes 3 -seed "$RANDOM_SEED"
 rm -rf "$GATE_DIR"
 
 # Coverage ratchet: per-package floors a few points under current levels,
