@@ -20,8 +20,6 @@ type Config struct {
 	// rebalancing means building a new Node over a new Ring.
 	Self  string
 	Nodes []string
-	// Vnodes per node on the ring; 0 selects DefaultVnodes.
-	Vnodes int
 	// Replicas is how many ring successors a hot key's artifact is pushed
 	// to. 0 disables replication.
 	Replicas int
@@ -41,10 +39,8 @@ type Config struct {
 	// Timeout bounds one peer exchange end to end. 0 selects 30s.
 	Timeout time.Duration
 	// Events, when set, receives one wide event per peer fetch this node
-	// issues (span "peer-fetch", Node/Peer filled in). VNow, when set,
-	// supplies the virtual timestamp those events carry.
+	// issues (span "peer-fetch", Node/Peer filled in).
 	Events *export.Sink
-	VNow   func() int64
 	// OnCompress, when set, observes every artifact compressed on this
 	// node — the cluster-wide at-most-one-compression-per-key oracle hook.
 	OnCompress func(proxy.ArtifactKey)
@@ -74,7 +70,7 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.Self == "" || cfg.Server == nil || cfg.Dial == nil {
 		return nil, errors.New("cluster: Config needs Self, Server and Dial")
 	}
-	ring := NewRing(cfg.Nodes, cfg.Vnodes)
+	ring := NewRing(cfg.Nodes, 0)
 	if !slices.Contains(ring.Nodes(), cfg.Self) {
 		return nil, fmt.Errorf("cluster: self %q not in membership %v", cfg.Self, cfg.Nodes)
 	}
@@ -134,15 +130,10 @@ func (n *Node) PeerFetch(key proxy.ArtifactKey) ([]selective.Block, error) {
 	if owner == "" || owner == n.cfg.Self {
 		return nil, proxy.ErrOwnedLocally
 	}
-	var vns int64
-	if n.cfg.VNow != nil {
-		vns = n.cfg.VNow()
-	}
 	start := n.cfg.Clock.Now()
 	blocks, err := n.exchange(owner, peerRequest{Op: peerOpFetch, Key: key}, nil)
 	if n.cfg.Events != nil {
 		e := export.Event{
-			VNS:     vns,
 			Span:    "peer-fetch",
 			Name:    key.Name,
 			Scheme:  key.Scheme.String(),

@@ -16,7 +16,7 @@ import (
 	"repro/internal/proxy"
 )
 
-// DefaultVnodes is the vnode count per node when Config.Vnodes is 0:
+// DefaultVnodes is the vnode count per node when NewRing is given 0:
 // enough that the largest ownership arc of a small ring stays within a
 // few percent of fair share, small enough that ring construction is
 // trivially cheap.

@@ -180,8 +180,6 @@ type Config struct {
 	Class Class
 	// BudgetJ is the default advisory energy budget (0 = unlimited).
 	BudgetJ float64
-	// Metrics, when set, binds the decider_* counters immediately.
-	Metrics *obs.Registry
 }
 
 // serverMBps is the server's compression service rate the decider models
@@ -238,9 +236,6 @@ func New(cfg Config) *DynamicDecider {
 		class:      cfg.Class,
 		budgetJ:    sanitizeBudget(cfg.BudgetJ),
 		thresholds: make(map[thresholdKey]int),
-	}
-	if cfg.Metrics != nil {
-		d.BindMetrics(cfg.Metrics)
 	}
 	return d
 }

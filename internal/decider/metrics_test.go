@@ -87,7 +87,8 @@ func TestBindQueueDepthRespectsPinnedHook(t *testing.T) {
 // probe.
 func TestProbeCountsOneDecisionPerBlock(t *testing.T) {
 	reg := obs.NewRegistry()
-	d := New(Config{Metrics: reg})
+	d := New(Config{})
+	d.BindMetrics(reg)
 	// The bench's mixed file: four random blocks among text ones.
 	enc, err := selective.Encode(workload.MixedFile(1<<20, 2003), codec.MustNew(codec.Gzip, 0), d)
 	if err != nil {

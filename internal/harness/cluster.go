@@ -17,14 +17,16 @@ func nodeAddr(k int) string     { return fmt.Sprintf("proxy%d", k) }
 func peerAddr(id string) string { return "peer:" + id }
 
 // startServers builds and starts a run's servers, server k listening at
-// nodeAddr(k): a single proxy, or — when Scenario.Nodes > 0 — that many
-// proxies joined into a consistent-hash ring by internal/cluster, each
-// behind a shared transmit line at the client link rate (a node's NIC
-// serializes its responses, so aggregate serve throughput honestly scales
-// with node count). The single-server shape gets no transmit line and no
-// peer hook (so no follower poll), and keeps the pre-cluster timeline.
-// compLog is the ring-wide compression ledger the per-key oracle reads
-// once every server is closed: (key → nodes that compressed it).
+// nodeAddr(k) on nw: a single proxy, or — when Scenario.Nodes > 0 — that
+// many proxies joined into a consistent-hash ring by internal/cluster,
+// each behind a shared transmit line at the client link rate (a node's
+// NIC serializes its responses, so aggregate serve throughput honestly
+// scales with node count). The ring's PXY-P backhaul is a network of its
+// own over the same clock, so the WLAN's schedule never paces it. The
+// single-server shape gets no transmit line and no peer hook (so no
+// follower poll), and keeps the pre-cluster timeline. compLog is the
+// ring-wide compression ledger the per-key oracle reads once every server
+// is closed: (key → nodes that compressed it).
 func startServers(s Scenario, clock *simnet.Clock, nw *simnet.Network, corpus []corpusFile) (
 	servers []*proxy.Server, nodes []*cluster.Node, compLog map[string][]string, err error) {
 	var compMu sync.Mutex
@@ -34,12 +36,13 @@ func startServers(s Scenario, clock *simnet.Clock, nw *simnet.Network, corpus []
 		ids[k] = fmt.Sprintf("n%d", k)
 	}
 	peerLink := s.PeerLink
-	// One fixed seed for every peer dial: DialLink seeds each endpoint's
+	// One fixed seed for every peer dial: Dial seeds each endpoint's
 	// jitter rng from the link seed alone, so every peer connection
 	// replays the same draw sequence no matter how dials interleave.
 	peerLink.Seed = mix(s.Seed, 5000)
+	backhaul := simnet.NewNetwork(clock, peerLink)
 	dial := func(peer string) (net.Conn, error) {
-		return nw.DialLink(peerAddr(peer), peerLink)
+		return backhaul.Dial(peerAddr(peer))
 	}
 
 	for k := 0; k < max(s.Nodes, 1); k++ {
@@ -79,7 +82,7 @@ func startServers(s Scenario, clock *simnet.Clock, nw *simnet.Network, corpus []
 			if err != nil {
 				return nil, nil, nil, err
 			}
-			pln, err := nw.Listen(peerAddr(id))
+			pln, err := backhaul.Listen(peerAddr(id))
 			if err != nil {
 				return nil, nil, nil, err
 			}
@@ -88,7 +91,7 @@ func startServers(s Scenario, clock *simnet.Clock, nw *simnet.Network, corpus []
 			// The node's transmitter: all of this node's responses share one
 			// line at the client link rate, so a single node cannot serve N
 			// clients at N times its radio's capacity.
-			if err := nw.SetLine(nodeAddr(k), s.Link); err != nil {
+			if err := nw.SetLine(nodeAddr(k)); err != nil {
 				return nil, nil, nil, err
 			}
 		}

@@ -5,8 +5,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/codec"
 	"repro/internal/proxy"
+	"repro/internal/simnet"
 )
 
 // clusterShape is the scaling experiment's fixed workload: fault-free and
@@ -123,6 +125,100 @@ func TestSchedulesIdenticalAcrossNodeCounts(t *testing.T) {
 				t.Fatalf("nodes=%d: record %d = %+v, single-server run had %+v", nodes, i, got[i], want[i])
 			}
 		}
+	}
+}
+
+// wlanCliff drops the WLAN to 60 kB/s 1 ms in, for the rest of the run.
+var wlanCliff = []simnet.Phase{{Start: time.Millisecond, Rate: 60000}}
+
+// TestLineFollowsTheSchedule: one network is one medium, so a node's
+// shared transmit line follows the link schedule as a connection's own
+// transmitter does. With one client nothing else contends for the line,
+// so over a rate cliff each fetch takes the same virtual time on the
+// single server (Nodes 0) and on a 1-node ring (Nodes 1).
+func TestLineFollowsTheSchedule(t *testing.T) {
+	var want []time.Duration
+	for _, nodes := range []int{0, 1} {
+		r, err := Run(Scenario{Seed: 5, Clients: 1, FetchesPerClient: 8, Nodes: nodes, Schedule: wlanCliff})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range r.Violations {
+			t.Errorf("nodes=%d: oracle violation: %s", nodes, v)
+		}
+		got := make([]time.Duration, len(r.Records))
+		for i, rec := range r.Records {
+			if rec.Err != "" {
+				t.Fatalf("nodes=%d: f%03d %s failed: %s", nodes, rec.Index, rec.Name, rec.Err)
+			}
+			got[i] = rec.Virtual
+		}
+		if want == nil {
+			want = got
+			continue
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("nodes=%d: fetch %d took %v, single server %v", nodes, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestBackhaulIgnoresTheWLANSchedule: the ring's PXY-P backhaul is a
+// network of its own, so a cliff on the WLAN does not slow it: one peer
+// fetch between two nodes takes the same virtual time with and without
+// the WLAN schedule.
+func TestBackhaulIgnoresTheWLANSchedule(t *testing.T) {
+	peerFetch := func(sched []simnet.Phase) time.Duration {
+		s := Scenario{Seed: 5, Nodes: 2, Schedule: sched}.withDefaults()
+		clock := simnet.NewClock()
+		nw := simnet.NewNetwork(clock, s.Link)
+		if sched != nil {
+			if err := nw.SetSchedule(sched); err != nil {
+				t.Fatal(err)
+			}
+		}
+		corpus := buildCorpus(s)
+		servers, nodes, _, err := startServers(s, clock, nw, corpus)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() {
+			for _, n := range nodes {
+				n.Close()
+			}
+			for _, srv := range servers {
+				srv.Close()
+			}
+		}()
+		// The first corpus file whose gzip artifact n1 owns, fetched by n0.
+		var key proxy.ArtifactKey
+		for _, f := range corpus {
+			gen, _ := servers[1].Generation(f.name)
+			k := proxy.ArtifactKey{Name: f.name, Gen: gen, Scheme: codec.Gzip, FP: "always"}
+			if nodes[0].Ring().Owner(cluster.KeyString(k)) == "n1" {
+				key = k
+				break
+			}
+		}
+		if key.Name == "" {
+			t.Fatal("n1 owns no corpus file's gzip artifact")
+		}
+		var took time.Duration
+		clock.Run(func() {
+			clock.Sleep(2 * time.Millisecond) // past the cliff
+			start := clock.Elapsed()
+			if _, err := nodes[0].PeerFetch(key); err != nil {
+				t.Errorf("peer fetch of %s: %v", key.Name, err)
+			}
+			took = clock.Elapsed() - start
+		})
+		return took
+	}
+	plain, cliff := peerFetch(nil), peerFetch(wlanCliff)
+	if plain <= 0 || cliff != plain {
+		t.Fatalf("peer fetch took %v under a WLAN cliff, %v without; want equal and positive", cliff, plain)
 	}
 }
 

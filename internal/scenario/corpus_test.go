@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 )
 
 var update = flag.Bool("update", false, "rewrite golden scenario traces from the current implementation")
@@ -68,6 +69,49 @@ func TestCorpusGoldenTraces(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSchedulesBite: a spec's link schedule tests something only while
+// the fleet is still fetching. For every committed spec with a schedule,
+// at every golden seed, each linkat and powersave event must start before
+// the run's last fetch ends; one that starts later reshapes nothing.
+func TestSchedulesBite(t *testing.T) {
+	specs, err := LoadDir(corpusDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scheduled := 0
+	for _, s := range specs {
+		if len(s.LinkAt)+len(s.PowerSave) == 0 {
+			continue
+		}
+		scheduled++
+		starts := make([]time.Duration, 0, len(s.LinkAt)+len(s.PowerSave))
+		for _, c := range s.LinkAt {
+			starts = append(starts, c.At)
+		}
+		for _, w := range s.PowerSave {
+			starts = append(starts, w.Start)
+		}
+		for _, seed := range goldenSeeds {
+			rep, err := s.Run(seed)
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", s.Name, seed, err)
+			}
+			var end time.Duration
+			for _, rec := range rep.Records {
+				end = max(end, rec.VStart+rec.Virtual)
+			}
+			for _, at := range starts {
+				if at >= end {
+					t.Errorf("%s seed %d: schedule event at %v starts after the last fetch ends (%v)", s.Name, seed, at, end)
+				}
+			}
+		}
+	}
+	if scheduled == 0 {
+		t.Fatal("no committed spec has a schedule")
 	}
 }
 

@@ -29,23 +29,20 @@ func (a simAddr) String() string  { return string(a) }
 // outside the clock ledger — they never park.
 type endpoint struct {
 	c    *Clock
-	nw   *Network // nil-able owner; carries the scripted link schedule
+	nw   *Network // owner; carries the scripted link schedule
 	peer *endpoint
-	link Link
+	// transmitter is this direction's own link and pacing state; its Link
+	// also gives the hop's latency.
+	transmitter
+	// tx is the transmitter this endpoint's writes serialize on: its own,
+	// or the node-wide line of the listener that accepted it.
+	tx *transmitter
 	// rng draws this direction's transmit jitter.
 	rng sim.Stream
 	// local and remote point into the connection's pipe and its listener,
 	// so handing them out boxes nothing.
 	local, remote net.Addr
 
-	// line, when non-nil, is the node-wide transmitter this endpoint's
-	// writes serialize on (a server-side endpoint accepted from a
-	// listener with an attached line). nil keeps per-endpoint pacing.
-	line *line
-
-	// nextFree is when this endpoint's outgoing link finishes its current
-	// transmission; writes queue behind it (serialization, not loss).
-	nextFree time.Duration
 	// lastArrival is the latest delivery this endpoint has scheduled at
 	// the peer; the close marker must not overtake it.
 	lastArrival time.Duration
@@ -126,10 +123,11 @@ func (e *endpoint) Read(b []byte) (int, error) {
 	}
 }
 
-// Write serializes b onto the outgoing link: the call occupies the link
-// for len(b)/rate (+ jitter) of virtual time — queueing behind earlier
-// writes — and the bytes arrive at the peer one latency later. The
-// sender parks until its transmission slot completes, which is what
+// Write serializes b on the endpoint's transmitter (its own, or its
+// node's line): the call occupies it for len(b)/rate (+ jitter) of
+// virtual time at the rate the network's schedule gives — queueing behind
+// earlier writes — and the bytes arrive at the peer one latency later.
+// The sender parks until its transmission slot completes, which is what
 // paces the proxy server at the modeled 802.11b rate.
 func (e *endpoint) Write(b []byte) (int, error) {
 	c := e.c
@@ -147,30 +145,12 @@ func (e *endpoint) Write(b []byte) (int, error) {
 	if len(b) == 0 {
 		return 0, nil
 	}
+	// Jitter comes from this endpoint's own stream, so a shared line
+	// keeps per-connection draws deterministic.
 	now := c.kern.Now()
-	start := now
-	var done time.Duration
-	if e.line != nil {
-		// Shared node transmitter: queue behind every other connection on
-		// this node, at the line's rate. Jitter still comes from this
-		// endpoint's own stream so per-connection draws stay deterministic.
-		if e.line.nextFree > start {
-			start = e.line.nextFree
-		}
-		done = start + e.line.link.txTime(len(b), &e.rng)
-		e.line.nextFree = done
-		e.nextFree = done
-	} else {
-		if e.nextFree > start {
-			start = e.nextFree
-		}
-		if e.nw != nil && e.nw.sched != nil {
-			done = e.nw.sched.txDone(start, len(b), e.link, &e.rng)
-		} else {
-			done = start + e.link.txTime(len(b), &e.rng)
-		}
-		e.nextFree = done
-	}
+	tx := e.tx
+	done := e.nw.sched.txDone(max(now, tx.nextFree), len(b), tx.link, &e.rng)
+	tx.nextFree = done
 	arrival := done + e.link.Latency
 	if arrival > e.lastArrival {
 		e.lastArrival = arrival

@@ -20,7 +20,7 @@ func TestLineSerializesNodeWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := nw.SetLine("srv", link); err != nil {
+	if err := nw.SetLine("srv"); err != nil {
 		t.Fatal(err)
 	}
 	payload := make([]byte, 1<<20)
@@ -72,7 +72,7 @@ func TestLineSerializesNodeWrites(t *testing.T) {
 // TestSetLineUnknownListener: attaching a line to an unbound name fails.
 func TestSetLineUnknownListener(t *testing.T) {
 	nw := NewNetwork(NewClock(), Link{})
-	if err := nw.SetLine("nosuch", Link{BytesPerSec: 1e6}); err == nil {
+	if err := nw.SetLine("nosuch"); err == nil {
 		t.Fatal("SetLine on unbound name succeeded")
 	}
 }

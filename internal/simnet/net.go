@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"cmp"
 	"fmt"
 	"net"
 	"strconv"
@@ -8,9 +9,9 @@ import (
 	"repro/internal/sim"
 )
 
-// Network is a set of named virtual listeners sharing one Clock. It is
-// the factory for both ends of every connection: Listen binds a name,
-// Dial reaches it over a Link.
+// Network is a set of named virtual listeners sharing one Clock and one
+// medium (see SetSchedule). It is the factory for both ends of every
+// connection: Listen binds a name, Dial reaches it over a Link.
 type Network struct {
 	clock *Clock
 	link  Link
@@ -53,7 +54,7 @@ type Listener struct {
 	closed  bool
 	// line, when non-nil, is the shared transmitter server-side endpoints
 	// accepted from this listener serialize on; see Network.SetLine.
-	line *line
+	line *transmitter
 }
 
 // Listen binds a virtual listener under name. Names are flat (no port
@@ -167,11 +168,12 @@ func (nw *Network) DialLink(name string, link Link) (net.Conn, error) {
 	nw.connSeq++
 	p := &pipe{caddr: simAddr("sim-peer-" + strconv.Itoa(nw.connSeq)), l: l, w: c.waiterLocked()}
 	cep, sep := &p.ends[0], &p.ends[1]
-	*cep = endpoint{c: c, nw: nw, link: link, local: &p.caddr, remote: &l.addr,
+	*cep = endpoint{c: c, nw: nw, transmitter: transmitter{link: link}, local: &p.caddr, remote: &l.addr,
 		rng: sim.NewStream(dirSeed(link.Seed, 1))}
-	*sep = endpoint{c: c, nw: nw, link: link, local: &l.addr, remote: &p.caddr,
-		rng: sim.NewStream(dirSeed(link.Seed, 2)), line: l.line}
+	*sep = endpoint{c: c, nw: nw, transmitter: transmitter{link: link}, local: &l.addr, remote: &p.caddr,
+		rng: sim.NewStream(dirSeed(link.Seed, 2))}
 	cep.peer, sep.peer = sep, cep
+	cep.tx, sep.tx = &cep.transmitter, cmp.Or(l.line, &sep.transmitter)
 	cep.buf, sep.buf = cep.inline[:0], sep.inline[:0]
 
 	// The connection request reaches the listener after one one-way

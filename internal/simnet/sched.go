@@ -12,7 +12,7 @@ import (
 // since the clock's epoch) onward, the medium serializes at Rate bytes per
 // second. Rate <= 0 pauses the link entirely — a power-save window or a
 // dead-air fault — and transmissions in flight resume when a later phase
-// restores a positive rate. Before the first phase the connection's own
+// restores a positive rate. Before the first phase the transmitter's own
 // Link rate applies; per-hop Latency and the per-direction jitter streams
 // always come from the Link, so a schedule reshapes the timeline without
 // touching any seeded randomness.
@@ -22,7 +22,7 @@ type Phase struct {
 }
 
 // Schedule is an immutable, time-sorted phase list shared by every
-// connection of a Network. It is installed once, before traffic starts,
+// transmitter of a Network. It is installed once, before traffic starts,
 // via Network.SetSchedule; endpoints read it under the clock lock.
 type Schedule struct {
 	phases []Phase
@@ -68,11 +68,15 @@ func (s *Schedule) rateAt(t time.Duration, base float64) (rate float64, until ti
 
 // txDone returns when a transmission of n bytes that may begin at start
 // finishes under the schedule, draining bytes at each phase's rate and
-// stalling through paused phases. Jitter stretches the byte count once per
-// write — the same single rng draw the constant-rate path makes — so a
-// link's seeded timeline stays a pure function of (seed, write sequence)
-// whether or not a schedule is installed.
+// stalling through paused phases. A nil schedule is the constant-rate
+// medium: start plus the link's txTime. Jitter stretches the byte count
+// once per write — the same single rng draw the constant-rate path makes
+// — so a link's seeded timeline stays a pure function of (seed, write
+// sequence) whether or not a schedule is installed.
 func (s *Schedule) txDone(start time.Duration, n int, base Link, rng *sim.Stream) time.Duration {
+	if s == nil {
+		return start + base.txTime(n, rng)
+	}
 	if n <= 0 {
 		return start
 	}
@@ -98,11 +102,15 @@ func (s *Schedule) txDone(start time.Duration, n int, base Link, rng *sim.Stream
 	return t
 }
 
-// SetSchedule installs a scripted link schedule on the network. Every
-// connection — existing and future — follows it: each write serializes at
-// the rate in effect when its transmission slot runs, pausing through
-// power-save phases. Call it before traffic starts; installing a schedule
-// mid-transfer only affects writes issued afterwards.
+// SetSchedule installs a scripted link schedule on the network. One
+// network is one medium: every transmitter on it — each connection's own
+// and each listener's shared line, existing and future — follows the
+// schedule, each write serializing at the rate in effect when its
+// transmission slot runs and pausing through power-save phases. A link
+// that must not share the medium's schedule (a wired backhaul) belongs on
+// a network of its own over the same clock. Call it before traffic
+// starts; installing a schedule mid-transfer only affects writes issued
+// afterwards.
 func (nw *Network) SetSchedule(phases []Phase) error {
 	s, err := NewSchedule(phases)
 	if err != nil {

@@ -360,8 +360,11 @@ func TestDialClosedListenerRefused(t *testing.T) {
 }
 
 // schedTransfer pushes payload through a network carrying the given link
-// schedule and returns the virtual instant the receiver saw EOF.
-func schedTransfer(t *testing.T, link Link, phases []Phase, payload []byte) time.Duration {
+// schedule and returns the virtual instant the receiver saw EOF. With
+// line set the server writes on its listener's shared line rather than
+// its connection's own transmitter; one network is one medium, so the
+// schedule must pace both alike.
+func schedTransfer(t *testing.T, link Link, phases []Phase, payload []byte, line bool) time.Duration {
 	t.Helper()
 	c := NewClock()
 	nw := NewNetwork(c, link)
@@ -371,6 +374,11 @@ func schedTransfer(t *testing.T, link Link, phases []Phase, payload []byte) time
 	ln, err := nw.Listen("srv")
 	if err != nil {
 		t.Fatal(err)
+	}
+	if line {
+		if err := nw.SetLine("srv"); err != nil {
+			t.Fatal(err)
+		}
 	}
 	go func() {
 		conn, err := ln.Accept()
@@ -397,17 +405,26 @@ func schedTransfer(t *testing.T, link Link, phases []Phase, payload []byte) time
 	return done
 }
 
+// forEachTransmitter runs f once on a connection's own transmitter and
+// once on a listener's shared line.
+func forEachTransmitter(t *testing.T, f func(t *testing.T, line bool)) {
+	t.Run("own", func(t *testing.T) { f(t, false) })
+	t.Run("line", func(t *testing.T) { f(t, true) })
+}
+
 // TestScheduleRateCliff: a mid-transfer rate drop stretches exactly the
 // bytes serialized after the cliff. 1500 B at 1000 B/s dropping to 500 B/s
 // at t=1s: the first 1000 B take the first second, the remaining 500 B a
 // further second — EOF at 2s (latency zero keeps the arithmetic exact).
 func TestScheduleRateCliff(t *testing.T) {
-	link := Link{BytesPerSec: 1000}
-	phases := []Phase{{Start: time.Second, Rate: 500}}
-	done := schedTransfer(t, link, phases, bytes.Repeat([]byte{7}, 1500))
-	if done != 2*time.Second {
-		t.Fatalf("EOF at %v, want 2s", done)
-	}
+	forEachTransmitter(t, func(t *testing.T, line bool) {
+		link := Link{BytesPerSec: 1000}
+		phases := []Phase{{Start: time.Second, Rate: 500}}
+		done := schedTransfer(t, link, phases, bytes.Repeat([]byte{7}, 1500), line)
+		if done != 2*time.Second {
+			t.Fatalf("EOF at %v, want 2s", done)
+		}
+	})
 }
 
 // TestSchedulePowerSavePause: a paused phase stalls the transmission for
@@ -415,12 +432,14 @@ func TestScheduleRateCliff(t *testing.T) {
 // 1000 B/s with the link dark over [1s, 2s): 1000 B by 1s, dead air to 2s,
 // the rest by 2.5s.
 func TestSchedulePowerSavePause(t *testing.T) {
-	link := Link{BytesPerSec: 1000}
-	phases := []Phase{{Start: time.Second, Rate: 0}, {Start: 2 * time.Second, Rate: 1000}}
-	done := schedTransfer(t, link, phases, bytes.Repeat([]byte{7}, 1500))
-	if done != 2500*time.Millisecond {
-		t.Fatalf("EOF at %v, want 2.5s", done)
-	}
+	forEachTransmitter(t, func(t *testing.T, line bool) {
+		link := Link{BytesPerSec: 1000}
+		phases := []Phase{{Start: time.Second, Rate: 0}, {Start: 2 * time.Second, Rate: 1000}}
+		done := schedTransfer(t, link, phases, bytes.Repeat([]byte{7}, 1500), line)
+		if done != 2500*time.Millisecond {
+			t.Fatalf("EOF at %v, want 2.5s", done)
+		}
+	})
 }
 
 // TestScheduleValidation: out-of-order phases and schedules that end

@@ -344,6 +344,19 @@ exists ./internal/proxy 'TestArtifactServesRequestPolicies'
 exists ./internal/scenario 'TestDynamicDeciderOnARing'
 echo "decider-dynamic -nodes 3 seed: $RANDOM_SEED (replay: go run ./cmd/energysim soak -scenario testdata/scenarios/decider-dynamic.scn -nodes 3 -seed $RANDOM_SEED -trace)"
 "$GATE_DIR/energysim" soak -scenario testdata/scenarios/decider-dynamic.scn -nodes 3 -seed "$RANDOM_SEED"
+# One network is one medium: a node's shared transmit line follows the
+# link schedule like a connection's own transmitter, and the PXY-P
+# backhaul is a network of its own that the WLAN's schedule never paces.
+# Each scheduled spec's events start while its fleet is still fetching,
+# so both specs, run on three nodes at the printed seed, put every ring's
+# line through a rate cliff and power-save pauses.
+exists ./internal/simnet 'TestScheduleRateCliff|TestSchedulePowerSavePause'
+exists ./internal/harness 'TestLineFollowsTheSchedule|TestBackhaulIgnoresTheWLANSchedule'
+exists ./internal/scenario 'TestSchedulesBite'
+for spec in rate-cliff powersave-bursts; do
+	echo "$spec -nodes 3 seed: $RANDOM_SEED (replay: go run ./cmd/energysim soak -scenario testdata/scenarios/$spec.scn -nodes 3 -seed $RANDOM_SEED -trace)"
+	"$GATE_DIR/energysim" soak -scenario "testdata/scenarios/$spec.scn" -nodes 3 -seed "$RANDOM_SEED"
+done
 rm -rf "$GATE_DIR"
 
 # Coverage ratchet: per-package floors a few points under current levels,
