@@ -541,7 +541,7 @@ func run(s Scenario, clock *simnet.Clock) (*Report, error) {
 	n, per := s.Clients, s.FetchesPerClient
 	hands := make([]handheld, n)
 	records := make([]FetchRecord, n*per)
-	rings := make([]obs.SpanData, n*(per+1))
+	rings := make([]*obs.Span, n*(per+1))
 	for i := range hands {
 		h := &hands[i]
 		h.p, h.i = p, i
@@ -551,7 +551,7 @@ func run(s Scenario, clock *simnet.Clock) (*Report, error) {
 		// Stagger starts so the schedule is not one synchronized burst:
 		// client i starts i ms in, and until then it is an event in the
 		// clock's queue rather than a goroutine.
-		clock.GoAfter(time.Duration(i)*time.Millisecond, h.run)
+		clock.GoAfter(time.Duration(i)*time.Millisecond, h)
 	}
 
 	if s.Churn > 0 {
@@ -645,9 +645,10 @@ type handheld struct {
 	records []FetchRecord
 }
 
-// run is the handheld's life: its schedule of fetches, one after another,
-// each recorded.
-func (h *handheld) run() {
+// Start is the handheld's life: its schedule of fetches, one after
+// another, each recorded. It makes a *handheld the simnet.Starter its
+// pass queues.
+func (h *handheld) Start() {
 	p, s, i := h.p, h.p.s, h.i
 	defer p.running.Done()
 	sched := sim.NewStream(mix(s.Seed, int64(1000+i)))

@@ -242,10 +242,10 @@ func fleetScenario(clients int) Scenario {
 
 // fleetAllocsPerFetch is what a 500-client fleet pass on a reused clock
 // allocates per fetch, the pass's set-up (corpus, server, report and
-// oracles) included: 24.3 measured on go1.24. The budget leaves a margin
-// of about 10 % for the collector's timing, which decides how often a
-// pooled codec workspace must be made again.
-const fleetAllocsPerFetch = 26.5
+// oracles) included: 19.0-19.3 measured on go1.24. The budget leaves a
+// margin of about 10 % for the collector's timing, which decides how
+// often a pooled codec workspace must be made again.
+const fleetAllocsPerFetch = 21
 
 // A fleet pass allocates only what its fetches need: fleet-10k.scn at 500
 // clients, on the clock the pass before it left, stays within

@@ -126,20 +126,34 @@ func NewMatcher(level int) (*Matcher, error) {
 	return m, nil
 }
 
-// matcherPools recycles matchers per level: the head, prev, count and idx
-// arrays are 384 KB of state that the compress-on-demand hot path would
-// otherwise allocate (and fault in) on every call.
-var matcherPools [9]sync.Pool
+// maxIdleMatchers bounds each level's free list: matchers in use at once
+// beyond it are dropped when put back rather than kept.
+const maxIdleMatchers = 8
 
-// GetMatcher returns a pooled matcher for the level, allocating one only
-// when the pool is empty. Pair with PutMatcher.
+// idleMatchers recycles matchers per level: the head, prev, count and idx
+// arrays are 384 KB of state that the compress-on-demand hot path would
+// otherwise allocate (and fault in) on every call. Unlike a sync.Pool's,
+// its matchers outlive a collection.
+var idleMatchers struct {
+	mu    sync.Mutex
+	level [9][]*Matcher
+}
+
+// GetMatcher returns a recycled matcher for the level, allocating one only
+// when none is idle. Pair with PutMatcher.
 func GetMatcher(level int) (*Matcher, error) {
 	if level < 1 || level > 9 {
 		return nil, fmt.Errorf("lz77: level %d out of range 1..9", level)
 	}
-	if v := matcherPools[level-1].Get(); v != nil {
-		return v.(*Matcher), nil
+	idleMatchers.mu.Lock()
+	idle := &idleMatchers.level[level-1]
+	if n := len(*idle); n > 0 {
+		m := (*idle)[n-1]
+		*idle = (*idle)[:n-1]
+		idleMatchers.mu.Unlock()
+		return m, nil
 	}
+	idleMatchers.mu.Unlock()
 	return NewMatcher(level)
 }
 
@@ -149,7 +163,11 @@ func PutMatcher(m *Matcher) {
 	if m == nil {
 		return
 	}
-	matcherPools[m.level-1].Put(m)
+	idleMatchers.mu.Lock()
+	defer idleMatchers.mu.Unlock()
+	if idle := &idleMatchers.level[m.level-1]; len(*idle) < maxIdleMatchers {
+		*idle = append(*idle, m)
+	}
 }
 
 // reset empties the hash buckets' heads and counts. The chain links in prev

@@ -3,6 +3,7 @@ package lz77
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -270,5 +271,41 @@ func TestRoundTripShiftedWalk(t *testing.T) {
 				t.Errorf("%s, level %d: matches cover %d of %d bytes", name, level, matched, len(data))
 			}
 		}
+	}
+}
+
+// A matcher put back is the next one handed out, collections in between
+// or not, and a level keeps no more than maxIdleMatchers idle.
+func TestMatcherSurvivesCollection(t *testing.T) {
+	m, err := GetMatcher(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	PutMatcher(m)
+	runtime.GC()
+	runtime.GC()
+	got, err := GetMatcher(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != m {
+		t.Error("a matcher put back before two collections was not handed out again")
+	}
+	var held []*Matcher
+	for i := 0; i < maxIdleMatchers+2; i++ {
+		m, err := GetMatcher(6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, m)
+	}
+	for _, m := range append(held, got) {
+		PutMatcher(m)
+	}
+	idleMatchers.mu.Lock()
+	n := len(idleMatchers.level[5])
+	idleMatchers.mu.Unlock()
+	if n != maxIdleMatchers {
+		t.Errorf("%d level-6 matchers idle, want %d", n, maxIdleMatchers)
 	}
 }

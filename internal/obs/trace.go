@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"maps"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -40,8 +41,8 @@ type Phase struct {
 	Detail string `json:"detail,omitempty"`
 }
 
-// SpanData is a finished (or copied) span: the immutable value stored in
-// the tracer's ring buffer, returned by snapshots, and marshalled by
+// SpanData is a finished (or copied) span: the value snapshots and the
+// finish hook return, built from the span when read, and marshalled by
 // /tracez and hhfetch -trace.
 type SpanData struct {
 	ID    uint64            `json:"id"`
@@ -79,18 +80,38 @@ func (d SpanData) JoulesByClass() map[string]float64 {
 // concurrent use (the client's decompressor goroutine records phases
 // while the receive loop does) and nil-safe, so instrumented code never
 // branches on whether tracing is enabled. A finished span is immutable:
-// Finish hands its phases and attrs to the tracer's ring as they are, so
-// every mutator called after it changes nothing.
+// Finish hands the span itself to the tracer's ring, so every mutator
+// called after it changes nothing. Its SpanData is built when something
+// reads it (Snapshot, AppendSnapshot, Data, the finish hook): the
+// attributes live in the span until then, and a span nobody reads costs
+// no map and no formatted request ID.
 type Span struct {
-	t    *Tracer
-	mu   sync.Mutex
+	t  *Tracer
+	mu sync.Mutex
+	// d is the span's state but for its attributes: d.Attrs stays nil.
 	d    SpanData
 	done bool
+	// hasReqID records that SetReqID set the req_id attribute to reqID
+	// after any SetAttr of that key.
+	hasReqID bool
+	nattrs   uint8
+	reqID    uint64
+	// attrs holds the first keys set, in place; more holds any key past
+	// them, so no key is in both. A served request's span sets five
+	// besides its req_id, a selective build's two more.
+	attrs [7]attr
+	more  map[string]string
 	// phases backs d.Phases until a span records more than fit: a served
 	// request's span records three or four, a client fetch's six (dial,
 	// header, recv, decompress, verify, idle).
 	phases [6]Phase
 }
+
+// attr is one attribute a span keeps in place.
+type attr struct{ key, value string }
+
+// reqIDKey is the attribute SetReqID sets.
+const reqIDKey = "req_id"
 
 // open locks s for a mutation, reporting false (and leaving it unlocked)
 // for a nil or finished span.
@@ -106,16 +127,40 @@ func (s *Span) open() bool {
 	return true
 }
 
-// SetAttr attaches a key/value attribute.
+// SetAttr attaches a key/value attribute; a later write of the key wins.
 func (s *Span) SetAttr(key, value string) {
 	if !s.open() {
 		return
 	}
 	defer s.mu.Unlock()
-	if s.d.Attrs == nil {
-		s.d.Attrs = make(map[string]string)
+	if key == reqIDKey {
+		s.hasReqID = false
 	}
-	s.d.Attrs[key] = value
+	for i := range s.attrs[:s.nattrs] {
+		if s.attrs[i].key == key {
+			s.attrs[i].value = value
+			return
+		}
+	}
+	if _, ok := s.more[key]; !ok && int(s.nattrs) < len(s.attrs) {
+		s.attrs[s.nattrs] = attr{key, value}
+		s.nattrs++
+		return
+	}
+	if s.more == nil {
+		s.more = make(map[string]string)
+	}
+	s.more[key] = value
+}
+
+// SetReqID sets the req_id attribute to id as ReqID spells it, which it
+// formats only when the span is read.
+func (s *Span) SetReqID(id uint64) {
+	if !s.open() {
+		return
+	}
+	defer s.mu.Unlock()
+	s.reqID, s.hasReqID = id, true
 }
 
 // Phase records an interval that started at the given wall time.
@@ -218,24 +263,39 @@ func (s *Span) Fail(err error) {
 
 // Data returns a copy of the span's current state, usable before or after
 // Finish (hhfetch -trace prints the fetch span it owns this way). After
-// Finish it shares the finished span's phases and attrs, which nothing
-// changes any more.
+// Finish it shares the finished span's phases, which nothing changes any
+// more; its attribute map is always its own.
 func (s *Span) Data() SpanData {
 	if s == nil {
 		return SpanData{}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	d := s.data()
+	if !s.done {
+		d.Phases = append([]Phase(nil), d.Phases...)
+	}
+	return d
+}
+
+// data builds the span's SpanData, its attributes in a new map. The
+// caller holds s.mu or reads a finished span.
+func (s *Span) data() SpanData {
 	d := s.d
-	if s.done {
+	n := int(s.nattrs) + len(s.more)
+	if s.hasReqID {
+		n++
+	}
+	if n == 0 {
 		return d
 	}
-	d.Phases = append([]Phase(nil), s.d.Phases...)
-	if s.d.Attrs != nil {
-		d.Attrs = make(map[string]string, len(s.d.Attrs))
-		for k, v := range s.d.Attrs {
-			d.Attrs[k] = v
-		}
+	d.Attrs = make(map[string]string, n)
+	for _, a := range s.attrs[:s.nattrs] {
+		d.Attrs[a.key] = a.value
+	}
+	maps.Copy(d.Attrs, s.more)
+	if s.hasReqID {
+		d.Attrs[reqIDKey] = ReqID(s.reqID)
 	}
 	return d
 }
@@ -251,10 +311,9 @@ func (s *Span) Finish() {
 	s.done = true
 	// Clipped, so that a reader appending to its phases copies them.
 	s.d.Phases = slices.Clip(s.d.Phases)
-	d := s.d
 	s.mu.Unlock()
 	if s.t != nil {
-		s.t.push(d)
+		s.t.push(s)
 	}
 }
 
@@ -265,8 +324,8 @@ type Tracer struct {
 	nextID atomic.Uint64
 
 	mu    sync.Mutex
-	ring  []SpanData
-	head  int // next write position
+	ring  []*Span // finished spans, read in place
+	head  int     // next write position
 	count int
 	// onFinish, when set, observes every finished span after it lands in
 	// the ring — the tee the wide-event export sink hangs off, so a live
@@ -277,14 +336,14 @@ type Tracer struct {
 // NewTracer returns a tracer retaining up to capacity finished spans
 // (minimum 1).
 func NewTracer(capacity int) *Tracer {
-	return new(Tracer).Init(make([]SpanData, max(capacity, 1)))
+	return new(Tracer).Init(make([]*Span, max(capacity, 1)))
 }
 
 // Init makes t, a zero Tracer, retain up to len(ring) finished spans in
 // ring, which must not be empty, and returns t. A caller that runs many
 // tracers at once (the testbed, one per simulated handheld) keeps them
 // and their rings in slices of its own this way.
-func (t *Tracer) Init(ring []SpanData) *Tracer {
+func (t *Tracer) Init(ring []*Span) *Tracer {
 	t.ring = ring
 	return t
 }
@@ -305,8 +364,9 @@ func (t *Tracer) Start(name string) *Span {
 }
 
 // SetOnFinish installs a hook observing every span after it is pushed to
-// the ring. The hook runs outside the tracer's lock, on the goroutine that
-// called Finish; it must not block. A nil tracer ignores the call.
+// the ring; each call builds the span's SpanData for it. The hook runs
+// outside the tracer's lock, on the goroutine that called Finish; it must
+// not block. A nil tracer ignores the call.
 func (t *Tracer) SetOnFinish(fn func(SpanData)) {
 	if t == nil {
 		return
@@ -316,9 +376,9 @@ func (t *Tracer) SetOnFinish(fn func(SpanData)) {
 	t.mu.Unlock()
 }
 
-func (t *Tracer) push(d SpanData) {
+func (t *Tracer) push(s *Span) {
 	t.mu.Lock()
-	t.ring[t.head] = d
+	t.ring[t.head] = s
 	t.head = (t.head + 1) % len(t.ring)
 	if t.count < len(t.ring) {
 		t.count++
@@ -326,7 +386,7 @@ func (t *Tracer) push(d SpanData) {
 	fn := t.onFinish
 	t.mu.Unlock()
 	if fn != nil {
-		fn(d)
+		fn(s.data())
 	}
 }
 
@@ -363,7 +423,7 @@ func (t *Tracer) appendLocked(dst []SpanData) []SpanData {
 		start += len(t.ring)
 	}
 	for i := 0; i < t.count; i++ {
-		dst = append(dst, t.ring[(start+i)%len(t.ring)])
+		dst = append(dst, t.ring[(start+i)%len(t.ring)].data())
 	}
 	return dst
 }

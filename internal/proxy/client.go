@@ -521,12 +521,10 @@ func (c *Client) Fetch(name string, scheme codec.Scheme, mode Mode) ([]byte, Fet
 	// connections one logical fetch opened.
 	reqID := c.randUint64()
 	span := c.Tracer.Start("fetch")
-	if span != nil { // or the ID is formatted for nobody
-		span.SetAttr("req_id", obs.ReqID(reqID))
-		span.SetAttr("name", name)
-		span.SetAttr("scheme", scheme.String())
-		span.SetAttr("mode", mode.String())
-	}
+	span.SetReqID(reqID)
+	span.SetAttr("name", name)
+	span.SetAttr("scheme", scheme.String())
+	span.SetAttr("mode", mode.String())
 	// Both log lines below, a retry's and a failure's, are off the common
 	// path: the logger and its attributes are built when one is written.
 	log := func() *slog.Logger { return c.logger().With("req_id", obs.ReqID(reqID), "name", name) }

@@ -136,6 +136,9 @@ type Server struct {
 
 	connMu sync.Mutex
 	conns  map[*serverConn]struct{}
+	// freeConns holds the serverConns of ended connections for the next
+	// ones to reuse; it never holds more than were open at once.
+	freeConns []*serverConn
 
 	ln        net.Listener
 	wg        sync.WaitGroup
@@ -506,19 +509,17 @@ func (s *Server) acceptLoop() {
 			}()
 			continue
 		}
-		sc := &serverConn{Conn: conn, br: getReqReader(conn), remote: conn.RemoteAddr().String()}
 		// The first request's deadline is set here, before Close can find
 		// the connection to expire it.
 		_ = conn.SetReadDeadline(s.clock.Now().Add(s.cfg.readTimeout))
-		s.trackConn(sc, true)
+		sc := s.openConn(conn)
 		s.metrics.connsTotal.Add(1)
 		s.metrics.connsActive.Add(1)
 		s.wg.Add(1)
 		go func() {
 			defer func() {
 				s.metrics.connsActive.Add(-1)
-				s.trackConn(sc, false)
-				putReqReader(sc.br)
+				s.closeConn(sc)
 				// The slot first: on the virtual testbed closing the
 				// connection hands back the clock's hold on this goroutine,
 				// and a client could be refused any number of times before
@@ -626,14 +627,34 @@ func (s *Server) awaitRequest(sc *serverConn) bool {
 	return sc.state.CompareAndSwap(connIdle, connBusy) && err == nil
 }
 
-func (s *Server) trackConn(sc *serverConn, add bool) {
+// openConn tracks conn as a serverConn from the free list, where
+// closeConn returns it once the handler is done with it: a client that
+// opens a connection per fetch costs no serverConn per fetch.
+func (s *Server) openConn(conn net.Conn) *serverConn {
 	s.connMu.Lock()
 	defer s.connMu.Unlock()
-	if add {
-		s.conns[sc] = struct{}{}
+	var sc *serverConn
+	if n := len(s.freeConns); n > 0 {
+		sc = s.freeConns[n-1]
+		s.freeConns = s.freeConns[:n-1]
 	} else {
-		delete(s.conns, sc)
+		sc = new(serverConn)
 	}
+	sc.Conn, sc.br, sc.remote = conn, getReqReader(conn), conn.RemoteAddr().String()
+	sc.state.Store(connBusy)
+	s.conns[sc] = struct{}{}
+	return sc
+}
+
+// closeConn stops tracking sc and puts it on the free list; its handler
+// must not use it after.
+func (s *Server) closeConn(sc *serverConn) {
+	putReqReader(sc.br)
+	s.connMu.Lock()
+	defer s.connMu.Unlock()
+	delete(s.conns, sc)
+	sc.Conn, sc.br, sc.remote = nil, nil, ""
+	s.freeConns = append(s.freeConns, sc)
 }
 
 // Close stops the listener and gracefully drains: idle kept connections
@@ -681,7 +702,7 @@ func (s *Server) handle(sc *serverConn) (err error) {
 		return err
 	}
 	span.Phase("read-request", "", readStart, time.Since(readStart), 0)
-	span.SetAttr("req_id", obs.ReqID(req.ReqID))
+	span.SetReqID(req.ReqID)
 	s.metrics.requests.Add(1)
 	// The full response must drain within writeTimeout.
 	if err := sc.SetWriteDeadline(s.clock.Now().Add(s.cfg.writeTimeout)); err != nil {
@@ -805,17 +826,18 @@ func (s *Server) handleGet(bw *bufio.Writer, req request, span *obs.Span) error 
 			return err
 		}
 	}
-	// The loop's time is waiting for the builder plus writing; the two
-	// phases are laid end to end, the waits first, so together they cover
-	// the loop's interval on the span.
+	err = WriteEnd(bw, f.crc)
+	if err == nil {
+		err = bw.Flush()
+	}
+	// The loop's time is waiting for the builder plus writing, the end
+	// frame and its flush included; the two phases are laid end to end,
+	// the waits first, so together they cover that interval on the span.
 	if a.f != nil {
 		span.Phase("block-wait", "", writeStart, waited, 0)
 	}
 	span.Phase("write-blocks", "", writeStart.Add(waited), time.Since(writeStart)-waited, wrote)
-	if err := WriteEnd(bw, f.crc); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return err
 }
 
 // selectivePolicy is the decider a selective request runs under and its

@@ -182,23 +182,34 @@ func (c *Clock) Sleep(d time.Duration) {
 // clock keeps running (see worker).
 func (c *Clock) Go(fn func()) {
 	c.mu.Lock()
-	c.startLocked(fn)
+	c.startLocked(startFunc(fn))
 	c.mu.Unlock()
 }
 
-// GoAfter runs fn on a ledger goroutine once d of virtual time has
-// passed, as Go(func() { c.Sleep(d); fn() }) does, with no goroutine
+// A Starter is what GoAfter starts: its Start runs on a ledger goroutine.
+// A pointer to a caller's own state satisfies it without allocating, where
+// a method value or closure over that state would cost one.
+type Starter interface{ Start() }
+
+// startFunc is the Starter that runs a func: Go's fn, as the one kind of
+// start a worker runs.
+type startFunc func()
+
+func (f startFunc) Start() { f() }
+
+// GoAfter runs st.Start on a ledger goroutine once d of virtual time has
+// passed, as Go(func() { c.Sleep(d); st.Start() }) does, with no goroutine
 // until then: the start is one event in the kernel queue, pushed where
 // that Sleep would push its timeout. Called outside the ledger while the
 // clock is at rest, it runs the clock on at once.
-func (c *Clock) GoAfter(d time.Duration, fn func()) {
-	if d <= 0 {
-		c.Go(fn)
-		return
-	}
+func (c *Clock) GoAfter(d time.Duration, st Starter) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.kern.ScheduleWake(d, c.launchLocked(fn))
+	if d <= 0 {
+		c.startLocked(st)
+		return
+	}
+	c.kern.ScheduleWake(d, c.launchLocked(st))
 	c.kickLocked()
 }
 
@@ -218,7 +229,7 @@ func (c *Clock) Run(fn func()) {
 
 // startLocked gives fn a busy token and a ledger goroutine to run on: the
 // idle worker that finished last, or a new one when none is idle.
-func (c *Clock) startLocked(fn func()) {
+func (c *Clock) startLocked(fn Starter) {
 	c.busy++
 	if w, ok := pop(&c.idle); ok {
 		w.fn = fn
@@ -248,13 +259,13 @@ func (c *Clock) Spawned() int {
 // its own left.
 type worker struct {
 	c        *Clock
-	fn       func() // the next start's, set while the worker is idle
-	released bool   // the clock came to rest while the worker was idle
+	fn       Starter // the next start's, set while the worker is idle
+	released bool    // the clock came to rest while the worker was idle
 	cond     sync.Cond
 }
 
 // run is the worker's goroutine: fn, then whatever starts come its way.
-func (w *worker) run(fn func()) {
+func (w *worker) run(fn Starter) {
 	done := false
 	defer func() {
 		if !done {
@@ -264,7 +275,7 @@ func (w *worker) run(fn func()) {
 		}
 	}()
 	for fn != nil {
-		fn()
+		fn.Start()
 		fn = w.next()
 	}
 	done = true
@@ -274,7 +285,7 @@ func (w *worker) run(fn func()) {
 // list and waits for the next fn, which it returns, or for the clock to
 // release it, when it returns nil. It joins the list before dropping the
 // token, so a start that the drop's kick runs takes this worker at once.
-func (w *worker) next() func() {
+func (w *worker) next() Starter {
 	c := w.c
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -64,11 +64,11 @@ func (c *Clock) noticeLocked(to *endpoint, seg []byte) *notice {
 // they have fired.
 type launch struct {
 	c  *Clock
-	fn func()
+	fn Starter
 }
 
 // launchLocked takes a launch of fn.
-func (c *Clock) launchLocked(fn func()) *launch {
+func (c *Clock) launchLocked(fn Starter) *launch {
 	l, ok := pop(&c.launches)
 	if !ok {
 		l = &launch{c: c}

@@ -80,6 +80,12 @@ func (s *Schedule) txDone(start time.Duration, n int, base Link, rng *sim.Stream
 	if n <= 0 {
 		return start
 	}
+	if base.BytesPerSec <= 0 && start < s.phases[0].Start {
+		// Before the first phase the link's own rate applies, and a link
+		// with none is infinitely fast: the write is done at once, with no
+		// jitter draw, as txTime has it.
+		return start
+	}
 	bytes := float64(n)
 	if base.JitterFrac > 0 {
 		bytes *= 1 + base.JitterFrac*rng.Float64()

@@ -442,6 +442,20 @@ func TestSchedulePowerSavePause(t *testing.T) {
 	})
 }
 
+// TestScheduleInfiniteBaseRate: a link with no rate of its own is
+// infinitely fast until the schedule's first phase, as it is with no
+// schedule: 100 B written at time zero arrive at once, not paced at the
+// first phase's rate once it begins.
+func TestScheduleInfiniteBaseRate(t *testing.T) {
+	forEachTransmitter(t, func(t *testing.T, line bool) {
+		phases := []Phase{{Start: time.Second, Rate: 1000}}
+		done := schedTransfer(t, Link{}, phases, bytes.Repeat([]byte{7}, 100), line)
+		if done != 0 {
+			t.Fatalf("EOF at %v, want 0s", done)
+		}
+	})
+}
+
 // TestScheduleValidation: out-of-order phases and schedules that end
 // paused (an eternal power-save window would deadlock every writer) must
 // be rejected before any traffic runs.

@@ -75,7 +75,8 @@ func TestGoAfterOrdersAsGoAndSleep(t *testing.T) {
 		if got := fmt.Sprint(startOrder(goSleep)); got != want {
 			t.Fatalf("Go + Sleep ran %v, want %v", got, want)
 		}
-		if got := fmt.Sprint(startOrder((*Clock).GoAfter)); got != want {
+		goAfter := func(c *Clock, d time.Duration, fn func()) { c.GoAfter(d, startFunc(fn)) }
+		if got := fmt.Sprint(startOrder(goAfter)); got != want {
 			t.Fatalf("GoAfter ran %v, want %v", got, want)
 		}
 	}
@@ -109,10 +110,10 @@ func TestRestedClockLeavesNoGoroutine(t *testing.T) {
 		launched := make(chan struct{})
 		c.Go(func() { <-launched })
 		for i := 0; i < n; i++ {
-			c.GoAfter(time.Duration(i)*time.Millisecond, func() {
+			c.GoAfter(time.Duration(i)*time.Millisecond, startFunc(func() {
 				defer ran.Done()
 				c.Sleep(3 * time.Millisecond)
-			})
+			}))
 		}
 		c.Go(func() {
 			defer ran.Done()
@@ -138,7 +139,7 @@ func TestRestedClockLeavesNoGoroutine(t *testing.T) {
 		}
 	}
 	ran := make(chan time.Duration)
-	c.GoAfter(time.Second, func() { ran <- c.Elapsed() })
+	c.GoAfter(time.Second, startFunc(func() { ran <- c.Elapsed() }))
 	select {
 	case got := <-ran:
 		if got != time.Second {
@@ -159,12 +160,12 @@ func TestWorkerCarriesNothing(t *testing.T) {
 	var spawned, busy, waiters int
 	c.Run(func() {
 		// The body's worker takes the first start, which parks once.
-		c.GoAfter(time.Millisecond, func() { c.Sleep(time.Millisecond) })
-		c.GoAfter(5*time.Millisecond, func() {
+		c.GoAfter(time.Millisecond, startFunc(func() { c.Sleep(time.Millisecond) }))
+		c.GoAfter(5*time.Millisecond, startFunc(func() {
 			c.mu.Lock()
 			defer c.mu.Unlock()
 			spawned, busy, waiters = c.spawned, c.busy, len(c.waiters)
-		})
+		}))
 	})
 	rested := make(chan struct{})
 	go func() {
@@ -190,16 +191,22 @@ func TestWorkerCarriesNothing(t *testing.T) {
 	}
 }
 
+// starts counts the times it was started.
+type starts struct{ n int }
+
+func (s *starts) Start() { s.n++ }
+
 // A start on a warm clock allocates nothing: its event is a recycled
-// launch and its goroutine an idle worker. Go + Sleep, which it replaces,
-// allocates the closure around fn.
+// launch, its goroutine an idle worker, and what it starts a pointer the
+// caller already holds, as a harness handheld is. Go + Sleep, which it
+// replaces, allocates the closure around fn, and so would a method value.
 func TestGoAfterAllocs(t *testing.T) {
 	c := NewClock()
-	fn := func() {}
+	st := new(starts)
 	var allocs float64
 	c.Run(func() {
 		step := func() {
-			c.GoAfter(time.Millisecond, fn)
+			c.GoAfter(time.Millisecond, st)
 			c.Sleep(2 * time.Millisecond)
 		}
 		for i := 0; i < 10; i++ {
@@ -210,5 +217,8 @@ func TestGoAfterAllocs(t *testing.T) {
 	c.WaitIdle()
 	if allocs != 0 {
 		t.Errorf("a warm GoAfter start: %v allocations, want 0", allocs)
+	}
+	if st.n != 211 {
+		t.Errorf("%d starts ran, want 211", st.n)
 	}
 }

@@ -350,7 +350,7 @@ echo "decider-dynamic -nodes 3 seed: $RANDOM_SEED (replay: go run ./cmd/energysi
 # Each scheduled spec's events start while its fleet is still fetching,
 # so both specs, run on three nodes at the printed seed, put every ring's
 # line through a rate cliff and power-save pauses.
-exists ./internal/simnet 'TestScheduleRateCliff|TestSchedulePowerSavePause'
+exists ./internal/simnet 'TestScheduleRateCliff|TestSchedulePowerSavePause|TestScheduleInfiniteBaseRate'
 exists ./internal/harness 'TestLineFollowsTheSchedule|TestBackhaulIgnoresTheWLANSchedule'
 exists ./internal/scenario 'TestSchedulesBite'
 for spec in rate-cliff powersave-bursts; do
@@ -410,10 +410,14 @@ check_cover ./internal/sim 95
 # hit's lookup must cost the fetch path zero allocations, the
 # table-driven Huffman fast path must stay zero-alloc per symbol, and a
 # 100x smoke proves its benchmark still runs. A warm cache hit over a kept
-# connection, client and server together, stays within its stated budget.
-named ./internal/proxy 'TestReadBlockPooledAllocs|TestGetBufRecycles|TestEmitFetchEventNoSinkZeroAlloc|TestCacheHitZeroAllocs|TestCorruptBlockAllocatesNoDestination|TestKeepAliveHitAllocs' -count=1
+# connection, client and server together, stays within its stated budget,
+# and server-side costs its serve span alone.
+named ./internal/proxy 'TestReadBlockPooledAllocs|TestGetBufRecycles|TestEmitFetchEventNoSinkZeroAlloc|TestCacheHitZeroAllocs|TestCorruptBlockAllocatesNoDestination|TestKeepAliveHitAllocs|TestServeHitAllocs' -count=1
 named ./internal/huffman 'TestDecodeLSBZeroAlloc' -count=1
 named ./internal/flate 'TestDeflateSteadyStateAllocs|TestStreamingWriterSteadyAllocs' -count=1
+# A matcher put back survives a collection, so a fleet pass does not make
+# its 384 KB again after each one.
+named ./internal/lz77 'TestMatcherSurvivesCollection' -count=1
 # The codec workspaces: a warm decode into a buffer with room allocates
 # nothing that scales with the block or a codec's tables, and a warm LZW or
 # BWT encode allocates its output and a fixed few KiB.
@@ -422,14 +426,16 @@ named ./internal/codec 'TestDecompressIntoSteadyStateAllocs|TestCompressSteadySt
 # allocations and 160 bytes, a link's jitter stream draws math/rand's
 # Float64s and allocates nothing, a timeout in the event queue costs none,
 # a paced write and its read on a warm simnet connection cost none, nor
-# does a start queued on a warm clock, a client-shaped span costs three, an
+# does a start queued on a warm clock, a client-shaped span costs one (and
+# stays in its size class), every reader of a span builds the SpanData the
+# eager attribute map gave, an
 # oracle reads a client's records where they lie, the trace of a
 # 2,500-fetch pass is at most two allocations that print what fmt printed,
 # and a 500-client fleet pass on a reused clock stays within its stated
 # allocations per fetch.
 named ./internal/sim 'TestSeededRandAllocs|TestStreamMatchesNewRand|TestScheduleWakeAllocs|TestKernelReset' -count=1
 named ./internal/simnet 'TestSimnetRoundTripAllocs|TestResetRefusesAClockInUse|TestGoAfterAllocs' -count=1
-named ./internal/obs 'TestSpanLifecycleAllocs' -count=1
+named ./internal/obs 'TestSpanLifecycleAllocs|TestSpanSize|TestSpanDataBuiltOnRead' -count=1
 named ./internal/harness 'TestClientRecordsAliasesReport|TestTraceAllocs|TestTraceMatchesFmt|TestFleetPassAllocs' -count=1
 # What those budgets rest on, repeated under -race: a finished span that
 # readers share is never written again, every write segment comes back to
