@@ -96,9 +96,9 @@ type Span struct {
 	hasReqID bool
 	nattrs   uint8
 	reqID    uint64
-	// attrs holds the first keys set, in place; more holds any key past
-	// them, so no key is in both. A served request's span sets five
-	// besides its req_id, a selective build's two more.
+	// attrs holds the first keys set, in place; more holds any key set
+	// once they are full, so no key is in both. A served request's span
+	// sets five besides its req_id, a selective build's two more.
 	attrs [7]attr
 	more  map[string]string
 	// phases backs d.Phases until a span records more than fit: a served
@@ -142,7 +142,7 @@ func (s *Span) SetAttr(key, value string) {
 			return
 		}
 	}
-	if _, ok := s.more[key]; !ok && int(s.nattrs) < len(s.attrs) {
+	if int(s.nattrs) < len(s.attrs) {
 		s.attrs[s.nattrs] = attr{key, value}
 		s.nattrs++
 		return
