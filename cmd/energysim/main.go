@@ -155,11 +155,11 @@ func runSoak(argv []string, stdout, stderr io.Writer) error {
 	}
 	replay := fmt.Sprintf("energysim soak -scenario %s -seed %d -trace", *specPath, *seed)
 	if *nodes != 0 {
-		spec.Cluster.Nodes = *nodes
+		spec.Nodes = *nodes
 		// A smaller ring can't hold the spec's replication factor; clamp it
 		// so `-nodes 1` (the single-node baseline of a scaling comparison)
 		// works against any cluster spec.
-		spec.Cluster.Replicas = min(spec.Cluster.Replicas, *nodes-1)
+		spec.Replicas = min(spec.Replicas, *nodes-1)
 		replay += fmt.Sprintf(" -nodes %d", *nodes)
 	}
 	if *deciderP != "" {

@@ -48,6 +48,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/selective"
 )
 
 func main() {
@@ -108,6 +109,9 @@ func run() error {
 		Logger:     logger,
 		Events:     sink,
 	}
+	// The static policy leaves dec a nil interface, which selects Eq. 6: a
+	// nil *DynamicDecider in it would not be nil.
+	var dec selective.Decider
 	switch *deciderPol {
 	case "", "static":
 		if *calibPath != "" {
@@ -135,7 +139,7 @@ func run() error {
 			}
 		}
 		d := repro.NewDynamicDecider(dcfg)
-		cfg.Decider = d
+		dec = d
 		fmt.Printf("decider: %s\n", d.Fingerprint())
 	default:
 		return fmt.Errorf("-decider %q: want static or dynamic", *deciderPol)
@@ -152,7 +156,7 @@ func run() error {
 		cfg.WrapConn = plan.Wrapper()
 		fmt.Printf("fault injection armed: rate %g, seed %d\n", *faultRate, *faultSeed)
 	}
-	srv := repro.NewProxyServerWith(nil, cfg)
+	srv := repro.NewProxyServerWith(dec, cfg)
 	count := 0
 	switch {
 	case *dir != "":

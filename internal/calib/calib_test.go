@@ -20,7 +20,7 @@ import (
 // they match to float precision) with R² ≥ 0.999 — any drift anywhere in
 // the span/charge/export/decode path breaks this.
 func TestCalibrationRecoversTable1(t *testing.T) {
-	sc := harness.Scenario{Seed: 1, Clients: 4, FetchesPerClient: 10}
+	sc := harness.Scenario{Seed: 1, Clients: 4, Fetches: 10}
 	r, err := harness.Run(sc)
 	if err != nil {
 		t.Fatal(err)

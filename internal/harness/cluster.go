@@ -46,11 +46,10 @@ func startServers(s Scenario, clock *simnet.Clock, nw *simnet.Network, corpus []
 	}
 
 	for k := 0; k < max(s.Nodes, 1); k++ {
-		srv := proxy.NewServerWith(nil, proxy.Config{
+		// Each server gets its own decider instance so per-node metric
+		// registries never share counters.
+		srv := proxy.NewServerWith(buildDecider(s), proxy.Config{
 			Clock: clock,
-			// Each server gets its own decider instance so per-node metric
-			// registries never share counters.
-			Decider: buildDecider(s),
 			// Never shed: ConnsTotal == Σ dials must hold exactly, and a
 			// busy-shed path would couple one client's timeline to another's.
 			MaxConns: s.Clients + 2,

@@ -16,7 +16,7 @@ import (
 // armed, with enough fetches that line contention, not ramp-up, dominates.
 func clusterShape(seed int64, nodes int) Scenario {
 	return Scenario{
-		Name: "cluster", Seed: seed, Clients: 9, FetchesPerClient: 12,
+		Name: "cluster", Seed: seed, Clients: 9, Fetches: 12,
 		Nodes: nodes, Replicas: 1, HotK: 8,
 	}
 }
@@ -99,7 +99,7 @@ func TestSchedulesIdenticalAcrossNodeCounts(t *testing.T) {
 	}
 	var want []fetchKey
 	for _, nodes := range []int{0, 1, 3} {
-		r, err := Run(Scenario{Seed: 51, Clients: 5, FetchesPerClient: 8, Nodes: nodes})
+		r, err := Run(Scenario{Seed: 51, Clients: 5, Fetches: 8, Nodes: nodes})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +139,7 @@ var wlanCliff = []simnet.Phase{{Start: time.Millisecond, Rate: 60000}}
 func TestLineFollowsTheSchedule(t *testing.T) {
 	var want []time.Duration
 	for _, nodes := range []int{0, 1} {
-		r, err := Run(Scenario{Seed: 5, Clients: 1, FetchesPerClient: 8, Nodes: nodes, Schedule: wlanCliff})
+		r, err := Run(Scenario{Seed: 5, Clients: 1, Fetches: 8, Nodes: nodes, Schedule: wlanCliff})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +171,7 @@ func TestLineFollowsTheSchedule(t *testing.T) {
 // the WLAN schedule.
 func TestBackhaulIgnoresTheWLANSchedule(t *testing.T) {
 	peerFetch := func(sched []simnet.Phase) time.Duration {
-		s := Scenario{Seed: 5, Nodes: 2, Schedule: sched}.withDefaults()
+		s := Scenario{Seed: 5, Nodes: 2, Schedule: sched}.WithDefaults()
 		clock := simnet.NewClock()
 		nw := simnet.NewNetwork(clock, s.Link)
 		if sched != nil {

@@ -110,13 +110,9 @@ func (d *DiffReport) checkPayloads() {
 // with the dynamic decider's live model. Dominance must hold per stream
 // and in total; the deadline implication must hold per block.
 func (d *DiffReport) checkEnergyDominance(s Scenario) error {
-	s = s.withDefaults()
+	s = s.WithDefaults()
 	corpus := buildCorpus(s)
-	dyn := decider.New(decider.Config{
-		Link:  func() (float64, bool) { return s.Link.BytesPerSec / 1e6, false },
-		Queue: func() int { return 0 },
-		Class: decider.ClassFromByte(s.DeadlineClass),
-	})
+	dyn := pinnedDecider(s, s.DeadlineClass)
 	rate := s.Link.BytesPerSec / 1e6
 	static := selective.PaperDecider{}
 	for _, f := range corpus {
@@ -155,7 +151,7 @@ func (d *DiffReport) checkEnergyDominance(s Scenario) error {
 				// static choice met, the dynamic choice meets too.
 				dec := dyn.Decide(decider.BlockContext{
 					RawLen: bd.RawLen, CompLen: len(bd.Payload), RateMBps: rate,
-					Class: decider.ClassFromByte(s.DeadlineClass),
+					Class: s.DeadlineClass,
 				})
 				if sT <= dec.DeadlineS && dT > dec.DeadlineS*(1+1e-9) {
 					d.Violations = append(d.Violations, fmt.Sprintf(

@@ -15,20 +15,20 @@ import (
 // vacuously — with all four fault modes live.
 func diffScenario(seed int64) Scenario {
 	return Scenario{
-		Seed:             seed,
-		Clients:          4,
-		FetchesPerClient: 10,
-		FaultRate:        0.01,
-		Churn:            5,
-		Link:             simnet.Link{BytesPerSec: 180_000, Latency: 2_000_000, JitterFrac: 0.10},
-		DeadlineClass:    2, // standard
-		BudgetJ:          50,
+		Seed:          seed,
+		Clients:       4,
+		Fetches:       10,
+		FaultRate:     0.01,
+		Churn:         5,
+		Link:          simnet.Link{BytesPerSec: 180_000, Latency: 2_000_000, JitterFrac: 0.10},
+		DeadlineClass: 2, // standard
+		BudgetJ:       50,
 		// The corpus straddles the policies' disagreement band: sub-3900
 		// compressible files (raw under Eq. 6's file floor, compressed
 		// under the live ~1 kB threshold at 2 Mb/s), marginal text the
 		// static factor gate refuses, incompressible noise both refuse,
 		// and a multi-block archive.
-		Corpus: []CorpusEntry{
+		Files: []CorpusEntry{
 			{Name: "memo.xml", Class: workload.ClassXML, Size: 3_000},
 			{Name: "note.txt", Class: workload.ClassMail, Size: 2_000},
 			{Name: "body.txt", Class: workload.ClassMail, Size: 20_000},
@@ -65,7 +65,7 @@ func TestDifferentialSoak(t *testing.T) {
 // header carries the decider fields so a dynamic golden can never be
 // confused with a static one.
 func TestDynamicDeciderTraceDeterministic(t *testing.T) {
-	sc := Scenario{Seed: 9, Clients: 3, FetchesPerClient: 6, Decider: "dynamic", DeadlineClass: 1, BudgetJ: 10}
+	sc := Scenario{Seed: 9, Clients: 3, Fetches: 6, Decider: "dynamic", DeadlineClass: 1, BudgetJ: 10}
 	a, err := Run(sc)
 	if err != nil {
 		t.Fatal(err)

@@ -17,7 +17,7 @@ import (
 // the energysim binary.
 func TestEventStreamDeterministic(t *testing.T) {
 	run := func() []byte {
-		sc := Scenario{Seed: 7, Clients: 3, FetchesPerClient: 5, FaultRate: 0.05, Churn: 100}
+		sc := Scenario{Seed: 7, Clients: 3, Fetches: 5, FaultRate: 0.05, Churn: 100}
 		r, err := Run(sc)
 		if err != nil {
 			t.Fatal(err)
@@ -39,7 +39,7 @@ func TestEventStreamDeterministic(t *testing.T) {
 // counts via the paper's Eq. 1 / Eq. 3 — the property the calibrator
 // depends on.
 func TestEventsShape(t *testing.T) {
-	sc := Scenario{Seed: 3, Clients: 2, FetchesPerClient: 6}
+	sc := Scenario{Seed: 3, Clients: 2, Fetches: 6}
 	r, err := Run(sc)
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +85,7 @@ func TestEventsShape(t *testing.T) {
 // FetchStats.Energy — the joules Events exports — to it, so a charge that
 // drifts from the model is a violation even where the span agrees.
 func TestEnergyOracleHoldsStatsCharge(t *testing.T) {
-	r, err := Run(Scenario{Seed: 3, Clients: 2, FetchesPerClient: 4})
+	r, err := Run(Scenario{Seed: 3, Clients: 2, Fetches: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,8 +55,8 @@ type Scenario struct {
 	Seed int64
 	// Clients is the number of concurrent handheld clients (default 10).
 	Clients int
-	// FetchesPerClient is each client's schedule length (default 50).
-	FetchesPerClient int
+	// Fetches is each client's schedule length (default 50).
+	Fetches int
 	// FaultRate is the per-I/O-call probability of each of the four
 	// client-side fault modes (fragment, reset, truncate, bit-flip).
 	// Zero injects no faults.
@@ -82,15 +82,15 @@ type Scenario struct {
 	// break the canonical-trace replay guarantee.
 	Decider string
 	// DeadlineClass and BudgetJ are the request attributes every client
-	// declares (decider.ClassFromByte vocabulary; joules). Zero values
-	// keep clients on the plain GET op, byte-identical to older traces.
-	DeadlineClass uint8
+	// declares (a deadline class; joules). Zero values keep clients on the
+	// plain GET op, byte-identical to older traces.
+	DeadlineClass decider.Class
 	BudgetJ       float64
-	// Corpus, when non-empty, replaces the built-in nine-file corpus:
-	// each entry is generated from the scenario seed by content class or,
-	// when Ratio is set, by the compressibility knob. Entries must have
-	// unique names.
-	Corpus []CorpusEntry
+	// Files, when non-empty, replaces the built-in nine-file corpus: each
+	// entry is generated from the scenario seed by content class or, when
+	// Ratio is set, by the compressibility knob. Entries must have unique
+	// names.
+	Files []CorpusEntry
 	// Schedule, when non-empty, scripts the shared medium over virtual
 	// time — rate cliffs and power-save pauses — via simnet.SetSchedule.
 	// It reshapes timing only: wire behavior (and so the canonical trace)
@@ -131,12 +131,14 @@ type CorpusEntry struct {
 	Size  int
 }
 
-func (s Scenario) withDefaults() Scenario {
+// WithDefaults returns s with every zero field that has a default set to
+// it: the scenario Run executes.
+func (s Scenario) WithDefaults() Scenario {
 	if s.Clients <= 0 {
 		s.Clients = 10
 	}
-	if s.FetchesPerClient <= 0 {
-		s.FetchesPerClient = 50
+	if s.Fetches <= 0 {
+		s.Fetches = 50
 	}
 	if s.Link == (simnet.Link{}) {
 		s.Link = simnet.WaveLAN11()
@@ -196,7 +198,7 @@ var defaultCorpus = []CorpusEntry{
 // buildCorpus generates the scenario's file set from its seed: the custom
 // entries when the scenario carries any, the built-in set otherwise.
 func buildCorpus(s Scenario) []corpusFile {
-	entries := s.Corpus
+	entries := s.Files
 	if len(entries) == 0 {
 		entries = defaultCorpus
 	}
@@ -371,13 +373,13 @@ func (r *Report) appendHeader(b []byte) []byte {
 	b = append(append(b, "soak name="...), name...)
 	b = strconv.AppendInt(append(b, " seed="...), s.Seed, 10)
 	b = strconv.AppendInt(append(b, " clients="...), int64(s.Clients), 10)
-	b = strconv.AppendInt(append(b, " fetches="...), int64(s.FetchesPerClient), 10)
+	b = strconv.AppendInt(append(b, " fetches="...), int64(s.Fetches), 10)
 	b = strconv.AppendFloat(append(b, " fault="...), s.FaultRate, 'f', 4, 64)
 	b = strconv.AppendFloat(append(b, " link="...), s.Link.BytesPerSec, 'f', 0, 64)
 	b = append(append(append(b, "Bps lat="...), s.Link.Latency.String()...), " jitter="...)
 	b = strconv.AppendFloat(b, s.Link.JitterFrac, 'f', 2, 64)
 	b = strconv.AppendInt(append(b, " churn="...), int64(s.Churn), 10)
-	b = appendZeroPad(append(b, " corpus="...), uint64(corpusDigest(s.Corpus)), 16, 8)
+	b = appendZeroPad(append(b, " corpus="...), uint64(corpusDigest(s.Files)), 16, 8)
 	b = strconv.AppendInt(append(b, " sched="...), int64(len(s.Schedule)), 10)
 	if s.Nodes > 0 {
 		// The cluster suffix appears only on cluster traces, so every
@@ -446,16 +448,23 @@ var modes = []proxy.Mode{proxy.ModeRaw, proxy.ModePrecompressed, proxy.ModeOnDem
 
 // buildDecider constructs the scenario's selective-mode policy: nil for
 // the static default (NewServerWith falls back to the paper's Eq. 6), or
-// a dynamic decider with both live hooks pinned — the link to the
-// scenario's base rate, the queue to zero — so every block decision is a
-// pure function of block sizes and the trace replay guarantee holds.
+// the scenario's pinned dynamic decider with no default class.
 func buildDecider(s Scenario) selective.Decider {
 	if s.Decider != "dynamic" {
 		return nil
 	}
+	return pinnedDecider(s, decider.ClassNone)
+}
+
+// pinnedDecider is the scenario's dynamic decider with both live hooks
+// pinned — the link to the scenario's base rate, the queue to zero — so
+// every block decision is a pure function of block sizes and class, and
+// the trace replay guarantee holds.
+func pinnedDecider(s Scenario, class decider.Class) *decider.DynamicDecider {
 	return decider.New(decider.Config{
 		Link:  func() (float64, bool) { return s.Link.BytesPerSec / 1e6, false },
 		Queue: func() int { return 0 },
+		Class: class,
 	})
 }
 
@@ -509,7 +518,7 @@ func (s *clockSlot) put(c *simnet.Clock) {
 
 // run is Run on a given clock, which a test reads back afterwards.
 func run(s Scenario, clock *simnet.Clock) (*Report, error) {
-	s = s.withDefaults()
+	s = s.WithDefaults()
 	goroutinesBefore := runtime.NumGoroutine()
 
 	corpus := buildCorpus(s)
@@ -538,7 +547,7 @@ func run(s Scenario, clock *simnet.Clock) (*Report, error) {
 	// Every handheld's state comes out of a few slabs, one allocation each
 	// per pass however many handhelds it runs: the handhelds themselves
 	// (client, generator, tracer), their records, and their span rings.
-	n, per := s.Clients, s.FetchesPerClient
+	n, per := s.Clients, s.Fetches
 	hands := make([]handheld, n)
 	records := make([]FetchRecord, n*per)
 	rings := make([]*obs.Span, n*(per+1))
@@ -594,7 +603,7 @@ func run(s Scenario, clock *simnet.Clock) (*Report, error) {
 	}
 
 	r := &Report{Scenario: s, Elapsed: elapsed, Dials: p.dials,
-		Records: make([]FetchRecord, 0, s.Clients*s.FetchesPerClient)}
+		Records: make([]FetchRecord, 0, s.Clients*s.Fetches)}
 	if s.Nodes == 0 {
 		r.Stats = servers[0].Stats()
 	} else {
@@ -662,14 +671,14 @@ func (h *handheld) Start() {
 	cli.Rand = h.rng.Seed(mix(s.Seed, int64(2000+i)))
 	cli.Rate = p.rate
 	cli.Tracer = &h.tracer
-	cli.DeadlineClass = s.DeadlineClass
+	cli.DeadlineClass = uint8(s.DeadlineClass)
 	cli.EnergyBudgetJ = s.BudgetJ
 	cli.Dial = h.dial
 	// Hang up once the last fetch is in, so that the server's handler does
 	// not wait out its idle timeout on the connection.
 	defer cli.Close()
 
-	for j := 0; j < s.FetchesPerClient; j++ {
+	for j := 0; j < s.Fetches; j++ {
 		if j > 0 {
 			p.clock.Sleep(time.Duration(sched.Intn(20)) * time.Millisecond)
 		}

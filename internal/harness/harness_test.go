@@ -14,7 +14,7 @@ import (
 // -seed N` and the CI gate rest on. A different seed must diverge (if it
 // did not, the trace would not actually capture the schedule).
 func TestSoakDeterministicTrace(t *testing.T) {
-	sc := Scenario{Seed: 7, Clients: 4, FetchesPerClient: 8, FaultRate: 0.01, Churn: 10}
+	sc := Scenario{Seed: 7, Clients: 4, Fetches: 8, FaultRate: 0.01, Churn: 10}
 	a, err := Run(sc)
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +94,7 @@ func TestSoakDefaultScenario(t *testing.T) {
 // (Requests == fetches, ConnsTotal == clients, zero errors, payload bytes
 // served == payload bytes received). Any slack here means the ledger lies.
 func TestSoakFaultFreeExactReconciliation(t *testing.T) {
-	sc := Scenario{Seed: 3, Clients: 5, FetchesPerClient: 10, Churn: 5}
+	sc := Scenario{Seed: 3, Clients: 5, Fetches: 10, Churn: 5}
 	r, err := Run(sc)
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +126,7 @@ func TestSoakFaultFreeExactReconciliation(t *testing.T) {
 // artifacts — a churned run performs more compressions than a quiet one
 // with the same schedule — without breaking a single payload.
 func TestSoakChurnForcesRecompression(t *testing.T) {
-	quiet := Scenario{Seed: 5, Clients: 4, FetchesPerClient: 10}
+	quiet := Scenario{Seed: 5, Clients: 4, Fetches: 10}
 	churned := quiet
 	churned.Churn = 40
 	rq, err := Run(quiet)
@@ -152,8 +152,8 @@ func TestSoakChurnForcesRecompression(t *testing.T) {
 // and keep the replay guarantee.
 func TestSoakCustomCorpusAndSchedule(t *testing.T) {
 	sc := Scenario{
-		Name: "custom", Seed: 9, Clients: 3, FetchesPerClient: 6,
-		Corpus: []CorpusEntry{
+		Name: "custom", Seed: 9, Clients: 3, Fetches: 6,
+		Files: []CorpusEntry{
 			{Name: "notes.txt", Class: workload.ClassMail, Size: 5_000},
 			{Name: "blob.bin", Ratio: 1.6, Size: 30_000},
 		},
@@ -193,7 +193,7 @@ func TestSoakCustomCorpusAndSchedule(t *testing.T) {
 // TestCheckBounds: each bound trips on a report that breaches it and
 // stays quiet on one that honors it, without mutating Violations.
 func TestCheckBounds(t *testing.T) {
-	r, err := Run(Scenario{Seed: 13, Clients: 2, FetchesPerClient: 4})
+	r, err := Run(Scenario{Seed: 13, Clients: 2, Fetches: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

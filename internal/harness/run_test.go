@@ -20,7 +20,7 @@ import (
 // the free lists hold the ones they had room for.
 func TestRunReturnsEverySegment(t *testing.T) {
 	// default.scn's shape; the golden pins that it is the same run.
-	sc := Scenario{Name: "default", Seed: 1, Clients: 4, FetchesPerClient: 10, FaultRate: 0.01, Churn: 100}
+	sc := Scenario{Name: "default", Seed: 1, Clients: 4, Fetches: 10, FaultRate: 0.01, Churn: 100}
 	golden, err := os.ReadFile("../../testdata/scenarios/golden/default.seed1.trace")
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +50,7 @@ func TestRunReturnsEverySegment(t *testing.T) {
 // oracle holds it to that, and its events carry the row's device.
 func TestTwoMbpsLinkChargedAtItsRow(t *testing.T) {
 	row := energy.Rate2Mbps()
-	sc := Scenario{Seed: 3, Clients: 2, FetchesPerClient: 4,
+	sc := Scenario{Seed: 3, Clients: 2, Fetches: 4,
 		Link: simnet.Link{BytesPerSec: row.BytesPerSec(), Latency: 5 * time.Millisecond, JitterFrac: 0.1}}
 	r, err := Run(sc)
 	if err != nil {
@@ -87,7 +87,7 @@ func TestTwoMbpsLinkChargedAtItsRow(t *testing.T) {
 // the trace pads to and past: clients past 99, fetch indexes past 999, CRCs
 // with leading zeros, failed fetches, and both header suffixes.
 func traceReport(n int) *Report {
-	r := &Report{Scenario: Scenario{Name: "wide", Seed: -42, Clients: n / 8, FetchesPerClient: 8,
+	r := &Report{Scenario: Scenario{Name: "wide", Seed: -42, Clients: n / 8, Fetches: 8,
 		FaultRate: 0.0125, Link: simnet.Link{BytesPerSec: 180000.4, Latency: 1500 * time.Microsecond, JitterFrac: 0.105},
 		Churn: 3, Schedule: make([]simnet.Phase, 2), Nodes: 3, Replicas: 1, HotK: 16,
 		PeerLink: simnet.Link{BytesPerSec: 12_500_000}, DeadlineClass: 2, BudgetJ: 1e-7}}
@@ -115,9 +115,9 @@ func TestTraceMatchesFmt(t *testing.T) {
 		}
 		var want strings.Builder
 		fmt.Fprintf(&want, "soak name=%s seed=%d clients=%d fetches=%d fault=%.4f link=%.0fBps lat=%s jitter=%.2f churn=%d corpus=%08x sched=%d",
-			name, s.Seed, s.Clients, s.FetchesPerClient, s.FaultRate,
+			name, s.Seed, s.Clients, s.Fetches, s.FaultRate,
 			s.Link.BytesPerSec, s.Link.Latency, s.Link.JitterFrac, s.Churn,
-			corpusDigest(s.Corpus), len(s.Schedule))
+			corpusDigest(s.Files), len(s.Schedule))
 		if s.Nodes > 0 {
 			fmt.Fprintf(&want, " nodes=%d replicas=%d hotk=%d peerlink=%.0fBps", s.Nodes, s.Replicas, s.HotK, s.PeerLink.BytesPerSec)
 			fmt.Fprintf(&want, " decider=static class=%d budget=%g", s.DeadlineClass, s.BudgetJ)
@@ -159,7 +159,7 @@ func TestTraceAllocs(t *testing.T) {
 // clock for the next Run, and Reset refuses it while a goroutine is busy
 // on it.
 func TestReusedClockReplays(t *testing.T) {
-	sc := Scenario{Name: "default", Seed: 1, Clients: 4, FetchesPerClient: 10, FaultRate: 0.01, Churn: 100}
+	sc := Scenario{Name: "default", Seed: 1, Clients: 4, Fetches: 10, FaultRate: 0.01, Churn: 100}
 	fresh, err := run(sc, simnet.NewClock())
 	if err != nil {
 		t.Fatal(err)
@@ -233,8 +233,8 @@ func TestFleetPassSpawnsFewGoroutines(t *testing.T) {
 // fleetScenario is testdata/scenarios/loadgen/fleet-10k.scn at the given
 // number of clients and seed 1.
 func fleetScenario(clients int) Scenario {
-	return Scenario{Name: "fleet-10k", Seed: 1, Clients: clients, FetchesPerClient: 1, MaxRetries: 10,
-		Corpus: []CorpusEntry{
+	return Scenario{Name: "fleet-10k", Seed: 1, Clients: clients, Fetches: 1, MaxRetries: 10,
+		Files: []CorpusEntry{
 			{Name: "ping.txt", Class: workload.ClassMail, Size: 2000},
 			{Name: "pong.bin", Ratio: 1.5, Size: 3000},
 		}}

@@ -119,9 +119,8 @@ func TestSpanDataBuiltOnRead(t *testing.T) {
 					t.Errorf("%s: span %+v", reader, d)
 				}
 			}
-			check("Data before Finish", s.Data())
+			check("live", liveData(s))
 			s.Finish()
-			check("Data", s.Data())
 			check("hook", hooked)
 			check("Snapshot", tr.Snapshot()[0])
 			check("AppendSnapshot", tr.AppendSnapshot(nil)[0])
@@ -187,10 +186,13 @@ func TestFinishedSpanIsImmutable(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	for name, got := range map[string]SpanData{"snapshot": snap, "hook": hooked, "ring": tr.Snapshot()[0], "data": s.Data()} {
+	for name, got := range map[string]SpanData{"snapshot": snap, "hook": hooked, "ring": tr.Snapshot()[0]} {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s changed after Finish:\n got %+v\nwant %+v", name, got, want)
 		}
+	}
+	if got := s.Phases(); !reflect.DeepEqual(got, want.Phases) {
+		t.Errorf("phases changed after Finish:\n got %+v\nwant %+v", got, want.Phases)
 	}
 	if n := tr.Len(); n != 1 {
 		t.Errorf("ring holds %d spans after repeated Finish, want 1", n)
@@ -204,8 +206,15 @@ func TestFinishedPhasesAreClipped(t *testing.T) {
 	s := tr.Start("s")
 	s.Phase("a", "", time.Now(), 0, 0)
 	s.Finish()
-	d := s.Data()
-	if len(d.Phases) != cap(d.Phases) {
-		t.Fatalf("finished phases: len %d cap %d, want them equal", len(d.Phases), cap(d.Phases))
+	ph := s.Phases()
+	if len(ph) != cap(ph) {
+		t.Fatalf("finished phases: len %d cap %d, want them equal", len(ph), cap(ph))
 	}
+}
+
+// liveData reads an open span the way a snapshot reads a finished one.
+func liveData(s *Span) SpanData {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.data()
 }

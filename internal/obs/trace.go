@@ -261,21 +261,21 @@ func (s *Span) Fail(err error) {
 	s.d.Err = err.Error()
 }
 
-// Data returns a copy of the span's current state, usable before or after
-// Finish (hhfetch -trace prints the fetch span it owns this way). After
-// Finish it shares the finished span's phases, which nothing changes any
-// more; its attribute map is always its own.
-func (s *Span) Data() SpanData {
+// Phases returns the span's phases, usable before or after Finish: a copy
+// while the span is open, and after Finish the finished span's own,
+// which nothing changes any more. It builds no attribute map, so a
+// reader that needs only the phases (a fetch's wide event) pays for
+// nothing else.
+func (s *Span) Phases() []Phase {
 	if s == nil {
-		return SpanData{}
+		return nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	d := s.data()
 	if !s.done {
-		d.Phases = append([]Phase(nil), d.Phases...)
+		return slices.Clone(s.d.Phases)
 	}
-	return d
+	return s.d.Phases
 }
 
 // data builds the span's SpanData, its attributes in a new map. The

@@ -117,9 +117,9 @@ func TestDistributeJoulesDurationWeight(t *testing.T) {
 	sp.Phase("a", ClassCPU, now, 1*time.Millisecond, 0)
 	sp.Phase("b", ClassCPU, now, 3*time.Millisecond, 0)
 	sp.DistributeJoules(ClassCPU, 8)
-	d := sp.Data()
-	if math.Abs(d.Phases[0].Joules-2) > 1e-9 || math.Abs(d.Phases[1].Joules-6) > 1e-9 {
-		t.Errorf("duration weighting wrong: %g, %g", d.Phases[0].Joules, d.Phases[1].Joules)
+	ph := sp.Phases()
+	if math.Abs(ph[0].Joules-2) > 1e-9 || math.Abs(ph[1].Joules-6) > 1e-9 {
+		t.Errorf("duration weighting wrong: %g, %g", ph[0].Joules, ph[1].Joules)
 	}
 }
 
@@ -137,7 +137,7 @@ func TestNilTracerAndSpan(t *testing.T) {
 	sp.DistributeJoules(ClassRadio, 1)
 	sp.Fail(errors.New("x"))
 	sp.Finish()
-	if d := sp.Data(); d.ID != 0 || len(d.Phases) != 0 {
+	if ph := sp.Phases(); ph != nil {
 		t.Error("nil span must read zero")
 	}
 	if tr.Snapshot() != nil || tr.Len() != 0 {
@@ -169,16 +169,15 @@ func TestSpanDataJSON(t *testing.T) {
 	}
 }
 
-// TestDataIsACopy: mutating the span after Data must not alias.
-func TestDataIsACopy(t *testing.T) {
+// TestPhasesIsACopy: changing an open span after Phases must not alias.
+func TestPhasesIsACopy(t *testing.T) {
 	tr := NewTracer(1)
 	sp := tr.Start("s")
-	sp.SetAttr("k", "v1")
-	sp.Phase("a", "", time.Now(), 0, 0)
-	d := sp.Data()
-	sp.SetAttr("k", "v2")
+	sp.Phase("a", ClassCPU, time.Now(), time.Millisecond, 0)
+	ph := sp.Phases()
+	sp.DistributeJoules(ClassCPU, 1) // charges phase a in place
 	sp.Phase("b", "", time.Now(), 0, 0)
-	if d.Attrs["k"] != "v1" || len(d.Phases) != 1 {
-		t.Error("Data must deep-copy attrs and phases")
+	if len(ph) != 1 || ph[0].Joules != 0 {
+		t.Errorf("Phases must copy an open span's phases, got %+v", ph)
 	}
 }

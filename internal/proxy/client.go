@@ -571,7 +571,7 @@ func (c *Client) emitFetchEvent(reqID uint64, name string, scheme codec.Scheme, 
 	if c.Events == nil {
 		return
 	}
-	e := FetchEvent(obs.ReqID(reqID), name, scheme, mode, c.Rate.OrDefault(), stats, span.Data().Phases, dur, ErrorClass(err))
+	e := FetchEvent(obs.ReqID(reqID), name, scheme, mode, c.Rate.OrDefault(), stats, span.Phases(), dur, ErrorClass(err))
 	e.Time = time.Now().UTC().Format(time.RFC3339Nano)
 	c.Events.Record(e)
 }

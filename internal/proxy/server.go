@@ -62,12 +62,6 @@ type Config struct {
 	// Logger receives structured request/error logs tagged with the
 	// client-propagated request ID. Nil discards.
 	Logger *slog.Logger
-	// Decider, when set, is the selective-mode decision policy for servers
-	// built with a nil decider argument — the way proxyd injects the
-	// dynamic, calibration-fed decider without every NewServerWith caller
-	// growing a parameter. An explicit decider argument wins; nil both
-	// here and there selects the paper's Equation 6.
-	Decider selective.Decider
 	// Events, when set, receives one wide event per finished serve span
 	// via a tee on the tracer's Finish path, and backs the admin plane's
 	// /eventsz endpoint. The sink never blocks the dataplane (full
@@ -186,11 +180,9 @@ func NewServer(decider selective.Decider) *Server {
 	return NewServerWith(decider, Config{})
 }
 
-// NewServerWith returns a server with an explicit dataplane configuration.
+// NewServerWith returns a server with an explicit dataplane configuration
+// and selective-mode decision model (nil selects the paper's Equation 6).
 func NewServerWith(decider selective.Decider, cfg Config) *Server {
-	if decider == nil {
-		decider = cfg.Decider
-	}
 	if decider == nil {
 		decider = selective.PaperDecider{}
 	}

@@ -13,33 +13,15 @@ import (
 )
 
 // Compile lowers a validated spec into a runnable harness scenario at
-// the given seed. The spec never carries a seed: the whole point of the
-// corpus is that any spec replays at any seed, so seeds arrive from the
-// caller (golden-trace tests pin 1 and 2; CI adds a fresh one each run).
+// the given seed: the spec's scenario with the seed set and the link
+// schedule lowered into Schedule. The spec never carries a seed: the
+// whole point of the corpus is that any spec replays at any seed, so
+// seeds arrive from the caller (golden-trace tests pin 1 and 2; CI adds a
+// fresh one each run).
 func (s *Spec) Compile(seed int64) harness.Scenario {
-	sc := harness.Scenario{
-		Name:             s.Name,
-		Seed:             seed,
-		Clients:          s.Clients,
-		FetchesPerClient: s.Fetches,
-		FaultRate:        s.Fault,
-		Churn:            s.Churn,
-		MaxRetries:       s.MaxRetries,
-		Timeout:          s.Timeout,
-		Decider:          s.Decider,
-		DeadlineClass:    uint8(s.Deadline),
-		BudgetJ:          s.Budget,
-		Link:             s.Link,
-		Corpus:           s.Files,
-		Schedule:         compileSchedule(s.baseRate(), s.LinkAt, s.PowerSave),
-		Bounds:           s.Expect,
-	}
-	if s.Cluster.Nodes > 0 {
-		sc.Nodes = s.Cluster.Nodes
-		sc.Replicas = s.Cluster.Replicas
-		sc.HotK = s.Cluster.HotK
-		sc.PeerLink = s.PeerLink
-	}
+	sc := s.Scenario
+	sc.Seed = seed
+	sc.Schedule = compileSchedule(s.baseRate(), s.LinkAt, s.PowerSave)
 	return sc
 }
 

@@ -203,7 +203,7 @@ func TestDynamicDeciderOnARing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Cluster.Nodes = 3
+	s.Nodes = 3
 	for seed := int64(1); seed <= 3; seed++ {
 		rep, err := s.Run(seed)
 		if err != nil {

@@ -3,6 +3,8 @@ package scenario
 import (
 	"reflect"
 	"testing"
+
+	"repro/internal/simnet"
 )
 
 // FuzzScenarioSpec pins the parser's two safety contracts: it never
@@ -10,7 +12,9 @@ import (
 // produce a line-numbered error, not a crash), and every spec it does
 // accept survives Parse(Format(spec)) == spec exactly, so rewriting a
 // spec file is always lossless. Validate is driven too — it must be
-// total over anything Parse accepts. The seed corpus under
+// total over anything Parse accepts — and every spec it accepts must
+// compile to a link schedule simnet accepts, paused at the start of each
+// power-save window and running at its end. The seed corpus under
 // testdata/fuzz covers every directive, the failure shapes the unit
 // tests pin, and grammar near-misses.
 func FuzzScenarioSpec(f *testing.F) {
@@ -29,7 +33,9 @@ func FuzzScenarioSpec(f *testing.F) {
 		if err != nil {
 			return
 		}
-		_ = s.Validate() // must be total, never panic
+		if s.Validate() == nil {
+			checkSchedule(t, s)
+		}
 		out := Format(s)
 		again, err := Parse(out)
 		if err != nil {
@@ -39,4 +45,31 @@ func FuzzScenarioSpec(f *testing.F) {
 			t.Fatalf("round trip changed spec:\nfirst:  %#v\nsecond: %#v\nformatted:\n%s", s, again, out)
 		}
 	})
+}
+
+// checkSchedule holds a valid spec's compiled schedule to what the
+// harness needs of it: simnet accepts it, the medium is paused when each
+// power-save window starts, and the last phase leaves it running.
+func checkSchedule(t *testing.T, s *Spec) {
+	t.Helper()
+	sched := s.Compile(1).Schedule
+	if len(sched) > 0 {
+		if _, err := simnet.NewSchedule(sched); err != nil {
+			t.Fatalf("valid spec compiled to a schedule simnet refuses: %v\n%v", err, sched)
+		}
+		if sched[len(sched)-1].Rate <= 0 {
+			t.Fatalf("schedule ends paused: %v", sched)
+		}
+	}
+	for _, w := range s.PowerSave {
+		rate := -1.0 // no phase has started by w.Start
+		for _, p := range sched {
+			if p.Start <= w.Start {
+				rate = p.Rate
+			}
+		}
+		if rate != 0 {
+			t.Fatalf("powersave %s+%s: rate %g at its start, want 0 (schedule %v)", w.Start, w.Dur, rate, sched)
+		}
+	}
 }

@@ -43,19 +43,21 @@ func TestParseFullSpec(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := &Spec{
-		Name: "kitchen-sink", Clients: 4, Fetches: 6, Fault: 0.02, Churn: 3,
-		MaxRetries: 12, Timeout: 90 * time.Second,
-		Decider: "dynamic", Deadline: decider.ClassStandard, Budget: 25,
-		Link:      simnet.Link{BytesPerSec: 180000, Latency: 5 * time.Millisecond, JitterFrac: 0.1},
-		Cluster:   ClusterSpec{Nodes: 2, Replicas: 1, HotK: 8},
-		PeerLink:  simnet.Link{BytesPerSec: 240000, Latency: time.Millisecond, JitterFrac: 0.05},
+		Scenario: harness.Scenario{
+			Name: "kitchen-sink", Clients: 4, Fetches: 6, FaultRate: 0.02, Churn: 3,
+			MaxRetries: 12, Timeout: 90 * time.Second,
+			Decider: "dynamic", DeadlineClass: decider.ClassStandard, BudgetJ: 25,
+			Link:  simnet.Link{BytesPerSec: 180000, Latency: 5 * time.Millisecond, JitterFrac: 0.1},
+			Nodes: 2, Replicas: 1, HotK: 8,
+			PeerLink: simnet.Link{BytesPerSec: 240000, Latency: time.Millisecond, JitterFrac: 0.05},
+			Files: []harness.CorpusEntry{
+				{Name: "notes.txt", Class: workload.ClassMail, Size: 4096},
+				{Name: "blob.bin", Ratio: 2.5, Size: 20000},
+			},
+			Bounds: harness.Bounds{MinOKFrac: 0.95, MaxVirtual: 10 * time.Minute, MaxAttempts: 20, MaxJoulesPerMB: 500},
+		},
 		LinkAt:    []RateChange{{200 * time.Millisecond, 600000}, {time.Second, 180000}},
 		PowerSave: []Window{{400 * time.Millisecond, 100 * time.Millisecond}},
-		Files: []harness.CorpusEntry{
-			{Name: "notes.txt", Class: workload.ClassMail, Size: 4096},
-			{Name: "blob.bin", Ratio: 2.5, Size: 20000},
-		},
-		Expect: harness.Bounds{MinOKFrac: 0.95, MaxVirtual: 10 * time.Minute, MaxAttempts: 20, MaxJoulesPerMB: 500},
 	}
 	if !reflect.DeepEqual(s, want) {
 		t.Fatalf("parsed\n%#v\nwant\n%#v", s, want)
@@ -111,19 +113,22 @@ func TestParseErrors(t *testing.T) {
 }
 
 func TestValidateRejects(t *testing.T) {
-	base := func() *Spec { return &Spec{Name: "ok", Clients: 2, Fetches: 2} }
+	base := func() *Spec { return &Spec{Scenario: harness.Scenario{Name: "ok", Clients: 2, Fetches: 2}} }
 	for name, breaks := range map[string]func(*Spec){
 		"no name":       func(s *Spec) { s.Name = "" },
 		"bad name":      func(s *Spec) { s.Name = "No Spaces Allowed" },
 		"clients cap":   func(s *Spec) { s.Clients = maxClients + 1 },
 		"fetch budget":  func(s *Spec) { s.Clients, s.Fetches = 1000, 1000 },
-		"fault cap":     func(s *Spec) { s.Fault = 0.5 },
+		"default fleet": func(s *Spec) { s.Clients, s.Fetches = 0, maxTotalFetch/10+1 },
+		"fetch wrap":    func(s *Spec) { s.Clients, s.Fetches = 4, 1<<61 },
+		"fault cap":     func(s *Spec) { s.FaultRate = 0.5 },
 		"link rate low": func(s *Spec) { s.Link.BytesPerSec = 10 },
 		"jitter range":  func(s *Spec) { s.Link = simnet.Link{BytesPerSec: 1e6, JitterFrac: 2} },
 		"linkat order":  func(s *Spec) { s.LinkAt = []RateChange{{time.Second, 1e6}, {time.Second, 2e6}} },
 		"linkat rate":   func(s *Spec) { s.LinkAt = []RateChange{{time.Second, 0}} },
 		"ps overlap":    func(s *Spec) { s.PowerSave = []Window{{0, time.Second}, {500 * time.Millisecond, time.Second}} },
 		"ps empty":      func(s *Spec) { s.PowerSave = []Window{{time.Second, 0}} },
+		"ps wrap":       func(s *Spec) { s.PowerSave = []Window{{2562047 * time.Hour, 2562047 * time.Hour}} },
 		"file both": func(s *Spec) {
 			s.Files = []harness.CorpusEntry{{Name: "x", Class: workload.ClassXML, Ratio: 2, Size: 10}}
 		},
@@ -133,31 +138,31 @@ func TestValidateRejects(t *testing.T) {
 		},
 		"file size":       func(s *Spec) { s.Files = []harness.CorpusEntry{{Name: "x", Ratio: 2, Size: maxFileSize + 1}} },
 		"ratio range":     func(s *Spec) { s.Files = []harness.CorpusEntry{{Name: "x", Ratio: 40, Size: 10}} },
-		"minok range":     func(s *Spec) { s.Expect.MinOKFrac = 1.5 },
+		"minok range":     func(s *Spec) { s.Bounds.MinOKFrac = 1.5 },
 		"sched budget":    func(s *Spec) { s.LinkAt = make([]RateChange, maxSchedEvents+1) },
 		"neg maxretries":  func(s *Spec) { s.MaxRetries = -1 },
 		"timeout horizon": func(s *Spec) { s.Timeout = 2 * time.Hour },
 		"bad decider":     func(s *Spec) { s.Decider = "oracle" },
-		"bad deadline":    func(s *Spec) { s.Deadline = decider.ClassStrict + 1 },
-		"budget range":    func(s *Spec) { s.Budget = maxBudgetJ + 1 },
-		"neg budget":      func(s *Spec) { s.Budget = -1 },
+		"bad deadline":    func(s *Spec) { s.DeadlineClass = decider.ClassStrict + 1 },
+		"budget range":    func(s *Spec) { s.BudgetJ = maxBudgetJ + 1 },
+		"neg budget":      func(s *Spec) { s.BudgetJ = -1 },
 		"neg fetches":     func(s *Spec) { s.Fetches = -1 },
 		"churn range":     func(s *Spec) { s.Churn = 20000 },
 		"link latency":    func(s *Spec) { s.Link = simnet.Link{BytesPerSec: 1e6, Latency: time.Minute} },
-		"nodes cap":       func(s *Spec) { s.Cluster.Nodes = maxNodes + 1 },
-		"orphan hotk":     func(s *Spec) { s.Cluster.HotK = 8 },
-		"replicas range":  func(s *Spec) { s.Cluster = ClusterSpec{Nodes: 2, Replicas: 2} },
-		"hotk range":      func(s *Spec) { s.Cluster = ClusterSpec{Nodes: 2, HotK: 5000} },
+		"nodes cap":       func(s *Spec) { s.Nodes = maxNodes + 1 },
+		"orphan hotk":     func(s *Spec) { s.HotK = 8 },
+		"replicas range":  func(s *Spec) { s.Nodes, s.Replicas = 2, 2 },
+		"hotk range":      func(s *Spec) { s.Nodes, s.HotK = 2, 5000 },
 		"orphan peerlink": func(s *Spec) { s.PeerLink = simnet.Link{BytesPerSec: 1e6} },
-		"peerlink rate":   func(s *Spec) { s.Cluster.Nodes = 2; s.PeerLink = simnet.Link{BytesPerSec: 10} },
-		"peerlink lat":    func(s *Spec) { s.Cluster.Nodes = 2; s.PeerLink = simnet.Link{BytesPerSec: 1e6, Latency: time.Minute} },
-		"peerlink jitter": func(s *Spec) { s.Cluster.Nodes = 2; s.PeerLink = simnet.Link{BytesPerSec: 1e6, JitterFrac: 2} },
+		"peerlink rate":   func(s *Spec) { s.Nodes = 2; s.PeerLink = simnet.Link{BytesPerSec: 10} },
+		"peerlink lat":    func(s *Spec) { s.Nodes = 2; s.PeerLink = simnet.Link{BytesPerSec: 1e6, Latency: time.Minute} },
+		"peerlink jitter": func(s *Spec) { s.Nodes = 2; s.PeerLink = simnet.Link{BytesPerSec: 1e6, JitterFrac: 2} },
 		"linkat horizon":  func(s *Spec) { s.LinkAt = []RateChange{{maxHorizon + time.Second, 1e6}} },
 		"file budget":     func(s *Spec) { s.Files = make([]harness.CorpusEntry, maxFiles+1) },
 		"file name":       func(s *Spec) { s.Files = []harness.CorpusEntry{{Name: "bad name", Ratio: 2, Size: 10}} },
-		"maxvirtual cap":  func(s *Spec) { s.Expect.MaxVirtual = maxHorizon + time.Hour },
-		"maxattempts cap": func(s *Spec) { s.Expect.MaxAttempts = 2000 },
-		"neg joules":      func(s *Spec) { s.Expect.MaxJoulesPerMB = -1 },
+		"maxvirtual cap":  func(s *Spec) { s.Bounds.MaxVirtual = maxHorizon + time.Hour },
+		"maxattempts cap": func(s *Spec) { s.Bounds.MaxAttempts = 2000 },
+		"neg joules":      func(s *Spec) { s.Bounds.MaxJoulesPerMB = -1 },
 	} {
 		s := base()
 		breaks(s)
@@ -203,28 +208,53 @@ func TestCompile(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc := s.Compile(42)
-	if sc.Name != "kitchen-sink" || sc.Seed != 42 || sc.Clients != 4 || sc.FetchesPerClient != 6 {
+	if sc.Name != "kitchen-sink" || sc.Seed != 42 || sc.Clients != 4 || sc.Fetches != 6 {
 		t.Fatalf("compiled shape wrong: %+v", sc)
 	}
 	if sc.Link.BytesPerSec != 180000 || sc.Link.Latency != 5*time.Millisecond {
 		t.Fatalf("compiled link wrong: %+v", sc.Link)
 	}
-	if len(sc.Corpus) != 2 || sc.Corpus[0].Class != workload.ClassMail || sc.Corpus[1].Ratio != 2.5 {
-		t.Fatalf("compiled corpus wrong: %+v", sc.Corpus)
+	if len(sc.Files) != 2 || sc.Files[0].Class != workload.ClassMail || sc.Files[1].Ratio != 2.5 {
+		t.Fatalf("compiled corpus wrong: %+v", sc.Files)
 	}
 	if sc.Nodes != 2 || sc.Replicas != 1 || sc.HotK != 8 || sc.PeerLink.BytesPerSec != 240000 {
 		t.Fatalf("compiled cluster wrong: nodes=%d replicas=%d hotk=%d peerlink=%+v",
 			sc.Nodes, sc.Replicas, sc.HotK, sc.PeerLink)
 	}
-	if sc.Decider != "dynamic" || sc.DeadlineClass != uint8(decider.ClassStandard) || sc.BudgetJ != 25 {
+	if sc.Decider != "dynamic" || sc.DeadlineClass != decider.ClassStandard || sc.BudgetJ != 25 {
 		t.Fatalf("compiled decider wrong: decider=%q class=%d budget=%g",
 			sc.Decider, sc.DeadlineClass, sc.BudgetJ)
 	}
 	if len(sc.Schedule) == 0 {
 		t.Fatal("schedule did not compile")
 	}
-	if sc.Bounds != s.Expect || sc.Bounds.MinOKFrac != 0.95 || sc.Bounds.MaxAttempts != 20 {
+	if sc.Bounds != s.Bounds || sc.Bounds.MinOKFrac != 0.95 || sc.Bounds.MaxAttempts != 20 {
 		t.Fatalf("bounds wrong: %+v", sc.Bounds)
+	}
+}
+
+// TestFullSpecSetsEveryField: fullSpec uses every directive, so parsing
+// it sets every harness.Scenario field but the two Compile owns, Seed and
+// Schedule, and Compile sets those. A Scenario field added without a
+// directive fails here.
+func TestFullSpecSetsEveryField(t *testing.T) {
+	s, err := Parse([]byte(fullSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	parsed, compiled := reflect.ValueOf(s.Scenario), reflect.ValueOf(s.Compile(42))
+	for i := 0; i < parsed.NumField(); i++ {
+		f := parsed.Type().Field(i)
+		switch {
+		case !f.IsExported():
+		case f.Name == "Seed" || f.Name == "Schedule":
+			if !parsed.Field(i).IsZero() || compiled.Field(i).IsZero() {
+				t.Errorf("%s: parsed %v, compiled %v; want Compile alone to set it",
+					f.Name, parsed.Field(i), compiled.Field(i))
+			}
+		case parsed.Field(i).IsZero():
+			t.Errorf("no directive of fullSpec sets Scenario.%s", f.Name)
+		}
 	}
 }
 
@@ -232,9 +262,9 @@ func TestCompile(t *testing.T) {
 // every run of it breaches exactly one bound.
 func impossibleSpec(t *testing.T) *Spec {
 	t.Helper()
-	s := &Spec{Name: "impossible", Clients: 2, Fetches: 2,
+	s := &Spec{Scenario: harness.Scenario{Name: "impossible", Clients: 2, Fetches: 2,
 		Files:  []harness.CorpusEntry{{Name: "a.txt", Class: workload.ClassMail, Size: 2000}},
-		Expect: harness.Bounds{MaxVirtual: time.Nanosecond}}
+		Bounds: harness.Bounds{MaxVirtual: time.Nanosecond}}}
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}

@@ -1,14 +1,14 @@
 // Package scenario turns declarative on-disk spec files into seeded
-// soak runs over the deterministic testbed. A spec pins a fleet shape
-// (clients × fetches), a link schedule (rate cliffs, power-save
-// windows), a workload corpus (Table 3 content classes or numeric
-// compressibility targets), and the expected-outcome bounds the run
-// must honor — the way elastic-package lays out data-driven system
-// tests as a corpus of self-describing directories. Compiled scenarios
-// run through internal/harness, so every spec inherits the invariant
-// oracles and the canonical-trace replay guarantee: one golden trace
-// per (spec, seed) is committed under testdata/scenarios/golden and CI
-// diffs every run against it.
+// soak runs over the deterministic testbed. A spec is a harness scenario
+// written as text: a fleet shape (clients × fetches), a link and its
+// schedule (rate cliffs, power-save windows), a workload corpus (Table 3
+// content classes or numeric compressibility targets), and the
+// expected-outcome bounds the run must honor — the way elastic-package
+// lays out data-driven system tests as a corpus of self-describing
+// directories. Compiled scenarios run through internal/harness, so every
+// spec inherits the invariant oracles and the canonical-trace replay
+// guarantee: one golden trace per (spec, seed) is committed under
+// testdata/scenarios/golden and CI diffs every run against it.
 package scenario
 
 import (
@@ -26,72 +26,21 @@ import (
 	"repro/internal/workload"
 )
 
-// Spec is one parsed scenario file. The zero value of every field means
-// "not specified": Compile leaves harness defaults in charge, and
-// Format omits the line. Where the harness already has a type for a
-// directive (link, file, expect) the spec holds that type, so Compile
-// copies values rather than translating them. Parse and Format are exact
+// Spec is one parsed scenario file: the harness scenario its directives
+// set, each field documented on harness.Scenario, plus the link schedule
+// as the grammar writes it. The zero value of every field means "not
+// specified": the harness default stays in charge, and Format omits the
+// line. The grammar never sets Seed or Schedule — Compile does — nor a
+// link's Seed, which every dial derives. Parse and Format are exact
 // inverses over any successfully parsed spec — the fuzz target pins
 // Parse(Format(spec)) == spec — so specs can be rewritten losslessly.
 type Spec struct {
-	// Name labels the scenario; Load requires it to match the file's
-	// base name so golden traces can never be attributed to the wrong
-	// spec.
-	Name string
-	// Clients and Fetches set the fleet shape (harness defaults 10×50).
-	Clients int
-	Fetches int
-	// Fault is the per-I/O-call probability of each injected fault mode.
-	Fault float64
-	// Churn is how many mid-run cache-dropping re-registrations the
-	// churn actor performs.
-	Churn int
-	// MaxRetries and Timeout are each client's per-fetch retry budget
-	// and per-attempt virtual deadline.
-	MaxRetries int
-	Timeout    time.Duration
-	// Decider selects the server's selective-mode decision policy:
-	// "static" (the paper's Equation 6, also the "" default) or "dynamic"
-	// (the queue-aware, link-adaptive decider of internal/decider).
-	Decider string
-	// Deadline is the fleet's declared deadline class, spelled as
-	// decider.ParseClass reads it; the zero value (ClassNone) leaves
-	// requests undeclared. Budget is each client's advisory energy budget
-	// in joules (0 = undeclared). Both ride the extended GET op, so a spec
-	// setting neither replays byte-identically to the pre-attribute grammar.
-	Deadline decider.Class
-	Budget   float64
-	// Link is the base shared medium (`link rate R latency D jitter J`);
-	// the zero value selects the paper's 11 Mb/s WaveLAN shape. The spec
-	// never sets Link.Seed: every dial derives its own.
-	Link simnet.Link
+	harness.Scenario
 	// LinkAt scripts rate changes at virtual-time offsets; PowerSave
-	// scripts windows where the medium pauses entirely. Together they
-	// compile into the simnet link schedule.
+	// scripts windows where the medium pauses entirely. Compile lowers
+	// both into the scenario's Schedule.
 	LinkAt    []RateChange
 	PowerSave []Window
-	// Cluster, when Nodes > 0, runs the scenario against an N-node
-	// consistent-hash proxy ring instead of the single server; the zero
-	// value keeps the single-server testbed.
-	Cluster ClusterSpec
-	// PeerLink shapes the inter-node backhaul of a cluster scenario; the
-	// zero value selects the harness's 100 Mb/s wired default.
-	PeerLink simnet.Link
-	// Files is the workload corpus, one `file` line each: exactly one of
-	// Class / Ratio describes a file's content. Empty keeps the harness's
-	// built-in nine-file mix.
-	Files []harness.CorpusEntry
-	// Expect are the outcome bounds (`expect` lines) the run is held to.
-	Expect harness.Bounds
-}
-
-// ClusterSpec is the ring shape of a cluster scenario: node count, how
-// many ring successors each hot key replicates to, and the size of each
-// node's top-K hot-key admission sketch.
-type ClusterSpec struct {
-	Nodes    int
-	Replicas int
-	HotK     int
 }
 
 // RateChange reschedules the medium to Rate bytes/sec at virtual time At.
@@ -160,7 +109,7 @@ func Parse(data []byte) (*Spec, error) {
 		case "fetches":
 			err = wantArgs(f, 1, func() error { s.Fetches, err = pInt(f[1]); return err })
 		case "fault":
-			err = wantArgs(f, 1, func() error { s.Fault, err = pFloat(f[1]); return err })
+			err = wantArgs(f, 1, func() error { s.FaultRate, err = pFloat(f[1]); return err })
 		case "churn":
 			err = wantArgs(f, 1, func() error { s.Churn, err = pInt(f[1]); return err })
 		case "maxretries":
@@ -175,18 +124,18 @@ func Parse(data []byte) (*Spec, error) {
 				if !ok {
 					return fmt.Errorf("unknown deadline class %q", f[1])
 				}
-				s.Deadline = c
+				s.DeadlineClass = c
 				return nil
 			})
 		case "budget":
-			err = wantArgs(f, 1, func() error { s.Budget, err = pFloat(f[1]); return err })
+			err = wantArgs(f, 1, func() error { s.BudgetJ, err = pFloat(f[1]); return err })
 		case "link":
 			err = parseLink(f[1:], &s.Link)
 		case "cluster":
 			err = parsePairs(f[1:], map[string]func(string) error{
-				"nodes":    func(v string) (e error) { s.Cluster.Nodes, e = pInt(v); return },
-				"replicas": func(v string) (e error) { s.Cluster.Replicas, e = pInt(v); return },
-				"hotk":     func(v string) (e error) { s.Cluster.HotK, e = pInt(v); return },
+				"nodes":    func(v string) (e error) { s.Nodes, e = pInt(v); return },
+				"replicas": func(v string) (e error) { s.Replicas, e = pInt(v); return },
+				"hotk":     func(v string) (e error) { s.HotK, e = pInt(v); return },
 			})
 		case "peerlink":
 			err = parseLink(f[1:], &s.PeerLink)
@@ -242,13 +191,13 @@ func Parse(data []byte) (*Spec, error) {
 			err = wantArgs(f, 2, func() error {
 				switch f[1] {
 				case "minok":
-					s.Expect.MinOKFrac, err = pFloat(f[2])
+					s.Bounds.MinOKFrac, err = pFloat(f[2])
 				case "maxvirtual":
-					s.Expect.MaxVirtual, err = pDur(f[2])
+					s.Bounds.MaxVirtual, err = pDur(f[2])
 				case "maxattempts":
-					s.Expect.MaxAttempts, err = pInt(f[2])
+					s.Bounds.MaxAttempts, err = pInt(f[2])
 				case "maxjoulespermb":
-					s.Expect.MaxJoulesPerMB, err = pFloat(f[2])
+					s.Bounds.MaxJoulesPerMB, err = pFloat(f[2])
 				default:
 					err = fmt.Errorf("unknown expect bound %q", f[1])
 				}
@@ -277,8 +226,8 @@ func Format(s *Spec) []byte {
 	if s.Fetches != 0 {
 		fmt.Fprintf(&b, "fetches %d\n", s.Fetches)
 	}
-	if s.Fault != 0 {
-		fmt.Fprintf(&b, "fault %s\n", ff(s.Fault))
+	if s.FaultRate != 0 {
+		fmt.Fprintf(&b, "fault %s\n", ff(s.FaultRate))
 	}
 	if s.Churn != 0 {
 		fmt.Fprintf(&b, "churn %d\n", s.Churn)
@@ -292,15 +241,15 @@ func Format(s *Spec) []byte {
 	if s.Decider != "" {
 		fmt.Fprintf(&b, "decider %s\n", s.Decider)
 	}
-	if s.Deadline != decider.ClassNone {
-		fmt.Fprintf(&b, "deadline %s\n", s.Deadline)
+	if s.DeadlineClass != decider.ClassNone {
+		fmt.Fprintf(&b, "deadline %s\n", s.DeadlineClass)
 	}
-	if s.Budget != 0 {
-		fmt.Fprintf(&b, "budget %s\n", ff(s.Budget))
+	if s.BudgetJ != 0 {
+		fmt.Fprintf(&b, "budget %s\n", ff(s.BudgetJ))
 	}
 	formatLink(&b, "link", s.Link)
-	if s.Cluster != (ClusterSpec{}) {
-		fmt.Fprintf(&b, "cluster nodes %d replicas %d hotk %d\n", s.Cluster.Nodes, s.Cluster.Replicas, s.Cluster.HotK)
+	if s.Nodes != 0 || s.Replicas != 0 || s.HotK != 0 {
+		fmt.Fprintf(&b, "cluster nodes %d replicas %d hotk %d\n", s.Nodes, s.Replicas, s.HotK)
 	}
 	formatLink(&b, "peerlink", s.PeerLink)
 	for _, rc := range s.LinkAt {
@@ -322,17 +271,17 @@ func Format(s *Spec) []byte {
 		}
 		b.WriteByte('\n')
 	}
-	if s.Expect.MinOKFrac != 0 {
-		fmt.Fprintf(&b, "expect minok %s\n", ff(s.Expect.MinOKFrac))
+	if s.Bounds.MinOKFrac != 0 {
+		fmt.Fprintf(&b, "expect minok %s\n", ff(s.Bounds.MinOKFrac))
 	}
-	if s.Expect.MaxVirtual != 0 {
-		fmt.Fprintf(&b, "expect maxvirtual %s\n", s.Expect.MaxVirtual)
+	if s.Bounds.MaxVirtual != 0 {
+		fmt.Fprintf(&b, "expect maxvirtual %s\n", s.Bounds.MaxVirtual)
 	}
-	if s.Expect.MaxAttempts != 0 {
-		fmt.Fprintf(&b, "expect maxattempts %d\n", s.Expect.MaxAttempts)
+	if s.Bounds.MaxAttempts != 0 {
+		fmt.Fprintf(&b, "expect maxattempts %d\n", s.Bounds.MaxAttempts)
 	}
-	if s.Expect.MaxJoulesPerMB != 0 {
-		fmt.Fprintf(&b, "expect maxjoulespermb %s\n", ff(s.Expect.MaxJoulesPerMB))
+	if s.Bounds.MaxJoulesPerMB != 0 {
+		fmt.Fprintf(&b, "expect maxjoulespermb %s\n", ff(s.Bounds.MaxJoulesPerMB))
 	}
 	return []byte(b.String())
 }
@@ -377,18 +326,13 @@ func (s *Spec) Validate() error {
 	if s.Fetches < 0 {
 		return fmt.Errorf("fetches %d negative", s.Fetches)
 	}
-	ec, ef := s.Clients, s.Fetches
-	if ec == 0 {
-		ec = 10
+	// The budget is on the fleet the harness runs, defaults included;
+	// dividing keeps a huge fetch count from wrapping the product.
+	if fl := s.WithDefaults(); fl.Fetches > maxTotalFetch/fl.Clients {
+		return fmt.Errorf("%d clients × %d fetches is over the budget of %d", fl.Clients, fl.Fetches, maxTotalFetch)
 	}
-	if ef == 0 {
-		ef = 50
-	}
-	if ec*ef > maxTotalFetch {
-		return fmt.Errorf("%d clients × %d fetches = %d total, budget is %d", ec, ef, ec*ef, maxTotalFetch)
-	}
-	if s.Fault < 0 || s.Fault > maxFault {
-		return fmt.Errorf("fault %g outside [0, %g]", s.Fault, maxFault)
+	if s.FaultRate < 0 || s.FaultRate > maxFault {
+		return fmt.Errorf("fault %g outside [0, %g]", s.FaultRate, maxFault)
 	}
 	if s.Churn < 0 || s.Churn > 10000 {
 		return fmt.Errorf("churn %d outside [0, 10000]", s.Churn)
@@ -402,30 +346,30 @@ func (s *Spec) Validate() error {
 	if s.Decider != "" && s.Decider != "static" && s.Decider != "dynamic" {
 		return fmt.Errorf("decider %q: want static or dynamic", s.Decider)
 	}
-	if s.Deadline > decider.ClassStrict {
-		return fmt.Errorf("deadline class %d: want none/relaxed/standard/strict", s.Deadline)
+	if s.DeadlineClass > decider.ClassStrict {
+		return fmt.Errorf("deadline class %d: want none/relaxed/standard/strict", s.DeadlineClass)
 	}
-	if s.Budget < 0 || s.Budget > maxBudgetJ {
-		return fmt.Errorf("budget %g outside [0, %g]", s.Budget, float64(maxBudgetJ))
+	if s.BudgetJ < 0 || s.BudgetJ > maxBudgetJ {
+		return fmt.Errorf("budget %g outside [0, %g]", s.BudgetJ, float64(maxBudgetJ))
 	}
 	if err := validateLink("link", s.Link); err != nil {
 		return err
 	}
-	if s.Cluster.Nodes < 0 || s.Cluster.Nodes > maxNodes {
-		return fmt.Errorf("cluster nodes %d outside [0, %d]", s.Cluster.Nodes, maxNodes)
+	if s.Nodes < 0 || s.Nodes > maxNodes {
+		return fmt.Errorf("cluster nodes %d outside [0, %d]", s.Nodes, maxNodes)
 	}
-	if s.Cluster.Nodes == 0 && s.Cluster != (ClusterSpec{}) {
+	if s.Nodes == 0 && (s.Replicas != 0 || s.HotK != 0) {
 		return fmt.Errorf("cluster replicas/hotk need nodes > 0")
 	}
-	if s.Cluster.Nodes > 0 {
-		if s.Cluster.Replicas < 0 || s.Cluster.Replicas >= s.Cluster.Nodes {
-			return fmt.Errorf("cluster replicas %d outside [0, nodes-1=%d]", s.Cluster.Replicas, s.Cluster.Nodes-1)
+	if s.Nodes > 0 {
+		if s.Replicas < 0 || s.Replicas >= s.Nodes {
+			return fmt.Errorf("cluster replicas %d outside [0, nodes-1=%d]", s.Replicas, s.Nodes-1)
 		}
-		if s.Cluster.HotK < 0 || s.Cluster.HotK > 4096 {
-			return fmt.Errorf("cluster hotk %d outside [0, 4096]", s.Cluster.HotK)
+		if s.HotK < 0 || s.HotK > 4096 {
+			return fmt.Errorf("cluster hotk %d outside [0, 4096]", s.HotK)
 		}
 	}
-	if s.PeerLink != (simnet.Link{}) && s.Cluster.Nodes == 0 {
+	if s.PeerLink != (simnet.Link{}) && s.Nodes == 0 {
 		return fmt.Errorf("peerlink needs cluster nodes > 0")
 	}
 	if err := validateLink("peerlink", s.PeerLink); err != nil {
@@ -446,7 +390,9 @@ func (s *Spec) Validate() error {
 		}
 	}
 	for i, w := range s.PowerSave {
-		if w.Start < 0 || w.Dur <= 0 || w.Start+w.Dur > maxHorizon {
+		// Start+Dur is formed only once both are known to be in range, so
+		// a huge window cannot wrap negative and pass.
+		if w.Start < 0 || w.Dur <= 0 || w.Start > maxHorizon || w.Dur > maxHorizon-w.Start {
 			return fmt.Errorf("powersave[%d] [%s, +%s] outside (0, %s]", i, w.Start, w.Dur, maxHorizon)
 		}
 		if i > 0 && w.Start < s.PowerSave[i-1].Start+s.PowerSave[i-1].Dur {
@@ -475,17 +421,17 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("file %q size %d outside [1, %d]", fs.Name, fs.Size, maxFileSize)
 		}
 	}
-	if s.Expect.MinOKFrac < 0 || s.Expect.MinOKFrac > 1 {
-		return fmt.Errorf("expect minok %g outside [0, 1]", s.Expect.MinOKFrac)
+	if s.Bounds.MinOKFrac < 0 || s.Bounds.MinOKFrac > 1 {
+		return fmt.Errorf("expect minok %g outside [0, 1]", s.Bounds.MinOKFrac)
 	}
-	if s.Expect.MaxVirtual < 0 || s.Expect.MaxVirtual > maxHorizon {
-		return fmt.Errorf("expect maxvirtual %s outside [0, %s]", s.Expect.MaxVirtual, maxHorizon)
+	if s.Bounds.MaxVirtual < 0 || s.Bounds.MaxVirtual > maxHorizon {
+		return fmt.Errorf("expect maxvirtual %s outside [0, %s]", s.Bounds.MaxVirtual, maxHorizon)
 	}
-	if s.Expect.MaxAttempts < 0 || s.Expect.MaxAttempts > 1000 {
-		return fmt.Errorf("expect maxattempts %d outside [0, 1000]", s.Expect.MaxAttempts)
+	if s.Bounds.MaxAttempts < 0 || s.Bounds.MaxAttempts > 1000 {
+		return fmt.Errorf("expect maxattempts %d outside [0, 1000]", s.Bounds.MaxAttempts)
 	}
-	if s.Expect.MaxJoulesPerMB < 0 {
-		return fmt.Errorf("expect maxjoulespermb %g negative", s.Expect.MaxJoulesPerMB)
+	if s.Bounds.MaxJoulesPerMB < 0 {
+		return fmt.Errorf("expect maxjoulespermb %g negative", s.Bounds.MaxJoulesPerMB)
 	}
 	return nil
 }

@@ -135,7 +135,7 @@ type DynamicDeciderConfig = decider.Config
 // rate, power-save flag and server compression-queue depth, honoring a
 // deadline class, and is property-proven never worse in modeled joules than
 // the paper's static Equation 6 under the same model. It drops into
-// ProxyConfig.Decider and every selective encode path.
+// NewProxyServerWith and every selective encode path.
 func NewDynamicDecider(cfg DynamicDeciderConfig) *decider.DynamicDecider { return decider.New(cfg) }
 
 // LoadCalibrationFile reads a wide-event JSONL stream (the telemetry

@@ -147,6 +147,12 @@ named ./internal/proxy 'TestDecodeVerdictPoint|TestDecodeFailureLeavesAnInOrderP
 # under -race, since each ends a connection from two sides at once.
 named ./internal/proxy 'TestOneShotClientAgainstKeptServer|TestClientRedialsAfterOneShotServer|TestCloseDrainsIdleKeptConns|TestIdleConnEvictedAtCap|TestFailedFetchDropsItsConn|TestKeptConnsAcrossGoroutines' -race -count=10
 
+# A spec is a harness scenario: every Scenario field but Seed and Schedule
+# has a directive, and Compile sets those two. Every spec Validate accepts
+# compiles to a schedule simnet runs, paused in each power-save window; a
+# window whose end overflows is a committed seed, and Validate refuses it.
+exists ./internal/scenario 'TestFullSpecSetsEveryField|TestValidateRejects'
+test -f internal/scenario/testdata/fuzz/FuzzScenarioSpec/seed-powersave-overflow
 fuzz ./internal/scenario FuzzScenarioSpec
 fuzz ./internal/decider FuzzDynamicDecide
 # The two readers of an exported event file: wide events round-trip through
@@ -407,12 +413,13 @@ check_cover ./internal/sim 95
 # Decompression-kernel gates, without -race (the race runtime changes
 # allocation counts): the pooled dataplane must stay O(1) buffers per
 # block (a corrupt one included), event export with no sink and a cache
-# hit's lookup must cost the fetch path zero allocations, the
+# hit's lookup must cost the fetch path zero allocations, an event with a
+# sink reads its span's phases alone, the
 # table-driven Huffman fast path must stay zero-alloc per symbol, and a
 # 100x smoke proves its benchmark still runs. A warm cache hit over a kept
 # connection, client and server together, stays within its stated budget,
 # and server-side costs its serve span alone.
-named ./internal/proxy 'TestReadBlockPooledAllocs|TestGetBufRecycles|TestEmitFetchEventNoSinkZeroAlloc|TestCacheHitZeroAllocs|TestCorruptBlockAllocatesNoDestination|TestKeepAliveHitAllocs|TestServeHitAllocs' -count=1
+named ./internal/proxy 'TestReadBlockPooledAllocs|TestGetBufRecycles|TestEmitFetchEventNoSinkZeroAlloc|TestEmitFetchEventReadsOnlyPhases|TestCacheHitZeroAllocs|TestCorruptBlockAllocatesNoDestination|TestKeepAliveHitAllocs|TestServeHitAllocs' -count=1
 named ./internal/huffman 'TestDecodeLSBZeroAlloc' -count=1
 named ./internal/flate 'TestDeflateSteadyStateAllocs|TestStreamingWriterSteadyAllocs' -count=1
 # A matcher put back survives a collection, so a fleet pass does not make
@@ -436,6 +443,8 @@ named ./internal/codec 'TestDecompressIntoSteadyStateAllocs|TestCompressSteadySt
 named ./internal/sim 'TestSeededRandAllocs|TestStreamMatchesNewRand|TestScheduleWakeAllocs|TestKernelReset' -count=1
 named ./internal/simnet 'TestSimnetRoundTripAllocs|TestResetRefusesAClockInUse|TestGoAfterAllocs' -count=1
 named ./internal/obs 'TestSpanLifecycleAllocs|TestSpanSize|TestSpanDataBuiltOnRead' -count=1
+# An open span's phases are read as a copy.
+exists ./internal/obs 'TestPhasesIsACopy'
 named ./internal/harness 'TestClientRecordsAliasesReport|TestTraceAllocs|TestTraceMatchesFmt|TestFleetPassAllocs' -count=1
 # What those budgets rest on, repeated under -race: a finished span that
 # readers share is never written again, every write segment comes back to
