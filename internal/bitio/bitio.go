@@ -387,47 +387,34 @@ func (bw *MSBWriter) Flush() error {
 // Err reports the sticky error, if any.
 func (bw *MSBWriter) Err() error { return bw.err }
 
-// MSBReader unpacks bits most-significant-bit first. Like LSBReader it
-// offers PeekBits/Consume with bulk refills for table-driven decode loops.
+// MSBReader unpacks bits most-significant-bit first from a byte slice it
+// reads in place: its one user, the bzip2 decoder, holds the whole stream
+// in memory. Like LSBReader it offers PeekBits/Consume with bulk refills
+// for table-driven decode loops, and Bits/SetBits for a loop that refills
+// from the slice itself.
 type MSBReader struct {
-	r      io.Reader
-	acc    uint64
-	n      uint
-	buf    []byte
-	pos    int
-	err    error
-	srcErr error
+	acc uint64
+	n   uint
+	buf []byte
+	pos int
+	err error
 }
 
-// NewMSBReader returns an MSBReader consuming from r.
-func NewMSBReader(r io.Reader) *MSBReader {
-	br := &MSBReader{}
-	br.Reset(r)
-	return br
+// NewMSBReader returns an MSBReader over b.
+func NewMSBReader(b []byte) *MSBReader {
+	return &MSBReader{buf: b}
 }
 
-// Reset rebinds the reader to r, as LSBReader.Reset does.
-func (br *MSBReader) Reset(r io.Reader) {
-	*br = MSBReader{r: r, buf: br.buf[:0]}
-	if br.buf == nil {
-		br.buf = make([]byte, 0, 4096)
-	}
+// Reset rebinds the reader to b, which it reads but never writes, and
+// drops all buffered bits and the sticky error, so a reader held in a
+// pooled workspace (the zero value included) serves one stream after
+// another. Reset(nil) lets go of the last stream.
+func (br *MSBReader) Reset(b []byte) {
+	*br = MSBReader{buf: b}
 }
 
-func (br *MSBReader) fillBuf() {
-	b := br.buf[:cap(br.buf)]
-	n, err := br.r.Read(b)
-	br.buf = b[:n]
-	br.pos = 0
-	if err != nil {
-		br.srcErr = err
-	} else if n == 0 {
-		br.srcErr = io.ErrUnexpectedEOF
-	}
-}
-
-// refill tops up the accumulator to at least need bits (need <= 57),
-// loading 8 bytes per step away from the buffer's tail.
+// refill tops up the accumulator to at least need bits (need <= 57) when
+// the slice still has them, loading 8 bytes per step away from its tail.
 func (br *MSBReader) refill(need uint) {
 	for br.n < need {
 		if br.pos+8 <= len(br.buf) && br.n <= 48 {
@@ -438,30 +425,17 @@ func (br *MSBReader) refill(need uint) {
 			br.n += 8 * adv
 			continue
 		}
-		if br.pos < len(br.buf) {
-			br.acc = (br.acc << 8) | uint64(br.buf[br.pos])
-			br.pos++
-			br.n += 8
-			continue
-		}
-		if br.srcErr != nil {
-			return
-		}
-		br.fillBuf()
 		if br.pos >= len(br.buf) {
 			return
 		}
+		br.acc = (br.acc << 8) | uint64(br.buf[br.pos])
+		br.pos++
+		br.n += 8
 	}
 }
 
-func (br *MSBReader) endErr() error {
-	if br.srcErr == nil || br.srcErr == io.EOF {
-		return io.ErrUnexpectedEOF
-	}
-	return br.srcErr
-}
-
-// ReadBits reads n bits MSB first.
+// ReadBits reads n bits MSB first. Reading past the end of the slice
+// returns 0 and sets the sticky error to io.ErrUnexpectedEOF.
 func (br *MSBReader) ReadBits(n uint) uint64 {
 	if n > maxBitsPerCall {
 		if br.err == nil {
@@ -476,7 +450,7 @@ func (br *MSBReader) ReadBits(n uint) uint64 {
 		br.refill(n)
 		if br.n < n {
 			if br.err == nil {
-				br.err = br.endErr()
+				br.err = io.ErrUnexpectedEOF
 			}
 			return 0
 		}
@@ -513,13 +487,29 @@ func (br *MSBReader) peekRefill(n uint) uint64 {
 func (br *MSBReader) Consume(n uint) {
 	if n > br.n {
 		if br.err == nil {
-			br.err = br.endErr()
+			br.err = io.ErrUnexpectedEOF
 		}
 		br.acc, br.n = 0, 0
 		return
 	}
 	br.n -= n
 	br.acc &= 1<<br.n - 1
+}
+
+// Bits lends the reader's state to a decode loop that refills from the
+// slice itself: the accumulator, whose low n bits are the stream's next
+// bits, most significant first (n is at most 64; the bits above it are
+// clear), and the slice with the index of its first byte not yet in the
+// accumulator. The reader is unchanged until SetBits hands the state back.
+func (br *MSBReader) Bits() (acc uint64, n uint, buf []byte, pos int) {
+	return br.acc, br.n, br.buf, br.pos
+}
+
+// SetBits takes back the state a Bits caller advanced: the low n bits of
+// acc are the stream's next bits (the rest are cleared; n must be at most
+// 64), followed by the slice from pos on.
+func (br *MSBReader) SetBits(acc uint64, n uint, pos int) {
+	br.acc, br.n, br.pos = acc&(1<<n-1), n, pos
 }
 
 // Err reports the sticky error, if any, as LSBReader.Err does.

@@ -48,7 +48,7 @@ func TestMSBWriteRead(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatalf("flush: %v", err)
 	}
-	r := NewMSBReader(&buf)
+	r := NewMSBReader(buf.Bytes())
 	if got := r.ReadBits(1); got != 1 {
 		t.Errorf("bit: got %d", got)
 	}
@@ -136,7 +136,7 @@ func TestReadPastEOF(t *testing.T) {
 	if r.Err() == nil {
 		t.Fatal("expected error reading past EOF")
 	}
-	m := NewMSBReader(bytes.NewReader([]byte{0xff}))
+	m := NewMSBReader([]byte{0xff})
 	m.ReadBits(8)
 	m.ReadBits(1)
 	if m.Err() == nil {
@@ -221,7 +221,7 @@ func TestQuickMSBRoundTrip(t *testing.T) {
 		if err := w.Flush(); err != nil {
 			return false
 		}
-		r := NewMSBReader(&buf)
+		r := NewMSBReader(buf.Bytes())
 		for i, want := range s.vals {
 			if got := r.ReadBits(s.widths[i]); got != want {
 				return false
@@ -255,7 +255,7 @@ func TestWriterPropagatesError(t *testing.T) {
 }
 
 func TestMSBReadBitSequence(t *testing.T) {
-	r := NewMSBReader(bytes.NewReader([]byte{0b10110100}))
+	r := NewMSBReader([]byte{0b10110100})
 	want := []uint64{1, 0, 1, 1, 0, 1, 0, 0}
 	for i, w := range want {
 		if got := r.ReadBits(1); got != w {
@@ -305,8 +305,9 @@ func TestMSBWriterErr(t *testing.T) {
 
 // TestPeekConsumeMatchesReadBits reads one random stream twice through each
 // reader — value by value with ReadBits, and the way the table-driven
-// decoders do, peeking a fixed window and consuming what a value used — in
-// one-byte and whole-buffer source reads, and over-consumes at the end.
+// decoders do, peeking a fixed window and consuming what a value used — the
+// LSB one in one-byte and whole-buffer source reads, and over-consumes at
+// the end.
 func TestPeekConsumeMatchesReadBits(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	seq := make([]uint, 20000)
@@ -337,7 +338,7 @@ func TestPeekConsumeMatchesReadBits(t *testing.T) {
 		}
 		for name, r := range map[string]reader{
 			"LSB": NewLSBReader(src(lsb.Bytes())),
-			"MSB": NewMSBReader(src(msb.Bytes())),
+			"MSB": NewMSBReader(msb.Bytes()),
 		} {
 			for i, n := range seq {
 				var got uint64
@@ -424,10 +425,70 @@ func TestBitsHandBack(t *testing.T) {
 	}
 }
 
+// TestMSBBitsHandBack is TestBitsHandBack for the MSB reader, borrowed the
+// way the bzip2 symbol loop borrows it: the accumulator left-aligned,
+// topped up with whole 8-byte big-endian loads while 8 bytes are left,
+// values taken off the top. Afterwards ReadBits reads on as written: the
+// values, a closing word, and nothing past the padding.
+func TestMSBBitsHandBack(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	seq := make([]uint, 5000)
+	vals := make([]uint64, len(seq))
+	var buf bytes.Buffer
+	w := NewMSBWriter(&buf)
+	for i := range seq {
+		seq[i] = uint(1 + rng.Intn(20))
+		vals[i] = rng.Uint64() & (1<<seq[i] - 1)
+		w.WriteBits(vals[i], seq[i])
+	}
+	w.WriteBits(0xdeadbeef, 32)
+	if w.Flush() != nil {
+		t.Fatal("flush failed")
+	}
+	r := NewMSBReader(buf.Bytes())
+	borrowed := 0
+	for i := 0; i < len(seq); {
+		for k := 0; k < 3 && i < len(seq); k, i = k+1, i+1 {
+			if got := r.ReadBits(seq[i]); got != vals[i] {
+				t.Fatalf("ReadBits value %d: got %#x want %#x", i, got, vals[i])
+			}
+		}
+		acc, n, in, pos := r.Bits()
+		if n < 64 && acc>>n != 0 {
+			t.Fatalf("value %d: Bits lent an accumulator with bits above its count", i)
+		}
+		if n > 63 {
+			continue
+		}
+		acc <<= 64 - n
+		for k := 0; k < 5 && i < len(seq) && pos+8 <= len(in); k, i = k+1, i+1 {
+			acc |= binary.BigEndian.Uint64(in[pos:]) >> n
+			pos += int(63-n) >> 3
+			n |= 56
+			if got := acc >> (64 - seq[i]); got != vals[i] {
+				t.Fatalf("borrowed state, value %d: got %#x want %#x", i, got, vals[i])
+			}
+			acc, n = acc<<seq[i], n-seq[i]
+			borrowed++
+		}
+		r.SetBits(acc>>(64-n), n, pos)
+	}
+	if borrowed < len(seq)/2 {
+		t.Fatalf("only %d of %d values were read on the borrowed state", borrowed, len(seq))
+	}
+	if got := r.ReadBits(32); got != 0xdeadbeef || r.Err() != nil {
+		t.Fatalf("after the values: %#x, err %v", got, r.Err())
+	}
+	if r.ReadBits(8); r.Err() != io.ErrUnexpectedEOF {
+		t.Fatalf("past the padding: err %v", r.Err())
+	}
+}
+
 // TestReadersSurfaceSourceErrors: a source that fails, or returns nothing
 // without an error, ends the stream with its error (or unexpected EOF) once
 // a read needs bits it cannot supply — from ReadBits, Consume and ReadBytes,
-// and never before.
+// and never before; the end of the MSB reader's slice ends it with
+// unexpected EOF the same way.
 func TestReadersSurfaceSourceErrors(t *testing.T) {
 	boom := errors.New("boom")
 	failing := func() io.Reader {
@@ -465,28 +526,29 @@ func TestReadersSurfaceSourceErrors(t *testing.T) {
 		t.Fatalf("LSB: 58 bits: Err %v", l.Err())
 	}
 
-	m := NewMSBReader(failing())
+	// The MSB reader reads a slice in place: its end is the only failure.
+	m := NewMSBReader([]byte{1, 2, 3})
 	if m.ReadBits(24) != 0x010203 || m.Err() != nil {
-		t.Fatalf("MSB: the bytes before the failure: %v", m.Err())
+		t.Fatalf("MSB: the bytes before the end: %v", m.Err())
 	}
-	if m.ReadBits(8); m.Err() != boom {
-		t.Fatalf("MSB ReadBits: Err %v, want the source's", m.Err())
+	if m.ReadBits(8); m.Err() != io.ErrUnexpectedEOF {
+		t.Fatalf("MSB ReadBits: Err %v, want unexpected EOF", m.Err())
 	}
-	m = NewMSBReader(failing())
+	m = NewMSBReader([]byte{1, 2, 3})
 	if m.PeekBits(32) != 0x01020300 || m.Err() != nil {
 		t.Fatal("MSB: a short peek must left-align what is there and set no error")
 	}
-	if m.Consume(32); m.Err() != boom {
-		t.Fatalf("MSB Consume: Err %v, want the source's", m.Err())
+	if m.Consume(32); m.Err() != io.ErrUnexpectedEOF {
+		t.Fatalf("MSB Consume: Err %v, want unexpected EOF", m.Err())
 	}
-	m = NewMSBReader(stalled())
+	m = NewMSBReader([]byte{1})
 	if m.ReadBits(0) != 0 || m.Err() != nil {
 		t.Fatal("MSB: reading no bits")
 	}
 	if m.ReadBits(16); m.Err() != io.ErrUnexpectedEOF {
-		t.Fatalf("MSB on a stalled source: Err %v", m.Err())
+		t.Fatalf("MSB past a short slice: Err %v", m.Err())
 	}
-	if m = NewMSBReader(stalled()); m.ReadBits(58) != 0 || m.Err() != ErrBitOverflow {
+	if m = NewMSBReader([]byte{1}); m.ReadBits(58) != 0 || m.Err() != ErrBitOverflow {
 		t.Fatalf("MSB: 58 bits: Err %v", m.Err())
 	}
 }

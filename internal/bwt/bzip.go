@@ -112,20 +112,20 @@ func Decompress(data []byte, maxSize int) ([]byte, error) {
 // decoder is the decompression workspace: the bit reader over the stream,
 // the block's Huffman code, and the arrays a block passes through — its
 // symbols, its last column (with that column's byte histogram), which the
-// inverse transform overwrites with the RLE1 stream, and that transform's
-// two vectors. They grow to the largest block decoded, each only once the
-// header checks and the stage before it have passed: 11 bytes per block
-// byte.
+// inverse transform overwrites with the RLE1 stream, that transform's two
+// vectors and the bytes its walks from row 0 read (see anchoredInverse).
+// They grow to the largest block decoded, each only once the header checks
+// and the stage before it have passed: 12 bytes per block byte.
 type decoder struct {
-	src  sliceReader
-	br   bitio.MSBReader
-	lens [numSymbols]uint8
-	huff huffman.Decoder
-	syms []uint16
-	last []byte
-	freq [256]uint32
-	next []uint32
-	lf   []uint32
+	br     bitio.MSBReader
+	lens   [numSymbols]uint8
+	huff   huffman.Decoder
+	syms   []uint16
+	last   []byte
+	freq   [256]uint32
+	next   []uint32
+	lf     []uint32
+	anchor []byte
 }
 
 var decoderPool = sync.Pool{New: func() any { return new(decoder) }}
@@ -149,9 +149,8 @@ func (d *decoder) decompressAppend(dst, data []byte, maxSize int) ([]byte, error
 	if level < 1 || level > 9 {
 		return nil, fmt.Errorf("%w: bad level %q", ErrCorrupt, data[3])
 	}
-	d.src.b = data[4:]
-	defer func() { d.src.b = nil }() // a pooled workspace must not pin the stream
-	d.br.Reset(&d.src)
+	d.br.Reset(data[4:])
+	defer d.br.Reset(nil) // a pooled workspace must not pin the stream
 	budget := columnBudget(level)
 
 	out := dst
@@ -242,16 +241,3 @@ func (s *sliceWriter) Write(p []byte) (int, error) {
 	s.b = append(s.b, p...)
 	return len(p), nil
 }
-
-type sliceReader struct{ b []byte }
-
-func (s *sliceReader) Read(p []byte) (int, error) {
-	if len(s.b) == 0 {
-		return 0, errEOF
-	}
-	n := copy(p, s.b)
-	s.b = s.b[n:]
-	return n, nil
-}
-
-var errEOF = errors.New("EOF")

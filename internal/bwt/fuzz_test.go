@@ -161,7 +161,7 @@ func referenceDecompress(data []byte, maxSize int) ([]byte, error) {
 	if level < 1 || level > 9 {
 		return nil, ErrCorrupt
 	}
-	br := bitio.NewMSBReader(bytes.NewReader(data[4:]))
+	br := bitio.NewMSBReader(data[4:])
 	blockLimit := level * blockSizeUnit
 	out := []byte{}
 	for {

@@ -196,12 +196,12 @@ func (d *decoder) undoRLE2MTF(size int) error {
 // undoBWTRLE1 inverts the transform of d.last from row ptr into d.last
 // itself — nothing reads the column once buildNext has packed it into the
 // vectors — and undoes RLE1 from there in one sequential pass, appending
-// the raw block to out a span at a time. A column on which inverse's two
-// chains do not meet is refused. Only a count byte lets output outrun
-// input, so the size limit — out may reach base+maxSize when maxSize is
-// positive — is checked before every write, not after the block. The
-// caller verifies the block CRC over the appended bytes before it lets
-// anyone see them.
+// the raw block to out a span at a time. A column that is not a transform
+// with ptr among its rows is refused. Only a count byte lets output
+// outrun input, so the size limit — out may reach base+maxSize when
+// maxSize is positive — is checked before every write, not after the
+// block. The caller verifies the block CRC over the appended bytes before
+// it lets anyone see them.
 func (d *decoder) undoBWTRLE1(out []byte, ptr, base, maxSize int) ([]byte, error) {
 	rle := d.last
 	if len(rle) == 0 {
@@ -215,27 +215,21 @@ func (d *decoder) undoBWTRLE1(out []byte, ptr, base, maxSize int) ([]byte, error
 		return nil, fmt.Errorf("%w: output exceeds limit %d", ErrCorrupt, maxSize)
 	}
 	next, lf := d.buildNext(rle)
-	if !inverse(rle, next, lf, ptr) {
+	if !d.invert(rle, next, lf, ptr) {
 		return nil, errNotATransform
 	}
 	out = slices.Grow(out, min(len(rle), limit-len(out)))
-	for len(rle) > 0 {
+	for {
 		// Copy through the fourth byte of the next run of four equal
 		// bytes, or to the end; the byte after such a run is its count.
-		k, run := 1, 1
-		for ; k < len(rle) && run < 4; k++ {
-			if rle[k] == rle[k-1] {
-				run++
-			} else {
-				run = 1
-			}
-		}
+		p := nextRun(rle)
+		k := min(p+4, len(rle))
 		if k > limit-len(out) {
 			return errLimit()
 		}
 		out = append(out, rle[:k]...)
-		if run < 4 {
-			break
+		if p == len(rle) {
+			return out, nil
 		}
 		if k == len(rle) {
 			return nil, errMissingRunCount
@@ -244,10 +238,33 @@ func (d *decoder) undoBWTRLE1(out []byte, ptr, base, maxSize int) ([]byte, error
 		if count > limit-len(out) {
 			return errLimit()
 		}
-		for range count {
-			out = append(out, b)
+		at := len(out)
+		out = slices.Grow(out, count)[:at+count]
+		for i := at; i < len(out); i++ {
+			out[i] = b
 		}
 		rle = rle[k+1:]
 	}
-	return out, nil
+}
+
+// nextRun returns the first position p with rle[p:p+4] four equal bytes,
+// or len(rle): in a word XORed with the word a byte on, a zero byte marks
+// a byte equal to the next, and three zero bytes in a row a run of four —
+// which one word shows for the six positions it covers whole.
+func nextRun(rle []byte) int {
+	const low7 = 0x7f7f7f7f7f7f7f7f
+	i := 0
+	for ; i+9 <= len(rle); i += 6 {
+		x := binary.LittleEndian.Uint64(rle[i:]) ^ binary.LittleEndian.Uint64(rle[i+1:])
+		z := ^((x&low7 + low7) | x | low7) // the top bit of each zero byte, exactly
+		if m := z & (z >> 8) & (z >> 16); m != 0 {
+			return i + bits.TrailingZeros64(m)/8
+		}
+	}
+	for ; i+4 <= len(rle); i++ {
+		if b := rle[i]; rle[i+1] == b && rle[i+2] == b && rle[i+3] == b {
+			return i
+		}
+	}
+	return len(rle)
 }

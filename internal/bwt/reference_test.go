@@ -433,12 +433,12 @@ func TestFusedStagesMatchReference(t *testing.T) {
 		// it from both ends and undoing RLE1 fused must match the one walk
 		// and RLE1 after; where it does not, the decoder must refuse.
 		col, ptr := want, rng.Intn(len(want))
-		switch rng.Intn(3) {
+		switch rng.Intn(6) {
 		case 0:
 			if rows := dividingRows(col); len(rows) > 0 {
 				ptr = rows[rng.Intn(len(rows))]
 			}
-		case 1:
+		case 1, 2:
 			block := make([]byte, 1+rng.Intn(200))
 			for i := range block {
 				block[i] = byte('a' + rng.Intn(1+rng.Intn(4)))
@@ -447,6 +447,20 @@ func TestFusedStagesMatchReference(t *testing.T) {
 				block = bytes.Repeat(block[:1+len(block)/8], 1+rng.Intn(6)) // periodic
 			}
 			col, ptr = Transform(block)
+			if k := len(block) / period(block); k > 1 && rng.Intn(2) == 0 {
+				// Another of the k rows equal to the block: its cycle is
+				// the j-th copies', and row 0 is on the first copies'.
+				ptr += 1 + rng.Intn(k-1)
+			}
+			d.last, d.freq = bytes.Clone(col), histogram(col)
+		case 3:
+			ptr = 0 // the anchors coincide
+		case 4:
+			col = make([]byte, 1+rng.Intn(4))
+			for i := range col {
+				col[i] = byte(rng.Intn(3))
+			}
+			ptr = rng.Intn(len(col))
 			d.last, d.freq = bytes.Clone(col), histogram(col)
 		}
 		rule := meetingRule(col, ptr)
@@ -527,17 +541,27 @@ func checkVectors(next, lf []uint32, last []byte) error {
 }
 
 // TestInverseMeetingRule inverts every row of short random columns, most of
-// them no transform at all: Inverse gives the one walk's bytes where the
-// meeting rule holds and nil where it does not.
+// them no transform at all, of every column of one to five bytes over
+// three letters, and of the transforms of random and periodic blocks:
+// Inverse gives the one walk's bytes where the meeting rule holds and nil
+// where it does not.
 func TestInverseMeetingRule(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
-	held, refused := 0, 0
+	var cols [][]byte
 	for round := 0; round < 2000; round++ {
 		col := make([]byte, 1+rng.Intn(16))
 		alpha := 1 + rng.Intn(4)
 		for i := range col {
 			col[i] = byte(rng.Intn(alpha))
 		}
+		cols = append(cols, col)
+	}
+	cols = append(cols, everyColumn(5, 3)...)
+	for range 300 {
+		cols = append(cols, transformOfRandomBlock(rng))
+	}
+	held, refused := 0, 0
+	for _, col := range cols {
 		for ptr := range col {
 			got := Inverse(col, ptr)
 			if !meetingRule(col, ptr) {
@@ -556,6 +580,161 @@ func TestInverseMeetingRule(t *testing.T) {
 	if held == 0 || refused == 0 {
 		t.Fatalf("the rule held at %d rows and failed at %d: the columns no longer test both", held, refused)
 	}
+}
+
+// everyColumn lists every column of 1 to n bytes over the first alpha
+// byte values.
+func everyColumn(n, alpha int) [][]byte {
+	var cols [][]byte
+	level := [][]byte{{}}
+	for range n {
+		var longer [][]byte
+		for _, c := range level {
+			for b := range alpha {
+				longer = append(longer, append(bytes.Clone(c), byte(b)))
+			}
+		}
+		cols, level = append(cols, longer...), longer
+	}
+	return cols
+}
+
+// transformOfRandomBlock is the last column of a random block of up to 300
+// bytes over a few letters, a third of them periodic.
+func transformOfRandomBlock(rng *rand.Rand) []byte {
+	block := make([]byte, 1+rng.Intn(300))
+	alpha := 1 + rng.Intn(4)
+	for i := range block {
+		block[i] = byte('a' + rng.Intn(alpha))
+	}
+	if rng.Intn(3) == 0 {
+		block = bytes.Repeat(block[:1+len(block)/8], 1+rng.Intn(8))
+	}
+	col, _ := Transform(block)
+	return col
+}
+
+// TestAnchoredInverse holds the walk from two anchors to what it claims
+// for itself, on every row of the columns TestInverseMeetingRule inverts:
+// it takes a row exactly when the row is not 0 and its cycle is the whole
+// column — every row of every aperiodic transform but row 0 — and then
+// writes the one walk's bytes. Every other row, ptr = 0, a periodic
+// block's (row 0 on the row's cycle or off it) and any row of a column
+// that is no transform, it leaves to inverse.
+func TestAnchoredInverse(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	cols := everyColumn(5, 3)
+	for range 500 {
+		cols = append(cols, transformOfRandomBlock(rng))
+	}
+	for range 500 {
+		col := make([]byte, 1+rng.Intn(64))
+		for i := range col {
+			col[i] = byte(rng.Intn(1 + rng.Intn(4)))
+		}
+		cols = append(cols, col)
+	}
+	d := new(decoder)
+	taken, left, periodicLeft := 0, 0, 0
+	for _, col := range cols {
+		d.freq = histogram(col)
+		next, lf := d.buildNext(col)
+		ref := referenceNext(col)
+		for ptr := range col {
+			dst, scratch := make([]byte, len(col)), make([]byte, len(col))
+			got := anchoredInverse(dst, scratch, next, lf, ptr)
+			cycle := cycleLen(ref, ptr)
+			if want := ptr != 0 && cycle == len(col); got != want {
+				t.Fatalf("%v at row %d, on a cycle of %d: anchoredInverse took it %v", col, ptr, cycle, got)
+			}
+			if !got {
+				left++
+				if ptr != 0 && len(col)%cycle == 0 {
+					periodicLeft++
+				}
+				continue
+			}
+			taken++
+			if want := referenceInverse(col, ptr); !bytes.Equal(dst, want) {
+				t.Fatalf("%v at row %d: anchoredInverse %v, one walk %v", col, ptr, dst, want)
+			}
+		}
+	}
+	if taken < 1000 || left < 1000 || periodicLeft < 100 {
+		t.Fatalf("took %d rows and left %d (%d of them periodic, not at row 0): too few of one to test it", taken, left, periodicLeft)
+	}
+}
+
+// TestUndoRLE1 runs the RLE1 undo on streams built for its edge cases —
+// a run of four ending the stream with no count, counts 0 and 255, a run
+// at every offset of a word, a count byte equal to the run's byte, and a
+// size limit met exactly and missed by one — each through the transform
+// and its inverse, as a block decodes, and holds it to the byte-at-a-time
+// decoder.
+func TestUndoRLE1(t *testing.T) {
+	streams := map[string][]byte{
+		"no count at the end": []byte("abcdxxxx"),
+		"only a run":          []byte("xxxx"),
+		"count 0":             []byte("aaaa\x00b"),
+		"count 255":           []byte("aaaa\xffbcdefgh"),
+		"count is the byte":   []byte("aaaaaaaab"),
+		"runs back to back":   []byte("aaaa\x01aaaa\x02aaa"),
+		"three and three":     []byte("aaabbbaaabbb"),
+	}
+	for off := range 20 {
+		s := append([]byte("0123456789ABCDEFGHIJ")[:off], "zzzz\x07tail"...)
+		streams[fmt.Sprintf("run at %d", off)] = s
+		streams[fmt.Sprintf("run at %d, no count", off)] = s[:off+4]
+	}
+	d := new(decoder)
+	prefix := []byte("kept")
+	for name, s := range streams {
+		want, wantErr := rle1Decode(s)
+		if nextRun(s) != scalarNextRun(s) {
+			t.Fatalf("%s: nextRun %d, a byte at a time %d", name, nextRun(s), scalarNextRun(s))
+		}
+		col, ptr := Transform(s)
+		limits := []int{0}
+		if wantErr == nil {
+			limits = append(limits, len(want), max(1, len(want)-1))
+		}
+		for _, maxSize := range limits {
+			d.last, d.freq = bytes.Clone(col), histogram(col)
+			got, err := d.undoBWTRLE1(bytes.Clone(prefix), ptr, len(prefix), maxSize)
+			switch {
+			case wantErr != nil:
+				if !errors.Is(err, wantErr) {
+					t.Errorf("%s: err %v, want %v", name, err, wantErr)
+				}
+			case maxSize > 0 && len(want) > maxSize:
+				if err == nil {
+					t.Errorf("%s: %d bytes under a limit of %d accepted", name, len(want), maxSize)
+				}
+			case err != nil || !bytes.Equal(got, append(bytes.Clone(prefix), want...)):
+				t.Errorf("%s, limit %d: got %q (%v), want %q", name, maxSize, got, err, want)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(29))
+	for range 2000 {
+		s := make([]byte, rng.Intn(80))
+		for i := range s {
+			s[i] = byte(rng.Intn(1 + rng.Intn(3)))
+		}
+		if nextRun(s) != scalarNextRun(s) {
+			t.Fatalf("%v: nextRun %d, a byte at a time %d", s, nextRun(s), scalarNextRun(s))
+		}
+	}
+}
+
+// scalarNextRun is nextRun a byte at a time.
+func scalarNextRun(rle []byte) int {
+	for p := 0; p+4 <= len(rle); p++ {
+		if rle[p] == rle[p+1] && rle[p] == rle[p+2] && rle[p] == rle[p+3] {
+			return p
+		}
+	}
+	return len(rle)
 }
 
 // TestBlockFitsThePackedVectors: the longest column the decoder lets a

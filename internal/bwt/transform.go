@@ -93,7 +93,7 @@ func Inverse(last []byte, ptr int) []byte {
 	}
 	next, lf := d.buildNext(last)
 	out := make([]byte, n)
-	if !inverse(out, next, lf, ptr) {
+	if !d.invert(out, next, lf, ptr) {
 		return nil
 	}
 	return out
@@ -125,6 +125,17 @@ func (d *decoder) buildNext(last []byte) (next, lf []uint32) {
 	return next, lf
 }
 
+// invert writes into dst (len(dst) == len(next)) the block that the
+// vectors of buildNext read from row ptr, and reports whether the column
+// is a transform with ptr among its rows. The walk from two anchors
+// (anchoredInverse) takes the columns it can vouch for, which are all that
+// Compress writes but a periodic block's; the walk from one (inverse)
+// decides every other column.
+func (d *decoder) invert(dst []byte, next, lf []uint32, ptr int) bool {
+	d.anchor = slices.Grow(d.anchor[:0], len(dst))[:len(dst)]
+	return anchoredInverse(dst, d.anchor, next, lf, ptr) || inverse(dst, next, lf, ptr)
+}
+
 // inverse writes into dst (len(dst) == len(next)) the block that the
 // vectors of buildNext read from row ptr, from both ends at once: forwards
 // along next into its front half and backwards along lf into its back
@@ -153,4 +164,105 @@ func inverse(dst []byte, next, lf []uint32, ptr int) bool {
 		fwd = v >> 8
 	}
 	return fwd == bwd
+}
+
+// anchoredInverse is inverse with four chains of loads in flight instead of
+// two. Row 0, the least rotation, is a second anchor besides ptr: it is
+// the block's rotation at some position r, unknown until the walk ends.
+// The forward walk from ptr (position 0, into dst's front) and the
+// backward walk from row 0 (into scratch's back) close the arc [0, r) when
+// they stand on the same row; the forward walk from row 0 (into scratch's
+// front) and the backward walk from ptr (into dst's back) close [r, n) the
+// same way. Each walk pair is checked after every single step, so an arc
+// of odd length closes too: after a round of steps the pair has met if
+// the forward walk stands on the row the backward walk stood on before its
+// step (the backward step is then one too many and is dropped) or on the
+// row it stands on now. A closed arc's walks stop; the other's go on. Once
+// both arcs close, r is the first arc's length, and row 0's bytes are
+// copied into place around it.
+//
+// Closing [0, r) says next^r(ptr) = 0, closing [r, n) says next^(n-r)(0) =
+// ptr, so arcs that close within n steps in all make next^n(ptr) = ptr —
+// inverse's meeting rule — and dst is the one walk's bytes. That holds on
+// every aperiodic column Compress writes, whose rows are the n distinct
+// rotations on one cycle. Everywhere else — ptr = 0, a periodic block
+// (its cycle is shorter than n; row 0 may be off it), a column that is no
+// transform — anchoredInverse reports false after at most n steps, having
+// decided nothing, and inverse decides.
+func anchoredInverse(dst, scratch []byte, next, lf []uint32, ptr int) bool {
+	n := len(dst)
+	if ptr == 0 {
+		return false
+	}
+	scratch = scratch[:n]
+	f1, b1, f2, b2 := uint32(ptr), uint32(ptr), uint32(0), uint32(0)
+	// dst[:a] and dst[e:] are ptr's walks so far, scratch[:c] and
+	// scratch[g:] row 0's; steps is what the four may still take.
+	a, e, c, g, steps := 0, n, 0, n, n
+	openA, openB := true, true
+	for steps >= 4 {
+		v, w, x, y := next[f1], lf[b1], next[f2], lf[b2]
+		dst[a], dst[e-1], scratch[c], scratch[g-1] = byte(v), byte(w), byte(x), byte(y)
+		pb1, pb2 := b1, b2
+		f1, b1, f2, b2 = v>>8, w>>8, x>>8, y>>8
+		a, e, c, g, steps = a+1, e-1, c+1, g-1, steps-4
+		if f1 == pb2 || f1 == b2 || f2 == pb1 || f2 == b1 {
+			if f1 == pb2 {
+				openA, g, steps = false, g+1, steps+1
+			} else if f1 == b2 {
+				openA = false
+			}
+			if f2 == pb1 {
+				openB, e, steps = false, e+1, steps+1
+			} else if f2 == b1 {
+				openB = false
+			}
+			break
+		}
+	}
+	if openA {
+		if a, g, steps = closeArc(next, lf, dst, a, f1, scratch, g, b2, steps); steps < 0 {
+			return false
+		}
+	}
+	if openB {
+		if c, e, steps = closeArc(next, lf, scratch, c, f2, dst, e, b1, steps); steps < 0 {
+			return false
+		}
+	}
+	if steps != 0 {
+		return false // the arcs closed round a cycle shorter than the column
+	}
+	r := a + n - g
+	copy(dst[a:r], scratch[g:])
+	copy(dst[r:e], scratch[:c])
+	return true
+}
+
+// closeArc walks one arc of anchoredInverse from both ends until they stand
+// on the same row, within steps steps: forwards along next from row f,
+// writing fd[i], fd[i+1], …, and backwards along lf from row b, writing
+// fd's partner bd[j-1], bd[j-2], …. It returns the indices it reached and
+// the steps left, or -1 for those if the arc did not close.
+func closeArc(next, lf []uint32, fd []byte, i int, f uint32, bd []byte, j int, b uint32, steps int) (int, int, int) {
+	for ; steps >= 2; steps -= 2 {
+		v, w := next[f], lf[b]
+		fd[i], bd[j-1] = byte(v), byte(w)
+		pb := b
+		f, b, i, j = v>>8, w>>8, i+1, j-1
+		if f == pb {
+			return i, j + 1, steps - 1
+		}
+		if f == b {
+			return i, j, steps - 2
+		}
+	}
+	if steps == 1 {
+		v := next[f]
+		fd[i] = byte(v)
+		if v>>8 == b {
+			return i + 1, j, 0
+		}
+	}
+	return i, j, -1
 }

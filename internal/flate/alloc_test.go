@@ -11,6 +11,9 @@ package flate_test
 
 import (
 	"io"
+	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	ours "repro/internal/flate"
@@ -37,6 +40,48 @@ func TestDeflateSteadyStateAllocs(t *testing.T) {
 	if allocs > 80 {
 		t.Errorf("GzipCompress allocates %.1f objects per 256 KiB op, want <= 80 (encoder state not pooled?)", allocs)
 	}
+}
+
+// TestGzipCompressAllocatesItsOutput: a block that does not compress
+// allocates its stream once, at its exact size, plus pool bookkeeping —
+// not a half-size guess that the stream then regrows, and no spare
+// capacity for the artifact cache to hold. The allocator charges a large
+// buffer in whole pages, so the bound is what it charges for a buffer of
+// the stream's size, measured the same way, plus 1 KiB. The collector is
+// off and one processor runs while it measures, so that every call finds
+// the pooled buffers the one before it put back.
+func TestGzipCompressAllocatesItsOutput(t *testing.T) {
+	data := make([]byte, 128000)
+	rand.New(rand.NewSource(31)).Read(data)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 10
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	var sink []byte
+	for _, level := range []int{1, 6, 9} {
+		out, err := ours.GzipCompress(data, level) // warm every pool
+		if err != nil {
+			t.Fatal(err)
+		}
+		buffer := allocated(func() { sink = make([]byte, len(out)) })
+		per := allocated(func() {
+			if sink, err = ours.GzipCompress(data, level); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if per > buffer+1024 {
+			t.Errorf("-%d: GzipCompress of %d random bytes allocates %d bytes for a %d-byte stream (a buffer of its size: %d), want at most 1 KiB more", level, len(data), per, len(out), buffer)
+		}
+	}
+	_ = sink
 }
 
 // TestStreamingWriterSteadyAllocs: the streaming Writer must reuse one

@@ -7,6 +7,7 @@ package flate
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 
 	"repro/internal/bitio"
@@ -438,11 +439,23 @@ func (e *blockEncoder) writeHuffman(final bool, btype int, litEnc, distEnc []uin
 	}
 }
 
-// deflateSizeHint estimates output capacity for compressing n input bytes:
-// half the input (typical text compresses well past that) plus headroom for
-// the incompressible case's stored-block framing on small inputs.
-func deflateSizeHint(n int) int {
-	return n/2 + 64
+// outPool recycles the buffers GzipCompress and ZlibCompress build their
+// streams in, each grown to the largest stream it has held.
+var outPool = sync.Pool{New: func() any { return new(sliceWriter) }}
+
+// deflateBetween deflates data at level between a container's header and
+// trailer in a pooled buffer, and returns a copy the stream's exact size:
+// a block that does not halve regrows nothing, and an artifact keeps no
+// spare capacity.
+func deflateBetween(header, trailer, data []byte, level int) ([]byte, error) {
+	out := outPool.Get().(*sliceWriter)
+	defer outPool.Put(out)
+	out.b = append(out.b[:0], header...)
+	if _, err := Deflate(out, data, level); err != nil {
+		return nil, err
+	}
+	out.b = append(out.b, trailer...)
+	return slices.Clone(out.b), nil
 }
 
 type sliceWriter struct{ b []byte }

@@ -16,7 +16,7 @@ import (
 // reaches Deflate and Inflate only through the gzip and zlib containers.
 
 func CompressBytes(data []byte, level int) ([]byte, error) {
-	buf := sliceWriter{b: make([]byte, 0, deflateSizeHint(len(data)))}
+	var buf sliceWriter
 	if _, err := Deflate(&buf, data, level); err != nil {
 		return nil, err
 	}

@@ -92,12 +92,9 @@ func GzipCompress(data []byte, level int) ([]byte, error) {
 		return nil, err
 	}
 	hdr := gzipHeader(level)
-	b := make([]byte, 0, gzipHdrLen+deflateSizeHint(len(data))+gzipTrailLen)
-	out := sliceWriter{b: append(b, hdr[:]...)}
-	if _, err := Deflate(&out, data, level); err != nil {
-		return nil, err
-	}
-	return appendGzipTrailer(out.b, checksum.CRC32(data), uint32(len(data))), nil
+	var trailer [gzipTrailLen]byte
+	appendGzipTrailer(trailer[:0], checksum.CRC32(data), uint32(len(data)))
+	return deflateBetween(hdr[:], trailer[:], data, level)
 }
 
 // gzipHeader is the member header both compressors write: no flags, MTIME 0
@@ -223,14 +220,9 @@ func ZlibCompress(data []byte, level int) ([]byte, error) {
 	if rem != 0 {
 		flg += byte(31 - rem)
 	}
-	b := make([]byte, 0, 2+deflateSizeHint(len(data))+zlibTrailLen)
-	out := sliceWriter{b: append(b, cmf, flg)}
-	if _, err := Deflate(&out, data, level); err != nil {
-		return nil, err
-	}
 	var trailer [zlibTrailLen]byte
 	binary.BigEndian.PutUint32(trailer[:], checksum.Adler32(data))
-	return append(out.b, trailer[:]...), nil
+	return deflateBetween([]byte{cmf, flg}, trailer[:], data, level)
 }
 
 // ZlibDecompress decompresses a zlib stream, verifying the Adler-32 trailer.

@@ -201,7 +201,7 @@ func FuzzHuffmanNewDecoder(f *testing.F) {
 			mw.WriteBits(uint64(codes[s]), uint(lengths[s]))
 		}
 		_, _ = lw.Flush(), mw.Flush()
-		lr, mr := bitio.NewLSBReader(&lsb), bitio.NewMSBReader(&msb)
+		lr, mr := bitio.NewLSBReader(&lsb), bitio.NewMSBReader(msb.Bytes())
 		for i, want := range syms {
 			if got, err := d.DecodeLSB(lr); err != nil || got != want {
 				t.Fatalf("LSB round trip symbol %d: got %d (%v), want %d", i, got, err, want)
@@ -253,7 +253,7 @@ func FuzzAppendMSB(f *testing.F) {
 		}
 		stopSym, lim := int(stop)%(len(lengths)+1), int(limit%2048)
 		pre := make([]uint16, held%4)
-		br, wantBr := bitio.NewMSBReader(bytes.NewReader(stream)), bitio.NewMSBReader(bytes.NewReader(stream))
+		br, wantBr := bitio.NewMSBReader(stream), bitio.NewMSBReader(stream)
 		got, err := d.AppendMSB(slices.Clone(pre), br, stopSym, lim)
 		want, wantErr := appendMSBLoop(d, slices.Clone(pre), wantBr, stopSym, lim)
 		if fmt.Sprint(err) != fmt.Sprint(wantErr) {

@@ -8,10 +8,10 @@
 package huffman
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 )
 
@@ -90,8 +90,11 @@ func BuildLengthsInto(lengths []uint8, freq []int, maxBits int) error {
 	// The historical implementation ordered leaves with sort.Slice, whose
 	// unstable permutation decides which of two equal-weight symbols gets
 	// the longer code. Golden traces pin those bytes, so the same sort (and
-	// the same leaf-beats-package tie rule below) is kept deliberately.
-	sort.Slice(leaves, func(a, b int) bool { return leaves[a].weight < leaves[b].weight })
+	// the same leaf-beats-package tie rule below) is kept deliberately:
+	// slices.SortFunc is sort.Slice's pdqsort generated from the same
+	// template, the same permutation without the swapper and closure
+	// sort.Slice allocates per call.
+	slices.SortFunc(leaves, func(a, b pmLeaf) int { return cmp.Compare(a.weight, b.weight) })
 
 	// Counting formulation of package-merge: build each level's merged list
 	// (leaves merged with consecutive pairs of the previous list) recording

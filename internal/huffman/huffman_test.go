@@ -167,7 +167,7 @@ func roundTrip(t *testing.T, data []byte, maxBits int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := bitio.NewMSBReader(&buf)
+	r := bitio.NewMSBReader(buf.Bytes())
 	for i, want := range data {
 		got, err := dec.walk(r)
 		if err != nil {
@@ -229,7 +229,7 @@ func TestQuickRoundTripRandomDistributions(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		r := bitio.NewMSBReader(&buf)
+		r := bitio.NewMSBReader(buf.Bytes())
 		for _, want := range data {
 			got, err := dec.walk(r)
 			if err != nil || byte(got) != want {
@@ -268,7 +268,7 @@ func TestNewDecoderAcceptsDegenerateSingle(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := d.walk(bitio.NewMSBReader(&buf))
+	got, err := d.walk(bitio.NewMSBReader(buf.Bytes()))
 	if err != nil || got != 1 {
 		t.Fatalf("got %d, %v", got, err)
 	}

@@ -9,6 +9,7 @@ package huffman
 // what the differential tests hold them to.
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -212,10 +213,51 @@ var errRunaway = errors.New("huffman: no stop symbol within the limit")
 // symbol. A stream that has not reached stop by the time dst holds more
 // than limit symbols is refused. A refusal returns dst as far as it got,
 // with the error.
+//
+// Until the reader is within 8 bytes of its end the loop runs on the
+// reader's borrowed state: the accumulator held left-aligned in a
+// register, topped up with one 8-byte load to at least 56 bits, which is
+// two symbols of a code no longer than fastPeek bits, none of them past
+// the end; a code that is longer decodes through the reader throughout.
+// The last bytes go through PeekBits and Consume, which zero-pad and
+// refuse as DecodeMSB does.
 func (d *Decoder) AppendMSB(dst []uint16, br *bitio.MSBReader, stop, limit int) ([]uint16, error) {
 	t := d.msbTable()
 	slots := t.slots
 	peek, rootShift := t.peek, t.peek-t.rootBits
+	if acc, n, buf, pos := br.Bits(); peek <= fastPeek && n < 64 && br.Err() == nil {
+		acc <<= 64 - n // the stream's next bit on top; the bits below are clear
+		for pos+8 <= len(buf) {
+			// The loaded word's bits past the whole bytes taken stay below
+			// the top n: the stream's own, which the next load ORs again.
+			acc |= binary.BigEndian.Uint64(buf[pos:]) >> n
+			pos += int(63-n) >> 3
+			n |= 56
+			for range 2 {
+				v := acc >> (64 - peek)
+				e := slots[v>>rootShift]
+				if e&slotPtr != 0 {
+					e = slots[e>>8+uint32(v>>(rootShift-uint(e&slotLen)))&(1<<(e&slotLen)-1)]
+				}
+				l := uint(e & slotLen)
+				if l == 0 {
+					br.SetBits(acc>>(64-n), n, pos)
+					return dst, fmt.Errorf("huffman: invalid code %#b", v)
+				}
+				acc, n = acc<<l, n-l
+				sym := int(e >> 8)
+				dst = append(dst, uint16(sym))
+				if sym == stop || len(dst) > limit {
+					br.SetBits(acc>>(64-n), n, pos)
+					if sym == stop {
+						return dst, nil
+					}
+					return dst, errRunaway
+				}
+			}
+		}
+		br.SetBits(acc>>(64-n), n, pos)
+	}
 	for {
 		v := br.PeekBits(peek)
 		e := slots[v>>rootShift]
@@ -239,3 +281,7 @@ func (d *Decoder) AppendMSB(dst []uint16, br *bitio.MSBReader, stop, limit int) 
 		}
 	}
 }
+
+// fastPeek is the longest code AppendMSB's register loop takes: two
+// symbols of it fit the 56 bits a refill guarantees.
+const fastPeek = 28

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/bitio"
@@ -60,7 +61,7 @@ func encodeSymbols(tb testing.TB, lengths []uint8, syms []int, msb bool) []byte 
 // each reading stream from the start.
 func decoders(d *Decoder, stream []byte, msb bool) (table, walker func() (int, error)) {
 	if msb {
-		fast, slow := bitio.NewMSBReader(bytes.NewReader(stream)), bitio.NewMSBReader(bytes.NewReader(stream))
+		fast, slow := bitio.NewMSBReader(stream), bitio.NewMSBReader(stream)
 		return func() (int, error) { return d.DecodeMSB(fast) }, func() (int, error) { return d.walk(slow) }
 	}
 	fast, slow := bitio.NewLSBReader(bytes.NewReader(stream)), bitio.NewLSBReader(bytes.NewReader(stream))
@@ -271,6 +272,41 @@ func BenchmarkDecodeTable(b *testing.B) {
 		for j := 0; j < len(syms); j++ {
 			if _, err := d.DecodeLSB(br); err != nil {
 				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestAppendMSBMatchesLoop holds AppendMSB to a DecodeMSB loop on every
+// table shape, and on a 31-bit code too long for its register loop: stop
+// symbols met early, late and never, and limits met and not — the same
+// symbols, the same error and the same bits left in the reader.
+func TestAppendMSBMatchesLoop(t *testing.T) {
+	codes := tableCodes()
+	deep31 := make([]uint8, 32)
+	for i := 0; i < 30; i++ {
+		deep31[i] = uint8(i + 1)
+	}
+	deep31[30], deep31[31] = 31, 31
+	codes["deep31"] = deep31
+	for name, lengths := range codes {
+		d, err := NewDecoder(lengths)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		syms := randomSymbols(lengths, 3000, 41)
+		stream := encodeSymbols(t, lengths, syms, true)
+		for _, stop := range []int{syms[0], syms[1500], syms[len(syms)-1], -1} {
+			for _, limit := range []int{100, 2 * len(syms)} {
+				br, wantBr := bitio.NewMSBReader(stream), bitio.NewMSBReader(stream)
+				got, err := d.AppendMSB(nil, br, stop, limit)
+				want, wantErr := appendMSBLoop(d, nil, wantBr, stop, limit)
+				if fmt.Sprint(err) != fmt.Sprint(wantErr) || !slices.Equal(got, want) {
+					t.Fatalf("%s, stop %d, limit %d: AppendMSB %d symbols (%v), the loop %d (%v)", name, stop, limit, len(got), err, len(want), wantErr)
+				}
+				if left, wantLeft := bitsLeft(br), bitsLeft(wantBr); !slices.Equal(left, wantLeft) {
+					t.Fatalf("%s, stop %d, limit %d: AppendMSB left %d bits, the loop %d", name, stop, limit, len(left), len(wantLeft))
+				}
 			}
 		}
 	}

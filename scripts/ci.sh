@@ -209,23 +209,27 @@ fuzz ./internal/bwt FuzzBWTDecode
 # poisoned workspaces and its word stores against a buffer's spare
 # capacity, and the bzip2 decoder's fused stages and the counts they tally.
 exists ./internal/lzw 'TestWorkspaceReuse|TestDecodeLeavesSpareCapacity'
-exists ./internal/bwt 'TestWorkspaceReuse|TestFusedStagesMatchReference|TestSeedStreamsMeanWhatTheySay|TestInverseMeetingRule|TestBlockFitsThePackedVectors'
+exists ./internal/bwt 'TestWorkspaceReuse|TestFusedStagesMatchReference|TestSeedStreamsMeanWhatTheySay|TestInverseMeetingRule|TestBlockFitsThePackedVectors|TestAnchoredInverse|TestUndoRLE1'
 fuzz ./internal/huffman FuzzHuffmanNewDecoder
 # The bzip2 decoder's bulk symbol read, held to a DecodeMSB loop: the same
 # symbols, the same refusals and the same bits left in the reader.
 fuzz ./internal/huffman FuzzAppendMSB
 # The decode loops lean on the readers' PeekBits and Consume inlining, and
-# the inflater's fast loop, entered once per symbol near a limit, on Bits
-# and SetBits; the compiler drops a method that grows past its budget
-# without a word, so the gate asks for each by name.
+# the inflater's fast loop, entered once per symbol near a limit, and the
+# bzip2 symbol loop, which borrows the MSB reader's state, on Bits and
+# SetBits; the compiler drops a method that grows past its budget without
+# a word, so the gate asks for each by name.
 INLINE=$(go build -gcflags=-m ./internal/bitio 2>&1)
-for m in '(*LSBReader).PeekBits' '(*LSBReader).Consume' '(*LSBReader).Bits' '(*LSBReader).SetBits' '(*MSBReader).PeekBits' '(*MSBReader).Consume'; do
+for m in '(*LSBReader).PeekBits' '(*LSBReader).Consume' '(*LSBReader).Bits' '(*LSBReader).SetBits' '(*MSBReader).PeekBits' '(*MSBReader).Consume' '(*MSBReader).Bits' '(*MSBReader).SetBits'; do
 	if ! echo "$INLINE" | grep -qF "can inline $m"; then
 		echo "ci: bitio $m no longer inlines" >&2
 		exit 1
 	fi
 done
-exists ./internal/bitio 'TestBitsHandBack'
+exists ./internal/bitio 'TestBitsHandBack|TestMSBBitsHandBack'
+# AppendMSB's register loop against a DecodeMSB loop on every table shape,
+# a code too long for it included.
+exists ./internal/huffman 'TestAppendMSBMatchesLoop'
 # The encode side of the block sorter: the linear-time rotation sort held to
 # Manber-Myers (and a quadratic sort on short blocks) on arbitrary and
 # periodic blocks, fresh and after an unrelated block — and Compress,
@@ -421,7 +425,9 @@ check_cover ./internal/sim 95
 # and server-side costs its serve span alone.
 named ./internal/proxy 'TestReadBlockPooledAllocs|TestGetBufRecycles|TestEmitFetchEventNoSinkZeroAlloc|TestEmitFetchEventReadsOnlyPhases|TestCacheHitZeroAllocs|TestCorruptBlockAllocatesNoDestination|TestKeepAliveHitAllocs|TestServeHitAllocs' -count=1
 named ./internal/huffman 'TestDecodeLSBZeroAlloc' -count=1
-named ./internal/flate 'TestDeflateSteadyStateAllocs|TestStreamingWriterSteadyAllocs' -count=1
+# A gzip stream is built in a pooled buffer and returned at its exact size:
+# an incompressible block allocates its output and at most 1 KiB more.
+named ./internal/flate 'TestDeflateSteadyStateAllocs|TestStreamingWriterSteadyAllocs|TestGzipCompressAllocatesItsOutput' -count=1
 # A matcher put back survives a collection, so a fleet pass does not make
 # its 384 KB again after each one.
 named ./internal/lz77 'TestMatcherSurvivesCollection' -count=1
