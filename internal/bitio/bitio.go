@@ -1,8 +1,9 @@
 // Package bitio provides bit-level readers and writers in both LSB-first
 // (DEFLATE, LZW .Z) and MSB-first (bzip2) packing orders.
 //
-// All types buffer internally and surface I/O errors through a sticky error
-// returned from Flush/Err so that hot encode loops do not need per-call error
+// The writers and the LSB reader buffer internally; the MSB reader reads a
+// byte slice in place. All of them surface errors through a sticky error
+// returned from Flush/Err so that hot loops do not need per-call error
 // checks.
 package bitio
 

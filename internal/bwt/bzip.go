@@ -112,20 +112,20 @@ func Decompress(data []byte, maxSize int) ([]byte, error) {
 // decoder is the decompression workspace: the bit reader over the stream,
 // the block's Huffman code, and the arrays a block passes through — its
 // symbols, its last column (with that column's byte histogram), which the
-// inverse transform overwrites with the RLE1 stream, that transform's two
-// vectors and the bytes its walks from row 0 read (see anchoredInverse).
-// They grow to the largest block decoded, each only once the header checks
-// and the stage before it have passed: 12 bytes per block byte.
+// inverse transform overwrites with the RLE1 stream, and that transform's
+// two vectors. The column's buffer has room for as much again, where the
+// transform's walks from row 0 write (see anchoredInverse). They grow to
+// the largest block decoded, each only once the header checks and the
+// stage before it have passed: 12 bytes per block byte.
 type decoder struct {
-	br     bitio.MSBReader
-	lens   [numSymbols]uint8
-	huff   huffman.Decoder
-	syms   []uint16
-	last   []byte
-	freq   [256]uint32
-	next   []uint32
-	lf     []uint32
-	anchor []byte
+	br   bitio.MSBReader
+	lens [numSymbols]uint8
+	huff huffman.Decoder
+	syms []uint16
+	last []byte
+	freq [256]uint32
+	next []uint32
+	lf   []uint32
 }
 
 var decoderPool = sync.Pool{New: func() any { return new(decoder) }}

@@ -135,8 +135,14 @@ func putRun(syms []uint16, freq *[numSymbols]int, n, run int) int {
 // list's front byte, so it is one fill and leaves the list alone. The
 // block may not outgrow size, the length its header declared: that is
 // checked as each run accumulates, before anything is written.
+//
+// An MTF index below 8 moves the list as one word op under a mask; deeper
+// ones keep copy. On the bench's text and binary files 49–76 % of moves
+// are that shallow, and copy alone decodes the bench blocks 3 % slower;
+// a word loop for every depth was 37–48 % slower on the files that move
+// deep (docs/history/pr-27.md).
 func (d *decoder) undoRLE2MTF(size int) error {
-	d.last = slices.Grow(d.last[:0], size)[:size]
+	d.last = slices.Grow(d.last[:0], 2*size)[:size] // room for undoBWTRLE1's scratch
 	last := d.last
 	freq := &d.freq
 	clear(freq[:])
@@ -195,11 +201,12 @@ func (d *decoder) undoRLE2MTF(size int) error {
 
 // undoBWTRLE1 inverts the transform of d.last from row ptr into d.last
 // itself — nothing reads the column once buildNext has packed it into the
-// vectors — and undoes RLE1 from there in one sequential pass, appending
-// the raw block to out a span at a time. A column that is not a transform
-// with ptr among its rows is refused. Only a count byte lets output
-// outrun input, so the size limit — out may reach base+maxSize when
-// maxSize is positive — is checked before every write, not after the
+// vectors — with the walks from row 0 writing in the room undoRLE2MTF left
+// past its end. It undoes RLE1 from there in one sequential pass,
+// appending the raw block to out a span at a time. A column that is not a
+// transform with ptr among its rows is refused. Only a count byte lets
+// output outrun input, so the size limit — out may reach base+maxSize
+// when maxSize is positive — is checked before every write, not after the
 // block. The caller verifies the block CRC over the appended bytes before
 // it lets anyone see them.
 func (d *decoder) undoBWTRLE1(out []byte, ptr, base, maxSize int) ([]byte, error) {
@@ -215,7 +222,11 @@ func (d *decoder) undoBWTRLE1(out []byte, ptr, base, maxSize int) ([]byte, error
 		return nil, fmt.Errorf("%w: output exceeds limit %d", ErrCorrupt, maxSize)
 	}
 	next, lf := d.buildNext(rle)
-	if !d.invert(rle, next, lf, ptr) {
+	if cap(rle) < 2*len(rle) {
+		rle = slices.Grow(rle[:0], 2*len(rle))[:len(rle)]
+		d.last = rle
+	}
+	if !anchoredInverse(rle, rle[len(rle):2*len(rle)], next, lf, ptr) && !inverse(rle, next, lf, ptr) {
 		return nil, errNotATransform
 	}
 	out = slices.Grow(out, min(len(rle), limit-len(out)))

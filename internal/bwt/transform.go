@@ -93,7 +93,8 @@ func Inverse(last []byte, ptr int) []byte {
 	}
 	next, lf := d.buildNext(last)
 	out := make([]byte, n)
-	if !d.invert(out, next, lf, ptr) {
+	d.last = slices.Grow(d.last[:0], n)[:n] // the scratch of the walks from row 0
+	if !anchoredInverse(out, d.last, next, lf, ptr) && !inverse(out, next, lf, ptr) {
 		return nil
 	}
 	return out
@@ -123,17 +124,6 @@ func (d *decoder) buildNext(last []byte) (next, lf []uint32) {
 		base[c] = j + 1
 	}
 	return next, lf
-}
-
-// invert writes into dst (len(dst) == len(next)) the block that the
-// vectors of buildNext read from row ptr, and reports whether the column
-// is a transform with ptr among its rows. The walk from two anchors
-// (anchoredInverse) takes the columns it can vouch for, which are all that
-// Compress writes but a periodic block's; the walk from one (inverse)
-// decides every other column.
-func (d *decoder) invert(dst []byte, next, lf []uint32, ptr int) bool {
-	d.anchor = slices.Grow(d.anchor[:0], len(dst))[:len(dst)]
-	return anchoredInverse(dst, d.anchor, next, lf, ptr) || inverse(dst, next, lf, ptr)
 }
 
 // inverse writes into dst (len(dst) == len(next)) the block that the
@@ -167,7 +157,8 @@ func inverse(dst []byte, next, lf []uint32, ptr int) bool {
 }
 
 // anchoredInverse is inverse with four chains of loads in flight instead of
-// two. Row 0, the least rotation, is a second anchor besides ptr: it is
+// two, for the columns it can vouch for — all that Compress writes but a
+// periodic block's — leaving every other column to inverse. Row 0, the least rotation, is a second anchor besides ptr: it is
 // the block's rotation at some position r, unknown until the walk ends.
 // The forward walk from ptr (position 0, into dst's front) and the
 // backward walk from row 0 (into scratch's back) close the arc [0, r) when
@@ -188,7 +179,7 @@ func inverse(dst []byte, next, lf []uint32, ptr int) bool {
 // rotations on one cycle. Everywhere else — ptr = 0, a periodic block
 // (its cycle is shorter than n; row 0 may be off it), a column that is no
 // transform — anchoredInverse reports false after at most n steps, having
-// decided nothing, and inverse decides.
+// decided nothing, and inverse decides. scratch holds n bytes.
 func anchoredInverse(dst, scratch []byte, next, lf []uint32, ptr int) bool {
 	n := len(dst)
 	if ptr == 0 {
@@ -240,10 +231,10 @@ func anchoredInverse(dst, scratch []byte, next, lf []uint32, ptr int) bool {
 }
 
 // closeArc walks one arc of anchoredInverse from both ends until they stand
-// on the same row, within steps steps: forwards along next from row f,
-// writing fd[i], fd[i+1], …, and backwards along lf from row b, writing
-// fd's partner bd[j-1], bd[j-2], …. It returns the indices it reached and
-// the steps left, or -1 for those if the arc did not close.
+// on the same row, checking after every step, within steps steps: forwards
+// along next from row f, writing fd[i], fd[i+1], …, and backwards along lf
+// from row b, writing bd[j-1], bd[j-2], …. It returns the indices it
+// reached and the steps left, which are -1 if the arc did not close.
 func closeArc(next, lf []uint32, fd []byte, i int, f uint32, bd []byte, j int, b uint32, steps int) (int, int, int) {
 	for ; steps >= 2; steps -= 2 {
 		v, w := next[f], lf[b]
