@@ -92,9 +92,9 @@ func GzipCompress(data []byte, level int) ([]byte, error) {
 		return nil, err
 	}
 	hdr := gzipHeader(level)
-	var trailer [gzipTrailLen]byte
-	appendGzipTrailer(trailer[:0], checksum.CRC32(data), uint32(len(data)))
-	return deflateBetween(hdr[:], trailer[:], data, level)
+	var buf [gzipTrailLen]byte
+	trailer := appendGzipTrailer(buf[:0], checksum.CRC32(data), uint32(len(data)))
+	return deflateBetween(hdr[:], trailer, data, level)
 }
 
 // gzipHeader is the member header both compressors write: no flags, MTIME 0
