@@ -1,6 +1,7 @@
 // Command czip compresses and decompresses files with the repository's
 // from-scratch codecs: gzip (DEFLATE), compress (LZW), bzip2 (BWT) and
-// zlib.
+// zlib. It holds its whole input in memory, as the paper's handheld holds
+// each file or block it decodes.
 //
 // Usage:
 //
@@ -19,21 +20,25 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "czip:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(argv []string, stdin io.Reader, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("czip", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		schemeName = flag.String("scheme", "gzip", "compression scheme: gzip, compress, bzip2, zlib")
-		level      = flag.Int("level", 0, "level (1-9; 9-16 bits for compress; 0 = paper setting)")
-		decompress = flag.Bool("d", false, "decompress instead of compress")
-		stats      = flag.Bool("stats", false, "print size statistics to stderr")
-		maxSize    = flag.Int("maxsize", 1<<30, "decompression output bound in bytes")
+		schemeName = fs.String("scheme", "gzip", "compression scheme: gzip, compress, bzip2, zlib")
+		level      = fs.Int("level", 0, "level (1-9; 9-16 bits for compress; 0 = paper setting)")
+		decompress = fs.Bool("d", false, "decompress instead of compress")
+		stats      = fs.Bool("stats", false, "print size statistics to stderr")
+		maxSize    = fs.Int("maxsize", 1<<30, "decompression output bound in bytes")
 	)
-	flag.Parse()
+	if err := fs.Parse(argv); err != nil {
+		return err
+	}
 
 	scheme, err := repro.ParseScheme(*schemeName)
 	if err != nil {
@@ -43,11 +48,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	// gzip streams in constant memory; the block codecs buffer.
-	if scheme == repro.Gzip {
-		return runGzipStream(*decompress, *level, *stats)
-	}
-	in, err := io.ReadAll(os.Stdin)
+	in, err := io.ReadAll(stdin)
 	if err != nil {
 		return fmt.Errorf("read stdin: %w", err)
 	}
@@ -60,7 +61,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if _, err := os.Stdout.Write(out); err != nil {
+	if _, err := stdout.Write(out); err != nil {
 		return err
 	}
 	if *stats {
@@ -68,57 +69,8 @@ func run() error {
 		if *decompress {
 			raw, comp = len(out), len(in)
 		}
-		fmt.Fprintf(os.Stderr, "%s: raw %d bytes, compressed %d bytes, factor %.3f\n",
+		fmt.Fprintf(stderr, "%s: raw %d bytes, compressed %d bytes, factor %.3f\n",
 			scheme, raw, comp, repro.CompressionFactor(raw, comp))
 	}
 	return nil
-}
-
-// runGzipStream pipes stdin to stdout through the streaming codec.
-func runGzipStream(decompress bool, level int, stats bool) error {
-	if level == 0 {
-		level = 9
-	}
-	var rawN, compN int64
-	if decompress {
-		zr := repro.NewGzipReader(os.Stdin)
-		n, err := io.Copy(os.Stdout, zr)
-		if err != nil {
-			return err
-		}
-		rawN = n
-	} else {
-		zw, err := repro.NewGzipWriter(&countingWriter{w: os.Stdout, n: &compN}, level)
-		if err != nil {
-			return err
-		}
-		n, err := io.Copy(zw, os.Stdin)
-		if err != nil {
-			return err
-		}
-		if err := zw.Close(); err != nil {
-			return err
-		}
-		rawN = n
-	}
-	if stats {
-		fmt.Fprintf(os.Stderr, "gzip (streaming): raw %d bytes", rawN)
-		if !decompress {
-			fmt.Fprintf(os.Stderr, ", compressed %d bytes, factor %.3f",
-				compN, repro.CompressionFactor(int(rawN), int(compN)))
-		}
-		fmt.Fprintln(os.Stderr)
-	}
-	return nil
-}
-
-type countingWriter struct {
-	w io.Writer
-	n *int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	*c.n += int64(n)
-	return n, err
 }

@@ -1,10 +1,9 @@
 // Package bitio provides bit-level readers and writers in both LSB-first
 // (DEFLATE, LZW .Z) and MSB-first (bzip2) packing orders.
 //
-// The writers and the LSB reader buffer internally; the MSB reader reads a
-// byte slice in place. All of them surface errors through a sticky error
-// returned from Flush/Err so that hot loops do not need per-call error
-// checks.
+// The writers buffer internally; the readers read a byte slice in place.
+// All of them surface errors through a sticky error returned from
+// Flush/Err so that hot loops do not need per-call error checks.
 package bitio
 
 import (
@@ -113,59 +112,42 @@ func (bw *LSBWriter) Flush() error {
 // Err reports the sticky error, if any.
 func (bw *LSBWriter) Err() error { return bw.err }
 
-// LSBReader unpacks bits least-significant-bit first. Besides the
-// consuming ReadBits API it offers a buffered PeekBits/Consume fast path:
-// decode hot loops peek a fixed window (a Huffman table index), consume
-// only the bits a symbol used, and never touch the underlying io.Reader
-// per symbol — the accumulator is topped up with bulk 8-byte loads.
+// LSBReader unpacks bits least-significant-bit first from a byte slice it
+// reads in place: its one user outside tests, the inflater, holds the whole
+// stream in memory. Besides the consuming ReadBits API it offers a
+// PeekBits/Consume fast path: decode hot loops peek a fixed window (a
+// Huffman table index) and consume only the bits a symbol used, and the
+// accumulator is topped up with bulk 8-byte loads; Bits/SetBits lend its
+// state to a loop that refills from the slice itself.
 type LSBReader struct {
-	r   io.Reader
 	acc uint64
 	n   uint
 	buf []byte
 	pos int
-	// err is the surfaced sticky error: an I/O failure, or a read/consume
-	// that went past the end of the stream.
+	// err is the sticky error: a read or consume past the end of the slice,
+	// or the failure of NewLSBReader's source.
 	err error
-	// srcErr records that the underlying reader is exhausted (io.EOF) or
-	// failed; it is surfaced as err only when a caller actually over-reads,
-	// so peeking beyond the last symbol stays harmless.
-	srcErr error
 }
 
-// NewLSBReader returns an LSBReader consuming from r.
+// NewLSBReader returns an LSBReader over everything r holds: it reads r
+// whole once, and a read error becomes the sticky Err (the bytes before it
+// still read). It exists for the benchmark's Huffman decode probe, which
+// hands it a bytes.Reader; the inflater holds its input and calls Reset.
 func NewLSBReader(r io.Reader) *LSBReader {
-	br := &LSBReader{}
-	br.Reset(r)
-	return br
+	b, err := io.ReadAll(r)
+	return &LSBReader{buf: b, err: err}
 }
 
-// Reset rebinds the reader to r and drops all buffered bits, bytes and
-// errors, so a reader held in a pooled workspace (the zero value included)
-// serves one stream after another with a single copy buffer.
-func (br *LSBReader) Reset(r io.Reader) {
-	*br = LSBReader{r: r, buf: br.buf[:0]}
-	if br.buf == nil {
-		br.buf = make([]byte, 0, 4096)
-	}
-}
-
-// fillBuf pulls the next chunk from the underlying reader.
-func (br *LSBReader) fillBuf() {
-	b := br.buf[:cap(br.buf)]
-	n, err := br.r.Read(b)
-	br.buf = b[:n]
-	br.pos = 0
-	if err != nil {
-		br.srcErr = err
-	} else if n == 0 {
-		br.srcErr = io.ErrUnexpectedEOF
-	}
+// Reset rebinds the reader to b, which it reads but never writes, and
+// drops all buffered bits and the sticky error, so a reader held in a
+// pooled workspace (the zero value included) serves one stream after
+// another. Reset(nil) lets go of the last stream.
+func (br *LSBReader) Reset(b []byte) {
+	*br = LSBReader{buf: b}
 }
 
 // refill tops up the accumulator to at least need bits (need <= 57) when
-// the source still has them, loading 8 bytes at a time away from the
-// buffer's tail. Source exhaustion is recorded in srcErr, not surfaced.
+// the slice still has them, loading 8 bytes per step away from its tail.
 func (br *LSBReader) refill(need uint) {
 	for br.n < need {
 		if br.pos+8 <= len(br.buf) && br.n <= 48 {
@@ -176,33 +158,17 @@ func (br *LSBReader) refill(need uint) {
 			br.acc &= 1<<br.n - 1 // drop the partially-loaded high byte
 			continue
 		}
-		if br.pos < len(br.buf) {
-			br.acc |= uint64(br.buf[br.pos]) << br.n
-			br.pos++
-			br.n += 8
-			continue
-		}
-		if br.srcErr != nil {
-			return
-		}
-		br.fillBuf()
 		if br.pos >= len(br.buf) {
 			return
 		}
+		br.acc |= uint64(br.buf[br.pos]) << br.n
+		br.pos++
+		br.n += 8
 	}
 }
 
-// endErr is the error an over-read surfaces: the source's failure, with
-// bare EOF mapped to ErrUnexpectedEOF (the stream ended mid-value).
-func (br *LSBReader) endErr() error {
-	if br.srcErr == nil || br.srcErr == io.EOF {
-		return io.ErrUnexpectedEOF
-	}
-	return br.srcErr
-}
-
-// ReadBits reads n bits, LSB first. On error it returns 0 and records the
-// error, observable via Err.
+// ReadBits reads n bits, LSB first. Reading past the end of the slice
+// returns 0 and sets the sticky error to io.ErrUnexpectedEOF.
 func (br *LSBReader) ReadBits(n uint) uint64 {
 	if n > maxBitsPerCall {
 		if br.err == nil {
@@ -214,7 +180,7 @@ func (br *LSBReader) ReadBits(n uint) uint64 {
 		br.refill(n)
 		if br.n < n {
 			if br.err == nil {
-				br.err = br.endErr()
+				br.err = io.ErrUnexpectedEOF
 			}
 			return 0
 		}
@@ -240,7 +206,7 @@ func (br *LSBReader) PeekBits(n uint) uint64 {
 func (br *LSBReader) Consume(n uint) {
 	if n > br.n {
 		if br.err == nil {
-			br.err = br.endErr()
+			br.err = io.ErrUnexpectedEOF
 		}
 		br.acc, br.n = 0, 0
 		return
@@ -250,17 +216,17 @@ func (br *LSBReader) Consume(n uint) {
 }
 
 // Bits lends the reader's state to a decode loop that refills from the
-// buffer itself: the accumulator, the count of bits it holds (at most 64;
-// the bits above the count are clear), and the buffered input with the
-// index of its first byte not yet in the accumulator. The reader is
-// unchanged until SetBits hands the state back.
+// slice itself: the accumulator, the count of bits it holds (at most 64;
+// the bits above the count are clear), and the slice with the index of its
+// first byte not yet in the accumulator. The reader is unchanged until
+// SetBits hands the state back.
 func (br *LSBReader) Bits() (acc uint64, n uint, buf []byte, pos int) {
 	return br.acc, br.n, br.buf, br.pos
 }
 
 // SetBits takes back the state a Bits caller advanced: the low n bits of
 // acc are the stream's next bits (the rest are cleared; n must be below
-// 64), followed by the buffer from pos on.
+// 64), followed by the slice from pos on.
 func (br *LSBReader) SetBits(acc uint64, n uint, pos int) {
 	br.acc, br.n, br.pos = acc&(1<<n-1), n, pos
 }
@@ -273,59 +239,34 @@ func (br *LSBReader) Align() {
 }
 
 // ReadBytes reads exactly len(p) whole bytes. The reader must be aligned.
+// Reading past the end of the slice sets the sticky error and returns it.
 func (br *LSBReader) ReadBytes(p []byte) error {
 	if br.n%8 != 0 {
 		return errors.New("bitio: ReadBytes on unaligned reader")
 	}
 	i := 0
-	for i < len(p) && br.n >= 8 {
+	for ; i < len(p) && br.n >= 8; i++ {
 		p[i] = byte(br.acc)
 		br.acc >>= 8
 		br.n -= 8
-		i++
 	}
-	for i < len(p) {
-		if br.pos < len(br.buf) {
-			c := copy(p[i:], br.buf[br.pos:])
-			br.pos += c
-			i += c
-			continue
+	c := copy(p[i:], br.buf[br.pos:])
+	br.pos += c
+	if i+c < len(p) {
+		if br.err == nil {
+			br.err = io.ErrUnexpectedEOF
 		}
-		if br.srcErr != nil {
-			if br.err == nil {
-				br.err = br.endErr()
-			}
-			return br.err
-		}
-		br.fillBuf()
-		if br.pos >= len(br.buf) {
-			if br.err == nil {
-				br.err = br.endErr()
-			}
-			return br.err
-		}
+		return br.err
 	}
 	return nil
 }
 
-// Err reports the sticky error, if any: an over-read reports
-// io.ErrUnexpectedEOF (endErr never records a bare io.EOF), so checking it
-// per symbol is one load.
+// Err reports the sticky error, if any, so checking it per symbol is one
+// load.
 func (br *LSBReader) Err() error { return br.err }
 
-// AtEOF reports whether all buffered bits are consumed and the source
-// returned EOF.
-func (br *LSBReader) AtEOF() bool {
-	if br.n > 0 || br.pos < len(br.buf) {
-		return false
-	}
-	if br.err != nil || br.srcErr != nil {
-		return true
-	}
-	// Peek one byte ahead.
-	br.refill(8)
-	return br.n == 0
-}
+// AtEOF reports whether every bit of the slice has been consumed.
+func (br *LSBReader) AtEOF() bool { return br.n == 0 && br.pos == len(br.buf) }
 
 // MSBWriter packs bits most-significant-bit first, the order used by bzip2.
 // Its accumulator is filled from the top, so that its big-endian store puts

@@ -305,9 +305,8 @@ func TestMSBWriterErr(t *testing.T) {
 
 // TestPeekConsumeMatchesReadBits reads one random stream twice through each
 // reader — value by value with ReadBits, and the way the table-driven
-// decoders do, peeking a fixed window and consuming what a value used — the
-// LSB one in one-byte and whole-buffer source reads, and over-consumes at
-// the end.
+// decoders do, peeking a fixed window and consuming what a value used — and
+// over-consumes at the end.
 func TestPeekConsumeMatchesReadBits(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	seq := make([]uint, 20000)
@@ -329,44 +328,36 @@ func TestPeekConsumeMatchesReadBits(t *testing.T) {
 		Consume(uint)
 		Err() error
 	}
-	for _, oneByte := range []bool{false, true} {
-		src := func(b []byte) io.Reader {
-			if oneByte {
-				return iotest.OneByteReader(bytes.NewReader(b))
+	for name, r := range map[string]reader{
+		"LSB": NewLSBReader(bytes.NewReader(lsb.Bytes())),
+		"MSB": NewMSBReader(msb.Bytes()),
+	} {
+		for i, n := range seq {
+			var got uint64
+			switch {
+			case i%2 == 0:
+				got = r.ReadBits(n)
+			case name == "LSB":
+				got = r.PeekBits(24) & (1<<n - 1)
+				r.Consume(n)
+			default:
+				got = r.PeekBits(24) >> (24 - n)
+				r.Consume(n)
 			}
-			return bytes.NewReader(b)
+			if got != vals[i] {
+				t.Fatalf("%s value %d: got %#x want %#x", name, i, got, vals[i])
+			}
 		}
-		for name, r := range map[string]reader{
-			"LSB": NewLSBReader(src(lsb.Bytes())),
-			"MSB": NewMSBReader(msb.Bytes()),
-		} {
-			for i, n := range seq {
-				var got uint64
-				switch {
-				case i%2 == 0:
-					got = r.ReadBits(n)
-				case name == "LSB":
-					got = r.PeekBits(24) & (1<<n - 1)
-					r.Consume(n)
-				default:
-					got = r.PeekBits(24) >> (24 - n)
-					r.Consume(n)
-				}
-				if got != vals[i] {
-					t.Fatalf("%s (one byte at a time: %v) value %d: got %#x want %#x", name, oneByte, i, got, vals[i])
-				}
-			}
-			if r.Err() != nil {
-				t.Fatalf("%s: %v", name, r.Err())
-			}
-			r.PeekBits(57) // past the end: zero-padded, not an error
-			if r.Err() != nil {
-				t.Fatalf("%s: peeking past the end set %v", name, r.Err())
-			}
-			r.Consume(57)
-			if r.Err() != io.ErrUnexpectedEOF {
-				t.Fatalf("%s: consuming past the end: Err %v, want unexpected EOF", name, r.Err())
-			}
+		if r.Err() != nil {
+			t.Fatalf("%s: %v", name, r.Err())
+		}
+		r.PeekBits(57) // past the end: zero-padded, not an error
+		if r.Err() != nil {
+			t.Fatalf("%s: peeking past the end set %v", name, r.Err())
+		}
+		r.Consume(57)
+		if r.Err() != io.ErrUnexpectedEOF {
+			t.Fatalf("%s: consuming past the end: Err %v, want unexpected EOF", name, r.Err())
 		}
 	}
 }
@@ -375,8 +366,7 @@ func TestPeekConsumeMatchesReadBits(t *testing.T) {
 // the accumulator up from the buffer itself with whole 8-byte loads, takes
 // values out and hands the state back leaves the reader where a ReadBits
 // loop would have: the values after it, and the bytes after an Align, read
-// on as written. The source hands over a few bytes at a time, so the loop
-// often has no 8 bytes to load and the reader refills between its turns.
+// on as written.
 func TestBitsHandBack(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	seq := make([]uint, 5000)
@@ -393,7 +383,7 @@ func TestBitsHandBack(t *testing.T) {
 	if w.Flush() != nil {
 		t.Fatal("flush failed")
 	}
-	r := NewLSBReader(iotest.HalfReader(bytes.NewReader(buf.Bytes())))
+	r := NewLSBReader(bytes.NewReader(buf.Bytes()))
 	for i := 0; i < len(seq); {
 		for k := 0; k < 3 && i < len(seq); k, i = k+1, i+1 {
 			if got := r.ReadBits(seq[i]); got != vals[i] {
@@ -484,46 +474,49 @@ func TestMSBBitsHandBack(t *testing.T) {
 	}
 }
 
-// TestReadersSurfaceSourceErrors: a source that fails, or returns nothing
-// without an error, ends the stream with its error (or unexpected EOF) once
-// a read needs bits it cannot supply — from ReadBits, Consume and ReadBytes,
-// and never before; the end of the MSB reader's slice ends it with
-// unexpected EOF the same way.
+// TestReadersSurfaceSourceErrors: the end of a reader's slice ends the
+// stream with unexpected EOF once a read needs bits it cannot supply —
+// from ReadBits, Consume and ReadBytes, and never before. NewLSBReader
+// reads its source whole, so a source that fails sets the sticky error
+// from the start, and the bytes before the failure still read.
 func TestReadersSurfaceSourceErrors(t *testing.T) {
 	boom := errors.New("boom")
 	failing := func() io.Reader {
 		return io.MultiReader(bytes.NewReader([]byte{1, 2, 3}), iotest.ErrReader(boom))
 	}
-	stalled := func() io.Reader { return io.MultiReader(bytes.NewReader([]byte{1}), stall{}) }
-
 	l := NewLSBReader(failing())
-	if l.ReadBits(24) != 0x030201 || l.Err() != nil {
-		t.Fatalf("LSB: the bytes before the failure: %v", l.Err())
+	if l.ReadBits(24) != 0x030201 || l.Err() != boom {
+		t.Fatalf("LSB: the bytes before the failure, Err %v, want the source's", l.Err())
 	}
-	if l.ReadBits(8); l.Err() != boom {
-		t.Fatalf("LSB ReadBits: Err %v, want the source's", l.Err())
-	}
-	l = NewLSBReader(failing())
-	if l.PeekBits(32); l.Err() != nil {
-		t.Fatal("LSB: a peek surfaced the source's error")
-	}
-	if l.Consume(32); l.Err() != boom {
-		t.Fatalf("LSB Consume: Err %v, want the source's", l.Err())
-	}
-	l = NewLSBReader(failing())
-	if err := l.ReadBytes(make([]byte, 4)); err != boom || l.Err() != boom {
+	if err := NewLSBReader(failing()).ReadBytes(make([]byte, 4)); err != boom {
 		t.Fatalf("LSB ReadBytes: %v, want the source's", err)
 	}
-	l = NewLSBReader(stalled())
-	if l.ReadBits(16); l.Err() != io.ErrUnexpectedEOF {
-		t.Fatalf("LSB on a stalled source: Err %v", l.Err())
+
+	var r LSBReader
+	r.Reset([]byte{1, 2, 3})
+	if r.ReadBits(24) != 0x030201 || r.Err() != nil {
+		t.Fatalf("LSB: the bytes before the end: %v", r.Err())
 	}
-	l = NewLSBReader(stalled())
-	if l.ReadBits(8); l.AtEOF() != true {
-		t.Fatal("LSB: not at EOF after the last byte of a stalled source")
+	if r.ReadBits(8); r.Err() != io.ErrUnexpectedEOF {
+		t.Fatalf("LSB ReadBits: Err %v, want unexpected EOF", r.Err())
 	}
-	if l.ReadBits(58); l.Err() != ErrBitOverflow {
-		t.Fatalf("LSB: 58 bits: Err %v", l.Err())
+	r.Reset([]byte{1, 2, 3})
+	if r.PeekBits(32) != 0x030201 || r.Err() != nil {
+		t.Fatal("LSB: a short peek must zero-pad what is there and set no error")
+	}
+	if r.Consume(32); r.Err() != io.ErrUnexpectedEOF {
+		t.Fatalf("LSB Consume: Err %v, want unexpected EOF", r.Err())
+	}
+	r.Reset([]byte{1, 2, 3})
+	if err := r.ReadBytes(make([]byte, 4)); err != io.ErrUnexpectedEOF || r.Err() != err {
+		t.Fatalf("LSB ReadBytes: %v, want unexpected EOF", err)
+	}
+	r.Reset([]byte{1})
+	if r.ReadBits(8); !r.AtEOF() || r.Err() != nil {
+		t.Fatalf("LSB: not at EOF after the last byte (Err %v)", r.Err())
+	}
+	if r.ReadBits(58); r.Err() != ErrBitOverflow {
+		t.Fatalf("LSB: 58 bits: Err %v", r.Err())
 	}
 
 	// The MSB reader reads a slice in place: its end is the only failure.
@@ -552,8 +545,3 @@ func TestReadersSurfaceSourceErrors(t *testing.T) {
 		t.Fatalf("MSB: 58 bits: Err %v", m.Err())
 	}
 }
-
-// stall is a source that returns no bytes and no error.
-type stall struct{}
-
-func (stall) Read([]byte) (int, error) { return 0, nil }

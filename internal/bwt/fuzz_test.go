@@ -150,7 +150,8 @@ func bytes2ints(b []byte) []int {
 
 // referenceDecompress is the decoder as it stood before the workspace —
 // fresh arrays per stage, the unfused stages of reference_test.go, one
-// symbol and one forward step at a time — with the meeting rule as a
+// forward step at a time, its symbols through huffman's AppendMSB (which
+// huffman's tests hold to a one-symbol loop) — with the meeting rule as a
 // check of its own, and the production decoder is held to it byte for
 // byte, refusals included.
 func referenceDecompress(data []byte, maxSize int) ([]byte, error) {
@@ -190,19 +191,9 @@ func referenceDecompress(data []byte, maxSize int) ([]byte, error) {
 		if br.Err() != nil || err != nil {
 			return nil, ErrCorrupt
 		}
-		var syms []uint16
-		for {
-			s, err := dec.DecodeMSB(br)
-			if err != nil {
-				return nil, ErrCorrupt
-			}
-			syms = append(syms, uint16(s))
-			if s == symEOB {
-				break
-			}
-			if len(syms) > 2*rleLen+64 {
-				return nil, ErrCorrupt
-			}
+		syms, err := dec.AppendMSB(nil, br, symEOB, 2*rleLen+64)
+		if err != nil {
+			return nil, ErrCorrupt
 		}
 		// The old decoder read a declared length of 0 as "no bound" here;
 		// that hole is closed, so the reference closes it the same way.

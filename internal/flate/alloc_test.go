@@ -10,7 +10,6 @@ package flate_test
 // instrumentation inflates the counts.
 
 import (
-	"io"
 	"math/rand"
 	"runtime"
 	"runtime/debug"
@@ -82,34 +81,6 @@ func TestGzipCompressAllocatesItsOutput(t *testing.T) {
 		}
 	}
 	_ = sink
-}
-
-// TestStreamingWriterSteadyAllocs: the streaming Writer must reuse one
-// block encoder across its 1 MiB segments instead of building a fresh one
-// per segment. The remaining per-block cost is the two sort.Slice objects
-// inside the tree builder (~27 per XML segment), so a 4-segment stream
-// measures ~115; the budget of 160 leaves headroom while still catching a
-// reintroduced per-segment encoder (which adds the token buffer and state
-// arrays for every segment).
-func TestStreamingWriterSteadyAllocs(t *testing.T) {
-	data := workload.Generate(workload.ClassXML, 4<<20, 3)
-	run := func() {
-		zw, err := ours.NewWriter(io.Discard, 6)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := zw.Write(data); err != nil {
-			t.Fatal(err)
-		}
-		if err := zw.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	run() // warm pools
-	allocs := testing.AllocsPerRun(5, func() { run() })
-	if allocs > 160 {
-		t.Errorf("streaming Writer allocates %.1f objects per 4 MiB stream, want <= 160 (per-segment encoder leak?)", allocs)
-	}
 }
 
 // TestMatcherPoolReuse: a recycled matcher must behave identically to a

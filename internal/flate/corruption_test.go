@@ -2,8 +2,12 @@ package flate
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/bitio"
@@ -39,19 +43,84 @@ func TestGzipMutationNeverPanicsOrLies(t *testing.T) {
 	}
 }
 
-// TestGzipTruncationAlwaysFails: every strict prefix of a gzip stream must
-// be rejected (the trailer is mandatory).
+// TestGzipTruncationAlwaysFails: every strict prefix of a stream that
+// decodes is refused — the trailer is mandatory — through gzip, zlib and
+// raw DEFLATE. The streams are a gzip -9 member, each streamSeeds member and
+// a multi-block stream of corpus bytes; the words of every prefix's verdict
+// are pinned, cut by cut, by a digest of them all per stream.
 func TestGzipTruncationAlwaysFails(t *testing.T) {
-	data := bytes.Repeat([]byte("truncation "), 2000)
-	comp, err := GzipCompress(data, 9)
+	comp, err := GzipCompress(bytes.Repeat([]byte("truncation "), 2000), 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cut := range []int{1, 10, len(comp) / 4, len(comp) / 2, len(comp) - 9, len(comp) - 1} {
-		if _, err := GzipDecompress(comp[:cut], 0); err == nil {
-			t.Errorf("prefix of %d/%d bytes accepted", cut, len(comp))
+	corpus := DifferentialCorpus()
+	data := slices.Concat(corpus["source"][:6000], corpus["media"][:3000], corpus["runs"][:3000], corpus["xml"][:6000])
+	multi := segmentedGzip(t, data, 9, 3000) // dynamic, stored and fixed blocks
+	body := multi[gzipHdrLen : len(multi)-gzipTrailLen]
+	zl := binary.BigEndian.AppendUint32(append([]byte{0x78, 0xda}, body...), checksum.Adler32(data))
+
+	// Room for what a prefix's ISIZE field, whatever bytes it reads, asks
+	// GzipDecompress to reserve, so that each of the many prefixes does
+	// not allocate it afresh.
+	room := make([]byte, 0, maxTrailerPrealloc)
+	gzip := func(b []byte) error { _, err := GzipDecompressAppend(room, b, 0); return err }
+	zlib := func(b []byte) error { _, err := ZlibDecompress(b, 0); return err }
+	raw := func(b []byte) error { _, err := Inflate(nil, b, 0); return err }
+	type stream struct {
+		comp   []byte
+		decode func([]byte) error
+	}
+	streams := map[string]stream{
+		"gzip/truncation":     {comp, gzip},
+		"gzip/multi-block":    {multi, gzip},
+		"zlib/multi-block":    {zl, zlib},
+		"deflate/multi-block": {body, raw},
+	}
+	for name, member := range streamSeeds(t) {
+		streams["gzip/"+name] = stream{member, gzip}
+	}
+	for name, s := range streams {
+		whole := s.decode(s.comp) == nil
+		h := sha256.New()
+		for cut := range len(s.comp) {
+			err := s.decode(s.comp[:cut])
+			if whole && err == nil {
+				t.Errorf("%s: prefix of %d/%d bytes accepted", name, cut, len(s.comp))
+			}
+			fmt.Fprintf(h, "%d: %s\n", cut, errText(err))
+		}
+		if got := hex.EncodeToString(h.Sum(nil)[:8]); got != truncationWords[name] {
+			t.Errorf("%s: the prefixes' verdicts digest to %s, pinned %s", name, got, truncationWords[name])
 		}
 	}
+}
+
+// truncationWords pins, per stream of TestGzipTruncationAlwaysFails, the
+// digest of every strict prefix's verdict in its decoder's words.
+var truncationWords = map[string]string{
+	"deflate/multi-block":     "8cd121a4bc13313a",
+	"gzip/bad-crc":            "14269c1f81dc0f22",
+	"gzip/bad-header-crc":     "87652a3db25b95a3",
+	"gzip/dynamic":            "14269c1f81dc0f22",
+	"gzip/empty":              "be21c7bd0acb6ea0",
+	"gzip/fextra-fname":       "489599f256dc7f78",
+	"gzip/fixed":              "caaaebce65e46906",
+	"gzip/gap-before-trailer": "2fadd624cbfb95a3",
+	"gzip/good-header-crc":    "fce0163cc78f5c9a",
+	"gzip/lone-2-bit-code":    "6476738ce7c5dea9",
+	"gzip/multi-block":        "45ab65f7807e703f",
+	"gzip/name-511-bytes":     "cc721de8d7e93a3a",
+	"gzip/name-512-bytes":     "cb8930013b8964d9",
+	"gzip/no-dist-codes":      "3750133eeafb6bcb",
+	"gzip/one-dist-code":      "3750133eeafb6bcb",
+	"gzip/second-member":      "57a0818174d4bdb3",
+	"gzip/stored":             "f616626b53a7b15e",
+	"gzip/trailing-byte":      "1a1aecfc2d7e184d",
+	"gzip/truncated-body":     "eeba00703fddd8dc",
+	"gzip/truncated-trailer":  "e1b9ffb64ccdb1aa",
+	"gzip/truncation":         "09ea396ad897d19c",
+	"gzip/writer-segments":    "cfbdedf5d8640d28",
+	"zlib/multi-block":        "59417eb24e9ab750",
 }
 
 // TestInflateBitFlipsBounded: raw DEFLATE has no checksum, so a bit flip
@@ -71,7 +140,7 @@ func TestInflateBitFlipsBounded(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		bad := append([]byte{}, comp...)
 		bad[rng.Intn(len(bad))] ^= 1 << uint(rng.Intn(8))
-		out, err := Inflate(nil, bytesReader(bad), limit)
+		out, err := Inflate(nil, bad, limit)
 		if err == nil && len(out) > limit {
 			t.Fatalf("trial %d: output %d exceeded limit", trial, len(out))
 		}

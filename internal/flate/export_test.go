@@ -24,7 +24,7 @@ func CompressBytes(data []byte, level int) ([]byte, error) {
 }
 
 func DecompressBytes(data []byte) ([]byte, error) {
-	return Inflate(nil, bytesReader(data), 0)
+	return Inflate(nil, data, 0)
 }
 
 // DifferentialCorpus covers the paper's content classes plus adversarial
@@ -81,8 +81,8 @@ func DeepCodeData(n int) []byte {
 	return out
 }
 
-// container is one of the package's formats, gzip one-shot or streamed,
-// zlib and raw DEFLATE, beside the standard library's codec for it.
+// container is one of the package's formats, gzip, zlib and raw DEFLATE,
+// beside the standard library's codec for it.
 type container struct {
 	compress, stdCompress     func([]byte, int) ([]byte, error)
 	decompress, stdDecompress func([]byte) ([]byte, error)
@@ -96,12 +96,6 @@ var containers = map[string]container{
 	"zlib": {
 		ZlibCompress, encodeThrough(func(w io.Writer, level int) (io.WriteCloser, error) { return zlib.NewWriterLevel(w, level) }),
 		func(b []byte) ([]byte, error) { return ZlibDecompress(b, 0) }, decodeThrough(func(r io.Reader) (io.Reader, error) { return zlib.NewReader(r) }),
-	},
-	"gzip stream": {
-		encodeThrough(func(w io.Writer, level int) (io.WriteCloser, error) { return NewWriter(w, level) }),
-		encodeThrough(func(w io.Writer, level int) (io.WriteCloser, error) { return gzip.NewWriterLevel(w, level) }),
-		decodeThrough(func(r io.Reader) (io.Reader, error) { return NewReader(r), nil }),
-		decodeThrough(func(r io.Reader) (io.Reader, error) { return gzip.NewReader(r) }),
 	},
 	"deflate": {
 		CompressBytes, encodeThrough(func(w io.Writer, level int) (io.WriteCloser, error) { return flate.NewWriter(w, level) }),
@@ -136,8 +130,8 @@ func decodeThrough(open func(io.Reader) (io.Reader, error)) func([]byte) ([]byte
 	}
 }
 
-// StdReadsOurs requires what our encoder for format ("gzip", "gzip
-// stream", "zlib" or "deflate") writes at level for data, named what in
+// StdReadsOurs requires what our encoder for format ("gzip", "zlib" or
+// "deflate") writes at level for data, named what in
 // failures, to read back as data through the standard library's decoder
 // and through ours.
 func StdReadsOurs(tb testing.TB, what, format string, data []byte, level int) {

@@ -134,10 +134,10 @@ func TestInflateMaxSizeGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Inflate(nil, bytesReader(comp), 1000); err == nil {
+	if _, err := Inflate(nil, comp, 1000); err == nil {
 		t.Fatal("expected bomb guard to trip")
 	}
-	out, err := Inflate(nil, bytesReader(comp), len(data))
+	out, err := Inflate(nil, comp, len(data))
 	if err != nil {
 		t.Fatalf("exact-size limit should pass: %v", err)
 	}
@@ -164,11 +164,11 @@ func TestInflateMaxSizeGuard(t *testing.T) {
 		if stored := comp[0]>>1&3 == 0; stored != c.stored {
 			t.Fatalf("%s: a stored block: %v, meant %v", name, stored, c.stored)
 		}
-		out, err := Inflate(nil, bytesReader(comp), len(c.data))
+		out, err := Inflate(nil, comp, len(c.data))
 		if err != nil || !bytes.Equal(out, c.data) {
 			t.Errorf("%s: maxSize of exactly the output: err %v", name, err)
 		}
-		if _, err := Inflate(nil, bytesReader(comp), len(c.data)-1); err == nil {
+		if _, err := Inflate(nil, comp, len(c.data)-1); err == nil {
 			t.Errorf("%s: maxSize one byte under the output was not enforced", name)
 		}
 	}
@@ -213,7 +213,7 @@ func TestInflateRejectsGarbage(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		junk := make([]byte, 200+rng.Intn(500))
 		rng.Read(junk)
-		if _, err := Inflate(nil, bytesReader(junk), 1<<20); err != nil {
+		if _, err := Inflate(nil, junk, 1<<20); err != nil {
 			reject++
 		}
 	}

@@ -1,6 +1,7 @@
 package flate
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -20,69 +21,59 @@ const (
 	gzipTrailLen = 8
 )
 
-// skipGzipHeader consumes one member header from next, which hands out the
-// stream's bytes in order. GzipDecompress and the Reader read their header
-// through it, so they accept the same headers, and the ones compress/gzip
-// accepts: a header string is bounded and a header CRC, when announced, must
-// match.
-func skipGzipHeader(next func() (byte, error)) error {
+var errTruncatedHeader = fmt.Errorf("%w: truncated gzip header: %v", ErrCorrupt, io.ErrUnexpectedEOF)
+
+// skipGzipHeader reads the member header at the start of data and returns
+// the offset of the body behind it. It accepts the headers compress/gzip
+// accepts: a header string is bounded and a header CRC, when announced,
+// must match.
+func skipGzipHeader(data []byte) (int, error) {
 	const flgFHCRC, flgFEXTRA, flgFNAME, flgFCOMMENT = 1 << 1, 1 << 2, 1 << 3, 1 << 4
-	// announced collects the header's bytes once its flags announce a CRC
-	// of them, which ours never do: summing every header a byte at a time
-	// would hand hash/crc32 a buffer it moves to the heap, once per block.
-	var announced []byte
-	var err error
-	read := func() byte { // sticky: after an error every read is 0, and it is reported last
-		if err == nil {
-			var b byte
-			if b, err = next(); err == nil {
-				if announced != nil {
-					announced = append(announced, b)
-				}
-				return b
-			}
-		}
-		return 0
+	if len(data) < gzipHdrLen {
+		return 0, errTruncatedHeader
 	}
-	var fixed [gzipHdrLen]byte
-	for i := range fixed {
-		fixed[i] = read()
+	if data[0] != gzipID1 || data[1] != gzipID2 {
+		return 0, fmt.Errorf("%w: bad gzip magic", ErrCorrupt)
 	}
-	if err == nil && (fixed[0] != gzipID1 || fixed[1] != gzipID2) {
-		return fmt.Errorf("%w: bad gzip magic", ErrCorrupt)
+	if data[2] != gzipCM {
+		return 0, fmt.Errorf("%w: unsupported gzip method %d", ErrCorrupt, data[2])
 	}
-	if err == nil && fixed[2] != gzipCM {
-		return fmt.Errorf("%w: unsupported gzip method %d", ErrCorrupt, fixed[2])
-	}
-	flg := fixed[3]
-	if flg&flgFHCRC != 0 {
-		announced = append(announced, fixed[:]...)
-	}
+	flg, pos := data[3], gzipHdrLen
 	if flg&flgFEXTRA != 0 {
-		for n := int(read()) | int(read())<<8; n > 0 && err == nil; n-- {
-			read()
+		if pos+2 > len(data) {
+			return 0, errTruncatedHeader
+		}
+		pos += 2 + int(binary.LittleEndian.Uint16(data[pos:]))
+		if pos > len(data) {
+			return 0, errTruncatedHeader
 		}
 	}
 	for _, field := range []byte{flgFNAME, flgFCOMMENT} {
 		if flg&field == 0 {
 			continue
 		}
-		for n := 0; read() != 0; n++ {
-			if n == 511 { // compress/gzip's bound
-				return fmt.Errorf("%w: gzip header string too long", ErrCorrupt)
-			}
+		const most = 512 // compress/gzip's bound, the terminating zero included
+		rest := data[pos:]
+		n := bytes.IndexByte(rest[:min(len(rest), most)], 0)
+		switch {
+		case n >= 0:
+			pos += n + 1
+		case len(rest) >= most:
+			return 0, fmt.Errorf("%w: gzip header string too long", ErrCorrupt)
+		default:
+			return 0, errTruncatedHeader
 		}
 	}
 	if flg&flgFHCRC != 0 {
-		want := uint16(checksum.CRC32(announced))
-		if got := uint16(read()) | uint16(read())<<8; err == nil && got != want {
-			return fmt.Errorf("%w: gzip header CRC mismatch", ErrCorrupt)
+		if pos+2 > len(data) {
+			return 0, errTruncatedHeader
 		}
+		if binary.LittleEndian.Uint16(data[pos:]) != uint16(checksum.CRC32(data[:pos])) {
+			return 0, fmt.Errorf("%w: gzip header CRC mismatch", ErrCorrupt)
+		}
+		pos += 2
 	}
-	if err != nil {
-		return fmt.Errorf("%w: truncated gzip header: %v", ErrCorrupt, err)
-	}
-	return nil
+	return pos, nil
 }
 
 // GzipCompress compresses data into a single-member gzip stream at the given
@@ -144,14 +135,8 @@ func GzipDecompress(data []byte, maxSize int) ([]byte, error) {
 // field clamped to maxSize and maxTrailerPrealloc. It returns the extended
 // slice; only the appended bytes are checksummed.
 func GzipDecompressAppend(dst, data []byte, maxSize int) ([]byte, error) {
-	pos := 0
-	if err := skipGzipHeader(func() (byte, error) {
-		if pos == len(data) {
-			return 0, io.ErrUnexpectedEOF
-		}
-		pos++
-		return data[pos-1], nil
-	}); err != nil {
+	pos, err := skipGzipHeader(data)
+	if err != nil {
 		return nil, err
 	}
 	if pos+gzipTrailLen > len(data) {
@@ -162,7 +147,7 @@ func GzipDecompressAppend(dst, data []byte, maxSize int) ([]byte, error) {
 	// ISIZE is read ahead of its check, as a hint of how much room to make.
 	dst = reserve(dst, int(binary.LittleEndian.Uint32(trailer[4:8])), maxSize)
 	base := len(dst)
-	out, err := Inflate(dst, bytesReader(body), maxSize)
+	out, err := Inflate(dst, body, maxSize)
 	if err != nil {
 		return nil, err
 	}
@@ -249,7 +234,7 @@ func ZlibDecompressAppend(dst, data []byte, maxSize int) ([]byte, error) {
 	}
 	body := data[2 : len(data)-zlibTrailLen]
 	base := len(dst)
-	out, err := Inflate(dst, bytesReader(body), maxSize)
+	out, err := Inflate(dst, body, maxSize)
 	if err != nil {
 		return nil, err
 	}

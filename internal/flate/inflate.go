@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"slices"
 	"sync"
@@ -17,44 +16,29 @@ import (
 // ErrCorrupt is returned when the DEFLATE stream is structurally invalid.
 var ErrCorrupt = errors.New("flate: corrupt stream")
 
-// inflater is the package's one DEFLATE decoder: the bit reader with its
-// copy buffer, the dynamic-block codes, and its place in the block
-// structure, so that run can stop wherever an output limit falls and a later
-// run carries on from there. Inflate takes one from the pool and runs it to
-// the end; a Reader owns one and runs it a Read's worth at a time. Decoding
-// allocates nothing beyond dst's growth.
+// inflater is the package's one DEFLATE decoder: the bit reader over the
+// stream, which it reads in place, and the storage dynamic block headers
+// decode into. Inflate takes one from the pool and runs it over one stream
+// to the end. Decoding allocates nothing beyond dst's growth.
 type inflater struct {
 	br    bitio.LSBReader
 	codes dynamicCodes
-
-	inBlock   bool       // a block's header is read and its end is not
-	final     bool       // that block, or the one that just ended, is the last
-	stored    int        // bytes a stored block has still to hand over
-	lit, dist *codeTable // a Huffman block's codes; lit is nil in a stored block
-	copyLen   int        // what the limit cut off a match,
-	copyDist  int        // and how far back that match copies from
 }
 
 var inflaterPool = sync.Pool{New: func() any { return new(inflater) }}
 
-// reset points z at the start of a stream read from r.
-func (z *inflater) reset(r io.Reader) {
-	z.br.Reset(r)
-	z.inBlock, z.final, z.copyLen = false, false, 0
-}
-
-// Inflate decompresses a complete DEFLATE stream from r, appending to dst
-// (which may be nil). The stream must be all of r: a byte left behind the
-// final block is an error, so a container that cut its trailer off the end
-// knows the two were adjacent. maxSize, if positive, bounds the bytes
+// Inflate decompresses the complete DEFLATE stream src, appending to dst
+// (which may be nil). The stream must be all of src: a byte left behind
+// the final block is an error, so a container that cut its trailer off the
+// end knows the two were adjacent. maxSize, if positive, bounds the bytes
 // appended, to protect against decompression bombs. dst's spare capacity
 // is scratch: a match's last 8-byte store may reach up to fastSlop bytes
 // past the bytes appended.
-func Inflate(dst []byte, r io.Reader, maxSize int) ([]byte, error) {
+func Inflate(dst, src []byte, maxSize int) ([]byte, error) {
 	z := inflaterPool.Get().(*inflater)
-	z.reset(r)
+	z.br.Reset(src)
 	defer func() {
-		z.reset(nil) // a pooled workspace must not pin the caller's stream
+		z.br.Reset(nil) // a pooled workspace must not pin the caller's stream
 		inflaterPool.Put(z)
 	}()
 	base := len(dst) // where this stream's own output, all a match may copy from, begins
@@ -76,79 +60,58 @@ func Inflate(dst []byte, r io.Reader, maxSize int) ([]byte, error) {
 	return dst, nil
 }
 
-// run decodes onto dst until the final block has ended, which it reports as
-// done, or len(dst) has reached limit, and returns dst as it then stands.
-// Called again with room under the limit it carries on where it stopped. A
-// match copies from dst[base:] only; a caller that trims dst between runs
-// keeps the last lz77.WindowSize bytes in place.
+// run decodes blocks onto dst until the final block has ended, which it
+// reports as done, or len(dst) has reached limit, and returns dst as it
+// then stands. A match copies from dst[base:] only.
 func (z *inflater) run(dst []byte, base, limit int) (_ []byte, done bool, err error) {
+	br := &z.br
 	for len(dst) < limit {
-		switch {
-		case z.copyLen > 0:
-			length := z.copyLen
-			z.copyLen = 0 // match sets it again if the limit cuts this part too
-			dst = z.match(dst, z.copyDist, length, limit)
-		case !z.inBlock && z.final:
-			return dst, true, nil
-		case !z.inBlock:
-			err = z.blockHeader()
-		case z.lit == nil:
+		final := br.ReadBits(1) == 1
+		btype := br.ReadBits(2)
+		if err := br.Err(); err != nil {
+			return nil, false, fmt.Errorf("%w: block header: %v", ErrCorrupt, err)
+		}
+		switch btype {
+		case 0:
 			dst, err = z.storedBlock(dst, limit)
+		case 1:
+			dst, err = z.huffmanBlock(dst, fixedLit, fixedDist, base, limit)
+		case 2:
+			if err = z.codes.read(br); err == nil {
+				dst, err = z.huffmanBlock(dst, &z.codes.litTable, &z.codes.distTable, base, limit)
+			}
 		default:
-			dst, err = z.huffmanBlock(dst, base, limit)
+			err = fmt.Errorf("%w: reserved block type", ErrCorrupt)
 		}
 		if err != nil {
 			return nil, false, err
+		}
+		if final && len(dst) < limit {
+			return dst, true, nil
 		}
 	}
 	return dst, false, nil
 }
 
-// blockHeader reads the next block's header and leaves z inside the block.
-func (z *inflater) blockHeader() error {
-	br := &z.br
-	final := br.ReadBits(1)
-	btype := br.ReadBits(2)
-	if err := br.Err(); err != nil {
-		return fmt.Errorf("%w: block header: %v", ErrCorrupt, err)
-	}
-	z.inBlock, z.final = true, final == 1
-	switch btype {
-	case 0:
-		br.Align()
-		n := br.ReadBits(16)
-		nlen := br.ReadBits(16)
-		if err := br.Err(); err != nil {
-			return fmt.Errorf("%w: stored header: %v", ErrCorrupt, err)
-		}
-		if n != ^nlen&0xffff {
-			return fmt.Errorf("%w: stored LEN/NLEN mismatch", ErrCorrupt)
-		}
-		z.stored, z.lit = int(n), nil
-	case 1:
-		z.lit, z.dist = fixedLit, fixedDist
-	case 2:
-		if err := z.codes.read(br); err != nil {
-			return err
-		}
-		z.lit, z.dist = &z.codes.litTable, &z.codes.distTable
-	default:
-		return fmt.Errorf("%w: reserved block type", ErrCorrupt)
-	}
-	return nil
-}
-
-// storedBlock reads what is left of a stored block, or as much of it as the
-// limit has room for, straight into dst.
+// storedBlock reads a stored block, or as much of its payload as the limit
+// has room for, straight into dst.
 func (z *inflater) storedBlock(dst []byte, limit int) ([]byte, error) {
-	n := min(z.stored, limit-len(dst))
-	dst = slices.Grow(dst, n)
-	end := len(dst) + n
-	if err := z.br.ReadBytes(dst[len(dst):end]); err != nil {
+	br := &z.br
+	br.Align()
+	n := br.ReadBits(16)
+	nlen := br.ReadBits(16)
+	if err := br.Err(); err != nil {
+		return nil, fmt.Errorf("%w: stored header: %v", ErrCorrupt, err)
+	}
+	if n != ^nlen&0xffff {
+		return nil, fmt.Errorf("%w: stored LEN/NLEN mismatch", ErrCorrupt)
+	}
+	m := min(int(n), limit-len(dst))
+	dst = slices.Grow(dst, m)
+	end := len(dst) + m
+	if err := br.ReadBytes(dst[len(dst):end]); err != nil {
 		return nil, fmt.Errorf("%w: stored payload: %v", ErrCorrupt, err)
 	}
-	z.stored -= n
-	z.inBlock = z.stored > 0
 	return dst[:end], nil
 }
 
@@ -272,20 +235,20 @@ func (dc *dynamicCodes) read(br *bitio.LSBReader) error {
 // declare (RFC 1951 3.2.7): it decodes only to symbols no block may use.
 var noDistCodes = [32]uint8{30: 1, 31: 1}
 
-// huffmanBlock decodes a Huffman block until it ends or len(dst) reaches
-// limit. The fast loop takes every symbol it can finish with room to spare
-// and stops before any other; the careful loop below then takes one, with
-// the reader's own refills and every check, so each refusal and each match
-// the limit cuts is made there.
-func (z *inflater) huffmanBlock(dst []byte, base, limit int) ([]byte, error) {
-	br, lit, dist := &z.br, z.lit, z.dist
+// huffmanBlock decodes a Huffman block with the codes lit and dist until
+// it ends or len(dst) reaches limit. The fast loop takes every symbol it
+// can finish with room to spare and stops before any other; the careful
+// loop below then takes one, with the reader's own refills and every
+// check, so each refusal and each match the limit cuts is made there.
+func (z *inflater) huffmanBlock(dst []byte, lit, dist *codeTable, base, limit int) ([]byte, error) {
+	br := &z.br
 	for len(dst) < limit {
 		// Checked here, not in growAhead: inlined whole into this loop, its
 		// body slows the careful loop for callers it never grows.
 		if cap(dst)-len(dst) < fastRoom {
 			dst = growAhead(dst, limit)
 		}
-		dst = z.fast(dst, base, limit)
+		dst = z.fast(dst, lit, dist, base, limit)
 		e, err := lit.decode(br)
 		if err != nil {
 			return nil, fmt.Errorf("%w: lit/len: %v", ErrCorrupt, err)
@@ -294,7 +257,6 @@ func (z *inflater) huffmanBlock(dst []byte, base, limit int) ([]byte, error) {
 		case kindLiteral:
 			dst = append(dst, byte(e>>16))
 		case kindEnd:
-			z.inBlock = false
 			return dst, nil
 		case kindLength:
 			length := int(e>>16) + int(br.ReadBits(uint(e>>8&0xff)))
@@ -315,7 +277,7 @@ func (z *inflater) huffmanBlock(dst []byte, base, limit int) ([]byte, error) {
 			if length > lz77.MaxMatch {
 				return nil, fmt.Errorf("%w: match length %d", ErrCorrupt, length)
 			}
-			dst = z.match(dst, distance, length, limit)
+			dst = match(dst, distance, length, limit)
 		default:
 			return nil, fmt.Errorf("%w: lit/len symbol %d", ErrCorrupt, e>>16)
 		}
@@ -340,7 +302,7 @@ const (
 // It stops before the end of the block, a code or symbol no block may use,
 // and a distance beyond the output, consuming nothing of them, and hands
 // the reader back its state.
-func (z *inflater) fast(dst []byte, base, limit int) []byte {
+func (z *inflater) fast(dst []byte, lit, dist *codeTable, base, limit int) []byte {
 	acc, n, in, pos := z.br.Bits()
 	o := len(dst)
 	end := min(cap(dst)-fastRoom, limit-lz77.MaxMatch-1) // the last o with room
@@ -348,15 +310,15 @@ func (z *inflater) fast(dst []byte, base, limit int) []byte {
 		return dst
 	}
 	out := dst[:cap(dst)]
-	lit, dist := z.lit.slots, z.dist.slots
-	litRoot, distRoot := (*[1 << litRootBits]uint32)(lit), (*[1 << distRootBits]uint32)(dist)
+	litSlots, distSlots := lit.slots, dist.slots
+	litRoot, distRoot := (*[1 << litRootBits]uint32)(litSlots), (*[1 << distRootBits]uint32)(distSlots)
 	for o <= end && pos <= len(in)-8 {
 		acc |= binary.LittleEndian.Uint64(in[pos:]) << (n & 63)
 		pos += int(63-n) >> 3 // the whole bytes that fit
 		n |= 56
 		e := litRoot[acc&(1<<litRootBits-1)]
 		if e&slotKind == kindSub {
-			e = lit[e>>8+uint32(acc>>litRootBits)&(1<<(e&slotLen)-1)]
+			e = litSlots[e>>8+uint32(acc>>litRootBits)&(1<<(e&slotLen)-1)]
 		}
 		if e&slotKind == kindLiteral {
 			acc >>= e & slotLen
@@ -376,7 +338,7 @@ func (z *inflater) fast(dst []byte, base, limit int) []byte {
 		a, m = a>>extra, m-uint(extra)
 		d := distRoot[a&(1<<distRootBits-1)]
 		if d&slotKind == kindSub {
-			d = dist[d>>8+uint32(a>>distRootBits)&(1<<(d&slotLen)-1)]
+			d = distSlots[d>>8+uint32(a>>distRootBits)&(1<<(d&slotLen)-1)]
 		}
 		if d&slotKind != kindDist {
 			break
@@ -417,7 +379,7 @@ var patternStep = [8]uint8{1: 8, 2: 8, 3: 9, 4: 8, 5: 10, 6: 12, 7: 14}
 // amortised time as append's does, but never past the limit plus the slop.
 // A dst that already holds everything the limit allows is left alone, so
 // what grows is the output of a caller with no size hint (Inflate onto nil,
-// zlib); the client's blocks and the Reader come with their room.
+// zlib); the client's blocks come with their room.
 func growAhead(dst []byte, limit int) []byte {
 	room := limit - len(dst)
 	if room <= fastRoom {
@@ -433,15 +395,11 @@ func growAhead(dst []byte, limit int) []byte {
 }
 
 // match appends length bytes that repeat what lies dist back, or as many of
-// them as the limit has room for, and leaves the rest for the next run. The
-// copy moves in chunks, doubling through the overlap when dist < length,
-// not byte at a time; only a match that is cut touches z, which keeps the
-// inflate loop's common path free of stores.
-func (z *inflater) match(dst []byte, dist, length, limit int) []byte {
-	if room := limit - len(dst); length > room {
-		z.copyLen, z.copyDist = length-room, dist
-		length = room
-	}
+// them as the limit has room for: a match the limit cuts ends the run,
+// which Inflate refuses. The copy moves in chunks, doubling through the
+// overlap when dist < length, not byte at a time.
+func match(dst []byte, dist, length, limit int) []byte {
+	length = min(length, limit-len(dst))
 	start := len(dst) - dist
 	if dist >= length {
 		return append(dst, dst[start:start+length]...)
@@ -450,17 +408,4 @@ func (z *inflater) match(dst []byte, dist, length, limit int) []byte {
 		dst = append(dst, dst[start:min(len(dst), start+total-len(dst))]...)
 	}
 	return dst
-}
-
-func bytesReader(b []byte) io.Reader { return &sliceReader{b: b} }
-
-type sliceReader struct{ b []byte }
-
-func (s *sliceReader) Read(p []byte) (int, error) {
-	if len(s.b) == 0 {
-		return 0, io.EOF
-	}
-	n := copy(p, s.b)
-	s.b = s.b[n:]
-	return n, nil
 }

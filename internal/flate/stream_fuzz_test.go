@@ -1,10 +1,9 @@
 package flate
 
-// The package's one inflater is used two ways: Inflate runs it once to the
-// end of a block held in memory, straight into the caller's slice; the
-// Reader resumes it a Read at a time over a stream of any length, in
-// constant memory. FuzzStreamReader holds the two uses to each other, and
-// both to the standard library, on arbitrary bytes.
+// FuzzStreamReader is the one target that feeds arbitrary gzip members,
+// container and all, to the package's decoder: GzipDecompress is held to
+// compress/gzip on headers with FEXTRA, FNAME and FHCRC, on bytes between
+// the final block and the trailer, and on bytes after the trailer.
 
 import (
 	"bytes"
@@ -14,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -23,35 +21,9 @@ import (
 	"repro/internal/checksum"
 )
 
-const (
-	// streamFuzzLimit is the most output one input may decode to; past it
-	// every decoder counts as refusing.
-	streamFuzzLimit = 1 << 20
-	// streamFuzzAllocBound is what the Reader's three passes over one input
-	// may allocate in total, the output they collect included.
-	streamFuzzAllocBound = 16 << 20
-)
-
-var errTooLong = errors.New("output exceeds streamFuzzLimit")
-
-// readMember decodes r in reads of readSize bytes. It returns what came
-// out and nil for a stream that ended cleanly within streamFuzzLimit.
-func readMember(r io.Reader, readSize int) ([]byte, error) {
-	var out []byte
-	buf := make([]byte, readSize)
-	for {
-		n, err := r.Read(buf)
-		out = append(out, buf[:n]...)
-		switch {
-		case len(out) > streamFuzzLimit:
-			return out, errTooLong
-		case err == io.EOF:
-			return out, nil
-		case err != nil:
-			return out, err
-		}
-	}
-}
+// streamFuzzLimit is the most output one input may decode to; past it
+// every decoder counts as refusing.
+const streamFuzzLimit = 1 << 20
 
 // stdlibMember decodes data as exactly one gzip member with compress/gzip.
 func stdlibMember(data []byte) ([]byte, error) {
@@ -61,11 +33,16 @@ func stdlibMember(data []byte) ([]byte, error) {
 		return nil, err
 	}
 	zr.Multistream(false)
-	out, err := readMember(zr, 4096)
-	if err == nil && src.Len() > 0 {
-		err = errors.New("bytes after the member")
+	out, err := io.ReadAll(io.LimitReader(zr, streamFuzzLimit+1))
+	switch {
+	case err != nil:
+		return out, err
+	case len(out) > streamFuzzLimit:
+		return out, errors.New("output exceeds streamFuzzLimit")
+	case src.Len() > 0:
+		return out, errors.New("bytes after the member")
 	}
-	return out, err
+	return out, nil
 }
 
 // streamSeeds are gzip streams built here, named for what they exercise.
@@ -84,19 +61,9 @@ func streamSeeds(tb testing.TB) map[string][]byte {
 	rand.New(rand.NewSource(19)).Read(noise)
 	text := []byte(strings.Repeat("two inflaters, one format, the same answer. ", 200))
 
-	var segmented bytes.Buffer
-	zw, err := NewWriter(&segmented, 6)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	for i := 0; i < 3; i++ { // three segments, each its own run of blocks
-		_, _ = zw.Write(text[i*1000 : (i+1)*1000])
-		if err := zw.flushSegment(); err != nil {
-			tb.Fatal(err)
-		}
-	}
-	if err := zw.Close(); err != nil {
-		tb.Fatal(err)
+	segmented := segmentedGzip(tb, text[:3000], 6, 1000) // three segments
+	if body := segmented[:len(segmented)-gzipTrailLen]; !bytes.HasSuffix(body, []byte{0, 0, 0xff, 0xff}) {
+		tb.Fatalf("writer-segments seed does not end in an empty stored block: % x", body[max(0, len(body)-4):])
 	}
 
 	var withHeader bytes.Buffer
@@ -111,6 +78,12 @@ func streamSeeds(tb testing.TB) map[string][]byte {
 	// A header that announces a CRC of itself, and keeps the promise.
 	hcrc := []byte{gzipID1, gzipID2, gzipCM, 1<<1 | 1<<3 /* FHCRC, FNAME */, 0, 0, 0, 0, 0, gzipOSUnix, 'n', 0}
 	hcrc = binary.LittleEndian.AppendUint16(hcrc, uint16(checksum.CRC32(hcrc)))
+	// A name of the most bytes compress/gzip reads, and one more.
+	named := func(n int) []byte {
+		hdr := []byte{gzipID1, gzipID2, gzipCM, 1 << 3 /* FNAME */, 0, 0, 0, 0, 0, gzipOSUnix}
+		hdr = append(append(hdr, bytes.Repeat([]byte{'n'}, n)...), 0)
+		return append(hdr, dynamic[gzipHdrLen:]...)
+	}
 	badCRC := bytes.Clone(dynamic)
 	badCRC[len(badCRC)-gzipTrailLen] ^= 0x40
 	return map[string][]byte{
@@ -118,7 +91,7 @@ func streamSeeds(tb testing.TB) map[string][]byte {
 		"fixed":              oneShot([]byte("hello, hello"), 1),
 		"dynamic":            dynamic,
 		"empty":              oneShot(nil, 1),
-		"writer-segments":    segmented.Bytes(),
+		"writer-segments":    segmented,
 		"fextra-fname":       withHeader.Bytes(),
 		"truncated-trailer":  dynamic[:len(dynamic)-3],
 		"truncated-body":     dynamic[:len(dynamic)/2],
@@ -127,6 +100,8 @@ func streamSeeds(tb testing.TB) map[string][]byte {
 		"second-member":      append(bytes.Clone(dynamic), dynamic...),
 		"gap-before-trailer": slices.Insert(bytes.Clone(dynamic), len(dynamic)-gzipTrailLen, 0),
 		"good-header-crc":    append(hcrc, dynamic[gzipHdrLen:]...),
+		"name-511-bytes":     named(511),
+		"name-512-bytes":     named(512),
 		"bad-header-crc":     append([]byte{gzipID1, gzipID2, gzipCM, 1 << 1 /* FHCRC */, 0, 0, 0, 0, 0, 3, 0xff, 0xff}, dynamic[gzipHdrLen:]...),
 		"no-dist-codes":      literalsOnly(0), // legal: "aaa"
 		"one-dist-code":      literalsOnly(1),
@@ -170,10 +145,9 @@ func literalsOnly(distLen int) []byte {
 	return binary.LittleEndian.AppendUint32(out, 3)
 }
 
-// checkStreamReader is the oracle: the Reader in 1-, 7- and 4096-byte
-// reads, GzipDecompress and compress/gzip all return the same bytes for
-// data, or all refuse it.
-func checkStreamReader(data []byte) error {
+// checkMember is the oracle: GzipDecompress and compress/gzip return the
+// same bytes for data, or both refuse it.
+func checkMember(data []byte) error {
 	want, wantErr := GzipDecompress(data, streamFuzzLimit)
 	std, stdErr := stdlibMember(data)
 	if (wantErr != nil) != (stdErr != nil) {
@@ -182,21 +156,6 @@ func checkStreamReader(data []byte) error {
 	if wantErr == nil && !bytes.Equal(want, std) {
 		return fmt.Errorf("GzipDecompress and compress/gzip decode to different bytes (%d, %d)", len(want), len(std))
 	}
-	var m1, m2 runtime.MemStats
-	runtime.ReadMemStats(&m1)
-	for _, readSize := range []int{1, 7, 4096} {
-		got, err := readMember(NewReader(bytes.NewReader(data)), readSize)
-		if (err != nil) != (wantErr != nil) {
-			return fmt.Errorf("Reader in %d-byte reads: err %v; GzipDecompress: err %v", readSize, err, wantErr)
-		}
-		if err == nil && !bytes.Equal(got, want) {
-			return fmt.Errorf("Reader in %d-byte reads decodes to different bytes (%d, %d)", readSize, len(got), len(want))
-		}
-	}
-	runtime.ReadMemStats(&m2)
-	if got := m2.TotalAlloc - m1.TotalAlloc; got > streamFuzzAllocBound {
-		return fmt.Errorf("reading %d bytes of stream three times allocated %d", len(data), got)
-	}
 	return nil
 }
 
@@ -204,9 +163,9 @@ func checkStreamReader(data []byte) error {
 // them decode, so that a seed that stops exercising its case is noticed.
 func TestStreamSeedsAgree(t *testing.T) {
 	decodes := map[string]bool{"stored": true, "fixed": true, "dynamic": true, "empty": true,
-		"writer-segments": true, "fextra-fname": true, "good-header-crc": true, "no-dist-codes": true, "one-dist-code": true}
+		"writer-segments": true, "fextra-fname": true, "good-header-crc": true, "name-511-bytes": true, "no-dist-codes": true, "one-dist-code": true}
 	for name, data := range streamSeeds(t) {
-		if err := checkStreamReader(data); err != nil {
+		if err := checkMember(data); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
 		if _, err := GzipDecompress(data, streamFuzzLimit); (err == nil) != decodes[name] {
@@ -215,13 +174,13 @@ func TestStreamSeedsAgree(t *testing.T) {
 	}
 }
 
-// FuzzStreamReader holds arbitrary bytes to checkStreamReader.
+// FuzzStreamReader holds arbitrary bytes to checkMember.
 func FuzzStreamReader(f *testing.F) {
 	for _, data := range streamSeeds(f) {
 		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if err := checkStreamReader(data); err != nil {
+		if err := checkMember(data); err != nil {
 			t.Fatal(err)
 		}
 	})

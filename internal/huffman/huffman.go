@@ -255,7 +255,7 @@ func KraftSum(lengths []uint8) (sum uint64, scale uint8) {
 const maxCodeLen = 32
 
 // Decoder decodes canonical Huffman codes through two-level lookup tables
-// (DecodeLSB/DecodeMSB, see table.go). Between Resets a decoder is
+// (DecodeLSB/AppendMSB, see table.go). Between Resets a decoder is
 // immutable and safe for concurrent use; the lookup tables build lazily,
 // once per orientation. Reset rebuilds it for another code in the same
 // storage, so a decoder held in a workspace costs nothing per block.

@@ -182,33 +182,14 @@ func (d *Decoder) DecodeLSB(br *bitio.LSBReader) (int, error) {
 	return int(e >> 8), nil
 }
 
-// DecodeMSB decodes one symbol from an MSB-first stream (the bzip2-style
-// orientation) using the lookup tables.
-func (d *Decoder) DecodeMSB(br *bitio.MSBReader) (int, error) {
-	t := d.msbTable()
-	v := br.PeekBits(t.peek)
-	e := t.slots[v>>(t.peek-t.rootBits)]
-	if e&slotPtr != 0 {
-		shift := t.peek - t.rootBits - uint(e&slotLen)
-		e = t.slots[e>>8+uint32(v>>shift)&(1<<(e&slotLen)-1)]
-	}
-	if e&slotLen == 0 {
-		return 0, fmt.Errorf("huffman: invalid code %#b", v)
-	}
-	br.Consume(uint(e & slotLen))
-	if err := br.Err(); err != nil {
-		return 0, err
-	}
-	return int(e >> 8), nil
-}
-
 // errRunaway is AppendMSB's refusal of a stream that has not reached its
 // stop symbol within the limit.
 var errRunaway = errors.New("huffman: no stop symbol within the limit")
 
 // AppendMSB decodes symbols from an MSB-first stream, appending each to dst
 // as a uint16, up to and including the first that equals stop. It is a
-// DecodeMSB loop — the same symbols, the same bits consumed, the same
+// loop of one-symbol table decodes (DecodeMSB, kept in the test files as
+// its oracle) — the same symbols, the same bits consumed, the same
 // refusals — with the table and its fields looked up once, not per
 // symbol. A stream that has not reached stop by the time dst holds more
 // than limit symbols is refused. A refusal returns dst as far as it got,
@@ -220,7 +201,7 @@ var errRunaway = errors.New("huffman: no stop symbol within the limit")
 // two symbols of a code no longer than fastPeek bits, none of them past
 // the end; a code that is longer decodes through the reader throughout.
 // The last bytes go through PeekBits and Consume, which zero-pad and
-// refuse as DecodeMSB does.
+// refuse as a one-symbol decode does.
 func (d *Decoder) AppendMSB(dst []uint16, br *bitio.MSBReader, stop, limit int) ([]uint16, error) {
 	t := d.msbTable()
 	slots := t.slots

@@ -493,23 +493,3 @@ func (m *Matcher) Tokenize(data []byte, emit func(Token)) {
 		emit(Literal(data[n-1]))
 	}
 }
-
-// Expand reconstructs the original bytes from a token stream, appending to
-// dst. It is the decoding half of the LZ77 layer and is shared by tests and
-// the DEFLATE decoder's copy loop.
-func Expand(dst []byte, tokens []Token) ([]byte, error) {
-	for _, t := range tokens {
-		if t.IsLiteral() {
-			dst = append(dst, t.Lit)
-			continue
-		}
-		d := int(t.Dist)
-		if d <= 0 || d > len(dst) {
-			return nil, fmt.Errorf("lz77: invalid distance %d at output size %d", d, len(dst))
-		}
-		for k := 0; k < int(t.Len); k++ {
-			dst = append(dst, dst[len(dst)-d])
-		}
-	}
-	return dst, nil
-}

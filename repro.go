@@ -34,7 +34,6 @@ import (
 	"repro/internal/codec"
 	"repro/internal/decider"
 	"repro/internal/energy"
-	"repro/internal/flate"
 	"repro/internal/obs"
 	"repro/internal/obs/export"
 	"repro/internal/pipeline"
@@ -64,16 +63,6 @@ func Schemes() []Scheme { return codec.Schemes() }
 
 // ParseScheme is the inverse of Scheme.String.
 func ParseScheme(name string) (Scheme, error) { return codec.ParseScheme(name) }
-
-// NewGzipWriter returns a streaming gzip compressor (io.WriteCloser) at
-// the given level; large inputs compress in constant memory.
-func NewGzipWriter(w io.Writer, level int) (io.WriteCloser, error) {
-	return flate.NewWriter(w, level)
-}
-
-// NewGzipReader returns a streaming gzip decompressor (io.Reader) that
-// verifies the CRC-32 trailer at EOF.
-func NewGzipReader(r io.Reader) io.Reader { return flate.NewReader(r) }
 
 // CompressionFactor is input size over output size.
 func CompressionFactor(rawSize, compSize int) float64 { return codec.Factor(rawSize, compSize) }

@@ -174,19 +174,24 @@ fuzz ./internal/flate FuzzDeflateDifferential
 # unrelated input has been through the workspace.
 fuzz ./internal/flate FuzzDeflateEncodeIdentical
 fuzz ./internal/lzw FuzzLZWEncodeIdentical
-# The one inflater, held to itself — run once to the end of the caller's
-# buffer, as the dataplane decodes blocks, against resumed a Read at a time
-# by the Reader behind czip — and to compress/gzip, on arbitrary bytes.
+# The one inflater behind its gzip container, held to compress/gzip on
+# arbitrary members: optional header fields, bytes between the final block
+# and the trailer, bytes after the trailer. Every strict prefix of the
+# seeds, and of a multi-block stream through gzip, zlib and raw DEFLATE,
+# is refused, each in words pinned by a digest.
 fuzz ./internal/flate FuzzStreamReader
+exists ./internal/flate 'TestStreamSeedsAgree|TestGzipTruncationAlwaysFails'
 # The inflater's fast loop and its careful one, held to compress/flate on
 # arbitrary raw DEFLATE: onto nil, exact and ample room, under an arbitrary
-# limit and through the Reader in small reads — the same bytes, the same
-# verdict, and a refusal in the same words every way. The seeds put each
-# refusal in the fast loop's reach, and the test that pins their words is
-# named here too, with the one that holds every run to its limit and the
-# kernels the record quotes.
+# limit — the same bytes, the same verdict, and a refusal in the same words
+# every way. The seeds put each refusal in the fast loop's reach, and the
+# test that pins their words is named here too, with the one that holds
+# every run to its limit and the kernels the record quotes.
 fuzz ./internal/flate FuzzInflateFastPath
-exists ./internal/flate 'TestFastPathSeeds|TestRunStopsAtTheLimit|BenchmarkInflateBlocks|BenchmarkInflateNoRoom|BenchmarkStreamReaderReadSize'
+exists ./internal/flate 'TestFastPathSeeds|TestRunStopsAtTheLimit|BenchmarkInflateBlocks|BenchmarkInflateNoRoom'
+# czip sends every scheme, gzip included, through the codec the proxy
+# uses: each round-trips, and -d refuses output past -maxsize.
+exists ./cmd/czip 'TestEverySchemeRoundTrips|TestDecompressHonoursMaxSize'
 fuzz ./internal/selective FuzzSELRoundTrip
 # The encoder's probe sends a block raw before any codec runs: on random
 # blocks planted with repeats and a byte that follows its predecessor, a
@@ -427,7 +432,7 @@ named ./internal/proxy 'TestReadBlockPooledAllocs|TestGetBufRecycles|TestEmitFet
 named ./internal/huffman 'TestDecodeLSBZeroAlloc' -count=1
 # A gzip stream is built in a pooled buffer and returned at its exact size:
 # an incompressible block allocates its output and at most 1 KiB more.
-named ./internal/flate 'TestDeflateSteadyStateAllocs|TestStreamingWriterSteadyAllocs|TestGzipCompressAllocatesItsOutput' -count=1
+named ./internal/flate 'TestDeflateSteadyStateAllocs|TestGzipCompressAllocatesItsOutput' -count=1
 # A matcher put back survives a collection, so a fleet pass does not make
 # its 384 KB again after each one.
 named ./internal/lz77 'TestMatcherSurvivesCollection' -count=1
