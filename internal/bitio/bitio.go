@@ -113,8 +113,8 @@ func (bw *LSBWriter) Flush() error {
 func (bw *LSBWriter) Err() error { return bw.err }
 
 // LSBReader unpacks bits least-significant-bit first from a byte slice it
-// reads in place: its one user outside tests, the inflater, holds the whole
-// stream in memory. Besides the consuming ReadBits API it offers a
+// reads in place: its one user in the program, the inflater, holds the
+// whole stream in memory. Besides the consuming ReadBits API it offers a
 // PeekBits/Consume fast path: decode hot loops peek a fixed window (a
 // Huffman table index) and consume only the bits a symbol used, and the
 // accumulator is topped up with bulk 8-byte loads; Bits/SetBits lend its

@@ -131,9 +131,8 @@ func decodeThrough(open func(io.Reader) (io.Reader, error)) func([]byte) ([]byte
 }
 
 // StdReadsOurs requires what our encoder for format ("gzip", "zlib" or
-// "deflate") writes at level for data, named what in
-// failures, to read back as data through the standard library's decoder
-// and through ours.
+// "deflate") writes at level for data, named what in failures, to read
+// back as data through the standard library's decoder and through ours.
 func StdReadsOurs(tb testing.TB, what, format string, data []byte, level int) {
 	tb.Helper()
 	c := containers[format]

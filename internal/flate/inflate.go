@@ -294,7 +294,7 @@ const (
 )
 
 // fast is the inflate inner loop: it decodes symbols while 8 bytes of input
-// are buffered, fastRoom bytes of dst's capacity are spare and a longest
+// are left, fastRoom bytes of dst's capacity are spare and a longest
 // match ends below the limit. It holds the reader's accumulator in locals
 // and tops it up to at least 56 bits with one 8-byte load per symbol — a
 // length, its extra bits, a distance and its extra bits take at most 48 —

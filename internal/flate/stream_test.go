@@ -30,9 +30,10 @@ func segmentedGzip(tb testing.TB, data []byte, level, segment int) []byte {
 		enc := getEncoder(bw, seg)
 		m.Tokenize(seg, enc.appendToken)
 		enc.flushBlock(false)
+		err := enc.err
 		putEncoder(enc)
-		if enc.err != nil {
-			tb.Fatal(enc.err)
+		if err != nil {
+			tb.Fatal(err)
 		}
 	}
 	bw.WriteBits(1, 3) // BFINAL, stored
