@@ -1,8 +1,8 @@
 // Package bitio provides bit-level readers and writers in both LSB-first
 // (DEFLATE, LZW .Z) and MSB-first (bzip2) packing orders.
 //
-// The writers buffer internally; the readers read a byte slice in place.
-// All of them surface errors through a sticky error returned from
+// The writers append to a byte slice in place and the readers read one in
+// place. All of them surface errors through a sticky error returned from
 // Flush/Err so that hot loops do not need per-call error checks.
 package bitio
 
@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"slices"
 )
 
 // ErrBitOverflow is returned when a caller asks to write or read more than 57
@@ -18,35 +19,31 @@ var ErrBitOverflow = errors.New("bitio: bit count out of range")
 
 const maxBitsPerCall = 57
 
-// writerBuf is a writer's buffer. It is handed to the io.Writer once it has
-// no room left for another eight bytes, which is what one WriteBits stores.
-const writerBuf = 4096
-
 // LSBWriter packs bits least-significant-bit first, the order used by DEFLATE
-// and by the LZW .Z format. Between calls the accumulator holds fewer than
-// eight bits: every WriteBits stores the accumulator's eight bytes at the
-// end of the buffer and keeps the whole ones.
+// and by the LZW .Z format, appending them to its slice in place. Between
+// calls the accumulator holds fewer than eight bits: every WriteBits stores
+// the accumulator's eight bytes at the end of the slice and keeps the whole
+// ones, so the slice's spare capacity is the writer's.
 type LSBWriter struct {
-	w   io.Writer
+	w   io.Writer // NewLSBWriter's destination; nil after Reset
 	acc uint64
 	n   uint
 	buf []byte
 	err error
 }
 
-// NewLSBWriter returns an LSBWriter emitting to w.
+// NewLSBWriter returns an LSBWriter whose Flush hands what it holds to w in
+// one Write. It exists for the benchmark's Huffman decode probe, which
+// writes into a bytes.Buffer; the encoders append in place through Reset.
 func NewLSBWriter(w io.Writer) *LSBWriter {
-	return &LSBWriter{w: w, buf: make([]byte, 0, writerBuf)}
+	return &LSBWriter{w: w}
 }
 
-// Reset rebinds the writer to w and clears all buffered bits, bytes and the
-// sticky error, so pooled writers can be reused across streams.
-func (bw *LSBWriter) Reset(w io.Writer) {
-	bw.w = w
-	bw.acc = 0
-	bw.n = 0
-	bw.buf = bw.buf[:0]
-	bw.err = nil
+// Reset makes the writer append to dst and clears its bits and sticky
+// error, so a writer held in a pooled workspace (the zero value included)
+// writes one stream after another. Reset(nil) lets go of the last stream.
+func (bw *LSBWriter) Reset(dst []byte) {
+	*bw = LSBWriter{buf: dst}
 }
 
 // WriteBits writes the low n bits of v, LSB first. n must be <= 57.
@@ -60,16 +57,15 @@ func (bw *LSBWriter) WriteBits(v uint64, n uint) {
 	}
 	acc, have := bw.acc|(v&(1<<n-1))<<bw.n, bw.n+n
 	at := len(bw.buf)
-	binary.LittleEndian.PutUint64(bw.buf[at:at+8], acc)
-	at += int(have >> 3)
-	bw.buf = bw.buf[:at]
-	bw.acc, bw.n = acc>>(have&^7), have&7
-	if at > writerBuf-8 {
-		bw.drain()
+	if cap(bw.buf)-at < 8 {
+		bw.buf = slices.Grow(bw.buf, 8)
 	}
+	binary.LittleEndian.PutUint64(bw.buf[at:at+8], acc)
+	bw.buf = bw.buf[:at+int(have>>3)]
+	bw.acc, bw.n = acc>>(have&^7), have&7
 }
 
-// WriteBytes writes whole bytes. The writer must be byte-aligned.
+// WriteBytes appends whole bytes. The writer must be byte-aligned.
 func (bw *LSBWriter) WriteBytes(p []byte) {
 	if bw.err != nil {
 		return
@@ -78,10 +74,7 @@ func (bw *LSBWriter) WriteBytes(p []byte) {
 		bw.err = errors.New("bitio: WriteBytes on unaligned writer")
 		return
 	}
-	bw.drain()
-	if _, err := bw.w.Write(p); err != nil {
-		bw.err = err
-	}
+	bw.buf = append(bw.buf, p...)
 }
 
 // Align pads with zero bits to the next byte boundary.
@@ -91,23 +84,21 @@ func (bw *LSBWriter) Align() {
 	}
 }
 
-func (bw *LSBWriter) drain() {
-	if len(bw.buf) == 0 || bw.err != nil {
-		return
-	}
-	if _, err := bw.w.Write(bw.buf); err != nil {
-		bw.err = err
-	}
-	bw.buf = bw.buf[:0]
-}
-
-// Flush aligns to a byte boundary, drains buffered bytes and reports the
-// first error encountered.
+// Flush aligns to a byte boundary and reports the first error encountered.
+// A writer made by NewLSBWriter then hands the bytes it holds to its
+// io.Writer and starts on an empty slice.
 func (bw *LSBWriter) Flush() error {
 	bw.Align()
-	bw.drain()
+	if bw.w != nil && bw.err == nil && len(bw.buf) > 0 {
+		_, bw.err = bw.w.Write(bw.buf)
+		bw.buf = bw.buf[:0]
+	}
 	return bw.err
 }
+
+// Bytes returns the slice the writer appended to: after Flush, the stream
+// whole, behind whatever the slice held when it was handed to Reset.
+func (bw *LSBWriter) Bytes() []byte { return bw.buf }
 
 // Err reports the sticky error, if any.
 func (bw *LSBWriter) Err() error { return bw.err }
@@ -268,20 +259,26 @@ func (br *LSBReader) Err() error { return br.err }
 // AtEOF reports whether every bit of the slice has been consumed.
 func (br *LSBReader) AtEOF() bool { return br.n == 0 && br.pos == len(br.buf) }
 
-// MSBWriter packs bits most-significant-bit first, the order used by bzip2.
-// Its accumulator is filled from the top, so that its big-endian store puts
-// the oldest bits first; it too keeps fewer than eight bits between calls.
+// MSBWriter packs bits most-significant-bit first, the order used by bzip2,
+// appending them to its slice in place as LSBWriter does. Its accumulator
+// is filled from the top, so that its big-endian store puts the oldest bits
+// first; it too keeps fewer than eight bits between calls.
 type MSBWriter struct {
-	w   io.Writer
 	acc uint64
 	n   uint
 	buf []byte
 	err error
 }
 
-// NewMSBWriter returns an MSBWriter emitting to w.
-func NewMSBWriter(w io.Writer) *MSBWriter {
-	return &MSBWriter{w: w, buf: make([]byte, 0, writerBuf)}
+// NewMSBWriter returns an MSBWriter appending to dst.
+func NewMSBWriter(dst []byte) *MSBWriter {
+	return &MSBWriter{buf: dst}
+}
+
+// Reset makes the writer append to dst and clears its bits and sticky
+// error, as LSBWriter.Reset does.
+func (bw *MSBWriter) Reset(dst []byte) {
+	*bw = MSBWriter{buf: dst}
 }
 
 // WriteBits writes the low n bits of v with the most significant of those
@@ -297,34 +294,24 @@ func (bw *MSBWriter) WriteBits(v uint64, n uint) {
 	have := bw.n + n
 	acc := bw.acc | (v&(1<<n-1))<<(64-have)
 	at := len(bw.buf)
+	if cap(bw.buf)-at < 8 {
+		bw.buf = slices.Grow(bw.buf, 8)
+	}
 	binary.BigEndian.PutUint64(bw.buf[at:at+8], acc)
-	at += int(have >> 3)
-	bw.buf = bw.buf[:at]
+	bw.buf = bw.buf[:at+int(have>>3)]
 	bw.acc, bw.n = acc<<(have&^7), have&7
-	if at > writerBuf-8 {
-		bw.drain()
-	}
 }
 
-func (bw *MSBWriter) drain() {
-	if len(bw.buf) == 0 || bw.err != nil {
-		return
-	}
-	if _, err := bw.w.Write(bw.buf); err != nil {
-		bw.err = err
-	}
-	bw.buf = bw.buf[:0]
-}
-
-// Flush pads with zero bits to a byte boundary, drains and reports the first
-// error.
+// Flush pads with zero bits to a byte boundary and reports the first error.
 func (bw *MSBWriter) Flush() error {
 	if bw.n > 0 {
 		bw.WriteBits(0, 8-bw.n)
 	}
-	bw.drain()
 	return bw.err
 }
+
+// Bytes returns the slice the writer appended to, as LSBWriter.Bytes does.
+func (bw *MSBWriter) Bytes() []byte { return bw.buf }
 
 // Err reports the sticky error, if any.
 func (bw *MSBWriter) Err() error { return bw.err }

@@ -40,15 +40,14 @@ func TestLSBWriteRead(t *testing.T) {
 }
 
 func TestMSBWriteRead(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewMSBWriter(&buf)
+	w := NewMSBWriter(nil)
 	w.WriteBits(0b1, 1)
 	w.WriteBits(0b0110, 4)
 	w.WriteBits(0xABC, 12)
 	if err := w.Flush(); err != nil {
 		t.Fatalf("flush: %v", err)
 	}
-	r := NewMSBReader(buf.Bytes())
+	r := NewMSBReader(w.Bytes())
 	if got := r.ReadBits(1); got != 1 {
 		t.Errorf("bit: got %d", got)
 	}
@@ -61,14 +60,13 @@ func TestMSBWriteRead(t *testing.T) {
 }
 
 func TestMSBFirstBitIsHighBitOfByte(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewMSBWriter(&buf)
+	w := NewMSBWriter(nil)
 	w.WriteBits(1, 1)
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if buf.Bytes()[0] != 0x80 {
-		t.Errorf("msb-first single 1 bit should give 0x80, got %#x", buf.Bytes()[0])
+	if w.Bytes()[0] != 0x80 {
+		t.Errorf("msb-first single 1 bit should give 0x80, got %#x", w.Bytes()[0])
 	}
 }
 
@@ -213,15 +211,14 @@ func TestQuickLSBRoundTrip(t *testing.T) {
 func TestQuickMSBRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		s := genSeq(rand.New(rand.NewSource(seed)))
-		var buf bytes.Buffer
-		w := NewMSBWriter(&buf)
+		w := NewMSBWriter(nil)
 		for i, v := range s.vals {
 			w.WriteBits(v, s.widths[i])
 		}
 		if err := w.Flush(); err != nil {
 			return false
 		}
-		r := NewMSBReader(buf.Bytes())
+		r := NewMSBReader(w.Bytes())
 		for i, want := range s.vals {
 			if got := r.ReadBits(s.widths[i]); got != want {
 				return false
@@ -234,23 +231,27 @@ func TestQuickMSBRoundTrip(t *testing.T) {
 	}
 }
 
-type failWriter struct{ after int }
+type failWriter struct{ calls int }
 
 func (f *failWriter) Write(p []byte) (int, error) {
-	if f.after <= 0 {
-		return 0, errors.New("boom")
-	}
-	f.after -= len(p)
-	return len(p), nil
+	f.calls++
+	return 0, errors.New("boom")
 }
 
+// TestWriterPropagatesError: a writer made by NewLSBWriter hands its
+// stream to its io.Writer in one Write, at Flush, and that Write's error
+// is sticky.
 func TestWriterPropagatesError(t *testing.T) {
-	w := NewLSBWriter(&failWriter{after: 0})
+	fw := new(failWriter)
+	w := NewLSBWriter(fw)
 	for i := 0; i < 10000; i++ {
 		w.WriteBits(0xff, 8)
 	}
-	if err := w.Flush(); err == nil {
-		t.Fatal("expected write error to propagate")
+	if err := w.Flush(); err == nil || fw.calls != 1 {
+		t.Fatalf("Flush: %v after %d writes, want the one Write's error", err, fw.calls)
+	}
+	if w.WriteBits(1, 1); w.Flush() == nil || fw.calls != 1 {
+		t.Fatal("the error is not sticky")
 	}
 }
 
@@ -293,13 +294,15 @@ func TestLSBReadBytesUnaligned(t *testing.T) {
 	}
 }
 
+// TestMSBWriterErr: a refused call's error is sticky, and nothing is
+// written after it.
 func TestMSBWriterErr(t *testing.T) {
-	w := NewMSBWriter(&failWriter{after: 0})
-	for i := 0; i < 10000; i++ {
-		w.WriteBits(0x55, 8)
-	}
-	if w.Err() == nil && w.Flush() == nil {
-		t.Fatal("write error not surfaced")
+	w := NewMSBWriter([]byte{7})
+	w.WriteBits(0x55, 8)
+	w.WriteBits(0, 58)
+	w.WriteBits(0x55, 8)
+	if w.Err() != ErrBitOverflow || w.Flush() != ErrBitOverflow || !bytes.Equal(w.Bytes(), []byte{7, 0x55}) {
+		t.Fatalf("after a refused call: Err %v, bytes %x", w.Err(), w.Bytes())
 	}
 }
 
@@ -311,8 +314,8 @@ func TestPeekConsumeMatchesReadBits(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	seq := make([]uint, 20000)
 	vals := make([]uint64, len(seq))
-	var lsb, msb bytes.Buffer
-	lw, mw := NewLSBWriter(&lsb), NewMSBWriter(&msb)
+	var lw LSBWriter
+	var mw MSBWriter
 	for i := range seq {
 		seq[i] = uint(1 + rng.Intn(24))
 		vals[i] = rng.Uint64() & (1<<seq[i] - 1)
@@ -329,8 +332,8 @@ func TestPeekConsumeMatchesReadBits(t *testing.T) {
 		Err() error
 	}
 	for name, r := range map[string]reader{
-		"LSB": NewLSBReader(bytes.NewReader(lsb.Bytes())),
-		"MSB": NewMSBReader(msb.Bytes()),
+		"LSB": NewLSBReader(bytes.NewReader(lw.Bytes())),
+		"MSB": NewMSBReader(mw.Bytes()),
 	} {
 		for i, n := range seq {
 			var got uint64
@@ -424,8 +427,7 @@ func TestMSBBitsHandBack(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	seq := make([]uint, 5000)
 	vals := make([]uint64, len(seq))
-	var buf bytes.Buffer
-	w := NewMSBWriter(&buf)
+	w := NewMSBWriter(nil)
 	for i := range seq {
 		seq[i] = uint(1 + rng.Intn(20))
 		vals[i] = rng.Uint64() & (1<<seq[i] - 1)
@@ -435,7 +437,7 @@ func TestMSBBitsHandBack(t *testing.T) {
 	if w.Flush() != nil {
 		t.Fatal("flush failed")
 	}
-	r := NewMSBReader(buf.Bytes())
+	r := NewMSBReader(w.Bytes())
 	borrowed := 0
 	for i := 0; i < len(seq); {
 		for k := 0; k < 3 && i < len(seq); k, i = k+1, i+1 {

@@ -2,28 +2,24 @@ package bitio
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
 // The two bit writers as they were before they stored whole words: one
-// append per output byte, a drain at 4096. Every encoder's compressed
-// bytes went through these, so the word-storing writers are held to them
-// call for call: the bytes written and the sticky error.
+// append per output byte. Every encoder's compressed bytes went through
+// these, so the word-storing writers are held to them call for call: the
+// bytes written and the sticky error. Neither writes again after an error.
 
 type referenceLSBWriter struct {
-	w   io.Writer
+	buf []byte
 	acc uint64
 	n   uint
-	buf []byte
 	err error
-}
-
-func (bw *referenceLSBWriter) Reset(w io.Writer) {
-	*bw = referenceLSBWriter{w: w, buf: bw.buf[:0]}
 }
 
 func (bw *referenceLSBWriter) WriteBits(v uint64, n uint) {
@@ -40,9 +36,6 @@ func (bw *referenceLSBWriter) WriteBits(v uint64, n uint) {
 		bw.buf = append(bw.buf, byte(bw.acc))
 		bw.acc >>= 8
 		bw.n -= 8
-		if len(bw.buf) >= 4096 {
-			bw.drain()
-		}
 	}
 }
 
@@ -54,43 +47,26 @@ func (bw *referenceLSBWriter) WriteBytes(p []byte) {
 		bw.err = errors.New("bitio: WriteBytes on unaligned writer")
 		return
 	}
-	bw.drain()
-	if _, err := bw.w.Write(p); err != nil {
-		bw.err = err
-	}
+	bw.buf = append(bw.buf, p...)
 }
 
 func (bw *referenceLSBWriter) Align() {
-	if bw.n > 0 {
+	if bw.err == nil && bw.n > 0 {
 		bw.buf = append(bw.buf, byte(bw.acc))
 		bw.acc = 0
 		bw.n = 0
 	}
 }
 
-func (bw *referenceLSBWriter) drain() {
-	if len(bw.buf) == 0 || bw.err != nil {
-		return
-	}
-	if _, err := bw.w.Write(bw.buf); err != nil {
-		bw.err = err
-	}
-	bw.buf = bw.buf[:0]
-}
-
 func (bw *referenceLSBWriter) Flush() error {
 	bw.Align()
-	bw.drain()
 	return bw.err
 }
 
-func (bw *referenceLSBWriter) Err() error { return bw.err }
-
 type referenceMSBWriter struct {
-	w   io.Writer
+	buf []byte
 	acc uint64
 	n   uint
-	buf []byte
 	err error
 }
 
@@ -107,71 +83,101 @@ func (bw *referenceMSBWriter) WriteBits(v uint64, n uint) {
 	for bw.n >= 8 {
 		bw.buf = append(bw.buf, byte(bw.acc>>(bw.n-8)))
 		bw.n -= 8
-		if len(bw.buf) >= 4096 {
-			bw.drain()
-		}
 	}
 	bw.acc &= (1 << bw.n) - 1
 }
 
-func (bw *referenceMSBWriter) drain() {
-	if len(bw.buf) == 0 || bw.err != nil {
-		return
-	}
-	if _, err := bw.w.Write(bw.buf); err != nil {
-		bw.err = err
-	}
-	bw.buf = bw.buf[:0]
-}
-
 func (bw *referenceMSBWriter) Flush() error {
-	if bw.n > 0 {
+	if bw.err == nil && bw.n > 0 {
 		bw.buf = append(bw.buf, byte(bw.acc<<(8-bw.n)))
 		bw.acc = 0
 		bw.n = 0
 	}
-	bw.drain()
 	return bw.err
 }
 
-func (bw *referenceMSBWriter) Err() error { return bw.err }
-
-// sink keeps the bytes it is written and refuses the Write that would take
-// it past budget bytes (none, when negative) and every one after it.
-type sink struct {
-	got    []byte
-	budget int
-	full   bool
+// writerOp is one call on a bit writer: WriteBits(v, n), Align or
+// WriteBytes(p). The MSB-first writer has neither of the last two, so it
+// is held to its reference with Flush, which pads to a byte, for Align and
+// a WriteBits(b, 8) per byte for WriteBytes.
+type writerOp struct {
+	kind int
+	v    uint64
+	n    uint
+	p    []byte
 }
 
-var errSink = errors.New("sink full")
+const (
+	opBits = iota
+	opAlign
+	opBytes
+)
 
-func (s *sink) Write(p []byte) (int, error) {
-	if s.full || s.budget >= 0 && len(s.got)+len(p) > s.budget {
-		s.full = true
-		return 0, errSink
+// checkLSB drives got, Reset to dst, and the reference, started on a copy
+// of dst, through ops, and requires the same sticky error after every call
+// and after Flush, then the same stream, with dst's own bytes untouched.
+func checkLSB(tb testing.TB, what string, got *LSBWriter, dst []byte, ops []writerOp) {
+	tb.Helper()
+	orig := slices.Clone(dst)
+	want := &referenceLSBWriter{buf: slices.Clone(dst)}
+	got.Reset(dst)
+	for i, op := range ops {
+		switch op.kind {
+		case opBits:
+			got.WriteBits(op.v, op.n)
+			want.WriteBits(op.v, op.n)
+		case opAlign:
+			got.Align()
+			want.Align()
+		case opBytes:
+			got.WriteBytes(op.p)
+			want.WriteBytes(op.p)
+		}
+		sameErr(tb, fmt.Sprintf("%s: call %d", what, i), got.Err(), want.err)
 	}
-	s.got = append(s.got, p...)
-	return len(p), nil
+	sameErr(tb, what+": Flush", got.Flush(), want.Flush())
+	sameStream(tb, what, got.Bytes(), want.buf, dst, orig)
 }
 
-// agree requires the writer to have ended as the reference did: the same
-// error, and with none the same bytes in the sink. After an error — the
-// sink's, or a refused call's — neither writes again, so what each had
-// already drained stays a prefix of one stream; the two may differ in how
-// much that is, because the reference cuts its stream every 4096 bytes and
-// the word-storing writers once fewer than eight bytes of room are left.
-func agree(t *testing.T, what string, got, want *sink, gotErr, wantErr error) {
-	t.Helper()
-	if (gotErr == nil) != (wantErr == nil) || (wantErr != nil && gotErr.Error() != wantErr.Error()) {
-		t.Fatalf("%s: error %v, reference %v", what, gotErr, wantErr)
+// checkMSB is checkLSB for the MSB-first writer.
+func checkMSB(tb testing.TB, what string, got *MSBWriter, dst []byte, ops []writerOp) {
+	tb.Helper()
+	orig := slices.Clone(dst)
+	want := &referenceMSBWriter{buf: slices.Clone(dst)}
+	got.Reset(dst)
+	for i, op := range ops {
+		switch op.kind {
+		case opBits:
+			got.WriteBits(op.v, op.n)
+			want.WriteBits(op.v, op.n)
+		case opAlign:
+			_, _ = got.Flush(), want.Flush()
+		case opBytes:
+			for _, b := range op.p {
+				got.WriteBits(uint64(b), 8)
+				want.WriteBits(uint64(b), 8)
+			}
+		}
+		sameErr(tb, fmt.Sprintf("%s: call %d", what, i), got.Err(), want.err)
 	}
-	short, long := got.got, want.got
-	if len(short) > len(long) {
-		short, long = long, short
+	sameErr(tb, what+": Flush", got.Flush(), want.Flush())
+	sameStream(tb, what, got.Bytes(), want.buf, dst, orig)
+}
+
+func sameErr(tb testing.TB, what string, got, want error) {
+	tb.Helper()
+	if (got == nil) != (want == nil) || (want != nil && got.Error() != want.Error()) {
+		tb.Fatalf("%s: error %v, reference %v", what, got, want)
 	}
-	if !bytes.HasPrefix(long, short) || (wantErr == nil && len(short) != len(long)) {
-		t.Fatalf("%s: %d bytes written, differing from the reference writer's %d", what, len(got.got), len(want.got))
+}
+
+func sameStream(tb testing.TB, what string, got, want, dst, orig []byte) {
+	tb.Helper()
+	if !bytes.Equal(got, want) {
+		tb.Fatalf("%s: %d bytes written, differing from the reference writer's %d", what, len(got), len(want))
+	}
+	if !bytes.Equal(dst, orig) {
+		tb.Fatalf("%s: the %d bytes dst held were overwritten", what, len(dst))
 	}
 }
 
@@ -192,123 +198,116 @@ func bitCount(rng *rand.Rand) uint {
 	}
 }
 
+// randomOps draws a stream of calls: WriteBits of every width including
+// the refused ones, Align, and WriteBytes, usually aligned as DEFLATE's
+// stored blocks are, and now and then not.
+func randomOps(rng *rand.Rand) []writerOp {
+	var ops []writerOp
+	for c := rng.Intn(3000); c >= 0; c-- {
+		switch r := rng.Intn(1000); {
+		case r < 985:
+			ops = append(ops, writerOp{kind: opBits, v: rng.Uint64(), n: bitCount(rng)})
+		case r < 990:
+			ops = append(ops, writerOp{kind: opAlign})
+		default:
+			if rng.Intn(8) > 0 {
+				ops = append(ops, writerOp{kind: opAlign})
+			}
+			p := make([]byte, rng.Intn(300))
+			rng.Read(p)
+			ops = append(ops, writerOp{kind: opBytes, p: p})
+		}
+	}
+	return ops
+}
+
+// randomDst draws the slice a stream is appended to: up to 20 bytes of its
+// own and up to 20 bytes of room.
+func randomDst(rng *rand.Rand) []byte {
+	dst := make([]byte, rng.Intn(21), 40)
+	rng.Read(dst)
+	return dst[: len(dst) : len(dst)+rng.Intn(21)]
+}
+
 // TestLSBWriterMatchesReference drives one LSBWriter, reused through Reset,
-// and the retired writer with the same random calls — WriteBits of every
-// width including the refused ones, Align, WriteBytes aligned and not,
-// Flush in mid-stream — over streams that drain several times, some into a
-// sink that fills up, and requires the same bytes and the same error: after
-// every call while the sink holds, at the end when it does not.
+// and the reference writer through the same random calls onto random dst
+// slices, and requires the same errors and the same bytes.
 func TestLSBWriterMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
-	got, want := NewLSBWriter(nil), new(referenceLSBWriter)
+	got := new(LSBWriter)
 	for round := 0; round < 300; round++ {
-		budget := -1
-		if round%3 == 2 {
-			budget = rng.Intn(20000)
-		}
-		gs, ws := &sink{budget: budget}, &sink{budget: budget}
-		got.Reset(gs)
-		want.Reset(ws)
-		calls := 1 + rng.Intn(3000)
-		for c := 0; c < calls; c++ {
-			switch r := rng.Intn(1000); {
-			case r < 985:
-				v, n := rng.Uint64(), bitCount(rng)
-				if round%5 == 0 && n <= maxBitsPerCall {
-					n = 57 // reach the drain at every phase quickly
-				}
-				got.WriteBits(v, n)
-				want.WriteBits(v, n)
-			case r < 990:
-				got.Align()
-				want.Align()
-			case r < 997:
-				if rng.Intn(8) > 0 { // usually aligned, as DEFLATE's stored blocks are
-					got.Align()
-					want.Align()
-				}
-				p := make([]byte, rng.Intn(300))
-				rng.Read(p)
-				got.WriteBytes(p)
-				want.WriteBytes(p)
-			default:
-				g, w := got.Flush(), want.Flush()
-				agree(t, fmt.Sprintf("round %d call %d: Flush", round, c), gs, ws, g, w)
-			}
-			if budget < 0 {
-				g, w := got.Err(), want.Err()
-				if (g == nil) != (w == nil) || (w != nil && g.Error() != w.Error()) {
-					t.Fatalf("round %d call %d: Err %v, reference %v", round, c, g, w)
-				}
-			}
-		}
-		g, w := got.Flush(), want.Flush()
-		agree(t, fmt.Sprintf("round %d", round), gs, ws, g, w)
+		checkLSB(t, fmt.Sprintf("round %d", round), got, randomDst(rng), randomOps(rng))
 	}
 }
 
-// TestMSBWriterMatchesReference is the same for the MSB-first writer, which
-// has no Reset: a fresh pair per stream.
+// TestMSBWriterMatchesReference is the same for the MSB-first writer.
 func TestMSBWriterMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
+	got := new(MSBWriter)
 	for round := 0; round < 300; round++ {
-		budget := -1
-		if round%3 == 2 {
-			budget = rng.Intn(20000)
-		}
-		gs, ws := &sink{budget: budget}, &sink{budget: budget}
-		got, want := NewMSBWriter(gs), &referenceMSBWriter{w: ws}
-		calls := 1 + rng.Intn(3000)
-		for c := 0; c < calls; c++ {
-			if rng.Intn(1000) == 0 {
-				g, w := got.Flush(), want.Flush()
-				agree(t, fmt.Sprintf("round %d call %d: Flush", round, c), gs, ws, g, w)
-				continue
-			}
-			v, n := rng.Uint64(), bitCount(rng)
-			if round%5 == 0 && n <= maxBitsPerCall {
-				n = 57
-			}
-			got.WriteBits(v, n)
-			want.WriteBits(v, n)
-			if g, w := got.Err(), want.Err(); budget < 0 && g != w {
-				t.Fatalf("round %d call %d: Err %v, reference %v", round, c, g, w)
-			}
-		}
-		g, w := got.Flush(), want.Flush()
-		agree(t, fmt.Sprintf("round %d", round), gs, ws, g, w)
+		checkMSB(t, fmt.Sprintf("round %d", round), got, randomDst(rng), randomOps(rng))
 	}
 }
 
-// TestWritersCrossTheDrainAtEveryPhase walks the buffered length up to the
-// drain with every bit phase and every call width across it, where a word
-// store could run past the buffer or a drain drop a byte.
-func TestWritersCrossTheDrainAtEveryPhase(t *testing.T) {
+// TestWritersGrowAtEveryPhase starts each writer on a non-empty dst with
+// room for 0 to 8 more bytes and writes past that room and the regrown
+// slice's, with every bit phase and every call width, where a word store
+// could run past the slice or a regrowth drop a byte or touch dst.
+func TestWritersGrowAtEveryPhase(t *testing.T) {
 	for phase := uint(0); phase < 8; phase++ {
 		for width := uint(1); width <= maxBitsPerCall; width++ {
-			gl, wl := &sink{budget: -1}, &sink{budget: -1}
-			gm, wm := &sink{budget: -1}, &sink{budget: -1}
-			lsb, rlsb := NewLSBWriter(gl), &referenceLSBWriter{w: wl}
-			msb, rmsb := NewMSBWriter(gm), &referenceMSBWriter{w: wm}
-			write := func(v uint64, n uint) {
-				lsb.WriteBits(v, n)
-				rlsb.WriteBits(v, n)
-				msb.WriteBits(v, n)
-				rmsb.WriteBits(v, n)
-			}
-			write(0x55, phase)
-			for i := 0; i < writerBuf-16; i++ {
-				write(uint64(i)*0x9E37, 8)
-			}
+			ops := []writerOp{{kind: opBits, v: 0x55, n: phase}}
 			for i := 0; i < 12; i++ {
-				write(0xA5A5A5A5A5A5A5A5+uint64(i), width)
+				ops = append(ops, writerOp{kind: opBits, v: 0xA5A5A5A5A5A5A5A5 + uint64(i), n: width})
 				if i == 5 {
-					lsb.Align() // a pad byte may be the one that fills the buffer
-					rlsb.Align()
+					ops = append(ops, writerOp{kind: opAlign}) // a pad byte may be the one that fills the room
 				}
 			}
-			agree(t, fmt.Sprintf("LSB phase %d width %d", phase, width), gl, wl, lsb.Flush(), rlsb.Flush())
-			agree(t, fmt.Sprintf("MSB phase %d width %d", phase, width), gm, wm, msb.Flush(), rmsb.Flush())
+			for spare := 0; spare <= 8; spare++ {
+				dst := append(make([]byte, 0, 3+spare), 0xde, 0xad, 0xbe)
+				what := fmt.Sprintf("phase %d width %d spare %d", phase, width, spare)
+				checkLSB(t, "LSB "+what, new(LSBWriter), dst, ops)
+				checkMSB(t, "MSB "+what, new(MSBWriter), dst, ops)
+			}
 		}
 	}
+}
+
+// FuzzWritersMatchReference holds both writers to the references on an
+// arbitrary dst and call sequence. The first byte gives dst's length (its
+// low nibble) and room (its high nibble); the rest are calls, each an op
+// byte and its arguments: a width (taken mod 58) and up to eight value
+// bytes for WriteBits, the op byte's top six bits as WriteBytes' length.
+func FuzzWritersMatchReference(f *testing.F) {
+	f.Add([]byte{0x00})
+	f.Add([]byte{0x83, 0, 57, 1, 2, 3, 4, 5, 6, 7, 8, 1, 3, 0xff, 0, 0, 0, 0, 0, 0, 0, 2, 5<<2 | 3, 'h', 'e', 'l', 'l', 'o', 0, 7, 0x7f})
+	f.Add([]byte{0x8f, 1, 7, 0x7f, 0, 0, 0, 0, 0, 0, 0, 4<<2 | 3, 1, 2, 3, 4, 0, 57, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		dst := make([]byte, data[0]&15, int(data[0]&15+data[0]>>4))
+		for i := range dst {
+			dst[i] = byte(0xe0 + i)
+		}
+		var ops []writerOp
+		for b := data[1:]; len(b) > 0; {
+			op := b[0]
+			b = b[1:]
+			switch op & 3 {
+			case 0, 1:
+				var arg [9]byte
+				b = b[copy(arg[:], b):]
+				ops = append(ops, writerOp{kind: opBits, n: uint(arg[0]) % (maxBitsPerCall + 1), v: binary.LittleEndian.Uint64(arg[1:])})
+			case 2:
+				ops = append(ops, writerOp{kind: opAlign})
+			case 3:
+				k := min(int(op>>2), len(b))
+				ops = append(ops, writerOp{kind: opBytes, p: b[:k]})
+				b = b[k:]
+			}
+		}
+		checkLSB(t, "LSB", new(LSBWriter), dst, ops)
+		checkMSB(t, "MSB", new(MSBWriter), dst, ops)
+	})
 }

@@ -34,8 +34,9 @@ const (
 )
 
 // encoder is the compression workspace: the block sort's arrays, the buffers
-// the block passes between stages, the block's Huffman code and the
-// stream being written. It grows to the largest block it has compressed.
+// the block passes between stages, the block's Huffman code and the bit
+// writer the stream is built in. It grows to the largest block and the
+// largest stream it has compressed.
 type encoder struct {
 	rot     []byte  // the block rotated to its least rotation
 	sa, bkt []int32 // its Lyndon root's suffix array; the sort's counters and LMS bitmaps
@@ -46,7 +47,7 @@ type encoder struct {
 	freq  [numSymbols]int
 	lens  [numSymbols]uint8
 	codes [numSymbols]uint32
-	out   sliceWriter
+	bw    bitio.MSBWriter
 }
 
 var encoderPool = sync.Pool{New: func() any { return new(encoder) }}
@@ -59,13 +60,13 @@ func Compress(data []byte, level int) ([]byte, error) {
 	}
 	e := encoderPool.Get().(*encoder)
 	defer encoderPool.Put(e)
-	e.out.b = append(e.out.b[:0], magic0, magic1, magic2, byte('0'+level))
-	bw := bitio.NewMSBWriter(&e.out)
+	bw := &e.bw
+	bw.Reset(append(bw.Bytes()[:0], magic0, magic1, magic2, byte('0'+level)))
 	blockSize := level * blockSizeUnit
 
 	for start := 0; start < len(data); start += blockSize {
 		end := min(start+blockSize, len(data))
-		if err := e.compressBlock(bw, data[start:end]); err != nil {
+		if err := e.compressBlock(data[start:end]); err != nil {
 			return nil, err
 		}
 	}
@@ -73,10 +74,11 @@ func Compress(data []byte, level int) ([]byte, error) {
 	if err := bw.Flush(); err != nil {
 		return nil, err
 	}
-	return slices.Clone(e.out.b), nil
+	return slices.Clone(bw.Bytes()), nil
 }
 
-func (e *encoder) compressBlock(bw *bitio.MSBWriter, raw []byte) error {
+func (e *encoder) compressBlock(raw []byte) error {
+	bw := &e.bw
 	bw.WriteBits(1, 1) // block marker
 	crc := checksum.CRC32(raw)
 
@@ -233,11 +235,4 @@ func (d *decoder) decompressBlock(out []byte, base, maxSize, budget int) ([]byte
 		return nil, fmt.Errorf("%w: block CRC mismatch", ErrCorrupt)
 	}
 	return out, nil
-}
-
-type sliceWriter struct{ b []byte }
-
-func (s *sliceWriter) Write(p []byte) (int, error) {
-	s.b = append(s.b, p...)
-	return len(p), nil
 }

@@ -26,8 +26,7 @@ const (
 // fields and code lengths, followed by the given symbols (while the code
 // has them) and the end-of-stream marker.
 func craftBlock(crc uint32, rleLen, ptr int, lens map[int]uint8, syms ...int) []byte {
-	out := &sliceWriter{b: []byte{magic0, magic1, magic2, '1'}}
-	bw := bitio.NewMSBWriter(out)
+	bw := bitio.NewMSBWriter([]byte{magic0, magic1, magic2, '1'})
 	bw.WriteBits(1, 1)
 	bw.WriteBits(uint64(crc), 32)
 	bw.WriteBits(uint64(rleLen), 32)
@@ -46,7 +45,7 @@ func craftBlock(crc uint32, rleLen, ptr int, lens map[int]uint8, syms ...int) []
 	}
 	bw.WriteBits(0, 1)
 	_ = bw.Flush()
-	return out.b
+	return bw.Bytes()
 }
 
 // setBits overwrites n bits of a stream, MSB first, from bit offset off

@@ -106,8 +106,7 @@ func referenceTransform(block []byte) ([]byte, int) {
 // RLE1 form is a proper power names the lowest of its equal rows — the
 // parent named whichever its tie order left at rotation 0.
 func referenceCompress(data []byte, level int) []byte {
-	out := &sliceWriter{b: []byte{magic0, magic1, magic2, byte('0' + level)}}
-	bw := bitio.NewMSBWriter(out)
+	bw := bitio.NewMSBWriter([]byte{magic0, magic1, magic2, byte('0' + level)})
 	for start := 0; start < len(data); start += level * blockSizeUnit {
 		raw := data[start:min(start+level*blockSizeUnit, len(data))]
 		rle := rle1Encode(raw)
@@ -143,7 +142,7 @@ func referenceCompress(data []byte, level int) []byte {
 	if err := bw.Flush(); err != nil {
 		panic(err)
 	}
-	return out.b
+	return bw.Bytes()
 }
 
 // manberMyers returns the start indices of the cyclic rotations of s in

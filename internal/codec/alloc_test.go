@@ -67,13 +67,13 @@ func TestDecompressIntoSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestCompressSteadyStateAllocs: the LZW and BWT encoders' tables and
-// per-block arrays come from their workspaces, so a warm Compress
-// allocates its returned output and a fixed few KiB (the bit writer's
-// buffer), not 1 MiB of hash table or 20 bytes per input byte of sort
-// arrays.
+// TestCompressSteadyStateAllocs: every encoder's tables, per-block arrays
+// and the buffer its stream is built in come from its workspace, so a warm
+// Compress allocates its returned output and nothing else: not 1 MiB of
+// hash table, 20 bytes per input byte of sort arrays, a bit writer's
+// buffer or an adapter around it.
 func TestCompressSteadyStateAllocs(t *testing.T) {
-	for _, s := range []Scheme{Compress, Bzip2} {
+	for _, s := range []Scheme{Gzip, Compress, Bzip2, Zlib} {
 		for _, size := range []int{4 << 10, 128 << 10} {
 			t.Run(fmt.Sprintf("%v/%d", s, size), func(t *testing.T) {
 				c := MustNew(s, 0)
@@ -86,8 +86,8 @@ func TestCompressSteadyStateAllocs(t *testing.T) {
 					}
 				})
 				// cap, not len: size classes round the output's allocation up.
-				if over := bytes - float64(cap(out)); over > 8<<10 || allocs > 8 {
-					t.Errorf("a warm Compress allocates %.0f bytes beyond its %d-byte output, in %.1f objects; want <= 8192 in <= 8", over, cap(out), allocs)
+				if over := bytes - float64(cap(out)); over != 0 || allocs != 1 {
+					t.Errorf("a warm Compress allocates %.0f bytes beyond its %d-byte output, in %.1f objects; want 0 in 1", over, cap(out), allocs)
 				}
 			})
 		}

@@ -7,6 +7,8 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"testing"
 
@@ -43,6 +45,32 @@ func TestGzipMutationNeverPanicsOrLies(t *testing.T) {
 	}
 }
 
+// TestForgedISizeReservesLittle: the ISIZE a member ends with is read
+// before it is checked, as a hint of the room to make. A forged one behind
+// a few-byte body must not make a megabyte of it: a DEFLATE body inflates
+// to at most 1032 bytes per byte.
+func TestForgedISizeReservesLittle(t *testing.T) {
+	member, err := GzipCompress([]byte("hello"), 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(member[len(member)-4:], 0xFFFFFFFF)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	for range 2 { // the first run fills the inflater's pool
+		runtime.ReadMemStats(&before)
+		_, err = GzipDecompress(member, 0)
+		runtime.ReadMemStats(&after)
+	}
+	if err == nil {
+		t.Fatal("a forged ISIZE accepted")
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 64<<10 {
+		t.Errorf("a %d-byte member with ISIZE 0xFFFFFFFF allocates %d bytes, want under 64 KiB", len(member), n)
+	}
+}
+
 // TestGzipTruncationAlwaysFails: every strict prefix of a stream that
 // decodes is refused — the trailer is mandatory — through gzip, zlib and
 // raw DEFLATE. The streams are a gzip -9 member, each streamSeeds member and
@@ -59,11 +87,7 @@ func TestGzipTruncationAlwaysFails(t *testing.T) {
 	body := multi[gzipHdrLen : len(multi)-gzipTrailLen]
 	zl := binary.BigEndian.AppendUint32(append([]byte{0x78, 0xda}, body...), checksum.Adler32(data))
 
-	// Room for what a prefix's ISIZE field, whatever bytes it reads, asks
-	// GzipDecompress to reserve, so that each of the many prefixes does
-	// not allocate it afresh.
-	room := make([]byte, 0, maxTrailerPrealloc)
-	gzip := func(b []byte) error { _, err := GzipDecompressAppend(room, b, 0); return err }
+	gzip := func(b []byte) error { _, err := GzipDecompress(b, 0); return err }
 	zlib := func(b []byte) error { _, err := ZlibDecompress(b, 0); return err }
 	raw := func(b []byte) error { _, err := Inflate(nil, b, 0); return err }
 	type stream struct {
@@ -241,16 +265,15 @@ func TestGzipHeaderWithOptionalFields(t *testing.T) {
 // symbol is a three-byte match at distance one is refused on an empty dst,
 // and must be on a dst that has three bytes to offer.
 func TestMatchCannotReachIntoPrefix(t *testing.T) {
-	var body bytes.Buffer
-	bw := bitio.NewLSBWriter(&body)
+	var bw bitio.LSBWriter
+	bw.Reset([]byte{gzipID1, gzipID2, gzipCM, 0, 0, 0, 0, 0, 0, gzipOSUnix})
 	bw.WriteBits(1, 1)         // BFINAL
 	bw.WriteBits(1, 2)         // fixed codes
 	bw.WriteBits(0b1000000, 7) // length code 257 (0000001, first bit first): 3 bytes
 	bw.WriteBits(0, 5)         // distance code 0: 1 byte back
 	bw.WriteBits(0, 7)         // end of block
 	_ = bw.Flush()
-	stream := append([]byte{gzipID1, gzipID2, gzipCM, 0, 0, 0, 0, 0, 0, gzipOSUnix}, body.Bytes()...)
-	stream = binary.LittleEndian.AppendUint32(stream, checksum.CRC32([]byte("zzz")))
+	stream := binary.LittleEndian.AppendUint32(bw.Bytes(), checksum.CRC32([]byte("zzz")))
 	stream = binary.LittleEndian.AppendUint32(stream, 3)
 	for _, dst := range [][]byte{nil, []byte("xyz")} {
 		if out, err := GzipDecompressAppend(dst, stream, 0); err == nil {

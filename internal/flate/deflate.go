@@ -6,7 +6,6 @@ package flate
 
 import (
 	"fmt"
-	"io"
 	"slices"
 	"sync"
 
@@ -23,59 +22,24 @@ const maxTokensPerBlock = 16384
 // maxStoredBlock is the maximum payload of a stored (BTYPE=00) block.
 const maxStoredBlock = 65535
 
-// Deflate compresses data to w as a complete DEFLATE stream at the given
-// level (1-9). It returns the number of compressed bytes written.
-func Deflate(w io.Writer, data []byte, level int) (int, error) {
-	m, err := lz77.GetMatcher(level)
-	if err != nil {
-		return 0, err
-	}
-	defer lz77.PutMatcher(m)
-	cw := countWriter{w: w}
-	bw := getLSBWriter(&cw)
-	defer putLSBWriter(bw)
-	enc := getEncoder(bw, data)
-	defer putEncoder(enc)
-
-	m.Tokenize(data, enc.appendToken)
-	enc.flushBlock(true)
-	if enc.err != nil {
-		return cw.n, enc.err
-	}
-	if err := bw.Flush(); err != nil {
-		return cw.n, err
-	}
-	return cw.n, nil
+// Deflate appends data, compressed as a complete DEFLATE stream at the
+// given level (1-9), to dst and returns the extended slice. dst's spare
+// capacity is the encoder's to write.
+func Deflate(dst, data []byte, level int) ([]byte, error) {
+	e := encoderPool.Get().(*blockEncoder)
+	defer encoderPool.Put(e)
+	return e.deflate(dst, data, level)
 }
-
-type countWriter struct {
-	w io.Writer
-	n int
-}
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += n
-	return n, err
-}
-
-// lsbPool recycles bit writers (and their 4 KiB byte buffers) across calls.
-var lsbPool = sync.Pool{New: func() any { return bitio.NewLSBWriter(nil) }}
-
-func getLSBWriter(w io.Writer) *bitio.LSBWriter {
-	bw := lsbPool.Get().(*bitio.LSBWriter)
-	bw.Reset(w)
-	return bw
-}
-
-func putLSBWriter(bw *bitio.LSBWriter) { lsbPool.Put(bw) }
 
 // blockEncoder accumulates tokens and emits DEFLATE blocks, choosing
 // stored / fixed / dynamic per block by exact cost comparison. All working
 // state — token buffer, frequency and length arrays, packed code tables —
-// is embedded so a pooled encoder runs the steady state without allocating.
+// is embedded, and so is the bit writer, so a pooled encoder runs the
+// steady state without allocating. out is the buffer the containers build
+// their streams in, grown to the largest stream it has held.
 type blockEncoder struct {
-	bw         *bitio.LSBWriter
+	bw         bitio.LSBWriter
+	out        []byte
 	data       []byte
 	tokens     []lz77.Token
 	inputStart int // data offset covered by the pending tokens
@@ -105,25 +69,32 @@ var encoderPool = sync.Pool{New: func() any {
 	return &blockEncoder{tokens: make([]lz77.Token, 0, maxTokensPerBlock)}
 }}
 
-// getEncoder returns a pooled encoder bound to bw and data. Pair with
-// putEncoder.
-func getEncoder(bw *bitio.LSBWriter, data []byte) *blockEncoder {
-	e := encoderPool.Get().(*blockEncoder)
-	e.reset(bw, data)
-	return e
+// deflate is Deflate on e. It lets go of dst and data before it returns,
+// so that a pooled encoder pins neither.
+func (e *blockEncoder) deflate(dst, data []byte, level int) ([]byte, error) {
+	m, err := lz77.GetMatcher(level)
+	if err != nil {
+		return nil, err
+	}
+	defer lz77.PutMatcher(m)
+	e.reset(dst, data)
+	defer e.reset(nil, nil)
+	m.Tokenize(data, e.appendToken)
+	e.flushBlock(true)
+	if e.err != nil {
+		return nil, e.err
+	}
+	if err := e.bw.Flush(); err != nil {
+		return nil, err
+	}
+	return e.bw.Bytes(), nil
 }
 
-func putEncoder(e *blockEncoder) {
-	e.bw = nil
-	e.data = nil
-	encoderPool.Put(e)
-}
-
-// reset rebinds the encoder to a new output stream and input buffer. The
+// reset binds the encoder to a new output slice and input buffer. The
 // token buffer and code tables are retained; per-block state is cleared by
 // flushBlock itself.
-func (e *blockEncoder) reset(bw *bitio.LSBWriter, data []byte) {
-	e.bw = bw
+func (e *blockEncoder) reset(dst, data []byte) {
+	e.bw.Reset(dst)
 	e.data = data
 	e.tokens = e.tokens[:0]
 	e.inputStart = 0
@@ -439,33 +410,20 @@ func (e *blockEncoder) writeHuffman(final bool, btype int, litEnc, distEnc []uin
 	}
 }
 
-// outPool recycles the buffers GzipCompress and ZlibCompress build their
-// streams in, each grown to the largest stream it has held.
-var outPool = sync.Pool{New: func() any { return new(sliceWriter) }}
-
 // deflateBetween deflates data at level between a container's header and
-// trailer in a pooled buffer, and returns a copy the stream's exact size:
-// a block that does not halve regrows nothing, and an artifact keeps no
-// spare capacity.
+// trailer in a pooled encoder's buffer, and returns a copy the stream's
+// exact size: a block that does not halve regrows nothing, and an artifact
+// keeps no spare capacity.
 func deflateBetween(header, trailer, data []byte, level int) ([]byte, error) {
-	out := outPool.Get().(*sliceWriter)
-	defer outPool.Put(out)
-	out.b = append(out.b[:0], header...)
-	if _, err := Deflate(out, data, level); err != nil {
+	e := encoderPool.Get().(*blockEncoder)
+	defer encoderPool.Put(e)
+	out, err := e.deflate(append(e.out[:0], header...), data, level)
+	if err != nil {
 		return nil, err
 	}
-	out.b = append(out.b, trailer...)
-	return slices.Clone(out.b), nil
+	e.out = append(out, trailer...)
+	return slices.Clone(e.out), nil
 }
-
-type sliceWriter struct{ b []byte }
-
-func (s *sliceWriter) Write(p []byte) (int, error) {
-	s.b = append(s.b, p...)
-	return len(p), nil
-}
-
-var _ io.Writer = (*sliceWriter)(nil)
 
 // validateLevel reports an error for levels outside 1..9.
 func validateLevel(level int) error {

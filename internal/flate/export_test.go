@@ -16,11 +16,7 @@ import (
 // reaches Deflate and Inflate only through the gzip and zlib containers.
 
 func CompressBytes(data []byte, level int) ([]byte, error) {
-	var buf sliceWriter
-	if _, err := Deflate(&buf, data, level); err != nil {
-		return nil, err
-	}
-	return buf.b, nil
+	return Deflate(nil, data, level)
 }
 
 func DecompressBytes(data []byte) ([]byte, error) {

@@ -124,6 +124,10 @@ func checkGzipTrailer(trailer []byte, crc, size uint32) error {
 // large allocation up front.
 const maxTrailerPrealloc = 1 << 20
 
+// maxExpansion is the most a DEFLATE body inflates per byte: a 258-byte
+// match in two bits.
+const maxExpansion = 1032
+
 // GzipDecompress decompresses a single-member gzip stream, verifying the
 // CRC-32 and ISIZE trailer. maxSize, if positive, bounds the output size.
 func GzipDecompress(data []byte, maxSize int) ([]byte, error) {
@@ -132,8 +136,9 @@ func GzipDecompress(data []byte, maxSize int) ([]byte, error) {
 
 // GzipDecompressAppend is GzipDecompress appending to dst (which may be nil
 // or recycled from a pool), pre-reserving capacity from the ISIZE trailer
-// field clamped to maxSize and maxTrailerPrealloc. It returns the extended
-// slice; only the appended bytes are checksummed.
+// field clamped to what the body can inflate to, maxSize and
+// maxTrailerPrealloc. It returns the extended slice; only the appended
+// bytes are checksummed.
 func GzipDecompressAppend(dst, data []byte, maxSize int) ([]byte, error) {
 	pos, err := skipGzipHeader(data)
 	if err != nil {
@@ -144,8 +149,10 @@ func GzipDecompressAppend(dst, data []byte, maxSize int) ([]byte, error) {
 	}
 	body := data[pos : len(data)-gzipTrailLen]
 	trailer := data[len(data)-gzipTrailLen:]
-	// ISIZE is read ahead of its check, as a hint of how much room to make.
-	dst = reserve(dst, int(binary.LittleEndian.Uint32(trailer[4:8])), maxSize)
+	// ISIZE is read ahead of its check, as a hint of how much room to make:
+	// no more than the body can inflate to.
+	hint := min(int(binary.LittleEndian.Uint32(trailer[4:8])), maxExpansion*len(body))
+	dst = reserve(dst, hint, maxSize)
 	base := len(dst)
 	out, err := Inflate(dst, body, maxSize)
 	if err != nil {

@@ -20,16 +20,9 @@ import (
 
 // seedWriter writes raw DEFLATE a symbol at a time.
 type seedWriter struct {
-	out               bytes.Buffer
-	bw                *bitio.LSBWriter
+	bw                bitio.LSBWriter
 	litLens, distLens []uint8
 	lit, dist         []uint32 // canonical codes
-}
-
-func newSeedWriter() *seedWriter {
-	w := new(seedWriter)
-	w.bw = bitio.NewLSBWriter(&w.out)
-	return w
 }
 
 // code writes a canonical code first bit first.
@@ -106,7 +99,7 @@ func (w *seedWriter) bytes() []byte {
 	if err := w.bw.Flush(); err != nil {
 		panic(err)
 	}
-	return w.out.Bytes()
+	return w.bw.Bytes()
 }
 
 // filler is what follows a refusal, so the fast loop has the 8 bytes of
@@ -128,7 +121,7 @@ func fastPathSeeds() map[string]fastPathSeed {
 	seeds := map[string]fastPathSeed{}
 
 	// A code of one 1-bit literal: the other bit pattern is no code.
-	w := newSeedWriter()
+	w := new(seedWriter)
 	onlyA := make([]uint8, 257)
 	onlyA['a'] = 1
 	w.dynamic(onlyA, []uint8{1})
@@ -136,27 +129,27 @@ func fastPathSeeds() map[string]fastPathSeed {
 	w.bw.WriteBits(1, 1)
 	seeds["invalid-code-mid-block"] = fastPathSeed{append(w.bytes(), filler...), 4096, "flate: corrupt stream: lit/len: huffman: invalid code 0b1"}
 
-	w = newSeedWriter()
+	w = new(seedWriter)
 	w.fixed()
 	w.literals(text[:40])
 	w.sym(257)
 	w.code(w.dist[30], 5)
 	seeds["dist-code-30"] = fastPathSeed{append(w.bytes(), filler...), 4096, "flate: corrupt stream: dist code 30"}
 
-	w = newSeedWriter()
+	w = new(seedWriter)
 	w.fixed()
 	w.literals(text[:40])
 	w.sym(286)
 	seeds["lit-len-symbol-286"] = fastPathSeed{append(w.bytes(), filler...), 4096, "flate: corrupt stream: lit/len symbol 286"}
 
-	w = newSeedWriter()
+	w = new(seedWriter)
 	w.fixed()
 	w.literals(text[:20])
 	w.match(3, 21)
 	seeds["distance-one-past-output"] = fastPathSeed{append(w.bytes(), filler...), 4096, "flate: corrupt stream: distance 21 beyond output 20"}
 
 	// 300 bytes, a 258-byte match that ends at the limit, then 20 more.
-	w = newSeedWriter()
+	w = new(seedWriter)
 	w.fixed()
 	w.literals(text[:300])
 	w.match(258, 300)
@@ -166,7 +159,7 @@ func fastPathSeeds() map[string]fastPathSeed {
 	seeds["match-ending-at-limit"] = fastPathSeed{atLimit, 558, "flate: corrupt stream: output exceeds limit 558"}
 	seeds["match-then-the-rest"] = fastPathSeed{atLimit, 578, ""}
 
-	w = newSeedWriter()
+	w = new(seedWriter)
 	w.fixed()
 	w.literals(text[:7])
 	for _, d := range []int{1, 2, 3, 4, 5, 6, 7} {
@@ -178,7 +171,7 @@ func fastPathSeeds() map[string]fastPathSeed {
 	seeds["overlap-under-8"] = fastPathSeed{w.bytes(), 4096, ""}
 
 	// A stored block of 50 bytes, then a fixed block cut 8 bytes in.
-	w = newSeedWriter()
+	w = new(seedWriter)
 	w.bw.WriteBits(0, 3)
 	w.bw.Align()
 	w.bw.WriteBits(50, 16)

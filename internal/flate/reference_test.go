@@ -283,22 +283,21 @@ func (m *referenceMatcher) Tokenize(data []byte, emit func(lz77.Token)) {
 }
 
 // deflateThrough is Deflate with the tokeniser passed in: tokenize's tokens
-// through a pooled block encoder and bit writer.
+// through a pooled block encoder and its bit writer.
 func deflateThrough(tb testing.TB, tokenize func([]byte, func(lz77.Token)), data []byte) []byte {
-	var buf sliceWriter
-	bw := getLSBWriter(&buf)
-	defer putLSBWriter(bw)
-	enc := getEncoder(bw, data)
-	defer putEncoder(enc)
+	enc := encoderPool.Get().(*blockEncoder)
+	defer encoderPool.Put(enc)
+	enc.reset(nil, data)
+	defer enc.reset(nil, nil)
 	tokenize(data, enc.appendToken)
 	enc.flushBlock(true)
 	if enc.err != nil {
 		tb.Fatal(enc.err)
 	}
-	if err := bw.Flush(); err != nil {
+	if err := enc.bw.Flush(); err != nil {
 		tb.Fatal(err)
 	}
-	return buf.b
+	return enc.bw.Bytes()
 }
 
 // checkEncodeIdentical requires x to deflate, at levels 1, 6 and 9, to the

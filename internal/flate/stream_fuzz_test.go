@@ -112,8 +112,8 @@ func streamSeeds(tb testing.TB) map[string][]byte {
 // literalsOnly is "aaa" as one dynamic block whose distance tree is a
 // single code of distLen bits, or no code at all.
 func literalsOnly(distLen int) []byte {
-	var body bytes.Buffer
-	bw := bitio.NewLSBWriter(&body)
+	var bw bitio.LSBWriter
+	bw.Reset([]byte{gzipID1, gzipID2, gzipCM, 0, 0, 0, 0, 0, 0, gzipOSUnix})
 	code := func(c uint64, n int) { // a Huffman code goes out first bit first
 		for n--; n >= 0; n-- {
 			bw.WriteBits(c>>n&1, 1)
@@ -140,8 +140,7 @@ func literalsOnly(distLen int) []byte {
 	code(0, 1)
 	code(1, 1)
 	_ = bw.Flush()
-	out := append([]byte{gzipID1, gzipID2, gzipCM, 0, 0, 0, 0, 0, 0, gzipOSUnix}, body.Bytes()...)
-	out = binary.LittleEndian.AppendUint32(out, checksum.CRC32([]byte("aaa")))
+	out := binary.LittleEndian.AppendUint32(bw.Bytes(), checksum.CRC32([]byte("aaa")))
 	return binary.LittleEndian.AppendUint32(out, 3)
 }
 

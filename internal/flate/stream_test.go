@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/bitio"
 	"repro/internal/checksum"
 	"repro/internal/lz77"
 )
@@ -18,8 +17,10 @@ import (
 func segmentedGzip(tb testing.TB, data []byte, level, segment int) []byte {
 	tb.Helper()
 	hdr := gzipHeader(level)
-	out := bytes.NewBuffer(hdr[:])
-	bw := bitio.NewLSBWriter(out)
+	enc := encoderPool.Get().(*blockEncoder)
+	defer encoderPool.Put(enc)
+	enc.reset(hdr[:], nil)
+	defer enc.reset(nil, nil)
 	m, err := lz77.GetMatcher(level)
 	if err != nil {
 		tb.Fatal(err)
@@ -27,22 +28,20 @@ func segmentedGzip(tb testing.TB, data []byte, level, segment int) []byte {
 	defer lz77.PutMatcher(m)
 	for off := 0; off < len(data); off += segment {
 		seg := data[off:min(off+segment, len(data))]
-		enc := getEncoder(bw, seg)
+		enc.data, enc.inputStart, enc.inputEnd = seg, 0, 0
 		m.Tokenize(seg, enc.appendToken)
-		enc.flushBlock(false)
-		err := enc.err
-		putEncoder(enc)
-		if err != nil {
-			tb.Fatal(err)
+		if enc.flushBlock(false); enc.err != nil {
+			tb.Fatal(enc.err)
 		}
 	}
+	bw := &enc.bw
 	bw.WriteBits(1, 3) // BFINAL, stored
 	bw.Align()
 	bw.WriteBits(0xffff<<16, 32) // LEN 0, NLEN
 	if err := bw.Flush(); err != nil {
 		tb.Fatal(err)
 	}
-	return appendGzipTrailer(out.Bytes(), checksum.CRC32(data), uint32(len(data)))
+	return appendGzipTrailer(bw.Bytes(), checksum.CRC32(data), uint32(len(data)))
 }
 
 func TestStreamEmptyInput(t *testing.T) {

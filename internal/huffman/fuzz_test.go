@@ -1,7 +1,6 @@
 package huffman
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"runtime"
@@ -194,16 +193,18 @@ func FuzzHuffmanNewDecoder(f *testing.F) {
 		if err != nil {
 			t.Fatalf("CanonicalCodes of lengths NewDecoder accepted: %v", err)
 		}
-		var lsb, msb bytes.Buffer
-		lw, mw := bitio.NewLSBWriter(&lsb), bitio.NewMSBWriter(&msb)
+		var lw bitio.LSBWriter
+		var mw bitio.MSBWriter
 		for _, s := range syms {
 			lw.WriteBits(uint64(Reverse(codes[s], lengths[s])), uint(lengths[s]))
 			mw.WriteBits(uint64(codes[s]), uint(lengths[s]))
 		}
 		_, _ = lw.Flush(), mw.Flush()
-		lr, mr := bitio.NewLSBReader(&lsb), bitio.NewMSBReader(msb.Bytes())
+		var lr bitio.LSBReader
+		lr.Reset(lw.Bytes())
+		mr := bitio.NewMSBReader(mw.Bytes())
 		for i, want := range syms {
-			if got, err := d.DecodeLSB(lr); err != nil || got != want {
+			if got, err := d.DecodeLSB(&lr); err != nil || got != want {
 				t.Fatalf("LSB round trip symbol %d: got %d (%v), want %d", i, got, err, want)
 			}
 			if got, err := d.DecodeMSB(mr); err != nil || got != want {

@@ -155,8 +155,7 @@ func roundTrip(t *testing.T, data []byte, maxBits int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	w := bitio.NewMSBWriter(&buf)
+	w := bitio.NewMSBWriter(nil)
 	for _, b := range data {
 		w.WriteBits(uint64(codes[b]), uint(lens[b]))
 	}
@@ -167,7 +166,7 @@ func roundTrip(t *testing.T, data []byte, maxBits int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := bitio.NewMSBReader(buf.Bytes())
+	r := bitio.NewMSBReader(w.Bytes())
 	for i, want := range data {
 		got, err := dec.walk(r)
 		if err != nil {
@@ -217,8 +216,7 @@ func TestQuickRoundTripRandomDistributions(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		var buf bytes.Buffer
-		w := bitio.NewMSBWriter(&buf)
+		w := bitio.NewMSBWriter(nil)
 		for _, b := range data {
 			w.WriteBits(uint64(codes[b]), uint(lens[b]))
 		}
@@ -229,7 +227,7 @@ func TestQuickRoundTripRandomDistributions(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		r := bitio.NewMSBReader(buf.Bytes())
+		r := bitio.NewMSBReader(w.Bytes())
 		for _, want := range data {
 			got, err := dec.walk(r)
 			if err != nil || byte(got) != want {
@@ -262,13 +260,12 @@ func TestNewDecoderAcceptsDegenerateSingle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("single-symbol code must be accepted: %v", err)
 	}
-	var buf bytes.Buffer
-	w := bitio.NewMSBWriter(&buf)
+	w := bitio.NewMSBWriter(nil)
 	w.WriteBits(0, 1)
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := d.walk(bitio.NewMSBReader(buf.Bytes()))
+	got, err := d.walk(bitio.NewMSBReader(w.Bytes()))
 	if err != nil || got != 1 {
 		t.Fatalf("got %d, %v", got, err)
 	}

@@ -36,13 +36,13 @@ func encodeSymbols(tb testing.TB, lengths []uint8, syms []int, msb bool) []byte 
 	if err != nil {
 		tb.Fatalf("CanonicalCodes: %v", err)
 	}
-	var buf bytes.Buffer
 	var bw interface {
 		WriteBits(uint64, uint)
 		Flush() error
-	} = bitio.NewLSBWriter(&buf)
+		Bytes() []byte
+	} = new(bitio.LSBWriter)
 	if msb {
-		bw = bitio.NewMSBWriter(&buf)
+		bw = new(bitio.MSBWriter)
 	}
 	for _, s := range syms {
 		code := codes[s]
@@ -54,7 +54,7 @@ func encodeSymbols(tb testing.TB, lengths []uint8, syms []int, msb bool) []byte 
 	if err := bw.Flush(); err != nil {
 		tb.Fatalf("flush: %v", err)
 	}
-	return buf.Bytes()
+	return bw.Bytes()
 }
 
 // decoders returns d's table decoder and its walker for one bit order,

@@ -22,13 +22,13 @@ const (
 
 // craft packs codes at the given widths behind a .Z header.
 func craft(flags byte, codes ...[2]uint) []byte {
-	out := bytes.NewBuffer([]byte{magicByte1, magicByte2, flags})
-	bw := bitio.NewLSBWriter(out)
+	var bw bitio.LSBWriter
+	bw.Reset([]byte{magicByte1, magicByte2, flags})
 	for _, c := range codes {
 		bw.WriteBits(uint64(c[0]), c[1])
 	}
 	_ = bw.Flush()
-	return out.Bytes()
+	return bw.Bytes()
 }
 
 // seedStreams is the seed corpus: what FuzzLZWDecode starts from and what

@@ -18,6 +18,8 @@ import (
 	"math/bits"
 	"slices"
 	"sync"
+
+	"repro/internal/bitio"
 )
 
 const (
@@ -68,11 +70,11 @@ type hashTable struct {
 const minHashSlots = 1 << 10
 
 // encoder is the compression workspace: the table, emptied by whoever takes
-// it out of the pool, and the buffer the stream is built in, so that
+// it out of the pool, and the bit writer the stream is built in, so that
 // Compress allocates only the exact-sized copy it returns.
 type encoder struct {
 	table hashTable
-	out   []byte
+	bw    bitio.LSBWriter
 }
 
 var encoderPool = sync.Pool{New: func() any { return new(encoder) }}
@@ -138,9 +140,10 @@ func Compress(data []byte, maxBits int) ([]byte, error) {
 	}
 	e := encoderPool.Get().(*encoder)
 	defer encoderPool.Put(e)
-	out := append(e.out[:0], magicByte1, magicByte2, byte(maxBits)|blockModeFlag)
+	bw := &e.bw
+	bw.Reset(append(bw.Bytes()[:0], magicByte1, magicByte2, byte(maxBits)|blockModeFlag))
 	if len(data) == 0 {
-		return slices.Clone(out), nil
+		return slices.Clone(bw.Bytes()), nil
 	}
 	table := e.table.fit(len(data), maxBits).clear()
 	nextCode := firstCode
@@ -152,17 +155,8 @@ func Compress(data []byte, maxBits int) ([]byte, error) {
 	lastCheck := 0
 	var lastRatio float64
 
-	// Codes pack LSB-first; acc never holds more than 7+16 bits.
-	var acc uint32
-	var accBits uint
 	emit := func(code uint16) {
-		acc |= uint32(code) << accBits
-		accBits += width
-		for accBits >= 8 {
-			out = append(out, byte(acc))
-			acc >>= 8
-			accBits -= 8
-		}
+		bw.WriteBits(uint64(code), width)
 		outBits += int(width)
 	}
 
@@ -200,12 +194,11 @@ func Compress(data []byte, maxBits int) ([]byte, error) {
 		prefix = uint16(c)
 	}
 	emit(prefix)
-	if accBits > 0 {
-		out = append(out, byte(acc))
-	}
 	e.table = table
-	e.out = out // keep what the stream grew it to
-	return slices.Clone(out), nil
+	if err := bw.Flush(); err != nil {
+		return nil, err
+	}
+	return slices.Clone(bw.Bytes()), nil
 }
 
 // Decompress decodes a .Z stream produced by Compress. maxSize, if
