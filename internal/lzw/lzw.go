@@ -155,6 +155,7 @@ func Compress(data []byte, maxBits int) ([]byte, error) {
 	lastCheck := 0
 	var lastRatio float64
 
+	// Codes pack LSB-first; outBits counts them for the ratio check.
 	emit := func(code uint16) {
 		bw.WriteBits(uint64(code), width)
 		outBits += int(width)

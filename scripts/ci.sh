@@ -178,9 +178,10 @@ fuzz ./internal/lzw FuzzLZWEncodeIdentical
 # arbitrary members: optional header fields, bytes between the final block
 # and the trailer, bytes after the trailer. Every strict prefix of the
 # seeds, and of a multi-block stream through gzip, zlib and raw DEFLATE,
-# is refused, each in words pinned by a digest.
+# is refused, each in words pinned by a digest. A forged ISIZE reserves no
+# more room than its body can inflate to.
 fuzz ./internal/flate FuzzStreamReader
-exists ./internal/flate 'TestStreamSeedsAgree|TestGzipTruncationAlwaysFails'
+exists ./internal/flate 'TestStreamSeedsAgree|TestGzipTruncationAlwaysFails|TestForgedISizeReservesLittle'
 # The inflater's fast loop and its careful one, held to compress/flate on
 # arbitrary raw DEFLATE: onto nil, exact and ample room, under an arbitrary
 # limit — the same bytes, the same verdict, and a refusal in the same words
@@ -232,6 +233,11 @@ for m in '(*LSBReader).PeekBits' '(*LSBReader).Consume' '(*LSBReader).Bits' '(*L
 	fi
 done
 exists ./internal/bitio 'TestBitsHandBack|TestMSBBitsHandBack'
+# The word-storing writers, appending in place after an arbitrary prefix,
+# held to the byte-at-a-time writers on arbitrary calls: the same stream,
+# the same sticky error, the prefix untouched.
+fuzz ./internal/bitio FuzzWritersMatchReference
+exists ./internal/bitio 'TestWritersGrowAtEveryPhase'
 # AppendMSB's register loop against a DecodeMSB loop on every table shape,
 # a code too long for it included.
 exists ./internal/huffman 'TestAppendMSBMatchesLoop'
@@ -437,8 +443,8 @@ named ./internal/flate 'TestDeflateSteadyStateAllocs|TestGzipCompressAllocatesIt
 # its 384 KB again after each one.
 named ./internal/lz77 'TestMatcherSurvivesCollection' -count=1
 # The codec workspaces: a warm decode into a buffer with room allocates
-# nothing that scales with the block or a codec's tables, and a warm LZW or
-# BWT encode allocates its output and a fixed few KiB.
+# nothing that scales with the block or a codec's tables, and a warm encode
+# of any scheme allocates its output and nothing else.
 named ./internal/codec 'TestDecompressIntoSteadyStateAllocs|TestCompressSteadyStateAllocs' -count=1
 # The testbed's own costs: a generator and four draws stay within three
 # allocations and 160 bytes, a link's jitter stream draws math/rand's
