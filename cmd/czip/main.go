@@ -54,7 +54,7 @@ func run(argv []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	}
 	var out []byte
 	if *decompress {
-		out, err = c.Decompress(in, *maxSize)
+		out, err = c.DecompressAppend(nil, in, *maxSize)
 	} else {
 		out, err = c.Compress(in)
 	}

@@ -39,7 +39,7 @@ func ExampleNewCodec() {
 	}
 	data := []byte("compress me, compress me, compress me, compress me")
 	comp, _ := c.Compress(data)
-	back, _ := c.Decompress(comp, len(data))
+	back, _ := c.DecompressAppend(nil, comp, len(data))
 	fmt.Println(string(back) == string(data))
 	fmt.Println(len(comp) < len(data))
 	// Output:

@@ -46,7 +46,7 @@ func main() {
 			log.Fatal(err)
 		}
 		// Verify the round trip, as any real consumer would.
-		back, err := c.Decompress(comp, len(doc))
+		back, err := c.DecompressAppend(nil, comp, len(doc))
 		if err != nil || len(back) != len(doc) {
 			log.Fatalf("%v round trip failed: %v", scheme, err)
 		}

@@ -234,7 +234,7 @@ func TestCompressRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s level %d: %v", name, level, err)
 			}
-			got, err := Decompress(comp, 0)
+			got, err := DecompressAppend(nil, comp, 0)
 			if err != nil {
 				t.Fatalf("%s level %d: %v", name, level, err)
 			}
@@ -252,7 +252,7 @@ func TestMultiBlockRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Decompress(comp, 0)
+	got, err := DecompressAppend(nil, comp, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,13 +280,13 @@ func TestDecompressRejectsCorrupt(t *testing.T) {
 	}
 	bad := append([]byte{}, comp...)
 	bad[len(bad)/2] ^= 0x01
-	if _, err := Decompress(bad, 0); err == nil {
+	if _, err := DecompressAppend(nil, bad, 0); err == nil {
 		t.Fatal("corrupted stream decoded cleanly")
 	}
-	if _, err := Decompress(comp[:8], 0); err == nil {
+	if _, err := DecompressAppend(nil, comp[:8], 0); err == nil {
 		t.Fatal("truncated stream accepted")
 	}
-	if _, err := Decompress([]byte("BZh1xxxx"), 0); err == nil {
+	if _, err := DecompressAppend(nil, []byte("BZh1xxxx"), 0); err == nil {
 		t.Fatal("foreign magic accepted")
 	}
 }
@@ -297,7 +297,7 @@ func TestDecompressMaxSizeGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Decompress(comp, 100); err == nil {
+	if _, err := DecompressAppend(nil, comp, 100); err == nil {
 		t.Fatal("bomb guard did not trip")
 	}
 }
@@ -323,7 +323,7 @@ func TestQuickCompressRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := Decompress(comp, 0)
+		got, err := DecompressAppend(nil, comp, 0)
 		return err == nil && bytes.Equal(got, data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
@@ -345,7 +345,7 @@ func BenchmarkDecompress(b *testing.B) {
 			b.SetBytes(int64(len(block)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := Decompress(comp, 0); err != nil {
+				if _, err := DecompressAppend(nil, comp, 0); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -105,12 +105,6 @@ func (e *encoder) compressBlock(raw []byte) error {
 	return bw.Err()
 }
 
-// Decompress decodes a stream produced by Compress. maxSize, if positive,
-// bounds the total decompressed size.
-func Decompress(data []byte, maxSize int) ([]byte, error) {
-	return DecompressAppend(nil, data, maxSize)
-}
-
 // decoder is the decompression workspace: the bit reader over the stream,
 // the block's Huffman code, and the arrays a block passes through — its
 // symbols, its last column (with that column's byte histogram), which the
@@ -132,8 +126,9 @@ type decoder struct {
 
 var decoderPool = sync.Pool{New: func() any { return new(decoder) }}
 
-// DecompressAppend is Decompress appending to dst (which may be nil or
-// recycled from a pool); maxSize bounds the appended bytes.
+// DecompressAppend decodes a stream produced by Compress onto the end of
+// dst (which may be nil or recycled from a pool); maxSize, if positive,
+// bounds the appended bytes.
 func DecompressAppend(dst, data []byte, maxSize int) ([]byte, error) {
 	d := decoderPool.Get().(*decoder)
 	defer decoderPool.Put(d)

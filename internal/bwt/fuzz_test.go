@@ -267,7 +267,7 @@ func TestWorkspaceReuse(t *testing.T) {
 // that stops exercising its case is noticed.
 func TestSeedStreamsMeanWhatTheySay(t *testing.T) {
 	for name, x := range seedStreams(t) {
-		_, err := Decompress(x, fuzzLimit)
+		_, err := DecompressAppend(nil, x, fuzzLimit)
 		if valid := strings.HasPrefix(name, "valid-") || name == "empty-block"; valid != (err == nil) {
 			t.Errorf("%s: err = %v", name, err)
 		}
@@ -281,7 +281,7 @@ func TestSeedStreamsMeanWhatTheySay(t *testing.T) {
 // unrelated stream y has been through the same workspace: no panic, the
 // reference's bytes or a refusal where it refuses, never more than
 // allocBound allocated under a fuzzLimit budget; and x taken as raw data
-// must survive Compress/Decompress at the level its first byte picks.
+// must survive Compress/DecompressAppend at the level its first byte picks.
 func FuzzBWTDecode(f *testing.F) {
 	seeds := seedStreams(f)
 	for _, x := range seeds {
@@ -309,7 +309,7 @@ func FuzzBWTDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Compress -%d: %v", level, err)
 		}
-		back, err := Decompress(comp, len(x))
+		back, err := DecompressAppend(nil, comp, len(x))
 		if err != nil || !bytes.Equal(back, x) {
 			t.Fatalf("round trip -%d of %d bytes: err %v", level, len(x), err)
 		}

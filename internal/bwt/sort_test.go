@@ -338,7 +338,7 @@ func TestLevel9BlockRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		back, err := Decompress(comp, len(block))
+		back, err := DecompressAppend(nil, comp, len(block))
 		if err != nil || !bytes.Equal(back, block) {
 			t.Fatalf("level 9 round trip of block starting %q: %v", block[:16], err)
 		}

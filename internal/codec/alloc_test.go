@@ -35,6 +35,21 @@ func perOp(f func()) (bytes, allocs float64) {
 	return float64(m2.TotalAlloc-m1.TotalAlloc) / runs, float64(m2.Mallocs-m1.Mallocs) / runs
 }
 
+// TestNewAllocatesNothing: the client makes a codec on every attempt, so
+// New hands out one that costs no allocation, whatever the scheme and level.
+func TestNewAllocatesNothing(t *testing.T) {
+	for s := Gzip; s <= Zlib; s++ {
+		for level := 0; level <= 16; level++ {
+			if _, err := New(s, level); err != nil {
+				continue
+			}
+			if n := testing.AllocsPerRun(100, func() { _, _ = New(s, level) }); n != 0 {
+				t.Errorf("New(%v, %d) allocates %.1f objects, want 0", s, level, n)
+			}
+		}
+	}
+}
+
 // TestDecompressIntoSteadyStateAllocs: decoding a block into a buffer
 // that already has room — what the client does with every block it is
 // sent — allocates nothing that grows with the block or with a codec's

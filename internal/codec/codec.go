@@ -1,7 +1,9 @@
 // Package codec exposes the three universal lossless compression schemes
 // the paper compares — gzip (LZ77/DEFLATE), compress (LZW) and bzip2 (BWT)
-// — plus the zlib container used by its interleaving experiments, behind a
-// single interface with a registry keyed by scheme.
+// — plus the zlib container used by its interleaving experiments. One
+// table holds each scheme's levels and its two functions, and one Codec
+// type dispatches through it: Compress, and DecompressAppend, every
+// scheme's only decoder.
 package codec
 
 import (
@@ -23,20 +25,27 @@ const (
 	Zlib
 )
 
+// schemes is the table New reads: per scheme, its tool name, what its
+// level counts, the levels it accepts, the one level 0 selects (the
+// paper's: gzip -9, compress -b 16, bzip2 -9) and its two functions.
+var schemes = [...]struct {
+	name, unit       string
+	lo, hi, paper    int
+	compress         func(data []byte, level int) ([]byte, error)
+	decompressAppend func(dst, data []byte, maxSize int) ([]byte, error)
+}{
+	Gzip:     {"gzip", "level", 1, 9, 9, flate.GzipCompress, flate.GzipDecompressAppend},
+	Compress: {"compress", "bits", lzw.MinBits, lzw.MaxBits, lzw.MaxBits, lzw.Compress, lzw.DecompressAppend},
+	Bzip2:    {"bzip2", "level", 1, 9, 9, bwt.Compress, bwt.DecompressAppend},
+	Zlib:     {"zlib", "level", 1, 9, 9, flate.ZlibCompress, flate.ZlibDecompressAppend},
+}
+
 // String returns the tool name the paper uses for the scheme.
 func (s Scheme) String() string {
-	switch s {
-	case Gzip:
-		return "gzip"
-	case Compress:
-		return "compress"
-	case Bzip2:
-		return "bzip2"
-	case Zlib:
-		return "zlib"
-	default:
+	if s < Gzip || s > Zlib {
 		return fmt.Sprintf("Scheme(%d)", int(s))
 	}
+	return schemes[s].name
 }
 
 // ParseScheme is the inverse of String: the scheme a tool name names.
@@ -58,13 +67,38 @@ type Codec interface {
 	Scheme() Scheme
 	// Compress returns the compressed representation of data.
 	Compress(data []byte) ([]byte, error)
-	// Decompress inverts Compress. maxSize, if positive, bounds the output
-	// size as a decompression-bomb guard.
-	Decompress(data []byte, maxSize int) ([]byte, error)
-	// DecompressAppend is Decompress appending to dst (nil, pooled, or the
-	// output decoded so far); maxSize bounds the appended bytes. A failed
+	// DecompressAppend inverts Compress, appending the decoded bytes to dst
+	// (nil, pooled, or the output decoded so far); maxSize, if positive,
+	// bounds the appended bytes as a decompression-bomb guard. A call that
+	// succeeds returns a non-nil slice, even for an empty stream; a failed
 	// call returns nil and leaves dst[:len(dst)] as it was.
 	DecompressAppend(dst, data []byte, maxSize int) ([]byte, error)
+}
+
+// codec is a scheme at a level; New hands out pointers into codecs, one
+// per (scheme, level), so that making a codec allocates nothing.
+type codec struct {
+	scheme Scheme
+	level  int
+}
+
+var codecs = func() (t [len(schemes)][lzw.MaxBits + 1]codec) {
+	for s := range t {
+		for l := range t[s] {
+			t[s][l] = codec{Scheme(s), l}
+		}
+	}
+	return t
+}()
+
+func (c *codec) Scheme() Scheme { return c.scheme }
+
+func (c *codec) Compress(data []byte) ([]byte, error) {
+	return schemes[c.scheme].compress(data, c.level)
+}
+
+func (c *codec) DecompressAppend(dst, data []byte, maxSize int) ([]byte, error) {
+	return schemes[c.scheme].decompressAppend(dst, data, maxSize)
 }
 
 // New returns a codec for the scheme at the given effort level. Levels
@@ -72,42 +106,17 @@ type Codec interface {
 // 9-16 for compress ("-b N"). Level 0 selects the paper's setting for the
 // scheme (gzip -9, compress -b 16, bzip2 -9).
 func New(s Scheme, level int) (Codec, error) {
-	switch s {
-	case Gzip:
-		if level == 0 {
-			level = 9
-		}
-		if level < 1 || level > 9 {
-			return nil, fmt.Errorf("codec: gzip level %d out of range", level)
-		}
-		return gzipCodec{level: level}, nil
-	case Zlib:
-		if level == 0 {
-			level = 9
-		}
-		if level < 1 || level > 9 {
-			return nil, fmt.Errorf("codec: zlib level %d out of range", level)
-		}
-		return zlibCodec{level: level}, nil
-	case Compress:
-		if level == 0 {
-			level = lzw.MaxBits
-		}
-		if level < lzw.MinBits || level > lzw.MaxBits {
-			return nil, fmt.Errorf("codec: compress bits %d out of range", level)
-		}
-		return lzwCodec{maxBits: level}, nil
-	case Bzip2:
-		if level == 0 {
-			level = 9
-		}
-		if level < 1 || level > 9 {
-			return nil, fmt.Errorf("codec: bzip2 level %d out of range", level)
-		}
-		return bzip2Codec{level: level}, nil
-	default:
+	if s < Gzip || s > Zlib {
 		return nil, fmt.Errorf("codec: unknown scheme %d", int(s))
 	}
+	row := &schemes[s]
+	if level == 0 {
+		level = row.paper
+	}
+	if level < row.lo || level > row.hi {
+		return nil, fmt.Errorf("codec: %s %s %d out of range", row.name, row.unit, level)
+	}
+	return &codecs[s][level], nil
 }
 
 // MustNew is New for statically valid arguments; it panics otherwise and is
@@ -127,76 +136,4 @@ func Factor(rawSize, compSize int) float64 {
 		return 0
 	}
 	return float64(rawSize) / float64(compSize)
-}
-
-type gzipCodec struct{ level int }
-
-var _ Codec = gzipCodec{}
-
-func (gzipCodec) Scheme() Scheme { return Gzip }
-
-func (c gzipCodec) Compress(data []byte) ([]byte, error) {
-	return flate.GzipCompress(data, c.level)
-}
-
-func (gzipCodec) Decompress(data []byte, maxSize int) ([]byte, error) {
-	return flate.GzipDecompress(data, maxSize)
-}
-
-func (gzipCodec) DecompressAppend(dst, data []byte, maxSize int) ([]byte, error) {
-	return flate.GzipDecompressAppend(dst, data, maxSize)
-}
-
-type zlibCodec struct{ level int }
-
-var _ Codec = zlibCodec{}
-
-func (zlibCodec) Scheme() Scheme { return Zlib }
-
-func (c zlibCodec) Compress(data []byte) ([]byte, error) {
-	return flate.ZlibCompress(data, c.level)
-}
-
-func (zlibCodec) Decompress(data []byte, maxSize int) ([]byte, error) {
-	return flate.ZlibDecompress(data, maxSize)
-}
-
-func (zlibCodec) DecompressAppend(dst, data []byte, maxSize int) ([]byte, error) {
-	return flate.ZlibDecompressAppend(dst, data, maxSize)
-}
-
-type lzwCodec struct{ maxBits int }
-
-var _ Codec = lzwCodec{}
-
-func (lzwCodec) Scheme() Scheme { return Compress }
-
-func (c lzwCodec) Compress(data []byte) ([]byte, error) {
-	return lzw.Compress(data, c.maxBits)
-}
-
-func (lzwCodec) Decompress(data []byte, maxSize int) ([]byte, error) {
-	return lzw.Decompress(data, maxSize)
-}
-
-func (lzwCodec) DecompressAppend(dst, data []byte, maxSize int) ([]byte, error) {
-	return lzw.DecompressAppend(dst, data, maxSize)
-}
-
-type bzip2Codec struct{ level int }
-
-var _ Codec = bzip2Codec{}
-
-func (bzip2Codec) Scheme() Scheme { return Bzip2 }
-
-func (c bzip2Codec) Compress(data []byte) ([]byte, error) {
-	return bwt.Compress(data, c.level)
-}
-
-func (bzip2Codec) Decompress(data []byte, maxSize int) ([]byte, error) {
-	return bwt.Decompress(data, maxSize)
-}
-
-func (bzip2Codec) DecompressAppend(dst, data []byte, maxSize int) ([]byte, error) {
-	return bwt.DecompressAppend(dst, data, maxSize)
 }

@@ -8,10 +8,15 @@ import (
 	"testing"
 )
 
+// TestRoundTripAllSchemes holds every scheme to the decode contract: onto
+// nil, a stream decodes to a non-nil slice of its bytes, the empty stream
+// included; behind a prefix with spare room, to the prefix, unchanged,
+// followed by them.
 func TestRoundTripAllSchemes(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	random := make([]byte, 30000)
 	rng.Read(random)
+	prefix := []byte("decoded so far")
 	inputs := map[string][]byte{
 		"empty":  nil,
 		"text":   []byte(strings.Repeat("interface uniformity across schemes ", 1000)),
@@ -30,12 +35,20 @@ func TestRoundTripAllSchemes(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v %s: %v", s, name, err)
 			}
-			got, err := c.Decompress(comp, 0)
+			got, err := c.DecompressAppend(nil, comp, 0)
 			if err != nil {
 				t.Fatalf("%v %s: %v", s, name, err)
 			}
-			if !bytes.Equal(got, data) {
-				t.Fatalf("%v %s: round trip mismatch", s, name)
+			if got == nil || !bytes.Equal(got, data) {
+				t.Fatalf("%v %s: round trip onto nil: %d bytes (nil %v)", s, name, len(got), got == nil)
+			}
+			dst := append(make([]byte, 0, len(prefix)+len(data)+64), prefix...)
+			got, err = c.DecompressAppend(dst, comp, 0)
+			if err != nil {
+				t.Fatalf("%v %s: behind a prefix: %v", s, name, err)
+			}
+			if !bytes.Equal(dst, prefix) || !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], data) {
+				t.Fatalf("%v %s: round trip behind a prefix mismatch", s, name)
 			}
 		}
 	}

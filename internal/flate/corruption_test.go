@@ -34,7 +34,7 @@ func TestGzipMutationNeverPanicsOrLies(t *testing.T) {
 		bad := append([]byte{}, comp...)
 		pos := rng.Intn(len(bad))
 		bad[pos] ^= byte(1 + rng.Intn(255))
-		out, err := GzipDecompress(bad, 4*len(data))
+		out, err := GzipDecompressAppend(nil, bad, 4*len(data))
 		if err == nil && !bytes.Equal(out, data) {
 			wrong++
 			t.Errorf("trial %d: mutation at %d decoded silently to different data", trial, pos)
@@ -45,29 +45,34 @@ func TestGzipMutationNeverPanicsOrLies(t *testing.T) {
 	}
 }
 
-// TestForgedISizeReservesLittle: the ISIZE a member ends with is read
-// before it is checked, as a hint of the room to make. A forged one behind
-// a few-byte body must not make a megabyte of it: a DEFLATE body inflates
-// to at most 1032 bytes per byte.
+// TestForgedISizeReservesLittle: the ISIZE a member ends with is checked,
+// never read as the room to make. A member whose ISIZE is forged to
+// 0xFFFFFFFF must not make a megabyte of room, behind a few-byte body or
+// behind 4 KB of incompressible bytes, whose body could inflate to far
+// more than a megabyte.
 func TestForgedISizeReservesLittle(t *testing.T) {
-	member, err := GzipCompress([]byte("hello"), 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	binary.LittleEndian.PutUint32(member[len(member)-4:], 0xFFFFFFFF)
+	random := make([]byte, 4<<10)
+	rand.New(rand.NewSource(53)).Read(random)
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	var before, after runtime.MemStats
-	for range 2 { // the first run fills the inflater's pool
-		runtime.ReadMemStats(&before)
-		_, err = GzipDecompress(member, 0)
-		runtime.ReadMemStats(&after)
-	}
-	if err == nil {
-		t.Fatal("a forged ISIZE accepted")
-	}
-	if n := after.TotalAlloc - before.TotalAlloc; n >= 64<<10 {
-		t.Errorf("a %d-byte member with ISIZE 0xFFFFFFFF allocates %d bytes, want under 64 KiB", len(member), n)
+	for name, raw := range map[string][]byte{"hello": []byte("hello"), "random-4k": random} {
+		member, err := GzipCompress(raw, 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint32(member[len(member)-4:], 0xFFFFFFFF)
+		var before, after runtime.MemStats
+		for range 2 { // the first run fills the inflater's pool
+			runtime.ReadMemStats(&before)
+			_, err = GzipDecompressAppend(nil, member, 0)
+			runtime.ReadMemStats(&after)
+		}
+		if err == nil {
+			t.Fatalf("%s: a forged ISIZE accepted", name)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n >= 64<<10 {
+			t.Errorf("%s: a %d-byte member with ISIZE 0xFFFFFFFF allocates %d bytes, want under 64 KiB", name, len(member), n)
+		}
 	}
 }
 
@@ -87,8 +92,8 @@ func TestGzipTruncationAlwaysFails(t *testing.T) {
 	body := multi[gzipHdrLen : len(multi)-gzipTrailLen]
 	zl := binary.BigEndian.AppendUint32(append([]byte{0x78, 0xda}, body...), checksum.Adler32(data))
 
-	gzip := func(b []byte) error { _, err := GzipDecompress(b, 0); return err }
-	zlib := func(b []byte) error { _, err := ZlibDecompress(b, 0); return err }
+	gzip := func(b []byte) error { _, err := GzipDecompressAppend(nil, b, 0); return err }
+	zlib := func(b []byte) error { _, err := ZlibDecompressAppend(nil, b, 0); return err }
 	raw := func(b []byte) error { _, err := Inflate(nil, b, 0); return err }
 	type stream struct {
 		comp   []byte
@@ -251,7 +256,7 @@ func TestGzipHeaderWithOptionalFields(t *testing.T) {
 	withFields = append(withFields, 'n', 'a', 'm', 'e', 0)    // FNAME
 	withFields = append(withFields, 'c', 'o', 'm', 0)         // FCOMMENT
 	withFields = append(withFields, body...)
-	out, err := GzipDecompress(withFields, 0)
+	out, err := GzipDecompressAppend(nil, withFields, 0)
 	if err != nil {
 		t.Fatalf("optional fields rejected: %v", err)
 	}

@@ -87,11 +87,11 @@ type container struct {
 var containers = map[string]container{
 	"gzip": {
 		GzipCompress, encodeThrough(func(w io.Writer, level int) (io.WriteCloser, error) { return gzip.NewWriterLevel(w, level) }),
-		func(b []byte) ([]byte, error) { return GzipDecompress(b, 0) }, decodeThrough(func(r io.Reader) (io.Reader, error) { return gzip.NewReader(r) }),
+		func(b []byte) ([]byte, error) { return GzipDecompressAppend(nil, b, 0) }, decodeThrough(func(r io.Reader) (io.Reader, error) { return gzip.NewReader(r) }),
 	},
 	"zlib": {
 		ZlibCompress, encodeThrough(func(w io.Writer, level int) (io.WriteCloser, error) { return zlib.NewWriterLevel(w, level) }),
-		func(b []byte) ([]byte, error) { return ZlibDecompress(b, 0) }, decodeThrough(func(r io.Reader) (io.Reader, error) { return zlib.NewReader(r) }),
+		func(b []byte) ([]byte, error) { return ZlibDecompressAppend(nil, b, 0) }, decodeThrough(func(r io.Reader) (io.Reader, error) { return zlib.NewReader(r) }),
 	},
 	"deflate": {
 		CompressBytes, encodeThrough(func(w io.Writer, level int) (io.WriteCloser, error) { return flate.NewWriter(w, level) }),

@@ -113,17 +113,17 @@ func TestGzipDetectsCorruption(t *testing.T) {
 	// Flip a payload byte: either the inflate fails or the CRC must catch it.
 	bad := append([]byte{}, comp...)
 	bad[len(bad)/2] ^= 0x40
-	if _, err := GzipDecompress(bad, 0); err == nil {
+	if _, err := GzipDecompressAppend(nil, bad, 0); err == nil {
 		t.Fatal("corrupted gzip stream decoded without error")
 	}
 	// Truncate.
-	if _, err := GzipDecompress(comp[:len(comp)/2], 0); err == nil {
+	if _, err := GzipDecompressAppend(nil, comp[:len(comp)/2], 0); err == nil {
 		t.Fatal("truncated gzip stream decoded without error")
 	}
 	// Bad magic.
 	bad2 := append([]byte{}, comp...)
 	bad2[0] = 0
-	if _, err := GzipDecompress(bad2, 0); err == nil {
+	if _, err := GzipDecompressAppend(nil, bad2, 0); err == nil {
 		t.Fatal("bad magic accepted")
 	}
 }
@@ -199,7 +199,7 @@ func TestQuickRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := GzipDecompress(comp, 0)
+		got, err := GzipDecompressAppend(nil, comp, 0)
 		return err == nil && bytes.Equal(got, data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
@@ -297,7 +297,7 @@ func BenchmarkInflateBlocks(b *testing.B) {
 }
 
 // BenchmarkInflateNoRoom decodes the same blocks as BenchmarkInflateBlocks,
-// zlib-wrapped, with ZlibDecompress: a caller with no size hint, whose
+// zlib-wrapped, with ZlibDecompressAppend: a caller with no size hint, whose
 // output starts at nil and grows as it is decoded.
 func BenchmarkInflateNoRoom(b *testing.B) {
 	for _, f := range benchFiles(b) {
@@ -313,7 +313,7 @@ func BenchmarkInflateNoRoom(b *testing.B) {
 			b.SetBytes(int64(len(f.Data)))
 			for i := 0; i < b.N; i++ {
 				for _, z := range blocks {
-					if _, err := ZlibDecompress(z, 0); err != nil {
+					if _, err := ZlibDecompressAppend(nil, z, 0); err != nil {
 						b.Fatal(err)
 					}
 				}

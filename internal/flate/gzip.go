@@ -119,26 +119,11 @@ func checkGzipTrailer(trailer []byte, crc, size uint32) error {
 	return nil
 }
 
-// maxTrailerPrealloc caps how much the decompressors pre-reserve from the
-// (unverified) ISIZE trailer field, so a forged trailer cannot force a
-// large allocation up front.
-const maxTrailerPrealloc = 1 << 20
-
-// maxExpansion is the most a DEFLATE body inflates per byte: a 258-byte
-// match in two bits.
-const maxExpansion = 1032
-
-// GzipDecompress decompresses a single-member gzip stream, verifying the
-// CRC-32 and ISIZE trailer. maxSize, if positive, bounds the output size.
-func GzipDecompress(data []byte, maxSize int) ([]byte, error) {
-	return GzipDecompressAppend(nil, data, maxSize)
-}
-
-// GzipDecompressAppend is GzipDecompress appending to dst (which may be nil
-// or recycled from a pool), pre-reserving capacity from the ISIZE trailer
-// field clamped to what the body can inflate to, maxSize and
-// maxTrailerPrealloc. It returns the extended slice; only the appended
-// bytes are checksummed.
+// GzipDecompressAppend decodes a single-member gzip stream onto the end of
+// dst (which may be nil or recycled from a pool), verifying the CRC-32 and
+// ISIZE trailer against the appended bytes alone; maxSize, if positive,
+// bounds them. The output grows with what is inflated: the trailer's
+// ISIZE is checked, never trusted as a size.
 func GzipDecompressAppend(dst, data []byte, maxSize int) ([]byte, error) {
 	pos, err := skipGzipHeader(data)
 	if err != nil {
@@ -149,10 +134,6 @@ func GzipDecompressAppend(dst, data []byte, maxSize int) ([]byte, error) {
 	}
 	body := data[pos : len(data)-gzipTrailLen]
 	trailer := data[len(data)-gzipTrailLen:]
-	// ISIZE is read ahead of its check, as a hint of how much room to make:
-	// no more than the body can inflate to.
-	hint := min(int(binary.LittleEndian.Uint32(trailer[4:8])), maxExpansion*len(body))
-	dst = reserve(dst, hint, maxSize)
 	base := len(dst)
 	out, err := Inflate(dst, body, maxSize)
 	if err != nil {
@@ -162,27 +143,6 @@ func GzipDecompressAppend(dst, data []byte, maxSize int) ([]byte, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// reserve grows dst's spare capacity toward hint, clamped by maxSize and
-// maxTrailerPrealloc. The hint comes from untrusted trailer bytes, so it is
-// an optimization only — never a trusted size.
-func reserve(dst []byte, hint, maxSize int) []byte {
-	if hint <= 0 {
-		return dst
-	}
-	if maxSize > 0 && hint > maxSize {
-		hint = maxSize
-	}
-	if hint > maxTrailerPrealloc {
-		hint = maxTrailerPrealloc
-	}
-	if cap(dst)-len(dst) >= hint {
-		return dst
-	}
-	grown := make([]byte, len(dst), len(dst)+hint)
-	copy(grown, dst)
-	return grown
 }
 
 // zlib container constants (RFC 1950).
@@ -217,14 +177,9 @@ func ZlibCompress(data []byte, level int) ([]byte, error) {
 	return deflateBetween([]byte{cmf, flg}, trailer[:], data, level)
 }
 
-// ZlibDecompress decompresses a zlib stream, verifying the Adler-32 trailer.
-func ZlibDecompress(data []byte, maxSize int) ([]byte, error) {
-	return ZlibDecompressAppend(nil, data, maxSize)
-}
-
-// ZlibDecompressAppend is ZlibDecompress appending to dst (which may be nil
-// or recycled from a pool). zlib carries no size hint, so capacity grows on
-// demand; only the appended bytes are checksummed.
+// ZlibDecompressAppend decodes a zlib stream onto the end of dst (which
+// may be nil or recycled from a pool), verifying the Adler-32 trailer
+// against the appended bytes alone; maxSize, if positive, bounds them.
 func ZlibDecompressAppend(dst, data []byte, maxSize int) ([]byte, error) {
 	if len(data) < 2+zlibTrailLen {
 		return nil, fmt.Errorf("%w: zlib stream too short", ErrCorrupt)

@@ -1,9 +1,9 @@
 package flate
 
 // FuzzStreamReader is the one target that feeds arbitrary gzip members,
-// container and all, to the package's decoder: GzipDecompress is held to
-// compress/gzip on headers with FEXTRA, FNAME and FHCRC, on bytes between
-// the final block and the trailer, and on bytes after the trailer.
+// container and all, to the package's decoder: GzipDecompressAppend is
+// held to compress/gzip on headers with FEXTRA, FNAME and FHCRC, on bytes
+// between the final block and the trailer, and on bytes after the trailer.
 
 import (
 	"bytes"
@@ -144,16 +144,16 @@ func literalsOnly(distLen int) []byte {
 	return binary.LittleEndian.AppendUint32(out, 3)
 }
 
-// checkMember is the oracle: GzipDecompress and compress/gzip return the
+// checkMember is the oracle: GzipDecompressAppend and compress/gzip return the
 // same bytes for data, or both refuse it.
 func checkMember(data []byte) error {
-	want, wantErr := GzipDecompress(data, streamFuzzLimit)
+	want, wantErr := GzipDecompressAppend(nil, data, streamFuzzLimit)
 	std, stdErr := stdlibMember(data)
 	if (wantErr != nil) != (stdErr != nil) {
-		return fmt.Errorf("GzipDecompress: err %v; compress/gzip: err %v", wantErr, stdErr)
+		return fmt.Errorf("GzipDecompressAppend: err %v; compress/gzip: err %v", wantErr, stdErr)
 	}
 	if wantErr == nil && !bytes.Equal(want, std) {
-		return fmt.Errorf("GzipDecompress and compress/gzip decode to different bytes (%d, %d)", len(want), len(std))
+		return fmt.Errorf("GzipDecompressAppend and compress/gzip decode to different bytes (%d, %d)", len(want), len(std))
 	}
 	return nil
 }
@@ -167,7 +167,7 @@ func TestStreamSeedsAgree(t *testing.T) {
 		if err := checkMember(data); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
-		if _, err := GzipDecompress(data, streamFuzzLimit); (err == nil) != decodes[name] {
+		if _, err := GzipDecompressAppend(nil, data, streamFuzzLimit); (err == nil) != decodes[name] {
 			t.Errorf("%s: err %v, want it to decode: %v", name, err, decodes[name])
 		}
 	}

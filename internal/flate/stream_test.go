@@ -45,7 +45,7 @@ func segmentedGzip(tb testing.TB, data []byte, level, segment int) []byte {
 }
 
 func TestStreamEmptyInput(t *testing.T) {
-	got, err := GzipDecompress(segmentedGzip(t, nil, 9, 1024), 0)
+	got, err := GzipDecompressAppend(nil, segmentedGzip(t, nil, 9, 1024), 0)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("got %d bytes, err %v", len(got), err)
 	}
@@ -61,7 +61,7 @@ func TestStreamInteropWeReadStdlib(t *testing.T) {
 
 func TestStreamOneShotReadsWriterOutput(t *testing.T) {
 	data := []byte(strings.Repeat("streaming to one-shot ", 20_000))
-	got, err := GzipDecompress(segmentedGzip(t, data, 9, 64_000), 0)
+	got, err := GzipDecompressAppend(nil, segmentedGzip(t, data, 9, 64_000), 0)
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("one-shot decode of a segmented member: %v", err)
 	}

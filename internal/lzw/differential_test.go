@@ -37,9 +37,9 @@ func TestDifferentialRoundTripCorpus(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/-b%d: Compress: %v", c.name, bits, err)
 			}
-			got, err := Decompress(comp, 0)
+			got, err := DecompressAppend(nil, comp, 0)
 			if err != nil {
-				t.Fatalf("%s/-b%d: Decompress: %v", c.name, bits, err)
+				t.Fatalf("%s/-b%d: DecompressAppend: %v", c.name, bits, err)
 			}
 			if !bytes.Equal(got, data) {
 				t.Fatalf("%s/-b%d: round trip mismatch", c.name, bits)
@@ -136,7 +136,7 @@ func TestStdlibFormatMismatch(t *testing.T) {
 	w := stdlzw.NewWriter(&buf, stdlzw.LSB, 8)
 	w.Write([]byte("the two wire formats must not interdecode"))
 	w.Close()
-	if _, err := Decompress(buf.Bytes(), 0); err == nil {
+	if _, err := DecompressAppend(nil, buf.Bytes(), 0); err == nil {
 		t.Fatal("decoded a GIF-flavour LZW stream as .Z")
 	}
 }

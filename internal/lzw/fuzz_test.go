@@ -225,7 +225,7 @@ func TestWorkspaceReuse(t *testing.T) {
 // unrelated stream y has been through the same workspace: no panic, the
 // reference's bytes or a refusal where it refuses, never more than
 // allocBound allocated under a fuzzLimit budget; and x taken as raw data
-// must survive Compress/Decompress at the width its first byte picks.
+// must survive Compress/DecompressAppend at the width its first byte picks.
 func FuzzLZWDecode(f *testing.F) {
 	seeds := seedStreams(f)
 	for _, x := range seeds {
@@ -253,7 +253,7 @@ func FuzzLZWDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Compress -b%d: %v", bits, err)
 		}
-		back, err := Decompress(comp, len(x))
+		back, err := DecompressAppend(nil, comp, len(x))
 		if err != nil || !bytes.Equal(back, x) {
 			t.Fatalf("round trip -b%d of %d bytes: err %v", bits, len(x), err)
 		}

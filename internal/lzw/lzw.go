@@ -202,12 +202,6 @@ func Compress(data []byte, maxBits int) ([]byte, error) {
 	return slices.Clone(bw.Bytes()), nil
 }
 
-// Decompress decodes a .Z stream produced by Compress. maxSize, if
-// positive, bounds the decompressed size.
-func Decompress(data []byte, maxSize int) ([]byte, error) {
-	return DecompressAppend(nil, data, maxSize)
-}
-
 // decoder is the decode workspace: for each code, where its string already
 // lies in the output — an offset from the stream's start or its last clear
 // code — and its length, over as much of the code space as the stream can
@@ -247,12 +241,13 @@ func (d *decoder) fit(codes int) {
 
 var decoderPool = sync.Pool{New: func() any { return newDecoder() }}
 
-// DecompressAppend is Decompress appending to dst (which may be nil or
-// recycled from a pool); maxSize bounds the appended bytes. Each code's
-// string is copied forwards from where it already lies in the output,
-// eight bytes at a time when it is short. Those word stores may write up
-// to 7 bytes past the output's end into dst's spare capacity, never past
-// len(dst)+maxSize when maxSize is positive.
+// DecompressAppend decodes a .Z stream produced by Compress onto the end of
+// dst (which may be nil or recycled from a pool); maxSize, if positive,
+// bounds the appended bytes. Each code's string is copied forwards from
+// where it already lies in the output, eight bytes at a time when it is
+// short. Those word stores may write up to 7 bytes past the output's end
+// into dst's spare capacity, never past len(dst)+maxSize when maxSize is
+// positive.
 func DecompressAppend(dst, data []byte, maxSize int) ([]byte, error) {
 	d := decoderPool.Get().(*decoder)
 	defer decoderPool.Put(d)

@@ -14,7 +14,7 @@ func roundTrip(t *testing.T, data []byte, maxBits int) []byte {
 	if err != nil {
 		t.Fatalf("compress: %v", err)
 	}
-	got, err := Decompress(comp, 0)
+	got, err := DecompressAppend(nil, comp, 0)
 	if err != nil {
 		t.Fatalf("decompress: %v", err)
 	}
@@ -108,19 +108,19 @@ func TestMaxBitsValidation(t *testing.T) {
 }
 
 func TestDecompressRejectsCorrupt(t *testing.T) {
-	if _, err := Decompress([]byte{0x1f}, 0); err == nil {
+	if _, err := DecompressAppend(nil, []byte{0x1f}, 0); err == nil {
 		t.Fatal("short stream accepted")
 	}
-	if _, err := Decompress([]byte{0x00, 0x9d, 0x90}, 0); err == nil {
+	if _, err := DecompressAppend(nil, []byte{0x00, 0x9d, 0x90}, 0); err == nil {
 		t.Fatal("bad magic accepted")
 	}
-	if _, err := Decompress([]byte{0x1f, 0x9d, 0x05}, 0); err == nil {
+	if _, err := DecompressAppend(nil, []byte{0x1f, 0x9d, 0x05}, 0); err == nil {
 		t.Fatal("bad maxBits accepted")
 	}
 	// A code referencing beyond the table must fail: craft stream with
 	// first 9-bit code = 300 (undefined).
 	bad := []byte{0x1f, 0x9d, 0x90, 0x2c, 0x01} // 300 = 0b100101100
-	if _, err := Decompress(bad, 0); err == nil {
+	if _, err := DecompressAppend(nil, bad, 0); err == nil {
 		t.Fatal("out-of-table code accepted")
 	}
 }
@@ -131,10 +131,10 @@ func TestDecompressMaxSizeGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Decompress(comp, 1000); err == nil {
+	if _, err := DecompressAppend(nil, comp, 1000); err == nil {
 		t.Fatal("bomb guard did not trip")
 	}
-	if out, err := Decompress(comp, len(data)); err != nil || len(out) != len(data) {
+	if out, err := DecompressAppend(nil, comp, len(data)); err != nil || len(out) != len(data) {
 		t.Fatalf("exact limit should pass: %v", err)
 	}
 }
@@ -166,7 +166,7 @@ func TestQuickRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := Decompress(comp, 0)
+		got, err := DecompressAppend(nil, comp, 0)
 		return err == nil && bytes.Equal(got, data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -214,7 +214,7 @@ func BenchmarkDecompress(b *testing.B) {
 			b.SetBytes(int64(len(block)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := Decompress(comp, 0); err != nil {
+				if _, err := DecompressAppend(nil, comp, 0); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -228,7 +228,7 @@ func TestExplicitClearCodeHandling(t *testing.T) {
 	// Build by hand with the same bit packing the encoder uses:
 	// codes: 'a'(97) 'b'(98) CLEAR(256) 'c'(99) 'd'(100), all 9-bit.
 	stream := craft(16|blockModeFlag, [2]uint{97, 9}, [2]uint{98, 9}, [2]uint{clearCode, 9}, [2]uint{99, 9}, [2]uint{100, 9})
-	got, err := Decompress(stream, 0)
+	got, err := DecompressAppend(nil, stream, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestWidthBoundaryExactVector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Decompress(comp, 0)
+	got, err := DecompressAppend(nil, comp, 0)
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("boundary round trip: %v", err)
 	}
@@ -274,7 +274,7 @@ func TestMutationNeverPanics(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		bad := append([]byte{}, comp...)
 		bad[rng.Intn(len(bad))] ^= byte(1 + rng.Intn(255))
-		out, err := Decompress(bad, limit)
+		out, err := DecompressAppend(nil, bad, limit)
 		if err == nil && len(out) > limit {
 			t.Fatalf("trial %d: limit bypassed", trial)
 		}

@@ -163,14 +163,15 @@ func TestCorruptBlockAllocatesNoDestination(t *testing.T) {
 // than keepAliveHitBudget objects. Neither side's connection, request
 // frame or response frames cost one; what is left is per request:
 //
-//	client: the output buffer handed to the caller and the gzip
-//	        decoder's byte reader;
+//	client: the output buffer handed to the caller; the codec it
+//	        decodes with costs nothing (TestNewAllocatesNothing);
 //	server: its serve span (TestServeHitAllocs). A registered name costs
 //	        nothing.
 //
-// Three in all; the budget leaves one spare.
+// Two in all, and the budget is those two: one more per fetch is a
+// regression, not a margin.
 func TestKeepAliveHitAllocs(t *testing.T) {
-	const keepAliveHitBudget = 4
+	const keepAliveHitBudget = 2
 	content := workload.Generate(workload.ClassHTML, 18_000, 10)
 	srv := NewServer(nil)
 	srv.Register("page.html", content)

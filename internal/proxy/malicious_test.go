@@ -106,7 +106,7 @@ func TestMaliciousRawSizeWithinCap(t *testing.T) {
 }
 
 // TestMaliciousLyingBlockRawLen: a block header claiming a decompressed
-// size over the per-block cap must be refused before Decompress sees it.
+// size over the per-block cap must be refused before DecompressAppend sees it.
 func TestMaliciousLyingBlockRawLen(t *testing.T) {
 	payload := []byte("tiny")
 	addr := maliciousServer(t, func(conn net.Conn) {

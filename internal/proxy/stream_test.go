@@ -323,9 +323,6 @@ func (c stubCodec) Compress(raw []byte) ([]byte, error) {
 	}
 	return out, nil
 }
-func (stubCodec) Decompress([]byte, int) ([]byte, error) {
-	return nil, errors.New("stub codec cannot decompress")
-}
 func (stubCodec) DecompressAppend(_, _ []byte, _ int) ([]byte, error) {
 	return nil, errors.New("stub codec cannot decompress")
 }

@@ -212,7 +212,7 @@ func TestFacadeCodecRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := c.Decompress(comp, 0)
+		got, err := c.DecompressAppend(nil, comp, 0)
 		if err != nil || !bytes.Equal(got, data) {
 			t.Fatalf("%v: round trip failed: %v", s, err)
 		}

@@ -178,8 +178,8 @@ fuzz ./internal/lzw FuzzLZWEncodeIdentical
 # arbitrary members: optional header fields, bytes between the final block
 # and the trailer, bytes after the trailer. Every strict prefix of the
 # seeds, and of a multi-block stream through gzip, zlib and raw DEFLATE,
-# is refused, each in words pinned by a digest. A forged ISIZE reserves no
-# more room than its body can inflate to.
+# is refused, each in words pinned by a digest. The trailer's ISIZE is
+# checked, never a size hint: a forged one makes no room.
 fuzz ./internal/flate FuzzStreamReader
 exists ./internal/flate 'TestStreamSeedsAgree|TestGzipTruncationAlwaysFails|TestForgedISizeReservesLittle'
 # The inflater's fast loop and its careful one, held to compress/flate on
@@ -444,8 +444,9 @@ named ./internal/flate 'TestDeflateSteadyStateAllocs|TestGzipCompressAllocatesIt
 named ./internal/lz77 'TestMatcherSurvivesCollection' -count=1
 # The codec workspaces: a warm decode into a buffer with room allocates
 # nothing that scales with the block or a codec's tables, and a warm encode
-# of any scheme allocates its output and nothing else.
-named ./internal/codec 'TestDecompressIntoSteadyStateAllocs|TestCompressSteadyStateAllocs' -count=1
+# of any scheme allocates its output and nothing else. Making a codec, as
+# the client does on every attempt, allocates nothing.
+named ./internal/codec 'TestDecompressIntoSteadyStateAllocs|TestCompressSteadyStateAllocs|TestNewAllocatesNothing' -count=1
 # The testbed's own costs: a generator and four draws stay within three
 # allocations and 160 bytes, a link's jitter stream draws math/rand's
 # Float64s and allocates nothing, a timeout in the event queue costs none,
