@@ -26,8 +26,8 @@ const (
 )
 
 // schemes is the table New reads: per scheme, its tool name, what its
-// level counts, the levels it accepts, the one level 0 selects (the
-// paper's: gzip -9, compress -b 16, bzip2 -9) and its two functions.
+// level counts, the levels it accepts, the paper's level (what level 0
+// selects) and its two functions.
 var schemes = [...]struct {
 	name, unit       string
 	lo, hi, paper    int

@@ -144,8 +144,8 @@ func literalsOnly(distLen int) []byte {
 	return binary.LittleEndian.AppendUint32(out, 3)
 }
 
-// checkMember is the oracle: GzipDecompressAppend and compress/gzip return the
-// same bytes for data, or both refuse it.
+// checkMember is the oracle: GzipDecompressAppend and compress/gzip return
+// the same bytes for data, or both refuse it.
 func checkMember(data []byte) error {
 	want, wantErr := GzipDecompressAppend(nil, data, streamFuzzLimit)
 	std, stdErr := stdlibMember(data)
